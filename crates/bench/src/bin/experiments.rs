@@ -958,14 +958,14 @@ fn smoke(report: &mut Report, scale: Scale, timings: &mut Vec<JsonTiming>) {
 
 // ------------------------------------------------------------------
 // Hotpath: the query data-plane kernels the regression gate tracks —
-// sorted-list intersection, posting decode, and end-to-end
-// pattern_enum_pruned on zipf-wiki. `--json` + `--check` turn this into
-// the CI bench gate against the committed BENCH_hotpath.json.
+// sorted-list intersection, per-codec root-column decode, and end-to-end
+// pattern_enum_pruned on zipf-wiki. (Whole-image decode is measured on the
+// real format by the gated benchmark's `pathindex.heap_decode_s`.)
+// `--json` + `--check` turn this into the CI bench gate against the
+// committed BENCH_hotpath.json.
 // ------------------------------------------------------------------
 fn hotpath(report: &mut Report, scale: Scale, timings: &mut Vec<JsonTiming>) {
-    use patternkb_index::compress::CompressedPathIndexes;
-
-    report.section("Hotpath: intersection / decode / pattern_enum_pruned (regression-gated)");
+    report.section("Hotpath: intersection / codec decode / pattern_enum_pruned (regression-gated)");
     let cal = calibrate();
     report.line(&format!("calibration workload: {cal:.1} ms"));
 
@@ -1023,39 +1023,9 @@ fn hotpath(report: &mut Report, scale: Scale, timings: &mut Vec<JsonTiming>) {
     ));
     push(report, "zipf-wiki", "intersect", &durations, 60);
 
-    // --- 2. Posting decode: rebuild every word of the compressed tier.
-    //     Pinned to one shard: every hotpath metric must be single-
-    //     threaded so the single-core calibration workload normalizes it
-    //     (the gate would otherwise under-read regressions on many-core
-    //     runners). ---
-    let g = wiki_graph(scale);
-    let text = TextIndex::build(&g, SynonymTable::default_english());
-    let idx = build_indexes(
-        &g,
-        &text,
-        &BuildConfig {
-            d: 3,
-            threads: 0,
-            shards: 1,
-        },
-    );
-    let comp = CompressedPathIndexes::compress(&idx);
-    let mut durations = Vec::new();
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        let back = comp.decompress().expect("tier decodes");
-        durations.push(t0.elapsed());
-        assert_eq!(back.num_postings(), idx.num_postings());
-    }
-    push(report, "zipf-wiki", "decode", &durations, 5);
-    match comp.encoding_mix() {
-        Ok(mix) => report.line(&format!("encoding mix: {mix}")),
-        Err(e) => report.line(&format!("encoding mix unavailable: {e}")),
-    }
-
-    // --- 2b. Per-codec decode microbench: identical root lists forced
-    //     through each of the three v4 encodings, streamed back with
-    //     `read_into` (the decoder the compressed tier actually uses).
+    // --- 2. Per-codec decode microbench: identical root lists forced
+    //     through each of the three encodings, streamed back with
+    //     `read_into` (the decoder the word streams actually use).
     //     Shapes chosen so every codec can represent them (strictly
     //     ascending); the adaptive selector would pick differently per
     //     list — that is exactly what this row isolates. ---
@@ -1098,8 +1068,8 @@ fn hotpath(report: &mut Report, scale: Scale, timings: &mut Vec<JsonTiming>) {
                 out.clear();
                 let mut pos = 0usize;
                 let t0 = Instant::now();
-                for _ in 0..lists.len() {
-                    BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out)
+                for l in &lists {
+                    BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out, l.len())
                         .expect("self-written stream decodes");
                 }
                 durations.push(t0.elapsed());
@@ -1110,13 +1080,15 @@ fn hotpath(report: &mut Report, scale: Scale, timings: &mut Vec<JsonTiming>) {
     }
 
     // --- 3. End-to-end: pattern_enum_pruned over a fixed query batch on
-    //     zipf-wiki (the acceptance workload). One shard (see above): the
-    //     single shard worker runs inline, so the metric tracks kernel
-    //     speed, not the host's core count; `--shards` deliberately does
-    //     not apply here. Per-query minimum over 3 passes to damp
-    //     scheduler noise. ---
+    //     zipf-wiki (the acceptance workload). Pinned to one shard: every
+    //     hotpath metric must be single-threaded so the single-core
+    //     calibration workload normalizes it (the gate would otherwise
+    //     under-read regressions on many-core runners). The single shard
+    //     worker runs inline, so the metric tracks kernel speed, not the
+    //     host's core count; `--shards` deliberately does not apply here.
+    //     Per-query minimum over 3 passes to damp scheduler noise. ---
     let e = EngineBuilder::new()
-        .graph(g)
+        .graph(wiki_graph(scale))
         .synonyms(SynonymTable::default_english())
         .height(3)
         .shards(1)
@@ -1415,7 +1387,6 @@ fn ablation(report: &mut Report, scale: Scale) {
 
     ablation_pruning(report, scale);
     ablation_incremental(report, scale);
-    ablation_compression(report, scale);
     ablation_stemmer(report, scale);
 }
 
@@ -1588,47 +1559,4 @@ fn ablation_incremental(report: &mut Report, scale: Scale) {
     }
     report.table(&rows);
     report.line("(refresh cost tracks the delta's d-neighbourhood, not the KB size — Fig. 6's build cost amortizes away)");
-}
-
-/// Ablation F: compressed posting tier.
-fn ablation_compression(report: &mut Report, scale: Scale) {
-    use patternkb_index::compress::CompressedPathIndexes;
-
-    report.section("Ablation F: compressed posting tier (delta+varint)");
-    let g = wiki_graph(scale);
-    let text = TextIndex::build(&g, SynonymTable::default_english());
-    let mut rows = vec![vec![
-        "d".into(),
-        "postings".into(),
-        "raw (MB)".into(),
-        "compressed (MB)".into(),
-        "ratio".into(),
-        "decode-all (ms)".into(),
-    ]];
-    for d in [2usize, 3] {
-        let idx = build_indexes(
-            &g,
-            &text,
-            &BuildConfig {
-                d,
-                threads: 0,
-                shards: 0,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let t0 = Instant::now();
-        let back = comp.decompress().expect("decodes");
-        let decode = t0.elapsed();
-        assert_eq!(back.num_postings(), idx.num_postings());
-        rows.push(vec![
-            format!("{d}"),
-            format!("{}", idx.num_postings()),
-            format!("{:.2}", idx.heap_bytes() as f64 / 1048576.0),
-            format!("{:.2}", comp.heap_bytes() as f64 / 1048576.0),
-            format!("{:.3}", comp.ratio_against(&idx)),
-            format!("{:.2}", decode.as_secs_f64() * 1e3),
-        ]);
-    }
-    report.table(&rows);
-    report.line("(the cold tier trades one per-word decode for >2x memory headroom at the paper's d=3/4 blowup)");
 }

@@ -405,7 +405,7 @@ impl GraphDelta {
             }
         }
 
-        let nnew = r.u32()? as usize;
+        let nnew = r.count(4 + 4)?; // type id + text length prefix
         let mut new_nodes: Vec<(TypeId, Box<str>)> = Vec::with_capacity(nnew);
         let mut text_nodes: FxHashMap<Box<str>, NodeId> = FxHashMap::default();
         for i in 0..nnew {
@@ -427,8 +427,8 @@ impl GraphDelta {
 
         let total = base_nodes + nnew;
         let edge_list = |r: &mut Reader| -> Result<Vec<(NodeId, AttrId, NodeId)>, SnapshotError> {
-            let n = r.u32()? as usize;
-            let mut list = Vec::with_capacity(n.min(r.remaining() / 12 + 1));
+            let n = r.count(12)?;
+            let mut list = Vec::with_capacity(n);
             for _ in 0..n {
                 let s = r.u32()? as usize;
                 let a = r.u32()? as usize;

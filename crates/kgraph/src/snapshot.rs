@@ -131,6 +131,20 @@ impl Reader {
         }
     }
 
+    /// Read a `u32` element count and check that the input can still hold
+    /// that many elements of at least `min_elem_bytes` each — the one
+    /// gate every count-driven allocation goes through, so a corrupt
+    /// count is a [`SnapshotError::Truncated`] at the count's offset
+    /// instead of a multi-gigabyte `Vec::with_capacity`.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
+        let offset = self.offset();
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_elem_bytes) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(SnapshotError::Truncated { offset }),
+        }
+    }
+
     /// A [`SnapshotError::BadReference`] at the current offset, for call
     /// sites that validate an id they just read.
     pub fn bad_reference(&self) -> SnapshotError {
@@ -239,7 +253,8 @@ pub fn decode(data: &[u8]) -> Result<KnowledgeGraph, SnapshotError> {
         return Err(SnapshotError::BadVersion(version));
     }
 
-    let ntypes = r.u32()? as usize;
+    // A string is at least its 4-byte length prefix.
+    let ntypes = r.count(4)?;
     let mut type_texts = Vec::with_capacity(ntypes);
     for _ in 0..ntypes {
         type_texts.push(r.str()?);
@@ -247,7 +262,7 @@ pub fn decode(data: &[u8]) -> Result<KnowledgeGraph, SnapshotError> {
     if type_texts.first().map(String::as_str) != Some("") {
         return Err(r.bad_reference());
     }
-    let nattrs = r.u32()? as usize;
+    let nattrs = r.count(4)?;
     let mut attr_texts = Vec::with_capacity(nattrs);
     for _ in 0..nattrs {
         attr_texts.push(r.str()?);
@@ -265,7 +280,7 @@ pub fn decode(data: &[u8]) -> Result<KnowledgeGraph, SnapshotError> {
         attr_ids.push(b.add_attr(a));
     }
 
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 4)?; // type id + text length prefix
     let mut node_ids = Vec::with_capacity(n);
     for _ in 0..n {
         let t = r.u32()? as usize;
@@ -285,6 +300,7 @@ pub fn decode(data: &[u8]) -> Result<KnowledgeGraph, SnapshotError> {
     }
     let mut g = b.build();
     if r.u8()? == 1 {
+        r.need(8 * n)?;
         let mut pr = Vec::with_capacity(n);
         for _ in 0..n {
             pr.push(r.f64()?);
@@ -380,6 +396,23 @@ mod tests {
                 Ok(_) => panic!("cut at {cut} should fail"),
             }
         }
+    }
+
+    #[test]
+    fn count_is_checked_against_the_remaining_bytes() {
+        let mut data = 3u32.to_le_bytes().to_vec();
+        data.extend_from_slice(&[0; 12]);
+        assert_eq!(Reader::new(&data).count(4), Ok(3));
+        assert_eq!(
+            Reader::new(&data).count(5),
+            Err(SnapshotError::Truncated { offset: 0 })
+        );
+        // A product that overflows `usize` is rejected, not wrapped.
+        let huge = u32::MAX.to_le_bytes();
+        assert_eq!(
+            Reader::new(&huge).count(usize::MAX),
+            Err(SnapshotError::Truncated { offset: 0 })
+        );
     }
 
     #[test]

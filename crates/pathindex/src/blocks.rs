@@ -1,14 +1,15 @@
-//! Block-coded sorted integer lists: the posting layout of the v3/v4
-//! compressed tiers and the seekable cursor the query plane gallops over.
+//! Block-coded sorted integer lists: the root-column layout of the
+//! persisted word streams and the seekable cursor the query plane gallops
+//! over.
 //!
-//! Since image format v4 a [`BlockList`] is an **adaptive** container: at
-//! encode time the builder picks, per list, whichever of three codecs
-//! serializes smallest (see `docs/FORMATS.md` §"Posting list codecs"):
+//! A [`BlockList`] is an **adaptive** container: at encode time the
+//! builder picks, per list, whichever of three codecs serializes smallest
+//! (see `docs/FORMATS.md` §"Posting list codecs"):
 //!
-//! * **Delta + bitpack** ([`DeltaList`], tag 0) — the v3 workhorse.
-//!   Blocks of up to [`BLOCK`] entries, each with a skip entry (first,
-//!   max, payload offset) and deltas packed at the block's minimal fixed
-//!   bit width. Seek discards whole blocks via the per-block max.
+//! * **Delta + bitpack** ([`DeltaList`], tag 0) — the workhorse. Blocks
+//!   of up to [`BLOCK`] entries, each with a skip entry (first, max,
+//!   payload offset) and deltas packed at the block's minimal fixed bit
+//!   width. Seek discards whole blocks via the per-block max.
 //! * **Run-length** ([`RleList`], tag 1) — runs of *consecutive* values
 //!   `first, first+1, …, first+len−1` stored as (gap, len) varint pairs.
 //!   Wins on dense root ranges with long consecutive stretches; seek is a
@@ -21,10 +22,9 @@
 //!   arithmetic plus a popcount.
 //!
 //! All three sit behind one [`BlockList`] enum and one [`BlockCursor`],
-//! so `SeekCursor` callers (gallop intersection, the compressed-tier
+//! so `SeekCursor` callers (gallop intersection, the word-stream
 //! decoder) never see which codec a list chose. The serialized form tags
-//! each list with one leading byte; v3 images carry untagged delta
-//! payloads and decode through `BlockList::read_into_untagged_delta`.
+//! each list with one leading byte.
 
 use crate::varint;
 
@@ -43,7 +43,7 @@ pub(crate) const TAG_BITMAP: u8 = 2;
 /// stats and the per-encoding decode microbenches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Encoding {
-    /// Delta + bitpacked blocks (the v3 format; tag 0).
+    /// Delta + bitpacked blocks (tag 0).
     Delta,
     /// Runs of consecutive values (tag 1).
     Rle,
@@ -75,8 +75,7 @@ struct BlockSkip {
 }
 
 /// A sorted (non-decreasing) `u32` sequence in delta + bitpacked blocks
-/// with a per-block skip table — codec tag 0, and the only codec of v3
-/// images.
+/// with a per-block skip table — codec tag 0.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeltaList {
     /// Total number of entries.
@@ -226,8 +225,6 @@ impl DeltaList {
     }
 
     /// Serialize into `out` (self-delimiting; [`Self::read`] round-trips).
-    /// This is the exact v3 list payload — v4 prefixes it with
-    /// [`TAG_DELTA`].
     pub(crate) fn write(&self, out: &mut Vec<u8>) {
         varint::put_u32(out, self.len);
         varint::put_u32(out, self.packed.len() as u32);
@@ -250,6 +247,10 @@ impl DeltaList {
         let len = varint::get_u32(buf, pos)?;
         let packed_len = varint::get_u32(buf, pos)? as usize;
         let num_blocks = (len as usize).div_ceil(BLOCK);
+        // Every block has a skip entry of at least two varint bytes.
+        if num_blocks > (buf.len() - *pos) / 2 {
+            return None;
+        }
         let mut skips = Vec::with_capacity(num_blocks);
         let mut prev = 0u32;
         for i in 0..num_blocks {
@@ -291,18 +292,22 @@ impl DeltaList {
 
     /// Decode a serialized delta list from `buf[*pos..]` straight into
     /// `out` (appended), without materializing a [`DeltaList`] — the
-    /// zero-allocation path the compressed-tier decoder takes per posting
+    /// zero-allocation path the word-stream decoder takes per posting
     /// group. `scratch` is caller-provided reusable storage for the skip
     /// entries. Returns the number of blocks decoded; `None` on
-    /// truncation or corruption (with `out`/`scratch` contents
-    /// unspecified).
+    /// truncation, corruption, or a list that does not hold exactly
+    /// `expect` entries (with `out`/`scratch` contents unspecified).
     fn read_into(
         buf: &[u8],
         pos: &mut usize,
         scratch: &mut Vec<(u32, u32, u32)>,
         out: &mut Vec<u32>,
+        expect: usize,
     ) -> Option<u64> {
         let len = varint::get_u32(buf, pos)? as usize;
+        if len != expect {
+            return None;
+        }
         let packed_len = varint::get_u32(buf, pos)? as usize;
         let num_blocks = len.div_ceil(BLOCK);
         scratch.clear();
@@ -481,7 +486,8 @@ impl RleList {
     fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let len = varint::get_u32(buf, pos)?;
         let num_runs = varint::get_u32(buf, pos)? as usize;
-        if num_runs as u64 > u64::from(len) {
+        // Every run is a (gap, len) pair of at least two varint bytes.
+        if num_runs as u64 > u64::from(len) || num_runs > (buf.len() - *pos) / 2 {
             return None;
         }
         let mut runs = Vec::with_capacity(num_runs);
@@ -507,11 +513,12 @@ impl RleList {
     }
 
     /// Streaming decode straight into `out` (appended). Returns the
-    /// number of runs decoded.
-    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>) -> Option<u64> {
+    /// number of runs decoded; `None` unless the list holds exactly
+    /// `expect` entries.
+    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<u64> {
         let len = varint::get_u32(buf, pos)?;
         let num_runs = varint::get_u32(buf, pos)? as usize;
-        if num_runs as u64 > u64::from(len) {
+        if len as usize != expect || num_runs as u64 > u64::from(len) {
             return None;
         }
         out.reserve(len as usize);
@@ -675,11 +682,15 @@ impl BitmapList {
     }
 
     /// Streaming decode straight into `out` (appended). Returns the
-    /// number of words decoded.
-    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>) -> Option<u64> {
+    /// number of words decoded; `None` unless the list holds exactly
+    /// `expect` entries.
+    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<u64> {
         let len = varint::get_u32(buf, pos)?;
         let base = varint::get_u32(buf, pos)?;
         let num_words = varint::get_u32(buf, pos)? as usize;
+        if len as usize != expect {
+            return None;
+        }
         if len == 0 {
             return (num_words == 0).then_some(0);
         }
@@ -867,8 +878,7 @@ impl BlockList {
     }
 
     /// Serialize into `out`: one codec tag byte, then the codec payload
-    /// (self-delimiting; [`Self::read`] round-trips). This is the v4
-    /// list framing — v3 images store the untagged delta payload.
+    /// (self-delimiting; [`Self::read`] round-trips).
     pub fn write(&self, out: &mut Vec<u8>) {
         match self {
             BlockList::Delta(l) => {
@@ -886,9 +896,8 @@ impl BlockList {
         }
     }
 
-    /// Deserialize a tagged (v4) list from `buf[*pos..]`, advancing
-    /// `pos`. `None` on an unknown tag, truncation, or structural
-    /// corruption.
+    /// Deserialize a tagged list from `buf[*pos..]`, advancing `pos`.
+    /// `None` on an unknown tag, truncation, or structural corruption.
     pub fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let tag = *buf.get(*pos)?;
         *pos += 1;
@@ -900,47 +909,34 @@ impl BlockList {
         }
     }
 
-    /// Streaming decode of a tagged (v4) list from `buf[*pos..]` straight
+    /// Streaming decode of a tagged list from `buf[*pos..]` straight
     /// into `out` (appended), without materializing a [`BlockList`] — the
-    /// zero-allocation path the compressed-tier decoder takes per posting
+    /// zero-allocation path the word-stream decoder takes per posting
     /// group. `scratch` is reusable storage for delta skip entries.
+    ///
+    /// The list must hold exactly `expect` entries. A run-length list can
+    /// legitimately expand a few bytes into billions of values, so only
+    /// the caller knows how many a list may hold; the declared length is
+    /// checked against `expect` before anything is reserved for it.
+    ///
     /// Returns the number of codec units decoded (blocks / runs / words);
-    /// `None` on truncation or corruption (with `out`/`scratch` contents
-    /// unspecified).
+    /// `None` on a length mismatch, truncation or corruption (with
+    /// `out`/`scratch` contents unspecified).
     pub fn read_into(
         buf: &[u8],
         pos: &mut usize,
         scratch: &mut Vec<(u32, u32, u32)>,
         out: &mut Vec<u32>,
+        expect: usize,
     ) -> Option<u64> {
         let tag = *buf.get(*pos)?;
         *pos += 1;
         match tag {
-            TAG_DELTA => DeltaList::read_into(buf, pos, scratch, out),
-            TAG_RLE => RleList::read_into(buf, pos, out),
-            TAG_BITMAP => BitmapList::read_into(buf, pos, out),
+            TAG_DELTA => DeltaList::read_into(buf, pos, scratch, out, expect),
+            TAG_RLE => RleList::read_into(buf, pos, out, expect),
+            TAG_BITMAP => BitmapList::read_into(buf, pos, out, expect),
             _ => None,
         }
-    }
-
-    /// The codec tag of a tagged (v4) list at `buf[pos]`, if valid — lets
-    /// stats walkers classify lists without decoding them.
-    pub(crate) fn peek_tag(buf: &[u8], pos: usize) -> Option<u8> {
-        match buf.get(pos) {
-            Some(&t @ (TAG_DELTA | TAG_RLE | TAG_BITMAP)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Streaming decode of an **untagged delta** list — the v3 image
-    /// framing, kept so legacy images decode forever.
-    pub(crate) fn read_into_untagged_delta(
-        buf: &[u8],
-        pos: &mut usize,
-        scratch: &mut Vec<(u32, u32, u32)>,
-        out: &mut Vec<u32>,
-    ) -> Option<u64> {
-        DeltaList::read_into(buf, pos, scratch, out)
     }
 
     /// Force a specific codec (tests and microbenches; `None` when the
@@ -1446,22 +1442,30 @@ mod tests {
         assert!(BlockList::read(&bytes, &mut pos).is_none());
         let mut pos = 0;
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        assert!(BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out).is_none());
+        assert!(BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out, 3).is_none());
     }
 
     #[test]
-    fn untagged_delta_framing_still_decodes() {
-        // The v3 framing: a bare DeltaList payload with no tag byte.
-        let values: Vec<u32> = (0..700).map(|i| i * 3 + (i % 2)).collect();
-        let mut bytes = Vec::new();
-        DeltaList::encode(&values).write(&mut bytes);
-        let mut pos = 0;
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        let blocks = BlockList::read_into_untagged_delta(&bytes, &mut pos, &mut scratch, &mut out)
-            .expect("v3 framing decodes");
-        assert_eq!(pos, bytes.len());
-        assert_eq!(blocks as usize, values.len().div_ceil(BLOCK));
-        assert_eq!(out, values);
+    fn streaming_decode_rejects_a_length_mismatch_before_reserving() {
+        // The declared length is compared with the caller's expectation
+        // before it sizes any reservation.
+        let values: Vec<u32> = (0..300).collect();
+        for enc in ALL_ENCODINGS {
+            let list = BlockList::encode_as(&values, enc).expect("strictly increasing");
+            let mut bytes = Vec::new();
+            list.write(&mut bytes);
+            for wrong in [0, values.len() - 1, values.len() + 1, u32::MAX as usize] {
+                let (mut pos, mut scratch, mut out) = (0, Vec::new(), Vec::new());
+                assert!(
+                    BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out, wrong).is_none(),
+                    "{enc:?} expect {wrong}"
+                );
+                assert!(
+                    out.capacity() <= values.len(),
+                    "{enc:?} reserved for {wrong}"
+                );
+            }
+        }
     }
 
     proptest! {
@@ -1480,8 +1484,9 @@ mod tests {
             let mut pos = 0;
             let mut scratch = Vec::new();
             let mut streamed = Vec::new();
-            let units = BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed)
-                .expect("streams");
+            let units =
+                BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed, values.len())
+                    .expect("streams");
             prop_assert_eq!(pos, bytes.len());
             prop_assert_eq!(units as usize, list.num_blocks());
             prop_assert_eq!(streamed, values);
@@ -1504,7 +1509,7 @@ mod tests {
                 let mut pos = 0;
                 let mut scratch = Vec::new();
                 let mut streamed = Vec::new();
-                BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed)
+                BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed, values.len())
                     .expect("streams");
                 prop_assert_eq!(pos, bytes.len(), "{:?}", enc);
                 prop_assert_eq!(streamed, values.clone(), "{:?}", enc);

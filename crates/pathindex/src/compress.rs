@@ -1,267 +1,130 @@
-//! Compressed posting tier: block-coded roots + LEB128 coded payloads.
+//! The word-stream codec of the `PKB5` container ([`crate::storage`]):
+//! one word's postings as a compact byte stream.
 //!
-//! The uncompressed [`WordPathIndex`] stores both sort orders of every
-//! posting as fixed-width structs (fast, but ≈56 bytes per posting plus the
-//! node arena). For large `d` the index grows steeply — the paper's
-//! Figure 6 reports 34 GB at `d = 4` — so this module provides a cold tier
-//! that keeps one word's postings as a compact byte stream and decodes on
-//! demand:
+//! The decoded [`WordPathIndex`] stores both sort orders of every posting
+//! as fixed-width structs (fast, but ≈56 bytes per posting plus the node
+//! arena). For large `d` the index grows steeply — the paper's Figure 6
+//! reports 34 GB at `d = 4` — so the persisted image keeps each word's
+//! postings in this form and decodes on demand:
 //!
 //! * postings are stored once, in pattern-first order, grouped by pattern;
 //! * each group's root column is an adaptively-encoded
 //!   [`crate::blocks::BlockList`]: the builder computes the exact
 //!   serialized size of delta + bitpack blocks, run-length runs, and a
-//!   dense bitmap, and keeps the smallest (stream format v4 — one codec
-//!   tag byte per list, followed by a per-block suffix score-bound
-//!   section; the untagged delta-only v3 layout and the per-integer
-//!   varint layout of v2/v1 images still decode);
+//!   dense bitmap, and keeps the smallest (one codec tag byte per list),
+//!   followed by a per-block suffix score-bound section;
 //! * pattern ids are delta-coded ([`crate::varint`]);
 //! * the leading path node is implicit (it equals the root);
-//! * the two cached scores stay as raw little-endian `f64`s, so a
-//!   compress → decompress round trip is **bit-exact** (asserted by tests).
+//! * the two cached scores stay as raw little-endian `f64`s, so an
+//!   [`encode`] → [`decode_stream`] round trip is **bit-exact** (asserted
+//!   by tests).
 //!
-//! [`CompressedPathIndexes::decompress_word`] rebuilds a single word's
-//! queryable index — the natural unit, since query processing touches only
-//! the query's keywords. Decoding validates the stream and reports
-//! [`CompressError`] on truncation or corruption instead of panicking.
+//! `docs/FORMATS.md` ("word stream") is the normative layout. Decoding
+//! validates the stream and reports [`CompressError`] on truncation or
+//! corruption instead of panicking.
 
 use crate::blocks::BlockList;
-use crate::pattern::{PatternId, PatternSet};
+use crate::pattern::PatternId;
 use crate::posting::Posting;
 use crate::varint;
-use crate::word_index::{PathIndexes, WordPathIndex};
-use patternkb_graph::{FxHashMap, NodeId, WordId};
+use crate::word_index::WordPathIndex;
+use patternkb_graph::NodeId;
 
-/// A corrupt or truncated compressed posting stream.
+/// A corrupt or truncated posting stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CompressError {
+pub(crate) enum CompressError {
     /// The stream ended before all declared postings were decoded.
     Truncated,
-    /// A decoded value was out of range (e.g. a path length of zero or
-    /// beyond the supported maximum).
-    Corrupt(&'static str),
+    /// A decoded value was out of range (a path length of zero or beyond
+    /// the supported maximum, a non-finite score, a count that does not
+    /// match, trailing bytes).
+    Corrupt,
 }
 
-impl std::fmt::Display for CompressError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompressError::Truncated => write!(f, "compressed posting stream truncated"),
-            CompressError::Corrupt(what) => {
-                write!(f, "compressed posting stream corrupt: {what}")
+/// Lower bound on one posting's bytes in a stream: a one-byte header
+/// varint plus the two raw `f64` scores. Every count read from a stream
+/// is checked against `remaining bytes / MIN_POSTING_BYTES` before
+/// anything is allocated for it.
+const MIN_POSTING_BYTES: usize = 1 + 8 + 8;
+
+/// Encode all postings of `widx` (pattern-first order) as one word
+/// stream. Boxed, i.e. shrunk to fit: the image writer holds every
+/// word's stream at once, so the size guess's slack would add up.
+pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
+    let postings = widx.postings_pattern_first();
+    let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 12);
+
+    // Group boundaries: postings are sorted by (pattern, root).
+    let mut groups: Vec<(PatternId, usize, usize)> = Vec::new();
+    let mut i = 0;
+    while i < postings.len() {
+        let pat = postings[i].pattern;
+        let start = i;
+        while i < postings.len() && postings[i].pattern == pat {
+            i += 1;
+        }
+        groups.push((pat, start, i));
+    }
+
+    varint::put_u32(&mut bytes, groups.len() as u32);
+    let mut prev_pat = 0u32;
+    let mut roots: Vec<u32> = Vec::new();
+    for (gi, &(pat, lo, hi)) in groups.iter().enumerate() {
+        varint::put_u32(&mut bytes, pat.0 - prev_pat);
+        prev_pat = pat.0;
+        varint::put_u32(&mut bytes, (hi - lo) as u32);
+        // Root column: non-decreasing within the group → the codec
+        // that serializes smallest wins (tag byte + payload).
+        roots.clear();
+        roots.extend(postings[lo..hi].iter().map(|p| p.root.0));
+        BlockList::encode(&roots).write(&mut bytes);
+        // Suffix score-bound section (empty for short lists): the
+        // group order matches the pattern-first primary order, so
+        // `gi` indexes the word's bound tables directly.
+        let bounds = widx.pattern_block_bounds(gi);
+        varint::put_u32(&mut bytes, bounds.len() as u32);
+        for b in bounds {
+            varint::put_u32(&mut bytes, b.num_paths);
+            varint::put_u32(&mut bytes, b.max_per_root);
+            for v in [
+                b.min_len, b.max_len, b.min_pr, b.max_pr, b.min_sim, b.max_sim,
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
             }
         }
+        // Payload column, in the same posting order.
+        for p in &postings[lo..hi] {
+            let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
+            varint::put_u32(&mut bytes, header);
+            let nodes = widx.nodes_of(p);
+            debug_assert_eq!(nodes[0], p.root, "paths start at their root");
+            for &v in &nodes[1..] {
+                varint::put_u32(&mut bytes, v.0);
+            }
+            bytes.extend_from_slice(&p.pagerank.to_le_bytes());
+            bytes.extend_from_slice(&p.sim.to_le_bytes());
+        }
     }
+    bytes.into_boxed_slice()
 }
 
-impl std::error::Error for CompressError {}
-
-/// Stream layout of one word's compressed postings. Crate-visible so the
-/// storage-backed snapshot tier ([`crate::storage`]) can decode the same
-/// adaptive streams directly from mapped bytes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum StreamLayout {
-    /// v4: per group, a tagged adaptively-encoded [`BlockList`] root
-    /// column and a suffix score-bound section, then the payloads.
-    #[default]
-    Adaptive,
-    /// v3: per group, the root column is an untagged delta + bitpack
-    /// [`BlockList`] followed by the posting payloads.
-    Blocked,
-    /// v1/v2: roots delta + varint coded, interleaved with payloads.
-    Interleaved,
-}
-
-/// One word's postings as a compact byte stream.
-#[derive(Clone, Debug, Default)]
-pub struct CompressedWordIndex {
-    bytes: Box<[u8]>,
-    num_postings: u32,
-    layout: StreamLayout,
-}
-
-impl CompressedWordIndex {
-    /// Encode all postings of `widx` (pattern-first order, v4 adaptive
-    /// layout).
-    pub fn from_word_index(widx: &WordPathIndex) -> Self {
-        let postings = widx.postings_pattern_first();
-        let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 12);
-
-        // Group boundaries: postings are sorted by (pattern, root).
-        let mut groups: Vec<(PatternId, usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < postings.len() {
-            let pat = postings[i].pattern;
-            let start = i;
-            while i < postings.len() && postings[i].pattern == pat {
-                i += 1;
-            }
-            groups.push((pat, start, i));
-        }
-
-        varint::put_u32(&mut bytes, groups.len() as u32);
-        let mut prev_pat = 0u32;
-        let mut roots: Vec<u32> = Vec::new();
-        for (gi, &(pat, lo, hi)) in groups.iter().enumerate() {
-            varint::put_u32(&mut bytes, pat.0 - prev_pat);
-            prev_pat = pat.0;
-            varint::put_u32(&mut bytes, (hi - lo) as u32);
-            // Root column: non-decreasing within the group → the codec
-            // that serializes smallest wins (tag byte + payload).
-            roots.clear();
-            roots.extend(postings[lo..hi].iter().map(|p| p.root.0));
-            BlockList::encode(&roots).write(&mut bytes);
-            // Suffix score-bound section (empty for short lists): the
-            // group order matches the pattern-first primary order, so
-            // `gi` indexes the word's bound tables directly.
-            let bounds = widx.pattern_block_bounds(gi);
-            varint::put_u32(&mut bytes, bounds.len() as u32);
-            for b in bounds {
-                varint::put_u32(&mut bytes, b.num_paths);
-                varint::put_u32(&mut bytes, b.max_per_root);
-                for v in [
-                    b.min_len, b.max_len, b.min_pr, b.max_pr, b.min_sim, b.max_sim,
-                ] {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            // Payload column, in the same posting order.
-            for p in &postings[lo..hi] {
-                let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
-                varint::put_u32(&mut bytes, header);
-                let nodes = widx.nodes_of(p);
-                debug_assert_eq!(nodes[0], p.root, "paths start at their root");
-                for &v in &nodes[1..] {
-                    varint::put_u32(&mut bytes, v.0);
-                }
-                bytes.extend_from_slice(&p.pagerank.to_le_bytes());
-                bytes.extend_from_slice(&p.sim.to_le_bytes());
-            }
-        }
-
-        CompressedWordIndex {
-            bytes: bytes.into_boxed_slice(),
-            num_postings: postings.len() as u32,
-            layout: StreamLayout::Adaptive,
-        }
-    }
-
-    /// Decode back into a queryable [`WordPathIndex`]. Returns the blocks
-    /// decoded alongside (0 for legacy interleaved streams).
-    pub fn decode_counted(&self) -> Result<(WordPathIndex, u64), CompressError> {
-        decode_stream(&self.bytes, self.num_postings, self.layout)
-    }
-
-    /// The raw stream bytes (used by the v5 storage tier, which embeds
-    /// per-word adaptive streams verbatim in its offset-table layout).
-    pub(crate) fn stream_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Decode back into a queryable [`WordPathIndex`].
-    pub fn decode(&self) -> Result<WordPathIndex, CompressError> {
-        self.decode_counted().map(|(widx, _)| widx)
-    }
-
-    /// Number of postings in the stream.
-    pub fn len(&self) -> usize {
-        self.num_postings as usize
-    }
-
-    /// Whether the stream holds no postings.
-    pub fn is_empty(&self) -> bool {
-        self.num_postings == 0
-    }
-
-    /// Resident bytes of the compressed stream.
-    pub fn heap_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// How many pattern groups of this stream use each root-column codec,
-    /// indexed `[delta, rle, bitmap]`. Walks the stream framing without
-    /// materializing postings. v3 streams count every list as delta; v1/v2
-    /// streams carry no block lists and report all zeros.
-    pub fn encoding_counts(&self) -> Result<[u32; 3], CompressError> {
-        use crate::blocks::{TAG_BITMAP, TAG_DELTA, TAG_RLE};
-        let mut counts = [0u32; 3];
-        if self.layout == StreamLayout::Interleaved {
-            return Ok(counts);
-        }
-        let buf = &self.bytes;
-        let mut pos = 0usize;
-        let num_groups = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
-        let mut skips: Vec<(u32, u32, u32)> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
-        for _ in 0..num_groups {
-            varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // pattern delta
-            let count = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-            roots.clear();
-            if self.layout == StreamLayout::Adaptive {
-                let slot = match BlockList::peek_tag(buf, pos) {
-                    Some(TAG_DELTA) => 0,
-                    Some(TAG_RLE) => 1,
-                    Some(TAG_BITMAP) => 2,
-                    _ => return Err(CompressError::Corrupt("unknown codec tag")),
-                };
-                counts[slot] += 1;
-                BlockList::read_into(buf, &mut pos, &mut skips, &mut roots)
-                    .ok_or(CompressError::Truncated)?;
-                let nbounds =
-                    varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
-                if nbounds > count as usize {
-                    return Err(CompressError::Corrupt("bound table larger than group"));
-                }
-                for _ in 0..nbounds {
-                    varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-                    varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-                    if pos + 48 > buf.len() {
-                        return Err(CompressError::Truncated);
-                    }
-                    pos += 48;
-                }
-            } else {
-                counts[0] += 1;
-                BlockList::read_into_untagged_delta(buf, &mut pos, &mut skips, &mut roots)
-                    .ok_or(CompressError::Truncated)?;
-            }
-            // Skip the payload column without materializing it.
-            for _ in 0..count {
-                let header = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-                let nodes_len = (header >> 1) as usize;
-                if nodes_len == 0 || nodes_len > crate::build::MAX_D + 1 {
-                    return Err(CompressError::Corrupt("path length out of range"));
-                }
-                for _ in 1..nodes_len {
-                    varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-                }
-                if pos + 16 > buf.len() {
-                    return Err(CompressError::Truncated);
-                }
-                pos += 16;
-            }
-        }
-        Ok(counts)
-    }
-}
-
-/// Decode one word's compressed posting stream from a borrowed byte
-/// slice. This is the shared stream decoder behind both the heap tier
-/// ([`CompressedWordIndex::decode_counted`], which owns its bytes) and the
-/// storage-backed v5 tier ([`crate::storage`], which borrows the stream
-/// in place from a mapped snapshot). Returns the rebuilt index plus the
-/// number of skip blocks decoded (0 for legacy interleaved streams).
+/// Decode one word's posting stream from a borrowed byte slice — the one
+/// stream decoder, shared by the eager heap decode and the mapped tier's
+/// first-touch decode ([`crate::storage`] borrows the stream in place
+/// from the container).
 ///
-/// The stream must span `buf` exactly: trailing bytes are an error, so a
-/// wrong length prefix in a container can never be silently absorbed.
-pub(crate) fn decode_stream(
-    buf: &[u8],
-    num_postings: u32,
-    layout: StreamLayout,
-) -> Result<(WordPathIndex, u64), CompressError> {
-    let mut postings: Vec<Posting> = Vec::with_capacity(num_postings as usize);
+/// The stream must span `buf` exactly and hold exactly `num_postings`
+/// postings: trailing bytes are an error, so a wrong length prefix in the
+/// container can never be silently absorbed.
+pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathIndex, CompressError> {
+    // `num_postings` comes from the container's lexicon: reserve no more
+    // than the stream could hold, so a corrupt count cannot drive the
+    // allocation. A valid stream always fits the cap, so its postings are
+    // still reserved once, up front.
+    let mut postings: Vec<Posting> =
+        Vec::with_capacity((num_postings as usize).min(buf.len() / MIN_POSTING_BYTES));
     let mut arena: Vec<NodeId> = Vec::new();
     let mut pos = 0usize;
-    let mut blocks_decoded = 0u64;
 
     let num_groups = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
     let mut pat = 0u32;
@@ -271,72 +134,49 @@ pub(crate) fn decode_stream(
     let mut roots_scratch: Vec<u32> = Vec::new();
     for gi in 0..num_groups {
         let delta = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-        pat = if gi == 0 { delta } else { pat + delta };
-        let count = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-        // v4/v3 carry the whole root column up front; v1/v2
-        // interleave root deltas with the payloads.
-        if layout != StreamLayout::Interleaved {
-            roots_scratch.clear();
-            let blocks = match layout {
-                StreamLayout::Adaptive => {
-                    BlockList::read_into(buf, &mut pos, &mut skips_scratch, &mut roots_scratch)
-                }
-                _ => BlockList::read_into_untagged_delta(
-                    buf,
-                    &mut pos,
-                    &mut skips_scratch,
-                    &mut roots_scratch,
-                ),
-            }
+        pat = if gi == 0 {
+            delta
+        } else {
+            pat.checked_add(delta).ok_or(CompressError::Corrupt)?
+        };
+        let count = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
+        if count > (buf.len() - pos) / MIN_POSTING_BYTES {
+            return Err(CompressError::Truncated);
+        }
+        // The whole root column comes first; it must hold exactly `count`
+        // entries (checked before the column is materialized).
+        roots_scratch.clear();
+        BlockList::read_into(buf, &mut pos, &mut skips_scratch, &mut roots_scratch, count)
             .ok_or(CompressError::Truncated)?;
-            if roots_scratch.len() != count as usize {
-                return Err(CompressError::Corrupt("root column count mismatch"));
-            }
-            blocks_decoded += blocks;
+        // Validate and discard the suffix bound section — it is derived
+        // data, recomputed from the decoded postings by
+        // `WordPathIndex::new`, carried in the image so readers without
+        // the postings can still plan block skipping.
+        let nbounds = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
+        if nbounds > count {
+            return Err(CompressError::Corrupt);
         }
-        if layout == StreamLayout::Adaptive {
-            // Validate and discard the suffix bound section — it is
-            // derived data, recomputed from the decoded postings by
-            // `WordPathIndex::new`, carried in the image so readers
-            // without the postings can still plan block skipping.
-            let nbounds = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
-            if nbounds > count as usize {
-                return Err(CompressError::Corrupt("bound table larger than group"));
+        for _ in 0..nbounds {
+            varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // num_paths
+            varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // max_per_root
+            if pos + 48 > buf.len() {
+                return Err(CompressError::Truncated);
             }
-            for _ in 0..nbounds {
-                varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // num_paths
-                varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // max_per_root
-                if pos + 48 > buf.len() {
-                    return Err(CompressError::Truncated);
+            for k in 0..6 {
+                let at = pos + 8 * k;
+                let v = f64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+                if !v.is_finite() {
+                    return Err(CompressError::Corrupt);
                 }
-                for k in 0..6 {
-                    let at = pos + 8 * k;
-                    let v = f64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-                    if !v.is_finite() {
-                        return Err(CompressError::Corrupt("non-finite score bound"));
-                    }
-                }
-                pos += 48;
             }
+            pos += 48;
         }
-        let mut root = 0u32;
-        for pi in 0..count {
-            root = match layout {
-                StreamLayout::Adaptive | StreamLayout::Blocked => roots_scratch[pi as usize],
-                StreamLayout::Interleaved => {
-                    let rdelta = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-                    if pi == 0 {
-                        rdelta
-                    } else {
-                        root + rdelta
-                    }
-                }
-            };
+        for &root in &roots_scratch {
             let header = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
             let edge_terminal = header & 1 == 1;
             let nodes_len = (header >> 1) as usize;
             if nodes_len == 0 || nodes_len > crate::build::MAX_D + 1 {
-                return Err(CompressError::Corrupt("path length out of range"));
+                return Err(CompressError::Corrupt);
             }
             let start = arena.len() as u32;
             arena.push(NodeId(root));
@@ -351,7 +191,7 @@ pub(crate) fn decode_stream(
             let sim = f64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
             pos += 16;
             if !pagerank.is_finite() || !sim.is_finite() {
-                return Err(CompressError::Corrupt("non-finite cached score"));
+                return Err(CompressError::Corrupt);
             }
             postings.push(Posting {
                 pattern: PatternId(pat),
@@ -364,364 +204,22 @@ pub(crate) fn decode_stream(
             });
         }
     }
-    if postings.len() != num_postings as usize {
-        return Err(CompressError::Corrupt("posting count mismatch"));
+    if postings.len() != num_postings as usize || pos != buf.len() {
+        return Err(CompressError::Corrupt);
     }
-    if pos != buf.len() {
-        return Err(CompressError::Corrupt("trailing bytes"));
-    }
-    Ok((WordPathIndex::new(postings, arena), blocks_decoded))
-}
-
-/// All per-word compressed streams plus the (uncompressed — it is tiny)
-/// shared pattern set. A cold-storage drop-in for [`PathIndexes`],
-/// mirroring its root-range shard layout segment by segment.
-pub struct CompressedPathIndexes {
-    d: usize,
-    patterns: PatternSet,
-    bounds: Vec<u32>,
-    shards: Vec<FxHashMap<WordId, CompressedWordIndex>>,
-}
-
-impl CompressedPathIndexes {
-    /// Compress every word of every shard of `idx`.
-    pub fn compress(idx: &PathIndexes) -> Self {
-        let shards = idx
-            .shards()
-            .iter()
-            .map(|shard| {
-                shard
-                    .iter_words()
-                    .map(|(w, widx)| (w, CompressedWordIndex::from_word_index(widx)))
-                    .collect()
-            })
-            .collect();
-        CompressedPathIndexes {
-            d: idx.d(),
-            patterns: idx.patterns().clone(),
-            bounds: idx.bounds().to_vec(),
-            shards,
-        }
-    }
-
-    /// The height threshold `d` the source index was built for.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// The shared pattern interner.
-    pub fn patterns(&self) -> &PatternSet {
-        &self.patterns
-    }
-
-    /// Number of root-range shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Check every decoded posting's root against the shard's declared
-    /// range — the same invariant the raw snapshot decoder enforces, so a
-    /// corrupted delta-coded root stream surfaces as an error instead of
-    /// silently breaking the shard layout (mis-routed roots would corrupt
-    /// the cross-shard candidate-root merge and incremental routing).
-    fn check_shard_range(&self, s: usize, widx: &WordPathIndex) -> Result<(), CompressError> {
-        let (lo, hi) = (self.bounds[s], self.bounds[s + 1]);
-        for p in widx.postings_pattern_first() {
-            if p.root.0 < lo || (hi != u32::MAX && p.root.0 >= hi) {
-                return Err(CompressError::Corrupt("root outside shard bounds"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode one word's postings (merged across shards) into a queryable
-    /// index — the unit of work for query processing, which touches only
-    /// the query keywords.
-    pub fn decompress_word(&self, w: WordId) -> Option<Result<WordPathIndex, CompressError>> {
-        let streams: Vec<(usize, &CompressedWordIndex)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, shard)| shard.get(&w).map(|c| (s, c)))
-            .collect();
-        if streams.is_empty() {
-            return None;
-        }
-        let merge = || -> Result<WordPathIndex, CompressError> {
-            let mut postings: Vec<Posting> = Vec::new();
-            let mut arena: Vec<NodeId> = Vec::new();
-            for (s, c) in streams {
-                let part = c.decode()?;
-                self.check_shard_range(s, &part)?;
-                let base = arena.len() as u32;
-                arena.extend_from_slice(part.arena());
-                postings.extend(part.postings_pattern_first().iter().map(|p| Posting {
-                    nodes_start: p.nodes_start + base,
-                    ..*p
-                }));
-            }
-            Ok(WordPathIndex::new(postings, arena))
-        };
-        Some(merge())
-    }
-
-    /// Decode everything back into a full (sharded) [`PathIndexes`].
-    pub fn decompress(&self) -> Result<PathIndexes, CompressError> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut words = FxHashMap::default();
-            for (&w, c) in shard {
-                let widx = c.decode()?;
-                self.check_shard_range(s, &widx)?;
-                words.insert(w, widx);
-            }
-            shards.push(crate::word_index::IndexShard::new(words));
-        }
-        Ok(PathIndexes::new(
-            self.d,
-            self.patterns.clone(),
-            self.bounds.clone(),
-            shards,
-        ))
-    }
-
-    /// Number of distinct words with postings.
-    pub fn num_words(&self) -> usize {
-        let mut ids: Vec<WordId> = self.shards.iter().flat_map(|s| s.keys().copied()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
-    /// Total postings across all words and shards.
-    pub fn num_postings(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(|c| c.len())
-            .sum()
-    }
-
-    /// Resident bytes: streams plus the pattern set.
-    pub fn heap_bytes(&self) -> usize {
-        let entries: usize = self.shards.iter().map(|s| s.len()).sum();
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(|c| c.heap_bytes())
-            .sum::<usize>()
-            + self.patterns.heap_bytes()
-            + entries * (std::mem::size_of::<WordId>() + std::mem::size_of::<CompressedWordIndex>())
-    }
-
-    /// `compressed bytes / uncompressed bytes` for the posting payload.
-    pub fn ratio_against(&self, idx: &PathIndexes) -> f64 {
-        self.heap_bytes() as f64 / idx.heap_bytes() as f64
-    }
-
-    /// Per-codec posting-list counts across every word and shard — how
-    /// often the adaptive selector picked each encoding (walks the actual
-    /// streams via [`CompressedWordIndex::encoding_counts`], so the
-    /// answer reflects what is stored, not what a re-encode would pick).
-    pub fn encoding_mix(&self) -> Result<crate::stats::EncodingMix, CompressError> {
-        let mut mix = crate::stats::EncodingMix::default();
-        for shard in &self.shards {
-            for c in shard.values() {
-                let [d, r, b] = c.encoding_counts()?;
-                mix.delta += u64::from(d);
-                mix.rle += u64::from(r);
-                mix.bitmap += u64::from(b);
-            }
-        }
-        Ok(mix)
-    }
-
-    /// Test/diagnostic hook: flip one byte of one word's stream (first
-    /// shard containing it), returning `false` if the word is absent or
-    /// empty. Used by failure-injection tests to prove corrupted streams
-    /// surface errors instead of garbage.
-    #[doc(hidden)]
-    pub fn corrupt_for_test(&mut self, w: WordId, byte: usize) -> bool {
-        for shard in &mut self.shards {
-            if let Some(c) = shard.get_mut(&w) {
-                if !c.bytes.is_empty() {
-                    let i = byte % c.bytes.len();
-                    c.bytes[i] ^= 0xa5;
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-// ---------------------------------------------------------------------
-// Persistence: the compressed tier is also the compact on-disk format.
-// ---------------------------------------------------------------------
-
-const MAGIC: &[u8; 4] = b"PKBC";
-const VERSION: u32 = 4;
-const V3: u32 = 3;
-const V2: u32 = 2;
-const V1: u32 = 1;
-
-impl CompressedPathIndexes {
-    /// Serialize to a versioned byte image. Typically ~4–5× smaller than
-    /// the raw [`crate::snapshot`] image, since the posting payload *is*
-    /// the compressed stream. Version 4 adaptively encodes each group's
-    /// root column ([`crate::blocks`]) and carries per-block suffix score
-    /// bounds; version 3 (untagged delta + bitpack lists), version 2
-    /// (per-integer varint roots, segment per shard) and version 1
-    /// (pre-shard) images still decode. `docs/FORMATS.md` is the
-    /// normative layout spec.
-    pub fn encode(&self) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut buf = Vec::with_capacity(self.heap_bytes() + 1024);
-        buf.extend_from_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.d as u32);
-        buf.put_u32_le(self.shards.len() as u32);
-        for &b in &self.bounds {
-            buf.put_u32_le(b);
-        }
-        buf.put_u32_le(self.patterns.len() as u32);
-        for i in 0..self.patterns.len() {
-            let key = self.patterns.key(PatternId(i as u32));
-            buf.put_u32_le(key.len() as u32);
-            for &v in key {
-                buf.put_u32_le(v);
-            }
-        }
-        for shard in &self.shards {
-            // Deterministic word order for reproducible images.
-            let mut words: Vec<(&WordId, &CompressedWordIndex)> = shard.iter().collect();
-            words.sort_by_key(|(w, _)| **w);
-            buf.put_u32_le(words.len() as u32);
-            for (w, c) in words {
-                buf.put_u32_le(w.0);
-                buf.put_u32_le(c.num_postings);
-                buf.put_u32_le(c.bytes.len() as u32);
-                buf.extend_from_slice(&c.bytes);
-            }
-        }
-        buf
-    }
-
-    /// Deserialize an [`Self::encode`] image. Validates framing eagerly
-    /// and every posting stream lazily (on first decode).
-    pub fn decode(data: &[u8]) -> Result<Self, CompressError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CompressError> {
-            if *pos + n > data.len() {
-                return Err(CompressError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let get_u32 = |pos: &mut usize| -> Result<u32, CompressError> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
-        };
-
-        if take(&mut pos, 4)? != MAGIC {
-            return Err(CompressError::Corrupt("bad magic"));
-        }
-        let version = get_u32(&mut pos)?;
-        if version != VERSION && version != V3 && version != V2 && version != V1 {
-            return Err(CompressError::Corrupt("unsupported version"));
-        }
-        let layout = match version {
-            VERSION => StreamLayout::Adaptive,
-            V3 => StreamLayout::Blocked,
-            _ => StreamLayout::Interleaved,
-        };
-        let d = get_u32(&mut pos)? as usize;
-        if d == 0 || d > crate::build::MAX_D {
-            return Err(CompressError::Corrupt("height threshold out of range"));
-        }
-        let bounds: Vec<u32> = if version == V1 {
-            vec![0, u32::MAX]
-        } else {
-            let nshards = get_u32(&mut pos)? as usize;
-            if nshards == 0 {
-                return Err(CompressError::Corrupt("zero shards"));
-            }
-            let bounds: Vec<u32> = (0..=nshards)
-                .map(|_| get_u32(&mut pos))
-                .collect::<Result<_, _>>()?;
-            if bounds[0] != 0
-                || *bounds.last().expect("non-empty") != u32::MAX
-                || bounds.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(CompressError::Corrupt("bad shard bounds"));
-            }
-            bounds
-        };
-        let npat = get_u32(&mut pos)? as usize;
-        let mut patterns = PatternSet::new();
-        let mut key: Vec<u32> = Vec::new();
-        for _ in 0..npat {
-            let len = get_u32(&mut pos)? as usize;
-            if len == 0 || len > 2 * crate::build::MAX_D + 2 {
-                return Err(CompressError::Corrupt("pattern key length"));
-            }
-            key.clear();
-            for _ in 0..len {
-                key.push(get_u32(&mut pos)?);
-            }
-            patterns.intern_key(&key);
-        }
-        let mut shards = Vec::with_capacity(bounds.len() - 1);
-        for _ in 0..bounds.len() - 1 {
-            let nwords = get_u32(&mut pos)? as usize;
-            let mut words = FxHashMap::default();
-            for _ in 0..nwords {
-                let w = WordId(get_u32(&mut pos)?);
-                let num_postings = get_u32(&mut pos)?;
-                let nbytes = get_u32(&mut pos)? as usize;
-                let stream = take(&mut pos, nbytes)?.to_vec().into_boxed_slice();
-                words.insert(
-                    w,
-                    CompressedWordIndex {
-                        bytes: stream,
-                        num_postings,
-                        layout,
-                    },
-                );
-            }
-            shards.push(words);
-        }
-        if pos != data.len() {
-            return Err(CompressError::Corrupt("trailing bytes"));
-        }
-        Ok(CompressedPathIndexes {
-            d,
-            patterns,
-            bounds,
-            shards,
-        })
-    }
-
-    /// Write the encoded image to `path`.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.encode())
-    }
-
-    /// Read an image from `path`.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let data = std::fs::read(path)?;
-        Self::decode(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
+    Ok(WordPathIndex::new(postings, arena))
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::build::{build_indexes, BuildConfig};
-    use patternkb_graph::{GraphBuilder, KnowledgeGraph};
+    use crate::pattern::PatternSet;
+    use crate::word_index::PathIndexes;
+    use patternkb_graph::GraphBuilder;
     use patternkb_text::{SynonymTable, TextIndex};
 
-    fn sample(n: usize) -> (KnowledgeGraph, TextIndex) {
+    fn sample(n: usize, d: usize) -> (PathIndexes, TextIndex) {
         let mut b = GraphBuilder::new();
         let t0 = b.add_type("Device");
         let t1 = b.add_type("Vendor");
@@ -737,7 +235,12 @@ pub(crate) mod tests {
         }
         let g = b.build();
         let t = TextIndex::build(&g, SynonymTable::new());
-        (g, t)
+        let cfg = BuildConfig {
+            d,
+            threads: 1,
+            shards: 1,
+        };
+        (build_indexes(&g, &t, &cfg), t)
     }
 
     fn canon_word(
@@ -763,252 +266,69 @@ pub(crate) mod tests {
 
     #[test]
     fn roundtrip_is_bit_exact() {
-        let (g, t) = sample(40);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let back = comp.decompress().expect("decodes");
-        assert_eq!(back.num_postings(), idx.num_postings());
+        let (idx, _) = sample(40, 3);
         for (w, widx) in idx.shards()[0].iter_words() {
-            let bw = back.word(w).expect("word survives");
+            let back = decode_stream(&encode(widx), widx.len() as u32).expect("decodes");
             assert_eq!(
                 canon_word(idx.patterns(), widx),
-                canon_word(back.patterns(), bw),
+                canon_word(idx.patterns(), &back),
                 "word {w:?}"
             );
         }
     }
 
     #[test]
-    fn sharded_roundtrip_and_image_are_bit_exact() {
-        let (g, t) = sample(60);
-        for shards in [2usize, 3, 5] {
-            let idx = build_indexes(
-                &g,
-                &t,
-                &BuildConfig {
-                    d: 3,
-                    threads: 1,
-                    shards,
-                },
-            );
-            let comp = CompressedPathIndexes::compress(&idx);
-            assert_eq!(comp.num_shards(), shards);
-            // In-memory round trip preserves the shard layout and postings.
-            let back = comp.decompress().expect("decodes");
-            assert_eq!(back.num_shards(), shards);
-            assert_eq!(back.bounds(), idx.bounds());
-            for (a, b) in idx.shards().iter().zip(back.shards()) {
-                assert_eq!(a.num_postings(), b.num_postings());
-                for (w, widx) in a.iter_words() {
-                    let bw = b.word(w).expect("word survives in its shard");
-                    assert_eq!(
-                        canon_word(idx.patterns(), widx),
-                        canon_word(back.patterns(), bw)
-                    );
-                }
-            }
-            // Per-word decode merges across shards into the full list.
-            let w = t.lookup_word("alpha").unwrap();
-            let merged = comp.decompress_word(w).expect("present").expect("decodes");
-            let mut expected: Vec<_> = idx
-                .word_shards(w)
-                .flat_map(|(_, widx)| canon_word(idx.patterns(), widx))
-                .collect();
-            expected.sort();
-            assert_eq!(canon_word(comp.patterns(), &merged), expected);
-            // The on-disk image round-trips the segments too.
-            let image = comp.encode();
-            let decoded = CompressedPathIndexes::decode(&image).expect("image decodes");
-            assert_eq!(decoded.num_shards(), shards);
-            assert_eq!(
-                decoded.decompress().unwrap().num_postings(),
-                idx.num_postings()
-            );
-        }
-    }
-
-    #[test]
-    fn decode_rejects_roots_outside_shard_bounds() {
-        let (g, t) = sample(30);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 3,
-            },
-        );
-        let mut comp = CompressedPathIndexes::compress(&idx);
-        // Move a populated shard-1 stream into shard 0: its roots now fall
-        // outside shard 0's declared range.
-        let (w, stream) = {
-            let (w, c) = comp.shards[1].iter().next().expect("shard 1 has words");
-            (*w, c.clone())
-        };
-        comp.shards[0].insert(w, stream);
-        assert!(matches!(
-            comp.decompress(),
-            Err(CompressError::Corrupt("root outside shard bounds"))
-        ));
-        assert!(matches!(
-            comp.decompress_word(w),
-            Some(Err(CompressError::Corrupt("root outside shard bounds")))
-        ));
-    }
-
-    #[test]
-    fn per_word_decode_matches() {
-        let (g, t) = sample(24);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let w = t.lookup_word("alpha").unwrap();
-        let one = comp.decompress_word(w).expect("present").expect("decodes");
-        assert_eq!(
-            canon_word(idx.patterns(), idx.word(w).unwrap()),
-            canon_word(comp.patterns(), &one)
-        );
-        assert!(comp.decompress_word(WordId(9999)).is_none());
-    }
-
-    #[test]
-    fn compression_shrinks_realistic_lists() {
-        let (g, t) = sample(200);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let ratio = comp.ratio_against(&idx);
+    fn streams_shrink_realistic_lists() {
+        let (idx, _) = sample(200, 3);
+        let stream_bytes: usize = idx.shards()[0]
+            .iter_words()
+            .map(|(_, widx)| encode(widx).len())
+            .sum();
+        let ratio = stream_bytes as f64 / idx.heap_bytes() as f64;
         assert!(
             ratio < 0.6,
-            "expected ≥40% savings, got ratio {ratio:.3} ({} vs {} bytes)",
-            comp.heap_bytes(),
+            "expected ≥40% savings, got ratio {ratio:.3} ({stream_bytes} vs {} bytes)",
             idx.heap_bytes()
         );
     }
 
     #[test]
-    fn encoding_counts_cover_every_group() {
-        let (g, t) = sample(200);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        for (w, widx) in idx.shards()[0].iter_words() {
-            let counts = comp.shards[0][&w].encoding_counts().expect("walks");
-            let groups = widx.patterns().count();
+    fn truncation_and_wrong_count_detected() {
+        let (idx, t) = sample(16, 2);
+        let widx = idx.word(t.lookup_word("alpha").unwrap()).unwrap();
+        let full = encode(widx);
+        let n = widx.len() as u32;
+        for cut in [0, 1, full.len() / 2, full.len() - 1] {
+            assert!(decode_stream(&full[..cut], n).is_err(), "cut at {cut}");
+        }
+        // The lexicon's count must match the stream, whichever way it is
+        // off — including far beyond anything the stream could hold.
+        for wrong in [0, n - 1, n + 1, u32::MAX] {
             assert_eq!(
-                counts.iter().map(|&c| c as usize).sum::<usize>(),
-                groups,
-                "every group classified for word {w:?}"
+                decode_stream(&full, wrong).err(),
+                Some(CompressError::Corrupt)
             );
         }
-        // Legacy layouts: v3 is all-delta, v1/v2 have no block lists.
-        let w = t.lookup_word("alpha").unwrap();
-        let widx = idx.word(w).unwrap();
-        let v3 = CompressedWordIndex {
-            bytes: encode_blocked(widx).into_boxed_slice(),
-            num_postings: widx.len() as u32,
-            layout: StreamLayout::Blocked,
-        };
-        let counts = v3.encoding_counts().expect("v3 walks");
-        assert_eq!(counts[0] as usize, widx.patterns().count());
-        assert_eq!(counts[1] + counts[2], 0);
-        let v2 = CompressedWordIndex {
-            bytes: encode_interleaved(widx).into_boxed_slice(),
-            num_postings: widx.len() as u32,
-            layout: StreamLayout::Interleaved,
-        };
-        assert_eq!(v2.encoding_counts().expect("v2 walks"), [0, 0, 0]);
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let (g, t) = sample(16);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
+        let mut padded = full.to_vec();
+        padded.push(0);
+        assert_eq!(
+            decode_stream(&padded, n).err(),
+            Some(CompressError::Corrupt)
         );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let w = t.lookup_word("alpha").unwrap();
-        let full = &comp.shards[0][&w];
-        for cut in [
-            0,
-            1,
-            full.bytes.len() / 2,
-            full.bytes.len().saturating_sub(1),
-        ] {
-            let truncated = CompressedWordIndex {
-                bytes: full.bytes[..cut].to_vec().into_boxed_slice(),
-                num_postings: full.num_postings,
-                layout: full.layout,
-            };
-            assert!(truncated.decode().is_err(), "cut at {cut} must fail");
-        }
     }
 
     #[test]
     fn bit_flips_never_panic() {
-        let (g, t) = sample(16);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let w = t.lookup_word("alpha").unwrap();
-        let reference = canon_word(idx.patterns(), idx.word(w).unwrap());
-        let base = CompressedPathIndexes::compress(&idx);
-        let stream_len = base.shards[0][&w].heap_bytes();
-        for byte in 0..stream_len {
-            let mut comp = CompressedPathIndexes::compress(&idx);
-            assert!(comp.corrupt_for_test(w, byte));
-            // Either an error, or a decode to *different* postings that the
-            // checksum-free format cannot distinguish — but never a panic.
-            match comp.decompress_word(w).unwrap() {
-                Err(_) => {}
-                Ok(widx) => {
-                    // Flipping a score byte yields valid-but-different
-                    // floats; structural bytes usually error out.
-                    let _ = canon_word(comp.patterns(), &widx) == reference;
-                }
-            }
+        let (idx, t) = sample(16, 2);
+        let widx = idx.word(t.lookup_word("alpha").unwrap()).unwrap();
+        let full = encode(widx);
+        for byte in 0..full.len() {
+            let mut bad = full.to_vec();
+            bad[byte] ^= 0xa5;
+            // Either an error, or a decode to *different* postings that
+            // the checksum-free stream cannot distinguish (a flipped
+            // score byte is a valid-but-different float) — never a panic.
+            let _ = decode_stream(&bad, widx.len() as u32);
         }
     }
 
@@ -1049,8 +369,8 @@ pub(crate) mod tests {
                     });
                 }
                 let widx = WordPathIndex::new(postings, arena);
-                let comp = CompressedWordIndex::from_word_index(&widx);
-                let back = comp.decode().expect("well-formed stream decodes");
+                let back = decode_stream(&encode(&widx), widx.len() as u32)
+                    .expect("well-formed stream decodes");
                 prop_assert_eq!(back.len(), widx.len());
                 let project = |w: &WordPathIndex| {
                     let mut v: Vec<(u32, Vec<NodeId>, bool, u64, u64)> = w
@@ -1070,275 +390,5 @@ pub(crate) mod tests {
                 prop_assert_eq!(project(&widx), project(&back));
             }
         }
-    }
-
-    #[test]
-    fn snapshot_roundtrip_and_size() {
-        let (g, t) = sample(120);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let image = comp.encode();
-        let raw_image = crate::snapshot::encode(&idx);
-        assert!(
-            image.len() * 2 < raw_image.len(),
-            "compressed image {} vs raw image {}",
-            image.len(),
-            raw_image.len()
-        );
-        let back = CompressedPathIndexes::decode(&image).expect("decodes");
-        assert_eq!(back.d(), comp.d());
-        assert_eq!(back.num_postings(), comp.num_postings());
-        let full = back.decompress().expect("streams valid");
-        assert_eq!(full.num_postings(), idx.num_postings());
-        for (w, widx) in idx.shards()[0].iter_words() {
-            let bw = full.word(w).expect("word survives");
-            assert_eq!(
-                canon_word(idx.patterns(), widx),
-                canon_word(full.patterns(), bw)
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_truncation_and_corruption_rejected() {
-        let (g, t) = sample(24);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let image = CompressedPathIndexes::compress(&idx).encode();
-        for cut in [0usize, 3, 7, image.len() / 2, image.len() - 1] {
-            assert!(
-                CompressedPathIndexes::decode(&image[..cut]).is_err(),
-                "prefix {cut} must fail"
-            );
-        }
-        let mut bad_magic = image.clone();
-        bad_magic[0] ^= 0xff;
-        assert!(matches!(
-            CompressedPathIndexes::decode(&bad_magic),
-            Err(CompressError::Corrupt("bad magic"))
-        ));
-        let mut bad_version = image.clone();
-        bad_version[4] = 0x7f;
-        assert!(CompressedPathIndexes::decode(&bad_version).is_err());
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let (g, t) = sample(16);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let dir = std::env::temp_dir().join("patternkb_compress_snapshot");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tier.pkbc");
-        comp.save(&path).unwrap();
-        let back = CompressedPathIndexes::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.num_postings(), comp.num_postings());
-        assert_eq!(
-            back.decompress().unwrap().num_postings(),
-            idx.num_postings()
-        );
-    }
-
-    /// The pre-v3 stream layout: roots delta + varint coded, interleaved
-    /// with the payloads (verbatim port of the old encoder, kept only to
-    /// manufacture legacy images for the compatibility tests).
-    fn encode_interleaved(widx: &WordPathIndex) -> Vec<u8> {
-        let postings = widx.postings_pattern_first();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut groups: Vec<(PatternId, usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < postings.len() {
-            let pat = postings[i].pattern;
-            let start = i;
-            while i < postings.len() && postings[i].pattern == pat {
-                i += 1;
-            }
-            groups.push((pat, start, i));
-        }
-        varint::put_u32(&mut bytes, groups.len() as u32);
-        let mut prev_pat = 0u32;
-        for &(pat, lo, hi) in &groups {
-            varint::put_u32(&mut bytes, pat.0 - prev_pat);
-            prev_pat = pat.0;
-            varint::put_u32(&mut bytes, (hi - lo) as u32);
-            let mut prev_root = 0u32;
-            for p in &postings[lo..hi] {
-                varint::put_u32(&mut bytes, p.root.0 - prev_root);
-                prev_root = p.root.0;
-                let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
-                varint::put_u32(&mut bytes, header);
-                for &v in &widx.nodes_of(p)[1..] {
-                    varint::put_u32(&mut bytes, v.0);
-                }
-                bytes.extend_from_slice(&p.pagerank.to_le_bytes());
-                bytes.extend_from_slice(&p.sim.to_le_bytes());
-            }
-        }
-        bytes
-    }
-
-    /// The v3 stream layout: per group an **untagged** delta + bitpack
-    /// root column, no bound section (verbatim port of the v3 encoder,
-    /// kept only to manufacture legacy images for the compatibility
-    /// tests).
-    fn encode_blocked(widx: &WordPathIndex) -> Vec<u8> {
-        let postings = widx.postings_pattern_first();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut groups: Vec<(PatternId, usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < postings.len() {
-            let pat = postings[i].pattern;
-            let start = i;
-            while i < postings.len() && postings[i].pattern == pat {
-                i += 1;
-            }
-            groups.push((pat, start, i));
-        }
-        varint::put_u32(&mut bytes, groups.len() as u32);
-        let mut prev_pat = 0u32;
-        let mut roots: Vec<u32> = Vec::new();
-        for &(pat, lo, hi) in &groups {
-            varint::put_u32(&mut bytes, pat.0 - prev_pat);
-            prev_pat = pat.0;
-            varint::put_u32(&mut bytes, (hi - lo) as u32);
-            roots.clear();
-            roots.extend(postings[lo..hi].iter().map(|p| p.root.0));
-            crate::blocks::DeltaList::encode(&roots).write(&mut bytes);
-            for p in &postings[lo..hi] {
-                let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
-                varint::put_u32(&mut bytes, header);
-                for &v in &widx.nodes_of(p)[1..] {
-                    varint::put_u32(&mut bytes, v.0);
-                }
-                bytes.extend_from_slice(&p.pagerank.to_le_bytes());
-                bytes.extend_from_slice(&p.sim.to_le_bytes());
-            }
-        }
-        bytes
-    }
-
-    /// Assemble a legacy (v1, v2, or v3) container image for `idx`.
-    /// Shared with the `storage` tests' v1–v5 decode matrix.
-    pub(crate) fn legacy_image(idx: &PathIndexes, version: u32) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.put_u32_le(version);
-        buf.put_u32_le(idx.d() as u32);
-        if version >= 2 {
-            buf.put_u32_le(idx.shards().len() as u32);
-            for &b in idx.bounds() {
-                buf.put_u32_le(b);
-            }
-        } else {
-            assert_eq!(idx.shards().len(), 1, "v1 images are single-shard");
-        }
-        buf.put_u32_le(idx.patterns().len() as u32);
-        for i in 0..idx.patterns().len() {
-            let key = idx.patterns().key(PatternId(i as u32));
-            buf.put_u32_le(key.len() as u32);
-            for &v in key {
-                buf.put_u32_le(v);
-            }
-        }
-        for shard in idx.shards() {
-            let mut words: Vec<(WordId, &WordPathIndex)> = shard.iter_words().collect();
-            words.sort_by_key(|(w, _)| *w);
-            buf.put_u32_le(words.len() as u32);
-            for (w, widx) in words {
-                let stream = if version >= 3 {
-                    encode_blocked(widx)
-                } else {
-                    encode_interleaved(widx)
-                };
-                buf.put_u32_le(w.0);
-                buf.put_u32_le(widx.len() as u32);
-                buf.put_u32_le(stream.len() as u32);
-                buf.extend_from_slice(&stream);
-            }
-        }
-        buf
-    }
-
-    #[test]
-    fn v3_v2_and_v1_legacy_images_still_decode() {
-        let (g, t) = sample(60);
-        for (version, shards) in [(1u32, 1usize), (2, 1), (2, 3), (3, 1), (3, 3)] {
-            let idx = build_indexes(
-                &g,
-                &t,
-                &BuildConfig {
-                    d: 3,
-                    threads: 1,
-                    shards,
-                },
-            );
-            let image = legacy_image(&idx, version);
-            let comp = CompressedPathIndexes::decode(&image)
-                .unwrap_or_else(|e| panic!("v{version} image decodes: {e}"));
-            assert_eq!(comp.num_shards(), shards);
-            let back = comp.decompress().expect("legacy streams decode");
-            assert_eq!(back.num_postings(), idx.num_postings());
-            for (s, shard) in idx.shards().iter().enumerate() {
-                for (w, widx) in shard.iter_words() {
-                    let bw = back.shards()[s].word(w).expect("word survives");
-                    assert_eq!(
-                        canon_word(idx.patterns(), widx),
-                        canon_word(back.patterns(), bw),
-                        "v{version} word {w:?}"
-                    );
-                }
-            }
-            // A legacy image decoded and re-encoded comes back as v4.
-            let reencoded = CompressedPathIndexes::compress(&back).encode();
-            assert_eq!(&reencoded[4..8], 4u32.to_le_bytes().as_slice());
-            assert!(CompressedPathIndexes::decode(&reencoded).is_ok());
-        }
-    }
-
-    #[test]
-    fn empty_index_roundtrips() {
-        let mut b = GraphBuilder::new();
-        let t0 = b.add_type("T");
-        b.add_node(t0, "solo");
-        let g = b.build();
-        let t = TextIndex::build(&g, SynonymTable::new());
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let comp = CompressedPathIndexes::compress(&idx);
-        let back = comp.decompress().unwrap();
-        assert_eq!(back.num_postings(), idx.num_postings());
-        assert_eq!(comp.d(), 2);
     }
 }

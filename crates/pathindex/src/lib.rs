@@ -24,7 +24,7 @@
 
 pub mod blocks;
 pub mod build;
-pub mod compress;
+mod compress;
 pub mod cursor;
 pub mod grouped;
 pub mod incremental;
@@ -38,13 +38,12 @@ pub mod word_index;
 
 pub use blocks::{BlockCursor, BlockList, Encoding, BLOCK};
 pub use build::{build_indexes, BuildConfig};
-pub use compress::{CompressedPathIndexes, CompressedWordIndex};
 pub use cursor::{intersect_runs, intersect_runs_while, SeekCursor, SliceCursor};
 pub use grouped::RunCursor;
 pub use incremental::{refresh_indexes, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};
 pub use posting::Posting;
-pub use stats::{EncodingMix, IndexStats};
+pub use stats::IndexStats;
 pub use storage::{IndexStorage, StorageBackend};
 pub use word_index::{
     IndexShard, PathIndexes, PatternPostingStats, PatternTypeGroup, WordPathIndex,

@@ -1,220 +1,39 @@
-//! Versioned binary snapshots of built [`PathIndexes`].
+//! Heap-tier entry points for persisted [`PathIndexes`].
 //!
 //! Figure 6 shows index construction dominating setup cost (hours at the
-//! paper's scale), so a production deployment builds once and reloads. The
-//! codec stores the pattern interner and, per word, the arena plus the
-//! postings in pattern-first order; the root-first order is re-derived on
-//! load (a sort is ~50× cheaper than the DFS enumeration and keeps the two
-//! orders impossible to desynchronize).
+//! paper's scale), so a production deployment builds once and reloads.
+//! There is one persisted image — the `PKB5` container of
+//! [`crate::storage`] — and two ways to read it: [`decode`] / [`load`]
+//! here decode every word eagerly into owned heap structures, while
+//! [`crate::storage::open_mapped`] / [`crate::storage::open_bytes`] borrow
+//! the same bytes and defer each word's decode to first touch. Images are
+//! written by [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
 //!
-//! Version-2 layout (little endian) — one segment per root-range shard:
-//!
-//! ```text
-//! magic "PKBI" | u32 version | u32 d | u32 nshards |
-//! (nshards + 1) × u32 bounds                            -- shard bounds
-//! u32 npatterns | npatterns × (u32 len | len × u32)      -- pattern keys
-//! nshards × shard segment
-//! shard segment = u32 nwords | nwords × word block
-//! word block = u32 word | u32 arena_len | arena_len × u32 |
-//!              u32 nposts | nposts × posting
-//! posting = u32 pattern | u32 root | u32 nodes_start | u16 nodes_len |
-//!           u8 edge_terminal | f64 pagerank | f64 sim
-//! ```
-//!
-//! Version-1 snapshots (the pre-shard layout, identical except for the
-//! missing shard header) remain readable and decode to a single-shard
-//! index, so a `shards = 1` deployment can swap binaries without
-//! rebuilding.
-//!
-//! This is the *raw* (`PKBI`) snapshot; the compressed (`PKBC`) image
-//! lives in [`crate::compress`]. The normative byte-level specification
-//! of both formats — and of every other persistent format in the stack —
-//! is `docs/FORMATS.md` at the repository root; change that document
-//! first when bumping a version.
+//! The image stores the pattern interner and, per word, the postings in
+//! pattern-first order; the root-first order is re-derived on decode (a
+//! sort is ~50× cheaper than the DFS enumeration and keeps the two orders
+//! impossible to desynchronize). The normative byte-level specification
+//! is `docs/FORMATS.md` at the repository root.
 //!
 //! Decode failures are the workspace-shared
 //! [`patternkb_graph::snapshot::SnapshotError`], carrying the byte offset
-//! of the damage; [`load`] additionally prefixes the file path.
+//! of the damage; [`load`] additionally prefixes the file path. Anything
+//! that is not a `PKB5` image is [`SnapshotError::BadMagic`].
 
-use crate::pattern::{PatternId, PatternSet};
-use crate::posting::Posting;
-use crate::word_index::{IndexShard, PathIndexes, WordPathIndex};
-use bytes::{BufMut, BytesMut};
-use patternkb_graph::snapshot::{invalid_data, Reader};
-use patternkb_graph::{FxHashMap, NodeId, WordId};
+use crate::word_index::PathIndexes;
+use patternkb_graph::snapshot::invalid_data;
 
 /// Decode failures, shared with the graph snapshot codec so every binary
 /// format in the stack reports offsets the same way.
 pub use patternkb_graph::snapshot::SnapshotError;
 
-const MAGIC: &[u8; 4] = b"PKBI";
-const VERSION: u32 = 2;
-const V1: u32 = 1;
-
-/// Serialize built indexes to a byte buffer.
-pub fn encode(idx: &PathIndexes) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + idx.heap_bytes());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(idx.d() as u32);
-    buf.put_u32_le(idx.num_shards() as u32);
-    for &b in idx.bounds() {
-        buf.put_u32_le(b);
-    }
-
-    let patterns = idx.patterns();
-    buf.put_u32_le(patterns.len() as u32);
-    for i in 0..patterns.len() {
-        let key = patterns.key(PatternId(i as u32));
-        buf.put_u32_le(key.len() as u32);
-        for &v in key {
-            buf.put_u32_le(v);
-        }
-    }
-
-    for shard in idx.shards() {
-        let mut words: Vec<(WordId, &WordPathIndex)> = shard.iter_words().collect();
-        words.sort_by_key(|(w, _)| *w);
-        buf.put_u32_le(words.len() as u32);
-        for (w, widx) in words {
-            buf.put_u32_le(w.0);
-            let arena = widx.arena();
-            buf.put_u32_le(arena.len() as u32);
-            for &n in arena {
-                buf.put_u32_le(n.0);
-            }
-            let postings = widx.postings_pattern_first();
-            buf.put_u32_le(postings.len() as u32);
-            for p in postings {
-                buf.put_u32_le(p.pattern.0);
-                buf.put_u32_le(p.root.0);
-                buf.put_u32_le(p.nodes_start);
-                buf.put_u16_le(p.nodes_len);
-                buf.put_u8(p.edge_terminal as u8);
-                buf.put_f64_le(p.pagerank);
-                buf.put_f64_le(p.sim);
-            }
-        }
-    }
-    buf.to_vec()
-}
-
-/// Deserialize indexes previously produced by [`encode`] — either the
-/// sharded version-2 layout or a pre-shard version-1 snapshot (decoded as
-/// a single shard). A v5 (`PKB5`) container is recognized by magic and
-/// fully decoded onto the heap tier, so every deployment can read every
-/// snapshot generation; opening v5 *without* decoding is
-/// [`crate::storage::open_mapped`].
+/// Decode a `PKB5` image fully onto the heap tier (every word decoded
+/// eagerly).
 pub fn decode(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
-    if crate::storage::is_v5(data) {
-        return crate::storage::decode_v5(data);
-    }
-    let mut r = Reader::new(data);
-    let mut magic = [0u8; 4];
-    r.take(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION && version != V1 {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let d = r.u32()? as usize;
-
-    let bounds: Vec<u32> = if version == V1 {
-        vec![0, u32::MAX]
-    } else {
-        let nshards = r.u32()? as usize;
-        if nshards == 0 {
-            return Err(r.bad_reference());
-        }
-        r.need(4 * (nshards + 1))?;
-        let mut bounds = Vec::with_capacity(nshards + 1);
-        for _ in 0..=nshards {
-            bounds.push(r.u32()?);
-        }
-        if bounds[0] != 0
-            || *bounds.last().expect("non-empty") != u32::MAX
-            || bounds.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(r.bad_reference());
-        }
-        bounds
-    };
-    let nshards = bounds.len() - 1;
-
-    let npatterns = r.u32()? as usize;
-    let mut patterns = PatternSet::new();
-    let mut key = Vec::new();
-    for expected in 0..npatterns {
-        let len = r.u32()? as usize;
-        r.need(4 * len)?;
-        key.clear();
-        for _ in 0..len {
-            key.push(r.u32()?);
-        }
-        let id = patterns.intern_key(&key);
-        if id.0 as usize != expected {
-            // Duplicate keys would permute ids and corrupt postings.
-            return Err(r.bad_reference());
-        }
-    }
-
-    let mut shards: Vec<IndexShard> = Vec::with_capacity(nshards);
-    for s in 0..nshards {
-        let (root_lo, root_hi) = (bounds[s], bounds[s + 1]);
-        let nwords = r.u32()? as usize;
-        let mut words: FxHashMap<WordId, WordPathIndex> =
-            patternkb_graph::fxhash::map_with_capacity(nwords);
-        for _ in 0..nwords {
-            let w = WordId(r.u32()?);
-            let arena_len = r.u32()? as usize;
-            r.need(4 * arena_len + 4)?;
-            let mut arena = Vec::with_capacity(arena_len);
-            for _ in 0..arena_len {
-                arena.push(NodeId(r.u32()?));
-            }
-            let nposts = r.u32()? as usize;
-            let mut postings = Vec::with_capacity(nposts);
-            for _ in 0..nposts {
-                r.need(4 + 4 + 4 + 2 + 1 + 8 + 8)?;
-                let pattern = PatternId(r.u32()?);
-                let root = NodeId(r.u32()?);
-                let nodes_start = r.u32()?;
-                let nodes_len = r.u16()?;
-                let edge_terminal = r.u8()? != 0;
-                let pagerank = r.f64()?;
-                let sim = r.f64()?;
-                if pattern.0 as usize >= npatterns
-                    || (nodes_start as usize + nodes_len as usize) > arena_len
-                    || root.0 < root_lo
-                    || (root_hi != u32::MAX && root.0 >= root_hi)
-                {
-                    return Err(r.bad_reference());
-                }
-                postings.push(Posting {
-                    pattern,
-                    root,
-                    nodes_start,
-                    nodes_len,
-                    edge_terminal,
-                    pagerank,
-                    sim,
-                });
-            }
-            words.insert(w, WordPathIndex::new(postings, arena));
-        }
-        shards.push(IndexShard::new(words));
-    }
-    Ok(PathIndexes::new(d, patterns, bounds, shards))
+    crate::storage::decode_v5(data)
 }
 
-/// Write an index snapshot to `path`.
-pub fn save(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode(idx))
-}
-
-/// Read an index snapshot from `path`.
+/// Read a `PKB5` image from `path` onto the heap tier.
 pub fn load(path: &std::path::Path) -> std::io::Result<PathIndexes> {
     let data = std::fs::read(path)?;
     decode(&data).map_err(|e| invalid_data(path, e))
@@ -224,6 +43,8 @@ pub fn load(path: &std::path::Path) -> std::io::Result<PathIndexes> {
 mod tests {
     use super::*;
     use crate::build::{build_indexes, BuildConfig};
+    use crate::pattern::PatternId;
+    use crate::storage::{encode_v5, save_v5};
     use patternkb_graph::GraphBuilder;
     use patternkb_text::{SynonymTable, TextIndex};
 
@@ -253,7 +74,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let idx = sample();
-        let decoded = decode(&encode(&idx)).expect("decode");
+        let decoded = decode(&encode_v5(&idx)).expect("decode");
         assert_eq!(decoded.d(), idx.d());
         assert_eq!(decoded.num_shards(), idx.num_shards());
         assert_eq!(decoded.bounds(), idx.bounds());
@@ -281,115 +102,30 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_across_shard_counts() {
-        // The same graph encoded at several shard counts: every snapshot
-        // round-trips to its own layout, and all of them hold the same
-        // global posting multiset.
-        let (g, t) = {
-            let mut b = GraphBuilder::new();
-            let ty = b.add_type("Station");
-            let next = b.add_attr("next stop");
-            let nodes: Vec<_> = (0..12)
-                .map(|i| b.add_node(ty, &format!("station number {i}")))
-                .collect();
-            for w in nodes.windows(2) {
-                b.add_edge(w[0], next, w[1]);
-            }
-            let g = b.build();
-            let t = TextIndex::build(&g, SynonymTable::new());
-            (g, t)
-        };
-        let reference = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        for shards in [1usize, 2, 5] {
-            let idx = build_indexes(
-                &g,
-                &t,
-                &BuildConfig {
-                    d: 3,
-                    threads: 1,
-                    shards,
-                },
-            );
-            assert_eq!(idx.num_shards(), shards);
-            let decoded = decode(&encode(&idx)).expect("decode");
-            assert_eq!(decoded.num_shards(), shards);
-            assert_eq!(decoded.bounds(), idx.bounds());
-            assert_eq!(decoded.num_postings(), reference.num_postings());
-            assert_eq!(decoded.num_words(), reference.num_words());
-            for (shard, dshard) in idx.shards().iter().zip(decoded.shards()) {
-                for (w, widx) in shard.iter_words() {
-                    let dw = dshard.word(w).expect("word survives");
-                    assert_eq!(dw.postings_pattern_first(), widx.postings_pattern_first());
-                    assert_eq!(dw.arena(), widx.arena());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rejects_postings_outside_shard_bounds() {
-        let mut b = GraphBuilder::new();
-        let ty = b.add_type("Thing");
-        let a = b.add_attr("rel");
-        let n0 = b.add_node(ty, "alpha item");
-        let n1 = b.add_node(ty, "beta item");
-        let n2 = b.add_node(ty, "gamma item");
-        b.add_edge(n0, a, n1);
-        b.add_edge(n1, a, n2);
-        let g = b.build();
-        let t = TextIndex::build(&g, SynonymTable::new());
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 3,
-            },
-        );
-        let mut data = encode(&idx);
-        // Corrupt the second shard bound so shard 0's postings fall outside
-        // their declared range.
-        let bound1_offset = 4 + 4 + 4 + 4 + 4; // magic|version|d|nshards|bounds[0]
-        data[bound1_offset..bound1_offset + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode(&data).unwrap_err(),
-            SnapshotError::BadReference { .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_garbage() {
+    fn only_pkb5_images_decode() {
         assert_eq!(
             decode(b"xx").unwrap_err(),
-            SnapshotError::Truncated { offset: 0 }
+            SnapshotError::Truncated { offset: 2 }
         );
-        assert_eq!(
-            decode(b"XXXXaaaaaaaaaaaa").unwrap_err(),
-            SnapshotError::BadMagic
-        );
-    }
-
-    #[test]
-    fn rejects_bad_version() {
-        let mut data = encode(&sample());
-        data[4] = 99;
-        assert_eq!(decode(&data).unwrap_err(), SnapshotError::BadVersion(99));
-    }
-
-    #[test]
-    fn rejects_truncation_anywhere() {
-        let data = encode(&sample());
-        for cut in [4, 13, 30, data.len() / 3, data.len() - 3] {
-            assert!(decode(&data[..cut]).is_err(), "cut at {cut} should fail");
+        // The retired raw (`PKBI`) and compressed (`PKBC`) images: a typed
+        // error that names the file, never a mis-decode.
+        let dir = std::env::temp_dir().join("patternkb_index_snapshot_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for magic in [b"PKBI", b"PKBC"] {
+            let mut image = magic.to_vec();
+            image.extend_from_slice(&2u32.to_le_bytes());
+            image.extend_from_slice(&[0u8; 64]);
+            assert_eq!(decode(&image).unwrap_err(), SnapshotError::BadMagic);
+            let path = dir.join("retired.idx");
+            std::fs::write(&path, &image).unwrap();
+            let err = load(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("retired.idx") && msg.contains("bad magic"),
+                "{msg}"
+            );
+            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -398,8 +134,8 @@ mod tests {
         let idx = sample();
         let dir = std::env::temp_dir().join("patternkb_index_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.pkbi");
-        save(&idx, &path).unwrap();
+        let path = dir.join("idx.pkb5");
+        save_v5(&idx, &path).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.num_postings(), idx.num_postings());
         std::fs::remove_file(&path).ok();

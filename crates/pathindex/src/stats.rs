@@ -55,43 +55,6 @@ impl std::fmt::Display for IndexStats {
     }
 }
 
-/// Per-codec posting-list counts of a compressed image — how often the
-/// v4 adaptive selector picked each encoding (see `docs/FORMATS.md`).
-/// Produced by
-/// [`CompressedPathIndexes::encoding_mix`](crate::CompressedPathIndexes::encoding_mix);
-/// legacy v3/earlier images report every list as delta (their only codec)
-/// or, for interleaved v1/v2 layouts with no root column, all zeros.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EncodingMix {
-    /// Lists stored as delta + LSB-first bitpack (the general-purpose
-    /// codec and the tie-breaking default).
-    pub delta: u64,
-    /// Lists stored run-length encoded (long root runs).
-    pub rle: u64,
-    /// Lists stored as dense bitmaps (high-density root ranges).
-    pub bitmap: u64,
-}
-
-impl EncodingMix {
-    /// Total posting lists counted.
-    pub fn total(&self) -> u64 {
-        self.delta + self.rle + self.bitmap
-    }
-}
-
-impl std::fmt::Display for EncodingMix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} lists: {} delta, {} rle, {} bitmap",
-            self.total(),
-            self.delta,
-            self.rle,
-            self.bitmap
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,33 +113,6 @@ mod tests {
         assert_eq!(s2.d, 2);
         let line = format!("{s2}");
         assert!(line.contains("d=2"));
-    }
-
-    #[test]
-    fn encoding_mix_counts_every_list() {
-        let (g, t) = chain(40);
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 3,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let img = crate::compress::CompressedPathIndexes::compress(&idx);
-        let mix = img.encoding_mix().expect("fresh image walks cleanly");
-        // One root column per (word, pattern) group across all shards.
-        let groups: u64 = idx
-            .shards()
-            .iter()
-            .flat_map(|s| s.iter_words())
-            .map(|(_, w)| w.patterns().count() as u64)
-            .sum();
-        assert_eq!(mix.total(), groups);
-        assert!(mix.total() > 0);
-        let line = format!("{mix}");
-        assert!(line.contains("delta") && line.contains("bitmap"));
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Out-of-core index storage: the snapshot **v5** format and the
+//! The persisted index image — the **`PKB5`** container — and the
 //! [`IndexStorage`] trait behind [`crate::word_index::IndexShard`].
 //!
-//! Every earlier snapshot tier (`PKBI` raw, `PKBC` compressed) is decoded
-//! into heap structures in full before the first query — boot pays a
-//! whole-index decode and resident memory equals the decoded index. This
-//! module adds a second tier that keeps the snapshot storage-resident:
+//! `PKB5` is the only persisted path-index format, and it is read two
+//! ways. The heap tier ([`crate::snapshot::decode`]) decodes every word
+//! before the first query, so boot pays a whole-index decode and resident
+//! memory equals the decoded index. The mapped tier keeps the image
+//! storage-resident:
 //!
-//! * **v5 container** (`PKB5` magic — deliberately distinct from both
-//!   `PKBI`/`PKBC` images and `PKBC` checkpoints, see `docs/FORMATS.md`):
-//!   an offset-table layout whose sections are 8-byte aligned and whose
-//!   per-word payloads are exactly the v4 adaptive posting streams of
-//!   [`crate::compress`] (all three root-column codecs, skip entries and
-//!   suffix score bounds included, bit-for-bit);
+//! * **the container**: an offset-table layout whose sections are 8-byte
+//!   aligned and whose per-word payloads are adaptive posting streams
+//!   (all three root-column codecs, skip entries and suffix score bounds
+//!   included);
 //! * **[`Region`]**: where the container bytes live — a read-only file
 //!   mapping on Unix, or a heap buffer (non-Unix fallback, tests, and
 //!   checkpoint blobs) — behind one borrowing interface;
@@ -28,18 +27,16 @@
 //! or undefined behavior.
 //!
 //! The normative byte-level specification lives in `docs/FORMATS.md`
-//! ("Snapshot v5"); change that document first when bumping the version.
+//! (`PKB5`); change that document first when bumping the version.
 
-use crate::compress::{decode_stream, CompressError, CompressedWordIndex, StreamLayout};
+use crate::compress::{self, decode_stream, CompressError};
 use crate::pattern::{PatternId, PatternSet};
 use crate::word_index::{IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::snapshot::{invalid_data, SnapshotError};
 use patternkb_graph::{FxHashMap, WordId};
 use std::sync::{Arc, OnceLock};
 
-/// Magic of the v5 storage-resident snapshot container. Fresh — not a
-/// third `PKBC` — so checkpoint files, compressed images, and v5
-/// snapshots can never be confused by a reader.
+/// Magic of the persisted index container.
 pub const MAGIC_V5: &[u8; 4] = b"PKB5";
 const VERSION_V5: u32 = 1;
 /// Fixed header: magic, version, d, nshards, file length, then the
@@ -318,20 +315,18 @@ fn pad8(buf: &mut Vec<u8>) {
     }
 }
 
-/// Serialize built indexes into the v5 storage-resident container.
-/// Per-word payloads are the v4 adaptive streams of [`crate::compress`],
-/// so the posting encoding (and its compression) is shared bit-for-bit
-/// with the `PKBC` tier; the container adds the offset table that makes
-/// in-place reads possible.
+/// Serialize built indexes into the `PKB5` container: per word, one
+/// adaptive posting stream, plus the offset table that makes in-place
+/// reads possible.
 pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     // Per-(shard, word) streams in lexicon order: ascending shard, then
     // ascending word within the shard.
-    let mut streams: Vec<(u32, WordId, CompressedWordIndex)> = Vec::new();
+    let mut streams: Vec<(u32, WordId, u32, Box<[u8]>)> = Vec::new();
     for (s, shard) in idx.shards().iter().enumerate() {
         let mut words: Vec<(WordId, &WordPathIndex)> = shard.iter_words().collect();
         words.sort_by_key(|(w, _)| *w);
         for (w, widx) in words {
-            streams.push((s as u32, w, CompressedWordIndex::from_word_index(widx)));
+            streams.push((s as u32, w, widx.len() as u32, compress::encode(widx)));
         }
     }
 
@@ -357,11 +352,10 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
 
     // Assign each stream its absolute, 8-aligned offset.
     let mut at = streams_off;
-    let mut placed: Vec<(u32, WordId, usize, &CompressedWordIndex)> =
-        Vec::with_capacity(streams.len());
-    for (s, w, c) in &streams {
-        placed.push((*s, *w, at, c));
-        at = align8(at + c.stream_bytes().len());
+    let mut placed: Vec<(u32, WordId, usize, u32, &[u8])> = Vec::with_capacity(streams.len());
+    for (s, w, num_postings, stream) in &streams {
+        placed.push((*s, *w, at, *num_postings, stream));
+        at = align8(at + stream.len());
     }
     let file_len = at;
 
@@ -393,34 +387,29 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     debug_assert_eq!(buf.len(), lex_off);
 
     buf.extend_from_slice(&(placed.len() as u64).to_le_bytes());
-    for (s, w, off, c) in &placed {
+    for (s, w, off, num_postings, stream) in &placed {
         buf.extend_from_slice(&w.0.to_le_bytes());
         buf.extend_from_slice(&s.to_le_bytes());
         buf.extend_from_slice(&(*off as u64).to_le_bytes());
-        buf.extend_from_slice(&(c.stream_bytes().len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(c.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&num_postings.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
     }
     pad8(&mut buf);
     debug_assert_eq!(buf.len(), streams_off);
 
-    for (_, _, off, c) in &placed {
+    for (_, _, off, _, stream) in &placed {
         debug_assert_eq!(buf.len(), *off);
-        buf.extend_from_slice(c.stream_bytes());
+        buf.extend_from_slice(stream);
         pad8(&mut buf);
     }
     debug_assert_eq!(buf.len(), file_len);
     buf
 }
 
-/// Write a v5 snapshot of `idx` to `path`.
+/// Write a `PKB5` image of `idx` to `path`.
 pub fn save_v5(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, encode_v5(idx))
-}
-
-/// Whether `data` starts with the v5 magic.
-pub fn is_v5(data: &[u8]) -> bool {
-    data.len() >= 4 && &data[..4] == MAGIC_V5
 }
 
 // ---------------------------------------------------------------------
@@ -596,11 +585,11 @@ fn parse_v5(data: &[u8]) -> Result<ParsedV5, SnapshotError> {
     })
 }
 
-/// Decode one lexicon entry's stream from the container bytes, with the
-/// same validation as the heap tiers: the adaptive stream must decode
-/// exactly, every root must lie in the shard's range, and every pattern
-/// id must resolve in the shared pattern set. Errors carry the absolute
-/// byte offset of the damaged stream.
+/// Decode one lexicon entry's stream from the container bytes — the one
+/// path both tiers take: the adaptive stream must decode exactly, every
+/// root must lie in the shard's range, and every pattern id must resolve
+/// in the shared pattern set. Errors carry the absolute byte offset of
+/// the damaged stream.
 fn decode_entry(
     data: &[u8],
     e: &LexEntry,
@@ -610,11 +599,10 @@ fn decode_entry(
 ) -> Result<WordPathIndex, SnapshotError> {
     let at = e.offset as usize;
     let buf = &data[at..at + e.len as usize];
-    let (widx, _blocks) =
-        decode_stream(buf, e.num_postings, StreamLayout::Adaptive).map_err(|err| match err {
-            CompressError::Truncated => SnapshotError::Truncated { offset: at },
-            CompressError::Corrupt(_) => SnapshotError::BadReference { offset: at },
-        })?;
+    let widx = decode_stream(buf, e.num_postings).map_err(|err| match err {
+        CompressError::Truncated => SnapshotError::Truncated { offset: at },
+        CompressError::Corrupt => SnapshotError::BadReference { offset: at },
+    })?;
     for p in widx.postings_pattern_first() {
         if p.pattern.0 >= npatterns
             || p.root.0 < root_lo
@@ -747,11 +735,10 @@ pub fn open_bytes(bytes: Vec<u8>) -> Result<PathIndexes, SnapshotError> {
     open_region(Region::from_vec(bytes))
 }
 
-/// Decode a v5 container fully into the heap tier (every word decoded
-/// eagerly) — the compatibility path that keeps v5 files readable by
-/// heap-backed deployments, and the reference the mapped tier is tested
-/// bit-identical against.
-pub fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
+/// Decode a container fully into the heap tier (every word decoded
+/// eagerly) — the body of [`crate::snapshot::decode`], and the reference
+/// the mapped tier is tested bit-identical against.
+pub(crate) fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
     let parsed = parse_v5(data)?;
     let npatterns = parsed.patterns.len() as u32;
     let mut shards = Vec::with_capacity(parsed.shard_entries.len());
@@ -777,7 +764,6 @@ mod tests {
     use super::*;
     use crate::build::{build_indexes, BuildConfig};
     use crate::posting::Posting;
-    use crate::CompressedPathIndexes;
     use patternkb_graph::{GraphBuilder, KnowledgeGraph, NodeId};
     use patternkb_text::{SynonymTable, TextIndex};
 
@@ -858,7 +844,7 @@ mod tests {
         for shards in [1usize, 2, 5] {
             let idx = build(&g, &t, 3, shards);
             let image = encode_v5(&idx);
-            assert!(is_v5(&image));
+            assert_eq!(&image[..4], MAGIC_V5);
             let back = decode_v5(&image).expect("v5 decodes");
             assert_eq!(back.storage_backend(), StorageBackend::Heap);
             assert_same_index(&idx, &back);
@@ -900,91 +886,37 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The v1–v5 decode matrix: every image generation this stack has
-    /// ever written — raw PKBI v1/v2, compressed PKBC v1–v4, and the
-    /// mapped-tier PKB5 — decodes to the same index, through both the
-    /// unified `snapshot::decode` entry point and (for v5) the mapped
-    /// open. Pre-v5 generations land on the heap tier by construction.
+    /// A root outside its shard's declared range would be mis-routed by
+    /// the cross-shard candidate-root merge and by incremental refresh,
+    /// so both tiers reject it: collapse one shard's range to empty and
+    /// its (well-formed) streams no longer belong there.
     #[test]
-    fn decode_matrix_v1_through_v5() {
-        let (g, t) = sample(60);
-        for shards in [1usize, 3] {
-            let idx = build(&g, &t, 3, shards);
-            let mut images: Vec<(String, Vec<u8>)> = Vec::new();
-
-            // PKBI v2 (current raw writer).
-            images.push(("PKBI v2".into(), crate::snapshot::encode(&idx)));
-            // PKBI v1: the v2 image minus the shard header, version
-            // field rewritten — the exact layout pre-shard code wrote.
-            if shards == 1 {
-                let v2 = crate::snapshot::encode(&idx);
-                let mut v1 = Vec::with_capacity(v2.len() - 12);
-                v1.extend_from_slice(&v2[..4]);
-                v1.extend_from_slice(&1u32.to_le_bytes());
-                v1.extend_from_slice(&v2[8..12]); // d
-                v1.extend_from_slice(&v2[24..]); // skip nshards + 2 bounds
-                images.push(("PKBI v1".into(), v1));
-            }
-
-            // PKBC v1–v3 (legacy containers) and v4 (current writer).
-            for version in 1u32..=3 {
-                if version == 1 && shards > 1 {
-                    continue; // v1 images were single-shard by definition
-                }
-                images.push((
-                    format!("PKBC v{version}"),
-                    crate::compress::tests::legacy_image(&idx, version),
-                ));
-            }
-            images.push((
-                "PKBC v4".into(),
-                CompressedPathIndexes::compress(&idx).encode(),
+    fn v5_rejects_roots_outside_shard_bounds() {
+        let (g, t) = sample(30);
+        let idx = build(&g, &t, 2, 3);
+        assert!(idx.shards().iter().all(|s| s.num_postings() > 0));
+        let image = encode_v5(&idx);
+        let bound1_at = HEADER_LEN + 4;
+        // bounds[1] = 0 empties shard 0 (its roots are now ≥ hi);
+        // bounds[1] = bounds[2] empties shard 1 (its roots are now < lo).
+        for b1 in [0, idx.bounds()[2]] {
+            let mut bad = image.clone();
+            bad[bound1_at..bound1_at + 4].copy_from_slice(&b1.to_le_bytes());
+            assert!(matches!(
+                decode_v5(&bad),
+                Err(SnapshotError::BadReference { .. })
             ));
-            // PKB5, decoded eagerly onto the heap tier.
-            images.push(("PKB5 heap".into(), encode_v5(&idx)));
-
-            for (label, image) in &images {
-                let back = if label.starts_with("PKBC") {
-                    // Compressed images load through the compact tier.
-                    CompressedPathIndexes::decode(image)
-                        .unwrap_or_else(|e| panic!("{label} decodes: {e}"))
-                        .decompress()
-                        .unwrap_or_else(|e| panic!("{label} streams decode: {e}"))
-                } else {
-                    crate::snapshot::decode(image)
-                        .unwrap_or_else(|e| panic!("{label} decodes: {e}"))
-                };
-                assert_eq!(back.storage_backend(), StorageBackend::Heap, "{label}");
-                if *label == "PKBI v1" {
-                    // v1 predates sharding: same postings, one shard.
-                    assert_eq!(back.num_shards(), 1, "{label}");
-                    assert_eq!(back.num_postings(), idx.num_postings(), "{label}");
-                } else {
-                    assert_same_index(&idx, &back);
-                }
-            }
-
-            // And the same bytes again on the mapped tier.
-            let mapped = open_bytes(encode_v5(&idx)).expect("PKB5 mmap opens");
-            assert_eq!(mapped.storage_backend(), StorageBackend::Mmap);
-            assert_same_index(&idx, &mapped);
+            let mapped = open_bytes(bad).expect("framing is intact");
+            let errors: Vec<_> = mapped
+                .word_ids()
+                .into_iter()
+                .filter_map(|w| mapped.prepare_words(&[w]).err())
+                .collect();
+            assert!(!errors.is_empty(), "bounds[1] = {b1}");
+            assert!(errors
+                .iter()
+                .all(|e| matches!(e, SnapshotError::BadReference { .. })));
         }
-    }
-
-    #[test]
-    fn v5_magic_is_fresh() {
-        // Satellite of the PKBC collision fix: the new tier must collide
-        // with neither the raw/compressed images nor the checkpoint magic.
-        assert_ne!(MAGIC_V5, b"PKBI");
-        assert_ne!(MAGIC_V5, b"PKBC");
-        assert_ne!(MAGIC_V5, b"PKBG");
-        assert_ne!(MAGIC_V5, b"PKBW");
-        let (g, t) = sample(10);
-        let image = encode_v5(&build(&g, &t, 2, 1));
-        // The compressed-image decoder rejects a v5 image outright (no
-        // mis-decode); `snapshot::decode` recognizes it by magic and
-        // routes it here instead of misreading it as PKBI.
-        assert!(crate::compress::CompressedPathIndexes::decode(&image).is_err());
     }
 
     #[test]

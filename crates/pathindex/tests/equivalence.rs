@@ -221,7 +221,7 @@ fn snapshot_of_real_index_roundtrips() {
             shards: 1,
         },
     );
-    let decoded = patternkb_index::snapshot::decode(&patternkb_index::snapshot::encode(&idx))
+    let decoded = patternkb_index::snapshot::decode(&patternkb_index::storage::encode_v5(&idx))
         .expect("decode");
     assert_eq!(via_pattern_first(&idx), via_pattern_first(&decoded));
     assert_eq!(via_root_first(&idx), via_root_first(&decoded));

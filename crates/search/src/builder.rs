@@ -165,12 +165,11 @@ impl EngineBuilder {
     /// * [`StorageBackend::Heap`] (default): snapshots are fully decoded
     ///   at load time; indexes built from the graph are heap-resident by
     ///   nature.
-    /// * [`StorageBackend::Mmap`]: a **v5** [`Self::index_snapshot`] (or
-    ///   v5 checkpoint blob under [`Self::data_dir`]) is mapped read-only
-    ///   and per-word decode is deferred to first query touch — boot cost
-    ///   and resident memory stop scaling with index size. Answers are
-    ///   bit-identical to the heap tier. Pre-v5 snapshots fall back to
-    ///   the heap tier (they have no offset table to map).
+    /// * [`StorageBackend::Mmap`]: the [`Self::index_snapshot`] file (or
+    ///   the checkpoint's index blob under [`Self::data_dir`]) is mapped
+    ///   read-only and per-word decode is deferred to first query touch —
+    ///   boot cost and resident memory stop scaling with index size.
+    ///   Answers are bit-identical to the heap tier.
     pub fn storage(mut self, storage: StorageBackend) -> Self {
         self.storage = storage;
         self
@@ -270,14 +269,9 @@ impl EngineBuilder {
         let (idx, load_time) = match index_snapshot {
             Some(path) => {
                 let t0 = std::time::Instant::now();
-                // The mapped tier needs a v5 offset table; earlier
-                // snapshot generations can only be decoded, so they fall
-                // back to the heap tier regardless of the knob.
                 let idx = match storage {
-                    StorageBackend::Mmap if file_is_v5(&path)? => {
-                        patternkb_index::storage::open_mapped(&path)?
-                    }
-                    _ => patternkb_index::snapshot::load(&path)?,
+                    StorageBackend::Mmap => patternkb_index::storage::open_mapped(&path)?,
+                    StorageBackend::Heap => patternkb_index::snapshot::load(&path)?,
                 };
                 (idx, Some(t0.elapsed()))
             }
@@ -303,17 +297,14 @@ impl EngineBuilder {
                 let t0 = std::time::Instant::now();
                 let wrap = |e| Error::Io(patternkb_graph::snapshot::invalid_data(&path, e));
                 let graph = patternkb_graph::snapshot::decode(&cp.graph).map_err(wrap)?;
-                // Checkpoints written since v5 carry the index as a v5
-                // container: under the mapped tier the blob is *opened*
+                // Under the mapped tier the index blob is *opened*
                 // (lexicon parse only), not decoded — the durable-boot
-                // fast path. Pre-v5 checkpoint blobs decode as before.
-                let idx = if self.storage == StorageBackend::Mmap
-                    && patternkb_index::storage::is_v5(&cp.index)
-                {
-                    patternkb_index::storage::open_bytes(cp.index).map_err(wrap)?
-                } else {
-                    patternkb_index::snapshot::decode(&cp.index).map_err(wrap)?
-                };
+                // fast path.
+                let idx = match self.storage {
+                    StorageBackend::Mmap => patternkb_index::storage::open_bytes(cp.index),
+                    StorageBackend::Heap => patternkb_index::snapshot::decode(&cp.index),
+                }
+                .map_err(wrap)?;
                 let text = TextIndex::build_with(&graph, self.synonyms, self.stemmer);
                 let mut engine = SearchEngine::from_parts(graph, text, idx)
                     .with_planner(self.planner)
@@ -359,20 +350,6 @@ impl EngineBuilder {
                 Ok(SharedEngine::assemble(engine, capacity, Some(handle)))
             }
         }
-    }
-}
-
-/// Sniff a snapshot file's 4-byte magic without reading the body (the
-/// whole point of the mapped tier is not to).
-fn file_is_v5(path: &Path) -> Result<bool, Error> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).map_err(Error::Io)?;
-    let mut magic = [0u8; 4];
-    match f.read_exact(&mut magic) {
-        Ok(()) => Ok(patternkb_index::storage::is_v5(&magic)),
-        // Shorter than any magic: not v5; the fallback loader will
-        // report the truncation with the file path attached.
-        Err(_) => Ok(false),
     }
 }
 
@@ -428,7 +405,7 @@ mod tests {
         let e = EngineBuilder::new().graph(g).threads(1).build().unwrap();
         let dir = std::env::temp_dir().join("patternkb_builder_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("builder.pkbi");
+        let path = dir.join("builder.pkb5");
         e.save_index(&path).unwrap();
 
         let (g, _) = figure1();
@@ -446,7 +423,7 @@ mod tests {
         let (g, _) = figure1();
         match EngineBuilder::new()
             .graph(g)
-            .index_snapshot(dir.join("missing.pkbi"))
+            .index_snapshot(dir.join("missing.pkb5"))
             .build()
         {
             Err(Error::Io(_)) => {}
@@ -468,7 +445,7 @@ mod tests {
         assert_eq!(e.num_shards(), 3);
         let dir = std::env::temp_dir().join("patternkb_builder_sharded_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sharded.pkbi");
+        let path = dir.join("sharded.pkb5");
         e.save_index(&path).unwrap();
 
         let (g, _) = figure1();

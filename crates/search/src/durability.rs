@@ -316,10 +316,8 @@ fn write_checkpoint(wal: &Wal, dir: &Path, engine: &SearchEngine) -> std::io::Re
     let cp = Checkpoint {
         version: engine.version(),
         graph: patternkb_graph::snapshot::encode(engine.graph()),
-        // The index blob is a v5 container: a mapped-tier boot *opens*
-        // it (lexicon parse only) instead of decoding it, and a heap
-        // boot still decodes it via `snapshot::decode`'s magic dispatch.
-        // Checkpoints written before v5 (PKBI blobs) stay readable.
+        // A mapped-tier boot *opens* the index blob (lexicon parse
+        // only) instead of decoding it; a heap boot decodes it.
         index: patternkb_index::storage::encode_v5(engine.index()),
     };
     let path = checkpoint::write(dir, &cp)?;

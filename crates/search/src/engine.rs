@@ -532,11 +532,11 @@ impl SearchEngine {
     // Analysis utilities (not part of the unified query route).
     // ------------------------------------------------------------------
 
-    /// Persist the built path indexes (segment-per-shard snapshot); reload
-    /// through [`crate::EngineBuilder::index_snapshot`] to skip the
-    /// expensive Algorithm-1 construction (cf. Figure 6).
+    /// Persist the built path indexes as a `PKB5` image; reload through
+    /// [`crate::EngineBuilder::index_snapshot`] (on either storage tier)
+    /// to skip the expensive Algorithm-1 construction (cf. Figure 6).
     pub fn save_index(&self, path: &std::path::Path) -> std::io::Result<()> {
-        patternkb_index::snapshot::save(&self.idx, path)
+        patternkb_index::storage::save_v5(&self.idx, path)
     }
 
     /// Top-k *individual* valid subtrees (§5.3).
@@ -893,7 +893,7 @@ mod tests {
         let e = engine();
         let dir = std::env::temp_dir().join("patternkb_engine_snapshot_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine.pkbi");
+        let path = dir.join("engine.pkb5");
         e.save_index(&path).unwrap();
         let (g, _) = figure1();
         let reloaded = EngineBuilder::new()

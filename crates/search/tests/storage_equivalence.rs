@@ -251,8 +251,9 @@ fn engine_builder_storage_mmap_end_to_end() {
 
 /// Durable boot: a checkpoint's index blob is a v5 container, so a
 /// `--storage mmap` boot opens it without decoding; heap boots decode
-/// the same blob; and a legacy checkpoint whose blob is a raw PKBI
-/// image still boots on either setting (falling back to heap decode).
+/// the same blob; and a checkpoint whose blob is anything else (here the
+/// retired raw `PKBI` magic) is a typed error naming the file on either
+/// setting.
 #[test]
 fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     use patternkb_search::{EngineBuilder, SearchRequest};
@@ -300,32 +301,27 @@ fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     assert_eq!(answers(&heap_boot), answers(&mmap_boot));
     drop((heap_boot, mmap_boot));
 
-    // Rewrite the checkpoint with a pre-v5 raw PKBI index blob: both
-    // boot settings must still come up (mmap falls back to decoding).
-    let reference = {
-        let (g, _) = figure1();
-        EngineBuilder::new()
-            .graph(g)
-            .threads(1)
-            .shards(2)
-            .build()
-            .unwrap()
-    };
-    let legacy = patternkb_wal::checkpoint::Checkpoint {
+    // Rewrite the checkpoint with a retired raw-`PKBI` index blob: the
+    // framing and CRC are intact, so it is the base either boot picks,
+    // and neither tier reads it.
+    let retired = patternkb_wal::checkpoint::Checkpoint {
         version: cp.version,
         graph: cp.graph.clone(),
-        index: patternkb_index::snapshot::encode(reference.index()),
+        index: [b"PKBI".as_slice(), &2u32.to_le_bytes(), &[0u8; 64]].concat(),
     };
-    patternkb_wal::checkpoint::write(&dir, &legacy).unwrap();
-    let legacy_mmap_boot = mk().storage(StorageBackend::Mmap).build_shared().unwrap();
-    assert_eq!(
-        legacy_mmap_boot.snapshot().storage_backend(),
-        StorageBackend::Heap,
-        "pre-v5 checkpoint blobs decode onto the heap tier"
-    );
-    let legacy_heap_boot = mk().build_shared().unwrap();
-    assert_eq!(answers(&legacy_heap_boot), answers(&legacy_mmap_boot));
-    drop((legacy_heap_boot, legacy_mmap_boot));
+    let path = patternkb_wal::checkpoint::write(&dir, &retired).unwrap();
+    let name = path.file_name().unwrap().to_str().unwrap();
+    for storage in [StorageBackend::Heap, StorageBackend::Mmap] {
+        match mk().storage(storage).build_shared() {
+            Err(patternkb_search::Error::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                let msg = e.to_string();
+                assert!(msg.contains(name) && msg.contains("bad magic"), "{msg}");
+            }
+            Err(other) => panic!("{storage}: expected a typed Io error, got {other:?}"),
+            Ok(_) => panic!("{storage}: a PKBI checkpoint blob must not boot"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

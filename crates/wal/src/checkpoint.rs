@@ -7,15 +7,9 @@
 //! magic "PKBK" | u32 format_version (1)
 //! u64 engine_version
 //! u64 graph_len  | graph_len bytes  (kgraph snapshot encoding)
-//! u64 index_len  | index_len bytes  (pathindex snapshot encoding)
+//! u64 index_len  | index_len bytes  (pathindex `PKB5` image)
 //! u32 crc        (CRC-32 of everything between the header and the crc)
 //! ```
-//!
-//! Historical note: checkpoints originally opened with `PKBC`, the
-//! same magic as the compressed path-index image — the collision
-//! docs/FORMATS.md warns about. The writer now emits `PKBK`; the
-//! decoder accepts both forever, so existing checkpoint files keep
-//! loading unchanged.
 //!
 //! Writes go through a temp file + `fsync` + `rename` + directory
 //! `fsync`, so a crash leaves either the old set of checkpoints or the
@@ -30,9 +24,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"PKBK";
-/// The pre-0.3 checkpoint magic, shared with the compressed index image
-/// by historical accident. Read support is permanent; never written.
-const LEGACY_MAGIC: &[u8; 4] = b"PKBC";
 const FORMAT_VERSION: u32 = 1;
 const SUFFIX: &str = ".pkbc";
 
@@ -46,7 +37,7 @@ pub struct Checkpoint {
     pub version: u64,
     /// `patternkb_graph::snapshot::encode` bytes.
     pub graph: Vec<u8>,
-    /// `patternkb_pathindex::snapshot::encode` bytes.
+    /// `patternkb_index::storage::encode_v5` bytes (a `PKB5` image).
     pub index: Vec<u8>,
 }
 
@@ -71,7 +62,7 @@ impl Checkpoint {
         let mut r = Reader::new(data);
         let mut magic = [0u8; 4];
         r.take(&mut magic)?;
-        if &magic != MAGIC && &magic != LEGACY_MAGIC {
+        if &magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let format = r.u32()?;
@@ -278,18 +269,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pkbc_magic_still_decodes() {
-        // Checkpoints written before the PKBK magic switch open with
-        // "PKBC"; they must load forever. Rewrite the magic in place —
-        // it sits outside the CRC-covered body, so nothing else moves.
-        let cp = sample(33);
-        let mut old = cp.encode();
-        assert_eq!(&old[..4], b"PKBK", "writer emits the fresh magic");
+    fn only_the_pkbk_magic_decodes() {
+        // The magic sits outside the CRC-covered body, so rewriting it in
+        // place leaves an otherwise intact file: the retired `PKBC`
+        // checkpoint magic is a typed error that names the file.
+        let dir = tmpdir("magic");
+        let path = write(&dir, &sample(33)).unwrap();
+        let mut old = std::fs::read(&path).unwrap();
+        assert_eq!(&old[..4], b"PKBK");
         old[..4].copy_from_slice(b"PKBC");
-        assert_eq!(Checkpoint::decode(&old).unwrap(), cp);
-        // Anything else is still rejected.
-        old[..4].copy_from_slice(b"PKBX");
         assert_eq!(Checkpoint::decode(&old), Err(SnapshotError::BadMagic));
+        std::fs::write(&path, &old).unwrap();
+        let err = load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("checkpoint-00000000000000000033.pkbc") && msg.contains("bad magic"),
+            "{msg}"
+        );
+        // The only checkpoint in the directory is unreadable: no base.
+        assert!(load_latest(&dir).unwrap().is_none());
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() -> std::io::Result<()> {
         .expect("a graph is configured");
     let build_time = t0.elapsed();
     let graph_path = dir.join("kb.pkbg");
-    let index_path = dir.join("kb.pkbi");
+    let index_path = dir.join("kb.pkb5");
     graph_snapshot::save(&graph, &graph_path)?;
     engine.save_index(&index_path)?;
     println!(

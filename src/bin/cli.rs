@@ -13,7 +13,7 @@
 //!            --batch <max>  --deadline-ms <ms>  --max-body-bytes <n>
 //!            --no-ingest (disable the online write path)
 //!            --index-snapshot <file> (boot from a saved index snapshot)
-//!            --storage heap|mmap (map a v5 snapshot instead of decoding
+//!            --storage heap|mmap (map the snapshot instead of decoding
 //!            it; see README "Storage backends")
 //!   endpoints: POST /search, GET /healthz, GET /metrics,
 //!              POST /admin/ingest (online mutation batch applied via
@@ -23,10 +23,10 @@
 //!              file, reload, and the server remaps it — and hot-swaps
 //!              it), POST /admin/shutdown (graceful exit 0)
 //!
-//! patternkb-cli snapshot <dataset…> --out <file> [--format v5|raw]
+//! patternkb-cli snapshot <dataset…> --out <file>
 //!   build a dataset's indexes once and write them as a snapshot file —
-//!   v5 (default) is the offset-table container `--storage mmap` boots
-//!   from without decoding; raw is the fully-decoded PKBI image.
+//!   the `PKB5` offset-table container that `--storage heap` decodes and
+//!   `--storage mmap` boots from without decoding.
 //! ```
 //!
 //! Then type keyword queries; commands start with `:`
@@ -168,12 +168,11 @@ fn build_serve_shared(spec: &[String], dir: &str) -> Result<SharedEngine, String
 }
 
 /// The `snapshot` subcommand body: build a dataset's indexes once and
-/// write them to `--out` (v5 container by default — what
-/// `serve --storage mmap --index-snapshot` boots from instantly).
+/// write them to `--out` as a `PKB5` image — what
+/// `serve --storage mmap --index-snapshot` boots from instantly.
 fn run_snapshot(args: &[String]) -> Result<String, String> {
     let (graph, label) = build_graph(args)?;
     let out: String = flag_value(args, "--out").ok_or("snapshot needs --out <file>")?;
-    let format: String = flag_value(args, "--format").unwrap_or_else(|| "v5".to_string());
     let d = flag_value(args, "--d").unwrap_or(3);
     let shards = flag_value(args, "--shards").unwrap_or(0);
     let engine = EngineBuilder::new()
@@ -183,15 +182,11 @@ fn run_snapshot(args: &[String]) -> Result<String, String> {
         .shards(shards)
         .build()
         .map_err(|e| format!("cannot build engine: {e}"))?;
-    let path = std::path::Path::new(&out);
-    match format.as_str() {
-        "v5" => patternkb::index::storage::save_v5(engine.index(), path),
-        "raw" => patternkb::index::snapshot::save(engine.index(), path),
-        other => return Err(format!("unknown --format {other:?} (v5|raw)")),
-    }
-    .map_err(|e| format!("cannot write {out}: {e}"))?;
+    engine
+        .save_index(std::path::Path::new(&out))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     Ok(format!(
-        "wrote {format} snapshot of {label} to {out}: {:?}",
+        "wrote v5 snapshot of {label} to {out}: {:?}",
         engine.index()
     ))
 }
@@ -205,7 +200,7 @@ fn snapshot_main(args: &[String]) -> ! {
         }
         Err(msg) => {
             eprintln!("{msg}");
-            eprintln!("usage: patternkb-cli snapshot figure1|wiki|imdb|load <file> --out <file> [--format v5|raw] [--d N] [--shards N] [dataset flags]");
+            eprintln!("usage: patternkb-cli snapshot figure1|wiki|imdb|load <file> --out <file> [--d N] [--shards N] [dataset flags]");
             std::process::exit(2);
         }
     }

@@ -5,8 +5,75 @@
 
 use patternkb::graph::mutate::{GraphDelta, PagerankMode};
 use patternkb::graph::snapshot as gsnap;
-use patternkb::index::compress::CompressedPathIndexes;
+use patternkb::index::snapshot as isnap;
+use patternkb::index::storage::{encode_v5, open_bytes};
+use patternkb::index::StorageBackend;
 use patternkb::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// ---------------------------------------------------------------------
+// A counting allocator (this test binary only)
+// ---------------------------------------------------------------------
+//
+// A decoder that sizes an allocation from an on-wire count aborts the
+// process on a box without overcommit and silently "works" on one with
+// it. Recording the largest single request a decode makes turns both
+// into the same ordinary test failure.
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Largest single request this thread made since the last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread-local is gone.
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; `record` only
+// touches a const-initialized `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `f`, returning its result and the largest single allocation
+/// request the calling thread made while it ran.
+fn max_single_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// A decoder may not ask for more than a small multiple of its input in
+/// one request (the floor covers fixed-size bookkeeping on tiny inputs).
+fn assert_alloc_bounded(worst: usize, input_len: usize, what: &str, at: usize) {
+    let limit = (16 * input_len).max(64 << 10);
+    assert!(
+        worst <= limit,
+        "{what} {at}: one allocation of {worst} bytes for a {input_len}-byte input"
+    );
+}
 
 fn figure1_engine() -> SearchEngine {
     let (g, _) = patternkb::datagen::figure1();
@@ -37,7 +104,9 @@ fn graph_snapshot_truncation_every_prefix() {
     let bytes = gsnap::encode(&g);
     // Every strict prefix must decode to a typed error, not a panic.
     for cut in 0..bytes.len() {
-        if let Ok(g2) = gsnap::decode(&bytes[..cut]) {
+        let (res, worst) = max_single_alloc(|| gsnap::decode(&bytes[..cut]));
+        assert_alloc_bounded(worst, bytes.len(), "graph prefix", cut);
+        if let Ok(g2) = res {
             // The only acceptable "success" on a prefix would be an
             // identical graph, which is impossible for a strict prefix of
             // a non-trivial snapshot.
@@ -77,8 +146,11 @@ fn graph_snapshot_single_bit_flips_never_panic() {
         corrupted[i] ^= 0x01;
         // Either a typed error or a structurally valid graph (flips inside
         // text payloads produce different-but-valid graphs). Crucially:
-        // no panic and no out-of-range ids.
-        if let Ok(g2) = gsnap::decode(&corrupted) {
+        // no panic, no out-of-range ids, and no allocation sized by a
+        // flipped count.
+        let (res, worst) = max_single_alloc(|| gsnap::decode(&corrupted));
+        assert_alloc_bounded(worst, bytes.len(), "graph bit flip", i);
+        if let Ok(g2) = res {
             for v in g2.nodes() {
                 for (_, t) in g2.out_edges(v) {
                     assert!(t.0 < g2.num_nodes() as u32, "dangling edge after flip {i}");
@@ -104,7 +176,7 @@ fn graph_snapshot_roundtrip_after_mutation() {
 }
 
 // ---------------------------------------------------------------------
-// Index snapshot / compressed-stream corruption
+// Index image (`PKB5`) corruption
 // ---------------------------------------------------------------------
 
 #[test]
@@ -112,31 +184,111 @@ fn index_snapshot_truncation_is_an_error() {
     let e = figure1_engine();
     let dir = std::env::temp_dir().join("patternkb_failure_injection");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("idx.pkbi");
+    let path = dir.join("idx.pkb5");
     e.save_index(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     for cut in [0, 1, 4, bytes.len() / 3, bytes.len() - 1] {
-        let tpath = dir.join(format!("idx_cut_{cut}.pkbi"));
+        let tpath = dir.join(format!("idx_cut_{cut}.pkb5"));
         std::fs::write(&tpath, &bytes[..cut]).unwrap();
-        let (g, _) = patternkb::datagen::figure1();
-        let res = EngineBuilder::new().graph(g).index_snapshot(&tpath).build();
-        assert!(
-            matches!(res, Err(Error::Io(_))),
-            "truncated index at {cut} bytes must not load"
-        );
+        for storage in [StorageBackend::Heap, StorageBackend::Mmap] {
+            let (g, _) = patternkb::datagen::figure1();
+            let res = EngineBuilder::new()
+                .graph(g)
+                .index_snapshot(&tpath)
+                .storage(storage)
+                .build();
+            assert!(
+                matches!(res, Err(Error::Io(_))),
+                "truncated index at {cut} bytes must not load on {storage}"
+            );
+        }
         std::fs::remove_file(&tpath).ok();
+    }
+    // A retired raw (`PKBI`) image is a typed error naming the file, on
+    // either tier.
+    let mut retired = bytes.clone();
+    retired[..4].copy_from_slice(b"PKBI");
+    std::fs::write(&path, &retired).unwrap();
+    for storage in [StorageBackend::Heap, StorageBackend::Mmap] {
+        let (g, _) = patternkb::datagen::figure1();
+        let res = EngineBuilder::new()
+            .graph(g)
+            .index_snapshot(&path)
+            .storage(storage)
+            .build();
+        match res {
+            Err(Error::Io(e)) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("idx.pkb5") && msg.contains("bad magic"),
+                    "{msg}"
+                );
+            }
+            other => panic!("{storage}: expected a typed Io error, got {other:?}"),
+        }
     }
     std::fs::remove_file(&path).ok();
 }
 
+/// Decode `image` on both tiers (the mapped tier through open + prepare
+/// of every word); `Ok` only when every word of both tiers decoded.
+fn decode_both_tiers(image: &[u8]) -> Result<(), isnap::SnapshotError> {
+    let heap = isnap::decode(image).map(drop);
+    let mapped = open_bytes(image.to_vec()).and_then(|idx| idx.prepare_words(&idx.word_ids()));
+    heap.and(mapped)
+}
+
 #[test]
-fn compressed_tier_detects_or_survives_corruption() {
+fn index_image_corruption_is_detected_or_survived() {
     let e = figure1_engine();
-    let mut comp = CompressedPathIndexes::compress(e.index());
-    let w = e.text().lookup_word("database").unwrap();
-    assert!(comp.corrupt_for_test(w, 3));
-    // Must be an error or a decodable (different) list — never a panic.
-    let _ = comp.decompress_word(w).expect("word exists");
+    let image = encode_v5(e.index());
+    decode_both_tiers(&image).expect("the intact image decodes");
+    // Every strict prefix is a typed error on both tiers.
+    for cut in 0..image.len() {
+        let (res, worst) = max_single_alloc(|| decode_both_tiers(&image[..cut]));
+        assert!(
+            res.is_err(),
+            "prefix of {cut}/{} bytes decoded",
+            image.len()
+        );
+        assert_alloc_bounded(worst, image.len(), "index prefix", cut);
+    }
+    // Every single-byte flip is an error or a decodable (different) index
+    // — never a panic, and never an allocation sized by a corrupt count.
+    let mut typed_errors = 0;
+    for i in 0..image.len() {
+        let mut corrupted = image.clone();
+        corrupted[i] ^= 0xa5;
+        let (res, worst) = max_single_alloc(|| decode_both_tiers(&corrupted));
+        typed_errors += usize::from(res.is_err());
+        assert_alloc_bounded(worst, image.len(), "index byte flip", i);
+    }
+    assert!(typed_errors > 0, "corruption must surface typed errors");
+}
+
+/// With one reader and no older format to fall back on, silent drift of
+/// the image layout is data loss for every saved index and checkpoint:
+/// pin the exact bytes `encode_v5` produces for Figure 1.
+#[test]
+fn index_image_bytes_are_pinned() {
+    let (g, _) = patternkb::datagen::figure1();
+    let e = EngineBuilder::new()
+        .graph(g)
+        .height(3)
+        .shards(1)
+        .threads(1)
+        .build()
+        .unwrap();
+    let image = encode_v5(e.index());
+    let fnv1a = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (image.len(), fnv1a),
+        (4680, 0x607a_1a6f_bc45_0c5a),
+        "the PKB5 image of Figure 1 changed: bump the container version \
+         and follow the checklist in docs/FORMATS.md"
+    );
 }
 
 // ---------------------------------------------------------------------
