@@ -294,6 +294,24 @@ impl GraphDelta {
         self.removed.len()
     }
 
+    /// The edges this delta adds, in insertion order.
+    pub fn added_edges(&self) -> &[(NodeId, AttrId, NodeId)] {
+        &self.added
+    }
+
+    /// The base-graph edges this delta removes, in insertion order.
+    pub fn removed_edges(&self) -> &[(NodeId, AttrId, NodeId)] {
+        &self.removed
+    }
+
+    /// Whether this delta interned a type or attribute `base` does not
+    /// have. Schema text is tokenized *before* node text, so such a delta
+    /// can shift the word ids of a text index rebuilt on the new graph; a
+    /// delta without one only appends.
+    pub fn adds_schema(&self, base: &KnowledgeGraph) -> bool {
+        self.types.len() > base.num_types() || self.attrs.len() > base.num_attrs()
+    }
+
     /// The nodes whose `d`-bounded path neighbourhood may have changed:
     /// endpoints of every added/removed edge plus every new node. Sorted
     /// and deduplicated.

@@ -16,10 +16,18 @@
 use crate::synonyms::SynonymTable;
 use crate::vocab::Vocabulary;
 use patternkb_graph::ids::Id;
+use patternkb_graph::mutate::GraphDelta;
 use patternkb_graph::{AttrId, FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
 
 /// Immutable keyword match index; build once per graph with
-/// [`TextIndex::build`].
+/// [`TextIndex::build`], and derive the index of a mutated graph with
+/// [`TextIndex::extended`].
+///
+/// Word ids are assigned in interning order: every type's text, then every
+/// attribute's, then every node's in id order. Node ids only grow, so the
+/// index of a graph that gained nodes but no type or attribute is the old
+/// index with the new nodes interned on top — same ids as a fresh build.
+#[derive(Clone)]
 pub struct TextIndex {
     vocab: Vocabulary,
     /// CSR: distinct sorted token ids of each node's text.
@@ -46,78 +54,100 @@ impl TextIndex {
     }
 
     /// Build the index with an explicit stemmer (see
-    /// [`crate::stem::Stemmer`] for the trade-offs).
+    /// [`crate::stem::Stemmer`] for the trade-offs): the empty index
+    /// extended over the whole graph.
     pub fn build_with(
         g: &KnowledgeGraph,
         synonyms: SynonymTable,
         stemmer: crate::stem::Stemmer,
     ) -> Self {
-        let mut vocab = Vocabulary::with_stemmer(synonyms, stemmer);
-        let n = g.num_nodes();
-
-        let type_toks: Vec<Vec<WordId>> = (0..g.num_types())
-            .map(|t| vocab.intern_token_set(g.type_text(TypeId(t as u32))))
-            .collect();
-        let attr_toks: Vec<Vec<WordId>> = (0..g.num_attrs())
-            .map(|a| vocab.intern_token_set(g.attr_text(AttrId(a as u32))))
-            .collect();
-
-        let mut node_tok_offsets = Vec::with_capacity(n + 1);
-        node_tok_offsets.push(0u32);
-        let mut node_toks = Vec::new();
-        for v in g.nodes() {
-            let set = vocab.intern_token_set(g.node_text(v));
-            node_toks.extend_from_slice(&set);
-            node_tok_offsets.push(node_toks.len() as u32);
-        }
-
-        // Inverted word → nodes (text ∪ type text).
-        let mut word_nodes: FxHashMap<WordId, Vec<NodeId>> = FxHashMap::default();
-        let mut scratch: Vec<WordId> = Vec::new();
-        for v in g.nodes() {
-            let lo = node_tok_offsets[v.index()] as usize;
-            let hi = node_tok_offsets[v.index() + 1] as usize;
-            scratch.clear();
-            scratch.extend_from_slice(&node_toks[lo..hi]);
-            scratch.extend_from_slice(&type_toks[g.node_type(v).index()]);
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &w in &scratch {
-                word_nodes.entry(w).or_default().push(v);
-            }
-        }
-        // Node ids were visited in order, so the lists are already sorted.
-
-        let mut word_attrs: FxHashMap<WordId, Vec<AttrId>> = FxHashMap::default();
-        for (a, toks) in attr_toks.iter().enumerate() {
-            for &w in toks {
-                word_attrs.entry(w).or_default().push(AttrId(a as u32));
-            }
-        }
-        for list in word_attrs.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-
-        let mut attr_sources: Vec<Vec<NodeId>> = vec![Vec::new(); g.num_attrs()];
+        let mut index = TextIndex {
+            vocab: Vocabulary::with_stemmer(synonyms, stemmer),
+            node_tok_offsets: vec![0],
+            node_toks: Vec::new(),
+            type_toks: Vec::new(),
+            attr_toks: Vec::new(),
+            word_nodes: FxHashMap::default(),
+            word_attrs: FxHashMap::default(),
+            attr_sources: Vec::new(),
+        };
+        index.intern_beyond(g);
         for v in g.nodes() {
             for (a, _) in g.out_edges(v) {
-                let list = &mut attr_sources[a.index()];
+                let list = &mut index.attr_sources[a.index()];
                 if list.last() != Some(&v) {
                     list.push(v);
                 }
             }
         }
+        index
+    }
 
-        TextIndex {
-            vocab,
-            node_tok_offsets,
-            node_toks,
-            type_toks,
-            attr_toks,
-            word_nodes,
-            word_attrs,
-            attr_sources,
+    /// The index of `new_g = delta.apply(g)`, where `self` indexes `g` and
+    /// `delta` adds **no type and no attribute**
+    /// ([`GraphDelta::adds_schema`] is false): field for field — word ids
+    /// included — what [`Self::build_with`] returns on `new_g`, at the
+    /// cost of the delta's own text plus a copy of the index.
+    ///
+    /// # Panics
+    /// If `new_g` has a type or attribute this index has not seen; its
+    /// text would be interned after node text, unlike a fresh build.
+    pub fn extended(&self, new_g: &KnowledgeGraph, delta: &GraphDelta) -> Self {
+        assert!(
+            new_g.num_types() == self.type_toks.len() && new_g.num_attrs() == self.attr_toks.len(),
+            "a delta that adds schema needs a rebuilt text index"
+        );
+        let mut index = self.clone();
+        index.intern_beyond(new_g);
+        for &(s, a, _) in delta.added_edges().iter().chain(delta.removed_edges()) {
+            let sources = &mut index.attr_sources[a.index()];
+            let is_source = new_g.out_edges(s).any(|(x, _)| x == a);
+            match (sources.binary_search(&s), is_source) {
+                (Err(at), true) => sources.insert(at, s),
+                (Ok(at), false) => {
+                    sources.remove(at);
+                }
+                _ => {}
+            }
+        }
+        index
+    }
+
+    /// The one interning routine: tokenize whatever `g` holds beyond what
+    /// is already indexed — types, then attributes, then nodes, the order
+    /// that fixes word ids — and append to the per-item token sets and
+    /// the inverted lists (items are visited in ascending id order, so the
+    /// lists stay sorted).
+    fn intern_beyond(&mut self, g: &KnowledgeGraph) {
+        for t in self.type_toks.len()..g.num_types() {
+            let toks = self.vocab.intern_token_set(g.type_text(TypeId(t as u32)));
+            self.type_toks.push(toks);
+        }
+        for a in self.attr_toks.len()..g.num_attrs() {
+            let attr = AttrId(a as u32);
+            let toks = self.vocab.intern_token_set(g.attr_text(attr));
+            for &w in &toks {
+                self.word_attrs.entry(w).or_default().push(attr);
+            }
+            self.attr_toks.push(toks);
+            self.attr_sources.push(Vec::new());
+        }
+        let first = self.node_tok_offsets.len() - 1;
+        self.node_tok_offsets.reserve(g.num_nodes() - first);
+        let mut matched: Vec<WordId> = Vec::new();
+        for v in (first..g.num_nodes()).map(NodeId::from_usize) {
+            let toks = self.vocab.intern_token_set(g.node_text(v));
+            // Inverted word → nodes (text ∪ type text).
+            matched.clear();
+            matched.extend_from_slice(&toks);
+            matched.extend_from_slice(&self.type_toks[g.node_type(v).index()]);
+            matched.sort_unstable();
+            matched.dedup();
+            for &w in &matched {
+                self.word_nodes.entry(w).or_default().push(v);
+            }
+            self.node_toks.extend_from_slice(&toks);
+            self.node_tok_offsets.push(self.node_toks.len() as u32);
         }
     }
 
@@ -365,7 +395,140 @@ mod proptests {
         b.build()
     }
 
+    /// One mutation of a schema-free delta; node indices are taken modulo
+    /// the node count at that point, edge picks modulo the base edge count.
+    #[derive(Clone, Debug)]
+    enum Op {
+        AddNode {
+            second_type: bool,
+            label: String,
+        },
+        AddEdge {
+            s: usize,
+            second_attr: bool,
+            t: usize,
+        },
+        AddTextEdge {
+            s: usize,
+            second_attr: bool,
+            value: String,
+        },
+        RemoveEdge {
+            i: usize,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let label = "[a-z]{1,6}( [a-z]{1,6}){0,2}";
+        prop_oneof![
+            (proptest::bool::ANY, label)
+                .prop_map(|(second_type, label)| Op::AddNode { second_type, label }),
+            (0..64usize, proptest::bool::ANY, 0..64usize)
+                .prop_map(|(s, second_attr, t)| Op::AddEdge { s, second_attr, t }),
+            (0..64usize, proptest::bool::ANY, label).prop_map(|(s, second_attr, value)| {
+                Op::AddTextEdge {
+                    s,
+                    second_attr,
+                    value,
+                }
+            }),
+            (0..64usize).prop_map(|i| Op::RemoveEdge { i }),
+        ]
+    }
+
+    /// Build the delta, skipping ops its validation would reject.
+    fn schema_free_delta(g: &KnowledgeGraph, ops: &[Op]) -> GraphDelta {
+        let types = [TypeId(1), TypeId(2)];
+        let attrs = [AttrId(0), AttrId(1)];
+        let base_edges: Vec<_> = g.edges().map(|e| (e.source, e.attr, e.target)).collect();
+        let mut d = GraphDelta::new(g);
+        let mut nodes = g.num_nodes();
+        let mut changed = std::collections::HashSet::new();
+        for op in ops {
+            match op {
+                Op::AddNode { second_type, label } => {
+                    d.add_node(types[usize::from(*second_type)], label).unwrap();
+                    nodes += 1;
+                }
+                Op::AddEdge { s, second_attr, t } => {
+                    let e = (
+                        NodeId((s % nodes) as u32),
+                        attrs[usize::from(*second_attr)],
+                        NodeId((t % nodes) as u32),
+                    );
+                    if !g.has_edge(e.0, e.1, e.2) && changed.insert(e) {
+                        d.add_edge(e.0, e.1, e.2).unwrap();
+                    }
+                }
+                Op::AddTextEdge {
+                    s,
+                    second_attr,
+                    value,
+                } => {
+                    let s = NodeId((s % nodes) as u32);
+                    let a = attrs[usize::from(*second_attr)];
+                    // A repeated value reuses its text node; adding the
+                    // same edge to it twice would be a duplicate.
+                    let before = d.num_new_nodes();
+                    let mut probe = d.clone();
+                    let t = probe.add_text_edge(s, a, value).unwrap();
+                    if changed.insert((s, a, t)) {
+                        d = probe;
+                        nodes += d.num_new_nodes() - before;
+                    }
+                }
+                Op::RemoveEdge { i } => {
+                    if base_edges.is_empty() {
+                        continue;
+                    }
+                    let e = base_edges[i % base_edges.len()];
+                    if changed.insert(e) {
+                        d.remove_edge(e.0, e.1, e.2).unwrap();
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    fn assert_same_index(a: &TextIndex, b: &TextIndex) {
+        let words = |t: &TextIndex| -> Vec<(WordId, String)> {
+            t.vocab().iter().map(|(w, s)| (w, s.to_string())).collect()
+        };
+        assert_eq!(words(a), words(b), "vocabulary: ids and canonical forms");
+        assert_eq!(a.node_tok_offsets, b.node_tok_offsets);
+        assert_eq!(a.node_toks, b.node_toks, "node_tokens");
+        assert_eq!(a.type_toks, b.type_toks, "type_tokens");
+        assert_eq!(a.attr_toks, b.attr_toks, "attr_tokens");
+        assert_eq!(a.word_nodes, b.word_nodes, "nodes_matching");
+        assert_eq!(a.word_attrs, b.word_attrs, "attrs_matching");
+        assert_eq!(a.attr_sources, b.attr_sources, "attr_sources");
+    }
+
     proptest! {
+        /// Extending the index over a schema-free delta — and over a chain
+        /// of two — is field for field a fresh build on the new graph.
+        #[test]
+        fn extended_equals_fresh_build(
+            labels in proptest::collection::vec("[a-z]{1,6}( [a-z]{1,6}){0,2}", 1..12),
+            nedges in 0usize..12,
+            first in proptest::collection::vec(op_strategy(), 0..8),
+            second in proptest::collection::vec(op_strategy(), 1..8),
+        ) {
+            let mut g = random_graph(&labels, nedges);
+            let mut idx = TextIndex::build(&g, SynonymTable::new());
+            for ops in [first, second] {
+                let delta = schema_free_delta(&g, &ops);
+                prop_assert!(!delta.adds_schema(&g));
+                let g2 = delta
+                    .apply(&g, patternkb_graph::mutate::PagerankMode::Frozen)
+                    .expect("filtered delta applies");
+                let extended = idx.extended(&g2, &delta);
+                assert_same_index(&extended, &TextIndex::build(&g2, SynonymTable::new()));
+                (g, idx) = (g2, extended);
+            }
+        }
+
         /// The inverted list and the membership predicate agree for every
         /// (word, node) pair, and sim is positive exactly on matches.
         #[test]

@@ -73,6 +73,15 @@ impl Vocabulary {
         self.words.get(canon)
     }
 
+    /// Whether every id of `self` means the same canonical word in `other`
+    /// — the *prefix rule* under which structures keyed by this
+    /// vocabulary's ids stay valid against `other`. Interning is
+    /// append-only, so it holds whenever `other` grew out of `self` (or
+    /// interned the same texts in the same order).
+    pub fn is_prefix_of(&self, other: &Vocabulary) -> bool {
+        self.len() <= other.len() && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
+    }
+
     /// The synonym table this vocabulary canonicalizes through.
     pub fn synonyms(&self) -> &SynonymTable {
         &self.synonyms
@@ -155,6 +164,21 @@ mod tests {
         let a = v.intern("movie");
         let b = v.intern("films");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn prefix_rule_compares_canonical_forms() {
+        let mut a = Vocabulary::default();
+        a.intern_text("alpha beta");
+        let mut b = a.clone();
+        assert!(a.is_prefix_of(&b) && b.is_prefix_of(&a));
+        b.intern("gamma");
+        assert!(a.is_prefix_of(&b));
+        assert!(!b.is_prefix_of(&a), "longer is never a prefix of shorter");
+        // Same words, shifted ids.
+        let mut c = Vocabulary::default();
+        c.intern_text("gamma alpha beta");
+        assert!(!a.is_prefix_of(&c));
     }
 
     #[test]

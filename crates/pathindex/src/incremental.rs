@@ -1,49 +1,66 @@
 //! Incremental maintenance of the path-pattern indexes under graph
-//! mutation.
+//! mutation: an ingest costs what it changed.
 //!
 //! Full index construction (Algorithm 1) costs minutes at knowledge-base
 //! scale — the paper's Figure 6 reports 502 s for `d = 3` on Wiki — which
-//! is far too slow to rerun for every ingested fact. This module refreshes
-//! an existing [`PathIndexes`] after a batch of graph mutations by
-//! re-enumerating paths only from the **affected roots**.
+//! is far too slow to rerun for every ingested fact. This module derives
+//! the [`PathIndexes`] of the mutated graph from the previous version in
+//! two steps, both proportional to the delta:
 //!
-//! A root's indexed paths can change only if some path from it (in the old
-//! *or* new graph, with at most `d` nodes) touches a *dirty* node — an
-//! endpoint of an added/removed edge or a brand-new node (see
-//! [`patternkb_graph::mutate::GraphDelta::dirty_nodes`]). Equivalently, the
-//! root reaches a dirty node within `d − 1` hops, so the affected set is a
-//! backward BFS of depth `d − 1` from the dirty set, run on **both** the
-//! old graph (covers paths that existed before a removal) and the new one
-//! (covers paths created by an addition). Postings rooted outside the
-//! affected set are carried over verbatim; affected roots are rebuilt with
-//! the same DFS as full construction.
+//! * **Affected roots.** A root's indexed paths can change only if some
+//!   path from it (in the old *or* new graph, with at most `d` nodes)
+//!   touches a *dirty* node — an endpoint of an added/removed edge or a
+//!   brand-new node (see
+//!   [`patternkb_graph::mutate::GraphDelta::dirty_nodes`]). Equivalently,
+//!   the root reaches a dirty node within `d − 1` hops, so the affected
+//!   set is a backward BFS of depth `d − 1` from the dirty set, run on
+//!   **both** the old graph (covers paths that existed before a removal)
+//!   and the new one (covers paths created by an addition). Only these
+//!   roots are re-enumerated, with the same DFS as full construction.
+//! * **Touched words.** The index is a sum of per-word posting lists, and
+//!   a write changes only the lists in which an affected root had a
+//!   posting (old graph) or gets one (new graph) — found by running that
+//!   DFS over the affected roots on both graphs, never by scanning a
+//!   list. Each touched `(shard, word)` list is rebuilt from *(its old
+//!   postings minus the affected roots) ∪ the fresh ones* and recorded in
+//!   the shard's patch map; every other list, and the storage base under
+//!   them (heap or mapped alike), is shared with the previous version by
+//!   `Arc` ([`crate::word_index::IndexShard`]). A mapped index stays
+//!   mapped: only the touched words are decoded.
 //!
-//! Two subtleties:
+//! Two inputs make **every** list differ, so the same rebuild routine is
+//! then run over all words and the result is a plain heap index with an
+//! empty patch map (which is also the compaction of a long patch chain).
+//! Both costs are inherent, O(postings):
 //!
-//! * **Word-id stability.** The text index is rebuilt against the new
-//!   graph, and word ids are assigned in interning order — a new type or
-//!   attribute that introduces vocabulary shifts every later id. Carried-
-//!   over postings are therefore *remapped* through the canonical word
-//!   forms (old id → canonical text → new id); text is never removed, so
-//!   the remap is total.
-//! * **PageRank.** The postings cache `PR(f(w))`. When the mutation was
-//!   applied with [`patternkb_graph::mutate::PagerankMode::Recompute`],
-//!   every node's score moved, so pass `refresh_pagerank = true` and the
-//!   carried-over postings get their cached score re-read from the new
-//!   graph (an O(postings) pass, no path enumeration). Under `Frozen`
-//!   semantics pass `false` and the old cached scores remain exact.
+//! * **The prefix rule broken.** Word ids are assigned in interning order
+//!   — types, attributes, nodes — and a delta can only append, so as long
+//!   as it adds no type and no attribute the old vocabulary is a prefix
+//!   of the new one and every id keeps its meaning (`refresh_indexes`
+//!   checks this itself, on the canonical forms). A new type or attribute
+//!   that introduces vocabulary shifts every later id; the lists are then
+//!   re-keyed through the canonical forms (text is never removed, so the
+//!   mapping is total).
+//! * **PageRank recomputed.** The postings cache `PR(f(w))`. When the
+//!   mutation was applied with
+//!   [`patternkb_graph::mutate::PagerankMode::Recompute`], every node's
+//!   score moved, so pass `refresh_pagerank = true` and every surviving
+//!   posting gets its cached score re-read from the new graph. Under
+//!   `Frozen` semantics pass `false` and the old cached scores remain
+//!   exact.
 //!
 //! The result is **semantically identical** to a full rebuild on the new
-//! graph: same per-word posting multisets, same patterns, same scores
-//! (asserted by the equivalence tests below and by property tests). Only
-//! internal id assignment (pattern ids, arena layout) may differ, and
+//! graph: same per-word posting multisets, same patterns, same scores, and
+//! — since a word stream depends only on its postings — the same persisted
+//! bytes per list (asserted by the equivalence tests below and by property
+//! tests). Only pattern-id assignment and arena layout may differ, and
 //! stale patterns with no remaining postings may linger in the interner —
 //! both invisible through the query API.
 
-use crate::build;
+use crate::build::{self, RawEntry};
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
-use crate::word_index::{PathIndexes, WordPathIndex};
+use crate::word_index::{IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
 use patternkb_graph::{traversal, FxHashMap, KnowledgeGraph, NodeId, WordId};
 use patternkb_text::TextIndex;
@@ -55,25 +72,28 @@ pub struct RefreshStats {
     pub affected_roots: usize,
     /// Postings dropped because their root was affected.
     pub postings_dropped: usize,
-    /// Postings carried over verbatim (modulo word-id remap and optional
-    /// PageRank re-read).
+    /// Postings of unaffected roots, which the new version still holds
+    /// (shared with the old one unless their list was rebuilt).
     pub postings_kept: usize,
     /// Fresh postings produced by re-enumerating the affected roots.
     pub postings_added: usize,
     /// Path patterns newly interned by the refresh.
     pub patterns_added: usize,
+    /// `(shard, word)` lists rebuilt; every other list is shared with the
+    /// old version.
+    pub words_rebuilt: usize,
 }
 
-/// Rebuild the path indexes for `new_g` from the indexes of `old_g`,
+/// Derive the path indexes of `new_g` from the indexes of `old_g`,
 /// re-enumerating only roots whose `d`-bounded neighbourhood can have
-/// changed.
+/// changed and rebuilding only the word lists those roots touch.
 ///
 /// `dirty` is the seed set of changed nodes (typically
 /// [`patternkb_graph::mutate::GraphDelta::dirty_nodes`]). `old_text` /
-/// `new_text` are the text indexes of the two graphs (the new one is a
-/// cheap full rebuild — tokenization is linear in the text, not in the
-/// path count). Set `refresh_pagerank` iff the mutation recomputed
-/// PageRank.
+/// `new_text` are the text indexes of the two graphs. Set
+/// `refresh_pagerank` iff the mutation recomputed PageRank; that, or a
+/// `new_text` whose word ids do not extend `old_text`'s, rebuilds every
+/// list (see the module docs).
 pub fn refresh_indexes(
     old: &PathIndexes,
     old_g: &KnowledgeGraph,
@@ -86,6 +106,7 @@ pub fn refresh_indexes(
     let d = old.d();
     let old_n = old_g.num_nodes();
     let new_n = new_g.num_nodes();
+    let num_shards = old.num_shards();
     let mut stats = RefreshStats::default();
 
     // --- 1. Affected roots: backward BFS depth d−1 on both graphs. ---
@@ -94,8 +115,7 @@ pub fn refresh_indexes(
         dirty.iter().copied().filter(|v| v.index() < old_n),
         d,
     );
-    let mask_new = traversal::backward_reach_mask(new_g, dirty.iter().copied(), d);
-    let mut affected = mask_new;
+    let mut affected = traversal::backward_reach_mask(new_g, dirty.iter().copied(), d);
     for (i, &m) in mask_old.iter().enumerate() {
         if m {
             affected[i] = true;
@@ -108,106 +128,160 @@ pub fn refresh_indexes(
         .collect();
     stats.affected_roots = affected_roots.len();
 
-    // --- 2. Word-id remap old → new through canonical forms. ---
-    let remap: FxHashMap<WordId, WordId> = old
-        .word_ids()
-        .into_iter()
-        .map(|w| {
-            let canon = old_text.vocab().resolve(w);
-            let nw = new_text
-                .vocab()
-                .lookup_canonical(canon)
-                .expect("canonical words survive mutation (text is never removed)");
-            (w, nw)
-        })
-        .collect();
-
-    // --- 3. Carry over postings of unaffected roots, shard by shard
-    //        (unaffected roots stay in their owning shard). ---
-    let bounds = old.bounds().to_vec();
-    let num_shards = old.num_shards();
+    // --- 2. Re-enumerate the affected roots on the new graph and bucket
+    //        the fresh postings per (shard, word); new nodes beyond the
+    //        old bounds land in the last shard. ---
+    let fresh = build::build_roots(new_g, new_text, d, affected_roots.iter().copied());
     let mut patterns: PatternSet = old.patterns().clone();
     let patterns_before = patterns.len();
-    let mut acc: Vec<FxHashMap<WordId, (Vec<Posting>, Vec<NodeId>)>> =
-        (0..num_shards).map(|_| FxHashMap::default()).collect();
-    for (s, shard) in old.shards().iter().enumerate() {
-        for (w, widx) in shard.iter_words() {
-            let nw = remap[&w];
-            let (postings, arena) = acc[s].entry(nw).or_default();
-            for p in widx.postings_pattern_first() {
-                if affected[p.root.index()] {
-                    stats.postings_dropped += 1;
-                    continue;
-                }
-                let nodes = widx.nodes_of(p);
-                let start = arena.len() as u32;
-                arena.extend_from_slice(nodes);
-                let pagerank = if refresh_pagerank {
-                    // Matched node: the terminal for node matches, the edge's
-                    // source (second-to-last stored node — the leaf is
-                    // appended) for edge matches.
-                    let matched = if p.edge_terminal {
-                        nodes[nodes.len() - 2]
-                    } else {
-                        *nodes.last().expect("non-empty path")
-                    };
-                    new_g.pagerank(matched)
-                } else {
-                    p.pagerank
-                };
-                postings.push(Posting {
-                    pattern: p.pattern,
-                    root: p.root,
-                    nodes_start: start,
-                    nodes_len: p.nodes_len,
-                    edge_terminal: p.edge_terminal,
-                    pagerank,
-                    sim: p.sim,
-                });
-                stats.postings_kept += 1;
-            }
-        }
+    let pat_remap: Vec<PatternId> = (0..fresh.patterns.len())
+        .map(|i| patterns.intern_key(fresh.patterns.key(PatternId(i as u32))))
+        .collect();
+    stats.patterns_added = patterns.len() - patterns_before;
+    stats.postings_added = fresh.entries.len();
+    let mut fresh_lists: FxHashMap<(usize, WordId), Vec<RawEntry>> = FxHashMap::default();
+    for e in fresh.entries {
+        fresh_lists
+            .entry((old.shard_of_root(e.root), e.word))
+            .or_default()
+            .push(e);
     }
 
-    // --- 4. Re-enumerate the affected roots on the new graph, routing
-    //        each fresh posting to the shard owning its root (new nodes
-    //        beyond the old bounds land in the last shard). ---
-    let out = build::build_roots(new_g, new_text, d, affected_roots.iter().copied());
-    let pat_remap: Vec<PatternId> = (0..out.patterns.len())
-        .map(|i| patterns.intern_key(out.patterns.key(PatternId(i as u32))))
+    // --- 3. The lists that differ, as new word ids per shard. ---
+    let vocab_old = old_text.vocab();
+    let vocab_new = new_text.vocab();
+    let stable_ids = vocab_old.is_prefix_of(vocab_new);
+    let every_list = refresh_pagerank || !stable_ids;
+    // Shifted ids are translated through the canonical forms; text is
+    // never removed, so every old word has a new id (not the reverse).
+    let new_id = |w: WordId| {
+        if stable_ids {
+            return w;
+        }
+        vocab_new
+            .lookup_canonical(vocab_old.resolve(w))
+            .expect("canonical words survive mutation")
+    };
+    let old_id = |w: WordId| {
+        if stable_ids {
+            return Some(w);
+        }
+        vocab_old.lookup_canonical(vocab_new.resolve(w))
+    };
+    let mut touched: Vec<Vec<WordId>> = vec![Vec::new(); num_shards];
+    if every_list {
+        for (s, shard) in old.shards().iter().enumerate() {
+            touched[s].extend(shard.word_ids().into_iter().map(new_id));
+        }
+    } else {
+        // Exactly the postings the affected roots lose.
+        let stale = build::build_roots(
+            old_g,
+            old_text,
+            d,
+            affected_roots.iter().copied().filter(|v| v.index() < old_n),
+        );
+        for e in &stale.entries {
+            touched[old.shard_of_root(e.root)].push(e.word);
+        }
+    }
+    for &(s, w) in fresh_lists.keys() {
+        touched[s].push(w);
+    }
+
+    // --- 4. Rebuild each touched list; share everything else. ---
+    let shards: Vec<IndexShard> = touched
+        .into_iter()
+        .enumerate()
+        .map(|(s, mut words)| {
+            words.sort_unstable();
+            words.dedup();
+            stats.words_rebuilt += words.len();
+            let shard = &old.shards()[s];
+            let rebuilt: Vec<(WordId, Option<WordPathIndex>)> = words
+                .into_iter()
+                .map(|w| {
+                    let (widx, dropped) = rebuild_word(
+                        old_id(w).and_then(|ow| shard.word(ow)),
+                        &affected,
+                        fresh_lists.remove(&(s, w)).unwrap_or_default(),
+                        &pat_remap,
+                        refresh_pagerank.then_some(new_g),
+                    );
+                    stats.postings_dropped += dropped;
+                    (w, widx)
+                })
+                .collect();
+            if every_list {
+                IndexShard::new(
+                    rebuilt
+                        .into_iter()
+                        .filter_map(|(w, widx)| Some((w, widx?)))
+                        .collect(),
+                )
+            } else {
+                shard.patch(rebuilt)
+            }
+        })
         .collect();
-    for e in out.entries {
-        let s = (bounds.partition_point(|&b| b <= e.root.0) - 1).min(num_shards - 1);
-        let (postings, arena) = acc[s].entry(e.word).or_default();
-        let start = arena.len() as u32;
-        arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
+    stats.postings_kept = old.num_postings() - stats.postings_dropped;
+
+    (
+        PathIndexes::new(d, patterns, old.bounds().to_vec(), shards),
+        stats,
+    )
+}
+
+/// One word's list in the new version: the postings of `old` whose root is
+/// not affected (cached PageRank re-read from `reread_pagerank` when
+/// given) plus the `fresh` ones, re-frozen. Returns the list — `None` when
+/// nothing is left — and how many old postings were dropped.
+fn rebuild_word(
+    old: Option<&WordPathIndex>,
+    affected: &[bool],
+    fresh: Vec<RawEntry>,
+    pat_remap: &[PatternId],
+    reread_pagerank: Option<&KnowledgeGraph>,
+) -> (Option<WordPathIndex>, usize) {
+    let old_len = old.map_or(0, WordPathIndex::len);
+    let mut postings: Vec<Posting> = Vec::with_capacity(old_len + fresh.len());
+    let mut arena: Vec<NodeId> = Vec::with_capacity(old.map_or(0, |w| w.arena().len()));
+    if let Some(widx) = old {
+        for p in widx.postings_pattern_first() {
+            if affected[p.root.index()] {
+                continue;
+            }
+            let nodes = widx.nodes_of(p);
+            let pagerank = match reread_pagerank {
+                // Matched node: the terminal for node matches, the edge's
+                // source (second-to-last stored node — the leaf is
+                // appended) for edge matches.
+                Some(g) => g.pagerank(nodes[nodes.len() - 1 - usize::from(p.edge_terminal)]),
+                None => p.pagerank,
+            };
+            postings.push(Posting {
+                nodes_start: arena.len() as u32,
+                pagerank,
+                ..*p
+            });
+            arena.extend_from_slice(nodes);
+        }
+    }
+    let dropped = old_len - postings.len();
+    for e in fresh {
         postings.push(Posting {
             pattern: pat_remap[e.lpat as usize],
             root: e.root,
-            nodes_start: start,
+            nodes_start: arena.len() as u32,
             nodes_len: e.nodes_len as u16,
             edge_terminal: e.edge_terminal,
             pagerank: e.pagerank,
             sim: e.sim,
         });
-        stats.postings_added += 1;
+        arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
     }
-    stats.patterns_added = patterns.len() - patterns_before;
-
-    // --- 5. Re-freeze per-word indexes (drops words left empty). ---
-    let shards: Vec<crate::word_index::IndexShard> = acc
-        .into_iter()
-        .map(|per_word| {
-            crate::word_index::IndexShard::new(
-                per_word
-                    .into_iter()
-                    .filter(|(_, (postings, _))| !postings.is_empty())
-                    .map(|(w, (postings, arena))| (w, WordPathIndex::new(postings, arena)))
-                    .collect(),
-            )
-        })
-        .collect();
-    (PathIndexes::new(d, patterns, bounds, shards), stats)
+    let widx = (!postings.is_empty()).then(|| WordPathIndex::new(postings, arena));
+    (widx, dropped)
 }
 
 #[cfg(test)]
@@ -419,6 +493,154 @@ mod tests {
             "refresh must produce an index whose persisted image is \
              byte-identical to a full rebuild's"
         );
+    }
+
+    #[test]
+    fn untouched_words_are_shared_by_pointer() {
+        // Two shards, many words; the delta adds one entity (existing
+        // type, existing attribute, new text), so only the lists its two
+        // new roots post into may be rebuilt — everything else must be
+        // the *same allocation* in both versions.
+        let mut b = GraphBuilder::new();
+        let station = b.add_type("Station");
+        let depot = b.add_type("Depot");
+        let next = b.add_attr("next");
+        let label = b.add_attr("label");
+        let nodes: Vec<_> = (0..40)
+            .map(|i| {
+                b.add_node(
+                    if i % 2 == 0 { station } else { depot },
+                    &format!("stop s{i}"),
+                )
+            })
+            .collect();
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], next, w[1]);
+        }
+        b.add_text_edge(nodes[3], label, "north gate");
+        let g = b.build();
+        let cfg = BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 2,
+        };
+        let old_text = TextIndex::build(&g, SynonymTable::new());
+        let old = build_indexes(&g, &old_text, &cfg);
+        assert_eq!(old.num_shards(), 2);
+
+        let mut d = GraphDelta::new(&g);
+        let v = d.add_node(depot, "stop terminus").unwrap();
+        d.add_text_edge(v, label, "south gate").unwrap();
+        let g2 = d.apply(&g, PagerankMode::Frozen).unwrap();
+        let new_text = old_text.extended(&g2, &d);
+        let (new, stats) =
+            refresh_indexes(&old, &g, &g2, &old_text, &new_text, &d.dirty_nodes(), false);
+        assert_eq!(stats.affected_roots, 2);
+
+        // The lists a new root posts into, found by scanning the result.
+        let old_n = g.num_nodes();
+        let mut touched = std::collections::BTreeSet::new();
+        for (s, shard) in new.shards().iter().enumerate() {
+            for (w, widx) in shard.iter_words() {
+                if widx.roots().iter().any(|&r| r as usize >= old_n) {
+                    touched.insert((s, w));
+                }
+            }
+        }
+        assert!(touched.iter().all(|&(s, _)| s == 1), "new nodes land last");
+        assert_eq!(stats.words_rebuilt, touched.len());
+        assert_eq!(new.num_patched_words(), touched.len());
+        assert_eq!(stats.postings_dropped, 0);
+        assert_eq!(stats.postings_kept, old.num_postings());
+        assert_eq!(
+            new.num_postings(),
+            old.num_postings() + stats.postings_added
+        );
+
+        let mut shared = 0;
+        for s in 0..2 {
+            for w in new.shards()[s].word_ids() {
+                let same = match (old.word_in(s, w), new.word_in(s, w)) {
+                    (Some(a), Some(b)) => std::ptr::eq(a, b),
+                    _ => false,
+                };
+                assert_eq!(same, !touched.contains(&(s, w)), "shard {s} word {w:?}");
+                shared += usize::from(same);
+            }
+        }
+        assert!(shared > touched.len(), "most of the index is untouched");
+
+        // A second delta on the patched version shares the first one's
+        // patches it does not touch, again by pointer.
+        let mut d2 = GraphDelta::new(&g2);
+        d2.add_node(station, "halt").unwrap();
+        let g3 = d2.apply(&g2, PagerankMode::Frozen).unwrap();
+        let text3 = new_text.extended(&g3, &d2);
+        let (third, stats3) =
+            refresh_indexes(&new, &g2, &g3, &new_text, &text3, &d2.dirty_nodes(), false);
+        let gate = text3.lookup_word("gate").unwrap();
+        assert!(std::ptr::eq(
+            new.word_in(1, gate).unwrap(),
+            third.word_in(1, gate).unwrap()
+        ));
+        assert!(third.num_patched_words() > new.num_patched_words());
+        assert_eq!(stats3.words_rebuilt, 2, "\"halt\" and \"station\"");
+        let full = build_indexes(&g3, &text3, &cfg);
+        assert_eq!(canon(&full, &text3), canon(&third, &text3));
+    }
+
+    #[test]
+    fn every_list_is_rebuilt_when_ids_shift_or_pagerank_moves() {
+        let g = base_graph();
+        let lists =
+            |idx: &PathIndexes| -> usize { idx.shards().iter().map(|s| s.num_words()).sum() };
+        // New attribute vocabulary: ids shift, nothing is emptied.
+        let mut d = GraphDelta::new(&g);
+        let acquired = d.add_attr("acquired subsidiary");
+        d.add_edge(NodeId(1), acquired, NodeId(0)).unwrap();
+        let (_, incr, _, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Frozen);
+        assert_eq!(stats.words_rebuilt, lists(&incr));
+        assert_eq!(incr.num_patched_words(), 0, "a full refresh compacts");
+        // Same ids, recomputed PageRank.
+        let comp = g.type_by_text("Company").unwrap();
+        let mut d = GraphDelta::new(&g);
+        d.add_node(comp, "Oracle Corp").unwrap();
+        let (_, incr, _, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Recompute);
+        assert_eq!(stats.words_rebuilt, lists(&incr));
+        assert_eq!(incr.num_patched_words(), 0);
+        // And the frozen form of that delta patches instead.
+        let (_, incr, _, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Frozen);
+        assert!(stats.words_rebuilt < lists(&incr));
+        assert_eq!(incr.num_patched_words(), stats.words_rebuilt);
+    }
+
+    #[test]
+    fn emptied_words_are_shadowed_not_served() {
+        // Removing the only Revenue edge orphans nothing (the text node
+        // stays a root of its own words) but empties "revenue".
+        let g = base_graph();
+        let rev = g.attr_by_text("Revenue").unwrap();
+        let text_node = g
+            .out_edges(NodeId(1))
+            .find(|&(a, _)| a == rev)
+            .map(|(_, t)| t)
+            .unwrap();
+        let mut d = GraphDelta::new(&g);
+        d.remove_edge(NodeId(1), rev, text_node).unwrap();
+        let (full, incr, text, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Frozen);
+        assert_eq!(canon(&full, &text), canon(&incr, &text));
+        let w = text.lookup_word("revenue").unwrap();
+        assert!(!incr.has_word(w) && incr.word(w).is_none());
+        assert!(!incr.word_ids().contains(&w));
+        assert_eq!(incr.num_words(), full.num_words());
+        assert_eq!(incr.num_postings(), full.num_postings());
+        assert_eq!(
+            incr.num_postings(),
+            stats.postings_kept + stats.postings_added
+        );
+        // The image writer sees through the patch map too.
+        let reopened = crate::storage::open_bytes(crate::storage::encode_v5(&incr)).unwrap();
+        assert_eq!(canon(&full, &text), canon(&reopened, &text));
     }
 
     #[test]

@@ -99,8 +99,9 @@ pub trait IndexStorage: Send + Sync {
     /// first touch; a corrupt stream makes the word unavailable here —
     /// use [`IndexStorage::prepare`] first to surface the typed error.
     fn word(&self, w: WordId) -> Option<&WordPathIndex>;
-    /// Whether the shard holds postings for `w` (never decodes).
-    fn contains(&self, w: WordId) -> bool;
+    /// How many postings the shard holds for `w`, from metadata (never
+    /// decodes); `None` when it holds none.
+    fn word_len(&self, w: WordId) -> Option<usize>;
     /// All word ids with postings in this shard, ascending.
     fn word_ids(&self) -> Vec<WordId>;
     /// Number of words with postings in this shard.
@@ -137,8 +138,8 @@ impl IndexStorage for HeapStorage {
     fn word(&self, w: WordId) -> Option<&WordPathIndex> {
         self.words.get(&w)
     }
-    fn contains(&self, w: WordId) -> bool {
-        self.words.contains_key(&w)
+    fn word_len(&self, w: WordId) -> Option<usize> {
+        self.words.get(&w).map(WordPathIndex::len)
     }
     fn word_ids(&self) -> Vec<WordId> {
         let mut ids: Vec<WordId> = self.words.keys().copied().collect();
@@ -660,8 +661,8 @@ impl IndexStorage for MappedStorage {
         let i = self.slot(w)?;
         self.decoded(i).as_ref().ok()
     }
-    fn contains(&self, w: WordId) -> bool {
-        self.slot(w).is_some()
+    fn word_len(&self, w: WordId) -> Option<usize> {
+        self.slot(w).map(|i| self.entries[i].num_postings as usize)
     }
     fn word_ids(&self) -> Vec<WordId> {
         self.entries.iter().map(|e| e.word).collect()
@@ -701,7 +702,7 @@ pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
     for (s, entries) in parsed.shard_entries.into_iter().enumerate() {
         let num_postings = entries.iter().map(|e| e.num_postings as usize).sum();
         let slots = (0..entries.len()).map(|_| OnceLock::new()).collect();
-        shards.push(IndexShard::from_storage(Box::new(MappedStorage {
+        shards.push(IndexShard::from_storage(Arc::new(MappedStorage {
             region: Arc::clone(&region),
             entries,
             slots,

@@ -4,6 +4,7 @@ use crate::grouped::GroupedPostings;
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
 use patternkb_graph::{FxHashMap, NodeId, WordId};
+use std::sync::Arc;
 
 /// Per-pattern posting statistics, cached at construction. These are
 /// pure functions of the posting list; the search layer's admissible
@@ -388,88 +389,162 @@ impl WordPathIndex {
 /// posting whose root lies in the shard's range. Shards share the global
 /// [`PatternSet`], so pattern ids are comparable across shards.
 ///
-/// Where the per-word indexes physically live is behind
-/// [`crate::storage::IndexStorage`]: the heap tier owns fully decoded
+/// A shard is **`base ⊕ patched words`**. The base is an immutable
+/// [`crate::storage::IndexStorage`] — the heap tier owns fully decoded
 /// structures, the mapped tier borrows a v5 snapshot region and decodes
-/// words on first touch. Query code is oblivious — it only ever sees
-/// `&WordPathIndex` borrows.
+/// words on first touch — shared by `Arc` between every index version
+/// derived from it. [`crate::incremental::refresh_indexes`] publishes a
+/// new version by rebuilding only the words a delta touches and recording
+/// them in the patch map, which shadows the base: `Some` replaces the
+/// base's list, `None` marks a word the delta emptied. Query code is
+/// oblivious — it only ever sees contiguous `&WordPathIndex` borrows, and
+/// with an empty patch map every read goes straight to the base.
 pub struct IndexShard {
-    storage: Box<dyn crate::storage::IndexStorage>,
+    base: Arc<dyn crate::storage::IndexStorage>,
+    patched: FxHashMap<WordId, Option<Arc<WordPathIndex>>>,
+    /// Maintained as base − shadowed + patched, so neither count ever
+    /// scans (or, on the mapped tier, decodes) a list.
+    num_words: usize,
+    num_postings: usize,
 }
 
 impl Default for IndexShard {
     fn default() -> Self {
-        IndexShard {
-            storage: Box::new(crate::storage::HeapStorage::default()),
-        }
+        IndexShard::new(FxHashMap::default())
     }
 }
 
 impl IndexShard {
     pub(crate) fn new(words: FxHashMap<WordId, WordPathIndex>) -> Self {
-        IndexShard {
-            storage: Box::new(crate::storage::HeapStorage::new(words)),
-        }
+        IndexShard::from_storage(Arc::new(crate::storage::HeapStorage::new(words)))
     }
 
     /// Wrap an arbitrary storage backend (the mapped tier's entry point).
-    pub(crate) fn from_storage(storage: Box<dyn crate::storage::IndexStorage>) -> Self {
-        IndexShard { storage }
+    pub(crate) fn from_storage(base: Arc<dyn crate::storage::IndexStorage>) -> Self {
+        IndexShard {
+            num_words: base.num_words(),
+            num_postings: base.num_postings(),
+            base,
+            patched: FxHashMap::default(),
+        }
     }
 
-    /// Which storage tier backs this shard.
+    /// The next version of this shard: the same base and every patched
+    /// word not named in `rebuilt` shared by `Arc`, each `(word, list)` of
+    /// `rebuilt` shadowing whatever the word held before (`None` = the
+    /// word has no postings left).
+    pub(crate) fn patch(&self, rebuilt: Vec<(WordId, Option<WordPathIndex>)>) -> Self {
+        let mut next = IndexShard {
+            base: Arc::clone(&self.base),
+            patched: self.patched.clone(),
+            num_words: self.num_words,
+            num_postings: self.num_postings,
+        };
+        for (w, widx) in rebuilt {
+            if let Some(old_len) = self.word_len(w) {
+                next.num_words -= 1;
+                next.num_postings -= old_len;
+            }
+            if let Some(new) = &widx {
+                next.num_words += 1;
+                next.num_postings += new.len();
+            }
+            if widx.is_none() && self.base.word_len(w).is_none() {
+                // Nothing left to shadow.
+                next.patched.remove(&w);
+            } else {
+                next.patched.insert(w, widx.map(Arc::new));
+            }
+        }
+        next
+    }
+
+    /// Which storage tier backs this shard's base.
     pub fn storage_backend(&self) -> crate::storage::StorageBackend {
-        self.storage.backend()
+        self.base.backend()
     }
 
     /// The per-word index for `w` within this shard; `None` when no root in
     /// the shard's range reaches the word.
     pub fn word(&self, w: WordId) -> Option<&WordPathIndex> {
-        self.storage.word(w)
+        match self.patched.get(&w) {
+            Some(patch) => patch.as_deref(),
+            None => self.base.word(w),
+        }
     }
 
     /// Whether this shard has postings for `w` (never decodes).
     pub fn contains(&self, w: WordId) -> bool {
-        self.storage.contains(w)
+        self.word_len(w).is_some()
+    }
+
+    /// Number of postings `w` holds in this shard, from metadata (never
+    /// decodes); `None` when the shard has none.
+    fn word_len(&self, w: WordId) -> Option<usize> {
+        match self.patched.get(&w) {
+            Some(patch) => patch.as_ref().map(|p| p.len()),
+            None => self.base.word_len(w),
+        }
     }
 
     /// All word ids with postings in this shard, ascending.
     pub fn word_ids(&self) -> Vec<WordId> {
-        self.storage.word_ids()
+        let mut ids = self.base.word_ids();
+        if !self.patched.is_empty() {
+            ids.retain(|w| !self.patched.contains_key(w));
+            ids.extend(
+                self.patched
+                    .iter()
+                    .filter(|(_, patch)| patch.is_some())
+                    .map(|(&w, _)| w),
+            );
+            ids.sort_unstable();
+        }
+        ids
     }
 
     /// Iterate all `(word, index)` pairs of this shard, in ascending word
-    /// order. On the mapped tier this decodes every word it visits (the
-    /// materialization path used by incremental refresh); words whose
+    /// order. On the mapped tier this decodes every base word it visits
+    /// (the image writer's and the full refresh's path); words whose
     /// streams are damaged are skipped here — queries surface them as
     /// typed errors via [`PathIndexes::prepare_words`] instead.
     pub fn iter_words(&self) -> impl Iterator<Item = (WordId, &WordPathIndex)> {
-        self.storage
-            .word_ids()
+        self.word_ids()
             .into_iter()
-            .filter_map(move |w| self.storage.word(w).map(|idx| (w, idx)))
+            .filter_map(move |w| self.word(w).map(|idx| (w, idx)))
     }
 
     /// Number of words with postings in this shard.
     pub fn num_words(&self) -> usize {
-        self.storage.num_words()
+        self.num_words
     }
 
     /// Total postings in this shard.
     pub fn num_postings(&self) -> usize {
-        self.storage.num_postings()
+        self.num_postings
     }
 
-    /// Approximate resident bytes of this shard (for the mapped tier:
-    /// only what has been decoded so far, not the snapshot file).
+    /// Approximate resident bytes of this shard: the base (for the mapped
+    /// tier only what has been decoded so far, not the snapshot file) plus
+    /// the patched words. A base shared with other versions is counted in
+    /// each of them.
     pub fn heap_bytes(&self) -> usize {
-        self.storage.heap_bytes()
+        self.base.heap_bytes()
+            + self
+                .patched
+                .values()
+                .flatten()
+                .map(|w| w.heap_bytes())
+                .sum::<usize>()
     }
 
     /// Ensure `w` is decoded and usable, surfacing a damaged mapped
-    /// stream as its typed error. No-op on the heap tier.
+    /// stream as its typed error. No-op for heap-resident words.
     pub fn prepare(&self, w: WordId) -> Result<(), patternkb_graph::snapshot::SnapshotError> {
-        self.storage.prepare(w)
+        if self.patched.contains_key(&w) {
+            return Ok(());
+        }
+        self.base.prepare(w)
     }
 }
 
@@ -593,6 +668,15 @@ impl PathIndexes {
     /// Total postings over all words and shards.
     pub fn num_postings(&self) -> usize {
         self.shards.iter().map(IndexShard::num_postings).sum()
+    }
+
+    /// Word lists shadowing their shard's base, summed over shards: how
+    /// far this version has drifted from its persisted image (0 right
+    /// after a build, load or full refresh). An operator watches this to
+    /// decide on a checkpoint + reload, which folds the patches into a
+    /// fresh image.
+    pub fn num_patched_words(&self) -> usize {
+        self.shards.iter().map(|s| s.patched.len()).sum()
     }
 
     /// Approximate resident bytes of everything (for the mapped tier:

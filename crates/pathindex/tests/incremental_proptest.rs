@@ -1,11 +1,14 @@
 //! Property test: incremental index refresh is semantically identical to a
-//! full rebuild, for arbitrary small graphs and arbitrary mutation batches.
+//! full rebuild, for arbitrary small graphs and arbitrary mutation batches
+//! — one at a time, and as chains of deltas over an already-patched index
+//! on either storage tier.
 
 use proptest::prelude::*;
 
 use patternkb_graph::mutate::{GraphDelta, PagerankMode};
 use patternkb_graph::{GraphBuilder, KnowledgeGraph, NodeId};
-use patternkb_index::{build_indexes, refresh_indexes, BuildConfig, PathIndexes};
+use patternkb_index::storage::{encode_v5, open_bytes};
+use patternkb_index::{build_indexes, refresh_indexes, BuildConfig, PathIndexes, StorageBackend};
 use patternkb_text::{SynonymTable, TextIndex};
 
 /// A word pool small enough that keywords collide across nodes, exercising
@@ -164,5 +167,62 @@ proptest! {
             &old_idx, &g, &g2, &old_text, &new_text, &delta.dirty_nodes(), recompute,
         );
         prop_assert_eq!(canon(&full, &new_text), canon(&incr, &new_text));
+    }
+
+    /// A chain of deltas, each applied on top of the previous refresh's
+    /// (patched) result, from a heap base and from a mapped base: both end
+    /// canonically equal to a from-scratch build of the final graph and
+    /// persist to the same bytes as each other; frozen steps leave the
+    /// mapped chain mapped. The heap chain extends its text index the way the serving
+    /// path does, the mapped chain rebuilds it the way a caller holding
+    /// only graphs does — `refresh_indexes` accepts either.
+    #[test]
+    fn chained_refresh_over_patched_index_equals_full_rebuild(
+        rg in graph_strategy(),
+        steps in proptest::collection::vec((ops_strategy(), (0u8..5).prop_map(|r| r == 0)), 3..5),
+        d in 2usize..4,
+    ) {
+        for shards in [1usize, 2] {
+            let cfg = BuildConfig { d, threads: 1, shards };
+            let mut g = build_graph(&rg);
+            let mut text_a = TextIndex::build(&g, SynonymTable::new());
+            let mut text_b = TextIndex::build(&g, SynonymTable::new());
+            let mut heap = build_indexes(&g, &text_a, &cfg);
+            let mut mapped = open_bytes(encode_v5(&heap)).expect("image opens");
+            let mut frozen_so_far = true;
+
+            for (ops, recompute) in &steps {
+                let delta = build_delta(&g, ops);
+                let mode = if *recompute { PagerankMode::Recompute } else { PagerankMode::Frozen };
+                let g2 = delta.apply(&g, mode).expect("filtered delta always applies");
+                let next_a = text_a.extended(&g2, &delta);
+                let next_b = TextIndex::build(&g2, SynonymTable::new());
+                let dirty = delta.dirty_nodes();
+                let (h, hs) = refresh_indexes(&heap, &g, &g2, &text_a, &next_a, &dirty, *recompute);
+                let (m, ms) = refresh_indexes(&mapped, &g, &g2, &text_b, &next_b, &dirty, *recompute);
+                prop_assert_eq!(hs, ms);
+                prop_assert_eq!(hs.postings_kept + hs.postings_added, h.num_postings());
+                frozen_so_far &= !*recompute;
+                if frozen_so_far {
+                    prop_assert_eq!(m.storage_backend(), StorageBackend::Mmap);
+                    prop_assert_eq!(h.num_patched_words(), m.num_patched_words());
+                }
+                (g, text_a, text_b, heap, mapped) = (g2, next_a, next_b, h, m);
+            }
+
+            let full = build_indexes(&g, &text_a, &cfg);
+            let reference = canon(&full, &text_a);
+            prop_assert_eq!(&reference, &canon(&heap, &text_a));
+            prop_assert_eq!(&reference, &canon(&mapped, &text_b));
+            prop_assert_eq!(full.num_postings(), heap.num_postings());
+            prop_assert_eq!(full.num_words(), mapped.num_words());
+            let image = encode_v5(&heap);
+            prop_assert_eq!(&image, &encode_v5(&mapped));
+            // The from-scratch image differs in framing (a refreshed
+            // index keeps its shard bounds and its append-only pattern
+            // table), so it is compared through a reopen.
+            let reopened = open_bytes(image).expect("refreshed image opens");
+            prop_assert_eq!(&reference, &canon(&reopened, &text_a));
+        }
     }
 }

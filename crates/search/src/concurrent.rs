@@ -18,7 +18,10 @@
 //!
 //! Readers never block writers and writers never block readers; the only
 //! contention is the pointer swap. Old snapshots are freed when their last
-//! reader drops them. [`SharedEngine::snapshot`] remains available for
+//! reader drops them — never under the pointer's write guard — and
+//! consecutive versions share every posting list the delta between them
+//! did not touch, so holding one costs its graph and text index, not a
+//! second index. [`SharedEngine::snapshot`] remains available for
 //! callers that need many queries against one consistent state.
 //!
 //! Two serving-lifecycle operations round this out:
@@ -287,7 +290,7 @@ impl SharedEngine {
             floor = floor.max(tail.version());
         }
         next.rebase_version(floor);
-        *self.current.write() = Arc::new(next);
+        swap_unlocked(&self.current, Arc::new(next), |_| true);
         self.cache.clear();
         self.epoch.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1
     }
@@ -420,11 +423,25 @@ impl SharedEngine {
     /// Publish `next` unless something newer (a later ingest whose fsync
     /// completed first, or a hot swap) already landed.
     fn publish_if_newer(&self, next: Arc<SearchEngine>) {
-        let mut cur = self.current.write();
-        if next.version() > cur.version() {
-            *cur = next;
-        }
+        let version = next.version();
+        swap_unlocked(&self.current, next, |cur| version > cur.version());
     }
+}
+
+/// Install `next` in `slot` if `admit` accepts the value it would replace.
+/// The outgoing `Arc` is dropped only after the write guard is released:
+/// when it is the last reference, freeing a whole engine takes
+/// milliseconds, and no [`SharedEngine::snapshot`] caller should queue
+/// behind that.
+fn swap_unlocked<T>(slot: &RwLock<Arc<T>>, next: Arc<T>, admit: impl FnOnce(&T) -> bool) {
+    let outgoing = {
+        let mut cur = slot.write();
+        if !admit(&cur) {
+            return;
+        }
+        std::mem::replace(&mut *cur, next)
+    };
+    drop(outgoing);
 }
 
 impl std::fmt::Debug for SharedEngine {
@@ -459,6 +476,39 @@ mod tests {
         d.add_text_edge(v, rev, &format!("US$ {step} million"))
             .unwrap();
         s.apply_delta(&d, PagerankMode::Frozen).unwrap();
+    }
+
+    #[test]
+    fn outgoing_snapshot_is_freed_after_the_write_guard() {
+        // The value in the slot records, as it is freed, whether a reader
+        // could have taken the lock at that moment.
+        struct Probe {
+            slot: std::sync::Weak<RwLock<Arc<Probe>>>,
+            readable_at_drop: Arc<std::sync::Mutex<Vec<bool>>>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(slot) = self.slot.upgrade() {
+                    let readable = slot.try_read().is_some();
+                    self.readable_at_drop.lock().unwrap().push(readable);
+                }
+            }
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let probe = |slot: &std::sync::Weak<RwLock<Arc<Probe>>>| {
+            Arc::new(Probe {
+                slot: slot.clone(),
+                readable_at_drop: Arc::clone(&seen),
+            })
+        };
+        let slot = Arc::new_cyclic(|weak| RwLock::new(probe(weak)));
+        let weak = Arc::downgrade(&slot);
+        // Admitted: the outgoing value's last reference dies in the swap.
+        swap_unlocked(&slot, probe(&weak), |_| true);
+        assert_eq!(*seen.lock().unwrap(), [true], "freed under the write guard");
+        // Refused: the rejected incoming value dies instead.
+        swap_unlocked(&slot, probe(&weak), |_| false);
+        assert_eq!(*seen.lock().unwrap(), [true, true]);
     }
 
     #[test]

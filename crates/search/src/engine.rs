@@ -90,10 +90,12 @@ impl SearchEngine {
         self
     }
 
-    /// Which storage tier backs the path indexes right now. Ingest
-    /// materializes, so an engine booted on the mapped tier reports
-    /// [`patternkb_index::StorageBackend::Heap`] after its first applied
-    /// delta — the metric tracks reality, not the boot flag.
+    /// Which storage tier backs the path indexes right now. An ingest
+    /// patches the touched words over the shared base, so an engine booted
+    /// on the mapped tier stays mapped across writes; only a refresh that
+    /// has to rebuild every list (recomputed PageRank, or a delta adding
+    /// type/attribute vocabulary — see [`patternkb_index::incremental`])
+    /// returns a heap index, and the metric tracks that, not the boot flag.
     pub fn storage_backend(&self) -> patternkb_index::StorageBackend {
         self.idx.storage_backend()
     }
@@ -121,15 +123,17 @@ impl SearchEngine {
 
     /// Mutate the knowledge graph and incrementally refresh the indexes.
     ///
-    /// The graph is replaced by `delta.apply(..)`, the text index is
-    /// rebuilt (linear in the text), and the path indexes are refreshed by
-    /// re-enumerating only roots within reverse distance `d − 1` of the
-    /// delta's dirty nodes ([`patternkb_index::incremental`]). All existing
-    /// node ids keep their meaning; the engine version is bumped so caches
-    /// invalidate.
+    /// The graph is replaced by `delta.apply(..)`; the text index is
+    /// extended with the delta's new nodes (or rebuilt, when the delta
+    /// adds a type or attribute, whose text is interned ahead of node
+    /// text); and the path indexes are refreshed by re-enumerating only
+    /// roots within reverse distance `d − 1` of the delta's dirty nodes
+    /// and rebuilding only the word lists they touch
+    /// ([`patternkb_index::incremental`]). All existing node ids keep
+    /// their meaning; the engine version is bumped so caches invalidate.
     ///
-    /// Queries parsed *before* the mutation hold word ids from the old
-    /// vocabulary and must be re-parsed.
+    /// Queries parsed *before* a schema-adding mutation hold word ids from
+    /// the old vocabulary and must be re-parsed.
     pub fn apply_delta(
         &mut self,
         delta: &patternkb_graph::mutate::GraphDelta,
@@ -152,9 +156,12 @@ impl SearchEngine {
     {
         use patternkb_graph::mutate::PagerankMode as Pm;
         let new_g = delta.apply(&self.g, mode)?;
-        let synonyms = self.text.vocab().synonyms().clone();
-        let stemmer = self.text.vocab().stemmer();
-        let new_text = TextIndex::build_with(&new_g, synonyms, stemmer);
+        let new_text = if delta.adds_schema(&self.g) {
+            let vocab = self.text.vocab();
+            TextIndex::build_with(&new_g, vocab.synonyms().clone(), vocab.stemmer())
+        } else {
+            self.text.extended(&new_g, delta)
+        };
         let (new_idx, stats) = patternkb_index::refresh_indexes(
             &self.idx,
             &self.g,
@@ -1005,6 +1012,50 @@ mod tests {
                 assert!((a.score - b.score).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn text_index_is_extended_or_rebuilt_by_what_the_delta_adds() {
+        use patternkb_graph::mutate::{GraphDelta, PagerankMode};
+        let mut e = engine();
+        let lists =
+            |e: &SearchEngine| -> usize { e.index().shards().iter().map(|s| s.num_words()).sum() };
+        // Word ids and canonical forms must be what a boot from a
+        // checkpoint of this graph would assign.
+        let assert_ids_match_fresh_build = |e: &SearchEngine| {
+            let vocab = e.text().vocab();
+            let fresh = TextIndex::build_with(e.graph(), vocab.synonyms().clone(), vocab.stemmer());
+            let ids = |t: &TextIndex| -> Vec<(patternkb_graph::WordId, String)> {
+                t.vocab().iter().map(|(w, s)| (w, s.to_string())).collect()
+            };
+            assert_eq!(ids(e.text()), ids(&fresh));
+        };
+
+        // New type and attribute text is interned ahead of node text, so
+        // the text index is rebuilt and every list re-keyed.
+        let mut d = GraphDelta::new(e.graph());
+        let lab = d.add_type("Research Lab");
+        let sponsor = d.add_attr("Sponsor");
+        let v = d.add_node(lab, "Xerox PARC").unwrap();
+        d.add_edge(v, sponsor, NodeId(1)).unwrap();
+        assert!(d.adds_schema(e.graph()));
+        let stats = e.apply_delta(&d, PagerankMode::Frozen).unwrap();
+        assert_ids_match_fresh_build(&e);
+        assert_eq!(stats.words_rebuilt, lists(&e));
+        assert_eq!(e.index().num_patched_words(), 0);
+        assert!(!respond(&e, "research sponsor", 10).patterns.is_empty());
+
+        // A schema-free delta extends it — same ids as a rebuild — and
+        // patches only the lists it touches.
+        let mut d = GraphDelta::new(e.graph());
+        let v = d.add_node(lab, "Bell Labs").unwrap();
+        d.add_edge(v, sponsor, NodeId(1)).unwrap();
+        assert!(!d.adds_schema(e.graph()));
+        let stats = e.apply_delta(&d, PagerankMode::Frozen).unwrap();
+        assert_ids_match_fresh_build(&e);
+        assert!(stats.words_rebuilt < lists(&e));
+        assert_eq!(e.index().num_patched_words(), stats.words_rebuilt);
+        assert_eq!(respond(&e, "lab sponsor", 10).patterns[0].num_trees, 2);
     }
 
     #[test]

@@ -325,6 +325,133 @@ fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes do not change the tier: the same batches ingested into a
+/// heap-booted and an mmap-booted engine leave bit-identical answers, and
+/// the mapped engine still mapped — only the touched words were decoded
+/// and rebuilt over the shared image.
+#[test]
+fn ingest_keeps_the_mapped_tier_mapped_and_bit_identical() {
+    use patternkb_graph::mutate::{DeltaError, GraphDelta, PagerankMode};
+    use patternkb_search::{AlgorithmChoice, EngineBuilder, SearchRequest, SharedEngine};
+
+    let graph = || wiki(&WikiConfig::tiny(11));
+    let dir = std::env::temp_dir().join(format!(
+        "patternkb_storage_ingest_test_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tiny.pkb5");
+    EngineBuilder::new()
+        .graph(graph())
+        .threads(1)
+        .shards(2)
+        .build()
+        .unwrap()
+        .save_index(&path)
+        .unwrap();
+    let boot = |storage| -> SharedEngine {
+        EngineBuilder::new()
+            .graph(graph())
+            .index_snapshot(&path)
+            .storage(storage)
+            .build_shared()
+            .unwrap()
+    };
+    let heap = boot(StorageBackend::Heap);
+    let mmap = boot(StorageBackend::Mmap);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Three batches against whatever the engine holds at that point: a
+    // new entity with a text value, a link to it, and that link's removal
+    // together with another entity.
+    let batches: [&dyn Fn(&KnowledgeGraph) -> Result<GraphDelta, DeltaError>; 3] = [
+        &|g| {
+            let mut d = GraphDelta::new(g);
+            let v = d.add_node(g.node_type(patternkb_graph::NodeId(0)), "zanzibar outpost")?;
+            d.add_text_edge(v, patternkb_graph::AttrId(0), "coral harbour")?;
+            Ok(d)
+        },
+        &|g| {
+            let mut d = GraphDelta::new(g);
+            let v = patternkb_graph::NodeId(g.num_nodes() as u32 - 2);
+            d.add_edge(patternkb_graph::NodeId(0), patternkb_graph::AttrId(1), v)?;
+            Ok(d)
+        },
+        &|g| {
+            let mut d = GraphDelta::new(g);
+            let v = patternkb_graph::NodeId(g.num_nodes() as u32 - 2);
+            d.remove_edge(patternkb_graph::NodeId(0), patternkb_graph::AttrId(1), v)?;
+            d.add_node(g.node_type(v), "zanzibar annex")?;
+            Ok(d)
+        },
+    ];
+    for (i, build) in batches.iter().enumerate() {
+        let a = heap
+            .ingest_with(PagerankMode::Frozen, |s| build(s.graph()))
+            .unwrap();
+        let b = mmap
+            .ingest_with(PagerankMode::Frozen, |s| build(s.graph()))
+            .unwrap();
+        assert_eq!(a.stats, b.stats, "batch {i}");
+        assert!(a.stats.words_rebuilt > 0);
+
+        let (h, m) = (heap.snapshot(), mmap.snapshot());
+        assert_eq!(h.storage_backend(), StorageBackend::Heap);
+        assert_eq!(m.storage_backend(), StorageBackend::Mmap, "batch {i}");
+        assert_eq!(h.index().num_patched_words(), m.index().num_patched_words());
+        assert_eq!(h.index().num_postings(), m.index().num_postings());
+
+        let first_word = |v: u32| {
+            let text = h.graph().node_text(patternkb_graph::NodeId(v));
+            text.split_whitespace()
+                .next()
+                .unwrap_or("zanzibar")
+                .to_string()
+        };
+        let queries = [
+            "zanzibar".to_string(),
+            "coral harbour".to_string(),
+            first_word(0),
+            format!("{} zanzibar", first_word(0)),
+            first_word(7),
+        ];
+        for q in &queries {
+            for algo in [
+                AlgorithmChoice::PatternEnum,
+                AlgorithmChoice::PatternEnumPruned,
+                AlgorithmChoice::LinearEnum,
+                AlgorithmChoice::LinearEnumTopK,
+                AlgorithmChoice::Baseline,
+            ] {
+                let req = SearchRequest::text(q).k(20).algorithm(algo);
+                match (heap.respond(&req), mmap.respond(&req)) {
+                    (Ok(x), Ok(y)) => {
+                        let label = format!("batch {i} {algo:?} {q:?}");
+                        assert_eq!(x.patterns.len(), y.patterns.len(), "{label}");
+                        for (p, r) in x.patterns.iter().zip(&y.patterns) {
+                            assert_eq!(p.key(), r.key(), "{label}");
+                            assert_eq!(p.score.to_bits(), r.score.to_bits(), "{label}");
+                            assert_eq!(p.num_trees, r.num_trees, "{label}");
+                        }
+                        // Pruned shards share a threshold as they race,
+                        // so its work counter is not a function of the
+                        // index alone.
+                        if !matches!(algo, AlgorithmChoice::PatternEnumPruned) {
+                            assert_eq!(x.stats.subtrees, y.stats.subtrees, "{label}");
+                        }
+                    }
+                    (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string()),
+                    (x, y) => panic!("batch {i} {q:?}: outcome mismatch: {x:?} vs {y:?}"),
+                }
+            }
+        }
+    }
+    let r = mmap
+        .respond(&SearchRequest::text("zanzibar").k(20))
+        .unwrap();
+    assert!(!r.patterns.is_empty(), "the ingested entities are served");
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;

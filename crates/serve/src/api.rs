@@ -591,6 +591,10 @@ pub fn render_ingest(outcome: &IngestOutcome, elapsed: Duration) -> Json {
                     "patterns_added".to_string(),
                     count(outcome.stats.patterns_added as u64),
                 ),
+                (
+                    "words_rebuilt".to_string(),
+                    count(outcome.stats.words_rebuilt as u64),
+                ),
             ]),
         ),
         ("elapsed_us".to_string(), count(elapsed.as_micros() as u64)),
@@ -999,6 +1003,7 @@ mod tests {
                 postings_kept: 40,
                 postings_added: 7,
                 patterns_added: 2,
+                words_rebuilt: 6,
             },
             version: 5,
         };
@@ -1006,6 +1011,7 @@ mod tests {
         assert!(body.contains("\"version\":5"));
         assert!(body.contains("\"affected_roots\":3"));
         assert!(body.contains("\"postings_added\":7"));
+        assert!(body.contains("\"words_rebuilt\":6"));
         assert!(body.contains("\"elapsed_us\":1500"));
     }
 

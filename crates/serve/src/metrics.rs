@@ -144,6 +144,8 @@ pub struct ServerMetrics {
     pub ingests: AtomicU64,
     /// Ingest batches refused (parse/resolution 400s, conflicts, closed).
     pub ingest_failures: AtomicU64,
+    /// `(shard, word)` posting lists rebuilt by applied ingests.
+    pub ingest_words_rebuilt: AtomicU64,
     /// Duration of applied ingests (delta compile + incremental refresh +
     /// snapshot swap).
     pub ingest_refresh: Histogram,
@@ -335,9 +337,10 @@ impl ServerMetrics {
             cache.evictions
         ));
 
-        // Storage families are read live from the serving snapshot, so an
-        // ingest that materializes a mapped index (mmap → heap) is
-        // reflected on the next scrape.
+        // Storage families are read live from the serving snapshot. An
+        // ingest patches touched words over the shared base, so the tier
+        // stays what it was at boot; only a refresh that rebuilds every
+        // list (recomputed PageRank, new schema vocabulary) lands on heap.
         let snapshot = engine.snapshot();
         let backend = snapshot.storage_backend();
         out.push_str(
@@ -353,6 +356,14 @@ impl ServerMetrics {
                 u8::from(candidate == backend)
             ));
         }
+        out.push_str(
+            "# HELP patternkb_index_patched_words Word lists rebuilt by ingests since the index image was built or loaded (checkpoint + reload folds them back in).\n\
+             # TYPE patternkb_index_patched_words gauge\n",
+        );
+        out.push_str(&format!(
+            "patternkb_index_patched_words {}\n",
+            snapshot.index().num_patched_words()
+        ));
         if let Some(load) = snapshot.snapshot_load_time() {
             out.push_str(
                 "# HELP patternkb_snapshot_load_seconds Index snapshot load/open time at boot.\n\
@@ -405,6 +416,14 @@ impl ServerMetrics {
         out.push_str(&format!(
             "patternkb_ingest_failures_total {}\n",
             self.ingest_failures.load(Ordering::Relaxed)
+        ));
+        out.push_str(
+            "# HELP patternkb_ingest_words_rebuilt_total Posting lists rebuilt by applied ingests.\n\
+             # TYPE patternkb_ingest_words_rebuilt_total counter\n",
+        );
+        out.push_str(&format!(
+            "patternkb_ingest_words_rebuilt_total {}\n",
+            self.ingest_words_rebuilt.load(Ordering::Relaxed)
         ));
         self.ingest_refresh.render(
             "patternkb_ingest_refresh_seconds",

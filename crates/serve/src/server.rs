@@ -688,6 +688,10 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
         Ok(outcome) => {
             let elapsed = t0.elapsed();
             shared.metrics.ingests.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .ingest_words_rebuilt
+                .fetch_add(outcome.stats.words_rebuilt as u64, Ordering::Relaxed);
             shared.metrics.ingest_refresh.observe(elapsed);
             shared.metrics.record(Route::AdminIngest, 200);
             let body = api::render_ingest(&outcome, elapsed).render();

@@ -142,7 +142,8 @@ fn search_healthz_metrics_happy_path() {
 }
 
 /// Booting from a v5 snapshot on the mapped tier flips the
-/// `patternkb_storage_backend` gauge and exposes the load time.
+/// `patternkb_storage_backend` gauge and exposes the load time; an ingest
+/// leaves the tier mapped and shows up in the patch gauges.
 #[test]
 fn metrics_report_mmap_backend_and_snapshot_load_time() {
     use patternkb_search::StorageBackend;
@@ -177,9 +178,45 @@ fn metrics_report_mmap_backend_and_snapshot_load_time() {
         "patternkb_storage_backend{backend=\"mmap\"} 1",
         "patternkb_storage_backend{backend=\"heap\"} 0",
         "patternkb_snapshot_load_seconds",
+        "patternkb_index_patched_words 0",
+        "patternkb_ingest_words_rebuilt_total 0",
     ] {
         assert!(
             metrics.contains(family),
+            "missing {family:?} in:\n{metrics}"
+        );
+    }
+
+    // A write patches the touched word lists over the mapped image: the
+    // tier does not change, and the patch-map gauge says how far the
+    // serving index has drifted from it.
+    let (status, _, body) = post(
+        addr,
+        "/admin/ingest",
+        r#"{"mutations":[
+            {"op":"add_node","type":"Company","name":"Initech"},
+            {"op":"add_text_edge","source":"Initech","attr":"Revenue","value":"US$ 1 million"}
+        ]}"#,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let rebuilt = Json::parse(&body)
+        .unwrap()
+        .get("stats")
+        .and_then(|s| s.get("words_rebuilt"))
+        .and_then(|n| n.as_u64())
+        .expect("ingest reply reports words_rebuilt");
+    assert!(rebuilt > 0);
+    let (status, _, body) = search(addr, r#"{"q": "initech revenue", "k": 5}"#);
+    assert_eq!(status, 200, "body: {body}");
+    let (_, _, metrics) = get(addr, "/metrics");
+    for family in [
+        "patternkb_storage_backend{backend=\"mmap\"} 1".to_string(),
+        "patternkb_storage_backend{backend=\"heap\"} 0".to_string(),
+        format!("patternkb_index_patched_words {rebuilt}"),
+        format!("patternkb_ingest_words_rebuilt_total {rebuilt}"),
+    ] {
+        assert!(
+            metrics.contains(&family),
             "missing {family:?} in:\n{metrics}"
         );
     }

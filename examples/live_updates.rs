@@ -9,8 +9,11 @@
 //!
 //! 1. serve a request (cache miss → computed, cached);
 //! 2. serve it again (cache hit, zero search work);
-//! 3. ingest a new entity with `GraphDelta` → `apply_delta` (incremental
-//!    index refresh — only roots near the change are re-enumerated);
+//! 3. ingest a new entity with `GraphDelta` → `ingest_with` (incremental
+//!    index refresh — only roots near the change are re-enumerated, only
+//!    the word lists they post into are rebuilt, and every other list is
+//!    shared with the previous version; the cost follows the batch, not
+//!    the index);
 //! 4. serve the request again: the cache detects the version bump, the
 //!    new row appears;
 //! 5. the same request renders Markdown/CSV with friendly column names
@@ -60,8 +63,11 @@ fn main() -> Result<(), Error> {
     // the writer lock, so concurrent writers serialize instead of one of
     // them failing validation — this is the same path `POST /admin/ingest`
     // takes in the serving layer.
+    // `Frozen` keeps the cached PageRank scores (new nodes get the uniform
+    // prior), which is what lets untouched lists be shared; `Recompute`
+    // moves every score and so rebuilds every list.
     let outcome = service
-        .ingest_with(PagerankMode::Recompute, |snap| {
+        .ingest_with(PagerankMode::Frozen, |snap| {
             let g = snap.graph();
             let soft = g.type_by_text("Software").unwrap();
             let comp = g.type_by_text("Company").unwrap();
@@ -80,10 +86,23 @@ fn main() -> Result<(), Error> {
         })
         .expect("ingest");
     let stats = outcome.stats;
+    let snapshot = service.snapshot();
+    let lists: usize = snapshot
+        .index()
+        .shards()
+        .iter()
+        .map(|s| s.num_words())
+        .sum();
     println!(
-        "\ningest: engine now at version {}  →  {} affected roots, {} postings kept, {} re-enumerated",
-        outcome.version, stats.affected_roots, stats.postings_kept, stats.postings_added,
+        "\ningest: engine now at version {}  →  {} affected roots, {} postings kept, {} re-enumerated, {} of {} word lists rebuilt",
+        outcome.version,
+        stats.affected_roots,
+        stats.postings_kept,
+        stats.postings_added,
+        stats.words_rebuilt,
+        lists,
     );
+    assert!(stats.words_rebuilt < lists, "untouched lists are shared");
 
     // --- 4. same request: stale entry rejected, fresh row appears ------
     let r3 = service.respond(&request)?;
