@@ -1,6 +1,6 @@
-//! HTTP load generator for `patternkb-cli serve` — makes throughput
-//! under sustained concurrent traffic a *measured* quantity, like the
-//! `hotpath` experiment does for single-query latency.
+//! HTTP load generator for `patternkb-cli serve` — drives sustained
+//! concurrent traffic over real sockets and gates the outcome counts the
+//! `serve-*` CI legs check.
 //!
 //! ```text
 //! loadgen --addr 127.0.0.1:7878 [--dataset figure1|wiki|imdb]

@@ -1,8 +1,6 @@
 //! Bucketing queries by answer counts, as in Figures 7–9 ("group 10²
 //! contains all queries with 10–99 tree patterns").
 
-use std::collections::BTreeMap;
-
 /// The paper's log₁₀ bucket of a count: `10^⌈log10(c+1)⌉`-style grouping —
 /// bucket `10` holds counts 1–9, bucket `100` holds 10–99, etc. Zero counts
 /// land in bucket 1.
@@ -14,41 +12,6 @@ pub fn bucket_of(count: u64) -> u64 {
         c /= 10;
     }
     bucket.max(1)
-}
-
-/// Values grouped by bucket (ordered).
-#[derive(Clone, Debug, Default)]
-pub struct Bucketed<T> {
-    groups: BTreeMap<u64, Vec<T>>,
-}
-
-impl<T> Bucketed<T> {
-    /// Empty grouping.
-    pub fn new() -> Self {
-        Bucketed {
-            groups: BTreeMap::new(),
-        }
-    }
-
-    /// Insert `value` under the bucket of `count`.
-    pub fn insert(&mut self, count: u64, value: T) {
-        self.groups.entry(bucket_of(count)).or_default().push(value);
-    }
-
-    /// Iterate `(bucket, values)` in ascending bucket order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[T])> {
-        self.groups.iter().map(|(&b, v)| (b, v.as_slice()))
-    }
-
-    /// Number of non-empty buckets.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether no values were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -64,16 +27,5 @@ mod tests {
         assert_eq!(bucket_of(99), 100);
         assert_eq!(bucket_of(100), 1000);
         assert_eq!(bucket_of(123_456), 1_000_000);
-    }
-
-    #[test]
-    fn grouping() {
-        let mut b = Bucketed::new();
-        b.insert(5, "a");
-        b.insert(7, "b");
-        b.insert(50, "c");
-        assert_eq!(b.len(), 2);
-        let groups: Vec<(u64, usize)> = b.iter().map(|(k, v)| (k, v.len())).collect();
-        assert_eq!(groups, vec![(10, 2), (100, 1)]);
     }
 }

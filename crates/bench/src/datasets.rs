@@ -1,4 +1,4 @@
-//! Shared dataset construction for benches and the experiments binary,
+//! Dataset construction for the experiments binary,
 //! with on-disk snapshot caching so repeated runs skip regeneration.
 
 use patternkb_datagen::{imdb, wiki, ImdbConfig, WikiConfig};
@@ -8,7 +8,7 @@ use std::path::PathBuf;
 /// Experiment scale, selecting generator configs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-fast graphs for Criterion benches and smoke runs.
+    /// Seconds-fast graphs for CI and quick local runs.
     Small,
     /// The default experiment scale (minutes end-to-end).
     Full,

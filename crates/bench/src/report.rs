@@ -1,5 +1,4 @@
-//! Plain-text experiment reports: paper-style tables written to stdout and
-//! collected for `EXPERIMENTS.md`.
+//! Plain-text experiment reports: paper-style tables written to stdout.
 
 use std::fmt::Write as _;
 
@@ -59,16 +58,6 @@ impl Report {
     /// Print to stdout.
     pub fn print(&self) {
         print!("{}", self.buf);
-    }
-
-    /// Append to a file on disk.
-    pub fn append_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(self.buf.as_bytes())
     }
 }
 

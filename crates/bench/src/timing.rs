@@ -1,15 +1,8 @@
-//! Wall-clock helpers and the paper's min / geometric-mean / max error
-//! bars ("we report the min / (geometric) average / max execution time in
-//! the form of error bars", §5).
+//! The paper's min / geometric-mean / max error bars ("we report the
+//! min / (geometric) average / max execution time in the form of error
+//! bars", §5).
 
-use std::time::{Duration, Instant};
-
-/// Run `f`, returning its result and the elapsed wall-clock time.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
+use std::time::Duration;
 
 /// Min / geometric-mean / max summary of a set of durations.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,13 +50,6 @@ impl std::fmt::Display for ErrorBar {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_it_returns_value() {
-        let (v, d) = time_it(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d.as_nanos() > 0 || d.as_nanos() == 0); // non-negative by type
-    }
 
     #[test]
     fn error_bar_math() {

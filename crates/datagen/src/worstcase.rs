@@ -10,7 +10,7 @@
 //! For the query `{w1, w2}`, `PATTERNENUM` enumerates `p²` combined tree
 //! patterns, **all empty** (no root reaches both words through any single
 //! combination), so its running time is `Θ(p²)` while `LINEARENUM` finds the
-//! empty answer in time linear in the index. The `worst_case` bench measures
+//! empty answer in time linear in the index. The `worstcase` experiment measures
 //! exactly this gap.
 
 use crate::names;

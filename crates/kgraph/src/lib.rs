@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod dot;
 pub mod fxhash;
 pub mod graph;
 pub mod ids;

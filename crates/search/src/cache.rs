@@ -38,9 +38,9 @@ struct CacheKey {
     /// (complements the version check: version survives a from-scratch
     /// rebuild with a different `shards(n)`).
     shards: usize,
-    /// Algorithm discriminant plus sampling parameters when applicable.
-    /// Tags 0–4 are resolved algorithms; tag 5 is an `Auto` request,
-    /// whose answer additionally depends on the planner thresholds.
+    /// Algorithm-choice discriminant plus sampling parameters when
+    /// applicable. Tags 0–4 are explicit choices; tag 5 is an `Auto`
+    /// request, whose answer additionally depends on the planner thresholds.
     algo: u8,
     sampling: Option<(u64, u64, u64)>,
     /// Planner thresholds, set only for `Auto` keys (tag 5): the decision
@@ -55,14 +55,46 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn with_algo(query: &Query, cfg: &SearchConfig, shards: usize, algo_tag: u8) -> Self {
+    /// Key for a request-level algorithm choice. `Auto` keys carry the
+    /// planner thresholds instead of a resolved decision, so hits skip
+    /// planning entirely.
+    fn for_choice(
+        query: &Query,
+        cfg: &SearchConfig,
+        shards: usize,
+        choice: AlgorithmChoice,
+        sampling: &SamplingConfig,
+        planner: &PlannerConfig,
+    ) -> Self {
+        let (algo, sampling, planner) = match choice {
+            AlgorithmChoice::Baseline => (0u8, None, None),
+            AlgorithmChoice::PatternEnum => (1, None, None),
+            AlgorithmChoice::PatternEnumPruned => (2, None, None),
+            AlgorithmChoice::LinearEnum => (3, None, None),
+            AlgorithmChoice::LinearEnumTopK => (
+                4,
+                Some((sampling.lambda, sampling.rho.to_bits(), sampling.seed)),
+                None,
+            ),
+            AlgorithmChoice::Auto => (
+                5,
+                None,
+                Some((
+                    planner.max_combos,
+                    planner.max_subtrees_exact,
+                    planner.sampling.lambda,
+                    planner.sampling.rho.to_bits(),
+                    planner.sampling.seed,
+                )),
+            ),
+        };
         let s = cfg.scoring;
         CacheKey {
             words: query.keywords.iter().map(|w| w.0).collect(),
             shards,
-            algo: algo_tag,
-            sampling: None,
-            planner: None,
+            algo,
+            sampling,
+            planner,
             k: cfg.k,
             z: (s.z1.to_bits(), s.z2.to_bits(), s.z3.to_bits()),
             aggregation: match s.aggregation {
@@ -73,55 +105,6 @@ impl CacheKey {
             },
             strict_trees: cfg.strict_trees,
             max_rows: cfg.max_rows,
-        }
-    }
-
-    fn new(query: &Query, cfg: &SearchConfig, shards: usize, algo: Algorithm) -> Self {
-        let (algo_tag, sampling) = match algo {
-            Algorithm::Baseline => (0u8, None),
-            Algorithm::PatternEnum => (1, None),
-            Algorithm::PatternEnumPruned => (2, None),
-            Algorithm::LinearEnum => (3, None),
-            Algorithm::LinearEnumTopK(s) => (4, Some((s.lambda, s.rho.to_bits(), s.seed))),
-        };
-        let mut key = Self::with_algo(query, cfg, shards, algo_tag);
-        key.sampling = sampling;
-        key
-    }
-
-    /// Key for a request-level algorithm choice. Non-`Auto` choices share
-    /// keys (and therefore entries) with the equivalent resolved
-    /// algorithm; `Auto` keys carry the planner thresholds instead of a
-    /// resolved decision, so hits skip planning entirely.
-    fn for_choice(
-        query: &Query,
-        cfg: &SearchConfig,
-        shards: usize,
-        choice: AlgorithmChoice,
-        sampling: &SamplingConfig,
-        planner: &PlannerConfig,
-    ) -> Self {
-        match choice {
-            AlgorithmChoice::Baseline => Self::new(query, cfg, shards, Algorithm::Baseline),
-            AlgorithmChoice::PatternEnum => Self::new(query, cfg, shards, Algorithm::PatternEnum),
-            AlgorithmChoice::PatternEnumPruned => {
-                Self::new(query, cfg, shards, Algorithm::PatternEnumPruned)
-            }
-            AlgorithmChoice::LinearEnum => Self::new(query, cfg, shards, Algorithm::LinearEnum),
-            AlgorithmChoice::LinearEnumTopK => {
-                Self::new(query, cfg, shards, Algorithm::LinearEnumTopK(*sampling))
-            }
-            AlgorithmChoice::Auto => {
-                let mut key = Self::with_algo(query, cfg, shards, 5);
-                key.planner = Some((
-                    planner.max_combos,
-                    planner.max_subtrees_exact,
-                    planner.sampling.lambda,
-                    planner.sampling.rho.to_bits(),
-                    planner.sampling.seed,
-                ));
-                key
-            }
         }
     }
 }
@@ -172,35 +155,6 @@ impl QueryCache {
             }),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Answer `query` from the cache, or run the engine and remember the
-    /// result at the engine's current version.
-    pub fn get_or_compute(
-        &self,
-        engine: &SearchEngine,
-        query: &Query,
-        cfg: &SearchConfig,
-        algo: Algorithm,
-    ) -> Arc<SearchResult> {
-        self.lookup_or_compute(engine, query, cfg, algo).0
-    }
-
-    /// [`Self::get_or_compute`] plus whether the answer was a cache hit —
-    /// the [`crate::concurrent::SharedEngine`] respond route reports this
-    /// in [`crate::SearchResponse::cache`].
-    pub fn lookup_or_compute(
-        &self,
-        engine: &SearchEngine,
-        query: &Query,
-        cfg: &SearchConfig,
-        algo: Algorithm,
-    ) -> (Arc<SearchResult>, bool) {
-        let key = CacheKey::new(query, cfg, engine.num_shards(), algo);
-        let (result, _, hit) = self.lookup_with(key, engine.version(), || {
-            (engine.execute(query, cfg, algo), algo)
-        });
-        (result, hit)
     }
 
     /// The respond route's lookup: keyed by the request's algorithm
@@ -329,6 +283,7 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::AlgorithmChoice::{LinearEnum, PatternEnum};
     use patternkb_datagen::figure1;
 
     fn engine() -> SearchEngine {
@@ -340,14 +295,30 @@ mod tests {
             .unwrap()
     }
 
+    /// What `respond_with_cache` does with `cache` for an explicit
+    /// algorithm choice under default sampling and planner thresholds.
+    fn get_or_compute(
+        cache: &QueryCache,
+        engine: &SearchEngine,
+        query: &Query,
+        cfg: &SearchConfig,
+        choice: AlgorithmChoice,
+    ) -> Arc<SearchResult> {
+        let (sampling, planner) = (SamplingConfig::default(), PlannerConfig::default());
+        let run = || engine.plan_and_run(query, cfg, choice, &sampling, &planner);
+        cache
+            .lookup_for_request(engine, query, cfg, choice, &sampling, &planner, run)
+            .0
+    }
+
     #[test]
     fn hit_returns_shared_result() {
         let e = engine();
         let cache = QueryCache::new(8);
         let q = e.parse("database company").unwrap();
         let cfg = SearchConfig::top(10);
-        let a = cache.get_or_compute(&e, &q, &cfg, Algorithm::PatternEnum);
-        let b = cache.get_or_compute(&e, &q, &cfg, Algorithm::PatternEnum);
+        let a = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
+        let b = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -371,8 +342,8 @@ mod tests {
         let cache = QueryCache::new(8);
         let q = e1.parse("database company").unwrap();
         let cfg = SearchConfig::top(10);
-        let _ = cache.get_or_compute(&e1, &q, &cfg, Algorithm::PatternEnum);
-        let _ = cache.get_or_compute(&e2, &q, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e1, &q, &cfg, PatternEnum);
+        let _ = get_or_compute(&cache, &e2, &q, &cfg, PatternEnum);
         assert_eq!(
             cache.stats().misses,
             2,
@@ -380,8 +351,8 @@ mod tests {
         );
         assert_eq!(cache.len(), 2);
         // Each engine still hits its own entry.
-        let _ = cache.get_or_compute(&e1, &q, &cfg, Algorithm::PatternEnum);
-        let _ = cache.get_or_compute(&e2, &q, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e1, &q, &cfg, PatternEnum);
+        let _ = get_or_compute(&cache, &e2, &q, &cfg, PatternEnum);
         assert_eq!(cache.stats().hits, 2);
     }
 
@@ -390,12 +361,12 @@ mod tests {
         let e = engine();
         let cache = QueryCache::new(8);
         let q = e.parse("database company").unwrap();
-        let a = cache.get_or_compute(&e, &q, &SearchConfig::top(10), Algorithm::PatternEnum);
-        let b = cache.get_or_compute(&e, &q, &SearchConfig::top(5), Algorithm::PatternEnum);
+        let a = get_or_compute(&cache, &e, &q, &SearchConfig::top(10), PatternEnum);
+        let b = get_or_compute(&cache, &e, &q, &SearchConfig::top(5), PatternEnum);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().misses, 2);
         // Same query, different algorithm: also distinct.
-        let _ = cache.get_or_compute(&e, &q, &SearchConfig::top(10), Algorithm::LinearEnum);
+        let _ = get_or_compute(&cache, &e, &q, &SearchConfig::top(10), LinearEnum);
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.len(), 3);
     }
@@ -406,8 +377,8 @@ mod tests {
         let cache = QueryCache::new(8);
         let q1 = e.parse("database company").unwrap();
         let q2 = e.parse("company database").unwrap();
-        let _ = cache.get_or_compute(&e, &q1, &SearchConfig::top(10), Algorithm::PatternEnum);
-        let _ = cache.get_or_compute(&e, &q2, &SearchConfig::top(10), Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q1, &SearchConfig::top(10), PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q2, &SearchConfig::top(10), PatternEnum);
         assert_eq!(
             cache.stats().misses,
             2,
@@ -422,7 +393,7 @@ mod tests {
         let cache = QueryCache::new(8);
         let q = e.parse("database software company revenue").unwrap();
         let cfg = SearchConfig::top(10);
-        let before = cache.get_or_compute(&e, &q, &cfg, Algorithm::PatternEnum);
+        let before = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
         let before_table_rows = before.top().unwrap().num_trees;
         assert_eq!(before_table_rows, 2);
 
@@ -444,7 +415,7 @@ mod tests {
         e.apply_delta(&d, PagerankMode::Recompute).unwrap();
 
         let q = e.parse("database software company revenue").unwrap();
-        let after = cache.get_or_compute(&e, &q, &cfg, Algorithm::PatternEnum);
+        let after = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
         assert_eq!(
             after.top().unwrap().num_trees,
             3,
@@ -461,19 +432,19 @@ mod tests {
         let q2 = e.parse("company").unwrap();
         let q3 = e.parse("revenue").unwrap();
         let cfg = SearchConfig::top(10);
-        let _ = cache.get_or_compute(&e, &q1, &cfg, Algorithm::PatternEnum);
-        let _ = cache.get_or_compute(&e, &q2, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q1, &cfg, PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q2, &cfg, PatternEnum);
         // Touch q1 so q2 becomes LRU.
-        let _ = cache.get_or_compute(&e, &q1, &cfg, Algorithm::PatternEnum);
-        let _ = cache.get_or_compute(&e, &q3, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q1, &cfg, PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q3, &cfg, PatternEnum);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // q1 must still hit; q2 was evicted.
         let hits_before = cache.stats().hits;
-        let _ = cache.get_or_compute(&e, &q1, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q1, &cfg, PatternEnum);
         assert_eq!(cache.stats().hits, hits_before + 1);
         let misses_before = cache.stats().misses;
-        let _ = cache.get_or_compute(&e, &q2, &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q2, &cfg, PatternEnum);
         assert_eq!(cache.stats().misses, misses_before + 1);
     }
 
@@ -496,19 +467,19 @@ mod tests {
         let q = |text: &str| e0.parse(text).unwrap();
         // Three live v1 entries…
         for text in ["database", "company", "revenue"] {
-            let _ = cache.get_or_compute(&e1, &q(text), &cfg, Algorithm::PatternEnum);
+            let _ = get_or_compute(&cache, &e1, &q(text), &cfg, PatternEnum);
         }
         // …then a v0 corpse inserted LAST (highest LRU stamp: plain LRU
         // would protect it and evict the live "database" entry instead).
-        let _ = cache.get_or_compute(&e0, &q("software"), &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e0, &q("software"), &cfg, PatternEnum);
         assert_eq!(cache.len(), 4);
 
         // Capacity pressure at v1: the corpse is swept, never a live one.
-        let _ = cache.get_or_compute(&e1, &q("microsoft"), &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e1, &q("microsoft"), &cfg, PatternEnum);
         assert_eq!(cache.stats().evictions, 1);
         let hits_before = cache.stats().hits;
         for text in ["database", "company", "revenue", "microsoft"] {
-            let _ = cache.get_or_compute(&e1, &q(text), &cfg, Algorithm::PatternEnum);
+            let _ = get_or_compute(&cache, &e1, &q(text), &cfg, PatternEnum);
         }
         assert_eq!(
             cache.stats().hits,
@@ -517,7 +488,7 @@ mod tests {
         );
         // The corpse is gone: re-querying it at v0 misses.
         let misses_before = cache.stats().misses;
-        let _ = cache.get_or_compute(&e0, &q("software"), &cfg, Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e0, &q("software"), &cfg, PatternEnum);
         assert_eq!(cache.stats().misses, misses_before + 1);
     }
 
@@ -535,14 +506,14 @@ mod tests {
         let cache = QueryCache::new(3);
         let cfg = SearchConfig::top(10);
         for text in ["database", "company", "revenue"] {
-            let _ =
-                cache.get_or_compute(&e0, &e0.parse(text).unwrap(), &cfg, Algorithm::PatternEnum);
+            let _ = get_or_compute(&cache, &e0, &e0.parse(text).unwrap(), &cfg, PatternEnum);
         }
-        let _ = cache.get_or_compute(
+        let _ = get_or_compute(
+            &cache,
             &e1,
             &e1.parse("software").unwrap(),
             &cfg,
-            Algorithm::PatternEnum,
+            PatternEnum,
         );
         // One insert swept every corpse, not just one LRU victim.
         assert_eq!(cache.stats().evictions, 3);
@@ -554,7 +525,7 @@ mod tests {
         let e = engine();
         let cache = QueryCache::new(4);
         let q = e.parse("database").unwrap();
-        let _ = cache.get_or_compute(&e, &q, &SearchConfig::top(10), Algorithm::PatternEnum);
+        let _ = get_or_compute(&cache, &e, &q, &SearchConfig::top(10), PatternEnum);
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
@@ -574,7 +545,7 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..25 {
                         for q in &queries {
-                            let r = cache.get_or_compute(&e, q, &cfg, Algorithm::PatternEnum);
+                            let r = get_or_compute(&cache, &e, q, &cfg, PatternEnum);
                             assert!(!r.patterns.is_empty());
                         }
                     }

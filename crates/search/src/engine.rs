@@ -456,7 +456,7 @@ impl SearchEngine {
     /// Resolve the request's algorithm choice and run it, sharing one
     /// [`QueryContext`] between the planner's estimate and the chosen
     /// algorithm so the candidate-root intersection is computed once.
-    fn plan_and_run(
+    pub(crate) fn plan_and_run(
         &self,
         query: &Query,
         cfg: &SearchConfig,
@@ -501,38 +501,6 @@ impl SearchEngine {
             },
         };
         (result, algorithm)
-    }
-
-    /// Run one resolved algorithm. This is the execution core `respond`
-    /// and the result cache sit on.
-    pub(crate) fn execute(
-        &self,
-        query: &Query,
-        cfg: &SearchConfig,
-        algo: Algorithm,
-    ) -> SearchResult {
-        match algo {
-            Algorithm::Baseline => baseline(
-                &self.g,
-                &self.text,
-                query,
-                cfg,
-                self.idx.d(),
-                self.idx.bounds(),
-            ),
-            _ => {
-                let Some(ctx) = QueryContext::new(&self.g, &self.idx, query) else {
-                    return SearchResult::default();
-                };
-                match algo {
-                    Algorithm::PatternEnum => pattern_enum(&ctx, cfg),
-                    Algorithm::PatternEnumPruned => crate::bound::pattern_enum_pruned(&ctx, cfg),
-                    Algorithm::LinearEnum => linear_enum(&ctx, cfg),
-                    Algorithm::LinearEnumTopK(samp) => linear_enum_topk(&ctx, cfg, &samp),
-                    Algorithm::Baseline => unreachable!(),
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------

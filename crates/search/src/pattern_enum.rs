@@ -16,7 +16,7 @@
 //! combinations (the adversarial bulk) still cost nothing. The worst case remains
 //! the `Θ(p^m)` joins wasted on **empty** pattern combinations (§4.1's
 //! adversarial construction, reproduced in `datagen::worstcase` and the
-//! `worst_case` bench); `stats.combos_tried` reports the global
+//! `worstcase` pick of `experiments`); `stats.combos_tried` reports the global
 //! combination count — `Σ_C Πᵢ |PatternsC(wᵢ)|` over the whole index — so
 //! the figure is comparable across shard counts.
 

@@ -67,16 +67,6 @@
 //! Prometheus `/metrics`, and `/admin/reload` hot snapshot swap. Boot it
 //! with `patternkb-cli serve <dataset>`; drive it with the `loadgen` bin
 //! from `patternkb-bench`. See the README's "Serving" section.
-//!
-//! ## Migrating from the pre-0.2 facade
-//!
-//! The deprecated `search_*`/`build*` shims were removed in 0.3 after
-//! their one-release grace period. Everything they did is covered by the
-//! request/response API above — see the [`patternkb_search`] crate docs
-//! for the full surface ([`EngineBuilder`](prelude::EngineBuilder),
-//! [`SearchRequest`](prelude::SearchRequest),
-//! [`SearchResponse`](prelude::SearchResponse),
-//! [`SharedEngine`](prelude::SharedEngine)).
 
 pub use patternkb_datagen as datagen;
 pub use patternkb_graph as graph;
