@@ -11,11 +11,12 @@
 //!
 //! The baseline takes the engine's shard bounds so its candidate roots
 //! partition into the same contiguous ranges as the index-based
-//! algorithms: one worker per range (via [`crate::common::run_parallel`]),
-//! each with a private pattern interner and dictionary, merged (with
-//! pattern-id re-interning) at the end.
+//! algorithms: one pass per range (inline or on threads, by the same
+//! [`crate::common::fanout_for`] gate), each with a private pattern
+//! interner and dictionary, merged (with pattern-id re-interning) at the
+//! end.
 
-use crate::common::{run_parallel, TreeDict};
+use crate::common::{fanout_for, run_sharded, TreeDict};
 use crate::result::{HotPathStats, QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::subtree::{node_slices_form_tree, TreePath, ValidSubtree};
 use crate::{Query, SearchConfig};
@@ -104,7 +105,8 @@ pub fn baseline(
             &candidates[lo..hi]
         })
         .collect();
-    let workers: Vec<BaselineWorker> = run_parallel(&ranges, |range| {
+    let fanout = fanout_for(candidates.len(), ranges.len());
+    let workers: Vec<BaselineWorker> = run_sharded(fanout, &ranges, |range| {
         baseline_range(g, text, query, cfg, d, range)
     });
 
@@ -165,6 +167,7 @@ pub fn baseline(
             combos_tried: patterns_found,
             combos_pruned: 0,
             per_shard,
+            fanout,
             hot,
             elapsed: t0.elapsed(),
         },

@@ -64,7 +64,7 @@
 //!   [`TreeDict`] arena.
 
 use crate::common::{
-    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, QueryContext,
+    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout, QueryContext,
     ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
@@ -582,6 +582,17 @@ fn pruned_shard(
 /// intersection (the most-pruning shard worker's count, so the figure
 /// stays bounded by `combos_tried` and comparable across shard layouts).
 pub fn pattern_enum_pruned(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
+    pattern_enum_pruned_in(ctx, cfg, ctx.fanout())
+}
+
+/// [`pattern_enum_pruned`] with the fan-out mode chosen by the caller.
+/// Inline, the shards still share the threshold: a later shard prunes
+/// against the partial scores the earlier ones published.
+pub(crate) fn pattern_enum_pruned_in(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    mode: Fanout,
+) -> SearchResult {
     let t0 = Instant::now();
     let m = ctx.m();
 
@@ -709,7 +720,7 @@ pub fn pattern_enum_pruned(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> Search
     // score contributor, so its local suffix bounds and partial scores
     // are the global ones. Multi-shard runs fall back to full scans.
     let skipping = cfg.block_skipping && ctx.shards.len() == 1;
-    let locals = run_sharded(&ctx.shards, |shard| {
+    let locals = run_sharded(mode, &ctx.shards, |shard| {
         (
             pruned_shard(
                 shard,
@@ -814,6 +825,7 @@ pub fn pattern_enum_pruned(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> Search
             combos_tried,
             combos_pruned,
             per_shard,
+            fanout: mode,
             hot,
             elapsed: t0.elapsed(),
         },

@@ -80,7 +80,7 @@ impl CacheKey {
                 5,
                 None,
                 Some((
-                    planner.max_combos,
+                    planner.max_subtrees_linear,
                     planner.max_subtrees_exact,
                     planner.sampling.lambda,
                     planner.sampling.rho.to_bits(),

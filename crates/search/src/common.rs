@@ -194,6 +194,15 @@ impl<'a> QueryContext<'a> {
         })
     }
 
+    /// How this query's shard kernels should run ([`fanout_for`] over the
+    /// summed per-shard candidate roots — memoized intersections every
+    /// root-first kernel needs anyway, and the planner has already paid
+    /// for under `Auto`).
+    pub fn fanout(&self) -> Fanout {
+        let roots = self.shards.iter().map(|s| s.candidate_roots().len()).sum();
+        fanout_for(roots, self.shards.len())
+    }
+
     /// The word index of keyword `i` within index shard `s` (which may lack
     /// other keywords — this is the relaxation view).
     pub fn shard_word(&self, s: usize, i: usize) -> Option<&'a WordPathIndex> {
@@ -280,50 +289,109 @@ impl<'a> QueryContext<'a> {
     }
 }
 
-/// Map `f` over `items` on scoped OS threads, returning results **in
-/// input order**. Spawns at most `min(items, available cores)` workers —
-/// never one per item — so nested fan-outs (e.g. `respond_batch` over a
-/// sharded engine) degrade to chunked work instead of thread explosions.
-/// Runs inline for a single item or a single core.
-pub fn run_parallel<I, T, F>(items: &[I], f: F) -> Vec<T>
+/// How many cores the process may run on — resolved **once**. std does
+/// not cache `available_parallelism()`, and on Linux every call walks
+/// `sched_getaffinity` plus the cgroup quota files (17–22 µs measured,
+/// a quarter of a selective `LINEARENUM` query), so nothing on the query
+/// path may call it directly.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// How one search's shard kernels ran; reported in
+/// [`crate::result::QueryStats::fanout`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Fanout {
+    /// One after another on the caller's thread, in shard order.
+    #[default]
+    Inline,
+    /// The caller ran the first share and scoped OS threads the others.
+    Threads,
+}
+
+/// The fan-out break-even, in candidate roots summed over the shards.
+///
+/// A scoped spawn + join costs tens of µs before the kernel's first
+/// instruction (cold stack, the merge waiting on the slower worker), so
+/// threads can only pay once the kernels run for about a millisecond.
+/// Sweep of the gated `cold` pool (1 000 queries, 50 k-entity wiki, 2
+/// shards), median µs per query, inline vs threads, bucketed by
+/// candidate roots:
+///
+/// | candidate roots | queries | pruned `PATTERNENUM` | `LINEARENUM` |
+/// |---|---|---|---|
+/// | < 100 | 413 | 257 vs 288 | 33 vs 56 |
+/// | 100 – 1 k | 286 | 275 vs 312 | 441 vs 494 |
+/// | 1 k – 4 k | 155 | 400 vs 431 | 1 722 vs 1 739 |
+/// | 4 k – 8 k | 65 | 700 vs 748 | 3 489 vs 3 766 |
+/// | 8 k – 16 k | 51 | 1 003 vs 1 096 | 5 619 vs 5 700 |
+/// | ≥ 16 k | 30 | 2 015 vs 2 144 | 9 845 vs 9 980 |
+///
+/// The sweep box's two vCPUs deliver one core of throughput (two busy
+/// loops side by side each take twice as long), so the right-hand
+/// numbers are the *price* of fanning out — 20–280 µs, i.e. 70 % of a
+/// selective `LINEARENUM` query and 12 % of a sub-100-root pruned one —
+/// with none of the gain. The constant sits where that price has fallen
+/// under a tenth of the cheapest kernel (pruned `PATTERNENUM` reaches
+/// 1 ms at 8 k roots) and the kernels are long enough for a real second
+/// core to halve them; 81 of the pool's 1 000 queries are above it.
+pub const FANOUT_MIN_ROOTS: usize = 8_000;
+
+/// The one gate every fan-out site goes through: [`Fanout::Threads`] when
+/// the input is split in several `parts`, the process has a second core
+/// to run them on, and `roots` (the candidate roots over all parts)
+/// reaches [`FANOUT_MIN_ROOTS`]. Decided from the input alone.
+pub fn fanout_for(roots: usize, parts: usize) -> Fanout {
+    if parts > 1 && roots >= FANOUT_MIN_ROOTS && cores() > 1 {
+        Fanout::Threads
+    } else {
+        Fanout::Inline
+    }
+}
+
+/// Map `kernel` over `items` (shard views, or anything split by shard),
+/// returning results **in input order** — ascending root ranges, which is
+/// what makes concatenating per-shard outputs order-identical to a
+/// single-shard pass. `mode` comes from [`QueryContext::fanout`] /
+/// [`fanout_for`]; under [`Fanout::Threads`] the items are chunked over
+/// at most one worker per core (never one per item, so a batch of
+/// searches over a sharded engine degrades to chunked work instead of a
+/// thread explosion), the caller runs the first chunk itself and only
+/// the others get a scoped thread.
+pub fn run_sharded<I, T, F>(mode: Fanout, items: &[I], kernel: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(items.len());
-    if items.len() <= 1 || workers <= 1 {
-        return items.iter().map(&f).collect();
+    if mode == Fanout::Inline || items.len() <= 1 {
+        return items.iter().map(&kernel).collect();
     }
-    let mut out: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    // `Threads` is an instruction, not a hint: an explicit caller (the
+    // mode-equivalence tests) fans out even on a one-core machine.
+    let workers = cores().max(2).min(items.len());
     let chunk = items.len().div_ceil(workers);
+    let mut out: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    let fill = |chunk_items: &[I], slots: &mut [Option<T>]| {
+        for (item, slot) in chunk_items.iter().zip(slots) {
+            *slot = Some(kernel(item));
+        }
+    };
     std::thread::scope(|scope| {
-        for (chunk_items, slots) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in chunk_items.iter().zip(slots.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
+        let mut chunks = items.chunks(chunk).zip(out.chunks_mut(chunk));
+        let own = chunks.next();
+        for (chunk_items, slots) in chunks {
+            let fill = &fill;
+            scope.spawn(move || fill(chunk_items, slots));
+        }
+        if let Some((chunk_items, slots)) = own {
+            fill(chunk_items, slots);
         }
     });
     out.into_iter()
-        .map(|r| r.expect("parallel worker filled its slot"))
+        .map(|r| r.expect("every chunk filled its slots"))
         .collect()
-}
-
-/// Run `kernel` over every shard view via [`run_parallel`], returning the
-/// results **in shard order** — ascending root ranges, which is what makes
-/// concatenating per-shard outputs order-identical to a single-shard pass.
-pub fn run_sharded<'a, T, F>(shards: &[ShardContext<'a>], kernel: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&ShardContext<'a>) -> T + Sync,
-{
-    run_parallel(shards, kernel)
 }
 
 /// Intersect k sorted ascending `u32` slices by leapfrog galloping

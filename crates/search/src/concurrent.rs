@@ -549,12 +549,13 @@ mod tests {
         );
         // A different planner override is a different entry.
         let strict = crate::PlannerConfig {
-            max_combos: 0,
+            max_subtrees_linear: 0,
             ..Default::default()
         };
         let third = s.respond(&req.clone().planner(strict)).unwrap();
         assert_eq!(third.cache, CacheOutcome::Miss);
-        assert!(!matches!(
+        assert!(matches!(first.algorithm, crate::Algorithm::LinearEnum));
+        assert!(matches!(
             third.algorithm,
             crate::Algorithm::PatternEnumPruned
         ));

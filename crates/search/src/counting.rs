@@ -8,7 +8,7 @@
 //! * bucket queries by answer counts for the §5 experiments (Figures 7–9
 //!   group queries by #patterns / #subtrees).
 
-use crate::common::{run_sharded, QueryContext};
+use crate::common::{run_sharded, Fanout, QueryContext};
 use crate::intern::KeyInterner;
 
 /// Exact number of d-height tree patterns for the query (distinct
@@ -17,8 +17,13 @@ use crate::intern::KeyInterner;
 /// global, so keys from different shards compare directly). Keys intern
 /// into bump arenas — no per-combination boxing.
 pub fn count_patterns(ctx: &QueryContext<'_>) -> u64 {
+    count_patterns_in(ctx, ctx.fanout())
+}
+
+/// [`count_patterns`] with the fan-out mode chosen by the caller.
+pub(crate) fn count_patterns_in(ctx: &QueryContext<'_>, mode: Fanout) -> u64 {
     let m = ctx.m();
-    let mut locals: Vec<KeyInterner> = run_sharded(&ctx.shards, |shard| {
+    let mut locals: Vec<KeyInterner> = run_sharded(mode, &ctx.shards, |shard| {
         let mut seen = KeyInterner::new(m);
         let mut key: Vec<u32> = vec![0; m];
         for &r in shard.candidate_roots() {

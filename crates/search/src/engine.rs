@@ -426,9 +426,7 @@ impl SearchEngine {
         threads: usize,
     ) -> Vec<Result<SearchResponse, Error>> {
         let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            crate::common::cores()
         } else {
             threads
         };
@@ -480,7 +478,7 @@ impl SearchEngine {
         let ctx = QueryContext::new(&self.g, &self.idx, query);
         let algorithm = match choice {
             AlgorithmChoice::Auto => match &ctx {
-                Some(ctx) => crate::plan::choose(&crate::plan::estimate(ctx), planner),
+                Some(ctx) => crate::plan::plan(ctx, planner),
                 // Provably empty; any algorithm exits in O(1).
                 None => Algorithm::PatternEnumPruned,
             },
@@ -640,15 +638,18 @@ mod tests {
             .respond(&SearchRequest::text("database company").k(10))
             .unwrap();
         assert!(r.planned);
-        assert!(matches!(r.algorithm, Algorithm::PatternEnumPruned));
+        // A handful of subtrees: linear enumeration, run inline.
+        assert!(matches!(r.algorithm, Algorithm::LinearEnum));
+        assert_eq!(r.stats.fanout, crate::common::Fanout::Inline);
         // Same answers as forcing the chosen algorithm.
         let forced = e
             .respond(
                 &SearchRequest::text("database company")
                     .k(10)
-                    .algorithm(AlgorithmChoice::PatternEnumPruned),
+                    .algorithm(AlgorithmChoice::LinearEnum),
             )
             .unwrap();
+        assert!(!forced.planned);
         assert_eq!(r.patterns.len(), forced.patterns.len());
     }
 

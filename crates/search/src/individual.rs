@@ -7,7 +7,7 @@
 //! individual subtrees (Figure 13). This module computes both sides of
 //! that comparison.
 
-use crate::common::{for_each_path_tuple, run_sharded, QueryContext, ShardContext};
+use crate::common::{for_each_path_tuple, run_sharded, Fanout, QueryContext, ShardContext};
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
 use crate::SearchConfig;
@@ -30,7 +30,19 @@ pub struct ScoredTree {
 /// same total order — the selection is order-free, so the result matches
 /// a single-shard pass exactly.
 pub fn top_individual(ctx: &QueryContext<'_>, cfg: &SearchConfig, k: usize) -> Vec<ScoredTree> {
-    let locals = run_sharded(&ctx.shards, |shard| top_individual_shard(shard, cfg, k));
+    top_individual_in(ctx, cfg, k, ctx.fanout())
+}
+
+/// [`top_individual`] with the fan-out mode chosen by the caller.
+pub(crate) fn top_individual_in(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    k: usize,
+    mode: Fanout,
+) -> Vec<ScoredTree> {
+    let locals = run_sharded(mode, &ctx.shards, |shard| {
+        top_individual_shard(shard, cfg, k)
+    });
     let mut best: Vec<ScoredTree> = locals.into_iter().flatten().collect();
     sort_trees(&mut best);
     best.truncate(k);

@@ -92,6 +92,8 @@ pub mod durability;
 pub mod engine;
 pub mod error;
 pub mod explain;
+#[cfg(test)]
+mod fanout_tests;
 pub mod individual;
 pub mod intern;
 pub mod linear_enum;

@@ -12,7 +12,7 @@
 //! and the dictionaries merge at the end — bit-identical to a sequential
 //! pass thanks to exact score accumulation.
 
-use crate::common::{expand_root, merge_shard_dicts, run_sharded, QueryContext, TreeDict};
+use crate::common::{expand_root, merge_shard_dicts, run_sharded, Fanout, QueryContext, TreeDict};
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::SearchConfig;
 use std::time::Instant;
@@ -21,8 +21,17 @@ use std::time::Instant;
 /// `cfg.k`. (The type-partitioned, sampled top-k variant is
 /// [`crate::topk::linear_enum_topk`].)
 pub fn linear_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
+    linear_enum_in(ctx, cfg, ctx.fanout())
+}
+
+/// [`linear_enum`] with the fan-out mode chosen by the caller.
+pub(crate) fn linear_enum_in(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    mode: Fanout,
+) -> SearchResult {
     let t0 = Instant::now();
-    let locals = run_sharded(&ctx.shards, |shard| {
+    let locals = run_sharded(mode, &ctx.shards, |shard| {
         let mut dict = TreeDict::new(shard.m());
         let mut subtrees = 0usize;
         for &r in shard.candidate_roots() {
@@ -70,6 +79,7 @@ pub fn linear_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
             combos_tried: patterns_found,
             combos_pruned: 0,
             per_shard,
+            fanout: mode,
             hot,
             elapsed: t0.elapsed(),
         },

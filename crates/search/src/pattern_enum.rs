@@ -21,7 +21,7 @@
 //! the figure is comparable across shard counts.
 
 use crate::common::{
-    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, QueryContext,
+    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout, QueryContext,
     ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
@@ -189,9 +189,18 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
 
 /// Run `PATTERNENUM`.
 pub fn pattern_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
+    pattern_enum_in(ctx, cfg, ctx.fanout())
+}
+
+/// [`pattern_enum`] with the fan-out mode chosen by the caller.
+pub(crate) fn pattern_enum_in(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    mode: Fanout,
+) -> SearchResult {
     let t0 = Instant::now();
     let combos_tried = global_combo_count(ctx);
-    let locals = run_sharded(&ctx.shards, |shard| {
+    let locals = run_sharded(mode, &ctx.shards, |shard| {
         let (dict, subtrees, roots) = pattern_enum_shard(shard, cfg);
         (dict, subtrees, roots, shard.shard)
     });
@@ -237,6 +246,7 @@ pub fn pattern_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult 
             combos_tried,
             combos_pruned: 0,
             per_shard,
+            fanout: mode,
             hot,
             elapsed: t0.elapsed(),
         },

@@ -1,24 +1,69 @@
 //! Cost-based algorithm selection.
 //!
-//! The paper leaves the operator with a tension: `PATTERNENUM` is "fast in
+//! The paper's claim is a division of labour: `PATTERNENUM` is "fast in
 //! practice most of the time" but `Θ(pᵐ)` in the worst case (§4.1), while
-//! `LINEARENUM-TOPK` is output-linear (Theorem 3) and sampleable
-//! (Theorem 5) but pays dictionary aggregation. A production service
-//! should not make the user choose. This module estimates the two cost
-//! drivers **from the index alone** — both are exact counts obtained
-//! without enumerating a single subtree — and picks:
+//! `LINEARENUM` is linear in the index and the answers (Theorem 3). A
+//! production service should not make the user choose. This module
+//! measures the two cost drivers **from the index alone** — both are
+//! exact counts obtained without enumerating a single subtree:
 //!
-//! * the **pattern-combination count** `Πᵢ |Patterns(wᵢ)|`, the size of
-//!   the product `PATTERNENUM` iterates (its §4.1 failure mode); and
 //! * the **valid-subtree count** `N = Σ_r Πᵢ |Paths(wᵢ, r)|` (Algorithm 4
-//!   line 4), the term `LINEARENUM`'s Theorem-3 running time is linear in.
+//!   line 4), the term `LINEARENUM`'s running time is linear in; and
+//! * the **pattern-combination count** `Πᵢ |Patterns(wᵢ)|`, the size of
+//!   the product `PATTERNENUM` iterates (its §4.1 failure mode).
 //!
-//! Policy: small combination space → pruned `PATTERNENUM` (no dictionary,
-//! tiny footprint, admissible pruning caps the tail); otherwise exact
-//! `LINEARENUM-TOPK` while `N` is affordable; otherwise `LINEARENUM-TOPK`
-//! with root sampling (Hoeffding-bounded error). Thresholds are exposed in
-//! [`PlannerConfig`] and the decision is returned next to the result, so
-//! callers can log or override it.
+//! # The rule
+//!
+//! 1. `N >` [`PlannerConfig::max_subtrees_exact`] → `LINEARENUM-TOPK`
+//!    with root sampling (Hoeffding-bounded error, Theorem 5);
+//! 2. `N ≤` [`PlannerConfig::max_subtrees_linear`] → `LINEARENUM`: a
+//!    dictionary over a few hundred subtrees is cheaper than walking any
+//!    combination list;
+//! 3. combinations `>` [`COMBO_BLOWUP`]` · N` → `LINEARENUM`: §4.1's worst
+//!    case, a product that dwarfs the answers it could hold;
+//! 4. otherwise pruned `PATTERNENUM` (no dictionary, admissible pruning
+//!    caps the tail).
+//!
+//! Steps 1–2 read `N` alone, so on those queries the engine never builds
+//! the per-keyword global pattern lists behind the combination count
+//! ([`estimate`] always does; it is the reporting entry point).
+//!
+//! # The rows behind it
+//!
+//! Per-query sweep of the gated `cold` pool (1 000 queries, 250 per
+//! keyword count m, 50 k-entity wiki, 2-shard engine, every kernel run
+//! inline, best of 3, µs):
+//!
+//! | fastest fixed choice | queries |
+//! |---|---|
+//! | pruned `PATTERNENUM` | 474 |
+//! | `LINEARENUM` | 342 |
+//! | exact `LINEARENUM-TOPK` | 123 |
+//! | `PATTERNENUM` | 61 |
+//!
+//! | policy | mean | median | mean regret vs per-query best |
+//! |---|---|---|---|
+//! | per-query best | 597 | 186 | 1.00 |
+//! | old: combos ≤ 4 096 → pruned, else exact `TOPK` | 1 254 | 234 | 1.58 |
+//! | always pruned `PATTERNENUM` | 1 261 | 343 | 13.8 |
+//! | always `LINEARENUM` | 1 788 | 302 | 2.31 |
+//! | `N ≤ 1 000` → `LINEARENUM`, else pruned | 706 | 261 | 1.26 |
+//! | `N ≤ 256` or combos `> 30 000 · N` → `LINEARENUM`, else pruned | 604 | 203 | 1.09 |
+//!
+//! (The last two rows fan out above [`crate::common::FANOUT_MIN_ROOTS`],
+//! as the engine does.) Both thresholds sit on plateaus: 200–300 and
+//! 10⁴–10⁵ move the mean by under 1 %; `N ≤ 500` costs 30 µs of median,
+//! a factor of 10³ costs 45 µs of mean.
+//!
+//! Exact `LINEARENUM-TOPK` is `LINEARENUM` plus a type partition and a
+//! second shard pass. The old rule sent it 691 of the 1 000 queries; it
+//! was the fastest fixed choice for 122 of them (median `N` = 7, median
+//! margin over `LINEARENUM` 3 µs), a median 1.7× slower than pruned
+//! `PATTERNENUM` on the 197 two-keyword ones, and those 691 average
+//! 1 559 µs under it against 639 µs under the rule above. It left
+//! `Auto`; it stays an explicit [`crate::AlgorithmChoice`], and `Auto`
+//! still uses it for the sampled tier. The decision is returned next to
+//! the result, so callers can log or override it.
 
 use crate::common::QueryContext;
 use crate::counting::count_subtrees;
@@ -42,34 +87,39 @@ pub struct QueryEstimate {
 
 /// Measure both cost drivers. Cost: one sorted-list intersection plus a
 /// per-root group-size scan — the same work `LINEARENUM` line 1 and
-/// Algorithm 4 line 4 do before any enumeration. All quantities are
-/// global (merged over the index's root-range shards), so the decision is
-/// independent of the shard count.
+/// Algorithm 4 line 4 do before any enumeration — plus the per-keyword
+/// global pattern lists. All quantities are global (merged over the
+/// index's root-range shards), so the decision is independent of the
+/// shard count.
 pub fn estimate(ctx: &QueryContext<'_>) -> QueryEstimate {
-    let candidate_roots = ctx.candidate_roots().len();
-    let subtrees = count_subtrees(ctx);
-    let mut combos: u64 = 1;
-    let mut index_postings = 0usize;
-    for i in 0..ctx.m() {
-        combos = combos.saturating_mul(ctx.global_patterns(i).len() as u64);
-        index_postings += ctx.keyword_postings(i);
-    }
     QueryEstimate {
-        candidate_roots,
-        subtrees,
-        pattern_combos: combos,
-        index_postings,
+        candidate_roots: ctx.candidate_roots().len(),
+        subtrees: count_subtrees(ctx),
+        pattern_combos: pattern_combos(ctx),
+        index_postings: (0..ctx.m()).map(|i| ctx.keyword_postings(i)).sum(),
     }
 }
 
-/// Planner thresholds. Defaults favor the paper's observations: the join
-/// algorithm until its combination space could bite, exact linear
-/// enumeration until `N` gets heavy, sampling beyond.
+/// `Πᵢ |Patterns(wᵢ)|` (saturating): collects, sorts and dedups every
+/// keyword's pattern ids across the shards.
+fn pattern_combos(ctx: &QueryContext<'_>) -> u64 {
+    (0..ctx.m()).fold(1u64, |product, i| {
+        product.saturating_mul(ctx.global_patterns(i).len() as u64)
+    })
+}
+
+/// A combination product this many times the valid-subtree count is
+/// §4.1's blow-up: `PATTERNENUM` would walk mostly-empty combinations,
+/// so the planner takes `LINEARENUM` whatever `N` is. Flat between 10⁴
+/// and 10⁵ on the sweep in the module docs.
+pub const COMBO_BLOWUP: u64 = 30_000;
+
+/// Planner thresholds, both on the exact valid-subtree count `N`.
 #[derive(Clone, Debug)]
 pub struct PlannerConfig {
-    /// Run pruned `PATTERNENUM` while `pattern_combos` ≤ this.
-    pub max_combos: u64,
-    /// Run exact `LINEARENUM-TOPK` while `subtrees` ≤ this.
+    /// Run `LINEARENUM` while `subtrees` ≤ this.
+    pub max_subtrees_linear: u64,
+    /// Above this, stop answering exactly and sample.
     pub max_subtrees_exact: u64,
     /// Sampling parameters once `subtrees` exceeds the exact budget.
     pub sampling: SamplingConfig,
@@ -78,21 +128,33 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            max_combos: 4_096,
+            max_subtrees_linear: 256,
             max_subtrees_exact: 1_000_000,
             sampling: SamplingConfig::new(100_000, 0.1, 42),
         }
     }
 }
 
-/// Pick an algorithm for the measured costs.
+/// Pick an algorithm for the measured costs (the rule in the module docs).
 pub fn choose(est: &QueryEstimate, cfg: &PlannerConfig) -> Algorithm {
-    if est.pattern_combos <= cfg.max_combos {
-        Algorithm::PatternEnumPruned
-    } else if est.subtrees <= cfg.max_subtrees_exact {
-        Algorithm::LinearEnumTopK(SamplingConfig::exact())
-    } else {
+    rule(est.subtrees, || est.pattern_combos, cfg)
+}
+
+/// [`choose`] ∘ [`estimate`] for the engine's miss path: the combination
+/// count is only computed for a query the rule cannot decide from `N`.
+pub(crate) fn plan(ctx: &QueryContext<'_>, cfg: &PlannerConfig) -> Algorithm {
+    rule(count_subtrees(ctx), || pattern_combos(ctx), cfg)
+}
+
+fn rule(subtrees: u64, combos: impl FnOnce() -> u64, cfg: &PlannerConfig) -> Algorithm {
+    if subtrees > cfg.max_subtrees_exact {
         Algorithm::LinearEnumTopK(cfg.sampling)
+    } else if subtrees <= cfg.max_subtrees_linear
+        || combos() > COMBO_BLOWUP.saturating_mul(subtrees)
+    {
+        Algorithm::LinearEnum
+    } else {
+        Algorithm::PatternEnumPruned
     }
 }
 
@@ -124,19 +186,60 @@ mod tests {
         assert!(est.pattern_combos >= 9, "at least the 9 nonempty patterns");
     }
 
+    fn est(subtrees: u64, pattern_combos: u64) -> QueryEstimate {
+        QueryEstimate {
+            candidate_roots: subtrees.min(50_000) as usize,
+            subtrees,
+            pattern_combos,
+            index_postings: 1_000_000,
+        }
+    }
+
     #[test]
-    fn small_queries_take_the_join_path() {
+    fn small_queries_take_linear_enumeration() {
         let e = fig1_engine();
         let q = e.parse("database company").unwrap();
         let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
         let algo = choose(&estimate(&ctx), &PlannerConfig::default());
-        assert!(matches!(algo, Algorithm::PatternEnumPruned));
+        assert!(matches!(algo, Algorithm::LinearEnum), "got {algo:?}");
+        assert!(matches!(
+            plan(&ctx, &PlannerConfig::default()),
+            Algorithm::LinearEnum
+        ));
+    }
+
+    #[test]
+    fn mid_sized_queries_take_the_pruned_join() {
+        let cfg = PlannerConfig::default();
+        for (n, combos) in [(257, 1), (10_000, 4_096), (1_000_000, 1 << 30)] {
+            let algo = choose(&est(n, combos), &cfg);
+            assert!(
+                matches!(algo, Algorithm::PatternEnumPruned),
+                "N = {n}, combos = {combos}: {algo:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_never_picks_exact_topk() {
+        let cfg = PlannerConfig::default();
+        let sizes = [0, 1, 256, 257, 10_000, 1_000_000, 1_000_001, u64::MAX];
+        for n in sizes {
+            for combos in sizes {
+                let algo = choose(&est(n, combos), &cfg);
+                assert!(
+                    !matches!(algo, Algorithm::LinearEnumTopK(s) if s.rho == 1.0),
+                    "N = {n}, combos = {combos}: {algo:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn worstcase_avoids_the_combination_blowup() {
-        // §4.1: p² empty combinations. The planner must see the product
-        // coming and route to LINEARENUM, which exits immediately.
+        // §4.1: p² empty combinations. The planner routes to LINEARENUM,
+        // which exits without trying a single one.
+        use crate::request::SearchRequest;
         let p = 128usize;
         let e = crate::EngineBuilder::new()
             .graph(worstcase(p))
@@ -150,10 +253,20 @@ mod tests {
         assert!(est.pattern_combos >= (p * p) as u64);
         assert_eq!(est.subtrees, 0, "no shared roots in the §4.1 graph");
         let algo = choose(&est, &PlannerConfig::default());
-        assert!(
-            matches!(algo, Algorithm::LinearEnumTopK(s) if s.rho == 1.0),
-            "expected exact linear enumeration, got {algo:?}"
-        );
+        assert!(matches!(algo, Algorithm::LinearEnum), "got {algo:?}");
+        let r = e.respond(&SearchRequest::query(q)).unwrap();
+        assert!(matches!(r.algorithm, Algorithm::LinearEnum));
+        assert_eq!(r.stats.combos_tried, 0);
+    }
+
+    #[test]
+    fn a_product_dwarfing_the_answers_is_a_blowup_at_any_size() {
+        let cfg = PlannerConfig::default();
+        let n = 10_000;
+        let at = choose(&est(n, COMBO_BLOWUP * n), &cfg);
+        assert!(matches!(at, Algorithm::PatternEnumPruned), "got {at:?}");
+        let over = choose(&est(n, COMBO_BLOWUP * n + 1), &cfg);
+        assert!(matches!(over, Algorithm::LinearEnum), "got {over:?}");
     }
 
     #[test]
@@ -211,18 +324,16 @@ mod tests {
         let q = e.parse("database company").unwrap();
         let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
         let est = estimate(&ctx);
-        // Forbid the join path entirely.
+        assert!(est.subtrees > 0);
+        // Forbid plain linear enumeration.
         let cfg = PlannerConfig {
-            max_combos: 0,
+            max_subtrees_linear: 0,
             ..PlannerConfig::default()
         };
-        assert!(matches!(
-            choose(&est, &cfg),
-            Algorithm::LinearEnumTopK(s) if s.rho == 1.0
-        ));
-        // Forbid exact enumeration too.
+        assert!(matches!(choose(&est, &cfg), Algorithm::PatternEnumPruned));
+        assert!(matches!(plan(&ctx, &cfg), Algorithm::PatternEnumPruned));
+        // Forbid exact answers altogether.
         let cfg = PlannerConfig {
-            max_combos: 0,
             max_subtrees_exact: 0,
             ..PlannerConfig::default()
         };

@@ -1,5 +1,6 @@
 //! Search results: ranked tree patterns with their aggregated subtrees.
 
+use crate::common::Fanout;
 use crate::subtree::ValidSubtree;
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::PathPattern;
@@ -123,6 +124,9 @@ pub struct QueryStats {
     /// partitions its candidate roots by the same bounds). Empty only for
     /// provably-empty queries, which never reach a shard worker.
     pub per_shard: Vec<ShardStats>,
+    /// Whether the shard kernels ran inline on the caller's thread or
+    /// fanned out over OS threads ([`crate::common::fanout_for`]).
+    pub fanout: Fanout,
     /// Hot-path work counters (decode / intersect / alloc).
     pub hot: HotPathStats,
     /// Wall-clock execution time.

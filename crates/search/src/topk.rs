@@ -31,8 +31,8 @@
 //! layouts too.
 
 use crate::common::{
-    expand_root, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded,
-    QueryContext, TreeDict,
+    expand_root, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout,
+    QueryContext, ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::score::ScoreAcc;
@@ -114,11 +114,22 @@ pub fn linear_enum_topk(
     cfg: &SearchConfig,
     samp: &SamplingConfig,
 ) -> SearchResult {
+    linear_enum_topk_in(ctx, cfg, samp, ctx.fanout())
+}
+
+/// [`linear_enum_topk`] with the fan-out mode chosen by the caller (both
+/// phases run in it).
+pub(crate) fn linear_enum_topk_in(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    samp: &SamplingConfig,
+    mode: Fanout,
+) -> SearchResult {
     let t0 = Instant::now();
 
     // --- Phase A (shard-parallel): partition candidate roots by type and
     //     count N_R per (shard, type) without enumeration (line 4). ---
-    let partitions: Vec<ShardPartition> = run_sharded(&ctx.shards, |shard| {
+    let partitions: Vec<ShardPartition> = run_sharded(mode, &ctx.shards, |shard| {
         let mut by_type: FxHashMap<TypeId, (Vec<NodeId>, u64)> = FxHashMap::default();
         for &r in shard.candidate_roots() {
             let mut prod: u64 = 1;
@@ -150,10 +161,10 @@ pub fn linear_enum_topk(
 
     // --- Phase B (shard-parallel): expand each shard's (sampled) roots
     //     into per-type dictionaries (lines 6–8). ---
-    let pairs: Vec<(&crate::common::ShardContext<'_>, &ShardPartition)> =
+    let pairs: Vec<(&ShardContext<'_>, &ShardPartition)> =
         ctx.shards.iter().zip(&partitions).collect();
     let expansions: Vec<(FxHashMap<TypeId, TreeDict>, usize)> =
-        crate::common::run_parallel(&pairs, |&(shard, part)| {
+        run_sharded(mode, &pairs, |&(shard, part)| {
             let mut dicts: FxHashMap<TypeId, TreeDict> = FxHashMap::default();
             let mut subtrees = 0usize;
             for (&c, (roots, _)) in &part.by_type {
@@ -273,6 +284,7 @@ pub fn linear_enum_topk(
             combos_tried: patterns_seen,
             combos_pruned: 0,
             per_shard,
+            fanout: mode,
             hot,
             elapsed: t0.elapsed(),
         },

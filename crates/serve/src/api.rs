@@ -662,7 +662,10 @@ pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> Json {
 
     let mut fields = vec![
         ("query".to_string(), Json::Arr(query)),
-        ("algorithm".to_string(), s(algorithm_name(resp))),
+        (
+            "algorithm".to_string(),
+            s(ALGORITHM_NAMES[algorithm_slot(resp)]),
+        ),
         ("planned".to_string(), Json::Bool(resp.planned)),
         (
             "cache".to_string(),
@@ -713,14 +716,24 @@ pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> Json {
     Json::Obj(fields)
 }
 
-fn algorithm_name(resp: &SearchResponse) -> &'static str {
+/// Wire names of the resolved algorithms, indexed by [`algorithm_slot`]
+/// (the response's `algorithm` field and the `/metrics` label share them).
+pub(crate) const ALGORITHM_NAMES: [&str; 5] = [
+    "baseline",
+    "pattern_enum",
+    "pattern_enum_pruned",
+    "linear_enum",
+    "linear_enum_topk",
+];
+
+pub(crate) fn algorithm_slot(resp: &SearchResponse) -> usize {
     use patternkb_search::Algorithm;
     match resp.algorithm {
-        Algorithm::Baseline => "baseline",
-        Algorithm::PatternEnum => "pattern_enum",
-        Algorithm::PatternEnumPruned => "pattern_enum_pruned",
-        Algorithm::LinearEnum => "linear_enum",
-        Algorithm::LinearEnumTopK(_) => "linear_enum_topk",
+        Algorithm::Baseline => 0,
+        Algorithm::PatternEnum => 1,
+        Algorithm::PatternEnumPruned => 2,
+        Algorithm::LinearEnum => 3,
+        Algorithm::LinearEnumTopK(_) => 4,
     }
 }
 

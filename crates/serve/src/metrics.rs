@@ -7,7 +7,9 @@
 //! read live from the [`SharedEngine`] at render time rather than
 //! mirrored, so they can never drift.
 
-use patternkb_search::{QueryStats, SharedEngine};
+use crate::api::{algorithm_slot, ALGORITHM_NAMES};
+use patternkb_search::common::Fanout;
+use patternkb_search::{CacheOutcome, QueryStats, SearchResponse, SharedEngine};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -111,6 +113,9 @@ fn code_slot(code: u16) -> usize {
     })
 }
 
+/// `mode` label values of `patternkb_search_fanout_total`.
+const FANOUTS: [(Fanout, &str); 2] = [(Fanout::Inline, "inline"), (Fanout::Threads, "threads")];
+
 /// Per-shard work aggregates accumulated across answered searches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardAgg {
@@ -159,6 +164,10 @@ pub struct ServerMetrics {
     /// Connections refused at accept because the connection cap was hit.
     pub connections_refused: AtomicU64,
     shards: Mutex<Vec<ShardAgg>>,
+    /// Executed (cache-missing) searches by resolved algorithm.
+    executed: [AtomicU64; ALGORITHM_NAMES.len()],
+    /// Executed searches by how their shard kernels ran.
+    fanouts: [AtomicU64; FANOUTS.len()],
 }
 
 impl ServerMetrics {
@@ -233,7 +242,7 @@ impl ServerMetrics {
     }
 
     /// Fold one answered search's per-shard stats into the aggregates.
-    pub fn record_shards(&self, stats: &QueryStats) {
+    fn record_shards(&self, stats: &QueryStats) {
         let mut shards = self.shards.lock().unwrap();
         for s in &stats.per_shard {
             if s.shard >= shards.len() {
@@ -241,6 +250,20 @@ impl ServerMetrics {
             }
             shards[s.shard].candidate_roots += s.candidate_roots as u64;
             shards[s.shard].subtrees += s.subtrees as u64;
+        }
+    }
+
+    /// Fold one answered search into the per-shard aggregates and, when it
+    /// was executed rather than served from the cache, into the
+    /// algorithm and fan-out counters — what `Auto` picks, as it picks it.
+    pub fn record_search(&self, resp: &SearchResponse) {
+        self.record_shards(&resp.stats);
+        if resp.cache == CacheOutcome::Hit {
+            return;
+        }
+        self.executed[algorithm_slot(resp)].fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = FANOUTS.iter().position(|(f, _)| *f == resp.stats.fanout) {
+            self.fanouts[slot].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -521,6 +544,27 @@ impl ServerMetrics {
                     age.as_secs_f64()
                 ));
             }
+        }
+
+        out.push_str(
+            "# HELP patternkb_search_algorithm_total Executed (cache-missing) searches by resolved algorithm.\n\
+             # TYPE patternkb_search_algorithm_total counter\n",
+        );
+        for (name, n) in ALGORITHM_NAMES.iter().zip(&self.executed) {
+            out.push_str(&format!(
+                "patternkb_search_algorithm_total{{algorithm=\"{name}\"}} {}\n",
+                n.load(Ordering::Relaxed)
+            ));
+        }
+        out.push_str(
+            "# HELP patternkb_search_fanout_total Executed searches by how their shard kernels ran.\n\
+             # TYPE patternkb_search_fanout_total counter\n",
+        );
+        for ((_, mode), n) in FANOUTS.iter().zip(&self.fanouts) {
+            out.push_str(&format!(
+                "patternkb_search_fanout_total{{mode=\"{mode}\"}} {}\n",
+                n.load(Ordering::Relaxed)
+            ));
         }
 
         out.push_str(

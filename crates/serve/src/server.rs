@@ -378,7 +378,7 @@ fn worker_loop(shared: &Shared) {
             match shared.engine.respond_on(&snapshot, &job.request) {
                 Ok(resp) => {
                     shared.metrics.latency.observe(job.admitted.elapsed());
-                    shared.metrics.record_shards(&resp.stats);
+                    shared.metrics.record_search(&resp);
                     let body = api::render_response(&snapshot, &resp).render();
                     job.reply.send(JobReply::Ok(body)).ok();
                 }

@@ -141,6 +141,37 @@ fn search_healthz_metrics_happy_path() {
     server.join();
 }
 
+/// `/metrics` says what `Auto` picked and how the shard kernels ran —
+/// for executed searches only: a cache hit moves neither family.
+#[test]
+fn metrics_count_executed_searches_by_algorithm_and_fanout() {
+    let server = Server::start(shared_engine(), None, test_config()).unwrap();
+    let addr = server.local_addr();
+    let request = r#"{"q": "database software company revenue", "k": 5}"#;
+    for expected in ["miss", "hit"] {
+        let (status, _, body) = search(addr, request);
+        assert_eq!(status, 200, "body: {body}");
+        let json = Json::parse(&body).unwrap();
+        assert_eq!(json.get("cache").unwrap().as_str(), Some(expected));
+        assert_eq!(json.get("algorithm").unwrap().as_str(), Some("linear_enum"));
+    }
+    let (_, _, metrics) = get(addr, "/metrics");
+    for family in [
+        "patternkb_search_algorithm_total{algorithm=\"linear_enum\"} 1",
+        "patternkb_search_algorithm_total{algorithm=\"pattern_enum_pruned\"} 0",
+        "patternkb_search_algorithm_total{algorithm=\"linear_enum_topk\"} 0",
+        "patternkb_search_fanout_total{mode=\"inline\"} 1",
+        "patternkb_search_fanout_total{mode=\"threads\"} 0",
+    ] {
+        assert!(
+            metrics.contains(family),
+            "missing {family:?} in:\n{metrics}"
+        );
+    }
+    server.trigger_shutdown();
+    server.join();
+}
+
 /// Booting from a v5 snapshot on the mapped tier flips the
 /// `patternkb_storage_backend` gauge and exposes the load time; an ingest
 /// leaves the tier mapped and shows up in the patch gauges.
