@@ -15,20 +15,38 @@
 //! execution is answer-identical by construction, but `stats.per_shard`
 //! and sampling determinism are layout-properties, and a rebuild with a
 //! different `shards(n)` must never serve entries computed under the old
-//! layout. Results are shared via [`Arc`], so a hit never clones row
-//! data.
+//! layout.
+//!
+//! **A hit never clones row data.** An entry is a `SharedAnswer`: each
+//! ranked pattern (with its materialised rows) and the execution counters
+//! sit behind their own [`Arc`], and a response takes reference counts on
+//! them — on a hit and on the miss that created the entry alike.
+//!
+//! **Tables fill on first reuse.** The composed [`TableAnswer`]s are a
+//! pure function of `(engine version, patterns)` — exactly what an entry
+//! is keyed and version-checked on — so they live beside the entry and
+//! are handed out by `Arc` too; the request's post-processing flags
+//! (`compose_tables`, `presentation`, `explain`, `relax`, `diversify`)
+//! stay outside the key. They are composed by the first *hit* that wants
+//! them, not by the miss: a miss composes for its own response and
+//! retains nothing, because one-shot traffic must not hold a
+//! `Vec<Vec<String>>` per entry for queries that never come back. That a
+//! query came back is a property of the traffic the cache can observe, so
+//! nothing is configured ([`CacheStats::table_fills`] counts the fills).
 //!
 //! The cache is internally synchronized (`parking_lot::Mutex`) and can be
 //! shared across query threads alongside the immutable engine.
 
 use crate::engine::{Algorithm, SearchEngine};
 use crate::request::AlgorithmChoice;
-use crate::result::SearchResult;
+use crate::result::{QueryStats, RankedPattern, SearchResult};
+use crate::table::TableAnswer;
 use crate::topk::SamplingConfig;
 use crate::{PlannerConfig, Query, SearchConfig};
 use parking_lot::Mutex;
+use patternkb_graph::KnowledgeGraph;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything that determines a query's answer, in hashable form.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -109,21 +127,58 @@ impl CacheKey {
     }
 }
 
-struct Entry {
-    result: Arc<SearchResult>,
+/// One executed search in the form responses share: every part a
+/// response carries is behind a reference count, so handing the answer
+/// out — from the cache or straight from the kernels — copies no rows.
+pub(crate) struct SharedAnswer {
+    /// Top-k patterns with their materialised rows, best first.
+    pub(crate) patterns: Vec<Arc<RankedPattern>>,
+    /// Execution counters of the run that produced `patterns`.
+    pub(crate) stats: Arc<QueryStats>,
     /// The algorithm that produced the result (the planner's pick for
     /// `Auto` keys — reported on cached responses without re-planning).
-    algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
+    /// Tables of `patterns`, aligned with it; set by the first cache hit
+    /// that asks ([`QueryCache::tables`]).
+    tables: OnceLock<Vec<Arc<TableAnswer>>>,
+}
+
+impl SharedAnswer {
+    pub(crate) fn new(result: SearchResult, algorithm: Algorithm) -> Self {
+        SharedAnswer {
+            patterns: result.patterns.into_iter().map(Arc::new).collect(),
+            stats: Arc::new(result.stats),
+            algorithm,
+            tables: OnceLock::new(),
+        }
+    }
+
+    /// Compose one table per pattern, for the caller alone.
+    pub(crate) fn compose_tables(&self, g: &KnowledgeGraph) -> Vec<Arc<TableAnswer>> {
+        self.patterns
+            .iter()
+            .map(|p| Arc::new(TableAnswer::from_pattern(g, p)))
+            .collect()
+    }
+}
+
+struct Entry {
+    answer: Arc<SharedAnswer>,
     version: u64,
     /// Monotone access stamp for LRU eviction.
     last_used: u64,
 }
 
-/// Cache hit/miss counters (cumulative).
+/// Cache counters: cumulative, except the [`CacheStats::entries`] gauge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
+    /// Entries resident right now.
+    pub entries: usize,
     /// Lookups answered from the cache.
     pub hits: u64,
+    /// Hits that had to compose their entry's tables — the first hit of
+    /// an entry that asks for tables; every later one shares them.
+    pub table_fills: u64,
     /// Lookups that had to compute.
     pub misses: u64,
     /// Entries evicted by capacity pressure.
@@ -160,7 +215,7 @@ impl QueryCache {
     /// The respond route's lookup: keyed by the request's algorithm
     /// *choice* so `Auto` hits skip planning. `resolve_and_run` is only
     /// called on a miss; its resolved algorithm is stored with the entry
-    /// and reported back on hits.
+    /// and reported back on hits. The flag is whether it was a hit.
     pub(crate) fn lookup_for_request(
         &self,
         engine: &SearchEngine,
@@ -170,9 +225,27 @@ impl QueryCache {
         sampling: &SamplingConfig,
         planner: &PlannerConfig,
         resolve_and_run: impl FnOnce() -> (SearchResult, Algorithm),
-    ) -> (Arc<SearchResult>, Algorithm, bool) {
+    ) -> (Arc<SharedAnswer>, bool) {
         let key = CacheKey::for_choice(query, cfg, engine.num_shards(), choice, sampling, planner);
         self.lookup_with(key, engine.version(), resolve_and_run)
+    }
+
+    /// The tables of a *hit* `answer`, shared with every other hit of the
+    /// entry: composed against `g` — the graph of the engine version the
+    /// hit was checked against — by the first caller, reference counts
+    /// after that.
+    pub(crate) fn tables(
+        &self,
+        answer: &SharedAnswer,
+        g: &KnowledgeGraph,
+    ) -> Vec<Arc<TableAnswer>> {
+        answer
+            .tables
+            .get_or_init(|| {
+                self.inner.lock().stats.table_fills += 1;
+                answer.compose_tables(g)
+            })
+            .clone()
     }
 
     fn lookup_with(
@@ -180,9 +253,9 @@ impl QueryCache {
         key: CacheKey,
         version: u64,
         compute: impl FnOnce() -> (SearchResult, Algorithm),
-    ) -> (Arc<SearchResult>, Algorithm, bool) {
+    ) -> (Arc<SharedAnswer>, bool) {
         enum Lookup {
-            Hit(Arc<SearchResult>, Algorithm),
+            Hit(Arc<SharedAnswer>),
             Stale,
             Miss,
         }
@@ -193,15 +266,15 @@ impl QueryCache {
             let lookup = match inner.map.get_mut(&key) {
                 Some(e) if e.version == version => {
                     e.last_used = clock;
-                    Lookup::Hit(Arc::clone(&e.result), e.algorithm)
+                    Lookup::Hit(Arc::clone(&e.answer))
                 }
                 Some(_) => Lookup::Stale,
                 None => Lookup::Miss,
             };
             match lookup {
-                Lookup::Hit(r, algorithm) => {
+                Lookup::Hit(answer) => {
                     inner.stats.hits += 1;
-                    return (r, algorithm, true);
+                    return (answer, true);
                 }
                 Lookup::Stale => {
                     inner.map.remove(&key);
@@ -212,7 +285,7 @@ impl QueryCache {
             }
         } // release the lock while computing
         let (result, algorithm) = compute();
-        let result = Arc::new(result);
+        let answer = Arc::new(SharedAnswer::new(result, algorithm));
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -250,13 +323,12 @@ impl QueryCache {
         inner.map.insert(
             key,
             Entry {
-                result: Arc::clone(&result),
-                algorithm,
+                answer: Arc::clone(&answer),
                 version,
                 last_used: clock,
             },
         );
-        (result, algorithm, false)
+        (answer, false)
     }
 
     /// Drop every entry (e.g. ahead of a bulk mutation).
@@ -274,9 +346,13 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Cumulative counters.
+    /// The counters, with the entry gauge read under the same lock.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        let inner = self.inner.lock();
+        CacheStats {
+            entries: inner.map.len(),
+            ..inner.stats
+        }
     }
 }
 
@@ -303,7 +379,7 @@ mod tests {
         query: &Query,
         cfg: &SearchConfig,
         choice: AlgorithmChoice,
-    ) -> Arc<SearchResult> {
+    ) -> Arc<SharedAnswer> {
         let (sampling, planner) = (SamplingConfig::default(), PlannerConfig::default());
         let run = || engine.plan_and_run(query, cfg, choice, &sampling, &planner);
         cache
@@ -394,7 +470,7 @@ mod tests {
         let q = e.parse("database software company revenue").unwrap();
         let cfg = SearchConfig::top(10);
         let before = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
-        let before_table_rows = before.top().unwrap().num_trees;
+        let before_table_rows = before.patterns[0].num_trees;
         assert_eq!(before_table_rows, 2);
 
         // Mutate: add DB2/IBM as a third row of the Figure-3 table.
@@ -417,8 +493,7 @@ mod tests {
         let q = e.parse("database software company revenue").unwrap();
         let after = get_or_compute(&cache, &e, &q, &cfg, PatternEnum);
         assert_eq!(
-            after.top().unwrap().num_trees,
-            3,
+            after.patterns[0].num_trees, 3,
             "stale cached answer served after mutation"
         );
         assert_eq!(cache.stats().stale_rejections, 1);

@@ -201,8 +201,10 @@ impl SharedEngine {
 
     /// Serve one request against the current state, through the built-in
     /// cache. [`SearchResponse::cache`] reports whether the search step
-    /// was a hit; post-processing (tables, presentation, explain) is
-    /// computed fresh per call.
+    /// was a hit. A hit takes reference counts on the entry's patterns and
+    /// on its composed tables (filled by the entry's first hit — see
+    /// [`crate::cache`]); presentation, explain and relaxation are
+    /// computed per call.
     ///
     /// Concurrent [`Self::apply_delta`] calls are safe: the request runs
     /// against the snapshot current at its start, and cached entries from

@@ -27,6 +27,7 @@
 
 use crate::result::RankedPattern;
 use patternkb_graph::NodeId;
+use std::borrow::Borrow;
 
 /// Knobs for [`diversify`].
 #[derive(Clone, Copy, Debug)]
@@ -73,8 +74,25 @@ fn jaccard(a: &[NodeId], b: &[NodeId]) -> f64 {
 
 /// Greedy MMR selection over `patterns` (assumed best-first, as returned
 /// by any search algorithm). Returns at most `cfg.k` patterns, cloned, in
-/// selection order.
-pub fn diversify(patterns: &[RankedPattern], cfg: &DiversifyConfig) -> Vec<RankedPattern> {
+/// selection order. Works on owned patterns and on the shared ones a
+/// [`crate::SearchResponse`] carries alike.
+pub fn diversify<P>(patterns: &[P], cfg: &DiversifyConfig) -> Vec<P>
+where
+    P: Borrow<RankedPattern> + Clone,
+{
+    diversify_order(patterns, cfg)
+        .into_iter()
+        .map(|i| patterns[i].clone())
+        .collect()
+}
+
+/// The selection [`diversify`] makes, as indices into `patterns` in
+/// selection order — for callers that keep other per-pattern data (the
+/// composed tables) aligned with the pick.
+pub(crate) fn diversify_order<P>(patterns: &[P], cfg: &DiversifyConfig) -> Vec<usize>
+where
+    P: Borrow<RankedPattern>,
+{
     let k = cfg.k.min(patterns.len());
     if k == 0 {
         return Vec::new();
@@ -82,18 +100,18 @@ pub fn diversify(patterns: &[RankedPattern], cfg: &DiversifyConfig) -> Vec<Ranke
     let lambda = cfg.lambda.clamp(0.0, 1.0);
     let max_score = patterns
         .iter()
-        .map(|p| p.score)
+        .map(|p| p.borrow().score)
         .fold(f64::NEG_INFINITY, f64::max)
         .max(f64::MIN_POSITIVE);
 
-    let root_sets: Vec<Vec<NodeId>> = patterns.iter().map(root_set).collect();
+    let root_sets: Vec<Vec<NodeId>> = patterns.iter().map(|p| root_set(p.borrow())).collect();
     let mut selected: Vec<usize> = Vec::with_capacity(k);
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
 
     while selected.len() < k {
         let mut best: Option<(f64, usize, usize)> = None; // (mmr, slot in remaining, idx)
         for (slot, &i) in remaining.iter().enumerate() {
-            let rel = patterns[i].score / max_score;
+            let rel = patterns[i].borrow().score / max_score;
             let max_overlap = selected
                 .iter()
                 .map(|&s| jaccard(&root_sets[i], &root_sets[s]))
@@ -116,8 +134,7 @@ pub fn diversify(patterns: &[RankedPattern], cfg: &DiversifyConfig) -> Vec<Ranke
         remaining.sort_unstable();
         selected.push(i);
     }
-
-    selected.into_iter().map(|i| patterns[i].clone()).collect()
+    selected
 }
 
 #[cfg(test)]
@@ -181,7 +198,7 @@ mod tests {
 
     #[test]
     fn k_bounds_and_empty_input() {
-        assert!(diversify(&[], &DiversifyConfig::default()).is_empty());
+        assert!(diversify::<RankedPattern>(&[], &DiversifyConfig::default()).is_empty());
         let input = vec![pat(1.0, &[1])];
         let out = diversify(&input, &DiversifyConfig { lambda: 0.3, k: 10 });
         assert_eq!(out.len(), 1);

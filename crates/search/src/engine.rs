@@ -11,21 +11,23 @@
 //! docs.
 
 use crate::baseline::baseline;
+use crate::cache::SharedAnswer;
 use crate::common::QueryContext;
 use crate::counting::{count_patterns, count_subtrees};
-use crate::diversify::{diversify, DiversifyConfig};
+use crate::diversify::{diversify_order, DiversifyConfig};
 use crate::error::Error;
 use crate::individual::{top_individual, ScoredTree};
 use crate::linear_enum::linear_enum;
 use crate::pattern_enum::pattern_enum;
 use crate::request::{AlgorithmChoice, CacheOutcome, QueryInput, SearchRequest, SearchResponse};
-use crate::result::SearchResult;
+use crate::result::{RankedPattern, SearchResult};
 use crate::table::TableAnswer;
 use crate::topk::{linear_enum_topk, SamplingConfig};
 use crate::{ParseError, PlannerConfig, Query, SearchConfig};
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::PathIndexes;
 use patternkb_text::TextIndex;
+use std::sync::Arc;
 
 /// Which query algorithm to run (§5's Baseline / PETopK / LETopK).
 #[derive(Clone, Copy, Debug, Default)]
@@ -270,12 +272,12 @@ impl SearchEngine {
         };
 
         let planned = request.algorithm == AlgorithmChoice::Auto;
-        let (mut patterns, stats, algorithm, cache_outcome) = match cache {
+        let (answer, cache_outcome) = match cache {
             Some(cache) => {
                 // Keyed by the request's *choice* (plus planner thresholds
                 // under Auto — the decision is deterministic per engine
                 // version), so cache hits skip planning entirely.
-                let (result, algorithm, hit) = cache.lookup_for_request(
+                let (answer, hit) = cache.lookup_for_request(
                     self,
                     &query,
                     &cfg,
@@ -297,12 +299,7 @@ impl SearchEngine {
                 } else {
                     CacheOutcome::Miss
                 };
-                (
-                    result.patterns.clone(),
-                    result.stats.clone(),
-                    algorithm,
-                    outcome,
-                )
+                (answer, outcome)
             }
             None => {
                 let (result, algorithm) = self.plan_and_run(
@@ -313,33 +310,42 @@ impl SearchEngine {
                     planner_cfg,
                 );
                 (
-                    result.patterns,
-                    result.stats,
-                    algorithm,
+                    Arc::new(SharedAnswer::new(result, algorithm)),
                     CacheOutcome::Uncached,
                 )
             }
         };
 
+        // Reference counts on the answer's parts, never copies of them.
+        let mut patterns: Vec<Arc<RankedPattern>> =
+            answer.patterns.iter().map(Arc::clone).collect();
+        // Presentation implies tables even when composition is opted out.
+        let wants_tables = request.compose_tables || request.presentation.is_some();
+        // A hit shares its entry's tables (composing them if it is the
+        // first to ask); a miss composes for itself and the entry keeps
+        // nothing — see the cache module docs for why.
+        let mut tables = match cache {
+            _ if !wants_tables => Vec::new(),
+            Some(cache) if cache_outcome == CacheOutcome::Hit => cache.tables(&answer, &self.g),
+            _ => answer.compose_tables(&self.g),
+        };
+
         if let Some(lambda) = request.diversify {
-            patterns = diversify(
+            let order = diversify_order(
                 &patterns,
                 &DiversifyConfig {
                     lambda,
                     k: request.k,
                 },
             );
+            // `tables` is empty or aligned with `patterns`; pick both.
+            tables = order
+                .iter()
+                .filter_map(|&i| tables.get(i).cloned())
+                .collect();
+            patterns = order.iter().map(|&i| Arc::clone(&patterns[i])).collect();
         }
 
-        // Presentation implies tables even when composition is opted out.
-        let tables: Vec<TableAnswer> = if request.compose_tables || request.presentation.is_some() {
-            patterns
-                .iter()
-                .map(|p| TableAnswer::from_pattern(&self.g, p))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let presented = request.presentation.as_ref().map(|pc| {
             tables
                 .iter()
@@ -387,9 +393,9 @@ impl SearchEngine {
             patterns,
             tables,
             presented,
-            algorithm,
+            algorithm: answer.algorithm,
             planned,
-            stats,
+            stats: Arc::clone(&answer.stats),
             relaxations,
             explain,
             cache: cache_outcome,

@@ -24,6 +24,7 @@ use crate::result::{QueryStats, RankedPattern};
 use crate::score::ScoringConfig;
 use crate::table::TableAnswer;
 use crate::topk::SamplingConfig;
+use std::sync::Arc;
 
 /// How the caller names the query: raw text (parsed by the engine against
 /// its vocabulary) or a pre-parsed [`Query`] (word ids must come from the
@@ -232,16 +233,21 @@ pub enum CacheOutcome {
 }
 
 /// Everything a query execution produced, in one value.
+///
+/// Patterns, tables and counters are held by reference count: on the
+/// [`SharedEngine`](crate::concurrent::SharedEngine) route they are the
+/// result cache's own, shared with every other response of the same
+/// entry, so building (and cloning) a response copies no row data.
 #[derive(Clone, Debug)]
 pub struct SearchResponse {
     /// The parsed query that actually executed (canonical word ids).
     pub query: Query,
     /// Top-k patterns, best first.
-    pub patterns: Vec<RankedPattern>,
+    pub patterns: Vec<Arc<RankedPattern>>,
     /// One composed table answer per pattern, aligned with `patterns`
     /// (empty when the request opted out via
     /// [`SearchRequest::compose_tables`]).
-    pub tables: Vec<TableAnswer>,
+    pub tables: Vec<Arc<TableAnswer>>,
     /// Presentation-ready tables, aligned with `patterns`, when the
     /// request asked for them.
     pub presented: Option<Vec<PresentedTable>>,
@@ -249,8 +255,9 @@ pub struct SearchResponse {
     pub algorithm: Algorithm,
     /// Whether `algorithm` was chosen by the planner.
     pub planned: bool,
-    /// Execution counters of the search proper.
-    pub stats: QueryStats,
+    /// Execution counters of the search proper (on a cache hit: of the
+    /// run that filled the entry).
+    pub stats: Arc<QueryStats>,
     /// Maximal answerable sub-queries; non-empty only when the request
     /// asked for relaxation and the result was empty.
     pub relaxations: Vec<Relaxation>,
@@ -259,20 +266,22 @@ pub struct SearchResponse {
     pub explain: Option<Vec<String>>,
     /// Cache disposition (always `Uncached` off the shared route).
     pub cache: CacheOutcome,
-    /// Wall-clock time of the whole respond call, including parsing,
-    /// planning, table composition, and rendering.
+    /// Wall-clock time of the respond call: parsing, the cache lookup or
+    /// planning and search, table composition and the other requested
+    /// post-processing. Taken when the response is built, so serializing
+    /// it (e.g. `patternkb_serve`'s body rendering) is not included.
     pub elapsed: std::time::Duration,
 }
 
 impl SearchResponse {
     /// The best pattern, if any.
     pub fn top(&self) -> Option<&RankedPattern> {
-        self.patterns.first()
+        self.patterns.first().map(|p| &**p)
     }
 
     /// The best pattern's table, if any.
     pub fn top_table(&self) -> Option<&TableAnswer> {
-        self.tables.first()
+        self.tables.first().map(|t| &**t)
     }
 
     /// Whether the query produced no answers.

@@ -16,7 +16,7 @@
 //! See the README "Serving" and "Writes" sections for the full field
 //! reference.
 
-use crate::json::{count, num, s, Json};
+use crate::json::{count, s, write_array, write_number, write_string, Json};
 use patternkb_graph::mutate::{GraphDelta, PagerankMode};
 use patternkb_graph::{KnowledgeGraph, NameResolver, NodeId};
 use patternkb_search::topk::SamplingConfig;
@@ -601,119 +601,111 @@ pub fn render_ingest(outcome: &IngestOutcome, elapsed: Duration) -> Json {
     ])
 }
 
+/// A rendered `/search` response body; [`SearchBody::render`] hands the
+/// text over.
+#[derive(Debug)]
+pub struct SearchBody(String);
+
+impl SearchBody {
+    /// The body text.
+    pub fn render(self) -> String {
+        self.0
+    }
+}
+
 /// Render a successful search as the response body. `engine` is the
 /// snapshot that answered (for vocabulary/graph rendering and its data
 /// version).
-pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> Json {
+///
+/// The body is written once, straight from the response's shared tables
+/// into one buffer sized for it — no [`Json`] node and no `String` per
+/// cell in between: the `patterns` array is ≈ 95 % of a body and, on a
+/// cache hit, writing it is most of what the request costs.
+pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> SearchBody {
     let vocab = engine.text().vocab();
-    let query: Vec<Json> = resp
-        .query
-        .keywords
+    let write_count = |out: &mut String, n: usize| write_number(n as f64, out);
+
+    // Every cell with its quotes and comma, plus room for the envelope
+    // and each pattern's scalar fields.
+    let table_bytes: usize = resp
+        .tables
         .iter()
-        .map(|&w| s(vocab.resolve(w)))
-        .collect();
+        .flat_map(|t| t.rows.iter().flatten().chain(&t.columns))
+        .map(|cell| cell.len() + 3)
+        .sum();
+    let mut out = String::with_capacity(512 + 256 * resp.patterns.len() + table_bytes);
 
-    let mut patterns = Vec::with_capacity(resp.patterns.len());
-    for (i, p) in resp.patterns.iter().enumerate() {
-        let mut entry = vec![
-            ("score".to_string(), num(p.score)),
-            ("num_trees".to_string(), count(p.num_trees as u64)),
-            ("display".to_string(), s(p.display(engine.graph()))),
-        ];
+    out.push_str("{\"query\":");
+    write_array(&mut out, &resp.query.keywords, |out, &w| {
+        write_string(vocab.resolve(w), out)
+    });
+    out.push_str(",\"algorithm\":");
+    write_string(ALGORITHM_NAMES[algorithm_slot(resp)], &mut out);
+    out.push_str(",\"planned\":");
+    out.push_str(if resp.planned { "true" } else { "false" });
+    out.push_str(",\"cache\":");
+    out.push_str(match resp.cache {
+        CacheOutcome::Hit => "\"hit\"",
+        CacheOutcome::Miss => "\"miss\"",
+        CacheOutcome::Uncached => "\"uncached\"",
+    });
+    out.push_str(",\"engine_version\":");
+    write_number(engine.version() as f64, &mut out);
+    out.push_str(",\"elapsed_us\":");
+    write_number(resp.elapsed.as_micros() as u64 as f64, &mut out);
+
+    out.push_str(",\"stats\":{\"candidate_roots\":");
+    write_count(&mut out, resp.stats.candidate_roots);
+    out.push_str(",\"subtrees\":");
+    write_count(&mut out, resp.stats.subtrees);
+    out.push_str(",\"patterns\":");
+    write_count(&mut out, resp.stats.patterns);
+    out.push_str(",\"combos_tried\":");
+    write_count(&mut out, resp.stats.combos_tried);
+    out.push_str(",\"combos_pruned\":");
+    write_count(&mut out, resp.stats.combos_pruned);
+    out.push_str(",\"shards\":");
+    write_count(&mut out, resp.stats.per_shard.len());
+    out.push('}');
+
+    out.push_str(",\"patterns\":");
+    write_array(&mut out, resp.patterns.iter().enumerate(), |out, (i, p)| {
+        out.push_str("{\"score\":");
+        write_number(p.score, out);
+        out.push_str(",\"num_trees\":");
+        write_count(out, p.num_trees);
+        out.push_str(",\"display\":");
+        write_string(&p.display(engine.graph()), out);
         if let Some(table) = resp.tables.get(i) {
-            entry.push((
-                "columns".to_string(),
-                Json::Arr(table.columns.iter().map(|x| s(x.as_str())).collect()),
-            ));
-            entry.push((
-                "rows".to_string(),
-                Json::Arr(
-                    table
-                        .rows
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(|x| s(x.as_str())).collect()))
-                        .collect(),
-                ),
-            ));
+            let strings = |out: &mut String, cells: &[String]| {
+                write_array(out, cells, |out, cell| write_string(cell, out))
+            };
+            out.push_str(",\"columns\":");
+            strings(out, &table.columns);
+            out.push_str(",\"rows\":");
+            write_array(out, &table.rows, |out, row| strings(out, row));
         }
-        patterns.push(Json::Obj(entry));
-    }
+        out.push('}');
+    });
 
-    let stats = Json::Obj(vec![
-        (
-            "candidate_roots".to_string(),
-            count(resp.stats.candidate_roots as u64),
-        ),
-        ("subtrees".to_string(), count(resp.stats.subtrees as u64)),
-        ("patterns".to_string(), count(resp.stats.patterns as u64)),
-        (
-            "combos_tried".to_string(),
-            count(resp.stats.combos_tried as u64),
-        ),
-        (
-            "combos_pruned".to_string(),
-            count(resp.stats.combos_pruned as u64),
-        ),
-        (
-            "shards".to_string(),
-            count(resp.stats.per_shard.len() as u64),
-        ),
-    ]);
-
-    let mut fields = vec![
-        ("query".to_string(), Json::Arr(query)),
-        (
-            "algorithm".to_string(),
-            s(ALGORITHM_NAMES[algorithm_slot(resp)]),
-        ),
-        ("planned".to_string(), Json::Bool(resp.planned)),
-        (
-            "cache".to_string(),
-            s(match resp.cache {
-                CacheOutcome::Hit => "hit",
-                CacheOutcome::Miss => "miss",
-                CacheOutcome::Uncached => "uncached",
-            }),
-        ),
-        ("engine_version".to_string(), count(engine.version())),
-        (
-            "elapsed_us".to_string(),
-            count(resp.elapsed.as_micros() as u64),
-        ),
-        ("stats".to_string(), stats),
-        ("patterns".to_string(), Json::Arr(patterns)),
-    ];
     if !resp.relaxations.is_empty() {
-        fields.push((
-            "relaxations".to_string(),
-            Json::Arr(
-                resp.relaxations
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            (
-                                "keywords".to_string(),
-                                Json::Arr(
-                                    r.keywords.iter().map(|&w| s(vocab.resolve(w))).collect(),
-                                ),
-                            ),
-                            (
-                                "candidate_roots".to_string(),
-                                count(r.candidate_roots as u64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        out.push_str(",\"relaxations\":");
+        write_array(&mut out, &resp.relaxations, |out, r| {
+            out.push_str("{\"keywords\":");
+            write_array(out, &r.keywords, |out, &w| {
+                write_string(vocab.resolve(w), out)
+            });
+            out.push_str(",\"candidate_roots\":");
+            write_count(out, r.candidate_roots);
+            out.push('}');
+        });
     }
     if let Some(explain) = &resp.explain {
-        fields.push((
-            "explain".to_string(),
-            Json::Arr(explain.iter().map(|x| s(x.as_str())).collect()),
-        ));
+        out.push_str(",\"explain\":");
+        write_array(&mut out, explain, |out, trace| write_string(trace, out));
     }
-    Json::Obj(fields)
+    out.push('}');
+    SearchBody(out)
 }
 
 /// Wire names of the resolved algorithms, indexed by [`algorithm_slot`]
@@ -1026,6 +1018,271 @@ mod tests {
         assert!(body.contains("\"postings_added\":7"));
         assert!(body.contains("\"words_rebuilt\":6"));
         assert!(body.contains("\"elapsed_us\":1500"));
+    }
+
+    // ------------------------------------------------------------------
+    // The search body: written directly, byte for byte what the `Json`
+    // tree rendered.
+    // ------------------------------------------------------------------
+
+    /// The tree builder `render_response` was before it wrote the body
+    /// directly; kept as the reference the writer must match.
+    fn reference_body(engine: &SearchEngine, resp: &SearchResponse) -> Json {
+        use crate::json::num;
+        let vocab = engine.text().vocab();
+        let words = |ids: &[_]| Json::Arr(ids.iter().map(|&w| s(vocab.resolve(w))).collect());
+        let strings = |xs: &[String]| Json::Arr(xs.iter().map(|x| s(x.as_str())).collect());
+        let field = |k: &str, v: Json| (k.to_string(), v);
+
+        let mut patterns = Vec::new();
+        for (i, p) in resp.patterns.iter().enumerate() {
+            let mut entry = vec![
+                field("score", num(p.score)),
+                field("num_trees", count(p.num_trees as u64)),
+                field("display", s(p.display(engine.graph()))),
+            ];
+            if let Some(table) = resp.tables.get(i) {
+                entry.push(field("columns", strings(&table.columns)));
+                entry.push(field(
+                    "rows",
+                    Json::Arr(table.rows.iter().map(|row| strings(row)).collect()),
+                ));
+            }
+            patterns.push(Json::Obj(entry));
+        }
+        let stats = Json::Obj(vec![
+            field("candidate_roots", count(resp.stats.candidate_roots as u64)),
+            field("subtrees", count(resp.stats.subtrees as u64)),
+            field("patterns", count(resp.stats.patterns as u64)),
+            field("combos_tried", count(resp.stats.combos_tried as u64)),
+            field("combos_pruned", count(resp.stats.combos_pruned as u64)),
+            field("shards", count(resp.stats.per_shard.len() as u64)),
+        ]);
+        let mut fields = vec![
+            field("query", words(&resp.query.keywords)),
+            field("algorithm", s(ALGORITHM_NAMES[algorithm_slot(resp)])),
+            field("planned", Json::Bool(resp.planned)),
+            field(
+                "cache",
+                s(match resp.cache {
+                    CacheOutcome::Hit => "hit",
+                    CacheOutcome::Miss => "miss",
+                    CacheOutcome::Uncached => "uncached",
+                }),
+            ),
+            field("engine_version", count(engine.version())),
+            field("elapsed_us", count(resp.elapsed.as_micros() as u64)),
+            field("stats", stats),
+            field("patterns", Json::Arr(patterns)),
+        ];
+        if !resp.relaxations.is_empty() {
+            let relaxations = resp.relaxations.iter().map(|r| {
+                Json::Obj(vec![
+                    field("keywords", words(&r.keywords)),
+                    field("candidate_roots", count(r.candidate_roots as u64)),
+                ])
+            });
+            fields.push(field("relaxations", Json::Arr(relaxations.collect())));
+        }
+        if let Some(explain) = &resp.explain {
+            fields.push(field("explain", strings(explain)));
+        }
+        Json::Obj(fields)
+    }
+
+    fn assert_body_is_the_tree(engine: &SearchEngine, resp: &SearchResponse, label: &str) {
+        let body = render_response(engine, resp).render();
+        let tree = reference_body(engine, resp);
+        assert_eq!(body, tree.render(), "{label}");
+        assert_eq!(
+            Json::parse(&body).as_ref(),
+            Ok(&tree),
+            "{label}: round trip"
+        );
+    }
+
+    /// A graph whose labels need every escape the writer has.
+    fn hostile_graph() -> KnowledgeGraph {
+        let mut b = patternkb_graph::GraphBuilder::new();
+        let product = b.add_type("Pro\"duct\\");
+        let maker = b.add_type("Maker\u{2028}");
+        let made_by = b.add_attr("made\tby");
+        let motto = b.add_attr("motto\n");
+        for (name, by, says) in [
+            (
+                "widget \"alpha\"",
+                "acme\u{1} corp",
+                "caf\u{e9} \\ cr\u{e8}me",
+            ),
+            ("widget beta\u{7}", "acme \u{1f600} labs", "line\r\nbreak"),
+            ("widget\u{2029}gamma", "", "\u{0}nul \u{10ffff}"),
+        ] {
+            let p = b.add_node(product, name);
+            let m = b.add_node(maker, by);
+            b.add_edge(p, made_by, m);
+            b.add_text_edge(m, motto, says);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn body_writer_matches_the_tree_builder() {
+        use patternkb_search::presentation::PresentationConfig;
+        let figure1 = patternkb_search::EngineBuilder::new()
+            .graph(figure1_graph())
+            .build()
+            .unwrap();
+        let wiki = patternkb_search::EngineBuilder::new()
+            .graph(patternkb_datagen::wiki::wiki(
+                &patternkb_datagen::wiki::WikiConfig {
+                    entities: 400,
+                    seed: 3,
+                    ..Default::default()
+                },
+            ))
+            .shards(3)
+            .build_shared()
+            .unwrap();
+        let hostile = patternkb_search::EngineBuilder::new()
+            .graph(hostile_graph())
+            .build()
+            .unwrap();
+
+        let variants = |text: &str| {
+            let base = SearchRequest::text(text).k(6);
+            [
+                base.clone(),
+                base.clone().compose_tables(false),
+                base.clone().explain(true).relax(true),
+                base.clone().diversify(0.4).max_rows(2),
+                base.clone()
+                    .compose_tables(false)
+                    .presentation(PresentationConfig::default()),
+                base.algorithm(AlgorithmChoice::LinearEnumTopK)
+                    .sampling(SamplingConfig::new(10, 0.5, 7)),
+            ]
+        };
+        let mut bodies = 0;
+        for text in [
+            "database software company revenue",
+            "database",
+            // Answerable only after dropping a keyword: `relaxations`.
+            "oracle gates",
+        ] {
+            for (i, request) in variants(text).iter().enumerate() {
+                let resp = figure1.respond(request).unwrap();
+                assert_body_is_the_tree(&figure1, &resp, &format!("figure1 {text:?} #{i}"));
+                bodies += 1;
+            }
+        }
+        for text in ["widget", "acme motto", "widget made maker"] {
+            for (i, request) in variants(text).iter().enumerate() {
+                let resp = hostile.respond(request).unwrap();
+                assert!(!resp.is_empty(), "hostile {text:?} #{i} has answers");
+                assert_body_is_the_tree(&hostile, &resp, &format!("hostile {text:?} #{i}"));
+                bodies += 1;
+            }
+        }
+        // Through the cache: miss, the hit that fills, a hit that shares.
+        let snapshot = wiki.snapshot();
+        for text in ["baq", "baq ceq"] {
+            for (i, request) in variants(text).iter().enumerate() {
+                for round in 0..3 {
+                    let resp = wiki.respond_on(&snapshot, request).unwrap();
+                    let label = format!("wiki {text:?} #{i} round {round}");
+                    assert_body_is_the_tree(&snapshot, &resp, &label);
+                    bodies += 1;
+                }
+            }
+        }
+        assert_eq!(bodies, 18 + 18 + 36);
+    }
+
+    #[test]
+    fn golden_figure1_body_pins_the_field_order() {
+        let engine = patternkb_search::EngineBuilder::new()
+            .graph(figure1_graph())
+            .shards(1)
+            .build()
+            .unwrap();
+        let request = SearchRequest::text("oracle revenue")
+            .k(2)
+            .algorithm(AlgorithmChoice::PatternEnum)
+            .explain(true);
+        let mut resp = engine.respond(&request).unwrap();
+        resp.elapsed = Duration::from_micros(1234);
+        resp.explain = Some(vec!["trace\n1".to_string(), "trace \"2\"".to_string()]);
+        assert_eq!(
+            render_response(&engine, &resp).render(),
+            GOLDEN_FIGURE1_BODY
+        );
+
+        // No answer: `relaxations` sits between `patterns` and `explain`.
+        let request = SearchRequest::text("oracle gates")
+            .relax(true)
+            .explain(true);
+        let mut resp = engine.respond(&request).unwrap();
+        resp.elapsed = Duration::from_micros(7);
+        assert_eq!(
+            render_response(&engine, &resp).render(),
+            GOLDEN_FIGURE1_RELAXED
+        );
+    }
+
+    const GOLDEN_FIGURE1_BODY: &str = concat!(
+        r#"{"query":["oracle","revenue"],"algorithm":"pattern_enum","planned":false,"#,
+        r#""cache":"uncached","engine_version":0,"elapsed_us":1234,"#,
+        r#""stats":{"candidate_roots":2,"subtrees":3,"patterns":3,"combos_tried":3,"#,
+        r#""combos_pruned":0,"shards":1},"#,
+        r#""patterns":[{"score":1,"num_trees":1,"#,
+        r#""display":"[(Company) | (Company) (Revenue)]","#,
+        r#""columns":["Company","Revenue"],"rows":[["Oracle Corp","US$ 37 billion"]]},"#,
+        r#"{"score":0.75,"num_trees":1,"#,
+        r#""display":"[(Software) | (Software) (Developer) (Company) (Revenue)]","#,
+        r#""columns":["Software","Developer (Company)","Revenue"],"#,
+        r#""rows":[["Oracle DB","Oracle Corp","US$ 37 billion"]]}],"#,
+        r#""explain":["trace\n1","trace \"2\""]}"#,
+    );
+
+    const GOLDEN_FIGURE1_RELAXED: &str = concat!(
+        r#"{"query":["oracle","gate"],"algorithm":"linear_enum","planned":true,"#,
+        r#""cache":"uncached","engine_version":0,"elapsed_us":7,"#,
+        r#""stats":{"candidate_roots":0,"subtrees":0,"patterns":0,"combos_tried":0,"#,
+        r#""combos_pruned":0,"shards":1},"patterns":[],"#,
+        r#""relaxations":[{"keywords":["gate"],"candidate_roots":3},"#,
+        r#"{"keywords":["oracle"],"candidate_roots":2}],"explain":[]}"#,
+    );
+
+    #[test]
+    fn miss_and_hit_bodies_differ_only_in_cache_and_elapsed() {
+        let (g, _) = patternkb_datagen::figure1();
+        let shared = patternkb_search::EngineBuilder::new()
+            .graph(g)
+            .build_shared()
+            .unwrap();
+        let snapshot = shared.snapshot();
+        let request = parse_search(br#"{"q":"database software company revenue","k":10}"#)
+            .unwrap()
+            .request;
+        let mut bodies = Vec::new();
+        for expected in ["miss", "hit", "hit"] {
+            let resp = shared.respond_on(&snapshot, &request).unwrap();
+            let body = Json::parse(&render_response(&snapshot, &resp).render()).unwrap();
+            assert_eq!(body.get("cache").and_then(Json::as_str), Some(expected));
+            let Json::Obj(mut fields) = body else {
+                panic!("body is an object")
+            };
+            fields.retain(|(k, _)| k != "cache" && k != "elapsed_us");
+            bodies.push(Json::Obj(fields).render());
+        }
+        assert!(
+            bodies[0].contains("\"rows\":[[\"SQL Server\""),
+            "{}",
+            bodies[0]
+        );
+        assert_eq!(bodies[0], bodies[1]);
+        assert_eq!(bodies[0], bodies[2]);
+        assert_eq!(shared.cache_stats().table_fills, 1);
     }
 
     #[test]

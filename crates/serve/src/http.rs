@@ -8,7 +8,7 @@
 //! an oversized or malformed request can never balloon memory or kill a
 //! worker thread.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Framing limits. Exceeding them yields [`HttpError::HeadTooLarge`] /
 /// [`HttpError::BodyTooLarge`] (431 / 413), never a panic.
@@ -254,6 +254,10 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write one response; `extra` headers are emitted verbatim.
+///
+/// Head and body leave in one vectored write (repeated only on a short
+/// write): the server sets `TCP_NODELAY`, so two `write_all` calls were
+/// two syscalls and two segments for every response.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -279,8 +283,18 @@ pub fn write_response(
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    let (mut head, mut body) = (head.as_bytes(), body);
+    while !(head.is_empty() && body.is_empty()) {
+        let written = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let of_head = written.min(head.len());
+        head = &head[of_head..];
+        body = &body[written - of_head..];
+    }
     w.flush()
 }
 
@@ -400,5 +414,65 @@ mod tests {
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// Counts write calls and accepts at most `max` bytes per call.
+    struct CountingWriter {
+        out: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max;
+            for buf in bufs {
+                let take = room.min(buf.len());
+                self.out.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.max - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_response_and_short_writes_resume() {
+        let body = b"{\"rows\":[\"a\",\"b\"]}";
+        let respond = |max: usize| {
+            let mut w = CountingWriter {
+                out: Vec::new(),
+                calls: 0,
+                max,
+            };
+            write_response(&mut w, 200, "application/json", &[], body, true).unwrap();
+            w
+        };
+        let whole = respond(usize::MAX);
+        assert_eq!(whole.calls, 1, "head and body must leave in one write");
+        assert!(whole.out.ends_with(body));
+        // Short writes that split the head, straddle the head/body seam
+        // and split the body all resume where they stopped.
+        for max in [1, 7, whole.out.len() - body.len() + 3] {
+            let short = respond(max);
+            assert_eq!(short.out, whole.out, "max {max}");
+            assert_eq!(short.calls, whole.out.len().div_ceil(max), "max {max}");
+        }
+        // A writer that accepts nothing is an error, not a spin.
+        let mut stuck = CountingWriter {
+            out: Vec::new(),
+            calls: 0,
+            max: 0,
+        };
+        let err = write_response(&mut stuck, 200, "text/plain", &[], body, true).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 }

@@ -177,31 +177,61 @@ pub fn s(text: impl Into<String>) -> Json {
     Json::Str(text.into())
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Append `n` the way [`Json::Num`] serializes: integers below 2^53
+/// without a fraction, everything else in `f64`'s shortest round-trip
+/// form, non-finite values as `null`. Formats into `out` directly.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    use fmt::Write;
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the least-wrong encoding.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}").expect("writing to a String cannot fail");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal. Only `"`, `\` and the control
+/// bytes below 0x20 need escaping, all of them ASCII, so everything
+/// between two of them is copied as one run.
+pub(crate) fn write_string(s: &str, out: &mut String) {
+    use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run_start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
+}
+
+/// Append `[…]` with `item` writing each element and commas in between.
+pub(crate) fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 struct Parser<'a> {
@@ -505,5 +535,168 @@ mod tests {
     fn non_finite_numbers_render_as_null() {
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+    }
+
+    // The writers this module had before they copied runs and formatted
+    // in place — one `char` at a time, a `format!` per escape and per
+    // number. Kept as the reference the current ones must match byte for
+    // byte (the benchmark digests response bodies).
+
+    fn reference_string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn reference_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_string()
+        } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn assert_string_is_the_old_string(text: &str) {
+        let mut out = String::from("x");
+        write_string(text, &mut out);
+        assert_eq!(out[1..], reference_string(text), "{text:?}");
+        assert_eq!(Json::Str(text.to_string()).render(), out[1..], "{text:?}");
+        assert_eq!(
+            Json::parse(&out[1..]).unwrap_or_else(|e| panic!("{text:?}: {e}")),
+            Json::Str(text.to_string())
+        );
+    }
+
+    fn assert_number_is_the_old_number(n: f64) {
+        let mut out = String::from("x");
+        write_number(n, &mut out);
+        assert_eq!(out[1..], reference_number(n), "{n:?}");
+        assert_eq!(Json::Num(n).render(), out[1..], "{n:?}");
+        match Json::parse(&out[1..]).unwrap_or_else(|e| panic!("{n:?}: {e}")) {
+            Json::Null => assert!(!n.is_finite(), "{n:?}"),
+            // `==`, so that -0.0, written "0", is its own round trip.
+            parsed => assert_eq!(parsed.as_f64(), Some(n), "{n:?}"),
+        }
+    }
+
+    /// Characters the writer treats specially, their neighbours, and
+    /// multi-byte sequences whose bytes must pass through unsplit.
+    const ALPHABET: [char; 24] = [
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{1}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        ' ',
+        '\u{7f}',
+        'a',
+        'Z',
+        '0',
+        'é',
+        'ß',
+        '\u{80}',
+        '€',
+        '\u{2028}',
+        '\u{2029}',
+        '😀',
+        '\u{10ffff}',
+    ];
+
+    #[test]
+    fn string_writer_matches_the_reference_on_every_special_case() {
+        assert_string_is_the_old_string("");
+        assert_string_is_the_old_string("plain ascii, no escapes at all");
+        assert_string_is_the_old_string("\"\"\\\\\"");
+        assert_string_is_the_old_string("US$ 77 billion / \"quoted\" \\ back\tslash\n");
+        for code in 0..0x20u32 {
+            let c = char::from_u32(code).unwrap();
+            assert_string_is_the_old_string(&c.to_string());
+            // At the start, in the middle and at the end of a run.
+            assert_string_is_the_old_string(&format!("{c}é{c}{c}😀 tail{c}"));
+        }
+        for c in ALPHABET {
+            assert_string_is_the_old_string(&format!("a{c}"));
+            assert_string_is_the_old_string(&format!("{c}\u{2028}{c}"));
+        }
+    }
+
+    #[test]
+    fn number_writer_matches_the_reference_on_every_special_case() {
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            10.0,
+            1234567.0,
+            TWO_53 - 1.0,
+            TWO_53,
+            TWO_53 + 2.0,
+            -(TWO_53 - 1.0),
+            -TWO_53,
+            i64::MAX as f64,
+            u64::MAX as f64,
+            0.5,
+            -0.25,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            0.010_460_251_046_025_104,
+            1e21,
+            1e300,
+            -1e-7,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_number_is_the_old_number(n);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn string_writer_matches_the_reference(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..48),
+        ) {
+            let text: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
+            assert_string_is_the_old_string(&text);
+        }
+
+        #[test]
+        fn number_writer_matches_the_reference(
+            bits in proptest::any::<u64>(),
+            integer in proptest::any::<i64>(),
+            scale in 0u32..64,
+        ) {
+            // Every bit pattern is some f64: subnormals, NaNs, infinities.
+            assert_number_is_the_old_number(f64::from_bits(bits));
+            // Integers of every magnitude, on both sides of 2^53.
+            assert_number_is_the_old_number((integer >> scale) as f64);
+            assert_number_is_the_old_number((integer >> scale) as f64 + 0.5);
+        }
     }
 }

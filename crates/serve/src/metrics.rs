@@ -344,6 +344,19 @@ impl ServerMetrics {
         );
         out.push_str(&format!("patternkb_cache_misses_total {}\n", cache.misses));
         out.push_str(
+            "# HELP patternkb_cache_table_fills_total Cache hits that composed their entry's tables (first reuse); later hits share them.\n\
+             # TYPE patternkb_cache_table_fills_total counter\n",
+        );
+        out.push_str(&format!(
+            "patternkb_cache_table_fills_total {}\n",
+            cache.table_fills
+        ));
+        out.push_str(
+            "# HELP patternkb_cache_entries Results resident in the cache.\n\
+             # TYPE patternkb_cache_entries gauge\n",
+        );
+        out.push_str(&format!("patternkb_cache_entries {}\n", cache.entries));
+        out.push_str(
             "# HELP patternkb_cache_stale_total Entries rejected as version-stale.\n\
              # TYPE patternkb_cache_stale_total counter\n",
         );

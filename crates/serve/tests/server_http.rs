@@ -124,6 +124,8 @@ fn search_healthz_metrics_happy_path() {
         "patternkb_shed_total{reason=\"deadline\"} 0",
         "patternkb_cache_hits_total 1",
         "patternkb_cache_misses_total 1",
+        "patternkb_cache_table_fills_total 1",
+        "patternkb_cache_entries 1",
         "patternkb_engine_epoch 0",
         "patternkb_batches_total",
         "patternkb_shard_subtrees_total",

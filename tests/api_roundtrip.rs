@@ -42,7 +42,7 @@ fn text_and_parsed_requests_agree() {
         }
         // Tables come back on the response, identical to engine.table().
         for (p, t) in via_text.patterns.iter().zip(&via_text.tables) {
-            assert_eq!(&e.table(p), t, "{text}");
+            assert_eq!(e.table(p), **t, "{text}");
         }
         // The default SearchConfig and the default SearchRequest agree on
         // every knob they share.

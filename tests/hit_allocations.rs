@@ -1,0 +1,134 @@
+//! Count allocations, not microseconds: what a result-cache hit costs.
+//!
+//! A warmed hit — `SharedEngine::respond_on` then
+//! `api::render_response(..).render()` — shares the cached patterns and
+//! tables by reference count and writes the body once into one buffer, so
+//! the number of heap allocations it makes is a small constant: the parsed
+//! query, the cache key, the response's two `Arc` lists, the body buffer,
+//! and the `display` string of each pattern. It does not grow with the
+//! rows or the cells of the answer. Before the sharing, a hit made one
+//! allocation per path of every row (the deep copy out of the cache) and
+//! one per table cell in each of table composition and the JSON tree —
+//! thousands. The count repeats exactly on any machine, which a timing
+//! does not.
+
+use patternkb::datagen::queries::QueryGenerator;
+use patternkb::datagen::wiki::{wiki, WikiConfig};
+use patternkb::prelude::*;
+use patternkb::search::CacheOutcome;
+use patternkb::serve::api;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocation requests this thread made since the last reset.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record() {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread-local is gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; `record` only
+// touches a const-initialized `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `f`, returning its result and how many allocation requests the
+/// calling thread made while it ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|n| n.set(0));
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
+/// Fixed part of a hit, plus what each returned pattern may add: its
+/// `display` string, grown from one string per keyword path. Measured on
+/// the queries below: 12 for one single-keyword pattern, 93–135 for ten
+/// patterns (the parent commit: 139 and 727–6 275 on the same queries).
+const HIT_BASE: usize = 16;
+const HIT_PER_PATTERN: usize = 16;
+
+#[test]
+fn a_warmed_hit_allocates_a_small_constant() {
+    let g = wiki(&WikiConfig {
+        entities: 3_000,
+        seed: 9,
+        ..WikiConfig::default()
+    });
+    let shared = EngineBuilder::new()
+        .graph(g)
+        .threads(1)
+        .shards(2)
+        .build_shared()
+        .unwrap();
+    let snapshot = shared.snapshot();
+    let mut generator = QueryGenerator::new(snapshot.graph(), snapshot.text(), snapshot.d(), 3);
+
+    let mut checked = 0;
+    for m in [1, 2, 3, 1, 2, 3, 1, 2, 1, 2, 1, 2] {
+        let Some(spec) = generator.anchored(m) else {
+            continue;
+        };
+        let request = SearchRequest::query(Query::from_ids(spec.keywords)).k(10);
+        let serve = || {
+            let response = shared.respond_on(&snapshot, &request).unwrap();
+            let body = api::render_response(&snapshot, &response).render();
+            (response, body)
+        };
+        // Miss, then the hit that fills the entry's tables.
+        assert_eq!(serve().0.cache, CacheOutcome::Miss);
+        serve();
+
+        let ((hit, body), count) = allocations(serve);
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        let cells: usize = hit
+            .tables
+            .iter()
+            .map(|t| t.rows.len() * t.columns.len())
+            .sum();
+        let paths: usize = hit
+            .patterns
+            .iter()
+            .flat_map(|p| p.trees.iter())
+            .map(|t| t.paths.len())
+            .sum();
+        let bound = HIT_BASE + HIT_PER_PATTERN * hit.patterns.len();
+        assert!(
+            count <= bound,
+            "a hit returning {} patterns ({paths} row paths, {cells} cells, {} body bytes) \
+             made {count} allocations, over the bound of {bound}",
+            hit.patterns.len(),
+            body.len(),
+        );
+        // The bound bites where one allocation per cell alone would
+        // have broken it.
+        checked += usize::from(cells > bound);
+        // And the count repeats exactly.
+        let (_, again) = allocations(serve);
+        assert_eq!(again, count, "the count repeats");
+    }
+    assert!(checked >= 3, "too few large answers to make the bound bite");
+}
