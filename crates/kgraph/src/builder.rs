@@ -7,17 +7,20 @@
 //! [`GraphBuilder::add_edge`] calls with the same attribute.
 
 use crate::fxhash::FxHashMap;
-use crate::graph::KnowledgeGraph;
+use crate::graph::{KnowledgeGraph, Triple};
 use crate::ids::{AttrId, Id, NodeId, TypeId};
 use crate::interner::Interner;
 
-/// Mutable builder; call [`GraphBuilder::build`] to freeze into CSR form.
+/// Mutable builder; call [`GraphBuilder::build`] to freeze into a
+/// [`KnowledgeGraph`].
 pub struct GraphBuilder {
     types: Interner<TypeId>,
     attrs: Interner<AttrId>,
     node_types: Vec<TypeId>,
-    node_texts: Vec<Box<str>>,
-    edges: Vec<(NodeId, AttrId, NodeId)>,
+    /// Every node's text back to back; node `v` ends at `text_ends[v]`.
+    text: String,
+    text_ends: Vec<usize>,
+    edges: Vec<Triple>,
     /// Dedup cache for plain-text value nodes: identical text shares a node.
     text_nodes: FxHashMap<Box<str>, NodeId>,
     compute_pagerank: bool,
@@ -40,7 +43,8 @@ impl GraphBuilder {
             types,
             attrs: Interner::new(),
             node_types: Vec::new(),
-            node_texts: Vec::new(),
+            text: String::new(),
+            text_ends: Vec::new(),
             edges: Vec::new(),
             text_nodes: FxHashMap::default(),
             compute_pagerank: true,
@@ -52,7 +56,7 @@ impl GraphBuilder {
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         let mut b = Self::new();
         b.node_types.reserve(nodes);
-        b.node_texts.reserve(nodes);
+        b.text_ends.reserve(nodes);
         b.edges.reserve(edges);
         b
     }
@@ -83,7 +87,8 @@ impl GraphBuilder {
     pub fn add_node(&mut self, t: TypeId, text: &str) -> NodeId {
         let id = NodeId::from_usize(self.node_types.len());
         self.node_types.push(t);
-        self.node_texts.push(text.into());
+        self.text.push_str(text);
+        self.text_ends.push(self.text.len());
         id
     }
 
@@ -118,30 +123,23 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Freeze into an immutable CSR [`KnowledgeGraph`]. Edges are
-    /// deduplicated and sorted by `(source, attr, target)`; the reverse CSR
-    /// is derived; PageRank is computed unless [`Self::skip_pagerank`] was
+    /// Freeze into an immutable chunked [`KnowledgeGraph`]. Edges are
+    /// deduplicated and sorted by `(source, attr, target)`; the in-edge rows
+    /// are derived; PageRank is computed unless [`Self::skip_pagerank`] was
     /// called.
     pub fn build(mut self) -> KnowledgeGraph {
-        let n = self.node_types.len();
-        self.edges.sort_unstable_by_key(|&(s, a, t)| (s, a, t));
+        self.edges.sort_unstable();
         self.edges.dedup();
 
-        let csr = crate::graph::Csr::from_sorted_edges(n, &self.edges);
-        let mut g = KnowledgeGraph {
-            node_types: self.node_types,
-            node_texts: self.node_texts,
-            out_offsets: csr.out_offsets,
-            out_attrs: csr.out_attrs,
-            out_targets: csr.out_targets,
-            in_offsets: csr.in_offsets,
-            in_attrs: csr.in_attrs,
-            in_sources: csr.in_sources,
-            types: self.types,
-            attrs: self.attrs,
-            pagerank: vec![0.0; n],
-        };
-        if self.compute_pagerank && n > 0 {
+        let mut g = KnowledgeGraph::from_sorted_edges(
+            self.types,
+            self.attrs,
+            &self.node_types,
+            &self.text,
+            &self.text_ends,
+            &self.edges,
+        );
+        if self.compute_pagerank && g.num_nodes() > 0 {
             let pr = crate::pagerank::compute(&g, &crate::pagerank::PageRankConfig::default());
             g.set_pagerank(pr);
         }

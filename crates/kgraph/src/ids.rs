@@ -2,8 +2,8 @@
 //!
 //! Every entity in the system (graph node, entity type, attribute type,
 //! vocabulary word) is referred to by a `u32` newtype. Using 4-byte ids keeps
-//! the CSR arrays and the path indexes compact (the per-word path indexes are
-//! the dominant memory consumer, cf. Figure 6 of the paper) and makes ids
+//! the adjacency rows and the path indexes compact (the per-word path indexes
+//! are the dominant memory consumer, cf. Figure 6 of the paper) and makes ids
 //! `Copy`, hashable and directly usable as array offsets.
 
 use std::fmt;

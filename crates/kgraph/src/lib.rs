@@ -15,8 +15,8 @@
 //!
 //! The crate provides:
 //!
-//! * compact, cache-friendly CSR storage with both forward and reverse
-//!   adjacency ([`graph::KnowledgeGraph`]);
+//! * compact adjacency-row storage, forward and reverse, in node chunks
+//!   that graph versions share by reference ([`graph::KnowledgeGraph`]);
 //! * string interners for types and attributes ([`interner::Interner`]);
 //! * an incremental [`builder::GraphBuilder`];
 //! * PageRank per Eq. (5) of the paper ([`pagerank`]);

@@ -1,11 +1,13 @@
 //! Incremental mutation of a frozen [`KnowledgeGraph`].
 //!
 //! Knowledge bases evolve: new entities are extracted, attributes are
-//! corrected, stale links are dropped. The CSR layout of
-//! [`KnowledgeGraph`] is deliberately immutable, so mutation is expressed
-//! as a [`GraphDelta`] — a batch of additions/removals validated against a
-//! base graph — that [`GraphDelta::apply`] freezes into a *new* CSR graph
-//! with all existing [`NodeId`]s preserved.
+//! corrected, stale links are dropped. A published [`KnowledgeGraph`] is
+//! deliberately immutable, so mutation is expressed as a [`GraphDelta`] —
+//! a batch of additions/removals validated against a base graph — that
+//! [`GraphDelta::apply`] turns into a *new* graph version with all
+//! existing [`NodeId`]s preserved. The new version copies only the node
+//! chunks the batch touches and shares the rest with its base (see
+//! [`crate::graph`]), so an apply costs what it changed.
 //!
 //! The delta also reports its [`GraphDelta::dirty_nodes`]: the endpoints of
 //! every added/removed edge plus every new node. Downstream, the path
@@ -19,12 +21,13 @@
 //! systems refresh centrality offline on a schedule; `Recompute` reruns the
 //! paper's iterative method on the new graph.
 
-use crate::fxhash::FxHashMap;
-use crate::graph::KnowledgeGraph;
+use crate::fxhash::{set_with_capacity, FxHashMap, FxHashSet};
+use crate::graph::{KnowledgeGraph, Triple};
 use crate::ids::{AttrId, Id, NodeId, TypeId};
 use crate::interner::Interner;
 use crate::snapshot::{Reader, SnapshotError};
 use bytes::{BufMut, BytesMut};
+use std::sync::Arc;
 
 const DELTA_MAGIC: &[u8; 4] = b"PKBD";
 const DELTA_VERSION: u32 = 1;
@@ -81,6 +84,11 @@ pub enum DeltaError {
         /// Node count of the graph it was applied to.
         actual_nodes: usize,
     },
+    /// The delta's type or attribute table does not extend the graph's:
+    /// it was created before another ingest added schema (applying it
+    /// would un-add those types/attributes). Rebuild the delta from the
+    /// current graph and retry.
+    SchemaMismatch,
 }
 
 impl std::fmt::Display for DeltaError {
@@ -115,6 +123,11 @@ impl std::fmt::Display for DeltaError {
                 "delta built against a {expected_nodes}-node graph applied to a \
                  {actual_nodes}-node graph; rebuild the delta and retry"
             ),
+            DeltaError::SchemaMismatch => write!(
+                f,
+                "delta's type/attribute tables do not extend the graph's; \
+                 rebuild the delta and retry"
+            ),
         }
     }
 }
@@ -147,13 +160,15 @@ impl std::error::Error for DeltaError {}
 #[derive(Clone)]
 pub struct GraphDelta {
     base_nodes: usize,
-    /// Clone of the base interner, possibly extended by `add_type`.
-    types: Interner<TypeId>,
-    /// Clone of the base interner, possibly extended by `add_attr`.
-    attrs: Interner<AttrId>,
+    /// The base graph's interner itself, until `add_type` interns a new
+    /// type into a private copy.
+    types: Arc<Interner<TypeId>>,
+    /// The base graph's interner itself, until `add_attr` interns a new
+    /// attribute into a private copy.
+    attrs: Arc<Interner<AttrId>>,
     new_nodes: Vec<(TypeId, Box<str>)>,
-    added: Vec<(NodeId, AttrId, NodeId)>,
-    removed: Vec<(NodeId, AttrId, NodeId)>,
+    added: Vec<Triple>,
+    removed: Vec<Triple>,
     /// Delta-local dedup of plain-text value nodes (mirrors the builder).
     text_nodes: FxHashMap<Box<str>, NodeId>,
 }
@@ -176,8 +191,8 @@ impl GraphDelta {
     pub fn new(base: &KnowledgeGraph) -> Self {
         GraphDelta {
             base_nodes: base.num_nodes(),
-            types: base.types().clone(),
-            attrs: base.attrs().clone(),
+            types: Arc::clone(&base.types),
+            attrs: Arc::clone(&base.attrs),
             new_nodes: Vec::new(),
             added: Vec::new(),
             removed: Vec::new(),
@@ -193,12 +208,12 @@ impl GraphDelta {
 
     /// Intern a (possibly new) entity type.
     pub fn add_type(&mut self, text: &str) -> TypeId {
-        self.types.get_or_intern(text)
+        intern_shared(&mut self.types, text)
     }
 
     /// Intern a (possibly new) attribute type.
     pub fn add_attr(&mut self, text: &str) -> AttrId {
-        self.attrs.get_or_intern(text)
+        intern_shared(&mut self.attrs, text)
     }
 
     /// Add a new entity; its id continues the base graph's id space.
@@ -467,8 +482,8 @@ impl GraphDelta {
 
         Ok(GraphDelta {
             base_nodes,
-            types,
-            attrs,
+            types: Arc::new(types),
+            attrs: Arc::new(attrs),
             new_nodes,
             added,
             removed,
@@ -476,12 +491,21 @@ impl GraphDelta {
         })
     }
 
-    /// Validate the batch against `base` and freeze a new CSR graph.
+    /// Validate the batch against `base` and produce the next graph
+    /// version.
     ///
     /// All base node/type/attribute ids keep their meaning; new nodes get
     /// the next ids. Fails without side effects on the first invalid
     /// operation (an edge removal that names a missing edge, or an edge
-    /// addition that duplicates a surviving edge).
+    /// addition that duplicates a surviving edge), and on a delta whose
+    /// node count or schema tables no longer line up with `base`.
+    ///
+    /// The result copies the chunks holding an endpoint of an added or
+    /// removed edge plus the tail chunk the new nodes land in, and shares
+    /// every other chunk — and the interners, unless the delta adds schema
+    /// — with `base` ([`KnowledgeGraph::chunks_shared_with`] counts them).
+    /// [`PagerankMode::Recompute`] rewrites every chunk's scores and is
+    /// O(graph) by nature.
     pub fn apply(
         &self,
         base: &KnowledgeGraph,
@@ -493,22 +517,14 @@ impl GraphDelta {
                 actual_nodes: base.num_nodes(),
             });
         }
-        let n2 = self.total_nodes();
+        let types = extending(&base.types, &self.types).ok_or(DeltaError::SchemaMismatch)?;
+        let attrs = extending(&base.attrs, &self.attrs).ok_or(DeltaError::SchemaMismatch)?;
 
-        // Removal set; the CSR stores at most one edge per triple, so a
-        // plain set suffices and a second removal of the same triple is an
-        // error.
-        let mut removed: FxHashMap<(NodeId, AttrId, NodeId), bool> = FxHashMap::default();
+        // The graph stores at most one edge per triple, so a second removal
+        // of the same triple is an error.
+        let mut removed: FxHashSet<Triple> = set_with_capacity(self.removed.len());
         for &(s, a, t) in &self.removed {
-            if !base.has_edge(s, a, t) {
-                return Err(DeltaError::EdgeNotFound {
-                    source: s,
-                    attr: a,
-                    target: t,
-                });
-            }
-            // `false` = not yet consumed by the filter pass below.
-            if removed.insert((s, a, t), false).is_some() {
+            if !base.has_edge(s, a, t) || !removed.insert((s, a, t)) {
                 return Err(DeltaError::EdgeNotFound {
                     source: s,
                     attr: a,
@@ -516,13 +532,11 @@ impl GraphDelta {
                 });
             }
         }
-
-        // Duplicate check for additions: against surviving base edges and
-        // against each other.
-        let mut seen_added: FxHashMap<(NodeId, AttrId, NodeId), ()> = FxHashMap::default();
+        // Additions must not duplicate a surviving base edge or each other.
+        let mut added: FxHashSet<Triple> = set_with_capacity(self.added.len());
         for &(s, a, t) in &self.added {
-            let survives_in_base = base.has_edge(s, a, t) && !removed.contains_key(&(s, a, t));
-            if survives_in_base || seen_added.insert((s, a, t), ()).is_some() {
+            let survives_in_base = base.has_edge(s, a, t) && !removed.contains(&(s, a, t));
+            if survives_in_base || !added.insert((s, a, t)) {
                 return Err(DeltaError::DuplicateEdge {
                     source: s,
                     attr: a,
@@ -531,54 +545,50 @@ impl GraphDelta {
             }
         }
 
-        // Assemble the surviving edge list.
-        let m2 = base.num_edges() - self.removed.len() + self.added.len();
-        let mut edges: Vec<(NodeId, AttrId, NodeId)> = Vec::with_capacity(m2);
-        for e in base.edges() {
-            if !removed.contains_key(&(e.source, e.attr, e.target)) {
-                edges.push((e.source, e.attr, e.target));
-            }
-        }
-        edges.extend_from_slice(&self.added);
-        edges.sort_unstable();
-        debug_assert_eq!(edges.len(), m2);
-
-        let mut node_types = base.node_types.clone();
-        let mut node_texts = base.node_texts.clone();
-        node_types.reserve(self.new_nodes.len());
-        node_texts.reserve(self.new_nodes.len());
-        for (t, text) in &self.new_nodes {
-            node_types.push(*t);
-            node_texts.push(text.clone());
-        }
-
-        let csr = crate::graph::Csr::from_sorted_edges(n2, &edges);
-        let mut g = KnowledgeGraph {
-            node_types,
-            node_texts,
-            out_offsets: csr.out_offsets,
-            out_attrs: csr.out_attrs,
-            out_targets: csr.out_targets,
-            in_offsets: csr.in_offsets,
-            in_attrs: csr.in_attrs,
-            in_sources: csr.in_sources,
-            types: self.types.clone(),
-            attrs: self.attrs.clone(),
-            pagerank: Vec::new(),
-        };
-        match mode {
-            PagerankMode::Frozen => {
-                let mut pr = base.pagerank.clone();
-                pr.resize(n2, if n2 > 0 { 1.0 / n2 as f64 } else { 0.0 });
-                g.pagerank = pr;
-            }
-            PagerankMode::Recompute => {
-                let pr = crate::pagerank::compute(&g, &crate::pagerank::PageRankConfig::default());
-                g.set_pagerank(pr);
-            }
+        let n2 = self.total_nodes();
+        let prior = if n2 > 0 { 1.0 / n2 as f64 } else { 0.0 };
+        let mut g = base.patched(
+            types,
+            attrs,
+            &self.new_nodes,
+            &self.added,
+            &self.removed,
+            prior,
+        );
+        if mode == PagerankMode::Recompute {
+            let pr = crate::pagerank::compute(&g, &crate::pagerank::PageRankConfig::default());
+            g.set_pagerank(pr);
         }
         Ok(g)
     }
+}
+
+/// Intern `text`, copying the interner first only if the text is new and
+/// the interner is still the one shared with the base graph.
+fn intern_shared<I: Id>(interner: &mut Arc<Interner<I>>, text: &str) -> I {
+    match interner.get(text) {
+        Some(id) => id,
+        None => Arc::make_mut(interner).get_or_intern(text),
+    }
+}
+
+/// The interner a graph gets from applying a delta that carries `delta`
+/// to a graph that carries `base`: `None` unless `delta` extends `base`
+/// (same texts at the same ids, possibly more after them), and `base`
+/// itself when it adds nothing, so versions keep sharing it.
+fn extending<I: Id>(base: &Arc<Interner<I>>, delta: &Arc<Interner<I>>) -> Option<Arc<Interner<I>>> {
+    if Arc::ptr_eq(base, delta) {
+        return Some(Arc::clone(base));
+    }
+    let is_prefix =
+        base.len() <= delta.len() && base.iter().zip(delta.iter()).all(|(b, d)| b.1 == d.1);
+    is_prefix.then(|| {
+        Arc::clone(if base.len() == delta.len() {
+            base
+        } else {
+            delta
+        })
+    })
 }
 
 #[cfg(test)]
@@ -731,7 +741,7 @@ mod tests {
     #[test]
     fn recompute_matches_fresh_build() {
         // Applying a delta and building the same graph from scratch must
-        // produce identical CSR layouts and PageRank.
+        // produce identical adjacency and PageRank.
         let g = base();
         let comp = g.type_by_text("Company").unwrap();
         let dev = g.attr_by_text("Developer").unwrap();
@@ -817,6 +827,117 @@ mod tests {
         let g2 = d.apply(&g, PagerankMode::Frozen).unwrap();
         assert_eq!(g2.num_nodes(), g.num_nodes() + 1);
         assert!(g2.is_text_node(a));
+    }
+
+    #[test]
+    fn stale_delta_cannot_drop_schema() {
+        // A adds schema but no node, B is built on the same base: the node
+        // counts still line up after A, so only the schema check stands
+        // between B and un-adding A's type and attribute.
+        let g = base();
+        let dev = g.attr_by_text("Developer").unwrap();
+        let mut a = GraphDelta::new(&g);
+        a.add_type("Research Lab");
+        a.add_attr("Sponsor");
+        let mut b = GraphDelta::new(&g);
+        b.add_edge(NodeId(1), dev, NodeId(0)).unwrap();
+
+        let g1 = a.apply(&g, PagerankMode::Frozen).unwrap();
+        assert_eq!(g1.num_types(), g.num_types() + 1);
+        assert_eq!(g1.num_attrs(), g.num_attrs() + 1);
+        assert_eq!(
+            b.apply(&g1, PagerankMode::Frozen).unwrap_err(),
+            DeltaError::SchemaMismatch
+        );
+        let decoded = GraphDelta::decode(&b.encode()).unwrap();
+        assert_eq!(
+            decoded.apply(&g1, PagerankMode::Frozen).unwrap_err(),
+            DeltaError::SchemaMismatch
+        );
+
+        // Rebuilt on the current graph it applies, and the schema stays.
+        let mut b = GraphDelta::new(&g1);
+        b.add_edge(NodeId(1), dev, NodeId(0)).unwrap();
+        let g2 = b.apply(&g1, PagerankMode::Frozen).unwrap();
+        assert_eq!(
+            g2.type_by_text("Research Lab"),
+            g1.type_by_text("Research Lab")
+        );
+        assert_eq!(g2.attr_by_text("Sponsor"), g1.attr_by_text("Sponsor"));
+        assert_eq!(
+            (g2.num_types(), g2.num_attrs()),
+            (g1.num_types(), g1.num_attrs())
+        );
+    }
+
+    #[test]
+    fn interners_are_shared_unless_the_delta_adds_schema() {
+        let g = base();
+        let comp = g.type_by_text("Company").unwrap();
+        let mut d = GraphDelta::new(&g);
+        // Re-interning known text does not fork the tables.
+        assert_eq!(d.add_type("Company"), comp);
+        d.add_node(comp, "Oracle Corp").unwrap();
+        let g1 = d.apply(&g, PagerankMode::Frozen).unwrap();
+        assert!(Arc::ptr_eq(&g1.types, &g.types) && Arc::ptr_eq(&g1.attrs, &g.attrs));
+        // A decoded delta carries its own copy of the tables; the graph
+        // keeps the base's when they say the same.
+        let replayed = GraphDelta::decode(&d.encode()).unwrap();
+        let g1 = replayed.apply(&g, PagerankMode::Frozen).unwrap();
+        assert!(Arc::ptr_eq(&g1.types, &g.types) && Arc::ptr_eq(&g1.attrs, &g.attrs));
+
+        let mut d = GraphDelta::new(&g);
+        d.add_attr("Sponsor");
+        let g2 = d.apply(&g, PagerankMode::Frozen).unwrap();
+        assert!(Arc::ptr_eq(&g2.types, &g.types));
+        assert!(!Arc::ptr_eq(&g2.attrs, &g.attrs));
+        assert_eq!(g.attr_by_text("Sponsor"), None, "the base is untouched");
+    }
+
+    #[test]
+    fn apply_copies_the_chunks_it_touches_and_shares_the_rest() {
+        use crate::graph::CHUNK;
+        let mut b = GraphBuilder::new();
+        let ty = b.add_type("Thing");
+        let rel = b.add_attr("related to");
+        let nodes: Vec<_> = (0..4 * CHUNK - 5)
+            .map(|i| b.add_node(ty, &format!("entity number {i}")))
+            .collect();
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], rel, w[1]);
+        }
+        let g = b.build();
+        assert_eq!(g.chunks_shared_with(&g), (4, 4));
+
+        // An edge from chunk 0 to chunk 2, and a node for the tail chunk.
+        let mut d = GraphDelta::new(&g);
+        d.add_edge(nodes[3], rel, nodes[2 * CHUNK + 9]).unwrap();
+        d.add_node(ty, "a newcomer").unwrap();
+        let g2 = d.apply(&g, PagerankMode::Frozen).unwrap();
+        assert_eq!(g2.chunks_shared_with(&g), (1, 4), "only chunk 1 untouched");
+        // Removing an edge inside chunk 1 copies chunk 1 alone …
+        let mut d = GraphDelta::new(&g2);
+        d.remove_edge(nodes[CHUNK + 1], rel, nodes[CHUNK + 2])
+            .unwrap();
+        let g3 = d.apply(&g2, PagerankMode::Frozen).unwrap();
+        assert_eq!(g3.chunks_shared_with(&g2), (3, 4));
+        // … and nodes past a full tail open a new chunk without copying.
+        let mut d = GraphDelta::new(&g3);
+        for i in 0..6 {
+            d.add_node(ty, &format!("overflow {i}")).unwrap();
+        }
+        let g4 = d.apply(&g3, PagerankMode::Frozen).unwrap();
+        assert_eq!(g4.num_nodes(), 4 * CHUNK + 2);
+        assert_eq!(g4.chunks_shared_with(&g3), (3, 5));
+        assert_eq!(
+            g4.node_text(NodeId::from_usize(4 * CHUNK + 1)),
+            "overflow 5"
+        );
+        // Recomputing PageRank rewrites every chunk.
+        let g5 = GraphDelta::new(&g4)
+            .apply(&g4, PagerankMode::Recompute)
+            .unwrap();
+        assert_eq!(g5.chunks_shared_with(&g4), (0, 5));
     }
 
     #[test]
@@ -987,6 +1108,190 @@ mod proptests {
             }
         }
         d
+    }
+
+    /// A `Thing` graph of `n` nodes: a ring, and from every seventh node a
+    /// jump half-way round — into another chunk once `n` exceeds one.
+    fn sized_base(n: usize) -> KnowledgeGraph {
+        let mut b = GraphBuilder::new();
+        let ty = b.add_type("Thing");
+        let rel = b.add_attr("related to");
+        let far = b.add_attr("far from");
+        let nodes: Vec<_> = (0..n)
+            .map(|i| b.add_node(ty, &format!("entity number {i}")))
+            .collect();
+        for i in 0..n {
+            b.add_edge(nodes[i], rel, nodes[(i + 1) % n]);
+            if i % 7 == 0 {
+                b.add_edge(nodes[i], far, nodes[(i + n / 2) % n]);
+            }
+        }
+        b.build()
+    }
+
+    fn texts<I: Id>(interner: &Interner<I>) -> Vec<String> {
+        interner.iter().map(|(_, s)| s.to_string()).collect()
+    }
+
+    /// What a chain of applied deltas should add up to, kept as the plain
+    /// lists a `GraphBuilder` rebuild starts from.
+    struct Model {
+        types: Vec<String>,
+        attrs: Vec<String>,
+        nodes: Vec<(TypeId, String)>,
+        edges: std::collections::BTreeSet<Triple>,
+        pagerank: Vec<f64>,
+    }
+
+    impl Model {
+        fn of(g: &KnowledgeGraph) -> Model {
+            Model {
+                types: texts(g.types()),
+                attrs: texts(g.attrs()),
+                nodes: g
+                    .nodes()
+                    .map(|v| (g.node_type(v), g.node_text(v).to_string()))
+                    .collect(),
+                edges: g.edges().map(|e| (e.source, e.attr, e.target)).collect(),
+                pagerank: g.nodes().map(|v| g.pagerank(v)).collect(),
+            }
+        }
+
+        fn absorb(&mut self, d: &GraphDelta, mode: PagerankMode) {
+            self.types = texts(&d.types);
+            self.attrs = texts(&d.attrs);
+            self.nodes
+                .extend(d.new_nodes.iter().map(|(t, s)| (*t, s.to_string())));
+            for e in &d.removed {
+                assert!(self.edges.remove(e));
+            }
+            for e in &d.added {
+                assert!(self.edges.insert(*e));
+            }
+            let n = self.nodes.len();
+            self.pagerank.resize(n, 1.0 / n as f64);
+            if mode == PagerankMode::Recompute {
+                self.pagerank = crate::pagerank::compute(&self.rebuild(), &Default::default());
+            }
+        }
+
+        fn rebuild(&self) -> KnowledgeGraph {
+            let mut b = GraphBuilder::new();
+            b.skip_pagerank();
+            for t in self.types.iter().skip(1) {
+                b.add_type(t);
+            }
+            for a in &self.attrs {
+                b.add_attr(a);
+            }
+            for (t, text) in &self.nodes {
+                b.add_node(*t, text);
+            }
+            for &(s, a, t) in &self.edges {
+                b.add_edge(s, a, t);
+            }
+            let mut g = b.build();
+            g.set_pagerank(self.pagerank.clone());
+            g
+        }
+    }
+
+    /// Equality through every public accessor, PageRank bit for bit.
+    fn assert_same_graph(a: &KnowledgeGraph, b: &KnowledgeGraph) {
+        assert_eq!(a.num_nodes(), b.num_nodes());
+        assert_eq!(a.num_edges(), b.num_edges());
+        assert_eq!(texts(a.types()), texts(b.types()));
+        assert_eq!(texts(a.attrs()), texts(b.attrs()));
+        assert_eq!(
+            (a.num_types(), a.num_attrs()),
+            (b.num_types(), b.num_attrs())
+        );
+        for v in a.nodes() {
+            assert_eq!(a.node_type(v), b.node_type(v), "type of {v:?}");
+            assert_eq!(a.node_text(v), b.node_text(v), "text of {v:?}");
+            assert_eq!(a.is_text_node(v), b.is_text_node(v));
+            assert_eq!(
+                a.pagerank(v).to_bits(),
+                b.pagerank(v).to_bits(),
+                "PR of {v:?}"
+            );
+            let out: Vec<_> = a.out_edges(v).collect();
+            assert_eq!(out, b.out_edges(v).collect::<Vec<_>>(), "out-row of {v:?}");
+            assert!(
+                out.windows(2).all(|w| w[0] < w[1]),
+                "out-row of {v:?} sorted"
+            );
+            let inn: Vec<_> = a.in_edges(v).collect();
+            assert_eq!(inn, b.in_edges(v).collect::<Vec<_>>(), "in-row of {v:?}");
+            assert!(
+                inn.windows(2).all(|w| w[0] < w[1]),
+                "in-row of {v:?} sorted"
+            );
+            assert_eq!((a.out_degree(v), a.in_degree(v)), (out.len(), inn.len()));
+            assert_eq!((b.out_degree(v), b.in_degree(v)), (out.len(), inn.len()));
+            for (attr, t) in out {
+                assert!(a.has_edge(v, attr, t) && b.has_edge(v, attr, t));
+                // The mirrored entry exists, and the reversed edge is
+                // present in both or in neither.
+                assert!(a.in_edges(t).any(|e| e == (attr, v)));
+                assert_eq!(a.has_edge(t, attr, v), b.has_edge(t, attr, v));
+            }
+        }
+        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
+        assert_eq!(a.edges().count(), a.num_edges());
+        for (t, _) in a.types().iter() {
+            assert_eq!(a.nodes_of_type(t), b.nodes_of_type(t));
+        }
+        assert_eq!(a.heap_bytes(), b.heap_bytes());
+        assert_eq!(crate::snapshot::encode(a), crate::snapshot::encode(b));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A chain of deltas — additions and removals, across chunk
+        /// boundaries, on graphs one node short of, exactly at and one past
+        /// a chunk — equals a `GraphBuilder` rebuild after every step, and
+        /// never copies a chunk it has no edit in.
+        #[test]
+        fn chained_apply_equals_rebuild(
+            size in prop_oneof![
+                Just(6usize),
+                Just(crate::graph::CHUNK - 1),
+                Just(crate::graph::CHUNK),
+                Just(crate::graph::CHUNK + 1),
+                Just(2 * crate::graph::CHUNK + 3),
+            ],
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(op_strategy(), 1..12), 0u8..5), 3..6),
+        ) {
+            let mut g = sized_base(size);
+            let mut model = Model::of(&g);
+            assert_same_graph(&g, &model.rebuild());
+            for (ops, mode) in &steps {
+                let mode = if *mode == 0 { PagerankMode::Recompute } else { PagerankMode::Frozen };
+                let d = build_delta(&g, ops);
+                let next = match d.apply(&g, mode) {
+                    Ok(next) => next,
+                    // A batch that removes an edge twice or adds one that
+                    // exists: rejected whole, nothing to compare.
+                    Err(DeltaError::EdgeNotFound { .. } | DeltaError::DuplicateEdge { .. }) => continue,
+                    Err(e) => panic!("unexpected rejection: {e}"),
+                };
+                model.absorb(&d, mode);
+                assert_same_graph(&next, &model.rebuild());
+
+                let (shared, total) = next.chunks_shared_with(&g);
+                if mode == PagerankMode::Frozen {
+                    let mut touched: Vec<usize> =
+                        d.dirty_nodes().iter().map(|v| v.index() / crate::graph::CHUNK).collect();
+                    touched.dedup();
+                    prop_assert!(total - shared <= touched.len(),
+                        "{} of {total} chunks copied for edits in {touched:?}", total - shared);
+                }
+                g = next;
+            }
+        }
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Structural integrity checks for a [`KnowledgeGraph`].
 //!
 //! Snapshot loading and hand-rolled builders can in principle produce
-//! malformed CSR layouts; `validate` checks every invariant the rest of
+//! malformed adjacency rows; `validate` checks every invariant the rest of
 //! the stack assumes, returning all violations (not just the first), so it
 //! doubles as a debugging aid for new dataset generators.
 
@@ -30,7 +30,7 @@ pub enum Violation {
         /// Description of the bad reference.
         what: &'static str,
     },
-    /// Forward and reverse CSR disagree (an edge present in one only).
+    /// Forward and reverse adjacency disagree (an edge present in one only).
     AdjacencyMismatch,
     /// PageRank vector has the wrong length or non-finite entries.
     BadPageRank,

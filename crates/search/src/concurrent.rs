@@ -19,9 +19,10 @@
 //! Readers never block writers and writers never block readers; the only
 //! contention is the pointer swap. Old snapshots are freed when their last
 //! reader drops them — never under the pointer's write guard — and
-//! consecutive versions share every posting list the delta between them
-//! did not touch, so holding one costs its graph and text index, not a
-//! second index. [`SharedEngine::snapshot`] remains available for
+//! consecutive versions share every posting list and every graph chunk
+//! the delta between them did not touch, so holding one costs its text
+//! index and the few chunks that were copied, not a second graph or
+//! index. [`SharedEngine::snapshot`] remains available for
 //! callers that need many queries against one consistent state.
 //!
 //! Two serving-lifecycle operations round this out:
@@ -51,6 +52,10 @@ pub struct IngestOutcome {
     pub stats: RefreshStats,
     /// The data version now serving (strictly greater than before).
     pub version: u64,
+    /// Graph node chunks the new version copied instead of sharing with
+    /// its base ([`patternkb_graph::KnowledgeGraph::chunks_shared_with`]):
+    /// a handful for a `Frozen` batch, all of them under `Recompute`.
+    pub graph_chunks_copied: usize,
 }
 
 /// Why an [`SharedEngine::ingest_with`] call failed. `E` is the caller's
@@ -65,8 +70,9 @@ pub enum IngestError<E> {
     Build(E),
     /// The built delta failed validation against its own base snapshot
     /// (duplicate edge, removal of a missing edge, …). Never
-    /// [`DeltaError::BaseMismatch`]: the delta is built under the writer
-    /// lock, so the base cannot move between build and apply.
+    /// [`DeltaError::BaseMismatch`] or [`DeltaError::SchemaMismatch`]: the
+    /// delta is built under the writer lock, so the base cannot move
+    /// between build and apply.
     Delta(DeltaError),
     /// The write-ahead log could not make the delta durable (append or
     /// fsync failure). The delta is **not** visible to readers — a write
@@ -306,8 +312,10 @@ impl SharedEngine {
     /// a builder that just clones `delta` — so the delta must have been
     /// built against the latest state. If another ingest landed in
     /// between, the graphs no longer line up and the delta is rejected by
-    /// validation ([`DeltaError::BaseMismatch`], surfaced as
-    /// [`Error::Delta`]) — the caller must rebuild and retry.
+    /// validation ([`DeltaError::BaseMismatch`], or
+    /// [`DeltaError::SchemaMismatch`] when only schema was added in
+    /// between; surfaced as [`Error::Delta`]) — the caller must rebuild and
+    /// retry.
     /// [`Self::ingest_with`] removes that race entirely by building the
     /// delta under the writer lock; prefer it for any concurrent write
     /// path.
@@ -382,7 +390,7 @@ impl SharedEngine {
         mode: PagerankMode,
         build: impl FnOnce(&SearchEngine) -> Result<GraphDelta, E>,
     ) -> Result<IngestOutcome, IngestError<E>> {
-        let (next, stats, ticket) = {
+        let (next, stats, graph_chunks_copied, ticket) = {
             let _writing = self.writer.lock();
             if self.is_closed() {
                 return Err(IngestError::Closed);
@@ -399,6 +407,7 @@ impl SharedEngine {
                 .unwrap_or_else(|| self.snapshot());
             let delta = build(&base).map_err(IngestError::Build)?;
             let (next, stats) = base.with_delta(&delta, mode).map_err(IngestError::Delta)?;
+            let (shared, total) = next.graph().chunks_shared_with(base.graph());
             let next = Arc::new(next);
             let ticket = match &self.durability {
                 Some(d) => Some(
@@ -408,7 +417,7 @@ impl SharedEngine {
                 None => None,
             };
             *self.pending.lock() = Some(Arc::clone(&next));
-            (next, stats, ticket)
+            (next, stats, total - shared, ticket)
         };
         if let Some(ticket) = ticket {
             let d = self.durability.as_ref().expect("ticket implies durability");
@@ -419,7 +428,11 @@ impl SharedEngine {
         if let Some(d) = &self.durability {
             d.maybe_checkpoint(&self.snapshot());
         }
-        Ok(IngestOutcome { stats, version })
+        Ok(IngestOutcome {
+            stats,
+            version,
+            graph_chunks_copied,
+        })
     }
 
     /// Publish `next` unless something newer (a later ingest whose fsync
@@ -619,6 +632,33 @@ mod tests {
         let err = s.apply_delta(&stale, PagerankMode::Frozen).unwrap_err();
         assert!(matches!(err, Error::Delta(DeltaError::BaseMismatch { .. })));
         assert_eq!(s.version(), 1, "stale delta left the state untouched");
+    }
+
+    #[test]
+    fn stale_delta_cannot_drop_schema() {
+        // The racing ingest adds schema but no node, so the stale delta's
+        // node count still matches: it must be refused all the same, or
+        // the new type and attribute would silently disappear.
+        let s = shared();
+        let old_snap = s.snapshot();
+        let g = old_snap.graph();
+        let comp = g.type_by_text("Company").unwrap();
+        let mut stale = GraphDelta::new(g);
+        stale.add_node(comp, "stale corp").unwrap();
+        let mut schema = GraphDelta::new(g);
+        schema.add_type("Research Lab");
+        schema.add_attr("Sponsor");
+        s.apply_delta(&schema, PagerankMode::Frozen).unwrap();
+        let (types, attrs) = (g.num_types() + 1, g.num_attrs() + 1);
+
+        let err = s.apply_delta(&stale, PagerankMode::Frozen).unwrap_err();
+        assert!(matches!(err, Error::Delta(DeltaError::SchemaMismatch)));
+        assert_eq!(s.version(), 1, "stale delta left the state untouched");
+        let now = s.snapshot();
+        assert_eq!(
+            (now.graph().num_types(), now.graph().num_attrs()),
+            (types, attrs)
+        );
     }
 
     #[test]

@@ -595,6 +595,10 @@ pub fn render_ingest(outcome: &IngestOutcome, elapsed: Duration) -> Json {
                     "words_rebuilt".to_string(),
                     count(outcome.stats.words_rebuilt as u64),
                 ),
+                (
+                    "graph_chunks_copied".to_string(),
+                    count(outcome.graph_chunks_copied as u64),
+                ),
             ]),
         ),
         ("elapsed_us".to_string(), count(elapsed.as_micros() as u64)),
@@ -1011,12 +1015,14 @@ mod tests {
                 words_rebuilt: 6,
             },
             version: 5,
+            graph_chunks_copied: 2,
         };
         let body = render_ingest(&outcome, Duration::from_micros(1500)).render();
         assert!(body.contains("\"version\":5"));
         assert!(body.contains("\"affected_roots\":3"));
         assert!(body.contains("\"postings_added\":7"));
         assert!(body.contains("\"words_rebuilt\":6"));
+        assert!(body.contains("\"graph_chunks_copied\":2"));
         assert!(body.contains("\"elapsed_us\":1500"));
     }
 

@@ -151,8 +151,11 @@ pub struct ServerMetrics {
     pub ingest_failures: AtomicU64,
     /// `(shard, word)` posting lists rebuilt by applied ingests.
     pub ingest_words_rebuilt: AtomicU64,
-    /// Duration of applied ingests (delta compile + incremental refresh +
-    /// snapshot swap).
+    /// Graph node chunks copied (not shared with the previous version) by
+    /// applied ingests.
+    pub ingest_graph_chunks_copied: AtomicU64,
+    /// Duration of applied ingests: everything `SharedEngine::ingest_with`
+    /// does, from delta compile to snapshot swap.
     pub ingest_refresh: Histogram,
     /// Recently drained (worker-served) request counts, for the
     /// [`Self::retry_after_secs`] estimate.
@@ -461,9 +464,19 @@ impl ServerMetrics {
             "patternkb_ingest_words_rebuilt_total {}\n",
             self.ingest_words_rebuilt.load(Ordering::Relaxed)
         ));
+        out.push_str(
+            "# HELP patternkb_ingest_graph_chunks_copied_total Graph node chunks copied, not shared with the previous version, by applied ingests.\n\
+             # TYPE patternkb_ingest_graph_chunks_copied_total counter\n",
+        );
+        out.push_str(&format!(
+            "patternkb_ingest_graph_chunks_copied_total {}\n",
+            self.ingest_graph_chunks_copied.load(Ordering::Relaxed)
+        ));
         self.ingest_refresh.render(
             "patternkb_ingest_refresh_seconds",
-            "Applied-ingest duration (delta compile + incremental refresh + swap).",
+            "Applied-ingest duration: delta compile, copy of the touched graph chunks, \
+             text-index extension, rebuild of the touched posting lists, WAL append and \
+             fsync when durable, snapshot swap.",
             &mut out,
         );
 

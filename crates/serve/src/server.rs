@@ -692,6 +692,10 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
                 .metrics
                 .ingest_words_rebuilt
                 .fetch_add(outcome.stats.words_rebuilt as u64, Ordering::Relaxed);
+            shared
+                .metrics
+                .ingest_graph_chunks_copied
+                .fetch_add(outcome.graph_chunks_copied as u64, Ordering::Relaxed);
             shared.metrics.ingest_refresh.observe(elapsed);
             shared.metrics.record(Route::AdminIngest, 200);
             let body = api::render_ingest(&outcome, elapsed).render();

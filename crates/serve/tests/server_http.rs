@@ -213,6 +213,7 @@ fn metrics_report_mmap_backend_and_snapshot_load_time() {
         "patternkb_snapshot_load_seconds",
         "patternkb_index_patched_words 0",
         "patternkb_ingest_words_rebuilt_total 0",
+        "patternkb_ingest_graph_chunks_copied_total 0",
     ] {
         assert!(
             metrics.contains(family),
@@ -232,13 +233,18 @@ fn metrics_report_mmap_backend_and_snapshot_load_time() {
         ]}"#,
     );
     assert_eq!(status, 200, "body: {body}");
-    let rebuilt = Json::parse(&body)
-        .unwrap()
-        .get("stats")
-        .and_then(|s| s.get("words_rebuilt"))
-        .and_then(|n| n.as_u64())
-        .expect("ingest reply reports words_rebuilt");
+    let reply = Json::parse(&body).unwrap();
+    let stat = |name: &str| {
+        reply
+            .get("stats")
+            .and_then(|s| s.get(name))
+            .and_then(|n| n.as_u64())
+            .unwrap_or_else(|| panic!("ingest reply reports {name}"))
+    };
+    let rebuilt = stat("words_rebuilt");
     assert!(rebuilt > 0);
+    // Figure 1 fits one graph chunk, and the new nodes land in it.
+    assert_eq!(stat("graph_chunks_copied"), 1);
     let (status, _, body) = search(addr, r#"{"q": "initech revenue", "k": 5}"#);
     assert_eq!(status, 200, "body: {body}");
     let (_, _, metrics) = get(addr, "/metrics");
@@ -247,6 +253,7 @@ fn metrics_report_mmap_backend_and_snapshot_load_time() {
         "patternkb_storage_backend{backend=\"heap\"} 0".to_string(),
         format!("patternkb_index_patched_words {rebuilt}"),
         format!("patternkb_ingest_words_rebuilt_total {rebuilt}"),
+        "patternkb_ingest_graph_chunks_copied_total 1".to_string(),
     ] {
         assert!(
             metrics.contains(&family),

@@ -17,51 +17,14 @@ use patternkb::datagen::wiki::{wiki, WikiConfig};
 use patternkb::prelude::*;
 use patternkb::search::CacheOutcome;
 use patternkb::serve::api;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocation requests this thread made since the last reset.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn record() {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-local is gone.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; `record` only
-// touches a const-initialized `Cell` and never allocates or unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+mod common;
 
 /// Run `f`, returning its result and how many allocation requests the
 /// calling thread made while it ran.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCATIONS.with(|n| n.set(0));
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get))
+    let (out, tally) = common::tally(f);
+    (out, tally.calls)
 }
 
 /// Fixed part of a hit, plus what each returned pattern may add: its

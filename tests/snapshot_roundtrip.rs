@@ -62,3 +62,40 @@ fn imdb_snapshot_roundtrips() {
         assert!((decoded.pagerank(v) - g.pagerank(v)).abs() < 1e-15);
     }
 }
+
+/// How a graph is laid out in memory is not how it is laid out on disk:
+/// pin the `PKBG` bytes of Figure 1 as built and with a delta applied
+/// (new type and attribute, new nodes, an added and a removed edge), so a
+/// change of the in-memory representation that reorders, drops or
+/// duplicates anything shows up as a changed file. Both digests were taken
+/// on the flat-array layout this representation replaced.
+#[test]
+fn graph_snapshot_bytes_are_pinned() {
+    let digest = |bytes: &[u8]| {
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (bytes.len(), fnv1a)
+    };
+    let (g, _) = patternkb::datagen::figure1();
+    let built = snapshot::encode(&g);
+
+    let mut d = GraphDelta::new(&g);
+    let lab = d.add_type("Research Lab");
+    let sponsor = d.add_attr("Sponsor");
+    let msr = d.add_node(lab, "Microsoft Research").unwrap();
+    let first = g.edges().next().expect("figure 1 has edges");
+    d.add_edge(msr, sponsor, first.source).unwrap();
+    d.add_text_edge(msr, sponsor, "US$ 1 million").unwrap();
+    d.remove_edge(first.source, first.attr, first.target)
+        .unwrap();
+    let applied = snapshot::encode(&d.apply(&g, PagerankMode::Frozen).unwrap());
+
+    assert_eq!(digest(&built), (711, 0xe5ca_2126_0564_7a3e), "built");
+    assert_eq!(digest(&applied), (813, 0x7fff_cb55_9e16_c235), "applied");
+    // A decoded graph is a built one: it writes the file it was read from.
+    for bytes in [&built, &applied] {
+        let reread = snapshot::decode(bytes).expect("decode");
+        assert_eq!(&snapshot::encode(&reread), bytes);
+    }
+}
