@@ -1,69 +1,42 @@
 //! Block-coded sorted integer lists: the root-column layout of the
-//! persisted word streams and the seekable cursor the query plane gallops
-//! over.
+//! persisted word streams ([`crate::compress`]).
 //!
-//! A [`BlockList`] is an **adaptive** container: at encode time the
+//! A [`BlockList`] is an **adaptive** encoding: at encode time the
 //! builder picks, per list, whichever of three codecs serializes smallest
 //! (see `docs/FORMATS.md` §"Posting list codecs"):
 //!
 //! * **Delta + bitpack** ([`DeltaList`], tag 0) — the workhorse. Blocks
 //!   of up to [`BLOCK`] entries, each with a skip entry (first, max,
 //!   payload offset) and deltas packed at the block's minimal fixed bit
-//!   width. Seek discards whole blocks via the per-block max.
+//!   width.
 //! * **Run-length** ([`RleList`], tag 1) — runs of *consecutive* values
 //!   `first, first+1, …, first+len−1` stored as (gap, len) varint pairs.
-//!   Wins on dense root ranges with long consecutive stretches; seek is a
-//!   binary search over run boundaries and decodes nothing.
+//!   Wins on dense root ranges with long consecutive stretches.
 //! * **Dense bitmap** ([`BitmapList`], tag 2) — a base value plus one bit
-//!   per candidate value in `u64` words, with a per-word rank (prefix
-//!   popcount) table rebuilt at load time. Only eligible for strictly
+//!   per candidate value in `u64` words. Only eligible for strictly
 //!   increasing lists (a bitmap cannot represent duplicates); wins on
-//!   high-density ranges with gaps that defeat RLE. Seek is O(1) word
-//!   arithmetic plus a popcount.
+//!   high-density ranges with gaps that defeat RLE.
 //!
-//! All three sit behind one [`BlockList`] enum and one [`BlockCursor`],
-//! so `SeekCursor` callers (gallop intersection, the word-stream
-//! decoder) never see which codec a list chose. The serialized form tags
-//! each list with one leading byte.
+//! There is one encoder ([`BlockList::encode`] + [`BlockList::write`]) and
+//! one decoder ([`BlockList::read_into`], which streams a serialized list
+//! straight into the caller's column); the serialized form tags each list
+//! with one leading byte, so the decoder's caller never sees which codec a
+//! list chose.
 
 use crate::varint;
 
-/// Entries per block. 128 keeps a whole decoded block in two cache lines
-/// of `u32`s and the skip table small (3 words per 128 postings).
-pub const BLOCK: usize = 128;
+/// Entries per block: 128 keeps the skip table small (3 words per 128
+/// postings).
+const BLOCK: usize = 128;
 
 /// Serialized codec tag of a delta + bitpacked list.
-pub(crate) const TAG_DELTA: u8 = 0;
+const TAG_DELTA: u8 = 0;
 /// Serialized codec tag of a run-length list.
-pub(crate) const TAG_RLE: u8 = 1;
+const TAG_RLE: u8 = 1;
 /// Serialized codec tag of a dense bitmap list.
-pub(crate) const TAG_BITMAP: u8 = 2;
+const TAG_BITMAP: u8 = 2;
 
-/// Which codec a [`BlockList`] selected at encode time — surfaced for
-/// stats and the per-encoding decode microbenches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Encoding {
-    /// Delta + bitpacked blocks (tag 0).
-    Delta,
-    /// Runs of consecutive values (tag 1).
-    Rle,
-    /// Dense bitmap over a value range (tag 2).
-    Bitmap,
-}
-
-impl Encoding {
-    /// Stable lowercase name (stats output, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Encoding::Delta => "delta",
-            Encoding::Rle => "rle",
-            Encoding::Bitmap => "bitmap",
-        }
-    }
-}
-
-/// Skip entry of one block: enough to decide "can this block contain a
-/// value ≥/== target" without decoding the payload.
+/// Skip entry of one block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct BlockSkip {
     /// First value of the block (stored raw, not packed).
@@ -77,7 +50,7 @@ struct BlockSkip {
 /// A sorted (non-decreasing) `u32` sequence in delta + bitpacked blocks
 /// with a per-block skip table — codec tag 0.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct DeltaList {
+pub(crate) struct DeltaList {
     /// Total number of entries.
     len: u32,
     /// One skip entry per block.
@@ -96,7 +69,7 @@ fn bits_of(v: u32) -> u32 {
 
 impl DeltaList {
     /// Encode a non-decreasing sequence.
-    pub(crate) fn encode(values: &[u32]) -> Self {
+    fn encode(values: &[u32]) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "input sorted");
         let mut skips = Vec::with_capacity(values.len().div_ceil(BLOCK));
         let mut packed = Vec::with_capacity(values.len() / 2);
@@ -138,21 +111,6 @@ impl DeltaList {
         }
     }
 
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Number of blocks.
-    pub(crate) fn num_blocks(&self) -> usize {
-        self.skips.len()
-    }
-
-    /// Resident bytes (payload + skip table).
-    fn heap_bytes(&self) -> usize {
-        self.packed.len() + self.skips.len() * std::mem::size_of::<BlockSkip>()
-    }
-
     /// Exact serialized size in bytes (excluding the codec tag).
     fn encoded_len(&self) -> usize {
         let mut n = varint::len_u32(self.len) + varint::len_u32(self.packed.len() as u32);
@@ -167,65 +125,8 @@ impl DeltaList {
         n + self.packed.len()
     }
 
-    /// Entries in block `b`.
-    #[inline]
-    fn block_len(&self, b: usize) -> usize {
-        if b + 1 == self.skips.len() {
-            self.len as usize - b * BLOCK
-        } else {
-            BLOCK
-        }
-    }
-
-    /// Decode block `b` into `out` (cleared first). Returns the number of
-    /// entries written.
-    fn decode_block(&self, b: usize, out: &mut [u32; BLOCK]) -> usize {
-        let skip = self.skips[b];
-        let n = self.block_len(b);
-        out[0] = skip.first;
-        let mut pos = skip.offset as usize;
-        let width = u32::from(self.packed[pos]);
-        pos += 1;
-        if width == 0 {
-            // All deltas zero: a run of identical values.
-            for slot in out.iter_mut().take(n).skip(1) {
-                *slot = skip.first;
-            }
-            return n;
-        }
-        let mask: u64 = (1u64 << width) - 1;
-        let mut acc: u64 = 0;
-        let mut filled: u32 = 0;
-        let mut prev = skip.first;
-        for slot in out.iter_mut().take(n).skip(1) {
-            while filled < width {
-                acc |= u64::from(self.packed[pos]) << filled;
-                pos += 1;
-                filled += 8;
-            }
-            // Wrapping: a corrupted stream must decode to garbage, not
-            // panic (the failure-injection tests flip arbitrary bytes).
-            prev = prev.wrapping_add((acc & mask) as u32);
-            acc >>= width;
-            filled -= width;
-            *slot = prev;
-        }
-        n
-    }
-
-    /// Decode the whole list (tests, full materialization paths).
-    fn decode_all(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut buf = [0u32; BLOCK];
-        for b in 0..self.skips.len() {
-            let n = self.decode_block(b, &mut buf);
-            out.extend_from_slice(&buf[..n]);
-        }
-        out
-    }
-
-    /// Serialize into `out` (self-delimiting; [`Self::read`] round-trips).
-    pub(crate) fn write(&self, out: &mut Vec<u8>) {
+    /// Serialize into `out` (self-delimiting).
+    fn write(&self, out: &mut Vec<u8>) {
         varint::put_u32(out, self.len);
         varint::put_u32(out, self.packed.len() as u32);
         let mut prev = 0u32;
@@ -241,69 +142,20 @@ impl DeltaList {
         out.extend_from_slice(&self.packed);
     }
 
-    /// Deserialize from `buf[*pos..]`, advancing `pos`. `None` on
-    /// truncation or structural corruption.
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let len = varint::get_u32(buf, pos)?;
-        let packed_len = varint::get_u32(buf, pos)? as usize;
-        let num_blocks = (len as usize).div_ceil(BLOCK);
-        // Every block has a skip entry of at least two varint bytes.
-        if num_blocks > (buf.len() - *pos) / 2 {
-            return None;
-        }
-        let mut skips = Vec::with_capacity(num_blocks);
-        let mut prev = 0u32;
-        for i in 0..num_blocks {
-            let first = prev.checked_add(varint::get_u32(buf, pos)?)?;
-            let max = first.checked_add(varint::get_u32(buf, pos)?)?;
-            prev = max;
-            let offset = if i == 0 {
-                0
-            } else {
-                let o = varint::get_u32(buf, pos)?;
-                if o as usize > packed_len {
-                    return None;
-                }
-                o
-            };
-            skips.push(BlockSkip { first, max, offset });
-        }
-        if *pos + packed_len > buf.len() {
-            return None;
-        }
-        let packed = buf[*pos..*pos + packed_len].to_vec();
-        *pos += packed_len;
-        let out = DeltaList { len, skips, packed };
-        // Widths must keep every block's payload inside `packed`.
-        for b in 0..out.skips.len() {
-            let n = out.block_len(b);
-            let off = out.skips[b].offset as usize;
-            let width = *out.packed.get(off)? as usize;
-            if width > 32 {
-                return None;
-            }
-            let payload = ((n - 1) * width).div_ceil(8);
-            if off + 1 + payload > out.packed.len() {
-                return None;
-            }
-        }
-        Some(out)
-    }
-
     /// Decode a serialized delta list from `buf[*pos..]` straight into
     /// `out` (appended), without materializing a [`DeltaList`] — the
     /// zero-allocation path the word-stream decoder takes per posting
     /// group. `scratch` is caller-provided reusable storage for the skip
-    /// entries. Returns the number of blocks decoded; `None` on
-    /// truncation, corruption, or a list that does not hold exactly
-    /// `expect` entries (with `out`/`scratch` contents unspecified).
+    /// entries. `None` on truncation, corruption, or a list that does not
+    /// hold exactly `expect` entries (with `out`/`scratch` contents
+    /// unspecified).
     fn read_into(
         buf: &[u8],
         pos: &mut usize,
         scratch: &mut Vec<(u32, u32, u32)>,
         out: &mut Vec<u32>,
         expect: usize,
-    ) -> Option<u64> {
+    ) -> Option<()> {
         let len = varint::get_u32(buf, pos)? as usize;
         if len != expect {
             return None;
@@ -370,7 +222,7 @@ impl DeltaList {
                 out.push(value);
             }
         }
-        Some(num_blocks as u64)
+        Some(())
     }
 }
 
@@ -381,8 +233,6 @@ struct RleRun {
     first: u32,
     /// Number of values in the run (≥ 1).
     len: u32,
-    /// Entries before this run — the rank that makes `remaining()` O(1).
-    cum: u32,
 }
 
 impl RleRun {
@@ -400,7 +250,7 @@ impl RleRun {
 /// the codec represents any non-decreasing sequence; it only *wins* when
 /// runs are long.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct RleList {
+pub(crate) struct RleList {
     /// Total number of entries.
     len: u32,
     /// The runs, ascending (run i+1 starts at or after run i's last).
@@ -409,7 +259,7 @@ pub struct RleList {
 
 impl RleList {
     /// Encode a non-decreasing sequence.
-    pub(crate) fn encode(values: &[u32]) -> Self {
+    fn encode(values: &[u32]) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "input sorted");
         let mut runs: Vec<RleRun> = Vec::new();
         for &v in values {
@@ -417,35 +267,13 @@ impl RleList {
                 Some(run) if v == run.last().wrapping_add(1) && run.len < u32::MAX => {
                     run.len += 1;
                 }
-                _ => {
-                    let cum = runs.last().map_or(0, |r| r.cum + r.len);
-                    runs.push(RleRun {
-                        first: v,
-                        len: 1,
-                        cum,
-                    });
-                }
+                _ => runs.push(RleRun { first: v, len: 1 }),
             }
         }
         RleList {
             len: values.len() as u32,
             runs,
         }
-    }
-
-    /// Number of entries.
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Number of runs (the codec's "blocks").
-    fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Resident bytes.
-    fn heap_bytes(&self) -> usize {
-        self.runs.len() * std::mem::size_of::<RleRun>()
     }
 
     /// Exact serialized size in bytes (excluding the codec tag).
@@ -457,15 +285,6 @@ impl RleList {
             prev_last = r.last();
         }
         n
-    }
-
-    /// Decode the whole list.
-    fn decode_all(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
-        for r in &self.runs {
-            out.extend(r.first..=r.last());
-        }
-        out
     }
 
     /// Serialize into `out` (self-delimiting).
@@ -482,40 +301,9 @@ impl RleList {
         }
     }
 
-    /// Deserialize from `buf[*pos..]`, advancing `pos`.
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let len = varint::get_u32(buf, pos)?;
-        let num_runs = varint::get_u32(buf, pos)? as usize;
-        // Every run is a (gap, len) pair of at least two varint bytes.
-        if num_runs as u64 > u64::from(len) || num_runs > (buf.len() - *pos) / 2 {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(num_runs);
-        let mut prev_last = 0u32;
-        let mut cum = 0u32;
-        for _ in 0..num_runs {
-            let first = prev_last.checked_add(varint::get_u32(buf, pos)?)?;
-            let run_len = varint::get_u32(buf, pos)?.checked_add(1)?;
-            // Last value must not overflow u32.
-            first.checked_add(run_len - 1)?;
-            runs.push(RleRun {
-                first,
-                len: run_len,
-                cum,
-            });
-            cum = cum.checked_add(run_len)?;
-            prev_last = first + (run_len - 1);
-        }
-        if cum != len {
-            return None;
-        }
-        Some(RleList { len, runs })
-    }
-
-    /// Streaming decode straight into `out` (appended). Returns the
-    /// number of runs decoded; `None` unless the list holds exactly
-    /// `expect` entries.
-    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<u64> {
+    /// Streaming decode straight into `out` (appended). `None` unless the
+    /// list holds exactly `expect` entries.
+    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<()> {
         let len = varint::get_u32(buf, pos)?;
         let num_runs = varint::get_u32(buf, pos)? as usize;
         if len as usize != expect || num_runs as u64 > u64::from(len) {
@@ -535,31 +323,25 @@ impl RleList {
             out.extend(first..=last);
             prev_last = last;
         }
-        if total != len {
-            return None;
-        }
-        Some(num_runs as u64)
+        (total == len).then_some(())
     }
 }
 
 /// A strictly increasing sequence stored as a dense bitmap — codec tag 2.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct BitmapList {
+pub(crate) struct BitmapList {
     /// Total number of entries (= set bits).
     len: u32,
     /// Value of bit 0 of word 0.
     base: u32,
     /// The bitmap: bit `i` of word `i / 64` ⇔ value `base + i` present.
     words: Vec<u64>,
-    /// `ranks[i]` = set bits in `words[..i]` (`ranks.len() == words.len()
-    /// + 1`). In-memory only — rebuilt on read, never serialized.
-    ranks: Vec<u32>,
 }
 
 impl BitmapList {
     /// Encode a **strictly increasing** sequence (the selector never
     /// offers a list with duplicates to this codec).
-    pub(crate) fn encode(values: &[u32]) -> Self {
+    fn encode(values: &[u32]) -> Self {
         debug_assert!(
             values.windows(2).all(|w| w[0] < w[1]),
             "strictly increasing"
@@ -574,39 +356,11 @@ impl BitmapList {
             let off = (v - base) as usize;
             words[off / 64] |= 1u64 << (off % 64);
         }
-        let ranks = Self::build_ranks(&words);
         BitmapList {
             len: values.len() as u32,
             base,
             words,
-            ranks,
         }
-    }
-
-    fn build_ranks(words: &[u64]) -> Vec<u32> {
-        let mut ranks = Vec::with_capacity(words.len() + 1);
-        let mut total = 0u32;
-        ranks.push(0);
-        for w in words {
-            total += w.count_ones();
-            ranks.push(total);
-        }
-        ranks
-    }
-
-    /// Number of entries.
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Number of words (the codec's "blocks").
-    fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Resident bytes (bitmap + rank table).
-    fn heap_bytes(&self) -> usize {
-        self.words.len() * 8 + self.ranks.len() * 4
     }
 
     /// Exact serialized size in bytes (excluding the codec tag).
@@ -617,22 +371,7 @@ impl BitmapList {
             + self.words.len() * 8
     }
 
-    /// Decode the whole list.
-    fn decode_all(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
-        for (i, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let tz = bits.trailing_zeros();
-                out.push(self.base + (i as u32) * 64 + tz);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-
-    /// Serialize into `out` (self-delimiting; ranks are derived and not
-    /// written).
+    /// Serialize into `out` (self-delimiting).
     fn write(&self, out: &mut Vec<u8>) {
         varint::put_u32(out, self.len);
         varint::put_u32(out, self.base);
@@ -642,49 +381,9 @@ impl BitmapList {
         }
     }
 
-    /// Deserialize from `buf[*pos..]`, advancing `pos`.
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let len = varint::get_u32(buf, pos)?;
-        let base = varint::get_u32(buf, pos)?;
-        let num_words = varint::get_u32(buf, pos)? as usize;
-        if len == 0 {
-            return (num_words == 0).then(BitmapList::default);
-        }
-        if num_words == 0 {
-            return None;
-        }
-        // Highest representable value must fit in u32.
-        let top = u64::from(base) + num_words as u64 * 64 - 1;
-        if top > u64::from(u32::MAX) {
-            return None;
-        }
-        if *pos + num_words * 8 > buf.len() {
-            return None;
-        }
-        let mut words = Vec::with_capacity(num_words);
-        let mut total = 0u32;
-        for _ in 0..num_words {
-            let w = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-            *pos += 8;
-            total = total.checked_add(w.count_ones())?;
-            words.push(w);
-        }
-        if total != len {
-            return None;
-        }
-        let ranks = Self::build_ranks(&words);
-        Some(BitmapList {
-            len,
-            base,
-            words,
-            ranks,
-        })
-    }
-
-    /// Streaming decode straight into `out` (appended). Returns the
-    /// number of words decoded; `None` unless the list holds exactly
-    /// `expect` entries.
-    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<u64> {
+    /// Streaming decode straight into `out` (appended). `None` unless the
+    /// list holds exactly `expect` entries.
+    fn read_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u32>, expect: usize) -> Option<()> {
         let len = varint::get_u32(buf, pos)?;
         let base = varint::get_u32(buf, pos)?;
         let num_words = varint::get_u32(buf, pos)? as usize;
@@ -692,7 +391,7 @@ impl BitmapList {
             return None;
         }
         if len == 0 {
-            return (num_words == 0).then_some(0);
+            return (num_words == 0).then_some(());
         }
         if num_words == 0 {
             return None;
@@ -717,31 +416,20 @@ impl BitmapList {
                 bits &= bits - 1;
             }
         }
-        if total != len {
-            return None;
-        }
-        Some(num_words as u64)
+        (total == len).then_some(())
     }
 }
 
-/// A sorted (non-decreasing) `u32` sequence behind one of three codecs,
-/// selected per list at encode time by smallest serialized size. The
-/// cursor and (de)serialization APIs are codec-agnostic; callers that
-/// care which codec won can ask [`BlockList::encoding`].
+/// A sorted (non-decreasing) `u32` sequence encoded by one of three
+/// codecs, selected per list at encode time by smallest serialized size.
 #[derive(Clone, Debug, PartialEq)]
-pub enum BlockList {
+pub(crate) enum BlockList {
     /// Delta + bitpacked blocks (tag 0).
     Delta(DeltaList),
     /// Runs of consecutive values (tag 1).
     Rle(RleList),
     /// Dense bitmap (tag 2).
     Bitmap(BitmapList),
-}
-
-impl Default for BlockList {
-    fn default() -> Self {
-        BlockList::Delta(DeltaList::default())
-    }
 }
 
 impl BlockList {
@@ -753,14 +441,13 @@ impl BlockList {
     /// Debug-asserts monotonicity; release builds produce garbage on
     /// unsorted input (the encoder is an internal building block — all
     /// call sites encode already-sorted posting keys).
-    pub fn encode(values: &[u32]) -> Self {
+    pub(crate) fn encode(values: &[u32]) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "input sorted");
         let delta = DeltaList::encode(values);
         if values.is_empty() {
             return BlockList::Delta(delta);
         }
-        let mut best_bytes = delta.encoded_len();
-        let mut best = Encoding::Delta;
+        let delta_bytes = delta.encoded_len();
 
         // RLE candidate: runs and exact serialized size in one pass,
         // without building the list.
@@ -788,10 +475,6 @@ impl BlockList {
             num_runs += 1;
             rle_bytes += varint::len_u32(num_runs);
         }
-        if rle_bytes < best_bytes {
-            best_bytes = rle_bytes;
-            best = Encoding::Rle;
-        }
 
         // Bitmap candidate: size is pure arithmetic on the value span.
         let mut bitmap_bytes = usize::MAX;
@@ -804,82 +487,25 @@ impl BlockList {
                     + varint::len_u32(base)
                     + varint::len_u32(num_words as u32)
                     + (num_words as usize) * 8;
-                if bitmap_bytes < best_bytes {
-                    best = Encoding::Bitmap;
-                }
             }
         }
 
-        match best {
-            Encoding::Delta => BlockList::Delta(delta),
-            Encoding::Rle => {
-                let rle = RleList::encode(values);
-                debug_assert_eq!(rle.encoded_len(), rle_bytes, "one-pass RLE sizing");
-                BlockList::Rle(rle)
-            }
-            Encoding::Bitmap => {
-                let bitmap = BitmapList::encode(values);
-                debug_assert_eq!(bitmap.encoded_len(), bitmap_bytes, "analytic bitmap sizing");
-                BlockList::Bitmap(bitmap)
-            }
-        }
-    }
-
-    /// Which codec this list uses.
-    pub fn encoding(&self) -> Encoding {
-        match self {
-            BlockList::Delta(_) => Encoding::Delta,
-            BlockList::Rle(_) => Encoding::Rle,
-            BlockList::Bitmap(_) => Encoding::Bitmap,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            BlockList::Delta(l) => l.len(),
-            BlockList::Rle(l) => l.len(),
-            BlockList::Bitmap(l) => l.len(),
-        }
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of codec units: blocks (delta), runs (RLE), or words
-    /// (bitmap) — the granularity [`BlockCursor::blocks_decoded`] counts
-    /// for the delta codec and the unit `seek` skips over.
-    pub fn num_blocks(&self) -> usize {
-        match self {
-            BlockList::Delta(l) => l.num_blocks(),
-            BlockList::Rle(l) => l.num_runs(),
-            BlockList::Bitmap(l) => l.num_words(),
-        }
-    }
-
-    /// Resident bytes (payload + skip/rank tables).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            BlockList::Delta(l) => l.heap_bytes(),
-            BlockList::Rle(l) => l.heap_bytes(),
-            BlockList::Bitmap(l) => l.heap_bytes(),
-        }
-    }
-
-    /// Decode the whole list (tests, full materialization paths).
-    pub fn decode_all(&self) -> Vec<u32> {
-        match self {
-            BlockList::Delta(l) => l.decode_all(),
-            BlockList::Rle(l) => l.decode_all(),
-            BlockList::Bitmap(l) => l.decode_all(),
+        if bitmap_bytes < delta_bytes.min(rle_bytes) {
+            let bitmap = BitmapList::encode(values);
+            debug_assert_eq!(bitmap.encoded_len(), bitmap_bytes, "analytic bitmap sizing");
+            BlockList::Bitmap(bitmap)
+        } else if rle_bytes < delta_bytes {
+            let rle = RleList::encode(values);
+            debug_assert_eq!(rle.encoded_len(), rle_bytes, "one-pass RLE sizing");
+            BlockList::Rle(rle)
+        } else {
+            BlockList::Delta(delta)
         }
     }
 
     /// Serialize into `out`: one codec tag byte, then the codec payload
-    /// (self-delimiting; [`Self::read`] round-trips).
-    pub fn write(&self, out: &mut Vec<u8>) {
+    /// (self-delimiting; [`Self::read_into`] round-trips).
+    pub(crate) fn write(&self, out: &mut Vec<u8>) {
         match self {
             BlockList::Delta(l) => {
                 out.push(TAG_DELTA);
@@ -896,19 +522,6 @@ impl BlockList {
         }
     }
 
-    /// Deserialize a tagged list from `buf[*pos..]`, advancing `pos`.
-    /// `None` on an unknown tag, truncation, or structural corruption.
-    pub fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        match tag {
-            TAG_DELTA => DeltaList::read(buf, pos).map(BlockList::Delta),
-            TAG_RLE => RleList::read(buf, pos).map(BlockList::Rle),
-            TAG_BITMAP => BitmapList::read(buf, pos).map(BlockList::Bitmap),
-            _ => None,
-        }
-    }
-
     /// Streaming decode of a tagged list from `buf[*pos..]` straight
     /// into `out` (appended), without materializing a [`BlockList`] — the
     /// zero-allocation path the word-stream decoder takes per posting
@@ -919,16 +532,15 @@ impl BlockList {
     /// the caller knows how many a list may hold; the declared length is
     /// checked against `expect` before anything is reserved for it.
     ///
-    /// Returns the number of codec units decoded (blocks / runs / words);
-    /// `None` on a length mismatch, truncation or corruption (with
-    /// `out`/`scratch` contents unspecified).
-    pub fn read_into(
+    /// `None` on an unknown tag, a length mismatch, truncation or
+    /// corruption (with `out`/`scratch` contents unspecified).
+    pub(crate) fn read_into(
         buf: &[u8],
         pos: &mut usize,
         scratch: &mut Vec<(u32, u32, u32)>,
         out: &mut Vec<u32>,
         expect: usize,
-    ) -> Option<u64> {
+    ) -> Option<()> {
         let tag = *buf.get(*pos)?;
         *pos += 1;
         match tag {
@@ -938,344 +550,6 @@ impl BlockList {
             _ => None,
         }
     }
-
-    /// Force a specific codec (tests and microbenches; `None` when the
-    /// codec cannot represent the input — bitmap with duplicates).
-    pub fn encode_as(values: &[u32], enc: Encoding) -> Option<Self> {
-        debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "input sorted");
-        match enc {
-            Encoding::Delta => Some(BlockList::Delta(DeltaList::encode(values))),
-            Encoding::Rle => Some(BlockList::Rle(RleList::encode(values))),
-            Encoding::Bitmap => values
-                .windows(2)
-                .all(|w| w[0] < w[1])
-                .then(|| BlockList::Bitmap(BitmapList::encode(values))),
-        }
-    }
-
-    /// A cursor positioned before the first entry.
-    pub fn cursor(&self) -> BlockCursor<'_> {
-        let inner = match self {
-            BlockList::Delta(l) => Inner::Delta(DeltaCursor {
-                list: l,
-                block: 0,
-                pos: 0,
-                decoded: usize::MAX,
-                buf: [0; BLOCK],
-                buf_len: 0,
-                blocks_decoded: 0,
-            }),
-            BlockList::Rle(l) => Inner::Rle(RleCursor {
-                list: l,
-                run: 0,
-                inrun: 0,
-            }),
-            BlockList::Bitmap(l) => Inner::Bitmap(BitmapCursor {
-                list: l,
-                word: 0,
-                bits: l.words.first().copied().unwrap_or(0),
-            }),
-        };
-        BlockCursor { inner }
-    }
-}
-
-/// Forward-only cursor over a [`DeltaList`].
-struct DeltaCursor<'a> {
-    list: &'a DeltaList,
-    /// Current block index.
-    block: usize,
-    /// Position of the next entry within the current block.
-    pos: usize,
-    /// Which block `buf` holds (`usize::MAX` = none yet).
-    decoded: usize,
-    buf: [u32; BLOCK],
-    buf_len: usize,
-    /// Blocks decoded so far (the observability counter behind
-    /// `stats.hot.blocks_decoded`).
-    blocks_decoded: u64,
-}
-
-impl DeltaCursor<'_> {
-    /// Make sure the current block is decoded into `buf`.
-    #[inline]
-    fn fill(&mut self) {
-        if self.decoded != self.block {
-            self.buf_len = self.list.decode_block(self.block, &mut self.buf);
-            self.decoded = self.block;
-            self.blocks_decoded += 1;
-        }
-    }
-
-    fn seek(&mut self, target: u32) -> Option<u32> {
-        let skips = &self.list.skips;
-        if self.block >= skips.len() {
-            return None;
-        }
-        // Skip blocks whose max is below the target: gallop then binary
-        // search over the skip table (cheap — no payload decode).
-        if skips[self.block].max < target {
-            let mut step = 1usize;
-            let mut lo = self.block + 1;
-            while lo + step < skips.len() && skips[lo + step].max < target {
-                lo += step;
-                step <<= 1;
-            }
-            let hi = (lo + step).min(skips.len());
-            let adv = skips[lo..hi].partition_point(|s| s.max < target);
-            self.block = lo + adv;
-            self.pos = 0;
-            if self.block >= skips.len() {
-                return None;
-            }
-        }
-        // Within-block: decode and binary search the tail.
-        self.fill();
-        let idx = self.pos + self.buf[self.pos..self.buf_len].partition_point(|&v| v < target);
-        debug_assert!(idx < self.buf_len, "block max >= target ensures a hit");
-        self.pos = idx;
-        Some(self.buf[idx])
-    }
-
-    #[inline]
-    fn next_value(&mut self) -> Option<u32> {
-        if self.block >= self.list.skips.len() {
-            return None;
-        }
-        self.fill();
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        if self.pos == self.buf_len {
-            self.block += 1;
-            self.pos = 0;
-        }
-        Some(v)
-    }
-
-    fn remaining(&self) -> usize {
-        if self.block >= self.list.skips.len() {
-            return 0;
-        }
-        self.list.len() - (self.block * BLOCK + self.pos)
-    }
-}
-
-/// Forward-only cursor over an [`RleList`]: positions are (run, offset)
-/// pairs; values are computed, never decoded into a buffer.
-struct RleCursor<'a> {
-    list: &'a RleList,
-    /// Current run index.
-    run: usize,
-    /// Offset of the next entry within the current run.
-    inrun: u32,
-}
-
-impl RleCursor<'_> {
-    fn seek(&mut self, target: u32) -> Option<u32> {
-        let runs = &self.list.runs;
-        if self.run >= runs.len() {
-            return None;
-        }
-        let r = runs[self.run];
-        let current = r.first + self.inrun;
-        if current >= target {
-            return Some(current);
-        }
-        if r.last() >= target {
-            // Runs are consecutive, so the target itself is present.
-            self.inrun = target - r.first;
-            return Some(target);
-        }
-        let adv = runs[self.run + 1..].partition_point(|x| x.last() < target);
-        self.run += 1 + adv;
-        self.inrun = 0;
-        if self.run >= runs.len() {
-            return None;
-        }
-        let r = runs[self.run];
-        if target > r.first {
-            self.inrun = target - r.first;
-            Some(target)
-        } else {
-            Some(r.first)
-        }
-    }
-
-    #[inline]
-    fn next_value(&mut self) -> Option<u32> {
-        let runs = &self.list.runs;
-        if self.run >= runs.len() {
-            return None;
-        }
-        let r = runs[self.run];
-        let v = r.first + self.inrun;
-        self.inrun += 1;
-        if self.inrun == r.len {
-            self.run += 1;
-            self.inrun = 0;
-        }
-        Some(v)
-    }
-
-    fn remaining(&self) -> usize {
-        match self.list.runs.get(self.run) {
-            Some(r) => self.list.len() - (r.cum + self.inrun) as usize,
-            None => 0,
-        }
-    }
-}
-
-/// Forward-only cursor over a [`BitmapList`]: the current word's
-/// unconsumed bits are held in a register; `seek` is word arithmetic and
-/// `remaining` reads the rank table.
-struct BitmapCursor<'a> {
-    list: &'a BitmapList,
-    /// Current word index.
-    word: usize,
-    /// Unconsumed bits of the current word (consumed bits cleared).
-    bits: u64,
-}
-
-impl BitmapCursor<'_> {
-    /// Advance `word` until `bits` is non-empty (or the list ends).
-    #[inline]
-    fn settle(&mut self) -> bool {
-        while self.bits == 0 {
-            self.word += 1;
-            match self.list.words.get(self.word) {
-                Some(&w) => self.bits = w,
-                None => return false,
-            }
-        }
-        true
-    }
-
-    fn seek(&mut self, target: u32) -> Option<u32> {
-        let l = self.list;
-        if l.words.is_empty() || self.word >= l.words.len() {
-            return None;
-        }
-        if target > l.base {
-            let off = u64::from(target - l.base);
-            let tw = (off / 64) as usize;
-            if tw >= l.words.len() {
-                // Current word might still hold values ≥ target only if
-                // tw were ≤ word; tw ≥ len ⇒ target beyond the bitmap.
-                if tw > self.word {
-                    self.word = l.words.len();
-                    self.bits = 0;
-                    return None;
-                }
-            }
-            if tw > self.word {
-                self.word = tw;
-                self.bits = l.words[tw] & (!0u64 << (off % 64));
-            } else if tw == self.word {
-                self.bits &= !0u64 << (off % 64);
-            }
-            // tw < word: everything at or after the cursor already ≥ target.
-        }
-        if !self.settle() {
-            return None;
-        }
-        Some(l.base + (self.word as u32) * 64 + self.bits.trailing_zeros())
-    }
-
-    #[inline]
-    fn next_value(&mut self) -> Option<u32> {
-        if self.list.words.is_empty() || self.word >= self.list.words.len() || !self.settle() {
-            return None;
-        }
-        let tz = self.bits.trailing_zeros();
-        self.bits &= self.bits - 1;
-        Some(self.list.base + (self.word as u32) * 64 + tz)
-    }
-
-    fn remaining(&self) -> usize {
-        if self.word >= self.list.words.len() {
-            return 0;
-        }
-        // Values in words after the current one, plus unconsumed bits here.
-        (self.list.len - self.list.ranks[self.word + 1] + self.bits.count_ones()) as usize
-    }
-}
-
-// The delta variant carries its 128-entry decode buffer inline: cursors
-// are short-lived stack objects created in the intersection inner loop,
-// so boxing the buffer would trade a stack bump for a heap allocation
-// per cursor.
-#[allow(clippy::large_enum_variant)]
-enum Inner<'a> {
-    Delta(DeltaCursor<'a>),
-    Rle(RleCursor<'a>),
-    Bitmap(BitmapCursor<'a>),
-}
-
-/// Forward-only cursor over a [`BlockList`] with skip-ahead `seek`,
-/// dispatching to the list's codec.
-///
-/// `seek` targets must be non-decreasing (the cursor never rewinds) —
-/// exactly the discipline of gallop intersection.
-pub struct BlockCursor<'a> {
-    inner: Inner<'a>,
-}
-
-impl<'a> BlockCursor<'a> {
-    /// The least entry `≥ target` at or after the current position,
-    /// advancing the cursor **to** it (a following [`Self::next_value`]
-    /// returns it again — peek semantics, what leapfrog intersection
-    /// wants). Skips whole blocks/runs/words without decoding them.
-    pub fn seek(&mut self, target: u32) -> Option<u32> {
-        match &mut self.inner {
-            Inner::Delta(c) => c.seek(target),
-            Inner::Rle(c) => c.seek(target),
-            Inner::Bitmap(c) => c.seek(target),
-        }
-    }
-
-    /// Blocks decoded by this cursor so far. Only the delta codec decodes
-    /// block buffers; RLE and bitmap cursors compute values in place and
-    /// always report 0.
-    pub fn blocks_decoded(&self) -> u64 {
-        match &self.inner {
-            Inner::Delta(c) => c.blocks_decoded,
-            Inner::Rle(_) | Inner::Bitmap(_) => 0,
-        }
-    }
-
-    /// The next entry, advancing past it (also available through the
-    /// [`Iterator`] impl).
-    #[inline]
-    pub fn next_value(&mut self) -> Option<u32> {
-        match &mut self.inner {
-            Inner::Delta(c) => c.next_value(),
-            Inner::Rle(c) => c.next_value(),
-            Inner::Bitmap(c) => c.next_value(),
-        }
-    }
-
-    /// Entries not yet consumed (exact).
-    pub fn remaining(&self) -> usize {
-        match &self.inner {
-            Inner::Delta(c) => c.remaining(),
-            Inner::Rle(c) => c.remaining(),
-            Inner::Bitmap(c) => c.remaining(),
-        }
-    }
-}
-
-impl Iterator for BlockCursor<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        self.next_value()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (n, Some(n))
-    }
 }
 
 #[cfg(test)]
@@ -1283,11 +557,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const ALL_ENCODINGS: [Encoding; 3] = [Encoding::Delta, Encoding::Rle, Encoding::Bitmap];
-
     fn sorted(mut v: Vec<u32>) -> Vec<u32> {
         v.sort_unstable();
         v
+    }
+
+    /// `values` under each codec that can represent them (the bitmap
+    /// cannot hold duplicates), bypassing the size-based selector.
+    fn under_every_codec(values: &[u32]) -> Vec<BlockList> {
+        let mut lists = vec![
+            BlockList::Delta(DeltaList::encode(values)),
+            BlockList::Rle(RleList::encode(values)),
+        ];
+        if values.windows(2).all(|w| w[0] < w[1]) {
+            lists.push(BlockList::Bitmap(BitmapList::encode(values)));
+        }
+        lists
+    }
+
+    fn serialized(list: &BlockList) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        list.write(&mut bytes);
+        bytes
+    }
+
+    /// Decode `bytes` as one list of `expect` entries spanning the buffer.
+    fn decoded(bytes: &[u8], expect: usize) -> Option<Vec<u32>> {
+        let (mut pos, mut scratch, mut out) = (0, Vec::new(), Vec::new());
+        BlockList::read_into(bytes, &mut pos, &mut scratch, &mut out, expect)?;
+        assert_eq!(pos, bytes.len(), "self-delimiting");
+        Some(out)
     }
 
     #[test]
@@ -1299,14 +598,8 @@ mod tests {
             vec![1, 5, 5, 9, 1000, u32::MAX],
             (0..1000).map(|i| i * 3).collect::<Vec<u32>>(),
         ] {
-            let list = BlockList::encode(&values);
-            assert_eq!(list.decode_all(), values);
-            let mut bytes = Vec::new();
-            list.write(&mut bytes);
-            let mut pos = 0;
-            let back = BlockList::read(&bytes, &mut pos).expect("decodes");
-            assert_eq!(pos, bytes.len());
-            assert_eq!(back.decode_all(), values);
+            let bytes = serialized(&BlockList::encode(&values));
+            assert_eq!(decoded(&bytes, values.len()), Some(values));
         }
     }
 
@@ -1320,20 +613,12 @@ mod tests {
             (0..1000).map(|i| i * 3).collect::<Vec<u32>>(),
             (500..900).collect::<Vec<u32>>(),
         ] {
-            for enc in ALL_ENCODINGS {
-                let Some(list) = BlockList::encode_as(&values, enc) else {
-                    assert_eq!(enc, Encoding::Bitmap, "only bitmap may refuse");
-                    assert!(values.windows(2).any(|w| w[0] == w[1]));
-                    continue;
-                };
-                assert_eq!(list.encoding(), enc);
-                assert_eq!(list.decode_all(), values, "{enc:?}");
-                let mut bytes = Vec::new();
-                list.write(&mut bytes);
-                let mut pos = 0;
-                let back = BlockList::read(&bytes, &mut pos).expect("decodes");
-                assert_eq!(pos, bytes.len(), "{enc:?}");
-                assert_eq!(back.decode_all(), values, "{enc:?}");
+            for list in under_every_codec(&values) {
+                assert_eq!(
+                    decoded(&serialized(&list), values.len()),
+                    Some(values.clone()),
+                    "{list:?}"
+                );
             }
         }
     }
@@ -1342,91 +627,29 @@ mod tests {
     fn selector_picks_the_expected_codec() {
         // Long consecutive runs: RLE wins.
         let runs: Vec<u32> = (0..2000u32).chain(5000..7000).collect();
-        assert_eq!(BlockList::encode(&runs).encoding(), Encoding::Rle);
+        assert!(matches!(BlockList::encode(&runs), BlockList::Rle(_)));
         // Dense-but-gappy range (every value except multiples of 3):
         // defeats RLE (runs of 2), beats delta (bitmap ≈ 1.5 bits/value
         // vs 2+ bits of delta payload at width 2).
         let gappy: Vec<u32> = (0..6000u32).filter(|v| v % 3 != 0).collect();
-        assert_eq!(BlockList::encode(&gappy).encoding(), Encoding::Bitmap);
+        assert!(matches!(BlockList::encode(&gappy), BlockList::Bitmap(_)));
         // Sparse scattered values: delta wins.
         let sparse: Vec<u32> = (0..500u32).map(|i| i * 1013).collect();
-        assert_eq!(BlockList::encode(&sparse).encoding(), Encoding::Delta);
+        assert!(matches!(BlockList::encode(&sparse), BlockList::Delta(_)));
         // Duplicates make bitmap ineligible even when dense.
         let dups: Vec<u32> = (0..3000u32).flat_map(|v| [v, v]).collect();
-        assert_ne!(BlockList::encode(&dups).encoding(), Encoding::Bitmap);
-    }
-
-    #[test]
-    fn cursor_next_streams_everything() {
-        let values: Vec<u32> = (0..500).map(|i| i * 7 + (i % 3)).collect();
-        for enc in ALL_ENCODINGS {
-            let Some(list) = BlockList::encode_as(&values, enc) else {
-                continue;
-            };
-            let mut c = list.cursor();
-            let mut out = Vec::new();
-            for v in c.by_ref() {
-                out.push(v);
-            }
-            assert_eq!(out, values, "{enc:?}");
-            if enc == Encoding::Delta {
-                assert_eq!(c.blocks_decoded(), list.num_blocks() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn seek_finds_lower_bounds() {
-        let values: Vec<u32> = (0..1000).map(|i| i * 10).collect();
-        for enc in ALL_ENCODINGS {
-            let list = BlockList::encode_as(&values, enc).expect("strictly increasing");
-            let mut c = list.cursor();
-            assert_eq!(c.seek(0), Some(0), "{enc:?}");
-            assert_eq!(c.seek(15), Some(20), "{enc:?}");
-            assert_eq!(c.seek(20), Some(20), "{enc:?}"); // peek: still there
-            assert_eq!(c.next(), Some(20), "{enc:?}");
-            assert_eq!(c.seek(5000), Some(5000), "{enc:?}");
-            assert_eq!(c.seek(9991), None, "{enc:?}");
-        }
-    }
-
-    #[test]
-    fn seek_skips_blocks_without_decoding() {
-        let values: Vec<u32> = (0..BLOCK as u32 * 40).collect();
-        let list = BlockList::encode_as(&values, Encoding::Delta).expect("delta always encodes");
-        let mut c = list.cursor();
-        // Jump straight to the 30th block: at most the target block (plus
-        // the first, if touched) is decoded.
-        assert_eq!(c.seek(30 * BLOCK as u32 + 5), Some(30 * BLOCK as u32 + 5));
-        assert!(c.blocks_decoded() <= 1, "decoded {}", c.blocks_decoded());
-    }
-
-    #[test]
-    fn remaining_counts_down() {
-        let values: Vec<u32> = (0..300).collect();
-        for enc in ALL_ENCODINGS {
-            let list = BlockList::encode_as(&values, enc).expect("strictly increasing");
-            let mut c = list.cursor();
-            assert_eq!(c.remaining(), 300, "{enc:?}");
-            c.next();
-            assert_eq!(c.remaining(), 299, "{enc:?}");
-            c.seek(290);
-            assert_eq!(c.remaining(), 10, "{enc:?}");
-        }
+        assert!(!matches!(BlockList::encode(&dups), BlockList::Bitmap(_)));
     }
 
     #[test]
     fn truncated_reads_fail() {
         let values: Vec<u32> = (0..300).map(|i| i * 5).collect();
-        for enc in ALL_ENCODINGS {
-            let list = BlockList::encode_as(&values, enc).expect("strictly increasing");
-            let mut bytes = Vec::new();
-            list.write(&mut bytes);
+        for list in under_every_codec(&values) {
+            let bytes = serialized(&list);
             for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-                let mut pos = 0;
                 assert!(
-                    BlockList::read(&bytes[..cut], &mut pos).is_none(),
-                    "{enc:?} cut {cut}"
+                    decoded(&bytes[..cut], values.len()).is_none(),
+                    "{list:?} cut {cut}"
                 );
             }
         }
@@ -1434,15 +657,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let list = BlockList::encode(&[1, 2, 3]);
-        let mut bytes = Vec::new();
-        list.write(&mut bytes);
+        let mut bytes = serialized(&BlockList::encode(&[1, 2, 3]));
         bytes[0] = 7; // no such codec
-        let mut pos = 0;
-        assert!(BlockList::read(&bytes, &mut pos).is_none());
-        let mut pos = 0;
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        assert!(BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out, 3).is_none());
+        assert!(decoded(&bytes, 3).is_none());
     }
 
     #[test]
@@ -1450,19 +667,17 @@ mod tests {
         // The declared length is compared with the caller's expectation
         // before it sizes any reservation.
         let values: Vec<u32> = (0..300).collect();
-        for enc in ALL_ENCODINGS {
-            let list = BlockList::encode_as(&values, enc).expect("strictly increasing");
-            let mut bytes = Vec::new();
-            list.write(&mut bytes);
+        for list in under_every_codec(&values) {
+            let bytes = serialized(&list);
             for wrong in [0, values.len() - 1, values.len() + 1, u32::MAX as usize] {
                 let (mut pos, mut scratch, mut out) = (0, Vec::new(), Vec::new());
                 assert!(
                     BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut out, wrong).is_none(),
-                    "{enc:?} expect {wrong}"
+                    "{list:?} expect {wrong}"
                 );
                 assert!(
                     out.capacity() <= values.len(),
-                    "{enc:?} reserved for {wrong}"
+                    "{list:?} reserved for {wrong}"
                 );
             }
         }
@@ -1472,24 +687,8 @@ mod tests {
         #[test]
         fn roundtrip_arbitrary(v in proptest::collection::vec(any::<u32>(), 0..600)) {
             let values = sorted(v);
-            let list = BlockList::encode(&values);
-            prop_assert_eq!(list.decode_all(), values.clone());
-            let mut bytes = Vec::new();
-            list.write(&mut bytes);
-            let mut pos = 0;
-            let back = BlockList::read(&bytes, &mut pos).expect("round-trips");
-            prop_assert_eq!(pos, bytes.len());
-            prop_assert_eq!(back.decode_all(), values.clone());
-            // The zero-copy streaming decoder agrees.
-            let mut pos = 0;
-            let mut scratch = Vec::new();
-            let mut streamed = Vec::new();
-            let units =
-                BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed, values.len())
-                    .expect("streams");
-            prop_assert_eq!(pos, bytes.len());
-            prop_assert_eq!(units as usize, list.num_blocks());
-            prop_assert_eq!(streamed, values);
+            let bytes = serialized(&BlockList::encode(&values));
+            prop_assert_eq!(decoded(&bytes, values.len()), Some(values));
         }
 
         #[test]
@@ -1497,77 +696,13 @@ mod tests {
             v in proptest::collection::vec(0u32..100_000, 0..600),
         ) {
             let values = sorted(v);
-            for enc in ALL_ENCODINGS {
-                let Some(list) = BlockList::encode_as(&values, enc) else { continue };
-                prop_assert_eq!(list.decode_all(), values.clone(), "{:?}", enc);
-                let mut bytes = Vec::new();
-                list.write(&mut bytes);
-                let mut pos = 0;
-                let back = BlockList::read(&bytes, &mut pos).expect("round-trips");
-                prop_assert_eq!(pos, bytes.len(), "{:?}", enc);
-                prop_assert_eq!(back.decode_all(), values.clone(), "{:?}", enc);
-                let mut pos = 0;
-                let mut scratch = Vec::new();
-                let mut streamed = Vec::new();
-                BlockList::read_into(&bytes, &mut pos, &mut scratch, &mut streamed, values.len())
-                    .expect("streams");
-                prop_assert_eq!(pos, bytes.len(), "{:?}", enc);
-                prop_assert_eq!(streamed, values.clone(), "{:?}", enc);
-            }
-        }
-
-        #[test]
-        fn seek_equals_partition_point(
-            v in proptest::collection::vec(0u32..5000, 1..600),
-            targets in proptest::collection::vec(0u32..5100, 1..40),
-        ) {
-            let values = sorted(v);
-            let mut targets = sorted(targets);
-            targets.dedup();
-            for enc in ALL_ENCODINGS {
-                let Some(list) = BlockList::encode_as(&values, enc) else { continue };
-                let mut c = list.cursor();
-                for &t in &targets {
-                    let expect = values
-                        .get(values.partition_point(|&x| x < t))
-                        .copied();
-                    prop_assert_eq!(c.seek(t), expect, "{:?} target {}", enc, t);
-                }
-            }
-        }
-
-        #[test]
-        fn interleaved_seek_and_next_agree_across_codecs(
-            v in proptest::collection::vec(0u32..4000, 1..400),
-            ops in proptest::collection::vec((any::<bool>(), 0u32..4100), 1..60),
-        ) {
-            let values = sorted(v);
-            // Drive the same (monotone-seek | next) op sequence through
-            // all eligible codecs; every step must agree.
-            let lists: Vec<BlockList> = ALL_ENCODINGS
-                .iter()
-                .filter_map(|&e| BlockList::encode_as(&values, e))
-                .collect();
-            let mut cursors: Vec<BlockCursor<'_>> =
-                lists.iter().map(BlockList::cursor).collect();
-            let mut floor = 0u32;
-            for &(is_seek, t) in &ops {
-                if is_seek {
-                    let t = t.max(floor);
-                    floor = t;
-                    let results: Vec<Option<u32>> =
-                        cursors.iter_mut().map(|c| c.seek(t)).collect();
-                    prop_assert!(results.windows(2).all(|w| w[0] == w[1]), "{:?}", results);
-                } else {
-                    let results: Vec<Option<u32>> =
-                        cursors.iter_mut().map(|c| c.next_value()).collect();
-                    prop_assert!(results.windows(2).all(|w| w[0] == w[1]), "{:?}", results);
-                    if let Some(v) = results[0] {
-                        floor = floor.max(v);
-                    }
-                }
-                let rems: Vec<usize> = cursors.iter().map(|c| c.remaining()).collect();
-                prop_assert!(rems.windows(2).all(|w| w[0] == w[1]), "{:?}", rems);
+            for list in under_every_codec(&values) {
+                prop_assert_eq!(
+                    decoded(&serialized(&list), values.len()),
+                    Some(values.clone()),
+                    "{:?}",
+                    list
+                );
             }
         }
     }

@@ -499,7 +499,7 @@ mod tests {
                 let mut v: Vec<(Vec<NodeId>, bool, u64, u64)> = idx
                     .roots()
                     .iter()
-                    .flat_map(|&r| idx.paths_of_root(NodeId(r)).to_vec())
+                    .flat_map(|&r| idx.root_runs(NodeId(r)).flat_map(|(_, ps)| ps.to_vec()))
                     .map(|p| {
                         (
                             idx.nodes_of(&p).to_vec(),

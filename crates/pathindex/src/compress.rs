@@ -1,18 +1,17 @@
 //! The word-stream codec of the `PKB5` container ([`crate::storage`]):
 //! one word's postings as a compact byte stream.
 //!
-//! The decoded [`WordPathIndex`] stores both sort orders of every posting
-//! as fixed-width structs (fast, but ≈56 bytes per posting plus the node
-//! arena). For large `d` the index grows steeply — the paper's Figure 6
-//! reports 34 GB at `d = 4` — so the persisted image keeps each word's
-//! postings in this form and decodes on demand:
+//! The decoded [`WordPathIndex`] stores every posting as a fixed-width
+//! struct (fast, but 32 bytes per posting plus the root directory and the
+//! node arena). For large `d` the index grows steeply — the paper's
+//! Figure 6 reports 34 GB at `d = 4` — so the persisted image keeps each
+//! word's postings in this form and decodes on demand:
 //!
 //! * postings are stored once, in pattern-first order, grouped by pattern;
 //! * each group's root column is an adaptively-encoded
 //!   [`crate::blocks::BlockList`]: the builder computes the exact
 //!   serialized size of delta + bitpack blocks, run-length runs, and a
-//!   dense bitmap, and keeps the smallest (one codec tag byte per list),
-//!   followed by a per-block suffix score-bound section;
+//!   dense bitmap, and keeps the smallest (one codec tag byte per list);
 //! * pattern ids are delta-coded ([`crate::varint`]);
 //! * the leading path node is implicit (it equals the root);
 //! * the two cached scores stay as raw little-endian `f64`s, so an
@@ -69,7 +68,7 @@ pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
     varint::put_u32(&mut bytes, groups.len() as u32);
     let mut prev_pat = 0u32;
     let mut roots: Vec<u32> = Vec::new();
-    for (gi, &(pat, lo, hi)) in groups.iter().enumerate() {
+    for &(pat, lo, hi) in &groups {
         varint::put_u32(&mut bytes, pat.0 - prev_pat);
         prev_pat = pat.0;
         varint::put_u32(&mut bytes, (hi - lo) as u32);
@@ -78,20 +77,6 @@ pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
         roots.clear();
         roots.extend(postings[lo..hi].iter().map(|p| p.root.0));
         BlockList::encode(&roots).write(&mut bytes);
-        // Suffix score-bound section (empty for short lists): the
-        // group order matches the pattern-first primary order, so
-        // `gi` indexes the word's bound tables directly.
-        let bounds = widx.pattern_block_bounds(gi);
-        varint::put_u32(&mut bytes, bounds.len() as u32);
-        for b in bounds {
-            varint::put_u32(&mut bytes, b.num_paths);
-            varint::put_u32(&mut bytes, b.max_per_root);
-            for v in [
-                b.min_len, b.max_len, b.min_pr, b.max_pr, b.min_sim, b.max_sim,
-            ] {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
         // Payload column, in the same posting order.
         for p in &postings[lo..hi] {
             let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
@@ -148,29 +133,6 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
         roots_scratch.clear();
         BlockList::read_into(buf, &mut pos, &mut skips_scratch, &mut roots_scratch, count)
             .ok_or(CompressError::Truncated)?;
-        // Validate and discard the suffix bound section — it is derived
-        // data, recomputed from the decoded postings by
-        // `WordPathIndex::new`, carried in the image so readers without
-        // the postings can still plan block skipping.
-        let nbounds = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
-        if nbounds > count {
-            return Err(CompressError::Corrupt);
-        }
-        for _ in 0..nbounds {
-            varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // num_paths
-            varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?; // max_per_root
-            if pos + 48 > buf.len() {
-                return Err(CompressError::Truncated);
-            }
-            for k in 0..6 {
-                let at = pos + 8 * k;
-                let v = f64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-                if !v.is_finite() {
-                    return Err(CompressError::Corrupt);
-                }
-            }
-            pos += 48;
-        }
         for &root in &roots_scratch {
             let header = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
             let edge_terminal = header & 1 == 1;

@@ -14,26 +14,8 @@
 //! information-theoretic lower bound for merging sorted sets.
 //!
 //! Two cursor types share the discipline (monotone targets, peek
-//! semantics): [`SliceCursor`] over in-memory `&[u32]` runs (the hot
-//! uncompressed index) and [`crate::blocks::BlockCursor`] over the
-//! compressed tier's block-coded lists, where per-block max-root skip
-//! entries make `seek` cheaper still.
-
-use crate::blocks::BlockCursor;
-
-/// A forward cursor over a sorted `u32` sequence supporting skip-ahead.
-///
-/// Contract: `seek` targets are non-decreasing across calls; `seek`
-/// positions the cursor **at** the returned element (peeking), while
-/// `next` consumes.
-pub trait SeekCursor {
-    /// The least remaining element `≥ target`, without consuming it.
-    fn seek(&mut self, target: u32) -> Option<u32>;
-    /// Consume and return the current element.
-    fn next(&mut self) -> Option<u32>;
-    /// Exact number of unconsumed elements.
-    fn remaining(&self) -> usize;
-}
+//! semantics): `SliceCursor` over a sorted `&[u32]` key column and
+//! [`crate::grouped::RunCursor`] over one pattern's `(root, paths)` runs.
 
 /// Lower bound of `target` in sorted `keys`, galloping forward from
 /// position `from`: exponential probe to bracket the answer in
@@ -55,28 +37,32 @@ pub(crate) fn gallop_lower_bound(keys: &[u32], from: usize, target: u32) -> usiz
     lo + keys[lo..hi].partition_point(|&v| v < target)
 }
 
-/// [`SeekCursor`] over a plain sorted slice, seeking by galloping from
+/// A forward cursor over a plain sorted slice, seeking by galloping from
 /// the current position.
-pub struct SliceCursor<'a> {
+///
+/// Contract: `seek` targets are non-decreasing across calls; `seek`
+/// positions the cursor **at** the returned element (peeking), while
+/// `next` consumes.
+struct SliceCursor<'a> {
     s: &'a [u32],
     pos: usize,
 }
 
 impl<'a> SliceCursor<'a> {
     /// Cursor over `s` (must be sorted ascending).
-    pub fn new(s: &'a [u32]) -> Self {
+    fn new(s: &'a [u32]) -> Self {
         debug_assert!(s.windows(2).all(|w| w[0] <= w[1]));
         SliceCursor { s, pos: 0 }
     }
-}
 
-impl SeekCursor for SliceCursor<'_> {
+    /// The least remaining element `≥ target`, without consuming it.
     #[inline]
     fn seek(&mut self, target: u32) -> Option<u32> {
         self.pos = gallop_lower_bound(self.s, self.pos, target);
         self.s.get(self.pos).copied()
     }
 
+    /// Consume and return the current element.
     #[inline]
     fn next(&mut self) -> Option<u32> {
         let v = self.s.get(self.pos).copied();
@@ -86,24 +72,9 @@ impl SeekCursor for SliceCursor<'_> {
         v
     }
 
+    /// Exact number of unconsumed elements.
     fn remaining(&self) -> usize {
         self.s.len() - self.pos
-    }
-}
-
-impl SeekCursor for BlockCursor<'_> {
-    #[inline]
-    fn seek(&mut self, target: u32) -> Option<u32> {
-        BlockCursor::seek(self, target)
-    }
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        self.next_value()
-    }
-
-    fn remaining(&self) -> usize {
-        BlockCursor::remaining(self)
     }
 }
 
@@ -111,7 +82,7 @@ impl SeekCursor for BlockCursor<'_> {
 /// ascending order. Duplicates within a list are emitted once per common
 /// value. Returns the number of `seek` calls issued (the intersection's
 /// work measure).
-pub fn intersect_with<C: SeekCursor>(cursors: &mut [C], mut emit: impl FnMut(u32)) -> u64 {
+fn intersect_with(cursors: &mut [SliceCursor<'_>], mut emit: impl FnMut(u32)) -> u64 {
     if cursors.is_empty() {
         return 0;
     }
@@ -218,28 +189,6 @@ pub fn intersect_runs<'a>(
     slices: &mut Vec<&'a [crate::posting::Posting]>,
     mut f: impl FnMut(u32, &[&'a [crate::posting::Posting]]),
 ) -> u64 {
-    intersect_runs_while(cursors, slices, |key, runs, _| {
-        f(key, runs);
-        std::ops::ControlFlow::Continue(())
-    })
-}
-
-/// [`intersect_runs`] with early exit: after each common key, `f` returns
-/// [`std::ops::ControlFlow`] — `Break(())` abandons the remainder of the
-/// intersection (the score-bounded search path breaks once the pattern's
-/// upper bound can no longer beat the shared top-k threshold). `f` also
-/// receives the cursor array read-only, so callers can inspect each
-/// cursor's [`crate::grouped::RunCursor::pos`]/`remaining` to index
-/// suffix score-bound tables. Returns the number of seeks performed.
-pub fn intersect_runs_while<'a>(
-    cursors: &mut [crate::grouped::RunCursor<'a>],
-    slices: &mut Vec<&'a [crate::posting::Posting]>,
-    mut f: impl FnMut(
-        u32,
-        &[&'a [crate::posting::Posting]],
-        &[crate::grouped::RunCursor<'a>],
-    ) -> std::ops::ControlFlow<()>,
-) -> u64 {
     let mut seeks: u64 = 0;
     if cursors.is_empty() {
         return seeks;
@@ -281,9 +230,7 @@ pub fn intersect_runs_while<'a>(
         for c in cursors.iter() {
             slices.push(c.postings());
         }
-        if f(candidate, slices, &*cursors).is_break() {
-            break 'round;
-        }
+        f(candidate, slices);
         match cursors[lead].advance() {
             Some(next) => candidate = next,
             None => break,
@@ -325,7 +272,6 @@ pub fn intersect_naive(lists: &[&[u32]]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::BlockList;
     use proptest::prelude::*;
 
     #[test]
@@ -369,19 +315,6 @@ mod tests {
         assert_eq!(intersect_naive(&[&a, &b]), vec![3, 5]);
     }
 
-    #[test]
-    fn block_cursors_intersect_too() {
-        let a: Vec<u32> = (0..2000).map(|i| i * 3).collect();
-        let b: Vec<u32> = (0..2000).map(|i| i * 5).collect();
-        let la = BlockList::encode(&a);
-        let lb = BlockList::encode(&b);
-        let mut cursors = vec![la.cursor(), lb.cursor()];
-        let mut out = Vec::new();
-        intersect_with(&mut cursors, |v| out.push(v));
-        let expect: Vec<u32> = (0..2000u32 * 3).filter(|v| v % 15 == 0).collect();
-        assert_eq!(out, expect);
-    }
-
     proptest! {
         /// Gallop intersection equals the naive implementation on
         /// arbitrary sorted lists (the satellite equivalence property).
@@ -399,25 +332,6 @@ mod tests {
             let naive = intersect_naive(&refs);
             prop_assert_eq!(&gallop, &naive);
             prop_assert_eq!(intersect_count(&refs, None), naive.len());
-        }
-
-        /// Block-coded cursors produce the same intersection as slices.
-        #[test]
-        fn blocks_equal_slices(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(0u32..500, 1..400), 2..4)
-        ) {
-            let lists: Vec<Vec<u32>> = raw
-                .into_iter()
-                .map(|mut l| { l.sort_unstable(); l })
-                .collect();
-            let refs: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
-            let blocks: Vec<BlockList> =
-                lists.iter().map(|l| BlockList::encode(l)).collect();
-            let mut cursors: Vec<_> = blocks.iter().map(BlockList::cursor).collect();
-            let mut via_blocks = Vec::new();
-            intersect_with(&mut cursors, |v| via_blocks.push(v));
-            prop_assert_eq!(via_blocks, intersect_sorted(&refs));
         }
     }
 }

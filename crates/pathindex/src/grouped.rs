@@ -1,15 +1,21 @@
-//! Two-level grouped posting storage.
+//! Two-level grouped posting storage, and the root directory over it.
 //!
-//! Both index orders of Figure 4 share one layout: postings sorted by a
-//! primary key and a secondary key, with offset arrays for both levels.
-//! For the pattern-first index the primary key is the pattern and the
-//! secondary key is the root; the root-first index swaps them. Every access
-//! method of §3 then becomes: binary-search the primary key, optionally
-//! binary-search the secondary key inside its run range, return a slice.
+//! Every posting is stored once, in the pattern-first order of Figure
+//! 4(a): sorted by `(pattern, root)` — the primary and secondary key of
+//! [`GroupedPostings`] — with offset arrays for both levels, so a pattern-
+//! first access method of §3 is: binary-search the pattern, optionally
+//! binary-search the root inside its run range, return a slice.
+//!
+//! The root-first order of Figure 4(b) holds the same `(pattern, root)`
+//! runs under the transposed key, and a run's postings are in the same
+//! order either way — so `RootDirectory` transposes only the run
+//! *directory* (the paper's "pointers pointing to the beginning of a list
+//! of paths") and its access methods hand out slices of the one
+//! pattern-first array.
 
 use crate::posting::Posting;
 
-/// Postings grouped by `(primary, secondary)` keys.
+/// Postings grouped by `(primary, secondary)` = `(pattern, root)` keys.
 ///
 /// Invariants (checked in debug builds by [`GroupedPostings::validate`]):
 /// * `g1_keys` is strictly increasing;
@@ -34,12 +40,10 @@ pub struct GroupedPostings {
 }
 
 impl GroupedPostings {
-    /// Build from postings already sorted by `(primary(p), secondary(p))`.
-    pub fn from_sorted<FP, FS>(postings: Vec<Posting>, primary: FP, secondary: FS) -> Self
-    where
-        FP: Fn(&Posting) -> u32,
-        FS: Fn(&Posting) -> u32,
-    {
+    /// Build from postings already sorted by `(pattern, root)`.
+    pub fn from_sorted(postings: Vec<Posting>) -> Self {
+        let primary = |p: &Posting| p.pattern.0;
+        let secondary = |p: &Posting| p.root.0;
         let mut g1_keys = Vec::new();
         let mut g1_run_start = vec![0u32];
         let mut g2_keys = Vec::new();
@@ -104,13 +108,6 @@ impl GroupedPostings {
         let lo = self.g2_post_start[run_lo] as usize;
         let hi = self.g2_post_start[run_hi] as usize;
         &self.postings[lo..hi]
-    }
-
-    /// Number of postings under the `i`-th primary group (O(1)).
-    pub fn group_len(&self, i: usize) -> usize {
-        let run_lo = self.g1_run_start[i] as usize;
-        let run_hi = self.g1_run_start[i + 1] as usize;
-        (self.g2_post_start[run_hi] - self.g2_post_start[run_lo]) as usize
     }
 
     /// Postings of the run with secondary key `sec` inside the `i`-th
@@ -201,6 +198,146 @@ impl GroupedPostings {
     }
 }
 
+/// Where one `(root, pattern)` run's postings sit in the pattern-first
+/// array. Offset and length live side by side: a root's runs are scattered
+/// over the array, so walking them reads one descriptor per run, not two
+/// columns.
+#[derive(Clone, Copy, Debug)]
+struct RunSpan {
+    start: u32,
+    len: u32,
+}
+
+/// The root-first order of Figure 4(b) as a directory over a pattern-first
+/// [`GroupedPostings`]: the same runs keyed `(root, pattern)`, each
+/// pointing at its postings in that array. The accessors take the array
+/// (`GroupedPostings::postings` of the list the directory was built from)
+/// and return contiguous slices of it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RootDirectory {
+    /// Distinct roots, ascending.
+    roots: Vec<u32>,
+    /// Root `i` owns runs `run_start[i] .. run_start[i + 1]`. Length
+    /// `roots.len() + 1`.
+    run_start: Vec<u32>,
+    /// Root `i` owns `paths_before[i + 1] - paths_before[i]` postings.
+    /// Length `roots.len() + 1`.
+    paths_before: Vec<u32>,
+    /// Pattern of each run, ascending within a root.
+    patterns: Vec<u32>,
+    /// Posting range of each run, parallel to `patterns`.
+    spans: Vec<RunSpan>,
+}
+
+impl RootDirectory {
+    /// Transpose `pattern_first`'s run directory: one pass over its runs,
+    /// then a sort of the run descriptors — never of the postings.
+    pub(crate) fn build(pattern_first: &GroupedPostings) -> Self {
+        let mut runs: Vec<(u32, u32, RunSpan)> = Vec::with_capacity(pattern_first.g2_keys.len());
+        for (i, &pattern) in pattern_first.g1_keys.iter().enumerate() {
+            let lo = pattern_first.g1_run_start[i] as usize;
+            let hi = pattern_first.g1_run_start[i + 1] as usize;
+            for j in lo..hi {
+                let start = pattern_first.g2_post_start[j];
+                let len = pattern_first.g2_post_start[j + 1] - start;
+                runs.push((pattern_first.g2_keys[j], pattern, RunSpan { start, len }));
+            }
+        }
+        // `(root, pattern)` pairs are distinct, so an unstable sort is exact.
+        runs.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
+
+        let mut dir = RootDirectory {
+            patterns: Vec::with_capacity(runs.len()),
+            spans: Vec::with_capacity(runs.len()),
+            ..RootDirectory::default()
+        };
+        let mut paths = 0u32;
+        for &(root, pattern, span) in &runs {
+            if dir.roots.last() != Some(&root) {
+                dir.roots.push(root);
+                dir.run_start.push(dir.patterns.len() as u32);
+                dir.paths_before.push(paths);
+            }
+            dir.patterns.push(pattern);
+            dir.spans.push(span);
+            paths += span.len;
+        }
+        dir.run_start.push(runs.len() as u32);
+        dir.paths_before.push(paths);
+        dir
+    }
+
+    /// Distinct roots, ascending.
+    #[inline]
+    pub(crate) fn roots(&self) -> &[u32] {
+        &self.roots
+    }
+
+    /// The run range of `root`; empty if absent.
+    #[inline]
+    fn runs_of(&self, root: u32) -> std::ops::Range<usize> {
+        match self.find(root) {
+            Some(i) => self.run_start[i] as usize..self.run_start[i + 1] as usize,
+            None => 0..0,
+        }
+    }
+
+    /// Position of `root` in the directory, if present.
+    #[inline]
+    fn find(&self, root: u32) -> Option<usize> {
+        self.roots.binary_search(&root).ok()
+    }
+
+    #[inline]
+    fn slice<'a>(&self, postings: &'a [Posting], j: usize) -> &'a [Posting] {
+        let RunSpan { start, len } = self.spans[j];
+        &postings[start as usize..(start + len) as usize]
+    }
+
+    /// Patterns through which `root` is reached, ascending.
+    pub(crate) fn patterns_of(&self, root: u32) -> &[u32] {
+        &self.patterns[self.runs_of(root)]
+    }
+
+    /// Number of postings under `root`, without visiting its runs.
+    pub(crate) fn num_paths_of(&self, root: u32) -> usize {
+        self.find(root).map_or(0, |i| {
+            (self.paths_before[i + 1] - self.paths_before[i]) as usize
+        })
+    }
+
+    /// Postings of the `(root, pattern)` run; empty if absent.
+    pub(crate) fn run<'a>(
+        &self,
+        postings: &'a [Posting],
+        root: u32,
+        pattern: u32,
+    ) -> &'a [Posting] {
+        let runs = self.runs_of(root);
+        match self.patterns[runs.clone()].binary_search(&pattern) {
+            Ok(off) => self.slice(postings, runs.start + off),
+            Err(_) => &[],
+        }
+    }
+
+    /// Iterate `(pattern, postings)` runs of `root`, ascending by pattern.
+    pub(crate) fn runs<'a>(
+        &'a self,
+        postings: &'a [Posting],
+        root: u32,
+    ) -> impl Iterator<Item = (u32, &'a [Posting])> {
+        self.runs_of(root)
+            .map(move |j| (self.patterns[j], self.slice(postings, j)))
+    }
+
+    /// Approximate resident bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.roots.len() + self.run_start.len() + self.paths_before.len() + self.patterns.len())
+            * 4
+            + self.spans.len() * std::mem::size_of::<RunSpan>()
+    }
+}
+
 /// Forward cursor over one primary group's `(secondary key, postings)`
 /// runs, with galloping skip-ahead by secondary key. `seek` targets must
 /// be non-decreasing; it positions the cursor **at** the found run (peek
@@ -246,15 +383,6 @@ impl<'a> RunCursor<'a> {
     pub fn remaining(&self) -> usize {
         self.keys.len().saturating_sub(self.pos)
     }
-
-    /// Number of runs already consumed (the cursor's position in run
-    /// units). `pos / crate::blocks::BLOCK` is the run block the cursor
-    /// sits in — the index into a suffix score-bound table
-    /// ([`crate::word_index::WordPathIndex::pattern_block_bounds`]).
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -275,13 +403,6 @@ mod tests {
         }
     }
 
-    fn by_pattern(p: &Posting) -> u32 {
-        p.pattern.0
-    }
-    fn by_root(p: &Posting) -> u32 {
-        p.root.0
-    }
-
     fn sample() -> GroupedPostings {
         // Sorted by (pattern, root).
         let postings = vec![
@@ -293,7 +414,7 @@ mod tests {
             posting(3, 5),
             posting(3, 5),
         ];
-        GroupedPostings::from_sorted(postings, by_pattern, by_root)
+        GroupedPostings::from_sorted(postings)
     }
 
     #[test]
@@ -311,10 +432,9 @@ mod tests {
         let i1 = g.find_primary(1).unwrap();
         assert_eq!(g.secondary_keys(i1), &[5, 9]);
         assert_eq!(g.group_postings(i1).len(), 3);
-        assert_eq!(g.group_len(i1), 3);
         let i3 = g.find_primary(3).unwrap();
         assert_eq!(g.secondary_keys(i3), &[2, 5]);
-        assert_eq!(g.group_len(i3), 4);
+        assert_eq!(g.group_postings(i3).len(), 4);
         assert_eq!(g.find_primary(2), None);
     }
 
@@ -337,7 +457,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        let g = GroupedPostings::from_sorted(vec![], by_pattern, by_root);
+        let g = GroupedPostings::from_sorted(vec![]);
         assert!(g.validate());
         assert!(g.is_empty());
         assert_eq!(g.find_primary(0), None);
@@ -382,8 +502,7 @@ mod proptests {
                 pagerank: 0.0,
                 sim: 0.0,
             }).collect();
-            let g = GroupedPostings::from_sorted(postings.clone(),
-                |p| p.pattern.0, |p| p.root.0);
+            let g = GroupedPostings::from_sorted(postings.clone());
             prop_assert!(g.validate());
             // Reassemble from runs.
             let mut rebuilt = Vec::new();

@@ -4,17 +4,20 @@
 //! paper. For each (canonical) keyword `w` the index materializes **all
 //! paths** in the knowledge graph that start at some root `r`, follow a path
 //! pattern `P`, and end at a node or edge containing `w`, with length at most
-//! `d`. The same postings are stored in two sort orders:
+//! `d`. Every posting is stored once and reached through two directories:
 //!
-//! * the **pattern-first** order (Figure 4(a)) — `(pattern, root)` — serving
-//!   `Patterns(w)`, `Roots(w, P)`, `Paths(w, P, r)`;
-//! * the **root-first** order (Figure 4(b)) — `(root, pattern)` — serving
-//!   `Roots(w)`, `Patterns(w, r)`, `Paths(w, r)`, `Paths(w, r, P)`.
+//! * the **pattern-first** order (Figure 4(a)) — `(pattern, root)` — is the
+//!   order the postings are sorted and stored in, serving `Patterns(w)`,
+//!   `Roots(w, P)`, `Paths(w, P, r)`;
+//! * the **root-first** order (Figure 4(b)) — `(root, pattern)` — is a run
+//!   directory over that same array (a `(root, pattern)` run holds exactly
+//!   the postings of the `(pattern, root)` run), serving `Roots(w)`,
+//!   `Patterns(w, r)`, `Paths(w, r)`, `Paths(w, r, P)`.
 //!
-//! Postings are stored contiguously and sorted, with two-level group-offset
-//! arrays, so every access method is a binary search plus a slice — the
-//! in-memory analogue of the paper's "sort and store paths sequentially in
-//! memory … store pointers pointing to the beginning of a list of paths".
+//! Postings are contiguous and sorted, with group-offset arrays, so every
+//! access method is a binary search plus a slice — the in-memory analogue
+//! of the paper's "sort and store paths sequentially in memory … store
+//! pointers pointing to the beginning of a list of paths".
 //!
 //! Per the end of §3, the scoring terms `|T(w)|`, `PR(f(w))` and
 //! `sim(w, f(w))` are **precomputed into each posting**, so online scoring
@@ -22,7 +25,7 @@
 
 #![warn(missing_docs)]
 
-pub mod blocks;
+mod blocks;
 pub mod build;
 mod compress;
 pub mod cursor;
@@ -36,9 +39,8 @@ pub mod storage;
 pub mod varint;
 pub mod word_index;
 
-pub use blocks::{BlockCursor, BlockList, Encoding, BLOCK};
 pub use build::{build_indexes, BuildConfig};
-pub use cursor::{intersect_runs, intersect_runs_while, SeekCursor, SliceCursor};
+pub use cursor::intersect_runs;
 pub use grouped::RunCursor;
 pub use incremental::{refresh_indexes, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};

@@ -10,10 +10,10 @@
 //! written by [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
 //!
 //! The image stores the pattern interner and, per word, the postings in
-//! pattern-first order; the root-first order is re-derived on decode (a
-//! sort is ~50× cheaper than the DFS enumeration and keeps the two orders
-//! impossible to desynchronize). The normative byte-level specification
-//! is `docs/FORMATS.md` at the repository root.
+//! pattern-first order; the root-first directory over them is rebuilt on
+//! decode (a sort of the run descriptors, ~50× cheaper than the DFS
+//! enumeration, and derived data cannot desynchronize). The normative
+//! byte-level specification is `docs/FORMATS.md` at the repository root.
 //!
 //! Decode failures are the workspace-shared
 //! [`patternkb_graph::snapshot::SnapshotError`], carrying the byte offset

@@ -9,8 +9,7 @@
 //!
 //! * **the container**: an offset-table layout whose sections are 8-byte
 //!   aligned and whose per-word payloads are adaptive posting streams
-//!   (all three root-column codecs, skip entries and suffix score bounds
-//!   included);
+//!   (all three root-column codecs, skip entries included);
 //! * **[`Region`]**: where the container bytes live — a read-only file
 //!   mapping on Unix, or a heap buffer (non-Unix fallback, tests, and
 //!   checkpoint blobs) — behind one borrowing interface;
@@ -38,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Magic of the persisted index container.
 pub const MAGIC_V5: &[u8; 4] = b"PKB5";
-const VERSION_V5: u32 = 1;
+const VERSION_V5: u32 = 2;
 /// Fixed header: magic, version, d, nshards, file length, then the
 /// 4-entry section directory of `(offset, len)` u64 pairs.
 const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 8 + 4 * 16;

@@ -1,6 +1,6 @@
 //! The per-word path index and the top-level [`PathIndexes`] handle.
 
-use crate::grouped::GroupedPostings;
+use crate::grouped::{GroupedPostings, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
 use patternkb_graph::{FxHashMap, NodeId, WordId};
@@ -96,22 +96,19 @@ pub struct PatternTypeGroup {
     pub stats: Vec<PatternPostingStats>,
 }
 
-/// Both sort orders of the postings of one word, sharing one node arena.
+/// The postings of one word: stored once in pattern-first order, with a
+/// root-first directory over the same array and one node arena.
 #[derive(Clone, Debug, Default)]
 pub struct WordPathIndex {
     /// Node sequences of all paths, referenced by `Posting::nodes_start`.
     arena: Vec<NodeId>,
     /// Pattern-first order: primary = pattern, secondary = root (Fig. 4(a)).
     pattern_first: GroupedPostings,
-    /// Root-first order: primary = root, secondary = pattern (Fig. 4(b)).
-    root_first: GroupedPostings,
+    /// Root-first order (Fig. 4(b)): the `(root, pattern)` run directory
+    /// into `pattern_first.postings()`.
+    root_first: RootDirectory,
     /// Per-pattern stats, aligned with `pattern_first.primary_keys()`.
     pattern_stats: Vec<PatternPostingStats>,
-    /// Per-pattern suffix score-bound tables, flat. Pattern `prim` owns
-    /// `bound_table[bound_start[prim] .. bound_start[prim + 1]]`; see
-    /// [`Self::pattern_block_bounds`].
-    bound_start: Vec<u32>,
-    bound_table: Vec<PatternPostingStats>,
     /// Lazy per-word grouping of patterns by root type (ascending type,
     /// ascending pattern within type) — a pure function of the postings
     /// and the pattern set, built on the first query touching the word so
@@ -124,61 +121,18 @@ impl WordPathIndex {
     /// Assemble from unsorted postings plus their shared arena.
     pub fn new(mut postings: Vec<Posting>, arena: Vec<NodeId>) -> Self {
         postings.sort_unstable_by_key(|p| (p.pattern.0, p.root.0, p.nodes_start));
-        let pattern_first =
-            GroupedPostings::from_sorted(postings.clone(), |p| p.pattern.0, |p| p.root.0);
-        postings.sort_unstable_by_key(|p| (p.root.0, p.pattern.0, p.nodes_start));
-        let root_first = GroupedPostings::from_sorted(postings, |p| p.root.0, |p| p.pattern.0);
+        let pattern_first = GroupedPostings::from_sorted(postings);
+        let root_first = RootDirectory::build(&pattern_first);
         let pattern_stats = (0..pattern_first.num_primary())
             .map(|i| PatternPostingStats::scan(pattern_first.group_postings(i)))
             .collect();
-        let (bound_start, bound_table) = Self::build_bound_tables(&pattern_first);
         WordPathIndex {
             arena,
             pattern_first,
             root_first,
             pattern_stats,
-            bound_start,
-            bound_table,
             type_groups: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Build the per-pattern suffix score-bound tables.
-    ///
-    /// A pattern's root-run cursor visits its `(root, paths)` runs in
-    /// ascending root order, [`crate::blocks::BLOCK`] runs per skip block.
-    /// For every pattern with **more** than one block of runs, entry `b` of
-    /// its table holds the [`PatternPostingStats`] of all postings in run
-    /// blocks `b..` (a *suffix* bound: once a cursor has consumed `b`
-    /// blocks, entry `b` bounds everything it can still produce). Patterns
-    /// that fit in one block get an empty table — callers fall back to the
-    /// whole-list [`Self::pattern_stats`].
-    fn build_bound_tables(pattern_first: &GroupedPostings) -> (Vec<u32>, Vec<PatternPostingStats>) {
-        let nprim = pattern_first.num_primary();
-        let mut start = Vec::with_capacity(nprim + 1);
-        start.push(0u32);
-        let mut table: Vec<PatternPostingStats> = Vec::new();
-        let mut blocks: Vec<PatternPostingStats> = Vec::new();
-        for i in 0..nprim {
-            if pattern_first.secondary_keys(i).len() > crate::blocks::BLOCK {
-                blocks.clear();
-                for (ri, (_, run)) in pattern_first.runs(i).enumerate() {
-                    let s = PatternPostingStats::scan(run);
-                    if ri % crate::blocks::BLOCK == 0 {
-                        blocks.push(s);
-                    } else {
-                        blocks.last_mut().expect("first run pushes").merge(&s);
-                    }
-                }
-                for b in (0..blocks.len() - 1).rev() {
-                    let next = blocks[b + 1];
-                    blocks[b].merge(&next);
-                }
-                table.extend_from_slice(&blocks);
-            }
-            start.push(table.len() as u32);
-        }
-        (start, table)
     }
 
     /// The node sequence of a posting.
@@ -285,20 +239,6 @@ impl WordPathIndex {
         })
     }
 
-    /// The suffix score-bound table of pattern `prim` (an index from
-    /// [`Self::pattern_primary`]).
-    ///
-    /// Entry `b` bounds every posting from run block `b` onward — all
-    /// `(root, paths)` runs the pattern's run cursor yields once `b *`
-    /// [`crate::blocks::BLOCK`] runs have been consumed. Empty when the
-    /// pattern has at most one block of runs; callers then fall back to
-    /// the whole-list entry of [`Self::pattern_stats`].
-    pub fn pattern_block_bounds(&self, prim: usize) -> &[PatternPostingStats] {
-        let lo = self.bound_start[prim] as usize;
-        let hi = self.bound_start[prim + 1] as usize;
-        &self.bound_table[lo..hi]
-    }
-
     /// A seekable `(root, paths)` run cursor over pattern `prim` (an index
     /// from [`Self::pattern_primary`]) — the fused-join view of
     /// `Roots(w, P)` + `Paths(w, P, r)`.
@@ -310,48 +250,32 @@ impl WordPathIndex {
 
     /// `Roots(w)`: all roots that can reach the word, ascending.
     pub fn roots(&self) -> &[u32] {
-        self.root_first.primary_keys()
+        self.root_first.roots()
     }
 
     /// `Patterns(w, r)`: all patterns through which `root` reaches the word.
     pub fn patterns_of_root(&self, root: NodeId) -> &[u32] {
-        match self.root_first.find_primary(root.0) {
-            Some(i) => self.root_first.secondary_keys(i),
-            None => &[],
-        }
-    }
-
-    /// `Paths(w, r)`: all paths from `root` to the word (any pattern), in
-    /// pattern order.
-    pub fn paths_of_root(&self, root: NodeId) -> &[Posting] {
-        match self.root_first.find_primary(root.0) {
-            Some(i) => self.root_first.group_postings(i),
-            None => &[],
-        }
+        self.root_first.patterns_of(root.0)
     }
 
     /// `|Paths(w, r)|` in O(log): used by Algorithm 4 line 4 to compute
     /// `N_R` without enumerating subtrees.
     pub fn num_paths_of_root(&self, root: NodeId) -> usize {
-        match self.root_first.find_primary(root.0) {
-            Some(i) => self.root_first.group_len(i),
-            None => 0,
-        }
+        self.root_first.num_paths_of(root.0)
     }
 
     /// `Paths(w, r, P)`: all paths from `root` with pattern `p`.
     pub fn paths_of_root_pattern(&self, root: NodeId, p: PatternId) -> &[Posting] {
-        match self.root_first.find_primary(root.0) {
-            Some(i) => self.root_first.run_postings(i, p.0),
-            None => &[],
-        }
+        self.root_first
+            .run(self.pattern_first.postings(), root.0, p.0)
     }
 
-    /// Iterate `(pattern, paths)` runs of one root.
+    /// Iterate `(pattern, paths)` runs of one root — `Paths(w, r)`, one
+    /// pattern at a time in pattern order.
     pub fn root_runs(&self, root: NodeId) -> impl Iterator<Item = (PatternId, &[Posting])> {
-        let idx = self.root_first.find_primary(root.0);
-        idx.into_iter()
-            .flat_map(move |i| self.root_first.runs(i).map(|(k, ps)| (PatternId(k), ps)))
+        self.root_first
+            .runs(self.pattern_first.postings(), root.0)
+            .map(|(k, ps)| (PatternId(k), ps))
     }
 
     /// All postings in pattern-first order (used by the snapshot codec).
@@ -364,7 +288,7 @@ impl WordPathIndex {
         &self.arena
     }
 
-    /// Total number of postings (identical in both orders).
+    /// Total number of postings.
     pub fn len(&self) -> usize {
         self.pattern_first.len()
     }
@@ -374,14 +298,22 @@ impl WordPathIndex {
         self.pattern_first.is_empty()
     }
 
-    /// Approximate resident bytes (both orders + arena + stats).
+    /// Approximate resident bytes: arena, postings, root directory, stats,
+    /// and the type groups once a pattern-first query has memoised them.
     pub fn heap_bytes(&self) -> usize {
+        let stats = std::mem::size_of::<PatternPostingStats>();
+        let type_groups = self.type_groups.get().map_or(0, |groups| {
+            groups.len() * std::mem::size_of::<PatternTypeGroup>()
+                + groups
+                    .iter()
+                    .map(|g| g.patterns.len() * 4 + g.prims.len() * 4 + g.stats.len() * stats)
+                    .sum::<usize>()
+        });
         self.arena.len() * 4
             + self.pattern_first.heap_bytes()
             + self.root_first.heap_bytes()
-            + (self.pattern_stats.len() + self.bound_table.len())
-                * std::mem::size_of::<PatternPostingStats>()
-            + self.bound_start.len() * 4
+            + self.pattern_stats.len() * stats
+            + type_groups
     }
 }
 
@@ -782,7 +714,6 @@ mod tests {
         assert_eq!(idx.roots(), &[0, 2, 3]);
         assert_eq!(idx.patterns_of_root(NodeId(0)), &[2]);
         assert_eq!(idx.patterns_of_root(NodeId(7)), &[] as &[u32]);
-        assert_eq!(idx.paths_of_root(NodeId(2)).len(), 1);
         assert_eq!(idx.num_paths_of_root(NodeId(2)), 1);
         assert_eq!(idx.num_paths_of_root(NodeId(9)), 0);
         let runs: Vec<_> = idx
@@ -803,7 +734,7 @@ mod tests {
         let mut via_root: Vec<_> = idx
             .roots()
             .iter()
-            .flat_map(|&r| idx.paths_of_root(NodeId(r)).to_vec())
+            .flat_map(|&r| idx.root_runs(NodeId(r)).flat_map(|(_, ps)| ps.to_vec()))
             .collect();
         let key = |p: &Posting| (p.pattern.0, p.root.0, p.nodes_start);
         via_pattern.sort_unstable_by_key(key);
@@ -823,44 +754,6 @@ mod tests {
         assert_eq!(s.min_len, 2.0);
         assert_eq!(s.max_len, 2.0);
         assert_eq!(idx.pattern_at(prim), PatternId(2));
-    }
-
-    #[test]
-    fn block_bounds_are_suffix_stats() {
-        use crate::blocks::BLOCK;
-        // Pattern 1: 2.5 blocks of single-posting runs with descending
-        // pagerank, so every suffix entry tightens. Pattern 2: one run.
-        let nruns = BLOCK * 2 + BLOCK / 2;
-        let mut postings = Vec::new();
-        for r in 0..nruns as u32 {
-            let mut p = posting(1, r, 0, 1);
-            p.pagerank = 1000.0 - r as f64;
-            postings.push(p);
-        }
-        postings.push(posting(2, 0, 0, 2));
-        let idx = WordPathIndex::new(postings, vec![NodeId(0), NodeId(1)]);
-
-        let small = idx.pattern_primary(PatternId(2)).unwrap();
-        assert!(idx.pattern_block_bounds(small).is_empty());
-
-        let prim = idx.pattern_primary(PatternId(1)).unwrap();
-        let bounds = idx.pattern_block_bounds(prim);
-        assert_eq!(bounds.len(), 3);
-        // Entry 0 covers everything: identical to the whole-list stats.
-        assert_eq!(bounds[0], idx.pattern_stats()[prim]);
-        for b in 0..bounds.len() {
-            // Suffix b holds the remaining runs...
-            assert_eq!(bounds[b].num_paths as usize, nruns - b * BLOCK);
-            // ...whose best pagerank is that of the first remaining run.
-            assert_eq!(bounds[b].max_pr, 1000.0 - (b * BLOCK) as f64);
-            assert_eq!(bounds[b].min_pr, 1000.0 - (nruns - 1) as f64);
-        }
-        // Suffixes only shrink: each entry is contained in the previous.
-        for w in bounds.windows(2) {
-            assert!(w[1].num_paths <= w[0].num_paths);
-            assert!(w[1].max_pr <= w[0].max_pr);
-            assert!(w[1].max_per_root <= w[0].max_per_root);
-        }
     }
 
     #[test]
@@ -891,5 +784,82 @@ mod tests {
         assert!(groups.windows(2).all(|w| w[0].root_type < w[1].root_type));
         // Memoized: same slice on the second call.
         assert_eq!(groups.len(), idx.pattern_type_groups(&ps).len());
+    }
+
+    #[test]
+    fn heap_bytes_counts_memoised_type_groups() {
+        let idx = sample();
+        let cold = idx.heap_bytes();
+        let mut ps = crate::pattern::PatternSet::new();
+        for root_type in [5, 9, 7] {
+            ps.intern_key(&[2, root_type]);
+        }
+        idx.pattern_type_groups(&ps);
+        // Two single-pattern groups: the group headers plus one pattern
+        // id, one position and one stats entry each.
+        let per_group = std::mem::size_of::<PatternTypeGroup>()
+            + 4
+            + 4
+            + std::mem::size_of::<PatternPostingStats>();
+        assert_eq!(idx.heap_bytes(), cold + 2 * per_group);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The root-first accessors against the representation they
+            /// replaced: a second copy of the postings sorted by
+            /// `(root, pattern, nodes_start)`. Small key ranges force
+            /// duplicate `(pattern, root)` pairs; `npat = 1` and
+            /// `nroot = 1` give the single-pattern and single-root lists.
+            #[test]
+            fn root_directory_equals_a_root_sorted_copy(
+                (npat, nroot) in (1u32..6, 1u32..6),
+                raw in proptest::collection::vec((0u32..6, 0u32..6), 0..60),
+            ) {
+                let postings: Vec<Posting> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(p, r))| posting(p % npat, r % nroot, i as u32, 1))
+                    .collect();
+                let arena = vec![NodeId(0); postings.len()];
+                let mut sorted = postings.clone();
+                sorted.sort_unstable_by_key(|p| (p.root.0, p.pattern.0, p.nodes_start));
+                let idx = WordPathIndex::new(postings, arena);
+
+                let mut roots: Vec<u32> = sorted.iter().map(|p| p.root.0).collect();
+                roots.dedup();
+                prop_assert_eq!(idx.roots(), &roots[..]);
+                // Present roots, plus one past the range (absent).
+                for r in 0..=nroot {
+                    let root = NodeId(r);
+                    let of_root: Vec<Posting> =
+                        sorted.iter().filter(|p| p.root.0 == r).copied().collect();
+                    let mut pats: Vec<u32> = of_root.iter().map(|p| p.pattern.0).collect();
+                    pats.dedup();
+                    prop_assert_eq!(idx.patterns_of_root(root), &pats[..]);
+                    prop_assert_eq!(idx.num_paths_of_root(root), of_root.len());
+                    let runs: Vec<(PatternId, Vec<Posting>)> = pats
+                        .iter()
+                        .map(|&p| {
+                            let run = of_root.iter().filter(|x| x.pattern.0 == p).copied();
+                            (PatternId(p), run.collect())
+                        })
+                        .collect();
+                    let got: Vec<(PatternId, Vec<Posting>)> = idx
+                        .root_runs(root)
+                        .map(|(p, ps)| (p, ps.to_vec()))
+                        .collect();
+                    prop_assert_eq!(&got, &runs);
+                    for p in 0..=npat {
+                        let want: Vec<Posting> =
+                            of_root.iter().filter(|x| x.pattern.0 == p).copied().collect();
+                        prop_assert_eq!(idx.paths_of_root_pattern(root, PatternId(p)), &want[..]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! For random Wiki-like graphs, the set of `(word, pattern, root, path)`
 //! postings produced by Algorithm 1 must equal an independent brute-force
-//! enumeration straight off the graph, and the two sort orders (Figure
+//! enumeration straight off the graph, and the two access orders (Figure
 //! 4(a) and 4(b)) must expose exactly the same postings through their
 //! access methods.
 
@@ -200,7 +200,11 @@ fn num_paths_of_root_is_consistent() {
     );
     for (_, widx) in idx.shards().iter().flat_map(|s| s.iter_words()) {
         for &r in widx.roots() {
-            let counted = widx.paths_of_root(NodeId(r)).len();
+            let counted = widx
+                .postings_pattern_first()
+                .iter()
+                .filter(|p| p.root.0 == r)
+                .count();
             assert_eq!(widx.num_paths_of_root(NodeId(r)), counted);
             let via_runs: usize = widx.root_runs(NodeId(r)).map(|(_, ps)| ps.len()).sum();
             assert_eq!(via_runs, counted);
@@ -225,4 +229,31 @@ fn snapshot_of_real_index_roundtrips() {
         .expect("decode");
     assert_eq!(via_pattern_first(&idx), via_pattern_first(&decoded));
     assert_eq!(via_root_first(&idx), via_root_first(&decoded));
+}
+
+/// Every posting is resident once: 32 B of `Posting`, its share of the
+/// node arena, the pattern-first offsets and the root directory — 87.2 B
+/// on this graph. A second full copy of the postings reads 112.6 B.
+#[test]
+fn resident_bytes_per_posting_stay_single_copy() {
+    let g = wiki(&WikiConfig {
+        entities: 8_000,
+        ..WikiConfig::default()
+    });
+    let text = TextIndex::build(&g, SynonymTable::new());
+    let idx = build_indexes(
+        &g,
+        &text,
+        &BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 1,
+        },
+    );
+    let per_posting = idx.heap_bytes() as f64 / idx.num_postings() as f64;
+    assert!(
+        per_posting <= 90.0,
+        "{per_posting:.1} resident bytes per posting over {} postings",
+        idx.num_postings()
+    );
 }

@@ -134,56 +134,6 @@ fn combination_bound(aggs: &[&PatternAggregates], cfg: &SearchConfig) -> f64 {
     }
 }
 
-/// How many common roots the fused intersection emits between two
-/// score-bounded abandonment tests (amortizes the O(m) bound arithmetic;
-/// skipping targets long scans, which see many checks regardless).
-const SKIP_CHECK_EVERY: u32 = 16;
-
-/// Upper bound on the **final** score of the combination being scanned:
-/// the score accumulated so far plus an admissible bound on everything
-/// the run cursors have not yet consumed. Per keyword the unscanned
-/// suffix is bounded by the suffix-table entry of the run block the
-/// cursor sits in
-/// ([`patternkb_index::WordPathIndex::pattern_block_bounds`]), falling
-/// back to the whole-list aggregates for short lists. Only valid when
-/// this shard is the combination's sole score contributor (the caller
-/// gates on a single shard context). `Avg` returns infinity — a subset
-/// mean does not bound the full mean, so `Avg` never abandons.
-#[allow(clippy::too_many_arguments)]
-fn remaining_upper_bound<'b>(
-    shard: &'b ShardContext<'_>,
-    cfg: &SearchConfig,
-    tl: &'b TypeLists<'_>,
-    combo: &[usize],
-    prim_buf: &[usize],
-    cursors: &[patternkb_index::RunCursor<'_>],
-    acc: &crate::score::ScoreAcc,
-    suffix: &mut Vec<&'b PatternAggregates>,
-) -> f64 {
-    let agg = cfg.scoring.aggregation;
-    if matches!(agg, Aggregation::Avg) {
-        return f64::INFINITY;
-    }
-    let m = cursors.len();
-    suffix.clear();
-    for i in 0..m {
-        let bounds = shard.words[i].pattern_block_bounds(prim_buf[i]);
-        suffix.push(if bounds.is_empty() {
-            // Short list: the whole-list aggregates over-bound the suffix.
-            &tl.aggs[i][combo[i]]
-        } else {
-            &bounds[cursors[i].pos() / patternkb_index::BLOCK]
-        });
-    }
-    let rest = combination_bound(suffix, cfg);
-    match agg {
-        Aggregation::Sum => acc.sum() + rest,
-        Aggregation::Count => acc.count as f64 + rest,
-        Aggregation::Max => acc.max.max(rest),
-        Aggregation::Avg => f64::INFINITY,
-    }
-}
-
 /// The per-pattern lower bound a shard can publish after completing a
 /// combination locally: a valid lower bound on the pattern's **final**
 /// score only for monotone aggregations.
@@ -356,7 +306,6 @@ fn pruned_shard(
     type_lists: &[TypeLists],
     threshold: &SharedThreshold,
     record_pruned: bool,
-    skipping: bool,
 ) -> ShardOutcome {
     let m = shard.m();
     let mut dict = TreeDict::new(m);
@@ -373,8 +322,6 @@ fn pruned_shard(
     let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
     let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
     let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
-    // Reused by every skip check (no allocation in the scan loop).
-    let mut suffix_scratch: Vec<&PatternAggregates> = Vec::with_capacity(m);
     // Position of this combination in the global enumeration — the dense
     // pattern id shared with every other shard and the threshold table.
     let mut combo_idx: u32 = 0;
@@ -451,20 +398,10 @@ fn pruned_shard(
                 }
                 // Intersection + join fused: leapfrog the run cursors by
                 // root; each common root hands over its posting slices.
-                // With skipping on, every `SKIP_CHECK_EVERY` common roots
-                // the closure re-tests whether the score accumulated so
-                // far plus a suffix bound over the cursors' unscanned run
-                // blocks can still reach the shared threshold, and
-                // abandons the rest of the scan when it cannot.
                 let roots_before = candidate_roots_seen.len();
                 let mut group_id = None;
-                let mut abandoned = false;
-                let mut emits = 0u32;
-                let mut skipped_blocks = 0u64;
-                let seeks = patternkb_index::intersect_runs_while(
-                    &mut cursors,
-                    &mut slices,
-                    |r, tuple, curs| {
+                let seeks =
+                    patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
                         let root = NodeId(r);
                         let gid = *group_id.get_or_insert_with(|| dict.intern(&key));
                         let group = dict.group_by_id_mut(gid);
@@ -490,46 +427,9 @@ fn pruned_shard(
                                 ));
                             }
                         });
-                        emits += 1;
-                        if skipping && emits % SKIP_CHECK_EVERY == 0 {
-                            if let Some(kth) = threshold.kth() {
-                                let upper = remaining_upper_bound(
-                                    shard,
-                                    cfg,
-                                    tl,
-                                    &combo,
-                                    &prim_buf,
-                                    curs,
-                                    &group.acc,
-                                    &mut suffix_scratch,
-                                );
-                                if upper * SLACK < kth {
-                                    abandoned = true;
-                                    skipped_blocks = curs
-                                        .iter()
-                                        .map(|c| (c.remaining() / patternkb_index::BLOCK) as u64)
-                                        .sum();
-                                    return std::ops::ControlFlow::Break(());
-                                }
-                            }
-                        }
-                        std::ops::ControlFlow::Continue(())
-                    },
-                );
+                    });
                 shard.counters.add_seeks(seeks);
-                if abandoned {
-                    // The abandoned combination is provably outside the
-                    // top-k (its upper bound lost to the threshold), but
-                    // its partial score *understates* its true score, so
-                    // it must neither surface nor tighten the threshold:
-                    // drop everything it accumulated.
-                    dict.kill(&key);
-                    candidate_roots_seen.truncate(roots_before);
-                    shard
-                        .counters
-                        .blocks_skipped
-                        .fetch_add(skipped_blocks, Ordering::Relaxed);
-                } else if let Some(gid) = group_id {
+                if let Some(gid) = group_id {
                     let group = dict.group(gid);
                     if group.is_dead() {
                         // Strict mode rejected every tuple: drop the roots
@@ -715,21 +615,9 @@ pub(crate) fn pattern_enum_pruned_in(
         max_rows: 0,
         ..cfg.clone()
     };
-    // Score-bounded block skipping is sound only when one shard context
-    // holds every keyword: that worker is then the combination's sole
-    // score contributor, so its local suffix bounds and partial scores
-    // are the global ones. Multi-shard runs fall back to full scans.
-    let skipping = cfg.block_skipping && ctx.shards.len() == 1;
     let locals = run_sharded(mode, &ctx.shards, |shard| {
         (
-            pruned_shard(
-                shard,
-                &lean_cfg,
-                &type_lists,
-                &threshold,
-                record_pruned,
-                skipping,
-            ),
+            pruned_shard(shard, &lean_cfg, &type_lists, &threshold, record_pruned),
             shard.shard,
         )
     });
@@ -1080,131 +968,6 @@ mod tests {
             r.stats.hot
         );
         assert!(r.stats.hot.key_arena_bytes > 0);
-        // The raw in-memory index never decodes posting blocks.
-        assert_eq!(r.stats.hot.blocks_decoded, 0);
-    }
-
-    #[test]
-    fn skipping_agrees_with_full_scan_on_figure1() {
-        let (g, t, idx) = setup();
-        for query in ["database software company revenue", "database company"] {
-            let q = Query::parse(&t, query).unwrap();
-            let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-            for agg in [
-                Aggregation::Sum,
-                Aggregation::Avg,
-                Aggregation::Max,
-                Aggregation::Count,
-            ] {
-                for k in [1, 2, 100] {
-                    let on = SearchConfig {
-                        scoring: ScoringConfig {
-                            aggregation: agg,
-                            ..ScoringConfig::default()
-                        },
-                        ..SearchConfig::top(k)
-                    };
-                    let off = SearchConfig {
-                        block_skipping: false,
-                        ..on.clone()
-                    };
-                    assert_same(
-                        &pattern_enum_pruned(&ctx, &on),
-                        &pattern_enum_pruned(&ctx, &off),
-                        &format!("{query} {agg:?} k={k}"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// A workload engineered so the mid-scan abandonment check *must*
-    /// fire, whatever order the index assigns pattern ids.
-    ///
-    /// 700 roots, two child types X and Y, both matching both keywords, so
-    /// each keyword has exactly two patterns and both posting lists span
-    /// several run blocks (the suffix bound tables exist). The scores are
-    /// shaped with Jaccard sims (sim = 1/#tokens):
-    ///
-    /// * root 1's X children match each keyword alone (sim 1.0), doubling
-    ///   the whole-list sim bound of X — mixed combinations survive the
-    ///   up-front prune on the strength of a sim that exists only in run
-    ///   block 0;
-    /// * Y children switch from 2-token text (sim 0.5) to 8-token text
-    ///   (sim 0.125) at root 160 — every suffix entry from block 2 on
-    ///   bounds a mixed combination far below the best diagonal's total.
-    ///
-    /// Whichever diagonal combination runs first, once a diagonal
-    /// completes and sets the threshold, the next mixed combination's
-    /// block-2 suffix bound loses to it mid-scan and the scan abandons.
-    #[test]
-    fn skipping_agrees_and_fires_on_long_lists() {
-        use patternkb_graph::GraphBuilder;
-        const N: usize = 700;
-        const SIM_DROP: usize = 160;
-        let mut b = GraphBuilder::with_capacity(4 * N, 3 * N);
-        let root_t = b.add_type("Root");
-        let x_t = b.add_type("Xnode");
-        let y_t = b.add_type("Ynode");
-        let ax = b.add_attr("ax");
-        let ay = b.add_attr("ay");
-        for i in 0..N {
-            let r = b.add_node(root_t, &format!("root{i}"));
-            if i == 1 {
-                // Two single-token X children: sim 1.0 per keyword.
-                let xa = b.add_node(x_t, "alpha");
-                let xb = b.add_node(x_t, "beta");
-                b.add_edge(r, ax, xa);
-                b.add_edge(r, ax, xb);
-            } else {
-                let x = b.add_node(x_t, "alpha beta");
-                b.add_edge(r, ax, x);
-            }
-            if i >= 1 {
-                // Y skips root 0 (n_Y = 699, still > one run block).
-                let text = if i < SIM_DROP {
-                    "alpha beta".to_string()
-                } else {
-                    format!("alpha beta p{i}a p{i}b p{i}c p{i}d p{i}e p{i}f")
-                };
-                let y = b.add_node(y_t, &text);
-                b.add_edge(r, ay, y);
-            }
-        }
-        let g = b.build();
-        let t = TextIndex::build(&g, SynonymTable::new());
-        let idx = build_indexes(
-            &g,
-            &t,
-            &BuildConfig {
-                d: 2,
-                threads: 1,
-                shards: 1,
-            },
-        );
-        let q = Query::parse(&t, "alpha beta").unwrap();
-        let on = SearchConfig::top(1);
-        let off = SearchConfig {
-            block_skipping: false,
-            ..SearchConfig::top(1)
-        };
-        // Hot counters accumulate on a context, so each run gets its own.
-        let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r_on = pattern_enum_pruned(&ctx, &on);
-        let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r_off = pattern_enum_pruned(&ctx, &off);
-        assert_same(&r_on, &r_off, "crafted long-list workload");
-        assert_same(&pattern_enum(&ctx, &off), &r_on, "vs unpruned");
-        assert_eq!(
-            r_off.stats.hot.blocks_skipped, 0,
-            "skipping off must not skip"
-        );
-        assert!(
-            r_on.stats.hot.blocks_skipped > 0,
-            "expected the suffix score bound to abandon a mixed-pattern \
-             scan, stats = {:?}",
-            r_on.stats
-        );
     }
 
     #[test]
@@ -1231,11 +994,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
             /// Random Zipf graphs × random queries × every aggregation:
-            /// the pruned enumerator returns a **bit-identical** top-k
-            /// with block skipping on, with it off, and against the
-            /// unpruned `PATTERNENUM` reference.
+            /// the pruned enumerator returns a top-k **bit-identical** to
+            /// the unpruned `PATTERNENUM` reference's.
             #[test]
-            fn skipping_preserves_topk_bits(
+            fn pruning_preserves_topk_bits(
                 seed in 0u64..1000,
                 query_seed in 0u64..1000,
                 m in 1usize..4,
@@ -1270,31 +1032,20 @@ mod tests {
                 let Some(ctx) = QueryContext::new(&g, &idx, &q) else {
                     return Ok(());
                 };
-                let on = SearchConfig {
+                let cfg = SearchConfig {
                     scoring: ScoringConfig {
                         aggregation: agg,
                         ..ScoringConfig::default()
                     },
                     ..SearchConfig::top(k)
                 };
-                let off = SearchConfig {
-                    block_skipping: false,
-                    ..on.clone()
-                };
-                let exact = pattern_enum(&ctx, &on);
-                let r_on = pattern_enum_pruned(&ctx, &on);
-                let r_off = pattern_enum_pruned(&ctx, &off);
-                prop_assert_eq!(r_on.patterns.len(), r_off.patterns.len());
-                prop_assert_eq!(r_on.patterns.len(), exact.patterns.len());
-                for ((x, y), z) in
-                    r_on.patterns.iter().zip(&r_off.patterns).zip(&exact.patterns)
-                {
+                let exact = pattern_enum(&ctx, &cfg);
+                let pruned = pattern_enum_pruned(&ctx, &cfg);
+                prop_assert_eq!(pruned.patterns.len(), exact.patterns.len());
+                for (x, y) in pruned.patterns.iter().zip(&exact.patterns) {
                     prop_assert_eq!(x.key(), y.key());
                     prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                     prop_assert_eq!(x.num_trees, y.num_trees);
-                    prop_assert_eq!(x.key(), z.key());
-                    prop_assert_eq!(x.score.to_bits(), z.score.to_bits());
-                    prop_assert_eq!(x.num_trees, z.num_trees);
                 }
             }
         }

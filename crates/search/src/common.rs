@@ -47,14 +47,6 @@ use std::sync::OnceLock;
 pub struct HotCounters {
     /// Cursor seeks performed by gallop intersections.
     pub intersect_seeks: AtomicU64,
-    /// Posting blocks decoded (compressed-tier cursors only; 0 when the
-    /// query is served from the raw index).
-    pub blocks_decoded: AtomicU64,
-    /// Run blocks the pruned enumerator abandoned without scanning,
-    /// because a suffix score bound proved they could not reach the
-    /// shared top-k threshold (see
-    /// [`crate::SearchConfig::block_skipping`]).
-    pub blocks_skipped: AtomicU64,
 }
 
 impl HotCounters {
@@ -271,19 +263,15 @@ impl<'a> QueryContext<'a> {
     }
 
     /// Snapshot of the hot-path counters across the context and all its
-    /// shards (the intersection/decode half of [`crate::result::QueryStats::hot`];
+    /// shards (the intersection half of [`crate::result::QueryStats::hot`];
     /// callers add the interner half from their merged dictionary).
     pub fn hot_stats(&self) -> crate::result::HotPathStats {
         let mut hot = crate::result::HotPathStats {
             intersect_seeks: self.counters.intersect_seeks.load(Ordering::Relaxed),
-            blocks_decoded: self.counters.blocks_decoded.load(Ordering::Relaxed),
-            blocks_skipped: self.counters.blocks_skipped.load(Ordering::Relaxed),
             ..Default::default()
         };
         for s in &self.shards {
             hot.intersect_seeks += s.counters.intersect_seeks.load(Ordering::Relaxed);
-            hot.blocks_decoded += s.counters.blocks_decoded.load(Ordering::Relaxed);
-            hot.blocks_skipped += s.counters.blocks_skipped.load(Ordering::Relaxed);
         }
         hot
     }

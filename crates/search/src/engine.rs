@@ -268,7 +268,6 @@ impl SearchEngine {
             scoring: request.scoring,
             strict_trees: request.strict_trees,
             max_rows: request.max_rows,
-            block_skipping: request.block_skipping,
         };
 
         let planned = request.algorithm == AlgorithmChoice::Auto;

@@ -142,14 +142,6 @@ pub struct SearchConfig {
     /// Materialize at most this many example subtrees (table rows) per
     /// returned pattern. Scores always aggregate over *all* subtrees.
     pub max_rows: usize,
-    /// Let the pruned enumerator abandon a pattern combination mid-scan
-    /// when a suffix score bound ([`patternkb_index::WordPathIndex::
-    /// pattern_block_bounds`]) proves its remaining run blocks cannot
-    /// lift it past the shared top-k threshold. Exact-preserving for
-    /// `Sum`/`Count`/`Max` ([`Aggregation::Avg`] never skips); only
-    /// engages on single-shard indexes, where the per-shard bounds are
-    /// global. Disable to A/B the skipping against a full scan.
-    pub block_skipping: bool,
 }
 
 impl Default for SearchConfig {
@@ -159,7 +151,6 @@ impl Default for SearchConfig {
             scoring: ScoringConfig::default(),
             strict_trees: false,
             max_rows: 64,
-            block_skipping: true,
         }
     }
 }

@@ -80,11 +80,6 @@ pub struct SearchRequest {
     /// Materialize at most this many example subtrees (table rows) per
     /// pattern. Scores always aggregate over *all* subtrees.
     pub max_rows: usize,
-    /// Let the pruned enumerator skip whole run blocks once a pattern's
-    /// suffix score bound falls below the shared top-k threshold (see
-    /// [`crate::SearchConfig::block_skipping`]). Exact-preserving; on by
-    /// default. Turn off to A/B the skipping against a full scan.
-    pub block_skipping: bool,
     /// Compose a [`TableAnswer`] per pattern into
     /// [`SearchResponse::tables`] (the default). Turn off when only the
     /// ranked patterns matter — e.g. timing harnesses or count-only
@@ -118,7 +113,6 @@ impl SearchRequest {
             scoring: ScoringConfig::default(),
             strict_trees: false,
             max_rows: 64,
-            block_skipping: true,
             compose_tables: true,
             diversify: None,
             relax: false,
@@ -173,12 +167,6 @@ impl SearchRequest {
     /// Cap materialized example rows per pattern.
     pub fn max_rows(mut self, max_rows: usize) -> Self {
         self.max_rows = max_rows;
-        self
-    }
-
-    /// Toggle score-bounded block skipping (see the field docs).
-    pub fn block_skipping(mut self, on: bool) -> Self {
-        self.block_skipping = on;
         self
     }
 

@@ -66,8 +66,8 @@ pub struct ShardStats {
     pub patterns: usize,
 }
 
-/// Data-plane counters of one execution: how much decode, intersection,
-/// and key-allocation work the hot path did. These make the flattened
+/// Data-plane counters of one execution: how much intersection and
+/// key-allocation work the hot path did. These make the flattened
 /// query plane observable — a perf regression shows up here before it
 /// shows up in `elapsed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,13 +75,11 @@ pub struct HotPathStats {
     /// Cursor seeks issued by gallop intersections (candidate roots,
     /// per-combination emptiness tests, relaxation counts).
     pub intersect_seeks: u64,
-    /// Posting blocks decoded through [`patternkb_index::blocks`] cursors
-    /// (0 when the query was served entirely from the raw in-memory
-    /// index).
+    /// Always 0: queries run on decoded postings, never on block-coded
+    /// lists. Kept only because the gated benchmark still reads the field.
     pub blocks_decoded: u64,
-    /// Run blocks the pruned enumerator abandoned unscanned because a
-    /// suffix score bound proved they could not beat the shared top-k
-    /// threshold ([`crate::SearchConfig::block_skipping`]).
+    /// Always 0: no enumerator abandons a scan part-way. Kept only
+    /// because the gated benchmark still reads the field.
     pub blocks_skipped: u64,
     /// Distinct tree-pattern keys interned across all dictionaries — the
     /// number of key-arena allocations (the pre-interner engine paid one
@@ -95,8 +93,6 @@ impl HotPathStats {
     /// Component-wise sum.
     pub fn add(&mut self, other: &HotPathStats) {
         self.intersect_seeks += other.intersect_seeks;
-        self.blocks_decoded += other.blocks_decoded;
-        self.blocks_skipped += other.blocks_skipped;
         self.keys_interned += other.keys_interned;
         self.key_arena_bytes += other.key_arena_bytes;
     }

@@ -285,9 +285,26 @@ fn index_image_bytes_are_pinned() {
     });
     assert_eq!(
         (image.len(), fnv1a),
-        (4680, 0x607a_1a6f_bc45_0c5a),
+        (4672, 0x3953_ddca_76ad_3fa6),
         "the PKB5 image of Figure 1 changed: bump the container version \
          and follow the checklist in docs/FORMATS.md"
+    );
+}
+
+/// The image the previous container version (1: word streams carried a
+/// per-pattern bound section) wrote for Figure 1, byte for byte. There is
+/// no fallback reader: both tiers must refuse it by version, not attempt
+/// its streams.
+#[test]
+fn v1_index_image_is_bad_version() {
+    let v1: &[u8] = include_bytes!("data/figure1_v1.pkb5");
+    assert_eq!(
+        isnap::decode(v1).map(drop).unwrap_err(),
+        isnap::SnapshotError::BadVersion(1)
+    );
+    assert_eq!(
+        open_bytes(v1.to_vec()).map(drop).unwrap_err(),
+        isnap::SnapshotError::BadVersion(1)
     );
 }
 
