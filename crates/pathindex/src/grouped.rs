@@ -338,6 +338,51 @@ impl RootDirectory {
     }
 }
 
+/// Forward cursor over a word's root-first directory: the root-first
+/// access methods for callers that visit roots in ascending order (the
+/// candidate roots of a query), galloping from the previous root instead
+/// of binary-searching the whole directory per root. `seek` targets must
+/// be non-decreasing; the other methods read the root the last successful
+/// `seek` landed on.
+pub struct RootCursor<'a> {
+    dir: &'a RootDirectory,
+    /// The pattern-first array the directory's spans index into.
+    postings: &'a [Posting],
+    pos: usize,
+}
+
+impl<'a> RootCursor<'a> {
+    pub(crate) fn new(dir: &'a RootDirectory, postings: &'a [Posting]) -> Self {
+        RootCursor {
+            dir,
+            postings,
+            pos: 0,
+        }
+    }
+
+    /// Move to `root`; `false` when the word has no path from it.
+    #[inline]
+    pub fn seek(&mut self, root: u32) -> bool {
+        debug_assert!(self.pos == 0 || self.dir.roots[self.pos - 1] < root);
+        self.pos = crate::cursor::gallop_lower_bound(&self.dir.roots, self.pos, root);
+        self.dir.roots.get(self.pos) == Some(&root)
+    }
+
+    /// `|Paths(w, r)|` of the current root.
+    #[inline]
+    pub fn num_paths(&self) -> usize {
+        (self.dir.paths_before[self.pos + 1] - self.dir.paths_before[self.pos]) as usize
+    }
+
+    /// `(pattern, paths)` runs of the current root, ascending by pattern.
+    #[inline]
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [Posting])> {
+        let (dir, postings) = (self.dir, self.postings);
+        let runs = dir.run_start[self.pos] as usize..dir.run_start[self.pos + 1] as usize;
+        runs.map(move |j| (dir.patterns[j], dir.slice(postings, j)))
+    }
+}
+
 /// Forward cursor over one primary group's `(secondary key, postings)`
 /// runs, with galloping skip-ahead by secondary key. `seek` targets must
 /// be non-decreasing; it positions the cursor **at** the found run (peek

@@ -41,12 +41,13 @@ pub mod word_index;
 
 pub use build::{build_indexes, BuildConfig};
 pub use cursor::intersect_runs;
-pub use grouped::RunCursor;
+pub use grouped::{RootCursor, RunCursor};
 pub use incremental::{refresh_indexes, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};
 pub use posting::Posting;
 pub use stats::IndexStats;
 pub use storage::{IndexStorage, StorageBackend};
 pub use word_index::{
-    IndexShard, PathIndexes, PatternPostingStats, PatternTypeGroup, WordPathIndex,
+    groups_by_shared_type, merge_type_groups, IndexShard, PathIndexes, PatternPostingStats,
+    PatternTypeGroup, PatternTypeGroups, WordPathIndex,
 };

@@ -1,9 +1,10 @@
 //! The per-word path index and the top-level [`PathIndexes`] handle.
 
-use crate::grouped::{GroupedPostings, RootDirectory};
+use crate::grouped::{GroupedPostings, RootCursor, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
-use patternkb_graph::{FxHashMap, NodeId, WordId};
+use patternkb_graph::{FxHashMap, NodeId, TypeId, WordId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-pattern posting statistics, cached at construction. These are
@@ -80,20 +81,186 @@ impl PatternPostingStats {
     }
 }
 
-/// One root type's patterns within a word index — the unit the pattern-
-/// first algorithms enumerate ("`PatternsC(wᵢ)`"). All three columns are
-/// parallel: `patterns[x]` sits at pattern-first position `prims[x]` and
-/// has stats `stats[x]`.
+/// A word's patterns grouped by root type — per type the unit the
+/// pattern-first algorithms enumerate ("`PatternsC(wᵢ)`") — with every
+/// pattern's pattern-first position in each of `shards` posting lists.
+///
+/// One flat layout serves both uses: what a [`WordPathIndex`] memoises
+/// about its own list ([`WordPathIndex::pattern_type_groups`], one
+/// position per pattern) and the word's global lists over every index
+/// shard ([`merge_type_groups`], one position per pattern and shard).
+/// Words have many root types with a handful of patterns each, so the
+/// columns are shared by all types and a type is a range of them.
 #[derive(Clone, Debug)]
-pub struct PatternTypeGroup {
+pub struct PatternTypeGroups {
+    /// Root types, ascending.
+    root_types: Vec<TypeId>,
+    /// Type `t` owns `patterns[starts[t] .. starts[t + 1]]`. Length
+    /// `root_types.len() + 1`.
+    starts: Vec<u32>,
+    /// Pattern ids, ascending within a type.
+    patterns: Vec<PatternId>,
+    /// Row-major `patterns.len() × shards` pattern-first positions.
+    prims: Vec<u32>,
+    shards: usize,
+}
+
+impl PatternTypeGroups {
+    fn new(shards: usize) -> Self {
+        PatternTypeGroups {
+            root_types: Vec::new(),
+            starts: vec![0],
+            patterns: Vec::new(),
+            prims: Vec::new(),
+            shards,
+        }
+    }
+
+    /// Number of root types.
+    pub fn len(&self) -> usize {
+        self.root_types.len()
+    }
+
+    /// Whether there is no pattern at all.
+    pub fn is_empty(&self) -> bool {
+        self.root_types.is_empty()
+    }
+
+    /// Patterns over all root types.
+    pub fn num_patterns(&self) -> usize {
+        self.patterns.len()
+    }
+
+    /// The `t`-th root type's group (ascending by type).
+    pub fn group(&self, t: usize) -> PatternTypeGroup<'_> {
+        let range = self.starts[t] as usize..self.starts[t + 1] as usize;
+        PatternTypeGroup {
+            root_type: self.root_types[t],
+            prims: &self.prims[range.start * self.shards..range.end * self.shards],
+            patterns: &self.patterns[range],
+            shards: self.shards,
+        }
+    }
+
+    /// The group of `root_type`, if the word has patterns rooted there.
+    pub fn find(&self, root_type: TypeId) -> Option<PatternTypeGroup<'_>> {
+        let t = self.root_types.binary_search(&root_type).ok()?;
+        Some(self.group(t))
+    }
+
+    /// Every group, ascending by root type.
+    pub fn iter(&self) -> impl Iterator<Item = PatternTypeGroup<'_>> {
+        (0..self.len()).map(|t| self.group(t))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.root_types.len() + self.starts.len() + self.patterns.len() + self.prims.len()) * 4
+    }
+}
+
+/// One root type's patterns out of a [`PatternTypeGroups`].
+#[derive(Clone, Copy, Debug)]
+pub struct PatternTypeGroup<'a> {
     /// The shared root type.
-    pub root_type: patternkb_graph::TypeId,
+    pub root_type: TypeId,
     /// Pattern ids, ascending.
-    pub patterns: Vec<crate::pattern::PatternId>,
-    /// Pattern-first positions of `patterns`.
-    pub prims: Vec<u32>,
-    /// Cached posting stats of `patterns`.
-    pub stats: Vec<PatternPostingStats>,
+    pub patterns: &'a [PatternId],
+    prims: &'a [u32],
+    shards: usize,
+}
+
+impl PatternTypeGroup<'_> {
+    /// In a [`PatternTypeGroup::prim`] slot: the shard holds no posting
+    /// with that pattern.
+    pub const ABSENT: u32 = u32::MAX;
+
+    /// The pattern-first position of `patterns[x]` in list `s` of the
+    /// `shards` the groups were built over (a word's own groups have one
+    /// list, `s = 0`), or [`Self::ABSENT`].
+    #[inline]
+    pub fn prim(&self, x: usize, s: usize) -> u32 {
+        self.prims[x * self.shards + s]
+    }
+}
+
+/// Per root type that **every** list of `keywords` has patterns of,
+/// ascending: the keywords' groups of that type, in keyword order — the
+/// lists whose product `PATTERNENUM` enumerates for the type.
+pub fn groups_by_shared_type<'a>(
+    keywords: &[&'a PatternTypeGroups],
+) -> Vec<Vec<PatternTypeGroup<'a>>> {
+    let Some((first, others)) = keywords.split_first() else {
+        return Vec::new();
+    };
+    first
+        .iter()
+        .filter_map(|g0| {
+            let mut groups = Vec::with_capacity(keywords.len());
+            groups.push(g0);
+            for of_keyword in others {
+                groups.push(of_keyword.find(g0.root_type)?);
+            }
+            Some(groups)
+        })
+        .collect()
+}
+
+/// One word's global type groups: its per-shard groups (`words[s]` is the
+/// word's list in index shard `s`, `None` where the shard has none) merged
+/// over every shard, positions indexed by shard. Pattern ids are global
+/// and every shard's groups are sorted by `(root type, pattern)`, so this
+/// is a k-way merge; with a single shard it borrows what that shard's
+/// word index memoises.
+pub fn merge_type_groups<'a>(
+    words: &[Option<&'a WordPathIndex>],
+    patterns: &PatternSet,
+) -> Cow<'a, PatternTypeGroups> {
+    if let [Some(only)] = words {
+        return Cow::Borrowed(only.pattern_type_groups(patterns));
+    }
+    let shards = words.len();
+    let per_shard: Vec<Option<&PatternTypeGroups>> = words
+        .iter()
+        .map(|w| w.map(|w| w.pattern_type_groups(patterns)))
+        .collect();
+    let mut merged = PatternTypeGroups::new(shards);
+    // At least the longest shard's; exactly that when the shards hold the
+    // same patterns, as root-range shards of one word mostly do.
+    let longest = per_shard.iter().flatten().map(|g| g.num_patterns()).max();
+    merged.patterns.reserve(longest.unwrap_or(0));
+    merged.prims.reserve(longest.unwrap_or(0) * shards);
+    // `at[s]`: shard `s`'s next unmerged type; `left[s]`: what is left of
+    // its `(patterns, positions)` of the type being merged (empty where it
+    // has none).
+    let mut at = vec![0usize; shards];
+    let mut left: Vec<(&[PatternId], &[u32])> = Vec::with_capacity(shards);
+    while let Some(&root_type) = (0..shards)
+        .filter_map(|s| per_shard[s].and_then(|g| g.root_types.get(at[s])))
+        .min()
+    {
+        left.clear();
+        for s in 0..shards {
+            let of_type = per_shard[s]
+                .filter(|groups| groups.root_types.get(at[s]) == Some(&root_type))
+                .map(|groups| groups.group(at[s]));
+            at[s] += usize::from(of_type.is_some());
+            left.push(of_type.map_or((&[][..], &[][..]), |g| (g.patterns, g.prims)));
+        }
+        while let Some(&p) = left.iter().filter_map(|(ids, _)| ids.first()).min() {
+            merged.patterns.push(p);
+            for (ids, prims) in &mut left {
+                if ids.first() == Some(&p) {
+                    merged.prims.push(prims[0]);
+                    (*ids, *prims) = (&ids[1..], &prims[1..]);
+                } else {
+                    merged.prims.push(PatternTypeGroup::ABSENT);
+                }
+            }
+        }
+        merged.root_types.push(root_type);
+        merged.starts.push(merged.patterns.len() as u32);
+    }
+    Cow::Owned(merged)
 }
 
 /// The postings of one word: stored once in pattern-first order, with a
@@ -114,7 +281,7 @@ pub struct WordPathIndex {
     /// and the pattern set, built on the first query touching the word so
     /// the per-query setup of the pattern-first algorithms is O(groups)
     /// instead of O(patterns).
-    type_groups: std::sync::OnceLock<Vec<PatternTypeGroup>>,
+    type_groups: std::sync::OnceLock<PatternTypeGroups>,
 }
 
 impl WordPathIndex {
@@ -199,41 +366,25 @@ impl WordPathIndex {
     /// by pattern id within a type). Memoized on first use: pattern ids
     /// are stable under incremental refresh (the pattern set is
     /// append-only), so the grouping never invalidates for a live index.
-    pub fn pattern_type_groups(
-        &self,
-        patterns: &crate::pattern::PatternSet,
-    ) -> &[PatternTypeGroup] {
+    pub fn pattern_type_groups(&self, patterns: &PatternSet) -> &PatternTypeGroups {
         self.type_groups.get_or_init(|| {
-            let mut tagged: Vec<(patternkb_graph::TypeId, u32)> = self
-                .pattern_first
-                .primary_keys()
+            let keys = self.pattern_first.primary_keys();
+            let mut tagged: Vec<(TypeId, u32)> = keys
                 .iter()
                 .enumerate()
-                .map(|(j, &p)| (patterns.root_type(crate::pattern::PatternId(p)), j as u32))
+                .map(|(j, &p)| (patterns.root_type(PatternId(p)), j as u32))
                 .collect();
             // Secondary key `j` ascends with pattern id, so each type's
             // run stays in ascending pattern order.
             tagged.sort_unstable();
-            let mut groups: Vec<PatternTypeGroup> = Vec::new();
-            let mut at = 0usize;
-            while at < tagged.len() {
-                let root_type = tagged[at].0;
-                let mut group = PatternTypeGroup {
-                    root_type,
-                    patterns: Vec::new(),
-                    prims: Vec::new(),
-                    stats: Vec::new(),
-                };
-                while at < tagged.len() && tagged[at].0 == root_type {
-                    let j = tagged[at].1 as usize;
-                    group.patterns.push(crate::pattern::PatternId(
-                        self.pattern_first.primary_keys()[j],
-                    ));
-                    group.prims.push(j as u32);
-                    group.stats.push(self.pattern_stats[j]);
-                    at += 1;
-                }
-                groups.push(group);
+            let mut groups = PatternTypeGroups::new(1);
+            for run in tagged.chunk_by(|a, b| a.0 == b.0) {
+                groups.root_types.push(run[0].0);
+                groups
+                    .patterns
+                    .extend(run.iter().map(|&(_, j)| PatternId(keys[j as usize])));
+                groups.prims.extend(run.iter().map(|&(_, j)| j));
+                groups.starts.push(groups.patterns.len() as u32);
             }
             groups
         })
@@ -278,6 +429,12 @@ impl WordPathIndex {
             .map(|(k, ps)| (PatternId(k), ps))
     }
 
+    /// A forward cursor over this word's roots — `|Paths(w, r)|` and
+    /// `Paths(w, r)` for callers that visit roots in ascending order.
+    pub fn root_cursor(&self) -> RootCursor<'_> {
+        RootCursor::new(&self.root_first, self.pattern_first.postings())
+    }
+
     /// All postings in pattern-first order (used by the snapshot codec).
     pub fn postings_pattern_first(&self) -> &[Posting] {
         self.pattern_first.postings()
@@ -301,18 +458,14 @@ impl WordPathIndex {
     /// Approximate resident bytes: arena, postings, root directory, stats,
     /// and the type groups once a pattern-first query has memoised them.
     pub fn heap_bytes(&self) -> usize {
-        let stats = std::mem::size_of::<PatternPostingStats>();
-        let type_groups = self.type_groups.get().map_or(0, |groups| {
-            groups.len() * std::mem::size_of::<PatternTypeGroup>()
-                + groups
-                    .iter()
-                    .map(|g| g.patterns.len() * 4 + g.prims.len() * 4 + g.stats.len() * stats)
-                    .sum::<usize>()
-        });
+        let type_groups = self
+            .type_groups
+            .get()
+            .map_or(0, PatternTypeGroups::heap_bytes);
         self.arena.len() * 4
             + self.pattern_first.heap_bytes()
             + self.root_first.heap_bytes()
-            + self.pattern_stats.len() * stats
+            + self.pattern_stats.len() * std::mem::size_of::<PatternPostingStats>()
             + type_groups
     }
 }
@@ -770,20 +923,21 @@ mod tests {
         let groups = idx.pattern_type_groups(&ps);
         // Patterns 1 and 2 of `sample()` resolve through `ps`:
         // all groups together must cover every pattern exactly once.
-        let total: usize = groups.iter().map(|g| g.patterns.len()).sum();
-        assert_eq!(total, 2);
-        for g in groups {
-            assert_eq!(g.patterns.len(), g.prims.len());
-            assert_eq!(g.patterns.len(), g.stats.len());
-            for (x, &prim) in g.patterns.iter().zip(&g.prims) {
-                assert_eq!(idx.pattern_at(prim as usize), *x);
-                assert_eq!(ps.root_type(*x), g.root_type);
+        assert_eq!(groups.num_patterns(), 2);
+        assert_eq!(groups.iter().map(|g| g.patterns.len()).sum::<usize>(), 2);
+        for g in groups.iter() {
+            for (x, &p) in g.patterns.iter().enumerate() {
+                assert_eq!(idx.pattern_at(g.prim(x, 0) as usize), p);
+                assert_eq!(ps.root_type(p), g.root_type);
             }
+            assert_eq!(groups.find(g.root_type).unwrap().patterns, g.patterns);
         }
+        assert!(groups.find(TypeId(5)).is_none(), "type of the unused id 0");
         // Ascending by type.
-        assert!(groups.windows(2).all(|w| w[0].root_type < w[1].root_type));
-        // Memoized: same slice on the second call.
-        assert_eq!(groups.len(), idx.pattern_type_groups(&ps).len());
+        let types: Vec<TypeId> = groups.iter().map(|g| g.root_type).collect();
+        assert_eq!(types, vec![TypeId(7), TypeId(9)]);
+        // Memoized: the same groups on the second call.
+        assert!(std::ptr::eq(groups, idx.pattern_type_groups(&ps)));
     }
 
     #[test]
@@ -795,13 +949,85 @@ mod tests {
             ps.intern_key(&[2, root_type]);
         }
         idx.pattern_type_groups(&ps);
-        // Two single-pattern groups: the group headers plus one pattern
-        // id, one position and one stats entry each.
-        let per_group = std::mem::size_of::<PatternTypeGroup>()
-            + 4
-            + 4
-            + std::mem::size_of::<PatternPostingStats>();
-        assert_eq!(idx.heap_bytes(), cold + 2 * per_group);
+        // Two single-pattern groups: 8 bytes per memoised pattern (its id
+        // and its position), 4 per root type and 4 per range bound.
+        assert_eq!(idx.heap_bytes(), cold + 2 * 8 + 2 * 4 + 3 * 4);
+    }
+
+    /// A refresh shares every list it does not rebuild with the previous
+    /// version, memoised type groups included: the merged lists of an
+    /// untouched word are assembled from the very same groups afterwards.
+    #[test]
+    fn refresh_keeps_the_memoised_groups_of_untouched_words() {
+        use crate::build::{build_indexes, BuildConfig};
+        use patternkb_graph::mutate::{GraphDelta, PagerankMode};
+        use patternkb_graph::GraphBuilder;
+        use patternkb_text::{SynonymTable, TextIndex};
+
+        let mut b = GraphBuilder::new();
+        let station = b.add_type("Station");
+        let next = b.add_attr("next");
+        let nodes: Vec<_> = (0..12)
+            .map(|i| b.add_node(station, &format!("station stop{i}")))
+            .collect();
+        for pair in nodes.windows(2) {
+            b.add_edge(pair[0], next, pair[1]);
+        }
+        let g = b.build();
+        let text = TextIndex::build(&g, SynonymTable::new());
+        let cfg = BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 2,
+        };
+        let old = build_indexes(&g, &text, &cfg);
+        let groups_of = |idx: &PathIndexes, s: usize, w: WordId| {
+            let list = idx.word_in(s, w).expect("listed word");
+            std::ptr::from_ref(list.pattern_type_groups(idx.patterns()))
+        };
+        let memoised: Vec<Vec<_>> = (0..old.num_shards())
+            .map(|s| {
+                let words = old.shards()[s].word_ids();
+                words
+                    .into_iter()
+                    .map(|w| (w, groups_of(&old, s, w)))
+                    .collect()
+            })
+            .collect();
+
+        let mut d = GraphDelta::new(&g);
+        let extra = d.add_node(station, "station stopextra").unwrap();
+        d.add_edge(nodes[11], next, extra).unwrap();
+        let g2 = d.apply(&g, PagerankMode::Frozen).unwrap();
+        let text2 = TextIndex::build(&g2, SynonymTable::new());
+        let (new, stats) = crate::incremental::refresh_indexes(
+            &old,
+            &g,
+            &g2,
+            &text,
+            &text2,
+            &d.dirty_nodes(),
+            false,
+        );
+
+        let (mut shared, mut rebuilt) = (0, 0);
+        for (s, words) in memoised.iter().enumerate() {
+            for &(w, groups) in words {
+                let (before, after) = (old.word_in(s, w), new.word_in(s, w));
+                if std::ptr::eq(before.unwrap(), after.expect("nothing was removed")) {
+                    assert_eq!(groups_of(&new, s, w), groups, "shard {s}, word {w:?}");
+                    shared += 1;
+                } else {
+                    rebuilt += 1;
+                }
+            }
+        }
+        assert!(
+            shared > 0,
+            "the head of the chain is out of the delta's reach"
+        );
+        assert!(rebuilt > 0, "the tail's lists were rebuilt");
+        assert!(rebuilt <= stats.words_rebuilt);
     }
 
     mod proptests {
@@ -809,6 +1035,60 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// The merged lists of every word of a random multi-shard
+            /// index: per root type the sorted union of the shards'
+            /// patterns, each with the position it has in each shard.
+            #[test]
+            fn merged_type_groups_are_the_union_of_the_shards(
+                seed in 0u64..1000,
+                shards in 1usize..5,
+            ) {
+                use patternkb_datagen::wiki::{wiki, WikiConfig};
+                use std::collections::{BTreeMap, BTreeSet};
+                let g = wiki(&WikiConfig { entities: 150, ..WikiConfig::tiny(seed) });
+                let text = patternkb_text::TextIndex::build(
+                    &g,
+                    patternkb_text::SynonymTable::new(),
+                );
+                let cfg = crate::build::BuildConfig { d: 2, threads: 1, shards };
+                let idx = crate::build::build_indexes(&g, &text, &cfg);
+                for w in idx.word_ids() {
+                    let lists: Vec<Option<&WordPathIndex>> =
+                        idx.shards().iter().map(|s| s.word(w)).collect();
+                    let mut expected: BTreeMap<TypeId, BTreeSet<PatternId>> = BTreeMap::new();
+                    for p in lists.iter().flatten().flat_map(|list| list.patterns()) {
+                        expected.entry(idx.patterns().root_type(p)).or_default().insert(p);
+                    }
+                    let merged = merge_type_groups(&lists, idx.patterns());
+                    prop_assert_eq!(merged.len(), expected.len());
+                    let total: usize = expected.values().map(BTreeSet::len).sum();
+                    prop_assert_eq!(merged.num_patterns(), total);
+                    for (group, (&root_type, ids)) in merged.iter().zip(&expected) {
+                        prop_assert_eq!(group.root_type, root_type);
+                        let ids: Vec<PatternId> = ids.iter().copied().collect();
+                        prop_assert_eq!(group.patterns, &ids[..]);
+                        for (x, &p) in ids.iter().enumerate() {
+                            for (s, list) in lists.iter().enumerate() {
+                                let here = list.and_then(|list| list.pattern_primary(p));
+                                let prim = group.prim(x, s);
+                                let merged_here =
+                                    (prim != PatternTypeGroup::ABSENT).then_some(prim as usize);
+                                prop_assert_eq!(merged_here, here);
+                                if let (Some(list), Some(prim)) = (list, merged_here) {
+                                    prop_assert_eq!(list.pattern_at(prim), p);
+                                }
+                            }
+                        }
+                    }
+                    if let [Some(only)] = lists[..] {
+                        let memo = only.pattern_type_groups(idx.patterns());
+                        prop_assert!(std::ptr::eq(&*merged, memo), "one shard: borrowed");
+                    }
+                }
+            }
+
             /// The root-first accessors against the representation they
             /// replaced: a second copy of the postings sorted by
             /// `(root, pattern, nodes_start)`. Small key ranges force

@@ -27,53 +27,63 @@
 //!
 //! ## Sharded pruning
 //!
-//! Under sharding every worker enumerates the **global** combination list
-//! with bounds computed from **global** aggregates (merged across shards),
-//! and all workers share one atomic top-k threshold: each completed
-//! combination's per-shard partial score accumulates into a per-pattern
-//! lower bound, and the k-th best of those lower bounds — monotonically
-//! tightening as shards make progress — is published to an atomic every
-//! worker reads lock-free. The scheme is sound because
+//! The walk is **combination-major**: one odometer pass over the global
+//! per-type combination list ([`QueryContext::merged_by_type`] — the
+//! shards' pattern lists merged per keyword, so the list is the one a
+//! single-shard index holds), and per combination
 //!
-//! * each pattern contributes **one** entry (its accumulated partials), so
-//!   the k-th best of the entries never exceeds the true k-th best final
-//!   score, and
-//! * a partial score only lower-bounds the total for monotone aggregations
-//!   (`Sum`, `Count`, `Max`); under `Avg` no lower bounds are offered and
-//!   pruning simply stays off.
+//! 1. one bound test against the threshold, on aggregates merged from the
+//!    shards' cached per-pattern stats (sums, minima and maxima are exact,
+//!    so bounds and prune decisions are bit-identical to a single-shard
+//!    index's);
+//! 2. for a survivor, the fused intersect-and-join on every shard in
+//!    ascending root range, all into **one** dictionary group;
+//! 3. one offer of the pattern's **final** score to the threshold.
 //!
-//! A combination pruned by *any* worker is therefore provably outside the
-//! global top-k, so its partial groups can be dropped at merge time while
-//! every top-k pattern — never prunable anywhere — merges complete and
-//! exact.
+//! So a pattern's roots may spread over any number of shards and the
+//! threshold still sees it exactly once, complete: the threshold is a
+//! size-k min-heap of final scores and nothing else, every aggregation
+//! (`Avg` included — a final mean is as sound an offer as a final sum)
+//! prunes, no shard ever holds a partial group that a prune elsewhere
+//! would have to retract, and there is no cross-shard dictionary merge.
+//! Inline, the counters (`combos_pruned`, `subtrees`, `candidate_roots`,
+//! `patterns`) equal a single-shard run's: same walk order, same bounds,
+//! same offers, hence the same threshold at every step.
 //!
-//! ## The flattened inner loop
+//! Under [`Fanout::Threads`] what is split is the combination index, not
+//! the shards: worker `w` of `W` takes the combinations whose position in
+//! the global enumeration is `≡ w (mod W)` and joins each across all
+//! shards into a private dictionary. The workers' keys are disjoint, so
+//! their dictionaries are concatenated, never merged, and each pattern
+//! still offers once — to a threshold the workers share, which is why the
+//! counters of a threaded run are its own while its answers are not.
 //!
-//! Every shard walks the **same global combination list in the same
-//! order**, so a combination's position in that enumeration is a dense,
-//! shard-independent id. The hot loop exploits that:
+//! ## The inner loop
 //!
-//! * aggregates and per-shard root slices are precomputed into arrays
-//!   **aligned with the per-type pattern lists**, so a combination's
-//!   bound needs zero hash lookups;
-//! * the shared top-k threshold keys its lower-bound table by the global
-//!   combination index (a `u32`), not a boxed key slice;
-//! * pruned combinations are recorded into a flat `u32` arena (only under
-//!   multi-shard merges) instead of one boxed slice each;
-//! * nonempty combinations intern their key once into the shard's
-//!   [`TreeDict`] arena.
+//! * a combination is `m` odometer digits into the type's merged lists; a
+//!   digit resolves to a pattern id and to one pattern-first position per
+//!   shard, so neither the bound nor the join hashes or binary-searches;
+//! * the per-keyword aggregates of a combination are re-merged from the
+//!   shards' stats only for the digits the odometer moved since the last
+//!   bound test (the last one, all but `1/|list|` of the time), and not at
+//!   all until k patterns have been found;
+//! * nonempty combinations intern their key once into the [`TreeDict`]
+//!   arena; empty ones (the bulk) cost their bound test and `m` seeks per
+//!   shard that holds all `m` patterns.
 
 use crate::common::{
-    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout, QueryContext,
-    ShardContext, TreeDict,
+    combo_count, cores, for_each_path_tuple, rank_winners, run_sharded, Fanout, QueryContext,
+    TreeDict,
 };
-use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
+use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::score::Aggregation;
 use crate::subtree::node_slices_form_tree;
 use crate::SearchConfig;
 use parking_lot::Mutex;
-use patternkb_graph::{FxHashMap, NodeId, TypeId};
-use patternkb_index::{PatternId, Posting};
+use patternkb_graph::NodeId;
+use patternkb_index::{PatternTypeGroup, Posting, RunCursor};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -97,7 +107,7 @@ fn factor_bound(min: f64, max: f64, z: f64) -> f64 {
 
 /// Upper-bound `score(P, q)` for the combination described by `aggs`
 /// (one entry per keyword) under `cfg.scoring`.
-fn combination_bound(aggs: &[&PatternAggregates], cfg: &SearchConfig) -> f64 {
+fn combination_bound(aggs: &[PatternAggregates], cfg: &SearchConfig) -> f64 {
     // Factor sums over keywords, at their extremes.
     let (mut len_min, mut len_max) = (0.0f64, 0.0f64);
     let (mut pr_min, mut pr_max) = (0.0f64, 0.0f64);
@@ -134,17 +144,28 @@ fn combination_bound(aggs: &[&PatternAggregates], cfg: &SearchConfig) -> f64 {
     }
 }
 
-/// The per-pattern lower bound a shard can publish after completing a
-/// combination locally: a valid lower bound on the pattern's **final**
-/// score only for monotone aggregations.
-fn partial_lower_bound(acc: &crate::score::ScoreAcc, agg: Aggregation) -> Option<f64> {
-    match agg {
-        Aggregation::Sum => Some(acc.sum()),
-        Aggregation::Count => Some(acc.count as f64),
-        Aggregation::Max => Some(acc.max),
-        // A subset's mean does not bound the full mean from below.
-        Aggregation::Avg => None,
+/// The global aggregates of `group.patterns[x]` for keyword `i`: its
+/// per-shard stats merged over every index shard holding the pattern.
+fn merged_aggregates(
+    ctx: &QueryContext<'_>,
+    i: usize,
+    group: PatternTypeGroup<'_>,
+    x: usize,
+) -> PatternAggregates {
+    let mut merged: Option<PatternAggregates> = None;
+    for s in 0..ctx.num_index_shards() {
+        let prim = group.prim(x, s);
+        if prim == PatternTypeGroup::ABSENT {
+            continue;
+        }
+        let word = ctx.shard_word(s, i).expect("a position implies the word");
+        let local = &word.pattern_stats()[prim as usize];
+        match &mut merged {
+            Some(agg) => agg.merge(local),
+            None => merged = Some(*local),
+        }
     }
+    merged.expect("a merged pattern has postings in some shard")
 }
 
 /// Bits meaning "no threshold yet" (fewer than k patterns seen, or a
@@ -152,58 +173,28 @@ fn partial_lower_bound(acc: &crate::score::ScoreAcc, agg: Aggregation) -> Option
 /// are non-negative). Zero keeps the monotone `fetch_max` publish valid.
 const TAU_UNSET: u64 = 0;
 
-/// The shared, monotone top-k threshold. Workers **read** it lock-free
-/// from an atomic; **writes** (one per completed combination per shard)
-/// funnel through a mutex that owns the per-pattern lower-bound table and
-/// republish the k-th best. Scores are non-negative, so their bit patterns
-/// order like the floats themselves.
+/// The shared, monotone top-k threshold: a size-k min-heap of the final
+/// scores offered so far — one offer per pattern, so its root is the k-th
+/// best score found and never exceeds the true k-th best. Workers **read**
+/// the root lock-free from an atomic; an offer that can enter the heap
+/// goes through the mutex and republishes it. Scores are non-negative, so
+/// their bit patterns order like the floats themselves.
 pub(crate) struct SharedThreshold {
     k: usize,
     tau: AtomicU64,
-    inner: Mutex<ThresholdInner>,
-}
-
-struct ThresholdInner {
-    /// Global combination index → accumulated lower bound (sum of
-    /// per-shard partials for `Sum`/`Count`, max for `Max`). Every shard
-    /// enumerates the same global list, so the index identifies a pattern
-    /// across shards without any key hashing. One entry per pattern keeps
-    /// the k-th best sound. Unused in single-worker mode.
-    entries: FxHashMap<u32, f64>,
-    /// Single-worker fast path: with one shard each pattern offers
-    /// exactly once, so a size-k min-heap of score bits (non-negative
-    /// floats order like their bit patterns) replaces the map and the
-    /// periodic k-th-best selection.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Whether the heap fast path is active.
-    single: bool,
-    agg: Aggregation,
-    scratch: Vec<f64>,
-    /// Offers since construction; used to amortize the k-th-best
-    /// recomputation on many-pattern queries (map mode only).
-    updates: u64,
+    heap: Mutex<BinaryHeap<Reverse<u64>>>,
 }
 
 impl SharedThreshold {
-    /// `single` = one shard worker: every pattern offers exactly once,
-    /// enabling the heap fast path.
-    fn new(k: usize, agg: Aggregation, single: bool) -> Self {
+    fn new(k: usize) -> Self {
         SharedThreshold {
             k: k.max(1),
             tau: AtomicU64::new(TAU_UNSET),
-            inner: Mutex::new(ThresholdInner {
-                entries: FxHashMap::default(),
-                heap: std::collections::BinaryHeap::new(),
-                single,
-                agg,
-                scratch: Vec::new(),
-                updates: 0,
-            }),
+            heap: Mutex::new(BinaryHeap::new()),
         }
     }
 
-    /// The current threshold; `None` until k distinct patterns have
-    /// published lower bounds.
+    /// The current threshold; `None` until k patterns have offered.
     #[inline]
     fn kth(&self) -> Option<f64> {
         match self.tau.load(Ordering::Relaxed) {
@@ -212,504 +203,329 @@ impl SharedThreshold {
         }
     }
 
-    /// Fold one shard's partial lower bound for the pattern at global
-    /// combination index `combo` in and republish the k-th best entry.
-    /// Values only grow, so the published threshold is monotone
-    /// non-decreasing and always ≤ the true k-th best final score. The
-    /// O(#patterns) k-th-best selection is amortized once the table
-    /// outgrows its small regime — a stale (lower) threshold only prunes
-    /// less, never wrongly.
-    fn offer(&self, combo: u32, partial: f64) {
-        debug_assert!(partial >= 0.0);
-        let mut inner = self.inner.lock();
-        if inner.single {
-            // One offer per pattern: stream it through a size-k min-heap.
-            let bits = partial.to_bits();
-            if inner.heap.len() < self.k {
-                inner.heap.push(std::cmp::Reverse(bits));
-            } else if bits > inner.heap.peek().expect("k >= 1").0 {
-                inner.heap.pop();
-                inner.heap.push(std::cmp::Reverse(bits));
-            } else {
-                return;
-            }
-            if inner.heap.len() == self.k {
-                let kth = inner.heap.peek().expect("k >= 1").0;
-                self.tau.fetch_max(kth, Ordering::Relaxed);
-            }
+    /// Offer one pattern's final score. The published threshold only
+    /// grows; a reader holding a stale (lower) one prunes less, never
+    /// wrongly.
+    fn offer(&self, score: f64) {
+        debug_assert!(score >= 0.0);
+        let bits = score.to_bits();
+        let tau = self.tau.load(Ordering::Relaxed);
+        if tau != TAU_UNSET && bits <= tau {
+            // The heap is full and this score would not enter it.
             return;
         }
-        let agg = inner.agg;
-        let entry = inner.entries.entry(combo).or_insert(0.0);
-        match agg {
-            Aggregation::Sum | Aggregation::Count => *entry += partial,
-            Aggregation::Max => *entry = entry.max(partial),
-            Aggregation::Avg => unreachable!("Avg never offers lower bounds"),
+        let mut heap = self.heap.lock();
+        if heap.len() < self.k {
+            heap.push(Reverse(bits));
+        } else if bits > heap.peek().expect("k >= 1").0 {
+            heap.pop();
+            heap.push(Reverse(bits));
+        } else {
+            return;
         }
-        inner.updates += 1;
-        let len = inner.entries.len();
-        let recompute = len >= self.k && (len <= 64 || len == self.k || inner.updates % 8 == 0);
-        if recompute {
-            let k = self.k;
-            let ThresholdInner {
-                entries, scratch, ..
-            } = &mut *inner;
-            scratch.clear();
-            scratch.extend(entries.values().copied());
-            let idx = scratch.len() - k;
-            scratch.select_nth_unstable_by(idx, |a, b| {
-                a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let kth = scratch[idx];
+        if heap.len() == self.k {
+            let kth = heap.peek().expect("k >= 1").0;
             // Monotone publish (concurrent offers may race; max wins).
-            self.tau.fetch_max(kth.to_bits(), Ordering::Relaxed);
+            self.tau.fetch_max(kth, Ordering::Relaxed);
         }
     }
 }
 
-/// The global combination lists of one root type, with every per-combo
-/// lookup pre-resolved into arrays parallel to the pattern lists. On the
-/// single-index-shard layout everything borrows straight from the word
-/// indexes' cached [`patternkb_index::PatternTypeGroup`]s — per-query
-/// setup is then O(root types), not O(patterns).
-struct TypeLists<'a> {
-    /// Per keyword: the type's pattern ids, ascending.
-    lists: Vec<std::borrow::Cow<'a, [PatternId]>>,
-    /// Per keyword: aggregates aligned with `lists` (global, cross-shard).
-    aggs: Vec<std::borrow::Cow<'a, [PatternAggregates]>>,
-    /// Single-index-shard fast path: per keyword, aligned with `lists`,
-    /// the pattern's pattern-first position — cached on the word index,
-    /// so the (only) worker never binary-searches patterns. `None` under
-    /// multi-shard layouts (positions are shard-specific there; each
-    /// worker resolves its own).
-    prims: Option<Vec<&'a [u32]>>,
+/// A set of root nodes, one bit per node of the graph: the distinct roots
+/// of a walk's surviving joins, collected without sorting them.
+struct RootSet {
+    bits: Vec<u64>,
 }
 
-/// One shard's pruned pass over the **global** combination list.
-struct ShardOutcome {
+impl RootSet {
+    fn new(num_nodes: usize) -> Self {
+        RootSet {
+            bits: vec![0; num_nodes.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, root: u32) {
+        self.bits[root as usize / 64] |= 1 << (root % 64);
+    }
+
+    fn union(&mut self, other: &RootSet) {
+        for (mine, theirs) in self.bits.iter_mut().zip(&other.bits) {
+            *mine |= theirs;
+        }
+    }
+
+    /// Members `< bound`.
+    fn count_below(&self, bound: u32) -> usize {
+        let word = (bound as usize / 64).min(self.bits.len());
+        let whole: usize = self.bits[..word]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        let partial = self.bits.get(word).map_or(0, |w| {
+            (w & ((1u64 << (bound % 64)) - 1)).count_ones() as usize
+        });
+        whole + partial
+    }
+}
+
+/// What one worker's share of the walk produced. The per-shard columns
+/// are indexed like `ctx.shards`.
+struct WorkerOutcome {
     dict: TreeDict,
-    /// Flat arena of the keys this shard pruned, `m` ids per entry (they
-    /// are provably outside the global top-k, so the merge drops them
-    /// everywhere). Only recorded when several shards participate — with
-    /// one shard a pruned combination was never computed, so there is
-    /// nothing to drop and no reason to spend `O(pruned)` memory on the
-    /// §4.1 adversarial case.
-    pruned_keys: Vec<u32>,
-    subtrees: usize,
+    /// Roots of every surviving join.
+    roots: RootSet,
+    subtrees: Vec<usize>,
+    /// Per shard: the combinations it held subtrees of.
+    patterns: Vec<usize>,
     combos_pruned: usize,
-    candidate_roots: usize,
 }
 
-fn pruned_shard(
-    shard: &ShardContext<'_>,
+/// One worker's walk: what it has found so far and the buffers its joins
+/// reuse.
+struct Walk<'q, 'a> {
+    ctx: &'q QueryContext<'a>,
+    cfg: &'q SearchConfig,
+    threshold: &'q SharedThreshold,
+    found: WorkerOutcome,
+    key: Vec<u32>,
+    /// Roots of the join in progress; they count once it has a subtree.
+    joined: Vec<u32>,
+    cursors: Vec<RunCursor<'a>>,
+    slices: Vec<&'a [Posting]>,
+    tuple: Vec<&'a Posting>,
+    nodes: Vec<&'a [NodeId]>,
+}
+
+impl Walk<'_, '_> {
+    /// Join the combination `combo` of `groups` on every shard, in
+    /// ascending root range, into one dictionary group, and offer the
+    /// pattern's final score to the threshold.
+    fn join(&mut self, groups: &[PatternTypeGroup<'_>], combo: &[usize]) {
+        let Walk {
+            ctx,
+            cfg,
+            threshold,
+            found,
+            key,
+            joined,
+            cursors,
+            slices,
+            tuple,
+            nodes,
+        } = self;
+        let WorkerOutcome {
+            dict,
+            roots,
+            subtrees,
+            patterns,
+            ..
+        } = found;
+        for (i, group) in groups.iter().enumerate() {
+            key[i] = group.patterns[combo[i]].0;
+        }
+        joined.clear();
+        let mut group_id = None;
+        'shards: for (at, shard) in ctx.shards.iter().enumerate() {
+            cursors.clear();
+            for (i, group) in groups.iter().enumerate() {
+                let prim = group.prim(combo[i], shard.shard);
+                if prim == PatternTypeGroup::ABSENT {
+                    // Locally empty, without a seek.
+                    continue 'shards;
+                }
+                cursors.push(shard.words[i].pattern_run_cursor(prim as usize));
+            }
+            let mut accepted = false;
+            // Intersection + join fused: leapfrog the run cursors by
+            // root; each common root hands over its posting slices.
+            let seeks = patternkb_index::intersect_runs(cursors, slices, |r, runs| {
+                let root = NodeId(r);
+                let gid = *group_id.get_or_insert_with(|| dict.intern(key));
+                let acc = &mut dict.group_by_id_mut(gid).acc;
+                joined.push(r);
+                subtrees[at] += for_each_path_tuple(runs, tuple, |tuple| {
+                    if cfg.strict_trees {
+                        nodes.clear();
+                        for (i, p) in tuple.iter().enumerate() {
+                            nodes.push(shard.words[i].nodes_of(p));
+                        }
+                        if !node_slices_form_tree(root, nodes) {
+                            return;
+                        }
+                    }
+                    acc.push(cfg.scoring.tree_score_of(tuple));
+                    accepted = true;
+                });
+            });
+            shard.counters.add_seeks(seeks);
+            patterns[at] += usize::from(accepted);
+        }
+        if let Some(gid) = group_id {
+            let acc = &dict.group(gid).acc;
+            // Strict mode may have rejected every tuple: then the pattern
+            // does not exist and its roots were never candidates.
+            if acc.count > 0 {
+                joined.iter().for_each(|&r| roots.insert(r));
+                threshold.offer(acc.finish(cfg.scoring.aggregation));
+            }
+        }
+    }
+}
+
+/// Walk the global combination list `types` once, handling every
+/// `workers`-th combination starting at the `worker`-th.
+fn pruned_walk(
+    ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
-    type_lists: &[TypeLists],
+    types: &[Vec<PatternTypeGroup<'_>>],
     threshold: &SharedThreshold,
-    record_pruned: bool,
-) -> ShardOutcome {
-    let m = shard.m();
-    let mut dict = TreeDict::new(m);
-    let mut pruned_keys: Vec<u32> = Vec::new();
-    let mut subtrees = 0usize;
-    let mut combos_pruned = 0usize;
-    let mut candidate_roots_seen: Vec<u32> = Vec::new();
-
+    worker: usize,
+    workers: usize,
+) -> WorkerOutcome {
+    let m = ctx.m();
+    let mut walk = Walk {
+        ctx,
+        cfg,
+        threshold,
+        found: WorkerOutcome {
+            dict: TreeDict::new(m),
+            roots: RootSet::new(ctx.g.num_nodes()),
+            subtrees: vec![0; ctx.shards.len()],
+            patterns: vec![0; ctx.shards.len()],
+            combos_pruned: 0,
+        },
+        key: vec![0; m],
+        joined: Vec::new(),
+        cursors: Vec::with_capacity(m),
+        slices: Vec::with_capacity(m),
+        tuple: Vec::with_capacity(m),
+        nodes: Vec::with_capacity(m),
+    };
     let mut combo = vec![0usize; m];
-    let mut key: Vec<u32> = vec![0; m];
-    let mut prim_buf: Vec<usize> = vec![0; m];
-    let mut chosen_aggs: Vec<&PatternAggregates> = Vec::with_capacity(m);
-    let mut cursors: Vec<patternkb_index::RunCursor<'_>> = Vec::with_capacity(m);
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
-    // Position of this combination in the global enumeration — the dense
-    // pattern id shared with every other shard and the threshold table.
-    let mut combo_idx: u32 = 0;
+    // Aggregates of `combo`'s digits `..aggs.len()`; the odometer truncates
+    // it to the digits it left alone.
+    let mut aggs: Vec<PatternAggregates> = Vec::with_capacity(m);
+    // Combinations until this worker's next one.
+    let mut wait = worker;
 
-    for tl in type_lists {
-        let lists = &tl.lists;
+    for groups in types {
         combo.iter_mut().for_each(|x| *x = 0);
-        // Pattern-first positions aligned with the type's global pattern
-        // lists (one binary search per (keyword, pattern) instead of one
-        // per combination/root) — or, on the single-shard layout, reused
-        // straight from the driver. `None`: the pattern has no postings
-        // in this shard, so every combination using it is locally empty.
-        let local_prims: Vec<Vec<Option<usize>>> = match &tl.prims {
-            Some(_) => Vec::new(),
-            None => lists
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    l.iter()
-                        .map(|&p| shard.words[i].pattern_primary(p))
-                        .collect()
-                })
-                .collect(),
-        };
-
-        loop {
-            // The pruning test: O(m), no index access, no hashing —
-            // global bound vs the shared threshold.
-            let pruned = match threshold.kth() {
-                Some(kth) => {
-                    chosen_aggs.clear();
-                    for i in 0..m {
-                        chosen_aggs.push(&tl.aggs[i][combo[i]]);
+        aggs.clear();
+        'combos: loop {
+            if wait > 0 {
+                wait -= 1;
+            } else {
+                wait = workers - 1;
+                // The pruning test: O(m), no index access beyond the
+                // moved digits' stats, no hashing.
+                let pruned = threshold.kth().is_some_and(|kth| {
+                    for i in aggs.len()..m {
+                        aggs.push(merged_aggregates(ctx, i, groups[i], combo[i]));
                     }
-                    combination_bound(&chosen_aggs, cfg) * SLACK < kth
-                }
-                None => false,
-            };
-            let mut joinable = !pruned;
-            if joinable {
-                match &tl.prims {
-                    Some(prims) => {
-                        for i in 0..m {
-                            prim_buf[i] = prims[i][combo[i]] as usize;
-                        }
-                    }
-                    None => {
-                        for i in 0..m {
-                            match local_prims[i][combo[i]] {
-                                Some(prim) => prim_buf[i] = prim,
-                                None => {
-                                    joinable = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
+                    combination_bound(&aggs, cfg) * SLACK < kth
+                });
+                if pruned {
+                    walk.found.combos_pruned += 1;
+                } else {
+                    walk.join(groups, &combo);
                 }
             }
-            if pruned {
-                combos_pruned += 1;
-                if record_pruned {
-                    for i in 0..m {
-                        pruned_keys.push(lists[i][combo[i]].0);
-                    }
-                }
-            } else if joinable {
-                cursors.clear();
-                for i in 0..m {
-                    cursors.push(shard.words[i].pattern_run_cursor(prim_buf[i]));
-                }
-                for i in 0..m {
-                    key[i] = lists[i][combo[i]].0;
-                }
-                // Intersection + join fused: leapfrog the run cursors by
-                // root; each common root hands over its posting slices.
-                let roots_before = candidate_roots_seen.len();
-                let mut group_id = None;
-                let seeks =
-                    patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
-                        let root = NodeId(r);
-                        let gid = *group_id.get_or_insert_with(|| dict.intern(&key));
-                        let group = dict.group_by_id_mut(gid);
-                        candidate_roots_seen.push(r);
-                        subtrees += for_each_path_tuple(tuple, &mut scratch, |tuple| {
-                            if cfg.strict_trees {
-                                node_scratch.clear();
-                                for (i, p) in tuple.iter().enumerate() {
-                                    node_scratch.push(shard.words[i].nodes_of(p));
-                                }
-                                if !node_slices_form_tree(root, &node_scratch) {
-                                    return;
-                                }
-                            }
-                            let score = cfg.scoring.tree_score_of(tuple);
-                            group.acc.push(score);
-                            if group.trees.len() < cfg.max_rows {
-                                group.trees.push(materialize_tree(
-                                    &shard.words,
-                                    root,
-                                    tuple,
-                                    score,
-                                ));
-                            }
-                        });
-                    });
-                shard.counters.add_seeks(seeks);
-                if let Some(gid) = group_id {
-                    let group = dict.group(gid);
-                    if group.is_dead() {
-                        // Strict mode rejected every tuple: drop the roots
-                        // we optimistically recorded.
-                        candidate_roots_seen.truncate(roots_before);
-                    } else if let Some(lower) =
-                        partial_lower_bound(&group.acc, cfg.scoring.aggregation)
-                    {
-                        threshold.offer(combo_idx, lower);
-                    }
-                }
-            }
-            combo_idx += 1;
 
             // Odometer over pattern combos.
             let mut pos = m;
-            let mut done = false;
             loop {
                 if pos == 0 {
-                    done = true;
-                    break;
+                    break 'combos;
                 }
                 pos -= 1;
                 combo[pos] += 1;
-                if combo[pos] < lists[pos].len() {
+                if combo[pos] < groups[pos].patterns.len() {
                     break;
                 }
                 combo[pos] = 0;
             }
-            if done {
-                break;
-            }
+            aggs.truncate(pos);
         }
     }
-
-    candidate_roots_seen.sort_unstable();
-    candidate_roots_seen.dedup();
-    ShardOutcome {
-        dict,
-        pruned_keys,
-        subtrees,
-        combos_pruned,
-        candidate_roots: candidate_roots_seen.len(),
-    }
+    walk.found
 }
 
 /// `PATTERNENUM` with admissible upper-bound pruning. Returns exactly the
 /// same top-k as [`crate::pattern_enum::pattern_enum`], with
 /// `stats.combos_pruned` counting the combinations skipped before any
-/// intersection (the most-pruning shard worker's count, so the figure
-/// stays bounded by `combos_tried` and comparable across shard layouts).
+/// intersection.
 pub fn pattern_enum_pruned(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
     pattern_enum_pruned_in(ctx, cfg, ctx.fanout())
 }
 
 /// [`pattern_enum_pruned`] with the fan-out mode chosen by the caller.
-/// Inline, the shards still share the threshold: a later shard prunes
-/// against the partial scores the earlier ones published.
 pub(crate) fn pattern_enum_pruned_in(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
     mode: Fanout,
 ) -> SearchResult {
     let t0 = Instant::now();
-    let m = ctx.m();
+    let types = ctx.merged_by_type();
+    let combos_tried = combo_count(&types);
 
-    // Global per-(keyword, pattern) aggregates, merged across shards, and
-    // the global per-type combination lists they induce. Every shard
-    // enumerates the same lists, so bounds and prune decisions are
-    // mutually consistent.
-    // Per keyword, per root type: pattern lists with aggregates (and, in
-    // the single-index-shard layout, pattern positions + root ranges)
-    // resolved into arrays parallel to the lists. The single-shard path
-    // is hash-free: patterns are tagged with their root type, sorted, and
-    // grouped contiguously, with the cached per-pattern stats read
-    // straight off the word index.
-    let mut combos_tried = 0usize;
-    let type_lists: Vec<TypeLists<'_>> = if ctx.num_index_shards() == 1 {
-        // Everything borrows from the word indexes' cached type groups:
-        // walk keyword 0's groups (ascending by type) and binary-search
-        // the other keywords' group lists — O(types · m · log types) per
-        // query, with no per-pattern work at all.
-        use std::borrow::Cow;
-        let groups_per_kw: Vec<&[patternkb_index::PatternTypeGroup]> = (0..m)
-            .map(|i| {
-                ctx.shard_word(0, i)
-                    .expect("single index shard holds every query keyword")
-                    .pattern_type_groups(ctx.idx.patterns())
-            })
-            .collect();
-        let mut out = Vec::new();
-        'types: for g0 in groups_per_kw[0] {
-            let c = g0.root_type;
-            let mut lists: Vec<Cow<'_, [PatternId]>> = Vec::with_capacity(m);
-            let mut aggs: Vec<Cow<'_, [PatternAggregates]>> = Vec::with_capacity(m);
-            let mut prims: Vec<&[u32]> = Vec::with_capacity(m);
-            lists.push(Cow::Borrowed(&g0.patterns[..]));
-            aggs.push(Cow::Borrowed(&g0.stats[..]));
-            prims.push(&g0.prims[..]);
-            let mut prod = g0.patterns.len();
-            for groups in &groups_per_kw[1..] {
-                match groups.binary_search_by_key(&c, |g| g.root_type) {
-                    Ok(at) => {
-                        let g = &groups[at];
-                        prod = prod.saturating_mul(g.patterns.len());
-                        lists.push(Cow::Borrowed(&g.patterns[..]));
-                        aggs.push(Cow::Borrowed(&g.stats[..]));
-                        prims.push(&g.prims[..]);
-                    }
-                    Err(_) => continue 'types,
-                }
-            }
-            combos_tried = combos_tried.saturating_add(prod);
-            out.push(TypeLists {
-                lists,
-                aggs,
-                prims: Some(prims),
-            });
-        }
-        out
-    } else {
-        type Grouped = FxHashMap<TypeId, (Vec<PatternId>, Vec<PatternAggregates>)>;
-        let mut grouped: Vec<Grouped> = Vec::with_capacity(m);
-        for i in 0..m {
-            let mut map: FxHashMap<PatternId, PatternAggregates> = FxHashMap::default();
-            for s in 0..ctx.num_index_shards() {
-                let Some(w) = ctx.shard_word(s, i) else {
-                    continue;
-                };
-                for (j, p) in w.patterns().enumerate() {
-                    let local: PatternAggregates = w.pattern_stats()[j];
-                    map.entry(p)
-                        .and_modify(|agg| agg.merge(&local))
-                        .or_insert(local);
-                }
-            }
-            let mut ids: Vec<PatternId> = map.keys().copied().collect();
-            ids.sort_unstable_by_key(|p| p.0);
-            let mut by_type = Grouped::default();
-            for p in ids {
-                let entry = by_type
-                    .entry(ctx.idx.patterns().root_type(p))
-                    .or_insert_with(|| (Vec::new(), Vec::new()));
-                entry.0.push(p);
-                entry.1.push(map[&p]);
-            }
-            grouped.push(by_type);
-        }
-        let types = crate::pattern_enum::common_types(&grouped);
-        types
-            .iter()
-            .map(|&c| {
-                let mut lists: Vec<std::borrow::Cow<'_, [PatternId]>> = Vec::with_capacity(m);
-                let mut resolved: Vec<std::borrow::Cow<'_, [PatternAggregates]>> =
-                    Vec::with_capacity(m);
-                for map in grouped.iter_mut() {
-                    let (l, a) = map.remove(&c).expect("common type present everywhere");
-                    lists.push(std::borrow::Cow::Owned(l));
-                    resolved.push(std::borrow::Cow::Owned(a));
-                }
-                let mut prod = 1usize;
-                for l in &lists {
-                    prod = prod.saturating_mul(l.len());
-                }
-                combos_tried = combos_tried.saturating_add(prod);
-                TypeLists {
-                    lists,
-                    aggs: resolved,
-                    prims: None,
-                }
-            })
-            .collect()
-    };
-
-    let threshold = SharedThreshold::new(cfg.k, cfg.scoring.aggregation, ctx.shards.len() <= 1);
-    let record_pruned = ctx.shards.len() > 1;
-    // Materialization is deferred: the enumeration pass only accumulates
-    // exact scores (`max_rows: 0`), and rows are re-joined afterwards for
-    // the k patterns that actually survive — most discovered patterns
-    // never surface, so building their rows (one allocation per path per
-    // subtree) was the single largest avoidable cost of this algorithm.
+    let threshold = SharedThreshold::new(cfg.k);
+    // The walk only accumulates exact scores; rows are re-joined afterwards
+    // for the k patterns that survive ([`rank_winners`]).
     let lean_cfg = SearchConfig {
         max_rows: 0,
         ..cfg.clone()
     };
-    let locals = run_sharded(mode, &ctx.shards, |shard| {
-        (
-            pruned_shard(shard, &lean_cfg, &type_lists, &threshold, record_pruned),
-            shard.shard,
-        )
+    let workers: Vec<usize> = match mode {
+        Fanout::Inline => vec![0],
+        Fanout::Threads => (0..cores().max(2)).collect(),
+    };
+    let outcomes = run_sharded(mode, &workers, |&w| {
+        pruned_walk(ctx, &lean_cfg, &types, &threshold, w, workers.len())
     });
 
-    let mut per_shard = Vec::with_capacity(locals.len());
-    let mut dicts = Vec::with_capacity(locals.len());
-    let mut all_pruned: Vec<u32> = Vec::new();
-    let mut subtrees = 0usize;
+    let mut per_shard: Vec<ShardStats> = ctx
+        .shards
+        .iter()
+        .map(|shard| ShardStats {
+            shard: shard.shard,
+            ..ShardStats::default()
+        })
+        .collect();
+    let mut dicts = Vec::with_capacity(outcomes.len());
+    let mut roots: Option<RootSet> = None;
     let mut combos_pruned = 0usize;
-    let mut candidate_roots = 0usize;
-    for (outcome, shard) in locals {
-        per_shard.push(ShardStats {
-            shard,
-            candidate_roots: outcome.candidate_roots,
-            subtrees: outcome.subtrees,
-            patterns: outcome.dict.len(),
-        });
-        subtrees += outcome.subtrees;
-        // Every worker walks the same global list, so report the
-        // most-pruning worker: bounded by `combos_tried` and exactly the
-        // skipped count when there is one shard.
-        combos_pruned = combos_pruned.max(outcome.combos_pruned);
-        candidate_roots += outcome.candidate_roots;
-        all_pruned.extend(outcome.pruned_keys);
+    for outcome in outcomes {
+        for (at, stats) in per_shard.iter_mut().enumerate() {
+            stats.subtrees += outcome.subtrees[at];
+            stats.patterns += outcome.patterns[at];
+        }
+        // Each combination is tested by exactly one worker.
+        combos_pruned += outcome.combos_pruned;
+        match &mut roots {
+            Some(roots) => roots.union(&outcome.roots),
+            None => roots = Some(outcome.roots),
+        }
         dicts.push(outcome.dict);
     }
-    let mut dict = merge_shard_dicts(dicts, m, cfg.max_rows);
-    // A combination pruned in any shard is provably outside the top-k;
-    // its partial groups from other shards must not surface with a
-    // partial (understated) score.
-    for key in all_pruned.chunks_exact(m) {
-        dict.kill(key);
+    let roots = roots.expect("at least one worker");
+    // Shards partition the root space by range.
+    let bounds = ctx.idx.bounds();
+    for stats in &mut per_shard {
+        stats.candidate_roots =
+            roots.count_below(bounds[stats.shard + 1]) - roots.count_below(bounds[stats.shard]);
     }
 
-    let patterns_found = dict.len();
-    let keys_interned = dict.keys_interned() as u64;
-    let key_arena_bytes = dict.arena_bytes() as u64;
-    // Two-stage selection so losers never get decoded: (1) rank all live
-    // patterns by exact score alone and keep everything at or above the
-    // k-th best (boundary ties included); (2) decode only those, apply
-    // the full `(score desc, encoded key asc)` order, truncate to k, and
-    // materialize rows for the survivors.
-    let mut entries: Vec<(f64, crate::intern::PatternKeyId)> = dict
-        .iter()
-        .map(|(id, _, group)| (group.acc.finish(cfg.scoring.aggregation), id))
-        .collect();
-    if entries.len() > cfg.k {
-        entries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let kth = entries[cfg.k - 1].0;
-        entries.retain(|&(score, _)| score >= kth);
-    }
-    // (pattern, id-key, cached sort key): `RankedPattern::key()` allocates
-    // per call, so cache it once per candidate instead of per comparison.
-    let mut ranked: Vec<(RankedPattern, Vec<u32>, Vec<u32>)> = entries
-        .into_iter()
-        .map(|(score, id)| {
-            let key = dict.key(id);
-            let group = dict.group(id);
-            let p = RankedPattern {
-                pattern: ctx.decode_key(key),
-                score,
-                num_trees: group.acc.count as usize,
-                trees: Vec::new(),
-            };
-            let sort_key = p.key();
-            (p, key.to_vec(), sort_key)
-        })
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.0.score
-            .partial_cmp(&a.0.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.2.cmp(&b.2))
-    });
-    ranked.truncate(cfg.k);
-    let patterns: Vec<RankedPattern> = ranked
-        .into_iter()
-        .map(|(mut p, key, _)| {
-            p.trees = materialize_pattern_rows(ctx, cfg, &key);
-            p
-        })
-        .collect();
-
+    let patterns = rank_winners(ctx, cfg, &dicts);
     let mut hot = ctx.hot_stats();
-    hot.keys_interned = keys_interned;
-    hot.key_arena_bytes = key_arena_bytes;
+    hot.keys_interned = dicts.iter().map(|d| d.keys_interned() as u64).sum();
+    hot.key_arena_bytes = dicts.iter().map(|d| d.arena_bytes() as u64).sum();
     SearchResult {
         patterns,
         stats: QueryStats {
-            candidate_roots,
-            subtrees,
-            patterns: patterns_found,
+            candidate_roots: per_shard.iter().map(|s| s.candidate_roots).sum(),
+            subtrees: per_shard.iter().map(|s| s.subtrees).sum(),
+            patterns: dicts.iter().map(TreeDict::len).sum(),
             combos_tried,
             combos_pruned,
             per_shard,
@@ -718,60 +534,6 @@ pub(crate) fn pattern_enum_pruned_in(
             elapsed: t0.elapsed(),
         },
     }
-    .finalize(cfg.k)
-}
-
-/// Re-join one winning pattern's rows: walk the shards in ascending
-/// root-range order, leapfrog its per-keyword posting runs, and
-/// materialize the first `cfg.max_rows` accepted subtrees — exactly the
-/// rows an inline materialization would have kept.
-fn materialize_pattern_rows(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    key: &[u32],
-) -> Vec<crate::subtree::ValidSubtree> {
-    let m = ctx.m();
-    let mut trees = Vec::new();
-    let mut cursors: Vec<patternkb_index::RunCursor<'_>> = Vec::with_capacity(m);
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
-    'shards: for shard in &ctx.shards {
-        if trees.len() >= cfg.max_rows {
-            break;
-        }
-        cursors.clear();
-        for i in 0..m {
-            match shard.words[i].pattern_primary(PatternId(key[i])) {
-                Some(prim) => cursors.push(shard.words[i].pattern_run_cursor(prim)),
-                None => continue 'shards,
-            }
-        }
-        let seeks = patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
-            if trees.len() >= cfg.max_rows {
-                return;
-            }
-            let root = NodeId(r);
-            for_each_path_tuple(tuple, &mut scratch, |tuple| {
-                if trees.len() >= cfg.max_rows {
-                    return;
-                }
-                if cfg.strict_trees {
-                    node_scratch.clear();
-                    for (i, p) in tuple.iter().enumerate() {
-                        node_scratch.push(shard.words[i].nodes_of(p));
-                    }
-                    if !node_slices_form_tree(root, &node_scratch) {
-                        return;
-                    }
-                }
-                let score = cfg.scoring.tree_score_of(tuple);
-                trees.push(materialize_tree(&shard.words, root, tuple, score));
-            });
-        });
-        shard.counters.add_seeks(seeks);
-    }
-    trees
 }
 
 #[cfg(test)]
@@ -935,23 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_threshold_is_sound_per_pattern() {
-        // The same pattern offered from several "shards" counts once: the
-        // threshold is the k-th best per-pattern total, not the k-th best
-        // raw offer.
-        let t = SharedThreshold::new(2, Aggregation::Sum, false);
-        assert_eq!(t.kth(), None);
-        t.offer(1, 10.0);
-        assert_eq!(t.kth(), None, "one pattern < k");
-        t.offer(1, 9.0); // same pattern (same global combo index), second shard
-        assert_eq!(t.kth(), None, "still one distinct pattern");
-        t.offer(2, 5.0);
-        assert_eq!(t.kth(), Some(5.0), "2nd best of {{19, 5}}");
-        t.offer(3, 7.0);
-        assert_eq!(t.kth(), Some(7.0), "2nd best of {{19, 5, 7}}");
-    }
-
-    #[test]
     fn hot_path_counters_are_populated() {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
@@ -972,16 +717,55 @@ mod tests {
 
     #[test]
     fn single_worker_heap_threshold_tracks_kth_best() {
-        let t = SharedThreshold::new(2, Aggregation::Sum, true);
+        let t = SharedThreshold::new(2);
         assert_eq!(t.kth(), None);
-        t.offer(0, 10.0);
+        t.offer(10.0);
         assert_eq!(t.kth(), None, "one offer < k");
-        t.offer(1, 5.0);
+        t.offer(5.0);
         assert_eq!(t.kth(), Some(5.0));
-        t.offer(2, 7.0);
+        t.offer(7.0);
         assert_eq!(t.kth(), Some(7.0), "2nd best of {{10, 5, 7}}");
-        t.offer(3, 1.0);
+        t.offer(1.0);
         assert_eq!(t.kth(), Some(7.0), "low offers do not lower tau");
+    }
+
+    /// A final `Avg` is a sound offer, so `Avg` prunes like every other
+    /// aggregation (with per-shard partial scores it never could).
+    #[test]
+    fn avg_prunes_on_a_many_pattern_query() {
+        use patternkb_datagen::wiki::{wiki, WikiConfig};
+        use patternkb_datagen::QueryGenerator;
+        let g = wiki(&WikiConfig {
+            entities: 1_500,
+            ..WikiConfig::tiny(7)
+        });
+        let t = TextIndex::build(&g, SynonymTable::new());
+        let idx = build_indexes(
+            &g,
+            &t,
+            &BuildConfig {
+                d: 3,
+                threads: 1,
+                shards: 2,
+            },
+        );
+        let cfg = SearchConfig {
+            scoring: ScoringConfig {
+                aggregation: Aggregation::Avg,
+                ..ScoringConfig::default()
+            },
+            ..SearchConfig::top(1)
+        };
+        let mut pruned_combos = 0;
+        for spec in QueryGenerator::new(&g, &t, 3, 11).batch(4, 2) {
+            let q = Query::from_ids(spec.keywords);
+            let ctx = QueryContext::new(&g, &idx, &q).unwrap();
+            let pruned = pattern_enum_pruned(&ctx, &cfg);
+            assert_same(&pattern_enum(&ctx, &cfg), &pruned, "Avg");
+            assert!(pruned.stats.combos_pruned <= pruned.stats.combos_tried);
+            pruned_combos += pruned.stats.combos_pruned;
+        }
+        assert!(pruned_combos > 0, "Avg never pruned");
     }
 
     mod proptests {
@@ -991,11 +775,12 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
+            #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Random Zipf graphs × random queries × every aggregation:
-            /// the pruned enumerator returns a top-k **bit-identical** to
-            /// the unpruned `PATTERNENUM` reference's.
+            /// Random Zipf graphs × random queries × every aggregation ×
+            /// shard layout × fan-out mode: the pruned enumerator returns
+            /// a top-k **bit-identical** to the unpruned `PATTERNENUM`
+            /// reference's.
             #[test]
             fn pruning_preserves_topk_bits(
                 seed in 0u64..1000,
@@ -1008,6 +793,10 @@ mod tests {
                     Just(Aggregation::Max),
                     Just(Aggregation::Count),
                 ],
+                (shards, mode) in (
+                    1usize..4,
+                    prop_oneof![Just(Fanout::Inline), Just(Fanout::Threads)],
+                ),
             ) {
                 let g = wiki(&WikiConfig {
                     entities: 120,
@@ -1027,7 +816,7 @@ mod tests {
                 let idx = build_indexes(
                     &g,
                     &t,
-                    &BuildConfig { d: 2, threads: 1, shards: 1 },
+                    &BuildConfig { d: 2, threads: 1, shards },
                 );
                 let Some(ctx) = QueryContext::new(&g, &idx, &q) else {
                     return Ok(());
@@ -1040,12 +829,15 @@ mod tests {
                     ..SearchConfig::top(k)
                 };
                 let exact = pattern_enum(&ctx, &cfg);
-                let pruned = pattern_enum_pruned(&ctx, &cfg);
+                let pruned = pattern_enum_pruned_in(&ctx, &cfg, mode);
+                prop_assert!(pruned.stats.combos_pruned <= pruned.stats.combos_tried);
+                prop_assert_eq!(pruned.stats.combos_tried, exact.stats.combos_tried);
                 prop_assert_eq!(pruned.patterns.len(), exact.patterns.len());
                 for (x, y) in pruned.patterns.iter().zip(&exact.patterns) {
                     prop_assert_eq!(x.key(), y.key());
                     prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                     prop_assert_eq!(x.num_trees, y.num_trees);
+                    prop_assert_eq!(&x.trees, &y.trees);
                 }
             }
         }

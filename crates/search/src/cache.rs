@@ -259,7 +259,11 @@ impl QueryCache {
             Stale,
             Miss,
         }
-        {
+        // An entry this lookup removes can be the last holder of up to
+        // k × max_rows rows and their tables, so it is dropped only after
+        // the lock is released: a miss must not make every concurrent hit
+        // wait for its victim to be freed.
+        let stale: Option<Entry> = {
             let mut inner = self.inner.lock();
             inner.clock += 1;
             let clock = inner.clock;
@@ -271,63 +275,60 @@ impl QueryCache {
                 Some(_) => Lookup::Stale,
                 None => Lookup::Miss,
             };
+            inner.stats.misses += u64::from(!matches!(lookup, Lookup::Hit(_)));
             match lookup {
                 Lookup::Hit(answer) => {
                     inner.stats.hits += 1;
                     return (answer, true);
                 }
                 Lookup::Stale => {
-                    inner.map.remove(&key);
                     inner.stats.stale_rejections += 1;
-                    inner.stats.misses += 1;
+                    inner.map.remove(&key)
                 }
-                Lookup::Miss => inner.stats.misses += 1,
+                Lookup::Miss => None,
             }
-        } // release the lock while computing
+        }; // release the lock while computing
+        drop(stale);
         let (result, algorithm) = compute();
         let answer = Arc::new(SharedAnswer::new(result, algorithm));
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            // Under capacity pressure, sweep version-stale corpses first:
-            // entries strictly older than the version being inserted can
-            // only ever be hit again by a snapshot that predates it (a
-            // transient respond_on batch), so they must not squat LRU
-            // slots and evict live entries. Strictly-older — not `!=` —
-            // so an old-snapshot insert never sweeps newer live entries.
-            // Linear scans: capacities are small (hundreds) and eviction
-            // is off the hit path.
-            let stale: Vec<CacheKey> = inner
-                .map
-                .iter()
-                .filter(|(_, e)| e.version < version)
-                .map(|(k, _)| k.clone())
-                .collect();
-            if !stale.is_empty() {
-                for k in &stale {
-                    inner.map.remove(k);
+        let mut removed: Vec<Entry> = Vec::new();
+        {
+            let mut inner = self.inner.lock();
+            inner.clock += 1;
+            let clock = inner.clock;
+            if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+                // Under capacity pressure, sweep version-stale corpses
+                // first: entries strictly older than the version being
+                // inserted can only ever be hit again by a snapshot that
+                // predates it (a transient respond_on batch), so they must
+                // not squat LRU slots and evict live entries.
+                // Strictly-older — not `!=` — so an old-snapshot insert
+                // never sweeps newer live entries. Without corpses, plain
+                // LRU. One linear scan finds both: capacities are small
+                // (hundreds) and eviction is off the hit path.
+                let mut victims: Vec<CacheKey> = Vec::new();
+                let mut lru: Option<(&CacheKey, u64)> = None;
+                for (k, e) in &inner.map {
+                    if e.version < version {
+                        victims.push(k.clone());
+                    } else if lru.map_or(true, |(_, used)| e.last_used < used) {
+                        lru = Some((k, e.last_used));
+                    }
                 }
-                inner.stats.evictions += stale.len() as u64;
-            } else if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                // No stale victims: fall back to plain LRU.
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
+                if victims.is_empty() {
+                    victims.extend(lru.map(|(k, _)| k.clone()));
+                }
+                removed.extend(victims.iter().filter_map(|k| inner.map.remove(k)));
+                inner.stats.evictions += removed.len() as u64;
             }
-        }
-        inner.map.insert(
-            key,
-            Entry {
+            let entry = Entry {
                 answer: Arc::clone(&answer),
                 version,
                 last_used: clock,
-            },
-        );
+            };
+            removed.extend(inner.map.insert(key, entry));
+        }
+        drop(removed);
         (answer, false)
     }
 
@@ -521,6 +522,24 @@ mod tests {
         let misses_before = cache.stats().misses;
         let _ = get_or_compute(&cache, &e, &q2, &cfg, PatternEnum);
         assert_eq!(cache.stats().misses, misses_before + 1);
+    }
+
+    #[test]
+    fn eviction_leaves_the_victim_to_its_other_holders() {
+        let e = engine();
+        let cache = QueryCache::new(1);
+        let cfg = SearchConfig::top(10);
+        let q1 = e.parse("database").unwrap();
+        let q2 = e.parse("company").unwrap();
+        // A response still holds the answer its miss cached…
+        let victim = get_or_compute(&cache, &e, &q1, &cfg, PatternEnum);
+        assert_eq!(Arc::strong_count(&victim), 2, "the cache and this test");
+        // …when the next miss evicts that entry.
+        let _ = get_or_compute(&cache, &e, &q2, &cfg, PatternEnum);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(Arc::strong_count(&victim), 1, "the cache let go of it");
+        assert!(!victim.patterns.is_empty(), "and the holder keeps its rows");
     }
 
     #[test]

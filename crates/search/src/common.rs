@@ -9,12 +9,15 @@
 //! root-range shards. A [`QueryContext`] mirrors that: it holds one
 //! [`ShardContext`] per shard in which **every** keyword has postings
 //! (other shards cannot contribute answers — a candidate root must reach
-//! all keywords, and a root lives in exactly one shard). Each algorithm
-//! runs its single-shard kernel over every shard — in parallel via
-//! [`run_sharded`] — and merges the per-shard partial results. Because
-//! roots are disjoint across shards and [`crate::score::ScoreAcc`] sums
-//! exactly, the merged answers are bit-identical to single-shard
-//! execution.
+//! all keywords, and a root lives in exactly one shard). The root-first
+//! algorithms and unpruned `PATTERNENUM` run their single-shard kernel
+//! over every shard — in parallel via [`run_sharded`] — and merge the
+//! per-shard partial results; pruned `PATTERNENUM` ([`crate::bound`])
+//! walks the keywords' pattern lists merged over the shards
+//! ([`QueryContext::merged_patterns`]) and joins each combination across
+//! the shard views. Because roots are disjoint across shards and
+//! [`crate::score::ScoreAcc`] sums exactly, either way the answers are
+//! bit-identical to single-shard execution.
 //!
 //! ## The flattened data plane
 //!
@@ -31,12 +34,17 @@
 //!   `Vec` and shard merge is an id remap + vector walk.
 
 use crate::intern::{KeyInterner, PatternKeyId};
+use crate::result::RankedPattern;
 use crate::score::ScoreAcc;
 use crate::subtree::{node_slices_form_tree, TreePath, ValidSubtree};
 use crate::{Query, SearchConfig};
 use patternkb_graph::{KnowledgeGraph, NodeId};
 use patternkb_index::cursor as pcursor;
-use patternkb_index::{PathIndexes, PathPattern, PatternId, Posting, WordPathIndex};
+use patternkb_index::{
+    groups_by_shared_type, merge_type_groups, PathIndexes, PathPattern, PatternId,
+    PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RunCursor, WordPathIndex,
+};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -96,6 +104,25 @@ impl<'a> ShardContext<'a> {
         })
     }
 
+    /// Call `f(r, Πᵢ |Paths(wᵢ, r)|)` (saturating) for every candidate
+    /// root in ascending order — the per-root term of `N` (Algorithm 4
+    /// line 4), read off one forward cursor per keyword instead of a
+    /// directory search per (root, keyword).
+    pub fn for_each_root_paths(&self, mut f: impl FnMut(NodeId, u64)) {
+        let mut cursors: Vec<RootCursor<'_>> = self.words.iter().map(|w| w.root_cursor()).collect();
+        for &r in self.candidate_roots() {
+            let paths = cursors.iter_mut().fold(1u64, |product, cursor| {
+                let of_word = if cursor.seek(r.0) {
+                    cursor.num_paths()
+                } else {
+                    0
+                };
+                product.saturating_mul(of_word as u64)
+            });
+            f(r, paths);
+        }
+    }
+
     /// Intersect sorted lists, ticking this shard's seek counter.
     pub fn intersect_into(&self, lists: &[&[u32]], out: &mut Vec<u32>) {
         let mut seeks = 0u64;
@@ -125,6 +152,9 @@ pub struct QueryContext<'a> {
     /// intersections in shard order (ascending, since shards partition the
     /// root space by range).
     roots: OnceLock<Vec<NodeId>>,
+    /// Memoized per-keyword global pattern lists
+    /// ([`QueryContext::merged_patterns`]).
+    merged: OnceLock<Vec<Cow<'a, PatternTypeGroups>>>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -166,6 +196,7 @@ impl<'a> QueryContext<'a> {
             m,
             sparse,
             roots: OnceLock::new(),
+            merged: OnceLock::new(),
         })
     }
 
@@ -231,18 +262,33 @@ impl<'a> QueryContext<'a> {
         total
     }
 
-    /// Distinct patterns of keyword `i` across all shards, ascending —
-    /// the global `Patterns(wᵢ)` the pattern-first algorithms enumerate.
-    pub fn global_patterns(&self, i: usize) -> Vec<PatternId> {
-        let mut ids: Vec<u32> = self
-            .sparse
-            .iter()
-            .filter_map(|words| words[i])
-            .flat_map(|w| w.patterns().map(|p| p.0))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter().map(PatternId).collect()
+    /// The global `PatternsC(wᵢ)` of keyword `i`, ascending by root type:
+    /// its per-shard type groups merged over **every** index shard (also
+    /// those lacking another keyword — the lists, and the bounds computed
+    /// over them, are then the ones a single-shard index holds). A
+    /// group's positions are indexed by index shard. Merged once per
+    /// context, for all keywords; the planner's combination count and the
+    /// pattern-first kernels read the same lists.
+    pub fn merged_patterns(&self, i: usize) -> &PatternTypeGroups {
+        &self.merged.get_or_init(|| {
+            let mut words = Vec::with_capacity(self.sparse.len());
+            (0..self.m)
+                .map(|i| {
+                    words.clear();
+                    words.extend(self.sparse.iter().map(|shard| shard[i]));
+                    merge_type_groups(&words, self.idx.patterns())
+                })
+                .collect()
+        })[i]
+    }
+
+    /// Per root type every keyword has patterns of, ascending: the
+    /// keywords' merged groups of that type, in keyword order — the lists
+    /// whose product `PATTERNENUM` enumerates for the type.
+    pub fn merged_by_type(&self) -> Vec<Vec<PatternTypeGroup<'_>>> {
+        let keywords: Vec<&PatternTypeGroups> =
+            (0..self.m).map(|i| self.merged_patterns(i)).collect();
+        groups_by_shared_type(&keywords)
     }
 
     /// Total postings behind keyword `i` across all shards.
@@ -277,6 +323,18 @@ impl<'a> QueryContext<'a> {
     }
 }
 
+/// The combination count `Σ_C Πᵢ |PatternsC(wᵢ)|` of per-type lists
+/// (saturating) — over the merged lists, what a single-shard `PATTERNENUM`
+/// iterates.
+pub(crate) fn combo_count(types: &[Vec<PatternTypeGroup<'_>>]) -> usize {
+    types.iter().fold(0usize, |total, groups| {
+        let product = groups
+            .iter()
+            .fold(1usize, |p, g| p.saturating_mul(g.patterns.len()));
+        total.saturating_add(product)
+    })
+}
+
 /// How many cores the process may run on — resolved **once**. std does
 /// not cache `available_parallelism()`, and on Linux every call walks
 /// `sched_getaffinity` plus the cgroup quota files (17–22 µs measured,
@@ -300,30 +358,34 @@ pub enum Fanout {
 
 /// The fan-out break-even, in candidate roots summed over the shards.
 ///
-/// A scoped spawn + join costs tens of µs before the kernel's first
+/// A scoped spawn + join costs 15–170 µs before the kernel's first
 /// instruction (cold stack, the merge waiting on the slower worker), so
 /// threads can only pay once the kernels run for about a millisecond.
 /// Sweep of the gated `cold` pool (1 000 queries, 50 k-entity wiki, 2
-/// shards), median µs per query, inline vs threads, bucketed by
-/// candidate roots:
+/// shards; a throwaway `#[ignore]`d test calling the kernels' `*_in`
+/// routines on a fresh context, best of 3 — not a committed harness),
+/// median µs per query, inline vs threads, bucketed by candidate roots:
 ///
 /// | candidate roots | queries | pruned `PATTERNENUM` | `LINEARENUM` |
 /// |---|---|---|---|
-/// | < 100 | 413 | 257 vs 288 | 33 vs 56 |
-/// | 100 – 1 k | 286 | 275 vs 312 | 441 vs 494 |
-/// | 1 k – 4 k | 155 | 400 vs 431 | 1 722 vs 1 739 |
-/// | 4 k – 8 k | 65 | 700 vs 748 | 3 489 vs 3 766 |
-/// | 8 k – 16 k | 51 | 1 003 vs 1 096 | 5 619 vs 5 700 |
-/// | ≥ 16 k | 30 | 2 015 vs 2 144 | 9 845 vs 9 980 |
+/// | < 100 | 413 | 90 vs 219 | 25 vs 105 |
+/// | 100 – 1 k | 286 | 112 vs 261 | 119 vs 207 |
+/// | 1 k – 4 k | 155 | 173 vs 341 | 427 vs 442 |
+/// | 4 k – 8 k | 65 | 418 vs 540 | 1 014 vs 802 |
+/// | 8 k – 16 k | 51 | 514 vs 447 | 1 172 vs 886 |
+/// | ≥ 16 k | 30 | 957 vs 781 | 2 695 vs 1 539 |
 ///
-/// The sweep box's two vCPUs deliver one core of throughput (two busy
-/// loops side by side each take twice as long), so the right-hand
-/// numbers are the *price* of fanning out — 20–280 µs, i.e. 70 % of a
-/// selective `LINEARENUM` query and 12 % of a sub-100-root pruned one —
-/// with none of the gain. The constant sits where that price has fallen
-/// under a tenth of the cheapest kernel (pruned `PATTERNENUM` reaches
-/// 1 ms at 8 k roots) and the kernels are long enough for a real second
-/// core to halve them; 81 of the pool's 1 000 queries are above it.
+/// That run had both of the sweep box's vCPUs to itself: a spawn costs
+/// 80–170 µs there — three to six selective `LINEARENUM` queries — and is
+/// earned back from 4 k roots (`LINEARENUM`, split by shard) to 8 k
+/// (pruned `PATTERNENUM`, split by combination index). In a run an hour
+/// earlier the host let the two vCPUs deliver one core of throughput: a
+/// spawn read 15–30 µs and threads were behind inline in every bucket
+/// (8 k – 16 k: 674 vs 760 and 1 087 vs 1 328), the right-hand numbers
+/// being only the *price* of fanning out. The constant sits where the
+/// first run breaks even for both kernels and the second run's price has
+/// fallen to an eighth of the cheaper kernel; 81 of the pool's 1 000
+/// queries are above it.
 pub const FANOUT_MIN_ROOTS: usize = 8_000;
 
 /// The one gate every fan-out site goes through: [`Fanout::Threads`] when
@@ -477,14 +539,6 @@ impl TreeDict {
         self.interner.key(id)
     }
 
-    /// Drop `key`'s accumulated evidence (used by the pruned merge: a
-    /// combination pruned in any shard is provably outside the top-k).
-    pub fn kill(&mut self, key: &[u32]) {
-        if let Some(id) = self.interner.get(key) {
-            self.groups[id.0 as usize] = PatternGroup::default();
-        }
-    }
-
     /// Fold `group` into `key`'s entry.
     pub fn fold(&mut self, key: &[u32], group: PatternGroup, max_rows: usize) {
         self.group_mut(key).merge(group, max_rows);
@@ -618,34 +672,67 @@ pub fn materialize_tree(
     ValidSubtree { root, paths, score }
 }
 
+/// The buffers [`expand_root`] works in, owned by the caller and reused
+/// across the roots of one shard — which must therefore be expanded in
+/// ascending order (the per-keyword [`RootCursor`]s only move forward).
+pub struct ExpandScratch<'a> {
+    cursors: Vec<RootCursor<'a>>,
+    /// Per keyword: the current root's `(pattern, paths)` runs.
+    runs: Vec<Vec<(u32, &'a [Posting])>>,
+    key: Vec<u32>,
+    combo: Vec<usize>,
+    slices: Vec<&'a [Posting]>,
+    tuple: Vec<&'a Posting>,
+    nodes: Vec<&'a [NodeId]>,
+}
+
+impl<'a> ExpandScratch<'a> {
+    /// Buffers for `shard`'s keywords, cursors before the first root.
+    pub fn new(shard: &ShardContext<'a>) -> Self {
+        let m = shard.m();
+        ExpandScratch {
+            cursors: shard.words.iter().map(|w| w.root_cursor()).collect(),
+            runs: vec![Vec::new(); m],
+            key: vec![0; m],
+            combo: vec![0; m],
+            slices: Vec::with_capacity(m),
+            tuple: Vec::with_capacity(m),
+            nodes: Vec::with_capacity(m),
+        }
+    }
+}
+
 /// The `EXPANDROOT(r, TreeDict)` subroutine of Algorithm 3: enumerate the
 /// pattern product `Patterns(w1, r) × … × Patterns(wm, r)` and, within each
 /// tree pattern, the path product, folding every valid subtree into `dict`.
 ///
 /// Returns the number of subtrees enumerated under this root.
-pub fn expand_root(
-    ctx: &ShardContext<'_>,
+pub fn expand_root<'a>(
+    ctx: &ShardContext<'a>,
     cfg: &SearchConfig,
     r: NodeId,
     dict: &mut TreeDict,
+    scratch: &mut ExpandScratch<'a>,
 ) -> usize {
     let m = ctx.m();
-    // Per-keyword (pattern, paths) runs under this root.
-    let runs: Vec<Vec<(PatternId, &[Posting])>> =
-        ctx.words.iter().map(|w| w.root_runs(r).collect()).collect();
-    debug_assert!(
-        runs.iter().all(|r| !r.is_empty()),
-        "candidate roots reach every keyword"
-    );
-    if runs.iter().any(|r| r.is_empty()) {
-        return 0;
+    let ExpandScratch {
+        cursors,
+        runs,
+        key,
+        combo,
+        slices,
+        tuple,
+        nodes,
+    } = scratch;
+    for (cursor, runs) in cursors.iter_mut().zip(runs.iter_mut()) {
+        runs.clear();
+        if !cursor.seek(r.0) {
+            debug_assert!(false, "candidate roots reach every keyword");
+            return 0;
+        }
+        runs.extend(cursor.runs());
     }
-
-    let mut key: Vec<u32> = vec![0; m];
-    let mut combo = vec![0usize; m];
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
+    combo.iter_mut().for_each(|x| *x = 0);
     let mut total = 0usize;
 
     // Pattern product (line 7).
@@ -653,18 +740,18 @@ pub fn expand_root(
         slices.clear();
         for i in 0..m {
             let (pat, paths) = runs[i][combo[i]];
-            key[i] = pat.0;
+            key[i] = pat;
             slices.push(paths);
         }
-        let group = dict.group_mut(&key);
+        let group = dict.group_mut(key);
         // Path product (line 9).
-        total += for_each_path_tuple(&slices, &mut scratch, |tuple| {
+        total += for_each_path_tuple(slices, tuple, |tuple| {
             if cfg.strict_trees {
-                node_scratch.clear();
+                nodes.clear();
                 for (i, p) in tuple.iter().enumerate() {
-                    node_scratch.push(ctx.words[i].nodes_of(p));
+                    nodes.push(ctx.words[i].nodes_of(p));
                 }
-                if !node_slices_form_tree(r, &node_scratch) {
+                if !node_slices_form_tree(r, nodes) {
                     return;
                 }
             }
@@ -693,6 +780,113 @@ pub fn expand_root(
             combo[pos] = 0;
         }
     }
+}
+
+/// The selection tail of the kernels that enumerate **lean** (scores
+/// only, `max_rows: 0`): most discovered patterns never surface, so their
+/// rows — one allocation per path per subtree — are not built and their
+/// keys not decoded. `dicts` hold disjoint keys. (1) Rank all live
+/// patterns by exact score alone and keep everything at or above the k-th
+/// best, boundary ties included; (2) decode only those, apply the full
+/// `(score desc, encoded key asc)` order and truncate to k; (3) re-join
+/// the rows of the survivors ([`materialize_pattern_rows`]).
+pub(crate) fn rank_winners(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    dicts: &[TreeDict],
+) -> Vec<RankedPattern> {
+    let mut entries: Vec<(f64, &TreeDict, PatternKeyId)> = dicts
+        .iter()
+        .flat_map(|dict| {
+            dict.iter()
+                .map(move |(id, _, group)| (group.acc.finish(cfg.scoring.aggregation), dict, id))
+        })
+        .collect();
+    let by_score = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal);
+    if cfg.k == 0 {
+        entries.clear();
+    } else if entries.len() > cfg.k {
+        let (_, kth, _) = entries.select_nth_unstable_by(cfg.k - 1, |a, b| by_score(&a.0, &b.0));
+        let kth = kth.0;
+        entries.retain(|&(score, _, _)| score >= kth);
+    }
+    // `RankedPattern::key()` allocates per call, so it is computed once
+    // per candidate, not per comparison.
+    let mut ranked: Vec<(RankedPattern, &[u32], Vec<u32>)> = entries
+        .into_iter()
+        .map(|(score, dict, id)| {
+            let p = RankedPattern {
+                pattern: ctx.decode_key(dict.key(id)),
+                score,
+                num_trees: dict.group(id).acc.count as usize,
+                trees: Vec::new(),
+            };
+            let sort_key = p.key();
+            (p, dict.key(id), sort_key)
+        })
+        .collect();
+    ranked.sort_by(|a, b| by_score(&a.0.score, &b.0.score).then_with(|| a.2.cmp(&b.2)));
+    ranked.truncate(cfg.k);
+    ranked
+        .into_iter()
+        .map(|(mut p, key, _)| {
+            p.trees = materialize_pattern_rows(ctx, cfg, key);
+            p
+        })
+        .collect()
+}
+
+/// Re-join one winning pattern's rows: walk the shards in ascending
+/// root-range order, leapfrog its per-keyword posting runs, and
+/// materialize the first `cfg.max_rows` accepted subtrees — exactly the
+/// rows an inline materialization would have kept.
+fn materialize_pattern_rows(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    key: &[u32],
+) -> Vec<ValidSubtree> {
+    let m = ctx.m();
+    let mut trees = Vec::new();
+    let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
+    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
+    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
+    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
+    'shards: for shard in &ctx.shards {
+        if trees.len() >= cfg.max_rows {
+            break;
+        }
+        cursors.clear();
+        for i in 0..m {
+            match shard.words[i].pattern_primary(PatternId(key[i])) {
+                Some(prim) => cursors.push(shard.words[i].pattern_run_cursor(prim)),
+                None => continue 'shards,
+            }
+        }
+        let seeks = patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
+            if trees.len() >= cfg.max_rows {
+                return;
+            }
+            let root = NodeId(r);
+            for_each_path_tuple(tuple, &mut scratch, |tuple| {
+                if trees.len() >= cfg.max_rows {
+                    return;
+                }
+                if cfg.strict_trees {
+                    node_scratch.clear();
+                    for (i, p) in tuple.iter().enumerate() {
+                        node_scratch.push(shard.words[i].nodes_of(p));
+                    }
+                    if !node_slices_form_tree(root, &node_scratch) {
+                        return;
+                    }
+                }
+                let score = cfg.scoring.tree_score_of(tuple);
+                trees.push(materialize_tree(&shard.words, root, tuple, score));
+            });
+        });
+        shard.counters.add_seeks(seeks);
+    }
+    trees
 }
 
 #[cfg(test)]
@@ -781,8 +975,6 @@ mod tests {
         assert_eq!(live, vec![vec![1, 2]]);
         let id = d.intern(&[1, 2]);
         assert_eq!(d.group(id).acc.count, 2);
-        d.kill(&[1, 2]);
-        assert_eq!(d.len(), 0);
     }
 
     #[test]

@@ -71,17 +71,15 @@ pub(crate) fn count_patterns_in(ctx: &QueryContext<'_>, mode: Fanout) -> u64 {
 
 /// Exact number of valid subtrees `N = Σ_r Πᵢ |Paths(wᵢ, r)|`, computed
 /// without enumeration (the quantity of Algorithm 4 line 4 and the x-axis
-/// of Figure 9).
+/// of Figure 9). With one keyword every root of the word is a candidate
+/// and `N` is the word's posting count.
 pub fn count_subtrees(ctx: &QueryContext<'_>) -> u64 {
+    if ctx.m() == 1 {
+        return ctx.shards.iter().map(|s| s.words[0].len() as u64).sum();
+    }
     let mut total: u64 = 0;
     for shard in &ctx.shards {
-        for &r in shard.candidate_roots() {
-            let mut prod: u64 = 1;
-            for w in &shard.words {
-                prod = prod.saturating_mul(w.num_paths_of_root(r) as u64);
-            }
-            total = total.saturating_add(prod);
-        }
+        shard.for_each_root_paths(|_, paths| total = total.saturating_add(paths));
     }
     total
 }

@@ -78,6 +78,17 @@ fn scored_bits(trees: &[ScoredTree]) -> Vec<(Vec<u32>, TreeBits)> {
         .collect()
 }
 
+/// Which of a kernel's runs must report the same work counters.
+#[derive(Clone, Copy, PartialEq)]
+enum Counters {
+    /// Inline, fanned out and single-shard alike, per shard too.
+    EveryMode,
+    /// Inline and single-shard. Fanned out, the pruned kernel's workers
+    /// race on the shared threshold, so what a threaded run got to see is
+    /// its own.
+    Inline,
+}
+
 /// Run `kernel` inline and fanned out over `ctx`, and inline over the
 /// single-shard `reference`; all three answers must agree.
 fn check_kernel(
@@ -85,7 +96,7 @@ fn check_kernel(
     ctx: &QueryContext<'_>,
     reference: &QueryContext<'_>,
     kernel: impl Fn(&QueryContext<'_>, Fanout) -> SearchResult,
-    deterministic_counters: bool,
+    counters: Counters,
 ) {
     let [inline, threads] = MODES.map(|mode| {
         let r = kernel(ctx, mode);
@@ -97,15 +108,27 @@ fn check_kernel(
     assert_eq!(answer_bits(&inline), answer_bits(&single), "{label} vs S=1");
     assert_eq!(inline.stats.per_shard.len(), ctx.shards.len(), "{label}");
     assert_eq!(threads.stats.per_shard.len(), ctx.shards.len(), "{label}");
-    // Pruning races on the shared threshold, so the pruned kernel's work
-    // counters (roots and subtrees it got to see) are its own per run.
-    if deterministic_counters {
+    let mut same_work = vec![(&inline, &single)];
+    if counters == Counters::EveryMode {
         assert_eq!(inline.stats.per_shard, threads.stats.per_shard, "{label}");
-        for (a, b) in [(&inline, &threads), (&inline, &single)] {
-            assert_eq!(a.stats.candidate_roots, b.stats.candidate_roots, "{label}");
-            assert_eq!(a.stats.subtrees, b.stats.subtrees, "{label}");
-            assert_eq!(a.stats.patterns, b.stats.patterns, "{label}");
-        }
+        same_work.push((&inline, &threads));
+    }
+    for (a, b) in same_work {
+        let (a, b) = (&a.stats, &b.stats);
+        assert_eq!(a.candidate_roots, b.candidate_roots, "{label}");
+        assert_eq!(a.subtrees, b.subtrees, "{label}");
+        assert_eq!(a.patterns, b.patterns, "{label}");
+        assert_eq!(a.combos_tried, b.combos_tried, "{label}");
+        assert_eq!(a.combos_pruned, b.combos_pruned, "{label}");
+        assert_eq!(a.hot.keys_interned, b.hot.keys_interned, "{label}");
+    }
+    // The per-shard split accounts for the totals, however many workers
+    // produced it.
+    for stats in [&inline.stats, &threads.stats, &single.stats] {
+        let roots: usize = stats.per_shard.iter().map(|s| s.candidate_roots).sum();
+        let subtrees: usize = stats.per_shard.iter().map(|s| s.subtrees).sum();
+        assert_eq!(roots, stats.candidate_roots, "{label}");
+        assert_eq!(subtrees, stats.subtrees, "{label}");
     }
 }
 
@@ -128,21 +151,21 @@ fn kernels_answer_identically_inline_and_fanned_out() {
             &ctx,
             &reference,
             |c, mode| linear_enum_in(c, &cfg, mode),
-            true,
+            Counters::EveryMode,
         );
         check_kernel(
             "pattern_enum",
             &ctx,
             &reference,
             |c, mode| pattern_enum_in(c, &cfg, mode),
-            true,
+            Counters::EveryMode,
         );
         check_kernel(
             "pattern_enum_pruned",
             &ctx,
             &reference,
             |c, mode| pattern_enum_pruned_in(c, &cfg, mode),
-            false,
+            Counters::Inline,
         );
         for (label, samp) in [
             ("topk[exact]", SamplingConfig::exact()),
@@ -153,7 +176,7 @@ fn kernels_answer_identically_inline_and_fanned_out() {
                 &ctx,
                 &reference,
                 |c, mode| linear_enum_topk_in(c, &cfg, &samp, mode),
-                true,
+                Counters::EveryMode,
             );
         }
 

@@ -36,11 +36,13 @@
 //!
 //! The index partitions into **root-range shards**
 //! ([`patternkb_index::PathIndexes`]; knob: [`EngineBuilder::shards`],
-//! default = available parallelism). Every algorithm fans out one worker
-//! per shard over per-shard [`common::ShardContext`] views — with a shared
-//! atomic top-k threshold tightening [`bound`]'s pruning globally — and
-//! the per-shard partial pattern groups merge at the top-k heap
-//! ([`common::merge_shard_dicts`]). Scores accumulate **exactly**
+//! default = available parallelism). The root-first algorithms and
+//! unpruned `PATTERNENUM` fan out one worker per shard over per-shard
+//! [`common::ShardContext`] views and merge the per-shard partial pattern
+//! groups at the top-k heap ([`common::merge_shard_dicts`]); pruned
+//! `PATTERNENUM` ([`bound`]) walks the global combination list once and
+//! joins each surviving combination across the shards, so its threshold
+//! sees final scores and nothing is merged. Scores accumulate **exactly**
 //! ([`score::ExactSum`]), so sharded answers are bit-identical to
 //! `shards(1)` (proptest-enforced); [`QueryStats::per_shard`] reports how
 //! the work split.

@@ -12,8 +12,11 @@
 //! and the dictionaries merge at the end — bit-identical to a sequential
 //! pass thanks to exact score accumulation.
 
-use crate::common::{expand_root, merge_shard_dicts, run_sharded, Fanout, QueryContext, TreeDict};
-use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
+use crate::common::{
+    expand_root, merge_shard_dicts, rank_winners, run_sharded, ExpandScratch, Fanout, QueryContext,
+    TreeDict,
+};
+use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::SearchConfig;
 use std::time::Instant;
 
@@ -31,11 +34,19 @@ pub(crate) fn linear_enum_in(
     mode: Fanout,
 ) -> SearchResult {
     let t0 = Instant::now();
+    // The dictionary pass only accumulates exact scores; rows are
+    // re-joined afterwards for the k patterns that survive
+    // ([`rank_winners`]) instead of being built for every pattern.
+    let lean_cfg = SearchConfig {
+        max_rows: 0,
+        ..cfg.clone()
+    };
     let locals = run_sharded(mode, &ctx.shards, |shard| {
         let mut dict = TreeDict::new(shard.m());
+        let mut scratch = ExpandScratch::new(shard);
         let mut subtrees = 0usize;
         for &r in shard.candidate_roots() {
-            subtrees += expand_root(shard, cfg, r, &mut dict);
+            subtrees += expand_root(shard, &lean_cfg, r, &mut dict, &mut scratch);
         }
         (dict, subtrees, shard.candidate_roots().len(), shard.shard)
     });
@@ -55,23 +66,14 @@ pub(crate) fn linear_enum_in(
         candidate_roots += local_roots;
         dicts.push(dict);
     }
-    let dict = merge_shard_dicts(dicts, ctx.m(), cfg.max_rows);
+    let dict = merge_shard_dicts(dicts, ctx.m(), 0);
 
     let patterns_found = dict.len();
     let mut hot = ctx.hot_stats();
     hot.keys_interned = dict.keys_interned() as u64;
     hot.key_arena_bytes = dict.arena_bytes() as u64;
-    let mut patterns: Vec<RankedPattern> = Vec::with_capacity(patterns_found);
-    dict.drain_live(|key, group| {
-        patterns.push(RankedPattern {
-            pattern: ctx.decode_key(key),
-            score: group.acc.finish(cfg.scoring.aggregation),
-            num_trees: group.acc.count as usize,
-            trees: group.trees,
-        });
-    });
     SearchResult {
-        patterns,
+        patterns: rank_winners(ctx, cfg, std::slice::from_ref(&dict)),
         stats: QueryStats {
             candidate_roots,
             subtrees,
@@ -84,7 +86,6 @@ pub(crate) fn linear_enum_in(
             elapsed: t0.elapsed(),
         },
     }
-    .finalize(cfg.k)
 }
 
 #[cfg(test)]

@@ -21,47 +21,20 @@
 //! the figure is comparable across shard counts.
 
 use crate::common::{
-    for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout, QueryContext,
-    ShardContext, TreeDict,
+    combo_count, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout,
+    QueryContext, ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::subtree::node_slices_form_tree;
 use crate::SearchConfig;
-use patternkb_graph::{FxHashMap, NodeId, TypeId};
-use patternkb_index::{PatternId, Posting};
+use patternkb_graph::NodeId;
+use patternkb_index::Posting;
 use std::time::Instant;
-
-/// Root types present in *every* per-keyword map, in id order.
-pub(crate) fn common_types<V>(by_type: &[FxHashMap<TypeId, V>]) -> Vec<TypeId> {
-    let mut types: Vec<TypeId> = by_type[0].keys().copied().collect();
-    types.sort_unstable();
-    types.retain(|c| by_type.iter().all(|map| map.contains_key(c)));
-    types
-}
 
 /// The global pattern-combination count `Σ_C Πᵢ |PatternsC(wᵢ)|` over the
 /// whole index — what a single-shard `PATTERNENUM` iterates (saturating).
 fn global_combo_count(ctx: &QueryContext<'_>) -> usize {
-    let by_type: Vec<FxHashMap<TypeId, Vec<PatternId>>> = (0..ctx.m())
-        .map(|i| {
-            let mut map: FxHashMap<TypeId, Vec<PatternId>> = FxHashMap::default();
-            for p in ctx.global_patterns(i) {
-                map.entry(ctx.idx.patterns().root_type(p))
-                    .or_default()
-                    .push(p);
-            }
-            map
-        })
-        .collect();
-    let mut total = 0usize;
-    for c in common_types(&by_type) {
-        let mut prod = 1usize;
-        for map in &by_type {
-            prod = prod.saturating_mul(map[&c].len());
-        }
-        total = total.saturating_add(prod);
-    }
-    total
+    combo_count(&ctx.merged_by_type())
 }
 
 /// One shard's `PATTERNENUM` pass: every nonempty local combination folded
@@ -77,7 +50,7 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
     // Per keyword: patterns grouped by root type (`PatternsC(wᵢ)`,
     // line 3) — cached on the word index, so per-query setup is
     // O(root types), not O(patterns).
-    let groups_per_kw: Vec<&[patternkb_index::PatternTypeGroup]> = shard
+    let groups_per_kw: Vec<&patternkb_index::PatternTypeGroups> = shard
         .words
         .iter()
         .map(|w| w.pattern_type_groups(shard.idx.patterns()))
@@ -89,40 +62,25 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
 
     let mut combo = vec![0usize; m];
     let mut key: Vec<u32> = vec![0; m];
-    let mut lists: Vec<&[PatternId]> = Vec::with_capacity(m);
-    let mut prims: Vec<&[u32]> = Vec::with_capacity(m);
     let mut cursors: Vec<patternkb_index::RunCursor<'_>> = Vec::with_capacity(m);
     let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
     let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
     let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
 
-    // Walk keyword 0's types (ascending); a type missing for any other
-    // keyword has no combinations.
-    'types: for g0 in groups_per_kw[0] {
-        let c = g0.root_type;
-        lists.clear();
-        prims.clear();
-        lists.push(&g0.patterns);
-        prims.push(&g0.prims);
-        for groups in &groups_per_kw[1..] {
-            match groups.binary_search_by_key(&c, |g| g.root_type) {
-                Ok(at) => {
-                    lists.push(&groups[at].patterns);
-                    prims.push(&groups[at].prims);
-                }
-                Err(_) => continue 'types,
-            }
-        }
+    // A type missing for any keyword has no combinations.
+    for lists in patternkb_index::groups_by_shared_type(&groups_per_kw) {
         combo.iter_mut().for_each(|x| *x = 0);
 
         // Line 4: the pattern product for this root type.
         loop {
             for i in 0..m {
-                key[i] = lists[i][combo[i]].0;
+                key[i] = lists[i].patterns[combo[i]].0;
             }
             cursors.clear();
             for i in 0..m {
-                cursors.push(shard.words[i].pattern_run_cursor(prims[i][combo[i]] as usize));
+                // A word's own groups hold one position per pattern.
+                let prim = lists[i].prim(combo[i], 0);
+                cursors.push(shard.words[i].pattern_run_cursor(prim as usize));
             }
             // Lines 5–8 fused: leapfrog the run cursors; every common
             // root yields its posting slices for the path product.
@@ -171,7 +129,7 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
                 }
                 pos -= 1;
                 combo[pos] += 1;
-                if combo[pos] < lists[pos].len() {
+                if combo[pos] < lists[pos].patterns.len() {
                     break;
                 }
                 combo[pos] = 0;

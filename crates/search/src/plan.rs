@@ -24,43 +24,50 @@
 //! 4. otherwise pruned `PATTERNENUM` (no dictionary, admissible pruning
 //!    caps the tail).
 //!
-//! Steps 1–2 read `N` alone, so on those queries the engine never builds
-//! the per-keyword global pattern lists behind the combination count
-//! ([`estimate`] always does; it is the reporting entry point).
+//! Steps 1–2 read `N` alone, so on those queries the engine never merges
+//! the per-keyword pattern lists behind the combination count
+//! ([`estimate`] always does; it is the reporting entry point). A query
+//! that reaches step 4 has merged them for the kernel it is routed to
+//! ([`QueryContext::merged_patterns`]).
 //!
 //! # The rows behind it
 //!
 //! Per-query sweep of the gated `cold` pool (1 000 queries, 250 per
 //! keyword count m, 50 k-entity wiki, 2-shard engine, every kernel run
-//! inline, best of 3, µs):
+//! inline on a fresh context, planning not included, best of 3, µs; a
+//! throwaway `#[ignore]`d test over the kernels' `*_in` routines, not a
+//! committed harness):
 //!
 //! | fastest fixed choice | queries |
 //! |---|---|
-//! | pruned `PATTERNENUM` | 474 |
-//! | `LINEARENUM` | 342 |
-//! | exact `LINEARENUM-TOPK` | 123 |
-//! | `PATTERNENUM` | 61 |
+//! | pruned `PATTERNENUM` | 475 |
+//! | `LINEARENUM` | 316 |
+//! | exact `LINEARENUM-TOPK` | 169 |
+//! | `PATTERNENUM` | 40 |
 //!
 //! | policy | mean | median | mean regret vs per-query best |
 //! |---|---|---|---|
-//! | per-query best | 597 | 186 | 1.00 |
-//! | old: combos ≤ 4 096 → pruned, else exact `TOPK` | 1 254 | 234 | 1.58 |
-//! | always pruned `PATTERNENUM` | 1 261 | 343 | 13.8 |
-//! | always `LINEARENUM` | 1 788 | 302 | 2.31 |
-//! | `N ≤ 1 000` → `LINEARENUM`, else pruned | 706 | 261 | 1.26 |
-//! | `N ≤ 256` or combos `> 30 000 · N` → `LINEARENUM`, else pruned | 604 | 203 | 1.09 |
+//! | per-query best | 274 | 76 | 1.00 |
+//! | old: combos ≤ 4 096 → pruned, else exact `TOPK` | 870 | 118 | 2.11 |
+//! | always pruned `PATTERNENUM` | 670 | 154 | 9.63 |
+//! | always `LINEARENUM` | 483 | 99 | 1.54 |
+//! | `N ≤ 1 000` → `LINEARENUM`, else pruned | 309 | 91 | 1.18 |
+//! | `N ≤ 256` or combos `> 30 000 · N` → `LINEARENUM`, else pruned | 269 | 81 | 1.10 |
 //!
 //! (The last two rows fan out above [`crate::common::FANOUT_MIN_ROOTS`],
-//! as the engine does.) Both thresholds sit on plateaus: 200–300 and
-//! 10⁴–10⁵ move the mean by under 1 %; `N ≤ 500` costs 30 µs of median,
-//! a factor of 10³ costs 45 µs of mean.
+//! as the engine does, on a box whose second core was free — which is how
+//! a rule can read below the inline per-query best.) Both thresholds
+//! still sit on the plateaus they were put on: `N ≤ 200 … 500` and a
+//! factor of 10³ … 10⁵ all read a mean of 268–274 and a median of 81–84;
+//! `N ≤ 64` costs 3 µs of median, `N ≤ 1 000` 10 µs, a factor of 10⁶
+//! 29 µs of mean.
 //!
 //! Exact `LINEARENUM-TOPK` is `LINEARENUM` plus a type partition and a
 //! second shard pass. The old rule sent it 691 of the 1 000 queries; it
-//! was the fastest fixed choice for 122 of them (median `N` = 7, median
-//! margin over `LINEARENUM` 3 µs), a median 1.7× slower than pruned
+//! is the fastest fixed choice for 165 of them (median `N` = 3, median
+//! margin over `LINEARENUM` 2 µs), a median 3.2× slower than pruned
 //! `PATTERNENUM` on the 197 two-keyword ones, and those 691 average
-//! 1 559 µs under it against 639 µs under the rule above. It left
+//! 1 148 µs under it against 290 µs under the rule above. It left
 //! `Auto`; it stays an explicit [`crate::AlgorithmChoice`], and `Auto`
 //! still uses it for the sampled tier. The decision is returned next to
 //! the result, so callers can log or override it.
@@ -100,11 +107,12 @@ pub fn estimate(ctx: &QueryContext<'_>) -> QueryEstimate {
     }
 }
 
-/// `Πᵢ |Patterns(wᵢ)|` (saturating): collects, sorts and dedups every
-/// keyword's pattern ids across the shards.
+/// `Πᵢ |Patterns(wᵢ)|` (saturating), read off the per-keyword merged
+/// pattern lists the context memoises — the ones pruned `PATTERNENUM`
+/// then walks, so a query routed there builds them once.
 fn pattern_combos(ctx: &QueryContext<'_>) -> u64 {
     (0..ctx.m()).fold(1u64, |product, i| {
-        product.saturating_mul(ctx.global_patterns(i).len() as u64)
+        product.saturating_mul(ctx.merged_patterns(i).num_patterns() as u64)
     })
 }
 

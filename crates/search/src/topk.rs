@@ -31,8 +31,8 @@
 //! layouts too.
 
 use crate::common::{
-    expand_root, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout,
-    QueryContext, ShardContext, TreeDict,
+    expand_root, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded,
+    ExpandScratch, Fanout, QueryContext, ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::score::ScoreAcc;
@@ -131,15 +131,11 @@ pub(crate) fn linear_enum_topk_in(
     //     count N_R per (shard, type) without enumeration (line 4). ---
     let partitions: Vec<ShardPartition> = run_sharded(mode, &ctx.shards, |shard| {
         let mut by_type: FxHashMap<TypeId, (Vec<NodeId>, u64)> = FxHashMap::default();
-        for &r in shard.candidate_roots() {
-            let mut prod: u64 = 1;
-            for w in &shard.words {
-                prod = prod.saturating_mul(w.num_paths_of_root(r) as u64);
-            }
+        shard.for_each_root_paths(|r, paths| {
             let entry = by_type.entry(shard.g.node_type(r)).or_default();
             entry.0.push(r);
-            entry.1 = entry.1.saturating_add(prod);
-        }
+            entry.1 = entry.1.saturating_add(paths);
+        });
         by_type
     })
     .into_iter()
@@ -170,9 +166,11 @@ pub(crate) fn linear_enum_topk_in(
             for (&c, (roots, _)) in &part.by_type {
                 let rate = rates[&c];
                 let dict = dicts.entry(c).or_insert_with(|| TreeDict::new(shard.m()));
+                // A type's roots ascend; the next type starts over.
+                let mut scratch = ExpandScratch::new(shard);
                 for &r in roots {
                     if rate >= 1.0 || root_sampled(samp.seed, r, rate) {
-                        subtrees += expand_root(shard, cfg, r, dict);
+                        subtrees += expand_root(shard, cfg, r, dict, &mut scratch);
                     }
                 }
             }

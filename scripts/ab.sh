@@ -1,0 +1,119 @@
+#!/bin/sh
+# A/B the gated benchmark between a parent revision and this checkout:
+#
+#   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seed=7]
+#
+# Builds the parent in a git worktree under target/ab/ (offline) and the
+# change where it stands, then runs <pairs> pairs of the benchmark's
+# untraced <workload>, alternating which side goes first, and prints per
+# end-to-end metric both medians, both inter-quartile ranges and the pairs
+# the change won — the protocol a claimed gain is judged by (ten pairs,
+# nine wins, medians apart by more than the parent's own spread). Every
+# run's metrics are kept in target/ab/runs.txt. Nothing under benchmark/
+# is read except its printed `name value unit` lines.
+set -eu
+
+[ $# -ge 2 ] || { echo "usage: $0 <parent-rev> <workload> [pairs=10] [seed=7]" >&2; exit 2; }
+rev=$1
+workload=$2
+pairs=${3:-10}
+seed=${4:-7}
+
+cd "$(dirname "$0")/.."
+root=$(pwd)
+ab=$root/target/ab
+parent=$ab/parent
+runs=$ab/runs.txt
+mkdir -p "$ab"
+
+# The worktree stays for the next invocation, so the parent is rebuilt
+# only as far as <parent-rev> moved.
+if [ -e "$parent" ]; then
+    git -C "$parent" checkout --quiet --detach "$rev"
+else
+    git worktree add --quiet --detach "$parent" "$rev"
+fi
+
+for side in "$parent" "$root"; do
+    cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
+done
+
+# One untraced run of <side>'s binary: its metric lines as
+# "<pair> <side> <name> <value>", and whether every op succeeded.
+run() {
+    "$2/benchmark/target/release/patternkb-benchmark" \
+        --workload "$workload" --seed "$seed" --seconds 12 --trace 0 |
+        awk -v pair="$1" -v side="$3" '
+            / ops [0-9]+ failed [0-9]+$/ { print pair, side, "failed_ops", $NF }
+            /^  [a-z_0-9.]+ +[-0-9.e+]+ +[^ ]+$/ { print pair, side, $1, $2 }
+        ' >>"$runs"
+}
+
+: >"$runs"
+pair=1
+while [ "$pair" -le "$pairs" ]; do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run "$pair" "$parent" parent
+        run "$pair" "$root" change
+    else
+        run "$pair" "$root" change
+        run "$pair" "$parent" parent
+    fi
+    echo "pair $pair of $pairs done" >&2
+    pair=$((pair + 1))
+done
+
+# Which way each end-to-end metric is better comes from BENCHMARK.json
+# (one field per line); the table from the recorded runs.
+awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
+    function quantile(v, n, p,    h, lo) {
+        h = (n - 1) * p
+        lo = int(h)
+        if (lo + 1 >= n) return v[n]
+        return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1])
+    }
+    # Sorted values of <side>/<name> into s[1..n]; returns n.
+    function sorted(side, name, s,    n, i, j, t) {
+        n = 0
+        for (i = 1; i <= pairs; i++)
+            if ((i, side, name) in val) s[++n] = val[i, side, name]
+        for (i = 2; i <= n; i++) {
+            t = s[i]
+            for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]
+            s[j + 1] = t
+        }
+        return n
+    }
+    FNR == NR {
+        if ($0 ~ /"end_to_end"/) gated = 1
+        if ($0 ~ /"per_layer"/) gated = 0
+        if (gated && $1 == "\"name\":") { name = $2; gsub(/[",]/, "", name); order[++metrics] = name }
+        if (gated && $1 == "\"better\":") { better[name] = $2; gsub(/[",]/, "", better[name]) }
+        next
+    }
+    {
+        val[$1, $2, $3] = $4
+        if ($1 > pairs) pairs = $1
+    }
+    END {
+        printf "%s, seed %s: parent %s vs change, %d pairs\n", workload, seed, rev, pairs
+        printf "%-26s %12s %12s %10s %10s %6s %6s\n", "metric", "parent p50", "change p50", "parent iqr", "change iqr", "won", "lost"
+        better["failed_ops"] = "lower"
+        order[++metrics] = "failed_ops"
+        for (m = 1; m <= metrics; m++) {
+            name = order[m]
+            np = sorted("parent", name, a)
+            nc = sorted("change", name, b)
+            if (np == 0 || nc == 0) continue
+            won = lost = 0
+            for (i = 1; i <= pairs; i++) {
+                if (!((i, "parent", name) in val) || !((i, "change", name) in val)) continue
+                d = val[i, "change", name] - val[i, "parent", name]
+                if (better[name] == "higher") d = -d
+                if (d < 0) won++
+                if (d > 0) lost++
+            }
+            printf "%-26s %12.4f %12.4f %10.4f %10.4f %6d %6d\n", name, quantile(a, np, 0.5), quantile(b, nc, 0.5), quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost
+        }
+    }
+' "$root/BENCHMARK.json" "$runs"
