@@ -3,17 +3,20 @@
 //! Entity types, attribute types and vocabulary words all live behind `u32`
 //! ids; the interner provides the bijection between ids and their text. The
 //! interner is append-only, so resolved `&str` references stay valid for the
-//! lifetime of the interner, and `resolve` is a plain indexed load.
+//! lifetime of the interner, and `resolve` is a plain indexed load. Each
+//! string is one shared allocation, held by both directions and by every
+//! clone — copying an interner to extend it copies pointers, not text.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::Id;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Bidirectional `str ⇄ I` mapping, generic over the id newtype.
 #[derive(Clone, Default)]
 pub struct Interner<I: Id> {
-    strings: Vec<Box<str>>,
-    lookup: FxHashMap<Box<str>, u32>,
+    strings: Vec<Arc<str>>,
+    lookup: FxHashMap<Arc<str>, u32>,
     _marker: PhantomData<I>,
 }
 
@@ -43,9 +46,9 @@ impl<I: Id> Interner<I> {
             return I::from_u32(id);
         }
         let id = self.strings.len() as u32;
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.lookup.insert(boxed, id);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.lookup.insert(shared, id);
         I::from_u32(id)
     }
 

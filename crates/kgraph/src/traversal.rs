@@ -101,6 +101,37 @@ pub fn backward_reach_mask(
     mask
 }
 
+/// The nodes [`backward_reach_mask`] marks, ascending, at a cost
+/// proportional to what is reached rather than to the graph: the
+/// incremental refresh's affected roots are a handful of nodes out of
+/// many thousands.
+pub fn backward_reach(
+    g: &KnowledgeGraph,
+    sources: impl IntoIterator<Item = NodeId>,
+    max_nodes: usize,
+) -> Vec<NodeId> {
+    if max_nodes == 0 {
+        return Vec::new();
+    }
+    let mut seen = crate::FxHashSet::default();
+    let mut frontier: Vec<NodeId> = sources.into_iter().filter(|&s| seen.insert(s)).collect();
+    for _ in 1..max_nodes {
+        let next: Vec<NodeId> = frontier
+            .iter()
+            .flat_map(|&v| g.in_edges(v))
+            .map(|(_, u)| u)
+            .filter(|&u| seen.insert(u))
+            .collect();
+        if next.is_empty() {
+            break;
+        }
+        frontier = next;
+    }
+    let mut reached: Vec<NodeId> = seen.into_iter().collect();
+    reached.sort_unstable();
+    reached
+}
+
 /// Count simple paths from `s` to `t` with no length bound (exponential in
 /// the worst case — only for small graphs; used by the Theorem-1 reduction
 /// tests).
@@ -269,6 +300,8 @@ mod proptests {
                 });
                 prop_assert_eq!(mask[v.index()], reaches);
             }
+            let marked: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+            prop_assert_eq!(backward_reach(&g, [t, t], d), marked);
         }
     }
 }

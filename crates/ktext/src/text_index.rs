@@ -18,6 +18,8 @@ use crate::vocab::Vocabulary;
 use patternkb_graph::ids::Id;
 use patternkb_graph::mutate::GraphDelta;
 use patternkb_graph::{AttrId, FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Immutable keyword match index; build once per graph with
 /// [`TextIndex::build`], and derive the index of a mutated graph with
@@ -27,9 +29,13 @@ use patternkb_graph::{AttrId, FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId}
 /// attribute's, then every node's in id order. Node ids only grow, so the
 /// index of a graph that gained nodes but no type or attribute is the old
 /// index with the new nodes interned on top — same ids as a fresh build.
+///
+/// The vocabulary and the inverted lists are `Arc`-shared between an
+/// index and the ones extended from it; extending copies the vocabulary
+/// only if the delta brings a new word, and only the lists it appends to.
 #[derive(Clone)]
 pub struct TextIndex {
-    vocab: Vocabulary,
+    vocab: Arc<Vocabulary>,
     /// CSR: distinct sorted token ids of each node's text.
     node_tok_offsets: Vec<u32>,
     node_toks: Vec<WordId>,
@@ -38,12 +44,12 @@ pub struct TextIndex {
     /// Distinct sorted token ids of each attribute type's text.
     attr_toks: Vec<Vec<WordId>>,
     /// word → sorted node ids matching via node text or type text.
-    word_nodes: FxHashMap<WordId, Vec<NodeId>>,
+    word_nodes: FxHashMap<WordId, Arc<Vec<NodeId>>>,
     /// word → sorted attribute ids whose text contains the word.
     word_attrs: FxHashMap<WordId, Vec<AttrId>>,
     /// attr → sorted distinct source nodes having an out-edge of this attr
     /// (used by the baseline's backward search over edge matches).
-    attr_sources: Vec<Vec<NodeId>>,
+    attr_sources: Vec<Arc<Vec<NodeId>>>,
 }
 
 impl TextIndex {
@@ -62,8 +68,8 @@ impl TextIndex {
         stemmer: crate::stem::Stemmer,
     ) -> Self {
         let mut index = TextIndex {
-            vocab: Vocabulary::with_stemmer(synonyms, stemmer),
-            node_tok_offsets: vec![0],
+            vocab: Arc::new(Vocabulary::with_stemmer(synonyms, stemmer)),
+            node_tok_offsets: Vec::new(),
             node_toks: Vec::new(),
             type_toks: Vec::new(),
             attr_toks: Vec::new(),
@@ -71,15 +77,17 @@ impl TextIndex {
             word_attrs: FxHashMap::default(),
             attr_sources: Vec::new(),
         };
-        index.intern_beyond(g);
+        index.intern_beyond(g, (&[0], &[]));
+        let mut sources = vec![Vec::new(); g.num_attrs()];
         for v in g.nodes() {
             for (a, _) in g.out_edges(v) {
-                let list = &mut index.attr_sources[a.index()];
+                let list: &mut Vec<NodeId> = &mut sources[a.index()];
                 if list.last() != Some(&v) {
                     list.push(v);
                 }
             }
         }
+        index.attr_sources = sources.into_iter().map(Arc::new).collect();
         index
     }
 
@@ -87,7 +95,8 @@ impl TextIndex {
     /// `delta` adds **no type and no attribute**
     /// ([`GraphDelta::adds_schema`] is false): field for field — word ids
     /// included — what [`Self::build_with`] returns on `new_g`, at the
-    /// cost of the delta's own text plus a copy of the index.
+    /// cost of the delta's own text, a copy of the lists it appends to and
+    /// of the node-token column, and a pointer per list it leaves alone.
     ///
     /// # Panics
     /// If `new_g` has a type or attribute this index has not seen; its
@@ -97,15 +106,24 @@ impl TextIndex {
             new_g.num_types() == self.type_toks.len() && new_g.num_attrs() == self.attr_toks.len(),
             "a delta that adds schema needs a rebuilt text index"
         );
-        let mut index = self.clone();
-        index.intern_beyond(new_g);
+        let mut index = TextIndex {
+            vocab: Arc::clone(&self.vocab),
+            node_tok_offsets: Vec::new(),
+            node_toks: Vec::new(),
+            type_toks: self.type_toks.clone(),
+            attr_toks: self.attr_toks.clone(),
+            word_nodes: self.word_nodes.clone(),
+            word_attrs: self.word_attrs.clone(),
+            attr_sources: self.attr_sources.clone(),
+        };
+        index.intern_beyond(new_g, (&self.node_tok_offsets, &self.node_toks));
         for &(s, a, _) in delta.added_edges().iter().chain(delta.removed_edges()) {
             let sources = &mut index.attr_sources[a.index()];
             let is_source = new_g.out_edges(s).any(|(x, _)| x == a);
             match (sources.binary_search(&s), is_source) {
-                (Err(at), true) => sources.insert(at, s),
+                (Err(at), true) => unshare(sources, 1).insert(at, s),
                 (Ok(at), false) => {
-                    sources.remove(at);
+                    unshare(sources, 0).remove(at);
                 }
                 _ => {}
             }
@@ -117,38 +135,62 @@ impl TextIndex {
     /// is already indexed — types, then attributes, then nodes, the order
     /// that fixes word ids — and append to the per-item token sets and
     /// the inverted lists (items are visited in ascending id order, so the
-    /// lists stay sorted).
-    fn intern_beyond(&mut self, g: &KnowledgeGraph) {
+    /// lists stay sorted). A shared vocabulary or list is copied on its
+    /// first write. The node-token columns become `prior`'s (the columns
+    /// of the index this one extends) with the new nodes' appended.
+    fn intern_beyond(&mut self, g: &KnowledgeGraph, prior: (&[u32], &[WordId])) {
         for t in self.type_toks.len()..g.num_types() {
-            let toks = self.vocab.intern_token_set(g.type_text(TypeId(t as u32)));
+            let toks = token_set(&mut self.vocab, g.type_text(TypeId(t as u32)));
             self.type_toks.push(toks);
         }
         for a in self.attr_toks.len()..g.num_attrs() {
             let attr = AttrId(a as u32);
-            let toks = self.vocab.intern_token_set(g.attr_text(attr));
+            let toks = token_set(&mut self.vocab, g.attr_text(attr));
             for &w in &toks {
                 self.word_attrs.entry(w).or_default().push(attr);
             }
             self.attr_toks.push(toks);
-            self.attr_sources.push(Vec::new());
+            self.attr_sources.push(Arc::default());
         }
-        let first = self.node_tok_offsets.len() - 1;
-        self.node_tok_offsets.reserve(g.num_nodes() - first);
+        // The new nodes' token sets as one column, and the nodes each word
+        // gains (text ∪ type text), in ascending node order.
+        let first = prior.0.len() - 1;
+        let mut offsets: Vec<u32> = Vec::with_capacity(g.num_nodes() + 1);
+        offsets.extend_from_slice(prior.0);
+        let mut toks: Vec<WordId> = Vec::new();
+        let mut joined: FxHashMap<WordId, Vec<NodeId>> = FxHashMap::default();
         let mut matched: Vec<WordId> = Vec::new();
         for v in (first..g.num_nodes()).map(NodeId::from_usize) {
-            let toks = self.vocab.intern_token_set(g.node_text(v));
-            // Inverted word → nodes (text ∪ type text).
+            let node = token_set(&mut self.vocab, g.node_text(v));
             matched.clear();
-            matched.extend_from_slice(&toks);
+            matched.extend_from_slice(&node);
             matched.extend_from_slice(&self.type_toks[g.node_type(v).index()]);
             matched.sort_unstable();
             matched.dedup();
             for &w in &matched {
-                self.word_nodes.entry(w).or_default().push(v);
+                joined.entry(w).or_default().push(v);
             }
-            self.node_toks.extend_from_slice(&toks);
-            self.node_tok_offsets.push(self.node_toks.len() as u32);
+            toks.extend_from_slice(&node);
+            offsets.push((prior.1.len() + toks.len()) as u32);
         }
+        for (w, nodes) in joined {
+            match self.word_nodes.entry(w) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Arc::new(nodes));
+                }
+                Entry::Occupied(mut slot) => {
+                    unshare(slot.get_mut(), nodes.len()).extend_from_slice(&nodes);
+                }
+            }
+        }
+        self.node_tok_offsets = offsets;
+        // A full build's column is the new one itself; an extension copies
+        // the prior column once, at its final size.
+        self.node_toks = if prior.1.is_empty() {
+            toks
+        } else {
+            [prior.1, &toks].concat()
+        };
     }
 
     /// The canonical vocabulary.
@@ -180,7 +222,9 @@ impl TextIndex {
 
     /// Sorted nodes whose text or type text contains `w`.
     pub fn nodes_matching(&self, w: WordId) -> &[NodeId] {
-        self.word_nodes.get(&w).map(Vec::as_slice).unwrap_or(&[])
+        self.word_nodes
+            .get(&w)
+            .map_or(&[], |nodes| nodes.as_slice())
     }
 
     /// Sorted attribute types whose text contains `w`.
@@ -248,6 +292,28 @@ impl TextIndex {
             .sum::<usize>();
         total
     }
+}
+
+/// `list`, for writing: copied first — with room for `extra` more entries
+/// — if another index shares it.
+fn unshare<T: Clone>(list: &mut Arc<Vec<T>>, extra: usize) -> &mut Vec<T> {
+    if Arc::get_mut(list).is_none() {
+        let mut copy = Vec::with_capacity(list.len() + extra);
+        copy.extend_from_slice(list);
+        *list = Arc::new(copy);
+    }
+    Arc::get_mut(list).expect("just unshared")
+}
+
+/// `text`'s token set, interned into `vocab`. A shared vocabulary is
+/// copied first, and only if `text` has a word it lacks.
+fn token_set(vocab: &mut Arc<Vocabulary>, text: &str) -> Vec<WordId> {
+    if let Some(own) = Arc::get_mut(vocab) {
+        return own.intern_token_set(text);
+    }
+    vocab
+        .known_token_set(text)
+        .unwrap_or_else(|| Arc::make_mut(vocab).intern_token_set(text))
 }
 
 impl std::fmt::Debug for TextIndex {

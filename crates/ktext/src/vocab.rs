@@ -79,7 +79,8 @@ impl Vocabulary {
     /// append-only, so it holds whenever `other` grew out of `self` (or
     /// interned the same texts in the same order).
     pub fn is_prefix_of(&self, other: &Vocabulary) -> bool {
-        self.len() <= other.len() && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
+        std::ptr::eq(self, other)
+            || (self.len() <= other.len() && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1))
     }
 
     /// The synonym table this vocabulary canonicalizes through.
@@ -129,6 +130,22 @@ impl Vocabulary {
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// [`Self::intern_token_set`] if it would intern nothing: `None` when
+    /// some token of `text` is not in the vocabulary.
+    pub fn known_token_set(&self, text: &str) -> Option<Vec<WordId>> {
+        let mut ids = Vec::new();
+        let mut known = true;
+        crate::tokenize::for_each_token(text, |t| match self.lookup(t) {
+            Some(id) => ids.push(id),
+            None => known = false,
+        });
+        known.then(|| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        })
     }
 
     /// Like [`Self::intern_token_set`] but read-only: tokens absent from the

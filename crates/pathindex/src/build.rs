@@ -306,7 +306,7 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
             )
         })
         .collect();
-    PathIndexes::new(d, global, bounds, shards)
+    PathIndexes::new(d, std::sync::Arc::new(global), bounds, shards)
 }
 
 #[cfg(test)]

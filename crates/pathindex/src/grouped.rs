@@ -12,7 +12,16 @@
 //! *directory* (the paper's "pointers pointing to the beginning of a list
 //! of paths") and its access methods hand out slices of the one
 //! pattern-first array.
+//!
+//! Both orders are made by one routine, `splice`: a base list's runs
+//! whose root is not *affected*, with *fresh* runs — every one rooted at
+//! an affected root — merged in. A run is therefore wholly kept or wholly
+//! fresh, so the kept ones are copied in stretches, the base directory's
+//! entries are shifted rather than re-transposed, and only the fresh runs
+//! are sorted. A full build is the splice into an empty base: every run
+//! fresh, every run sorted.
 
+use crate::cursor::gallop_lower_bound;
 use crate::posting::Posting;
 
 /// Postings grouped by `(primary, secondary)` = `(pattern, root)` keys.
@@ -22,7 +31,7 @@ use crate::posting::Posting;
 /// * within each level-1 group, its level-2 run keys are strictly
 ///   increasing;
 /// * run offsets partition `postings` contiguously.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GroupedPostings {
     /// All postings, sorted by `(primary, secondary)`.
     postings: Vec<Posting>,
@@ -39,47 +48,270 @@ pub struct GroupedPostings {
     g2_post_start: Vec<u32>,
 }
 
-impl GroupedPostings {
-    /// Build from postings already sorted by `(pattern, root)`.
-    pub fn from_sorted(postings: Vec<Posting>) -> Self {
-        let primary = |p: &Posting| p.pattern.0;
-        let secondary = |p: &Posting| p.root.0;
-        let mut g1_keys = Vec::new();
-        let mut g1_run_start = vec![0u32];
-        let mut g2_keys = Vec::new();
-        let mut g2_post_start = vec![0u32];
-        let mut i = 0;
-        while i < postings.len() {
-            let pk = primary(&postings[i]);
-            g1_keys.push(pk);
-            while i < postings.len() && primary(&postings[i]) == pk {
-                let sk = secondary(&postings[i]);
-                g2_keys.push(sk);
-                while i < postings.len()
-                    && primary(&postings[i]) == pk
-                    && secondary(&postings[i]) == sk
-                {
-                    i += 1;
-                }
-                g2_post_start.push(i as u32);
-            }
-            g1_run_start.push(g2_keys.len() as u32);
+impl Default for GroupedPostings {
+    fn default() -> Self {
+        GroupedPostings {
+            postings: Vec::new(),
+            g1_keys: Vec::new(),
+            g1_run_start: vec![0],
+            g2_keys: Vec::new(),
+            g2_post_start: vec![0],
         }
-        let out = GroupedPostings {
-            postings,
-            g1_keys,
-            g1_run_start,
-            g2_keys,
-            g2_post_start,
+    }
+}
+
+/// Splice a list's two orders: `base`'s runs whose root is not in
+/// `affected` (ascending), with the runs of `fresh` merged in. `fresh` is
+/// sorted by `(pattern, root)` and every one of its roots is affected, so
+/// each run of the result is either one of the base's, unchanged, or
+/// wholly fresh. Returns both orders and, per pattern of the result, the
+/// base group whose postings it holds unchanged (`None` where a run was
+/// dropped or added).
+pub(crate) fn splice(
+    base: (&GroupedPostings, &RootDirectory),
+    affected: &[u32],
+    fresh: Vec<Posting>,
+) -> (GroupedPostings, RootDirectory, Vec<Option<u32>>) {
+    let (base_pf, base_dir) = base;
+    debug_assert!(affected.windows(2).all(|w| w[0] < w[1]));
+    // The base's affected roots (directory positions) and their runs, as
+    // `(pattern, root)` keys in pattern-first order.
+    let mut removed = Vec::new();
+    let mut dropped = Vec::new();
+    let mut from = 0;
+    for &root in affected {
+        from = gallop_lower_bound(&base_dir.roots, from, root);
+        if base_dir.roots.get(from) == Some(&root) {
+            removed.push(from);
+            dropped.extend(base_dir.patterns_of_at(from).iter().map(|&p| (p, root)));
+        }
+    }
+    dropped.sort_unstable();
+    let (pf, edits) = GroupedPostings::splice(base_pf, &dropped, fresh);
+    // Each fresh run as `(root, pattern, span)`; its pattern is the key of
+    // the group it landed in.
+    let mut fresh_runs = Vec::with_capacity(edits.fresh.iter().map(|runs| runs.len()).sum());
+    for runs in edits.fresh {
+        let mut g = pf
+            .g1_run_start
+            .partition_point(|&s| s as usize <= runs.start)
+            - 1;
+        for j in runs {
+            while pf.g1_run_start[g + 1] as usize <= j {
+                g += 1;
+            }
+            let (start, end) = (pf.g2_post_start[j], pf.g2_post_start[j + 1]);
+            let span = RunSpan {
+                start,
+                len: end - start,
+            };
+            fresh_runs.push((pf.g2_keys[j], pf.g1_keys[g], span));
+        }
+    }
+    let root_first = RootDirectory::splice(base_dir, &removed, fresh_runs, &edits.shifts);
+    (pf, root_first, edits.unchanged)
+}
+
+/// What [`GroupedPostings::splice`] did, for the directory and the stats
+/// that follow it.
+struct Edits {
+    /// Per pattern of the new list, the base group it copied whole.
+    unchanged: Vec<Option<u32>>,
+    /// Positions of the fresh runs in the new list, ascending.
+    fresh: Vec<std::ops::Range<usize>>,
+    /// `(base position, shift)`, ascending: a kept run that started at
+    /// base position `x` now starts at `x` plus (wrapping) the shift of
+    /// the last entry at or before `x`, or at `x` if there is none.
+    shifts: Vec<(u32, u32)>,
+}
+
+impl GroupedPostings {
+    /// One linear pass over `base`'s groups: untouched groups are copied
+    /// whole, touched ones in stretches between their edits — a dropped
+    /// run (`dropped`: its `(pattern, root)`, ascending) or an inserted
+    /// fresh run (`fresh`: sorted by `(pattern, root)`) — and the groups of
+    /// patterns only `fresh` has go in between them whole.
+    fn splice(
+        base: &GroupedPostings,
+        dropped: &[(u32, u32)],
+        fresh: Vec<Posting>,
+    ) -> (Self, Edits) {
+        // With nothing to keep the new array is `fresh` itself.
+        let copy = !base.postings.is_empty();
+        let mut out = GroupedPostings::default();
+        if copy {
+            // Bounds: every fresh posting could open a run and a pattern.
+            let (patterns, runs) = (
+                base.g1_keys.len() + fresh.len(),
+                base.g2_keys.len() + fresh.len(),
+            );
+            out.postings
+                .reserve_exact(base.postings.len() + fresh.len());
+            out.g1_keys.reserve_exact(patterns);
+            out.g1_run_start.reserve_exact(patterns);
+            out.g2_keys.reserve_exact(runs);
+            out.g2_post_start.reserve_exact(runs);
+        }
+        let mut edits = Edits {
+            unchanged: Vec::with_capacity(base.g1_keys.len() + 1),
+            fresh: Vec::new(),
+            shifts: Vec::new(),
         };
+        // Next fresh posting and dropped run.
+        let (mut f, mut x) = (0, 0);
+        for (b, &key) in base.g1_keys.iter().enumerate() {
+            f += out.append_fresh(&fresh[f..], Some((key, 0)), copy, &mut edits);
+            let (lo, hi) = (
+                base.g1_run_start[b] as usize,
+                base.g1_run_start[b + 1] as usize,
+            );
+            // The group's next dropped and next fresh root.
+            let drop_root = |x: usize| dropped.get(x).filter(|&&(p, _)| p == key).map(|&(_, r)| r);
+            let fresh_root = |f: usize| {
+                fresh
+                    .get(f)
+                    .filter(|p| p.pattern.0 == key)
+                    .map(|p| p.root.0)
+            };
+            if drop_root(x).is_none() && fresh_root(f).is_none() {
+                out.open(key, Some(b as u32), &mut edits.unchanged);
+                out.copy_runs(base, key, lo..hi, &mut edits);
+                continue;
+            }
+            let mut j = lo;
+            loop {
+                let (dropping, adding) = (drop_root(x), fresh_root(f));
+                let root = match (dropping, adding) {
+                    (None, None) => break,
+                    (Some(r), None) | (None, Some(r)) => r,
+                    (Some(r), Some(s)) => r.min(s),
+                };
+                let at = gallop_lower_bound(&base.g2_keys[..hi], j, root);
+                out.copy_runs(base, key, j..at, &mut edits);
+                j = at;
+                if dropping == Some(root) {
+                    debug_assert_eq!(base.g2_keys.get(j), Some(&root));
+                    j += 1;
+                    x += 1;
+                }
+                if adding == Some(root) {
+                    // Every fresh run before the next base run goes in at
+                    // once (with no base run left: the rest of the group).
+                    let below = match base.g2_keys[..hi].get(j) {
+                        Some(&next) => Some((key, next)),
+                        None => key.checked_add(1).map(|k| (k, 0)),
+                    };
+                    f += out.append_fresh(&fresh[f..], below, copy, &mut edits);
+                }
+            }
+            out.copy_runs(base, key, j..hi, &mut edits);
+        }
+        f += out.append_fresh(&fresh[f..], None, copy, &mut edits);
+        debug_assert_eq!(f, fresh.len(), "every fresh run went in");
+        debug_assert_eq!(x, dropped.len(), "every dropped run is a base run");
+        if !out.g1_keys.is_empty() {
+            out.g1_run_start.push(out.g2_keys.len() as u32);
+        }
+        if !copy {
+            out.postings = fresh;
+        }
         debug_assert!(out.validate());
-        out
+        (out, edits)
+    }
+
+    /// Make `pattern` the group runs are appended to: unless it already
+    /// is, close the open group and open one, noting in `unchanged` the
+    /// base group it copies whole, if any.
+    fn open(&mut self, pattern: u32, whole: Option<u32>, unchanged: &mut Vec<Option<u32>>) {
+        if self.g1_keys.last() == Some(&pattern) {
+            return;
+        }
+        if !self.g1_keys.is_empty() {
+            self.g1_run_start.push(self.g2_keys.len() as u32);
+        }
+        self.g1_keys.push(pattern);
+        unchanged.push(whole);
+    }
+
+    /// Append the leading runs of `fresh` (sorted by `(pattern, root)`)
+    /// whose key is below `below`, if given, and their postings too if
+    /// `copy` (otherwise `fresh` already is the new array). Returns how
+    /// many postings they hold.
+    fn append_fresh(
+        &mut self,
+        fresh: &[Posting],
+        below: Option<(u32, u32)>,
+        copy: bool,
+        edits: &mut Edits,
+    ) -> usize {
+        let first = self.g2_keys.len();
+        let start = *self.g2_post_start.last().expect("starts with 0");
+        let mut taken = 0;
+        while let Some(p) = fresh.get(taken) {
+            let key = (p.pattern.0, p.root.0);
+            if below.is_some_and(|b| key >= b) {
+                break;
+            }
+            self.open(key.0, None, &mut edits.unchanged);
+            taken += 1;
+            while fresh
+                .get(taken)
+                .is_some_and(|p| (p.pattern.0, p.root.0) == key)
+            {
+                taken += 1;
+            }
+            self.g2_keys.push(key.1);
+            self.g2_post_start.push(start + taken as u32);
+        }
+        if self.g2_keys.len() > first {
+            edits.fresh.push(first..self.g2_keys.len());
+        }
+        if copy {
+            self.postings.extend_from_slice(&fresh[..taken]);
+        }
+        taken
+    }
+
+    /// Append `base`'s runs `runs` (of its group `pattern`), moved to where
+    /// the new array has got to, and note the shift if it changed.
+    fn copy_runs(
+        &mut self,
+        base: &GroupedPostings,
+        pattern: u32,
+        runs: std::ops::Range<usize>,
+        edits: &mut Edits,
+    ) {
+        let (from, to) = (runs.start, runs.end);
+        if from == to {
+            return;
+        }
+        self.open(pattern, None, &mut edits.unchanged);
+        let lo = base.g2_post_start[from];
+        let at = *self.g2_post_start.last().expect("starts with 0");
+        let shift = at.wrapping_sub(lo);
+        if edits.shifts.last().map_or(0, |&(_, s)| s) != shift {
+            edits.shifts.push((lo, shift));
+        }
+        self.g2_keys.extend_from_slice(&base.g2_keys[from..to]);
+        self.g2_post_start.extend(
+            base.g2_post_start[from + 1..=to]
+                .iter()
+                .map(|s| s.wrapping_add(shift)),
+        );
+        self.postings
+            .extend_from_slice(&base.postings[lo as usize..base.g2_post_start[to] as usize]);
     }
 
     /// All postings in `(primary, secondary)` order.
     #[inline]
     pub fn postings(&self) -> &[Posting] {
         &self.postings
+    }
+
+    /// The postings, for rewriting what is not a key (cached scores, arena
+    /// offsets).
+    pub(crate) fn postings_mut(&mut self) -> &mut [Posting] {
+        &mut self.postings
     }
 
     /// Distinct primary keys, ascending.
@@ -202,7 +434,7 @@ impl GroupedPostings {
 /// array. Offset and length live side by side: a root's runs are scattered
 /// over the array, so walking them reads one descriptor per run, not two
 /// columns.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct RunSpan {
     start: u32,
     len: u32,
@@ -213,7 +445,7 @@ struct RunSpan {
 /// pointing at its postings in that array. The accessors take the array
 /// (`GroupedPostings::postings` of the list the directory was built from)
 /// and return contiguous slices of it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct RootDirectory {
     /// Distinct roots, ascending.
     roots: Vec<u32>,
@@ -230,41 +462,116 @@ pub(crate) struct RootDirectory {
 }
 
 impl RootDirectory {
-    /// Transpose `pattern_first`'s run directory: one pass over its runs,
-    /// then a sort of the run descriptors — never of the postings.
-    pub(crate) fn build(pattern_first: &GroupedPostings) -> Self {
-        let mut runs: Vec<(u32, u32, RunSpan)> = Vec::with_capacity(pattern_first.g2_keys.len());
-        for (i, &pattern) in pattern_first.g1_keys.iter().enumerate() {
-            let lo = pattern_first.g1_run_start[i] as usize;
-            let hi = pattern_first.g1_run_start[i + 1] as usize;
-            for j in lo..hi {
-                let start = pattern_first.g2_post_start[j];
-                let len = pattern_first.g2_post_start[j + 1] - start;
-                runs.push((pattern_first.g2_keys[j], pattern, RunSpan { start, len }));
-            }
-        }
+    /// The directory of a spliced list: `base`'s entries with the roots at
+    /// positions `removed` (ascending) taken out, every kept run's span
+    /// moved by `shifts` (see [`Edits::shifts`]) and the `fresh_runs`
+    /// sorted in. Kept entries are copied in stretches between the edited
+    /// roots — nothing of the base is transposed or sorted; only the fresh
+    /// runs are, which for a full build (an empty base) is every run.
+    fn splice(
+        base: &RootDirectory,
+        removed: &[usize],
+        mut fresh_runs: Vec<(u32, u32, RunSpan)>,
+        shifts: &[(u32, u32)],
+    ) -> Self {
         // `(root, pattern)` pairs are distinct, so an unstable sort is exact.
-        runs.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
-
+        fresh_runs.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
+        // Bounds: every fresh run could be a root of its own.
+        let roots = base.roots.len() - removed.len() + fresh_runs.len();
+        let runs = base.patterns.len() + fresh_runs.len();
         let mut dir = RootDirectory {
-            patterns: Vec::with_capacity(runs.len()),
-            spans: Vec::with_capacity(runs.len()),
-            ..RootDirectory::default()
+            roots: Vec::with_capacity(roots),
+            run_start: Vec::with_capacity(roots + 1),
+            paths_before: Vec::with_capacity(roots + 1),
+            patterns: Vec::with_capacity(runs),
+            spans: Vec::with_capacity(runs),
         };
         let mut paths = 0u32;
-        for &(root, pattern, span) in &runs {
-            if dir.roots.last() != Some(&root) {
+        // Next base root neither copied nor removed; next removed one and
+        // next fresh run.
+        let (mut next, mut r, mut f) = (0, 0, 0);
+        loop {
+            let removed_root = removed.get(r).map(|&i| base.roots[i]);
+            let fresh_root = fresh_runs.get(f).map(|&(root, _, _)| root);
+            let root = match (removed_root, fresh_root) {
+                (None, None) => break,
+                (Some(x), None) | (None, Some(x)) => x,
+                (Some(x), Some(y)) => x.min(y),
+            };
+            let upto = if removed_root == Some(root) {
+                removed[r]
+            } else {
+                next + base.roots[next..].partition_point(|&x| x < root)
+            };
+            dir.copy_roots(base, next, upto, &mut paths, shifts);
+            next = upto;
+            if removed_root == Some(root) {
+                next += 1;
+                r += 1;
+            }
+            debug_assert_ne!(
+                base.roots.get(next),
+                Some(&root),
+                "a fresh root is affected"
+            );
+            if fresh_root == Some(root) {
                 dir.roots.push(root);
                 dir.run_start.push(dir.patterns.len() as u32);
                 dir.paths_before.push(paths);
+                while let Some(&(_, pattern, span)) = fresh_runs.get(f).filter(|run| run.0 == root)
+                {
+                    dir.patterns.push(pattern);
+                    dir.spans.push(span);
+                    paths += span.len;
+                    f += 1;
+                }
             }
-            dir.patterns.push(pattern);
-            dir.spans.push(span);
-            paths += span.len;
         }
-        dir.run_start.push(runs.len() as u32);
+        dir.copy_roots(base, next, base.roots.len(), &mut paths, shifts);
+        dir.run_start.push(dir.patterns.len() as u32);
         dir.paths_before.push(paths);
         dir
+    }
+
+    /// Append `base`'s roots `lo .. hi` with their runs, each run's span
+    /// moved by `shifts`.
+    fn copy_roots(
+        &mut self,
+        base: &RootDirectory,
+        lo: usize,
+        hi: usize,
+        paths: &mut u32,
+        shifts: &[(u32, u32)],
+    ) {
+        if lo == hi {
+            return;
+        }
+        let (runs_lo, runs_hi) = (base.run_start[lo] as usize, base.run_start[hi] as usize);
+        let run_shift = (self.patterns.len() as u32).wrapping_sub(runs_lo as u32);
+        let path_shift = paths.wrapping_sub(base.paths_before[lo]);
+        self.roots.extend_from_slice(&base.roots[lo..hi]);
+        self.run_start.extend(
+            base.run_start[lo..hi]
+                .iter()
+                .map(|s| s.wrapping_add(run_shift)),
+        );
+        self.paths_before.extend(
+            base.paths_before[lo..hi]
+                .iter()
+                .map(|p| p.wrapping_add(path_shift)),
+        );
+        self.patterns
+            .extend_from_slice(&base.patterns[runs_lo..runs_hi]);
+        self.spans
+            .extend(base.spans[runs_lo..runs_hi].iter().map(|span| {
+                let at = shifts.partition_point(|&(from, _)| from <= span.start);
+                let shift = at.checked_sub(1).map_or(0, |i| shifts[i].1);
+                RunSpan {
+                    start: span.start.wrapping_add(shift),
+                    len: span.len,
+                }
+            }));
+        *paths += base.paths_before[hi] - base.paths_before[lo];
     }
 
     /// Distinct roots, ascending.
@@ -297,6 +604,11 @@ impl RootDirectory {
     /// Patterns through which `root` is reached, ascending.
     pub(crate) fn patterns_of(&self, root: u32) -> &[u32] {
         &self.patterns[self.runs_of(root)]
+    }
+
+    /// Patterns of the root at directory position `i`, ascending.
+    fn patterns_of_at(&self, i: usize) -> &[u32] {
+        &self.patterns[self.run_start[i] as usize..self.run_start[i + 1] as usize]
     }
 
     /// Number of postings under `root`, without visiting its runs.
@@ -459,7 +771,13 @@ mod tests {
             posting(3, 5),
             posting(3, 5),
         ];
-        GroupedPostings::from_sorted(postings)
+        from_sorted(postings)
+    }
+
+    /// A pattern-first array of postings sorted by `(pattern, root)`: the
+    /// splice into an empty base.
+    pub(super) fn from_sorted(postings: Vec<Posting>) -> GroupedPostings {
+        GroupedPostings::splice(&GroupedPostings::default(), &[], postings).0
     }
 
     #[test]
@@ -502,7 +820,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        let g = GroupedPostings::from_sorted(vec![]);
+        let g = from_sorted(vec![]);
         assert!(g.validate());
         assert!(g.is_empty());
         assert_eq!(g.find_primary(0), None);
@@ -547,7 +865,7 @@ mod proptests {
                 pagerank: 0.0,
                 sim: 0.0,
             }).collect();
-            let g = GroupedPostings::from_sorted(postings.clone());
+            let g = super::tests::from_sorted(postings.clone());
             prop_assert!(g.validate());
             // Reassemble from runs.
             let mut rebuilt = Vec::new();

@@ -15,23 +15,34 @@
 //!   the root reaches a dirty node within `d − 1` hops, so the affected
 //!   set is a backward BFS of depth `d − 1` from the dirty set, run on
 //!   **both** the old graph (covers paths that existed before a removal)
-//!   and the new one (covers paths created by an addition). Only these
-//!   roots are re-enumerated, with the same DFS as full construction.
+//!   and the new one (covers paths created by an addition), visiting only
+//!   what it reaches. Only these roots are re-enumerated, with the same
+//!   DFS as full construction.
 //! * **Touched words.** The index is a sum of per-word posting lists, and
 //!   a write changes only the lists in which an affected root had a
 //!   posting (old graph) or gets one (new graph) — found by running that
 //!   DFS over the affected roots on both graphs, never by scanning a
-//!   list. Each touched `(shard, word)` list is rebuilt from *(its old
-//!   postings minus the affected roots) ∪ the fresh ones* and recorded in
-//!   the shard's patch map; every other list, and the storage base under
-//!   them (heap or mapped alike), is shared with the previous version by
-//!   `Arc` ([`crate::word_index::IndexShard`]). A mapped index stays
-//!   mapped: only the touched words are decoded.
+//!   list. Each touched `(shard, word)` list is **spliced**, not rebuilt:
+//!   an affected root is re-enumerated whole, so every `(pattern, root)`
+//!   run of the new list is either wholly kept from the old list (its root
+//!   is not affected) or wholly fresh (it is). `WordPathIndex::freeze`
+//!   therefore sorts only the fresh postings, copies the kept runs in
+//!   stretches between the few edit points, shifts the old root
+//!   directory's entries instead of transposing it again, and carries the
+//!   per-pattern stats and the memoised type grouping where their input
+//!   did not change. The spliced list is recorded in the shard's patch
+//!   map; every other list, the storage base under them (heap or mapped
+//!   alike) and — unless the delta brings a new path pattern — the
+//!   pattern set are shared with the previous version by `Arc`
+//!   ([`crate::word_index::IndexShard`]). A mapped index stays mapped:
+//!   only the touched words are decoded, and a touched word whose stream
+//!   is damaged fails the refresh with its typed error rather than being
+//!   spliced as if it had been empty.
 //!
-//! Two inputs make **every** list differ, so the same rebuild routine is
-//! then run over all words and the result is a plain heap index with an
-//! empty patch map (which is also the compaction of a long patch chain).
-//! Both costs are inherent, O(postings):
+//! Two inputs make **every** list differ, so the same splice is then run
+//! over all words and the result is a plain heap index with an empty
+//! patch map (which is also the compaction of a long patch chain). Both
+//! costs are inherent, O(postings):
 //!
 //! * **The prefix rule broken.** Word ids are assigned in interning order
 //!   — types, attributes, nodes — and a delta can only append, so as long
@@ -57,13 +68,15 @@
 //! stale patterns with no remaining postings may linger in the interner —
 //! both invisible through the query API.
 
-use crate::build::{self, RawEntry};
+use crate::build;
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
-use crate::word_index::{IndexShard, PathIndexes, WordPathIndex};
+use crate::word_index::{Base, IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
+use patternkb_graph::snapshot::SnapshotError;
 use patternkb_graph::{traversal, FxHashMap, KnowledgeGraph, NodeId, WordId};
 use patternkb_text::TextIndex;
+use std::sync::Arc;
 
 /// Counters describing one [`refresh_indexes`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -84,16 +97,12 @@ pub struct RefreshStats {
     pub words_rebuilt: usize,
 }
 
-/// Derive the path indexes of `new_g` from the indexes of `old_g`,
-/// re-enumerating only roots whose `d`-bounded neighbourhood can have
-/// changed and rebuilding only the word lists those roots touch.
+/// [`try_refresh_indexes`] for indexes whose streams are known to be
+/// sound (heap-resident, or just written) — the form the benchmark's
+/// probes and the tests call.
 ///
-/// `dirty` is the seed set of changed nodes (typically
-/// [`patternkb_graph::mutate::GraphDelta::dirty_nodes`]). `old_text` /
-/// `new_text` are the text indexes of the two graphs. Set
-/// `refresh_pagerank` iff the mutation recomputed PageRank; that, or a
-/// `new_text` whose word ids do not extend `old_text`'s, rebuilds every
-/// list (see the module docs).
+/// # Panics
+/// If a word the delta touches has a damaged mapped stream.
 pub fn refresh_indexes(
     old: &PathIndexes,
     old_g: &KnowledgeGraph,
@@ -103,48 +112,91 @@ pub fn refresh_indexes(
     dirty: &[NodeId],
     refresh_pagerank: bool,
 ) -> (PathIndexes, RefreshStats) {
+    try_refresh_indexes(
+        old,
+        old_g,
+        new_g,
+        old_text,
+        new_text,
+        dirty,
+        refresh_pagerank,
+    )
+    .unwrap_or_else(|e| panic!("a touched word's mapped stream is damaged: {e}"))
+}
+
+/// Derive the path indexes of `new_g` from the indexes of `old_g`,
+/// re-enumerating only roots whose `d`-bounded neighbourhood can have
+/// changed and splicing only the word lists those roots touch.
+///
+/// `dirty` is the seed set of changed nodes (typically
+/// [`patternkb_graph::mutate::GraphDelta::dirty_nodes`]). `old_text` /
+/// `new_text` are the text indexes of the two graphs. Set
+/// `refresh_pagerank` iff the mutation recomputed PageRank; that, or a
+/// `new_text` whose word ids do not extend `old_text`'s, rebuilds every
+/// list (see the module docs).
+///
+/// A list the refresh must read whose mapped stream is damaged is the
+/// stream's typed error, not an empty list: the refresh never publishes
+/// a version that silently lost the old postings.
+pub fn try_refresh_indexes(
+    old: &PathIndexes,
+    old_g: &KnowledgeGraph,
+    new_g: &KnowledgeGraph,
+    old_text: &TextIndex,
+    new_text: &TextIndex,
+    dirty: &[NodeId],
+    refresh_pagerank: bool,
+) -> Result<(PathIndexes, RefreshStats), SnapshotError> {
     let d = old.d();
     let old_n = old_g.num_nodes();
-    let new_n = new_g.num_nodes();
     let num_shards = old.num_shards();
     let mut stats = RefreshStats::default();
 
     // --- 1. Affected roots: backward BFS depth d−1 on both graphs. ---
-    let mask_old = traversal::backward_reach_mask(
+    let mut affected_roots = traversal::backward_reach(
         old_g,
         dirty.iter().copied().filter(|v| v.index() < old_n),
         d,
     );
-    let mut affected = traversal::backward_reach_mask(new_g, dirty.iter().copied(), d);
-    for (i, &m) in mask_old.iter().enumerate() {
-        if m {
-            affected[i] = true;
-        }
-    }
-    debug_assert_eq!(affected.len(), new_n);
-    let affected_roots: Vec<NodeId> = (0..new_n)
-        .filter(|&i| affected[i])
-        .map(NodeId::from_usize)
-        .collect();
+    affected_roots.extend(traversal::backward_reach(new_g, dirty.iter().copied(), d));
+    affected_roots.sort_unstable();
+    affected_roots.dedup();
     stats.affected_roots = affected_roots.len();
+    let affected: Vec<u32> = affected_roots.iter().map(|v| v.0).collect();
 
     // --- 2. Re-enumerate the affected roots on the new graph and bucket
     //        the fresh postings per (shard, word); new nodes beyond the
-    //        old bounds land in the last shard. ---
+    //        old bounds land in the last shard. The pattern set is shared
+    //        unless a fresh pattern is new to it. ---
     let fresh = build::build_roots(new_g, new_text, d, affected_roots.iter().copied());
-    let mut patterns: PatternSet = old.patterns().clone();
-    let patterns_before = patterns.len();
-    let pat_remap: Vec<PatternId> = (0..fresh.patterns.len())
-        .map(|i| patterns.intern_key(fresh.patterns.key(PatternId(i as u32))))
-        .collect();
-    stats.patterns_added = patterns.len() - patterns_before;
+    let keys = || (0..fresh.patterns.len()).map(|i| fresh.patterns.key(PatternId(i as u32)));
+    let known: Option<Vec<PatternId>> = keys().map(|k| old.patterns().get_key(k)).collect();
+    let (patterns, pat_remap) = match known {
+        Some(remap) => (Arc::clone(old.patterns_shared()), remap),
+        None => {
+            let mut patterns = PatternSet::clone(old.patterns());
+            let remap = keys().map(|k| patterns.intern_key(k)).collect();
+            stats.patterns_added = patterns.len() - old.patterns().len();
+            (Arc::new(patterns), remap)
+        }
+    };
     stats.postings_added = fresh.entries.len();
-    let mut fresh_lists: FxHashMap<(usize, WordId), Vec<RawEntry>> = FxHashMap::default();
+    let mut fresh_lists: FxHashMap<(usize, WordId), (Vec<Posting>, Vec<NodeId>)> =
+        FxHashMap::default();
     for e in fresh.entries {
-        fresh_lists
+        let (postings, arena) = fresh_lists
             .entry((old.shard_of_root(e.root), e.word))
-            .or_default()
-            .push(e);
+            .or_default();
+        postings.push(Posting {
+            pattern: pat_remap[e.lpat as usize],
+            root: e.root,
+            nodes_start: arena.len() as u32,
+            nodes_len: e.nodes_len as u16,
+            edge_terminal: e.edge_terminal,
+            pagerank: e.pagerank,
+            sim: e.sim,
+        });
+        arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
     }
 
     // --- 3. The lists that differ, as new word ids per shard. ---
@@ -189,99 +241,51 @@ pub fn refresh_indexes(
         touched[s].push(w);
     }
 
-    // --- 4. Rebuild each touched list; share everything else. ---
-    let shards: Vec<IndexShard> = touched
-        .into_iter()
-        .enumerate()
-        .map(|(s, mut words)| {
-            words.sort_unstable();
-            words.dedup();
-            stats.words_rebuilt += words.len();
-            let shard = &old.shards()[s];
-            let rebuilt: Vec<(WordId, Option<WordPathIndex>)> = words
-                .into_iter()
-                .map(|w| {
-                    let (widx, dropped) = rebuild_word(
-                        old_id(w).and_then(|ow| shard.word(ow)),
-                        &affected,
-                        fresh_lists.remove(&(s, w)).unwrap_or_default(),
-                        &pat_remap,
-                        refresh_pagerank.then_some(new_g),
-                    );
-                    stats.postings_dropped += dropped;
-                    (w, widx)
-                })
-                .collect();
-            if every_list {
-                IndexShard::new(
-                    rebuilt
-                        .into_iter()
-                        .filter_map(|(w, widx)| Some((w, widx?)))
-                        .collect(),
-                )
-            } else {
-                shard.patch(rebuilt)
-            }
-        })
-        .collect();
+    // --- 4. Splice each touched list; share everything else. ---
+    let reread_pagerank = refresh_pagerank.then_some(new_g);
+    let mut shards = Vec::with_capacity(num_shards);
+    for (s, mut words) in touched.into_iter().enumerate() {
+        words.sort_unstable();
+        words.dedup();
+        stats.words_rebuilt += words.len();
+        let shard = &old.shards()[s];
+        let mut rebuilt: Vec<(WordId, Option<WordPathIndex>)> = Vec::with_capacity(words.len());
+        for w in words {
+            let old_list = match old_id(w) {
+                Some(ow) => {
+                    shard.prepare(ow)?;
+                    shard.word(ow)
+                }
+                None => None,
+            };
+            let (postings, arena) = fresh_lists.remove(&(s, w)).unwrap_or_default();
+            let before = old_list.map_or(0, WordPathIndex::len) + postings.len();
+            let base = old_list.map(|list| Base {
+                list,
+                affected: &affected,
+                reread_pagerank,
+            });
+            let list = WordPathIndex::freeze(base, postings, arena);
+            stats.postings_dropped += before - list.len();
+            rebuilt.push((w, (!list.is_empty()).then_some(list)));
+        }
+        shards.push(if every_list {
+            IndexShard::new(
+                rebuilt
+                    .into_iter()
+                    .filter_map(|(w, list)| Some((w, list?)))
+                    .collect(),
+            )
+        } else {
+            shard.patch(rebuilt)
+        });
+    }
     stats.postings_kept = old.num_postings() - stats.postings_dropped;
 
-    (
+    Ok((
         PathIndexes::new(d, patterns, old.bounds().to_vec(), shards),
         stats,
-    )
-}
-
-/// One word's list in the new version: the postings of `old` whose root is
-/// not affected (cached PageRank re-read from `reread_pagerank` when
-/// given) plus the `fresh` ones, re-frozen. Returns the list — `None` when
-/// nothing is left — and how many old postings were dropped.
-fn rebuild_word(
-    old: Option<&WordPathIndex>,
-    affected: &[bool],
-    fresh: Vec<RawEntry>,
-    pat_remap: &[PatternId],
-    reread_pagerank: Option<&KnowledgeGraph>,
-) -> (Option<WordPathIndex>, usize) {
-    let old_len = old.map_or(0, WordPathIndex::len);
-    let mut postings: Vec<Posting> = Vec::with_capacity(old_len + fresh.len());
-    let mut arena: Vec<NodeId> = Vec::with_capacity(old.map_or(0, |w| w.arena().len()));
-    if let Some(widx) = old {
-        for p in widx.postings_pattern_first() {
-            if affected[p.root.index()] {
-                continue;
-            }
-            let nodes = widx.nodes_of(p);
-            let pagerank = match reread_pagerank {
-                // Matched node: the terminal for node matches, the edge's
-                // source (second-to-last stored node — the leaf is
-                // appended) for edge matches.
-                Some(g) => g.pagerank(nodes[nodes.len() - 1 - usize::from(p.edge_terminal)]),
-                None => p.pagerank,
-            };
-            postings.push(Posting {
-                nodes_start: arena.len() as u32,
-                pagerank,
-                ..*p
-            });
-            arena.extend_from_slice(nodes);
-        }
-    }
-    let dropped = old_len - postings.len();
-    for e in fresh {
-        postings.push(Posting {
-            pattern: pat_remap[e.lpat as usize],
-            root: e.root,
-            nodes_start: arena.len() as u32,
-            nodes_len: e.nodes_len as u16,
-            edge_terminal: e.edge_terminal,
-            pagerank: e.pagerank,
-            sim: e.sim,
-        });
-        arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
-    }
-    let widx = (!postings.is_empty()).then(|| WordPathIndex::new(postings, arena));
-    (widx, dropped)
+    ))
 }
 
 #[cfg(test)]

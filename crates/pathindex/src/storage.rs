@@ -713,7 +713,7 @@ pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
     }
     Ok(PathIndexes::new(
         parsed.d,
-        parsed.patterns,
+        Arc::new(parsed.patterns),
         parsed.bounds,
         shards,
     ))
@@ -753,7 +753,7 @@ pub(crate) fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
     }
     Ok(PathIndexes::new(
         parsed.d,
-        parsed.patterns,
+        Arc::new(parsed.patterns),
         parsed.bounds,
         shards,
     ))

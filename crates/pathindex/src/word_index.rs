@@ -3,9 +3,9 @@
 use crate::grouped::{GroupedPostings, RootCursor, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
-use patternkb_graph::{FxHashMap, NodeId, TypeId, WordId};
+use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-pattern posting statistics, cached at construction. These are
 /// pure functions of the posting list; the search layer's admissible
@@ -91,7 +91,7 @@ impl PatternPostingStats {
 /// shard ([`merge_type_groups`], one position per pattern and shard).
 /// Words have many root types with a handful of patterns each, so the
 /// columns are shared by all types and a type is a range of them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PatternTypeGroups {
     /// Root types, ascending.
     root_types: Vec<TypeId>,
@@ -281,24 +281,93 @@ pub struct WordPathIndex {
     /// and the pattern set, built on the first query touching the word so
     /// the per-query setup of the pattern-first algorithms is O(groups)
     /// instead of O(patterns).
-    type_groups: std::sync::OnceLock<PatternTypeGroups>,
+    type_groups: OnceLock<PatternTypeGroups>,
+}
+
+/// What [`WordPathIndex::freeze`] keeps of an earlier version of a list:
+/// every `(pattern, root)` run whose root is not affected. A refresh
+/// re-enumerates an affected root whole, so each of its runs is dropped
+/// or comes back wholly fresh, and every other run is kept as it is.
+#[derive(Clone, Copy)]
+pub(crate) struct Base<'a> {
+    /// The list the new one replaces.
+    pub(crate) list: &'a WordPathIndex,
+    /// Roots whose runs are dropped, ascending.
+    pub(crate) affected: &'a [u32],
+    /// Re-read every posting's cached PageRank from this graph (a refresh
+    /// of a recomputed PageRank). Fresh postings already carry the new
+    /// graph's scores, so re-reading them changes nothing.
+    pub(crate) reread_pagerank: Option<&'a KnowledgeGraph>,
 }
 
 impl WordPathIndex {
-    /// Assemble from unsorted postings plus their shared arena.
-    pub fn new(mut postings: Vec<Posting>, arena: Vec<NodeId>) -> Self {
-        postings.sort_unstable_by_key(|p| (p.pattern.0, p.root.0, p.nodes_start));
-        let pattern_first = GroupedPostings::from_sorted(postings);
-        let root_first = RootDirectory::build(&pattern_first);
-        let pattern_stats = (0..pattern_first.num_primary())
-            .map(|i| PatternPostingStats::scan(pattern_first.group_postings(i)))
+    /// Assemble from unsorted postings plus their shared arena: the
+    /// base-less `Self::freeze`.
+    pub fn new(postings: Vec<Posting>, arena: Vec<NodeId>) -> Self {
+        Self::freeze(None, postings, arena)
+    }
+
+    /// The one freeze routine: `base`'s kept runs with `fresh` (unsorted,
+    /// node sequences in `fresh_arena`) merged in. Only the fresh postings
+    /// are sorted; the kept runs are copied in stretches, the root
+    /// directory is the base's with its affected roots' entries replaced,
+    /// and the per-pattern stats and the memoised type groups are carried
+    /// over where their input did not change. Without a base every
+    /// posting is fresh: one sort, one transposition, every stat scanned.
+    pub(crate) fn freeze(
+        base: Option<Base<'_>>,
+        mut fresh: Vec<Posting>,
+        fresh_arena: Vec<NodeId>,
+    ) -> Self {
+        let empty = WordPathIndex::default();
+        let (list, affected) = base.map_or((&empty, &[][..]), |b| (b.list, b.affected));
+        let mut arena = fresh_arena;
+        if !list.arena.is_empty() {
+            let offset = list.arena.len() as u32;
+            for p in &mut fresh {
+                p.nodes_start += offset;
+            }
+            arena = [&list.arena[..], &arena[..]].concat();
+        }
+        fresh.sort_unstable_by_key(|p| (p.pattern.0, p.root.0, p.nodes_start));
+        let expected = list.len() + fresh.len();
+        let (mut pattern_first, root_first, unchanged) =
+            crate::grouped::splice((&list.pattern_first, &list.root_first), affected, fresh);
+        if pattern_first.len() < expected {
+            // Dropped postings leave their nodes behind.
+            arena = compact_arena(pattern_first.postings_mut(), &arena);
+        }
+        let reread = base.and_then(|b| b.reread_pagerank);
+        if let Some(g) = reread {
+            for p in pattern_first.postings_mut() {
+                // Matched node: the terminal for node matches, the edge's
+                // source (second-to-last stored node — the leaf is
+                // appended) for edge matches.
+                let nodes = &arena[p.node_range()];
+                p.pagerank = g.pagerank(nodes[nodes.len() - 1 - usize::from(p.edge_terminal)]);
+            }
+        }
+        let pattern_stats = unchanged
+            .iter()
+            .enumerate()
+            .map(|(i, from)| match from {
+                Some(b) if reread.is_none() => list.pattern_stats[*b as usize],
+                _ => PatternPostingStats::scan(pattern_first.group_postings(i)),
+            })
             .collect();
+        // The grouping is a function of the pattern keys alone.
+        let type_groups = OnceLock::new();
+        if pattern_first.primary_keys() == list.pattern_first.primary_keys() {
+            if let Some(groups) = list.type_groups.get() {
+                let _ = type_groups.set(groups.clone());
+            }
+        }
         WordPathIndex {
             arena,
             pattern_first,
             root_first,
             pattern_stats,
-            type_groups: std::sync::OnceLock::new(),
+            type_groups,
         }
     }
 
@@ -468,6 +537,18 @@ impl WordPathIndex {
             + self.pattern_stats.len() * std::mem::size_of::<PatternPostingStats>()
             + type_groups
     }
+}
+
+/// `postings`' node sequences alone, in posting order, with every posting
+/// re-pointed into the new arena.
+fn compact_arena(postings: &mut [Posting], arena: &[NodeId]) -> Vec<NodeId> {
+    let mut compact = Vec::with_capacity(postings.iter().map(|p| p.nodes_len as usize).sum());
+    for p in postings {
+        let nodes = &arena[p.node_range()];
+        p.nodes_start = compact.len() as u32;
+        compact.extend_from_slice(nodes);
+    }
+    compact
 }
 
 /// One root-range segment of the index: the per-word indexes for every
@@ -646,7 +727,8 @@ impl IndexShard {
 pub struct PathIndexes {
     /// Height threshold `d` the index was built for.
     d: usize,
-    patterns: PatternSet,
+    /// Shared by every version that interned no new pattern.
+    patterns: Arc<PatternSet>,
     /// Shard boundaries, length `num_shards() + 1`; `bounds[0] == 0` and
     /// `bounds[S] == u32::MAX`.
     bounds: Vec<u32>,
@@ -656,7 +738,7 @@ pub struct PathIndexes {
 impl PathIndexes {
     pub(crate) fn new(
         d: usize,
-        patterns: PatternSet,
+        patterns: Arc<PatternSet>,
         bounds: Vec<u32>,
         shards: Vec<IndexShard>,
     ) -> Self {
@@ -678,6 +760,12 @@ impl PathIndexes {
 
     /// The shared pattern interner.
     pub fn patterns(&self) -> &PatternSet {
+        &self.patterns
+    }
+
+    /// The pattern interner's shared handle (a refresh that interns
+    /// nothing hands it on).
+    pub(crate) fn patterns_shared(&self) -> &Arc<PatternSet> {
         &self.patterns
     }
 
@@ -1139,6 +1227,159 @@ mod tests {
                         prop_assert_eq!(idx.paths_of_root_pattern(root, PatternId(p)), &want[..]);
                     }
                 }
+            }
+        }
+
+        proptest! {
+            /// A refresh's splice against the full freeze of the same
+            /// postings: random base lists over `shards` root ranges,
+            /// random affected roots (some in no list), random fresh runs
+            /// on them (some under patterns the base lacks), with and
+            /// without a PageRank re-read and a memoised grouping. Every
+            /// field equals `new`'s on the spliced multiset — which is
+            /// the base's unaffected postings plus the fresh ones — and
+            /// the shards' merged groups are the same.
+            #[test]
+            fn spliced_list_equals_a_full_freeze(
+                base_raw in proptest::collection::vec((0u32..6, 0u32..12, 1u16..4, 0usize..4), 0..80),
+                fresh_raw in proptest::collection::vec((0u32..8, 0u32..12, 1u16..4, 0usize..4), 0..24),
+                affected_mask in 0u32..1 << 12,
+                shards in 1usize..4,
+                reread in proptest::bool::ANY,
+                memo in proptest::bool::ANY,
+            ) {
+                use patternkb_graph::GraphBuilder;
+                const SCORES: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
+                // Twelve nodes on a chain, so their PageRanks differ.
+                let mut b = GraphBuilder::new();
+                let t = b.add_type("Stop");
+                let next = b.add_attr("next");
+                let nodes: Vec<NodeId> = (0..12).map(|i| b.add_node(t, &format!("s{i}"))).collect();
+                for pair in nodes.windows(2) {
+                    b.add_edge(pair[0], next, pair[1]);
+                }
+                let g = b.build();
+                let mut ps = PatternSet::new();
+                for id in 0..8u32 {
+                    ps.intern_key(&[4, id % 3, 0, id]);
+                }
+                let affected: Vec<u32> = (0..12).filter(|r| affected_mask >> r & 1 == 1).collect();
+                // A posting of `len` nodes from `root`; the matched node
+                // (the last, or the second-to-last of an edge match) is
+                // `root + len - 1` along the chain, wrapping.
+                let make = |&(p, r, len, x): &(u32, u32, u16, usize), arena: &mut Vec<NodeId>| {
+                    let start = arena.len() as u32;
+                    arena.extend((0..u32::from(len)).map(|k| NodeId((r + k) % 12)));
+                    let edge_terminal = x % 2 == 1 && len > 1;
+                    let matched = arena[arena.len() - 1 - usize::from(edge_terminal)];
+                    Posting {
+                        pattern: PatternId(p),
+                        root: NodeId(r),
+                        nodes_start: start,
+                        nodes_len: len,
+                        edge_terminal,
+                        pagerank: if reread { g.pagerank(matched) } else { SCORES[x] },
+                        sim: SCORES[3 - x],
+                    }
+                };
+                let bounds: Vec<u32> = (0..=shards as u32).map(|s| s * 12 / shards as u32).collect();
+                let (mut spliced, mut frozen) = (Vec::new(), Vec::new());
+                for s in 0..shards {
+                    let range = bounds[s]..bounds[s + 1];
+                    let (mut postings, mut arena) = (Vec::new(), Vec::new());
+                    for raw in base_raw.iter().filter(|raw| range.contains(&raw.1)) {
+                        let mut p = make(raw, &mut arena);
+                        // Stale scores, which a re-read must replace.
+                        p.pagerank = SCORES[raw.3];
+                        postings.push(p);
+                    }
+                    let base = WordPathIndex::new(postings, arena);
+                    if memo {
+                        base.pattern_type_groups(&ps);
+                    }
+                    let (mut fresh, mut fresh_arena) = (Vec::new(), Vec::new());
+                    for raw in fresh_raw.iter().filter(|raw| {
+                        range.contains(&raw.1) && affected.binary_search(&raw.1).is_ok()
+                    }) {
+                        fresh.push(make(raw, &mut fresh_arena));
+                    }
+                    let list = WordPathIndex::freeze(
+                        Some(Base {
+                            list: &base,
+                            affected: &affected,
+                            reread_pagerank: reread.then_some(&g),
+                        }),
+                        fresh.clone(),
+                        fresh_arena.clone(),
+                    );
+
+                    // The multiset: kept base postings (re-scored) + fresh.
+                    let content = |list: &WordPathIndex, ps: &[Posting]| -> Vec<(u32, u32, Vec<NodeId>, bool, u64, u64)> {
+                        let mut rows: Vec<_> = ps
+                            .iter()
+                            .map(|p| (p.pattern.0, p.root.0, list.nodes_of(p).to_vec(), p.edge_terminal, p.pagerank.to_bits(), p.sim.to_bits()))
+                            .collect();
+                        rows.sort();
+                        rows
+                    };
+                    let mut want = content(&base, &[]);
+                    for p in base.postings_pattern_first() {
+                        if affected.binary_search(&p.root.0).is_err() {
+                            let nodes = base.nodes_of(p);
+                            let matched = nodes[nodes.len() - 1 - usize::from(p.edge_terminal)];
+                            let pagerank = if reread { g.pagerank(matched) } else { p.pagerank };
+                            want.push((p.pattern.0, p.root.0, nodes.to_vec(), p.edge_terminal, pagerank.to_bits(), p.sim.to_bits()));
+                        }
+                    }
+                    let fresh_list = WordPathIndex::new(fresh, fresh_arena);
+                    want.extend(content(&fresh_list, fresh_list.postings_pattern_first()));
+                    want.sort();
+                    prop_assert_eq!(content(&list, list.postings_pattern_first()), want);
+
+                    // Field for field, against `new` on those postings.
+                    let mut shuffled = list.postings_pattern_first().to_vec();
+                    shuffled.reverse();
+                    let full = WordPathIndex::new(shuffled, list.arena.clone());
+                    prop_assert_eq!(&list.pattern_first, &full.pattern_first);
+                    prop_assert_eq!(&list.root_first, &full.root_first);
+                    let bits = |w: &WordPathIndex| -> Vec<[u64; 8]> {
+                        w.pattern_stats
+                            .iter()
+                            .map(|s| [
+                                u64::from(s.num_paths), u64::from(s.max_per_root),
+                                s.min_len.to_bits(), s.max_len.to_bits(),
+                                s.min_pr.to_bits(), s.max_pr.to_bits(),
+                                s.min_sim.to_bits(), s.max_sim.to_bits(),
+                            ])
+                            .collect()
+                    };
+                    prop_assert_eq!(bits(&list), bits(&full));
+                    // The base's arena is carried with the fresh nodes
+                    // appended, unless a drop left dead nodes behind.
+                    let live: usize = list.postings_pattern_first().iter().map(|p| p.nodes_len as usize).sum();
+                    if list.len() < base.len() + fresh_list.len() {
+                        prop_assert_eq!(list.arena.len(), live);
+                    } else {
+                        prop_assert_eq!(&list.arena[..base.arena.len()], &base.arena[..]);
+                        prop_assert_eq!(list.arena.len(), base.arena.len() + fresh_list.arena.len());
+                    }
+                    // The grouping is carried exactly when it was memoised
+                    // and the pattern keys stayed.
+                    let same_keys = list.pattern_first.primary_keys() == base.pattern_first.primary_keys();
+                    prop_assert_eq!(list.type_groups.get().is_some(), memo && same_keys);
+                    if let Some(carried) = list.type_groups.get() {
+                        prop_assert_eq!(carried, full.pattern_type_groups(&ps));
+                    }
+                    spliced.push(list);
+                    frozen.push(full);
+                }
+                fn as_lists(lists: &[WordPathIndex]) -> Vec<Option<&WordPathIndex>> {
+                    lists.iter().map(|l| (!l.is_empty()).then_some(l)).collect()
+                }
+                prop_assert_eq!(
+                    &*merge_type_groups(&as_lists(&spliced), &ps),
+                    &*merge_type_groups(&as_lists(&frozen), &ps)
+                );
             }
         }
     }

@@ -80,6 +80,11 @@ pub enum IngestError<E> {
     /// built with [`crate::EngineBuilder::data_dir`]; maps to 503 on the
     /// serving surface.
     Durability(std::io::Error),
+    /// A word list the refresh must splice has a damaged mapped stream
+    /// (the same typed error a search touching it gets). Nothing was
+    /// logged or published: the version does not move. Maps to 500
+    /// `snapshot` on the serving surface.
+    Snapshot(patternkb_graph::snapshot::SnapshotError),
 }
 
 impl<E: std::fmt::Display> std::fmt::Display for IngestError<E> {
@@ -89,6 +94,7 @@ impl<E: std::fmt::Display> std::fmt::Display for IngestError<E> {
             IngestError::Build(e) => write!(f, "delta build failed: {e}"),
             IngestError::Delta(e) => write!(f, "delta rejected: {e}"),
             IngestError::Durability(e) => write!(f, "ingest not made durable: {e}"),
+            IngestError::Snapshot(e) => write!(f, "mapped index stream is damaged: {e}"),
         }
     }
 }
@@ -330,6 +336,7 @@ impl SharedEngine {
             Err(IngestError::Delta(e)) => Err(Error::Delta(e)),
             Err(IngestError::Closed) => Err(Error::Closed),
             Err(IngestError::Durability(e)) => Err(Error::Durability(e)),
+            Err(IngestError::Snapshot(e)) => Err(Error::Snapshot(e)),
         }
     }
 
@@ -406,7 +413,11 @@ impl SharedEngine {
                 .clone()
                 .unwrap_or_else(|| self.snapshot());
             let delta = build(&base).map_err(IngestError::Build)?;
-            let (next, stats) = base.with_delta(&delta, mode).map_err(IngestError::Delta)?;
+            let (next, stats) = base.with_delta(&delta, mode).map_err(|e| match e {
+                Error::Delta(e) => IngestError::Delta(e),
+                Error::Snapshot(e) => IngestError::Snapshot(e),
+                other => unreachable!("`with_delta` fails with Delta or Snapshot, not {other}"),
+            })?;
             let (shared, total) = next.graph().chunks_shared_with(base.graph());
             let next = Arc::new(next);
             let ticket = match &self.durability {

@@ -136,11 +136,15 @@ impl SearchEngine {
     ///
     /// Queries parsed *before* a schema-adding mutation hold word ids from
     /// the old vocabulary and must be re-parsed.
+    ///
+    /// Fails, leaving the engine as it was, with [`Error::Delta`] when the
+    /// delta does not apply, and with [`Error::Snapshot`] when a word list
+    /// the refresh must splice has a damaged mapped stream.
     pub fn apply_delta(
         &mut self,
         delta: &patternkb_graph::mutate::GraphDelta,
         mode: patternkb_graph::mutate::PagerankMode,
-    ) -> Result<patternkb_index::RefreshStats, patternkb_graph::mutate::DeltaError> {
+    ) -> Result<patternkb_index::RefreshStats, Error> {
         let (next, stats) = self.with_delta(delta, mode)?;
         *self = next;
         Ok(stats)
@@ -154,8 +158,7 @@ impl SearchEngine {
         &self,
         delta: &patternkb_graph::mutate::GraphDelta,
         mode: patternkb_graph::mutate::PagerankMode,
-    ) -> Result<(SearchEngine, patternkb_index::RefreshStats), patternkb_graph::mutate::DeltaError>
-    {
+    ) -> Result<(SearchEngine, patternkb_index::RefreshStats), Error> {
         use patternkb_graph::mutate::PagerankMode as Pm;
         let new_g = delta.apply(&self.g, mode)?;
         let new_text = if delta.adds_schema(&self.g) {
@@ -164,7 +167,7 @@ impl SearchEngine {
         } else {
             self.text.extended(&new_g, delta)
         };
-        let (new_idx, stats) = patternkb_index::refresh_indexes(
+        let (new_idx, stats) = patternkb_index::try_refresh_indexes(
             &self.idx,
             &self.g,
             &new_g,
@@ -172,7 +175,8 @@ impl SearchEngine {
             &new_text,
             &delta.dirty_nodes(),
             mode == Pm::Recompute,
-        );
+        )
+        .map_err(Error::Snapshot)?;
         Ok((
             SearchEngine {
                 g: new_g,

@@ -714,7 +714,8 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
             // 503 `durability`: the WAL could not make the write durable;
             // the delta was NOT applied and the log refuses further
             // appends until the operator intervenes (restart). Both 503s
-            // drop the connection.
+            // drop the connection. 500 `snapshot`: a word the delta
+            // touches has a damaged mapped stream, as on `/search`.
             let (status, body) = match &e {
                 IngestError::Build(api_err) => {
                     (400, api::error_json(api_err.kind, &api_err.message, vec![]))
@@ -726,6 +727,9 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
                 IngestError::Closed => (503, api::error_json("closed", &e.to_string(), vec![])),
                 IngestError::Durability(_) => {
                     (503, api::error_json("durability", &e.to_string(), vec![]))
+                }
+                IngestError::Snapshot(_) => {
+                    (500, api::error_json("snapshot", &e.to_string(), vec![]))
                 }
             };
             shared.metrics.record(Route::AdminIngest, status);

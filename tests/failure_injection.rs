@@ -308,6 +308,89 @@ fn v1_index_image_is_bad_version() {
     );
 }
 
+/// The byte range of `(shard, word)`'s posting stream in a `PKB5` image,
+/// read off the lexicon (layout in docs/FORMATS.md).
+fn stream_range(image: &[u8], shard: u32, word: u32) -> std::ops::Range<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let lexicon = u64_at(24 + 16 * 2);
+    (0..u64_at(lexicon))
+        .map(|i| lexicon + 8 + 32 * i)
+        .find(|&at| u32_at(at) == word && u32_at(at + 4) == shard)
+        .map(|at| u64_at(at + 8)..u64_at(at + 8) + u64_at(at + 16))
+        .expect("the word has a stream in that shard")
+}
+
+/// An ingest that must splice a word whose mapped stream is damaged is
+/// refused with the same typed error a search on the word gets: the old
+/// postings are never silently dropped, nothing is published and the
+/// version does not move.
+#[test]
+fn ingest_touching_a_damaged_mapped_stream_is_refused() {
+    let (g, _) = patternkb::datagen::figure1();
+    let heap = EngineBuilder::new()
+        .graph(g.clone())
+        .shards(1)
+        .threads(1)
+        .build()
+        .unwrap();
+    // The batch below gives a new Company a Revenue: "revenue" is touched.
+    let revenue = heap.text().lookup_word("revenue").unwrap();
+    let mut image = encode_v5(heap.index());
+    let damaged = stream_range(&image, 0, revenue.0);
+    image[damaged].fill(0xff);
+    let mapped = || {
+        SearchEngine::from_parts(
+            g.clone(),
+            heap.text().clone(),
+            open_bytes(image.clone()).unwrap(),
+        )
+    };
+    let batch = |graph: &KnowledgeGraph| {
+        let company = graph.type_by_text("Company").unwrap();
+        let mut d = GraphDelta::new(graph);
+        let v = d.add_node(company, "Initech").unwrap();
+        d.add_text_edge(v, graph.attr_by_text("Revenue").unwrap(), "US$ 1 million")
+            .unwrap();
+        d
+    };
+    let search = |e: &SearchEngine| e.respond(&SearchRequest::text("revenue"));
+
+    let mut e = mapped();
+    let (version, postings) = (e.version(), e.index().num_postings());
+    assert!(matches!(search(&e), Err(Error::Snapshot(_))));
+    let err = e.apply_delta(&batch(&g), PagerankMode::Frozen).unwrap_err();
+    assert!(matches!(err, Error::Snapshot(_)), "{err}");
+    assert_eq!(e.version(), version);
+    assert_eq!(e.index().num_postings(), postings);
+    assert!(matches!(search(&e), Err(Error::Snapshot(_))));
+
+    // The shared handle's write path: a typed ingest error.
+    let shared = SharedEngine::new(mapped());
+    let err = shared
+        .ingest_with(PagerankMode::Frozen, |snap| {
+            Ok::<_, std::convert::Infallible>(batch(snap.graph()))
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, patternkb::search::IngestError::Snapshot(_)),
+        "{err}"
+    );
+    assert_eq!(shared.version(), version);
+    assert_eq!(shared.snapshot().index().num_postings(), postings);
+    assert!(matches!(
+        search(&shared.snapshot()),
+        Err(Error::Snapshot(_))
+    ));
+
+    // An ingest that does not touch the damaged word still goes through.
+    let mut d = GraphDelta::new(&g);
+    d.add_node(g.type_by_text("Software").unwrap(), "Quux")
+        .unwrap();
+    e.apply_delta(&d, PagerankMode::Frozen).unwrap();
+    assert_eq!(e.version(), version + 1);
+}
+
 // ---------------------------------------------------------------------
 // Degenerate graphs
 // ---------------------------------------------------------------------
