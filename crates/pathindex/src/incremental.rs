@@ -37,7 +37,9 @@
 //!   ([`crate::word_index::IndexShard`]). A mapped index stays mapped:
 //!   only the touched words are decoded, and a touched word whose stream
 //!   is damaged fails the refresh with its typed error rather than being
-//!   spliced as if it had been empty.
+//!   spliced as if it had been empty. The refresh hands the touched words
+//!   back ([`ChangedWords`]): an answer over none of them is unchanged, so
+//!   a result cache keeps it.
 //!
 //! Two inputs make **every** list differ, so the same splice is then run
 //! over all words and the result is a plain heap index with an empty
@@ -97,6 +99,30 @@ pub struct RefreshStats {
     pub words_rebuilt: usize,
 }
 
+/// Which words' lists one [`try_refresh_indexes`] run replaced. A word
+/// outside the set has, on every shard, the very list it had before
+/// (shared by `Arc`), under the same word id.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ChangedWords {
+    /// Every list: PageRank was recomputed, or the word ids shifted.
+    All,
+    /// The words whose list was spliced on at least one shard, as new
+    /// word ids, ascending and distinct.
+    Only(Vec<WordId>),
+}
+
+impl ChangedWords {
+    /// Whether the list of any of `words` was replaced.
+    pub fn touches(&self, words: impl IntoIterator<Item = WordId>) -> bool {
+        match self {
+            ChangedWords::All => true,
+            ChangedWords::Only(changed) => {
+                words.into_iter().any(|w| changed.binary_search(&w).is_ok())
+            }
+        }
+    }
+}
+
 /// [`try_refresh_indexes`] for indexes whose streams are known to be
 /// sound (heap-resident, or just written) — the form the benchmark's
 /// probes and the tests call.
@@ -112,7 +138,7 @@ pub fn refresh_indexes(
     dirty: &[NodeId],
     refresh_pagerank: bool,
 ) -> (PathIndexes, RefreshStats) {
-    try_refresh_indexes(
+    let (index, stats, _) = try_refresh_indexes(
         old,
         old_g,
         new_g,
@@ -121,7 +147,8 @@ pub fn refresh_indexes(
         dirty,
         refresh_pagerank,
     )
-    .unwrap_or_else(|e| panic!("a touched word's mapped stream is damaged: {e}"))
+    .unwrap_or_else(|e| panic!("a touched word's mapped stream is damaged: {e}"));
+    (index, stats)
 }
 
 /// Derive the path indexes of `new_g` from the indexes of `old_g`,
@@ -135,6 +162,10 @@ pub fn refresh_indexes(
 /// `new_text` whose word ids do not extend `old_text`'s, rebuilds every
 /// list (see the module docs).
 ///
+/// Besides the new indexes and the work counters, it returns the words
+/// whose lists it replaced: a query over none of them has the same
+/// answer on both versions.
+///
 /// A list the refresh must read whose mapped stream is damaged is the
 /// stream's typed error, not an empty list: the refresh never publishes
 /// a version that silently lost the old postings.
@@ -146,7 +177,7 @@ pub fn try_refresh_indexes(
     new_text: &TextIndex,
     dirty: &[NodeId],
     refresh_pagerank: bool,
-) -> Result<(PathIndexes, RefreshStats), SnapshotError> {
+) -> Result<(PathIndexes, RefreshStats, ChangedWords), SnapshotError> {
     let d = old.d();
     let old_n = old_g.num_nodes();
     let num_shards = old.num_shards();
@@ -244,10 +275,14 @@ pub fn try_refresh_indexes(
     // --- 4. Splice each touched list; share everything else. ---
     let reread_pagerank = refresh_pagerank.then_some(new_g);
     let mut shards = Vec::with_capacity(num_shards);
+    let mut changed: Vec<WordId> = Vec::new();
     for (s, mut words) in touched.into_iter().enumerate() {
         words.sort_unstable();
         words.dedup();
         stats.words_rebuilt += words.len();
+        if !every_list {
+            changed.extend_from_slice(&words);
+        }
         let shard = &old.shards()[s];
         let mut rebuilt: Vec<(WordId, Option<WordPathIndex>)> = Vec::with_capacity(words.len());
         for w in words {
@@ -281,10 +316,18 @@ pub fn try_refresh_indexes(
         });
     }
     stats.postings_kept = old.num_postings() - stats.postings_dropped;
+    let changed = if every_list {
+        ChangedWords::All
+    } else {
+        changed.sort_unstable();
+        changed.dedup();
+        ChangedWords::Only(changed)
+    };
 
     Ok((
         PathIndexes::new(d, patterns, old.bounds().to_vec(), shards),
         stats,
+        changed,
     ))
 }
 
@@ -616,6 +659,54 @@ mod tests {
         let (_, incr, _, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Frozen);
         assert!(stats.words_rebuilt < lists(&incr));
         assert_eq!(incr.num_patched_words(), stats.words_rebuilt);
+    }
+
+    #[test]
+    fn changed_words_are_exactly_the_lists_not_shared() {
+        let g = base_graph();
+        let cfg = BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 2,
+        };
+        let old_text = TextIndex::build(&g, SynonymTable::new());
+        let old = build_indexes(&g, &old_text, &cfg);
+        let comp = g.type_by_text("Company").unwrap();
+        let rev = g.attr_by_text("Revenue").unwrap();
+        let mut d = GraphDelta::new(&g);
+        let v = d.add_node(comp, "Oracle Corp").unwrap();
+        d.add_text_edge(v, rev, "US$ 37 billion").unwrap();
+        let refresh = |mode: PagerankMode| {
+            let g2 = d.apply(&g, mode).unwrap();
+            let text2 = old_text.extended(&g2, &d);
+            let recompute = mode == PagerankMode::Recompute;
+            let (new, _, changed) = try_refresh_indexes(
+                &old,
+                &g,
+                &g2,
+                &old_text,
+                &text2,
+                &d.dirty_nodes(),
+                recompute,
+            )
+            .unwrap();
+            (new, text2, changed)
+        };
+
+        let (new, text, changed) = refresh(PagerankMode::Frozen);
+        assert!(matches!(&changed, ChangedWords::Only(words) if !words.is_empty()));
+        for (w, word) in text.vocab().iter() {
+            let replaced = (0..2).any(|s| match (old.word_in(s, w), new.word_in(s, w)) {
+                (Some(a), Some(b)) => !std::ptr::eq(a, b),
+                (a, b) => a.is_some() != b.is_some(),
+            });
+            assert_eq!(changed.touches([w]), replaced, "word {word:?}");
+        }
+        let word = |s: &str| text.lookup_word(s).unwrap();
+        assert!(changed.touches([word("revenue")]));
+        assert!(!changed.touches([word("relational"), word("server")]));
+
+        assert_eq!(refresh(PagerankMode::Recompute).2, ChangedWords::All);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod word_index;
 pub use build::{build_indexes, BuildConfig};
 pub use cursor::intersect_runs;
 pub use grouped::{RootCursor, RunCursor};
-pub use incremental::{refresh_indexes, try_refresh_indexes, RefreshStats};
+pub use incremental::{refresh_indexes, try_refresh_indexes, ChangedWords, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};
 pub use posting::Posting;
 pub use stats::IndexStats;

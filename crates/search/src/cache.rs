@@ -3,10 +3,33 @@
 //! Keyword search is an online service with heavily repeated queries, so a
 //! result cache sits naturally in front of the engine. The subtlety is
 //! correctness under mutation: [`crate::engine::SearchEngine::apply_delta`]
-//! changes answers, so every cache entry records the engine **version** it
-//! was computed at and is rejected once the engine moves on (the engine
-//! bumps its version on every applied delta). There is no time-based
-//! expiry — versions are exact.
+//! changes answers and bumps the engine version, so every entry records
+//! the **range of versions** `[first, last]` its answer is valid at. A
+//! lookup at version `v` hits when `first ≤ v ≤ last`; past `last` the
+//! entry is stale and is dropped; before `first` (an older snapshot still
+//! answering, such as a `respond_on` batch that started before a publish)
+//! it is a plain miss that neither removes nor overwrites the newer
+//! entry. There is no time-based expiry — versions are exact.
+//!
+//! **What an answer depends on.** An answer is a function of the parsed
+//! word ids in its key, of those words' posting lists on every shard, and
+//! of the patterns those lists name by id — ids the append-only pattern
+//! set never reassigns. Its composed tables also read the text and type
+//! of its row nodes and the names of their types and attributes. No
+//! [`patternkb_graph::mutate::GraphDelta`] op changes any of those:
+//! `add_type`, `add_attr`, `add_node`, `add_edge`, `add_text_edge` and
+//! `remove_edge` only append ids or edit edges, and under `Frozen`
+//! PageRank the scores the lists cache stay as they were. A word id keeps
+//! its meaning as long as the old vocabulary is a prefix of the new one,
+//! so a new word can change which key a text parses to, but never the
+//! answer stored under an existing key. Hence, when
+//! [`crate::SharedEngine::ingest_with`] publishes version `v + 1`, it
+//! first extends `last` from `v` to `v + 1` on every entry none of whose
+//! words had a list replaced by the delta's refresh
+//! ([`patternkb_index::ChangedWords`]); the rest go stale. A refresh that
+//! replaced every list (recomputed PageRank, or shifted word ids) carries
+//! nothing. Relaxation and explain traces read the serving snapshot per
+//! request, outside the cache.
 //!
 //! The key covers everything that determines a result: the keyword-id
 //! sequence (order matters — tree patterns are keyword-indexed vectors),
@@ -23,8 +46,8 @@
 //! them — on a hit and on the miss that created the entry alike.
 //!
 //! **Tables fill on first reuse.** The composed [`TableAnswer`]s are a
-//! pure function of `(engine version, patterns)` — exactly what an entry
-//! is keyed and version-checked on — so they live beside the entry and
+//! pure function of the patterns and of row-node text that no version in
+//! the entry's range changes, so they live beside the entry and
 //! are handed out by `Arc` too; the request's post-processing flags
 //! (`compose_tables`, `presentation`, `explain`, `relax`, `diversify`)
 //! stay outside the key. They are composed by the first *hit* that wants
@@ -44,7 +67,8 @@ use crate::table::TableAnswer;
 use crate::topk::SamplingConfig;
 use crate::{PlannerConfig, Query, SearchConfig};
 use parking_lot::Mutex;
-use patternkb_graph::KnowledgeGraph;
+use patternkb_graph::{KnowledgeGraph, WordId};
+use patternkb_index::ChangedWords;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -164,7 +188,11 @@ impl SharedAnswer {
 
 struct Entry {
     answer: Arc<SharedAnswer>,
-    version: u64,
+    /// The version the answer was computed at.
+    first: u64,
+    /// The newest version the answer is known to be valid at: `first`,
+    /// extended by every [`QueryCache::carry`] that left its words alone.
+    last: u64,
     /// Monotone access stamp for LRU eviction.
     last_used: u64,
 }
@@ -185,6 +213,12 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries rejected because the engine version moved on.
     pub stale_rejections: u64,
+    /// Entries an ingest extended to the version it published, because
+    /// the delta rebuilt no list of their words.
+    pub carried: u64,
+    /// Entries an ingest left behind at the old version, because the
+    /// delta rebuilt a list of one of their words (or every list).
+    pub invalidated: u64,
 }
 
 struct Inner {
@@ -268,12 +302,14 @@ impl QueryCache {
             inner.clock += 1;
             let clock = inner.clock;
             let lookup = match inner.map.get_mut(&key) {
-                Some(e) if e.version == version => {
+                Some(e) if e.first <= version && version <= e.last => {
                     e.last_used = clock;
                     Lookup::Hit(Arc::clone(&e.answer))
                 }
-                Some(_) => Lookup::Stale,
-                None => Lookup::Miss,
+                Some(e) if e.last < version => Lookup::Stale,
+                // Computed on a newer version than this (older) snapshot:
+                // the entry stays for the readers of the current one.
+                Some(_) | None => Lookup::Miss,
             };
             inner.stats.misses += u64::from(!matches!(lookup, Lookup::Hit(_)));
             match lookup {
@@ -296,20 +332,26 @@ impl QueryCache {
             let mut inner = self.inner.lock();
             inner.clock += 1;
             let clock = inner.clock;
-            if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+            // An entry valid at this version or a newer one (a concurrent
+            // miss, or a reader of a newer snapshot) keeps its slot.
+            let present = inner.map.get(&key).map(|e| e.last >= version);
+            if present == Some(true) {
+                return (answer, false);
+            }
+            if present.is_none() && inner.map.len() >= self.capacity {
                 // Under capacity pressure, sweep version-stale corpses
-                // first: entries strictly older than the version being
-                // inserted can only ever be hit again by a snapshot that
-                // predates it (a transient respond_on batch), so they must
-                // not squat LRU slots and evict live entries.
-                // Strictly-older — not `!=` — so an old-snapshot insert
-                // never sweeps newer live entries. Without corpses, plain
-                // LRU. One linear scan finds both: capacities are small
-                // (hundreds) and eviction is off the hit path.
+                // first: entries valid only at versions older than the one
+                // being inserted can only ever be hit again by a snapshot
+                // that predates it (a transient respond_on batch), so they
+                // must not squat LRU slots and evict live entries.
+                // Strictly-older so an old-snapshot insert never sweeps
+                // newer live entries. Without corpses, plain LRU. One
+                // linear scan finds both: capacities are small (hundreds)
+                // and eviction is off the hit path.
                 let mut victims: Vec<CacheKey> = Vec::new();
                 let mut lru: Option<(&CacheKey, u64)> = None;
                 for (k, e) in &inner.map {
-                    if e.version < version {
+                    if e.last < version {
                         victims.push(k.clone());
                     } else if lru.map_or(true, |(_, used)| e.last_used < used) {
                         lru = Some((k, e.last_used));
@@ -323,13 +365,36 @@ impl QueryCache {
             }
             let entry = Entry {
                 answer: Arc::clone(&answer),
-                version,
+                first: version,
+                last: version,
                 last_used: clock,
             };
             removed.extend(inner.map.insert(key, entry));
         }
         drop(removed);
         (answer, false)
+    }
+
+    /// An ingest is publishing version `next`, derived from `base` by a
+    /// delta whose refresh replaced the lists of `changed`: every entry
+    /// valid at `base` whose words are all outside `changed` is valid at
+    /// `next` too, and is extended to it. The others stay at `base`, for
+    /// the readers still on it, and go stale at `next`.
+    ///
+    /// Call it once the delta is durable and before `next` is published,
+    /// so readers of either version keep hitting throughout and no version
+    /// that was never acknowledged is ever carried to.
+    pub(crate) fn carry(&self, base: u64, next: u64, changed: &ChangedWords) {
+        let mut inner = self.inner.lock();
+        let Inner { map, stats, .. } = &mut *inner;
+        for (key, e) in map.iter_mut().filter(|(_, e)| e.last == base) {
+            if changed.touches(key.words.iter().map(|&w| WordId(w))) {
+                stats.invalidated += 1;
+            } else {
+                e.last = next;
+                stats.carried += 1;
+            }
+        }
     }
 
     /// Drop every entry (e.g. ahead of a bulk mutation).
@@ -361,6 +426,7 @@ impl QueryCache {
 mod tests {
     use super::*;
     use crate::request::AlgorithmChoice::{LinearEnum, PatternEnum};
+    use crate::request::CacheOutcome;
     use patternkb_datagen::figure1;
 
     fn engine() -> SearchEngine {
@@ -553,7 +619,7 @@ mod tests {
         let comp = g.type_by_text("Company").unwrap();
         let mut d = GraphDelta::new(g);
         d.add_node(comp, "Sybase").unwrap();
-        let (e1, _) = e0.with_delta(&d, PagerankMode::Frozen).unwrap();
+        let (e1, _, _) = e0.with_delta(&d, PagerankMode::Frozen).unwrap();
         assert_eq!((e0.version(), e1.version()), (0, 1));
 
         let cache = QueryCache::new(4);
@@ -594,7 +660,7 @@ mod tests {
         let comp = g.type_by_text("Company").unwrap();
         let mut d = GraphDelta::new(g);
         d.add_node(comp, "Sybase").unwrap();
-        let (e1, _) = e0.with_delta(&d, PagerankMode::Frozen).unwrap();
+        let (e1, _, _) = e0.with_delta(&d, PagerankMode::Frozen).unwrap();
 
         // Fill the cache entirely with v0 entries, bump to v1, insert.
         let cache = QueryCache::new(3);
@@ -612,6 +678,117 @@ mod tests {
         // One insert swept every corpse, not just one LRU victim.
         assert_eq!(cache.stats().evictions, 3);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Figure 1 behind a `SharedEngine`, and one entry for the Figure-3
+    /// query: a miss, then a hit.
+    fn shared_with_entry() -> (crate::SharedEngine, crate::SearchRequest) {
+        let (g, _) = figure1();
+        let shared = crate::EngineBuilder::new()
+            .graph(g)
+            .threads(1)
+            .build_shared()
+            .unwrap();
+        let request = crate::SearchRequest::text("database software company revenue").k(10);
+        for expected in [CacheOutcome::Miss, CacheOutcome::Hit] {
+            assert_eq!(shared.respond(&request).unwrap().cache, expected);
+        }
+        (shared, request)
+    }
+
+    /// Ingest one new node of `type_name`, named `name`.
+    fn ingest_node(shared: &crate::SharedEngine, type_name: &str, name: &str) {
+        use patternkb_graph::mutate::{DeltaError, GraphDelta, PagerankMode};
+        shared
+            .ingest_with(PagerankMode::Frozen, |snap| {
+                let t = snap.graph().type_by_text(type_name).unwrap();
+                let mut d = GraphDelta::new(snap.graph());
+                d.add_node(t, name)?;
+                Ok::<_, DeltaError>(d)
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn an_entry_is_carried_across_an_ingest_that_spares_its_words() {
+        let (shared, request) = shared_with_entry();
+        let before = shared.snapshot();
+        let cached = shared.respond(&request).unwrap();
+        // A model named with a brand-new word: the delta splices the lists
+        // of "zyzzyva" and "model", none of the query's.
+        ingest_node(&shared, "Model", "Zyzzyva");
+        let s = shared.cache_stats();
+        assert_eq!((s.carried, s.invalidated), (1, 0));
+
+        let after = shared.respond(&request).unwrap();
+        assert_eq!(
+            after.cache,
+            CacheOutcome::Hit,
+            "the entry spans both versions"
+        );
+        for (x, y) in cached.patterns.iter().zip(&after.patterns) {
+            assert!(Arc::ptr_eq(x, y), "the same answer, not a recomputation");
+        }
+        // The base's readers keep hitting the same entry.
+        let old = shared.respond_on(&before, &request).unwrap();
+        assert_eq!(old.cache, CacheOutcome::Hit);
+        let s = shared.cache_stats();
+        assert_eq!((s.misses, s.stale_rejections, s.entries), (1, 0, 1));
+    }
+
+    #[test]
+    fn an_entry_is_dropped_by_an_ingest_that_splices_one_of_its_words() {
+        let (shared, request) = shared_with_entry();
+        // A new company: the "company" list is spliced.
+        ingest_node(&shared, "Company", "Initech");
+        let s = shared.cache_stats();
+        assert_eq!((s.carried, s.invalidated), (0, 1));
+        assert_eq!(shared.respond(&request).unwrap().cache, CacheOutcome::Miss);
+        assert_eq!(shared.cache_stats().stale_rejections, 1);
+    }
+
+    #[test]
+    fn replace_flushes_carried_entries() {
+        let (shared, request) = shared_with_entry();
+        ingest_node(&shared, "Model", "Zyzzyva");
+        assert_eq!(shared.cache_stats().carried, 1);
+        let (g, _) = figure1();
+        shared.replace(
+            crate::EngineBuilder::new()
+                .graph(g)
+                .threads(1)
+                .build()
+                .unwrap(),
+        );
+        assert_eq!(shared.cache_stats().entries, 0);
+        assert_eq!(shared.respond(&request).unwrap().cache, CacheOutcome::Miss);
+    }
+
+    #[test]
+    fn an_older_snapshot_neither_evicts_nor_overwrites_a_newer_entry() {
+        use patternkb_graph::mutate::{GraphDelta, PagerankMode};
+        // v1 adds a company, so "company" answers differ between v0 and v1
+        // and nothing carries the v1 entry back over v0.
+        let e0 = engine();
+        let comp = e0.graph().type_by_text("Company").unwrap();
+        let mut d = GraphDelta::new(e0.graph());
+        d.add_node(comp, "Sybase").unwrap();
+        let (e1, _, _) = e0.with_delta(&d, PagerankMode::Frozen).unwrap();
+
+        let cache = QueryCache::new(8);
+        let cfg = SearchConfig::top(10);
+        let q = e0.parse("company").unwrap();
+        let live = get_or_compute(&cache, &e1, &q, &cfg, PatternEnum);
+        // A micro-batch still on v0 interleaves with v1 readers.
+        for _ in 0..2 {
+            let old = get_or_compute(&cache, &e0, &q, &cfg, PatternEnum);
+            assert!(!Arc::ptr_eq(&old, &live), "v0 computes its own answer");
+            let again = get_or_compute(&cache, &e1, &q, &cfg, PatternEnum);
+            assert!(Arc::ptr_eq(&again, &live), "the v1 entry survived");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.stale_rejections), (2, 3, 0));
+        assert_eq!(s.entries, 1);
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //!
 //! * **readers** call [`SharedEngine::respond`], which takes a cheap
 //!   [`Arc`] snapshot and serves the request through the built-in
-//!   [`QueryCache`] — entries record the engine version they were computed
-//!   at, so a swap invalidates them exactly (no time-based expiry);
+//!   [`QueryCache`] — entries record the range of engine versions they are
+//!   valid at (no time-based expiry);
 //! * **writers** compute the post-delta engine *outside* any lock
 //!   ([`SearchEngine::with_delta`] — the expensive incremental refresh),
 //!   then swap the shared pointer under a short critical section. A writer
 //!   mutex serializes ingests so two concurrent deltas (both derived from
-//!   the same base) cannot silently lose one another's writes.
+//!   the same base) cannot silently lose one another's writes. Just before
+//!   the swap, the writer extends to the new version every cache entry
+//!   whose words the delta's refresh left alone; an ingest invalidates
+//!   exactly the entries that read a list it replaced.
 //!
 //! Readers never block writers and writers never block readers; the only
 //! contention is the pointer swap. Old snapshots are freed when their last
@@ -219,8 +222,9 @@ impl SharedEngine {
     /// computed per call.
     ///
     /// Concurrent [`Self::apply_delta`] calls are safe: the request runs
-    /// against the snapshot current at its start, and cached entries from
-    /// older versions are rejected, never served.
+    /// against the snapshot current at its start, and a cached entry is
+    /// served only at versions it is valid at — the one it was computed at
+    /// and every later one whose delta replaced no list of its words.
     pub fn respond(&self, request: &SearchRequest) -> Result<SearchResponse, Error> {
         let _token = self.enter()?;
         let snapshot = self.snapshot();
@@ -234,9 +238,10 @@ impl SharedEngine {
     /// swap-pointer read once instead of per request.
     ///
     /// The snapshot may be older than the current state (e.g. a
-    /// [`Self::replace`] landed mid-batch); answers stay internally
-    /// consistent with that snapshot, and cache entries are version-keyed
-    /// so the two epochs never mix.
+    /// [`Self::replace`] or an ingest landed mid-batch); answers stay
+    /// internally consistent with that snapshot, cache entries are checked
+    /// against its version so the two states never mix, and a miss on the
+    /// older snapshot leaves the current state's entry in place.
     pub fn respond_on(
         &self,
         snapshot: &SearchEngine,
@@ -292,7 +297,8 @@ impl SharedEngine {
     /// outgoing one, and the result cache is cleared, so entries computed
     /// on the old state can never be served against the new one — even
     /// when a concurrent respond races the swap and inserts afterwards
-    /// (its entry keeps the old version key, which no longer matches).
+    /// (its entry's versions all lie below the new one), or an ingest
+    /// built on the old state carries entries late (to a version below it).
     pub fn replace(&self, next: SearchEngine) -> u64 {
         let _writing = self.writer.lock();
         let mut next = next;
@@ -397,7 +403,7 @@ impl SharedEngine {
         mode: PagerankMode,
         build: impl FnOnce(&SearchEngine) -> Result<GraphDelta, E>,
     ) -> Result<IngestOutcome, IngestError<E>> {
-        let (next, stats, graph_chunks_copied, ticket) = {
+        let (base_version, next, stats, changed, graph_chunks_copied, ticket) = {
             let _writing = self.writer.lock();
             if self.is_closed() {
                 return Err(IngestError::Closed);
@@ -413,7 +419,7 @@ impl SharedEngine {
                 .clone()
                 .unwrap_or_else(|| self.snapshot());
             let delta = build(&base).map_err(IngestError::Build)?;
-            let (next, stats) = base.with_delta(&delta, mode).map_err(|e| match e {
+            let (next, stats, changed) = base.with_delta(&delta, mode).map_err(|e| match e {
                 Error::Delta(e) => IngestError::Delta(e),
                 Error::Snapshot(e) => IngestError::Snapshot(e),
                 other => unreachable!("`with_delta` fails with Delta or Snapshot, not {other}"),
@@ -428,13 +434,19 @@ impl SharedEngine {
                 None => None,
             };
             *self.pending.lock() = Some(Arc::clone(&next));
-            (next, stats, total - shared, ticket)
+            (base.version(), next, stats, changed, total - shared, ticket)
         };
         if let Some(ticket) = ticket {
             let d = self.durability.as_ref().expect("ticket implies durability");
             d.sync(ticket).map_err(IngestError::Durability)?;
         }
         let version = next.version();
+        // Acked: entries the delta left valid now cover `version` too, so
+        // readers of the base and of `next` both keep hitting. When group
+        // commit publishes out of order, a later version may already be
+        // current; its readers never hit at `version`, so the race can only
+        // cost carries, never serve a stale answer.
+        self.cache.carry(base_version, version, &changed);
         self.publish_if_newer(next);
         if let Some(d) = &self.durability {
             d.maybe_checkpoint(&self.snapshot());

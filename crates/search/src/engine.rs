@@ -53,8 +53,8 @@ pub struct SearchEngine {
     g: KnowledgeGraph,
     text: TextIndex,
     idx: PathIndexes,
-    /// Monotone data version; bumped by [`Self::apply_delta`]. Lets result
-    /// caches ([`crate::cache`]) detect staleness.
+    /// Monotone data version; bumped by [`Self::apply_delta`]. Result
+    /// caches ([`crate::cache`]) record the versions an entry is valid at.
     version: u64,
     /// Default planner thresholds for [`AlgorithmChoice::Auto`] routing;
     /// set by [`crate::EngineBuilder::planner`], overridable per request.
@@ -132,7 +132,10 @@ impl SearchEngine {
     /// roots within reverse distance `d − 1` of the delta's dirty nodes
     /// and rebuilding only the word lists they touch
     /// ([`patternkb_index::incremental`]). All existing node ids keep
-    /// their meaning; the engine version is bumped so caches invalidate.
+    /// their meaning, and the engine version is bumped. An answer
+    /// computed before stays right afterwards unless the delta rebuilt a
+    /// list of one of its words; [`Self::with_delta`] reports which, and
+    /// [`crate::SharedEngine`]'s cache keeps every other entry.
     ///
     /// Queries parsed *before* a schema-adding mutation hold word ids from
     /// the old vocabulary and must be re-parsed.
@@ -145,7 +148,7 @@ impl SearchEngine {
         delta: &patternkb_graph::mutate::GraphDelta,
         mode: patternkb_graph::mutate::PagerankMode,
     ) -> Result<patternkb_index::RefreshStats, Error> {
-        let (next, stats) = self.with_delta(delta, mode)?;
+        let (next, stats, _) = self.with_delta(delta, mode)?;
         *self = next;
         Ok(stats)
     }
@@ -154,11 +157,21 @@ impl SearchEngine {
     /// engine as a *new value* (version bumped), leaving `self` untouched.
     /// This is what lets [`crate::concurrent::SharedEngine`] keep serving
     /// queries from the old state while the refresh runs.
+    ///
+    /// Also returns the words whose lists the refresh replaced: an answer
+    /// over none of them is the same on both engines.
     pub fn with_delta(
         &self,
         delta: &patternkb_graph::mutate::GraphDelta,
         mode: patternkb_graph::mutate::PagerankMode,
-    ) -> Result<(SearchEngine, patternkb_index::RefreshStats), Error> {
+    ) -> Result<
+        (
+            SearchEngine,
+            patternkb_index::RefreshStats,
+            patternkb_index::ChangedWords,
+        ),
+        Error,
+    > {
         use patternkb_graph::mutate::PagerankMode as Pm;
         let new_g = delta.apply(&self.g, mode)?;
         let new_text = if delta.adds_schema(&self.g) {
@@ -167,7 +180,7 @@ impl SearchEngine {
         } else {
             self.text.extended(&new_g, delta)
         };
-        let (new_idx, stats) = patternkb_index::try_refresh_indexes(
+        let (new_idx, stats, changed) = patternkb_index::try_refresh_indexes(
             &self.idx,
             &self.g,
             &new_g,
@@ -187,6 +200,7 @@ impl SearchEngine {
                 snapshot_load: self.snapshot_load,
             },
             stats,
+            changed,
         ))
     }
 

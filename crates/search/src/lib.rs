@@ -120,7 +120,7 @@ pub use diversify::{diversify, DiversifyConfig};
 pub use durability::{Durability, DurabilityMetrics, DurabilityOptions};
 pub use engine::{Algorithm, SearchEngine};
 pub use error::Error;
-pub use patternkb_index::{RefreshStats, StorageBackend};
+pub use patternkb_index::{ChangedWords, RefreshStats, StorageBackend};
 pub use patternkb_wal::{FsyncPolicy, FSYNC_BOUNDS};
 pub use plan::{PlannerConfig, QueryEstimate};
 pub use query::{ParseError, Query};

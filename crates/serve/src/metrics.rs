@@ -375,6 +375,22 @@ impl ServerMetrics {
             "patternkb_cache_evictions_total {}\n",
             cache.evictions
         ));
+        out.push_str(
+            "# HELP patternkb_cache_carried_total Entries an ingest kept valid at its new version (it rebuilt no list of their words).\n\
+             # TYPE patternkb_cache_carried_total counter\n",
+        );
+        out.push_str(&format!(
+            "patternkb_cache_carried_total {}\n",
+            cache.carried
+        ));
+        out.push_str(
+            "# HELP patternkb_cache_invalidated_total Entries an ingest left at the old version (it rebuilt a list of one of their words).\n\
+             # TYPE patternkb_cache_invalidated_total counter\n",
+        );
+        out.push_str(&format!(
+            "patternkb_cache_invalidated_total {}\n",
+            cache.invalidated
+        ));
 
         // Storage families are read live from the serving snapshot. An
         // ingest patches touched words over the shared base, so the tier

@@ -174,6 +174,72 @@ fn metrics_count_executed_searches_by_algorithm_and_fanout() {
     server.join();
 }
 
+/// The parts of a `/search` body that are not per-response: everything
+/// but `cache`, `engine_version` and `elapsed_us`.
+fn answer_of(body: &str) -> (&str, &str) {
+    let head = &body[..body.find(",\"cache\":").expect("cache field")];
+    let tail = &body[body.find(",\"stats\":").expect("stats field")..];
+    (head, tail)
+}
+
+const FIGURE3_QUERY: &str = r#"{"q": "database software company revenue", "k": 10}"#;
+
+/// An ingest keeps the cached answers it cannot have changed: one that
+/// splices none of the query's words leaves the repeated search a hit,
+/// with the same answer at the new version; one that splices a word
+/// invalidates it. `/metrics` counts both.
+#[test]
+fn an_ingest_keeps_the_cached_answers_whose_words_it_spared() {
+    let server = Server::start(shared_engine(), None, test_config()).unwrap();
+    let addr = server.local_addr();
+    let (_, _, miss) = search(addr, FIGURE3_QUERY);
+    let (_, _, hit) = search(addr, FIGURE3_QUERY);
+    assert!(
+        hit.contains("\"cache\":\"hit\",\"engine_version\":0"),
+        "{hit}"
+    );
+
+    let model = r#"{"mutations":[{"op":"add_node","type":"Model","name":"Zyzzyva"}]}"#;
+    let (status, _, body) = post(addr, "/admin/ingest", model);
+    assert_eq!(status, 200, "{body}");
+    let (_, _, carried) = search(addr, FIGURE3_QUERY);
+    assert!(
+        carried.contains("\"cache\":\"hit\",\"engine_version\":1"),
+        "{carried}"
+    );
+    assert_eq!(answer_of(&carried), answer_of(&miss));
+    let (_, _, metrics) = get(addr, "/metrics");
+    for family in [
+        "patternkb_cache_carried_total 1",
+        "patternkb_cache_invalidated_total 0",
+        "patternkb_cache_stale_total 0",
+    ] {
+        assert!(
+            metrics.contains(family),
+            "missing {family:?} in:\n{metrics}"
+        );
+    }
+
+    let company = r#"{"mutations":[{"op":"add_node","type":"Company","name":"Initech"}]}"#;
+    let (status, _, body) = post(addr, "/admin/ingest", company);
+    assert_eq!(status, 200, "{body}");
+    let (_, _, recomputed) = search(addr, FIGURE3_QUERY);
+    assert!(recomputed.contains("\"cache\":\"miss\""), "{recomputed}");
+    let (_, _, metrics) = get(addr, "/metrics");
+    for family in [
+        "patternkb_cache_carried_total 1",
+        "patternkb_cache_invalidated_total 1",
+        "patternkb_cache_stale_total 1",
+    ] {
+        assert!(
+            metrics.contains(family),
+            "missing {family:?} in:\n{metrics}"
+        );
+    }
+    server.trigger_shutdown();
+    server.join();
+}
+
 /// Booting from a v5 snapshot on the mapped tier flips the
 /// `patternkb_storage_backend` gauge and exposes the load time; an ingest
 /// leaves the tier mapped and shows up in the patch gauges.
@@ -919,6 +985,34 @@ fn wal_failure_maps_to_distinct_503_and_is_never_visible() {
     assert!(
         metrics.contains("patternkb_ingest_failures_total 1"),
         "{metrics}"
+    );
+
+    server.trigger_shutdown();
+    server.join();
+}
+
+#[test]
+fn a_write_that_was_never_durable_carries_no_cache_entry() {
+    let scratch = ScratchDir::new("uncarried");
+    let server = Server::start(durable_engine(&scratch.0), None, test_config()).unwrap();
+    let addr = server.local_addr();
+    search(addr, FIGURE3_QUERY);
+    let durability = server.engine().durability().expect("durable boot").clone();
+    durability.wal().poison("injected: disk gone");
+
+    // The batch spares every word of the cached query, but it is refused.
+    let model = r#"{"mutations":[{"op":"add_node","type":"Model","name":"Zyzzyva"}]}"#;
+    let (status, _, body) = post(addr, "/admin/ingest", model);
+    assert_eq!(status, 503, "{body}");
+    let (_, _, metrics) = get(addr, "/metrics");
+    assert!(
+        metrics.contains("patternkb_cache_carried_total 0"),
+        "{metrics}"
+    );
+    let (_, _, body) = search(addr, FIGURE3_QUERY);
+    assert!(
+        body.contains("\"cache\":\"hit\",\"engine_version\":0"),
+        "{body}"
     );
 
     server.trigger_shutdown();
