@@ -27,7 +27,7 @@ use crate::builder::GraphBuilder;
 use crate::graph::KnowledgeGraph;
 use crate::ids::Id;
 use crate::interner::Interner;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 const MAGIC: &[u8; 4] = b"PKBG";
 const VERSION: u32 = 1;
@@ -95,34 +95,31 @@ pub fn invalid_data(path: &std::path::Path, e: SnapshotError) -> std::io::Error 
 /// A little-endian decoding cursor that tracks its absolute byte offset
 /// and reports it in every error. Shared by all binary codecs in the
 /// workspace (graph/index snapshots, [`crate::mutate::GraphDelta`] bytes,
-/// WAL records).
-pub struct Reader {
-    buf: Bytes,
-    total: usize,
+/// WAL records). It borrows its input: nothing is copied to read it.
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
 }
 
-impl Reader {
+impl<'a> Reader<'a> {
     /// A cursor over `data`, positioned at byte 0.
-    pub fn new(data: &[u8]) -> Self {
-        Reader {
-            buf: Bytes::copy_from_slice(data),
-            total: data.len(),
-        }
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { data, pos: 0 }
     }
 
     /// Absolute byte offset of the next unread byte.
     pub fn offset(&self) -> usize {
-        self.total - self.buf.remaining()
+        self.pos
     }
 
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.data.len() - self.pos
     }
 
     /// Fail with [`SnapshotError::Truncated`] unless `n` bytes remain.
     pub fn need(&self, n: usize) -> Result<(), SnapshotError> {
-        if self.buf.remaining() < n {
+        if self.remaining() < n {
             Err(SnapshotError::Truncated {
                 offset: self.offset(),
             })
@@ -153,50 +150,56 @@ impl Reader {
         }
     }
 
+    /// The next `n` bytes, borrowed, and move past them.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        self.need(n)?;
+        let out = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
+    }
+
     /// Read exactly `out.len()` bytes.
     pub fn take(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
-        self.need(out.len())?;
-        self.buf.copy_to_slice(out);
+        out.copy_from_slice(self.bytes(out.len())?);
         Ok(())
     }
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `f64`.
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     /// Read a `u32 len | bytes` length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         let start = self.offset();
         let len = self.u32()? as usize;
-        self.need(len)?;
-        let raw = self.buf.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::BadUtf8 { offset: start })
+        std::str::from_utf8(self.bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| SnapshotError::BadUtf8 { offset: start })
     }
 }
 

@@ -18,8 +18,10 @@
 //! an affected root — merged in. A run is therefore wholly kept or wholly
 //! fresh, so the kept ones are copied in stretches, the base directory's
 //! entries are shifted rather than re-transposed, and only the fresh runs
-//! are sorted. A full build is the splice into an empty base: every run
-//! fresh, every run sorted.
+//! are transposed. A full build is the splice into an empty base: every
+//! run fresh, every run transposed. Fresh runs arrive in `(pattern, root)`
+//! order, so a stable radix pass by root alone puts them in `(root,
+//! pattern)` order — linear in the runs, with no comparison sort.
 
 use crate::cursor::gallop_lower_bound;
 use crate::posting::Posting;
@@ -88,9 +90,11 @@ pub(crate) fn splice(
     }
     dropped.sort_unstable();
     let (pf, edits) = GroupedPostings::splice(base_pf, &dropped, fresh);
-    // Each fresh run as `(root, pattern, span)`; its pattern is the key of
-    // the group it landed in.
-    let mut fresh_runs = Vec::with_capacity(edits.fresh.iter().map(|runs| runs.len()).sum());
+    // Each fresh run, in `(pattern, root)` order; its pattern is the key
+    // of the group it landed in. Twice the room: the upper half is the
+    // transposition's scratch.
+    let mut fresh_runs =
+        Vec::with_capacity(2 * edits.fresh.iter().map(|runs| runs.len()).sum::<usize>());
     for runs in edits.fresh {
         let mut g = pf
             .g1_run_start
@@ -440,6 +444,52 @@ struct RunSpan {
     len: u32,
 }
 
+/// A fresh run on its way into the directory: `(root, pattern, span)`.
+type FreshRun = (u32, u32, RunSpan);
+
+/// Put `runs`, given in `(pattern, root)` order, in `(root, pattern)`
+/// order: a stable LSD radix sort by root with 8-bit digits. Stability
+/// keeps each root's runs in the pattern order they arrived in, so sorting
+/// by root alone is exact. The passes stop at the highest non-zero digit
+/// of the largest root, and a digit every run shares is skipped. The
+/// passes alternate between `runs` and as many slots appended to it — no
+/// allocation when the caller reserved twice its length — and the
+/// transposed runs are returned.
+fn transpose(runs: &mut Vec<FreshRun>) -> &[FreshRun] {
+    debug_assert!(
+        runs.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+        "fresh runs arrive in strictly ascending (pattern, root) order"
+    );
+    let max = runs.iter().map(|&(root, ..)| root).max().unwrap_or(0);
+    let digits = (32 - max.leading_zeros() as usize).div_ceil(8);
+    let mut counts = [[0u32; 256]; 4];
+    for &(root, ..) in runs.iter() {
+        for (d, count) in counts[..digits].iter_mut().enumerate() {
+            count[(root >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    let n = runs.len();
+    runs.resize(2 * n, (0, 0, RunSpan { start: 0, len: 0 }));
+    let (mut from, mut to) = runs.split_at_mut(n);
+    for (d, count) in counts[..digits].iter_mut().enumerate() {
+        let shift = 8 * d;
+        if count[(from[0].0 >> shift) as u8 as usize] as usize == n {
+            continue;
+        }
+        let mut at = 0;
+        for c in count.iter_mut() {
+            (*c, at) = (at, at + *c);
+        }
+        for &run in from.iter() {
+            let slot = &mut count[(run.0 >> shift) as u8 as usize];
+            to[*slot as usize] = run;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
+}
+
 /// The root-first order of Figure 4(b) as a directory over a pattern-first
 /// [`GroupedPostings`]: the same runs keyed `(root, pattern)`, each
 /// pointing at its postings in that array. The accessors take the array
@@ -465,17 +515,17 @@ impl RootDirectory {
     /// The directory of a spliced list: `base`'s entries with the roots at
     /// positions `removed` (ascending) taken out, every kept run's span
     /// moved by `shifts` (see [`Edits::shifts`]) and the `fresh_runs`
-    /// sorted in. Kept entries are copied in stretches between the edited
-    /// roots — nothing of the base is transposed or sorted; only the fresh
-    /// runs are, which for a full build (an empty base) is every run.
+    /// (in `(pattern, root)` order) transposed in. Kept entries are copied
+    /// in stretches between the edited roots — nothing of the base is
+    /// transposed or sorted; only the fresh runs are transposed, which for
+    /// a full build (an empty base) is every run.
     fn splice(
         base: &RootDirectory,
         removed: &[usize],
-        mut fresh_runs: Vec<(u32, u32, RunSpan)>,
+        mut fresh_runs: Vec<FreshRun>,
         shifts: &[(u32, u32)],
     ) -> Self {
-        // `(root, pattern)` pairs are distinct, so an unstable sort is exact.
-        fresh_runs.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
+        let fresh_runs = transpose(&mut fresh_runs);
         // Bounds: every fresh run could be a root of its own.
         let roots = base.roots.len() - removed.len() + fresh_runs.len();
         let runs = base.patterns.len() + fresh_runs.len();
@@ -848,6 +898,53 @@ mod proptests {
     use crate::pattern::PatternId;
     use patternkb_graph::NodeId;
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The radix transposition equals the comparison sort by `(root,
+        /// pattern)` on runs given in `(pattern, root)` order: up to 3 000
+        /// runs, with roots below 2^8, below 2^16, at or above 2^24, or
+        /// sharing — all of them, or all but a few — their low or their
+        /// high digit.
+        #[test]
+        fn transposition_equals_the_comparison_sort(
+            pairs in proptest::collection::vec((0u32..64, any::<u32>()), 0..3000),
+            roots in 0u32..5,
+            digit in any::<u8>(),
+            bound in any::<u32>(),
+            spread in 0u32..3,
+        ) {
+            // `bound` varies the largest root's bit width, so the top
+            // digit is not always a full byte; `spread` / 16 of the runs
+            // keep their own shared digit, so it is nearly constant.
+            let digit = digit as u32;
+            let mut runs: Vec<(u32, u32)> = pairs
+                .into_iter()
+                .map(|(pattern, r)| {
+                    let own = r % 16 < spread;
+                    let root = match roots {
+                        0 => r % (bound % 256 + 1),
+                        1 => r % (bound % 65_536 + 1),
+                        2 => 1 << 24 | r >> (bound % 8),
+                        _ if own => r,
+                        3 => (r & !0xFF) | digit,
+                        _ => (r & 0x00FF_FFFF) | digit << 24,
+                    };
+                    (pattern, root)
+                })
+                .collect();
+            runs.sort_unstable();
+            runs.dedup();
+            let mut fresh: Vec<FreshRun> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, &(pattern, root))| (root, pattern, RunSpan { start: i as u32, len: 1 }))
+                .collect();
+            let mut expected = fresh.clone();
+            expected.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
+            prop_assert_eq!(transpose(&mut fresh), &expected[..]);
+        }
+    }
 
     proptest! {
         /// from_sorted over any sorted input yields a structure whose

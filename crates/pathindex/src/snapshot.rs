@@ -11,8 +11,9 @@
 //!
 //! The image stores the pattern interner and, per word, the postings in
 //! pattern-first order; the root-first directory over them is rebuilt on
-//! decode (a sort of the run descriptors, ~50× cheaper than the DFS
-//! enumeration, and derived data cannot desynchronize). The normative
+//! decode (a linear radix transposition of the run descriptors, far
+//! cheaper than the DFS enumeration, and derived data cannot
+//! desynchronize). The normative
 //! byte-level specification is `docs/FORMATS.md` at the repository root.
 //!
 //! Decode failures are the workspace-shared

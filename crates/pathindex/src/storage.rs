@@ -11,8 +11,9 @@
 //!   aligned and whose per-word payloads are adaptive posting streams
 //!   (all three root-column codecs, skip entries included);
 //! * **[`Region`]**: where the container bytes live — a read-only file
-//!   mapping on Unix, or a heap buffer (non-Unix fallback, tests, and
-//!   checkpoint blobs) — behind one borrowing interface;
+//!   mapping on Unix, or a window of a heap buffer (non-Unix fallback,
+//!   tests, and a checkpoint's index blob inside the file it was read
+//!   with) — behind one borrowing interface;
 //! * **[`MappedStorage`]**: opens a region by parsing only the header,
 //!   bounds, pattern keys and lexicon (O(words), not O(postings)); stream
 //!   bytes are *borrowed in place* and a word's postings are decoded into
@@ -219,7 +220,8 @@ impl Drop for MmapFile {
 }
 
 enum RegionInner {
-    Owned(Vec<u8>),
+    /// A heap buffer of which the region is the window `range`.
+    Owned(Vec<u8>, std::ops::Range<usize>),
     #[cfg(unix)]
     Mapped(MmapFile),
 }
@@ -234,10 +236,25 @@ pub struct Region {
 }
 
 impl Region {
-    /// Wrap an owned byte buffer (checkpoint blobs, tests, fallback).
+    /// Wrap an owned byte buffer (tests, fallback).
     pub fn from_vec(bytes: Vec<u8>) -> Self {
+        let len = bytes.len();
+        Region::from_vec_range(bytes, 0..len)
+    }
+
+    /// The window `range` of an owned buffer — a checkpoint's index blob
+    /// inside the file it was read with, borrowed rather than copied out.
+    ///
+    /// # Panics
+    /// If `range` does not lie inside `bytes`.
+    pub fn from_vec_range(bytes: Vec<u8>, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= bytes.len(),
+            "region window {range:?} outside a {}-byte buffer",
+            bytes.len()
+        );
         Region {
-            inner: RegionInner::Owned(bytes),
+            inner: RegionInner::Owned(bytes, range),
         }
     }
 
@@ -281,7 +298,7 @@ impl Region {
     /// The region's bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.inner {
-            RegionInner::Owned(v) => v,
+            RegionInner::Owned(v, range) => &v[range.clone()],
             #[cfg(unix)]
             RegionInner::Mapped(m) => {
                 // SAFETY: the mapping is PROT_READ, lives as long as self,
@@ -294,7 +311,7 @@ impl Region {
     /// Whether the bytes come from a file mapping (vs a heap buffer).
     pub fn is_file_mapping(&self) -> bool {
         match &self.inner {
-            RegionInner::Owned(_) => false,
+            RegionInner::Owned(..) => false,
             #[cfg(unix)]
             RegionInner::Mapped(_) => true,
         }
@@ -728,11 +745,23 @@ pub fn open_mapped(path: &std::path::Path) -> std::io::Result<PathIndexes> {
     open_region(region).map_err(|e| invalid_data(path, e))
 }
 
-/// Open v5 container *bytes* (e.g. a checkpoint's index blob) on the
-/// mapped tier without copying them again: the buffer becomes the
-/// region, per-word decode stays deferred.
+/// Open v5 container *bytes* on the mapped tier without copying them
+/// again: the buffer becomes the region, per-word decode stays deferred.
 pub fn open_bytes(bytes: Vec<u8>) -> Result<PathIndexes, SnapshotError> {
     open_region(Region::from_vec(bytes))
+}
+
+/// [`open_bytes`] for a container that is the window `range` of `bytes`
+/// (a checkpoint's index blob inside the file it was read with): the
+/// whole buffer becomes the region and nothing is copied out of it.
+///
+/// # Panics
+/// If `range` does not lie inside `bytes`.
+pub fn open_bytes_range(
+    bytes: Vec<u8>,
+    range: std::ops::Range<usize>,
+) -> Result<PathIndexes, SnapshotError> {
+    open_region(Region::from_vec_range(bytes, range))
 }
 
 /// Decode a container fully into the heap tier (every word decoded
@@ -1031,6 +1060,19 @@ mod tests {
         let vec_region = Region::from_vec(image);
         assert!(!vec_region.is_file_mapping());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_window_of_a_buffer_opens_like_the_image_alone() {
+        // The image at an unaligned offset between foreign bytes, as a
+        // checkpoint's index blob sits after its graph blob.
+        let (g, t) = sample(40);
+        let idx = build(&g, &t, 3, 2);
+        let image = encode_v5(&idx);
+        let at = 13;
+        let buf = [vec![0xAB; at], image.clone(), vec![0xCD; 5]].concat();
+        let mapped = open_bytes_range(buf, at..at + image.len()).expect("window opens");
+        assert_same_index(&idx, &mapped);
     }
 
     #[test]

@@ -289,28 +289,39 @@ impl EngineBuilder {
 
     /// Base state of a durable boot: the newest readable checkpoint in
     /// `dir` (graph + index decoded, version restored), or a cold build
-    /// when the directory holds none.
+    /// when the directory holds none. The reported load time covers the
+    /// whole boot from the checkpoint: file read and CRC included.
     fn boot_base(self, dir: &Path) -> Result<SearchEngine, Error> {
+        let t0 = std::time::Instant::now();
         match checkpoint::load_latest(dir).map_err(Error::Io)? {
             None => self.build_cold(),
             Some((cp, path)) => {
-                let t0 = std::time::Instant::now();
                 let wrap = |e| Error::Io(patternkb_graph::snapshot::invalid_data(&path, e));
-                let graph = patternkb_graph::snapshot::decode(&cp.graph).map_err(wrap)?;
+                let graph = patternkb_graph::snapshot::decode(cp.graph()).map_err(wrap)?;
+                let version = cp.version;
                 // Under the mapped tier the index blob is *opened*
-                // (lexicon parse only), not decoded — the durable-boot
-                // fast path.
+                // (lexicon parse only) in place in the file's buffer, not
+                // decoded — the durable-boot fast path.
                 let idx = match self.storage {
-                    StorageBackend::Mmap => patternkb_index::storage::open_bytes(cp.index),
-                    StorageBackend::Heap => patternkb_index::snapshot::decode(&cp.index),
+                    StorageBackend::Mmap => {
+                        let (bytes, range) = cp.into_index();
+                        patternkb_index::storage::open_bytes_range(bytes, range)
+                    }
+                    StorageBackend::Heap => {
+                        let idx = patternkb_index::snapshot::decode(cp.index());
+                        // The file's bytes are freed before the text
+                        // index is built, not after.
+                        drop(cp);
+                        idx
+                    }
                 }
                 .map_err(wrap)?;
                 let text = TextIndex::build_with(&graph, self.synonyms, self.stemmer);
                 let mut engine = SearchEngine::from_parts(graph, text, idx)
                     .with_planner(self.planner)
                     .with_snapshot_load(t0.elapsed());
-                if cp.version > 0 {
-                    engine.rebase_version(cp.version - 1);
+                if version > 0 {
+                    engine.rebase_version(version - 1);
                 }
                 Ok(engine)
             }

@@ -280,7 +280,11 @@ fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     let (cp, _) = patternkb_wal::checkpoint::load_latest(&dir)
         .unwrap()
         .expect("checkpoint written");
-    assert_eq!(&cp.index[..4], b"PKB5", "checkpoints carry v5 index blobs");
+    assert_eq!(
+        &cp.index()[..4],
+        b"PKB5",
+        "checkpoints carry v5 index blobs"
+    );
 
     let answers = |shared: &patternkb_search::SharedEngine| {
         ["database software company revenue", "bill gates"].map(|q| {
@@ -306,7 +310,7 @@ fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     // and neither tier reads it.
     let retired = patternkb_wal::checkpoint::Checkpoint {
         version: cp.version,
-        graph: cp.graph.clone(),
+        graph: cp.graph().to_vec(),
         index: [b"PKBI".as_slice(), &2u32.to_le_bytes(), &[0u8; 64]].concat(),
     };
     let path = patternkb_wal::checkpoint::write(&dir, &retired).unwrap();

@@ -944,6 +944,41 @@ fn admin_checkpoint_truncates_log_and_counts() {
 }
 
 #[test]
+fn a_durable_boot_reports_its_load_time_on_both_tiers() {
+    use patternkb_search::StorageBackend;
+
+    let scratch = ScratchDir::new("boot_load");
+    {
+        let shared = durable_engine(&scratch.0);
+        let durability = shared.durability().expect("durable boot");
+        durability.checkpoint_now(&shared.snapshot()).unwrap();
+    }
+    for storage in [StorageBackend::Heap, StorageBackend::Mmap] {
+        let (g, _) = patternkb_datagen::figure1();
+        let shared = EngineBuilder::new()
+            .graph(g)
+            .threads(1)
+            .data_dir(&scratch.0)
+            .storage(storage)
+            .build_shared()
+            .unwrap();
+        let server = Server::start(Arc::new(shared), None, test_config()).unwrap();
+        let (_, _, metrics) = get(server.local_addr(), "/metrics");
+        // The gauge times the boot from the checkpoint file on: read, CRC
+        // and decode (or open).
+        let seconds: f64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("patternkb_snapshot_load_seconds "))
+            .unwrap_or_else(|| panic!("{storage}: no load time in:\n{metrics}"))
+            .parse()
+            .unwrap();
+        assert!(seconds > 0.0, "{storage}: load time {seconds}");
+        server.trigger_shutdown();
+        server.join();
+    }
+}
+
+#[test]
 fn checkpoint_without_data_dir_is_501() {
     let server = Server::start(shared_engine(), None, test_config()).unwrap();
     let (status, _, body) = post(server.local_addr(), "/admin/checkpoint", "");

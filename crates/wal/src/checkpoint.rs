@@ -14,20 +14,29 @@
 //! Writes go through a temp file + `fsync` + `rename` + directory
 //! `fsync`, so a crash leaves either the old set of checkpoints or the
 //! old set plus one complete new file — never a half-written one that
-//! parses. [`load_latest`] additionally falls back to older checkpoints
-//! if the newest fails its CRC (e.g. disk corruption after the fact).
+//! parses. The header and both blobs are streamed to the temp file and
+//! checksummed in place, never concatenated first. [`load_latest`]
+//! additionally falls back to older checkpoints if the newest fails its
+//! CRC (e.g. disk corruption after the fact).
+//!
+//! A checkpoint is read once: [`CheckpointFile`] keeps the file's bytes
+//! and *borrows* both blobs as ranges of them, so a boot decodes the
+//! graph from one slice and the index from another (or, on the mapped
+//! tier, hands the buffer and the index's range over whole) without
+//! copying either blob out.
 
 use crate::crc::crc32;
 use patternkb_graph::snapshot::{invalid_data, Reader, SnapshotError};
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"PKBK";
 const FORMAT_VERSION: u32 = 1;
 const SUFFIX: &str = ".pkbc";
 
-/// One materialized engine state: the serialized graph and index at
+/// One engine state to persist: the serialized graph and index at
 /// `version`. The payload encodings belong to `patternkb-graph` /
 /// `patternkb-pathindex`; this module only frames and checksums them.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,24 +50,22 @@ pub struct Checkpoint {
     pub index: Vec<u8>,
 }
 
-impl Checkpoint {
-    /// Serialize to the on-disk framing.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8 + 8 + 16 + self.graph.len() + self.index.len() + 4);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.version.to_le_bytes());
-        buf.extend_from_slice(&(self.graph.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.graph);
-        buf.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.index);
-        let crc = crc32(&[&buf[8..]]);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
-    }
+/// A checkpoint file read back and verified: the file's bytes, kept
+/// whole, with the graph and index blobs borrowed as ranges of them.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CheckpointFile {
+    /// Engine version the snapshot was taken at.
+    pub version: u64,
+    bytes: Vec<u8>,
+    graph: Range<usize>,
+    index: Range<usize>,
+}
 
-    /// Decode and verify one checkpoint file's bytes.
-    pub fn decode(data: &[u8]) -> Result<Checkpoint, SnapshotError> {
+impl CheckpointFile {
+    /// Verify one checkpoint file's bytes and locate its blobs, keeping
+    /// the bytes.
+    pub fn decode(bytes: Vec<u8>) -> Result<CheckpointFile, SnapshotError> {
+        let data = &bytes[..];
         let mut r = Reader::new(data);
         let mut magic = [0u8; 4];
         r.take(&mut magic)?;
@@ -81,26 +88,45 @@ impl Checkpoint {
             });
         }
         let version = r.u64()?;
-        let graph = read_blob(&mut r)?;
-        let index = read_blob(&mut r)?;
+        let graph = blob(&mut r)?;
+        let index = blob(&mut r)?;
         if r.remaining() != 4 {
             // Trailing bytes between the index and the crc: not ours.
             return Err(r.bad_reference());
         }
-        Ok(Checkpoint {
+        Ok(CheckpointFile {
             version,
+            bytes,
             graph,
             index,
         })
     }
+
+    /// The `patternkb_graph::snapshot::encode` blob.
+    pub fn graph(&self) -> &[u8] {
+        &self.bytes[self.graph.clone()]
+    }
+
+    /// The `PKB5` index blob.
+    pub fn index(&self) -> &[u8] {
+        &self.bytes[self.index.clone()]
+    }
+
+    /// The file's bytes and the index blob's range in them — for a reader
+    /// that keeps the index in place (the mapped tier) instead of
+    /// copying it out.
+    pub fn into_index(self) -> (Vec<u8>, Range<usize>) {
+        (self.bytes, self.index)
+    }
 }
 
-fn read_blob(r: &mut Reader) -> Result<Vec<u8>, SnapshotError> {
+/// Skip one length-prefixed blob, returning its byte range.
+fn blob(r: &mut Reader) -> Result<Range<usize>, SnapshotError> {
     let len = r.u64()? as usize;
     r.need(len.saturating_add(4))?; // blob + at least the trailing crc
-    let mut buf = vec![0u8; len];
-    r.take(&mut buf)?;
-    Ok(buf)
+    let start = r.offset();
+    r.bytes(len)?;
+    Ok(start..start + len)
 }
 
 fn file_name(version: u64) -> String {
@@ -122,8 +148,20 @@ pub fn write(dir: &Path, checkpoint: &Checkpoint) -> std::io::Result<PathBuf> {
     let final_path = dir.join(file_name(checkpoint.version));
     let tmp = dir.join(format!("{}.tmp", file_name(checkpoint.version)));
     {
+        let mut head = [0u8; 24];
+        head[..4].copy_from_slice(MAGIC);
+        head[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head[8..16].copy_from_slice(&checkpoint.version.to_le_bytes());
+        head[16..].copy_from_slice(&(checkpoint.graph.len() as u64).to_le_bytes());
+        let index_len = (checkpoint.index.len() as u64).to_le_bytes();
+        // Everything after magic and format version is checksummed.
+        let parts: [&[u8]; 4] = [&head, &checkpoint.graph, &index_len, &checkpoint.index];
+        let crc = crc32(&[&head[8..], parts[1], parts[2], parts[3]]);
         let mut f = File::create(&tmp)?;
-        f.write_all(&checkpoint.encode())?;
+        for part in parts {
+            f.write_all(part)?;
+        }
+        f.write_all(&crc.to_le_bytes())?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, &final_path)?;
@@ -154,14 +192,14 @@ pub fn list(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// ones if the newest is damaged (and leaving the damaged file in place
 /// for inspection). `Ok(None)` when the directory holds no usable
 /// checkpoint.
-pub fn load_latest(dir: &Path) -> std::io::Result<Option<(Checkpoint, PathBuf)>> {
+pub fn load_latest(dir: &Path) -> std::io::Result<Option<(CheckpointFile, PathBuf)>> {
     for (_, path) in list(dir)?.into_iter().rev() {
         let data = match std::fs::read(&path) {
             Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        match Checkpoint::decode(&data) {
+        match CheckpointFile::decode(data) {
             Ok(cp) => return Ok(Some((cp, path))),
             Err(_) => continue,
         }
@@ -186,9 +224,8 @@ pub fn prune(dir: &Path, keep: usize) -> std::io::Result<usize> {
 
 /// Decode the checkpoint at `path`, mapping decode errors to positional
 /// `io::Error`s naming the file.
-pub fn load(path: &Path) -> std::io::Result<Checkpoint> {
-    let data = std::fs::read(path)?;
-    Checkpoint::decode(&data).map_err(|e| invalid_data(path, e))
+pub fn load(path: &Path) -> std::io::Result<CheckpointFile> {
+    CheckpointFile::decode(std::fs::read(path)?).map_err(|e| invalid_data(path, e))
 }
 
 #[cfg(test)]
@@ -211,16 +248,61 @@ mod tests {
         }
     }
 
+    /// The bytes [`write`] puts on disk for `cp`.
+    fn written(name: &str, cp: &Checkpoint) -> Vec<u8> {
+        std::fs::read(write(&tmpdir(name), cp).unwrap()).unwrap()
+    }
+
+    fn assert_holds(file: &CheckpointFile, cp: &Checkpoint) {
+        assert_eq!(file.version, cp.version);
+        assert_eq!(file.graph(), &cp.graph[..]);
+        assert_eq!(file.index(), &cp.index[..]);
+    }
+
     #[test]
     fn roundtrip_through_disk() {
         let dir = tmpdir("roundtrip");
         let cp = sample(42);
         let path = write(&dir, &cp).unwrap();
         assert!(path.ends_with("checkpoint-00000000000000000042.pkbc"));
-        assert_eq!(load(&path).unwrap(), cp);
+        assert_holds(&load(&path).unwrap(), &cp);
         let (latest, latest_path) = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(latest, cp);
+        assert_holds(&latest, &cp);
         assert_eq!(latest_path, path);
+        // The index blob is a range of the file's bytes, not a copy.
+        let bytes = std::fs::read(&path).unwrap();
+        let (buf, range) = latest.into_index();
+        assert_eq!(buf, bytes);
+        assert_eq!(&buf[range], &cp.index[..]);
+    }
+
+    #[test]
+    fn file_bytes_are_pinned() {
+        // The framing written by concatenating the whole file in memory
+        // first, checksum last: streaming the parts writes the same bytes.
+        let cp = Checkpoint {
+            version: 0x0102_0304_0506_0708,
+            graph: (0..=255u8).cycle().take(1000).collect(),
+            index: b"PKB5 and then some".to_vec(),
+        };
+        let mut expected = b"PKBK".to_vec();
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&cp.version.to_le_bytes());
+        expected.extend_from_slice(&(cp.graph.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&cp.graph);
+        expected.extend_from_slice(&(cp.index.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&cp.index);
+        let crc = crc32(&[&expected[8..]]);
+        expected.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(written("pinned", &cp), expected);
+        let empty = Checkpoint {
+            version: 1,
+            graph: Vec::new(),
+            index: Vec::new(),
+        };
+        let bytes = written("pinned_empty", &empty);
+        assert_eq!(bytes.len(), 8 + 8 + 8 + 8 + 4);
+        assert_holds(&CheckpointFile::decode(bytes).unwrap(), &empty);
     }
 
     #[test]
@@ -245,25 +327,25 @@ mod tests {
     #[test]
     fn decode_rejects_garbage_with_positions() {
         assert_eq!(
-            Checkpoint::decode(b"PK"),
+            CheckpointFile::decode(b"PK".to_vec()),
             Err(SnapshotError::Truncated { offset: 0 })
         );
         assert_eq!(
-            Checkpoint::decode(b"NOPE\0\0\0\0"),
+            CheckpointFile::decode(b"NOPE\0\0\0\0".to_vec()),
             Err(SnapshotError::BadMagic)
         );
-        let good = sample(7).encode();
+        let good = written("garbage", &sample(7));
         for cut in 0..good.len() {
             assert!(
-                Checkpoint::decode(&good[..cut]).is_err(),
+                CheckpointFile::decode(good[..cut].to_vec()).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
         // Any single-byte flip in the body fails the CRC.
-        let mut flipped = good.clone();
+        let mut flipped = good;
         flipped[10] ^= 0x01;
         assert!(matches!(
-            Checkpoint::decode(&flipped),
+            CheckpointFile::decode(flipped),
             Err(SnapshotError::BadReference { .. })
         ));
     }
@@ -278,7 +360,10 @@ mod tests {
         let mut old = std::fs::read(&path).unwrap();
         assert_eq!(&old[..4], b"PKBK");
         old[..4].copy_from_slice(b"PKBC");
-        assert_eq!(Checkpoint::decode(&old), Err(SnapshotError::BadMagic));
+        assert_eq!(
+            CheckpointFile::decode(old.clone()),
+            Err(SnapshotError::BadMagic)
+        );
         std::fs::write(&path, &old).unwrap();
         let err = load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);

@@ -68,7 +68,8 @@ fn main() -> std::io::Result<()> {
         let b = reloaded.respond(&req2).expect("same vocabulary");
         assert_eq!(a.patterns.len(), b.patterns.len());
         for (x, y) in a.patterns.iter().zip(&b.patterns) {
-            assert!((x.score - y.score).abs() < 1e-9);
+            // Decode is bit-exact: a reloaded score is the same float.
+            assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
         checked += 1;
     }
