@@ -21,6 +21,7 @@ use patternkb_bench::{bucket_of, ErrorBar, Report};
 use patternkb_datagen::queries::QueryGenerator;
 use patternkb_graph::{subgraph, KnowledgeGraph};
 use patternkb_index::{build_indexes, BuildConfig, IndexStats};
+use patternkb_search::individual::{coverage, pattern_key_of};
 use patternkb_search::topk::SamplingConfig;
 use patternkb_search::{
     AlgorithmChoice, EngineBuilder, Query, SearchConfig, SearchEngine, SearchRequest,
@@ -530,28 +531,15 @@ fn fig13(report: &mut Report, scale: Scale) {
             let keys: Vec<Vec<u32>> = patterns
                 .patterns
                 .iter()
-                .filter_map(|p| {
-                    let mut key = Vec::with_capacity(p.pattern.len());
-                    for pat in &p.pattern {
-                        key.push(e.index().patterns().get_key(&pat.encode())?.0);
-                    }
-                    Some(key)
-                })
+                .filter_map(|p| pattern_key_of(e.index().patterns(), p))
                 .collect();
             let trees = e.top_individual(q, &cfg, k);
             if trees.is_empty() {
                 continue;
             }
-            let covered = trees
-                .iter()
-                .filter(|t| keys.contains(&t.pattern_key))
-                .count();
-            cov.push(covered as f64 / trees.len() as f64);
-            let fresh = keys
-                .iter()
-                .filter(|key| trees.iter().all(|t| &t.pattern_key != *key))
-                .count();
-            new.push(fresh as f64 / keys.len().max(1) as f64);
+            let m = coverage(&trees, &keys);
+            cov.push(m.coverage);
+            new.push(m.new_patterns);
         }
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         rows.push(vec![

@@ -2,17 +2,11 @@
 //! keyword count).
 //!
 //! The paper samples Wiki queries from Bing's query log and IMDB queries
-//! from IMDB's vocabulary. Neither source is available, so (DESIGN.md §5):
-//!
-//! * [`QueryGenerator::anchored`] picks a random *anchor entity* and draws
-//!   keywords from the text/types/attributes reachable within `d` hops —
-//!   guaranteeing the anchor is a candidate root, i.e. the query has
-//!   answers, like real user queries about an entity do;
-//! * [`QueryGenerator::random_vocab`] draws Zipf-weighted words straight
-//!   from the KB vocabulary, mirroring the IMDB setup (may yield empty
-//!   answers, which exercises the algorithms' early-exit paths).
-
-use crate::zipf::Zipf;
+//! from IMDB's vocabulary. Neither source is available, so (DESIGN.md §5)
+//! [`QueryGenerator::anchored`] picks a random *anchor entity* and draws
+//! keywords from the text/types/attributes reachable within `d` hops —
+//! guaranteeing the anchor is a candidate root, i.e. the query has
+//! answers, like real user queries about an entity do.
 
 use patternkb_graph::{KnowledgeGraph, NodeId, WordId};
 use patternkb_text::TextIndex;
@@ -89,31 +83,6 @@ impl<'a> QueryGenerator<'a> {
             });
         }
         None
-    }
-
-    /// Sample an `m`-keyword query of Zipf-weighted vocabulary words (may
-    /// have no answers).
-    pub fn random_vocab(&mut self, m: usize) -> QuerySpec {
-        assert!(m >= 1);
-        let vocab_len = self.text.vocab().len().max(1);
-        let zipf = Zipf::new(vocab_len, 0.9);
-        let mut chosen: Vec<WordId> = Vec::with_capacity(m);
-        let mut guard = 0;
-        while chosen.len() < m && guard < 10_000 {
-            guard += 1;
-            let w = WordId(zipf.sample(&mut self.rng) as u32);
-            if !chosen.contains(&w) {
-                chosen.push(w);
-            }
-        }
-        let surface = chosen
-            .iter()
-            .map(|&w| self.text.vocab().resolve(w).to_string())
-            .collect();
-        QuerySpec {
-            keywords: chosen,
-            surface,
-        }
     }
 
     /// The paper's workload: `per_m` anchored queries for each keyword count
@@ -249,14 +218,5 @@ mod tests {
         let a = QueryGenerator::new(&g, &t, 3, 9).batch(3, 3);
         let b = QueryGenerator::new(&g, &t, 3, 9).batch(3, 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn random_vocab_queries() {
-        let (g, t) = setup();
-        let mut qg = QueryGenerator::new(&g, &t, 3, 11);
-        let q = qg.random_vocab(4);
-        assert_eq!(q.keywords.len(), 4);
-        let _ = g;
     }
 }

@@ -23,7 +23,9 @@
 //! * induced subgraphs for scalability experiments ([`subgraph`]);
 //! * bounded simple-path traversal primitives ([`traversal`]);
 //! * a versioned binary snapshot codec ([`snapshot`]);
-//! * batched incremental mutation with id preservation ([`mutate`]).
+//! * batched incremental mutation with id preservation ([`mutate`]) and
+//!   name-to-id resolution for wire-level batches ([`resolve`]);
+//! * the dataset summary the experiments report ([`stats`]).
 
 #![warn(missing_docs)]
 
@@ -31,7 +33,6 @@ pub mod builder;
 pub mod fxhash;
 pub mod graph;
 pub mod ids;
-pub mod import;
 pub mod interner;
 pub mod mutate;
 pub mod pagerank;
@@ -40,7 +41,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
-pub mod validate;
 
 pub use builder::GraphBuilder;
 pub use fxhash::{FxHashMap, FxHashSet};

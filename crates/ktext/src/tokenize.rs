@@ -29,13 +29,6 @@ pub fn tokens(text: &str) -> Vec<String> {
     out
 }
 
-/// Number of tokens in `text`.
-pub fn token_count(text: &str) -> usize {
-    let mut n = 0;
-    for_each_token(text, |_| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +63,6 @@ mod tests {
             tokens("to be or not to be"),
             vec!["to", "be", "or", "not", "to", "be"]
         );
-        assert_eq!(token_count("a a a"), 3);
     }
 }
 

@@ -147,20 +147,6 @@ impl Vocabulary {
             ids
         })
     }
-
-    /// Like [`Self::intern_token_set`] but read-only: tokens absent from the
-    /// vocabulary are dropped.
-    pub fn lookup_token_set(&self, text: &str) -> Vec<WordId> {
-        let mut ids = Vec::new();
-        crate::tokenize::for_each_token(text, |t| {
-            if let Some(id) = self.lookup(t) {
-                ids.push(id);
-            }
-        });
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -214,13 +200,5 @@ mod tests {
         // "big", "data", "database" — sorted, dedup'd ("data" twice).
         assert_eq!(set.len(), 3);
         assert!(set.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn lookup_token_set_drops_unknown() {
-        let mut v = Vocabulary::default();
-        v.intern("known");
-        let set = v.lookup_token_set("known unknown");
-        assert_eq!(set.len(), 1);
     }
 }

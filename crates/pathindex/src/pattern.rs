@@ -143,7 +143,7 @@ impl PathPattern {
 pub struct PatternSet {
     keys: Vec<Box<[u32]>>,
     lookup: FxHashMap<Box<[u32]>, u32>,
-    /// Cached decoded metadata: (root type, height, edge_terminal, l).
+    /// Cached decoded metadata: (root type, height, l).
     meta: Vec<PatternMeta>,
 }
 
@@ -152,7 +152,6 @@ struct PatternMeta {
     root_type: TypeId,
     height: u8,
     num_nodes: u8,
-    edge_terminal: bool,
 }
 
 impl PatternSet {
@@ -176,7 +175,6 @@ impl PatternSet {
             root_type: TypeId(key[1]),
             height: (l + usize::from(edge_terminal)) as u8,
             num_nodes: l as u8,
-            edge_terminal,
         });
         PatternId(id)
     }
@@ -218,12 +216,6 @@ impl PatternSet {
     #[inline]
     pub fn num_nodes(&self, id: PatternId) -> usize {
         self.meta[id.index()].num_nodes as usize
-    }
-
-    /// Whether pattern `id` is edge-terminal.
-    #[inline]
-    pub fn is_edge_terminal(&self, id: PatternId) -> bool {
-        self.meta[id.index()].edge_terminal
     }
 
     /// Number of interned patterns.
@@ -298,10 +290,8 @@ mod tests {
         let b = set.intern(&sample_edge_terminal());
         assert_eq!(set.root_type(a), TypeId(1));
         assert_eq!(set.height(a), 3);
-        assert!(!set.is_edge_terminal(a));
         assert_eq!(set.height(b), 3);
         assert_eq!(set.num_nodes(b), 2);
-        assert!(set.is_edge_terminal(b));
     }
 
     #[test]

@@ -424,9 +424,14 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     buf
 }
 
-/// Write a `PKB5` image of `idx` to `path`.
+/// Write a `PKB5` image of `idx` to `path`: into `<path>.tmp`, then
+/// renamed over `path`. A live mapping of the old file keeps its inode,
+/// so it is never truncated under a reader (see `docs/FORMATS.md`).
 pub fn save_v5(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode_v5(idx))
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, encode_v5(idx))?;
+    std::fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------------
@@ -1059,6 +1064,49 @@ mod tests {
         assert_eq!(file_region.bytes(), &image[..]);
         let vec_region = Region::from_vec(image);
         assert!(!vec_region.is_file_mapping());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `MmapFile::drop` unmaps: every `open_mapped` of a file leaves no
+    /// mapping of it behind once the last handle on the index is gone,
+    /// including a handle shared past the first drop. `save_v5` over a
+    /// mapped file replaces its inode, so the live mapping still reads
+    /// the image it was opened on rather than faulting past a new EOF.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropping_a_mapped_index_unmaps_its_file() {
+        let (g, t) = sample(40);
+        let idx = build(&g, &t, 3, 2);
+        let dir = std::env::temp_dir().join("patternkb_storage_unmap_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("unmap-{}.pkb5", std::process::id()));
+        save_v5(&idx, &path).unwrap();
+        let name = path.to_str().unwrap().to_string();
+        let mappings = || {
+            std::fs::read_to_string("/proc/self/maps")
+                .unwrap()
+                .lines()
+                .filter(|l| l.contains(name.as_str()))
+                .count()
+        };
+        assert_eq!(mappings(), 0);
+        for _ in 0..8 {
+            let mapped = open_mapped(&path).unwrap();
+            assert!(mappings() > 0, "open_mapped maps the file");
+            assert_same_index(&idx, &mapped);
+            drop(mapped);
+            assert_eq!(mappings(), 0, "drop unmaps the file");
+        }
+        let first = Arc::new(open_mapped(&path).unwrap());
+        let clone = Arc::clone(&first);
+        drop(first);
+        assert!(mappings() > 0, "a live clone keeps the mapping");
+        // A smaller image, written before any word of the live one is
+        // decoded: an in-place rewrite would truncate the mapped file.
+        save_v5(&build(&g, &t, 2, 1), &path).unwrap();
+        assert_same_index(&idx, &clone);
+        drop(clone);
+        assert_eq!(mappings(), 0, "the last drop unmaps the file");
         std::fs::remove_file(&path).ok();
     }
 

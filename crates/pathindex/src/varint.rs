@@ -3,26 +3,12 @@
 //! Posting lists are dominated by small integers — group-local root deltas,
 //! pattern-id deltas, path lengths — so LEB128 (7 payload bits per byte,
 //! high bit = continuation) shrinks them to 1–2 bytes each. The codec is
-//! deliberately minimal: `u32`/`u64` only, panics never, and decoding
+//! deliberately minimal: `u32` only, panics never, and decoding
 //! returns `None` on truncated or oversized input instead of guessing.
 
 /// Append `v` to `out` as LEB128 (1–5 bytes).
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Append `v` to `out` as LEB128 (1–10 bytes).
-#[inline]
-pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -45,27 +31,6 @@ pub fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
         *pos += 1;
         let payload = (byte & 0x7f) as u32;
         if shift >= 32 || (shift == 28 && payload > 0x0f) {
-            return None; // overflow
-        }
-        v |= payload << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Decode a `u64` from `buf[*pos..]`, advancing `pos`. `None` on truncation
-/// or a value that does not fit 64 bits.
-#[inline]
-pub fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        let payload = (byte & 0x7f) as u64;
-        if shift >= 64 || (shift == 63 && payload > 1) {
             return None; // overflow
         }
         v |= payload << shift;
@@ -118,17 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_values_roundtrip_u64() {
-        for v in [0u64, 0x7f, 0x80, u32::MAX as u64, 1 << 62, u64::MAX] {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_u64(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
     fn truncated_input_is_none() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 300); // two bytes
@@ -172,15 +126,6 @@ mod tests {
             prop_assert_eq!(get_u32(&buf, &mut pos), Some(v));
             prop_assert_eq!(pos, buf.len());
             prop_assert_eq!(buf.len(), len_u32(v));
-        }
-
-        #[test]
-        fn roundtrip_u64(v in any::<u64>()) {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, v);
-            let mut pos = 0;
-            prop_assert_eq!(get_u64(&buf, &mut pos), Some(v));
-            prop_assert_eq!(pos, buf.len());
         }
 
         #[test]

@@ -799,7 +799,7 @@ impl PathIndexes {
         assert_eq!(
             self.shards.len(),
             1,
-            "PathIndexes::word() requires a single-shard index; use word_shards()"
+            "PathIndexes::word() requires a single-shard index; use word_in()"
         );
         self.shards[0].word(w)
     }
@@ -814,15 +814,6 @@ impl PathIndexes {
     /// root of its own trivial path, means the word is absent from the KB).
     pub fn has_word(&self, w: WordId) -> bool {
         self.shards.iter().any(|s| s.contains(w))
-    }
-
-    /// Iterate `(shard, index)` for every shard containing `w`, in shard
-    /// order.
-    pub fn word_shards(&self, w: WordId) -> impl Iterator<Item = (usize, &WordPathIndex)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(move |(s, shard)| shard.word(w).map(|idx| (s, idx)))
     }
 
     /// All distinct word ids with postings, ascending.

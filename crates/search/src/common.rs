@@ -122,13 +122,6 @@ impl<'a> ShardContext<'a> {
             f(r, paths);
         }
     }
-
-    /// Intersect sorted lists, ticking this shard's seek counter.
-    pub fn intersect_into(&self, lists: &[&[u32]], out: &mut Vec<u32>) {
-        let mut seeks = 0u64;
-        pcursor::intersect_sorted_into(lists, out, Some(&mut seeks));
-        self.counters.add_seeks(seeks);
-    }
 }
 
 /// Immutable per-query view over the whole sharded index.
@@ -442,14 +435,6 @@ where
     out.into_iter()
         .map(|r| r.expect("every chunk filled its slots"))
         .collect()
-}
-
-/// Intersect k sorted ascending `u32` slices by leapfrog galloping
-/// ([`patternkb_index::cursor`]). Kept as the crate-level convenience;
-/// hot paths use [`ShardContext::intersect_into`] so the seek counter
-/// feeds `stats.hot`.
-pub fn intersect_sorted(lists: &[&[u32]]) -> Vec<u32> {
-    pcursor::intersect_sorted(lists)
 }
 
 /// A pattern's accumulated answer during enumeration.
@@ -892,23 +877,6 @@ fn materialize_pattern_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intersect_basic() {
-        let a = [1u32, 3, 5, 7];
-        let b = [2u32, 3, 5, 8];
-        let c = [3u32, 5, 9];
-        assert_eq!(intersect_sorted(&[&a, &b, &c]), vec![3, 5]);
-    }
-
-    #[test]
-    fn intersect_empty_cases() {
-        let a = [1u32, 2];
-        let empty: [u32; 0] = [];
-        assert!(intersect_sorted(&[&a, &empty]).is_empty());
-        assert!(intersect_sorted(&[]).is_empty());
-        assert_eq!(intersect_sorted(&[&a]), vec![1, 2]);
-    }
 
     #[test]
     fn tuple_product_counts() {

@@ -236,7 +236,7 @@ impl SearchEngine {
     }
 
     // ------------------------------------------------------------------
-    // The unified query route.
+    // The single query route.
     // ------------------------------------------------------------------
 
     /// Serve one request end to end: parse (or adopt) the query, resolve
@@ -525,7 +525,7 @@ impl SearchEngine {
     }
 
     // ------------------------------------------------------------------
-    // Analysis utilities (not part of the unified query route).
+    // Analysis utilities (not part of the query route).
     // ------------------------------------------------------------------
 
     /// Persist the built path indexes as a `PKB5` image; reload through
@@ -539,20 +539,6 @@ impl SearchEngine {
     pub fn top_individual(&self, query: &Query, cfg: &SearchConfig, k: usize) -> Vec<ScoredTree> {
         match QueryContext::new(&self.g, &self.idx, query) {
             Some(ctx) => top_individual(&ctx, cfg, k),
-            None => Vec::new(),
-        }
-    }
-
-    /// Unified ranking mixing table answers with singular subtrees
-    /// (§5.3 future work; see [`crate::unified`]).
-    pub fn unified(
-        &self,
-        query: &Query,
-        cfg: &SearchConfig,
-        ucfg: &crate::unified::UnifiedConfig,
-    ) -> Vec<crate::unified::UnifiedAnswer> {
-        match QueryContext::new(&self.g, &self.idx, query) {
-            Some(ctx) => crate::unified::unified_ranking(&ctx, cfg, ucfg),
             None => Vec::new(),
         }
     }
@@ -907,20 +893,13 @@ mod tests {
     }
 
     #[test]
-    fn relax_and_unified_exposed() {
+    fn relax_exposed() {
         let e = engine();
         let q = e.parse("oracle gates").unwrap();
         let r = respond(&e, "oracle gates", 10);
         assert!(r.patterns.is_empty());
         let relaxations = e.relax(&q);
         assert_eq!(relaxations.len(), 2);
-        let q = e.parse("database company").unwrap();
-        let unified = e.unified(
-            &q,
-            &SearchConfig::default(),
-            &crate::unified::UnifiedConfig { blend: 1.0, k: 5 },
-        );
-        assert!(!unified.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::common::{for_each_path_tuple, run_sharded, Fanout, QueryContext, Shar
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
 use crate::SearchConfig;
-use patternkb_index::Posting;
+use patternkb_index::{PatternSet, Posting};
 
 /// One top individual subtree plus its tree-pattern key (for membership
 /// tests against pattern answers).
@@ -152,11 +152,11 @@ pub fn coverage(trees: &[ScoredTree], pattern_keys: &[Vec<u32>]) -> CoverageMetr
 }
 
 /// The flattened pattern key of a ranked pattern (encode each per-keyword
-/// path pattern through the context's interner).
-pub fn pattern_key_of(ctx: &QueryContext<'_>, p: &RankedPattern) -> Option<Vec<u32>> {
+/// path pattern through the index's interner).
+pub fn pattern_key_of(patterns: &PatternSet, p: &RankedPattern) -> Option<Vec<u32>> {
     let mut key = Vec::with_capacity(p.pattern.len());
     for pat in &p.pattern {
-        key.push(ctx.idx.patterns().get_key(&pat.encode())?.0);
+        key.push(patterns.get_key(&pat.encode())?.0);
     }
     Some(key)
 }
@@ -230,7 +230,7 @@ mod tests {
         let keys: Vec<Vec<u32>> = patterns
             .patterns
             .iter()
-            .filter_map(|p| pattern_key_of(&ctx, p))
+            .filter_map(|p| pattern_key_of(idx.patterns(), p))
             .collect();
         assert_eq!(keys.len(), patterns.patterns.len());
         let trees = top_individual(&ctx, &cfg, 2);

@@ -22,6 +22,8 @@
 //!   an extension beyond the paper that skips provably-unranked pattern
 //!   combinations before their set intersections;
 //! * individual-subtree ranking for the §5.3 comparison ([`individual`]);
+//! * the precision of an approximate ranking, as in Figures 11–12
+//!   ([`metrics`]);
 //! * exact pattern counting for the Theorem-1 experiments ([`counting`]);
 //! * table-answer composition per §2.2.2 ([`table`]) with user-facing
 //!   presentation — friendly column names, ordering, Markdown/CSV
@@ -29,8 +31,11 @@
 //! * a cost-based planner routing each query to the cheapest algorithm
 //!   ([`plan`]);
 //! * MMR diversification of near-duplicate interpretations ([`mod@diversify`]);
+//! * relaxation of unanswerable queries ([`relax`]) and per-answer
+//!   explain traces ([`explain`]);
 //! * a version-aware LRU result cache ([`cache`]) and snapshot-swap
-//!   concurrent serving under live mutation ([`concurrent`]).
+//!   concurrent serving under live mutation ([`concurrent`]), made
+//!   durable by a write-ahead log and checkpoints ([`durability`]).
 //!
 //! ## Sharded execution
 //!
@@ -111,7 +116,6 @@ pub mod score;
 pub mod subtree;
 pub mod table;
 pub mod topk;
-pub mod unified;
 
 pub use builder::EngineBuilder;
 pub use cache::QueryCache;

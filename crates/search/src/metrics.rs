@@ -1,11 +1,9 @@
-//! Ranking-quality metrics used throughout the §5 reproduction.
+//! The ranking-quality metric of the §5.2 reproduction.
 //!
-//! The paper's "precision" (§5.2) is the fraction of true top-k answers an
-//! approximate run recovered; this module adds the standard companions
-//! (recall is identical for same-length lists, Kendall tau for order
-//! agreement, reciprocal rank for where the first miss happens), all over
-//! opaque answer keys so they apply to pattern rankings and subtree
-//! rankings alike.
+//! The paper's "precision" is the fraction of true top-k answers an
+//! approximate run recovered (Figures 11–12). It is computed over opaque
+//! answer keys, so it applies to pattern rankings and subtree rankings
+//! alike; for same-length lists it equals recall.
 
 /// Fraction of `truth` present in `approx` (the paper's precision; §5.2).
 /// Empty truth → 1.0 by convention.
@@ -15,59 +13,6 @@ pub fn precision<K: PartialEq>(truth: &[K], approx: &[K]) -> f64 {
     }
     let hits = truth.iter().filter(|t| approx.contains(t)).count();
     hits as f64 / truth.len() as f64
-}
-
-/// Precision@j for every prefix `j = 1..=k` of the truth list — the curve
-/// behind Figure 11/12-style plots.
-pub fn precision_curve<K: PartialEq>(truth: &[K], approx: &[K]) -> Vec<f64> {
-    (1..=truth.len())
-        .map(|j| precision(&truth[..j], approx))
-        .collect()
-}
-
-/// Kendall tau-a rank correlation between two rankings of the same item
-/// set, each given as a list of keys (rank = position). Items missing from
-/// either list are ignored. Returns a value in [-1, 1]; 1 = identical
-/// order, -1 = reversed. `None` when fewer than 2 shared items.
-pub fn kendall_tau<K: PartialEq>(a: &[K], b: &[K]) -> Option<f64> {
-    // Positions of shared items in both lists.
-    let shared: Vec<(usize, usize)> = a
-        .iter()
-        .enumerate()
-        .filter_map(|(ia, key)| b.iter().position(|x| x == key).map(|ib| (ia, ib)))
-        .collect();
-    let n = shared.len();
-    if n < 2 {
-        return None;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (a1, b1) = shared[i];
-            let (a2, b2) = shared[j];
-            let s = ((a1 < a2) == (b1 < b2)) as i64 * 2 - 1;
-            if s > 0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as f64;
-    Some((concordant - discordant) as f64 / pairs)
-}
-
-/// Reciprocal rank of the first element of `truth` inside `approx`
-/// (1-based); 0.0 when absent.
-pub fn reciprocal_rank<K: PartialEq>(truth: &[K], approx: &[K]) -> f64 {
-    let Some(best) = truth.first() else {
-        return 0.0;
-    };
-    match approx.iter().position(|x| x == best) {
-        Some(i) => 1.0 / (i + 1) as f64,
-        None => 0.0,
-    }
 }
 
 #[cfg(test)]
@@ -80,41 +25,5 @@ mod tests {
         assert_eq!(precision(&[1, 2, 3, 4], &[1, 2]), 0.5);
         assert_eq!(precision::<u32>(&[], &[1]), 1.0);
         assert_eq!(precision(&[1], &[]), 0.0);
-    }
-
-    #[test]
-    fn curve_is_monotone_for_prefix_hits() {
-        let c = precision_curve(&[1, 2, 9], &[1, 2, 3]);
-        assert_eq!(c, vec![1.0, 1.0, 2.0 / 3.0]);
-    }
-
-    #[test]
-    fn kendall_identical_and_reversed() {
-        assert_eq!(kendall_tau(&[1, 2, 3, 4], &[1, 2, 3, 4]), Some(1.0));
-        assert_eq!(kendall_tau(&[1, 2, 3, 4], &[4, 3, 2, 1]), Some(-1.0));
-    }
-
-    #[test]
-    fn kendall_partial_overlap() {
-        // Shared items {1, 3} in the same relative order.
-        assert_eq!(kendall_tau(&[1, 2, 3], &[1, 3, 9]), Some(1.0));
-        // Too little overlap.
-        assert_eq!(kendall_tau(&[1, 2], &[3, 4]), None);
-        assert_eq!(kendall_tau(&[1], &[1]), None);
-    }
-
-    #[test]
-    fn kendall_single_swap() {
-        // One discordant pair of three: tau = (2 - 1) / 3.
-        let tau = kendall_tau(&[1, 2, 3], &[2, 1, 3]).unwrap();
-        assert!((tau - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rr() {
-        assert_eq!(reciprocal_rank(&[7, 8], &[7, 9]), 1.0);
-        assert_eq!(reciprocal_rank(&[7], &[9, 7]), 0.5);
-        assert_eq!(reciprocal_rank(&[7], &[1, 2]), 0.0);
-        assert_eq!(reciprocal_rank::<u32>(&[], &[1]), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! The request/response pair of the unified query route.
+//! The request/response pair of the single query route.
 //!
 //! One conceptual pipeline — parse keywords → enumerate d-height tree
 //! patterns → rank top-k → compose table answers — takes one request type

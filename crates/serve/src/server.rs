@@ -227,12 +227,6 @@ impl Server {
         trigger_shutdown(&self.shared);
     }
 
-    /// Whether shutdown has been triggered (locally or via the admin
-    /// endpoint).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Block until shutdown is triggered, then finish it: drain and join
     /// the workers, join the acceptor, close the engine (draining any
     /// direct responders), and give open connections a grace period.

@@ -44,6 +44,7 @@ fn main() {
         "\n{:>3} {:>12} {:>12} {:>12}",
         "d", "#patterns", "#subtrees", "time (ms)"
     );
+    let mut prev_patterns = 0;
     for d in 2..=5 {
         let engine = EngineBuilder::new()
             .graph(graph.clone())
@@ -67,6 +68,11 @@ fn main() {
             "{d:>3} {n_patterns:>12} {n_subtrees:>12} {:>12.2}",
             r.stats.elapsed.as_secs_f64() * 1e3
         );
+        assert!(
+            n_patterns > prev_patterns,
+            "d = {d} must add interpretations: {n_patterns} <= {prev_patterns}"
+        );
+        prev_patterns = n_patterns;
         if d == 3 {
             if let (Some(top), Some(table)) = (r.top(), r.top_table()) {
                 println!("\nTop answer at d = 3 ({} rows):", top.num_trees);

@@ -3,13 +3,12 @@
 //! Index construction dominates setup (the paper reports hours at Wiki
 //! scale). This example builds an engine, snapshots both the graph and the
 //! path indexes to disk, reloads them into a fresh engine, and verifies the
-//! answers are identical — then shows the TSV import path for bringing
-//! your own knowledge base.
+//! answers are identical.
 //!
 //! Run with: `cargo run --release --example persistence`
 
 use patternkb::datagen::{wiki, WikiConfig};
-use patternkb::graph::{import, snapshot as graph_snapshot};
+use patternkb::graph::snapshot as graph_snapshot;
 use patternkb::prelude::*;
 use std::time::Instant;
 
@@ -74,31 +73,6 @@ fn main() -> std::io::Result<()> {
         checked += 1;
     }
     println!("verified {checked} queries return identical answers after reload");
-
-    // --- bring your own KB: the TSV import path ---
-    let nodes_tsv = "\
-sql\tSoftware\tSQL Server
-ora\tSoftware\tOracle DB
-ms\tCompany\tMicrosoft
-oc\tCompany\tOracle Corp
-";
-    let edges_tsv = "\
-sql\tDeveloper\tnode\tms
-ora\tDeveloper\tnode\toc
-ms\tRevenue\ttext\tUS$ 77 billion
-oc\tRevenue\ttext\tUS$ 37 billion
-";
-    let custom = import::from_tsv(nodes_tsv, edges_tsv).expect("valid TSV");
-    let custom_engine = EngineBuilder::new()
-        .graph(custom)
-        .threads(1)
-        .build()
-        .expect("a graph is configured");
-    let r = custom_engine
-        .respond(&SearchRequest::text("software company revenue").k(1))
-        .expect("keywords exist");
-    println!("\nTSV-imported KB answers \"software company revenue\":");
-    println!("{}", r.top_table().unwrap().render());
 
     std::fs::remove_file(&graph_path).ok();
     std::fs::remove_file(&index_path).ok();
