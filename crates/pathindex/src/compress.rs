@@ -8,11 +8,10 @@
 //! word's postings in this form and decodes on demand:
 //!
 //! * postings are stored once, in pattern-first order, grouped by pattern;
-//! * each group's root column is an adaptively-encoded
-//!   [`crate::blocks::BlockList`]: the builder computes the exact
-//!   serialized size of delta + bitpack blocks, run-length runs, and a
-//!   dense bitmap, and keeps the smallest (one codec tag byte per list);
-//! * pattern ids are delta-coded ([`crate::varint`]);
+//! * each posting leads with its root as a varint gap from the previous
+//!   root in its group (the first posting's gap is from 0), so the roots
+//!   of a group are non-decreasing by construction;
+//! * pattern ids are delta-coded varints;
 //! * the leading path node is implicit (it equals the root);
 //! * the two cached scores stay as raw little-endian `f64`s, so an
 //!   [`encode`] → [`decode_stream`] round trip is **bit-exact** (asserted
@@ -22,7 +21,6 @@
 //! validates the stream and reports [`CompressError`] on truncation or
 //! corruption instead of panicking.
 
-use crate::blocks::BlockList;
 use crate::pattern::PatternId;
 use crate::posting::Posting;
 use crate::varint;
@@ -40,45 +38,34 @@ pub(crate) enum CompressError {
     Corrupt,
 }
 
-/// Lower bound on one posting's bytes in a stream: a one-byte header
-/// varint plus the two raw `f64` scores. Every count read from a stream
-/// is checked against `remaining bytes / MIN_POSTING_BYTES` before
-/// anything is allocated for it.
-const MIN_POSTING_BYTES: usize = 1 + 8 + 8;
+/// Lower bound on one posting's bytes in a stream: a one-byte root gap
+/// and a one-byte header varint, plus the two raw `f64` scores. Every
+/// count read from a stream is checked against `remaining bytes /
+/// MIN_POSTING_BYTES` before anything is allocated for it.
+const MIN_POSTING_BYTES: usize = 1 + 1 + 8 + 8;
 
 /// Encode all postings of `widx` (pattern-first order) as one word
 /// stream. Boxed, i.e. shrunk to fit: the image writer holds every
 /// word's stream at once, so the size guess's slack would add up.
 pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
     let postings = widx.postings_pattern_first();
-    let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 12);
+    let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 24);
 
-    // Group boundaries: postings are sorted by (pattern, root).
-    let mut groups: Vec<(PatternId, usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < postings.len() {
-        let pat = postings[i].pattern;
-        let start = i;
-        while i < postings.len() && postings[i].pattern == pat {
-            i += 1;
-        }
-        groups.push((pat, start, i));
-    }
-
-    varint::put_u32(&mut bytes, groups.len() as u32);
+    // A group is a maximal run of one pattern. Postings are sorted by
+    // (pattern, root), so the roots of a group never decrease and every
+    // root gap is non-negative.
+    let same_pattern = |a: &Posting, b: &Posting| a.pattern == b.pattern;
+    varint::put_u32(&mut bytes, postings.chunk_by(same_pattern).count() as u32);
     let mut prev_pat = 0u32;
-    let mut roots: Vec<u32> = Vec::new();
-    for &(pat, lo, hi) in &groups {
-        varint::put_u32(&mut bytes, pat.0 - prev_pat);
-        prev_pat = pat.0;
-        varint::put_u32(&mut bytes, (hi - lo) as u32);
-        // Root column: non-decreasing within the group → the codec
-        // that serializes smallest wins (tag byte + payload).
-        roots.clear();
-        roots.extend(postings[lo..hi].iter().map(|p| p.root.0));
-        BlockList::encode(&roots).write(&mut bytes);
-        // Payload column, in the same posting order.
-        for p in &postings[lo..hi] {
+    for group in postings.chunk_by(same_pattern) {
+        let pat = group[0].pattern.0;
+        varint::put_u32(&mut bytes, pat - prev_pat);
+        prev_pat = pat;
+        varint::put_u32(&mut bytes, group.len() as u32);
+        let mut prev_root = 0u32;
+        for p in group {
+            varint::put_u32(&mut bytes, p.root.0 - prev_root);
+            prev_root = p.root.0;
             let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
             varint::put_u32(&mut bytes, header);
             let nodes = widx.nodes_of(p);
@@ -111,29 +98,19 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
     let mut arena: Vec<NodeId> = Vec::new();
     let mut pos = 0usize;
 
-    let num_groups = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
+    let num_groups = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
     let mut pat = 0u32;
-    // Reused across groups: skip-table and root-column scratch for the
-    // in-place block decode (no per-group allocation).
-    let mut skips_scratch: Vec<(u32, u32, u32)> = Vec::new();
-    let mut roots_scratch: Vec<u32> = Vec::new();
-    for gi in 0..num_groups {
+    for _ in 0..num_groups {
         let delta = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
-        pat = if gi == 0 {
-            delta
-        } else {
-            pat.checked_add(delta).ok_or(CompressError::Corrupt)?
-        };
+        pat = pat.checked_add(delta).ok_or(CompressError::Corrupt)?;
         let count = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
         if count > (buf.len() - pos) / MIN_POSTING_BYTES {
             return Err(CompressError::Truncated);
         }
-        // The whole root column comes first; it must hold exactly `count`
-        // entries (checked before the column is materialized).
-        roots_scratch.clear();
-        BlockList::read_into(buf, &mut pos, &mut skips_scratch, &mut roots_scratch, count)
-            .ok_or(CompressError::Truncated)?;
-        for &root in &roots_scratch {
+        let mut root = 0u32;
+        for _ in 0..count {
+            let gap = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
+            root = root.checked_add(gap).ok_or(CompressError::Corrupt)?;
             let header = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
             let edge_terminal = header & 1 == 1;
             let nodes_len = (header >> 1) as usize;
@@ -277,6 +254,45 @@ mod tests {
             decode_stream(&padded, n).err(),
             Some(CompressError::Corrupt)
         );
+        // A group count the remaining bytes could hold at 17 bytes per
+        // posting but not at the true minimum of 18 is refused before
+        // any posting is read.
+        let mut short = Vec::new();
+        varint::put_u32(&mut short, 1); // one group
+        varint::put_u32(&mut short, 0); // pattern 0
+        varint::put_u32(&mut short, 17); // 17 postings
+        short.resize(short.len() + 17 * 17, 0);
+        assert_eq!(
+            decode_stream(&short, 17).err(),
+            Some(CompressError::Truncated)
+        );
+    }
+
+    #[test]
+    fn root_gaps_past_u32_max_are_corrupt() {
+        // One group of two postings whose root gaps sum to 2^32.
+        let mut stream = Vec::new();
+        varint::put_u32(&mut stream, 1); // one group
+        varint::put_u32(&mut stream, 0); // pattern 0
+        varint::put_u32(&mut stream, 2); // 2 postings
+        for gap in [u32::MAX, 1] {
+            varint::put_u32(&mut stream, gap);
+            varint::put_u32(&mut stream, 1 << 1); // a one-node path
+            stream.extend_from_slice(&0.5f64.to_le_bytes());
+            stream.extend_from_slice(&0.5f64.to_le_bytes());
+        }
+        assert_eq!(
+            decode_stream(&stream, 2).err(),
+            Some(CompressError::Corrupt)
+        );
+        // The same stream with a gap of 0 decodes: both roots are u32::MAX.
+        let last_gap = stream.len() - (1 + 1 + 16);
+        stream[last_gap] = 0;
+        let widx = decode_stream(&stream, 2).expect("gaps sum to u32::MAX");
+        assert!(widx
+            .postings_pattern_first()
+            .iter()
+            .all(|p| p.root == NodeId(u32::MAX)));
     }
 
     #[test]

@@ -512,11 +512,11 @@ mod tests {
 
     #[test]
     fn refreshed_index_recompresses_identically_to_full_rebuild() {
-        // A chain long enough that posting lists span several blocks and
-        // the adaptive selector has real choices to make. Extending the
-        // tail dirties only nearby roots, yet the refreshed index must
-        // re-freeze its per-word indexes so that re-encoding re-runs
-        // codec selection on the dirtied lists — byte-identical to
+        // A chain long enough that the shared words' lists hold hundreds
+        // of postings. Extending the tail dirties only nearby roots, yet
+        // the refreshed index must splice its per-word lists into the
+        // same (pattern, root) order a rebuild sorts them into, so that
+        // re-encoding produces the same root gaps — byte-identical to
         // encoding a from-scratch rebuild of the new graph.
         let mut b = GraphBuilder::new();
         let t = b.add_type("Station");

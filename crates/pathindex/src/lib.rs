@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-mod blocks;
 pub mod build;
 mod compress;
 pub mod cursor;
@@ -36,7 +35,7 @@ pub mod posting;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;
-pub mod varint;
+mod varint;
 pub mod word_index;
 
 pub use build::{build_indexes, BuildConfig};

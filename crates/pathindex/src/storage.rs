@@ -8,8 +8,8 @@
 //! storage-resident:
 //!
 //! * **the container**: an offset-table layout whose sections are 8-byte
-//!   aligned and whose per-word payloads are adaptive posting streams
-//!   (all three root-column codecs, skip entries included);
+//!   aligned and whose per-word payloads are word streams (each posting
+//!   leads with its root as a varint gap within its pattern group);
 //! * **[`Region`]**: where the container bytes live — a read-only file
 //!   mapping on Unix, or a window of a heap buffer (non-Unix fallback,
 //!   tests, and a checkpoint's index blob inside the file it was read
@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Magic of the persisted index container.
 pub const MAGIC_V5: &[u8; 4] = b"PKB5";
-const VERSION_V5: u32 = 2;
+const VERSION_V5: u32 = 3;
 /// Fixed header: magic, version, d, nshards, file length, then the
 /// 4-entry section directory of `(offset, len)` u64 pairs.
 const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 8 + 4 * 16;
@@ -333,8 +333,7 @@ fn pad8(buf: &mut Vec<u8>) {
 }
 
 /// Serialize built indexes into the `PKB5` container: per word, one
-/// adaptive posting stream, plus the offset table that makes in-place
-/// reads possible.
+/// word stream, plus the offset table that makes in-place reads possible.
 pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     // Per-(shard, word) streams in lexicon order: ascending shard, then
     // ascending word within the shard.
@@ -442,7 +441,7 @@ pub fn save_v5(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()>
 #[derive(Clone, Copy, Debug)]
 struct LexEntry {
     word: WordId,
-    /// Absolute byte offset of the word's adaptive stream.
+    /// Absolute byte offset of the word's stream.
     offset: u64,
     /// Exact stream length in bytes (alignment padding excluded).
     len: u64,
@@ -608,7 +607,7 @@ fn parse_v5(data: &[u8]) -> Result<ParsedV5, SnapshotError> {
 }
 
 /// Decode one lexicon entry's stream from the container bytes — the one
-/// path both tiers take: the adaptive stream must decode exactly, every
+/// path both tiers take: the word stream must decode exactly, every
 /// root must lie in the shard's range, and every pattern id must resolve
 /// in the shared pattern set. Errors carry the absolute byte offset of
 /// the damaged stream.

@@ -1,14 +1,16 @@
-//! LEB128 variable-length integer coding for the compressed posting tier.
+//! LEB128 variable-length integer coding for the `PKB5` word streams
+//! ([`crate::compress`]).
 //!
-//! Posting lists are dominated by small integers — group-local root deltas,
-//! pattern-id deltas, path lengths — so LEB128 (7 payload bits per byte,
-//! high bit = continuation) shrinks them to 1–2 bytes each. The codec is
-//! deliberately minimal: `u32` only, panics never, and decoding
-//! returns `None` on truncated or oversized input instead of guessing.
+//! Word streams are dominated by small integers — root gaps within a
+//! pattern group, pattern-id deltas, path headers — so LEB128 (7 payload
+//! bits per byte, high bit = continuation) shrinks them to 1–2 bytes each.
+//! The codec is deliberately minimal: `u32` only, panics never, and
+//! decoding returns `None` on truncated or oversized input instead of
+//! guessing.
 
 /// Append `v` to `out` as LEB128 (1–5 bytes).
 #[inline]
-pub fn put_u32(out: &mut Vec<u8>, mut v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -23,7 +25,7 @@ pub fn put_u32(out: &mut Vec<u8>, mut v: u32) {
 /// Decode a `u32` from `buf[*pos..]`, advancing `pos`. `None` on truncation
 /// or a value that does not fit 32 bits.
 #[inline]
-pub fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
+pub(crate) fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
     let mut v: u32 = 0;
     let mut shift = 0u32;
     loop {
@@ -38,18 +40,6 @@ pub fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
             return Some(v);
         }
         shift += 7;
-    }
-}
-
-/// Encoded length of `v` in bytes without encoding it.
-#[inline]
-pub fn len_u32(v: u32) -> usize {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
     }
 }
 
@@ -75,7 +65,6 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_u32(&mut buf, v);
-            assert_eq!(buf.len(), len_u32(v), "length of {v:#x}");
             let mut pos = 0;
             assert_eq!(get_u32(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
@@ -125,7 +114,6 @@ mod tests {
             let mut pos = 0;
             prop_assert_eq!(get_u32(&buf, &mut pos), Some(v));
             prop_assert_eq!(pos, buf.len());
-            prop_assert_eq!(buf.len(), len_u32(v));
         }
 
         #[test]

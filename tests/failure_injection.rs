@@ -285,27 +285,39 @@ fn index_image_bytes_are_pinned() {
     });
     assert_eq!(
         (image.len(), fnv1a),
-        (4672, 0x3953_ddca_76ad_3fa6),
+        (4280, 0x9a95_d814_8962_5441),
         "the PKB5 image of Figure 1 changed: bump the container version \
          and follow the checklist in docs/FORMATS.md"
     );
 }
 
-/// The image the previous container version (1: word streams carried a
-/// per-pattern bound section) wrote for Figure 1, byte for byte. There is
-/// no fallback reader: both tiers must refuse it by version, not attempt
-/// its streams.
+/// The images earlier container versions wrote for Figure 1, byte for
+/// byte: version 1 (word streams carried a per-pattern bound section) and
+/// version 2 (each group's roots were a codec-tagged block list). There is
+/// no fallback reader: both tiers must refuse them by version, not attempt
+/// their streams.
 #[test]
 fn v1_index_image_is_bad_version() {
-    let v1: &[u8] = include_bytes!("data/figure1_v1.pkb5");
-    assert_eq!(
-        isnap::decode(v1).map(drop).unwrap_err(),
-        isnap::SnapshotError::BadVersion(1)
-    );
-    assert_eq!(
-        open_bytes(v1.to_vec()).map(drop).unwrap_err(),
-        isnap::SnapshotError::BadVersion(1)
-    );
+    let old: [(&[u8], u32); 2] = [
+        (include_bytes!("data/figure1_v1.pkb5"), 1),
+        (include_bytes!("data/figure1_v2.pkb5"), 2),
+    ];
+    for (image, version) in old {
+        // Scrambling everything past the version word changes nothing:
+        // the refusal comes before any other byte is read.
+        let mut scrambled = image.to_vec();
+        scrambled[8..].fill(0xff);
+        for bytes in [image, &scrambled[..]] {
+            assert_eq!(
+                isnap::decode(bytes).map(drop).unwrap_err(),
+                isnap::SnapshotError::BadVersion(version)
+            );
+            assert_eq!(
+                open_bytes(bytes.to_vec()).map(drop).unwrap_err(),
+                isnap::SnapshotError::BadVersion(version)
+            );
+        }
+    }
 }
 
 /// The byte range of `(shard, word)`'s posting stream in a `PKB5` image,
