@@ -4,11 +4,10 @@
 //! (`SearchEngine::build`, `build_with_stemmer`, `load_index`,
 //! `SharedEngine::new` + caller-managed `QueryCache`) took as positional
 //! arguments: the graph, the text pipeline (stemmer, synonyms), the index
-//! height `d`, build parallelism, planner thresholds, result-cache
-//! capacity, and an optional index-snapshot path to skip Algorithm-1
-//! construction. `build()` yields an immutable [`SearchEngine`];
-//! `build_shared()` yields the [`SharedEngine`] serving handle with its
-//! version-aware cache built in.
+//! height `d`, build parallelism, result-cache capacity, and an optional
+//! index-snapshot path to skip Algorithm-1 construction. `build()` yields
+//! an immutable [`SearchEngine`]; `build_shared()` yields the
+//! [`SharedEngine`] serving handle with its version-aware cache built in.
 //!
 //! ```
 //! # use patternkb_search::EngineBuilder;
@@ -27,11 +26,10 @@ use crate::concurrent::SharedEngine;
 use crate::durability::{self, Durability, DurabilityOptions};
 use crate::engine::SearchEngine;
 use crate::error::Error;
-use crate::plan::PlannerConfig;
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::{build_indexes, BuildConfig, StorageBackend};
 use patternkb_text::{Stemmer, SynonymTable, TextIndex};
-use patternkb_wal::{checkpoint, FsyncPolicy, Wal, WalOptions};
+use patternkb_wal::{checkpoint, Wal, WalOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -61,7 +59,6 @@ pub struct EngineBuilder {
     d: usize,
     threads: usize,
     shards: usize,
-    planner: PlannerConfig,
     cache_capacity: usize,
     index_snapshot: Option<PathBuf>,
     storage: StorageBackend,
@@ -78,8 +75,7 @@ impl Default for EngineBuilder {
 impl EngineBuilder {
     /// A builder with the paper's defaults: `d = 3`, lite stemmer, no
     /// synonyms, all available cores for index construction, one index
-    /// shard per available core, default planner thresholds, a 256-entry
-    /// result cache.
+    /// shard per available core, a 256-entry result cache.
     pub fn new() -> Self {
         EngineBuilder {
             graph: None,
@@ -88,7 +84,6 @@ impl EngineBuilder {
             d: 3,
             threads: 0,
             shards: 0,
-            planner: PlannerConfig::default(),
             cache_capacity: 256,
             index_snapshot: None,
             storage: StorageBackend::Heap,
@@ -138,12 +133,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Cost-based planner thresholds used by `Auto` algorithm routing.
-    pub fn planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Capacity of the [`SharedEngine`] result cache (entries). Only
     /// `build_shared` uses it.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
@@ -189,13 +178,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Fsync policy for the write-ahead log (only meaningful with
-    /// [`Self::data_dir`]); default `group(5ms)`.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.durability.fsync = policy;
-        self
-    }
-
     /// Checkpoint once the log exceeds this many bytes (with
     /// [`Self::data_dir`]).
     pub fn checkpoint_bytes(mut self, bytes: u64) -> Self {
@@ -219,14 +201,6 @@ impl EngineBuilder {
             return Err(Error::InvalidRequest(format!(
                 "height d must be in 1..={max_d}, got {}",
                 self.d
-            )));
-        }
-        let rho = self.planner.sampling.rho;
-        // NaN-rejecting form: `rho <= 0.0 || rho > 1.0` would let NaN
-        // through and silently sample zero roots.
-        if !(rho > 0.0 && rho <= 1.0) {
-            return Err(Error::Planner(format!(
-                "sampling rho must be in (0, 1], got {rho}"
             )));
         }
         Ok(())
@@ -259,7 +233,6 @@ impl EngineBuilder {
             d,
             threads,
             shards,
-            planner,
             index_snapshot,
             storage,
             ..
@@ -280,7 +253,7 @@ impl EngineBuilder {
                 None,
             ),
         };
-        let mut engine = SearchEngine::from_parts(graph, text, idx).with_planner(planner);
+        let mut engine = SearchEngine::from_parts(graph, text, idx);
         if let Some(took) = load_time {
             engine = engine.with_snapshot_load(took);
         }
@@ -317,9 +290,8 @@ impl EngineBuilder {
                 }
                 .map_err(wrap)?;
                 let text = TextIndex::build_with(&graph, self.synonyms, self.stemmer);
-                let mut engine = SearchEngine::from_parts(graph, text, idx)
-                    .with_planner(self.planner)
-                    .with_snapshot_load(t0.elapsed());
+                let mut engine =
+                    SearchEngine::from_parts(graph, text, idx).with_snapshot_load(t0.elapsed());
                 if version > 0 {
                     engine.rebase_version(version - 1);
                 }
@@ -346,11 +318,8 @@ impl EngineBuilder {
                 std::fs::create_dir_all(&dir).map_err(Error::Io)?;
                 let opts = self.durability.clone();
                 let mut engine = self.boot_base(&dir)?;
-                let (wal, summary) = Wal::open(
-                    dir.join(durability::WAL_FILE),
-                    WalOptions { fsync: opts.fsync },
-                )
-                .map_err(Error::Io)?;
+                let (wal, summary) =
+                    Wal::open(dir.join(durability::WAL_FILE), WalOptions).map_err(Error::Io)?;
                 if let Some(offset) = durability::replay_records(&mut engine, &summary.records) {
                     // A record that is CRC-intact but does not follow
                     // (version gap, unreplayable delta): drop it and its
@@ -394,19 +363,6 @@ mod tests {
         match EngineBuilder::new().graph(g).height(0).build() {
             Err(Error::InvalidRequest(msg)) => assert!(msg.contains("height")),
             other => panic!("expected InvalidRequest, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bad_planner_is_typed() {
-        for bad_rho in [0.0, -1.0, 2.0, f64::NAN] {
-            let (g, _) = figure1();
-            let mut planner = PlannerConfig::default();
-            planner.sampling.rho = bad_rho;
-            match EngineBuilder::new().graph(g).planner(planner).build() {
-                Err(Error::Planner(msg)) => assert!(msg.contains("rho")),
-                other => panic!("expected Planner error for rho {bad_rho}, got {other:?}"),
-            }
         }
     }
 

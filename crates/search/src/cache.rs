@@ -33,8 +33,10 @@
 //!
 //! The key covers everything that determines a result: the keyword-id
 //! sequence (order matters — tree patterns are keyword-indexed vectors),
-//! the algorithm (including sampling parameters, which change answers),
-//! the full [`SearchConfig`], **and the engine's shard count** — sharded
+//! the algorithm *choice* (including sampling parameters, which change
+//! answers; the planner's rule is fixed, so `Auto` decides the same way at
+//! every lookup of one version), the full [`SearchConfig`], **and the
+//! engine's shard count** — sharded
 //! execution is answer-identical by construction, but `stats.per_shard`
 //! and sampling determinism are layout-properties, and a rebuild with a
 //! different `shards(n)` must never serve entries computed under the old
@@ -63,9 +65,10 @@
 use crate::engine::{Algorithm, SearchEngine};
 use crate::request::AlgorithmChoice;
 use crate::result::{QueryStats, RankedPattern, SearchResult};
+use crate::score::Aggregation;
 use crate::table::TableAnswer;
 use crate::topk::SamplingConfig;
-use crate::{PlannerConfig, Query, SearchConfig};
+use crate::{Query, SearchConfig};
 use parking_lot::Mutex;
 use patternkb_graph::{KnowledgeGraph, WordId};
 use patternkb_index::ChangedWords;
@@ -80,71 +83,39 @@ struct CacheKey {
     /// (complements the version check: version survives a from-scratch
     /// rebuild with a different `shards(n)`).
     shards: usize,
-    /// Algorithm-choice discriminant plus sampling parameters when
-    /// applicable. Tags 0–4 are explicit choices; tag 5 is an `Auto`
-    /// request, whose answer additionally depends on the planner thresholds.
-    algo: u8,
+    /// The request's choice, not the planner's pick, so `Auto` hits skip
+    /// planning.
+    algo: AlgorithmChoice,
+    /// Sampling parameters, for `LinearEnumTopK` keys only: the other
+    /// choices never read them.
     sampling: Option<(u64, u64, u64)>,
-    /// Planner thresholds, set only for `Auto` keys (tag 5): the decision
-    /// is deterministic per engine version, so (query, thresholds) fully
-    /// determines the answer.
-    planner: Option<(u64, u64, u64, u64, u64)>,
     k: usize,
     z: (u64, u64, u64),
-    aggregation: u8,
+    aggregation: Aggregation,
     strict_trees: bool,
     max_rows: usize,
 }
 
 impl CacheKey {
-    /// Key for a request-level algorithm choice. `Auto` keys carry the
-    /// planner thresholds instead of a resolved decision, so hits skip
-    /// planning entirely.
+    /// Key for a request-level algorithm choice.
     fn for_choice(
         query: &Query,
         cfg: &SearchConfig,
         shards: usize,
-        choice: AlgorithmChoice,
+        algo: AlgorithmChoice,
         sampling: &SamplingConfig,
-        planner: &PlannerConfig,
     ) -> Self {
-        let (algo, sampling, planner) = match choice {
-            AlgorithmChoice::Baseline => (0u8, None, None),
-            AlgorithmChoice::PatternEnum => (1, None, None),
-            AlgorithmChoice::PatternEnumPruned => (2, None, None),
-            AlgorithmChoice::LinearEnum => (3, None, None),
-            AlgorithmChoice::LinearEnumTopK => (
-                4,
-                Some((sampling.lambda, sampling.rho.to_bits(), sampling.seed)),
-                None,
-            ),
-            AlgorithmChoice::Auto => (
-                5,
-                None,
-                Some((
-                    planner.max_subtrees_linear,
-                    planner.max_subtrees_exact,
-                    planner.sampling.lambda,
-                    planner.sampling.rho.to_bits(),
-                    planner.sampling.seed,
-                )),
-            ),
-        };
+        let sampling = (algo == AlgorithmChoice::LinearEnumTopK)
+            .then(|| (sampling.lambda, sampling.rho.to_bits(), sampling.seed));
         let s = cfg.scoring;
         CacheKey {
             words: query.keywords.iter().map(|w| w.0).collect(),
             shards,
             algo,
             sampling,
-            planner,
             k: cfg.k,
             z: (s.z1.to_bits(), s.z2.to_bits(), s.z3.to_bits()),
-            aggregation: match s.aggregation {
-                crate::score::Aggregation::Sum => 0,
-                crate::score::Aggregation::Avg => 1,
-                crate::score::Aggregation::Max => 2,
-                crate::score::Aggregation::Count => 3,
-            },
+            aggregation: s.aggregation,
             strict_trees: cfg.strict_trees,
             max_rows: cfg.max_rows,
         }
@@ -257,10 +228,9 @@ impl QueryCache {
         cfg: &SearchConfig,
         choice: AlgorithmChoice,
         sampling: &SamplingConfig,
-        planner: &PlannerConfig,
         resolve_and_run: impl FnOnce() -> (SearchResult, Algorithm),
     ) -> (Arc<SharedAnswer>, bool) {
-        let key = CacheKey::for_choice(query, cfg, engine.num_shards(), choice, sampling, planner);
+        let key = CacheKey::for_choice(query, cfg, engine.num_shards(), choice, sampling);
         self.lookup_with(key, engine.version(), resolve_and_run)
     }
 
@@ -439,7 +409,7 @@ mod tests {
     }
 
     /// What `respond_with_cache` does with `cache` for an explicit
-    /// algorithm choice under default sampling and planner thresholds.
+    /// algorithm choice under default sampling.
     fn get_or_compute(
         cache: &QueryCache,
         engine: &SearchEngine,
@@ -447,10 +417,10 @@ mod tests {
         cfg: &SearchConfig,
         choice: AlgorithmChoice,
     ) -> Arc<SharedAnswer> {
-        let (sampling, planner) = (SamplingConfig::default(), PlannerConfig::default());
-        let run = || engine.plan_and_run(query, cfg, choice, &sampling, &planner);
+        let sampling = SamplingConfig::default();
+        let run = || engine.plan_and_run(query, cfg, choice, &sampling);
         cache
-            .lookup_for_request(engine, query, cfg, choice, &sampling, &planner, run)
+            .lookup_for_request(engine, query, cfg, choice, &sampling, run)
             .0
     }
 

@@ -10,12 +10,12 @@
 //! ```
 //!
 //! The contract the serving layer builds on: **an ingest is acknowledged
-//! only after its delta record is durable under the configured
-//! [`FsyncPolicy`], and a delta that never became durable is never
-//! visible to readers.** The write path appends the serialized delta
-//! *before* the engine pointer swap; the swap happens only after
-//! [`Wal::sync`] returns. On an fsync failure the log poisons itself, so
-//! the not-yet-published engine states are abandoned rather than served.
+//! only after a group-commit fsync covers its delta record, and a delta
+//! that never became durable is never visible to readers.** The write
+//! path appends the serialized delta *before* the engine pointer swap;
+//! the swap happens only after [`Wal::sync`] returns. On an fsync failure
+//! the log poisons itself, so the not-yet-published engine states are
+//! abandoned rather than served.
 //!
 //! Checkpointing runs on a background thread: once the log passes the
 //! size or record-count threshold, the current engine is frozen into a
@@ -27,7 +27,7 @@ use crate::engine::SearchEngine;
 use patternkb_graph::mutate::{GraphDelta, PagerankMode};
 use patternkb_graph::snapshot::SnapshotError;
 use patternkb_wal::checkpoint::{self, Checkpoint};
-use patternkb_wal::{FsyncPolicy, FsyncStats, Ticket, Wal};
+use patternkb_wal::{FsyncStats, Ticket, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,11 +39,9 @@ pub const WAL_FILE: &str = "wal.log";
 /// older one is the fallback if the newest is damaged on disk.
 pub const CHECKPOINTS_KEPT: usize = 2;
 
-/// Tuning for [`crate::EngineBuilder::data_dir`] boots.
+/// Checkpoint thresholds for [`crate::EngineBuilder::data_dir`] boots.
 #[derive(Clone, Debug)]
 pub struct DurabilityOptions {
-    /// When an ingest is acknowledged as durable (see [`FsyncPolicy`]).
-    pub fsync: FsyncPolicy,
     /// Checkpoint once the log exceeds this many bytes.
     pub checkpoint_bytes: u64,
     /// Checkpoint once the log holds this many records.
@@ -53,7 +51,6 @@ pub struct DurabilityOptions {
 impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
-            fsync: FsyncPolicy::Group(std::time::Duration::from_millis(5)),
             checkpoint_bytes: 64 << 20,
             checkpoint_records: 4096,
         }
@@ -103,8 +100,6 @@ pub struct DurabilityMetrics {
     pub checkpoint_failures: u64,
     /// Time since the last completed checkpoint, if any.
     pub last_checkpoint_age: Option<std::time::Duration>,
-    /// The configured fsync policy (exposed as a metric label).
-    pub fsync_policy: FsyncPolicy,
 }
 
 struct CheckpointQueue {
@@ -211,7 +206,7 @@ impl Durability {
         self.wal.append(version, &encode_payload(mode, delta))
     }
 
-    /// Block until the record behind `ticket` is durable per policy.
+    /// Block until an fsync covering the record behind `ticket` returned.
     pub fn sync(&self, ticket: Ticket) -> std::io::Result<()> {
         self.wal.sync(ticket)
     }
@@ -254,7 +249,6 @@ impl Durability {
                 .lock()
                 .expect("last checkpoint lock")
                 .map(|t| t.elapsed()),
-            fsync_policy: self.wal.policy(),
         }
     }
 }
@@ -275,12 +269,7 @@ impl Drop for Durability {
 
 impl std::fmt::Debug for Durability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Durability {{ dir: {:?}, policy: {} }}",
-            self.dir,
-            self.wal.policy()
-        )
+        write!(f, "Durability {{ dir: {:?} }}", self.dir)
     }
 }
 
@@ -346,5 +335,60 @@ mod tests {
         }
         assert!(decode_payload(&[]).is_err());
         assert!(decode_payload(&[7, 1, 2, 3]).is_err(), "unknown mode byte");
+    }
+
+    #[test]
+    fn the_record_threshold_checkpoints_in_the_background() {
+        use crate::{EngineBuilder, SearchRequest};
+        let dir = std::env::temp_dir().join(format!(
+            "patternkb_checkpoint_threshold_{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let boot = || {
+            EngineBuilder::new()
+                .graph(patternkb_datagen::figure1().0)
+                .threads(1)
+                .data_dir(&dir)
+                .checkpoint_records(3)
+                .build_shared()
+                .unwrap()
+        };
+        let shared = boot();
+        for step in 0..4 {
+            shared
+                .ingest_with(PagerankMode::Frozen, |snap| {
+                    let company = snap.graph().type_by_text("Company").unwrap();
+                    let mut d = GraphDelta::new(snap.graph());
+                    d.add_node(company, &format!("threshold vendor {step}"))?;
+                    Ok::<_, patternkb_graph::mutate::DeltaError>(d)
+                })
+                .unwrap();
+        }
+        let durability = shared.durability().unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while durability.metrics().checkpoints_total == 0 {
+            assert!(Instant::now() < deadline, "no checkpoint within 30 s");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(durability.metrics().log_records < 4, "the log was rotated");
+        assert!(std::fs::read_dir(&dir).unwrap().any(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.starts_with("checkpoint-") && name.ends_with(".pkbc")
+        }));
+        let request = SearchRequest::text("threshold vendor").k(100);
+        let before = shared.respond(&request).unwrap();
+        assert_eq!(before.top().unwrap().num_trees, 4);
+        drop(shared);
+
+        let rebooted = boot();
+        assert_eq!(rebooted.version(), 4);
+        let after = rebooted.respond(&request).unwrap();
+        assert_eq!(before.patterns.len(), after.patterns.len());
+        for (x, y) in before.patterns.iter().zip(&after.patterns) {
+            assert_eq!((x.key(), x.score.to_bits()), (y.key(), y.score.to_bits()));
+        }
+        drop(rebooted);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -56,9 +56,6 @@ pub struct SearchEngine {
     /// Monotone data version; bumped by [`Self::apply_delta`]. Result
     /// caches ([`crate::cache`]) record the versions an entry is valid at.
     version: u64,
-    /// Default planner thresholds for [`AlgorithmChoice::Auto`] routing;
-    /// set by [`crate::EngineBuilder::planner`], overridable per request.
-    planner: PlannerConfig,
     /// How long loading/opening the index snapshot took at build time
     /// (`None` when the index was built from the graph instead). Carried
     /// across deltas so `/metrics` keeps reporting the boot cost.
@@ -74,15 +71,8 @@ impl SearchEngine {
             text,
             idx,
             version: 0,
-            planner: PlannerConfig::default(),
             snapshot_load: None,
         }
-    }
-
-    /// Replace the default planner thresholds (builder plumbing).
-    pub(crate) fn with_planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = planner;
-        self
     }
 
     /// Record how long the index snapshot took to load/open (builder
@@ -196,7 +186,6 @@ impl SearchEngine {
                 text: new_text,
                 idx: new_idx,
                 version: self.version + 1,
-                planner: self.planner.clone(),
                 snapshot_load: self.snapshot_load,
             },
             stats,
@@ -258,15 +247,6 @@ impl SearchEngine {
     ) -> Result<SearchResponse, Error> {
         let t0 = std::time::Instant::now();
         Self::validate_request(request)?;
-        let planner_cfg = request.planner.as_ref().unwrap_or(&self.planner);
-        let planner_rho = planner_cfg.sampling.rho;
-        // NaN-rejecting form: `rho <= 0.0 || rho > 1.0` would let NaN
-        // through and silently sample zero roots.
-        if !(planner_rho > 0.0 && planner_rho <= 1.0) {
-            return Err(Error::Planner(format!(
-                "sampling rho must be in (0, 1], got {planner_rho}"
-            )));
-        }
 
         let query = match &request.input {
             QueryInput::Text(text) => self.parse(text)?,
@@ -291,25 +271,16 @@ impl SearchEngine {
         let planned = request.algorithm == AlgorithmChoice::Auto;
         let (answer, cache_outcome) = match cache {
             Some(cache) => {
-                // Keyed by the request's *choice* (plus planner thresholds
-                // under Auto — the decision is deterministic per engine
-                // version), so cache hits skip planning entirely.
+                // Keyed by the request's *choice* (the planner's decision
+                // is deterministic per engine version), so cache hits skip
+                // planning entirely.
                 let (answer, hit) = cache.lookup_for_request(
                     self,
                     &query,
                     &cfg,
                     request.algorithm,
                     &request.sampling,
-                    planner_cfg,
-                    || {
-                        self.plan_and_run(
-                            &query,
-                            &cfg,
-                            request.algorithm,
-                            &request.sampling,
-                            planner_cfg,
-                        )
-                    },
+                    || self.plan_and_run(&query, &cfg, request.algorithm, &request.sampling),
                 );
                 let outcome = if hit {
                     CacheOutcome::Hit
@@ -319,13 +290,8 @@ impl SearchEngine {
                 (answer, outcome)
             }
             None => {
-                let (result, algorithm) = self.plan_and_run(
-                    &query,
-                    &cfg,
-                    request.algorithm,
-                    &request.sampling,
-                    planner_cfg,
-                );
+                let (result, algorithm) =
+                    self.plan_and_run(&query, &cfg, request.algorithm, &request.sampling);
                 (
                     Arc::new(SharedAnswer::new(result, algorithm)),
                     CacheOutcome::Uncached,
@@ -483,7 +449,6 @@ impl SearchEngine {
         cfg: &SearchConfig,
         choice: AlgorithmChoice,
         sampling: &SamplingConfig,
-        planner: &PlannerConfig,
     ) -> (SearchResult, Algorithm) {
         if choice == AlgorithmChoice::Baseline {
             return (
@@ -501,7 +466,7 @@ impl SearchEngine {
         let ctx = QueryContext::new(&self.g, &self.idx, query);
         let algorithm = match choice {
             AlgorithmChoice::Auto => match &ctx {
-                Some(ctx) => crate::plan::plan(ctx, planner),
+                Some(ctx) => crate::plan::plan(ctx, &PlannerConfig::default()),
                 // Provably empty; any algorithm exits in O(1).
                 None => Algorithm::PatternEnumPruned,
             },
@@ -684,12 +649,6 @@ mod tests {
         let mut bad = SearchRequest::text("database");
         bad.sampling.rho = 0.0;
         assert!(matches!(e.respond(&bad), Err(Error::InvalidRequest(_))));
-        let mut bad_planner = PlannerConfig::default();
-        bad_planner.sampling.rho = 2.0;
-        assert!(matches!(
-            e.respond(&SearchRequest::text("database").planner(bad_planner)),
-            Err(Error::Planner(_))
-        ));
         // Pre-parsed empty queries are rejected, not panicked on.
         assert!(matches!(
             e.respond(&SearchRequest::query(Query { keywords: vec![] })),
@@ -715,12 +674,6 @@ mod tests {
         let mut bad = SearchRequest::text("database");
         bad.sampling.rho = f64::NAN;
         assert!(matches!(e.respond(&bad), Err(Error::InvalidRequest(_))));
-        let mut bad_planner = PlannerConfig::default();
-        bad_planner.sampling.rho = f64::NAN;
-        assert!(matches!(
-            e.respond(&SearchRequest::text("database").planner(bad_planner)),
-            Err(Error::Planner(_))
-        ));
         assert!(matches!(
             e.respond(&SearchRequest::text("database").diversify(f64::NAN)),
             Err(Error::InvalidRequest(_))

@@ -3,8 +3,7 @@
 //! Everything that can go wrong between a raw request and a
 //! [`crate::SearchResponse`] surfaces here as a typed variant instead of a
 //! panic: parse failures ([`Error::EmptyQuery`], [`Error::UnknownWords`]),
-//! invalid request knobs ([`Error::InvalidRequest`]), planner
-//! misconfiguration ([`Error::Planner`]), mutation conflicts
+//! invalid request knobs ([`Error::InvalidRequest`]), mutation conflicts
 //! ([`Error::Delta`]) and persistence I/O ([`Error::Io`]). `From`
 //! conversions from the lower-level error types mean `?` works throughout
 //! the engine internals.
@@ -26,9 +25,6 @@ pub enum Error {
     /// The request's knobs are inconsistent (`k = 0`, a sampling rate
     /// outside `(0, 1]`, …). The message names the offending field.
     InvalidRequest(String),
-    /// The planner configuration cannot route any query (e.g. exhausted
-    /// thresholds with an invalid fallback).
-    Planner(String),
     /// A graph mutation was rejected (stale base, unknown node, …).
     Delta(DeltaError),
     /// Persistence (index snapshot save/load) failed.
@@ -62,7 +58,6 @@ impl std::fmt::Display for Error {
                 )
             }
             Error::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
-            Error::Planner(msg) => write!(f, "planner misconfigured: {msg}"),
             Error::Delta(e) => write!(f, "graph mutation rejected: {e}"),
             Error::Io(e) => write!(f, "index persistence failed: {e}"),
             Error::Durability(e) => write!(f, "ingest not made durable: {e}"),

@@ -57,8 +57,8 @@
 //! The public surface is three types plus one serving handle:
 //!
 //! * [`EngineBuilder`] — fluent construction: graph, stemmer, synonyms,
-//!   height `d`, build threads, planner thresholds, cache capacity, or an
-//!   index snapshot to skip construction;
+//!   height `d`, build threads, cache capacity, or an index snapshot to
+//!   skip construction;
 //! * [`SearchRequest`] — raw text or a pre-parsed [`Query`], plus k,
 //!   algorithm selection (including [`request::AlgorithmChoice::Auto`]),
 //!   sampling, diversification, relaxation, presentation and explain
@@ -125,7 +125,7 @@ pub use durability::{Durability, DurabilityMetrics, DurabilityOptions};
 pub use engine::{Algorithm, SearchEngine};
 pub use error::Error;
 pub use patternkb_index::{ChangedWords, RefreshStats, StorageBackend};
-pub use patternkb_wal::{FsyncPolicy, FSYNC_BOUNDS};
+pub use patternkb_wal::FSYNC_BOUNDS;
 pub use plan::{PlannerConfig, QueryEstimate};
 pub use query::{ParseError, Query};
 pub use request::{AlgorithmChoice, CacheOutcome, SearchRequest, SearchResponse};

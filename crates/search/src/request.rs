@@ -13,10 +13,12 @@
 //! scoring, k = 100). The fluent setters cover the same surface the old
 //! `search_*` facade methods did: algorithm selection (including
 //! [`AlgorithmChoice::Auto`]), sampling, MMR diversification, query
-//! relaxation on empty results, presentation, and explain traces.
+//! relaxation on empty results, presentation, and explain traces. `Auto`
+//! always routes by the planner's fixed thresholds
+//! ([`crate::PlannerConfig::default`]); a caller that wants a particular
+//! algorithm names it instead.
 
 use crate::engine::Algorithm;
-use crate::plan::PlannerConfig;
 use crate::presentation::{PresentationConfig, PresentedTable};
 use crate::query::Query;
 use crate::relax::Relaxation;
@@ -39,7 +41,7 @@ pub enum QueryInput {
 
 /// Algorithm selection on a request. Unlike the resolved
 /// [`Algorithm`], this can defer the decision to the cost-based planner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AlgorithmChoice {
     /// Let the planner pick per query from index statistics (the default;
     /// see [`crate::plan`]).
@@ -98,9 +100,6 @@ pub struct SearchRequest {
     /// Include a per-pattern explain trace (score breakdown plus the top
     /// subtree rendered as a tree) in [`SearchResponse::explain`].
     pub explain: bool,
-    /// Override the engine's planner thresholds for this request's `Auto`
-    /// routing.
-    pub planner: Option<PlannerConfig>,
 }
 
 impl SearchRequest {
@@ -118,7 +117,6 @@ impl SearchRequest {
             relax: false,
             presentation: None,
             explain: false,
-            planner: None,
         }
     }
 
@@ -197,12 +195,6 @@ impl SearchRequest {
     /// Include explain traces in the response.
     pub fn explain(mut self, on: bool) -> Self {
         self.explain = on;
-        self
-    }
-
-    /// Override planner thresholds for this request.
-    pub fn planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = Some(planner);
         self
     }
 }
@@ -294,7 +286,7 @@ mod tests {
         assert_eq!(r.algorithm, AlgorithmChoice::Auto);
         assert_eq!(r.max_rows, 64);
         assert!(!r.strict_trees && !r.relax && !r.explain);
-        assert!(r.diversify.is_none() && r.presentation.is_none() && r.planner.is_none());
+        assert!(r.diversify.is_none() && r.presentation.is_none());
     }
 
     #[test]

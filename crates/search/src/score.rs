@@ -20,7 +20,7 @@ use patternkb_index::Posting;
 
 /// How subtree scores aggregate into a pattern score (Eq. (2) and the
 /// surrounding discussion).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Aggregation {
     /// `score(P) = Σ_T score(T)` — favors patterns with many subtrees
     /// (the paper's running choice).

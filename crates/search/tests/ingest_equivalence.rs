@@ -362,8 +362,6 @@ impl Drop for ScratchDir {
 /// on that prefix's graph. A mid-chain checkpoint (when the history is
 /// long enough) additionally exercises the checkpoint + tail boot path.
 fn check_crash_recovery(seed: u64, batches: usize, shards: usize) {
-    use patternkb_search::FsyncPolicy;
-
     let scratch = ScratchDir::new(&format!("s{seed}_sh{shards}"));
     let dir = &scratch.0;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
@@ -383,7 +381,6 @@ fn check_crash_recovery(seed: u64, batches: usize, shards: usize) {
             .threads(1)
             .shards(shards)
             .data_dir(dir)
-            .fsync(FsyncPolicy::Always)
             .build_shared()
             .unwrap();
         for b in 0..batches {

@@ -544,8 +544,7 @@ impl ServerMetrics {
 
             let name = "patternkb_wal_fsync_seconds";
             out.push_str(&format!(
-                "# HELP {name} Write-ahead log fsync latency (policy: {}).\n# TYPE {name} histogram\n",
-                d.fsync_policy
+                "# HELP {name} Write-ahead log fsync latency.\n# TYPE {name} histogram\n"
             ));
             for (i, bound) in patternkb_search::FSYNC_BOUNDS.iter().enumerate() {
                 out.push_str(&format!(

@@ -66,6 +66,9 @@ use std::time::{Duration, Instant};
 /// How often blocked reads/pops wake to check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(200);
 
+/// Max requests a worker takes per batch pop.
+const BATCH_MAX: usize = 16;
+
 /// Everything tunable about a server. `Default` is a sane laptop/CI
 /// profile; production deployments should size `workers`,
 /// `queue_capacity`, and `deadline` to their latency budget.
@@ -76,8 +79,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue slots. 0 means *always shed* (drain/test mode).
     pub queue_capacity: usize,
-    /// Max requests a worker takes per batch pop.
-    pub batch_max: usize,
     /// Per-request budget from admission to answer; expired requests are
     /// shed with 503. Request `timeout_ms` can tighten but not extend it.
     pub deadline: Duration,
@@ -98,7 +99,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             workers: 0,
             queue_capacity: 1024,
-            batch_max: 16,
             deadline: Duration::from_secs(2),
             max_body_bytes: 1024 * 1024,
             max_connections: 256,
@@ -343,7 +343,7 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = shared.queue.pop_batch(shared.cfg.batch_max, POLL_TICK);
+        let batch = shared.queue.pop_batch(BATCH_MAX, POLL_TICK);
         shared
             .metrics
             .queue_depth

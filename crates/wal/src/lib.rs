@@ -10,17 +10,12 @@
 //!
 //! One append-only file of length-prefixed, CRC-checksummed,
 //! monotonically versioned records (format details on [`Wal`]). Appends
-//! go through a configurable [`FsyncPolicy`]:
-//!
-//! * `always` — every append performs its own `fsync` before acking;
-//!   strongest latency-per-record guarantee, lowest throughput.
-//! * `group(ms)` — **group commit**: appends buffer into the OS file and
-//!   a dedicated flusher thread fsyncs as soon as it can; every record
-//!   that accumulated while the previous fsync was in flight is made
-//!   durable by the next one, and all its waiting callers are woken by
-//!   that single shared fsync. `ms` bounds the flusher's idle poll.
-//! * `never` — leave durability to the OS page cache (benchmarks, bulk
-//!   loads).
+//! are acked by **group commit**: they buffer into the OS file and a
+//! dedicated flusher thread fsyncs as soon as it can; every record that
+//! accumulated while the previous fsync was in flight is made durable by
+//! the next one, and all its waiting callers are woken by that single
+//! shared fsync. [`Wal::sync`] returns only after an fsync covering its
+//! record.
 //!
 //! ## Recovery ([`replay`])
 //!
@@ -47,6 +42,4 @@ mod crc;
 pub mod log;
 
 pub use crc::crc32;
-pub use log::{
-    replay, FsyncPolicy, FsyncStats, Record, ReplaySummary, Ticket, Wal, WalOptions, FSYNC_BOUNDS,
-};
+pub use log::{replay, FsyncStats, Record, ReplaySummary, Ticket, Wal, WalOptions, FSYNC_BOUNDS};

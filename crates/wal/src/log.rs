@@ -1,5 +1,5 @@
-//! The write-ahead log file: record format, append path with fsync
-//! policies (including group commit), and torn-tail replay.
+//! The write-ahead log file: record format, the group-commit append
+//! path, and torn-tail replay.
 //!
 //! File layout (little endian):
 //!
@@ -10,8 +10,10 @@
 //!
 //! `version` is the engine version the record produces and must increase
 //! strictly within one log; `crc` is the CRC-32 of `version || payload`.
-//! A record is *durable* once an `fsync` covering it has returned; the
-//! append path acks according to the configured [`FsyncPolicy`].
+//! A record is *durable* once an `fsync` covering it has returned, and
+//! [`Wal::sync`] returns only then: a flusher thread fsyncs whatever has
+//! accumulated, so records appended while one fsync is in flight share
+//! the next (group commit).
 
 use crate::crc::crc32;
 use patternkb_graph::snapshot::{invalid_data, SnapshotError};
@@ -28,60 +30,9 @@ const FORMAT_VERSION: u32 = 1;
 const HEADER_LEN: u64 = 8;
 const RECORD_HEADER_LEN: u64 = 16;
 
-/// When an append is acknowledged as durable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Every append performs its own write + `fsync` before returning.
-    Always,
-    /// Group commit: appends buffer into the OS file immediately and a
-    /// dedicated flusher thread fsyncs as soon as it can; all records
-    /// that accumulated while the previous fsync was in flight share the
-    /// next one, and their callers are woken together. The duration
-    /// bounds the flusher's idle poll (a lost wakeup still flushes
-    /// within it).
-    Group(Duration),
-    /// Appends return as soon as the OS accepted the write; durability
-    /// is left to the page cache. For benchmarks and bulk loads.
-    Never,
-}
-
-impl std::fmt::Display for FsyncPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::Group(d) => write!(f, "group({}ms)", d.as_millis()),
-            FsyncPolicy::Never => write!(f, "never"),
-        }
-    }
-}
-
-impl std::str::FromStr for FsyncPolicy {
-    type Err = String;
-
-    /// Accepts `always`, `never`, `group` (5 ms default), `group(5ms)`,
-    /// or `group(5)`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "always" => return Ok(FsyncPolicy::Always),
-            "never" => return Ok(FsyncPolicy::Never),
-            "group" => return Ok(FsyncPolicy::Group(Duration::from_millis(5))),
-            _ => {}
-        }
-        if let Some(arg) = s
-            .strip_prefix("group(")
-            .and_then(|rest| rest.strip_suffix(')'))
-        {
-            let ms: u64 = arg
-                .trim_end_matches("ms")
-                .parse()
-                .map_err(|_| format!("bad group interval {arg:?} (want e.g. group(5ms))"))?;
-            return Ok(FsyncPolicy::Group(Duration::from_millis(ms.max(1))));
-        }
-        Err(format!(
-            "unknown fsync policy {s:?} (want always | group(<ms>ms) | never)"
-        ))
-    }
-}
+/// How long the flusher waits for an append's wakeup before looking
+/// again on its own: a lost wakeup still flushes within it.
+const FLUSH_IDLE: Duration = Duration::from_millis(5);
 
 /// One decoded log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -177,7 +128,7 @@ pub fn replay(path: &Path) -> std::io::Result<ReplaySummary> {
 }
 
 /// Opaque receipt for one append; pass it to [`Wal::sync`] to block until
-/// the record is durable under the configured policy.
+/// the record is durable.
 #[derive(Clone, Copy, Debug)]
 pub struct Ticket(u64);
 
@@ -198,20 +149,10 @@ pub struct FsyncStats {
     pub buckets: [u64; FSYNC_BOUNDS.len()],
 }
 
-/// Configuration for [`Wal::open`].
-#[derive(Clone, Debug)]
-pub struct WalOptions {
-    /// When appends are acknowledged as durable.
-    pub fsync: FsyncPolicy,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions {
-            fsync: FsyncPolicy::Group(Duration::from_millis(5)),
-        }
-    }
-}
+/// Configuration for [`Wal::open`]. It has no fields: every log acks by
+/// group commit.
+#[derive(Clone, Debug, Default)]
+pub struct WalOptions;
 
 struct SyncState {
     /// Sequence number of the last record written to the OS file.
@@ -226,12 +167,11 @@ struct SyncState {
 
 struct Inner {
     path: PathBuf,
-    policy: FsyncPolicy,
     /// Append handle. Lock order: `file` may be held while taking
     /// `sync`, never the other way around.
     file: Mutex<File>,
     sync: Mutex<SyncState>,
-    /// Wakes callers blocked in [`Wal::sync`] (group policy).
+    /// Wakes callers blocked in [`Wal::sync`].
     durable_cv: Condvar,
     /// Wakes the flusher thread when there is something to fsync.
     flush_cv: Condvar,
@@ -295,7 +235,7 @@ impl Wal {
     /// records before appending new ones.
     pub fn open(
         path: impl Into<PathBuf>,
-        options: WalOptions,
+        _options: WalOptions,
     ) -> std::io::Result<(Wal, ReplaySummary)> {
         let path = path.into();
         let summary = replay(&path)?;
@@ -317,7 +257,6 @@ impl Wal {
         let inner = Arc::new(Inner {
             file: Mutex::new(open_append(&path)?),
             path,
-            policy: options.fsync,
             sync: Mutex::new(SyncState {
                 appended: 0,
                 durable: 0,
@@ -334,16 +273,12 @@ impl Wal {
             fsync_buckets: Default::default(),
         });
 
-        let flusher = if let FsyncPolicy::Group(interval) = options.fsync {
+        let flusher = Some({
             let inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("wal-flusher".into())
-                    .spawn(move || flusher_loop(&inner, interval))?,
-            )
-        } else {
-            None
-        };
+            std::thread::Builder::new()
+                .name("wal-flusher".into())
+                .spawn(move || flusher_loop(&inner))?
+        });
 
         Ok((Wal { inner, flusher }, summary))
     }
@@ -351,11 +286,6 @@ impl Wal {
     /// Path of the log file.
     pub fn path(&self) -> &Path {
         &self.inner.path
-    }
-
-    /// The configured fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.inner.policy
     }
 
     /// Append one record (buffered into the OS file, not yet necessarily
@@ -396,67 +326,32 @@ impl Wal {
             state.appended
         };
         drop(file);
-        if matches!(inner.policy, FsyncPolicy::Group(_)) {
-            inner.flush_cv.notify_one();
-        }
+        inner.flush_cv.notify_one();
         Ok(Ticket(seq))
     }
 
-    /// Block until the appended record behind `ticket` is durable under
-    /// the configured policy (a no-op for `never`). For `group`, many
-    /// concurrent callers are typically released by one shared fsync.
+    /// Block until an fsync covering the record behind `ticket` has
+    /// returned. Concurrent callers are typically released together by
+    /// one shared fsync of the flusher thread.
     pub fn sync(&self, ticket: Ticket) -> std::io::Result<()> {
         let inner = &*self.inner;
-        match inner.policy {
-            FsyncPolicy::Never => Ok(()),
-            FsyncPolicy::Always => {
-                let file = inner.file.lock().expect("wal file lock");
-                let target = {
-                    let state = inner.sync.lock().expect("wal sync lock");
-                    if let Some(reason) = &state.failed {
-                        return Err(Inner::failed_error(reason));
-                    }
-                    if state.durable >= ticket.0 {
-                        return Ok(());
-                    }
-                    state.appended
-                };
-                let t0 = Instant::now();
-                let res = file.sync_data();
-                drop(file);
-                inner.observe_fsync(t0.elapsed());
-                let mut state = inner.sync.lock().expect("wal sync lock");
-                match res {
-                    Ok(()) => {
-                        state.durable = state.durable.max(target);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        inner.poison_locked(&mut state, format!("fsync failed: {e}"));
-                        Err(e)
-                    }
-                }
+        let mut state = inner.sync.lock().expect("wal sync lock");
+        loop {
+            if let Some(reason) = &state.failed {
+                return Err(Inner::failed_error(reason));
             }
-            FsyncPolicy::Group(_) => {
-                let mut state = inner.sync.lock().expect("wal sync lock");
-                loop {
-                    if let Some(reason) = &state.failed {
-                        return Err(Inner::failed_error(reason));
-                    }
-                    if state.durable >= ticket.0 {
-                        return Ok(());
-                    }
-                    if state.shutdown {
-                        return Err(std::io::Error::other(
-                            "write-ahead log shut down before the record became durable",
-                        ));
-                    }
-                    state = inner
-                        .durable_cv
-                        .wait(state)
-                        .expect("wal sync lock poisoned");
-                }
+            if state.durable >= ticket.0 {
+                return Ok(());
             }
+            if state.shutdown {
+                return Err(std::io::Error::other(
+                    "write-ahead log shut down before the record became durable",
+                ));
+            }
+            state = inner
+                .durable_cv
+                .wait(state)
+                .expect("wal sync lock poisoned");
         }
     }
 
@@ -590,14 +485,14 @@ impl Drop for Wal {
         if let Some(h) = self.flusher.take() {
             h.join().ok();
         }
-        // Best-effort final flush for the policies without a flusher.
+        // Best-effort final flush: a failure stops the flusher early.
         if let Ok(file) = self.inner.file.lock() {
             file.sync_data().ok();
         }
     }
 }
 
-fn flusher_loop(inner: &Inner, interval: Duration) {
+fn flusher_loop(inner: &Inner) {
     loop {
         let target = {
             let mut state = inner.sync.lock().expect("wal sync lock");
@@ -613,7 +508,7 @@ fn flusher_loop(inner: &Inner, interval: Duration) {
                 }
                 let (next, _) = inner
                     .flush_cv
-                    .wait_timeout(state, interval)
+                    .wait_timeout(state, FLUSH_IDLE)
                     .expect("wal sync lock poisoned");
                 state = next;
             }
@@ -648,42 +543,12 @@ mod tests {
         dir
     }
 
-    fn opts(policy: FsyncPolicy) -> WalOptions {
-        WalOptions { fsync: policy }
-    }
-
-    #[test]
-    fn fsync_policy_parses() {
-        assert_eq!(
-            "always".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::Always
-        );
-        assert_eq!("never".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Never);
-        assert_eq!(
-            "group".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::Group(Duration::from_millis(5))
-        );
-        assert_eq!(
-            "group(12ms)".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::Group(Duration::from_millis(12))
-        );
-        assert_eq!(
-            "group(3)".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::Group(Duration::from_millis(3))
-        );
-        assert!("sometimes".parse::<FsyncPolicy>().is_err());
-        assert_eq!(
-            "group(7ms)".parse::<FsyncPolicy>().unwrap().to_string(),
-            "group(7ms)"
-        );
-    }
-
     #[test]
     fn append_replay_roundtrip() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.log");
         {
-            let (wal, summary) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+            let (wal, summary) = Wal::open(&path, WalOptions).unwrap();
             assert!(summary.records.is_empty());
             for v in 1..=5u64 {
                 wal.append_durable(v, format!("payload {v}").as_bytes())
@@ -701,7 +566,7 @@ mod tests {
             assert_eq!(r.payload, format!("payload {}", i + 1).into_bytes());
         }
         // Reopen appends after the existing tail.
-        let (wal, summary) = Wal::open(&path, opts(FsyncPolicy::Never)).unwrap();
+        let (wal, summary) = Wal::open(&path, WalOptions).unwrap();
         assert_eq!(summary.records.len(), 5);
         wal.append_durable(6, b"six").unwrap();
         drop(wal);
@@ -713,7 +578,7 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+            let (wal, _) = Wal::open(&path, WalOptions).unwrap();
             wal.append_durable(1, b"first record payload").unwrap();
             wal.append_durable(2, b"second record payload").unwrap();
         }
@@ -726,7 +591,7 @@ mod tests {
         assert!(summary.torn);
         assert_eq!(summary.records.len(), 1);
 
-        let (wal, summary) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+        let (wal, summary) = Wal::open(&path, WalOptions).unwrap();
         assert_eq!(summary.records.len(), 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), summary.valid_len);
         // The log keeps working: version continues after the survivor.
@@ -743,7 +608,7 @@ mod tests {
         let dir = tmpdir("corrupt");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+            let (wal, _) = Wal::open(&path, WalOptions).unwrap();
             for v in 1..=3u64 {
                 wal.append_durable(v, &[v as u8; 32]).unwrap();
             }
@@ -765,7 +630,7 @@ mod tests {
         std::fs::write(&path, b"PKBG this is some other file").unwrap();
         let err = replay(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(Wal::open(&path, opts(FsyncPolicy::Never)).is_err());
+        assert!(Wal::open(&path, WalOptions).is_err());
         // The file is untouched.
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -777,8 +642,7 @@ mod tests {
     fn group_commit_wakes_concurrent_appenders() {
         let dir = tmpdir("group");
         let path = dir.join("wal.log");
-        let (wal, _) =
-            Wal::open(&path, opts(FsyncPolicy::Group(Duration::from_millis(2)))).unwrap();
+        let (wal, _) = Wal::open(&path, WalOptions).unwrap();
         let wal = std::sync::Arc::new(wal);
         // Versions must be strictly increasing in file order, so the
         // counter bump and the append are serialized together (as the
@@ -814,7 +678,7 @@ mod tests {
     fn rotate_keeps_only_the_tail() {
         let dir = tmpdir("rotate");
         let path = dir.join("wal.log");
-        let (wal, _) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+        let (wal, _) = Wal::open(&path, WalOptions).unwrap();
         for v in 1..=10u64 {
             wal.append_durable(v, &[0u8; 64]).unwrap();
         }
@@ -834,8 +698,7 @@ mod tests {
     fn poison_fails_appends_with_the_reason() {
         let dir = tmpdir("poison");
         let path = dir.join("wal.log");
-        let (wal, _) =
-            Wal::open(&path, opts(FsyncPolicy::Group(Duration::from_millis(2)))).unwrap();
+        let (wal, _) = Wal::open(&path, WalOptions).unwrap();
         wal.append_durable(1, b"fine").unwrap();
         wal.poison("injected by test");
         let err = wal.append(2, b"doomed").unwrap_err();
@@ -849,7 +712,7 @@ mod tests {
     fn truncate_to_drops_a_record_and_its_suffix() {
         let dir = tmpdir("trunc");
         let path = dir.join("wal.log");
-        let (wal, _) = Wal::open(&path, opts(FsyncPolicy::Always)).unwrap();
+        let (wal, _) = Wal::open(&path, WalOptions).unwrap();
         for v in 1..=3u64 {
             wal.append_durable(v, &[v as u8; 16]).unwrap();
         }

@@ -10,7 +10,7 @@
 //!
 //! patternkb-cli serve <dataset…>        # HTTP server instead of a REPL
 //!   options: --addr <ip:port>  --workers <n>  --queue <slots>
-//!            --batch <max>  --deadline-ms <ms>  --max-body-bytes <n>
+//!            --deadline-ms <ms>  --max-body-bytes <n>
 //!            --no-ingest (disable the online write path)
 //!            --index-snapshot <file> (boot from a saved index snapshot)
 //!            --storage heap|mmap (map the snapshot instead of decoding
@@ -60,14 +60,15 @@ fn main() {
     if args.first().map(String::as_str) == Some("snapshot") {
         snapshot_main(&args[1..]);
     }
-    let (graph, label) = match build_graph(&args) {
-        Ok(pair) => pair,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("usage: patternkb-cli [serve] figure1|wiki|imdb|load <file> [--d N] [--entities N] [--movies N] [--seed N]");
-            std::process::exit(2);
-        }
-    };
+    let (graph, label) =
+        match check_flags(&args, &[DATASET_FLAGS]).and_then(|()| build_graph(&args)) {
+            Ok(pair) => pair,
+            Err(msg) => {
+                eprintln!("{msg}");
+                eprintln!("{}", usage("", &[DATASET_FLAGS]));
+                std::process::exit(2);
+            }
+        };
     let d = flag_value(&args, "--d").unwrap_or(3);
     let shards = flag_value(&args, "--shards").unwrap_or(0);
     eprintln!("[{label}] {}", GraphStats::of(&graph));
@@ -146,16 +147,6 @@ fn build_serve_shared(spec: &[String], dir: &str) -> Result<SharedEngine, String
         .shards(shards)
         .storage(parse_storage(spec)?)
         .data_dir(dir);
-    if let Some(raw) = spec
-        .iter()
-        .position(|a| a == "--fsync")
-        .and_then(|i| spec.get(i + 1))
-    {
-        let policy: patternkb::search::FsyncPolicy = raw
-            .parse()
-            .map_err(|e| format!("invalid --fsync {raw:?}: {e}"))?;
-        builder = builder.fsync(policy);
-    }
     if let Some(bytes) = flag_value(spec, "--checkpoint-bytes") {
         builder = builder.checkpoint_bytes(bytes);
     }
@@ -171,6 +162,7 @@ fn build_serve_shared(spec: &[String], dir: &str) -> Result<SharedEngine, String
 /// write them to `--out` as a `PKB5` image — what
 /// `serve --storage mmap --index-snapshot` boots from instantly.
 fn run_snapshot(args: &[String]) -> Result<String, String> {
+    check_flags(args, SNAPSHOT_ARGS)?;
     let (graph, label) = build_graph(args)?;
     let out: String = flag_value(args, "--out").ok_or("snapshot needs --out <file>")?;
     let d = flag_value(args, "--d").unwrap_or(3);
@@ -200,7 +192,7 @@ fn snapshot_main(args: &[String]) -> ! {
         }
         Err(msg) => {
             eprintln!("{msg}");
-            eprintln!("usage: patternkb-cli snapshot figure1|wiki|imdb|load <file> --out <file> [--d N] [--shards N] [dataset flags]");
+            eprintln!("{}", usage("snapshot ", SNAPSHOT_ARGS));
             std::process::exit(2);
         }
     }
@@ -213,7 +205,6 @@ fn serve_config(args: &[String]) -> patternkb::serve::ServeConfig {
         addr: flag_value(args, "--addr").unwrap_or_else(|| defaults.addr.clone()),
         workers: flag_value(args, "--workers").unwrap_or(defaults.workers),
         queue_capacity: flag_value(args, "--queue").unwrap_or(defaults.queue_capacity),
-        batch_max: flag_value(args, "--batch").unwrap_or(defaults.batch_max),
         deadline: std::time::Duration::from_millis(
             flag_value(args, "--deadline-ms").unwrap_or(defaults.deadline.as_millis() as u64),
         ),
@@ -227,11 +218,16 @@ fn serve_config(args: &[String]) -> patternkb::serve::ServeConfig {
 /// until `POST /admin/shutdown` drains it (then exit 0).
 fn serve_main(args: &[String]) -> ! {
     let spec: Vec<String> = args.to_vec();
+    let usage = usage("serve ", SERVE_ARGS);
+    if let Err(msg) = check_flags(&spec, SERVE_ARGS) {
+        eprintln!("{msg}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    }
     eprintln!(
         "building engine for {:?} …",
         spec.first().map(String::as_str).unwrap_or("figure1")
     );
-    let usage = "usage: patternkb-cli serve figure1|wiki|imdb|load <file> [dataset flags] [--addr A] [--workers N] [--queue N] [--batch N] [--deadline-ms N] [--max-body-bytes N] [--no-ingest] [--index-snapshot FILE] [--storage heap|mmap] [--data-dir DIR] [--fsync always|group(5ms)|never] [--checkpoint-bytes N] [--checkpoint-records N]";
     let t0 = std::time::Instant::now();
     let data_dir: Option<String> = flag_value(&spec, "--data-dir");
     let shared = match &data_dir {
@@ -525,6 +521,81 @@ fn repl(engine: &SearchEngine) {
     }
 }
 
+/// A group of flags, each written as in the usage line: `--flag` alone
+/// is a switch, `--flag N` takes a non-negative integer, and any other
+/// placeholder takes text.
+type Flags = &'static [&'static str];
+
+/// What every dataset spec takes, in each mode.
+const DATASET_FLAGS: Flags = &[
+    "--d N",
+    "--shards N",
+    "--seed N",
+    "--entities N",
+    "--movies N",
+];
+
+/// What only `serve` takes: server sizing, the write-path switch, the
+/// index source and tier, the data directory and its checkpoints.
+const SERVE_FLAGS: Flags = &[
+    "--addr A",
+    "--workers N",
+    "--queue N",
+    "--deadline-ms N",
+    "--max-body-bytes N",
+    "--no-ingest",
+    "--index-snapshot FILE",
+    "--storage heap|mmap",
+    "--data-dir DIR",
+    "--checkpoint-bytes N",
+    "--checkpoint-records N",
+];
+
+const SERVE_ARGS: &[Flags] = &[DATASET_FLAGS, SERVE_FLAGS];
+const SNAPSHOT_ARGS: &[Flags] = &[&["--out FILE"], DATASET_FLAGS];
+
+/// The usage line of `mode` (`"serve "`, `"snapshot "`, or `""` for the
+/// REPL) with every flag it takes.
+fn usage(mode: &str, accepted: &[Flags]) -> String {
+    let flags: String = accepted
+        .iter()
+        .flat_map(|g| g.iter())
+        .map(|f| format!(" [{f}]"))
+        .collect();
+    format!("usage: patternkb-cli {mode}figure1|wiki|imdb|load <file>{flags}")
+}
+
+/// Check `args`, a dataset spec followed by flags, against the flag
+/// groups a mode takes. An unknown flag, a missing value or a count that
+/// does not parse is an error naming it: [`flag_value`] would otherwise
+/// read it as absent and boot with the default.
+fn check_flags(args: &[String], accepted: &[Flags]) -> Result<(), String> {
+    // The dataset name, and the file `load` reads.
+    let positional = if args.first().is_some_and(|a| a == "load") {
+        2
+    } else {
+        1
+    };
+    let mut rest = args.iter().skip(positional);
+    while let Some(flag) = rest.next() {
+        let spec = accepted
+            .iter()
+            .flat_map(|g| g.iter())
+            .find(|spec| spec.split(' ').next() == Some(flag.as_str()))
+            .ok_or_else(|| format!("unknown flag {flag:?}"))?;
+        let Some((_, placeholder)) = spec.split_once(' ') else {
+            continue;
+        };
+        let raw = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if placeholder == "N" && raw.parse::<u64>().is_err() {
+            return Err(format!(
+                "invalid {flag} {raw:?}: want a non-negative integer"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.iter()
         .position(|a| a == flag)
@@ -686,8 +757,6 @@ mod tests {
             "3",
             "--queue",
             "64",
-            "--batch",
-            "8",
             "--deadline-ms",
             "250",
             "--max-body-bytes",
@@ -700,7 +769,6 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_capacity, 64);
-        assert_eq!(cfg.batch_max, 8);
         assert_eq!(cfg.deadline, std::time::Duration::from_millis(250));
         assert_eq!(cfg.max_body_bytes, 4096);
         assert!(cfg.enable_ingest, "ingest is on unless opted out");
@@ -797,6 +865,35 @@ mod tests {
         assert!(
             run_snapshot(&["figure1".to_string()]).is_err(),
             "--out required"
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_rejected() {
+        let check = |v: &[&str], accepted: &[Flags]| {
+            check_flags(
+                &v.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+                accepted,
+            )
+        };
+        assert!(check(&["figure1", "--workers", "2", "--no-ingest"], SERVE_ARGS).is_ok());
+        assert!(check(&["load", "g.pkbg", "--storage", "mmap"], SERVE_ARGS).is_ok());
+        for (args, named) in [
+            (&["figure1", "--worker", "2"][..], "--worker"),
+            (&["figure1", "--workers", "two"], "--workers"),
+            (&["figure1", "--workers"], "--workers"),
+            (&["figure1", "--fsync", "always"], "--fsync"),
+            (&["figure1", "--batch", "16"], "--batch"),
+        ] {
+            let err = check(args, SERVE_ARGS).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
+        // Each mode takes only its own flags.
+        assert!(check(&["figure1", "--addr", "127.0.0.1:0"], &[DATASET_FLAGS]).is_err());
+        assert!(
+            run_snapshot(&["figure1".into(), "--data-dir".into(), "kb".into()])
+                .unwrap_err()
+                .contains("--data-dir")
         );
     }
 
