@@ -25,8 +25,7 @@ use crate::fxhash::{set_with_capacity, FxHashMap, FxHashSet};
 use crate::graph::{KnowledgeGraph, Triple};
 use crate::ids::{AttrId, Id, NodeId, TypeId};
 use crate::interner::Interner;
-use crate::snapshot::{Reader, SnapshotError};
-use bytes::{BufMut, BytesMut};
+use crate::snapshot::{put_str, Reader, SnapshotError};
 use std::sync::Arc;
 
 const DELTA_MAGIC: &[u8; 4] = b"PKBD";
@@ -370,36 +369,32 @@ impl GraphDelta {
     /// u32 nrem | nrem × (u32 src, u32 attr, u32 dst)
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_slice(DELTA_MAGIC);
-        buf.put_u32_le(DELTA_VERSION);
-        buf.put_u32_le(self.base_nodes as u32);
-        let put_str = |buf: &mut BytesMut, s: &str| {
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        };
-        buf.put_u32_le(self.types.len() as u32);
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(DELTA_MAGIC);
+        buf.extend_from_slice(&DELTA_VERSION.to_le_bytes());
+        buf.extend_from_slice(&(self.base_nodes as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.types.len() as u32).to_le_bytes());
         for (_, s) in self.types.iter() {
             put_str(&mut buf, s);
         }
-        buf.put_u32_le(self.attrs.len() as u32);
+        buf.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
         for (_, s) in self.attrs.iter() {
             put_str(&mut buf, s);
         }
-        buf.put_u32_le(self.new_nodes.len() as u32);
+        buf.extend_from_slice(&(self.new_nodes.len() as u32).to_le_bytes());
         for (t, text) in &self.new_nodes {
-            buf.put_u32_le(t.as_u32());
+            buf.extend_from_slice(&t.as_u32().to_le_bytes());
             put_str(&mut buf, text);
         }
         for list in [&self.added, &self.removed] {
-            buf.put_u32_le(list.len() as u32);
+            buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
             for &(s, a, t) in list {
-                buf.put_u32_le(s.as_u32());
-                buf.put_u32_le(a.as_u32());
-                buf.put_u32_le(t.as_u32());
+                buf.extend_from_slice(&s.as_u32().to_le_bytes());
+                buf.extend_from_slice(&a.as_u32().to_le_bytes());
+                buf.extend_from_slice(&t.as_u32().to_le_bytes());
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserialize a delta previously produced by [`GraphDelta::encode`],

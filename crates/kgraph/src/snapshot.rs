@@ -1,8 +1,9 @@
 //! Versioned binary snapshots of a [`KnowledgeGraph`].
 //!
 //! Large synthetic datasets are expensive to regenerate, so the experiment
-//! harness persists them. The codec is hand-written over [`bytes`]: a small,
-//! dependency-light length-prefixed format.
+//! harness persists them. The codec is a small length-prefixed format,
+//! written into a `Vec<u8>` with `to_le_bytes` like every other format in
+//! the stack.
 //!
 //! Layout (little endian):
 //!
@@ -27,7 +28,6 @@ use crate::builder::GraphBuilder;
 use crate::graph::KnowledgeGraph;
 use crate::ids::Id;
 use crate::interner::Interner;
-use bytes::{BufMut, BytesMut};
 
 const MAGIC: &[u8; 4] = b"PKBG";
 const VERSION: u32 = 1;
@@ -203,13 +203,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Append a `u32 len | bytes` string: what [`Reader::str`] reads. The
+/// graph and delta encoders both write strings through it.
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_interner<I: Id>(buf: &mut BytesMut, interner: &Interner<I>) {
-    buf.put_u32_le(interner.len() as u32);
+fn put_interner<I: Id>(buf: &mut Vec<u8>, interner: &Interner<I>) {
+    buf.extend_from_slice(&(interner.len() as u32).to_le_bytes());
     for (_, s) in interner.iter() {
         put_str(buf, s);
     }
@@ -217,30 +219,30 @@ fn put_interner<I: Id>(buf: &mut BytesMut, interner: &Interner<I>) {
 
 /// Serialize `g` to a byte buffer.
 pub fn encode(g: &KnowledgeGraph) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + g.heap_bytes());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
+    let mut buf = Vec::with_capacity(64 + g.heap_bytes());
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     put_interner(&mut buf, g.types());
     put_interner(&mut buf, g.attrs());
-    buf.put_u32_le(g.num_nodes() as u32);
+    buf.extend_from_slice(&(g.num_nodes() as u32).to_le_bytes());
     for v in g.nodes() {
-        buf.put_u32_le(g.node_type(v).as_u32());
+        buf.extend_from_slice(&g.node_type(v).as_u32().to_le_bytes());
         put_str(&mut buf, g.node_text(v));
     }
-    buf.put_u32_le(g.num_edges() as u32);
+    buf.extend_from_slice(&(g.num_edges() as u32).to_le_bytes());
     for e in g.edges() {
-        buf.put_u32_le(e.source.as_u32());
-        buf.put_u32_le(e.attr.as_u32());
-        buf.put_u32_le(e.target.as_u32());
+        buf.extend_from_slice(&e.source.as_u32().to_le_bytes());
+        buf.extend_from_slice(&e.attr.as_u32().to_le_bytes());
+        buf.extend_from_slice(&e.target.as_u32().to_le_bytes());
     }
     let has_pr = g.nodes().any(|v| g.pagerank(v) != 0.0);
-    buf.put_u8(has_pr as u8);
+    buf.push(has_pr as u8);
     if has_pr {
         for v in g.nodes() {
-            buf.put_f64_le(g.pagerank(v));
+            buf.extend_from_slice(&g.pagerank(v).to_le_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Deserialize a graph previously produced by [`encode`].

@@ -78,13 +78,13 @@ use crate::common::{
 use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::score::Aggregation;
 use crate::subtree::node_slices_form_tree;
-use crate::SearchConfig;
-use parking_lot::Mutex;
+use crate::{unpoisoned, SearchConfig};
 use patternkb_graph::NodeId;
 use patternkb_index::{PatternTypeGroup, Posting, RunCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Multiplicative slack absorbing float rounding between the bound
@@ -214,7 +214,7 @@ impl SharedThreshold {
             // The heap is full and this score would not enter it.
             return;
         }
-        let mut heap = self.heap.lock();
+        let mut heap = unpoisoned(self.heap.lock());
         if heap.len() < self.k {
             heap.push(Reverse(bits));
         } else if bits > heap.peek().expect("k >= 1").0 {

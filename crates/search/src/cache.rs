@@ -59,8 +59,9 @@
 //! query came back is a property of the traffic the cache can observe, so
 //! nothing is configured ([`CacheStats::table_fills`] counts the fills).
 //!
-//! The cache is internally synchronized (`parking_lot::Mutex`) and can be
-//! shared across query threads alongside the immutable engine.
+//! The cache is internally synchronized (one `std::sync::Mutex`, its
+//! poisoning recovered) and can be shared across query threads alongside
+//! the immutable engine.
 
 use crate::engine::{Algorithm, SearchEngine};
 use crate::request::AlgorithmChoice;
@@ -68,12 +69,11 @@ use crate::result::{QueryStats, RankedPattern, SearchResult};
 use crate::score::Aggregation;
 use crate::table::TableAnswer;
 use crate::topk::SamplingConfig;
-use crate::{Query, SearchConfig};
-use parking_lot::Mutex;
+use crate::{unpoisoned, Query, SearchConfig};
 use patternkb_graph::{KnowledgeGraph, WordId};
 use patternkb_index::ChangedWords;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything that determines a query's answer, in hashable form.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -246,7 +246,7 @@ impl QueryCache {
         answer
             .tables
             .get_or_init(|| {
-                self.inner.lock().stats.table_fills += 1;
+                unpoisoned(self.inner.lock()).stats.table_fills += 1;
                 answer.compose_tables(g)
             })
             .clone()
@@ -268,7 +268,7 @@ impl QueryCache {
         // the lock is released: a miss must not make every concurrent hit
         // wait for its victim to be freed.
         let stale: Option<Entry> = {
-            let mut inner = self.inner.lock();
+            let mut inner = unpoisoned(self.inner.lock());
             inner.clock += 1;
             let clock = inner.clock;
             let lookup = match inner.map.get_mut(&key) {
@@ -299,7 +299,7 @@ impl QueryCache {
         let answer = Arc::new(SharedAnswer::new(result, algorithm));
         let mut removed: Vec<Entry> = Vec::new();
         {
-            let mut inner = self.inner.lock();
+            let mut inner = unpoisoned(self.inner.lock());
             inner.clock += 1;
             let clock = inner.clock;
             // An entry valid at this version or a newer one (a concurrent
@@ -355,7 +355,7 @@ impl QueryCache {
     /// so readers of either version keep hitting throughout and no version
     /// that was never acknowledged is ever carried to.
     pub(crate) fn carry(&self, base: u64, next: u64, changed: &ChangedWords) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoisoned(self.inner.lock());
         let Inner { map, stats, .. } = &mut *inner;
         for (key, e) in map.iter_mut().filter(|(_, e)| e.last == base) {
             if changed.touches(key.words.iter().map(|&w| WordId(w))) {
@@ -369,12 +369,12 @@ impl QueryCache {
 
     /// Drop every entry (e.g. ahead of a bulk mutation).
     pub fn clear(&self) {
-        self.inner.lock().map.clear();
+        unpoisoned(self.inner.lock()).map.clear();
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        unpoisoned(self.inner.lock()).map.len()
     }
 
     /// Whether the cache is empty.
@@ -384,7 +384,7 @@ impl QueryCache {
 
     /// The counters, with the entry gauge read under the same lock.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = unpoisoned(self.inner.lock());
         CacheStats {
             entries: inner.map.len(),
             ..inner.stats

@@ -42,10 +42,10 @@ use crate::durability::Durability;
 use crate::engine::SearchEngine;
 use crate::error::Error;
 use crate::request::{SearchRequest, SearchResponse};
-use parking_lot::{Mutex, RwLock};
+use crate::unpoisoned;
 use patternkb_graph::mutate::{DeltaError, GraphDelta, PagerankMode};
 use patternkb_index::RefreshStats;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// What one [`SharedEngine::ingest_with`] call changed.
 #[derive(Clone, Copy, Debug)]
@@ -114,8 +114,8 @@ pub struct SharedEngine {
     /// Version-aware result cache consulted by [`Self::respond`].
     cache: QueryCache,
     /// Admission gate: counts in-flight responds and flips closed on
-    /// [`Self::close`]. std primitives (not parking_lot) so the condvar
-    /// wait in `close` composes with the guard's `Drop` on panic unwinds.
+    /// [`Self::close`]. Unlike this handle's other locks, it keeps std's
+    /// poison policy and unwraps its lock results.
     gate: Gate,
     /// Hot-swap epoch: +1 per [`Self::replace`] (whole-engine snapshot
     /// swap), independent of the per-delta data version.
@@ -135,8 +135,8 @@ pub struct SharedEngine {
 /// Admission state: how many responds are in flight, and whether new ones
 /// are still admitted.
 struct Gate {
-    state: std::sync::Mutex<GateState>,
-    drained: std::sync::Condvar,
+    state: Mutex<GateState>,
+    drained: Condvar,
 }
 
 struct GateState {
@@ -185,11 +185,11 @@ impl SharedEngine {
             writer: Mutex::new(()),
             cache: QueryCache::new(capacity),
             gate: Gate {
-                state: std::sync::Mutex::new(GateState {
+                state: Mutex::new(GateState {
                     closed: false,
                     in_flight: 0,
                 }),
-                drained: std::sync::Condvar::new(),
+                drained: Condvar::new(),
             },
             epoch: std::sync::atomic::AtomicU64::new(0),
             pending: Mutex::new(None),
@@ -255,12 +255,12 @@ impl SharedEngine {
     /// composition — everything on [`SearchEngine`] — runs against it;
     /// it stays valid (and consistent) across later ingests.
     pub fn snapshot(&self) -> Arc<SearchEngine> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&*unpoisoned(self.current.read()))
     }
 
     /// The current data version (see [`SearchEngine::version`]).
     pub fn version(&self) -> u64 {
-        self.current.read().version()
+        unpoisoned(self.current.read()).version()
     }
 
     /// The hot-swap epoch: 0 at construction, +1 per [`Self::replace`].
@@ -300,13 +300,13 @@ impl SharedEngine {
     /// (its entry's versions all lie below the new one), or an ingest
     /// built on the old state carries entries late (to a version below it).
     pub fn replace(&self, next: SearchEngine) -> u64 {
-        let _writing = self.writer.lock();
+        let _writing = unpoisoned(self.writer.lock());
         let mut next = next;
         // The rebase floor includes the unpublished ingest tail (durable
         // handles), so a swapped-in engine can never collide with a
         // version already written to the log.
-        let mut floor = self.current.read().version();
-        if let Some(tail) = self.pending.lock().take() {
+        let mut floor = unpoisoned(self.current.read()).version();
+        if let Some(tail) = unpoisoned(self.pending.lock()).take() {
             floor = floor.max(tail.version());
         }
         next.rebase_version(floor);
@@ -404,7 +404,7 @@ impl SharedEngine {
         build: impl FnOnce(&SearchEngine) -> Result<GraphDelta, E>,
     ) -> Result<IngestOutcome, IngestError<E>> {
         let (base_version, next, stats, changed, graph_chunks_copied, ticket) = {
-            let _writing = self.writer.lock();
+            let _writing = unpoisoned(self.writer.lock());
             if self.is_closed() {
                 return Err(IngestError::Closed);
             }
@@ -413,9 +413,7 @@ impl SharedEngine {
             // durability possibly still waiting on its fsync — so the
             // delta `build` produces is applied to exactly the graph it
             // was built against.
-            let base = self
-                .pending
-                .lock()
+            let base = unpoisoned(self.pending.lock())
                 .clone()
                 .unwrap_or_else(|| self.snapshot());
             let delta = build(&base).map_err(IngestError::Build)?;
@@ -433,7 +431,7 @@ impl SharedEngine {
                 ),
                 None => None,
             };
-            *self.pending.lock() = Some(Arc::clone(&next));
+            *unpoisoned(self.pending.lock()) = Some(Arc::clone(&next));
             (base.version(), next, stats, changed, total - shared, ticket)
         };
         if let Some(ticket) = ticket {
@@ -473,7 +471,7 @@ impl SharedEngine {
 /// behind that.
 fn swap_unlocked<T>(slot: &RwLock<Arc<T>>, next: Arc<T>, admit: impl FnOnce(&T) -> bool) {
     let outgoing = {
-        let mut cur = slot.write();
+        let mut cur = unpoisoned(slot.write());
         if !admit(&cur) {
             return;
         }
@@ -527,7 +525,7 @@ mod tests {
         impl Drop for Probe {
             fn drop(&mut self) {
                 if let Some(slot) = self.slot.upgrade() {
-                    let readable = slot.try_read().is_some();
+                    let readable = slot.try_read().is_ok();
                     self.readable_at_drop.lock().unwrap().push(readable);
                 }
             }

@@ -170,3 +170,42 @@ impl SearchConfig {
         }
     }
 }
+
+/// The guard a lock call returned, whether or not a panicking holder
+/// poisoned the lock. The cache, the pruning threshold and the shared
+/// engine's pointer and writer locks all take their guards through this,
+/// so a panic in one query or ingest does not turn every later caller's
+/// lock into a second panic. That is sound because each critical section
+/// over data replaces whole values (a counter, a map entry, a heap slot,
+/// an `Arc`) and runs no caller code, so a panic cannot leave the data
+/// half-written; the writer lock, held across the caller's delta build,
+/// guards no data. (The admission gate, durability and serving layers
+/// keep std's poisoning and unwrap.)
+pub(crate) fn unpoisoned<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unpoisoned;
+    use std::sync::{Mutex, RwLock};
+
+    #[test]
+    fn unpoisoned_recovers_the_guard_a_panicking_holder_left() {
+        let m = Mutex::new(vec![1, 2]);
+        let l = RwLock::new(vec![3]);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _m = m.lock().unwrap();
+                let _l = l.write().unwrap();
+                panic!("holder dies with both guards held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.is_poisoned() && l.is_poisoned());
+        unpoisoned(m.lock()).push(4);
+        assert_eq!(*unpoisoned(m.lock()), [1, 2, 4]);
+        unpoisoned(l.write()).push(5);
+        assert_eq!(*unpoisoned(l.read()), [3, 5]);
+    }
+}

@@ -221,6 +221,22 @@ fn open_append(path: &Path) -> std::io::Result<File> {
     OpenOptions::new().append(true).open(path)
 }
 
+/// Append the file header: `magic | u32 format_version`.
+fn put_header(buf: &mut Vec<u8>) {
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+}
+
+/// Append one framed record: `u64 version | u32 len | u32 crc | payload`,
+/// the CRC taken over `version || payload`.
+fn put_record(buf: &mut Vec<u8>, version: u64, payload: &[u8]) {
+    let version = version.to_le_bytes();
+    buf.extend_from_slice(&version);
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(&[&version, payload]).to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
 fn fsync_dir(path: &Path) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         File::open(dir)?.sync_all()?;
@@ -242,9 +258,10 @@ impl Wal {
         let exists = path.exists();
         if !exists || summary.valid_len < HEADER_LEN {
             // Fresh log (or one whose header itself was torn mid-create).
+            let mut header = Vec::with_capacity(HEADER_LEN as usize);
+            put_header(&mut header);
             let mut f = File::create(&path)?;
-            f.write_all(MAGIC)?;
-            f.write_all(&FORMAT_VERSION.to_le_bytes())?;
+            f.write_all(&header)?;
             f.sync_all()?;
             fsync_dir(&path)?;
         } else if summary.torn {
@@ -294,10 +311,7 @@ impl Wal {
     pub fn append(&self, version: u64, payload: &[u8]) -> std::io::Result<Ticket> {
         let inner = &*self.inner;
         let mut buf = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&[&version.to_le_bytes(), payload]).to_le_bytes());
-        buf.extend_from_slice(payload);
+        put_record(&mut buf, version, payload);
 
         let mut file = inner.file.lock().expect("wal file lock");
         {
@@ -391,31 +405,20 @@ impl Wal {
 
         let summary = replay(&inner.path)?;
         let tmp = inner.path.with_extension("log.tmp");
+        let mut kept = 0u64;
         {
             let mut out = File::create(&tmp)?;
             let mut buf = Vec::with_capacity(64);
-            buf.extend_from_slice(MAGIC);
-            buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            put_header(&mut buf);
             for r in summary.records.iter().filter(|r| r.version > keep_after) {
-                buf.extend_from_slice(&r.version.to_le_bytes());
-                buf.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-                buf.extend_from_slice(
-                    &crc32(&[&r.version.to_le_bytes(), &r.payload]).to_le_bytes(),
-                );
-                buf.extend_from_slice(&r.payload);
+                put_record(&mut buf, r.version, &r.payload);
+                kept += 1;
             }
             out.write_all(&buf)?;
             out.sync_all()?;
             inner.log_bytes.store(buf.len() as u64, Ordering::Relaxed);
         }
-        inner.log_records.store(
-            summary
-                .records
-                .iter()
-                .filter(|r| r.version > keep_after)
-                .count() as u64,
-            Ordering::Relaxed,
-        );
+        inner.log_records.store(kept, Ordering::Relaxed);
         std::fs::rename(&tmp, &inner.path)?;
         fsync_dir(&inner.path)?;
         *file = open_append(&inner.path)?;
@@ -692,6 +695,26 @@ mod tests {
         let summary = replay(&path).unwrap();
         let versions: Vec<u64> = summary.records.iter().map(|r| r.version).collect();
         assert_eq!(versions, vec![8, 9, 10, 11]);
+    }
+
+    /// `open` and `append` frame the header and each record; `rotate`
+    /// re-frames the records it keeps. Keeping all of them must rewrite
+    /// the same bytes, or the two framings have drifted apart.
+    #[test]
+    fn rotate_keeping_every_record_rewrites_the_same_bytes() {
+        let dir = tmpdir("rotate_same");
+        let path = dir.join("wal.log");
+        let (wal, _) = Wal::open(&path, WalOptions).unwrap();
+        for v in 1..=4u64 {
+            wal.append_durable(v, format!("record {v}").as_bytes())
+                .unwrap();
+        }
+        wal.append_durable(9, b"").unwrap();
+        let appended = std::fs::read(&path).unwrap();
+        wal.rotate(0).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), appended);
+        assert_eq!(wal.log_bytes(), appended.len() as u64);
+        assert_eq!(wal.log_records(), 5);
     }
 
     #[test]

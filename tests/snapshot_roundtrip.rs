@@ -68,7 +68,9 @@ fn imdb_snapshot_roundtrips() {
 /// (new type and attribute, new nodes, an added and a removed edge), so a
 /// change of the in-memory representation that reorders, drops or
 /// duplicates anything shows up as a changed file. Both digests were taken
-/// on the flat-array layout this representation replaced.
+/// on the flat-array layout this representation replaced. The delta's own
+/// `PKBD` bytes are pinned too, taken before its encoder moved from a
+/// byte-buffer type to `Vec<u8>`.
 #[test]
 fn graph_snapshot_bytes_are_pinned() {
     let digest = |bytes: &[u8]| {
@@ -93,6 +95,7 @@ fn graph_snapshot_bytes_are_pinned() {
 
     assert_eq!(digest(&built), (711, 0xe5ca_2126_0564_7a3e), "built");
     assert_eq!(digest(&applied), (813, 0x7fff_cb55_9e16_c235), "applied");
+    assert_eq!(digest(&d.encode()), (304, 0xb363_8b1e_fed0_0988), "delta");
     // A decoded graph is a built one: it writes the file it was read from.
     for bytes in [&built, &applied] {
         let reread = snapshot::decode(bytes).expect("decode");
