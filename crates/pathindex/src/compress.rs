@@ -81,9 +81,9 @@ pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
 }
 
 /// Decode one word's posting stream from a borrowed byte slice — the one
-/// stream decoder, shared by the eager heap decode and the mapped tier's
-/// first-touch decode ([`crate::storage`] borrows the stream in place
-/// from the container).
+/// stream decoder, shared by the eager reference decode and an opened
+/// image's first-touch decode ([`crate::storage`] borrows the stream in
+/// place from the container).
 ///
 /// The stream must span `buf` exactly and hold exactly `num_postings`
 /// postings: trailing bytes are an error, so a wrong length prefix in the

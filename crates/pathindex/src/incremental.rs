@@ -124,11 +124,11 @@ impl ChangedWords {
 }
 
 /// [`try_refresh_indexes`] for indexes whose streams are known to be
-/// sound (heap-resident, or just written) — the form the benchmark's
+/// sound (built in memory, or just written) — the form the benchmark's
 /// probes and the tests call.
 ///
 /// # Panics
-/// If a word the delta touches has a damaged mapped stream.
+/// If a word the delta touches has a damaged snapshot stream.
 pub fn refresh_indexes(
     old: &PathIndexes,
     old_g: &KnowledgeGraph,
@@ -147,7 +147,7 @@ pub fn refresh_indexes(
         dirty,
         refresh_pagerank,
     )
-    .unwrap_or_else(|e| panic!("a touched word's mapped stream is damaged: {e}"));
+    .unwrap_or_else(|e| panic!("a touched word's snapshot stream is damaged: {e}"));
     (index, stats)
 }
 
@@ -166,7 +166,7 @@ pub fn refresh_indexes(
 /// whose lists it replaced: a query over none of them has the same
 /// answer on both versions.
 ///
-/// A list the refresh must read whose mapped stream is damaged is the
+/// A list the refresh must read whose snapshot stream is damaged is the
 /// stream's typed error, not an empty list: the refresh never publishes
 /// a version that silently lost the old postings.
 pub fn try_refresh_indexes(

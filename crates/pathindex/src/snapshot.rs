@@ -1,12 +1,14 @@
-//! Heap-tier entry points for persisted [`PathIndexes`].
+//! The eager reference decoder for persisted [`PathIndexes`].
 //!
 //! Figure 6 shows index construction dominating setup cost (hours at the
 //! paper's scale), so a production deployment builds once and reloads.
 //! There is one persisted image — the `PKB5` container of
-//! [`crate::storage`] — and two ways to read it: [`decode`] / [`load`]
-//! here decode every word eagerly into owned heap structures, while
-//! [`crate::storage::open_mapped`] / [`crate::storage::open_bytes`] borrow
-//! the same bytes and defer each word's decode to first touch. Images are
+//! [`crate::storage`] — and every boot opens it with
+//! [`crate::storage::open_region`]: both tiers borrow the bytes (mapped,
+//! or read into memory) and defer each word's decode to first touch.
+//! [`decode`] / [`load`] here decode every word eagerly into owned heap
+//! structures instead; they are on no boot path, and stay as the
+//! reference the opened image is tested bit-identical against. Images are
 //! written by [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
 //!
 //! The image stores the pattern interner and, per word, the postings in
@@ -28,13 +30,13 @@ use patternkb_graph::snapshot::invalid_data;
 /// format in the stack reports offsets the same way.
 pub use patternkb_graph::snapshot::SnapshotError;
 
-/// Decode a `PKB5` image fully onto the heap tier (every word decoded
-/// eagerly).
+/// Decode a `PKB5` image fully onto the heap (every word decoded
+/// eagerly): the reference decoder, on no boot path.
 pub fn decode(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
     crate::storage::decode_v5(data)
 }
 
-/// Read a `PKB5` image from `path` onto the heap tier.
+/// Read a `PKB5` image from `path` and [`decode`] it eagerly.
 pub fn load(path: &std::path::Path) -> std::io::Result<PathIndexes> {
     let data = std::fs::read(path)?;
     decode(&data).map_err(|e| invalid_data(path, e))

@@ -1,24 +1,26 @@
 //! The persisted index image — the **`PKB5`** container — and the
 //! [`IndexStorage`] trait behind [`crate::word_index::IndexShard`].
 //!
-//! `PKB5` is the only persisted path-index format, and it is read two
-//! ways. The heap tier ([`crate::snapshot::decode`]) decodes every word
-//! before the first query, so boot pays a whole-index decode and resident
-//! memory equals the decoded index. The mapped tier keeps the image
-//! storage-resident:
+//! `PKB5` is the only persisted path-index format, and both storage tiers
+//! boot from it the same way: open the image in place, decode each word
+//! on first touch. They differ only in where the image bytes live — the
+//! mapped tier maps the file, the heap tier reads it into memory:
 //!
 //! * **the container**: an offset-table layout whose sections are 8-byte
 //!   aligned and whose per-word payloads are word streams (each posting
 //!   leads with its root as a varint gap within its pattern group);
 //! * **[`Region`]**: where the container bytes live — a read-only file
-//!   mapping on Unix, or a window of a heap buffer (non-Unix fallback,
-//!   tests, and a checkpoint's index blob inside the file it was read
-//!   with) — behind one borrowing interface;
+//!   mapping on Unix, or a window of a heap buffer (the heap tier, the
+//!   non-Unix fallback, tests, and a checkpoint's index blob inside the
+//!   file it was read with) — behind one borrowing interface;
 //! * **[`MappedStorage`]**: opens a region by parsing only the header,
 //!   bounds, pattern keys and lexicon (O(words), not O(postings)); stream
 //!   bytes are *borrowed in place* and a word's postings are decoded into
 //!   a cached [`WordPathIndex`] only when the first query touches the
-//!   word. Boot cost and resident set are decoupled from index size.
+//!   word. Boot cost and decoded bytes are decoupled from index size.
+//!
+//! [`crate::snapshot::decode`] is the eager reference decoder (every word
+//! up front, into [`HeapStorage`]); no boot path takes it.
 //!
 //! All reads go through byte-slice little-endian conversions — never
 //! pointer casts — so the layout is alignment-safe on every target and a
@@ -52,12 +54,12 @@ const LEX_ENTRY_LEN: usize = 32;
 /// Which storage tier backs the path indexes of an engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageBackend {
-    /// Everything decoded into heap structures at load time (the classic
-    /// tier; required for indexes built in memory).
+    /// Postings on the heap: an index built in memory, or a v5 snapshot
+    /// read into memory and decoded per word on first touch.
     #[default]
     Heap,
-    /// A v5 snapshot read in place from a [`Region`] (file mapping or
-    /// owned buffer), per-word decode deferred to first query touch.
+    /// A v5 snapshot mapped from its file (an owned buffer off Unix),
+    /// per-word decode deferred to first query touch.
     Mmap,
 }
 
@@ -88,14 +90,14 @@ impl std::str::FromStr for StorageBackend {
 /// One shard's word → posting-index provider: the seam between the query
 /// algorithms (which consume `&WordPathIndex` borrows) and where those
 /// postings physically live. Two implementations exist — [`HeapStorage`]
-/// (owned, fully decoded) and [`MappedStorage`] (storage-resident v5,
+/// (owned, fully decoded) and [`MappedStorage`] (an opened v5 image,
 /// decode-on-first-touch) — and both must serve **bit-identical** answers
 /// (asserted by the cross-backend equivalence suites in `patternkb_search`).
 pub trait IndexStorage: Send + Sync {
     /// Which tier this is (drives `/metrics` and boot logs).
     fn backend(&self) -> StorageBackend;
     /// The per-word index for `w`, if the shard holds postings for it.
-    /// On the mapped tier this decodes (and caches) the word's stream on
+    /// On an opened image this decodes (and caches) the word's stream on
     /// first touch; a corrupt stream makes the word unavailable here —
     /// use [`IndexStorage::prepare`] first to surface the typed error.
     fn word(&self, w: WordId) -> Option<&WordPathIndex>;
@@ -109,16 +111,17 @@ pub trait IndexStorage: Send + Sync {
     /// Total postings in this shard (from metadata; never decodes).
     fn num_postings(&self) -> usize;
     /// Approximate **resident** bytes: what this shard holds on the heap
-    /// right now (for the mapped tier: the lexicon plus only the words
-    /// decoded so far — not the file).
+    /// right now (for an opened image: the lexicon plus only the words
+    /// decoded so far — not the image bytes).
     fn heap_bytes(&self) -> usize;
-    /// Ensure `w` is decoded (no-op when absent or on the heap tier),
+    /// Ensure `w` is decoded (no-op when absent or already decoded),
     /// surfacing a corrupt stream as the typed error the query path
     /// reports instead of silently missing a word.
     fn prepare(&self, w: WordId) -> Result<(), SnapshotError>;
 }
 
-/// The classic tier: every word fully decoded and owned on the heap.
+/// Every word fully decoded and owned on the heap: an index built in
+/// memory, a full-rebuild refresh, or the eager reference decode.
 #[derive(Default)]
 pub struct HeapStorage {
     pub(crate) words: FxHashMap<WordId, WordPathIndex>,
@@ -227,16 +230,16 @@ enum RegionInner {
 }
 
 /// Where an opened snapshot's bytes live: a read-only file mapping, or a
-/// heap buffer (the small pluggable page source behind the mapped tier —
-/// used on non-Unix targets, in tests, and for checkpoint blobs that are
-/// already in memory). Either way the container is *borrowed*, not
-/// decoded: [`MappedStorage`] reads lexicon and stream bytes in place.
+/// heap buffer (the heap tier's image read into memory, the non-Unix
+/// fallback, tests, and checkpoint blobs that are already in memory).
+/// Either way the container is *borrowed*, not decoded: [`MappedStorage`]
+/// reads lexicon and stream bytes in place.
 pub struct Region {
     inner: RegionInner,
 }
 
 impl Region {
-    /// Wrap an owned byte buffer (tests, fallback).
+    /// Wrap an owned byte buffer (the heap tier, tests, fallback).
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         let len = bytes.len();
         Region::from_vec_range(bytes, 0..len)
@@ -434,7 +437,7 @@ pub fn save_v5(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()>
 }
 
 // ---------------------------------------------------------------------
-// v5 parser (shared by the mapped open and the heap decode).
+// v5 parser (shared by the open and the eager decode).
 // ---------------------------------------------------------------------
 
 /// One lexicon row of an opened container (this shard's slice of it).
@@ -607,10 +610,10 @@ fn parse_v5(data: &[u8]) -> Result<ParsedV5, SnapshotError> {
 }
 
 /// Decode one lexicon entry's stream from the container bytes — the one
-/// path both tiers take: the word stream must decode exactly, every
-/// root must lie in the shard's range, and every pattern id must resolve
-/// in the shared pattern set. Errors carry the absolute byte offset of
-/// the damaged stream.
+/// path the open image and the eager decode take: the word stream must
+/// decode exactly, every root must lie in the shard's range, and every
+/// pattern id must resolve in the shared pattern set. Errors carry the
+/// absolute byte offset of the damaged stream.
 fn decode_entry(
     data: &[u8],
     e: &LexEntry,
@@ -642,8 +645,10 @@ fn decode_entry(
 /// One shard's view of an opened v5 container: the parsed lexicon slice
 /// plus a per-word decode cache. Stream bytes are borrowed from the
 /// shared [`Region`]; a word's postings are decoded into the cache on
-/// first touch and reused for the life of the index.
+/// first touch and reused for the life of the index. Serves both tiers:
+/// it reports the one it was opened as.
 pub struct MappedStorage {
+    backend: StorageBackend,
     region: Arc<Region>,
     entries: Vec<LexEntry>,
     /// Decode cache, parallel to `entries`. Errors are cached too, so a
@@ -675,7 +680,7 @@ impl MappedStorage {
 
 impl IndexStorage for MappedStorage {
     fn backend(&self) -> StorageBackend {
-        StorageBackend::Mmap
+        self.backend
     }
     fn word(&self, w: WordId) -> Option<&WordPathIndex> {
         let i = self.slot(w)?;
@@ -713,8 +718,10 @@ impl IndexStorage for MappedStorage {
 
 /// Open a v5 container over `region` as storage-backed [`PathIndexes`]:
 /// parse header, bounds, patterns and lexicon (O(words)); defer every
-/// posting decode to first query touch.
-pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
+/// posting decode to first query touch. `backend` is the tier the index
+/// reports: [`StorageBackend::Mmap`] for a file mapping,
+/// [`StorageBackend::Heap`] for an image read into memory.
+pub fn open_region(region: Region, backend: StorageBackend) -> Result<PathIndexes, SnapshotError> {
     let parsed = parse_v5(region.bytes())?;
     let region = Arc::new(region);
     let npatterns = parsed.patterns.len() as u32;
@@ -723,6 +730,7 @@ pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
         let num_postings = entries.iter().map(|e| e.num_postings as usize).sum();
         let slots = (0..entries.len()).map(|_| OnceLock::new()).collect();
         shards.push(IndexShard::from_storage(Arc::new(MappedStorage {
+            backend,
             region: Arc::clone(&region),
             entries,
             slots,
@@ -742,35 +750,22 @@ pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
 
 /// Open a v5 snapshot *file* on the mapped tier: `mmap` the file
 /// read-only (heap buffer on non-Unix) and defer posting decode to
-/// cursor traversal. This is the near-instant boot path — cost is
-/// O(lexicon), not O(postings).
+/// cursor traversal. Cost is O(lexicon), not O(postings).
 pub fn open_mapped(path: &std::path::Path) -> std::io::Result<PathIndexes> {
     let region = Region::map_file(path)?;
-    open_region(region).map_err(|e| invalid_data(path, e))
+    open_region(region, StorageBackend::Mmap).map_err(|e| invalid_data(path, e))
 }
 
 /// Open v5 container *bytes* on the mapped tier without copying them
 /// again: the buffer becomes the region, per-word decode stays deferred.
 pub fn open_bytes(bytes: Vec<u8>) -> Result<PathIndexes, SnapshotError> {
-    open_region(Region::from_vec(bytes))
+    open_region(Region::from_vec(bytes), StorageBackend::Mmap)
 }
 
-/// [`open_bytes`] for a container that is the window `range` of `bytes`
-/// (a checkpoint's index blob inside the file it was read with): the
-/// whole buffer becomes the region and nothing is copied out of it.
-///
-/// # Panics
-/// If `range` does not lie inside `bytes`.
-pub fn open_bytes_range(
-    bytes: Vec<u8>,
-    range: std::ops::Range<usize>,
-) -> Result<PathIndexes, SnapshotError> {
-    open_region(Region::from_vec_range(bytes, range))
-}
-
-/// Decode a container fully into the heap tier (every word decoded
+/// Decode a container fully into [`HeapStorage`] (every word decoded
 /// eagerly) — the body of [`crate::snapshot::decode`], and the reference
-/// the mapped tier is tested bit-identical against.
+/// the opened image is tested bit-identical against. No boot path takes
+/// it.
 pub(crate) fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
     let parsed = parse_v5(data)?;
     let npatterns = parsed.patterns.len() as u32;
@@ -903,6 +898,17 @@ mod tests {
             after > before,
             "touching words must grow the decode cache ({before} -> {after})"
         );
+    }
+
+    #[test]
+    fn an_image_read_into_memory_opens_lazily_as_the_heap_tier() {
+        let (g, t) = sample(60);
+        let idx = build(&g, &t, 3, 2);
+        let heap = open_region(Region::from_vec(encode_v5(&idx)), StorageBackend::Heap).unwrap();
+        assert_eq!(heap.storage_backend(), StorageBackend::Heap);
+        let before = heap.heap_bytes();
+        assert_same_index(&idx, &heap);
+        assert!(heap.heap_bytes() > before, "words decode on first touch");
     }
 
     #[test]
@@ -1118,8 +1124,9 @@ mod tests {
         let image = encode_v5(&idx);
         let at = 13;
         let buf = [vec![0xAB; at], image.clone(), vec![0xCD; 5]].concat();
-        let mapped = open_bytes_range(buf, at..at + image.len()).expect("window opens");
-        assert_same_index(&idx, &mapped);
+        let region = Region::from_vec_range(buf, at..at + image.len());
+        let opened = open_region(region, StorageBackend::Heap).expect("window opens");
+        assert_same_index(&idx, &opened);
     }
 
     #[test]

@@ -556,9 +556,10 @@ fn compact_arena(postings: &mut [Posting], arena: &[NodeId]) -> Vec<NodeId> {
 /// [`PatternSet`], so pattern ids are comparable across shards.
 ///
 /// A shard is **`base ⊕ patched words`**. The base is an immutable
-/// [`crate::storage::IndexStorage`] — the heap tier owns fully decoded
-/// structures, the mapped tier borrows a v5 snapshot region and decodes
-/// words on first touch — shared by `Arc` between every index version
+/// [`crate::storage::IndexStorage`] — an index built in memory owns fully
+/// decoded structures, a booted snapshot borrows its v5 region (mapped or
+/// read into memory) and decodes words on first touch — shared by `Arc`
+/// between every index version
 /// derived from it. [`crate::incremental::refresh_indexes`] publishes a
 /// new version by rebuilding only the words a delta touches and recording
 /// them in the patch map, which shadows the base: `Some` replaces the
@@ -670,7 +671,7 @@ impl IndexShard {
     }
 
     /// Iterate all `(word, index)` pairs of this shard, in ascending word
-    /// order. On the mapped tier this decodes every base word it visits
+    /// order. Over an opened image this decodes every base word it visits
     /// (the image writer's and the full refresh's path); words whose
     /// streams are damaged are skipped here — queries surface them as
     /// typed errors via [`PathIndexes::prepare_words`] instead.
@@ -690,8 +691,8 @@ impl IndexShard {
         self.num_postings
     }
 
-    /// Approximate resident bytes of this shard: the base (for the mapped
-    /// tier only what has been decoded so far, not the snapshot file) plus
+    /// Approximate resident bytes of this shard: the base (for an opened
+    /// image only what has been decoded so far, not the image bytes) plus
     /// the patched words. A base shared with other versions is counted in
     /// each of them.
     pub fn heap_bytes(&self) -> usize {
@@ -704,8 +705,8 @@ impl IndexShard {
                 .sum::<usize>()
     }
 
-    /// Ensure `w` is decoded and usable, surfacing a damaged mapped
-    /// stream as its typed error. No-op for heap-resident words.
+    /// Ensure `w` is decoded and usable, surfacing a damaged image
+    /// stream as its typed error. No-op for words already decoded.
     pub fn prepare(&self, w: WordId) -> Result<(), patternkb_graph::snapshot::SnapshotError> {
         if self.patched.contains_key(&w) {
             return Ok(());
@@ -843,8 +844,8 @@ impl PathIndexes {
         self.shards.iter().map(|s| s.patched.len()).sum()
     }
 
-    /// Approximate resident bytes of everything (for the mapped tier:
-    /// only what has been decoded so far, not the snapshot file).
+    /// Approximate resident bytes of everything (for an opened image:
+    /// only what has been decoded so far, not the image bytes).
     pub fn heap_bytes(&self) -> usize {
         self.patterns.heap_bytes()
             + self
@@ -870,10 +871,10 @@ impl PathIndexes {
     }
 
     /// Ensure every listed word is decoded in every shard that holds it,
-    /// surfacing the first damaged mapped stream as its typed error
+    /// surfacing the first damaged image stream as its typed error
     /// (with the byte offset of the damage). Queries call this up front
     /// so corruption is reported, not silently treated as a missing
-    /// word. No-op on the heap tier.
+    /// word. No-op for an index built in memory.
     pub fn prepare_words(
         &self,
         words: &[WordId],

@@ -27,6 +27,7 @@ use crate::durability::{self, Durability, DurabilityOptions};
 use crate::engine::SearchEngine;
 use crate::error::Error;
 use patternkb_graph::KnowledgeGraph;
+use patternkb_index::storage::{open_region, Region};
 use patternkb_index::{build_indexes, BuildConfig, StorageBackend};
 use patternkb_text::{Stemmer, SynonymTable, TextIndex};
 use patternkb_wal::{checkpoint, Wal, WalOptions};
@@ -149,16 +150,20 @@ impl EngineBuilder {
         self
     }
 
-    /// Which storage tier serves the path indexes.
+    /// Which storage tier serves the path indexes. Either way a snapshot
+    /// is *opened* (header, bounds, pattern keys and lexicon), not
+    /// decoded: each word decodes on first query touch, so boot cost
+    /// stops scaling with index size. Answers are bit-identical.
     ///
-    /// * [`StorageBackend::Heap`] (default): snapshots are fully decoded
-    ///   at load time; indexes built from the graph are heap-resident by
-    ///   nature.
-    /// * [`StorageBackend::Mmap`]: the [`Self::index_snapshot`] file (or
-    ///   the checkpoint's index blob under [`Self::data_dir`]) is mapped
-    ///   read-only and per-word decode is deferred to first query touch —
-    ///   boot cost and resident memory stop scaling with index size.
-    ///   Answers are bit-identical to the heap tier.
+    /// * [`StorageBackend::Heap`] (default): the [`Self::index_snapshot`]
+    ///   file is read into memory, decoded per word on first touch;
+    ///   indexes built from the graph are heap-resident by nature.
+    /// * [`StorageBackend::Mmap`]: the file is mapped read-only, so the
+    ///   image pages no query touched stay out of the resident set.
+    ///
+    /// Under [`Self::data_dir`] both settings open the checkpoint's index
+    /// blob in place in the buffer the file was read into, and differ
+    /// only in the tier they report.
     pub fn storage(mut self, storage: StorageBackend) -> Self {
         self.storage = storage;
         self
@@ -242,10 +247,12 @@ impl EngineBuilder {
         let (idx, load_time) = match index_snapshot {
             Some(path) => {
                 let t0 = std::time::Instant::now();
-                let idx = match storage {
-                    StorageBackend::Mmap => patternkb_index::storage::open_mapped(&path)?,
-                    StorageBackend::Heap => patternkb_index::snapshot::load(&path)?,
+                let region = match storage {
+                    StorageBackend::Mmap => Region::map_file(&path)?,
+                    StorageBackend::Heap => Region::from_vec(std::fs::read(&path)?),
                 };
+                let idx = open_region(region, storage)
+                    .map_err(|e| patternkb_graph::snapshot::invalid_data(&path, e))?;
                 (idx, Some(t0.elapsed()))
             }
             None => (
@@ -261,9 +268,9 @@ impl EngineBuilder {
     }
 
     /// Base state of a durable boot: the newest readable checkpoint in
-    /// `dir` (graph + index decoded, version restored), or a cold build
-    /// when the directory holds none. The reported load time covers the
-    /// whole boot from the checkpoint: file read and CRC included.
+    /// `dir` (graph decoded, index opened, version restored), or a cold
+    /// build when the directory holds none. The reported load time covers
+    /// the whole boot from the checkpoint: file read and CRC included.
     fn boot_base(self, dir: &Path) -> Result<SearchEngine, Error> {
         let t0 = std::time::Instant::now();
         match checkpoint::load_latest(dir).map_err(Error::Io)? {
@@ -272,23 +279,11 @@ impl EngineBuilder {
                 let wrap = |e| Error::Io(patternkb_graph::snapshot::invalid_data(&path, e));
                 let graph = patternkb_graph::snapshot::decode(cp.graph()).map_err(wrap)?;
                 let version = cp.version;
-                // Under the mapped tier the index blob is *opened*
-                // (lexicon parse only) in place in the file's buffer, not
-                // decoded — the durable-boot fast path.
-                let idx = match self.storage {
-                    StorageBackend::Mmap => {
-                        let (bytes, range) = cp.into_index();
-                        patternkb_index::storage::open_bytes_range(bytes, range)
-                    }
-                    StorageBackend::Heap => {
-                        let idx = patternkb_index::snapshot::decode(cp.index());
-                        // The file's bytes are freed before the text
-                        // index is built, not after.
-                        drop(cp);
-                        idx
-                    }
-                }
-                .map_err(wrap)?;
+                // On either tier the index blob is *opened* (lexicon
+                // parse only) in place in the file's buffer, not decoded.
+                let (bytes, range) = cp.into_index();
+                let idx = open_region(Region::from_vec_range(bytes, range), self.storage)
+                    .map_err(wrap)?;
                 let text = TextIndex::build_with(&graph, self.synonyms, self.stemmer);
                 let mut engine =
                     SearchEngine::from_parts(graph, text, idx).with_snapshot_load(t0.elapsed());

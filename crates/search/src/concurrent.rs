@@ -83,7 +83,7 @@ pub enum IngestError<E> {
     /// built with [`crate::EngineBuilder::data_dir`]; maps to 503 on the
     /// serving surface.
     Durability(std::io::Error),
-    /// A word list the refresh must splice has a damaged mapped stream
+    /// A word list the refresh must splice has a damaged snapshot stream
     /// (the same typed error a search touching it gets). Nothing was
     /// logged or published: the version does not move. Maps to 500
     /// `snapshot` on the serving surface.
@@ -97,7 +97,7 @@ impl<E: std::fmt::Display> std::fmt::Display for IngestError<E> {
             IngestError::Build(e) => write!(f, "delta build failed: {e}"),
             IngestError::Delta(e) => write!(f, "delta rejected: {e}"),
             IngestError::Durability(e) => write!(f, "ingest not made durable: {e}"),
-            IngestError::Snapshot(e) => write!(f, "mapped index stream is damaged: {e}"),
+            IngestError::Snapshot(e) => write!(f, "index stream is damaged: {e}"),
         }
     }
 }

@@ -84,7 +84,7 @@ impl SearchEngine {
 
     /// Which storage tier backs the path indexes right now. An ingest
     /// patches the touched words over the shared base, so an engine booted
-    /// on the mapped tier stays mapped across writes; only a refresh that
+    /// on either tier stays on it across writes; only a refresh that
     /// has to rebuild every list (recomputed PageRank, or a delta adding
     /// type/attribute vocabulary — see [`patternkb_index::incremental`])
     /// returns a heap index, and the metric tracks that, not the boot flag.
@@ -132,7 +132,7 @@ impl SearchEngine {
     ///
     /// Fails, leaving the engine as it was, with [`Error::Delta`] when the
     /// delta does not apply, and with [`Error::Snapshot`] when a word list
-    /// the refresh must splice has a damaged mapped stream.
+    /// the refresh must splice has a damaged snapshot stream.
     pub fn apply_delta(
         &mut self,
         delta: &patternkb_graph::mutate::GraphDelta,
@@ -254,7 +254,7 @@ impl SearchEngine {
             QueryInput::Parsed(q) => q.clone(),
         };
 
-        // On the mapped tier the per-word decode is deferred to first
+        // Over a booted snapshot the per-word decode is deferred to first
         // touch; force it here so a damaged stream surfaces as a typed
         // error instead of the word silently contributing no postings.
         self.idx

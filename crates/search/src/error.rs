@@ -33,8 +33,8 @@ pub enum Error {
     /// fsync failure). The delta was **not** applied — a write that is
     /// not durable is never made visible.
     Durability(std::io::Error),
-    /// A storage-backed (mmap) index stream needed by this query is
-    /// damaged: the deferred per-word decode failed with a typed snapshot
+    /// A snapshot index stream needed by this query is damaged (on
+    /// either tier): the deferred per-word decode failed with a typed snapshot
     /// error carrying the byte offset of the corruption. The engine
     /// refuses to answer from a partial index rather than silently
     /// treating the word as absent.
@@ -61,7 +61,7 @@ impl std::fmt::Display for Error {
             Error::Delta(e) => write!(f, "graph mutation rejected: {e}"),
             Error::Io(e) => write!(f, "index persistence failed: {e}"),
             Error::Durability(e) => write!(f, "ingest not made durable: {e}"),
-            Error::Snapshot(e) => write!(f, "mapped index stream is damaged: {e}"),
+            Error::Snapshot(e) => write!(f, "index stream is damaged: {e}"),
             Error::MissingGraph => write!(f, "engine builder needs a graph (EngineBuilder::graph)"),
             Error::Closed => write!(f, "engine is shutting down; no new queries admitted"),
         }

@@ -240,9 +240,92 @@ fn engine_builder_storage_mmap_end_to_end() {
     }
 }
 
-/// Durable boot: a checkpoint's index blob is a v5 container, so a
-/// `--storage mmap` boot opens it without decoding; heap boots decode
-/// the same blob; and a checkpoint whose blob is anything else (here the
+/// A heap-tier boot reads the snapshot into memory and opens it rather
+/// than decoding it: right after boot it holds a sliver of what the eager
+/// reference decode holds, a search grows it, and every algorithm answers
+/// exactly as an engine over the eager decode does.
+#[test]
+fn heap_boot_is_lazy_and_bit_identical_to_the_eager_decode() {
+    use patternkb_search::{AlgorithmChoice, EngineBuilder, SearchEngine, SearchRequest};
+
+    let graph = || wiki(&WikiConfig::tiny(7));
+    let dir = std::env::temp_dir().join(format!(
+        "patternkb_storage_lazy_heap_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tiny.pkb5");
+    EngineBuilder::new()
+        .graph(graph())
+        .threads(1)
+        .shards(2)
+        .build()
+        .unwrap()
+        .save_index(&path)
+        .unwrap();
+    let lazy = EngineBuilder::new()
+        .graph(graph())
+        .index_snapshot(&path)
+        .build()
+        .unwrap();
+    let reference = patternkb_index::snapshot::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(lazy.storage_backend(), StorageBackend::Heap);
+    assert_eq!(lazy.num_shards(), 2);
+
+    let (booted, decoded) = (lazy.index().heap_bytes(), reference.heap_bytes());
+    assert!(
+        booted * 10 < decoded,
+        "boot holds {booted} B, the eager decode {decoded} B"
+    );
+    let eager = SearchEngine::from_parts(graph(), lazy.text().clone(), reference);
+
+    let mut qg = QueryGenerator::new(lazy.graph(), lazy.text(), 3, 29);
+    let queries: Vec<Query> = [1usize, 2, 3, 1, 2, 3]
+        .iter()
+        .filter_map(|&m| qg.anchored(m))
+        .map(|spec| Query::from_ids(spec.keywords))
+        .collect();
+    assert!(
+        queries.len() >= 4,
+        "zipf generator produced too few queries"
+    );
+    lazy.respond(&SearchRequest::query(queries[0].clone()).k(10))
+        .unwrap();
+    assert!(
+        lazy.index().heap_bytes() > booted,
+        "a search decodes the words it touches"
+    );
+
+    for q in &queries {
+        for algo in [
+            AlgorithmChoice::PatternEnum,
+            AlgorithmChoice::PatternEnumPruned,
+            AlgorithmChoice::LinearEnum,
+            AlgorithmChoice::LinearEnumTopK,
+            AlgorithmChoice::Baseline,
+        ] {
+            let req = SearchRequest::query(q.clone()).k(10).algorithm(algo);
+            let (a, b) = (eager.respond(&req).unwrap(), lazy.respond(&req).unwrap());
+            let label = format!("{algo:?} {:?}", q.keywords);
+            assert_eq!(a.patterns.len(), b.patterns.len(), "{label}");
+            for (x, y) in a.patterns.iter().zip(&b.patterns) {
+                assert_eq!(x.key(), y.key(), "{label}");
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{label}");
+                assert_eq!(x.num_trees, y.num_trees, "{label}");
+                let roots = |p: &patternkb_search::RankedPattern| {
+                    p.trees.iter().map(|t| t.root).collect::<Vec<_>>()
+                };
+                assert_eq!(roots(x), roots(y), "{label}: row roots");
+            }
+            assert_eq!(a.tables, b.tables, "{label}: rows");
+        }
+    }
+}
+
+/// Durable boot: a checkpoint's index blob is a v5 container, so either
+/// tier opens it in place without decoding, and answers alike; and a
+/// checkpoint whose blob is anything else (here the
 /// retired raw `PKBI` magic) is a typed error naming the file on either
 /// setting.
 #[test]

@@ -760,7 +760,7 @@ pub fn engine_error(e: &Error) -> (u16, Json) {
         ),
         Error::InvalidRequest(_) => (400, error_json("invalid_request", &e.to_string(), vec![])),
         Error::Closed => (503, error_json("closed", &e.to_string(), vec![])),
-        // A damaged mapped index stream is a server-side data fault, not
+        // A damaged snapshot index stream is a server-side data fault, not
         // a client error; name it so operators can tell it from generic
         // internals.
         Error::Snapshot(_) => (500, error_json("snapshot", &e.to_string(), vec![])),

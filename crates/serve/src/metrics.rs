@@ -419,6 +419,14 @@ impl ServerMetrics {
             "patternkb_index_patched_words {}\n",
             snapshot.index().num_patched_words()
         ));
+        out.push_str(
+            "# HELP patternkb_index_resident_bytes Approximate heap bytes of the serving path indexes: words decoded so far plus lists rebuilt by ingests (a snapshot image's own bytes not counted).\n\
+             # TYPE patternkb_index_resident_bytes gauge\n",
+        );
+        out.push_str(&format!(
+            "patternkb_index_resident_bytes {}\n",
+            snapshot.index().heap_bytes()
+        ));
         if let Some(load) = snapshot.snapshot_load_time() {
             out.push_str(
                 "# HELP patternkb_snapshot_load_seconds Index snapshot load/open time at boot.\n\

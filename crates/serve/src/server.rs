@@ -709,7 +709,7 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
             // the delta was NOT applied and the log refuses further
             // appends until the operator intervenes (restart). Both 503s
             // drop the connection. 500 `snapshot`: a word the delta
-            // touches has a damaged mapped stream, as on `/search`.
+            // touches has a damaged snapshot stream, as on `/search`.
             let (status, body) = match &e {
                 IngestError::Build(api_err) => {
                     (400, api::error_json(api_err.kind, &api_err.message, vec![]))

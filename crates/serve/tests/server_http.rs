@@ -332,6 +332,48 @@ fn metrics_report_mmap_backend_and_snapshot_load_time() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A heap-tier snapshot boot opens the image and decodes words as
+/// searches touch them: `patternkb_index_resident_bytes` is smaller right
+/// after boot than after one `/search`.
+#[test]
+fn resident_bytes_grow_as_a_heap_snapshot_boot_serves() {
+    let dir = std::env::temp_dir().join(format!("patternkb_serve_resident_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("figure1.pkb5");
+    patternkb_index::storage::save_v5(figure1_engine().index(), &path).unwrap();
+    let (g, _) = patternkb_datagen::figure1();
+    let shared = EngineBuilder::new()
+        .graph(g)
+        .threads(1)
+        .index_snapshot(&path)
+        .build_shared()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let server = Server::start(Arc::new(shared), None, test_config()).unwrap();
+    let addr = server.local_addr();
+    let resident = || {
+        let (_, _, metrics) = get(addr, "/metrics");
+        assert!(
+            metrics.contains("patternkb_storage_backend{backend=\"heap\"} 1"),
+            "{metrics}"
+        );
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("patternkb_index_resident_bytes "))
+            .unwrap_or_else(|| panic!("no resident-bytes gauge in:\n{metrics}"))
+            .parse::<u64>()
+            .unwrap()
+    };
+
+    let booted = resident();
+    let (status, _, body) = search(addr, FIGURE3_QUERY);
+    assert_eq!(status, 200, "body: {body}");
+    let served = resident();
+    assert!(booted < served, "resident bytes {booted} -> {served}");
+    server.trigger_shutdown();
+    server.join();
+}
+
 #[test]
 fn query_errors_are_4xx_json() {
     let server = Server::start(shared_engine(), None, test_config()).unwrap();

@@ -13,8 +13,9 @@
 //!            --deadline-ms <ms>  --max-body-bytes <n>
 //!            --no-ingest (disable the online write path)
 //!            --index-snapshot <file> (boot from a saved index snapshot)
-//!            --storage heap|mmap (map the snapshot instead of decoding
-//!            it; see README "Storage backends")
+//!            --storage heap|mmap (map the snapshot instead of reading
+//!            it into memory; either way each word decodes on first
+//!            touch — see README "Storage backends")
 //!   endpoints: POST /search, GET /healthz, GET /metrics,
 //!              POST /admin/ingest (online mutation batch applied via
 //!              incremental index refresh — see README "Writes"),
@@ -25,8 +26,8 @@
 //!
 //! patternkb-cli snapshot <dataset…> --out <file>
 //!   build a dataset's indexes once and write them as a snapshot file —
-//!   the `PKB5` offset-table container that `--storage heap` decodes and
-//!   `--storage mmap` boots from without decoding.
+//!   the `PKB5` offset-table container that `--storage heap` reads into
+//!   memory and `--storage mmap` maps; both boot without decoding it.
 //! ```
 //!
 //! Then type keyword queries; commands start with `:`
@@ -114,7 +115,8 @@ fn parse_storage(spec: &[String]) -> Result<patternkb::search::StorageBackend, S
 /// `/admin/reload` hot-swap path). Without `--index-snapshot` a reload is
 /// a true rebuild; with it, a reload re-opens the snapshot file — so
 /// swapping the file on disk and POSTing /admin/reload is a full index
-/// swap (under `--storage mmap`, an mmap remap with no decode).
+/// swap (an open with no decode: a re-read, or under `--storage mmap` a
+/// remap).
 fn build_serve_engine(spec: &[String]) -> Result<SearchEngine, String> {
     let (graph, _) = build_graph(spec)?;
     let d = flag_value(spec, "--d").unwrap_or(3);
@@ -160,7 +162,7 @@ fn build_serve_shared(spec: &[String], dir: &str) -> Result<SharedEngine, String
 
 /// The `snapshot` subcommand body: build a dataset's indexes once and
 /// write them to `--out` as a `PKB5` image — what
-/// `serve --storage mmap --index-snapshot` boots from instantly.
+/// `serve --index-snapshot` boots from instantly, on either tier.
 fn run_snapshot(args: &[String]) -> Result<String, String> {
     check_flags(args, SNAPSHOT_ARGS)?;
     let (graph, label) = build_graph(args)?;
@@ -844,7 +846,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.patterns.len(), 9);
 
-        // Same file under the heap tier: full decode, same answers.
+        // Same file under the heap tier: read into memory, same answers.
         let spec_heap: Vec<String> = ["figure1", "--index-snapshot", out.to_str().unwrap()]
             .iter()
             .map(|s| s.to_string())

@@ -333,6 +333,16 @@ fn stream_range(image: &[u8], shard: u32, word: u32) -> std::ops::Range<usize> {
         .expect("the word has a stream in that shard")
 }
 
+/// A batch giving a new Company a Revenue: it touches "revenue".
+fn revenue_batch(graph: &KnowledgeGraph) -> GraphDelta {
+    let company = graph.type_by_text("Company").unwrap();
+    let mut d = GraphDelta::new(graph);
+    let v = d.add_node(company, "Initech").unwrap();
+    d.add_text_edge(v, graph.attr_by_text("Revenue").unwrap(), "US$ 1 million")
+        .unwrap();
+    d
+}
+
 /// An ingest that must splice a word whose mapped stream is damaged is
 /// refused with the same typed error a search on the word gets: the old
 /// postings are never silently dropped, nothing is published and the
@@ -346,7 +356,6 @@ fn ingest_touching_a_damaged_mapped_stream_is_refused() {
         .threads(1)
         .build()
         .unwrap();
-    // The batch below gives a new Company a Revenue: "revenue" is touched.
     let revenue = heap.text().lookup_word("revenue").unwrap();
     let mut image = encode_v5(heap.index());
     let damaged = stream_range(&image, 0, revenue.0);
@@ -358,14 +367,7 @@ fn ingest_touching_a_damaged_mapped_stream_is_refused() {
             open_bytes(image.clone()).unwrap(),
         )
     };
-    let batch = |graph: &KnowledgeGraph| {
-        let company = graph.type_by_text("Company").unwrap();
-        let mut d = GraphDelta::new(graph);
-        let v = d.add_node(company, "Initech").unwrap();
-        d.add_text_edge(v, graph.attr_by_text("Revenue").unwrap(), "US$ 1 million")
-            .unwrap();
-        d
-    };
+    let batch = revenue_batch;
     let search = |e: &SearchEngine| e.respond(&SearchRequest::text("revenue"));
 
     let mut e = mapped();
@@ -401,6 +403,68 @@ fn ingest_touching_a_damaged_mapped_stream_is_refused() {
         .unwrap();
     e.apply_delta(&d, PagerankMode::Frozen).unwrap();
     assert_eq!(e.version(), version + 1);
+}
+
+/// A snapshot whose framing is intact but one of whose word streams is
+/// damaged boots on either tier: both open the image and decode a word
+/// at first touch, so the damage fails that word — a typed error for a
+/// search on it and for an ingest that must splice it — while every other
+/// word answers.
+#[test]
+fn a_damaged_word_stream_fails_that_word_on_either_tier() {
+    let (g, _) = patternkb::datagen::figure1();
+    let built = EngineBuilder::new()
+        .graph(g.clone())
+        .shards(1)
+        .threads(1)
+        .build()
+        .unwrap();
+    let revenue = built.text().lookup_word("revenue").unwrap();
+    let mut image = encode_v5(built.index());
+    // The low bit of the stream's leading group count (a one-byte
+    // varint): one group too many or too few, either way a decode error.
+    let damaged = stream_range(&image, 0, revenue.0);
+    image[damaged.start] ^= 1;
+    let dir = std::env::temp_dir().join(format!("patternkb_damaged_word_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("idx.pkb5");
+    std::fs::write(&path, &image).unwrap();
+
+    for storage in [StorageBackend::Heap, StorageBackend::Mmap] {
+        let shared = EngineBuilder::new()
+            .graph(g.clone())
+            .index_snapshot(&path)
+            .storage(storage)
+            .build_shared()
+            .unwrap_or_else(|e| panic!("{storage}: intact framing must boot: {e}"));
+        assert_eq!(shared.snapshot().storage_backend(), storage);
+
+        let err = shared.respond(&SearchRequest::text("revenue")).unwrap_err();
+        match err {
+            Error::Snapshot(isnap::SnapshotError::BadReference { offset })
+            | Error::Snapshot(isnap::SnapshotError::Truncated { offset }) => {
+                assert_eq!(offset, damaged.start, "{storage}")
+            }
+            other => panic!("{storage}: expected a typed snapshot error, got {other:?}"),
+        }
+        let other = shared
+            .respond(&SearchRequest::text("database software company"))
+            .unwrap_or_else(|e| panic!("{storage}: another word must answer: {e}"));
+        assert!(!other.patterns.is_empty(), "{storage}");
+
+        let version = shared.version();
+        let err = shared
+            .ingest_with(PagerankMode::Frozen, |snap| {
+                Ok::<_, std::convert::Infallible>(revenue_batch(snap.graph()))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, patternkb::search::IngestError::Snapshot(_)),
+            "{storage}: {err}"
+        );
+        assert_eq!(shared.version(), version, "{storage}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
