@@ -114,6 +114,11 @@ pub trait IndexStorage: Send + Sync {
     /// right now (for an opened image: the lexicon plus only the words
     /// decoded so far — not the image bytes).
     fn heap_bytes(&self) -> usize;
+    /// The opened image this shard reads its streams from (shared by
+    /// every shard of one open); `None` for a fully decoded shard.
+    fn region(&self) -> Option<&Arc<Region>> {
+        None
+    }
     /// Ensure `w` is decoded (no-op when absent or already decoded),
     /// surfacing a corrupt stream as the typed error the query path
     /// reports instead of silently missing a word.
@@ -308,6 +313,16 @@ impl Region {
                 // and spans exactly `len` bytes.
                 unsafe { std::slice::from_raw_parts(m.ptr as *const u8, m.len) }
             }
+        }
+    }
+
+    /// Bytes the region holds on the heap: the whole buffer it windows,
+    /// or 0 for a file mapping, whose pages belong to the page cache.
+    pub fn heap_len(&self) -> usize {
+        match &self.inner {
+            RegionInner::Owned(v, _) => v.len(),
+            #[cfg(unix)]
+            RegionInner::Mapped(_) => 0,
         }
     }
 
@@ -708,6 +723,9 @@ impl IndexStorage for MappedStorage {
                 .map(WordPathIndex::heap_bytes)
                 .sum::<usize>()
     }
+    fn region(&self) -> Option<&Arc<Region>> {
+        Some(&self.region)
+    }
     fn prepare(&self, w: WordId) -> Result<(), SnapshotError> {
         match self.slot(w) {
             None => Ok(()),
@@ -748,12 +766,22 @@ pub fn open_region(region: Region, backend: StorageBackend) -> Result<PathIndexe
     ))
 }
 
-/// Open a v5 snapshot *file* on the mapped tier: `mmap` the file
-/// read-only (heap buffer on non-Unix) and defer posting decode to
-/// cursor traversal. Cost is O(lexicon), not O(postings).
+/// Open a v5 snapshot *file* on `backend`'s tier: mapped read-only
+/// ([`StorageBackend::Mmap`]; a heap buffer off Unix) or read into one
+/// heap buffer ([`StorageBackend::Heap`]). Either way only the lexicon
+/// is parsed and each word decodes on first touch: cost is O(lexicon),
+/// not O(postings).
+pub fn open_file(path: &std::path::Path, backend: StorageBackend) -> std::io::Result<PathIndexes> {
+    let region = match backend {
+        StorageBackend::Mmap => Region::map_file(path)?,
+        StorageBackend::Heap => Region::from_vec(std::fs::read(path)?),
+    };
+    open_region(region, backend).map_err(|e| invalid_data(path, e))
+}
+
+/// [`open_file`] on the mapped tier.
 pub fn open_mapped(path: &std::path::Path) -> std::io::Result<PathIndexes> {
-    let region = Region::map_file(path)?;
-    open_region(region, StorageBackend::Mmap).map_err(|e| invalid_data(path, e))
+    open_file(path, StorageBackend::Mmap)
 }
 
 /// Open v5 container *bytes* on the mapped tier without copying them
@@ -904,11 +932,15 @@ mod tests {
     fn an_image_read_into_memory_opens_lazily_as_the_heap_tier() {
         let (g, t) = sample(60);
         let idx = build(&g, &t, 3, 2);
-        let heap = open_region(Region::from_vec(encode_v5(&idx)), StorageBackend::Heap).unwrap();
+        let image = encode_v5(&idx);
+        let image_len = image.len();
+        let heap = open_region(Region::from_vec(image), StorageBackend::Heap).unwrap();
         assert_eq!(heap.storage_backend(), StorageBackend::Heap);
         let before = heap.heap_bytes();
         assert_same_index(&idx, &heap);
         assert!(heap.heap_bytes() > before, "words decode on first touch");
+        // The image both shards read from is resident once.
+        assert_eq!(heap.resident_bytes(), heap.heap_bytes() + image_len);
     }
 
     #[test]
@@ -922,6 +954,13 @@ mod tests {
         let mapped = open_mapped(&path).unwrap();
         assert_eq!(mapped.storage_backend(), StorageBackend::Mmap);
         assert_same_index(&idx, &mapped);
+        // Mapped pages are the page cache's, not the index's.
+        assert_eq!(mapped.resident_bytes(), mapped.heap_bytes());
+        let read = open_file(&path, StorageBackend::Heap).unwrap();
+        assert_eq!(read.storage_backend(), StorageBackend::Heap);
+        assert_same_index(&idx, &read);
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(read.resident_bytes(), read.heap_bytes() + file_len);
         std::fs::remove_file(&path).ok();
     }
 

@@ -855,6 +855,18 @@ impl PathIndexes {
                 .sum::<usize>()
     }
 
+    /// Approximate heap bytes the index keeps resident: [`Self::heap_bytes`]
+    /// plus each image buffer read into memory (the heap tier's snapshot,
+    /// a checkpoint's file), counted once. A mapped image's pages belong
+    /// to the page cache and are not counted.
+    pub fn resident_bytes(&self) -> usize {
+        let mut images: Vec<&Arc<crate::storage::Region>> =
+            self.shards.iter().filter_map(|s| s.base.region()).collect();
+        images.sort_by_key(|r| Arc::as_ptr(r));
+        images.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        self.heap_bytes() + images.iter().map(|r| r.heap_len()).sum::<usize>()
+    }
+
     /// Which storage tier backs the shards. Mixed tiers never occur in
     /// practice (a snapshot opens whole); if they did, any mapped shard
     /// makes the answer [`crate::storage::StorageBackend::Mmap`].

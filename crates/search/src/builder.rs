@@ -27,7 +27,7 @@ use crate::durability::{self, Durability, DurabilityOptions};
 use crate::engine::SearchEngine;
 use crate::error::Error;
 use patternkb_graph::KnowledgeGraph;
-use patternkb_index::storage::{open_region, Region};
+use patternkb_index::storage::{open_file, open_region, Region};
 use patternkb_index::{build_indexes, BuildConfig, StorageBackend};
 use patternkb_text::{Stemmer, SynonymTable, TextIndex};
 use patternkb_wal::{checkpoint, Wal, WalOptions};
@@ -247,12 +247,7 @@ impl EngineBuilder {
         let (idx, load_time) = match index_snapshot {
             Some(path) => {
                 let t0 = std::time::Instant::now();
-                let region = match storage {
-                    StorageBackend::Mmap => Region::map_file(&path)?,
-                    StorageBackend::Heap => Region::from_vec(std::fs::read(&path)?),
-                };
-                let idx = open_region(region, storage)
-                    .map_err(|e| patternkb_graph::snapshot::invalid_data(&path, e))?;
+                let idx = open_file(&path, storage)?;
                 (idx, Some(t0.elapsed()))
             }
             None => (

@@ -420,12 +420,12 @@ impl ServerMetrics {
             snapshot.index().num_patched_words()
         ));
         out.push_str(
-            "# HELP patternkb_index_resident_bytes Approximate heap bytes of the serving path indexes: words decoded so far plus lists rebuilt by ingests (a snapshot image's own bytes not counted).\n\
+            "# HELP patternkb_index_resident_bytes Approximate heap bytes of the serving path indexes: an image read into memory, words decoded so far and lists rebuilt by ingests (a mapped image's pages not counted).\n\
              # TYPE patternkb_index_resident_bytes gauge\n",
         );
         out.push_str(&format!(
             "patternkb_index_resident_bytes {}\n",
-            snapshot.index().heap_bytes()
+            snapshot.index().resident_bytes()
         ));
         if let Some(load) = snapshot.snapshot_load_time() {
             out.push_str(
