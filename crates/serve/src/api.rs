@@ -1203,6 +1203,107 @@ mod tests {
         assert_eq!(bodies, 18 + 18 + 36);
     }
 
+    /// The `/search` bodies of a fixed pool, byte for byte, as one FNV-1a
+    /// digest. `body_writer_matches_the_tree_builder` compares the writer
+    /// with a reference that reads the same tables; this pins what both
+    /// write, so a change to how tables are composed or written cannot
+    /// drift the wire bytes unnoticed.
+    #[test]
+    fn search_body_bytes_are_pinned() {
+        use patternkb_datagen::queries::QueryGenerator;
+        use patternkb_search::presentation::PresentationConfig;
+        use patternkb_search::Query;
+
+        // Figure 3's divergent case: two keywords reach one column
+        // through different nodes.
+        let divergent = {
+            let mut b = patternkb_graph::GraphBuilder::new();
+            let root_t = b.add_type("Root");
+            let leaf_t = b.add_type("Leaf");
+            let a = b.add_attr("Link");
+            let r = b.add_node(root_t, "origin");
+            let x = b.add_node(leaf_t, "left leaf");
+            let y = b.add_node(leaf_t, "right leaf");
+            b.add_edge(r, a, x);
+            b.add_edge(r, a, y);
+            b.build()
+        };
+        let wiki = patternkb_search::EngineBuilder::new()
+            .graph(patternkb_datagen::wiki::wiki(
+                &patternkb_datagen::wiki::WikiConfig {
+                    entities: 2_000,
+                    seed: 5,
+                    ..Default::default()
+                },
+            ))
+            .threads(1)
+            .shards(2)
+            .build()
+            .unwrap();
+        let mut queries: Vec<(&SearchEngine, SearchRequest)> = Vec::new();
+        let mut generator = QueryGenerator::new(wiki.graph(), wiki.text(), wiki.d(), 11);
+        for m in 1..=4 {
+            for _ in 0..10 {
+                let spec = generator.anchored(m).expect("the pool is fixed");
+                queries.push((&wiki, SearchRequest::query(Query::from_ids(spec.keywords))));
+            }
+        }
+        let small: Vec<(SearchEngine, &[&str])> = vec![
+            (
+                patternkb_search::EngineBuilder::new()
+                    .graph(divergent)
+                    .height(2)
+                    .build()
+                    .unwrap(),
+                &["left right", "origin left right"],
+            ),
+            (
+                patternkb_search::EngineBuilder::new()
+                    .graph(hostile_graph())
+                    .build()
+                    .unwrap(),
+                &["widget", "acme motto", "widget made maker"],
+            ),
+        ];
+        for (engine, texts) in &small {
+            for text in *texts {
+                queries.push((engine, SearchRequest::text(*text)));
+            }
+        }
+
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let (mut bodies, mut bytes, mut joined) = (0, 0, false);
+        for (engine, base) in &queries {
+            let base = base.clone().k(8);
+            for request in [
+                base.clone(),
+                base.clone().compose_tables(false),
+                base.clone().max_rows(2),
+                base.clone().diversify(0.4),
+                base.clone().presentation(PresentationConfig::default()),
+                base.clone()
+                    .algorithm(AlgorithmChoice::LinearEnumTopK)
+                    .sampling(SamplingConfig::new(10, 0.5, 7)),
+            ] {
+                let mut resp = engine.respond(&request).unwrap();
+                resp.elapsed = Duration::ZERO;
+                let body = render_response(engine, &resp).render();
+                digest = body.bytes().chain([0]).fold(digest, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                bodies += 1;
+                bytes += body.len();
+                joined |= body.contains("\"left leaf / right leaf\"");
+            }
+        }
+        assert!(joined, "the pool covers a cell fed by two nodes");
+        assert_eq!(
+            (bodies, bytes, digest),
+            (270, 753_448, 0x5a5f_95dc_ca6b_7367),
+            "the /search wire bytes changed"
+        );
+    }
+
     #[test]
     fn golden_figure1_body_pins_the_field_order() {
         let engine = patternkb_search::EngineBuilder::new()
