@@ -650,7 +650,7 @@ fn case_study(report: &mut Report, scale: Scale) {
             top.num_trees,
             top.display(e.graph())
         ));
-        report.line(&table.render());
+        report.line(&table.render(e.graph(), top));
     }
 }
 

@@ -47,17 +47,22 @@
 //! sit behind their own [`Arc`], and a response takes reference counts on
 //! them — on a hit and on the miss that created the entry alike.
 //!
-//! **Tables fill on first reuse.** The composed [`TableAnswer`]s are a
-//! pure function of the patterns and of row-node text that no version in
-//! the entry's range changes, so they live beside the entry and
-//! are handed out by `Arc` too; the request's post-processing flags
-//! (`compose_tables`, `presentation`, `explain`, `relax`, `diversify`)
-//! stay outside the key. They are composed by the first *hit* that wants
-//! them, not by the miss: a miss composes for its own response and
-//! retains nothing, because one-shot traffic must not hold a
-//! `Vec<Vec<String>>` per entry for queries that never come back. That a
-//! query came back is a property of the traffic the cache can observe, so
-//! nothing is configured ([`CacheStats::table_fills`] counts the fills).
+//! **Table layouts fill on first reuse.** A [`TableAnswer`] is a column
+//! layout over its pattern's rows — headers, provenance, and the row
+//! slots feeding each column — a pure function of the pattern and of the
+//! type and attribute names no version in the entry's range changes; its
+//! cells are read from the rows and the graph's node text when a body is
+//! written. So the layouts live beside the entry and are handed out by
+//! `Arc` too; the request's post-processing flags (`compose_tables`,
+//! `presentation`, `explain`, `relax`, `diversify`) stay outside the key.
+//! They are composed by the first *hit* that wants them, not by the miss:
+//! a miss composes for its own response and retains nothing, because
+//! one-shot traffic must not hold layouts — a few allocations per column —
+//! for queries that never come back. A hit must not recompose them
+//! either: that per-table, per-column work would be most of a hit's
+//! cost. That a query came back is a property of the traffic the cache
+//! can observe, so nothing is configured ([`CacheStats::table_fills`]
+//! counts the fills).
 //!
 //! The cache is internally synchronized (one `std::sync::Mutex`, its
 //! poisoning recovered) and can be shared across query threads alongside
@@ -133,8 +138,8 @@ pub(crate) struct SharedAnswer {
     /// The algorithm that produced the result (the planner's pick for
     /// `Auto` keys — reported on cached responses without re-planning).
     pub(crate) algorithm: Algorithm,
-    /// Tables of `patterns`, aligned with it; set by the first cache hit
-    /// that asks ([`QueryCache::tables`]).
+    /// Table layouts of `patterns`, aligned with it; set by the first
+    /// cache hit that asks ([`QueryCache::tables`]).
     tables: OnceLock<Vec<Arc<TableAnswer>>>,
 }
 
@@ -148,7 +153,7 @@ impl SharedAnswer {
         }
     }
 
-    /// Compose one table per pattern, for the caller alone.
+    /// Compose one table layout per pattern, for the caller alone.
     pub(crate) fn compose_tables(&self, g: &KnowledgeGraph) -> Vec<Arc<TableAnswer>> {
         self.patterns
             .iter()

@@ -332,7 +332,8 @@ impl SearchEngine {
         let presented = request.presentation.as_ref().map(|pc| {
             tables
                 .iter()
-                .map(|t| crate::presentation::present(&self.g, t, pc))
+                .zip(&patterns)
+                .map(|(t, p)| crate::presentation::present(&self.g, t, p, pc))
                 .collect()
         });
 
@@ -531,7 +532,8 @@ impl SearchEngine {
             .unwrap_or(0)
     }
 
-    /// Compose the table answer for one ranked pattern.
+    /// Compose the table layout for one ranked pattern; its cells read
+    /// that pattern's rows ([`TableAnswer::cell`]).
     pub fn table(&self, pattern: &crate::result::RankedPattern) -> TableAnswer {
         TableAnswer::from_pattern(&self.g, pattern)
     }

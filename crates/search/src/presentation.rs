@@ -20,8 +20,10 @@
 //!
 //! Presentation never alters the underlying [`TableAnswer`]; it produces a
 //! new [`PresentedTable`] with a column permutation applied consistently to
-//! headers and rows.
+//! headers and rows. It is the one place a response holds its cells as
+//! strings, and only when the request asked for it.
 
+use crate::result::RankedPattern;
 use crate::table::{ColumnMeta, TableAnswer};
 use patternkb_graph::KnowledgeGraph;
 
@@ -71,10 +73,12 @@ pub struct PresentedTable {
     pub rows: Vec<Vec<String>>,
 }
 
-/// Build the presentation of `table` under `cfg`.
+/// Build the presentation of `table`, over the rows of `pattern` it was
+/// composed for, under `cfg`.
 pub fn present(
     g: &KnowledgeGraph,
     table: &TableAnswer,
+    pattern: &RankedPattern,
     cfg: &PresentationConfig,
 ) -> PresentedTable {
     let n = table.columns.len();
@@ -117,9 +121,9 @@ pub fn present(
         }
     };
     let rows: Vec<Vec<String>> = table
-        .rows
+        .rows_of(pattern)
         .iter()
-        .map(|row| perm.iter().map(|&i| clip(&row[i])).collect())
+        .map(|row| perm.iter().map(|&i| clip(&table.cell(g, row, i))).collect())
         .collect();
 
     PresentedTable { columns, rows }
@@ -275,7 +279,7 @@ mod tests {
     use patternkb_index::{build_indexes, BuildConfig};
     use patternkb_text::{SynonymTable, TextIndex};
 
-    fn figure3_table() -> (TableAnswer, patternkb_graph::KnowledgeGraph) {
+    fn figure3_table() -> (TableAnswer, RankedPattern, patternkb_graph::KnowledgeGraph) {
         let (g, _) = figure1();
         let t = TextIndex::build(&g, SynonymTable::new());
         let idx = build_indexes(
@@ -290,14 +294,14 @@ mod tests {
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let r = linear_enum(&ctx, &SearchConfig::top(10));
-        let table = TableAnswer::from_pattern(&g, r.top().unwrap());
-        (table, g)
+        let top = r.top().unwrap().clone();
+        (TableAnswer::from_pattern(&g, &top), top, g)
     }
 
     #[test]
     fn root_leads_in_depth_order() {
-        let (table, g) = figure3_table();
-        let p = present(&g, &table, &PresentationConfig::default());
+        let (table, top, g) = figure3_table();
+        let p = present(&g, &table, &top, &PresentationConfig::default());
         assert_eq!(p.columns[0], "Software");
         // Depths must be non-decreasing under RootThenDepth.
         let depth_of = |name: &str| {
@@ -319,34 +323,34 @@ mod tests {
 
     #[test]
     fn entities_first_puts_value_columns_last() {
-        let (table, g) = figure3_table();
+        let (table, top, g) = figure3_table();
         let cfg = PresentationConfig {
             order: ColumnOrder::EntitiesFirst,
             ..PresentationConfig::default()
         };
-        let p = present(&g, &table, &cfg);
+        let p = present(&g, &table, &top, &cfg);
         // "Revenue" is the only value column; it must be last.
         assert_eq!(p.columns.last().unwrap(), "Revenue");
     }
 
     #[test]
     fn discovery_order_preserves_raw_layout() {
-        let (table, g) = figure3_table();
+        let (table, top, g) = figure3_table();
         let cfg = PresentationConfig {
             order: ColumnOrder::Discovery,
             title_case: false,
             max_cell_width: None,
         };
-        let p = present(&g, &table, &cfg);
-        assert_eq!(p.rows, table.rows);
+        let p = present(&g, &table, &top, &cfg);
+        assert_eq!(p.rows, table.cells(&g, &top));
     }
 
     #[test]
     fn rows_follow_column_permutation() {
-        let (table, g) = figure3_table();
-        let p = present(&g, &table, &PresentationConfig::default());
+        let (table, top, g) = figure3_table();
+        let p = present(&g, &table, &top, &PresentationConfig::default());
         // Every original row multiset survives the permutation.
-        for (orig, shown) in table.rows.iter().zip(&p.rows) {
+        for (orig, shown) in table.cells(&g, &top).iter().zip(&p.rows) {
             let mut a = orig.clone();
             let mut b = shown.clone();
             a.sort();
@@ -386,8 +390,9 @@ mod tests {
         let q = Query::parse(&t, "springer databases").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let r = linear_enum(&ctx, &SearchConfig::top(10));
-        let table = TableAnswer::from_pattern(&g, r.top().unwrap());
-        let p = present(&g, &table, &PresentationConfig::default());
+        let top = r.top().unwrap();
+        let table = TableAnswer::from_pattern(&g, top);
+        let p = present(&g, &table, top, &PresentationConfig::default());
         assert!(
             p.columns.iter().any(|c| c == "Publisher"),
             "collapsed header expected, got {:?}",
@@ -453,12 +458,12 @@ mod tests {
 
     #[test]
     fn cell_clipping() {
-        let (table, g) = figure3_table();
+        let (table, top, g) = figure3_table();
         let cfg = PresentationConfig {
             max_cell_width: Some(6),
             ..PresentationConfig::default()
         };
-        let p = present(&g, &table, &cfg);
+        let p = present(&g, &table, &top, &cfg);
         for row in &p.rows {
             for cell in row {
                 assert!(cell.chars().count() <= 6, "clipped cell {cell:?}");
@@ -469,8 +474,8 @@ mod tests {
 
     #[test]
     fn markdown_of_figure3_has_all_rows() {
-        let (table, g) = figure3_table();
-        let p = present(&g, &table, &PresentationConfig::default());
+        let (table, top, g) = figure3_table();
+        let p = present(&g, &table, &top, &PresentationConfig::default());
         let md = p.to_markdown();
         assert!(md.contains("SQL Server"));
         assert!(md.contains("Oracle DB"));

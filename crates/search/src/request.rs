@@ -85,8 +85,8 @@ pub struct SearchRequest {
     /// Compose a [`TableAnswer`] per pattern into
     /// [`SearchResponse::tables`] (the default). Turn off when only the
     /// ranked patterns matter — e.g. timing harnesses or count-only
-    /// callers — to skip the per-row string work. A set
-    /// [`Self::presentation`] overrides this back on.
+    /// callers — to skip the layouts and the cells a body writes from
+    /// them. A set [`Self::presentation`] overrides this back on.
     pub compose_tables: bool,
     /// MMR diversification trade-off λ ∈ [0, 1]; `None` = off. Lower
     /// values trade relevance headroom for interpretation coverage.
@@ -224,8 +224,8 @@ pub struct SearchResponse {
     pub query: Query,
     /// Top-k patterns, best first.
     pub patterns: Vec<Arc<RankedPattern>>,
-    /// One composed table answer per pattern, aligned with `patterns`
-    /// (empty when the request opted out via
+    /// One table layout per pattern, aligned with `patterns`, whose rows
+    /// it reads (empty when the request opted out via
     /// [`SearchRequest::compose_tables`]).
     pub tables: Vec<Arc<TableAnswer>>,
     /// Presentation-ready tables, aligned with `patterns`, when the

@@ -6,7 +6,7 @@
 //! holds by construction: every leaf of the union of root-to-match paths is
 //! the terminus of at least one path.
 
-use patternkb_graph::{FxHashMap, NodeId};
+use patternkb_graph::NodeId;
 
 /// One per-keyword root-to-match path of a subtree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,52 +89,27 @@ impl ValidSubtree {
 /// Tree check over any path iterator (used pre-materialization by the
 /// algorithms' strict mode): conflicting parents ⇒ not a tree.
 pub fn paths_form_tree<'a>(root: NodeId, paths: impl Iterator<Item = &'a TreePath>) -> bool {
-    let mut parent: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-    for path in paths {
-        debug_assert_eq!(path.nodes.first(), Some(&root));
-        for w in path.nodes.windows(2) {
-            let (p, c) = (w[0], w[1]);
-            if c == root {
-                return false;
-            }
-            match parent.entry(c) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != p {
-                        return false;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(p);
-                }
-            }
-        }
-    }
-    true
+    let slices: Vec<&[NodeId]> = paths
+        .inspect(|path| debug_assert_eq!(path.nodes.first(), Some(&root)))
+        .map(|path| path.nodes.as_slice())
+        .collect();
+    node_slices_form_tree(root, &slices)
 }
 
 /// Slice-level variant of [`paths_form_tree`] for hot loops that have not
-/// materialized [`TreePath`]s yet.
+/// materialized [`TreePath`]s yet: no edge leads back to `root`, and no
+/// node has two different parents. Strict mode runs it on every
+/// enumerated tuple, so it allocates nothing: each edge is checked
+/// against the edges before it, a scan over at most `m·d` of them.
 pub fn node_slices_form_tree(root: NodeId, paths: &[&[NodeId]]) -> bool {
-    let mut parent: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-    for nodes in paths {
-        for w in nodes.windows(2) {
-            let (p, c) = (w[0], w[1]);
-            if c == root {
-                return false;
-            }
-            match parent.entry(c) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != p {
-                        return false;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(p);
-                }
-            }
-        }
-    }
-    true
+    let edges = || paths.iter().flat_map(|nodes| nodes.windows(2));
+    edges().enumerate().all(|(k, edge)| {
+        let (parent, child) = (edge[0], edge[1]);
+        child != root
+            && edges()
+                .take(k)
+                .all(|earlier| earlier[1] != child || earlier[0] == parent)
+    })
 }
 
 #[cfg(test)]

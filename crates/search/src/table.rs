@@ -10,9 +10,22 @@
 //! one subtree share a pattern prefix but diverge in actual nodes, the cell
 //! shows all distinct values joined by `" / "` (the paper leaves this case
 //! unspecified; see DESIGN.md §2).
+//!
+//! A [`TableAnswer`] is a **column layout**, not a copy of the cells: per
+//! column, the row positions ([`Slot`]s) that feed it. It depends on the
+//! pattern alone, so it is composed once per pattern whatever the number
+//! of rows, and a cell is read when it is written — from the pattern's
+//! materialised rows ([`RankedPattern::trees`]) and
+//! [`KnowledgeGraph::node_text`] — by [`TableAnswer::cell`]. The response
+//! body writer reads cells that way; [`TableAnswer::cells`] copies them
+//! out for callers that keep or reorder them.
 
 use crate::result::RankedPattern;
+use crate::subtree::ValidSubtree;
 use patternkb_graph::{AttrId, KnowledgeGraph, NodeId, TypeId};
+use patternkb_index::PathPattern;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Provenance of one table column — which pattern position created it.
 /// Drives the friendly renaming/reordering in [`crate::presentation`].
@@ -32,123 +45,161 @@ pub struct ColumnMeta {
     pub first_keyword: usize,
 }
 
-/// A rendered table answer: column headers plus one row per subtree.
+/// One node position of a row: `paths[keyword].nodes[position]` of a
+/// [`ValidSubtree`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// The keyword whose path holds the node.
+    pub keyword: usize,
+    /// The node's position on that path (0 = the root).
+    pub position: usize,
+}
+
+/// A table answer as a column layout over its pattern's rows: column
+/// headers, and per column the row slots whose node text fills it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableAnswer {
     /// Column headers, root first, then in keyword/depth order of first
     /// appearance.
     pub columns: Vec<String>,
-    /// One row per materialized subtree, cells aligned with `columns`.
-    pub rows: Vec<Vec<String>>,
     /// Per-column provenance, aligned with `columns`.
     pub meta: Vec<ColumnMeta>,
+    /// Per column, aligned with `columns`, the slots of a row that feed
+    /// it, in keyword then position order; never empty.
+    pub feeds: Vec<Vec<Slot>>,
+    /// The rows shown: indexes into the pattern's
+    /// [`RankedPattern::trees`] — all of them, unless
+    /// [`Self::truncate_rows`] narrowed the range.
+    pub rows: Range<usize>,
 }
 
 impl TableAnswer {
-    /// Compose the table for a ranked pattern.
+    /// Compose the table layout for a ranked pattern. The table reads its
+    /// cells from that pattern's rows, so it must be used with it.
     pub fn from_pattern(g: &KnowledgeGraph, p: &RankedPattern) -> Self {
-        // --- column layout from the pattern ---
-        let mut col_keys: Vec<Vec<u32>> = Vec::new();
-        let mut columns: Vec<String> = Vec::new();
-        let mut meta: Vec<ColumnMeta> = Vec::new();
-        // slots[i][j] = column index of keyword i's j-th value (node
-        // positions, then the leaf for edge-terminal patterns).
-        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(p.pattern.len());
-
+        // At most one column per slot.
+        let slots: usize = p
+            .pattern
+            .iter()
+            .map(|pat| pat.types.len() + usize::from(pat.edge_terminal))
+            .sum();
+        let mut table = TableAnswer {
+            columns: Vec::with_capacity(slots),
+            meta: Vec::with_capacity(slots),
+            feeds: Vec::with_capacity(slots),
+            rows: 0..p.trees.len(),
+        };
         for (kw, pat) in p.pattern.iter().enumerate() {
             let l = pat.types.len();
-            let mut my_slots = Vec::with_capacity(l + 1);
-            let mut prefix: Vec<u32> = Vec::with_capacity(2 * l + 1);
             for j in 0..l {
-                prefix.push(pat.types[j].0);
-                let col = find_or_insert(
-                    &mut col_keys,
-                    &prefix,
-                    || {
-                        (
-                            if j == 0 {
-                                root_name(g, pat.types[0])
-                            } else {
-                                node_name(g, pat.attrs[j - 1], pat.types[j])
-                            },
-                            ColumnMeta {
-                                depth: j,
-                                is_value: false,
-                                attr: (j > 0).then(|| pat.attrs[j - 1]),
-                                node_type: Some(pat.types[j]),
-                                first_keyword: kw,
-                            },
-                        )
-                    },
-                    &mut columns,
-                    &mut meta,
-                );
-                my_slots.push(col);
-                if j + 1 < l {
-                    prefix.push(pat.attrs[j].0);
-                }
+                table.feed(g, p, kw, j, false);
             }
             if pat.edge_terminal {
-                prefix.push(pat.attrs[l - 1].0);
-                let col = find_or_insert(
-                    &mut col_keys,
-                    &prefix,
-                    || {
-                        (
-                            g.attr_text(pat.attrs[l - 1]).to_string(),
-                            ColumnMeta {
-                                depth: l,
-                                is_value: true,
-                                attr: Some(pat.attrs[l - 1]),
-                                node_type: None,
-                                first_keyword: kw,
-                            },
-                        )
-                    },
-                    &mut columns,
-                    &mut meta,
-                );
-                my_slots.push(col);
+                table.feed(g, p, kw, l, true);
             }
-            slots.push(my_slots);
         }
-
-        // --- rows from the materialized subtrees ---
-        let mut rows = Vec::with_capacity(p.trees.len());
-        for tree in &p.trees {
-            let mut row: Vec<String> = vec![String::new(); columns.len()];
-            for (i, path) in tree.paths.iter().enumerate() {
-                for (j, &node) in path.nodes.iter().enumerate() {
-                    let col = slots[i][j];
-                    push_cell(&mut row[col], g, node);
-                }
-            }
-            rows.push(row);
-        }
-
-        TableAnswer {
-            columns,
-            rows,
-            meta,
-        }
+        table
     }
 
-    /// A copy keeping only the first `n` rows (for previews; scores and
+    /// Route keyword `kw`'s slot at `depth` to the column its pattern
+    /// prefix names, creating the column on first sight. Node columns end
+    /// their prefix on a type, value columns on an attribute, so the two
+    /// never share one.
+    fn feed(
+        &mut self,
+        g: &KnowledgeGraph,
+        p: &RankedPattern,
+        kw: usize,
+        depth: usize,
+        is_value: bool,
+    ) {
+        fn prefix(pat: &PathPattern, depth: usize, is_value: bool) -> (&[TypeId], &[AttrId]) {
+            (
+                &pat.types[..depth + usize::from(!is_value)],
+                &pat.attrs[..depth],
+            )
+        }
+        let pat = &p.pattern[kw];
+        let existing = self.meta.iter().position(|m| {
+            m.depth == depth
+                && m.is_value == is_value
+                && prefix(&p.pattern[m.first_keyword], depth, is_value)
+                    == prefix(pat, depth, is_value)
+        });
+        let col = existing.unwrap_or_else(|| {
+            let attr = (depth > 0).then(|| pat.attrs[depth - 1]);
+            let (name, node_type) = match attr {
+                Some(a) if is_value => (g.attr_text(a).to_string(), None),
+                Some(a) => (node_name(g, a, pat.types[depth]), Some(pat.types[depth])),
+                None => (root_name(g, pat.types[0]), Some(pat.types[0])),
+            };
+            self.columns.push(name);
+            self.meta.push(ColumnMeta {
+                depth,
+                is_value,
+                attr,
+                node_type,
+                first_keyword: kw,
+            });
+            self.feeds.push(Vec::new());
+            self.columns.len() - 1
+        });
+        self.feeds[col].push(Slot {
+            keyword: kw,
+            position: depth,
+        });
+    }
+
+    /// The rows this table shows, out of the pattern it was composed for.
+    pub fn rows_of<'p>(&self, p: &'p RankedPattern) -> &'p [ValidSubtree] {
+        &p.trees[self.rows.clone()]
+    }
+
+    /// The text of column `col` in `row`: the node text of its slot, or,
+    /// when its slots hold different nodes, their distinct texts joined by
+    /// `" / "` in slot order.
+    pub fn cell<'g>(&self, g: &'g KnowledgeGraph, row: &ValidSubtree, col: usize) -> Cow<'g, str> {
+        let node = |s: &Slot| row.paths[s.keyword].nodes[s.position];
+        let feeds = &self.feeds[col];
+        let first = node(&feeds[0]);
+        if feeds[1..].iter().all(|s| node(s) == first) {
+            return Cow::Borrowed(g.node_text(first));
+        }
+        let mut joined = String::new();
+        for s in feeds {
+            push_cell(&mut joined, g, node(s));
+        }
+        Cow::Owned(joined)
+    }
+
+    /// Every shown cell as an owned string, one `Vec` per row, aligned
+    /// with `columns`.
+    pub fn cells(&self, g: &KnowledgeGraph, p: &RankedPattern) -> Vec<Vec<String>> {
+        self.rows_of(p)
+            .iter()
+            .map(|row| {
+                (0..self.columns.len())
+                    .map(|c| self.cell(g, row, c).into_owned())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A copy showing only the first `n` rows (for previews; scores and
     /// columns are unaffected).
     pub fn truncate_rows(&self, n: usize) -> TableAnswer {
-        TableAnswer {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().take(n).cloned().collect(),
-            meta: self.meta.clone(),
-        }
+        let mut shown = self.clone();
+        shown.rows.end = shown.rows.end.min(shown.rows.start + n);
+        shown
     }
 
-    /// Render as a fixed-width ASCII table (for the examples and the case
-    /// study of Figures 14–15).
-    pub fn render(&self) -> String {
+    /// Render the rows of `p` as a fixed-width ASCII table (for the
+    /// examples and the case study of Figures 14–15).
+    pub fn render(&self, g: &KnowledgeGraph, p: &RankedPattern) -> String {
+        let rows = self.cells(g, p);
         let ncols = self.columns.len();
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (c, cell) in row.iter().enumerate() {
                 widths[c] = widths[c].max(cell.len());
             }
@@ -179,7 +230,7 @@ impl TableAnswer {
         out.push('\n');
         out.push_str(&sep);
         out.push('\n');
-        for row in &self.rows {
+        for row in &rows {
             out.push_str(&render_row(row));
             out.push('\n');
         }
@@ -188,24 +239,7 @@ impl TableAnswer {
     }
 }
 
-fn find_or_insert(
-    keys: &mut Vec<Vec<u32>>,
-    prefix: &[u32],
-    make: impl FnOnce() -> (String, ColumnMeta),
-    columns: &mut Vec<String>,
-    meta: &mut Vec<ColumnMeta>,
-) -> usize {
-    if let Some(i) = keys.iter().position(|k| k == prefix) {
-        return i;
-    }
-    keys.push(prefix.to_vec());
-    let (name, m) = make();
-    columns.push(name);
-    meta.push(m);
-    keys.len() - 1
-}
-
-fn root_name(g: &KnowledgeGraph, t: patternkb_graph::TypeId) -> String {
+fn root_name(g: &KnowledgeGraph, t: TypeId) -> String {
     if t == KnowledgeGraph::TEXT_TYPE {
         "*".to_string()
     } else {
@@ -213,11 +247,16 @@ fn root_name(g: &KnowledgeGraph, t: patternkb_graph::TypeId) -> String {
     }
 }
 
-fn node_name(g: &KnowledgeGraph, a: patternkb_graph::AttrId, t: patternkb_graph::TypeId) -> String {
+fn node_name(g: &KnowledgeGraph, a: AttrId, t: TypeId) -> String {
     if t == KnowledgeGraph::TEXT_TYPE {
         g.attr_text(a).to_string()
     } else {
-        format!("{} ({})", g.attr_text(a), g.type_text(t))
+        let (attr, ty) = (g.attr_text(a), g.type_text(t));
+        let mut name = String::with_capacity(attr.len() + ty.len() + 3);
+        for part in [attr, " (", ty, ")"] {
+            name.push_str(part);
+        }
+        name
     }
 }
 
@@ -241,7 +280,7 @@ mod tests {
     use patternkb_index::{build_indexes, BuildConfig};
     use patternkb_text::{SynonymTable, TextIndex};
 
-    fn top_pattern_table() -> (TableAnswer, patternkb_graph::KnowledgeGraph) {
+    fn top_pattern_table() -> (TableAnswer, RankedPattern, patternkb_graph::KnowledgeGraph) {
         let (g, _) = figure1();
         let t = TextIndex::build(&g, SynonymTable::new());
         let idx = build_indexes(
@@ -256,15 +295,15 @@ mod tests {
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let r = linear_enum(&ctx, &SearchConfig::top(10));
-        let table = TableAnswer::from_pattern(&g, r.top().unwrap());
-        (table, g)
+        let top = r.top().unwrap().clone();
+        (TableAnswer::from_pattern(&g, &top), top, g)
     }
 
     #[test]
     fn figure3_shape() {
         // The paper's Figure 3: columns Software / Genre→Model / Developer→
         // Company / Revenue; rows SQL Server and Oracle DB.
-        let (table, _) = top_pattern_table();
+        let (table, _, _) = top_pattern_table();
         assert_eq!(table.rows.len(), 2);
         assert_eq!(table.columns.len(), 4, "{:?}", table.columns);
         assert!(table.columns[0].contains("Software"));
@@ -275,8 +314,8 @@ mod tests {
 
     #[test]
     fn figure3_values() {
-        let (table, _) = top_pattern_table();
-        let flat: Vec<String> = table.rows.iter().flatten().cloned().collect();
+        let (table, top, g) = top_pattern_table();
+        let flat: Vec<String> = table.cells(&g, &top).into_iter().flatten().collect();
         assert!(flat.iter().any(|c| c == "SQL Server"));
         assert!(flat.iter().any(|c| c == "Oracle DB"));
         assert!(flat.iter().any(|c| c == "Relational database"));
@@ -288,15 +327,15 @@ mod tests {
     fn shared_root_column_is_deduped() {
         // All four keyword paths start at the Software root; the root
         // column must appear exactly once.
-        let (table, _) = top_pattern_table();
+        let (table, _, _) = top_pattern_table();
         let roots = table.columns.iter().filter(|c| *c == "Software").count();
         assert_eq!(roots, 1);
     }
 
     #[test]
     fn render_is_aligned() {
-        let (table, _) = top_pattern_table();
-        let shown = table.render();
+        let (table, top, g) = top_pattern_table();
+        let shown = table.render(&g, &top);
         let lines: Vec<&str> = shown.lines().collect();
         assert!(lines.len() >= 5);
         let w = lines[0].len();
@@ -340,7 +379,7 @@ mod tests {
         let table = TableAnswer::from_pattern(&g, p);
         // Root column + one merged Leaf column.
         assert_eq!(table.columns.len(), 2, "{:?}", table.columns);
-        let cell = &table.rows[0][1];
+        let cell = table.cell(&g, &p.trees[0], 1);
         assert!(
             cell == "left leaf / right leaf" || cell == "right leaf / left leaf",
             "divergent values joined, got {cell:?}"
@@ -359,6 +398,6 @@ mod tests {
         let table = TableAnswer::from_pattern(&g, &p);
         assert!(table.columns.is_empty());
         assert!(table.rows.is_empty());
-        let _ = table.render();
+        let _ = table.render(&g, &p);
     }
 }

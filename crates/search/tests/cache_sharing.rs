@@ -13,8 +13,8 @@ use patternkb_datagen::wiki::{wiki, WikiConfig};
 use patternkb_graph::mutate::{GraphDelta, PagerankMode};
 use patternkb_search::presentation::PresentationConfig;
 use patternkb_search::{
-    AlgorithmChoice, CacheOutcome, EngineBuilder, Query, SearchRequest, SearchResponse,
-    SharedEngine,
+    AlgorithmChoice, CacheOutcome, EngineBuilder, Query, SearchEngine, SearchRequest,
+    SearchResponse, SharedEngine,
 };
 use std::sync::Arc;
 
@@ -203,6 +203,7 @@ fn diversified_responses_stay_aligned() {
                     patternkb_search::presentation::present(
                         snapshot.graph(),
                         &r.tables[i],
+                        p,
                         &PresentationConfig::default()
                     ),
                     presented[i]
@@ -229,15 +230,19 @@ fn an_ingest_can_never_surface_a_stale_table() {
         .build_shared()
         .unwrap();
     let request = SearchRequest::text("database software company revenue").k(10);
-    let shows = |r: &SearchResponse, text: &str| {
-        r.tables
-            .iter()
-            .any(|t| t.rows.iter().flatten().any(|cell| cell.contains(text)))
+    // Cells are read from the graph of the snapshot that answered.
+    let shows = |engine: &SearchEngine, r: &SearchResponse, text: &str| {
+        r.tables.iter().zip(&r.patterns).any(|(t, p)| {
+            t.cells(engine.graph(), p)
+                .iter()
+                .flatten()
+                .any(|cell| cell.contains(text))
+        })
     };
     // Miss, then two hits: the entry's tables are resident.
     for _ in 0..3 {
         let r = shared.respond(&request).unwrap();
-        assert!(shows(&r, "US$ 77 billion"));
+        assert!(shows(&shared.snapshot(), &r, "US$ 77 billion"));
     }
     assert_eq!(shared.cache_stats().table_fills, 1);
 
@@ -256,10 +261,17 @@ fn an_ingest_can_never_surface_a_stale_table() {
     for expected in [CacheOutcome::Miss, CacheOutcome::Hit, CacheOutcome::Hit] {
         let r = shared.respond(&request).unwrap();
         assert_eq!(r.cache, expected);
-        assert!(shows(&r, "US$ 99 billion"), "the new text is served");
-        assert!(!shows(&r, "US$ 77 billion"), "the old table is gone");
+        let current = shared.snapshot();
+        assert!(
+            shows(&current, &r, "US$ 99 billion"),
+            "the new text is served"
+        );
+        assert!(
+            !shows(&current, &r, "US$ 77 billion"),
+            "the old table is gone"
+        );
     }
     // A holder of the old snapshot still gets the old, consistent answer.
     let old = shared.respond_on(&snapshot, &request).unwrap();
-    assert!(shows(&old, "US$ 77 billion") && !shows(&old, "US$ 99 billion"));
+    assert!(shows(&snapshot, &old, "US$ 77 billion") && !shows(&snapshot, &old, "US$ 99 billion"));
 }

@@ -621,23 +621,26 @@ impl SearchBody {
 /// snapshot that answered (for vocabulary/graph rendering and its data
 /// version).
 ///
-/// The body is written once, straight from the response's shared tables
-/// into one buffer sized for it — no [`Json`] node and no `String` per
-/// cell in between: the `patterns` array is ≈ 95 % of a body and, on a
-/// cache hit, writing it is most of what the request costs.
+/// The body is written once, into one buffer sized for it: each cell's
+/// text goes straight from the graph, through the response's shared
+/// table layouts and the patterns' rows, into the body — no [`Json`] node
+/// and no `String` per cell in between. The `patterns` array is ≈ 95 % of
+/// a body and, on a cache hit, writing it is most of what the request
+/// costs.
 pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> SearchBody {
     let vocab = engine.text().vocab();
+    let g = engine.graph();
     let write_count = |out: &mut String, n: usize| write_number(n as f64, out);
 
-    // Every cell with its quotes and comma, plus room for the envelope
-    // and each pattern's scalar fields.
-    let table_bytes: usize = resp
+    // Room for the envelope, each pattern's scalar fields and its cells.
+    // Cells are not measured ahead — that would read each one twice — but
+    // estimated: a wiki cell with its quotes and comma averages ≈ 20 bytes.
+    let cells: usize = resp
         .tables
         .iter()
-        .flat_map(|t| t.rows.iter().flatten().chain(&t.columns))
-        .map(|cell| cell.len() + 3)
+        .map(|t| t.rows.len() * t.columns.len())
         .sum();
-    let mut out = String::with_capacity(512 + 256 * resp.patterns.len() + table_bytes);
+    let mut out = String::with_capacity(512 + 256 * resp.patterns.len() + 24 * cells);
 
     out.push_str("{\"query\":");
     write_array(&mut out, &resp.query.keywords, |out, &w| {
@@ -679,15 +682,16 @@ pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> SearchBo
         out.push_str(",\"num_trees\":");
         write_count(out, p.num_trees);
         out.push_str(",\"display\":");
-        write_string(&p.display(engine.graph()), out);
+        write_string(&p.display(g), out);
         if let Some(table) = resp.tables.get(i) {
-            let strings = |out: &mut String, cells: &[String]| {
-                write_array(out, cells, |out, cell| write_string(cell, out))
-            };
             out.push_str(",\"columns\":");
-            strings(out, &table.columns);
+            write_array(out, &table.columns, |out, c| write_string(c, out));
             out.push_str(",\"rows\":");
-            write_array(out, &table.rows, |out, row| strings(out, row));
+            write_array(out, table.rows_of(p), |out, row| {
+                write_array(out, 0..table.columns.len(), |out, c| {
+                    write_string(&table.cell(g, row, c), out)
+                })
+            });
         }
         out.push('}');
     });
@@ -1048,9 +1052,10 @@ mod tests {
             ];
             if let Some(table) = resp.tables.get(i) {
                 entry.push(field("columns", strings(&table.columns)));
+                let rows = table.cells(engine.graph(), p);
                 entry.push(field(
                     "rows",
-                    Json::Arr(table.rows.iter().map(|row| strings(row)).collect()),
+                    Json::Arr(rows.iter().map(|row| strings(row)).collect()),
                 ));
             }
             patterns.push(Json::Obj(entry));

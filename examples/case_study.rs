@@ -100,7 +100,8 @@ fn main() {
         "\nTop-1 tree pattern (Figure 15 analogue), {} rows:\n",
         top.num_trees
     );
-    println!("{}", response.top_table().expect("tables align").render());
+    let table = response.top_table().expect("tables align");
+    println!("{}", table.render(engine.graph(), top));
 
     // The pattern aggregating the per-game subtrees should list many games,
     // which no single individual subtree can.

@@ -77,7 +77,7 @@ fn main() {
             if let (Some(top), Some(table)) = (r.top(), r.top_table()) {
                 println!("\nTop answer at d = 3 ({} rows):", top.num_trees);
                 let preview = table.truncate_rows(6);
-                println!("{}\n", preview.render());
+                println!("{}\n", preview.render(engine.graph(), top));
             }
         }
     }

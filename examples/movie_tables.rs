@@ -71,7 +71,7 @@ fn main() {
         );
         // Print at most 8 rows for readability.
         let preview = table.truncate_rows(8);
-        println!("{}\n", preview.render());
+        println!("{}\n", preview.render(engine.graph(), pattern));
     }
 
     assert!(

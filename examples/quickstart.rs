@@ -48,7 +48,7 @@ fn main() -> Result<(), Error> {
             pattern.num_trees,
             pattern.display(engine.graph())
         );
-        println!("{}\n", table.render());
+        println!("{}\n", table.render(engine.graph(), pattern));
     }
 
     // The top answer is the paper's P1: a table of database software with

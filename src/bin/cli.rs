@@ -517,7 +517,7 @@ fn repl(engine: &SearchEngine) {
                 p.display(engine.graph())
             );
             let preview = table.truncate_rows(session.rows);
-            println!("{}", preview.render());
+            println!("{}", preview.render(engine.graph(), p));
         }
         last = Some(response);
     }

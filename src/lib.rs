@@ -29,7 +29,7 @@
 //! )?;
 //! let top = response.top().unwrap();
 //! assert_eq!(top.num_trees, 2); // SQL Server and Oracle DB rows
-//! println!("{}", response.top_table().unwrap().render());
+//! println!("{}", response.top_table().unwrap().render(engine.graph(), top));
 //! # Ok::<(), patternkb::search::Error>(())
 //! ```
 //!

@@ -569,7 +569,8 @@ fn unicode_text_is_searchable_by_ascii_tokens() {
     let r = run(&e, &q, 10, AlgorithmChoice::PatternEnum);
     assert_eq!(r.patterns.len(), 1);
     let table = r.top_table().unwrap();
-    assert!(table.rows[0].iter().any(|c| c.contains("Dvořák")));
+    let row = &table.rows_of(r.top().unwrap())[0];
+    assert!((0..table.columns.len()).any(|c| table.cell(e.graph(), row, c).contains("Dvořák")));
 }
 
 #[test]

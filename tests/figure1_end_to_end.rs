@@ -37,7 +37,7 @@ fn paper_query_reproduces_figures_2_and_3() {
     // revenues — the table comes back on the response.
     let table = r.top_table().expect("tables align with patterns");
     assert_eq!(table.rows.len(), 2);
-    let flat: Vec<&String> = table.rows.iter().flatten().collect();
+    let flat: Vec<String> = table.cells(e.graph(), top).into_iter().flatten().collect();
     assert!(flat.iter().any(|c| *c == "SQL Server"));
     assert!(flat.iter().any(|c| *c == "Oracle DB"));
     assert!(flat.iter().any(|c| *c == "US$ 77 billion"));
