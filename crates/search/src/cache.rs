@@ -47,22 +47,23 @@
 //! sit behind their own [`Arc`], and a response takes reference counts on
 //! them — on a hit and on the miss that created the entry alike.
 //!
-//! **Table layouts fill on first reuse.** A [`TableAnswer`] is a column
-//! layout over its pattern's rows — headers, provenance, and the row
-//! slots feeding each column — a pure function of the pattern and of the
-//! type and attribute names no version in the entry's range changes; its
-//! cells are read from the rows and the graph's node text when a body is
-//! written. So the layouts live beside the entry and are handed out by
-//! `Arc` too; the request's post-processing flags (`compose_tables`,
+//! **Tables fill on first reuse.** A [`TableAnswer`] is a column layout
+//! over its pattern's rows — headers, provenance, and the row slots
+//! feeding each column — a pure function of the pattern and of the type
+//! and attribute names no version in the entry's range changes. A miss
+//! composes layouts for its own response, and its body reads each cell
+//! from the rows and the graph's node text as it is written; the entry
+//! retains nothing of them, because one-shot traffic must not hold
+//! tables for queries that never come back. The first *hit* that wants
+//! tables fills the entry's: layouts that also keep their cells' text in
+//! one buffer per table ([`TableAnswer::keep_text`]), so that every later
+//! hit writes its body from contiguous text instead of reading each cell
+//! back out of the graph. They are handed out by `Arc` like the rest of
+//! the answer; the request's post-processing flags (`compose_tables`,
 //! `presentation`, `explain`, `relax`, `diversify`) stay outside the key.
-//! They are composed by the first *hit* that wants them, not by the miss:
-//! a miss composes for its own response and retains nothing, because
-//! one-shot traffic must not hold layouts — a few allocations per column —
-//! for queries that never come back. A hit must not recompose them
-//! either: that per-table, per-column work would be most of a hit's
-//! cost. That a query came back is a property of the traffic the cache
-//! can observe, so nothing is configured ([`CacheStats::table_fills`]
-//! counts the fills).
+//! That a query came back is a property of the traffic the cache can
+//! observe, so nothing is configured ([`CacheStats::table_fills`] counts
+//! the fills).
 //!
 //! The cache is internally synchronized (one `std::sync::Mutex`, its
 //! poisoning recovered) and can be shared across query threads alongside
@@ -138,8 +139,8 @@ pub(crate) struct SharedAnswer {
     /// The algorithm that produced the result (the planner's pick for
     /// `Auto` keys — reported on cached responses without re-planning).
     pub(crate) algorithm: Algorithm,
-    /// Table layouts of `patterns`, aligned with it; set by the first
-    /// cache hit that asks ([`QueryCache::tables`]).
+    /// Tables of `patterns`, aligned with it, keeping their cell text;
+    /// set by the first cache hit that asks ([`QueryCache::tables`]).
     tables: OnceLock<Vec<Arc<TableAnswer>>>,
 }
 
@@ -158,6 +159,15 @@ impl SharedAnswer {
         self.patterns
             .iter()
             .map(|p| Arc::new(TableAnswer::from_pattern(g, p)))
+            .collect()
+    }
+
+    /// Compose the tables the entry's hits share: layouts that keep their
+    /// cell text ([`TableAnswer::keep_text`]).
+    fn compose_shared_tables(&self, g: &KnowledgeGraph) -> Vec<Arc<TableAnswer>> {
+        self.patterns
+            .iter()
+            .map(|p| Arc::new(TableAnswer::from_pattern(g, p).keep_text(g, p)))
             .collect()
     }
 }
@@ -252,7 +262,7 @@ impl QueryCache {
             .tables
             .get_or_init(|| {
                 unpoisoned(self.inner.lock()).stats.table_fills += 1;
-                answer.compose_tables(g)
+                answer.compose_shared_tables(g)
             })
             .clone()
     }

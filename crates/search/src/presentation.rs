@@ -121,9 +121,9 @@ pub fn present(
         }
     };
     let rows: Vec<Vec<String>> = table
-        .rows_of(pattern)
+        .cells(g, pattern)
         .iter()
-        .map(|row| perm.iter().map(|&i| clip(&table.cell(g, row, i))).collect())
+        .map(|row| perm.iter().map(|&i| clip(&row[i])).collect())
         .collect();
 
     PresentedTable { columns, rows }

@@ -12,13 +12,13 @@
 //! unspecified; see DESIGN.md §2).
 //!
 //! A [`TableAnswer`] is a **column layout**, not a copy of the cells: per
-//! column, the row positions ([`Slot`]s) that feed it. It depends on the
-//! pattern alone, so it is composed once per pattern whatever the number
-//! of rows, and a cell is read when it is written — from the pattern's
-//! materialised rows ([`RankedPattern::trees`]) and
-//! [`KnowledgeGraph::node_text`] — by [`TableAnswer::cell`]. The response
-//! body writer reads cells that way; [`TableAnswer::cells`] copies them
-//! out for callers that keep or reorder them.
+//! column, the row positions that feed it. It depends on the pattern
+//! alone, so it is composed once per pattern whatever the number of rows,
+//! and a cell is read when it is written — from the pattern's materialised
+//! rows ([`RankedPattern::trees`]) and [`KnowledgeGraph::node_text`] — by
+//! [`TableAnswer::for_each_cell`]. The response body writer reads cells that way;
+//! [`TableAnswer::cells`] copies them out for callers that keep or reorder
+//! them.
 
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
@@ -48,16 +48,17 @@ pub struct ColumnMeta {
 /// One node position of a row: `paths[keyword].nodes[position]` of a
 /// [`ValidSubtree`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Slot {
-    /// The keyword whose path holds the node.
-    pub keyword: usize,
-    /// The node's position on that path (0 = the root).
-    pub position: usize,
+struct Slot {
+    keyword: usize,
+    position: usize,
 }
 
 /// A table answer as a column layout over its pattern's rows: column
 /// headers, and per column the row slots whose node text fills it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Two tables are equal when their layouts are: whether one keeps its
+/// cell text ([`Self::keep_text`]) does not change what it shows.
+#[derive(Clone, Debug)]
 pub struct TableAnswer {
     /// Column headers, root first, then in keyword/depth order of first
     /// appearance.
@@ -66,12 +67,31 @@ pub struct TableAnswer {
     pub meta: Vec<ColumnMeta>,
     /// Per column, aligned with `columns`, the slots of a row that feed
     /// it, in keyword then position order; never empty.
-    pub feeds: Vec<Vec<Slot>>,
+    feeds: Vec<Vec<Slot>>,
     /// The rows shown: indexes into the pattern's
     /// [`RankedPattern::trees`] — all of them, unless
     /// [`Self::truncate_rows`] narrowed the range.
     pub rows: Range<usize>,
+    /// Every cell's text, when [`Self::keep_text`] stored it.
+    text: Option<CellText>,
 }
+
+/// The text of all of a table's cells, row-major, in one buffer: cell
+/// `i = row × columns + column` is `text[bounds[i]..bounds[i + 1]]`.
+#[derive(Clone, Debug)]
+struct CellText {
+    text: String,
+    bounds: Vec<usize>,
+}
+
+impl PartialEq for TableAnswer {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.columns, &self.meta, &self.feeds, &self.rows)
+            == (&other.columns, &other.meta, &other.feeds, &other.rows)
+    }
+}
+
+impl Eq for TableAnswer {}
 
 impl TableAnswer {
     /// Compose the table layout for a ranked pattern. The table reads its
@@ -88,6 +108,7 @@ impl TableAnswer {
             meta: Vec::with_capacity(slots),
             feeds: Vec::with_capacity(slots),
             rows: 0..p.trees.len(),
+            text: None,
         };
         for (kw, pat) in p.pattern.iter().enumerate() {
             let l = pat.types.len();
@@ -150,15 +171,58 @@ impl TableAnswer {
         });
     }
 
-    /// The rows this table shows, out of the pattern it was composed for.
-    pub fn rows_of<'p>(&self, p: &'p RankedPattern) -> &'p [ValidSubtree] {
-        &p.trees[self.rows.clone()]
+    /// The same layout, keeping the text of every cell of `p`'s rows in
+    /// one buffer that [`Self::for_each_cell`] then reads instead of the
+    /// graph. A
+    /// cell read from the graph is a few dependent loads into text
+    /// scattered over the whole graph; a table served again and again —
+    /// a cache entry's, shared by its hits — pays them once here.
+    pub fn keep_text(mut self, g: &KnowledgeGraph, p: &RankedPattern) -> Self {
+        let ncols = self.columns.len();
+        let mut text = String::new();
+        let mut bounds = Vec::with_capacity(p.trees.len() * ncols + 1);
+        bounds.push(0);
+        for row in &p.trees {
+            for col in 0..ncols {
+                text.push_str(&self.read(g, row, col));
+                bounds.push(text.len());
+            }
+        }
+        self.text = Some(CellText { text, bounds });
+        self
     }
 
-    /// The text of column `col` in `row`: the node text of its slot, or,
-    /// when its slots hold different nodes, their distinct texts joined by
-    /// `" / "` in slot order.
-    pub fn cell<'g>(&self, g: &'g KnowledgeGraph, row: &ValidSubtree, col: usize) -> Cow<'g, str> {
+    /// Call `f(column, text)` on each cell of row `row` of `p`, the pattern
+    /// the table was composed for, in column order. `row` indexes
+    /// [`RankedPattern::trees`], within [`Self::rows`]. A cell is the node
+    /// text of its column's slot, or, when the slots hold different nodes,
+    /// their distinct texts joined by `" / "` in slot order.
+    pub fn for_each_cell(
+        &self,
+        g: &KnowledgeGraph,
+        p: &RankedPattern,
+        row: usize,
+        mut f: impl FnMut(usize, &str),
+    ) {
+        let n = self.columns.len();
+        match &self.text {
+            Some(kept) => {
+                let bounds = &kept.bounds[row * n..=row * n + n];
+                for (col, w) in bounds.windows(2).enumerate() {
+                    f(col, &kept.text[w[0]..w[1]]);
+                }
+            }
+            None => {
+                let tree = &p.trees[row];
+                for col in 0..n {
+                    f(col, &self.read(g, tree, col));
+                }
+            }
+        }
+    }
+
+    /// A cell read from the row's nodes and the graph.
+    fn read<'g>(&self, g: &'g KnowledgeGraph, row: &ValidSubtree, col: usize) -> Cow<'g, str> {
         let node = |s: &Slot| row.paths[s.keyword].nodes[s.position];
         let feeds = &self.feeds[col];
         let first = node(&feeds[0]);
@@ -175,12 +239,12 @@ impl TableAnswer {
     /// Every shown cell as an owned string, one `Vec` per row, aligned
     /// with `columns`.
     pub fn cells(&self, g: &KnowledgeGraph, p: &RankedPattern) -> Vec<Vec<String>> {
-        self.rows_of(p)
-            .iter()
+        self.rows
+            .clone()
             .map(|row| {
-                (0..self.columns.len())
-                    .map(|c| self.cell(g, row, c).into_owned())
-                    .collect()
+                let mut cells = Vec::with_capacity(self.columns.len());
+                self.for_each_cell(g, p, row, |_, text| cells.push(text.to_string()));
+                cells
             })
             .collect()
     }
@@ -379,7 +443,7 @@ mod tests {
         let table = TableAnswer::from_pattern(&g, p);
         // Root column + one merged Leaf column.
         assert_eq!(table.columns.len(), 2, "{:?}", table.columns);
-        let cell = table.cell(&g, &p.trees[0], 1);
+        let cell = &table.cells(&g, p)[0][1];
         assert!(
             cell == "left leaf / right leaf" || cell == "right leaf / left leaf",
             "divergent values joined, got {cell:?}"

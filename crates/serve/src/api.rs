@@ -621,10 +621,11 @@ impl SearchBody {
 /// snapshot that answered (for vocabulary/graph rendering and its data
 /// version).
 ///
-/// The body is written once, into one buffer sized for it: each cell's
-/// text goes straight from the graph, through the response's shared
-/// table layouts and the patterns' rows, into the body — no [`Json`] node
-/// and no `String` per cell in between. The `patterns` array is ≈ 95 % of
+/// The body is written once, into one buffer sized ahead from the
+/// tables' row and column counts: each cell's text goes straight from the
+/// graph, through the response's shared table layouts and the patterns'
+/// rows, into the body — no [`Json`] node and no `String` per cell in
+/// between. The `patterns` array is ≈ 95 % of
 /// a body and, on a cache hit, writing it is most of what the request
 /// costs.
 pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> SearchBody {
@@ -687,10 +688,15 @@ pub fn render_response(engine: &SearchEngine, resp: &SearchResponse) -> SearchBo
             out.push_str(",\"columns\":");
             write_array(out, &table.columns, |out, c| write_string(c, out));
             out.push_str(",\"rows\":");
-            write_array(out, table.rows_of(p), |out, row| {
-                write_array(out, 0..table.columns.len(), |out, c| {
-                    write_string(&table.cell(g, row, c), out)
-                })
+            write_array(out, table.rows.clone(), |out, row| {
+                out.push('[');
+                table.for_each_cell(g, p, row, |col, cell| {
+                    if col > 0 {
+                        out.push(',');
+                    }
+                    write_string(cell, out);
+                });
+                out.push(']');
             });
         }
         out.push('}');
@@ -1217,10 +1223,10 @@ mod tests {
     fn search_body_bytes_are_pinned() {
         use patternkb_datagen::queries::QueryGenerator;
         use patternkb_search::presentation::PresentationConfig;
-        use patternkb_search::Query;
+        use patternkb_search::{Query, SharedEngine};
 
-        // Figure 3's divergent case: two keywords reach one column
-        // through different nodes.
+        // A divergent cell (as in `table.rs`'s tests): two keywords reach
+        // one column through different nodes.
         let divergent = {
             let mut b = patternkb_graph::GraphBuilder::new();
             let root_t = b.add_type("Root");
@@ -1243,29 +1249,31 @@ mod tests {
             ))
             .threads(1)
             .shards(2)
-            .build()
+            .build_shared()
             .unwrap();
-        let mut queries: Vec<(&SearchEngine, SearchRequest)> = Vec::new();
-        let mut generator = QueryGenerator::new(wiki.graph(), wiki.text(), wiki.d(), 11);
+        let mut queries: Vec<(&SharedEngine, SearchRequest)> = Vec::new();
+        let snapshot = wiki.snapshot();
+        let mut generator =
+            QueryGenerator::new(snapshot.graph(), snapshot.text(), snapshot.d(), 11);
         for m in 1..=4 {
             for _ in 0..10 {
                 let spec = generator.anchored(m).expect("the pool is fixed");
                 queries.push((&wiki, SearchRequest::query(Query::from_ids(spec.keywords))));
             }
         }
-        let small: Vec<(SearchEngine, &[&str])> = vec![
+        let small: Vec<(SharedEngine, &[&str])> = vec![
             (
                 patternkb_search::EngineBuilder::new()
                     .graph(divergent)
                     .height(2)
-                    .build()
+                    .build_shared()
                     .unwrap(),
                 &["left right", "origin left right"],
             ),
             (
                 patternkb_search::EngineBuilder::new()
                     .graph(hostile_graph())
-                    .build()
+                    .build_shared()
                     .unwrap(),
                 &["widget", "acme motto", "widget made maker"],
             ),
@@ -1278,7 +1286,8 @@ mod tests {
 
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let (mut bodies, mut bytes, mut joined) = (0, 0, false);
-        for (engine, base) in &queries {
+        for (shared, base) in &queries {
+            let engine = shared.snapshot();
             let base = base.clone().k(8);
             for request in [
                 base.clone(),
@@ -1290,15 +1299,27 @@ mod tests {
                     .algorithm(AlgorithmChoice::LinearEnumTopK)
                     .sampling(SamplingConfig::new(10, 0.5, 7)),
             ] {
-                let mut resp = engine.respond(&request).unwrap();
-                resp.elapsed = Duration::ZERO;
-                let body = render_response(engine, &resp).render();
+                let render = |mut resp: SearchResponse| {
+                    resp.elapsed = Duration::ZERO;
+                    render_response(&engine, &resp).render()
+                };
+                let body = render(engine.respond(&request).unwrap());
                 digest = body.bytes().chain([0]).fold(digest, |h, b| {
                     (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
                 });
                 bodies += 1;
                 bytes += body.len();
                 joined |= body.contains("\"left leaf / right leaf\"");
+                // Through the cache — a miss, or a hit reading the tables
+                // an earlier variant filled — the bytes differ only in
+                // `cache`.
+                for _ in 0..2 {
+                    let cached = render(shared.respond_on(&engine, &request).unwrap());
+                    let cached = cached
+                        .replacen("\"cache\":\"miss\"", "\"cache\":\"uncached\"", 1)
+                        .replacen("\"cache\":\"hit\"", "\"cache\":\"uncached\"", 1);
+                    assert_eq!(cached, body);
+                }
             }
         }
         assert!(joined, "the pool covers a cell fed by two nodes");

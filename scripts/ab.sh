@@ -8,9 +8,12 @@
 # untraced <workload>, alternating which side goes first, and prints per
 # end-to-end metric both medians, both inter-quartile ranges and the pairs
 # the change won — the protocol a claimed gain is judged by (ten pairs,
-# nine wins, medians apart by more than the parent's own spread). Every
-# run's metrics are kept in target/ab/runs.txt. Nothing under benchmark/
-# is read except its printed `name value unit` lines.
+# nine wins, medians apart by more than the parent's own spread). A
+# metric whose change median is worse than the parent's by more than its
+# `bound` in BENCHMARK.json is marked WORSE, as is any rise in failed
+# ops, and then the script exits 1. Every run's metrics are kept in
+# target/ab/runs.txt. Nothing under benchmark/ is read except its printed
+# `name value unit` lines.
 set -eu
 
 [ $# -ge 2 ] || { echo "usage: $0 <parent-rev> <workload> [pairs=10] [seed=7]" >&2; exit 2; }
@@ -63,8 +66,9 @@ while [ "$pair" -le "$pairs" ]; do
     pair=$((pair + 1))
 done
 
-# Which way each end-to-end metric is better comes from BENCHMARK.json
-# (one field per line); the table from the recorded runs.
+# Which way each end-to-end metric is better, and by how much it may get
+# worse, come from BENCHMARK.json (one field per line); the table from the
+# recorded runs.
 awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
     function quantile(v, n, p,    h, lo) {
         h = (n - 1) * p
@@ -89,6 +93,7 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
         if ($0 ~ /"per_layer"/) gated = 0
         if (gated && $1 == "\"name\":") { name = $2; gsub(/[",]/, "", name); order[++metrics] = name }
         if (gated && $1 == "\"better\":") { better[name] = $2; gsub(/[",]/, "", better[name]) }
+        if (gated && $1 == "\"bound\":") { bound[name] = $2; gsub(/[",]/, "", bound[name]) }
         next
     }
     {
@@ -99,6 +104,7 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
         printf "%s, seed %s: parent %s vs change, %d pairs\n", workload, seed, rev, pairs
         printf "%-26s %12s %12s %10s %10s %6s %6s\n", "metric", "parent p50", "change p50", "parent iqr", "change iqr", "won", "lost"
         better["failed_ops"] = "lower"
+        bound["failed_ops"] = 0
         order[++metrics] = "failed_ops"
         for (m = 1; m <= metrics; m++) {
             name = order[m]
@@ -113,7 +119,21 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
                 if (d < 0) won++
                 if (d > 0) lost++
             }
-            printf "%-26s %12.4f %12.4f %10.4f %10.4f %6d %6d\n", name, quantile(a, np, 0.5), quantile(b, nc, 0.5), quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost
+            p = quantile(a, np, 0.5)
+            c = quantile(b, nc, 0.5)
+            # How much worse the change median is, as a share of the
+            # parent median (a rise from 0 counts as infinitely worse).
+            worse = better[name] == "higher" ? p - c : c - p
+            flag = ""
+            if (worse > 0 && (p == 0 || worse / (p < 0 ? -p : p) > bound[name])) {
+                flag = " WORSE"
+                flagged = flagged " " name
+            }
+            printf "%-26s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
+        }
+        if (flagged != "") {
+            printf "worse than the parent beyond the bound:%s\n", flagged
+            exit 1
         }
     }
 ' "$root/BENCHMARK.json" "$runs"
