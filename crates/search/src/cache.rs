@@ -56,7 +56,7 @@
 //! retains nothing of them, because one-shot traffic must not hold
 //! tables for queries that never come back. The first *hit* that wants
 //! tables fills the entry's: layouts that also keep their cells' text in
-//! one buffer per table ([`TableAnswer::keep_text`]), so that every later
+//! one buffer per table (`TableAnswer::keep_text`), so that every later
 //! hit writes its body from contiguous text instead of reading each cell
 //! back out of the graph. They are handed out by `Arc` like the rest of
 //! the answer; the request's post-processing flags (`compose_tables`,

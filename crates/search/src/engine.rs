@@ -533,7 +533,7 @@ impl SearchEngine {
     }
 
     /// Compose the table layout for one ranked pattern; its cells read
-    /// that pattern's rows ([`TableAnswer::cell`]).
+    /// that pattern's rows ([`TableAnswer::for_each_cell`]).
     pub fn table(&self, pattern: &crate::result::RankedPattern) -> TableAnswer {
         TableAnswer::from_pattern(&self.g, pattern)
     }

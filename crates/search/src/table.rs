@@ -16,9 +16,14 @@
 //! alone, so it is composed once per pattern whatever the number of rows,
 //! and a cell is read when it is written — from the pattern's materialised
 //! rows ([`RankedPattern::trees`]) and [`KnowledgeGraph::node_text`] — by
-//! [`TableAnswer::for_each_cell`]. The response body writer reads cells that way;
-//! [`TableAnswer::cells`] copies them out for callers that keep or reorder
-//! them.
+//! [`TableAnswer::for_each_cell`]; the response body writer reads cells
+//! that way, and [`TableAnswer::cells`] copies them out for callers that
+//! keep or reorder them. A table that is written again and again (a cache
+//! entry's, shared by its hits) keeps its cells' text in one buffer
+//! instead (`TableAnswer::keep_text`): a read from the graph is a few
+//! dependent loads into text scattered over the whole graph, which would
+//! make a hit's body cost more to write than it did when tables were
+//! copies of their cells.
 
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
@@ -57,7 +62,7 @@ struct Slot {
 /// headers, and per column the row slots whose node text fills it.
 ///
 /// Two tables are equal when their layouts are: whether one keeps its
-/// cell text ([`Self::keep_text`]) does not change what it shows.
+/// cell text (see the module docs) does not change what it shows.
 #[derive(Clone, Debug)]
 pub struct TableAnswer {
     /// Column headers, root first, then in keyword/depth order of first
@@ -72,7 +77,7 @@ pub struct TableAnswer {
     /// [`RankedPattern::trees`] — all of them, unless
     /// [`Self::truncate_rows`] narrowed the range.
     pub rows: Range<usize>,
-    /// Every cell's text, when [`Self::keep_text`] stored it.
+    /// Every cell's text, when `keep_text` stored it.
     text: Option<CellText>,
 }
 
@@ -173,11 +178,8 @@ impl TableAnswer {
 
     /// The same layout, keeping the text of every cell of `p`'s rows in
     /// one buffer that [`Self::for_each_cell`] then reads instead of the
-    /// graph. A
-    /// cell read from the graph is a few dependent loads into text
-    /// scattered over the whole graph; a table served again and again —
-    /// a cache entry's, shared by its hits — pays them once here.
-    pub fn keep_text(mut self, g: &KnowledgeGraph, p: &RankedPattern) -> Self {
+    /// graph (see the module docs for when that pays).
+    pub(crate) fn keep_text(mut self, g: &KnowledgeGraph, p: &RankedPattern) -> Self {
         let ncols = self.columns.len();
         let mut text = String::new();
         let mut bounds = Vec::with_capacity(p.trees.len() * ncols + 1);
