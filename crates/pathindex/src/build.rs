@@ -298,12 +298,12 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
     let shards: Vec<crate::word_index::IndexShard> = per_shard
         .into_iter()
         .map(|per_word| {
-            crate::word_index::IndexShard::new(
+            crate::word_index::IndexShard::new(crate::storage::WordStore::from_lists(
                 per_word
                     .into_iter()
                     .map(|(w, (postings, arena))| (w, WordPathIndex::new(postings, arena)))
                     .collect(),
-            )
+            ))
         })
         .collect();
     PathIndexes::new(d, std::sync::Arc::new(global), bounds, shards)

@@ -73,6 +73,7 @@
 use crate::build;
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
+use crate::storage::WordStore;
 use crate::word_index::{Base, IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
 use patternkb_graph::snapshot::SnapshotError;
@@ -305,12 +306,12 @@ pub fn try_refresh_indexes(
             rebuilt.push((w, (!list.is_empty()).then_some(list)));
         }
         shards.push(if every_list {
-            IndexShard::new(
+            IndexShard::new(WordStore::from_lists(
                 rebuilt
                     .into_iter()
                     .filter_map(|(w, list)| Some((w, list?)))
                     .collect(),
-            )
+            ))
         } else {
             shard.patch(rebuilt)
         });

@@ -45,7 +45,7 @@ pub use incremental::{refresh_indexes, try_refresh_indexes, ChangedWords, Refres
 pub use pattern::{PathPattern, PatternId, PatternSet};
 pub use posting::Posting;
 pub use stats::IndexStats;
-pub use storage::{IndexStorage, StorageBackend};
+pub use storage::StorageBackend;
 pub use word_index::{
     groups_by_shared_type, merge_type_groups, IndexShard, PathIndexes, PatternPostingStats,
     PatternTypeGroup, PatternTypeGroups, WordPathIndex,

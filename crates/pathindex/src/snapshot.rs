@@ -4,12 +4,13 @@
 //! paper's scale), so a production deployment builds once and reloads.
 //! There is one persisted image — the `PKB5` container of
 //! [`crate::storage`] — and every boot opens it with
-//! [`crate::storage::open_region`]: both tiers borrow the bytes (mapped,
-//! or read into memory) and defer each word's decode to first touch.
-//! [`decode`] / [`load`] here decode every word eagerly into owned heap
-//! structures instead; they are on no boot path, and stay as the
-//! reference the opened image is tested bit-identical against. Images are
-//! written by [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
+//! [`crate::storage::open_region`]: the shards' word stores borrow the
+//! bytes (mapped, or read into memory) and decode each word on first
+//! touch. [`decode`] / [`load`] here decode every word eagerly into word
+//! stores with every list filled and no image kept; they are on no boot
+//! path, and stay as the reference the opened image is tested
+//! bit-identical against. Images are written by
+//! [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
 //!
 //! The image stores the pattern interner and, per word, the postings in
 //! pattern-first order; the root-first directory over them is rebuilt on

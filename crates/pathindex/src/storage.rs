@@ -1,5 +1,5 @@
-//! The persisted index image — the **`PKB5`** container — and the
-//! [`IndexStorage`] trait behind [`crate::word_index::IndexShard`].
+//! The persisted index image — the **`PKB5`** container — and the word
+//! store behind [`crate::word_index::IndexShard`].
 //!
 //! `PKB5` is the only persisted path-index format, and both storage tiers
 //! boot from it the same way: open the image in place, decode each word
@@ -13,14 +13,21 @@
 //!   mapping on Unix, or a window of a heap buffer (the heap tier, the
 //!   non-Unix fallback, tests, and a checkpoint's index blob inside the
 //!   file it was read with) — behind one borrowing interface;
-//! * **[`MappedStorage`]**: opens a region by parsing only the header,
-//!   bounds, pattern keys and lexicon (O(words), not O(postings)); stream
-//!   bytes are *borrowed in place* and a word's postings are decoded into
-//!   a cached [`WordPathIndex`] only when the first query touches the
-//!   word. Boot cost and decoded bytes are decoupled from index size.
+//! * **the word store**: one shard's word-sorted lexicon rows, each with a
+//!   slot for the word's decoded list. [`open_region`] parses only the
+//!   header, bounds, pattern keys and lexicon (O(words), not O(postings));
+//!   stream bytes are *borrowed in place* and a word's slot is filled when
+//!   the first query touches it. Boot cost and decoded bytes are
+//!   decoupled from index size. A store built in memory (an index build,
+//!   a full refresh, the eager decode) has every slot filled and no
+//!   region.
+//!
+//! The tier an index reports is read off its bytes:
+//! [`StorageBackend::Mmap`] iff a shard's region is a file mapping, else
+//! [`StorageBackend::Heap`].
 //!
 //! [`crate::snapshot::decode`] is the eager reference decoder (every word
-//! up front, into [`HeapStorage`]); no boot path takes it.
+//! up front, no region kept); no boot path takes it.
 //!
 //! All reads go through byte-slice little-endian conversions — never
 //! pointer casts — so the layout is alignment-safe on every target and a
@@ -35,7 +42,7 @@ use crate::compress::{self, decode_stream, CompressError};
 use crate::pattern::{PatternId, PatternSet};
 use crate::word_index::{IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::snapshot::{invalid_data, SnapshotError};
-use patternkb_graph::{FxHashMap, WordId};
+use patternkb_graph::WordId;
 use std::sync::{Arc, OnceLock};
 
 /// Magic of the persisted index container.
@@ -51,15 +58,17 @@ const LEX_ENTRY_LEN: usize = 32;
 // Which tier serves a query.
 // ---------------------------------------------------------------------
 
-/// Which storage tier backs the path indexes of an engine.
+/// Which storage tier backs the path indexes of an engine: read off the
+/// bytes, never configured on an index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageBackend {
-    /// Postings on the heap: an index built in memory, or a v5 snapshot
-    /// read into memory and decoded per word on first touch.
+    /// Postings on the heap: an index built in memory, or a v5 image
+    /// read into memory (a snapshot file, a checkpoint) and decoded per
+    /// word on first touch.
     #[default]
     Heap,
-    /// A v5 snapshot mapped from its file (an owned buffer off Unix),
-    /// per-word decode deferred to first query touch.
+    /// A v5 snapshot file mapped read-only, per-word decode deferred to
+    /// first query touch.
     Mmap,
 }
 
@@ -80,95 +89,6 @@ impl std::str::FromStr for StorageBackend {
             "mmap" => Ok(StorageBackend::Mmap),
             other => Err(format!("unknown storage backend {other:?} (heap|mmap)")),
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The storage trait: one word-index provider per shard.
-// ---------------------------------------------------------------------
-
-/// One shard's word → posting-index provider: the seam between the query
-/// algorithms (which consume `&WordPathIndex` borrows) and where those
-/// postings physically live. Two implementations exist — [`HeapStorage`]
-/// (owned, fully decoded) and [`MappedStorage`] (an opened v5 image,
-/// decode-on-first-touch) — and both must serve **bit-identical** answers
-/// (asserted by the cross-backend equivalence suites in `patternkb_search`).
-pub trait IndexStorage: Send + Sync {
-    /// Which tier this is (drives `/metrics` and boot logs).
-    fn backend(&self) -> StorageBackend;
-    /// The per-word index for `w`, if the shard holds postings for it.
-    /// On an opened image this decodes (and caches) the word's stream on
-    /// first touch; a corrupt stream makes the word unavailable here —
-    /// use [`IndexStorage::prepare`] first to surface the typed error.
-    fn word(&self, w: WordId) -> Option<&WordPathIndex>;
-    /// How many postings the shard holds for `w`, from metadata (never
-    /// decodes); `None` when it holds none.
-    fn word_len(&self, w: WordId) -> Option<usize>;
-    /// All word ids with postings in this shard, ascending.
-    fn word_ids(&self) -> Vec<WordId>;
-    /// Number of words with postings in this shard.
-    fn num_words(&self) -> usize;
-    /// Total postings in this shard (from metadata; never decodes).
-    fn num_postings(&self) -> usize;
-    /// Approximate **resident** bytes: what this shard holds on the heap
-    /// right now (for an opened image: the lexicon plus only the words
-    /// decoded so far — not the image bytes).
-    fn heap_bytes(&self) -> usize;
-    /// The opened image this shard reads its streams from (shared by
-    /// every shard of one open); `None` for a fully decoded shard.
-    fn region(&self) -> Option<&Arc<Region>> {
-        None
-    }
-    /// Ensure `w` is decoded (no-op when absent or already decoded),
-    /// surfacing a corrupt stream as the typed error the query path
-    /// reports instead of silently missing a word.
-    fn prepare(&self, w: WordId) -> Result<(), SnapshotError>;
-}
-
-/// Every word fully decoded and owned on the heap: an index built in
-/// memory, a full-rebuild refresh, or the eager reference decode.
-#[derive(Default)]
-pub struct HeapStorage {
-    pub(crate) words: FxHashMap<WordId, WordPathIndex>,
-}
-
-impl HeapStorage {
-    /// Wrap an already-decoded word map.
-    pub fn new(words: FxHashMap<WordId, WordPathIndex>) -> Self {
-        HeapStorage { words }
-    }
-}
-
-impl IndexStorage for HeapStorage {
-    fn backend(&self) -> StorageBackend {
-        StorageBackend::Heap
-    }
-    fn word(&self, w: WordId) -> Option<&WordPathIndex> {
-        self.words.get(&w)
-    }
-    fn word_len(&self, w: WordId) -> Option<usize> {
-        self.words.get(&w).map(WordPathIndex::len)
-    }
-    fn word_ids(&self) -> Vec<WordId> {
-        let mut ids: Vec<WordId> = self.words.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-    fn num_words(&self) -> usize {
-        self.words.len()
-    }
-    fn num_postings(&self) -> usize {
-        self.words.values().map(WordPathIndex::len).sum()
-    }
-    fn heap_bytes(&self) -> usize {
-        self.words
-            .values()
-            .map(WordPathIndex::heap_bytes)
-            .sum::<usize>()
-            + self.words.len() * 48
-    }
-    fn prepare(&self, _w: WordId) -> Result<(), SnapshotError> {
-        Ok(())
     }
 }
 
@@ -237,7 +157,7 @@ enum RegionInner {
 /// Where an opened snapshot's bytes live: a read-only file mapping, or a
 /// heap buffer (the heap tier's image read into memory, the non-Unix
 /// fallback, tests, and checkpoint blobs that are already in memory).
-/// Either way the container is *borrowed*, not decoded: [`MappedStorage`]
+/// Either way the container is *borrowed*, not decoded: the word store
 /// reads lexicon and stream bytes in place.
 pub struct Region {
     inner: RegionInner,
@@ -654,36 +574,65 @@ fn decode_entry(
 }
 
 // ---------------------------------------------------------------------
-// The mapped backend.
+// The word store.
 // ---------------------------------------------------------------------
 
-/// One shard's view of an opened v5 container: the parsed lexicon slice
-/// plus a per-word decode cache. Stream bytes are borrowed from the
-/// shared [`Region`]; a word's postings are decoded into the cache on
-/// first touch and reused for the life of the index. Serves both tiers:
-/// it reports the one it was opened as.
-pub struct MappedStorage {
-    backend: StorageBackend,
-    region: Arc<Region>,
+/// One shard's words: its word-sorted lexicon rows, each with a slot
+/// holding the word's decoded list. A store opened over an image borrows
+/// the stream bytes from the shared [`Region`] and fills a word's slot
+/// the first time a query touches it; a store built from lists in memory
+/// has every slot filled and no region. Either way a filled slot is
+/// reused for the life of the index.
+pub(crate) struct WordStore {
     entries: Vec<LexEntry>,
-    /// Decode cache, parallel to `entries`. Errors are cached too, so a
-    /// damaged stream is decoded (and fails) once, deterministically.
+    /// Parallel to `entries`. Errors are kept too, so a damaged stream is
+    /// decoded (and fails) once, deterministically.
     slots: Vec<OnceLock<Result<WordPathIndex, SnapshotError>>>,
+    region: Option<Arc<Region>>,
     root_lo: u32,
     root_hi: u32,
     npatterns: u32,
-    num_postings: usize,
 }
 
-impl MappedStorage {
+impl WordStore {
+    /// A store of lists already decoded: an index build, a full refresh,
+    /// the eager decode. Nothing is left to read.
+    pub(crate) fn from_lists(mut lists: Vec<(WordId, WordPathIndex)>) -> Self {
+        lists.sort_unstable_by_key(|(w, _)| *w);
+        let (entries, slots) = lists
+            .into_iter()
+            .map(|(word, list)| {
+                let entry = LexEntry {
+                    word,
+                    offset: 0,
+                    len: 0,
+                    num_postings: list.len() as u32,
+                };
+                (entry, OnceLock::from(Ok(list)))
+            })
+            .unzip();
+        WordStore {
+            entries,
+            slots,
+            region: None,
+            root_lo: 0,
+            root_hi: u32::MAX,
+            npatterns: 0,
+        }
+    }
+
     fn slot(&self, w: WordId) -> Option<usize> {
         self.entries.binary_search_by_key(&w, |e| e.word).ok()
     }
 
     fn decoded(&self, i: usize) -> &Result<WordPathIndex, SnapshotError> {
         self.slots[i].get_or_init(|| {
+            let region = self
+                .region
+                .as_ref()
+                .expect("a store without a region has every slot filled");
             decode_entry(
-                self.region.bytes(),
+                region.bytes(),
                 &self.entries[i],
                 self.root_lo,
                 self.root_hi,
@@ -691,42 +640,55 @@ impl MappedStorage {
             )
         })
     }
-}
 
-impl IndexStorage for MappedStorage {
-    fn backend(&self) -> StorageBackend {
-        self.backend
+    /// The list for `w`, if the shard holds postings for it. On an
+    /// opened image this decodes the word's stream on first touch; a
+    /// corrupt stream makes the word unavailable here — call
+    /// [`Self::prepare`] first to surface the typed error.
+    pub(crate) fn word(&self, w: WordId) -> Option<&WordPathIndex> {
+        self.decoded(self.slot(w)?).as_ref().ok()
     }
-    fn word(&self, w: WordId) -> Option<&WordPathIndex> {
-        let i = self.slot(w)?;
-        self.decoded(i).as_ref().ok()
-    }
-    fn word_len(&self, w: WordId) -> Option<usize> {
+
+    /// How many postings the shard holds for `w`, from the lexicon
+    /// (never decodes).
+    pub(crate) fn word_len(&self, w: WordId) -> Option<usize> {
         self.slot(w).map(|i| self.entries[i].num_postings as usize)
     }
-    fn word_ids(&self) -> Vec<WordId> {
+
+    /// Every word with postings in this shard, ascending.
+    pub(crate) fn word_ids(&self) -> Vec<WordId> {
         self.entries.iter().map(|e| e.word).collect()
     }
-    fn num_words(&self) -> usize {
+
+    pub(crate) fn num_words(&self) -> usize {
         self.entries.len()
     }
-    fn num_postings(&self) -> usize {
-        self.num_postings
+
+    pub(crate) fn num_postings(&self) -> usize {
+        self.entries.iter().map(|e| e.num_postings as usize).sum()
     }
-    fn heap_bytes(&self) -> usize {
+
+    /// Heap bytes held right now: the lexicon plus the lists decoded so
+    /// far — not the image bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<LexEntry>()
             + self
                 .slots
                 .iter()
-                .filter_map(|s| s.get())
-                .filter_map(|r| r.as_ref().ok())
+                .filter_map(|s| s.get()?.as_ref().ok())
                 .map(WordPathIndex::heap_bytes)
                 .sum::<usize>()
     }
-    fn region(&self) -> Option<&Arc<Region>> {
-        Some(&self.region)
+
+    /// The image this store reads its streams from (shared by every
+    /// shard of one open); `None` for a store built in memory.
+    pub(crate) fn region(&self) -> Option<&Arc<Region>> {
+        self.region.as_ref()
     }
-    fn prepare(&self, w: WordId) -> Result<(), SnapshotError> {
+
+    /// Ensure `w` is decoded (no-op when absent or already decoded),
+    /// surfacing a corrupt stream as its typed error.
+    pub(crate) fn prepare(&self, w: WordId) -> Result<(), SnapshotError> {
         match self.slot(w) {
             None => Ok(()),
             Some(i) => self.decoded(i).as_ref().map(|_| ()).map_err(|e| *e),
@@ -734,29 +696,24 @@ impl IndexStorage for MappedStorage {
     }
 }
 
-/// Open a v5 container over `region` as storage-backed [`PathIndexes`]:
-/// parse header, bounds, patterns and lexicon (O(words)); defer every
-/// posting decode to first query touch. `backend` is the tier the index
-/// reports: [`StorageBackend::Mmap`] for a file mapping,
-/// [`StorageBackend::Heap`] for an image read into memory.
-pub fn open_region(region: Region, backend: StorageBackend) -> Result<PathIndexes, SnapshotError> {
+/// Open a v5 container over `region`: parse header, bounds, patterns and
+/// lexicon (O(words)); defer every posting decode to first query touch.
+/// The index reports [`StorageBackend::Mmap`] iff `region` is a file
+/// mapping.
+pub fn open_region(region: Region) -> Result<PathIndexes, SnapshotError> {
     let parsed = parse_v5(region.bytes())?;
     let region = Arc::new(region);
     let npatterns = parsed.patterns.len() as u32;
     let mut shards = Vec::with_capacity(parsed.shard_entries.len());
     for (s, entries) in parsed.shard_entries.into_iter().enumerate() {
-        let num_postings = entries.iter().map(|e| e.num_postings as usize).sum();
-        let slots = (0..entries.len()).map(|_| OnceLock::new()).collect();
-        shards.push(IndexShard::from_storage(Arc::new(MappedStorage {
-            backend,
-            region: Arc::clone(&region),
+        shards.push(IndexShard::new(WordStore {
+            slots: entries.iter().map(|_| OnceLock::new()).collect(),
             entries,
-            slots,
+            region: Some(Arc::clone(&region)),
             root_lo: parsed.bounds[s],
             root_hi: parsed.bounds[s + 1],
             npatterns,
-            num_postings,
-        })));
+        }));
     }
     Ok(PathIndexes::new(
         parsed.d,
@@ -766,17 +723,16 @@ pub fn open_region(region: Region, backend: StorageBackend) -> Result<PathIndexe
     ))
 }
 
-/// Open a v5 snapshot *file* on `backend`'s tier: mapped read-only
-/// ([`StorageBackend::Mmap`]; a heap buffer off Unix) or read into one
-/// heap buffer ([`StorageBackend::Heap`]). Either way only the lexicon
-/// is parsed and each word decodes on first touch: cost is O(lexicon),
-/// not O(postings).
+/// Open a v5 snapshot *file*: mapped read-only ([`StorageBackend::Mmap`];
+/// a heap buffer off Unix) or read into one heap buffer
+/// ([`StorageBackend::Heap`]). Either way only the lexicon is parsed and
+/// each word decodes on first touch: cost is O(lexicon), not O(postings).
 pub fn open_file(path: &std::path::Path, backend: StorageBackend) -> std::io::Result<PathIndexes> {
     let region = match backend {
         StorageBackend::Mmap => Region::map_file(path)?,
         StorageBackend::Heap => Region::from_vec(std::fs::read(path)?),
     };
-    open_region(region, backend).map_err(|e| invalid_data(path, e))
+    open_region(region).map_err(|e| invalid_data(path, e))
 }
 
 /// [`open_file`] on the mapped tier.
@@ -784,28 +740,27 @@ pub fn open_mapped(path: &std::path::Path) -> std::io::Result<PathIndexes> {
     open_file(path, StorageBackend::Mmap)
 }
 
-/// Open v5 container *bytes* on the mapped tier without copying them
-/// again: the buffer becomes the region, per-word decode stays deferred.
+/// Open v5 container *bytes* in place, without copying them again: the
+/// buffer becomes the region, per-word decode stays deferred. The index
+/// reports the heap tier.
 pub fn open_bytes(bytes: Vec<u8>) -> Result<PathIndexes, SnapshotError> {
-    open_region(Region::from_vec(bytes), StorageBackend::Mmap)
+    open_region(Region::from_vec(bytes))
 }
 
-/// Decode a container fully into [`HeapStorage`] (every word decoded
-/// eagerly) — the body of [`crate::snapshot::decode`], and the reference
-/// the opened image is tested bit-identical against. No boot path takes
-/// it.
+/// Decode a container with every word decoded eagerly and no region kept
+/// — the body of [`crate::snapshot::decode`], and the reference the
+/// opened image is tested bit-identical against. No boot path takes it.
 pub(crate) fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
     let parsed = parse_v5(data)?;
     let npatterns = parsed.patterns.len() as u32;
     let mut shards = Vec::with_capacity(parsed.shard_entries.len());
     for (s, entries) in parsed.shard_entries.iter().enumerate() {
-        let mut words: FxHashMap<WordId, WordPathIndex> =
-            patternkb_graph::fxhash::map_with_capacity(entries.len());
+        let mut lists = Vec::with_capacity(entries.len());
         for e in entries {
             let widx = decode_entry(data, e, parsed.bounds[s], parsed.bounds[s + 1], npatterns)?;
-            words.insert(e.word, widx);
+            lists.push((e.word, widx));
         }
-        shards.push(IndexShard::new(words));
+        shards.push(IndexShard::new(WordStore::from_lists(lists)));
     }
     Ok(PathIndexes::new(
         parsed.d,
@@ -913,7 +868,7 @@ mod tests {
         let idx = build(&g, &t, 3, 3);
         let image = encode_v5(&idx);
         let mapped = open_bytes(image).expect("opens");
-        assert_eq!(mapped.storage_backend(), StorageBackend::Mmap);
+        assert_eq!(mapped.storage_backend(), StorageBackend::Heap);
         // Metadata visible without any decode.
         assert_eq!(mapped.num_words(), idx.num_words());
         assert_eq!(mapped.num_postings(), idx.num_postings());
@@ -934,7 +889,7 @@ mod tests {
         let idx = build(&g, &t, 3, 2);
         let image = encode_v5(&idx);
         let image_len = image.len();
-        let heap = open_region(Region::from_vec(image), StorageBackend::Heap).unwrap();
+        let heap = open_region(Region::from_vec(image)).unwrap();
         assert_eq!(heap.storage_backend(), StorageBackend::Heap);
         let before = heap.heap_bytes();
         assert_same_index(&idx, &heap);
@@ -1116,6 +1071,8 @@ mod tests {
     /// including a handle shared past the first drop. `save_v5` over a
     /// mapped file replaces its inode, so the live mapping still reads
     /// the image it was opened on rather than faulting past a new EOF.
+    /// A full refresh replaces every base, so the refreshed index is on
+    /// the heap and holds no reference to the mapping.
     #[cfg(target_os = "linux")]
     #[test]
     fn dropping_a_mapped_index_unmaps_its_file() {
@@ -1151,6 +1108,20 @@ mod tests {
         assert_same_index(&idx, &clone);
         drop(clone);
         assert_eq!(mappings(), 0, "the last drop unmaps the file");
+
+        save_v5(&idx, &path).unwrap();
+        let mapped = open_mapped(&path).unwrap();
+        // Re-reading PageRank (a `Recompute` batch) rebuilds every list.
+        let (refreshed, _, changed) =
+            crate::incremental::try_refresh_indexes(&mapped, &g, &g, &t, &t, &[NodeId(0)], true)
+                .unwrap();
+        assert_eq!(changed, crate::incremental::ChangedWords::All);
+        assert_eq!(mapped.storage_backend(), StorageBackend::Mmap);
+        assert_eq!(refreshed.storage_backend(), StorageBackend::Heap);
+        assert_eq!(refreshed.resident_bytes(), refreshed.heap_bytes());
+        drop(mapped);
+        assert_eq!(mappings(), 0, "a full refresh keeps no handle on the file");
+        assert_same_index(&idx, &refreshed);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1164,7 +1135,7 @@ mod tests {
         let at = 13;
         let buf = [vec![0xAB; at], image.clone(), vec![0xCD; 5]].concat();
         let region = Region::from_vec_range(buf, at..at + image.len());
-        let opened = open_region(region, StorageBackend::Heap).expect("window opens");
+        let opened = open_region(region).expect("window opens");
         assert_same_index(&idx, &opened);
     }
 

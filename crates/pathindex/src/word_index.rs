@@ -3,6 +3,7 @@
 use crate::grouped::{GroupedPostings, RootCursor, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
+use crate::storage::{Region, StorageBackend, WordStore};
 use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -555,43 +556,31 @@ fn compact_arena(postings: &mut [Posting], arena: &[NodeId]) -> Vec<NodeId> {
 /// posting whose root lies in the shard's range. Shards share the global
 /// [`PatternSet`], so pattern ids are comparable across shards.
 ///
-/// A shard is **`base ⊕ patched words`**. The base is an immutable
-/// [`crate::storage::IndexStorage`] — an index built in memory owns fully
-/// decoded structures, a booted snapshot borrows its v5 region (mapped or
-/// read into memory) and decodes words on first touch — shared by `Arc`
-/// between every index version
-/// derived from it. [`crate::incremental::refresh_indexes`] publishes a
+/// A shard is **`base ⊕ patched words`**. The base is an immutable word
+/// store shared by `Arc` between every index version derived from it: an
+/// index built in memory holds every list decoded, a booted snapshot
+/// borrows its v5 region (mapped or read into memory) and decodes words
+/// on first touch. [`crate::incremental::refresh_indexes`] publishes a
 /// new version by rebuilding only the words a delta touches and recording
 /// them in the patch map, which shadows the base: `Some` replaces the
 /// base's list, `None` marks a word the delta emptied. Query code is
 /// oblivious — it only ever sees contiguous `&WordPathIndex` borrows, and
 /// with an empty patch map every read goes straight to the base.
 pub struct IndexShard {
-    base: Arc<dyn crate::storage::IndexStorage>,
+    base: Arc<WordStore>,
     patched: FxHashMap<WordId, Option<Arc<WordPathIndex>>>,
     /// Maintained as base − shadowed + patched, so neither count ever
-    /// scans (or, on the mapped tier, decodes) a list.
+    /// scans (or, on an opened image, decodes) a list.
     num_words: usize,
     num_postings: usize,
 }
 
-impl Default for IndexShard {
-    fn default() -> Self {
-        IndexShard::new(FxHashMap::default())
-    }
-}
-
 impl IndexShard {
-    pub(crate) fn new(words: FxHashMap<WordId, WordPathIndex>) -> Self {
-        IndexShard::from_storage(Arc::new(crate::storage::HeapStorage::new(words)))
-    }
-
-    /// Wrap an arbitrary storage backend (the mapped tier's entry point).
-    pub(crate) fn from_storage(base: Arc<dyn crate::storage::IndexStorage>) -> Self {
+    pub(crate) fn new(base: WordStore) -> Self {
         IndexShard {
             num_words: base.num_words(),
             num_postings: base.num_postings(),
-            base,
+            base: Arc::new(base),
             patched: FxHashMap::default(),
         }
     }
@@ -624,11 +613,6 @@ impl IndexShard {
             }
         }
         next
-    }
-
-    /// Which storage tier backs this shard's base.
-    pub fn storage_backend(&self) -> crate::storage::StorageBackend {
-        self.base.backend()
     }
 
     /// The per-word index for `w` within this shard; `None` when no root in
@@ -860,26 +844,28 @@ impl PathIndexes {
     /// a checkpoint's file), counted once. A mapped image's pages belong
     /// to the page cache and are not counted.
     pub fn resident_bytes(&self) -> usize {
-        let mut images: Vec<&Arc<crate::storage::Region>> =
-            self.shards.iter().filter_map(|s| s.base.region()).collect();
-        images.sort_by_key(|r| Arc::as_ptr(r));
-        images.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        self.heap_bytes() + images.iter().map(|r| r.heap_len()).sum::<usize>()
+        self.heap_bytes() + self.regions().iter().map(|r| r.heap_len()).sum::<usize>()
     }
 
-    /// Which storage tier backs the shards. Mixed tiers never occur in
-    /// practice (a snapshot opens whole); if they did, any mapped shard
-    /// makes the answer [`crate::storage::StorageBackend::Mmap`].
-    pub fn storage_backend(&self) -> crate::storage::StorageBackend {
-        if self
-            .shards
-            .iter()
-            .any(|s| s.storage_backend() == crate::storage::StorageBackend::Mmap)
-        {
-            crate::storage::StorageBackend::Mmap
+    /// Which storage tier backs the shards, read off their bytes:
+    /// [`StorageBackend::Mmap`] iff a shard's base reads a file mapping.
+    /// An index built in memory, or one whose last full refresh replaced
+    /// every base, is [`StorageBackend::Heap`].
+    pub fn storage_backend(&self) -> StorageBackend {
+        if self.regions().iter().any(|r| r.is_file_mapping()) {
+            StorageBackend::Mmap
         } else {
-            crate::storage::StorageBackend::Heap
+            StorageBackend::Heap
         }
+    }
+
+    /// The distinct images the shards' bases read from (one per open).
+    fn regions(&self) -> Vec<&Arc<Region>> {
+        let mut regions: Vec<&Arc<Region>> =
+            self.shards.iter().filter_map(|s| s.base.region()).collect();
+        regions.sort_by_key(|r| Arc::as_ptr(r));
+        regions.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        regions
     }
 
     /// Ensure every listed word is decoded in every shard that holds it,

@@ -173,7 +173,7 @@ proptest! {
     /// (patched) result, from a heap base and from a mapped base: both end
     /// canonically equal to a from-scratch build of the final graph and
     /// persist to the same bytes as each other; frozen steps leave the
-    /// mapped chain mapped. The heap chain extends its text index the way the serving
+    /// mapped chain served from its image. The heap chain extends its text index the way the serving
     /// path does, the mapped chain rebuilds it the way a caller holding
     /// only graphs does — `refresh_indexes` accepts either.
     #[test]
@@ -204,7 +204,8 @@ proptest! {
                 prop_assert_eq!(hs.postings_kept + hs.postings_added, h.num_postings());
                 frozen_so_far &= !*recompute;
                 if frozen_so_far {
-                    prop_assert_eq!(m.storage_backend(), StorageBackend::Mmap);
+                    prop_assert_eq!(m.storage_backend(), StorageBackend::Heap);
+                    prop_assert!(m.resident_bytes() > m.heap_bytes());
                     prop_assert_eq!(h.num_patched_words(), m.num_patched_words());
                 }
                 (g, text_a, text_b, heap, mapped) = (g2, next_a, next_b, h, m);

@@ -150,20 +150,20 @@ impl EngineBuilder {
         self
     }
 
-    /// Which storage tier serves the path indexes. Either way a snapshot
-    /// is *opened* (header, bounds, pattern keys and lexicon), not
-    /// decoded: each word decodes on first query touch, so boot cost
-    /// stops scaling with index size. Answers are bit-identical.
+    /// How the [`Self::index_snapshot`] file is read; it changes nothing
+    /// else. Either way the snapshot is *opened* (header, bounds, pattern
+    /// keys and lexicon), not decoded: each word decodes on first query
+    /// touch, so boot cost stops scaling with index size. Answers are
+    /// bit-identical.
     ///
-    /// * [`StorageBackend::Heap`] (default): the [`Self::index_snapshot`]
-    ///   file is read into memory, decoded per word on first touch;
-    ///   indexes built from the graph are heap-resident by nature.
+    /// * [`StorageBackend::Heap`] (default): the file is read into memory.
     /// * [`StorageBackend::Mmap`]: the file is mapped read-only, so the
     ///   image pages no query touched stay out of the resident set.
     ///
-    /// Under [`Self::data_dir`] both settings open the checkpoint's index
-    /// blob in place in the buffer the file was read into, and differ
-    /// only in the tier they report.
+    /// The engine reports the tier its bytes are on: an index built from
+    /// the graph, and a [`Self::data_dir`] boot (which opens the
+    /// checkpoint's index blob in place in the buffer the file was read
+    /// into), report [`StorageBackend::Heap`] whatever this says.
     pub fn storage(mut self, storage: StorageBackend) -> Self {
         self.storage = storage;
         self
@@ -274,11 +274,10 @@ impl EngineBuilder {
                 let wrap = |e| Error::Io(patternkb_graph::snapshot::invalid_data(&path, e));
                 let graph = patternkb_graph::snapshot::decode(cp.graph()).map_err(wrap)?;
                 let version = cp.version;
-                // On either tier the index blob is *opened* (lexicon
-                // parse only) in place in the file's buffer, not decoded.
+                // The index blob is *opened* (lexicon parse only) in
+                // place in the file's buffer, not decoded.
                 let (bytes, range) = cp.into_index();
-                let idx = open_region(Region::from_vec_range(bytes, range), self.storage)
-                    .map_err(wrap)?;
+                let idx = open_region(Region::from_vec_range(bytes, range)).map_err(wrap)?;
                 let text = TextIndex::build_with(&graph, self.synonyms, self.stemmer);
                 let mut engine =
                     SearchEngine::from_parts(graph, text, idx).with_snapshot_load(t0.elapsed());

@@ -305,8 +305,8 @@ fn write_checkpoint(wal: &Wal, dir: &Path, engine: &SearchEngine) -> std::io::Re
     let cp = Checkpoint {
         version: engine.version(),
         graph: patternkb_graph::snapshot::encode(engine.graph()),
-        // A mapped-tier boot *opens* the index blob (lexicon parse
-        // only) instead of decoding it; a heap boot decodes it.
+        // A boot *opens* the index blob (lexicon parse only) in place
+        // in the file's buffer instead of decoding it.
         index: patternkb_index::storage::encode_v5(engine.index()),
     };
     let path = checkpoint::write(dir, &cp)?;

@@ -1,5 +1,5 @@
-//! The mapped (v5, decode-on-first-touch) storage tier is
-//! **bit-identical** to the heap tier.
+//! An opened v5 image (decode on first touch, from a heap buffer or a
+//! file mapping) is **bit-identical** to an index built in memory.
 //!
 //! Every algorithm (baseline, `PATTERNENUM`, pruned `PATTERNENUM` — both
 //! against each other and against the exact enumerator, `LINEARENUM`,
@@ -41,11 +41,12 @@ fn heap_index(g: &KnowledgeGraph, t: &TextIndex, d: usize, shards: usize) -> Pat
     )
 }
 
-/// Round-trip a built index through the v5 container onto the mapped
-/// tier: same postings, storage-resident, decode deferred.
+/// Round-trip a built index through the v5 container and open it in
+/// place: same postings, still served from the image, decode deferred.
 fn mapped_index(idx: &PathIndexes) -> PathIndexes {
     let mapped = open_bytes(encode_v5(idx)).expect("v5 opens");
-    assert_eq!(mapped.storage_backend(), StorageBackend::Mmap);
+    assert_eq!(mapped.storage_backend(), StorageBackend::Heap);
+    assert!(mapped.resident_bytes() > mapped.heap_bytes());
     mapped
 }
 
@@ -81,9 +82,9 @@ fn assert_identical(a: &SearchResult, b: &SearchResult, label: &str) {
     );
 }
 
-/// Run every algorithm on the heap index and its mapped round-trip and
+/// Run every algorithm on the built index and its opened round-trip and
 /// demand bit-identical output, including pruned-vs-exact *within* the
-/// mapped tier.
+/// opened image.
 fn check_backends(g: &KnowledgeGraph, t: &TextIndex, d: usize, shards: usize, q: &Query, k: usize) {
     let heap = heap_index(g, t, d, shards);
     let mapped = mapped_index(&heap);
@@ -324,7 +325,9 @@ fn heap_boot_is_lazy_and_bit_identical_to_the_eager_decode() {
 }
 
 /// Durable boot: a checkpoint's index blob is a v5 container, so either
-/// tier opens it in place without decoding, and answers alike; and a
+/// setting opens it in place without decoding, reports the heap tier
+/// (the blob sits in the buffer the file was read into), and answers
+/// alike; and a
 /// checkpoint whose blob is anything else (here the
 /// retired raw `PKBI` magic) is a typed error naming the file on either
 /// setting.
@@ -374,7 +377,7 @@ fn durable_boot_takes_the_v5_checkpoint_fast_path() {
     assert_eq!(heap_boot.snapshot().storage_backend(), StorageBackend::Heap);
     let mmap_boot = mk().storage(StorageBackend::Mmap).build_shared().unwrap();
     let booted = mmap_boot.snapshot();
-    assert_eq!(booted.storage_backend(), StorageBackend::Mmap);
+    assert_eq!(booted.storage_backend(), StorageBackend::Heap);
     assert!(booted.snapshot_load_time().is_some());
     assert_eq!(answers(&heap_boot), answers(&mmap_boot));
     drop((heap_boot, mmap_boot));
@@ -537,9 +540,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Random Zipf graphs × random queries: the mapped tier stays
-        /// bit-identical to the heap tier for every algorithm, including
-        /// the pruned-vs-exact cross-check on mapped bytes.
+        /// Random Zipf graphs × random queries: an opened image stays
+        /// bit-identical to the built index for every algorithm, including
+        /// the pruned-vs-exact cross-check on the image's bytes.
         #[test]
         fn mmap_equals_heap(
             seed in 0u64..1000,
