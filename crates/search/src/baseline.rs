@@ -18,7 +18,7 @@
 
 use crate::common::{fanout_for, run_sharded, TreeDict};
 use crate::result::{HotPathStats, QueryStats, RankedPattern, SearchResult, ShardStats};
-use crate::subtree::{node_slices_form_tree, TreePath, ValidSubtree};
+use crate::subtree::node_slices_form_tree;
 use crate::{Query, SearchConfig};
 use patternkb_graph::ids::Id;
 use patternkb_graph::{traversal, KnowledgeGraph, NodeId};
@@ -31,7 +31,6 @@ use std::time::Instant;
 struct BasePath {
     pattern: u32,
     nodes: Vec<NodeId>,
-    edge_terminal: bool,
     len: f64,
     pagerank: f64,
     sim: f64,
@@ -214,7 +213,6 @@ fn baseline_range(
                     per_kw[i].push(BasePath {
                         pattern: patset.intern_key(&key_buf).0,
                         nodes: nodes.to_vec(),
-                        edge_terminal: false,
                         len: l as f64,
                         pagerank: g.pagerank(t),
                         sim: text.sim_node(w, t, t_type),
@@ -244,7 +242,6 @@ fn baseline_range(
                             per_kw[i].push(BasePath {
                                 pattern: patset.intern_key(&key_buf).0,
                                 nodes: path_nodes,
-                                edge_terminal: true,
                                 len: (l + 1) as f64,
                                 pagerank: g.pagerank(t),
                                 sim: text.sim_attr(w, attr),
@@ -286,17 +283,8 @@ fn baseline_range(
                 let group = dict.group_mut(&tree_key);
                 group.acc.push(score);
                 if group.trees.len() < cfg.max_rows {
-                    group.trees.push(ValidSubtree {
-                        root: r,
-                        paths: chosen
-                            .iter()
-                            .map(|p| TreePath {
-                                nodes: p.nodes.clone(),
-                                edge_terminal: p.edge_terminal,
-                            })
-                            .collect(),
-                        score,
-                    });
+                    let paths = chosen.iter().map(|p| p.nodes.as_slice());
+                    group.trees.push(r, score, paths);
                 }
             }
             // Odometer.

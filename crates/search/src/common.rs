@@ -36,7 +36,7 @@
 use crate::intern::{KeyInterner, PatternKeyId};
 use crate::result::RankedPattern;
 use crate::score::ScoreAcc;
-use crate::subtree::{node_slices_form_tree, TreePath, ValidSubtree};
+use crate::subtree::{node_slices_form_tree, Rows, TreePath, ValidSubtree};
 use crate::{Query, SearchConfig};
 use patternkb_graph::{KnowledgeGraph, NodeId};
 use patternkb_index::cursor as pcursor;
@@ -444,7 +444,7 @@ pub struct PatternGroup {
     /// per-shard groups merge bit-identically).
     pub acc: ScoreAcc,
     /// Materialized subtrees, capped at `SearchConfig::max_rows`.
-    pub trees: Vec<ValidSubtree>,
+    pub trees: Rows,
 }
 
 impl PatternGroup {
@@ -454,8 +454,7 @@ impl PatternGroup {
     /// cap keeps the first `max_rows` exactly as a sequential pass would.
     pub fn merge(&mut self, other: PatternGroup, max_rows: usize) {
         self.acc.merge(&other.acc);
-        let room = max_rows.saturating_sub(self.trees.len());
-        self.trees.extend(other.trees.into_iter().take(room));
+        self.trees.append(other.trees, max_rows);
     }
 
     /// Whether the group holds no evidence (all candidate tuples rejected,
@@ -639,6 +638,18 @@ pub fn for_each_path_tuple<'p>(
     }
 }
 
+/// Append the subtree of the chosen postings to a pattern's rows.
+pub fn push_row(
+    rows: &mut Rows,
+    words: &[&WordPathIndex],
+    root: NodeId,
+    postings: &[&Posting],
+    score: f64,
+) {
+    let paths = postings.iter().zip(words).map(|(p, w)| w.nodes_of(p));
+    rows.push(root, score, paths);
+}
+
 /// Materialize a [`ValidSubtree`] from the chosen postings.
 pub fn materialize_tree(
     words: &[&WordPathIndex],
@@ -743,9 +754,7 @@ pub fn expand_root<'a>(
             let score = cfg.scoring.tree_score_of(tuple);
             group.acc.push(score);
             if group.trees.len() < cfg.max_rows {
-                group
-                    .trees
-                    .push(materialize_tree(&ctx.words, r, tuple, score));
+                push_row(&mut group.trees, &ctx.words, r, tuple, score);
             }
         });
         // Strict mode may have rejected every tuple; the group then stays
@@ -769,10 +778,9 @@ pub fn expand_root<'a>(
 
 /// The selection tail of the kernels that enumerate **lean** (scores
 /// only, `max_rows: 0`): most discovered patterns never surface, so their
-/// rows — one allocation per path per subtree — are not built and their
-/// keys not decoded. `dicts` hold disjoint keys. (1) Rank all live
-/// patterns by exact score alone and keep everything at or above the k-th
-/// best, boundary ties included; (2) decode only those, apply the full
+/// rows are not built and their keys not decoded. `dicts` hold disjoint
+/// keys. (1) Rank all live patterns by exact score alone and keep
+/// everything at or above the k-th best, boundary ties included; (2) decode only those, apply the full
 /// `(score desc, encoded key asc)` order and truncate to k; (3) re-join
 /// the rows of the survivors ([`materialize_pattern_rows`]).
 pub(crate) fn rank_winners(
@@ -804,7 +812,7 @@ pub(crate) fn rank_winners(
                 pattern: ctx.decode_key(dict.key(id)),
                 score,
                 num_trees: dict.group(id).acc.count as usize,
-                trees: Vec::new(),
+                trees: Rows::default(),
             };
             let sort_key = p.key();
             (p, dict.key(id), sort_key)
@@ -815,7 +823,7 @@ pub(crate) fn rank_winners(
     ranked
         .into_iter()
         .map(|(mut p, key, _)| {
-            p.trees = materialize_pattern_rows(ctx, cfg, key);
+            p.trees = materialize_pattern_rows(ctx, cfg, &p, key);
             p
         })
         .collect()
@@ -824,14 +832,17 @@ pub(crate) fn rank_winners(
 /// Re-join one winning pattern's rows: walk the shards in ascending
 /// root-range order, leapfrog its per-keyword posting runs, and
 /// materialize the first `cfg.max_rows` accepted subtrees — exactly the
-/// rows an inline materialization would have kept.
+/// rows an inline materialization would have kept. `p` is the decoded
+/// pattern with its `num_trees`, which size the store once.
 fn materialize_pattern_rows(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
+    p: &RankedPattern,
     key: &[u32],
-) -> Vec<ValidSubtree> {
+) -> Rows {
     let m = ctx.m();
-    let mut trees = Vec::new();
+    let stride = p.pattern.iter().map(PathPattern::height).sum();
+    let mut trees = Rows::with_capacity(p.num_trees.min(cfg.max_rows), stride);
     let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
     let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
     let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
@@ -866,7 +877,7 @@ fn materialize_pattern_rows(
                     }
                 }
                 let score = cfg.scoring.tree_score_of(tuple);
-                trees.push(materialize_tree(&shard.words, root, tuple, score));
+                push_row(&mut trees, &shard.words, root, tuple, score);
             });
         });
         shard.counters.add_seeks(seeks);
@@ -913,22 +924,19 @@ mod tests {
 
     #[test]
     fn pattern_group_merge_caps_rows() {
-        let tree = |root: u32| ValidSubtree {
-            root: NodeId(root),
-            paths: vec![],
-            score: 1.0,
-        };
+        let path = |root: u32| [NodeId(root), NodeId(root + 1)];
         let mut a = PatternGroup::default();
         a.acc.push(1.0);
-        a.trees.push(tree(0));
+        a.trees.push(NodeId(0), 1.0, [&path(0)[..]]);
         let mut b = PatternGroup::default();
         b.acc.push(2.0);
-        b.trees.push(tree(5));
-        b.trees.push(tree(6));
+        b.trees.push(NodeId(5), 1.0, [&path(5)[..]]);
+        b.trees.push(NodeId(6), 1.0, [&path(6)[..]]);
         a.merge(b, 2);
         assert_eq!(a.acc.count, 2);
         assert_eq!(a.trees.len(), 2);
-        assert_eq!(a.trees[1].root, NodeId(5), "shard order preserved");
+        assert_eq!(a.trees.row(1).root, NodeId(5), "shard order preserved");
+        assert_eq!(a.trees.row(1).nodes, path(5), "shard order preserved");
     }
 
     #[test]

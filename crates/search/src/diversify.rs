@@ -140,22 +140,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subtree::ValidSubtree;
+    use crate::subtree::Rows;
 
     /// A pattern with the given score whose rows are rooted at `roots`.
     fn pat(score: f64, roots: &[u32]) -> RankedPattern {
+        let mut trees = Rows::default();
+        for &r in roots {
+            trees.push(NodeId(r), score, []);
+        }
         RankedPattern {
             pattern: vec![],
             score,
             num_trees: roots.len(),
-            trees: roots
-                .iter()
-                .map(|&r| ValidSubtree {
-                    root: NodeId(r),
-                    paths: vec![],
-                    score,
-                })
-                .collect(),
+            trees,
         }
     }
 

@@ -363,9 +363,11 @@ impl SearchEngine {
                 .iter()
                 .map(|p| {
                     let mut out = crate::explain::explain_score(p);
-                    if let Some(tree) = p.trees.first() {
+                    if let Some(row) = p.trees.first() {
                         out.push('\n');
-                        out.push_str(&crate::explain::explain_tree(&self.g, tree, &keywords));
+                        out.push_str(&crate::explain::explain_tree(
+                            &self.g, &p.pattern, row, &keywords,
+                        ));
                     }
                     out
                 })

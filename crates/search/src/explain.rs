@@ -1,15 +1,18 @@
-//! Human-readable explanations of answers: valid subtrees rendered as
-//! indented trees, with the matched keyword annotated on each path.
+//! Human-readable explanations of answers: a pattern's rows rendered as
+//! indented trees, with the matched keyword annotated on each path and
+//! each edge labelled with the attribute the row's pattern traverses.
 //!
 //! Table answers (Figure 3) are the primary output, but debugging a
 //! ranking — "why is this pattern #1?" — needs the subtree structure and
 //! the per-factor score breakdown, which this module renders.
 
 use crate::result::RankedPattern;
-use crate::subtree::ValidSubtree;
-use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId};
+use crate::subtree::Row;
+use patternkb_graph::{AttrId, FxHashMap, KnowledgeGraph, NodeId};
+use patternkb_index::PathPattern;
 
-/// Render one subtree as an indented tree rooted at its root node.
+/// Render one row of `pattern` — a valid subtree — as an indented tree
+/// rooted at its root node.
 ///
 /// ```text
 /// SQL Server [Software]
@@ -17,16 +20,22 @@ use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId};
 /// └─ Developer → Microsoft [Company]        ⟵ company
 ///    └─ Revenue → US$ 77 billion            ⟵ revenue
 /// ```
-pub fn explain_tree(g: &KnowledgeGraph, tree: &ValidSubtree, keywords: &[&str]) -> String {
-    // Reassemble the union tree: parent → ordered children with the edge
-    // position along each contributing path, and per-node keyword marks.
-    let mut children: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
+pub fn explain_tree(
+    g: &KnowledgeGraph,
+    pattern: &[PathPattern],
+    row: Row<'_>,
+    keywords: &[&str],
+) -> String {
+    // Reassemble the union tree: parent → ordered (child, attribute)
+    // edges, the attribute read off the path's pattern (two nodes may be
+    // linked by several attributes), and per-node keyword marks.
+    let mut children: FxHashMap<NodeId, Vec<(NodeId, AttrId)>> = FxHashMap::default();
     let mut marks: FxHashMap<NodeId, Vec<usize>> = FxHashMap::default();
-    for (i, path) in tree.paths.iter().enumerate() {
-        for w in path.nodes.windows(2) {
+    for (i, (path, pat)) in row.paths(pattern).zip(pattern).enumerate() {
+        for (w, &attr) in path.nodes.windows(2).zip(&pat.attrs) {
             let kids = children.entry(w[0]).or_default();
-            if !kids.contains(&w[1]) {
-                kids.push(w[1]);
+            if !kids.contains(&(w[1], attr)) {
+                kids.push((w[1], attr));
             }
         }
         let matched = *path.nodes.last().expect("non-empty path");
@@ -34,8 +43,8 @@ pub fn explain_tree(g: &KnowledgeGraph, tree: &ValidSubtree, keywords: &[&str]) 
     }
 
     let mut out = String::new();
-    out.push_str(&node_label(g, tree.root));
-    if let Some(is) = marks.get(&tree.root) {
+    out.push_str(&node_label(g, row.root));
+    if let Some(is) = marks.get(&row.root) {
         annotate(&mut out, is, keywords);
     }
     out.push('\n');
@@ -44,7 +53,7 @@ pub fn explain_tree(g: &KnowledgeGraph, tree: &ValidSubtree, keywords: &[&str]) 
         &children,
         &marks,
         keywords,
-        tree.root,
+        row.root,
         String::new(),
         &mut out,
     );
@@ -53,7 +62,7 @@ pub fn explain_tree(g: &KnowledgeGraph, tree: &ValidSubtree, keywords: &[&str]) 
 
 fn render_children(
     g: &KnowledgeGraph,
-    children: &FxHashMap<NodeId, Vec<NodeId>>,
+    children: &FxHashMap<NodeId, Vec<(NodeId, AttrId)>>,
     marks: &FxHashMap<NodeId, Vec<usize>>,
     keywords: &[&str],
     node: NodeId,
@@ -63,15 +72,12 @@ fn render_children(
     let Some(kids) = children.get(&node) else {
         return;
     };
-    for (i, &kid) in kids.iter().enumerate() {
+    for (i, &(kid, attr)) in kids.iter().enumerate() {
         let last = i + 1 == kids.len();
         out.push_str(&prefix);
         out.push_str(if last { "└─ " } else { "├─ " });
-        // Edge label: find the attribute of (node, kid) in the graph.
-        if let Some((attr, _)) = g.out_edges(node).find(|&(_, t)| t == kid) {
-            out.push_str(g.attr_text(attr));
-            out.push_str(" → ");
-        }
+        out.push_str(g.attr_text(attr));
+        out.push_str(" → ");
         out.push_str(&node_label(g, kid));
         if let Some(is) = marks.get(&kid) {
             annotate(out, is, keywords);
@@ -155,7 +161,7 @@ mod tests {
     fn tree_rendering_contains_structure() {
         let (g, p) = top_tree();
         let kw = ["database", "software", "company", "revenue"];
-        let shown = explain_tree(&g, &p.trees[0], &kw);
+        let shown = explain_tree(&g, &p.pattern, p.trees.row(0), &kw);
         assert!(shown.contains("SQL Server [Software]"), "{shown}");
         assert!(shown.contains("Genre → Relational database"), "{shown}");
         assert!(shown.contains("Developer → Microsoft"), "{shown}");
@@ -172,6 +178,46 @@ mod tests {
         assert!(shown.contains("2 subtree(s)"));
         assert!(shown.contains("row   1"));
         assert!(shown.contains("row   2"));
+    }
+
+    /// Two attributes link the same pair of nodes: the row's edge is
+    /// labelled with its own pattern's attribute, not the graph's first.
+    #[test]
+    fn edges_are_labelled_with_the_rows_attribute() {
+        let mut b = patternkb_graph::GraphBuilder::new();
+        let root_t = b.add_type("Root");
+        let leaf_t = b.add_type("Leaf");
+        let alpha = b.add_attr("Alpha");
+        let beta = b.add_attr("Beta");
+        let origin = b.add_node(root_t, "origin");
+        let target = b.add_node(leaf_t, "target");
+        b.add_edge(origin, alpha, target);
+        b.add_edge(origin, beta, target);
+        let g = b.build();
+        let t = TextIndex::build(&g, SynonymTable::new());
+        let idx = build_indexes(
+            &g,
+            &t,
+            &BuildConfig {
+                d: 2,
+                threads: 1,
+                shards: 1,
+            },
+        );
+        let q = Query::parse(&t, "target").unwrap();
+        let ctx = QueryContext::new(&g, &idx, &q).unwrap();
+        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        for (attr, shown, hidden) in [(beta, "Beta", "Alpha"), (alpha, "Alpha", "Beta")] {
+            let p = r
+                .patterns
+                .iter()
+                .find(|p| p.pattern[0].attrs == [attr])
+                .expect("one pattern per attribute");
+            assert_eq!(p.display(&g), format!("[(Root) ({shown}) (Leaf)]"));
+            let tree = explain_tree(&g, &p.pattern, p.trees.row(0), &["target"]);
+            assert!(tree.contains(&format!("└─ {shown} → target")), "{tree}");
+            assert!(!tree.contains(hidden), "{tree}");
+        }
     }
 
     #[test]

@@ -14,12 +14,12 @@ use crate::individual::{top_individual_in, ScoredTree};
 use crate::linear_enum::linear_enum_in;
 use crate::pattern_enum::pattern_enum_in;
 use crate::request::{AlgorithmChoice, SearchRequest};
-use crate::subtree::ValidSubtree;
+use crate::subtree::{Row, ValidSubtree};
 use crate::topk::{linear_enum_topk_in, SamplingConfig};
 use crate::{EngineBuilder, Query, SearchConfig, SearchEngine, SearchResult};
 use patternkb_datagen::queries::QueryGenerator;
 use patternkb_datagen::wiki::{wiki, WikiConfig};
-use patternkb_graph::GraphBuilder;
+use patternkb_graph::{GraphBuilder, NodeId};
 
 const MODES: [Fanout; 2] = [Fanout::Inline, Fanout::Threads];
 const D: usize = 3;
@@ -48,11 +48,17 @@ fn queries(e: &SearchEngine) -> Vec<Query> {
         .collect()
 }
 
-/// A subtree (root, paths, score by `==`) plus its score bits.
-type TreeBits = (u64, ValidSubtree);
+/// A subtree as its score bits, root and nodes (its paths end to end; the
+/// pattern key beside it fixes where each path starts).
+type TreeBits = (u64, NodeId, Vec<NodeId>);
+
+fn row_bits(t: Row<'_>) -> TreeBits {
+    (t.score.to_bits(), t.root, t.nodes.to_vec())
+}
 
 fn tree_bits(t: &ValidSubtree) -> TreeBits {
-    (t.score.to_bits(), t.clone())
+    let nodes = t.paths.iter().flat_map(|p| p.nodes.iter().copied());
+    (t.score.to_bits(), t.root, nodes.collect())
 }
 
 /// Everything an answer says, with scores as bits: pattern keys in rank
@@ -65,7 +71,7 @@ fn answer_bits(r: &SearchResult) -> Vec<(Vec<u32>, u64, usize, Vec<TreeBits>)> {
                 p.key(),
                 p.score.to_bits(),
                 p.num_trees,
-                p.trees.iter().map(tree_bits).collect(),
+                p.trees.iter().map(row_bits).collect(),
             )
         })
         .collect()

@@ -131,7 +131,7 @@ pub use query::{ParseError, Query};
 pub use request::{AlgorithmChoice, CacheOutcome, SearchRequest, SearchResponse};
 pub use result::{HotPathStats, QueryStats, RankedPattern, SearchResult, ShardStats};
 pub use score::{Aggregation, ScoringConfig};
-pub use subtree::{TreePath, ValidSubtree};
+pub use subtree::{Row, RowPath, Rows, TreePath, ValidSubtree};
 pub use table::TableAnswer;
 
 /// Knobs shared by every search algorithm.

@@ -21,7 +21,7 @@
 //! the figure is comparable across shard counts.
 
 use crate::common::{
-    combo_count, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded, Fanout,
+    combo_count, for_each_path_tuple, merge_shard_dicts, push_row, run_sharded, Fanout,
     QueryContext, ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
@@ -104,9 +104,7 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
                     let score = cfg.scoring.tree_score_of(tuple);
                     group.acc.push(score);
                     if group.trees.len() < cfg.max_rows {
-                        group
-                            .trees
-                            .push(materialize_tree(&shard.words, root, tuple, score));
+                        push_row(&mut group.trees, &shard.words, root, tuple, score);
                     }
                 });
             });

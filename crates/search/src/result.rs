@@ -1,7 +1,12 @@
 //! Search results: ranked tree patterns with their aggregated subtrees.
+//!
+//! A [`RankedPattern`] holds its materialised subtrees as one
+//! [`Rows`] store, the rows of its table: each row's paths are a fixed
+//! sub-range of one node array, split by the pattern itself
+//! ([`crate::subtree::Row::paths`]).
 
 use crate::common::Fanout;
-use crate::subtree::ValidSubtree;
+use crate::subtree::Rows;
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::PathPattern;
 use std::time::Duration;
@@ -20,7 +25,7 @@ pub struct RankedPattern {
     pub num_trees: usize,
     /// Materialized subtrees, up to `SearchConfig::max_rows`, in discovery
     /// order (root ascending).
-    pub trees: Vec<ValidSubtree>,
+    pub trees: Rows,
 }
 
 impl RankedPattern {
@@ -172,7 +177,7 @@ mod tests {
             }],
             score,
             num_trees: 1,
-            trees: vec![],
+            trees: Rows::default(),
         }
     }
 

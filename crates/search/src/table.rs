@@ -12,10 +12,13 @@
 //! unspecified; see DESIGN.md §2).
 //!
 //! A [`TableAnswer`] is a **column layout**, not a copy of the cells: per
-//! column, the row positions that feed it. It depends on the pattern
-//! alone, so it is composed once per pattern whatever the number of rows,
-//! and a cell is read when it is written — from the pattern's materialised
-//! rows ([`RankedPattern::trees`]) and [`KnowledgeGraph::node_text`] — by
+//! column, the positions of a row that feed it. All rows of a pattern
+//! share one shape — its [`Rows`](crate::subtree::Rows) store holds each
+//! keyword's path at the same offsets in every row — so a position is one
+//! offset into a row's nodes, fixed by the pattern alone. The layout is
+//! composed once per pattern whatever the number of rows, and a cell is
+//! read when it is written — from the row's nodes and
+//! [`KnowledgeGraph::node_text`] — by
 //! [`TableAnswer::for_each_cell`]; the response body writer reads cells
 //! that way, and [`TableAnswer::cells`] copies them out for callers that
 //! keep or reorder them. A table that is written again and again (a cache
@@ -26,7 +29,7 @@
 //! copies of their cells.
 
 use crate::result::RankedPattern;
-use crate::subtree::ValidSubtree;
+use crate::subtree::Row;
 use patternkb_graph::{AttrId, KnowledgeGraph, NodeId, TypeId};
 use patternkb_index::PathPattern;
 use std::borrow::Cow;
@@ -50,14 +53,6 @@ pub struct ColumnMeta {
     pub first_keyword: usize,
 }
 
-/// One node position of a row: `paths[keyword].nodes[position]` of a
-/// [`ValidSubtree`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Slot {
-    keyword: usize,
-    position: usize,
-}
-
 /// A table answer as a column layout over its pattern's rows: column
 /// headers, and per column the row slots whose node text fills it.
 ///
@@ -71,8 +66,9 @@ pub struct TableAnswer {
     /// Per-column provenance, aligned with `columns`.
     pub meta: Vec<ColumnMeta>,
     /// Per column, aligned with `columns`, the slots of a row that feed
-    /// it, in keyword then position order; never empty.
-    feeds: Vec<Vec<Slot>>,
+    /// it — offsets into [`Row::nodes`], in keyword then depth order;
+    /// never empty.
+    feeds: Vec<Vec<usize>>,
     /// The rows shown: indexes into the pattern's
     /// [`RankedPattern::trees`] — all of them, unless
     /// [`Self::truncate_rows`] narrowed the range.
@@ -115,22 +111,25 @@ impl TableAnswer {
             rows: 0..p.trees.len(),
             text: None,
         };
+        // Keyword `kw`'s path starts at `start` in every row.
+        let mut start = 0;
         for (kw, pat) in p.pattern.iter().enumerate() {
             let l = pat.types.len();
             for j in 0..l {
-                table.feed(g, p, kw, j, false);
+                table.feed(g, p, kw, j, false, start + j);
             }
             if pat.edge_terminal {
-                table.feed(g, p, kw, l, true);
+                table.feed(g, p, kw, l, true, start + l);
             }
+            start += pat.height();
         }
         table
     }
 
-    /// Route keyword `kw`'s slot at `depth` to the column its pattern
-    /// prefix names, creating the column on first sight. Node columns end
-    /// their prefix on a type, value columns on an attribute, so the two
-    /// never share one.
+    /// Route keyword `kw`'s slot at `depth` (offset `slot` of a row) to
+    /// the column its pattern prefix names, creating the column on first
+    /// sight. Node columns end their prefix on a type, value columns on an
+    /// attribute, so the two never share one.
     fn feed(
         &mut self,
         g: &KnowledgeGraph,
@@ -138,6 +137,7 @@ impl TableAnswer {
         kw: usize,
         depth: usize,
         is_value: bool,
+        slot: usize,
     ) {
         fn prefix(pat: &PathPattern, depth: usize, is_value: bool) -> (&[TypeId], &[AttrId]) {
             (
@@ -170,10 +170,7 @@ impl TableAnswer {
             self.feeds.push(Vec::new());
             self.columns.len() - 1
         });
-        self.feeds[col].push(Slot {
-            keyword: kw,
-            position: depth,
-        });
+        self.feeds[col].push(slot);
     }
 
     /// The same layout, keeping the text of every cell of `p`'s rows in
@@ -184,7 +181,7 @@ impl TableAnswer {
         let mut text = String::new();
         let mut bounds = Vec::with_capacity(p.trees.len() * ncols + 1);
         bounds.push(0);
-        for row in &p.trees {
+        for row in p.trees.iter() {
             for col in 0..ncols {
                 text.push_str(&self.read(g, row, col));
                 bounds.push(text.len());
@@ -215,25 +212,24 @@ impl TableAnswer {
                 }
             }
             None => {
-                let tree = &p.trees[row];
+                let row = p.trees.row(row);
                 for col in 0..n {
-                    f(col, &self.read(g, tree, col));
+                    f(col, &self.read(g, row, col));
                 }
             }
         }
     }
 
     /// A cell read from the row's nodes and the graph.
-    fn read<'g>(&self, g: &'g KnowledgeGraph, row: &ValidSubtree, col: usize) -> Cow<'g, str> {
-        let node = |s: &Slot| row.paths[s.keyword].nodes[s.position];
+    fn read<'g>(&self, g: &'g KnowledgeGraph, row: Row<'_>, col: usize) -> Cow<'g, str> {
         let feeds = &self.feeds[col];
-        let first = node(&feeds[0]);
-        if feeds[1..].iter().all(|s| node(s) == first) {
+        let first = row.nodes[feeds[0]];
+        if feeds[1..].iter().all(|&s| row.nodes[s] == first) {
             return Cow::Borrowed(g.node_text(first));
         }
         let mut joined = String::new();
-        for s in feeds {
-            push_cell(&mut joined, g, node(s));
+        for &s in feeds {
+            push_cell(&mut joined, g, row.nodes[s]);
         }
         Cow::Owned(joined)
     }
@@ -341,6 +337,7 @@ mod tests {
     use super::*;
     use crate::common::QueryContext;
     use crate::linear_enum::linear_enum;
+    use crate::subtree::Rows;
     use crate::{Query, SearchConfig};
     use patternkb_datagen::figure1;
     use patternkb_index::{build_indexes, BuildConfig};
@@ -458,7 +455,7 @@ mod tests {
             pattern: vec![],
             score: 0.0,
             num_trees: 0,
-            trees: vec![],
+            trees: Rows::default(),
         };
         let (g, _) = figure1();
         let table = TableAnswer::from_pattern(&g, &p);

@@ -31,12 +31,12 @@
 //! layouts too.
 
 use crate::common::{
-    expand_root, for_each_path_tuple, materialize_tree, merge_shard_dicts, run_sharded,
-    ExpandScratch, Fanout, QueryContext, ShardContext, TreeDict,
+    expand_root, for_each_path_tuple, merge_shard_dicts, push_row, run_sharded, ExpandScratch,
+    Fanout, QueryContext, ShardContext, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
 use crate::score::ScoreAcc;
-use crate::subtree::node_slices_form_tree;
+use crate::subtree::{node_slices_form_tree, Rows};
 use crate::SearchConfig;
 use patternkb_graph::{FxHashMap, NodeId, TypeId};
 use patternkb_index::{PatternId, Posting};
@@ -302,10 +302,10 @@ fn exact_pattern_score(
     c: TypeId,
     pattern: &[PatternId],
     per_shard: &mut [ShardStats],
-) -> (ScoreAcc, Vec<crate::subtree::ValidSubtree>, usize) {
+) -> (ScoreAcc, Rows, usize) {
     let m = ctx.m();
     let mut acc = ScoreAcc::new();
-    let mut trees = Vec::new();
+    let mut trees = Rows::default();
     let mut rescored = 0usize;
     let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
     let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
@@ -343,7 +343,7 @@ fn exact_pattern_score(
                 let score = cfg.scoring.tree_score_of(tuple);
                 acc.push(score);
                 if trees.len() < cfg.max_rows {
-                    trees.push(materialize_tree(&shard.words, r, tuple, score));
+                    push_row(&mut trees, &shard.words, r, tuple, score);
                 }
             });
         }

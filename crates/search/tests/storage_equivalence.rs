@@ -68,8 +68,9 @@ fn assert_identical(a: &SearchResult, b: &SearchResult, label: &str) {
         for (ta, tb) in x.trees.iter().zip(&y.trees) {
             assert_eq!(ta.root, tb.root, "{label}: row root");
             assert_eq!(ta.score.to_bits(), tb.score.to_bits(), "{label}: row score");
-            assert_eq!(ta.paths.len(), tb.paths.len(), "{label}: row paths");
-            for (pa, pb) in ta.paths.iter().zip(&tb.paths) {
+            let (paths_a, paths_b) = (ta.paths(&x.pattern), tb.paths(&y.pattern));
+            assert_eq!(paths_a.len(), paths_b.len(), "{label}: row paths");
+            for (pa, pb) in paths_a.zip(paths_b) {
                 assert_eq!(pa.nodes, pb.nodes, "{label}: row path nodes");
                 assert_eq!(pa.edge_terminal, pb.edge_terminal, "{label}: row kind");
             }

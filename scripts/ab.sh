@@ -1,7 +1,7 @@
 #!/bin/sh
 # A/B the gated benchmark between a parent revision and this checkout:
 #
-#   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seed=7]
+#   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seed=7] [trace]
 #
 # Builds the parent in a git worktree under target/ab/ (offline) and the
 # change where it stands, then runs <pairs> pairs of the benchmark's
@@ -14,13 +14,25 @@
 # ops, and then the script exits 1. Every run's metrics are kept in
 # target/ab/runs.txt. Nothing under benchmark/ is read except its printed
 # `name value unit` lines.
+#
+# With a fifth argument `trace`, both sides run traced (`--trace 1`) and
+# the table lists BENCHMARK.json's `per_layer` rows instead, followed by
+# each span's self time from the printed layer table (`self:<span>`, ms
+# per run). Those rows are evidence, not gates: none is marked WORSE;
+# only a rise in failed ops is.
 set -eu
 
-[ $# -ge 2 ] || { echo "usage: $0 <parent-rev> <workload> [pairs=10] [seed=7]" >&2; exit 2; }
+usage="usage: $0 <parent-rev> <workload> [pairs=10] [seed=7] [trace]"
+[ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
 rev=$1
 workload=$2
 pairs=${3:-10}
 seed=${4:-7}
+case ${5:-} in
+    '') trace=0 ;;
+    trace) trace=1 ;;
+    *) echo "$usage" >&2; exit 2 ;;
+esac
 
 cd "$(dirname "$0")/.."
 root=$(pwd)
@@ -41,14 +53,16 @@ for side in "$parent" "$root"; do
     cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
 done
 
-# One untraced run of <side>'s binary: its metric lines as
-# "<pair> <side> <name> <value>", and whether every op succeeded.
+# One run of <side>'s binary: its metric lines (and, traced, its layer
+# table's self times) as "<pair> <side> <name> <value>", and whether
+# every op succeeded.
 run() {
     "$2/benchmark/target/release/patternkb-benchmark" \
-        --workload "$workload" --seed "$seed" --seconds 12 --trace 0 |
+        --workload "$workload" --seed "$seed" --seconds 12 --trace "$trace" |
         awk -v pair="$1" -v side="$3" '
             / ops [0-9]+ failed [0-9]+$/ { print pair, side, "failed_ops", $NF }
             /^  [a-z_0-9.]+ +[-0-9.e+]+ +[^ ]+$/ { print pair, side, $1, $2 }
+            /^# +[a-z_0-9.]+ +[0-9.]+ ms +[0-9.]+ %/ { print pair, side, "self:" $2, $3 }
         ' >>"$runs"
 }
 
@@ -66,10 +80,10 @@ while [ "$pair" -le "$pairs" ]; do
     pair=$((pair + 1))
 done
 
-# Which way each end-to-end metric is better, and by how much it may get
-# worse, come from BENCHMARK.json (one field per line); the table from the
-# recorded runs.
-awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
+# Which way each metric is better, and by how much an end-to-end one may
+# get worse, come from BENCHMARK.json (one field per line); the table from
+# the recorded runs.
+awk -v workload="$workload" -v rev="$rev" -v seed="$seed" -v trace="$trace" '
     function quantile(v, n, p,    h, lo) {
         h = (n - 1) * p
         lo = int(h)
@@ -89,20 +103,26 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
         return n
     }
     FNR == NR {
-        if ($0 ~ /"end_to_end"/) gated = 1
-        if ($0 ~ /"per_layer"/) gated = 0
-        if (gated && $1 == "\"name\":") { name = $2; gsub(/[",]/, "", name); order[++metrics] = name }
-        if (gated && $1 == "\"better\":") { better[name] = $2; gsub(/[",]/, "", better[name]) }
-        if (gated && $1 == "\"bound\":") { bound[name] = $2; gsub(/[",]/, "", bound[name]) }
+        if ($0 ~ /"end_to_end"/) section = "end_to_end"
+        if ($0 ~ /"per_layer"/) section = "per_layer"
+        if (section == "") next
+        if ($1 == "\"name\":") {
+            name = $2; gsub(/[",]/, "", name)
+            if (section == (trace ? "per_layer" : "end_to_end")) order[++metrics] = name
+        }
+        if ($1 == "\"better\":") { better[name] = $2; gsub(/[",]/, "", better[name]) }
+        if ($1 == "\"bound\":") { bound[name] = $2; gsub(/[",]/, "", bound[name]) }
         next
     }
     {
         val[$1, $2, $3] = $4
         if ($1 > pairs) pairs = $1
+        if ($3 ~ /^self:/ && !($3 in better)) { better[$3] = "lower"; spans[++nspans] = $3 }
     }
     END {
-        printf "%s, seed %s: parent %s vs change, %d pairs\n", workload, seed, rev, pairs
-        printf "%-26s %12s %12s %10s %10s %6s %6s\n", "metric", "parent p50", "change p50", "parent iqr", "change iqr", "won", "lost"
+        printf "%s%s, seed %s: parent %s vs change, %d pairs\n", workload, trace ? " (traced)" : "", seed, rev, pairs
+        printf "%-34s %12s %12s %10s %10s %6s %6s\n", "metric", "parent p50", "change p50", "parent iqr", "change iqr", "won", "lost"
+        for (i = 1; i <= nspans; i++) order[++metrics] = spans[i]
         better["failed_ops"] = "lower"
         bound["failed_ops"] = 0
         order[++metrics] = "failed_ops"
@@ -125,11 +145,13 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" '
             # parent median (a rise from 0 counts as infinitely worse).
             worse = better[name] == "higher" ? p - c : c - p
             flag = ""
-            if (worse > 0 && (p == 0 || worse / (p < 0 ? -p : p) > bound[name])) {
+            if (!(name in bound)) {
+                # A traced row: shown, never gated.
+            } else if (worse > 0 && (p == 0 || worse / (p < 0 ? -p : p) > bound[name])) {
                 flag = " WORSE"
                 flagged = flagged " " name
             }
-            printf "%-26s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
+            printf "%-34s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
         }
         if (flagged != "") {
             printf "worse than the parent beyond the bound:%s\n", flagged

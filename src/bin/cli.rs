@@ -449,10 +449,15 @@ fn repl(engine: &SearchEngine) {
                                 .map(|&w| engine.text().vocab().resolve(w))
                                 .collect();
                             println!("{}", explain::explain_score(p));
-                            if let Some(tree) = p.trees.first() {
+                            if let Some(row) = p.trees.first() {
                                 println!(
                                     "{}",
-                                    explain::explain_tree(engine.graph(), tree, &keywords)
+                                    explain::explain_tree(
+                                        engine.graph(),
+                                        &p.pattern,
+                                        row,
+                                        &keywords
+                                    )
                                 );
                             }
                         }

@@ -1,7 +1,8 @@
 //! A counting global allocator for the tests that pin a cost as a count
 //! instead of a time: how many allocation requests a piece of code makes,
-//! and for how many bytes. Counts are per thread, so the test harness's
-//! other threads do not leak into a measurement.
+//! for how many bytes, and how many blocks it frees. Counts are per
+//! thread, so the test harness's other threads do not leak into a
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,30 +14,34 @@ pub struct Tally {
     pub calls: usize,
     /// Bytes requested (a `realloc` counts its new size).
     pub bytes: usize,
+    /// Blocks freed (`dealloc`; a `realloc` frees none).
+    pub frees: usize,
 }
 
 struct CountingAlloc;
 
 thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, bytes: 0 }) };
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, bytes: 0, frees: 0 }) };
 }
 
-fn record(bytes: usize) {
+fn update(f: impl FnOnce(&mut Tally)) {
     // `try_with`: the allocator also runs during thread teardown, after
     // the thread-local is gone.
     let _ = TALLY.try_with(|t| {
-        let Tally {
-            calls,
-            bytes: total,
-        } = t.get();
-        t.set(Tally {
-            calls: calls + 1,
-            bytes: total + bytes,
-        });
+        let mut tally = t.get();
+        f(&mut tally);
+        t.set(tally);
     });
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; `record` only
+fn record(bytes: usize) {
+    update(|t| {
+        t.calls += 1;
+        t.bytes += bytes;
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; `update` only
 // touches a const-initialized `Cell` and never allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -52,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        update(|t| t.frees += 1);
         System.dealloc(ptr, layout)
     }
 }

@@ -75,8 +75,7 @@ fn a_warmed_hit_allocates_a_small_constant() {
         let paths: usize = hit
             .patterns
             .iter()
-            .flat_map(|p| p.trees.iter())
-            .map(|t| t.paths.len())
+            .flat_map(|p| p.trees.iter().map(|t| t.paths(&p.pattern).len()))
             .sum();
         let bound = HIT_BASE + HIT_PER_PATTERN * hit.patterns.len();
         assert!(

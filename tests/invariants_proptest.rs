@@ -63,8 +63,10 @@ proptest! {
             prop_assert_eq!(p.pattern.len(), q.len());
             prop_assert!(p.score.is_finite());
             for t in &p.trees {
-                prop_assert_eq!(t.paths.len(), q.len());
-                for (path, pat) in t.paths.iter().zip(&p.pattern) {
+                prop_assert_eq!(t.paths(&p.pattern).len(), q.len());
+                let heights: usize = p.pattern.iter().map(|pat| pat.height()).sum();
+                prop_assert_eq!(t.nodes.len(), heights);
+                for (path, pat) in t.paths(&p.pattern).zip(&p.pattern) {
                     // Node counts match the pattern (incl. implied leaf).
                     let expect = pat.num_nodes() + usize::from(pat.edge_terminal);
                     prop_assert_eq!(path.nodes.len(), expect);

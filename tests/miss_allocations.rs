@@ -1,15 +1,18 @@
 //! Count allocations, not microseconds: what a result-cache miss spends
-//! on its tables.
+//! on its rows and tables, and what evicting its answer frees.
 //!
 //! A miss — `SharedEngine::respond_on` then
-//! `api::render_response(..).render()` — composes one table per pattern
-//! and writes the body. A table is a column layout over the pattern's
-//! rows, and the body writer reads each cell from the graph as it writes
-//! it, so the tables' share of the allocations is a few per table and per
-//! column: it does not grow with the rows or the cells of the answer. The
-//! share is measured as the difference between the same miss with and
-//! without `compose_tables`; the whole miss is counted too. The count
-//! repeats exactly on any machine, which a timing does not.
+//! `api::render_response(..).render()` — materialises each winning
+//! pattern's rows, composes one table per pattern and writes the body. A
+//! pattern's rows are one store (a node array and a root-and-score array),
+//! so the whole miss allocates, and evicting its answer later frees, a few
+//! blocks per pattern however many rows and paths the answer holds. A
+//! table is a column layout over those rows, and the body writer reads
+//! each cell from the graph as it writes it, so the tables' share of the
+//! allocations is a few per table and per column: it does not grow with
+//! the rows or the cells of the answer. The share is measured as the
+//! difference between the same miss with and without `compose_tables`.
+//! The counts repeat exactly on any machine, which a timing does not.
 //!
 //! A strict search (`strict_trees`) is pinned here too: its per-tuple
 //! tree check adds no allocation to the search.
@@ -27,11 +30,32 @@ mod common;
 /// lists ([`TABLE_PER_TABLE`]), and per column its header and its feed
 /// list ([`TABLE_PER_COLUMN`]). Measured on the queries below: 123 for 10
 /// tables of 41 columns, whether they show 419 rows or 24; of the whole
-/// miss, 1 833 and 580. Before composition stopped copying the cells:
+/// miss, 552 and 516. Before composition stopped copying the cells:
 /// 2 430 and 353, of 4 140 and 810.
 const TABLE_BASE: usize = 4;
 const TABLE_PER_TABLE: usize = 4;
 const TABLE_PER_COLUMN: usize = 2;
+
+/// How far apart the whole misses of two answers with as many patterns
+/// may be, per pattern, however many rows they hold: 552 and 516
+/// allocations for 419 rows and 24 (10 patterns each). When each row was a
+/// list of paths with a node list per path: 1 833 and 580.
+const MISS_PER_PATTERN: usize = 8;
+
+/// How far apart evicting those two answers may be in blocks freed, per
+/// pattern: 131 and 131. When each row was a list of paths: 1 378 and 193.
+const EVICT_PER_PATTERN: usize = 4;
+
+/// What one miss of the loop below measured.
+#[derive(Debug)]
+struct Measured {
+    rows: usize,
+    cells: usize,
+    patterns: usize,
+    table_bound: usize,
+    miss: usize,
+    evicted_frees: usize,
+}
 
 #[test]
 fn a_miss_composes_tables_without_a_string_per_cell() {
@@ -79,7 +103,9 @@ fn a_miss_composes_tables_without_a_string_per_cell() {
         let (_, bare_miss) = common::tally(|| serve(&bare));
         evict();
         let (_, again) = common::tally(|| serve(&request));
-        evict();
+        // The next miss evicts this one's answer, which only the cache
+        // still holds.
+        let (_, evicted) = common::tally(evict);
         assert_eq!(again.calls, miss.calls, "the count repeats");
 
         let table_part = miss.calls - bare_miss.calls;
@@ -100,18 +126,42 @@ fn a_miss_composes_tables_without_a_string_per_cell() {
             body.len(),
             miss.calls,
         );
-        measured.push((rows, cells, table_part, bound));
+        measured.push(Measured {
+            rows,
+            cells,
+            patterns: response.patterns.len(),
+            table_bound: bound,
+            miss: miss.calls,
+            evicted_frees: evicted.frees,
+        });
     }
-    let [(large_rows, large_cells, _, large_bound), (small_rows, _, _, _)] = measured[..] else {
+    let [large, small] = &measured[..] else {
         unreachable!("two queries")
     };
     assert!(
-        large_rows >= 10 * small_rows,
+        large.rows >= 10 * small.rows,
         "the queries differ in rows: {measured:?}"
     );
     // The bound bites where one allocation per cell alone would have
     // broken it.
-    assert!(large_cells > 4 * large_bound, "{measured:?}");
+    assert!(large.cells > 4 * large.table_bound, "{measured:?}");
+    // Rows cost per pattern, not per row and per path: answers with as
+    // many patterns allocate, and free on eviction, within a per-pattern
+    // constant of each other. The bounds bite where one block per row
+    // alone would break them.
+    let patterns = large.patterns.max(small.patterns);
+    assert!(
+        large.miss.abs_diff(small.miss) <= MISS_PER_PATTERN * patterns,
+        "the whole miss grows with the rows: {measured:?}"
+    );
+    assert!(
+        large.evicted_frees.abs_diff(small.evicted_frees) <= EVICT_PER_PATTERN * patterns,
+        "evicting an answer frees per row: {measured:?}"
+    );
+    assert!(
+        large.rows - small.rows > MISS_PER_PATTERN.max(EVICT_PER_PATTERN) * patterns,
+        "{measured:?}"
+    );
 }
 
 /// Strict mode checks every enumerated tuple for being a tree. The check

@@ -8,7 +8,7 @@ use patternkb::prelude::NodeId;
 use patternkb::search::diversify::{diversify, DiversifyConfig};
 use patternkb::search::presentation::PresentedTable;
 use patternkb::search::result::RankedPattern;
-use patternkb::search::subtree::ValidSubtree;
+use patternkb::search::subtree::Rows;
 
 /// Minimal RFC-4180 parser used only to verify our writer.
 fn parse_csv(s: &str) -> Vec<Vec<String>> {
@@ -119,10 +119,13 @@ proptest! {
                 pattern: vec![],
                 score: scores[i],
                 num_trees: roots[i].len(),
-                trees: roots[i]
-                    .iter()
-                    .map(|&r| ValidSubtree { root: NodeId(r), paths: vec![], score: scores[i] })
-                    .collect(),
+                trees: {
+                    let mut trees = Rows::default();
+                    for &r in &roots[i] {
+                        trees.push(NodeId(r), scores[i], []);
+                    }
+                    trees
+                },
             })
             .collect();
         // Input arrives best-first, as search algorithms produce it.
