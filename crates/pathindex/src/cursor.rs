@@ -13,9 +13,13 @@
 //! whole intersection is `O(k · Σ log jumps)` — within a constant of the
 //! information-theoretic lower bound for merging sorted sets.
 //!
-//! Two cursor types share the discipline (monotone targets, peek
-//! semantics): `SliceCursor` over a sorted `&[u32]` key column and
-//! [`crate::grouped::RunCursor`] over one pattern's `(root, paths)` runs.
+//! Three cursor types share the discipline (monotone targets, peek
+//! semantics): `SliceCursor` over a sorted `&[u32]` key column,
+//! [`crate::grouped::RunCursor`] over one pattern's `(root, paths)` runs
+//! ([`intersect_runs`]) and [`crate::grouped::RootCursor`] over one
+//! word's root directory ([`intersect_roots`]).
+
+use std::ops::ControlFlow;
 
 /// Lower bound of `target` in sorted `keys`, galloping forward from
 /// position `from`: exponential probe to bracket the answer in
@@ -141,25 +145,15 @@ fn intersect_with(cursors: &mut [SliceCursor<'_>], mut emit: impl FnMut(u32)) ->
     seeks
 }
 
-/// Intersect sorted slices into a materialized vector (ascending,
-/// deduplicated), galloping under the hood. `seeks`, when provided,
-/// accumulates the number of cursor seeks performed.
-pub fn intersect_sorted_into(lists: &[&[u32]], out: &mut Vec<u32>, seeks: Option<&mut u64>) {
-    out.clear();
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
-        return;
-    }
-    let mut cursors: Vec<SliceCursor> = lists.iter().map(|l| SliceCursor::new(l)).collect();
-    let n = intersect_with(&mut cursors, |v| out.push(v));
-    if let Some(s) = seeks {
-        *s += n;
-    }
-}
-
-/// Intersect sorted slices, returning the common values.
+/// Intersect sorted slices, returning the common values (ascending,
+/// deduplicated), galloping under the hood.
 pub fn intersect_sorted(lists: &[&[u32]]) -> Vec<u32> {
     let mut out = Vec::new();
-    intersect_sorted_into(lists, &mut out, None);
+    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
+        return out;
+    }
+    let mut cursors: Vec<SliceCursor> = lists.iter().map(|l| SliceCursor::new(l)).collect();
+    intersect_with(&mut cursors, |v| out.push(v));
     out
 }
 
@@ -237,6 +231,79 @@ pub fn intersect_runs<'a>(
         }
     }
     seeks
+}
+
+/// How an [`intersect_roots`] walk ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RootWalkEnd {
+    /// Cursor seeks issued.
+    pub seeks: u64,
+    /// The cursor that drove the walk: the one with the fewest roots.
+    pub lead: usize,
+    /// Whether the visitor stopped the walk before a list ran out.
+    pub stopped: bool,
+}
+
+/// Leapfrog over per-keyword [`RootCursor`](crate::grouped::RootCursor)s:
+/// for every root **all** words reach, in ascending order, call
+/// `f(root, cursors)` with every cursor standing on that root — so `f`
+/// reads each word's `|Paths(w, r)|`, runs and directory position without
+/// a search of its own. `f` may stop the walk by returning
+/// `ControlFlow::Break`; the cursors then stay on the root it stopped at.
+pub fn intersect_roots<'a>(
+    cursors: &mut [crate::grouped::RootCursor<'a>],
+    mut f: impl FnMut(u32, &[crate::grouped::RootCursor<'a>]) -> ControlFlow<()>,
+) -> RootWalkEnd {
+    let mut end = RootWalkEnd {
+        seeks: 0,
+        lead: 0,
+        stopped: false,
+    };
+    if cursors.is_empty() {
+        return end;
+    }
+    // Drive from the shortest root list: it bounds the number of rounds.
+    let lead = cursors
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, c)| c.remaining())
+        .map(|(i, _)| i)
+        .expect("non-empty cursor set");
+    end.lead = lead;
+    end.seeks += 1;
+    let Some(mut candidate) = cursors[lead].seek_ge(0) else {
+        return end;
+    };
+    'round: loop {
+        let (before, rest) = cursors.split_at_mut(lead);
+        let (lead_cursor, after) = rest.split_first_mut().expect("lead is in range");
+        for c in before.iter_mut().chain(after) {
+            end.seeks += 1;
+            match c.seek_ge(candidate) {
+                None => break 'round,
+                Some(v) if v == candidate => {}
+                Some(v) => {
+                    end.seeks += 1;
+                    match lead_cursor.seek_ge(v) {
+                        None => break 'round,
+                        Some(next) => {
+                            candidate = next;
+                            continue 'round;
+                        }
+                    }
+                }
+            }
+        }
+        if f(candidate, cursors).is_break() {
+            end.stopped = true;
+            break;
+        }
+        match cursors[lead].advance() {
+            Some(next) => candidate = next,
+            None => break,
+        }
+    }
+    end
 }
 
 /// Reference implementation: binary-search each element of the shortest

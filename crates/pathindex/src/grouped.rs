@@ -661,6 +661,15 @@ impl RootDirectory {
         &self.patterns[self.run_start[i] as usize..self.run_start[i + 1] as usize]
     }
 
+    /// The most postings any one root owns (0 for an empty directory).
+    pub(crate) fn max_paths(&self) -> usize {
+        self.paths_before
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Number of postings under `root`, without visiting its runs.
     pub(crate) fn num_paths_of(&self, root: u32) -> usize {
         self.find(root).map_or(0, |i| {
@@ -703,11 +712,13 @@ impl RootDirectory {
 /// Forward cursor over a word's root-first directory: the root-first
 /// access methods for callers that visit roots in ascending order (the
 /// candidate roots of a query), galloping from the previous root instead
-/// of binary-searching the whole directory per root. `seek` targets must
-/// be non-decreasing; the other methods read the root the last successful
-/// `seek` landed on.
+/// of binary-searching the whole directory per root. `seek_ge` targets
+/// must be non-decreasing; the other methods read the root the cursor
+/// stands on — where the last `seek_ge`, `advance` or `jump` left it.
 pub struct RootCursor<'a> {
     dir: &'a RootDirectory,
+    /// `dir.roots`, held directly: the leapfrog's seeks read only this.
+    roots: &'a [u32],
     /// The pattern-first array the directory's spans index into.
     postings: &'a [Posting],
     pos: usize,
@@ -717,17 +728,46 @@ impl<'a> RootCursor<'a> {
     pub(crate) fn new(dir: &'a RootDirectory, postings: &'a [Posting]) -> Self {
         RootCursor {
             dir,
+            roots: &dir.roots,
             postings,
             pos: 0,
         }
     }
 
-    /// Move to `root`; `false` when the word has no path from it.
+    /// The least root `≥ target` at or after the current position,
+    /// without consuming it (peek semantics, as [`RunCursor::seek`]).
     #[inline]
-    pub fn seek(&mut self, root: u32) -> bool {
-        debug_assert!(self.pos == 0 || self.dir.roots[self.pos - 1] < root);
-        self.pos = crate::cursor::gallop_lower_bound(&self.dir.roots, self.pos, root);
-        self.dir.roots.get(self.pos) == Some(&root)
+    pub fn seek_ge(&mut self, target: u32) -> Option<u32> {
+        self.pos = crate::cursor::gallop_lower_bound(self.roots, self.pos, target);
+        self.roots.get(self.pos).copied()
+    }
+
+    /// Step past the current root, returning the next one.
+    #[inline]
+    pub fn advance(&mut self) -> Option<u32> {
+        self.pos += 1;
+        self.roots.get(self.pos).copied()
+    }
+
+    /// Roots not yet stepped past.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.roots.len().saturating_sub(self.pos)
+    }
+
+    /// Directory position of the current root — what [`Self::jump`]
+    /// returns to.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Stand on the root at directory position `pos` (one
+    /// [`Self::position`] reported), forwards or back, without a search.
+    #[inline]
+    pub fn jump(&mut self, pos: usize) {
+        debug_assert!(pos < self.roots.len());
+        self.pos = pos;
     }
 
     /// `|Paths(w, r)|` of the current root.

@@ -283,6 +283,10 @@ pub struct WordPathIndex {
     /// the per-query setup of the pattern-first algorithms is O(groups)
     /// instead of O(patterns).
     type_groups: OnceLock<PatternTypeGroups>,
+    /// Lazy `max_r |Paths(w, r)|` ([`Self::max_paths_per_root`]): filled
+    /// by the first query planning over the word, so neither a build nor
+    /// a refresh pays for it.
+    max_paths: OnceLock<u32>,
 }
 
 /// What [`WordPathIndex::freeze`] keeps of an earlier version of a list:
@@ -369,6 +373,7 @@ impl WordPathIndex {
             root_first,
             pattern_stats,
             type_groups,
+            max_paths: OnceLock::new(),
         }
     }
 
@@ -477,6 +482,15 @@ impl WordPathIndex {
     /// `Patterns(w, r)`: all patterns through which `root` reaches the word.
     pub fn patterns_of_root(&self, root: NodeId) -> &[u32] {
         self.root_first.patterns_of(root.0)
+    }
+
+    /// `max_r |Paths(w, r)|`: the most postings any one root owns — the
+    /// per-word factor of the planner's bound on the valid-subtree count.
+    /// Memoized on first use.
+    pub fn max_paths_per_root(&self) -> usize {
+        *self
+            .max_paths
+            .get_or_init(|| self.root_first.max_paths() as u32) as usize
     }
 
     /// `|Paths(w, r)|` in O(log): used by Algorithm 4 line 4 to compute
@@ -952,6 +966,25 @@ mod tests {
             .map(|(p, ps)| (p, ps.len()))
             .collect();
         assert_eq!(runs, vec![(PatternId(2), 1)]);
+    }
+
+    #[test]
+    fn root_cursor_steps_and_jumps() {
+        let idx = sample();
+        assert_eq!(idx.max_paths_per_root(), 1);
+        let mut c = idx.root_cursor();
+        assert_eq!(c.remaining(), 3);
+        assert_eq!(c.seek_ge(1), Some(2));
+        assert_eq!((c.position(), c.remaining()), (1, 2));
+        assert_eq!(c.num_paths(), 1);
+        assert_eq!(c.advance(), Some(3));
+        assert_eq!(c.seek_ge(3), Some(3));
+        assert_eq!(c.advance(), None);
+        assert_eq!(c.remaining(), 0);
+        c.jump(0);
+        let runs: Vec<_> = c.runs().map(|(p, ps)| (p, ps.len())).collect();
+        assert_eq!(runs, vec![(2, 1)]);
+        assert_eq!(WordPathIndex::default().max_paths_per_root(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared machinery of the index-based algorithms: the sharded query
-//! context, gallop intersection over sorted root lists, the `EXPANDROOT`
+//! context, the walk over the keywords' common roots, the `EXPANDROOT`
 //! subroutine of Algorithm 3, path-tuple products, and the shard-parallel
 //! driver.
 //!
@@ -42,9 +42,11 @@ use patternkb_graph::{KnowledgeGraph, NodeId};
 use patternkb_index::cursor as pcursor;
 use patternkb_index::{
     groups_by_shared_type, merge_type_groups, PathIndexes, PathPattern, PatternId,
-    PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RunCursor, WordPathIndex,
+    PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RootWalkEnd, RunCursor,
+    WordPathIndex,
 };
 use std::borrow::Cow;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -81,8 +83,9 @@ pub struct ShardContext<'a> {
     pub words: Vec<&'a WordPathIndex>,
     /// This shard's hot-path counters.
     pub counters: HotCounters,
-    /// Memoized local `R = ∩ᵢ Roots(wᵢ)` (roots in this shard's range).
-    roots: OnceLock<Vec<NodeId>>,
+    /// Memoized full walk over the local `R = ∩ᵢ Roots(wᵢ)` (roots in
+    /// this shard's range).
+    walk: OnceLock<RootWalk>,
 }
 
 impl<'a> ShardContext<'a> {
@@ -94,33 +97,128 @@ impl<'a> ShardContext<'a> {
     /// The shard-local candidate roots `R = ∩ᵢ Roots(wᵢ)`, ascending.
     /// Computed once per context; repeat callers get the memoized slice.
     pub fn candidate_roots(&self) -> &[NodeId] {
-        self.roots.get_or_init(|| {
-            let lists: Vec<&[u32]> = self.words.iter().map(|w| w.roots()).collect();
-            let mut out: Vec<u32> = Vec::new();
-            let mut seeks = 0u64;
-            pcursor::intersect_sorted_into(&lists, &mut out, Some(&mut seeks));
-            self.counters.add_seeks(seeks);
-            out.into_iter().map(NodeId).collect()
-        })
+        self.walk().roots()
     }
 
-    /// Call `f(r, Πᵢ |Paths(wᵢ, r)|)` (saturating) for every candidate
-    /// root in ascending order — the per-root term of `N` (Algorithm 4
-    /// line 4), read off one forward cursor per keyword instead of a
-    /// directory search per (root, keyword).
-    pub fn for_each_root_paths(&self, mut f: impl FnMut(NodeId, u64)) {
-        let mut cursors: Vec<RootCursor<'_>> = self.words.iter().map(|w| w.root_cursor()).collect();
-        for &r in self.candidate_roots() {
-            let paths = cursors.iter_mut().fold(1u64, |product, cursor| {
-                let of_word = if cursor.seek(r.0) {
-                    cursor.num_paths()
-                } else {
-                    0
-                };
-                product.saturating_mul(of_word as u64)
+    /// The shard's walk over its candidate roots, run to the end once per
+    /// context: the roots, each keyword's directory position at each, and
+    /// the shard's share of `N`.
+    pub fn walk(&self) -> &RootWalk {
+        self.walk
+            .get_or_init(|| self.walk_from_start(&mut 0, |_| false).0)
+    }
+
+    /// A fresh [`RootWalk::run`] over this shard's words, its seeks counted.
+    fn walk_from_start(
+        &self,
+        n: &mut u64,
+        stop: impl FnMut(u64) -> bool,
+    ) -> (RootWalk, RootWalkEnd) {
+        let (walk, end) = RootWalk::run(&self.words, n, stop);
+        self.counters.add_seeks(end.seeks);
+        (walk, end)
+    }
+
+    /// Roots of the walk's lead: the keyword with the fewest.
+    fn lead_roots(&self) -> usize {
+        self.words
+            .iter()
+            .map(|w| w.roots().len())
+            .min()
+            .unwrap_or(0)
+    }
+}
+
+/// One walk over a shard's candidate roots `R = ∩ᵢ Roots(wᵢ)`, in
+/// ascending order: the roots, every keyword's root-directory position at
+/// each (where [`expand_root`] jumps its cursors) and each root's
+/// `Πᵢ |Paths(wᵢ, r)|`, the per-root term of `N` (Algorithm 4 line 4).
+#[derive(Debug, Default)]
+pub struct RootWalk {
+    roots: Vec<NodeId>,
+    /// `m` positions per root, in keyword order.
+    positions: Vec<u32>,
+    /// `Πᵢ |Paths(wᵢ, r)|` per root (saturating).
+    paths: Vec<u64>,
+    /// `Σ_r Πᵢ |Paths(wᵢ, r)|` (saturating).
+    subtrees: u64,
+}
+
+impl RootWalk {
+    /// Leapfrog `words`' root directories from their first roots, adding
+    /// each common root's `Πᵢ |Paths(wᵢ, r)|` to `*n` (saturating), and
+    /// stop after the first root at which `stop(*n)` holds. The walk holds
+    /// the roots it visited; `RootWalkEnd::stopped` tells whether that is
+    /// all of them.
+    pub fn run(
+        words: &[&WordPathIndex],
+        n: &mut u64,
+        mut stop: impl FnMut(u64) -> bool,
+    ) -> (RootWalk, RootWalkEnd) {
+        let mut cursors: Vec<RootCursor<'_>> = words.iter().map(|w| w.root_cursor()).collect();
+        let mut walk = RootWalk::default();
+        let end = pcursor::intersect_roots(&mut cursors, |root, cursors| {
+            let paths = cursors.iter().fold(1u64, |product, c| {
+                product.saturating_mul(c.num_paths() as u64)
             });
-            f(r, paths);
-        }
+            walk.roots.push(NodeId(root));
+            walk.positions
+                .extend(cursors.iter().map(|c| c.position() as u32));
+            walk.paths.push(paths);
+            walk.subtrees = walk.subtrees.saturating_add(paths);
+            *n = n.saturating_add(paths);
+            if stop(*n) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        (walk, end)
+    }
+
+    /// The roots visited, ascending.
+    pub fn roots(&self) -> &[NodeId] {
+        &self.roots
+    }
+
+    /// Each keyword's directory position at the `j`-th root.
+    pub fn positions(&self, j: usize) -> &[u32] {
+        let m = self.positions.len() / self.roots.len();
+        &self.positions[j * m..(j + 1) * m]
+    }
+
+    /// `Πᵢ |Paths(wᵢ, r)|` of the `j`-th root (saturating).
+    pub fn paths(&self, j: usize) -> u64 {
+        self.paths[j]
+    }
+
+    /// `Σ_r Πᵢ |Paths(wᵢ, r)|` over the roots visited (saturating).
+    pub fn subtrees(&self) -> u64 {
+        self.subtrees
+    }
+
+    /// `(root, positions)` of every root visited, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[u32])> {
+        (0..self.roots.len()).map(|j| (self.roots[j], self.positions(j)))
+    }
+}
+
+/// How far a stopped planner walk got, summed over the shards: the
+/// candidate roots it saw, and its leads' roots in all and consumed
+/// (a shard walked to its end consumed its whole lead, one never reached
+/// none of it).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct WalkProgress {
+    pub(crate) seen: usize,
+    lead_roots: usize,
+    lead_consumed: usize,
+}
+
+impl WalkProgress {
+    /// `|R|` extrapolated at the rate the walk found candidates along its
+    /// leads: roots seen × lead roots ÷ lead roots consumed.
+    fn extrapolate(&self) -> usize {
+        (self.seen as u64 * self.lead_roots as u64 / self.lead_consumed.max(1) as u64) as usize
     }
 }
 
@@ -145,6 +243,9 @@ pub struct QueryContext<'a> {
     /// intersections in shard order (ascending, since shards partition the
     /// root space by range).
     roots: OnceLock<Vec<NodeId>>,
+    /// Where the planner's walk stopped ([`Self::subtrees_until`]), when
+    /// it did.
+    stopped: OnceLock<WalkProgress>,
     /// Memoized per-keyword global pattern lists
     /// ([`QueryContext::merged_patterns`]).
     merged: OnceLock<Vec<Cow<'a, PatternTypeGroups>>>,
@@ -178,7 +279,7 @@ impl<'a> QueryContext<'a> {
                 shard: s,
                 words: words.iter().map(|w| w.expect("filtered")).collect(),
                 counters: HotCounters::default(),
-                roots: OnceLock::new(),
+                walk: OnceLock::new(),
             })
             .collect();
         Some(QueryContext {
@@ -189,6 +290,7 @@ impl<'a> QueryContext<'a> {
             m,
             sparse,
             roots: OnceLock::new(),
+            stopped: OnceLock::new(),
             merged: OnceLock::new(),
         })
     }
@@ -210,13 +312,65 @@ impl<'a> QueryContext<'a> {
         })
     }
 
-    /// How this query's shard kernels should run ([`fanout_for`] over the
-    /// summed per-shard candidate roots — memoized intersections every
-    /// root-first kernel needs anyway, and the planner has already paid
-    /// for under `Auto`).
+    /// How this query's shard kernels should run: [`fanout_for`] over the
+    /// candidate roots summed over the shards. One keyword's are its
+    /// word's roots, counted without a walk. Otherwise they are the
+    /// memoized walks every root-first kernel needs anyway — unless the
+    /// planner stopped its walk early to route the query to pruned
+    /// `PATTERNENUM`, which reads no roots: then the count is extrapolated
+    /// from that walk, as roots seen × lead roots ÷ lead roots consumed
+    /// (the lead being each shard's keyword with the fewest roots).
     pub fn fanout(&self) -> Fanout {
-        let roots = self.shards.iter().map(|s| s.candidate_roots().len()).sum();
+        let roots = if self.m == 1 {
+            self.shards.iter().map(|s| s.words[0].roots().len()).sum()
+        } else if let Some(progress) = self.stopped.get() {
+            progress.extrapolate()
+        } else {
+            self.shards.iter().map(|s| s.candidate_roots().len()).sum()
+        };
         fanout_for(roots, self.shards.len())
+    }
+
+    /// `N = Σ_r Πᵢ |Paths(wᵢ, r)|` summed over the shards' candidate roots
+    /// in ascending order, stopping after the first root at which
+    /// `stop(N)` holds. Returns the running `N` and whether the walk
+    /// stopped — if not, `N` is exact. A shard walked to its end is
+    /// memoized as [`ShardContext::walk`]; a stop is recorded for
+    /// [`Self::fanout`].
+    pub(crate) fn subtrees_until(&self, mut stop: impl FnMut(u64) -> bool) -> (u64, bool) {
+        let mut n = 0u64;
+        let mut progress = WalkProgress::default();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let lead = shard.lead_roots();
+            progress.lead_roots += lead;
+            if let Some(walk) = shard.walk.get() {
+                n = n.saturating_add(walk.subtrees());
+                progress.seen += walk.roots().len();
+                progress.lead_consumed += lead;
+                continue;
+            }
+            let (walk, end) = shard.walk_from_start(&mut n, &mut stop);
+            progress.seen += walk.roots().len();
+            if end.stopped {
+                let last = walk.roots().len() - 1;
+                progress.lead_consumed += walk.positions(last)[end.lead] as usize + 1;
+                progress.lead_roots += self.shards[s + 1..]
+                    .iter()
+                    .map(ShardContext::lead_roots)
+                    .sum::<usize>();
+                let _ = self.stopped.set(progress);
+                return (n, true);
+            }
+            progress.lead_consumed += lead;
+            let _ = shard.walk.set(walk);
+        }
+        (n, false)
+    }
+
+    /// Where the planner's walk stopped, if it did.
+    #[cfg(test)]
+    pub(crate) fn stopped_walk(&self) -> Option<WalkProgress> {
+        self.stopped.get().copied()
     }
 
     /// The word index of keyword `i` within index shard `s` (which may lack
@@ -379,6 +533,12 @@ pub enum Fanout {
 /// first run breaks even for both kernels and the second run's price has
 /// fallen to an eighth of the cheaper kernel; 81 of the pool's 1 000
 /// queries are above it.
+///
+/// The count compared is exact for every kernel that reads the roots. A
+/// query the planner routes to pruned `PATTERNENUM` is compared on an
+/// estimate: the planner stops its root walk once the route is decided,
+/// and [`QueryContext::fanout`] extrapolates the roots seen along the
+/// part of the walk's lead list it consumed.
 pub const FANOUT_MIN_ROOTS: usize = 8_000;
 
 /// The one gate every fan-out site goes through: [`Fanout::Threads`] when
@@ -669,8 +829,7 @@ pub fn materialize_tree(
 }
 
 /// The buffers [`expand_root`] works in, owned by the caller and reused
-/// across the roots of one shard — which must therefore be expanded in
-/// ascending order (the per-keyword [`RootCursor`]s only move forward).
+/// across the roots of one shard.
 pub struct ExpandScratch<'a> {
     cursors: Vec<RootCursor<'a>>,
     /// Per keyword: the current root's `(pattern, paths)` runs.
@@ -683,11 +842,11 @@ pub struct ExpandScratch<'a> {
 }
 
 impl<'a> ExpandScratch<'a> {
-    /// Buffers for `shard`'s keywords, cursors before the first root.
-    pub fn new(shard: &ShardContext<'a>) -> Self {
-        let m = shard.m();
+    /// Buffers for a shard's keywords, cursors before the first root.
+    pub fn new(words: &[&'a WordPathIndex]) -> Self {
+        let m = words.len();
         ExpandScratch {
-            cursors: shard.words.iter().map(|w| w.root_cursor()).collect(),
+            cursors: words.iter().map(|w| w.root_cursor()).collect(),
             runs: vec![Vec::new(); m],
             key: vec![0; m],
             combo: vec![0; m],
@@ -701,16 +860,21 @@ impl<'a> ExpandScratch<'a> {
 /// The `EXPANDROOT(r, TreeDict)` subroutine of Algorithm 3: enumerate the
 /// pattern product `Patterns(w1, r) × … × Patterns(wm, r)` and, within each
 /// tree pattern, the path product, folding every valid subtree into `dict`.
+/// `words` are one shard's keyword indexes. `at` holds each keyword's
+/// directory position of `r`, as the shard's [`RootWalk`] recorded it: the
+/// cursors jump there, in any root order. Without it each cursor gallops
+/// forward to `r`, so the roots must then ascend across calls.
 ///
 /// Returns the number of subtrees enumerated under this root.
 pub fn expand_root<'a>(
-    ctx: &ShardContext<'a>,
+    words: &[&'a WordPathIndex],
     cfg: &SearchConfig,
     r: NodeId,
+    at: Option<&[u32]>,
     dict: &mut TreeDict,
     scratch: &mut ExpandScratch<'a>,
 ) -> usize {
-    let m = ctx.m();
+    let m = words.len();
     let ExpandScratch {
         cursors,
         runs,
@@ -720,11 +884,15 @@ pub fn expand_root<'a>(
         tuple,
         nodes,
     } = scratch;
-    for (cursor, runs) in cursors.iter_mut().zip(runs.iter_mut()) {
+    for (i, (cursor, runs)) in cursors.iter_mut().zip(runs.iter_mut()).enumerate() {
         runs.clear();
-        if !cursor.seek(r.0) {
-            debug_assert!(false, "candidate roots reach every keyword");
-            return 0;
+        match at {
+            Some(at) => cursor.jump(at[i] as usize),
+            None if cursor.seek_ge(r.0) != Some(r.0) => {
+                debug_assert!(false, "candidate roots reach every keyword");
+                return 0;
+            }
+            None => {}
         }
         runs.extend(cursor.runs());
     }
@@ -745,7 +913,7 @@ pub fn expand_root<'a>(
             if cfg.strict_trees {
                 nodes.clear();
                 for (i, p) in tuple.iter().enumerate() {
-                    nodes.push(ctx.words[i].nodes_of(p));
+                    nodes.push(words[i].nodes_of(p));
                 }
                 if !node_slices_form_tree(r, nodes) {
                     return;
@@ -754,7 +922,7 @@ pub fn expand_root<'a>(
             let score = cfg.scoring.tree_score_of(tuple);
             group.acc.push(score);
             if group.trees.len() < cfg.max_rows {
-                push_row(&mut group.trees, &ctx.words, r, tuple, score);
+                push_row(&mut group.trees, words, r, tuple, score);
             }
         });
         // Strict mode may have rejected every tuple; the group then stays
@@ -951,6 +1119,143 @@ mod tests {
         assert_eq!(live, vec![vec![1, 2]]);
         let id = d.intern(&[1, 2]);
         assert_eq!(d.group(id).acc.count, 2);
+    }
+
+    /// A word index over `(pattern, root)` postings, each path starting
+    /// at its root, its length fixed by its pattern.
+    fn word(postings: &[(u32, u32)]) -> WordPathIndex {
+        let mut arena = Vec::new();
+        let postings = postings
+            .iter()
+            .map(|&(pattern, root)| {
+                let len = 1 + (pattern % 3) as u16;
+                let start = arena.len() as u32;
+                arena.push(NodeId(root));
+                arena.extend((1..u32::from(len)).map(|k| NodeId(1_000 + 10 * pattern + k)));
+                Posting {
+                    pattern: PatternId(pattern),
+                    root: NodeId(root),
+                    nodes_start: start,
+                    nodes_len: len,
+                    edge_terminal: false,
+                    pagerank: 0.5 + f64::from(root) / 64.0,
+                    sim: 1.0 / f64::from(len),
+                }
+            })
+            .collect();
+        WordPathIndex::new(postings, arena)
+    }
+
+    /// Everything a dictionary holds, scores as bits, in interning order.
+    fn dict_bits(dict: &TreeDict) -> Vec<(Vec<u32>, u64, u64, Vec<(NodeId, u64, Vec<NodeId>)>)> {
+        dict.iter()
+            .map(|(_, key, group)| {
+                let rows = group.trees.iter();
+                (
+                    key.to_vec(),
+                    group.acc.count,
+                    group.acc.sum().to_bits(),
+                    rows.map(|row| (row.root, row.score.to_bits(), row.nodes.to_vec()))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// The walk over `words` against the slice primitives: its roots are
+    /// the intersection of `roots()`, its counts `num_paths_of_root`
+    /// products, its positions land on its roots, a stopped walk is the
+    /// full walk's prefix up to the first root where the running count
+    /// reaches the limit, and `expand_root` fills the same dictionary
+    /// whether it jumps to the positions or gallops to the roots.
+    fn check_walk(words: &[&WordPathIndex], limit: u64, strict_trees: bool) {
+        let (mut n, walk, end) = {
+            let mut n = 0u64;
+            let (walk, end) = RootWalk::run(words, &mut n, |_| false);
+            (n, walk, end)
+        };
+        assert!(!end.stopped);
+        let lists: Vec<&[u32]> = words.iter().map(|w| w.roots()).collect();
+        let roots: Vec<NodeId> = pcursor::intersect_sorted(&lists)
+            .into_iter()
+            .map(NodeId)
+            .collect();
+        assert_eq!(walk.roots(), roots);
+        let paths: Vec<u64> = roots
+            .iter()
+            .map(|&r| {
+                let of_words = words.iter().map(|w| w.num_paths_of_root(r) as u64);
+                of_words.product()
+            })
+            .collect();
+        assert_eq!(walk.subtrees(), paths.iter().sum::<u64>());
+        assert_eq!(n, walk.subtrees());
+        for (j, (r, at)) in walk.iter().enumerate() {
+            assert_eq!(walk.paths(j), paths[j]);
+            for (w, &pos) in words.iter().zip(at) {
+                assert_eq!(w.roots()[pos as usize], r.0);
+            }
+        }
+
+        n = 0;
+        let (prefix, end) = RootWalk::run(words, &mut n, |n| n >= limit);
+        let reached = paths
+            .iter()
+            .scan(0u64, |sum, &p| {
+                *sum += p;
+                Some(*sum)
+            })
+            .position(|sum| sum >= limit);
+        assert_eq!(end.stopped, reached.is_some());
+        let seen = reached.map_or(roots.len(), |j| j + 1);
+        assert_eq!(prefix.roots(), &roots[..seen]);
+        assert_eq!(n, paths[..seen].iter().sum::<u64>());
+
+        let cfg = SearchConfig {
+            max_rows: 3,
+            strict_trees,
+            ..SearchConfig::top(10)
+        };
+        let [jumped, galloped] = [true, false].map(|jump| {
+            let mut dict = TreeDict::new(words.len());
+            let mut scratch = ExpandScratch::new(words);
+            let mut total = 0;
+            for (r, at) in walk.iter() {
+                let at = jump.then_some(at);
+                total += expand_root(words, &cfg, r, at, &mut dict, &mut scratch);
+            }
+            (total, dict_bits(&dict))
+        });
+        assert_eq!(jumped, galloped);
+        if !strict_trees {
+            assert_eq!(jumped.0 as u64, walk.subtrees());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// [`check_walk`] on random word indexes: all the words, the
+        /// first alone (one keyword), and all of them beside a word with
+        /// no paths (a shard lacking a keyword, whose walk is empty).
+        #[test]
+        fn the_walk_agrees_with_the_primitives(
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..4, 0u32..40), 0..60),
+                1..4,
+            ),
+            limit in 0u64..200,
+            strict_trees in proptest::prelude::any::<bool>(),
+        ) {
+            let words: Vec<WordPathIndex> = lists.iter().map(|l| word(l)).collect();
+            let refs: Vec<&WordPathIndex> = words.iter().collect();
+            check_walk(&refs, limit, strict_trees);
+            check_walk(&refs[..1], limit, strict_trees);
+            let empty = WordPathIndex::default();
+            let lacking: Vec<&WordPathIndex> = refs.iter().copied().chain([&empty]).collect();
+            check_walk(&lacking, limit, strict_trees);
+            let mut n = 0;
+            proptest::prop_assert!(RootWalk::run(&lacking, &mut n, |_| false).0.roots().is_empty());
+        }
     }
 
     #[test]

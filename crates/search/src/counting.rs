@@ -77,11 +77,9 @@ pub fn count_subtrees(ctx: &QueryContext<'_>) -> u64 {
     if ctx.m() == 1 {
         return ctx.shards.iter().map(|s| s.words[0].len() as u64).sum();
     }
-    let mut total: u64 = 0;
-    for shard in &ctx.shards {
-        shard.for_each_root_paths(|_, paths| total = total.saturating_add(paths));
-    }
-    total
+    ctx.shards.iter().fold(0u64, |total, shard| {
+        total.saturating_add(shard.walk().subtrees())
+    })
 }
 
 #[cfg(test)]

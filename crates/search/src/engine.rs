@@ -444,8 +444,8 @@ impl SearchEngine {
     }
 
     /// Resolve the request's algorithm choice and run it, sharing one
-    /// [`QueryContext`] between the planner's estimate and the chosen
-    /// algorithm so the candidate-root intersection is computed once.
+    /// [`QueryContext`] between the planner and the chosen algorithm, so
+    /// a root walk the planner finishes is the one the kernel reads.
     pub(crate) fn plan_and_run(
         &self,
         query: &Query,

@@ -43,12 +43,14 @@ pub(crate) fn linear_enum_in(
     };
     let locals = run_sharded(mode, &ctx.shards, |shard| {
         let mut dict = TreeDict::new(shard.m());
-        let mut scratch = ExpandScratch::new(shard);
+        let mut scratch = ExpandScratch::new(&shard.words);
         let mut subtrees = 0usize;
-        for &r in shard.candidate_roots() {
-            subtrees += expand_root(shard, &lean_cfg, r, &mut dict, &mut scratch);
+        let walk = shard.walk();
+        for (r, at) in walk.iter() {
+            let at = Some(at);
+            subtrees += expand_root(&shard.words, &lean_cfg, r, at, &mut dict, &mut scratch);
         }
-        (dict, subtrees, shard.candidate_roots().len(), shard.shard)
+        (dict, subtrees, walk.roots().len(), shard.shard)
     });
 
     let mut per_shard = Vec::with_capacity(locals.len());

@@ -24,11 +24,32 @@
 //! 4. otherwise pruned `PATTERNENUM` (no dictionary, admissible pruning
 //!    caps the tail).
 //!
-//! Steps 1–2 read `N` alone, so on those queries the engine never merges
-//! the per-keyword pattern lists behind the combination count
-//! ([`estimate`] always does; it is the reporting entry point). A query
-//! that reaches step 4 has merged them for the kernel it is routed to
-//! ([`QueryContext::merged_patterns`]).
+//! # The stoppable walk
+//!
+//! `N` is summed in one leapfrog walk over the candidate roots, shard by
+//! shard (`QueryContext::subtrees_until`); a walk that reaches the end
+//! is memoized with each keyword's index position at every root, which
+//! `LINEARENUM` and `LINEARENUM-TOPK` expand from. The engine's miss path
+//! (`plan`) reads no more than the decision needs:
+//!
+//! * the combination count is computed only once the running `N` passes
+//!   [`PlannerConfig::max_subtrees_linear`] (a query that stays at or
+//!   below it never merges the per-keyword pattern lists behind it);
+//! * with `m ≥ 2` keywords it first bounds `N` from per-word stats:
+//!   `U = Σ_shards minᵢ (Sᵢ · Π_{j≠i} maxPathsⱼ)`, with `Sᵢ` word `i`'s
+//!   postings in the shard and `maxPathsⱼ` the most paths any root has to
+//!   word `j`. While `U ≤` [`PlannerConfig::max_subtrees_exact`], step 1
+//!   cannot fire, and the walk stops at the first root where the running
+//!   `N` reaches `T = max(max_subtrees_linear + 1, ⌈combos / COMBO_BLOWUP⌉)`.
+//!   From there the final `N` lies in `[T, U]`, where steps 1–3 all fail:
+//!   the query goes to step 4 without the rest of the walk, which pruned
+//!   `PATTERNENUM` would not read. A walk that ends first has the exact
+//!   `N` and the rule decides as usual.
+//!
+//! So the route is always `choose(&estimate(ctx), cfg)`'s ([`estimate`]
+//! walks to the end; it is the reporting entry point). A query that
+//! reaches step 4 has merged the pattern lists for the kernel it is
+//! routed to ([`QueryContext::merged_patterns`]).
 //!
 //! # The rows behind it
 //!
@@ -92,10 +113,10 @@ pub struct QueryEstimate {
     pub index_postings: usize,
 }
 
-/// Measure both cost drivers. Cost: one sorted-list intersection plus a
-/// per-root group-size scan — the same work `LINEARENUM` line 1 and
-/// Algorithm 4 line 4 do before any enumeration — plus the per-keyword
-/// global pattern lists. All quantities are global (merged over the
+/// Measure both cost drivers. Cost: one full walk over the candidate
+/// roots reading each keyword's group size per root — the same work
+/// `LINEARENUM` line 1 and Algorithm 4 line 4 do before any enumeration,
+/// memoized for them — plus the per-keyword global pattern lists. All quantities are global (merged over the
 /// index's root-range shards), so the decision is independent of the
 /// shard count.
 pub fn estimate(ctx: &QueryContext<'_>) -> QueryEstimate {
@@ -148,10 +169,56 @@ pub fn choose(est: &QueryEstimate, cfg: &PlannerConfig) -> Algorithm {
     rule(est.subtrees, || est.pattern_combos, cfg)
 }
 
-/// [`choose`] ∘ [`estimate`] for the engine's miss path: the combination
-/// count is only computed for a query the rule cannot decide from `N`.
+/// [`choose`] ∘ [`estimate`] for the engine's miss path, reading no more
+/// of the index than the decision needs (module docs, "The stoppable
+/// walk"): the combination count is only computed once `N` has passed
+/// the `LINEARENUM` threshold, and while the bound `U` keeps the sampled
+/// tier out of reach the walk counting `N` stops as soon as the running
+/// count settles the route.
 pub(crate) fn plan(ctx: &QueryContext<'_>, cfg: &PlannerConfig) -> Algorithm {
-    rule(count_subtrees(ctx), || pattern_combos(ctx), cfg)
+    if ctx.m() < 2 || subtree_bound(ctx) > cfg.max_subtrees_exact {
+        return rule(count_subtrees(ctx), || pattern_combos(ctx), cfg);
+    }
+    let mut stop_at: Option<u64> = None;
+    let (subtrees, stopped) = ctx.subtrees_until(|n| {
+        n > cfg.max_subtrees_linear
+            && n >= *stop_at.get_or_insert_with(|| stop_threshold(pattern_combos(ctx), cfg))
+    });
+    if stopped {
+        Algorithm::PatternEnumPruned
+    } else {
+        rule(subtrees, || pattern_combos(ctx), cfg)
+    }
+}
+
+/// `U = Σ_shards minᵢ (Sᵢ · Π_{j≠i} maxPathsⱼ)` (saturating), an upper
+/// bound on `N` from per-word stats alone: in a shard, each root adds
+/// `Πⱼ |Paths(wⱼ, r)|`, at most its `|Paths(wᵢ, r)|` times every other
+/// word's `maxPaths`, and word `i`'s paths over all roots sum to `Sᵢ`.
+fn subtree_bound(ctx: &QueryContext<'_>) -> u64 {
+    ctx.shards.iter().fold(0u64, |total, shard| {
+        let of_shard = (0..shard.m())
+            .map(|i| {
+                let others = shard.words.iter().enumerate().filter(|&(j, _)| j != i);
+                others.fold(shard.words[i].len() as u64, |bound, (_, w)| {
+                    bound.saturating_mul(w.max_paths_per_root() as u64)
+                })
+            })
+            .min()
+            .unwrap_or(0);
+        total.saturating_add(of_shard)
+    })
+}
+
+/// The running `N` at which a walk with `N ≤ U ≤ max_subtrees_exact` may
+/// stop: `T = max(max_subtrees_linear + 1, ⌈combos / COMBO_BLOWUP⌉)`.
+/// From there the final `N` is past the `LINEARENUM` threshold and at
+/// least `combos / COMBO_BLOWUP`, so [`rule`] picks pruned `PATTERNENUM`
+/// whatever the rest of the walk adds.
+fn stop_threshold(combos: u64, cfg: &PlannerConfig) -> u64 {
+    cfg.max_subtrees_linear
+        .saturating_add(1)
+        .max(combos.div_ceil(COMBO_BLOWUP))
 }
 
 fn rule(subtrees: u64, combos: impl FnOnce() -> u64, cfg: &PlannerConfig) -> Algorithm {
@@ -313,6 +380,131 @@ mod tests {
                 assert!((a.score - b.score).abs() < 1e-12);
             }
         }
+    }
+
+    /// The walk `plan` may stop, replayed from the primitives: the number
+    /// of candidate roots (intersected slice by slice, shard by shard) up
+    /// to and including the first at which the running `N` reaches the
+    /// stop threshold — `None` where `plan` must walk to the end.
+    fn expected_stop(ctx: &QueryContext<'_>, cfg: &PlannerConfig, u: u64) -> Option<usize> {
+        if ctx.m() < 2 || u > cfg.max_subtrees_exact {
+            return None;
+        }
+        let t = stop_threshold(pattern_combos(ctx), cfg);
+        let (mut n, mut seen) = (0u64, 0usize);
+        for shard in &ctx.shards {
+            let lists: Vec<&[u32]> = shard.words.iter().map(|w| w.roots()).collect();
+            for r in patternkb_index::cursor::intersect_sorted(&lists) {
+                let paths = shard.words.iter().fold(1u64, |product, w| {
+                    product.saturating_mul(w.num_paths_of_root(patternkb_graph::NodeId(r)) as u64)
+                });
+                n = n.saturating_add(paths);
+                seen += 1;
+                if n > cfg.max_subtrees_linear && n >= t {
+                    return Some(seen);
+                }
+            }
+        }
+        None
+    }
+
+    /// Every search engine and query of the equivalence sweep below.
+    fn sweep_engines() -> Vec<(String, SearchEngine, Vec<Query>)> {
+        use patternkb_datagen::imdb::{imdb, ImdbConfig};
+        use patternkb_datagen::queries::QueryGenerator;
+        use patternkb_datagen::theorem1::{random_digraph, reduce};
+        use patternkb_datagen::wiki::{wiki, WikiConfig};
+        let mut out = Vec::new();
+        for shards in 1..=3 {
+            let engine = |g, d: usize| {
+                crate::EngineBuilder::new()
+                    .graph(g)
+                    .height(d)
+                    .threads(1)
+                    .shards(shards)
+                    .build()
+                    .unwrap()
+            };
+            for (name, g) in [
+                ("wiki", wiki(&WikiConfig::tiny(3))),
+                ("imdb", imdb(&ImdbConfig::tiny(3))),
+            ] {
+                let e = engine(g, 3);
+                let mut generator = QueryGenerator::new(e.graph(), e.text(), 3, 5);
+                let queries = generator
+                    .batch(6, 4)
+                    .into_iter()
+                    .map(|spec| Query::from_ids(spec.keywords))
+                    .collect();
+                out.push((format!("{name} S={shards}"), e, queries));
+            }
+            let e = engine(worstcase(16), 2);
+            let queries = [format!("{W1} {W2}"), format!("rootone {W1}")]
+                .iter()
+                .map(|text| e.parse(text).unwrap())
+                .collect();
+            out.push((format!("worstcase S={shards}"), e, queries));
+            for seed in 0..3 {
+                let n = 5;
+                let reduction = reduce(n, &random_digraph(n, 0.5, seed), 0, n - 1);
+                let text = reduction.query.join(" ");
+                let e = engine(reduction.graph, reduction.d);
+                let queries = vec![e.parse(&text).unwrap()];
+                out.push((format!("theorem1[{seed}] S={shards}"), e, queries));
+            }
+        }
+        out
+    }
+
+    /// `plan` on a fresh context routes every query as `choose ∘
+    /// estimate` does, with both thresholds swept across the boundaries
+    /// of the stop test: `max_subtrees_linear` at `N - 1`, `N` and `N + 1`
+    /// (and low enough to stop mid-walk), `max_subtrees_exact` at `N` and
+    /// around the bound `U`. And a walk stops exactly where the running
+    /// `N` first reaches the threshold, or not at all.
+    #[test]
+    fn the_stoppable_walk_routes_as_the_full_estimate() {
+        let (mut checked, mut stopped, mut stopped_early) = (0, 0, 0);
+        for (name, e, queries) in sweep_engines() {
+            for q in &queries {
+                let Some(reference) = QueryContext::new(e.graph(), e.index(), q) else {
+                    continue;
+                };
+                let est = estimate(&reference);
+                let (n, u) = (est.subtrees, subtree_bound(&reference));
+                if q.keywords.len() >= 2 {
+                    assert!(u >= n, "{name} {q:?}: U = {u} < N = {n}");
+                }
+                let linear = [0, n / 2, n.saturating_sub(1), n, n + 1];
+                let exact = [n.saturating_sub(1), n, u.saturating_sub(1), u, u + 1];
+                let configs = linear.iter().flat_map(|&max_subtrees_linear| {
+                    exact.iter().map(move |&max_subtrees_exact| PlannerConfig {
+                        max_subtrees_linear,
+                        max_subtrees_exact,
+                        ..PlannerConfig::default()
+                    })
+                });
+                for cfg in configs.chain([PlannerConfig::default()]) {
+                    let fresh = QueryContext::new(e.graph(), e.index(), q).unwrap();
+                    let planned = format!("{:?}", plan(&fresh, &cfg));
+                    let chosen = format!("{:?}", choose(&est, &cfg));
+                    let label = format!(
+                        "{name} {q:?}: N = {n}, U = {u}, linear {}, exact {}",
+                        cfg.max_subtrees_linear, cfg.max_subtrees_exact
+                    );
+                    assert_eq!(planned, chosen, "{label}");
+                    let stop = fresh.stopped_walk().map(|progress| progress.seen);
+                    assert_eq!(stop, expected_stop(&reference, &cfg, u), "{label}");
+                    checked += 1;
+                    stopped += usize::from(stop.is_some());
+                    stopped_early +=
+                        usize::from(stop.is_some_and(|seen| seen < est.candidate_roots));
+                }
+            }
+        }
+        assert!(checked > 2_000, "{checked} routes checked");
+        assert!(stopped > 300, "{stopped} walks stopped");
+        assert!(stopped_early > 150, "{stopped_early} walks stopped early");
     }
 
     #[test]

@@ -101,11 +101,11 @@ pub(crate) fn root_sampled(seed: u64, root: NodeId, rho: f64) -> bool {
 }
 
 /// Phase-A output of one shard: per root type, the shard's candidate
-/// roots (ascending) and its `N_R` contribution. `partitions[i]` always
-/// describes `ctx.shards[i]` — [`run_sharded`] returns results in input
-/// order.
+/// roots (ascending, as indices into its [`crate::common::RootWalk`]) and
+/// its `N_R` contribution. `partitions[i]` always describes
+/// `ctx.shards[i]` — [`run_sharded`] returns results in input order.
 struct ShardPartition {
-    by_type: FxHashMap<TypeId, (Vec<NodeId>, u64)>,
+    by_type: FxHashMap<TypeId, (Vec<usize>, u64)>,
 }
 
 /// Run `LINEARENUM-TOPK`.
@@ -130,12 +130,13 @@ pub(crate) fn linear_enum_topk_in(
     // --- Phase A (shard-parallel): partition candidate roots by type and
     //     count N_R per (shard, type) without enumeration (line 4). ---
     let partitions: Vec<ShardPartition> = run_sharded(mode, &ctx.shards, |shard| {
-        let mut by_type: FxHashMap<TypeId, (Vec<NodeId>, u64)> = FxHashMap::default();
-        shard.for_each_root_paths(|r, paths| {
+        let mut by_type: FxHashMap<TypeId, (Vec<usize>, u64)> = FxHashMap::default();
+        let walk = shard.walk();
+        for (j, &r) in walk.roots().iter().enumerate() {
             let entry = by_type.entry(shard.g.node_type(r)).or_default();
-            entry.0.push(r);
-            entry.1 = entry.1.saturating_add(paths);
-        });
+            entry.0.push(j);
+            entry.1 = entry.1.saturating_add(walk.paths(j));
+        }
         by_type
     })
     .into_iter()
@@ -163,14 +164,16 @@ pub(crate) fn linear_enum_topk_in(
         run_sharded(mode, &pairs, |&(shard, part)| {
             let mut dicts: FxHashMap<TypeId, TreeDict> = FxHashMap::default();
             let mut subtrees = 0usize;
+            let walk = shard.walk();
+            let mut scratch = ExpandScratch::new(&shard.words);
             for (&c, (roots, _)) in &part.by_type {
                 let rate = rates[&c];
                 let dict = dicts.entry(c).or_insert_with(|| TreeDict::new(shard.m()));
-                // A type's roots ascend; the next type starts over.
-                let mut scratch = ExpandScratch::new(shard);
-                for &r in roots {
+                for &j in roots {
+                    let r = walk.roots()[j];
                     if rate >= 1.0 || root_sampled(samp.seed, r, rate) {
-                        subtrees += expand_root(shard, cfg, r, dict, &mut scratch);
+                        let at = Some(walk.positions(j));
+                        subtrees += expand_root(&shard.words, cfg, r, at, dict, &mut scratch);
                     }
                 }
             }
@@ -316,7 +319,8 @@ fn exact_pattern_score(
             continue;
         };
         let rescored_before = rescored;
-        for &r in roots {
+        let walk = shard.walk();
+        for r in roots.iter().map(|&j| walk.roots()[j]) {
             slices.clear();
             let mut empty = false;
             for (i, w) in shard.words.iter().enumerate() {

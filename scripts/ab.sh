@@ -11,9 +11,12 @@
 # nine wins, medians apart by more than the parent's own spread). A
 # metric whose change median is worse than the parent's by more than its
 # `bound` in BENCHMARK.json is marked WORSE, as is any rise in failed
-# ops, and then the script exits 1. Every run's metrics are kept in
-# target/ab/runs.txt. Nothing under benchmark/ is read except its printed
-# `name value unit` lines.
+# ops, and then the script exits 1. A metric whose change median beats
+# the parent's by more than the parent's inter-quartile range is marked
+# apart — the spread test of a claimed gain; the marker never changes the
+# exit status. Every run's metrics are kept in target/ab/runs.txt.
+# Nothing under benchmark/ is read except its printed `name value unit`
+# lines.
 #
 # With a fifth argument `trace`, both sides run traced (`--trace 1`) and
 # the table lists BENCHMARK.json's `per_layer` rows instead, followed by
@@ -144,14 +147,16 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" -v trace="$trace" '
             # How much worse the change median is, as a share of the
             # parent median (a rise from 0 counts as infinitely worse).
             worse = better[name] == "higher" ? p - c : c - p
-            flag = ""
+            # Better by more than the parent spread (its IQR): apart.
+            piqr = quantile(a, np, 0.75) - quantile(a, np, 0.25)
+            flag = -worse > piqr ? " apart" : ""
             if (!(name in bound)) {
                 # A traced row: shown, never gated.
             } else if (worse > 0 && (p == 0 || worse / (p < 0 ? -p : p) > bound[name])) {
                 flag = " WORSE"
                 flagged = flagged " " name
             }
-            printf "%-34s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, quantile(a, np, 0.75) - quantile(a, np, 0.25), quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
+            printf "%-34s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, piqr, quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
         }
         if (flagged != "") {
             printf "worse than the parent beyond the bound:%s\n", flagged
