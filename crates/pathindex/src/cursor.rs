@@ -13,19 +13,23 @@
 //! whole intersection is `O(k · Σ log jumps)` — within a constant of the
 //! information-theoretic lower bound for merging sorted sets.
 //!
-//! Three cursor types share the discipline (monotone targets, peek
-//! semantics): `SliceCursor` over a sorted `&[u32]` key column,
-//! [`crate::grouped::RunCursor`] over one pattern's `(root, paths)` runs
-//! ([`intersect_runs`]) and [`crate::grouped::RootCursor`] over one
-//! word's root directory ([`intersect_roots`]).
+//! One cursor, [`KeyCursor`], steps over a sorted `&[u32]` key column,
+//! and one walk, [`leapfrog`], intersects any number of them. The index's
+//! cursors stand on a `KeyCursor` over their own key column and add what
+//! they read at the key they stand on: [`crate::grouped::RootCursor`] a
+//! word's root directory (`|Paths(w, r)|`, a root's runs),
+//! [`crate::grouped::RunCursor`] one pattern's `(root, paths)` runs. So
+//! the walk over the keywords' root directories (candidate roots, the
+//! planner's `N`, relaxation counts), the fused join of one pattern
+//! combination's runs, and [`intersect_sorted`] over plain slices are the
+//! same loop, and seek the same way.
 
 use std::ops::ControlFlow;
 
 /// Lower bound of `target` in sorted `keys`, galloping forward from
 /// position `from`: exponential probe to bracket the answer in
-/// `O(log jump)`, then binary search inside the bracket. The shared
-/// kernel behind [`SliceCursor::seek`] and
-/// [`crate::grouped::RunCursor::seek`].
+/// `O(log jump)`, then binary search inside the bracket. The kernel
+/// behind [`KeyCursor::seek`].
 #[inline]
 pub(crate) fn gallop_lower_bound(keys: &[u32], from: usize, target: u32) -> usize {
     let mut lo = from;
@@ -41,250 +45,120 @@ pub(crate) fn gallop_lower_bound(keys: &[u32], from: usize, target: u32) -> usiz
     lo + keys[lo..hi].partition_point(|&v| v < target)
 }
 
-/// A forward cursor over a plain sorted slice, seeking by galloping from
+/// A forward cursor over a sorted key column, seeking by galloping from
 /// the current position.
 ///
 /// Contract: `seek` targets are non-decreasing across calls; `seek`
-/// positions the cursor **at** the returned element (peeking), while
-/// `next` consumes.
-struct SliceCursor<'a> {
-    s: &'a [u32],
+/// positions the cursor **at** the returned key (peeking), while
+/// `advance` steps past it.
+#[derive(Clone, Debug)]
+pub struct KeyCursor<'a> {
+    keys: &'a [u32],
     pos: usize,
 }
 
-impl<'a> SliceCursor<'a> {
-    /// Cursor over `s` (must be sorted ascending).
-    fn new(s: &'a [u32]) -> Self {
-        debug_assert!(s.windows(2).all(|w| w[0] <= w[1]));
-        SliceCursor { s, pos: 0 }
+impl<'a> KeyCursor<'a> {
+    /// Cursor before the first of `keys` (must be sorted ascending).
+    pub(crate) fn new(keys: &'a [u32]) -> Self {
+        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        KeyCursor { keys, pos: 0 }
     }
 
-    /// The least remaining element `≥ target`, without consuming it.
+    /// The least key `≥ target` at or after the current position, without
+    /// consuming it.
     #[inline]
-    fn seek(&mut self, target: u32) -> Option<u32> {
-        self.pos = gallop_lower_bound(self.s, self.pos, target);
-        self.s.get(self.pos).copied()
+    pub fn seek(&mut self, target: u32) -> Option<u32> {
+        self.pos = gallop_lower_bound(self.keys, self.pos, target);
+        self.keys.get(self.pos).copied()
     }
 
-    /// Consume and return the current element.
+    /// Step past the current key, returning the next one.
     #[inline]
-    fn next(&mut self) -> Option<u32> {
-        let v = self.s.get(self.pos).copied();
-        if v.is_some() {
-            self.pos += 1;
-        }
-        v
+    pub fn advance(&mut self) -> Option<u32> {
+        self.pos += 1;
+        self.keys.get(self.pos).copied()
     }
 
-    /// Exact number of unconsumed elements.
-    fn remaining(&self) -> usize {
-        self.s.len() - self.pos
+    /// Keys not yet stepped past.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.keys.len().saturating_sub(self.pos)
+    }
+
+    /// Position of the current key — what [`Self::jump`] returns to.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Stand on the key at position `pos` (one [`Self::position`]
+    /// reported), forwards or back, without a search.
+    #[inline]
+    pub fn jump(&mut self, pos: usize) {
+        debug_assert!(pos < self.keys.len());
+        self.pos = pos;
     }
 }
 
-/// Leapfrog-intersect `cursors`, calling `emit` for every common value in
-/// ascending order. Duplicates within a list are emitted once per common
-/// value. Returns the number of `seek` calls issued (the intersection's
-/// work measure).
-fn intersect_with(cursors: &mut [SliceCursor<'_>], mut emit: impl FnMut(u32)) -> u64 {
-    if cursors.is_empty() {
-        return 0;
+impl<'a> AsMut<KeyCursor<'a>> for KeyCursor<'a> {
+    fn as_mut(&mut self) -> &mut KeyCursor<'a> {
+        self
     }
-    let mut seeks: u64 = 0;
-    // Start from the smallest list: it drives the fewest rounds.
-    let lead = cursors
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, c)| c.remaining())
-        .map(|(i, _)| i)
-        .expect("non-empty cursor set");
-    cursors.swap(0, lead);
-    let Some(mut candidate) = cursors[0].next() else {
-        return seeks;
-    };
-    'round: loop {
-        // Leapfrog every other cursor up to the candidate.
-        for c in cursors[1..].iter_mut() {
-            seeks += 1;
-            match c.seek(candidate) {
-                None => break 'round,
-                Some(v) if v == candidate => {}
-                Some(v) => {
-                    // Overshoot: the lead must catch up to v.
-                    seeks += 1;
-                    match cursors[0].seek(v) {
-                        None => break 'round,
-                        Some(next) => {
-                            candidate = next;
-                            cursors[0].next();
-                            continue 'round;
-                        }
-                    }
-                }
-            }
-        }
-        emit(candidate);
-        match cursors[0].next() {
-            Some(next) if next == candidate => {
-                // Skip duplicates of an already-emitted value in the lead.
-                loop {
-                    match cursors[0].next() {
-                        Some(v) if v == candidate => continue,
-                        Some(v) => {
-                            candidate = v;
-                            break;
-                        }
-                        None => break 'round,
-                    }
-                }
-            }
-            Some(next) => candidate = next,
-            None => break 'round,
-        }
-    }
-    seeks
 }
 
-/// Intersect sorted slices, returning the common values (ascending,
-/// deduplicated), galloping under the hood.
-pub fn intersect_sorted(lists: &[&[u32]]) -> Vec<u32> {
-    let mut out = Vec::new();
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
-        return out;
-    }
-    let mut cursors: Vec<SliceCursor> = lists.iter().map(|l| SliceCursor::new(l)).collect();
-    intersect_with(&mut cursors, |v| out.push(v));
-    out
-}
-
-/// `|∩ lists|` without materializing the intersection.
-pub fn intersect_count(lists: &[&[u32]], seeks: Option<&mut u64>) -> usize {
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
-        return 0;
-    }
-    let mut cursors: Vec<SliceCursor> = lists.iter().map(|l| SliceCursor::new(l)).collect();
-    let mut count = 0usize;
-    let n = intersect_with(&mut cursors, |_| count += 1);
-    if let Some(s) = seeks {
-        *s += n;
-    }
-    count
-}
-
-/// Fused intersection + join over per-keyword
-/// [`RunCursor`](crate::grouped::RunCursor)s: leapfrog
-/// the cursors by their run keys (roots), and for every **common** key
-/// call `f(key, slices)` with each cursor's matching posting run — the
-/// per-combination inner loop of `PATTERNENUM`, with zero per-match
-/// binary searches and no materialized intersection vector. Returns the
-/// number of seeks performed.
-pub fn intersect_runs<'a>(
-    cursors: &mut [crate::grouped::RunCursor<'a>],
-    slices: &mut Vec<&'a [crate::posting::Posting]>,
-    mut f: impl FnMut(u32, &[&'a [crate::posting::Posting]]),
-) -> u64 {
-    let mut seeks: u64 = 0;
-    if cursors.is_empty() {
-        return seeks;
-    }
-    // Drive from the shortest run list: it bounds the number of rounds,
-    // which is what makes provably-empty combinations exit in O(m) seeks.
-    let lead = cursors
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, c)| c.remaining())
-        .map(|(i, _)| i)
-        .expect("non-empty cursor set");
-    seeks += 1;
-    let Some(mut candidate) = cursors[lead].seek(0) else {
-        return seeks;
-    };
-    'round: loop {
-        for ci in 0..cursors.len() {
-            if ci == lead {
-                continue;
-            }
-            seeks += 1;
-            match cursors[ci].seek(candidate) {
-                None => break 'round,
-                Some(v) if v == candidate => {}
-                Some(v) => {
-                    seeks += 1;
-                    match cursors[lead].seek(v) {
-                        None => break 'round,
-                        Some(next) => {
-                            candidate = next;
-                            continue 'round;
-                        }
-                    }
-                }
-            }
-        }
-        slices.clear();
-        for c in cursors.iter() {
-            slices.push(c.postings());
-        }
-        f(candidate, slices);
-        match cursors[lead].advance() {
-            Some(next) => candidate = next,
-            None => break,
-        }
-    }
-    seeks
-}
-
-/// How an [`intersect_roots`] walk ended.
+/// How a [`leapfrog`] walk ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RootWalkEnd {
+pub struct WalkEnd {
     /// Cursor seeks issued.
     pub seeks: u64,
-    /// The cursor that drove the walk: the one with the fewest roots.
+    /// The cursor that drove the walk: the one with the fewest keys.
     pub lead: usize,
     /// Whether the visitor stopped the walk before a list ran out.
     pub stopped: bool,
 }
 
-/// Leapfrog over per-keyword [`RootCursor`](crate::grouped::RootCursor)s:
-/// for every root **all** words reach, in ascending order, call
-/// `f(root, cursors)` with every cursor standing on that root — so `f`
-/// reads each word's `|Paths(w, r)|`, runs and directory position without
-/// a search of its own. `f` may stop the walk by returning
-/// `ControlFlow::Break`; the cursors then stay on the root it stopped at.
-pub fn intersect_roots<'a>(
-    cursors: &mut [crate::grouped::RootCursor<'a>],
-    mut f: impl FnMut(u32, &[crate::grouped::RootCursor<'a>]) -> ControlFlow<()>,
-) -> RootWalkEnd {
-    let mut end = RootWalkEnd {
+/// Leapfrog intersection of `cursors`: for every key **all** of them hold,
+/// in ascending order, call `f(key, cursors)` with every cursor standing
+/// on that key — so `f` reads what each cursor keeps at the key without a
+/// search of its own. The cursor with the fewest keys drives the rounds;
+/// each other one seeks to its candidate, and an overshoot sends the lead
+/// after it. A key repeated in every list is visited once per repeat in
+/// the lead. `f` may stop the walk by returning `ControlFlow::Break`; the
+/// cursors then stay on the key it stopped at.
+pub fn leapfrog<'a, C: AsMut<KeyCursor<'a>>>(
+    cursors: &mut [C],
+    mut f: impl FnMut(u32, &[C]) -> ControlFlow<()>,
+) -> WalkEnd {
+    let mut end = WalkEnd {
         seeks: 0,
         lead: 0,
         stopped: false,
     };
-    if cursors.is_empty() {
-        return end;
-    }
-    // Drive from the shortest root list: it bounds the number of rounds.
-    let lead = cursors
-        .iter()
+    let Some((lead, _)) = cursors
+        .iter_mut()
+        .map(|c| c.as_mut().remaining())
         .enumerate()
-        .min_by_key(|(_, c)| c.remaining())
-        .map(|(i, _)| i)
-        .expect("non-empty cursor set");
+        .min_by_key(|&(_, remaining)| remaining)
+    else {
+        return end;
+    };
     end.lead = lead;
     end.seeks += 1;
-    let Some(mut candidate) = cursors[lead].seek_ge(0) else {
+    let Some(mut candidate) = cursors[lead].as_mut().seek(0) else {
         return end;
     };
     'round: loop {
-        let (before, rest) = cursors.split_at_mut(lead);
-        let (lead_cursor, after) = rest.split_first_mut().expect("lead is in range");
-        for c in before.iter_mut().chain(after) {
+        for c in 0..cursors.len() {
+            if c == lead {
+                continue;
+            }
             end.seeks += 1;
-            match c.seek_ge(candidate) {
+            match cursors[c].as_mut().seek(candidate) {
                 None => break 'round,
                 Some(v) if v == candidate => {}
                 Some(v) => {
                     end.seeks += 1;
-                    match lead_cursor.seek_ge(v) {
+                    match cursors[lead].as_mut().seek(v) {
                         None => break 'round,
                         Some(next) => {
                             candidate = next;
@@ -298,12 +172,26 @@ pub fn intersect_roots<'a>(
             end.stopped = true;
             break;
         }
-        match cursors[lead].advance() {
+        match cursors[lead].as_mut().advance() {
             Some(next) => candidate = next,
             None => break,
         }
     }
     end
+}
+
+/// Intersect sorted slices, returning the common values (ascending,
+/// deduplicated): [`leapfrog`] over one [`KeyCursor`] per slice.
+pub fn intersect_sorted(lists: &[&[u32]]) -> Vec<u32> {
+    let mut out = Vec::new();
+    let mut cursors: Vec<KeyCursor> = lists.iter().map(|l| KeyCursor::new(l)).collect();
+    leapfrog(&mut cursors, |v, _| {
+        if out.last() != Some(&v) {
+            out.push(v);
+        }
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 /// Reference implementation: binary-search each element of the shortest
@@ -339,18 +227,25 @@ pub fn intersect_naive(lists: &[&[u32]]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternId;
+    use crate::posting::Posting;
+    use crate::WordPathIndex;
+    use patternkb_graph::NodeId;
     use proptest::prelude::*;
 
     #[test]
     fn slice_cursor_seek_and_next() {
         let s = [2u32, 4, 4, 8, 16, 100, 1000];
-        let mut c = SliceCursor::new(&s);
+        let mut c = KeyCursor::new(&s);
         assert_eq!(c.seek(1), Some(2));
-        assert_eq!(c.next(), Some(2));
+        assert_eq!(c.advance(), Some(4));
         assert_eq!(c.seek(4), Some(4));
         assert_eq!(c.seek(5), Some(8));
+        assert_eq!(c.position(), 3);
         assert_eq!(c.seek(999), Some(1000));
-        assert_eq!(c.next(), Some(1000));
+        assert_eq!(c.remaining(), 1);
+        c.jump(1);
+        assert_eq!(c.advance(), Some(4));
         assert_eq!(c.seek(1001), None);
         assert_eq!(c.remaining(), 0);
     }
@@ -361,7 +256,6 @@ mod tests {
         let b = [2u32, 3, 5, 8];
         let c = [3u32, 5, 9];
         assert_eq!(intersect_sorted(&[&a, &b, &c]), vec![3, 5]);
-        assert_eq!(intersect_count(&[&a, &b, &c], None), 2);
     }
 
     #[test]
@@ -371,7 +265,6 @@ mod tests {
         assert!(intersect_sorted(&[&a, &empty]).is_empty());
         assert!(intersect_sorted(&[]).is_empty());
         assert_eq!(intersect_sorted(&[&a]), vec![1, 2]);
-        assert_eq!(intersect_count(&[&a], None), 2);
     }
 
     #[test]
@@ -382,23 +275,75 @@ mod tests {
         assert_eq!(intersect_naive(&[&a, &b]), vec![3, 5]);
     }
 
+    /// A word with one path per element of `roots`, all of pattern 0:
+    /// a root listed `n` times holds one run of `n` paths.
+    fn word(roots: &[u32]) -> WordPathIndex {
+        let arena: Vec<NodeId> = roots.iter().map(|&r| NodeId(r)).collect();
+        let postings = roots
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| Posting {
+                pattern: PatternId(0),
+                root: NodeId(r),
+                nodes_start: i as u32,
+                nodes_len: 1,
+                edge_terminal: false,
+                pagerank: 0.0,
+                sim: 0.0,
+            })
+            .collect();
+        WordPathIndex::new(postings, arena)
+    }
+
     proptest! {
         /// Gallop intersection equals the naive implementation on
-        /// arbitrary sorted lists (the satellite equivalence property).
+        /// arbitrary sorted lists — through plain slices, the lists' root
+        /// directories and their pattern runs alike, each cursor standing
+        /// on a common key holding that key's paths.
         #[test]
         fn gallop_equals_naive(
             raw in proptest::collection::vec(
-                proptest::collection::vec(0u32..400, 0..300), 1..5)
+                proptest::collection::vec(0u32..400, 0..300), 1..5),
+            stop in 0usize..8,
         ) {
             let lists: Vec<Vec<u32>> = raw
                 .into_iter()
                 .map(|mut l| { l.sort_unstable(); l })
                 .collect();
             let refs: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
-            let gallop = intersect_sorted(&refs);
             let naive = intersect_naive(&refs);
-            prop_assert_eq!(&gallop, &naive);
-            prop_assert_eq!(intersect_count(&refs, None), naive.len());
+            prop_assert_eq!(&intersect_sorted(&refs), &naive);
+
+            let paths = |key: u32| -> Vec<usize> {
+                lists.iter().map(|l| l.iter().filter(|&&x| x == key).count()).collect()
+            };
+            let words: Vec<WordPathIndex> = lists.iter().map(|l| word(l)).collect();
+            let mut roots = Vec::new();
+            let mut cursors: Vec<_> = words.iter().map(|w| w.root_cursor()).collect();
+            let end = leapfrog(&mut cursors, |root, cursors| {
+                let held: Vec<usize> = cursors.iter().map(|c| c.num_paths()).collect();
+                assert_eq!(held, paths(root));
+                roots.push(root);
+                if roots.len() > stop { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+            });
+            let seen = naive.len().min(stop + 1);
+            prop_assert_eq!(&roots[..], &naive[..seen]);
+            prop_assert_eq!(end.stopped, naive.len() > stop);
+
+            let mut runs = Vec::new();
+            let mut cursors: Vec<_> = words
+                .iter()
+                .map(|w| w.pattern_primary(PatternId(0)).map(|p| w.pattern_run_cursor(p)))
+                .collect::<Option<_>>()
+                .unwrap_or_default();
+            leapfrog(&mut cursors, |root, cursors| {
+                let held: Vec<usize> = cursors.iter().map(|c| c.postings().len()).collect();
+                assert_eq!(held, paths(root));
+                assert!(cursors.iter().all(|c| c.postings().iter().all(|p| p.root.0 == root)));
+                runs.push(root);
+                ControlFlow::Continue(())
+            });
+            prop_assert_eq!(&runs, &naive);
         }
     }
 }

@@ -23,7 +23,7 @@
 //! order, so a stable radix pass by root alone puts them in `(root,
 //! pattern)` order — linear in the runs, with no comparison sort.
 
-use crate::cursor::gallop_lower_bound;
+use crate::cursor::{gallop_lower_bound, KeyCursor};
 use crate::posting::Posting;
 
 /// Postings grouped by `(primary, secondary)` = `(pattern, root)` keys.
@@ -381,10 +381,9 @@ impl GroupedPostings {
         let run_lo = self.g1_run_start[i] as usize;
         let run_hi = self.g1_run_start[i + 1] as usize;
         RunCursor {
-            keys: &self.g2_keys[run_lo..run_hi],
             starts: &self.g2_post_start[run_lo..=run_hi],
             postings: &self.postings,
-            pos: 0,
+            keys: KeyCursor::new(&self.g2_keys[run_lo..run_hi]),
         }
     }
 
@@ -712,123 +711,79 @@ impl RootDirectory {
 /// Forward cursor over a word's root-first directory: the root-first
 /// access methods for callers that visit roots in ascending order (the
 /// candidate roots of a query), galloping from the previous root instead
-/// of binary-searching the whole directory per root. `seek_ge` targets
-/// must be non-decreasing; the other methods read the root the cursor
-/// stands on — where the last `seek_ge`, `advance` or `jump` left it.
+/// of binary-searching the whole directory per root. It steps as its
+/// [`KeyCursor`] over the directory's roots; the other methods read the
+/// root that cursor stands on.
 pub struct RootCursor<'a> {
     dir: &'a RootDirectory,
-    /// `dir.roots`, held directly: the leapfrog's seeks read only this.
-    roots: &'a [u32],
     /// The pattern-first array the directory's spans index into.
     postings: &'a [Posting],
-    pos: usize,
+    roots: KeyCursor<'a>,
 }
 
 impl<'a> RootCursor<'a> {
     pub(crate) fn new(dir: &'a RootDirectory, postings: &'a [Posting]) -> Self {
         RootCursor {
             dir,
-            roots: &dir.roots,
             postings,
-            pos: 0,
+            roots: KeyCursor::new(&dir.roots),
         }
     }
 
-    /// The least root `≥ target` at or after the current position,
-    /// without consuming it (peek semantics, as [`RunCursor::seek`]).
-    #[inline]
-    pub fn seek_ge(&mut self, target: u32) -> Option<u32> {
-        self.pos = crate::cursor::gallop_lower_bound(self.roots, self.pos, target);
-        self.roots.get(self.pos).copied()
-    }
-
-    /// Step past the current root, returning the next one.
-    #[inline]
-    pub fn advance(&mut self) -> Option<u32> {
-        self.pos += 1;
-        self.roots.get(self.pos).copied()
-    }
-
-    /// Roots not yet stepped past.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.roots.len().saturating_sub(self.pos)
-    }
-
-    /// Directory position of the current root — what [`Self::jump`]
-    /// returns to.
+    /// Directory position of the current root.
     #[inline]
     pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Stand on the root at directory position `pos` (one
-    /// [`Self::position`] reported), forwards or back, without a search.
-    #[inline]
-    pub fn jump(&mut self, pos: usize) {
-        debug_assert!(pos < self.roots.len());
-        self.pos = pos;
+        self.roots.position()
     }
 
     /// `|Paths(w, r)|` of the current root.
     #[inline]
     pub fn num_paths(&self) -> usize {
-        (self.dir.paths_before[self.pos + 1] - self.dir.paths_before[self.pos]) as usize
+        let pos = self.position();
+        (self.dir.paths_before[pos + 1] - self.dir.paths_before[pos]) as usize
     }
 
     /// `(pattern, paths)` runs of the current root, ascending by pattern.
     #[inline]
     pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [Posting])> {
-        let (dir, postings) = (self.dir, self.postings);
-        let runs = dir.run_start[self.pos] as usize..dir.run_start[self.pos + 1] as usize;
+        let (dir, postings, pos) = (self.dir, self.postings, self.position());
+        let runs = dir.run_start[pos] as usize..dir.run_start[pos + 1] as usize;
         runs.map(move |j| (dir.patterns[j], dir.slice(postings, j)))
     }
 }
 
+impl<'a> AsMut<KeyCursor<'a>> for RootCursor<'a> {
+    fn as_mut(&mut self) -> &mut KeyCursor<'a> {
+        &mut self.roots
+    }
+}
+
 /// Forward cursor over one primary group's `(secondary key, postings)`
-/// runs, with galloping skip-ahead by secondary key. `seek` targets must
-/// be non-decreasing; it positions the cursor **at** the found run (peek
-/// semantics), so [`RunCursor::postings`] returns that run's slice in
-/// O(1).
+/// runs. It steps as its [`KeyCursor`] over the run keys, which stands
+/// **at** the run it found (peek semantics), so [`RunCursor::postings`]
+/// returns that run's slice in O(1).
 pub struct RunCursor<'a> {
-    /// Secondary keys of the group's runs, ascending.
-    keys: &'a [u32],
     /// Posting-range starts; run `j` spans `starts[j] .. starts[j + 1]`.
     starts: &'a [u32],
     /// The whole posting array the starts index into.
     postings: &'a [Posting],
-    pos: usize,
+    /// Secondary keys of the group's runs, ascending.
+    keys: KeyCursor<'a>,
 }
 
 impl<'a> RunCursor<'a> {
-    /// The least run key `≥ target` at or after the current position,
-    /// without consuming it. Gallops from the current position.
-    #[inline]
-    pub fn seek(&mut self, target: u32) -> Option<u32> {
-        self.pos = crate::cursor::gallop_lower_bound(self.keys, self.pos, target);
-        self.keys.get(self.pos).copied()
-    }
-
-    /// Advance past the current run, returning the next run's key.
-    #[inline]
-    pub fn advance(&mut self) -> Option<u32> {
-        self.pos += 1;
-        self.keys.get(self.pos).copied()
-    }
-
     /// The current run's postings (valid after a successful
     /// `seek`/`advance`).
     #[inline]
     pub fn postings(&self) -> &'a [Posting] {
-        let lo = self.starts[self.pos] as usize;
-        let hi = self.starts[self.pos + 1] as usize;
-        &self.postings[lo..hi]
+        let pos = self.keys.position();
+        &self.postings[self.starts[pos] as usize..self.starts[pos + 1] as usize]
     }
+}
 
-    /// Runs not yet consumed.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.keys.len().saturating_sub(self.pos)
+impl<'a> AsMut<KeyCursor<'a>> for RunCursor<'a> {
+    fn as_mut(&mut self) -> &mut KeyCursor<'a> {
+        &mut self.keys
     }
 }
 
@@ -921,14 +876,14 @@ mod tests {
         let g = sample();
         let i3 = g.find_primary(3).unwrap();
         let mut c = g.run_cursor(i3);
-        assert_eq!(c.remaining(), 2);
-        assert_eq!(c.seek(0), Some(2));
+        assert_eq!(c.as_mut().remaining(), 2);
+        assert_eq!(c.as_mut().seek(0), Some(2));
         assert_eq!(c.postings().len(), 1);
-        assert_eq!(c.seek(3), Some(5));
+        assert_eq!(c.as_mut().seek(3), Some(5));
         assert_eq!(c.postings().len(), 3);
         assert!(c.postings().iter().all(|p| p.root.0 == 5));
-        assert_eq!(c.advance(), None);
-        assert_eq!(c.seek(9), None);
+        assert_eq!(c.as_mut().advance(), None);
+        assert_eq!(c.as_mut().seek(9), None);
     }
 }
 

@@ -39,7 +39,7 @@ mod varint;
 pub mod word_index;
 
 pub use build::{build_indexes, BuildConfig};
-pub use cursor::{intersect_roots, intersect_runs, RootWalkEnd};
+pub use cursor::{leapfrog, WalkEnd};
 pub use grouped::{RootCursor, RunCursor};
 pub use incremental::{refresh_indexes, try_refresh_indexes, ChangedWords, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};

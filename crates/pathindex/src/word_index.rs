@@ -973,15 +973,15 @@ mod tests {
         let idx = sample();
         assert_eq!(idx.max_paths_per_root(), 1);
         let mut c = idx.root_cursor();
-        assert_eq!(c.remaining(), 3);
-        assert_eq!(c.seek_ge(1), Some(2));
-        assert_eq!((c.position(), c.remaining()), (1, 2));
+        assert_eq!(c.as_mut().remaining(), 3);
+        assert_eq!(c.as_mut().seek(1), Some(2));
+        assert_eq!((c.position(), c.as_mut().remaining()), (1, 2));
         assert_eq!(c.num_paths(), 1);
-        assert_eq!(c.advance(), Some(3));
-        assert_eq!(c.seek_ge(3), Some(3));
-        assert_eq!(c.advance(), None);
-        assert_eq!(c.remaining(), 0);
-        c.jump(0);
+        assert_eq!(c.as_mut().advance(), Some(3));
+        assert_eq!(c.as_mut().seek(3), Some(3));
+        assert_eq!(c.as_mut().advance(), None);
+        assert_eq!(c.as_mut().remaining(), 0);
+        c.as_mut().jump(0);
         let runs: Vec<_> = c.runs().map(|(p, ps)| (p, ps.len())).collect();
         assert_eq!(runs, vec![(2, 1)]);
         assert_eq!(WordPathIndex::default().max_paths_per_root(), 0);

@@ -72,17 +72,17 @@
 //!   shard that holds all `m` patterns.
 
 use crate::common::{
-    combo_count, cores, for_each_path_tuple, rank_winners, run_sharded, Fanout, QueryContext,
-    TreeDict,
+    combo_count, cores, odometer_step, rank_winners, run_sharded, Fanout, QueryContext,
+    SubtreeFold, TreeDict,
 };
 use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::score::Aggregation;
-use crate::subtree::node_slices_form_tree;
 use crate::{unpoisoned, SearchConfig};
 use patternkb_graph::NodeId;
-use patternkb_index::{PatternTypeGroup, Posting, RunCursor};
+use patternkb_index::{PatternTypeGroup, RunCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -292,9 +292,7 @@ struct Walk<'q, 'a> {
     /// Roots of the join in progress; they count once it has a subtree.
     joined: Vec<u32>,
     cursors: Vec<RunCursor<'a>>,
-    slices: Vec<&'a [Posting]>,
-    tuple: Vec<&'a Posting>,
-    nodes: Vec<&'a [NodeId]>,
+    fold: SubtreeFold<'a>,
 }
 
 impl Walk<'_, '_> {
@@ -310,9 +308,7 @@ impl Walk<'_, '_> {
             key,
             joined,
             cursors,
-            slices,
-            tuple,
-            nodes,
+            fold,
         } = self;
         let WorkerOutcome {
             dict,
@@ -339,26 +335,19 @@ impl Walk<'_, '_> {
             let mut accepted = false;
             // Intersection + join fused: leapfrog the run cursors by
             // root; each common root hands over its posting slices.
-            let seeks = patternkb_index::intersect_runs(cursors, slices, |r, runs| {
-                let root = NodeId(r);
+            let end = patternkb_index::leapfrog(cursors, |r, cursors| {
                 let gid = *group_id.get_or_insert_with(|| dict.intern(key));
                 let acc = &mut dict.group_by_id_mut(gid).acc;
                 joined.push(r);
-                subtrees[at] += for_each_path_tuple(runs, tuple, |tuple| {
-                    if cfg.strict_trees {
-                        nodes.clear();
-                        for (i, p) in tuple.iter().enumerate() {
-                            nodes.push(shard.words[i].nodes_of(p));
-                        }
-                        if !node_slices_form_tree(root, nodes) {
-                            return;
-                        }
-                    }
-                    acc.push(cfg.scoring.tree_score_of(tuple));
+                let runs = cursors.iter().map(RunCursor::postings);
+                subtrees[at] += fold.fold(&shard.words, cfg, NodeId(r), runs, |_, score| {
+                    acc.push(score);
                     accepted = true;
+                    ControlFlow::Continue(())
                 });
+                ControlFlow::Continue(())
             });
-            shard.counters.add_seeks(seeks);
+            shard.counters.add_seeks(end.seeks);
             patterns[at] += usize::from(accepted);
         }
         if let Some(gid) = group_id {
@@ -398,9 +387,7 @@ fn pruned_walk(
         key: vec![0; m],
         joined: Vec::new(),
         cursors: Vec::with_capacity(m),
-        slices: Vec::with_capacity(m),
-        tuple: Vec::with_capacity(m),
-        nodes: Vec::with_capacity(m),
+        fold: SubtreeFold::new(m),
     };
     let mut combo = vec![0usize; m];
     // Aggregates of `combo`'s digits `..aggs.len()`; the odometer truncates
@@ -410,9 +397,8 @@ fn pruned_walk(
     let mut wait = worker;
 
     for groups in types {
-        combo.iter_mut().for_each(|x| *x = 0);
         aggs.clear();
-        'combos: loop {
+        loop {
             if wait > 0 {
                 wait -= 1;
             } else {
@@ -432,20 +418,10 @@ fn pruned_walk(
                 }
             }
 
-            // Odometer over pattern combos.
-            let mut pos = m;
-            loop {
-                if pos == 0 {
-                    break 'combos;
-                }
-                pos -= 1;
-                combo[pos] += 1;
-                if combo[pos] < groups[pos].patterns.len() {
-                    break;
-                }
-                combo[pos] = 0;
+            match odometer_step(&mut combo, |i| groups[i].patterns.len()) {
+                Some(moved) => aggs.truncate(moved),
+                None => break,
             }
-            aggs.truncate(pos);
         }
     }
     walk.found

@@ -1,7 +1,29 @@
 //! Shared machinery of the index-based algorithms: the sharded query
-//! context, the walk over the keywords' common roots, the `EXPANDROOT`
-//! subroutine of Algorithm 3, path-tuple products, and the shard-parallel
-//! driver.
+//! context, the walk over the keywords' common roots, the one join core
+//! every enumeration kernel runs, the `EXPANDROOT` subroutine of
+//! Algorithm 3, and the shard-parallel driver.
+//!
+//! ## One join core
+//!
+//! Algorithms 2–4 differ only in visiting order — pattern combination
+//! first, or root first. Each joins the keywords' paths at a shared root
+//! and folds the subtrees it finds there into their pattern, and here that
+//! step is written once, in three parts:
+//!
+//! * [`patternkb_index::leapfrog`] finds the shared roots: over the
+//!   keywords' root directories ([`RootWalk`], [`QueryContext::mask_roots`])
+//!   or over one pattern combination's runs (`PATTERNENUM`, pruned or not,
+//!   and `rank_winners`' re-join of the winners' rows);
+//! * `odometer_step` walks every product: pattern combinations (of a
+//!   root type, or of one root in [`expand_root`]), path tuples, and the
+//!   keys [`crate::counting`] counts;
+//! * [`SubtreeFold`] folds one root: the path product, the
+//!   [`SearchConfig::strict_trees`] check, the Eq. (3) score, then the
+//!   caller's sink — a pattern's group, a bound's accumulator, a row store
+//!   that stops once full, or the top individual subtrees.
+//!
+//! [`crate::baseline`] keeps loops of its own: it is the index-free
+//! reference the kernels are tested against.
 //!
 //! ## The shard layer
 //!
@@ -39,11 +61,9 @@ use crate::score::ScoreAcc;
 use crate::subtree::{node_slices_form_tree, Rows, TreePath, ValidSubtree};
 use crate::{Query, SearchConfig};
 use patternkb_graph::{KnowledgeGraph, NodeId};
-use patternkb_index::cursor as pcursor;
 use patternkb_index::{
     groups_by_shared_type, merge_type_groups, PathIndexes, PathPattern, PatternId,
-    PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RootWalkEnd, RunCursor,
-    WordPathIndex,
+    PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RunCursor, WalkEnd, WordPathIndex,
 };
 use std::borrow::Cow;
 use std::ops::ControlFlow;
@@ -109,11 +129,7 @@ impl<'a> ShardContext<'a> {
     }
 
     /// A fresh [`RootWalk::run`] over this shard's words, its seeks counted.
-    fn walk_from_start(
-        &self,
-        n: &mut u64,
-        stop: impl FnMut(u64) -> bool,
-    ) -> (RootWalk, RootWalkEnd) {
+    fn walk_from_start(&self, n: &mut u64, stop: impl FnMut(u64) -> bool) -> (RootWalk, WalkEnd) {
         let (walk, end) = RootWalk::run(&self.words, n, stop);
         self.counters.add_seeks(end.seeks);
         (walk, end)
@@ -148,16 +164,16 @@ impl RootWalk {
     /// Leapfrog `words`' root directories from their first roots, adding
     /// each common root's `Πᵢ |Paths(wᵢ, r)|` to `*n` (saturating), and
     /// stop after the first root at which `stop(*n)` holds. The walk holds
-    /// the roots it visited; `RootWalkEnd::stopped` tells whether that is
-    /// all of them.
+    /// the roots it visited; `WalkEnd::stopped` tells whether that is all
+    /// of them.
     pub fn run(
         words: &[&WordPathIndex],
         n: &mut u64,
         mut stop: impl FnMut(u64) -> bool,
-    ) -> (RootWalk, RootWalkEnd) {
+    ) -> (RootWalk, WalkEnd) {
         let mut cursors: Vec<RootCursor<'_>> = words.iter().map(|w| w.root_cursor()).collect();
         let mut walk = RootWalk::default();
-        let end = pcursor::intersect_roots(&mut cursors, |root, cursors| {
+        let end = patternkb_index::leapfrog(&mut cursors, |root, cursors| {
             let paths = cursors.iter().fold(1u64, |product, c| {
                 product.saturating_mul(c.num_paths() as u64)
             });
@@ -385,27 +401,28 @@ impl<'a> QueryContext<'a> {
     }
 
     /// `|∩_{i ∈ mask} Roots(wᵢ)|` over all shards — the relaxation
-    /// primitive. Bits of `mask` select keywords. Counts through gallop
-    /// cursors without materializing the intersection.
+    /// primitive. Bits of `mask` select keywords. Counts along one walk
+    /// over the selected words' root directories per shard, without
+    /// materializing the intersection.
     pub fn mask_roots(&self, mask: u32) -> usize {
-        let selected: Vec<usize> = (0..self.m).filter(|i| mask & (1 << i) != 0).collect();
-        if selected.is_empty() {
-            return 0;
-        }
-        let mut seeks = 0u64;
         let mut total = 0usize;
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(selected.len());
-        'shards: for s in 0..self.sparse.len() {
-            lists.clear();
-            for &i in &selected {
-                match self.sparse[s][i] {
-                    Some(w) => lists.push(w.roots()),
-                    None => continue 'shards,
-                }
-            }
-            total += pcursor::intersect_count(&lists, Some(&mut seeks));
+        for words in &self.sparse {
+            let selected = words
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0);
+            let Some(mut cursors) = selected
+                .map(|(_, w)| w.map(WordPathIndex::root_cursor))
+                .collect::<Option<Vec<RootCursor<'_>>>>()
+            else {
+                continue;
+            };
+            let end = patternkb_index::leapfrog(&mut cursors, |_, _| {
+                total += 1;
+                ControlFlow::Continue(())
+            });
+            self.counters.add_seeks(end.seeks);
         }
-        self.counters.add_seeks(seeks);
         total
     }
 
@@ -617,6 +634,22 @@ impl PatternGroup {
         self.trees.append(other.trees, max_rows);
     }
 
+    /// Count one accepted subtree into the score, and keep its row while
+    /// fewer than `max_rows` are held.
+    pub fn add(
+        &mut self,
+        words: &[&WordPathIndex],
+        root: NodeId,
+        tuple: &[&Posting],
+        score: f64,
+        max_rows: usize,
+    ) {
+        self.acc.push(score);
+        if self.trees.len() < max_rows {
+            push_row(&mut self.trees, words, root, tuple, score);
+        }
+    }
+
     /// Whether the group holds no evidence (all candidate tuples rejected,
     /// e.g. by strict-tree filtering). Dead groups are skipped by
     /// [`TreeDict`] iteration and merging — the arena keeps their key, but
@@ -747,14 +780,32 @@ pub fn merge_shard_dicts(dicts: Vec<TreeDict>, m: usize, max_rows: usize) -> Tre
     merged
 }
 
-/// Iterate the cartesian product of posting slices, calling `f` with one
-/// posting per keyword. Never allocates per tuple.
-///
-/// Returns the number of tuples visited.
-pub fn for_each_path_tuple<'p>(
+/// Advance the odometer `digits` one step in lexicographic order: digit
+/// `i` counts modulo `len(i)`, the last digit moves fastest, and a digit
+/// that wraps resets to 0 and carries into the one before it. Returns the
+/// lowest digit that moved (every digit after it was reset), or `None`
+/// once all of them wrapped: the product is exhausted and `digits` is all
+/// zeros again. The one step behind every product the kernels walk —
+/// pattern combinations, path tuples, the keys [`crate::counting`] counts.
+#[inline]
+pub(crate) fn odometer_step(digits: &mut [usize], len: impl Fn(usize) -> usize) -> Option<usize> {
+    for pos in (0..digits.len()).rev() {
+        digits[pos] += 1;
+        if digits[pos] < len(pos) {
+            return Some(pos);
+        }
+        digits[pos] = 0;
+    }
+    None
+}
+
+/// Visit the cartesian product of posting slices in lexicographic order,
+/// calling `f` with one posting per keyword until it breaks. Never
+/// allocates per tuple. Returns the number of tuples visited.
+fn for_each_path_tuple<'p>(
     slices: &[&'p [Posting]],
-    scratch: &mut Vec<&'p Posting>,
-    mut f: impl FnMut(&[&'p Posting]),
+    tuple: &mut Vec<&'p Posting>,
+    mut f: impl FnMut(&[&'p Posting]) -> ControlFlow<()>,
 ) -> usize {
     debug_assert!(!slices.is_empty());
     if slices.iter().any(|s| s.is_empty()) {
@@ -772,34 +823,80 @@ pub fn for_each_path_tuple<'p>(
         big = vec![0usize; m];
         &mut big
     };
-    scratch.clear();
-    for s in slices {
-        scratch.push(&s[0]);
-    }
+    tuple.clear();
+    tuple.extend(slices.iter().map(|s| &s[0]));
     let mut count = 0;
     loop {
-        f(scratch);
         count += 1;
-        // Odometer increment.
-        let mut pos = m;
-        loop {
-            if pos == 0 {
-                return count;
-            }
-            pos -= 1;
-            idx[pos] += 1;
-            if idx[pos] < slices[pos].len() {
-                scratch[pos] = &slices[pos][idx[pos]];
-                break;
-            }
-            idx[pos] = 0;
-            scratch[pos] = &slices[pos][0];
+        if f(tuple).is_break() {
+            return count;
+        }
+        let Some(moved) = odometer_step(idx, |i| slices[i].len()) else {
+            return count;
+        };
+        for i in moved..m {
+            tuple[i] = &slices[i][idx[i]];
         }
     }
 }
 
+/// The step every index kernel takes at a root all keywords reach
+/// (Algorithm 2 line 8, Algorithm 3 line 9): the path product of one
+/// posting run per keyword, each tuple kept only if its paths form a tree
+/// where [`SearchConfig::strict_trees`] asks for it, scored by Eq. (3)
+/// and handed to the caller's sink. Holds the product's scratch, reused
+/// across roots.
+pub struct SubtreeFold<'a> {
+    slices: Vec<&'a [Posting]>,
+    tuple: Vec<&'a Posting>,
+    nodes: Vec<&'a [NodeId]>,
+}
+
+impl<'a> SubtreeFold<'a> {
+    /// Scratch for `m` keywords.
+    pub fn new(m: usize) -> Self {
+        SubtreeFold {
+            slices: Vec::with_capacity(m),
+            tuple: Vec::with_capacity(m),
+            nodes: Vec::with_capacity(m),
+        }
+    }
+
+    /// Fold the subtrees rooted at `root` whose paths come from `runs`,
+    /// one posting run per word of `words` in keyword order:
+    /// `sink(tuple, score)` gets every accepted tuple and may stop the
+    /// product by returning `ControlFlow::Break`. Returns the tuples
+    /// visited, rejected ones included — the kernels' `subtrees` count.
+    pub fn fold(
+        &mut self,
+        words: &[&'a WordPathIndex],
+        cfg: &SearchConfig,
+        root: NodeId,
+        runs: impl IntoIterator<Item = &'a [Posting]>,
+        mut sink: impl FnMut(&[&'a Posting], f64) -> ControlFlow<()>,
+    ) -> usize {
+        let SubtreeFold {
+            slices,
+            tuple,
+            nodes,
+        } = self;
+        slices.clear();
+        slices.extend(runs);
+        for_each_path_tuple(slices, tuple, |tuple| {
+            if cfg.strict_trees {
+                nodes.clear();
+                nodes.extend(tuple.iter().zip(words).map(|(p, w)| w.nodes_of(p)));
+                if !node_slices_form_tree(root, nodes) {
+                    return ControlFlow::Continue(());
+                }
+            }
+            sink(tuple, cfg.scoring.tree_score_of(tuple))
+        })
+    }
+}
+
 /// Append the subtree of the chosen postings to a pattern's rows.
-pub fn push_row(
+fn push_row(
     rows: &mut Rows,
     words: &[&WordPathIndex],
     root: NodeId,
@@ -836,9 +933,7 @@ pub struct ExpandScratch<'a> {
     runs: Vec<Vec<(u32, &'a [Posting])>>,
     key: Vec<u32>,
     combo: Vec<usize>,
-    slices: Vec<&'a [Posting]>,
-    tuple: Vec<&'a Posting>,
-    nodes: Vec<&'a [NodeId]>,
+    fold: SubtreeFold<'a>,
 }
 
 impl<'a> ExpandScratch<'a> {
@@ -850,9 +945,7 @@ impl<'a> ExpandScratch<'a> {
             runs: vec![Vec::new(); m],
             key: vec![0; m],
             combo: vec![0; m],
-            slices: Vec::with_capacity(m),
-            tuple: Vec::with_capacity(m),
-            nodes: Vec::with_capacity(m),
+            fold: SubtreeFold::new(m),
         }
     }
 }
@@ -880,15 +973,14 @@ pub fn expand_root<'a>(
         runs,
         key,
         combo,
-        slices,
-        tuple,
-        nodes,
+        fold,
     } = scratch;
     for (i, (cursor, runs)) in cursors.iter_mut().zip(runs.iter_mut()).enumerate() {
         runs.clear();
+        let roots = cursor.as_mut();
         match at {
-            Some(at) => cursor.jump(at[i] as usize),
-            None if cursor.seek_ge(r.0) != Some(r.0) => {
+            Some(at) => roots.jump(at[i] as usize),
+            None if roots.seek(r.0) != Some(r.0) => {
                 debug_assert!(false, "candidate roots reach every keyword");
                 return 0;
             }
@@ -896,50 +988,22 @@ pub fn expand_root<'a>(
         }
         runs.extend(cursor.runs());
     }
-    combo.iter_mut().for_each(|x| *x = 0);
     let mut total = 0usize;
-
-    // Pattern product (line 7).
+    // Pattern product (line 7), and within each pattern the path product
+    // (line 9). Strict mode may reject every tuple of a pattern: its group
+    // then stays dead, and iteration and merging skip it.
     loop {
-        slices.clear();
         for i in 0..m {
-            let (pat, paths) = runs[i][combo[i]];
-            key[i] = pat;
-            slices.push(paths);
+            key[i] = runs[i][combo[i]].0;
         }
         let group = dict.group_mut(key);
-        // Path product (line 9).
-        total += for_each_path_tuple(slices, tuple, |tuple| {
-            if cfg.strict_trees {
-                nodes.clear();
-                for (i, p) in tuple.iter().enumerate() {
-                    nodes.push(words[i].nodes_of(p));
-                }
-                if !node_slices_form_tree(r, nodes) {
-                    return;
-                }
-            }
-            let score = cfg.scoring.tree_score_of(tuple);
-            group.acc.push(score);
-            if group.trees.len() < cfg.max_rows {
-                push_row(&mut group.trees, words, r, tuple, score);
-            }
+        let paths = (0..m).map(|i| runs[i][combo[i]].1);
+        total += fold.fold(words, cfg, r, paths, |tuple, score| {
+            group.add(words, r, tuple, score, cfg.max_rows);
+            ControlFlow::Continue(())
         });
-        // Strict mode may have rejected every tuple; the group then stays
-        // dead and is skipped by iteration/merge.
-
-        // Odometer over pattern combos.
-        let mut pos = m;
-        loop {
-            if pos == 0 {
-                return total;
-            }
-            pos -= 1;
-            combo[pos] += 1;
-            if combo[pos] < runs[pos].len() {
-                break;
-            }
-            combo[pos] = 0;
+        if odometer_step(combo, |i| runs[i].len()).is_none() {
+            return total;
         }
     }
 }
@@ -1012,9 +1076,7 @@ fn materialize_pattern_rows(
     let stride = p.pattern.iter().map(PathPattern::height).sum();
     let mut trees = Rows::with_capacity(p.num_trees.min(cfg.max_rows), stride);
     let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
+    let mut fold = SubtreeFold::new(m);
     'shards: for shard in &ctx.shards {
         if trees.len() >= cfg.max_rows {
             break;
@@ -1026,29 +1088,24 @@ fn materialize_pattern_rows(
                 None => continue 'shards,
             }
         }
-        let seeks = patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
-            if trees.len() >= cfg.max_rows {
-                return;
+        // Once the store is full nothing more is scored; the walk itself
+        // runs to the end of the shard.
+        let end = patternkb_index::leapfrog(&mut cursors, |r, cursors| {
+            if trees.len() < cfg.max_rows {
+                let root = NodeId(r);
+                let runs = cursors.iter().map(RunCursor::postings);
+                fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
+                    push_row(&mut trees, &shard.words, root, tuple, score);
+                    if trees.len() < cfg.max_rows {
+                        ControlFlow::Continue(())
+                    } else {
+                        ControlFlow::Break(())
+                    }
+                });
             }
-            let root = NodeId(r);
-            for_each_path_tuple(tuple, &mut scratch, |tuple| {
-                if trees.len() >= cfg.max_rows {
-                    return;
-                }
-                if cfg.strict_trees {
-                    node_scratch.clear();
-                    for (i, p) in tuple.iter().enumerate() {
-                        node_scratch.push(shard.words[i].nodes_of(p));
-                    }
-                    if !node_slices_form_tree(root, &node_scratch) {
-                        return;
-                    }
-                }
-                let score = cfg.scoring.tree_score_of(tuple);
-                push_row(&mut trees, &shard.words, root, tuple, score);
-            });
+            ControlFlow::Continue(())
         });
-        shard.counters.add_seeks(seeks);
+        shard.counters.add_seeks(end.seeks);
     }
     trees
 }
@@ -1057,6 +1114,10 @@ fn materialize_pattern_rows(
 mod tests {
     use super::*;
 
+    /// The path product visits every tuple once, in lexicographic order
+    /// (the last keyword's posting moving fastest), over ragged lists and
+    /// over 17 keywords — past the odometer's 16-digit stack buffer — and
+    /// stops at the tuple whose visit breaks.
     #[test]
     fn tuple_product_counts() {
         let p = |pat: u32| Posting {
@@ -1068,18 +1129,50 @@ mod tests {
             pagerank: 1.0,
             sim: 1.0,
         };
-        let a = [p(1), p(2)];
-        let b = [p(3), p(4), p(5)];
-        let mut seen = Vec::new();
-        let mut scratch = Vec::new();
-        let n = for_each_path_tuple(&[&a, &b], &mut scratch, |t| {
-            seen.push((t[0].pattern.0, t[1].pattern.0));
-        });
-        assert_eq!(n, 6);
-        assert_eq!(seen.len(), 6);
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 6, "all tuples distinct");
+        let mut wide = vec![1usize; 17];
+        (wide[0], wide[8], wide[16]) = (2, 3, 2);
+        for lens in [vec![2, 3], vec![3, 1, 4, 2], wide] {
+            let lists: Vec<Vec<Posting>> = lens
+                .iter()
+                .map(|&n| (0..n as u32).map(p).collect())
+                .collect();
+            let slices: Vec<&[Posting]> = lists.iter().map(Vec::as_slice).collect();
+            let mut expected: Vec<Vec<u32>> = vec![vec![]];
+            for &n in &lens {
+                expected = expected
+                    .into_iter()
+                    .flat_map(|prefix| (0..n as u32).map(move |x| [&prefix[..], &[x]].concat()))
+                    .collect();
+            }
+            let mut seen = Vec::new();
+            let mut scratch = Vec::new();
+            let n = for_each_path_tuple(&slices, &mut scratch, |t| {
+                seen.push(t.iter().map(|q| q.pattern.0).collect::<Vec<u32>>());
+                ControlFlow::Continue(())
+            });
+            assert_eq!(n, expected.len());
+            assert_eq!(seen, expected, "lexicographic order over {lens:?}");
+
+            let stop = expected.len() / 2;
+            let mut visits = 0;
+            let n = for_each_path_tuple(&slices, &mut scratch, |_| {
+                visits += 1;
+                if visits > stop {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!((n, visits), (stop + 1, stop + 1));
+        }
+        // The step reports the lowest digit it moved.
+        let mut digits = [0, 1, 1];
+        assert_eq!(odometer_step(&mut digits, |_| 2), Some(0));
+        assert_eq!(digits, [1, 0, 0]);
+        assert_eq!(odometer_step(&mut digits, |_| 2), Some(2));
+        digits = [1, 1, 1];
+        assert_eq!(odometer_step(&mut digits, |_| 2), None);
+        assert_eq!(digits, [0, 0, 0]);
     }
 
     #[test]
@@ -1176,7 +1269,7 @@ mod tests {
         };
         assert!(!end.stopped);
         let lists: Vec<&[u32]> = words.iter().map(|w| w.roots()).collect();
-        let roots: Vec<NodeId> = pcursor::intersect_sorted(&lists)
+        let roots: Vec<NodeId> = patternkb_index::cursor::intersect_sorted(&lists)
             .into_iter()
             .map(NodeId)
             .collect();

@@ -8,7 +8,7 @@
 //! * bucket queries by answer counts for the §5 experiments (Figures 7–9
 //!   group queries by #patterns / #subtrees).
 
-use crate::common::{run_sharded, Fanout, QueryContext};
+use crate::common::{odometer_step, run_sharded, Fanout, QueryContext};
 use crate::intern::KeyInterner;
 
 /// Exact number of d-height tree patterns for the query (distinct
@@ -26,30 +26,16 @@ pub(crate) fn count_patterns_in(ctx: &QueryContext<'_>, mode: Fanout) -> u64 {
     let mut locals: Vec<KeyInterner> = run_sharded(mode, &ctx.shards, |shard| {
         let mut seen = KeyInterner::new(m);
         let mut key: Vec<u32> = vec![0; m];
+        let mut combo = vec![0usize; m];
         for &r in shard.candidate_roots() {
             let runs: Vec<&[u32]> = shard.words.iter().map(|w| w.patterns_of_root(r)).collect();
             debug_assert!(runs.iter().all(|r| !r.is_empty()));
-            let mut combo = vec![0usize; m];
             loop {
                 for i in 0..m {
                     key[i] = runs[i][combo[i]];
                 }
                 seen.intern(&key);
-                let mut pos = m;
-                let mut done = false;
-                loop {
-                    if pos == 0 {
-                        done = true;
-                        break;
-                    }
-                    pos -= 1;
-                    combo[pos] += 1;
-                    if combo[pos] < runs[pos].len() {
-                        break;
-                    }
-                    combo[pos] = 0;
-                }
-                if done {
+                if odometer_step(&mut combo, |i| runs[i].len()).is_none() {
                     break;
                 }
             }

@@ -7,11 +7,14 @@
 //! individual subtrees (Figure 13). This module computes both sides of
 //! that comparison.
 
-use crate::common::{for_each_path_tuple, run_sharded, Fanout, QueryContext, ShardContext};
+use crate::common::{
+    materialize_tree, odometer_step, run_sharded, Fanout, QueryContext, ShardContext, SubtreeFold,
+};
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
 use crate::SearchConfig;
-use patternkb_index::{PatternSet, Posting};
+use patternkb_index::PatternSet;
+use std::ops::ControlFlow;
 
 /// One top individual subtree plus its tree-pattern key (for membership
 /// tests against pattern answers).
@@ -24,11 +27,12 @@ pub struct ScoredTree {
     pub pattern_key: Vec<u32>,
 }
 
-/// Enumerate all valid subtrees and keep the `k` best by Eq. (3), ties
-/// broken by (root, pattern key) for determinism. Shard-parallel: each
-/// shard keeps its local top-k, and the per-shard lists merge under the
-/// same total order — the selection is order-free, so the result matches
-/// a single-shard pass exactly.
+/// Enumerate all valid subtrees — under [`SearchConfig::strict_trees`]
+/// only those whose paths form a tree, as the pattern kernels count — and
+/// keep the `k` best by Eq. (3), ties broken by (root, pattern key) for
+/// determinism. Shard-parallel: each shard keeps its local top-k, and the
+/// per-shard lists merge under the same total order — the selection is
+/// order-free, so the result matches a single-shard pass exactly.
 pub fn top_individual(ctx: &QueryContext<'_>, cfg: &SearchConfig, k: usize) -> Vec<ScoredTree> {
     top_individual_in(ctx, cfg, k, ctx.fanout())
 }
@@ -53,50 +57,32 @@ pub(crate) fn top_individual_in(
 fn top_individual_shard(ctx: &ShardContext<'_>, cfg: &SearchConfig, k: usize) -> Vec<ScoredTree> {
     let m = ctx.m();
     let mut best: Vec<ScoredTree> = Vec::new();
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
+    let mut fold = SubtreeFold::new(m);
+    let mut key = vec![0u32; m];
+    let mut combo = vec![0usize; m];
     for &r in ctx.candidate_roots() {
         let runs: Vec<Vec<_>> = ctx.words.iter().map(|w| w.root_runs(r).collect()).collect();
         if runs.iter().any(Vec::is_empty) {
             continue;
         }
-        let mut combo = vec![0usize; m];
         loop {
-            let slices: Vec<&[Posting]> = (0..m).map(|i| runs[i][combo[i]].1).collect();
-            let key: Vec<u32> = (0..m).map(|i| (runs[i][combo[i]].0).0).collect();
-            for_each_path_tuple(&slices, &mut scratch, |tuple| {
-                let score = cfg.scoring.tree_score_of(tuple);
-                // Cheap reject against the current kth best.
-                if best.len() >= k {
-                    if let Some(worst) = best.last() {
-                        if score <= worst.tree.score {
-                            return;
-                        }
-                    }
-                }
-                let tree = crate::common::materialize_tree(&ctx.words, r, tuple, score);
-                best.push(ScoredTree {
-                    tree,
-                    pattern_key: key.clone(),
-                });
-                sort_trees(&mut best);
-                best.truncate(k);
-            });
-            // Odometer over pattern combos.
-            let mut pos = m;
-            let mut done = false;
-            loop {
-                if pos == 0 {
-                    done = true;
-                    break;
-                }
-                pos -= 1;
-                combo[pos] += 1;
-                if combo[pos] < runs[pos].len() {
-                    break;
-                }
-                combo[pos] = 0;
+            for i in 0..m {
+                key[i] = runs[i][combo[i]].0 .0;
             }
-            if done {
+            let paths = (0..m).map(|i| runs[i][combo[i]].1);
+            fold.fold(&ctx.words, cfg, r, paths, |tuple, score| {
+                // Cheap reject against the current kth best.
+                if best.len() < k || best.last().is_some_and(|worst| score > worst.tree.score) {
+                    best.push(ScoredTree {
+                        tree: materialize_tree(&ctx.words, r, tuple, score),
+                        pattern_key: key.clone(),
+                    });
+                    sort_trees(&mut best);
+                    best.truncate(k);
+                }
+                ControlFlow::Continue(())
+            });
+            if odometer_step(&mut combo, |i| runs[i].len()).is_none() {
                 break;
             }
         }
@@ -165,8 +151,10 @@ pub fn pattern_key_of(patterns: &PatternSet, p: &RankedPattern) -> Option<Vec<u3
 mod tests {
     use super::*;
     use crate::linear_enum::linear_enum;
+    use crate::subtree::node_slices_form_tree;
     use crate::Query;
     use patternkb_datagen::figure1;
+    use patternkb_graph::NodeId;
     use patternkb_index::{build_indexes, BuildConfig};
     use patternkb_text::{SynonymTable, TextIndex};
 
@@ -240,6 +228,47 @@ mod tests {
         // Top-2 individual trees are T1/T2, both of pattern P1, which is the
         // top pattern → full coverage.
         assert_eq!(m.coverage, 1.0);
+    }
+
+    /// Strict mode keeps only subtrees whose paths form a tree, as the
+    /// pattern kernels do: two keyword paths converging on one node
+    /// (`hub → left → end`, `hub → right → end`) are dropped.
+    #[test]
+    fn strict_mode_drops_converging_paths() {
+        let mut b = patternkb_graph::GraphBuilder::new();
+        let t = b.add_type("Place");
+        let link = b.add_attr("Road");
+        let hub = b.add_node(t, "hub");
+        let left = b.add_node(t, "left");
+        let right = b.add_node(t, "right");
+        let end = b.add_node(t, "gamma delta");
+        b.add_edge(hub, link, left);
+        b.add_edge(hub, link, right);
+        b.add_edge(left, link, end);
+        b.add_edge(right, link, end);
+        let g = b.build();
+        let text = TextIndex::build(&g, SynonymTable::new());
+        let cfg = BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 1,
+        };
+        let idx = build_indexes(&g, &text, &cfg);
+        let q = Query::parse(&text, "gamma delta").unwrap();
+        let ctx = QueryContext::new(&g, &idx, &q).unwrap();
+        let is_tree = |t: &ScoredTree| {
+            let paths: Vec<&[NodeId]> = t.tree.paths.iter().map(|p| &p.nodes[..]).collect();
+            node_slices_form_tree(t.tree.root, &paths)
+        };
+        let all = top_individual(&ctx, &SearchConfig::default(), 100);
+        let strict_cfg = SearchConfig {
+            strict_trees: true,
+            ..SearchConfig::default()
+        };
+        let strict = top_individual(&ctx, &strict_cfg, 100);
+        assert_eq!(all.iter().filter(|t| !is_tree(t)).count(), 2);
+        assert!(strict.iter().all(is_tree));
+        assert_eq!(strict.len(), all.len() - 2);
     }
 
     #[test]

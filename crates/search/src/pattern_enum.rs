@@ -21,14 +21,14 @@
 //! the figure is comparable across shard counts.
 
 use crate::common::{
-    combo_count, for_each_path_tuple, merge_shard_dicts, push_row, run_sharded, Fanout,
-    QueryContext, ShardContext, TreeDict,
+    combo_count, merge_shard_dicts, odometer_step, run_sharded, Fanout, QueryContext, ShardContext,
+    SubtreeFold, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
-use crate::subtree::node_slices_form_tree;
 use crate::SearchConfig;
 use patternkb_graph::NodeId;
-use patternkb_index::Posting;
+use patternkb_index::RunCursor;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// The global pattern-combination count `Σ_C Πᵢ |PatternsC(wᵢ)|` over the
@@ -42,9 +42,8 @@ fn global_combo_count(ctx: &QueryContext<'_>) -> usize {
 ///
 /// The per-combination inner loop is **fused**: instead of materializing
 /// the root intersection and then re-searching each root's posting run,
-/// per-keyword [`patternkb_index::RunCursor`]s leapfrog by root and land
-/// on each common root's posting slices directly
-/// ([`patternkb_index::intersect_runs`]).
+/// per-keyword [`RunCursor`]s leapfrog by root and land on each common
+/// root's posting runs directly ([`patternkb_index::leapfrog`]).
 fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict, usize, Vec<u32>) {
     let m = shard.m();
     // Per keyword: patterns grouped by root type (`PatternsC(wᵢ)`,
@@ -62,15 +61,11 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
 
     let mut combo = vec![0usize; m];
     let mut key: Vec<u32> = vec![0; m];
-    let mut cursors: Vec<patternkb_index::RunCursor<'_>> = Vec::with_capacity(m);
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
+    let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
+    let mut fold = SubtreeFold::new(m);
 
     // A type missing for any keyword has no combinations.
     for lists in patternkb_index::groups_by_shared_type(&groups_per_kw) {
-        combo.iter_mut().for_each(|x| *x = 0);
-
         // Line 4: the pattern product for this root type.
         loop {
             for i in 0..m {
@@ -83,32 +78,22 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
                 cursors.push(shard.words[i].pattern_run_cursor(prim as usize));
             }
             // Lines 5–8 fused: leapfrog the run cursors; every common
-            // root yields its posting slices for the path product.
+            // root yields its posting runs for the path product.
             let roots_before = candidate_roots_seen.len();
             let mut group_id = None;
-            let seeks = patternkb_index::intersect_runs(&mut cursors, &mut slices, |r, tuple| {
+            let end = patternkb_index::leapfrog(&mut cursors, |r, cursors| {
                 let root = NodeId(r);
                 let gid = *group_id.get_or_insert_with(|| dict.intern(&key));
                 let group = dict.group_by_id_mut(gid);
                 candidate_roots_seen.push(r);
-                subtrees += for_each_path_tuple(tuple, &mut scratch, |tuple| {
-                    if cfg.strict_trees {
-                        node_scratch.clear();
-                        for (i, p) in tuple.iter().enumerate() {
-                            node_scratch.push(shard.words[i].nodes_of(p));
-                        }
-                        if !node_slices_form_tree(root, &node_scratch) {
-                            return;
-                        }
-                    }
-                    let score = cfg.scoring.tree_score_of(tuple);
-                    group.acc.push(score);
-                    if group.trees.len() < cfg.max_rows {
-                        push_row(&mut group.trees, &shard.words, root, tuple, score);
-                    }
+                let runs = cursors.iter().map(RunCursor::postings);
+                subtrees += fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
+                    group.add(&shard.words, root, tuple, score, cfg.max_rows);
+                    ControlFlow::Continue(())
                 });
+                ControlFlow::Continue(())
             });
-            shard.counters.add_seeks(seeks);
+            shard.counters.add_seeks(end.seeks);
             if let Some(gid) = group_id {
                 if dict.group(gid).is_dead() {
                     // Strict mode rejected every tuple: drop the roots we
@@ -116,23 +101,7 @@ fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict
                     candidate_roots_seen.truncate(roots_before);
                 }
             }
-
-            // Odometer over pattern combos.
-            let mut pos = m;
-            let mut done = false;
-            loop {
-                if pos == 0 {
-                    done = true;
-                    break;
-                }
-                pos -= 1;
-                combo[pos] += 1;
-                if combo[pos] < lists[pos].patterns.len() {
-                    break;
-                }
-                combo[pos] = 0;
-            }
-            if done {
+            if odometer_step(&mut combo, |i| lists[i].patterns.len()).is_none() {
                 break;
             }
         }

@@ -207,16 +207,6 @@ pub struct TreePath {
 }
 
 impl TreePath {
-    /// The matched element's node: the terminal node for node matches, the
-    /// edge's *source* for edge matches.
-    pub fn match_node(&self) -> NodeId {
-        if self.edge_terminal {
-            self.nodes[self.nodes.len() - 2]
-        } else {
-            *self.nodes.last().expect("non-empty path")
-        }
-    }
-
     /// The paper's `|T(w)|` — number of nodes including the implied leaf.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -240,55 +230,12 @@ pub struct ValidSubtree {
     pub score: f64,
 }
 
-impl ValidSubtree {
-    /// Whether the union of the paths is a tree: every node other than the
-    /// root has exactly one parent among the union's edges. The paper's
-    /// products do not perform this check; [`crate::SearchConfig::strict_trees`]
-    /// turns it on.
-    pub fn is_tree(&self) -> bool {
-        paths_form_tree(self.root, self.paths.iter())
-    }
-
-    /// All distinct nodes of the subtree.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .paths
-            .iter()
-            .flat_map(|p| p.nodes.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// A canonical identity for deduplication across algorithms: the sorted
-    /// per-keyword node sequences.
-    pub fn identity(&self) -> (NodeId, Vec<(Vec<NodeId>, bool)>) {
-        (
-            self.root,
-            self.paths
-                .iter()
-                .map(|p| (p.nodes.clone(), p.edge_terminal))
-                .collect(),
-        )
-    }
-}
-
-/// Tree check over any path iterator (used pre-materialization by the
-/// algorithms' strict mode): conflicting parents ⇒ not a tree.
-pub fn paths_form_tree<'a>(root: NodeId, paths: impl Iterator<Item = &'a TreePath>) -> bool {
-    let slices: Vec<&[NodeId]> = paths
-        .inspect(|path| debug_assert_eq!(path.nodes.first(), Some(&root)))
-        .map(|path| path.nodes.as_slice())
-        .collect();
-    node_slices_form_tree(root, &slices)
-}
-
-/// Slice-level variant of [`paths_form_tree`] for hot loops that have not
-/// materialized [`TreePath`]s yet: no edge leads back to `root`, and no
-/// node has two different parents. Strict mode runs it on every
-/// enumerated tuple, so it allocates nothing: each edge is checked
-/// against the edges before it, a scan over at most `m·d` of them.
+/// Whether the union of root-to-match paths is a tree: no edge leads back
+/// to `root`, and no node has two different parents. The paper's products
+/// do not perform this check; [`crate::SearchConfig::strict_trees`] turns
+/// it on, and then every enumerated tuple runs it, so it allocates
+/// nothing: each edge is checked against the edges before it, a scan over
+/// at most `m·d` of them.
 pub fn node_slices_form_tree(root: NodeId, paths: &[&[NodeId]]) -> bool {
     let edges = || paths.iter().flat_map(|nodes| nodes.windows(2));
     edges().enumerate().all(|(k, edge)| {
@@ -303,13 +250,6 @@ pub fn node_slices_form_tree(root: NodeId, paths: &[&[NodeId]]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn path(nodes: &[u32], edge_terminal: bool) -> TreePath {
-        TreePath {
-            nodes: nodes.iter().map(|&i| NodeId(i)).collect(),
-            edge_terminal,
-        }
-    }
 
     fn pattern(heights: &[(usize, bool)]) -> Vec<PathPattern> {
         heights
@@ -376,70 +316,22 @@ mod tests {
         rows.push(NodeId(2), 1.0, [&ids(&[2])[..]]);
     }
 
-    #[test]
-    fn match_node() {
-        assert_eq!(path(&[0, 1, 2], false).match_node(), NodeId(2));
-        assert_eq!(path(&[0, 1, 2], true).match_node(), NodeId(1));
-        assert_eq!(path(&[0], false).match_node(), NodeId(0));
-    }
-
-    #[test]
-    fn shared_prefixes_are_trees() {
-        let t = ValidSubtree {
-            root: NodeId(0),
-            paths: vec![
-                path(&[0, 1, 2], false),
-                path(&[0, 1, 3], false),
-                path(&[0], false),
-            ],
-            score: 1.0,
-        };
-        assert!(t.is_tree());
-        assert_eq!(t.nodes(), vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn converging_paths_are_not_trees() {
-        // 0→1→3 and 0→2→3: node 3 has two parents.
-        let t = ValidSubtree {
-            root: NodeId(0),
-            paths: vec![path(&[0, 1, 3], false), path(&[0, 2, 3], false)],
-            score: 1.0,
-        };
-        assert!(!t.is_tree());
-    }
-
-    #[test]
-    fn edge_back_to_root_is_not_a_tree() {
-        let t = ValidSubtree {
-            root: NodeId(0),
-            paths: vec![path(&[0, 1], false), path(&[0, 2, 0], false)],
-            score: 1.0,
-        };
-        assert!(!t.is_tree());
-    }
-
+    /// Tree shapes: paths sharing a prefix (and a lone root) form a
+    /// tree; paths converging on one node, or an edge back to the root, do
+    /// not.
     #[test]
     fn slice_variant_agrees() {
-        let a = [NodeId(0), NodeId(1), NodeId(3)];
-        let b = [NodeId(0), NodeId(2), NodeId(3)];
-        assert!(!node_slices_form_tree(NodeId(0), &[&a, &b]));
-        let c = [NodeId(0), NodeId(1), NodeId(2)];
-        assert!(node_slices_form_tree(NodeId(0), &[&a, &c[..2]]));
-    }
-
-    #[test]
-    fn identity_distinguishes_paths() {
-        let t1 = ValidSubtree {
-            root: NodeId(0),
-            paths: vec![path(&[0, 1], false)],
-            score: 1.0,
-        };
-        let t2 = ValidSubtree {
-            root: NodeId(0),
-            paths: vec![path(&[0, 1], true)],
-            score: 1.0,
-        };
-        assert_ne!(t1.identity(), t2.identity());
+        let cases: [(&[&[u32]], bool); 5] = [
+            (&[&[0, 1, 3], &[0, 2, 3]], false),
+            (&[&[0, 1, 3], &[0, 1]], true),
+            (&[&[0, 1, 2], &[0, 1, 3], &[0]], true),
+            (&[&[0, 1], &[0, 2, 0]], false),
+            (&[&[0, 1], &[0, 2, 1]], false),
+        ];
+        for (paths, tree) in cases {
+            let paths: Vec<Vec<NodeId>> = paths.iter().map(|p| ids(p)).collect();
+            let slices: Vec<&[NodeId]> = paths.iter().map(Vec::as_slice).collect();
+            assert_eq!(node_slices_form_tree(NodeId(0), &slices), tree, "{paths:?}");
+        }
     }
 }

@@ -31,16 +31,15 @@
 //! layouts too.
 
 use crate::common::{
-    expand_root, for_each_path_tuple, merge_shard_dicts, push_row, run_sharded, ExpandScratch,
-    Fanout, QueryContext, ShardContext, TreeDict,
+    expand_root, merge_shard_dicts, run_sharded, ExpandScratch, Fanout, PatternGroup, QueryContext,
+    ShardContext, SubtreeFold, TreeDict,
 };
 use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
-use crate::score::ScoreAcc;
-use crate::subtree::{node_slices_form_tree, Rows};
 use crate::SearchConfig;
 use patternkb_graph::{FxHashMap, NodeId, TypeId};
-use patternkb_index::{PatternId, Posting};
+use patternkb_index::PatternId;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Sampling parameters (`Λ`, `ρ`) of Algorithm 4.
@@ -217,7 +216,7 @@ pub(crate) fn linear_enum_topk_in(
         key_arena_bytes += dict.arena_bytes() as u64;
 
         // Lines 9–10: estimated scores; keep the partition's top-k.
-        let mut local: Vec<(Vec<u32>, crate::common::PatternGroup, f64)> = Vec::new();
+        let mut local: Vec<(Vec<u32>, PatternGroup, f64)> = Vec::new();
         dict.drain_live(|key, group| {
             let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
             local.push((key.to_vec(), group, est));
@@ -231,31 +230,23 @@ pub(crate) fn linear_enum_topk_in(
 
         // Line 11: exact re-scoring for the estimated winners.
         for (key, group, _est) in local {
-            let (score, num_trees, trees) = if rate >= 1.0 {
-                (
-                    group.acc.finish(cfg.scoring.aggregation),
-                    group.acc.count as usize,
-                    group.trees,
-                )
+            let group = if rate >= 1.0 {
+                group
             } else {
                 let pattern_ids: Vec<PatternId> = key.iter().map(|&p| PatternId(p)).collect();
-                let (acc, trees, rescored) =
+                let (group, rescored) =
                     exact_pattern_score(ctx, cfg, &partitions, c, &pattern_ids, &mut per_shard);
                 subtrees_expanded += rescored;
-                (
-                    acc.finish(cfg.scoring.aggregation),
-                    acc.count as usize,
-                    trees,
-                )
+                group
             };
-            if num_trees == 0 {
+            if group.acc.count == 0 {
                 continue;
             }
             global.push(RankedPattern {
                 pattern: ctx.decode_key(&key),
-                score,
-                num_trees,
-                trees,
+                score: group.acc.finish(cfg.scoring.aggregation),
+                num_trees: group.acc.count as usize,
+                trees: group.trees,
             });
         }
         // Keep the global queue bounded (paper: queue of size k).
@@ -296,8 +287,8 @@ pub(crate) fn linear_enum_topk_in(
 /// Exact score and subtrees of one tree pattern over a root partition
 /// (type `c`), via `Paths(wᵢ, r, Pᵢ)` lookups (root-first index). The
 /// partition's roots are walked shard by shard in ascending order, so the
-/// materialized rows match a single-shard pass. Returns the accumulator,
-/// rows, and the number of subtrees re-enumerated.
+/// materialized rows match a single-shard pass. Returns the pattern's
+/// group and the number of subtrees re-enumerated.
 fn exact_pattern_score(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
@@ -305,14 +296,10 @@ fn exact_pattern_score(
     c: TypeId,
     pattern: &[PatternId],
     per_shard: &mut [ShardStats],
-) -> (ScoreAcc, Rows, usize) {
-    let m = ctx.m();
-    let mut acc = ScoreAcc::new();
-    let mut trees = Rows::default();
+) -> (PatternGroup, usize) {
+    let mut group = PatternGroup::default();
     let mut rescored = 0usize;
-    let mut slices: Vec<&[Posting]> = Vec::with_capacity(m);
-    let mut scratch: Vec<&Posting> = Vec::with_capacity(m);
-    let mut node_scratch: Vec<&[NodeId]> = Vec::with_capacity(m);
+    let mut fold = SubtreeFold::new(ctx.m());
     for (shard_pos, part) in partitions.iter().enumerate() {
         let shard = &ctx.shards[shard_pos];
         let Some((roots, _)) = part.by_type.get(&c) else {
@@ -321,41 +308,18 @@ fn exact_pattern_score(
         let rescored_before = rescored;
         let walk = shard.walk();
         for r in roots.iter().map(|&j| walk.roots()[j]) {
-            slices.clear();
-            let mut empty = false;
-            for (i, w) in shard.words.iter().enumerate() {
-                let s = w.paths_of_root_pattern(r, pattern[i]);
-                if s.is_empty() {
-                    empty = true;
-                    break;
-                }
-                slices.push(s);
-            }
-            if empty {
-                continue;
-            }
-            rescored += for_each_path_tuple(&slices, &mut scratch, |tuple| {
-                if cfg.strict_trees {
-                    node_scratch.clear();
-                    for (i, p) in tuple.iter().enumerate() {
-                        node_scratch.push(shard.words[i].nodes_of(p));
-                    }
-                    if !node_slices_form_tree(r, &node_scratch) {
-                        return;
-                    }
-                }
-                let score = cfg.scoring.tree_score_of(tuple);
-                acc.push(score);
-                if trees.len() < cfg.max_rows {
-                    push_row(&mut trees, &shard.words, r, tuple, score);
-                }
+            let runs =
+                (shard.words.iter().zip(pattern)).map(|(w, &p)| w.paths_of_root_pattern(r, p));
+            rescored += fold.fold(&shard.words, cfg, r, runs, |tuple, score| {
+                group.add(&shard.words, r, tuple, score, cfg.max_rows);
+                ControlFlow::Continue(())
             });
         }
         // Same unit as the headline `stats.subtrees` (tuples enumerated),
         // so the per-shard split always sums to the total.
         per_shard[shard_pos].subtrees += rescored - rescored_before;
     }
-    (acc, trees, rescored)
+    (group, rescored)
 }
 
 #[cfg(test)]
