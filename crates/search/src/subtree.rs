@@ -316,22 +316,38 @@ mod tests {
         rows.push(NodeId(2), 1.0, [&ids(&[2])[..]]);
     }
 
-    /// Tree shapes: paths sharing a prefix (and a lone root) form a
-    /// tree; paths converging on one node, or an edge back to the root, do
-    /// not.
+    fn forms_tree(paths: &[&[u32]]) -> bool {
+        let paths: Vec<Vec<NodeId>> = paths.iter().map(|p| ids(p)).collect();
+        let slices: Vec<&[NodeId]> = paths.iter().map(Vec::as_slice).collect();
+        node_slices_form_tree(NodeId(0), &slices)
+    }
+
+    #[test]
+    fn shared_prefixes_are_trees() {
+        assert!(forms_tree(&[&[0, 1, 2], &[0, 1, 3], &[0]]));
+        assert!(forms_tree(&[&[0, 1, 3], &[0, 1]]));
+    }
+
+    #[test]
+    fn converging_paths_are_not_trees() {
+        // 0→1→3 and 0→2→3: node 3 has two parents.
+        assert!(!forms_tree(&[&[0, 1, 3], &[0, 2, 3]]));
+    }
+
+    #[test]
+    fn edge_back_to_root_is_not_a_tree() {
+        assert!(!forms_tree(&[&[0, 1], &[0, 2, 0]]));
+    }
+
     #[test]
     fn slice_variant_agrees() {
-        let cases: [(&[&[u32]], bool); 5] = [
-            (&[&[0, 1, 3], &[0, 2, 3]], false),
-            (&[&[0, 1, 3], &[0, 1]], true),
-            (&[&[0, 1, 2], &[0, 1, 3], &[0]], true),
-            (&[&[0, 1], &[0, 2, 0]], false),
-            (&[&[0, 1], &[0, 2, 1]], false),
-        ];
-        for (paths, tree) in cases {
-            let paths: Vec<Vec<NodeId>> = paths.iter().map(|p| ids(p)).collect();
-            let slices: Vec<&[NodeId]> = paths.iter().map(Vec::as_slice).collect();
-            assert_eq!(node_slices_form_tree(NodeId(0), &slices), tree, "{paths:?}");
-        }
+        let a = [NodeId(0), NodeId(1), NodeId(3)];
+        let b = [NodeId(0), NodeId(2), NodeId(3)];
+        assert!(!node_slices_form_tree(NodeId(0), &[&a, &b]));
+        let c = [NodeId(0), NodeId(1), NodeId(2)];
+        assert!(node_slices_form_tree(NodeId(0), &[&a, &c[..2]]));
+        // 0→1 and 0→2→1: node 1 is reached twice.
+        let d = [NodeId(0), NodeId(2), NodeId(1)];
+        assert!(!node_slices_form_tree(NodeId(0), &[&c[..2], &d]));
     }
 }
