@@ -1,10 +1,14 @@
 //! The work every kernel does, pinned: per response of a fixed request
-//! pool, the stats that count it — candidate roots, subtrees enumerated,
-//! combinations tried and pruned, cursor seeks and keys interned — folded
-//! into one FNV-1a digest. The byte pins (`search_body_bytes_are_pinned`,
-//! `index_image_bytes_are_pinned`) hold what a search answers; this one
-//! holds how much it took to answer it, so a rewrite of the join or the
-//! enumeration loops cannot trade seeks or subtrees unnoticed. The traced
+//! pool, the stats that count it, folded into FNV-1a digests — one pair
+//! per kind of request (each `AlgorithmChoice`, and a sampled
+//! `LINEARENUM-TOPK` besides the exact one). The answer digest holds what
+//! the kernel found: candidate roots, subtrees enumerated, combinations
+//! tried and pruned. The cost digest holds what finding it took: cursor
+//! seeks and keys interned. The byte pins (`search_body_bytes_are_pinned`,
+//! `index_image_bytes_are_pinned`) hold what a search answers; these hold
+//! how much it took to answer it, so a rewrite of the join or the
+//! enumeration loops cannot trade seeks or subtrees unnoticed, and a
+//! moved pin names the kernel and the kind of count that moved. The traced
 //! benchmark's count rows vary between runs; these counts do not (one
 //! thread, graphs far below the fan-out threshold).
 
@@ -23,18 +27,40 @@ fn fnv(mut digest: u64, values: &[u64]) -> u64 {
     digest
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Per kind of request: its name, and its answer digest and cost digest
+/// over the whole pool.
+const PINNED: [(&str, u64, u64); 7] = [
+    ("Auto", 9500512255007674045, 2251732268991831465),
+    ("Baseline", 12457310662923407605, 4051485540186109989),
+    ("PatternEnum", 5561112190050920389, 14029028422735034701),
+    ("PatternEnumPruned", 3998701348572327485, 284141188688420778),
+    ("LinearEnum", 3156926336427701589, 7824785633577922221),
+    ("LinearEnumTopK", 3156926336427701589, 7824785633577922221),
+    (
+        "LinearEnumTopK sampled",
+        14049553832019083173,
+        14672710506784335045,
+    ),
+];
+
 /// Every algorithm choice, with a sampled `LINEARENUM-TOPK` besides the
-/// exact one (only a sampled partition re-scores its winners).
-fn requests(q: &Query) -> Vec<SearchRequest> {
+/// exact one (only a sampled partition re-scores its winners), each
+/// tagged with its index in [`PINNED`].
+fn requests(q: &Query) -> Vec<(usize, SearchRequest)> {
     let mut out = Vec::new();
-    for algo in [
+    for (kind, algo) in [
         AlgorithmChoice::Auto,
         AlgorithmChoice::Baseline,
         AlgorithmChoice::PatternEnum,
         AlgorithmChoice::PatternEnumPruned,
         AlgorithmChoice::LinearEnum,
         AlgorithmChoice::LinearEnumTopK,
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         for k in [3, 50] {
             for strict in [false, true] {
                 let base = SearchRequest::query(q.clone())
@@ -43,19 +69,27 @@ fn requests(q: &Query) -> Vec<SearchRequest> {
                     .strict_trees(strict)
                     .algorithm(algo);
                 if algo == AlgorithmChoice::LinearEnumTopK {
-                    out.push(base.clone().sampling(SamplingConfig::new(10, 0.5, 7)));
+                    out.push((
+                        kind + 1,
+                        base.clone().sampling(SamplingConfig::new(10, 0.5, 7)),
+                    ));
                 }
-                out.push(base);
+                out.push((kind, base));
             }
         }
     }
     out
 }
 
-/// The pool's digest over shards {1, 2}, and the number of responses.
-fn work_digest(g: &KnowledgeGraph, seed: u64, queries: usize) -> (u64, usize) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut responses = 0;
+/// Per-kind answer and cost digests of one pool, and its response count.
+struct Digests {
+    answer: [u64; 7],
+    cost: [u64; 7],
+    responses: usize,
+}
+
+/// Fold the pool of graph `g` over shards {1, 2} into `d`.
+fn work_digest(d: &mut Digests, g: &KnowledgeGraph, seed: u64, queries: usize) {
     for shards in [1, 2] {
         let e = EngineBuilder::new()
             .graph(g.clone())
@@ -70,33 +104,36 @@ fn work_digest(g: &KnowledgeGraph, seed: u64, queries: usize) -> (u64, usize) {
                 continue;
             };
             let q = Query::from_ids(spec.keywords);
-            for request in requests(&q) {
+            for (kind, request) in requests(&q) {
                 let s = &e.respond(&request).unwrap().stats;
-                digest = fnv(
-                    digest,
+                d.answer[kind] = fnv(
+                    d.answer[kind],
                     &[
                         s.candidate_roots as u64,
                         s.subtrees as u64,
                         s.combos_tried as u64,
                         s.combos_pruned as u64,
-                        s.hot.intersect_seeks,
-                        s.hot.keys_interned,
                     ],
                 );
-                responses += 1;
+                d.cost[kind] = fnv(d.cost[kind], &[s.hot.intersect_seeks, s.hot.keys_interned]);
+                d.responses += 1;
             }
         }
     }
-    (digest, responses)
 }
 
 #[test]
 fn kernel_work_is_pinned() {
-    let wiki = work_digest(&wiki::wiki(&WikiConfig::tiny(3)), 5, 12);
-    let imdb = work_digest(&imdb::imdb(&ImdbConfig::tiny(3)), 7, 8);
-    assert_eq!(
-        (wiki, imdb),
-        ((15943023715481131806, 672), (16607892428584501461, 448)),
-        "the kernels' work counts moved"
-    );
+    let mut d = Digests {
+        answer: [FNV_OFFSET; 7],
+        cost: [FNV_OFFSET; 7],
+        responses: 0,
+    };
+    work_digest(&mut d, &wiki::wiki(&WikiConfig::tiny(3)), 5, 12);
+    work_digest(&mut d, &imdb::imdb(&ImdbConfig::tiny(3)), 7, 8);
+    assert_eq!(d.responses, 672 + 448);
+    let got: Vec<(&str, u64, u64)> = (0..PINNED.len())
+        .map(|kind| (PINNED[kind].0, d.answer[kind], d.cost[kind]))
+        .collect();
+    assert_eq!(got, PINNED, "the kernels' work counts moved");
 }
