@@ -17,8 +17,9 @@
 //! end.
 
 use crate::common::{fanout_for, run_sharded, TreeDict};
+use crate::intern::PatternKeyId;
 use crate::result::{HotPathStats, QueryStats, RankedPattern, SearchResult, ShardStats};
-use crate::subtree::node_slices_form_tree;
+use crate::subtree::{node_slices_form_tree, Rows};
 use crate::{Query, SearchConfig};
 use patternkb_graph::ids::Id;
 use patternkb_graph::{traversal, KnowledgeGraph, NodeId};
@@ -41,8 +42,20 @@ struct BaselineWorker {
     patset: PatternSet,
     /// Tree-pattern key (worker-local pattern ids) → group, interned.
     dict: TreeDict,
+    /// Each pattern's first `max_rows` subtrees, by interned key id.
+    rows: Vec<Rows>,
     subtrees: usize,
     candidates: usize,
+}
+
+/// The rows of interned key `id`; ids are dense, so a fresh key's rows
+/// come next.
+fn rows_of(rows: &mut Vec<Rows>, id: PatternKeyId) -> &mut Rows {
+    let at = id.0 as usize;
+    if at == rows.len() {
+        rows.push(Rows::default());
+    }
+    &mut rows[at]
 }
 
 /// Run the baseline for `query` with height threshold `d`, parallelizing
@@ -113,9 +126,10 @@ pub fn baseline(
     //     per-worker groups in range order (ascending roots). ---
     let mut patset = PatternSet::new();
     let mut dict = TreeDict::new(m);
+    let mut rows: Vec<Rows> = Vec::new();
     let mut subtrees = 0usize;
     let mut per_shard = Vec::with_capacity(workers.len());
-    for (s, worker) in workers.into_iter().enumerate() {
+    for (s, mut worker) in workers.into_iter().enumerate() {
         per_shard.push(ShardStats {
             shard: s,
             candidate_roots: worker.candidates,
@@ -131,11 +145,14 @@ pub fn baseline(
             })
             .collect();
         let mut gkey: Vec<u32> = Vec::with_capacity(m);
-        worker.dict.drain_live(|key, group| {
+        for (id, key, group) in worker.dict.iter() {
             gkey.clear();
             gkey.extend(key.iter().map(|&p| remap[p as usize]));
-            dict.fold(&gkey, group, cfg.max_rows);
-        });
+            let gid = dict.intern(&gkey);
+            dict.group_by_id_mut(gid).merge(group);
+            let local = std::mem::take(&mut worker.rows[id.0 as usize]);
+            rows_of(&mut rows, gid).append(local, cfg.max_rows);
+        }
     }
 
     let patterns_found = dict.len();
@@ -144,18 +161,18 @@ pub fn baseline(
         key_arena_bytes: dict.arena_bytes() as u64,
         ..Default::default()
     };
-    let mut patterns: Vec<RankedPattern> = Vec::with_capacity(patterns_found);
-    dict.drain_live(|key, group| {
-        patterns.push(RankedPattern {
+    let patterns: Vec<RankedPattern> = dict
+        .iter()
+        .map(|(id, key, group)| RankedPattern {
             pattern: key
                 .iter()
                 .map(|&p| patset.decode(patternkb_index::PatternId(p)))
                 .collect::<Vec<PathPattern>>(),
             score: group.acc.finish(cfg.scoring.aggregation),
             num_trees: group.acc.count as usize,
-            trees: group.trees,
-        });
-    });
+            trees: std::mem::take(&mut rows[id.0 as usize]),
+        })
+        .collect();
 
     SearchResult {
         patterns,
@@ -187,6 +204,7 @@ fn baseline_range(
     let m = query.keywords.len();
     let mut patset = PatternSet::new();
     let mut dict = TreeDict::new(m);
+    let mut rows: Vec<Rows> = Vec::new();
     let mut subtrees = 0usize;
     let mut key_buf: Vec<u32> = Vec::new();
     let mut per_kw: Vec<Vec<BasePath>> = (0..m).map(|_| Vec::new()).collect();
@@ -280,11 +298,12 @@ fn baseline_range(
                     sim += p.sim;
                 }
                 let score = cfg.scoring.tree_score(len, pr, sim);
-                let group = dict.group_mut(&tree_key);
-                group.acc.push(score);
-                if group.trees.len() < cfg.max_rows {
+                let id = dict.intern(&tree_key);
+                dict.group_by_id_mut(id).add(score);
+                let rows = rows_of(&mut rows, id);
+                if rows.len() < cfg.max_rows {
                     let paths = chosen.iter().map(|p| p.nodes.as_slice());
-                    group.trees.push(r, score, paths);
+                    rows.push(r, score, paths);
                 }
             }
             // Odometer.
@@ -311,6 +330,7 @@ fn baseline_range(
     BaselineWorker {
         patset,
         dict,
+        rows,
         subtrees,
         candidates: candidates.len(),
     }

@@ -25,67 +25,38 @@
 //! `PATTERNENUM` hurts: many-pattern queries where most combinations are
 //! empty yet each costs an intersection.
 //!
-//! ## Sharded pruning
+//! ## On the one walk
 //!
-//! The walk is **combination-major**: one odometer pass over the global
-//! per-type combination list ([`QueryContext::merged_by_type`] — the
-//! shards' pattern lists merged per keyword, so the list is the one a
-//! single-shard index holds), and per combination
+//! Pruned `PATTERNENUM` is the walk of [`crate::pattern_enum`] with two
+//! additions, and nothing else of its own:
 //!
-//! 1. one bound test against the threshold, on aggregates merged from the
-//!    shards' cached per-pattern stats (sums, minima and maxima are exact,
-//!    so bounds and prune decisions are bit-identical to a single-shard
-//!    index's);
-//! 2. for a survivor, the fused intersect-and-join on every shard in
-//!    ascending root range, all into **one** dictionary group;
-//! 3. one offer of the pattern's **final** score to the threshold.
+//! 1. before a combination is joined, one bound test against the
+//!    threshold (`SharedThreshold::prunes`), on aggregates merged from
+//!    the shards' cached per-pattern stats (sums, minima and maxima are
+//!    exact, so bounds and prune decisions are bit-identical to a
+//!    single-shard index's). They are re-merged only for the digits the
+//!    odometer moved since the last test (the last one, all but
+//!    `1/|list|` of the time), and not at all until k patterns have been
+//!    found;
+//! 2. after a combination is joined across every shard, one offer of the
+//!    pattern's **final** score to the threshold.
 //!
-//! So a pattern's roots may spread over any number of shards and the
-//! threshold still sees it exactly once, complete: the threshold is a
+//! So the threshold sees each pattern exactly once, complete: it is a
 //! size-k min-heap of final scores and nothing else, every aggregation
 //! (`Avg` included — a final mean is as sound an offer as a final sum)
-//! prunes, no shard ever holds a partial group that a prune elsewhere
-//! would have to retract, and there is no cross-shard dictionary merge.
-//! Inline, the counters (`combos_pruned`, `subtrees`, `candidate_roots`,
-//! `patterns`) equal a single-shard run's: same walk order, same bounds,
-//! same offers, hence the same threshold at every step.
-//!
-//! Under [`Fanout::Threads`] what is split is the combination index, not
-//! the shards: worker `w` of `W` takes the combinations whose position in
-//! the global enumeration is `≡ w (mod W)` and joins each across all
-//! shards into a private dictionary. The workers' keys are disjoint, so
-//! their dictionaries are concatenated, never merged, and each pattern
-//! still offers once — to a threshold the workers share, which is why the
-//! counters of a threaded run are its own while its answers are not.
-//!
-//! ## The inner loop
-//!
-//! * a combination is `m` odometer digits into the type's merged lists; a
-//!   digit resolves to a pattern id and to one pattern-first position per
-//!   shard, so neither the bound nor the join hashes or binary-searches;
-//! * the per-keyword aggregates of a combination are re-merged from the
-//!   shards' stats only for the digits the odometer moved since the last
-//!   bound test (the last one, all but `1/|list|` of the time), and not at
-//!   all until k patterns have been found;
-//! * nonempty combinations intern their key once into the [`TreeDict`]
-//!   arena; empty ones (the bulk) cost their bound test and `m` seeks per
-//!   shard that holds all `m` patterns.
+//! prunes, and no shard ever holds a partial group that a prune elsewhere
+//! would have to retract. Threaded workers share the threshold.
 
-use crate::common::{
-    combo_count, cores, odometer_step, rank_winners, run_sharded, Fanout, QueryContext,
-    SubtreeFold, TreeDict,
-};
-use crate::result::{QueryStats, SearchResult, ShardStats};
+use crate::common::{Fanout, QueryContext};
+use crate::pattern_enum::walk_combinations;
+use crate::result::SearchResult;
 use crate::score::Aggregation;
 use crate::{unpoisoned, SearchConfig};
-use patternkb_graph::NodeId;
-use patternkb_index::{PatternTypeGroup, RunCursor};
+use patternkb_index::PatternTypeGroup;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Multiplicative slack absorbing float rounding between the bound
 /// arithmetic and the exact score arithmetic.
@@ -206,7 +177,7 @@ impl SharedThreshold {
     /// Offer one pattern's final score. The published threshold only
     /// grows; a reader holding a stale (lower) one prunes less, never
     /// wrongly.
-    fn offer(&self, score: f64) {
+    pub(crate) fn offer(&self, score: f64) {
         debug_assert!(score >= 0.0);
         let bits = score.to_bits();
         let tau = self.tau.load(Ordering::Relaxed);
@@ -229,202 +200,27 @@ impl SharedThreshold {
             self.tau.fetch_max(kth, Ordering::Relaxed);
         }
     }
-}
 
-/// A set of root nodes, one bit per node of the graph: the distinct roots
-/// of a walk's surviving joins, collected without sorting them.
-struct RootSet {
-    bits: Vec<u64>,
-}
-
-impl RootSet {
-    fn new(num_nodes: usize) -> Self {
-        RootSet {
-            bits: vec![0; num_nodes.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, root: u32) {
-        self.bits[root as usize / 64] |= 1 << (root % 64);
-    }
-
-    fn union(&mut self, other: &RootSet) {
-        for (mine, theirs) in self.bits.iter_mut().zip(&other.bits) {
-            *mine |= theirs;
-        }
-    }
-
-    /// Members `< bound`.
-    fn count_below(&self, bound: u32) -> usize {
-        let word = (bound as usize / 64).min(self.bits.len());
-        let whole: usize = self.bits[..word]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        let partial = self.bits.get(word).map_or(0, |w| {
-            (w & ((1u64 << (bound % 64)) - 1)).count_ones() as usize
-        });
-        whole + partial
-    }
-}
-
-/// What one worker's share of the walk produced. The per-shard columns
-/// are indexed like `ctx.shards`.
-struct WorkerOutcome {
-    dict: TreeDict,
-    /// Roots of every surviving join.
-    roots: RootSet,
-    subtrees: Vec<usize>,
-    /// Per shard: the combinations it held subtrees of.
-    patterns: Vec<usize>,
-    combos_pruned: usize,
-}
-
-/// One worker's walk: what it has found so far and the buffers its joins
-/// reuse.
-struct Walk<'q, 'a> {
-    ctx: &'q QueryContext<'a>,
-    cfg: &'q SearchConfig,
-    threshold: &'q SharedThreshold,
-    found: WorkerOutcome,
-    key: Vec<u32>,
-    /// Roots of the join in progress; they count once it has a subtree.
-    joined: Vec<u32>,
-    cursors: Vec<RunCursor<'a>>,
-    fold: SubtreeFold<'a>,
-}
-
-impl Walk<'_, '_> {
-    /// Join the combination `combo` of `groups` on every shard, in
-    /// ascending root range, into one dictionary group, and offer the
-    /// pattern's final score to the threshold.
-    fn join(&mut self, groups: &[PatternTypeGroup<'_>], combo: &[usize]) {
-        let Walk {
-            ctx,
-            cfg,
-            threshold,
-            found,
-            key,
-            joined,
-            cursors,
-            fold,
-        } = self;
-        let WorkerOutcome {
-            dict,
-            roots,
-            subtrees,
-            patterns,
-            ..
-        } = found;
-        for (i, group) in groups.iter().enumerate() {
-            key[i] = group.patterns[combo[i]].0;
-        }
-        joined.clear();
-        let mut group_id = None;
-        'shards: for (at, shard) in ctx.shards.iter().enumerate() {
-            cursors.clear();
-            for (i, group) in groups.iter().enumerate() {
-                let prim = group.prim(combo[i], shard.shard);
-                if prim == PatternTypeGroup::ABSENT {
-                    // Locally empty, without a seek.
-                    continue 'shards;
-                }
-                cursors.push(shard.words[i].pattern_run_cursor(prim as usize));
+    /// Whether combination `combo` of `groups` cannot beat the threshold:
+    /// its bound, with the slack, falls below the k-th best score found.
+    /// `aggs` holds the aggregates of `combo`'s leading digits; the
+    /// missing ones are merged in. O(m), no index access beyond the moved
+    /// digits' stats, no hashing.
+    pub(crate) fn prunes(
+        &self,
+        ctx: &QueryContext<'_>,
+        cfg: &SearchConfig,
+        groups: &[PatternTypeGroup<'_>],
+        combo: &[usize],
+        aggs: &mut Vec<PatternAggregates>,
+    ) -> bool {
+        self.kth().is_some_and(|kth| {
+            for i in aggs.len()..combo.len() {
+                aggs.push(merged_aggregates(ctx, i, groups[i], combo[i]));
             }
-            let mut accepted = false;
-            // Intersection + join fused: leapfrog the run cursors by
-            // root; each common root hands over its posting slices.
-            let end = patternkb_index::leapfrog(cursors, |r, cursors| {
-                let gid = *group_id.get_or_insert_with(|| dict.intern(key));
-                let acc = &mut dict.group_by_id_mut(gid).acc;
-                joined.push(r);
-                let runs = cursors.iter().map(RunCursor::postings);
-                subtrees[at] += fold.fold(&shard.words, cfg, NodeId(r), runs, |_, score| {
-                    acc.push(score);
-                    accepted = true;
-                    ControlFlow::Continue(())
-                });
-                ControlFlow::Continue(())
-            });
-            shard.counters.add_seeks(end.seeks);
-            patterns[at] += usize::from(accepted);
-        }
-        if let Some(gid) = group_id {
-            let acc = &dict.group(gid).acc;
-            // Strict mode may have rejected every tuple: then the pattern
-            // does not exist and its roots were never candidates.
-            if acc.count > 0 {
-                joined.iter().for_each(|&r| roots.insert(r));
-                threshold.offer(acc.finish(cfg.scoring.aggregation));
-            }
-        }
+            combination_bound(aggs, cfg) * SLACK < kth
+        })
     }
-}
-
-/// Walk the global combination list `types` once, handling every
-/// `workers`-th combination starting at the `worker`-th.
-fn pruned_walk(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    types: &[Vec<PatternTypeGroup<'_>>],
-    threshold: &SharedThreshold,
-    worker: usize,
-    workers: usize,
-) -> WorkerOutcome {
-    let m = ctx.m();
-    let mut walk = Walk {
-        ctx,
-        cfg,
-        threshold,
-        found: WorkerOutcome {
-            dict: TreeDict::new(m),
-            roots: RootSet::new(ctx.g.num_nodes()),
-            subtrees: vec![0; ctx.shards.len()],
-            patterns: vec![0; ctx.shards.len()],
-            combos_pruned: 0,
-        },
-        key: vec![0; m],
-        joined: Vec::new(),
-        cursors: Vec::with_capacity(m),
-        fold: SubtreeFold::new(m),
-    };
-    let mut combo = vec![0usize; m];
-    // Aggregates of `combo`'s digits `..aggs.len()`; the odometer truncates
-    // it to the digits it left alone.
-    let mut aggs: Vec<PatternAggregates> = Vec::with_capacity(m);
-    // Combinations until this worker's next one.
-    let mut wait = worker;
-
-    for groups in types {
-        aggs.clear();
-        loop {
-            if wait > 0 {
-                wait -= 1;
-            } else {
-                wait = workers - 1;
-                // The pruning test: O(m), no index access beyond the
-                // moved digits' stats, no hashing.
-                let pruned = threshold.kth().is_some_and(|kth| {
-                    for i in aggs.len()..m {
-                        aggs.push(merged_aggregates(ctx, i, groups[i], combo[i]));
-                    }
-                    combination_bound(&aggs, cfg) * SLACK < kth
-                });
-                if pruned {
-                    walk.found.combos_pruned += 1;
-                } else {
-                    walk.join(groups, &combo);
-                }
-            }
-
-            match odometer_step(&mut combo, |i| groups[i].patterns.len()) {
-                Some(moved) => aggs.truncate(moved),
-                None => break,
-            }
-        }
-    }
-    walk.found
 }
 
 /// `PATTERNENUM` with admissible upper-bound pruning. Returns exactly the
@@ -441,75 +237,8 @@ pub(crate) fn pattern_enum_pruned_in(
     cfg: &SearchConfig,
     mode: Fanout,
 ) -> SearchResult {
-    let t0 = Instant::now();
-    let types = ctx.merged_by_type();
-    let combos_tried = combo_count(&types);
-
     let threshold = SharedThreshold::new(cfg.k);
-    // The walk only accumulates exact scores; rows are re-joined afterwards
-    // for the k patterns that survive ([`rank_winners`]).
-    let lean_cfg = SearchConfig {
-        max_rows: 0,
-        ..cfg.clone()
-    };
-    let workers: Vec<usize> = match mode {
-        Fanout::Inline => vec![0],
-        Fanout::Threads => (0..cores().max(2)).collect(),
-    };
-    let outcomes = run_sharded(mode, &workers, |&w| {
-        pruned_walk(ctx, &lean_cfg, &types, &threshold, w, workers.len())
-    });
-
-    let mut per_shard: Vec<ShardStats> = ctx
-        .shards
-        .iter()
-        .map(|shard| ShardStats {
-            shard: shard.shard,
-            ..ShardStats::default()
-        })
-        .collect();
-    let mut dicts = Vec::with_capacity(outcomes.len());
-    let mut roots: Option<RootSet> = None;
-    let mut combos_pruned = 0usize;
-    for outcome in outcomes {
-        for (at, stats) in per_shard.iter_mut().enumerate() {
-            stats.subtrees += outcome.subtrees[at];
-            stats.patterns += outcome.patterns[at];
-        }
-        // Each combination is tested by exactly one worker.
-        combos_pruned += outcome.combos_pruned;
-        match &mut roots {
-            Some(roots) => roots.union(&outcome.roots),
-            None => roots = Some(outcome.roots),
-        }
-        dicts.push(outcome.dict);
-    }
-    let roots = roots.expect("at least one worker");
-    // Shards partition the root space by range.
-    let bounds = ctx.idx.bounds();
-    for stats in &mut per_shard {
-        stats.candidate_roots =
-            roots.count_below(bounds[stats.shard + 1]) - roots.count_below(bounds[stats.shard]);
-    }
-
-    let patterns = rank_winners(ctx, cfg, &dicts);
-    let mut hot = ctx.hot_stats();
-    hot.keys_interned = dicts.iter().map(|d| d.keys_interned() as u64).sum();
-    hot.key_arena_bytes = dicts.iter().map(|d| d.arena_bytes() as u64).sum();
-    SearchResult {
-        patterns,
-        stats: QueryStats {
-            candidate_roots: per_shard.iter().map(|s| s.candidate_roots).sum(),
-            subtrees: per_shard.iter().map(|s| s.subtrees).sum(),
-            patterns: dicts.iter().map(TreeDict::len).sum(),
-            combos_tried,
-            combos_pruned,
-            per_shard,
-            fanout: mode,
-            hot,
-            elapsed: t0.elapsed(),
-        },
-    }
+    walk_combinations(ctx, cfg, mode, Some(&threshold))
 }
 
 #[cfg(test)]

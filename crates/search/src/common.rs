@@ -12,15 +12,15 @@
 //!
 //! * [`patternkb_index::leapfrog`] finds the shared roots: over the
 //!   keywords' root directories ([`RootWalk`], [`QueryContext::mask_roots`])
-//!   or over one pattern combination's runs (`PATTERNENUM`, pruned or not,
-//!   and `rank_winners`' re-join of the winners' rows);
+//!   or over one pattern combination's runs (`PATTERNENUM`'s walk, and
+//!   `rank_winners`' re-join of the winners' rows);
 //! * `odometer_step` walks every product: pattern combinations (of a
 //!   root type, or of one root in [`expand_root`]), path tuples, and the
 //!   keys [`crate::counting`] counts;
 //! * [`SubtreeFold`] folds one root: the path product, the
 //!   [`SearchConfig::strict_trees`] check, the Eq. (3) score, then the
-//!   caller's sink — a pattern's group, a bound's accumulator, a row store
-//!   that stops once full, or the top individual subtrees.
+//!   caller's sink — a pattern's group, a row store that stops once full,
+//!   or the top individual subtrees.
 //!
 //! [`crate::baseline`] keeps loops of its own: it is the index-free
 //! reference the kernels are tested against.
@@ -32,14 +32,22 @@
 //! [`ShardContext`] per shard in which **every** keyword has postings
 //! (other shards cannot contribute answers — a candidate root must reach
 //! all keywords, and a root lives in exactly one shard). The root-first
-//! algorithms and unpruned `PATTERNENUM` run their single-shard kernel
-//! over every shard — in parallel via [`run_sharded`] — and merge the
-//! per-shard partial results; pruned `PATTERNENUM` ([`crate::bound`])
-//! walks the keywords' pattern lists merged over the shards
+//! algorithms run their single-shard kernel over every shard — in
+//! parallel via [`run_sharded`] — and merge the per-shard partial
+//! results; `PATTERNENUM`, pruned or not ([`crate::pattern_enum`]), walks
+//! the keywords' pattern lists merged over the shards
 //! ([`QueryContext::merged_patterns`]) and joins each combination across
 //! the shard views. Because roots are disjoint across shards and
 //! [`crate::score::ScoreAcc`] sums exactly, either way the answers are
 //! bit-identical to single-shard execution.
+//!
+//! ## One result tail
+//!
+//! No index kernel builds rows while it enumerates: a [`TreeDict`] group
+//! holds a pattern's score and nothing else. Every kernel hands its
+//! groups to `rank_winners`, which picks the k winners and re-joins
+//! their rows alone. [`crate::baseline`], the index-free reference, keeps
+//! rows of its own.
 //!
 //! ## The flattened data plane
 //!
@@ -614,40 +622,27 @@ where
         .collect()
 }
 
-/// A pattern's accumulated answer during enumeration.
+/// A pattern's accumulated answer during enumeration: its score alone.
+/// No kernel builds rows while it enumerates; the winners' rows are
+/// re-joined once they are known (`rank_winners`).
 #[derive(Clone, Debug, Default)]
 pub struct PatternGroup {
     /// Streaming score aggregation over all subtrees (exact sum, so
     /// per-shard groups merge bit-identically).
     pub acc: ScoreAcc,
-    /// Materialized subtrees, capped at `SearchConfig::max_rows`.
-    pub trees: Rows,
 }
 
 impl PatternGroup {
-    /// Fold a later shard's group for the same pattern in. `other`'s roots
-    /// are all strictly greater (shards ascend by root range), so
-    /// appending its trees preserves the single-shard discovery order; the
-    /// cap keeps the first `max_rows` exactly as a sequential pass would.
-    pub fn merge(&mut self, other: PatternGroup, max_rows: usize) {
+    /// Fold another group of the same pattern in (a later shard's, or a
+    /// worker's).
+    pub fn merge(&mut self, other: &PatternGroup) {
         self.acc.merge(&other.acc);
-        self.trees.append(other.trees, max_rows);
     }
 
-    /// Count one accepted subtree into the score, and keep its row while
-    /// fewer than `max_rows` are held.
-    pub fn add(
-        &mut self,
-        words: &[&WordPathIndex],
-        root: NodeId,
-        tuple: &[&Posting],
-        score: f64,
-        max_rows: usize,
-    ) {
+    /// Count one accepted subtree into the score.
+    #[inline]
+    pub fn add(&mut self, score: f64) {
         self.acc.push(score);
-        if self.trees.len() < max_rows {
-            push_row(&mut self.trees, words, root, tuple, score);
-        }
     }
 
     /// Whether the group holds no evidence (all candidate tuples rejected,
@@ -656,7 +651,7 @@ impl PatternGroup {
     /// they never surface as answers.
     #[inline]
     pub fn is_dead(&self) -> bool {
-        self.acc.count == 0 && self.trees.is_empty()
+        self.acc.count == 0
     }
 }
 
@@ -716,11 +711,6 @@ impl TreeDict {
         self.interner.key(id)
     }
 
-    /// Fold `group` into `key`'s entry.
-    pub fn fold(&mut self, key: &[u32], group: PatternGroup, max_rows: usize) {
-        self.group_mut(key).merge(group, max_rows);
-    }
-
     /// Number of **live** (non-dead) groups.
     pub fn len(&self) -> usize {
         self.groups.iter().filter(|g| !g.is_dead()).count()
@@ -750,32 +740,22 @@ impl TreeDict {
             .filter(|(_, g)| !g.is_dead())
             .map(|((id, key), g)| (id, key, g))
     }
-
-    /// Consume into `(key, group)` pairs for live groups, in interning
-    /// order.
-    pub fn drain_live(self, mut f: impl FnMut(&[u32], PatternGroup)) {
-        let TreeDict { interner, groups } = self;
-        for ((_, key), group) in interner.iter().zip(groups) {
-            if !group.is_dead() {
-                f(key, group);
-            }
-        }
-    }
 }
 
 /// Merge per-shard tree dictionaries (in shard order) into one: re-intern
 /// each shard's **distinct** keys into the first dictionary (id remap),
 /// then merge groups by index — no per-posting rehash. The result is
 /// identical to what a single-shard pass over the concatenated root
-/// sequence would have produced: exact-sum accumulators merge exactly and
-/// tree rows concatenate in root order.
-pub fn merge_shard_dicts(dicts: Vec<TreeDict>, m: usize, max_rows: usize) -> TreeDict {
+/// sequence would have produced: exact-sum accumulators merge exactly.
+pub fn merge_shard_dicts(dicts: Vec<TreeDict>, m: usize) -> TreeDict {
     let mut iter = dicts.into_iter();
     let Some(mut merged) = iter.next() else {
         return TreeDict::new(m);
     };
     for dict in iter {
-        dict.drain_live(|key, group| merged.fold(key, group, max_rows));
+        for (_, key, group) in dict.iter() {
+            merged.group_mut(key).merge(group);
+        }
     }
     merged
 }
@@ -998,8 +978,8 @@ pub fn expand_root<'a>(
         }
         let group = dict.group_mut(key);
         let paths = (0..m).map(|i| runs[i][combo[i]].1);
-        total += fold.fold(words, cfg, r, paths, |tuple, score| {
-            group.add(words, r, tuple, score, cfg.max_rows);
+        total += fold.fold(words, cfg, r, paths, |_, score| {
+            group.add(score);
             ControlFlow::Continue(())
         });
         if odometer_step(combo, |i| runs[i].len()).is_none() {
@@ -1008,13 +988,15 @@ pub fn expand_root<'a>(
     }
 }
 
-/// The selection tail of the kernels that enumerate **lean** (scores
-/// only, `max_rows: 0`): most discovered patterns never surface, so their
-/// rows are not built and their keys not decoded. `dicts` hold disjoint
-/// keys. (1) Rank all live patterns by exact score alone and keep
-/// everything at or above the k-th best, boundary ties included; (2) decode only those, apply the full
-/// `(score desc, encoded key asc)` order and truncate to k; (3) re-join
-/// the rows of the survivors ([`materialize_pattern_rows`]).
+/// The one result tail of every index kernel. The kernels enumerate
+/// scores only: most discovered patterns never surface, so their rows are
+/// not built and their keys not decoded. `dicts` hold disjoint keys.
+/// (1) Rank all live patterns by exact score alone and keep everything at
+/// or above the k-th best, boundary ties included; (2) decode only those,
+/// apply the full `(score desc, encoded key asc)` order and truncate to k;
+/// (3) re-join the rows of the survivors ([`materialize_pattern_rows`]).
+/// The re-join's seeks count in `stats.hot.intersect_seeks`, so a kernel
+/// reads its counters after this tail.
 pub(crate) fn rank_winners(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
@@ -1063,9 +1045,9 @@ pub(crate) fn rank_winners(
 
 /// Re-join one winning pattern's rows: walk the shards in ascending
 /// root-range order, leapfrog its per-keyword posting runs, and
-/// materialize the first `cfg.max_rows` accepted subtrees — exactly the
-/// rows an inline materialization would have kept. `p` is the decoded
-/// pattern with its `num_trees`, which size the store once.
+/// materialize the first `cfg.max_rows` accepted subtrees — the pattern's
+/// first rows in root order. `p` is the decoded pattern with its
+/// `num_trees`, which size the store once.
 fn materialize_pattern_rows(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
@@ -1184,23 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn pattern_group_merge_caps_rows() {
-        let path = |root: u32| [NodeId(root), NodeId(root + 1)];
-        let mut a = PatternGroup::default();
-        a.acc.push(1.0);
-        a.trees.push(NodeId(0), 1.0, [&path(0)[..]]);
-        let mut b = PatternGroup::default();
-        b.acc.push(2.0);
-        b.trees.push(NodeId(5), 1.0, [&path(5)[..]]);
-        b.trees.push(NodeId(6), 1.0, [&path(6)[..]]);
-        a.merge(b, 2);
-        assert_eq!(a.acc.count, 2);
-        assert_eq!(a.trees.len(), 2);
-        assert_eq!(a.trees.row(1).root, NodeId(5), "shard order preserved");
-        assert_eq!(a.trees.row(1).nodes, path(5), "shard order preserved");
-    }
-
-    #[test]
     fn tree_dict_interns_and_iterates_live_only() {
         let mut d = TreeDict::new(2);
         d.group_mut(&[1, 2]).acc.push(1.5);
@@ -1240,18 +1205,9 @@ mod tests {
     }
 
     /// Everything a dictionary holds, scores as bits, in interning order.
-    fn dict_bits(dict: &TreeDict) -> Vec<(Vec<u32>, u64, u64, Vec<(NodeId, u64, Vec<NodeId>)>)> {
+    fn dict_bits(dict: &TreeDict) -> Vec<(Vec<u32>, u64, u64)> {
         dict.iter()
-            .map(|(_, key, group)| {
-                let rows = group.trees.iter();
-                (
-                    key.to_vec(),
-                    group.acc.count,
-                    group.acc.sum().to_bits(),
-                    rows.map(|row| (row.root, row.score.to_bits(), row.nodes.to_vec()))
-                        .collect(),
-                )
-            })
+            .map(|(_, key, group)| (key.to_vec(), group.acc.count, group.acc.sum().to_bits()))
             .collect()
     }
 
@@ -1305,7 +1261,6 @@ mod tests {
         assert_eq!(n, paths[..seen].iter().sum::<u64>());
 
         let cfg = SearchConfig {
-            max_rows: 3,
             strict_trees,
             ..SearchConfig::top(10)
         };
@@ -1361,13 +1316,13 @@ mod tests {
         let other = [9u32, 9];
         d2.group_mut(&other).acc.push(0.5);
 
-        let merged = merge_shard_dicts(vec![d1, d2], 2, 64);
+        let merged = merge_shard_dicts(vec![d1, d2], 2);
         assert_eq!(merged.len(), 2);
         let id = merged.interner.get(&key).expect("merged key");
         assert_eq!(merged.group(id).acc.count, 2);
         assert_eq!(merged.group(id).acc.sum(), 4.0);
         let oid = merged.interner.get(&other).expect("other key");
         assert_eq!(merged.group(oid).acc.count, 1);
-        assert!(merge_shard_dicts(vec![], 2, 4).is_empty());
+        assert!(merge_shard_dicts(vec![], 2).is_empty());
     }
 }

@@ -41,16 +41,18 @@
 //!
 //! The index partitions into **root-range shards**
 //! ([`patternkb_index::PathIndexes`]; knob: [`EngineBuilder::shards`],
-//! default = available parallelism). The root-first algorithms and
-//! unpruned `PATTERNENUM` fan out one worker per shard over per-shard
-//! [`common::ShardContext`] views and merge the per-shard partial pattern
-//! groups at the top-k heap ([`common::merge_shard_dicts`]); pruned
-//! `PATTERNENUM` ([`bound`]) walks the global combination list once and
-//! joins each surviving combination across the shards, so its threshold
-//! sees final scores and nothing is merged. Scores accumulate **exactly**
-//! ([`score::ExactSum`]), so sharded answers are bit-identical to
-//! `shards(1)` (proptest-enforced); [`QueryStats::per_shard`] reports how
-//! the work split.
+//! default = available parallelism). The root-first algorithms fan out
+//! one worker per shard over per-shard [`common::ShardContext`] views and
+//! merge the per-shard partial pattern groups
+//! ([`common::merge_shard_dicts`]). `PATTERNENUM`, pruned or not, is one
+//! walk ([`pattern_enum`]) over the global combination list that joins
+//! each combination across the shards, so nothing is merged and the
+//! pruned form's threshold ([`bound`]) sees final scores. Every index
+//! kernel enumerates scores only and ends in one result tail, which
+//! re-joins the rows of the k winners alone. Scores accumulate
+//! **exactly** ([`score::ExactSum`]), so sharded answers are bit-identical
+//! to `shards(1)` (proptest-enforced); [`QueryStats::per_shard`] reports
+//! how the work split.
 //!
 //! ## The request/response API
 //!

@@ -10,7 +10,8 @@
 //! Candidate roots partition over the index's root-range shards, so each
 //! shard expands its own roots into a private `TreeDict` (contention-free)
 //! and the dictionaries merge at the end — bit-identical to a sequential
-//! pass thanks to exact score accumulation.
+//! pass thanks to exact score accumulation. The dictionaries hold scores
+//! only; rows are re-joined for the k winners alone (`rank_winners`).
 
 use crate::common::{
     expand_root, merge_shard_dicts, rank_winners, run_sharded, ExpandScratch, Fanout, QueryContext,
@@ -34,13 +35,6 @@ pub(crate) fn linear_enum_in(
     mode: Fanout,
 ) -> SearchResult {
     let t0 = Instant::now();
-    // The dictionary pass only accumulates exact scores; rows are
-    // re-joined afterwards for the k patterns that survive
-    // ([`rank_winners`]) instead of being built for every pattern.
-    let lean_cfg = SearchConfig {
-        max_rows: 0,
-        ..cfg.clone()
-    };
     let locals = run_sharded(mode, &ctx.shards, |shard| {
         let mut dict = TreeDict::new(shard.m());
         let mut scratch = ExpandScratch::new(&shard.words);
@@ -48,7 +42,7 @@ pub(crate) fn linear_enum_in(
         let walk = shard.walk();
         for (r, at) in walk.iter() {
             let at = Some(at);
-            subtrees += expand_root(&shard.words, &lean_cfg, r, at, &mut dict, &mut scratch);
+            subtrees += expand_root(&shard.words, cfg, r, at, &mut dict, &mut scratch);
         }
         (dict, subtrees, walk.roots().len(), shard.shard)
     });
@@ -68,14 +62,15 @@ pub(crate) fn linear_enum_in(
         candidate_roots += local_roots;
         dicts.push(dict);
     }
-    let dict = merge_shard_dicts(dicts, ctx.m(), 0);
+    let dict = merge_shard_dicts(dicts, ctx.m());
 
     let patterns_found = dict.len();
+    let patterns = rank_winners(ctx, cfg, std::slice::from_ref(&dict));
     let mut hot = ctx.hot_stats();
     hot.keys_interned = dict.keys_interned() as u64;
     hot.key_arena_bytes = dict.arena_bytes() as u64;
     SearchResult {
-        patterns: rank_winners(ctx, cfg, std::slice::from_ref(&dict)),
+        patterns,
         stats: QueryStats {
             candidate_roots,
             subtrees,

@@ -1,115 +1,268 @@
-//! `PATTERNENUM` — Algorithm 2, shard-parallel.
+//! `PATTERNENUM` — Algorithm 2: for each root type `C`, enumerate every
+//! combination of per-keyword path patterns rooted at `C` (from the
+//! pattern-first index), intersect the patterns' root lists to test
+//! emptiness (line 5), and for nonempty combinations join the paths at
+//! their shared roots into valid subtrees.
 //!
-//! For each root type `C`, enumerate every combination of per-keyword path
-//! patterns rooted at `C` (from the pattern-first index), intersect the
-//! pattern's root lists to test emptiness (line 5), and for nonempty
-//! combinations join the paths at their shared roots into valid subtrees.
+//! One walk runs it, pruned or not: [`crate::bound`]'s pruned
+//! `PATTERNENUM` is this walk with a bound test before each join and a
+//! threshold that each found pattern's final score is offered to; without
+//! them it is Algorithm 2 as the paper states it. The walk records scores
+//! only, and rows are re-joined afterwards for the k winners
+//! (`rank_winners`), as in every index kernel.
 //!
-//! Under sharding each worker runs the enumeration over **its shard's**
-//! pattern lists and root ranges; a pattern combination whose subtrees
-//! spread over several shards is discovered independently in each and its
-//! partial groups merge exactly at the end (a pattern's score aggregates
-//! over roots, and roots partition across shards). The cross-shard merge
-//! requires holding every *nonempty* combination's partial group until
-//! the end — `O(patterns)` memory, the same class as `LINEARENUM`'s
-//! dictionary, replacing the pre-shard `O(k)` periodic compaction; empty
-//! combinations (the adversarial bulk) still cost nothing. The worst case remains
-//! the `Θ(p^m)` joins wasted on **empty** pattern combinations (§4.1's
-//! adversarial construction, reproduced in `datagen::worstcase` and the
-//! `worstcase` pick of `experiments`); `stats.combos_tried` reports the global
-//! combination count — `Σ_C Πᵢ |PatternsC(wᵢ)|` over the whole index — so
-//! the figure is comparable across shard counts.
+//! The worst case is the `Θ(p^m)` joins wasted on **empty** pattern
+//! combinations (§4.1's adversarial construction, reproduced in
+//! `datagen::worstcase` and the `worstcase` pick of `experiments`);
+//! `stats.combos_tried` reports the global combination count
+//! `Σ_C Πᵢ |PatternsC(wᵢ)|`, the same for every shard count.
+//!
+//! ## Sharded execution
+//!
+//! The walk is **combination-major**: one odometer pass over the global
+//! per-type combination list ([`QueryContext::merged_by_type`] — the
+//! shards' pattern lists merged per keyword, so the list is the one a
+//! single-shard index holds), and per combination
+//!
+//! 1. under pruning, one bound test against the threshold;
+//! 2. for a survivor, the fused intersect-and-join on every shard in
+//!    ascending root range, all into **one** dictionary group;
+//! 3. under pruning, one offer of the pattern's **final** score to the
+//!    threshold.
+//!
+//! So a pattern's roots may spread over any number of shards and its group
+//! is still complete when the combination is done: there is no
+//! cross-shard dictionary merge, and the threshold sees each pattern
+//! exactly once. Inline, the counters (`combos_pruned`, `subtrees`,
+//! `candidate_roots`, `patterns`) equal a single-shard run's: same walk
+//! order, same bounds, same offers, hence the same threshold at every
+//! step.
+//!
+//! Under [`Fanout::Threads`] what is split is the combination index, not
+//! the shards: worker `w` of `W` takes the combinations whose position in
+//! the global enumeration is `≡ w (mod W)` and joins each across all
+//! shards into a private dictionary. The workers' keys are disjoint, so
+//! their dictionaries are concatenated, never merged, and each pattern
+//! still offers once — to a threshold the workers share, which is why the
+//! counters of a threaded pruned run are its own while its answers are
+//! not. Unpruned, the workers share nothing, and every counter of a
+//! threaded run matches an inline run's.
+//!
+//! ## The inner loop
+//!
+//! * a combination is `m` odometer digits into the type's merged lists; a
+//!   digit resolves to a pattern id and to one pattern-first position per
+//!   shard, so neither the bound nor the join hashes or binary-searches;
+//! * the join is **fused**: instead of materializing
+//!   the root intersection and then re-searching each root's posting run,
+//!   per-keyword [`RunCursor`]s leapfrog by root and land on each common
+//!   root's posting runs directly ([`patternkb_index::leapfrog`]);
+//! * nonempty combinations intern their key once into the [`TreeDict`]
+//!   arena; empty ones (the bulk) cost their bound test and `m` seeks per
+//!   shard that holds all `m` patterns.
 
+use crate::bound::{PatternAggregates, SharedThreshold};
 use crate::common::{
-    combo_count, merge_shard_dicts, odometer_step, run_sharded, Fanout, QueryContext, ShardContext,
+    combo_count, cores, odometer_step, rank_winners, run_sharded, Fanout, QueryContext,
     SubtreeFold, TreeDict,
 };
-use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
+use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::SearchConfig;
 use patternkb_graph::NodeId;
-use patternkb_index::RunCursor;
+use patternkb_index::{PatternTypeGroup, RunCursor};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-/// The global pattern-combination count `Σ_C Πᵢ |PatternsC(wᵢ)|` over the
-/// whole index — what a single-shard `PATTERNENUM` iterates (saturating).
-fn global_combo_count(ctx: &QueryContext<'_>) -> usize {
-    combo_count(&ctx.merged_by_type())
+/// A set of root nodes, one bit per node of the graph: the distinct roots
+/// of a walk's surviving joins, collected without sorting them.
+struct RootSet {
+    bits: Vec<u64>,
 }
 
-/// One shard's `PATTERNENUM` pass: every nonempty local combination folded
-/// into a [`TreeDict`] keyed by the (global) pattern-id tuple.
-///
-/// The per-combination inner loop is **fused**: instead of materializing
-/// the root intersection and then re-searching each root's posting run,
-/// per-keyword [`RunCursor`]s leapfrog by root and land on each common
-/// root's posting runs directly ([`patternkb_index::leapfrog`]).
-fn pattern_enum_shard(shard: &ShardContext<'_>, cfg: &SearchConfig) -> (TreeDict, usize, Vec<u32>) {
-    let m = shard.m();
-    // Per keyword: patterns grouped by root type (`PatternsC(wᵢ)`,
-    // line 3) — cached on the word index, so per-query setup is
-    // O(root types), not O(patterns).
-    let groups_per_kw: Vec<&patternkb_index::PatternTypeGroups> = shard
-        .words
-        .iter()
-        .map(|w| w.pattern_type_groups(shard.idx.patterns()))
-        .collect();
+impl RootSet {
+    fn new(num_nodes: usize) -> Self {
+        RootSet {
+            bits: vec![0; num_nodes.div_ceil(64)],
+        }
+    }
 
-    let mut dict = TreeDict::new(m);
-    let mut subtrees = 0usize;
-    let mut candidate_roots_seen: Vec<u32> = Vec::new();
+    #[inline]
+    fn insert(&mut self, root: u32) {
+        self.bits[root as usize / 64] |= 1 << (root % 64);
+    }
 
-    let mut combo = vec![0usize; m];
-    let mut key: Vec<u32> = vec![0; m];
-    let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
-    let mut fold = SubtreeFold::new(m);
+    fn union(&mut self, other: &RootSet) {
+        for (mine, theirs) in self.bits.iter_mut().zip(&other.bits) {
+            *mine |= theirs;
+        }
+    }
 
-    // A type missing for any keyword has no combinations.
-    for lists in patternkb_index::groups_by_shared_type(&groups_per_kw) {
-        // Line 4: the pattern product for this root type.
-        loop {
-            for i in 0..m {
-                key[i] = lists[i].patterns[combo[i]].0;
-            }
+    /// Members `< bound`.
+    fn count_below(&self, bound: u32) -> usize {
+        let word = (bound as usize / 64).min(self.bits.len());
+        let whole: usize = self.bits[..word]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        let partial = self.bits.get(word).map_or(0, |w| {
+            (w & ((1u64 << (bound % 64)) - 1)).count_ones() as usize
+        });
+        whole + partial
+    }
+}
+
+/// What one worker's share of the walk produced. The per-shard columns
+/// are indexed like `ctx.shards`.
+struct WorkerOutcome {
+    dict: TreeDict,
+    /// Roots of every surviving join.
+    roots: RootSet,
+    subtrees: Vec<usize>,
+    /// Per shard: the combinations it held subtrees of.
+    patterns: Vec<usize>,
+    combos_pruned: usize,
+}
+
+/// One worker's walk: what it has found so far and the buffers its joins
+/// reuse.
+struct Walk<'q, 'a> {
+    ctx: &'q QueryContext<'a>,
+    cfg: &'q SearchConfig,
+    threshold: Option<&'q SharedThreshold>,
+    found: WorkerOutcome,
+    key: Vec<u32>,
+    /// Roots of the join in progress; they count once it has a subtree.
+    joined: Vec<u32>,
+    cursors: Vec<RunCursor<'a>>,
+    fold: SubtreeFold<'a>,
+}
+
+impl Walk<'_, '_> {
+    /// Join the combination `combo` of `groups` on every shard, in
+    /// ascending root range, into one dictionary group, and offer the
+    /// pattern's final score to the threshold, if there is one.
+    fn join(&mut self, groups: &[PatternTypeGroup<'_>], combo: &[usize]) {
+        let Walk {
+            ctx,
+            cfg,
+            threshold,
+            found,
+            key,
+            joined,
+            cursors,
+            fold,
+        } = self;
+        let WorkerOutcome {
+            dict,
+            roots,
+            subtrees,
+            patterns,
+            ..
+        } = found;
+        for (i, group) in groups.iter().enumerate() {
+            key[i] = group.patterns[combo[i]].0;
+        }
+        joined.clear();
+        let mut group_id = None;
+        'shards: for (at, shard) in ctx.shards.iter().enumerate() {
             cursors.clear();
-            for i in 0..m {
-                // A word's own groups hold one position per pattern.
-                let prim = lists[i].prim(combo[i], 0);
+            for (i, group) in groups.iter().enumerate() {
+                let prim = group.prim(combo[i], shard.shard);
+                if prim == PatternTypeGroup::ABSENT {
+                    // Locally empty, without a seek.
+                    continue 'shards;
+                }
                 cursors.push(shard.words[i].pattern_run_cursor(prim as usize));
             }
-            // Lines 5–8 fused: leapfrog the run cursors; every common
-            // root yields its posting runs for the path product.
-            let roots_before = candidate_roots_seen.len();
-            let mut group_id = None;
-            let end = patternkb_index::leapfrog(&mut cursors, |r, cursors| {
-                let root = NodeId(r);
-                let gid = *group_id.get_or_insert_with(|| dict.intern(&key));
+            let mut accepted = false;
+            // Intersection + join fused: leapfrog the run cursors by
+            // root; each common root hands over its posting slices.
+            let end = patternkb_index::leapfrog(cursors, |r, cursors| {
+                let gid = *group_id.get_or_insert_with(|| dict.intern(key));
                 let group = dict.group_by_id_mut(gid);
-                candidate_roots_seen.push(r);
+                joined.push(r);
                 let runs = cursors.iter().map(RunCursor::postings);
-                subtrees += fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
-                    group.add(&shard.words, root, tuple, score, cfg.max_rows);
+                subtrees[at] += fold.fold(&shard.words, cfg, NodeId(r), runs, |_, score| {
+                    group.add(score);
+                    accepted = true;
                     ControlFlow::Continue(())
                 });
                 ControlFlow::Continue(())
             });
             shard.counters.add_seeks(end.seeks);
-            if let Some(gid) = group_id {
-                if dict.group(gid).is_dead() {
-                    // Strict mode rejected every tuple: drop the roots we
-                    // optimistically recorded.
-                    candidate_roots_seen.truncate(roots_before);
+            patterns[at] += usize::from(accepted);
+        }
+        if let Some(gid) = group_id {
+            let acc = &dict.group(gid).acc;
+            // Strict mode may have rejected every tuple: then the pattern
+            // does not exist and its roots were never candidates.
+            if acc.count > 0 {
+                joined.iter().for_each(|&r| roots.insert(r));
+                if let Some(threshold) = threshold {
+                    threshold.offer(acc.finish(cfg.scoring.aggregation));
                 }
-            }
-            if odometer_step(&mut combo, |i| lists[i].patterns.len()).is_none() {
-                break;
             }
         }
     }
+}
 
-    candidate_roots_seen.sort_unstable();
-    candidate_roots_seen.dedup();
-    (dict, subtrees, candidate_roots_seen)
+/// Walk the global combination list `types` once, handling every
+/// `workers`-th combination starting at the `worker`-th.
+fn worker_walk(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    types: &[Vec<PatternTypeGroup<'_>>],
+    threshold: Option<&SharedThreshold>,
+    worker: usize,
+    workers: usize,
+) -> WorkerOutcome {
+    let m = ctx.m();
+    let mut walk = Walk {
+        ctx,
+        cfg,
+        threshold,
+        found: WorkerOutcome {
+            dict: TreeDict::new(m),
+            roots: RootSet::new(ctx.g.num_nodes()),
+            subtrees: vec![0; ctx.shards.len()],
+            patterns: vec![0; ctx.shards.len()],
+            combos_pruned: 0,
+        },
+        key: vec![0; m],
+        joined: Vec::new(),
+        cursors: Vec::with_capacity(m),
+        fold: SubtreeFold::new(m),
+    };
+    let mut combo = vec![0usize; m];
+    // The bound's aggregates of `combo`'s digits `..aggs.len()`; the
+    // odometer truncates it to the digits it left alone.
+    let mut aggs: Vec<PatternAggregates> = Vec::with_capacity(m);
+    // Combinations until this worker's next one.
+    let mut wait = worker;
+
+    for groups in types {
+        aggs.clear();
+        loop {
+            if wait > 0 {
+                wait -= 1;
+            } else {
+                wait = workers - 1;
+                let pruned =
+                    threshold.is_some_and(|t| t.prunes(ctx, cfg, groups, &combo, &mut aggs));
+                if pruned {
+                    walk.found.combos_pruned += 1;
+                } else {
+                    walk.join(groups, &combo);
+                }
+            }
+
+            match odometer_step(&mut combo, |i| groups[i].patterns.len()) {
+                Some(moved) => aggs.truncate(moved),
+                None => break,
+            }
+        }
+    }
+    walk.found
 }
 
 /// Run `PATTERNENUM`.
@@ -123,60 +276,79 @@ pub(crate) fn pattern_enum_in(
     cfg: &SearchConfig,
     mode: Fanout,
 ) -> SearchResult {
+    walk_combinations(ctx, cfg, mode, None)
+}
+
+/// The walk over every pattern combination, split over workers by `mode`,
+/// and its result tail. With `threshold`, a combination whose bound cannot
+/// beat it is skipped, and every pattern found offers its score to it.
+pub(crate) fn walk_combinations(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    mode: Fanout,
+    threshold: Option<&SharedThreshold>,
+) -> SearchResult {
     let t0 = Instant::now();
-    let combos_tried = global_combo_count(ctx);
-    let locals = run_sharded(mode, &ctx.shards, |shard| {
-        let (dict, subtrees, roots) = pattern_enum_shard(shard, cfg);
-        (dict, subtrees, roots, shard.shard)
+    let types = ctx.merged_by_type();
+    let combos_tried = combo_count(&types);
+    let workers: Vec<usize> = match mode {
+        Fanout::Inline => vec![0],
+        Fanout::Threads => (0..cores().max(2)).collect(),
+    };
+    let outcomes = run_sharded(mode, &workers, |&w| {
+        worker_walk(ctx, cfg, &types, threshold, w, workers.len())
     });
 
-    let mut per_shard = Vec::with_capacity(locals.len());
-    let mut dicts = Vec::with_capacity(locals.len());
-    let mut subtrees = 0usize;
-    let mut candidate_roots = 0usize;
-    for (dict, local_subtrees, roots, shard) in locals {
-        per_shard.push(ShardStats {
-            shard,
-            candidate_roots: roots.len(),
-            subtrees: local_subtrees,
-            patterns: dict.len(),
-        });
-        subtrees += local_subtrees;
-        // Shards partition the root space, so per-shard dedup is global
-        // dedup.
-        candidate_roots += roots.len();
-        dicts.push(dict);
+    let mut per_shard: Vec<ShardStats> = ctx
+        .shards
+        .iter()
+        .map(|shard| ShardStats {
+            shard: shard.shard,
+            ..ShardStats::default()
+        })
+        .collect();
+    let mut dicts = Vec::with_capacity(outcomes.len());
+    let mut roots: Option<RootSet> = None;
+    let mut combos_pruned = 0usize;
+    for outcome in outcomes {
+        for (at, stats) in per_shard.iter_mut().enumerate() {
+            stats.subtrees += outcome.subtrees[at];
+            stats.patterns += outcome.patterns[at];
+        }
+        // Each combination is tested by exactly one worker.
+        combos_pruned += outcome.combos_pruned;
+        match &mut roots {
+            Some(roots) => roots.union(&outcome.roots),
+            None => roots = Some(outcome.roots),
+        }
+        dicts.push(outcome.dict);
     }
-    let dict = merge_shard_dicts(dicts, ctx.m(), cfg.max_rows);
+    let roots = roots.expect("at least one worker");
+    // Shards partition the root space by range.
+    let bounds = ctx.idx.bounds();
+    for stats in &mut per_shard {
+        stats.candidate_roots =
+            roots.count_below(bounds[stats.shard + 1]) - roots.count_below(bounds[stats.shard]);
+    }
 
-    let patterns_found = dict.len();
+    let patterns = rank_winners(ctx, cfg, &dicts);
     let mut hot = ctx.hot_stats();
-    hot.keys_interned = dict.keys_interned() as u64;
-    hot.key_arena_bytes = dict.arena_bytes() as u64;
-    let mut patterns: Vec<RankedPattern> = Vec::with_capacity(patterns_found);
-    dict.drain_live(|key, group| {
-        patterns.push(RankedPattern {
-            pattern: ctx.decode_key(key),
-            score: group.acc.finish(cfg.scoring.aggregation),
-            num_trees: group.acc.count as usize,
-            trees: group.trees,
-        });
-    });
+    hot.keys_interned = dicts.iter().map(|d| d.keys_interned() as u64).sum();
+    hot.key_arena_bytes = dicts.iter().map(|d| d.arena_bytes() as u64).sum();
     SearchResult {
         patterns,
         stats: QueryStats {
-            candidate_roots,
-            subtrees,
-            patterns: patterns_found,
+            candidate_roots: per_shard.iter().map(|s| s.candidate_roots).sum(),
+            subtrees: per_shard.iter().map(|s| s.subtrees).sum(),
+            patterns: dicts.iter().map(TreeDict::len).sum(),
             combos_tried,
-            combos_pruned: 0,
+            combos_pruned,
             per_shard,
             fanout: mode,
             hot,
             elapsed: t0.elapsed(),
         },
     }
-    .finalize(cfg.k)
 }
 
 #[cfg(test)]

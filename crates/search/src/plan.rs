@@ -66,6 +66,12 @@
 //! | exact `LINEARENUM-TOPK` | 169 |
 //! | `PATTERNENUM` | 40 |
 //!
+//! The `PATTERNENUM` row timed the shard-by-shard kernel that built rows
+//! for every pattern it found. That kernel is gone: unpruned `PATTERNENUM`
+//! is now the pruned walk with its bound off, and it builds rows for the
+//! k winners alone. The row has not been measured again; no rule routes
+//! to it.
+//!
 //! | policy | mean | median | mean regret vs per-query best |
 //! |---|---|---|---|
 //! | per-query best | 274 | 76 | 1.00 |

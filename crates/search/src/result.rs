@@ -78,7 +78,8 @@ pub struct ShardStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Cursor seeks issued by gallop intersections (candidate roots,
-    /// per-combination emptiness tests, relaxation counts).
+    /// per-combination emptiness tests, the re-join of the winners' rows,
+    /// relaxation counts).
     pub intersect_seeks: u64,
     /// Always 0: queries run on decoded postings, never on block-coded
     /// lists. Kept only because the gated benchmark still reads the field.

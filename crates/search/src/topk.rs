@@ -10,7 +10,11 @@
 //!    (lines 5–8) and pattern scores are estimated from the sample
 //!    (Horvitz–Thompson for `Sum`/`Count`);
 //! 3. only the partition's estimated top-k patterns get their exact scores
-//!    and subtrees recomputed (line 11) before entering the global queue.
+//!    recomputed (line 11) before entering the global queue.
+//!
+//! Like every index kernel it records scores only: the queue's k best get
+//! their rows re-joined at the end (`rank_winners`), and no other
+//! pattern's rows are built.
 //!
 //! With `Λ = ∞` or `ρ = 1` the result is the exact top-k (Theorem 4); with
 //! sampling, the pairwise error probability decays as
@@ -31,10 +35,10 @@
 //! layouts too.
 
 use crate::common::{
-    expand_root, merge_shard_dicts, run_sharded, ExpandScratch, Fanout, PatternGroup, QueryContext,
-    ShardContext, SubtreeFold, TreeDict,
+    expand_root, merge_shard_dicts, rank_winners, run_sharded, ExpandScratch, Fanout, PatternGroup,
+    QueryContext, ShardContext, SubtreeFold, TreeDict,
 };
-use crate::result::{QueryStats, RankedPattern, SearchResult, ShardStats};
+use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::SearchConfig;
 use patternkb_graph::{FxHashMap, NodeId, TypeId};
 use patternkb_index::PatternId;
@@ -199,7 +203,9 @@ pub(crate) fn linear_enum_topk_in(
     let mut patterns_seen = 0usize;
     let mut keys_interned = 0u64;
     let mut key_arena_bytes = 0u64;
-    let mut global: Vec<RankedPattern> = Vec::new();
+    // Every partition's winners with their exact scores: at most k per
+    // type, the queue the paper's line 11 feeds.
+    let mut winners = TreeDict::new(ctx.m());
     let mut expansions = expansions;
 
     let types: Vec<TypeId> = n_r_global.keys().copied().collect();
@@ -210,65 +216,46 @@ pub(crate) fn linear_enum_topk_in(
             .iter_mut()
             .map(|(d, _)| d.remove(&c).unwrap_or_else(|| TreeDict::new(ctx.m())))
             .collect();
-        let dict = merge_shard_dicts(dicts, ctx.m(), cfg.max_rows);
+        let dict = merge_shard_dicts(dicts, ctx.m());
         patterns_seen += dict.len();
         keys_interned += dict.keys_interned() as u64;
         key_arena_bytes += dict.arena_bytes() as u64;
 
         // Lines 9–10: estimated scores; keep the partition's top-k.
-        let mut local: Vec<(Vec<u32>, PatternGroup, f64)> = Vec::new();
-        dict.drain_live(|key, group| {
-            let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
-            local.push((key.to_vec(), group, est));
-        });
+        let mut local: Vec<(f64, &[u32], &PatternGroup)> = dict
+            .iter()
+            .map(|(_, key, group)| {
+                let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
+                (est, key, group)
+            })
+            .collect();
         local.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
+                .then_with(|| a.1.cmp(b.1))
         });
         local.truncate(cfg.k);
 
-        // Line 11: exact re-scoring for the estimated winners.
-        for (key, group, _est) in local {
-            let group = if rate >= 1.0 {
-                group
+        // Line 11: exact scores for the estimated winners — the sample's
+        // own where every root was expanded, re-scored otherwise.
+        for (_, key, group) in local {
+            let winner = winners.group_mut(key);
+            if rate >= 1.0 {
+                winner.merge(group);
             } else {
-                let pattern_ids: Vec<PatternId> = key.iter().map(|&p| PatternId(p)).collect();
-                let (group, rescored) =
-                    exact_pattern_score(ctx, cfg, &partitions, c, &pattern_ids, &mut per_shard);
-                subtrees_expanded += rescored;
-                group
-            };
-            if group.acc.count == 0 {
-                continue;
+                subtrees_expanded +=
+                    exact_pattern_score(ctx, cfg, &partitions, c, key, &mut per_shard, winner);
             }
-            global.push(RankedPattern {
-                pattern: ctx.decode_key(&key),
-                score: group.acc.finish(cfg.scoring.aggregation),
-                num_trees: group.acc.count as usize,
-                trees: group.trees,
-            });
-        }
-        // Keep the global queue bounded (paper: queue of size k).
-        if global.len() > 4 * cfg.k.max(4) {
-            global.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.key().cmp(&b.key()))
-            });
-            global.truncate(cfg.k);
         }
     }
 
-    let hot = {
-        let mut hot = ctx.hot_stats();
-        hot.keys_interned = keys_interned;
-        hot.key_arena_bytes = key_arena_bytes;
-        hot
-    };
+    // The winners' keys were counted in their partitions.
+    let patterns = rank_winners(ctx, cfg, std::slice::from_ref(&winners));
+    let mut hot = ctx.hot_stats();
+    hot.keys_interned = keys_interned;
+    hot.key_arena_bytes = key_arena_bytes;
     SearchResult {
-        patterns: global,
+        patterns,
         stats: QueryStats {
             candidate_roots,
             subtrees: subtrees_expanded,
@@ -281,23 +268,21 @@ pub(crate) fn linear_enum_topk_in(
             elapsed: t0.elapsed(),
         },
     }
-    .finalize(cfg.k)
 }
 
-/// Exact score and subtrees of one tree pattern over a root partition
-/// (type `c`), via `Paths(wᵢ, r, Pᵢ)` lookups (root-first index). The
-/// partition's roots are walked shard by shard in ascending order, so the
-/// materialized rows match a single-shard pass. Returns the pattern's
-/// group and the number of subtrees re-enumerated.
+/// Exact score of one tree pattern (one pattern id per keyword) over a
+/// root partition (type `c`), via `Paths(wᵢ, r, Pᵢ)` lookups (root-first
+/// index), added into `group`. Returns the number of subtrees
+/// re-enumerated, which `per_shard` counts too.
 fn exact_pattern_score(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
     partitions: &[ShardPartition],
     c: TypeId,
-    pattern: &[PatternId],
+    pattern: &[u32],
     per_shard: &mut [ShardStats],
-) -> (PatternGroup, usize) {
-    let mut group = PatternGroup::default();
+    group: &mut PatternGroup,
+) -> usize {
     let mut rescored = 0usize;
     let mut fold = SubtreeFold::new(ctx.m());
     for (shard_pos, part) in partitions.iter().enumerate() {
@@ -308,10 +293,10 @@ fn exact_pattern_score(
         let rescored_before = rescored;
         let walk = shard.walk();
         for r in roots.iter().map(|&j| walk.roots()[j]) {
-            let runs =
-                (shard.words.iter().zip(pattern)).map(|(w, &p)| w.paths_of_root_pattern(r, p));
-            rescored += fold.fold(&shard.words, cfg, r, runs, |tuple, score| {
-                group.add(&shard.words, r, tuple, score, cfg.max_rows);
+            let runs = (shard.words.iter().zip(pattern))
+                .map(|(w, &p)| w.paths_of_root_pattern(r, PatternId(p)));
+            rescored += fold.fold(&shard.words, cfg, r, runs, |_, score| {
+                group.add(score);
                 ControlFlow::Continue(())
             });
         }
@@ -319,7 +304,7 @@ fn exact_pattern_score(
         // so the per-shard split always sums to the total.
         per_shard[shard_pos].subtrees += rescored - rescored_before;
     }
-    (group, rescored)
+    rescored
 }
 
 #[cfg(test)]

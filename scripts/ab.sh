@@ -16,7 +16,7 @@
 # apart — the spread test of a claimed gain; the marker never changes the
 # exit status. Every run's metrics are kept in target/ab/runs.txt.
 # Nothing under benchmark/ is read except its printed `name value unit`
-# lines.
+# lines, and each side's benchmark/Cargo.lock is left as it was.
 #
 # With a fifth argument `trace`, both sides run traced (`--trace 1`) and
 # the table lists BENCHMARK.json's `per_layer` rows instead, followed by
@@ -52,8 +52,14 @@ else
     git worktree add --quiet --detach "$parent" "$rev"
 fi
 
+# Building the benchmark prunes stale entries from its Cargo.lock; each
+# side's lock is put back as it was after its build, failed or not.
 for side in "$parent" "$root"; do
-    cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
+    cp "$side/benchmark/Cargo.lock" "$ab/Cargo.lock"
+    built=0
+    cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml" || built=$?
+    cp "$ab/Cargo.lock" "$side/benchmark/Cargo.lock"
+    [ "$built" -eq 0 ] || exit "$built"
 done
 
 # One run of <side>'s binary: its metric lines (and, traced, its layer

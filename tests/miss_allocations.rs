@@ -218,3 +218,71 @@ fn strict_trees_allocate_nothing_per_subtree() {
     }
     assert!(large >= 4, "too few large searches to show the growth");
 }
+
+/// Only the k winners get rows. Every index kernel records scores alone
+/// while it enumerates and re-joins rows for its winners afterwards, each
+/// winner's into one store sized up front, so a miss allocates exactly as
+/// many blocks at `max_rows(64)` as at `max_rows(1)`, however many
+/// patterns it found. (When `PATTERNENUM` built rows for every pattern it
+/// found and `LINEARENUM-TOPK` for every per-type winner, a 1-keyword miss
+/// finding 269 patterns allocated 423 blocks more at 64 rows under each.)
+#[test]
+fn only_the_winners_get_rows() {
+    let g = wiki(&WikiConfig {
+        entities: 3_000,
+        seed: 9,
+        ..WikiConfig::default()
+    });
+    let engine = EngineBuilder::new()
+        .graph(g)
+        .threads(1)
+        .shards(2)
+        .build()
+        .unwrap();
+    let mut generator = QueryGenerator::new(engine.graph(), engine.text(), engine.d(), 10);
+    let sampled = SamplingConfig::new(10, 0.5, 7);
+    let mut many = 0;
+    for m in [1, 2, 1, 2, 1] {
+        let Some(spec) = generator.anchored(m) else {
+            continue;
+        };
+        for (algorithm, sampling) in [
+            (AlgorithmChoice::LinearEnum, None),
+            (AlgorithmChoice::LinearEnumTopK, None),
+            (AlgorithmChoice::LinearEnumTopK, Some(sampled)),
+            (AlgorithmChoice::PatternEnum, None),
+            (AlgorithmChoice::PatternEnumPruned, None),
+        ] {
+            let request = |rows| {
+                let request = SearchRequest::query(Query::from_ids(spec.keywords.clone()))
+                    .k(3)
+                    .max_rows(rows)
+                    .compose_tables(false)
+                    .algorithm(algorithm);
+                match sampling {
+                    Some(sampling) => request.sampling(sampling),
+                    None => request,
+                }
+            };
+            let (one, all) = (request(1), request(64));
+            engine.respond(&one).unwrap();
+            engine.respond(&all).unwrap();
+            let (one, one_count) = common::tally(|| engine.respond(&one).unwrap());
+            let (all, all_count) = common::tally(|| engine.respond(&all).unwrap());
+            let rows = |r: &SearchResponse| r.patterns.iter().map(|p| p.trees.len()).sum::<usize>();
+            assert_eq!(
+                one_count.calls,
+                all_count.calls,
+                "{m}-keyword {algorithm:?} (sampled: {}) over {} patterns: {} rows and {}",
+                sampling.is_some(),
+                all.stats.patterns,
+                rows(&one),
+                rows(&all),
+            );
+            many += usize::from(
+                all.stats.patterns > 10 * one.patterns.len() && rows(&all) > rows(&one),
+            );
+        }
+    }
+    assert!(many >= 12, "too few many-pattern misses to show the growth");
+}
