@@ -7,6 +7,8 @@
 //! the bit — to each other and to a `shards(1)` index — plus one case on
 //! a graph large enough that [`QueryContext::fanout`] itself fans out.
 
+#![cfg(test)]
+
 use crate::bound::pattern_enum_pruned_in;
 use crate::common::{cores, Fanout, QueryContext, FANOUT_MIN_ROOTS};
 use crate::counting::count_patterns_in;

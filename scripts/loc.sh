@@ -5,7 +5,8 @@
 #
 # A line counts when it is not blank and not a `//` comment (doc comments
 # included), in a `.rs` file under `crates/*/src` or `src/`; a file is read
-# only up to its first column-0 `#[cfg(test)]`, so unit tests do not count.
+# only up to its first column-0 `#[cfg(test)]` or `#![cfg(test)]`, so unit
+# tests, in the file or in a test module of its own, do not count.
 # Comment or format churn therefore moves the total little, and a change
 # that deletes code shows as a negative difference. With <rev>, the same
 # count of that revision (read with `git archive`, nothing checked out)
@@ -24,7 +25,7 @@ count() {
         [ "$dir" = "$1/src" ] && name=patternkb
         lines=$(find "$dir" -name '*.rs' -type f | sort | xargs awk '
             FNR == 1 { tests = 0 }
-            /^#\[cfg\(test\)\]/ { tests = 1 }
+            /^#!?\[cfg\(test\)\]/ { tests = 1 }
             tests || /^[ \t]*$/ || /^[ \t]*\/\// { next }
             { n++ }
             END { print n + 0 }
