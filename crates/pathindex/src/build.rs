@@ -351,7 +351,7 @@ mod tests {
             },
         );
         let db = word(&t, "database");
-        let widx = idx.word(db).expect("database indexed");
+        let widx = idx.word_in(0, db).expect("database indexed");
         // Paths ending at "Relational database": from its own root (trivial)
         // and from SQL Server via Genre.
         assert_eq!(widx.len(), 2);
@@ -372,7 +372,7 @@ mod tests {
             },
         );
         let revenue = word(&t, "revenue");
-        let widx = idx.word(revenue).expect("revenue indexed");
+        let widx = idx.word_in(0, revenue).expect("revenue indexed");
         // Ending at the Revenue edge: from Microsoft (2 nodes incl leaf) and
         // from SQL Server via Developer (3 nodes incl leaf).
         assert_eq!(widx.len(), 2);
@@ -398,7 +398,7 @@ mod tests {
             },
         );
         let revenue = word(&t, "revenue");
-        let widx = idx.word(revenue).expect("revenue indexed");
+        let widx = idx.word_in(0, revenue).expect("revenue indexed");
         assert_eq!(widx.len(), 1);
         assert_eq!(widx.roots().len(), 1);
         for (_, w) in idx.shards()[0].iter_words() {
@@ -421,7 +421,7 @@ mod tests {
             },
         );
         let db = word(&t, "database");
-        let widx = idx.word(db).unwrap();
+        let widx = idx.word_in(0, db).unwrap();
         for pat in widx.patterns() {
             for p in widx.paths_of_pattern(pat) {
                 // "Relational database" has 2 tokens → sim = 1/2.
@@ -445,7 +445,7 @@ mod tests {
             },
         );
         let software = word(&t, "software");
-        let widx = idx.word(software).unwrap();
+        let widx = idx.word_in(0, software).unwrap();
         // "software" matches the SQL Server node via its type; paths: the
         // trivial one from itself (1 node). No other node reaches it... via
         // no edges pointing to SQL Server. So exactly 1 posting.
@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(serial.patterns().len(), parallel.patterns().len());
         // Compare per-word posting multisets via a canonical projection.
         for (w, ws) in serial.shards()[0].iter_words() {
-            let wp = parallel.word(w).expect("word in parallel index");
+            let wp = parallel.word_in(0, w).expect("word in parallel index");
             let canon = |idx: &WordPathIndex| {
                 let mut v: Vec<(Vec<NodeId>, bool, u64, u64)> = idx
                     .roots()
@@ -512,7 +512,7 @@ mod tests {
                 v.sort();
                 v
             };
-            assert_eq!(canon(ws), canon(wp));
+            assert_eq!(canon(&ws), canon(&wp));
         }
     }
 

@@ -207,9 +207,9 @@ mod tests {
     fn roundtrip_is_bit_exact() {
         let (idx, _) = sample(40, 3);
         for (w, widx) in idx.shards()[0].iter_words() {
-            let back = decode_stream(&encode(widx), widx.len() as u32).expect("decodes");
+            let back = decode_stream(&encode(&widx), widx.len() as u32).expect("decodes");
             assert_eq!(
-                canon_word(idx.patterns(), widx),
+                canon_word(idx.patterns(), &widx),
                 canon_word(idx.patterns(), &back),
                 "word {w:?}"
             );
@@ -221,7 +221,7 @@ mod tests {
         let (idx, _) = sample(200, 3);
         let stream_bytes: usize = idx.shards()[0]
             .iter_words()
-            .map(|(_, widx)| encode(widx).len())
+            .map(|(_, widx)| encode(&widx).len())
             .sum();
         let ratio = stream_bytes as f64 / idx.heap_bytes() as f64;
         assert!(
@@ -234,8 +234,8 @@ mod tests {
     #[test]
     fn truncation_and_wrong_count_detected() {
         let (idx, t) = sample(16, 2);
-        let widx = idx.word(t.lookup_word("alpha").unwrap()).unwrap();
-        let full = encode(widx);
+        let widx = idx.word_in(0, t.lookup_word("alpha").unwrap()).unwrap();
+        let full = encode(&widx);
         let n = widx.len() as u32;
         for cut in [0, 1, full.len() / 2, full.len() - 1] {
             assert!(decode_stream(&full[..cut], n).is_err(), "cut at {cut}");
@@ -298,8 +298,8 @@ mod tests {
     #[test]
     fn bit_flips_never_panic() {
         let (idx, t) = sample(16, 2);
-        let widx = idx.word(t.lookup_word("alpha").unwrap()).unwrap();
-        let full = encode(widx);
+        let widx = idx.word_in(0, t.lookup_word("alpha").unwrap()).unwrap();
+        let full = encode(&widx);
         for byte in 0..full.len() {
             let mut bad = full.to_vec();
             bad[byte] ^= 0xa5;

@@ -295,8 +295,8 @@ pub fn try_refresh_indexes(
                 None => None,
             };
             let (postings, arena) = fresh_lists.remove(&(s, w)).unwrap_or_default();
-            let before = old_list.map_or(0, WordPathIndex::len) + postings.len();
-            let base = old_list.map(|list| Base {
+            let before = old_list.as_ref().map_or(0, |list| list.len()) + postings.len();
+            let base = old_list.as_deref().map(|list| Base {
                 list,
                 affected: &affected,
                 reread_pagerank,
@@ -609,7 +609,7 @@ mod tests {
         for s in 0..2 {
             for w in new.shards()[s].word_ids() {
                 let same = match (old.word_in(s, w), new.word_in(s, w)) {
-                    (Some(a), Some(b)) => std::ptr::eq(a, b),
+                    (Some(a), Some(b)) => Arc::ptr_eq(&a, &b),
                     _ => false,
                 };
                 assert_eq!(same, !touched.contains(&(s, w)), "shard {s} word {w:?}");
@@ -627,9 +627,9 @@ mod tests {
         let (third, stats3) =
             refresh_indexes(&new, &g2, &g3, &new_text, &text3, &d2.dirty_nodes(), false);
         let gate = text3.lookup_word("gate").unwrap();
-        assert!(std::ptr::eq(
-            new.word_in(1, gate).unwrap(),
-            third.word_in(1, gate).unwrap()
+        assert!(Arc::ptr_eq(
+            &new.word_in(1, gate).unwrap(),
+            &third.word_in(1, gate).unwrap()
         ));
         assert!(third.num_patched_words() > new.num_patched_words());
         assert_eq!(stats3.words_rebuilt, 2, "\"halt\" and \"station\"");
@@ -698,7 +698,7 @@ mod tests {
         assert!(matches!(&changed, ChangedWords::Only(words) if !words.is_empty()));
         for (w, word) in text.vocab().iter() {
             let replaced = (0..2).any(|s| match (old.word_in(s, w), new.word_in(s, w)) {
-                (Some(a), Some(b)) => !std::ptr::eq(a, b),
+                (Some(a), Some(b)) => !Arc::ptr_eq(&a, &b),
                 (a, b) => a.is_some() != b.is_some(),
             });
             assert_eq!(changed.touches([w]), replaced, "word {word:?}");
@@ -726,7 +726,7 @@ mod tests {
         let (full, incr, text, stats) = rebuild_and_refresh(&g, &d, PagerankMode::Frozen);
         assert_eq!(canon(&full, &text), canon(&incr, &text));
         let w = text.lookup_word("revenue").unwrap();
-        assert!(!incr.has_word(w) && incr.word(w).is_none());
+        assert!(!incr.has_word(w) && incr.word_in(0, w).is_none());
         assert!(!incr.word_ids().contains(&w));
         assert_eq!(incr.num_words(), full.num_words());
         assert_eq!(incr.num_postings(), full.num_postings());

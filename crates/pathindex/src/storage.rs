@@ -277,10 +277,8 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     // ascending word within the shard.
     let mut streams: Vec<(u32, WordId, u32, Box<[u8]>)> = Vec::new();
     for (s, shard) in idx.shards().iter().enumerate() {
-        let mut words: Vec<(WordId, &WordPathIndex)> = shard.iter_words().collect();
-        words.sort_by_key(|(w, _)| *w);
-        for (w, widx) in words {
-            streams.push((s as u32, w, widx.len() as u32, compress::encode(widx)));
+        for (w, widx) in shard.iter_words() {
+            streams.push((s as u32, w, widx.len() as u32, compress::encode(&widx)));
         }
     }
 
@@ -581,13 +579,15 @@ fn decode_entry(
 /// holding the word's decoded list. A store opened over an image borrows
 /// the stream bytes from the shared [`Region`] and fills a word's slot
 /// the first time a query touches it; a store built from lists in memory
-/// has every slot filled and no region. Either way a filled slot is
-/// reused for the life of the index.
+/// has every slot filled and no region. Either way the store lends no
+/// borrows: a filled slot hands out `Arc` handles to its list, a query
+/// holds the handles it took until it ends, and a handle keeps its list
+/// alive after the index is dropped.
 pub(crate) struct WordStore {
     entries: Vec<LexEntry>,
     /// Parallel to `entries`. Errors are kept too, so a damaged stream is
     /// decoded (and fails) once, deterministically.
-    slots: Vec<OnceLock<Result<WordPathIndex, SnapshotError>>>,
+    slots: Vec<OnceLock<Result<Arc<WordPathIndex>, SnapshotError>>>,
     region: Option<Arc<Region>>,
     root_lo: u32,
     root_hi: u32,
@@ -608,7 +608,7 @@ impl WordStore {
                     len: 0,
                     num_postings: list.len() as u32,
                 };
-                (entry, OnceLock::from(Ok(list)))
+                (entry, OnceLock::from(Ok(Arc::new(list))))
             })
             .unzip();
         WordStore {
@@ -625,7 +625,7 @@ impl WordStore {
         self.entries.binary_search_by_key(&w, |e| e.word).ok()
     }
 
-    fn decoded(&self, i: usize) -> &Result<WordPathIndex, SnapshotError> {
+    fn decoded(&self, i: usize) -> &Result<Arc<WordPathIndex>, SnapshotError> {
         self.slots[i].get_or_init(|| {
             let region = self
                 .region
@@ -638,15 +638,16 @@ impl WordStore {
                 self.root_hi,
                 self.npatterns,
             )
+            .map(Arc::new)
         })
     }
 
-    /// The list for `w`, if the shard holds postings for it. On an
-    /// opened image this decodes the word's stream on first touch; a
-    /// corrupt stream makes the word unavailable here — call
+    /// A handle to the list for `w`, if the shard holds postings for it.
+    /// On an opened image this decodes the word's stream on first touch;
+    /// a corrupt stream makes the word unavailable here — call
     /// [`Self::prepare`] first to surface the typed error.
-    pub(crate) fn word(&self, w: WordId) -> Option<&WordPathIndex> {
-        self.decoded(self.slot(w)?).as_ref().ok()
+    pub(crate) fn word(&self, w: WordId) -> Option<Arc<WordPathIndex>> {
+        self.decoded(self.slot(w)?).as_ref().ok().cloned()
     }
 
     /// How many postings the shard holds for `w`, from the lexicon
@@ -676,7 +677,7 @@ impl WordStore {
                 .slots
                 .iter()
                 .filter_map(|s| s.get()?.as_ref().ok())
-                .map(WordPathIndex::heap_bytes)
+                .map(|w| w.heap_bytes())
                 .sum::<usize>()
     }
 
@@ -841,8 +842,8 @@ mod tests {
             for (w, wa) in sa.iter_words() {
                 let wb = sb.word(w).expect("word survives");
                 assert_eq!(
-                    canon_word(a.patterns(), wa),
-                    canon_word(b.patterns(), wb),
+                    canon_word(a.patterns(), &wa),
+                    canon_word(b.patterns(), &wb),
                     "word {w:?}"
                 );
             }

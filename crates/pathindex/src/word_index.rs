@@ -5,7 +5,6 @@ use crate::pattern::{PatternId, PatternSet};
 use crate::posting::Posting;
 use crate::storage::{Region, StorageBackend, WordStore};
 use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Per-pattern posting statistics, cached at construction. These are
@@ -210,15 +209,12 @@ pub fn groups_by_shared_type<'a>(
 /// word's list in index shard `s`, `None` where the shard has none) merged
 /// over every shard, positions indexed by shard. Pattern ids are global
 /// and every shard's groups are sorted by `(root type, pattern)`, so this
-/// is a k-way merge; with a single shard it borrows what that shard's
-/// word index memoises.
-pub fn merge_type_groups<'a>(
-    words: &[Option<&'a WordPathIndex>],
+/// is a k-way merge. Over a single shard it equals what that shard's word
+/// index memoises, which a caller with one shard reads instead.
+pub fn merge_type_groups(
+    words: &[Option<&WordPathIndex>],
     patterns: &PatternSet,
-) -> Cow<'a, PatternTypeGroups> {
-    if let [Some(only)] = words {
-        return Cow::Borrowed(only.pattern_type_groups(patterns));
-    }
+) -> PatternTypeGroups {
     let shards = words.len();
     let per_shard: Vec<Option<&PatternTypeGroups>> = words
         .iter()
@@ -261,7 +257,7 @@ pub fn merge_type_groups<'a>(
         merged.root_types.push(root_type);
         merged.starts.push(merged.patterns.len() as u32);
     }
-    Cow::Owned(merged)
+    merged
 }
 
 /// The postings of one word: stored once in pattern-first order, with a
@@ -578,8 +574,9 @@ fn compact_arena(postings: &mut [Posting], arena: &[NodeId]) -> Vec<NodeId> {
 /// new version by rebuilding only the words a delta touches and recording
 /// them in the patch map, which shadows the base: `Some` replaces the
 /// base's list, `None` marks a word the delta emptied. Query code is
-/// oblivious — it only ever sees contiguous `&WordPathIndex` borrows, and
-/// with an empty patch map every read goes straight to the base.
+/// oblivious — base or patch, it only ever holds a word as an
+/// `Arc<WordPathIndex>` handle of its own, and with an empty patch map
+/// every read goes straight to the base.
 pub struct IndexShard {
     base: Arc<WordStore>,
     patched: FxHashMap<WordId, Option<Arc<WordPathIndex>>>,
@@ -629,11 +626,11 @@ impl IndexShard {
         next
     }
 
-    /// The per-word index for `w` within this shard; `None` when no root in
-    /// the shard's range reaches the word.
-    pub fn word(&self, w: WordId) -> Option<&WordPathIndex> {
+    /// A handle to the per-word index for `w` within this shard; `None`
+    /// when no root in the shard's range reaches the word.
+    pub fn word(&self, w: WordId) -> Option<Arc<WordPathIndex>> {
         match self.patched.get(&w) {
-            Some(patch) => patch.as_deref(),
+            Some(patch) => patch.clone(),
             None => self.base.word(w),
         }
     }
@@ -671,9 +668,11 @@ impl IndexShard {
     /// Iterate all `(word, index)` pairs of this shard, in ascending word
     /// order. Over an opened image this decodes every base word it visits
     /// (the image writer's and the full refresh's path); words whose
-    /// streams are damaged are skipped here — queries surface them as
-    /// typed errors via [`PathIndexes::prepare_words`] instead.
-    pub fn iter_words(&self) -> impl Iterator<Item = (WordId, &WordPathIndex)> {
+    /// streams are damaged are skipped here. A caller that must see every
+    /// word prepares it first ([`Self::prepare`],
+    /// [`PathIndexes::prepare_words`]), which surfaces the damage as a
+    /// typed error: queries, refreshes and both image writers do.
+    pub fn iter_words(&self) -> impl Iterator<Item = (WordId, Arc<WordPathIndex>)> + '_ {
         self.word_ids()
             .into_iter()
             .filter_map(move |w| self.word(w).map(|idx| (w, idx)))
@@ -788,23 +787,8 @@ impl PathIndexes {
         (self.bounds.partition_point(|&b| b <= root.0) - 1).min(self.shards.len() - 1)
     }
 
-    /// The per-word index for `w` — **single-shard indexes only** (the
-    /// pre-shard API, kept for tests and tools that build with
-    /// `shards: 1`). Query code must go through the per-shard views.
-    ///
-    /// # Panics
-    /// If the index has more than one shard.
-    pub fn word(&self, w: WordId) -> Option<&WordPathIndex> {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "PathIndexes::word() requires a single-shard index; use word_in()"
-        );
-        self.shards[0].word(w)
-    }
-
-    /// The per-word index for `w` within shard `s`.
-    pub fn word_in(&self, s: usize, w: WordId) -> Option<&WordPathIndex> {
+    /// A handle to the per-word index for `w` within shard `s`.
+    pub fn word_in(&self, s: usize, w: WordId) -> Option<Arc<WordPathIndex>> {
         self.shards[s].word(w)
     }
 
@@ -1125,7 +1109,7 @@ mod tests {
         for (s, words) in memoised.iter().enumerate() {
             for &(w, groups) in words {
                 let (before, after) = (old.word_in(s, w), new.word_in(s, w));
-                if std::ptr::eq(before.unwrap(), after.expect("nothing was removed")) {
+                if Arc::ptr_eq(&before.unwrap(), &after.expect("nothing was removed")) {
                     assert_eq!(groups_of(&new, s, w), groups, "shard {s}, word {w:?}");
                     shared += 1;
                 } else {
@@ -1166,8 +1150,10 @@ mod tests {
                 let cfg = crate::build::BuildConfig { d: 2, threads: 1, shards };
                 let idx = crate::build::build_indexes(&g, &text, &cfg);
                 for w in idx.word_ids() {
-                    let lists: Vec<Option<&WordPathIndex>> =
+                    let handles: Vec<Option<Arc<WordPathIndex>>> =
                         idx.shards().iter().map(|s| s.word(w)).collect();
+                    let lists: Vec<Option<&WordPathIndex>> =
+                        handles.iter().map(Option::as_deref).collect();
                     let mut expected: BTreeMap<TypeId, BTreeSet<PatternId>> = BTreeMap::new();
                     for p in lists.iter().flatten().flat_map(|list| list.patterns()) {
                         expected.entry(idx.patterns().root_type(p)).or_default().insert(p);
@@ -1195,7 +1181,7 @@ mod tests {
                     }
                     if let [Some(only)] = lists[..] {
                         let memo = only.pattern_type_groups(idx.patterns());
-                        prop_assert!(std::ptr::eq(&*merged, memo), "one shard: borrowed");
+                        prop_assert_eq!(&merged, memo, "one shard: the memo");
                     }
                 }
             }
@@ -1400,8 +1386,8 @@ mod tests {
                     lists.iter().map(|l| (!l.is_empty()).then_some(l)).collect()
                 }
                 prop_assert_eq!(
-                    &*merge_type_groups(&as_lists(&spliced), &ps),
-                    &*merge_type_groups(&as_lists(&frozen), &ps)
+                    merge_type_groups(&as_lists(&spliced), &ps),
+                    merge_type_groups(&as_lists(&frozen), &ps)
                 );
             }
         }

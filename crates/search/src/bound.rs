@@ -387,7 +387,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let w = ctx.shards[0].words[0];
+        let w = &ctx.shards[0].words[0];
         for p in w.patterns() {
             let prim = w.pattern_primary(p).expect("pattern present");
             let agg: PatternAggregates = w.pattern_stats()[prim];

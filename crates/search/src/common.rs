@@ -73,10 +73,9 @@ use patternkb_index::{
     groups_by_shared_type, merge_type_groups, PathIndexes, PathPattern, PatternId,
     PatternTypeGroup, PatternTypeGroups, Posting, RootCursor, RunCursor, WalkEnd, WordPathIndex,
 };
-use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Relaxed shared counters behind `stats.hot` — written from shard
 /// workers (hence atomic; contention is negligible at one add per
@@ -97,9 +96,11 @@ impl HotCounters {
     }
 }
 
-/// One shard's view of the query: the graph, the indexes, and one
-/// [`WordPathIndex`] per keyword, all restricted to the shard's root
-/// range. The single-shard algorithm kernels run against this.
+/// One shard's view of the query: the graph, the indexes, and a handle
+/// to one [`WordPathIndex`] per keyword, all restricted to the shard's
+/// root range. The view owns its handles, so its lists stay alive for as
+/// long as it does, whatever the index does with its own copies. The
+/// single-shard algorithm kernels run against this.
 pub struct ShardContext<'a> {
     /// The knowledge graph.
     pub g: &'a KnowledgeGraph,
@@ -108,7 +109,7 @@ pub struct ShardContext<'a> {
     /// Which index shard this view covers.
     pub shard: usize,
     /// Per-keyword word indexes within the shard, in query order.
-    pub words: Vec<&'a WordPathIndex>,
+    pub words: Vec<Arc<WordPathIndex>>,
     /// This shard's hot-path counters.
     pub counters: HotCounters,
     /// Memoized full walk over the local `R = ∩ᵢ Roots(wᵢ)` (roots in
@@ -175,7 +176,7 @@ impl RootWalk {
     /// the roots it visited; `WalkEnd::stopped` tells whether that is all
     /// of them.
     pub fn run(
-        words: &[&WordPathIndex],
+        words: &[Arc<WordPathIndex>],
         n: &mut u64,
         mut stop: impl FnMut(u64) -> bool,
     ) -> (RootWalk, WalkEnd) {
@@ -246,7 +247,9 @@ impl WalkProgress {
     }
 }
 
-/// Immutable per-query view over the whole sharded index.
+/// Immutable per-query view over the whole sharded index. It borrows the
+/// graph and the index, and owns a handle to every keyword's list in
+/// every shard: a list it reads is one it holds, for the query's life.
 pub struct QueryContext<'a> {
     /// The knowledge graph.
     pub g: &'a KnowledgeGraph,
@@ -262,7 +265,7 @@ pub struct QueryContext<'a> {
     /// Per index shard, per keyword: the word's index in that shard, if
     /// any. Superset of `shards` (also covers shards missing some
     /// keyword); used by relaxation, which intersects keyword *subsets*.
-    sparse: Vec<Vec<Option<&'a WordPathIndex>>>,
+    sparse: Vec<Vec<Option<Arc<WordPathIndex>>>>,
     /// Memoized global `R = ∩ᵢ Roots(wᵢ)`: concatenation of the per-shard
     /// intersections in shard order (ascending, since shards partition the
     /// root space by range).
@@ -271,8 +274,9 @@ pub struct QueryContext<'a> {
     /// it did.
     stopped: OnceLock<WalkProgress>,
     /// Memoized per-keyword global pattern lists
-    /// ([`QueryContext::merged_patterns`]).
-    merged: OnceLock<Vec<Cow<'a, PatternTypeGroups>>>,
+    /// ([`QueryContext::merged_patterns`]) of a multi-shard index; over
+    /// one shard each keyword's list is its word's own memo.
+    merged: OnceLock<Vec<PatternTypeGroups>>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -288,7 +292,7 @@ impl<'a> QueryContext<'a> {
             }
         }
         let m = query.keywords.len();
-        let sparse: Vec<Vec<Option<&WordPathIndex>>> = idx
+        let sparse: Vec<Vec<Option<Arc<WordPathIndex>>>> = idx
             .shards()
             .iter()
             .map(|shard| query.keywords.iter().map(|&w| shard.word(w)).collect())
@@ -301,7 +305,7 @@ impl<'a> QueryContext<'a> {
                 g,
                 idx,
                 shard: s,
-                words: words.iter().map(|w| w.expect("filtered")).collect(),
+                words: words.iter().map(|w| w.clone().expect("filtered")).collect(),
                 counters: HotCounters::default(),
                 walk: OnceLock::new(),
             })
@@ -399,8 +403,8 @@ impl<'a> QueryContext<'a> {
 
     /// The word index of keyword `i` within index shard `s` (which may lack
     /// other keywords — this is the relaxation view).
-    pub fn shard_word(&self, s: usize, i: usize) -> Option<&'a WordPathIndex> {
-        self.sparse[s][i]
+    pub fn shard_word(&self, s: usize, i: usize) -> Option<&WordPathIndex> {
+        self.sparse[s][i].as_deref()
     }
 
     /// Number of index shards (≥ `self.shards.len()`).
@@ -420,7 +424,7 @@ impl<'a> QueryContext<'a> {
                 .enumerate()
                 .filter(|(i, _)| mask & (1 << i) != 0);
             let Some(mut cursors) = selected
-                .map(|(_, w)| w.map(WordPathIndex::root_cursor))
+                .map(|(_, w)| w.as_deref().map(WordPathIndex::root_cursor))
                 .collect::<Option<Vec<RootCursor<'_>>>>()
             else {
                 continue;
@@ -438,16 +442,22 @@ impl<'a> QueryContext<'a> {
     /// its per-shard type groups merged over **every** index shard (also
     /// those lacking another keyword — the lists, and the bounds computed
     /// over them, are then the ones a single-shard index holds). A
-    /// group's positions are indexed by index shard. Merged once per
-    /// context, for all keywords; the planner's combination count and the
-    /// pattern-first kernels read the same lists.
+    /// group's positions are indexed by index shard. Over one shard that
+    /// is the word's own memo, read as it is; over several, merged once
+    /// per context, for all keywords. The planner's combination count and
+    /// the pattern-first kernels read the same lists.
     pub fn merged_patterns(&self, i: usize) -> &PatternTypeGroups {
+        if let [only] = &self.sparse[..] {
+            if let Some(word) = &only[i] {
+                return word.pattern_type_groups(self.idx.patterns());
+            }
+        }
         &self.merged.get_or_init(|| {
             let mut words = Vec::with_capacity(self.sparse.len());
             (0..self.m)
                 .map(|i| {
                     words.clear();
-                    words.extend(self.sparse.iter().map(|shard| shard[i]));
+                    words.extend(self.sparse.iter().map(|shard| shard[i].as_deref()));
                     merge_type_groups(&words, self.idx.patterns())
                 })
                 .collect()
@@ -467,7 +477,7 @@ impl<'a> QueryContext<'a> {
     pub fn keyword_postings(&self, i: usize) -> usize {
         self.sparse
             .iter()
-            .filter_map(|words| words[i])
+            .filter_map(|words| words[i].as_ref())
             .map(|w| w.len())
             .sum()
     }
@@ -849,7 +859,7 @@ impl<'a> SubtreeFold<'a> {
     /// visited, rejected ones included — the kernels' `subtrees` count.
     pub fn fold(
         &mut self,
-        words: &[&'a WordPathIndex],
+        words: &'a [Arc<WordPathIndex>],
         cfg: &SearchConfig,
         root: NodeId,
         runs: impl IntoIterator<Item = &'a [Posting]>,
@@ -878,7 +888,7 @@ impl<'a> SubtreeFold<'a> {
 /// Append the subtree of the chosen postings to a pattern's rows.
 fn push_row(
     rows: &mut Rows,
-    words: &[&WordPathIndex],
+    words: &[Arc<WordPathIndex>],
     root: NodeId,
     postings: &[&Posting],
     score: f64,
@@ -889,7 +899,7 @@ fn push_row(
 
 /// Materialize a [`ValidSubtree`] from the chosen postings.
 pub fn materialize_tree(
-    words: &[&WordPathIndex],
+    words: &[Arc<WordPathIndex>],
     root: NodeId,
     postings: &[&Posting],
     score: f64,
@@ -918,7 +928,7 @@ pub struct ExpandScratch<'a> {
 
 impl<'a> ExpandScratch<'a> {
     /// Buffers for a shard's keywords, cursors before the first root.
-    pub fn new(words: &[&'a WordPathIndex]) -> Self {
+    pub fn new(words: &'a [Arc<WordPathIndex>]) -> Self {
         let m = words.len();
         ExpandScratch {
             cursors: words.iter().map(|w| w.root_cursor()).collect(),
@@ -940,7 +950,7 @@ impl<'a> ExpandScratch<'a> {
 ///
 /// Returns the number of subtrees enumerated under this root.
 pub fn expand_root<'a>(
-    words: &[&'a WordPathIndex],
+    words: &'a [Arc<WordPathIndex>],
     cfg: &SearchConfig,
     r: NodeId,
     at: Option<&[u32]>,
@@ -1217,7 +1227,7 @@ mod tests {
     /// full walk's prefix up to the first root where the running count
     /// reaches the limit, and `expand_root` fills the same dictionary
     /// whether it jumps to the positions or gallops to the roots.
-    fn check_walk(words: &[&WordPathIndex], limit: u64, strict_trees: bool) {
+    fn check_walk(words: &[Arc<WordPathIndex>], limit: u64, strict_trees: bool) {
         let (mut n, walk, end) = {
             let mut n = 0u64;
             let (walk, end) = RootWalk::run(words, &mut n, |_| false);
@@ -1294,12 +1304,12 @@ mod tests {
             limit in 0u64..200,
             strict_trees in proptest::prelude::any::<bool>(),
         ) {
-            let words: Vec<WordPathIndex> = lists.iter().map(|l| word(l)).collect();
-            let refs: Vec<&WordPathIndex> = words.iter().collect();
-            check_walk(&refs, limit, strict_trees);
-            check_walk(&refs[..1], limit, strict_trees);
-            let empty = WordPathIndex::default();
-            let lacking: Vec<&WordPathIndex> = refs.iter().copied().chain([&empty]).collect();
+            let words: Vec<Arc<WordPathIndex>> =
+                lists.iter().map(|l| Arc::new(word(l))).collect();
+            check_walk(&words, limit, strict_trees);
+            check_walk(&words[..1], limit, strict_trees);
+            let lacking: Vec<Arc<WordPathIndex>> =
+                words.iter().cloned().chain([Arc::default()]).collect();
             check_walk(&lacking, limit, strict_trees);
             let mut n = 0;
             proptest::prop_assert!(RootWalk::run(&lacking, &mut n, |_| false).0.roots().is_empty());

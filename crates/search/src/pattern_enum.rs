@@ -133,8 +133,8 @@ struct Walk<'q, 'a> {
     key: Vec<u32>,
     /// Roots of the join in progress; they count once it has a subtree.
     joined: Vec<u32>,
-    cursors: Vec<RunCursor<'a>>,
-    fold: SubtreeFold<'a>,
+    cursors: Vec<RunCursor<'q>>,
+    fold: SubtreeFold<'q>,
 }
 
 impl Walk<'_, '_> {

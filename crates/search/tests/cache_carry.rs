@@ -161,7 +161,7 @@ fn replaces_a_list_of(before: &SearchEngine, after: &SearchEngine, text: &str) -
     query.keywords.iter().any(|&w| {
         (0..after.num_shards()).any(|s| {
             match (before.index().word_in(s, w), after.index().word_in(s, w)) {
-                (Some(a), Some(b)) => !std::ptr::eq(a, b),
+                (Some(a), Some(b)) => !std::sync::Arc::ptr_eq(&a, &b),
                 (a, b) => a.is_some() != b.is_some(),
             }
         })

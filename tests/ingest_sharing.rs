@@ -186,7 +186,10 @@ fn refresh_one_entity(entities: usize) -> Refreshed {
     for (s, shard) in idx2.shards().iter().enumerate() {
         for w in shard.word_ids() {
             let list = idx2.word_in(s, w).unwrap();
-            if !idx.word_in(s, w).is_some_and(|old| std::ptr::eq(old, list)) {
+            if !idx
+                .word_in(s, w)
+                .is_some_and(|old| std::sync::Arc::ptr_eq(&old, &list))
+            {
                 spliced += list.heap_bytes();
             }
         }
