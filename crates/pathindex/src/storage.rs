@@ -272,6 +272,9 @@ fn pad8(buf: &mut Vec<u8>) {
 
 /// Serialize built indexes into the `PKB5` container: per word, one
 /// word stream, plus the offset table that makes in-place reads possible.
+/// A word whose stream fails to decode is left out, as
+/// [`IndexShard::iter_words`] leaves it; [`save_v5`] and a checkpoint
+/// prepare every word first, so they fail instead.
 pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
     // Per-(shard, word) streams in lexicon order: ascending shard, then
     // ascending word within the shard.
@@ -362,7 +365,12 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
 /// Write a `PKB5` image of `idx` to `path`: into `<path>.tmp`, then
 /// renamed over `path`. A live mapping of the old file keeps its inode,
 /// so it is never truncated under a reader (see `docs/FORMATS.md`).
+/// Every word is decoded first, so a damaged stream in the image `idx`
+/// was opened from fails the save with `InvalidData`, naming `path` and
+/// the damage's byte offset, before anything is written.
 pub fn save_v5(idx: &PathIndexes, path: &std::path::Path) -> std::io::Result<()> {
+    idx.prepare_words(&idx.word_ids())
+        .map_err(|e| invalid_data(path, e))?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     std::fs::write(&tmp, encode_v5(idx))?;

@@ -25,7 +25,7 @@
 
 use crate::engine::SearchEngine;
 use patternkb_graph::mutate::{GraphDelta, PagerankMode};
-use patternkb_graph::snapshot::SnapshotError;
+use patternkb_graph::snapshot::{invalid_data, SnapshotError};
 use patternkb_wal::checkpoint::{self, Checkpoint};
 use patternkb_wal::{FsyncStats, Ticket, Wal};
 use std::path::{Path, PathBuf};
@@ -300,14 +300,20 @@ pub(crate) fn replay_records(
 }
 
 /// Freeze `engine` into a checkpoint file, rotate the log past it, and
-/// prune old checkpoints.
+/// prune old checkpoints. Every word is decoded first: a damaged stream
+/// in the image the index was opened from fails the checkpoint with
+/// `InvalidData`, naming the checkpoint file and the damage's byte
+/// offset, before anything is written or rotated.
 fn write_checkpoint(wal: &Wal, dir: &Path, engine: &SearchEngine) -> std::io::Result<PathBuf> {
+    let idx = engine.index();
+    idx.prepare_words(&idx.word_ids())
+        .map_err(|e| invalid_data(&checkpoint::path(dir, engine.version()), e))?;
     let cp = Checkpoint {
         version: engine.version(),
         graph: patternkb_graph::snapshot::encode(engine.graph()),
         // A boot *opens* the index blob (lexicon parse only) in place
         // in the file's buffer instead of decoding it.
-        index: patternkb_index::storage::encode_v5(engine.index()),
+        index: patternkb_index::storage::encode_v5(idx),
     };
     let path = checkpoint::write(dir, &cp)?;
     wal.rotate(cp.version)?;

@@ -140,12 +140,17 @@ fn parse_file_name(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// Where [`write`] puts the checkpoint of `version` in `dir`.
+pub fn path(dir: &Path, version: u64) -> PathBuf {
+    dir.join(file_name(version))
+}
+
 /// Write `checkpoint` into `dir` as `checkpoint-<version>.pkbc`,
 /// crash-safely (temp file, `fsync`, `rename`, directory `fsync`).
 /// Returns the final path.
 pub fn write(dir: &Path, checkpoint: &Checkpoint) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let final_path = dir.join(file_name(checkpoint.version));
+    let final_path = path(dir, checkpoint.version);
     let tmp = dir.join(format!("{}.tmp", file_name(checkpoint.version)));
     {
         let mut head = [0u8; 24];

@@ -467,6 +467,86 @@ fn a_damaged_word_stream_fails_that_word_on_either_tier() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint and `save_index` decode every word before they write
+/// anything: a damaged word stream fails both with `InvalidData` naming
+/// the file and the damage's offset, where they used to write a valid,
+/// smaller image without the word. Nothing is renamed into place, the
+/// log keeps its records, and a background checkpoint counts as failed.
+#[test]
+fn saving_an_image_with_a_damaged_word_stream_fails() {
+    let (g, _) = patternkb::datagen::figure1();
+    let built = EngineBuilder::new()
+        .graph(g.clone())
+        .shards(1)
+        .threads(1)
+        .build()
+        .unwrap();
+    let revenue = built.text().lookup_word("revenue").unwrap();
+    let mut image = encode_v5(built.index());
+    let damaged = stream_range(&image, 0, revenue.0);
+    image[damaged.start] ^= 1;
+    let dir = std::env::temp_dir().join(format!("patternkb_damaged_save_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("idx.pkb5");
+    std::fs::write(&path, &image).unwrap();
+    let data = dir.join("data");
+    let shared = EngineBuilder::new()
+        .graph(g.clone())
+        .index_snapshot(&path)
+        .data_dir(&data)
+        .checkpoint_records(2)
+        .build_shared()
+        .unwrap();
+    let durability = shared.durability().expect("a data dir attaches durability");
+    // Ingests that do not touch the damaged word go through and are logged.
+    let software = g.type_by_text("Software").unwrap();
+    let add = |name: &str| {
+        let mut d = GraphDelta::new(shared.snapshot().graph());
+        d.add_node(software, name).unwrap();
+        shared.apply_delta(&d, PagerankMode::Frozen).unwrap();
+    };
+    add("Quux");
+    assert_eq!(durability.metrics().log_records, 1);
+
+    let names_the_damage = |err: std::io::Error, file: &std::path::Path| {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(msg.starts_with(&file.display().to_string()), "{msg}");
+        assert!(msg.contains(&format!("byte {}", damaged.start)), "{msg}");
+    };
+    let checkpoints = || {
+        std::fs::read_dir(&data)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension() == Some("pkbc".as_ref()))
+            .count()
+    };
+    let err = durability.checkpoint_now(&shared.snapshot()).unwrap_err();
+    names_the_damage(err, &data);
+    assert_eq!(checkpoints(), 0);
+    let metrics = durability.metrics();
+    assert_eq!((metrics.log_records, metrics.checkpoints_total), (1, 0));
+
+    let saved = dir.join("saved.pkb5");
+    let err = shared.snapshot().save_index(&saved).unwrap_err();
+    names_the_damage(err, &saved);
+    assert!(!saved.exists());
+
+    // The second record crosses `checkpoint_records`: the background
+    // checkpointer tries, fails and counts it.
+    add("Quuz");
+    let t0 = std::time::Instant::now();
+    while durability.metrics().checkpoint_failures == 0 {
+        assert!(t0.elapsed().as_secs() < 30, "no background checkpoint ran");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let metrics = durability.metrics();
+    assert_eq!((metrics.log_records, metrics.checkpoints_total), (2, 0));
+    assert_eq!(checkpoints(), 0);
+    drop(shared);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Degenerate graphs
 // ---------------------------------------------------------------------
