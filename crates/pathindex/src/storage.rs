@@ -1134,6 +1134,57 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A word handle owns its list: taken from an opened index, it stays
+    /// whole after the index is dropped — on the mapped tier after the
+    /// file is unmapped too — and equals the eager decode's list. Evicting
+    /// a decoded slot relies on exactly this.
+    #[test]
+    fn a_word_handle_outlives_its_index() {
+        let (g, t) = sample(40);
+        let image = encode_v5(&build(&g, &t, 3, 2));
+        let fresh = crate::snapshot::decode(&image).unwrap();
+        let dir = std::env::temp_dir().join("patternkb_storage_handle_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("handle-{}.pkb5", std::process::id()));
+        std::fs::write(&path, &image).unwrap();
+        let name = path.to_str().unwrap().to_string();
+        let mappings = || {
+            std::fs::read_to_string("/proc/self/maps").map_or(0, |maps| {
+                maps.lines().filter(|l| l.contains(name.as_str())).count()
+            })
+        };
+        for mapped in [true, false] {
+            let opened = if mapped {
+                open_mapped(&path).unwrap()
+            } else {
+                open_bytes(image.clone()).unwrap()
+            };
+            let mut handles = Vec::new();
+            for (s, shard) in opened.shards().iter().enumerate() {
+                for w in shard.word_ids() {
+                    handles.push((s, w, shard.word(w).expect("an intact stream decodes")));
+                }
+            }
+            assert_eq!(
+                handles.len(),
+                opened.shards().iter().map(IndexShard::num_words).sum()
+            );
+            drop(opened);
+            if mapped && cfg!(target_os = "linux") {
+                assert_eq!(mappings(), 0, "dropping the index unmaps the file");
+            }
+            for (s, w, handle) in handles {
+                let list = fresh.word_in(s, w).unwrap();
+                assert_eq!(
+                    handle.postings_pattern_first(),
+                    list.postings_pattern_first()
+                );
+                assert_eq!(handle.arena(), list.arena(), "shard {s}, word {w:?}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn a_window_of_a_buffer_opens_like_the_image_alone() {
         // The image at an unaligned offset between foreign bytes, as a

@@ -1316,6 +1316,28 @@ mod tests {
         }
     }
 
+    /// Over a one-shard index a keyword's global pattern list is its
+    /// word's own memo, read in place: nothing is merged or copied.
+    #[test]
+    fn one_shard_reads_each_words_memo() {
+        let (g, _) = patternkb_datagen::figure1();
+        let engine = crate::EngineBuilder::new()
+            .graph(g)
+            .shards(1)
+            .threads(1)
+            .build()
+            .unwrap();
+        let idx = engine.index();
+        let q = engine.parse("database software company revenue").unwrap();
+        let ctx = QueryContext::new(engine.graph(), idx, &q).unwrap();
+        for (i, &w) in q.keywords.iter().enumerate() {
+            let word = idx.word_in(0, w).unwrap();
+            let memo = word.pattern_type_groups(idx.patterns());
+            assert!(std::ptr::eq(ctx.merged_patterns(i), memo), "keyword {i}");
+        }
+        assert!(ctx.merged.get().is_none(), "nothing was merged");
+    }
+
     #[test]
     fn merge_shard_dicts_combines_groups() {
         let key = [1u32, 2];
