@@ -140,7 +140,7 @@ fn parse_file_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Where [`write`] puts the checkpoint of `version` in `dir`.
+/// Where [`write()`] puts the checkpoint of `version` in `dir`.
 pub fn path(dir: &Path, version: u64) -> PathBuf {
     dir.join(file_name(version))
 }
