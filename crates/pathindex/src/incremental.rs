@@ -295,7 +295,7 @@ pub fn try_refresh_indexes(
                 None => None,
             };
             let (postings, arena) = fresh_lists.remove(&(s, w)).unwrap_or_default();
-            let before = old_list.as_ref().map_or(0, |list| list.len()) + postings.len();
+            let before = old_list.as_deref().map_or(0, WordPathIndex::len) + postings.len();
             let base = old_list.as_deref().map(|list| Base {
                 list,
                 affected: &affected,
