@@ -111,8 +111,6 @@ impl<'a> AsMut<KeyCursor<'a>> for KeyCursor<'a> {
 pub struct WalkEnd {
     /// Cursor seeks issued.
     pub seeks: u64,
-    /// The cursor that drove the walk: the one with the fewest keys.
-    pub lead: usize,
     /// Whether the visitor stopped the walk before a list ran out.
     pub stopped: bool,
 }
@@ -131,7 +129,6 @@ pub fn leapfrog<'a, C: AsMut<KeyCursor<'a>>>(
 ) -> WalkEnd {
     let mut end = WalkEnd {
         seeks: 0,
-        lead: 0,
         stopped: false,
     };
     let Some((lead, _)) = cursors
@@ -142,7 +139,6 @@ pub fn leapfrog<'a, C: AsMut<KeyCursor<'a>>>(
     else {
         return end;
     };
-    end.lead = lead;
     end.seeks += 1;
     let Some(mut candidate) = cursors[lead].as_mut().seek(0) else {
         return end;

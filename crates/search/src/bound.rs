@@ -31,7 +31,7 @@
 //! additions, and nothing else of its own:
 //!
 //! 1. before a combination is joined, one bound test against the
-//!    threshold (`SharedThreshold::prunes`), on aggregates merged from
+//!    threshold (`Threshold::prunes`), on aggregates merged from
 //!    the shards' cached per-pattern stats (sums, minima and maxima are
 //!    exact, so bounds and prune decisions are bit-identical to a
 //!    single-shard index's). They are re-merged only for the digits the
@@ -45,18 +45,18 @@
 //! size-k min-heap of final scores and nothing else, every aggregation
 //! (`Avg` included — a final mean is as sound an offer as a final sum)
 //! prunes, and no shard ever holds a partial group that a prune elsewhere
-//! would have to retract. Threaded workers share the threshold.
+//! would have to retract. The walk runs on the caller's thread and owns
+//! its threshold, so a run's prune decisions, and every counter, are a
+//! single-shard run's.
 
-use crate::common::{Fanout, QueryContext};
+use crate::common::QueryContext;
 use crate::pattern_enum::walk_combinations;
 use crate::result::SearchResult;
 use crate::score::Aggregation;
-use crate::{unpoisoned, SearchConfig};
+use crate::SearchConfig;
 use patternkb_index::PatternTypeGroup;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Multiplicative slack absorbing float rounding between the bound
 /// arithmetic and the exact score arithmetic.
@@ -139,65 +139,42 @@ fn merged_aggregates(
     merged.expect("a merged pattern has postings in some shard")
 }
 
-/// Bits meaning "no threshold yet" (fewer than k patterns seen, or a
-/// k-th best of exactly 0.0 — which could never prune anyway since bounds
-/// are non-negative). Zero keeps the monotone `fetch_max` publish valid.
-const TAU_UNSET: u64 = 0;
-
-/// The shared, monotone top-k threshold: a size-k min-heap of the final
-/// scores offered so far — one offer per pattern, so its root is the k-th
-/// best score found and never exceeds the true k-th best. Workers **read**
-/// the root lock-free from an atomic; an offer that can enter the heap
-/// goes through the mutex and republishes it. Scores are non-negative, so
-/// their bit patterns order like the floats themselves.
-pub(crate) struct SharedThreshold {
+/// The monotone top-k threshold: a size-k min-heap of the final scores
+/// offered so far — one offer per pattern, so its root is the k-th best
+/// score found and never exceeds the true k-th best. Scores are
+/// non-negative, so their bit patterns order like the floats themselves.
+pub(crate) struct Threshold {
     k: usize,
-    tau: AtomicU64,
-    heap: Mutex<BinaryHeap<Reverse<u64>>>,
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
-impl SharedThreshold {
-    fn new(k: usize) -> Self {
-        SharedThreshold {
+impl Threshold {
+    pub(crate) fn new(k: usize) -> Self {
+        Threshold {
             k: k.max(1),
-            tau: AtomicU64::new(TAU_UNSET),
-            heap: Mutex::new(BinaryHeap::new()),
+            heap: BinaryHeap::new(),
         }
     }
 
     /// The current threshold; `None` until k patterns have offered.
     #[inline]
     fn kth(&self) -> Option<f64> {
-        match self.tau.load(Ordering::Relaxed) {
-            TAU_UNSET => None,
-            bits => Some(f64::from_bits(bits)),
+        match self.heap.peek() {
+            Some(&Reverse(bits)) if self.heap.len() == self.k => Some(f64::from_bits(bits)),
+            _ => None,
         }
     }
 
-    /// Offer one pattern's final score. The published threshold only
-    /// grows; a reader holding a stale (lower) one prunes less, never
-    /// wrongly.
-    pub(crate) fn offer(&self, score: f64) {
+    /// Offer one pattern's final score.
+    pub(crate) fn offer(&mut self, score: f64) {
         debug_assert!(score >= 0.0);
         let bits = score.to_bits();
-        let tau = self.tau.load(Ordering::Relaxed);
-        if tau != TAU_UNSET && bits <= tau {
-            // The heap is full and this score would not enter it.
-            return;
-        }
-        let mut heap = unpoisoned(self.heap.lock());
-        if heap.len() < self.k {
-            heap.push(Reverse(bits));
-        } else if bits > heap.peek().expect("k >= 1").0 {
-            heap.pop();
-            heap.push(Reverse(bits));
-        } else {
-            return;
-        }
-        if heap.len() == self.k {
-            let kth = heap.peek().expect("k >= 1").0;
-            // Monotone publish (concurrent offers may race; max wins).
-            self.tau.fetch_max(kth, Ordering::Relaxed);
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse(bits));
+        } else if let Some(mut kth) = self.heap.peek_mut() {
+            if bits > kth.0 {
+                *kth = Reverse(bits);
+            }
         }
     }
 
@@ -228,17 +205,7 @@ impl SharedThreshold {
 /// `stats.combos_pruned` counting the combinations skipped before any
 /// intersection.
 pub fn pattern_enum_pruned(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
-    pattern_enum_pruned_in(ctx, cfg, ctx.fanout())
-}
-
-/// [`pattern_enum_pruned`] with the fan-out mode chosen by the caller.
-pub(crate) fn pattern_enum_pruned_in(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    mode: Fanout,
-) -> SearchResult {
-    let threshold = SharedThreshold::new(cfg.k);
-    walk_combinations(ctx, cfg, mode, Some(&threshold))
+    walk_combinations(ctx, cfg, Some(Threshold::new(cfg.k)))
 }
 
 #[cfg(test)]
@@ -422,7 +389,7 @@ mod tests {
 
     #[test]
     fn single_worker_heap_threshold_tracks_kth_best() {
-        let t = SharedThreshold::new(2);
+        let mut t = Threshold::new(2);
         assert_eq!(t.kth(), None);
         t.offer(10.0);
         assert_eq!(t.kth(), None, "one offer < k");
@@ -483,9 +450,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Random Zipf graphs × random queries × every aggregation ×
-            /// shard layout × fan-out mode: the pruned enumerator returns
-            /// a top-k **bit-identical** to the unpruned `PATTERNENUM`
-            /// reference's.
+            /// shard layout: the pruned enumerator returns a top-k
+            /// **bit-identical** to the unpruned `PATTERNENUM` reference's.
             #[test]
             fn pruning_preserves_topk_bits(
                 seed in 0u64..1000,
@@ -498,10 +464,7 @@ mod tests {
                     Just(Aggregation::Max),
                     Just(Aggregation::Count),
                 ],
-                (shards, mode) in (
-                    1usize..4,
-                    prop_oneof![Just(Fanout::Inline), Just(Fanout::Threads)],
-                ),
+                shards in 1usize..4,
             ) {
                 let g = wiki(&WikiConfig {
                     entities: 120,
@@ -534,7 +497,7 @@ mod tests {
                     ..SearchConfig::top(k)
                 };
                 let exact = pattern_enum(&ctx, &cfg);
-                let pruned = pattern_enum_pruned_in(&ctx, &cfg, mode);
+                let pruned = pattern_enum_pruned(&ctx, &cfg);
                 prop_assert!(pruned.stats.combos_pruned <= pruned.stats.combos_tried);
                 prop_assert_eq!(pruned.stats.combos_tried, exact.stats.combos_tried);
                 prop_assert_eq!(pruned.patterns.len(), exact.patterns.len());

@@ -124,10 +124,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Root-range shards the index is partitioned into; queries run one
-    /// worker per shard and merge at the top-k heap, with answers
-    /// **bit-identical** to `shards(1)`. 0 (the default) = available
-    /// parallelism. When loading an [`Self::index_snapshot`] the stored
+    /// Root-range shards the index is partitioned into, with answers
+    /// **bit-identical** to `shards(1)`. A root-first kernel over at least
+    /// [`crate::common::FANOUT_MIN_ROOTS`] candidate roots runs one share
+    /// per shard — the caller's thread one, up to `min(cores, shards) − 1`
+    /// scoped threads the others — and merges the shares' pattern groups;
+    /// below that, and for `PATTERNENUM` always, a query runs on the
+    /// caller's thread. 0 (the default) = available parallelism. When loading an [`Self::index_snapshot`] the stored
     /// shard layout wins.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;

@@ -143,15 +143,6 @@ impl<'a> ShardContext<'a> {
         self.counters.add_seeks(end.seeks);
         (walk, end)
     }
-
-    /// Roots of the walk's lead: the keyword with the fewest.
-    fn lead_roots(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.roots().len())
-            .min()
-            .unwrap_or(0)
-    }
 }
 
 /// One walk over a shard's candidate roots `R = ∩ᵢ Roots(wᵢ)`, in
@@ -228,25 +219,6 @@ impl RootWalk {
     }
 }
 
-/// How far a stopped planner walk got, summed over the shards: the
-/// candidate roots it saw, and its leads' roots in all and consumed
-/// (a shard walked to its end consumed its whole lead, one never reached
-/// none of it).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct WalkProgress {
-    pub(crate) seen: usize,
-    lead_roots: usize,
-    lead_consumed: usize,
-}
-
-impl WalkProgress {
-    /// `|R|` extrapolated at the rate the walk found candidates along its
-    /// leads: roots seen × lead roots ÷ lead roots consumed.
-    fn extrapolate(&self) -> usize {
-        (self.seen as u64 * self.lead_roots as u64 / self.lead_consumed.max(1) as u64) as usize
-    }
-}
-
 /// Immutable per-query view over the whole sharded index. It borrows the
 /// graph and the index, and owns a handle to every keyword's list in
 /// every shard: a list it reads is one it holds, for the query's life.
@@ -270,9 +242,10 @@ pub struct QueryContext<'a> {
     /// intersections in shard order (ascending, since shards partition the
     /// root space by range).
     roots: OnceLock<Vec<NodeId>>,
-    /// Where the planner's walk stopped ([`Self::subtrees_until`]), when
-    /// it did.
-    stopped: OnceLock<WalkProgress>,
+    /// The candidate roots the planner's walk ([`Self::subtrees_until`])
+    /// saw, when it stopped: the stop point the planner's tests check.
+    #[cfg(test)]
+    stopped_at: OnceLock<usize>,
     /// Memoized per-keyword global pattern lists
     /// ([`QueryContext::merged_patterns`]) of a multi-shard index; over
     /// one shard each keyword's list is its word's own memo.
@@ -318,7 +291,8 @@ impl<'a> QueryContext<'a> {
             m,
             sparse,
             roots: OnceLock::new(),
-            stopped: OnceLock::new(),
+            #[cfg(test)]
+            stopped_at: OnceLock::new(),
             merged: OnceLock::new(),
         })
     }
@@ -340,22 +314,12 @@ impl<'a> QueryContext<'a> {
         })
     }
 
-    /// How this query's shard kernels should run: [`fanout_for`] over the
-    /// candidate roots summed over the shards. One keyword's are its
-    /// word's roots, counted without a walk. Otherwise they are the
-    /// memoized walks every root-first kernel needs anyway — unless the
-    /// planner stopped its walk early to route the query to pruned
-    /// `PATTERNENUM`, which reads no roots: then the count is extrapolated
-    /// from that walk, as roots seen × lead roots ÷ lead roots consumed
-    /// (the lead being each shard's keyword with the fewest roots).
+    /// How this query's root-first kernels should run: [`fanout_for`] over
+    /// the candidate roots summed over the shards, read off the memoized
+    /// walks those kernels need anyway. `PATTERNENUM`, pruned or not,
+    /// reads no roots and always runs inline.
     pub fn fanout(&self) -> Fanout {
-        let roots = if self.m == 1 {
-            self.shards.iter().map(|s| s.words[0].roots().len()).sum()
-        } else if let Some(progress) = self.stopped.get() {
-            progress.extrapolate()
-        } else {
-            self.shards.iter().map(|s| s.candidate_roots().len()).sum()
-        };
+        let roots = self.shards.iter().map(|s| s.candidate_roots().len()).sum();
         fanout_for(roots, self.shards.len())
     }
 
@@ -363,42 +327,36 @@ impl<'a> QueryContext<'a> {
     /// in ascending order, stopping after the first root at which
     /// `stop(N)` holds. Returns the running `N` and whether the walk
     /// stopped — if not, `N` is exact. A shard walked to its end is
-    /// memoized as [`ShardContext::walk`]; a stop is recorded for
-    /// [`Self::fanout`].
+    /// memoized as [`ShardContext::walk`].
     pub(crate) fn subtrees_until(&self, mut stop: impl FnMut(u64) -> bool) -> (u64, bool) {
         let mut n = 0u64;
-        let mut progress = WalkProgress::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let lead = shard.lead_roots();
-            progress.lead_roots += lead;
+        for shard in &self.shards {
             if let Some(walk) = shard.walk.get() {
                 n = n.saturating_add(walk.subtrees());
-                progress.seen += walk.roots().len();
-                progress.lead_consumed += lead;
                 continue;
             }
             let (walk, end) = shard.walk_from_start(&mut n, &mut stop);
-            progress.seen += walk.roots().len();
             if end.stopped {
-                let last = walk.roots().len() - 1;
-                progress.lead_consumed += walk.positions(last)[end.lead] as usize + 1;
-                progress.lead_roots += self.shards[s + 1..]
-                    .iter()
-                    .map(ShardContext::lead_roots)
-                    .sum::<usize>();
-                let _ = self.stopped.set(progress);
+                // The shards before this one are memoized, the rest not.
+                #[cfg(test)]
+                let _ = self.stopped_at.set(
+                    self.shards
+                        .iter()
+                        .map(|s| s.walk.get().map_or(0, |w| w.roots().len()))
+                        .sum::<usize>()
+                        + walk.roots().len(),
+                );
                 return (n, true);
             }
-            progress.lead_consumed += lead;
             let _ = shard.walk.set(walk);
         }
         (n, false)
     }
 
-    /// Where the planner's walk stopped, if it did.
+    /// How many candidate roots the planner's walk saw, if it stopped.
     #[cfg(test)]
-    pub(crate) fn stopped_walk(&self) -> Option<WalkProgress> {
-        self.stopped.get().copied()
+    pub(crate) fn stopped_at(&self) -> Option<usize> {
+        self.stopped_at.get().copied()
     }
 
     /// The word index of keyword `i` within index shard `s` (which may lack
@@ -546,34 +504,28 @@ pub enum Fanout {
 /// Sweep of the gated `cold` pool (1 000 queries, 50 k-entity wiki, 2
 /// shards; a throwaway `#[ignore]`d test calling the kernels' `*_in`
 /// routines on a fresh context, best of 3 — not a committed harness),
-/// median µs per query, inline vs threads, bucketed by candidate roots:
+/// median µs per query of `LINEARENUM`, inline vs threads, bucketed by
+/// candidate roots:
 ///
-/// | candidate roots | queries | pruned `PATTERNENUM` | `LINEARENUM` |
-/// |---|---|---|---|
-/// | < 100 | 413 | 90 vs 219 | 25 vs 105 |
-/// | 100 – 1 k | 286 | 112 vs 261 | 119 vs 207 |
-/// | 1 k – 4 k | 155 | 173 vs 341 | 427 vs 442 |
-/// | 4 k – 8 k | 65 | 418 vs 540 | 1 014 vs 802 |
-/// | 8 k – 16 k | 51 | 514 vs 447 | 1 172 vs 886 |
-/// | ≥ 16 k | 30 | 957 vs 781 | 2 695 vs 1 539 |
+/// | candidate roots | queries | `LINEARENUM` |
+/// |---|---|---|
+/// | < 100 | 413 | 25 vs 105 |
+/// | 100 – 1 k | 286 | 119 vs 207 |
+/// | 1 k – 4 k | 155 | 427 vs 442 |
+/// | 4 k – 8 k | 65 | 1 014 vs 802 |
+/// | 8 k – 16 k | 51 | 1 172 vs 886 |
+/// | ≥ 16 k | 30 | 2 695 vs 1 539 |
 ///
 /// That run had both of the sweep box's vCPUs to itself: a spawn costs
 /// 80–170 µs there — three to six selective `LINEARENUM` queries — and is
-/// earned back from 4 k roots (`LINEARENUM`, split by shard) to 8 k
-/// (pruned `PATTERNENUM`, split by combination index). In a run an hour
-/// earlier the host let the two vCPUs deliver one core of throughput: a
-/// spawn read 15–30 µs and threads were behind inline in every bucket
-/// (8 k – 16 k: 674 vs 760 and 1 087 vs 1 328), the right-hand numbers
-/// being only the *price* of fanning out. The constant sits where the
-/// first run breaks even for both kernels and the second run's price has
-/// fallen to an eighth of the cheaper kernel; 81 of the pool's 1 000
-/// queries are above it.
-///
-/// The count compared is exact for every kernel that reads the roots. A
-/// query the planner routes to pruned `PATTERNENUM` is compared on an
-/// estimate: the planner stops its root walk once the route is decided,
-/// and [`QueryContext::fanout`] extrapolates the roots seen along the
-/// part of the walk's lead list it consumed.
+/// earned back from 4 k roots. In a run an hour earlier the host let the
+/// two vCPUs deliver one core of throughput: a spawn read 15–30 µs and
+/// threads were behind inline in every bucket (8 k – 16 k: 1 087 vs
+/// 1 328), the right-hand numbers being only the *price* of fanning out.
+/// The constant sits above the first run's break-even, where the second
+/// run's price has fallen to a fifth of the kernel's time; 81 of the
+/// pool's 1 000 queries are above it. Every count it is compared with is exact:
+/// only the root-first kernels fan out, and they read the roots anyway.
 pub const FANOUT_MIN_ROOTS: usize = 8_000;
 
 /// The one gate every fan-out site goes through: [`Fanout::Threads`] when

@@ -2,20 +2,26 @@
 //!
 //! Every equivalence suite in this repo runs on graphs far below
 //! [`FANOUT_MIN_ROOTS`], so in production mode they all execute inline.
-//! This module drives the kernels' `*_in` routines in **both** modes on a
-//! generated multi-shard graph and asserts the answers are identical to
-//! the bit — to each other and to a `shards(1)` index — plus one case on
-//! a graph large enough that [`QueryContext::fanout`] itself fans out.
+//! This module drives the root-first kernels' `*_in` routines in **both**
+//! modes on a generated multi-shard graph and asserts the answers are
+//! identical to the bit — to each other and to a `shards(1)` index — and
+//! checks both `PATTERNENUM` kernels, which always run inline, against
+//! the `shards(1)` index the same way. One case runs on a graph large
+//! enough that [`QueryContext::fanout`] itself fans out, where
+//! `PATTERNENUM` still runs inline and counts what a `shards(1)` run
+//! counts.
 
 #![cfg(test)]
 
-use crate::bound::pattern_enum_pruned_in;
+use crate::bound::pattern_enum_pruned;
 use crate::common::{cores, Fanout, QueryContext, FANOUT_MIN_ROOTS};
 use crate::counting::count_patterns_in;
+use crate::engine::Algorithm;
 use crate::individual::{top_individual_in, ScoredTree};
 use crate::linear_enum::linear_enum_in;
-use crate::pattern_enum::pattern_enum_in;
+use crate::pattern_enum::pattern_enum;
 use crate::request::{AlgorithmChoice, SearchRequest};
+use crate::result::QueryStats;
 use crate::subtree::{Row, ValidSubtree};
 use crate::topk::{linear_enum_topk_in, SamplingConfig};
 use crate::{EngineBuilder, Query, SearchConfig, SearchEngine, SearchResult};
@@ -86,59 +92,61 @@ fn scored_bits(trees: &[ScoredTree]) -> Vec<(Vec<u32>, TreeBits)> {
         .collect()
 }
 
-/// Which of a kernel's runs must report the same work counters.
-#[derive(Clone, Copy, PartialEq)]
-enum Counters {
-    /// Inline, fanned out and single-shard alike, per shard too.
-    EveryMode,
-    /// Inline and single-shard. Fanned out, the pruned kernel's workers
-    /// race on the shared threshold, so what a threaded run got to see is
-    /// its own.
-    Inline,
+/// `a` and `b` counted the same work.
+fn assert_same_work(label: &str, a: &QueryStats, b: &QueryStats) {
+    assert_eq!(a.candidate_roots, b.candidate_roots, "{label}");
+    assert_eq!(a.subtrees, b.subtrees, "{label}");
+    assert_eq!(a.patterns, b.patterns, "{label}");
+    assert_eq!(a.combos_tried, b.combos_tried, "{label}");
+    assert_eq!(a.combos_pruned, b.combos_pruned, "{label}");
+    assert_eq!(a.hot.keys_interned, b.hot.keys_interned, "{label}");
 }
 
-/// Run `kernel` inline and fanned out over `ctx`, and inline over the
-/// single-shard `reference`; all three answers must agree.
-fn check_kernel(
+/// `sharded`, a run over `ctx`, and `single`, the same kernel's run over
+/// a `shards(1)` index, agree to the bit and count the same work; each
+/// one's per-shard split accounts for its totals.
+fn check_one_shard(
     label: &str,
     ctx: &QueryContext<'_>,
-    reference: &QueryContext<'_>,
-    kernel: impl Fn(&QueryContext<'_>, Fanout) -> SearchResult,
-    counters: Counters,
+    sharded: &SearchResult,
+    single: &SearchResult,
 ) {
-    let [inline, threads] = MODES.map(|mode| {
-        let r = kernel(ctx, mode);
-        assert_eq!(r.stats.fanout, mode, "{label}: reported mode");
-        r
-    });
-    let single = kernel(reference, Fanout::Inline);
-    assert_eq!(answer_bits(&inline), answer_bits(&threads), "{label}");
-    assert_eq!(answer_bits(&inline), answer_bits(&single), "{label} vs S=1");
-    assert_eq!(inline.stats.per_shard.len(), ctx.shards.len(), "{label}");
-    assert_eq!(threads.stats.per_shard.len(), ctx.shards.len(), "{label}");
-    let mut same_work = vec![(&inline, &single)];
-    if counters == Counters::EveryMode {
-        assert_eq!(inline.stats.per_shard, threads.stats.per_shard, "{label}");
-        same_work.push((&inline, &threads));
-    }
-    for (a, b) in same_work {
-        let (a, b) = (&a.stats, &b.stats);
-        assert_eq!(a.candidate_roots, b.candidate_roots, "{label}");
-        assert_eq!(a.subtrees, b.subtrees, "{label}");
-        assert_eq!(a.patterns, b.patterns, "{label}");
-        assert_eq!(a.combos_tried, b.combos_tried, "{label}");
-        assert_eq!(a.combos_pruned, b.combos_pruned, "{label}");
-        assert_eq!(a.hot.keys_interned, b.hot.keys_interned, "{label}");
-    }
-    // The per-shard split accounts for the totals, however many workers
-    // produced it.
-    for stats in [&inline.stats, &threads.stats, &single.stats] {
+    assert_eq!(answer_bits(sharded), answer_bits(single), "{label} vs S=1");
+    assert_eq!(sharded.stats.per_shard.len(), ctx.shards.len(), "{label}");
+    assert_same_work(label, &sharded.stats, &single.stats);
+    for stats in [&sharded.stats, &single.stats] {
         let roots: usize = stats.per_shard.iter().map(|s| s.candidate_roots).sum();
         let subtrees: usize = stats.per_shard.iter().map(|s| s.subtrees).sum();
         assert_eq!(roots, stats.candidate_roots, "{label}");
         assert_eq!(subtrees, stats.subtrees, "{label}");
     }
 }
+
+/// Run a root-first `kernel` inline and fanned out over `ctx`, and inline
+/// over the single-shard `reference`: all three answers agree, and so
+/// does the work they count, per shard too.
+fn check_kernel(
+    label: &str,
+    ctx: &QueryContext<'_>,
+    reference: &QueryContext<'_>,
+    kernel: impl Fn(&QueryContext<'_>, Fanout) -> SearchResult,
+) {
+    let [inline, threads] = MODES.map(|mode| {
+        let r = kernel(ctx, mode);
+        assert_eq!(r.stats.fanout, mode, "{label}: reported mode");
+        r
+    });
+    assert_eq!(answer_bits(&inline), answer_bits(&threads), "{label}");
+    assert_eq!(inline.stats.per_shard, threads.stats.per_shard, "{label}");
+    assert_same_work(label, &inline.stats, &threads.stats);
+    check_one_shard(label, ctx, &inline, &kernel(reference, Fanout::Inline));
+}
+
+/// Both `PATTERNENUM` kernels, by name.
+const PATTERN_KERNELS: [(&str, fn(&QueryContext<'_>, &SearchConfig) -> SearchResult); 2] = [
+    ("pattern_enum", pattern_enum),
+    ("pattern_enum_pruned", pattern_enum_pruned),
+];
 
 #[test]
 fn kernels_answer_identically_inline_and_fanned_out() {
@@ -154,38 +162,21 @@ fn kernels_answer_identically_inline_and_fanned_out() {
         assert!(ctx.shards.len() > 1, "query must span shards");
         assert_eq!(ctx.fanout(), Fanout::Inline, "far below the break-even");
 
-        check_kernel(
-            "linear_enum",
-            &ctx,
-            &reference,
-            |c, mode| linear_enum_in(c, &cfg, mode),
-            Counters::EveryMode,
-        );
-        check_kernel(
-            "pattern_enum",
-            &ctx,
-            &reference,
-            |c, mode| pattern_enum_in(c, &cfg, mode),
-            Counters::EveryMode,
-        );
-        check_kernel(
-            "pattern_enum_pruned",
-            &ctx,
-            &reference,
-            |c, mode| pattern_enum_pruned_in(c, &cfg, mode),
-            Counters::Inline,
-        );
+        check_kernel("linear_enum", &ctx, &reference, |c, mode| {
+            linear_enum_in(c, &cfg, mode)
+        });
+        for (label, kernel) in PATTERN_KERNELS {
+            let sharded = kernel(&ctx, &cfg);
+            assert_eq!(sharded.stats.fanout, Fanout::Inline, "{label}");
+            check_one_shard(label, &ctx, &sharded, &kernel(&reference, &cfg));
+        }
         for (label, samp) in [
             ("topk[exact]", SamplingConfig::exact()),
             ("topk[sampled]", sampled),
         ] {
-            check_kernel(
-                label,
-                &ctx,
-                &reference,
-                |c, mode| linear_enum_topk_in(c, &cfg, &samp, mode),
-                Counters::EveryMode,
-            );
+            check_kernel(label, &ctx, &reference, |c, mode| {
+                linear_enum_topk_in(c, &cfg, &samp, mode)
+            });
         }
 
         let [inline, threads] = MODES.map(|mode| top_individual_in(&ctx, &cfg, 10, mode));
@@ -202,13 +193,15 @@ fn kernels_answer_identically_inline_and_fanned_out() {
 }
 
 /// `FANOUT_MIN_ROOTS + 1_000` isolated nodes all carrying one word: a
-/// one-keyword query whose candidate roots are every one of them.
+/// one-keyword query whose candidate roots are every one of them, and
+/// whose one pattern per type scores by its type's share of the nodes —
+/// a half for the first type, a quarter for each of the others.
 fn wide_engine(shards: usize) -> SearchEngine {
     let n = FANOUT_MIN_ROOTS + 1_000;
     let mut b = GraphBuilder::with_capacity(n, 0);
     let types = [b.add_type("Alpha"), b.add_type("Beta"), b.add_type("Gamma")];
     for i in 0..n {
-        b.add_node(types[i % types.len()], "fanoutword");
+        b.add_node(types[(i % 4).saturating_sub(1)], "fanoutword");
     }
     EngineBuilder::new()
         .graph(b.build())
@@ -234,17 +227,17 @@ fn the_production_gate_fans_out_a_wide_query() {
     };
     assert_eq!(ctx.fanout(), expected);
 
-    for choice in [
-        AlgorithmChoice::Auto,
-        AlgorithmChoice::PatternEnum,
-        AlgorithmChoice::PatternEnumPruned,
-        AlgorithmChoice::LinearEnum,
-        AlgorithmChoice::LinearEnumTopK,
-        AlgorithmChoice::Baseline,
+    for (choice, fanout) in [
+        (AlgorithmChoice::Auto, Fanout::Inline),
+        (AlgorithmChoice::PatternEnum, Fanout::Inline),
+        (AlgorithmChoice::PatternEnumPruned, Fanout::Inline),
+        (AlgorithmChoice::LinearEnum, expected),
+        (AlgorithmChoice::LinearEnumTopK, expected),
+        (AlgorithmChoice::Baseline, expected),
     ] {
         let request = SearchRequest::query(q.clone()).k(5).algorithm(choice);
         let wide = sharded.respond(&request).unwrap();
-        assert_eq!(wide.stats.fanout, expected, "{choice:?}");
+        assert_eq!(wide.stats.fanout, fanout, "{choice:?}");
         let one = single.respond(&request).unwrap();
         assert_eq!(one.stats.fanout, Fanout::Inline, "{choice:?}: one shard");
         assert_eq!(wide.patterns.len(), 3, "{choice:?}: one pattern per type");
@@ -253,10 +246,43 @@ fn the_production_gate_fans_out_a_wide_query() {
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "{choice:?}");
             assert_eq!(a.num_trees, b.num_trees, "{choice:?}");
         }
+        if choice == AlgorithmChoice::Auto {
+            assert!(matches!(wide.algorithm, Algorithm::PatternEnumPruned));
+        }
     }
     // And the answer the threads gave is the inline one.
     let cfg = SearchConfig::top(5);
     let [inline, threads] = MODES.map(|mode| linear_enum_in(&ctx, &cfg, mode));
     assert_eq!(answer_bits(&inline), answer_bits(&threads));
     assert_eq!(inline.stats.per_shard, threads.stats.per_shard);
+}
+
+/// On the wide query with k below its pattern count, pruned `PATTERNENUM`
+/// prunes, and two runs over the sharded index count exactly what the
+/// `shards(1)` run counts: one walk, one threshold, the same offers.
+#[test]
+fn a_wide_pruned_walk_counts_as_one_shard_does() {
+    let sharded = wide_engine(2);
+    let single = wide_engine(1);
+    let q = sharded.parse("fanoutword").unwrap();
+    let cfg = SearchConfig::top(1);
+    let run = |e: &SearchEngine| {
+        let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
+        pattern_enum_pruned(&ctx, &cfg)
+    };
+    let one = run(&single);
+    assert!(cfg.k < one.stats.combos_tried, "{:?}", one.stats);
+    assert!(one.stats.combos_pruned > 0, "{:?}", one.stats);
+    let runs = [run(&sharded), run(&sharded)];
+    for wide in &runs {
+        assert_eq!(wide.stats.fanout, Fanout::Inline);
+        assert_eq!(wide.stats.per_shard.len(), 2);
+        assert_eq!(answer_bits(wide), answer_bits(&one));
+        assert_same_work("pattern_enum_pruned", &wide.stats, &one.stats);
+        let roots: usize = wide.stats.per_shard.iter().map(|s| s.candidate_roots).sum();
+        let subtrees: usize = wide.stats.per_shard.iter().map(|s| s.subtrees).sum();
+        assert_eq!(roots, one.stats.per_shard[0].candidate_roots);
+        assert_eq!(subtrees, one.stats.per_shard[0].subtrees);
+    }
+    assert_eq!(runs[0].stats.per_shard, runs[1].stats.per_shard);
 }

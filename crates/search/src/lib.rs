@@ -45,7 +45,8 @@
 //! one worker per shard over per-shard [`common::ShardContext`] views and
 //! merge the per-shard partial pattern groups
 //! ([`common::merge_shard_dicts`]). `PATTERNENUM`, pruned or not, is one
-//! walk ([`pattern_enum`]) over the global combination list that joins
+//! walk ([`pattern_enum`]) on the caller's thread over the global
+//! combination list that joins
 //! each combination across the shards, so nothing is merged and the
 //! pruned form's threshold ([`bound`]) sees final scores. Every index
 //! kernel enumerates scores only and ends in one result tail, which

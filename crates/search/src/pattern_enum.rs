@@ -33,20 +33,11 @@
 //! So a pattern's roots may spread over any number of shards and its group
 //! is still complete when the combination is done: there is no
 //! cross-shard dictionary merge, and the threshold sees each pattern
-//! exactly once. Inline, the counters (`combos_pruned`, `subtrees`,
-//! `candidate_roots`, `patterns`) equal a single-shard run's: same walk
-//! order, same bounds, same offers, hence the same threshold at every
-//! step.
-//!
-//! Under [`Fanout::Threads`] what is split is the combination index, not
-//! the shards: worker `w` of `W` takes the combinations whose position in
-//! the global enumeration is `≡ w (mod W)` and joins each across all
-//! shards into a private dictionary. The workers' keys are disjoint, so
-//! their dictionaries are concatenated, never merged, and each pattern
-//! still offers once — to a threshold the workers share, which is why the
-//! counters of a threaded pruned run are its own while its answers are
-//! not. Unpruned, the workers share nothing, and every counter of a
-//! threaded run matches an inline run's.
+//! exactly once. The walk runs on the caller's thread, always
+//! ([`Fanout::Inline`]), so every counter (`combos_pruned`, `subtrees`,
+//! `candidate_roots`, `patterns`, `keys_interned`) equals a single-shard
+//! run's: same walk order, same bounds, same offers, hence the same
+//! threshold at every step.
 //!
 //! ## The inner loop
 //!
@@ -61,10 +52,9 @@
 //!   arena; empty ones (the bulk) cost their bound test and `m` seeks per
 //!   shard that holds all `m` patterns.
 
-use crate::bound::{PatternAggregates, SharedThreshold};
+use crate::bound::{PatternAggregates, Threshold};
 use crate::common::{
-    combo_count, cores, odometer_step, rank_winners, run_sharded, Fanout, QueryContext,
-    SubtreeFold, TreeDict,
+    combo_count, odometer_step, rank_winners, Fanout, QueryContext, SubtreeFold, TreeDict,
 };
 use crate::result::{QueryStats, SearchResult, ShardStats};
 use crate::SearchConfig;
@@ -91,12 +81,6 @@ impl RootSet {
         self.bits[root as usize / 64] |= 1 << (root % 64);
     }
 
-    fn union(&mut self, other: &RootSet) {
-        for (mine, theirs) in self.bits.iter_mut().zip(&other.bits) {
-            *mine |= theirs;
-        }
-    }
-
     /// Members `< bound`.
     fn count_below(&self, bound: u32) -> usize {
         let word = (bound as usize / 64).min(self.bits.len());
@@ -111,9 +95,12 @@ impl RootSet {
     }
 }
 
-/// What one worker's share of the walk produced. The per-shard columns
-/// are indexed like `ctx.shards`.
-struct WorkerOutcome {
+/// The walk: what it has found so far and the buffers its joins reuse.
+/// The per-shard columns are indexed like `ctx.shards`.
+struct Walk<'q, 'a> {
+    ctx: &'q QueryContext<'a>,
+    cfg: &'q SearchConfig,
+    threshold: Option<Threshold>,
     dict: TreeDict,
     /// Roots of every surviving join.
     roots: RootSet,
@@ -121,15 +108,6 @@ struct WorkerOutcome {
     /// Per shard: the combinations it held subtrees of.
     patterns: Vec<usize>,
     combos_pruned: usize,
-}
-
-/// One worker's walk: what it has found so far and the buffers its joins
-/// reuse.
-struct Walk<'q, 'a> {
-    ctx: &'q QueryContext<'a>,
-    cfg: &'q SearchConfig,
-    threshold: Option<&'q SharedThreshold>,
-    found: WorkerOutcome,
     key: Vec<u32>,
     /// Roots of the join in progress; they count once it has a subtree.
     joined: Vec<u32>,
@@ -146,19 +124,16 @@ impl Walk<'_, '_> {
             ctx,
             cfg,
             threshold,
-            found,
-            key,
-            joined,
-            cursors,
-            fold,
-        } = self;
-        let WorkerOutcome {
             dict,
             roots,
             subtrees,
             patterns,
+            key,
+            joined,
+            cursors,
+            fold,
             ..
-        } = found;
+        } = self;
         for (i, group) in groups.iter().enumerate() {
             key[i] = group.patterns[combo[i]].0;
         }
@@ -206,28 +181,32 @@ impl Walk<'_, '_> {
     }
 }
 
-/// Walk the global combination list `types` once, handling every
-/// `workers`-th combination starting at the `worker`-th.
-fn worker_walk(
+/// Run `PATTERNENUM`.
+pub fn pattern_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
+    walk_combinations(ctx, cfg, None)
+}
+
+/// The walk over every pattern combination, on the caller's thread, and
+/// its result tail. With `threshold`, a combination whose bound cannot
+/// beat it is skipped, and every pattern found offers its score to it.
+pub(crate) fn walk_combinations(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
-    types: &[Vec<PatternTypeGroup<'_>>],
-    threshold: Option<&SharedThreshold>,
-    worker: usize,
-    workers: usize,
-) -> WorkerOutcome {
+    threshold: Option<Threshold>,
+) -> SearchResult {
+    let t0 = Instant::now();
+    let types = ctx.merged_by_type();
+    let combos_tried = combo_count(&types);
     let m = ctx.m();
     let mut walk = Walk {
         ctx,
         cfg,
         threshold,
-        found: WorkerOutcome {
-            dict: TreeDict::new(m),
-            roots: RootSet::new(ctx.g.num_nodes()),
-            subtrees: vec![0; ctx.shards.len()],
-            patterns: vec![0; ctx.shards.len()],
-            combos_pruned: 0,
-        },
+        dict: TreeDict::new(m),
+        roots: RootSet::new(ctx.g.num_nodes()),
+        subtrees: vec![0; ctx.shards.len()],
+        patterns: vec![0; ctx.shards.len()],
+        combos_pruned: 0,
         key: vec![0; m],
         joined: Vec::new(),
         cursors: Vec::with_capacity(m),
@@ -237,114 +216,52 @@ fn worker_walk(
     // The bound's aggregates of `combo`'s digits `..aggs.len()`; the
     // odometer truncates it to the digits it left alone.
     let mut aggs: Vec<PatternAggregates> = Vec::with_capacity(m);
-    // Combinations until this worker's next one.
-    let mut wait = worker;
-
-    for groups in types {
+    for groups in &types {
         aggs.clear();
         loop {
-            if wait > 0 {
-                wait -= 1;
+            let pruned = (walk.threshold.as_ref())
+                .is_some_and(|t| t.prunes(ctx, cfg, groups, &combo, &mut aggs));
+            if pruned {
+                walk.combos_pruned += 1;
             } else {
-                wait = workers - 1;
-                let pruned =
-                    threshold.is_some_and(|t| t.prunes(ctx, cfg, groups, &combo, &mut aggs));
-                if pruned {
-                    walk.found.combos_pruned += 1;
-                } else {
-                    walk.join(groups, &combo);
-                }
+                walk.join(groups, &combo);
             }
-
             match odometer_step(&mut combo, |i| groups[i].patterns.len()) {
                 Some(moved) => aggs.truncate(moved),
                 None => break,
             }
         }
     }
-    walk.found
-}
 
-/// Run `PATTERNENUM`.
-pub fn pattern_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
-    pattern_enum_in(ctx, cfg, ctx.fanout())
-}
-
-/// [`pattern_enum`] with the fan-out mode chosen by the caller.
-pub(crate) fn pattern_enum_in(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    mode: Fanout,
-) -> SearchResult {
-    walk_combinations(ctx, cfg, mode, None)
-}
-
-/// The walk over every pattern combination, split over workers by `mode`,
-/// and its result tail. With `threshold`, a combination whose bound cannot
-/// beat it is skipped, and every pattern found offers its score to it.
-pub(crate) fn walk_combinations(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    mode: Fanout,
-    threshold: Option<&SharedThreshold>,
-) -> SearchResult {
-    let t0 = Instant::now();
-    let types = ctx.merged_by_type();
-    let combos_tried = combo_count(&types);
-    let workers: Vec<usize> = match mode {
-        Fanout::Inline => vec![0],
-        Fanout::Threads => (0..cores().max(2)).collect(),
-    };
-    let outcomes = run_sharded(mode, &workers, |&w| {
-        worker_walk(ctx, cfg, &types, threshold, w, workers.len())
-    });
-
-    let mut per_shard: Vec<ShardStats> = ctx
-        .shards
-        .iter()
-        .map(|shard| ShardStats {
-            shard: shard.shard,
-            ..ShardStats::default()
-        })
-        .collect();
-    let mut dicts = Vec::with_capacity(outcomes.len());
-    let mut roots: Option<RootSet> = None;
-    let mut combos_pruned = 0usize;
-    for outcome in outcomes {
-        for (at, stats) in per_shard.iter_mut().enumerate() {
-            stats.subtrees += outcome.subtrees[at];
-            stats.patterns += outcome.patterns[at];
-        }
-        // Each combination is tested by exactly one worker.
-        combos_pruned += outcome.combos_pruned;
-        match &mut roots {
-            Some(roots) => roots.union(&outcome.roots),
-            None => roots = Some(outcome.roots),
-        }
-        dicts.push(outcome.dict);
-    }
-    let roots = roots.expect("at least one worker");
     // Shards partition the root space by range.
     let bounds = ctx.idx.bounds();
-    for stats in &mut per_shard {
-        stats.candidate_roots =
-            roots.count_below(bounds[stats.shard + 1]) - roots.count_below(bounds[stats.shard]);
-    }
-
-    let patterns = rank_winners(ctx, cfg, &dicts);
+    let per_shard: Vec<ShardStats> = ctx
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(at, shard)| ShardStats {
+            shard: shard.shard,
+            candidate_roots: walk.roots.count_below(bounds[shard.shard + 1])
+                - walk.roots.count_below(bounds[shard.shard]),
+            subtrees: walk.subtrees[at],
+            patterns: walk.patterns[at],
+        })
+        .collect();
+    let dict = walk.dict;
+    let patterns = rank_winners(ctx, cfg, std::slice::from_ref(&dict));
     let mut hot = ctx.hot_stats();
-    hot.keys_interned = dicts.iter().map(|d| d.keys_interned() as u64).sum();
-    hot.key_arena_bytes = dicts.iter().map(|d| d.arena_bytes() as u64).sum();
+    hot.keys_interned = dict.keys_interned() as u64;
+    hot.key_arena_bytes = dict.arena_bytes() as u64;
     SearchResult {
         patterns,
         stats: QueryStats {
             candidate_roots: per_shard.iter().map(|s| s.candidate_roots).sum(),
             subtrees: per_shard.iter().map(|s| s.subtrees).sum(),
-            patterns: dicts.iter().map(TreeDict::len).sum(),
+            patterns: dict.len(),
             combos_tried,
-            combos_pruned,
+            combos_pruned: walk.combos_pruned,
             per_shard,
-            fanout: mode,
+            fanout: Fanout::Inline,
             hot,
             elapsed: t0.elapsed(),
         },

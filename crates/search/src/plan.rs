@@ -81,9 +81,11 @@
 //! | `N ≤ 1 000` → `LINEARENUM`, else pruned | 309 | 91 | 1.18 |
 //! | `N ≤ 256` or combos `> 30 000 · N` → `LINEARENUM`, else pruned | 269 | 81 | 1.10 |
 //!
-//! (The last two rows fan out above [`crate::common::FANOUT_MIN_ROOTS`],
-//! as the engine does, on a box whose second core was free — which is how
-//! a rule can read below the inline per-query best.) Both thresholds
+//! (The last two rows fanned out above [`crate::common::FANOUT_MIN_ROOTS`]
+//! as the engine then did, pruned `PATTERNENUM` included, on a box whose
+//! second core was free — which is how a rule can read below the inline
+//! per-query best. `PATTERNENUM` now always runs inline; the rows have
+//! not been measured again.) Both thresholds
 //! still sit on the plateaus they were put on: `N ≤ 200 … 500` and a
 //! factor of 10³ … 10⁵ all read a mean of 268–274 and a median of 81–84;
 //! `N ≤ 64` costs 3 µs of median, `N ≤ 1 000` 10 µs, a factor of 10⁶
@@ -499,7 +501,7 @@ mod tests {
                         cfg.max_subtrees_linear, cfg.max_subtrees_exact
                     );
                     assert_eq!(planned, chosen, "{label}");
-                    let stop = fresh.stopped_walk().map(|progress| progress.seen);
+                    let stop = fresh.stopped_at();
                     assert_eq!(stop, expected_stop(&reference, &cfg, u), "{label}");
                     checked += 1;
                     stopped += usize::from(stop.is_some());

@@ -127,7 +127,8 @@ pub struct QueryStats {
     /// provably-empty queries, which never reach a shard worker.
     pub per_shard: Vec<ShardStats>,
     /// Whether the shard kernels ran inline on the caller's thread or
-    /// fanned out over OS threads ([`crate::common::fanout_for`]).
+    /// fanned out over OS threads ([`crate::common::fanout_for`]);
+    /// `PATTERNENUM`, pruned or not, always runs inline.
     pub fanout: Fanout,
     /// Hot-path work counters (decode / intersect / alloc).
     pub hot: HotPathStats,

@@ -14,8 +14,15 @@
 //! ```
 //!
 //! Connection threads do only IO and parsing; every search runs on the
-//! **fixed** worker pool, so engine concurrency is bounded by `workers`
-//! no matter how many connections are open. Workers pop *batches*: one
+//! **fixed** worker pool, so at most `workers` searches are in flight no
+//! matter how many connections are open. A search is not always one
+//! thread: a worker running a root-first kernel (`LINEARENUM`,
+//! `LINEARENUM-TOPK`, the baseline) over at least
+//! [`FANOUT_MIN_ROOTS`](patternkb_search::common::FANOUT_MIN_ROOTS)
+//! candidate roots spawns up to `min(cores, shards) − 1` scoped threads
+//! while that search runs, so the engine runs on at most
+//! `workers × min(cores, shards)` threads. `PATTERNENUM` never spawns.
+//! Workers pop *batches*: one
 //! [`SharedEngine::snapshot`] per batch answers every request in it —
 //! the swap-pointer read, admission bookkeeping, and reload interleaving
 //! are paid per batch, not per request, and a batch is guaranteed one
@@ -75,7 +82,11 @@ const BATCH_MAX: usize = 16;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 = ephemeral).
     pub addr: String,
-    /// Search worker threads; 0 = available parallelism.
+    /// Search worker threads; 0 = available parallelism. Each runs one
+    /// search at a time, and a root-first kernel's search over at least
+    /// [`FANOUT_MIN_ROOTS`](patternkb_search::common::FANOUT_MIN_ROOTS)
+    /// candidate roots adds up to `min(cores, shards) − 1` scoped threads
+    /// while it runs.
     pub workers: usize,
     /// Admission queue slots. 0 means *always shed* (drain/test mode).
     pub queue_capacity: usize,

@@ -14,7 +14,10 @@
 # ops, and then the script exits 1. A metric whose change median beats
 # the parent's by more than the parent's inter-quartile range is marked
 # apart — the spread test of a claimed gain; the marker never changes the
-# exit status. Every run's metrics are kept in target/ab/runs.txt.
+# exit status. Every invocation keeps its runs' metrics in a file of its
+# own, target/ab/runs-<workload>-<parent commit>-<traced|untraced>.txt
+# (with -2, -3, ... before .txt when an earlier invocation took the
+# name), and prints its path.
 # Nothing under benchmark/ is read except its printed `name value unit`
 # lines, and each side's benchmark/Cargo.lock is left as it was.
 #
@@ -41,8 +44,18 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 ab=$root/target/ab
 parent=$ab/parent
-runs=$ab/runs.txt
 mkdir -p "$ab"
+mode=untraced
+[ "$trace" -eq 0 ] || mode=traced
+name=runs-$workload-$(git rev-parse --short "$rev")-$mode
+runs=$ab/$name.txt
+n=1
+while [ -e "$runs" ]; do
+    n=$((n + 1))
+    runs=$ab/$name-$n.txt
+done
+: >"$runs"
+echo "raw runs: $runs" >&2
 
 # The worktree stays for the next invocation, so the parent is rebuilt
 # only as far as <parent-rev> moved.
@@ -75,7 +88,6 @@ run() {
         ' >>"$runs"
 }
 
-: >"$runs"
 pair=1
 while [ "$pair" -le "$pairs" ]; do
     if [ $((pair % 2)) -eq 1 ]; then
@@ -169,4 +181,6 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" -v trace="$trace" '
             exit 1
         }
     }
-' "$root/BENCHMARK.json" "$runs"
+' "$root/BENCHMARK.json" "$runs" || status=$?
+echo "raw runs: $runs"
+exit "${status:-0}"

@@ -34,8 +34,12 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PINNED: [(&str, u64, u64); 7] = [
     ("Auto", 9500512255007674045, 11746231860628432169),
     ("Baseline", 12457310662923407605, 4051485540186109989),
-    ("PatternEnum", 5561112190050920389, 798324945340674451),
-    ("PatternEnumPruned", 3998701348572327485, 284141188688420778),
+    ("PatternEnum", 5561112190050920389, 8507667816512898979),
+    (
+        "PatternEnumPruned",
+        3998701348572327485,
+        11499915289674213369,
+    ),
     ("LinearEnum", 3156926336427701589, 10245004788127383295),
     ("LinearEnumTopK", 3156926336427701589, 10245004788127383295),
     (
