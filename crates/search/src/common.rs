@@ -524,8 +524,15 @@ pub enum Fanout {
 /// 1 328), the right-hand numbers being only the *price* of fanning out.
 /// The constant sits above the first run's break-even, where the second
 /// run's price has fallen to a fifth of the kernel's time; 81 of the
-/// pool's 1 000 queries are above it. Every count it is compared with is exact:
-/// only the root-first kernels fan out, and they read the roots anyway.
+/// pool's 1 000 queries are above it.
+///
+/// Only the root-first kernels fan out, so every count compared with it
+/// is exact: they read the roots anyway. `PATTERNENUM` used to split its
+/// combinations over threads above this gate too; running it inline
+/// instead read `cold` `search_p99_ms` 3.71 → 3.54 ms (7 of 10 A/B
+/// pairs) and `coldstart` 4.01 → 4.09 and 3.90 → 3.86 ms (5 and 7 of
+/// 10), with every gated metric of the four workloads inside its bound
+/// (2-vCPU VM, seed 7).
 pub const FANOUT_MIN_ROOTS: usize = 8_000;
 
 /// The one gate every fan-out site goes through: [`Fanout::Threads`] when
