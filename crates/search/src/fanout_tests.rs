@@ -266,23 +266,16 @@ fn a_wide_pruned_walk_counts_as_one_shard_does() {
     let single = wide_engine(1);
     let q = sharded.parse("fanoutword").unwrap();
     let cfg = SearchConfig::top(1);
-    let run = |e: &SearchEngine| {
-        let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
-        pattern_enum_pruned(&ctx, &cfg)
-    };
-    let one = run(&single);
+    let one = QueryContext::new(single.graph(), single.index(), &q).unwrap();
+    let one = pattern_enum_pruned(&one, &cfg);
     assert!(cfg.k < one.stats.combos_tried, "{:?}", one.stats);
     assert!(one.stats.combos_pruned > 0, "{:?}", one.stats);
-    let runs = [run(&sharded), run(&sharded)];
-    for wide in &runs {
+    let per_shard = [(); 2].map(|()| {
+        let ctx = QueryContext::new(sharded.graph(), sharded.index(), &q).unwrap();
+        let wide = pattern_enum_pruned(&ctx, &cfg);
         assert_eq!(wide.stats.fanout, Fanout::Inline);
-        assert_eq!(wide.stats.per_shard.len(), 2);
-        assert_eq!(answer_bits(wide), answer_bits(&one));
-        assert_same_work("pattern_enum_pruned", &wide.stats, &one.stats);
-        let roots: usize = wide.stats.per_shard.iter().map(|s| s.candidate_roots).sum();
-        let subtrees: usize = wide.stats.per_shard.iter().map(|s| s.subtrees).sum();
-        assert_eq!(roots, one.stats.per_shard[0].candidate_roots);
-        assert_eq!(subtrees, one.stats.per_shard[0].subtrees);
-    }
-    assert_eq!(runs[0].stats.per_shard, runs[1].stats.per_shard);
+        check_one_shard("pattern_enum_pruned", &ctx, &wide, &one);
+        wide.stats.per_shard
+    });
+    assert_eq!(per_shard[0], per_shard[1]);
 }
