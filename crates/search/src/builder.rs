@@ -130,8 +130,8 @@ impl EngineBuilder {
     /// per shard — the caller's thread one, up to `min(cores, shards) − 1`
     /// scoped threads the others — and merges the shares' pattern groups;
     /// below that, and for `PATTERNENUM` always, a query runs on the
-    /// caller's thread. 0 (the default) = available parallelism. When loading an [`Self::index_snapshot`] the stored
-    /// shard layout wins.
+    /// caller's thread. 0 (the default) = available parallelism. When
+    /// loading an [`Self::index_snapshot`] the stored shard layout wins.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
