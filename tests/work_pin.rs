@@ -8,9 +8,9 @@
 //! `index_image_bytes_are_pinned`) hold what a search answers; these hold
 //! how much it took to answer it, so a rewrite of the join or the
 //! enumeration loops cannot trade seeks or subtrees unnoticed, and a
-//! moved pin names the kernel and the kind of count that moved. The traced
-//! benchmark's count rows vary between runs; these counts do not (one
-//! thread, graphs far below the fan-out threshold).
+//! moved pin names the kernel and the kind of count that moved. These
+//! counts repeat exactly between runs: the graphs are far below the
+//! fan-out threshold, so every kernel runs inline.
 
 use patternkb::datagen::queries::QueryGenerator;
 use patternkb::datagen::{imdb, wiki, ImdbConfig, WikiConfig};
