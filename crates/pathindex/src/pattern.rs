@@ -13,6 +13,7 @@
 
 use patternkb_graph::ids::Id;
 use patternkb_graph::{AttrId, FxHashMap, KnowledgeGraph, TypeId};
+use std::fmt;
 
 /// Interned id of a [`PathPattern`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,6 +46,33 @@ pub struct PathPattern {
     pub edge_terminal: bool,
 }
 
+/// See [`PathPattern::shown`].
+struct Shown<'a> {
+    pattern: &'a PathPattern,
+    g: &'a KnowledgeGraph,
+}
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let PathPattern { types, attrs, .. } = self.pattern;
+        for (i, &t) in types.iter().enumerate() {
+            f.write_str(if i > 0 { " (" } else { "(" })?;
+            f.write_str(if t == KnowledgeGraph::TEXT_TYPE {
+                "*"
+            } else {
+                self.g.type_text(t)
+            })?;
+            f.write_str(")")?;
+            if let Some(&a) = attrs.get(i) {
+                f.write_str(" (")?;
+                f.write_str(self.g.attr_text(a))?;
+                f.write_str(")")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl PathPattern {
     /// The root type `τ(v1)` — the first entry of the pattern.
     #[inline]
@@ -68,26 +96,13 @@ impl PathPattern {
 
     /// Render like the paper: `(Software) (Developer) (Company) (Revenue)`.
     pub fn display(&self, g: &KnowledgeGraph) -> String {
-        let mut out = String::new();
-        for i in 0..self.types.len() {
-            if i > 0 {
-                out.push(' ');
-            }
-            let t = self.types[i];
-            if t == KnowledgeGraph::TEXT_TYPE {
-                out.push_str("(*)");
-            } else {
-                out.push('(');
-                out.push_str(g.type_text(t));
-                out.push(')');
-            }
-            if i < self.attrs.len() {
-                out.push_str(" (");
-                out.push_str(g.attr_text(self.attrs[i]));
-                out.push(')');
-            }
-        }
-        out
+        self.shown(g).to_string()
+    }
+
+    /// [`PathPattern::display`] as a [`fmt::Display`], which writes its
+    /// pieces straight to the formatter's sink.
+    pub fn shown<'a>(&'a self, g: &'a KnowledgeGraph) -> impl fmt::Display + 'a {
+        Shown { pattern: self, g }
     }
 
     /// Encode into the flat key used by the interner:

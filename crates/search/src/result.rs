@@ -9,6 +9,7 @@ use crate::common::Fanout;
 use crate::subtree::Rows;
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::PathPattern;
+use std::fmt;
 use std::time::Duration;
 
 /// One answer: a tree pattern, its relevance score, and (a sample of) the
@@ -41,8 +42,13 @@ impl RankedPattern {
     /// Paper-style rendering, e.g.
     /// `[(Software) (Genre) (Model) | (Software) | …]`.
     pub fn display(&self, g: &KnowledgeGraph) -> String {
-        let parts: Vec<String> = self.pattern.iter().map(|p| p.display(g)).collect();
-        format!("[{}]", parts.join(" | "))
+        self.shown(g).to_string()
+    }
+
+    /// [`RankedPattern::display`] as a [`fmt::Display`], which writes its
+    /// pieces straight to the formatter's sink.
+    pub fn shown<'a>(&'a self, g: &'a KnowledgeGraph) -> impl fmt::Display + 'a {
+        Shown { pattern: self, g }
     }
 
     /// A canonical sort/equality key for deterministic ordering and
@@ -53,6 +59,25 @@ impl RankedPattern {
             key.extend(p.encode());
         }
         key
+    }
+}
+
+/// See [`RankedPattern::shown`].
+struct Shown<'a> {
+    pattern: &'a RankedPattern,
+    g: &'a KnowledgeGraph,
+}
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[")?;
+        for (i, p) in self.pattern.pattern.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" | ")?;
+            }
+            fmt::Display::fmt(&p.shown(self.g), f)?;
+        }
+        f.write_str("]")
     }
 }
 

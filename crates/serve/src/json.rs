@@ -192,15 +192,50 @@ pub(crate) fn write_number(n: f64, out: &mut String) {
     }
 }
 
-/// Append `s` as a JSON string literal. Only `"`, `\` and the control
-/// bytes below 0x20 need escaping, all of them ASCII, so everything
-/// between two of them is copied as one run.
+/// Append `s` as a JSON string literal.
 pub(crate) fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    write_string_body(s, out);
+    out.push('"');
+}
+
+/// Append `shown` as a JSON string literal, escaping its pieces as they
+/// are written: no `String` of the whole text in between.
+pub(crate) fn write_display(shown: impl fmt::Display, out: &mut String) {
     use fmt::Write;
     out.push('"');
+    write!(Escaping(out), "{shown}").expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// A [`fmt::Write`] that appends what it is given as the inside of a JSON
+/// string literal.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        write_string_body(s, self.0);
+        Ok(())
+    }
+}
+
+/// Append `s` escaped, without the quotes. Only `"`, `\` and the control
+/// bytes below 0x20 need escaping, all of them ASCII, and almost no string
+/// a body holds has one. So the whole string is tested first, ORing one
+/// flag per byte with no branch, which the compiler vectorises, and a
+/// clean one is copied whole; only a string that needs an escape is
+/// walked byte by byte, copying everything between two escapes as one
+/// run.
+fn write_string_body(s: &str, out: &mut String) {
+    use fmt::Write;
+    let special = |b: u8| u8::from(b < 0x20) | u8::from(b == b'"') | u8::from(b == b'\\');
+    if s.bytes().fold(0, |any, b| any | special(b)) == 0 {
+        out.push_str(s);
+        return;
+    }
     let mut run_start = 0;
     for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
+        if special(b) == 0 {
             continue;
         }
         out.push_str(&s[run_start..i]);
@@ -215,7 +250,6 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
         run_start = i + 1;
     }
     out.push_str(&s[run_start..]);
-    out.push('"');
 }
 
 /// Append `[…]` with `item` writing each element and commas in between.
@@ -636,6 +670,30 @@ mod tests {
         for c in ALPHABET {
             assert_string_is_the_old_string(&format!("a{c}"));
             assert_string_is_the_old_string(&format!("{c}\u{2028}{c}"));
+        }
+    }
+
+    /// Every ASCII byte and three multi-byte characters, each at the
+    /// start, in the middle and at the end of clean text of every length
+    /// up to 40: whatever width the clean-string test reads at a time,
+    /// the special byte falls in each lane of a chunk and in the tail.
+    /// Through [`write_display`] too, which is handed the three pieces
+    /// one at a time.
+    #[test]
+    fn string_writer_matches_the_reference_at_every_position() {
+        let clean: String = ('a'..='z').chain('0'..='9').cycle().take(40).collect();
+        let specials = (0..0x80u8).map(char::from).chain(['é', '\u{2028}', '😀']);
+        for c in specials {
+            for len in 0..=40 {
+                for at in [0, len / 2, len] {
+                    let (head, tail) = clean[..len].split_at(at);
+                    let text = format!("{head}{c}{tail}");
+                    assert_string_is_the_old_string(&text);
+                    let mut pieces = String::new();
+                    write_display(format_args!("{head}{c}{tail}"), &mut pieces);
+                    assert_eq!(pieces, reference_string(&text), "{text:?}");
+                }
+            }
         }
     }
 
