@@ -3,10 +3,11 @@
 //! A warmed hit — `SharedEngine::respond_on` then
 //! `api::render_response(..).render()` — shares the cached patterns and
 //! tables by reference count and writes the body once into one buffer, so
-//! the number of heap allocations it makes is a small constant: the parsed
-//! query, the cache key, the response's two `Arc` lists, the body buffer,
-//! and the `display` string of each pattern. It does not grow with the
-//! rows or the cells of the answer. Before the sharing, a hit made one
+//! the number of heap allocations it makes is one constant: the parsed
+//! query, the cache key, the response's two `Arc` lists and the body
+//! buffer. Each pattern's `display` text is written through the escaper
+//! into the body, so the count grows neither with the patterns nor with
+//! the rows or the cells of the answer. Before the sharing, a hit made one
 //! allocation per path of every row (the deep copy out of the cache) and
 //! one per table cell in each of table composition and the JSON tree —
 //! thousands. The count repeats exactly on any machine, which a timing
@@ -27,12 +28,11 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, tally.calls)
 }
 
-/// Fixed part of a hit, plus what each returned pattern may add: its
-/// `display` string, grown from one string per keyword path. Measured on
-/// the queries below: 12 for one single-keyword pattern, 93–135 for ten
-/// patterns (the parent commit: 139 and 727–6 275 on the same queries).
-const HIT_BASE: usize = 16;
-const HIT_PER_PATTERN: usize = 16;
+/// What every hit below allocates, whatever it returns: 5 on all twelve
+/// queries. While each pattern's `display` was built as a `String` of its
+/// own: 12 for one single-keyword pattern, 93–135 for ten patterns; before
+/// the sharing, 139 and 727–6 275.
+const HIT: usize = 5;
 
 #[test]
 fn a_warmed_hit_allocates_a_small_constant() {
@@ -77,17 +77,16 @@ fn a_warmed_hit_allocates_a_small_constant() {
             .iter()
             .flat_map(|p| p.trees.iter().map(|t| t.paths(&p.pattern).len()))
             .sum();
-        let bound = HIT_BASE + HIT_PER_PATTERN * hit.patterns.len();
-        assert!(
-            count <= bound,
-            "a hit returning {} patterns ({paths} row paths, {cells} cells, {} body bytes) \
-             made {count} allocations, over the bound of {bound}",
+        assert_eq!(
+            count,
+            HIT,
+            "a hit returning {} patterns ({paths} row paths, {cells} cells, {} body bytes)",
             hit.patterns.len(),
             body.len(),
         );
-        // The bound bites where one allocation per cell alone would
-        // have broken it.
-        checked += usize::from(cells > bound);
+        // The count bites where one allocation per cell, or per pattern,
+        // alone would have broken it.
+        checked += usize::from(cells > HIT && hit.patterns.len() > HIT);
         // And the count repeats exactly.
         let (_, again) = allocations(serve);
         assert_eq!(again, count, "the count repeats");

@@ -30,20 +30,21 @@ mod common;
 /// lists ([`TABLE_PER_TABLE`]), and per column its header and its feed
 /// list ([`TABLE_PER_COLUMN`]). Measured on the queries below: 123 for 10
 /// tables of 41 columns, whether they show 419 rows or 24; of the whole
-/// miss, 552 and 516. Before composition stopped copying the cells:
+/// miss, 422 and 402. Before composition stopped copying the cells:
 /// 2 430 and 353, of 4 140 and 810.
 const TABLE_BASE: usize = 4;
 const TABLE_PER_TABLE: usize = 4;
 const TABLE_PER_COLUMN: usize = 2;
 
 /// How far apart the whole misses of two answers with as many patterns
-/// may be, per pattern, however many rows they hold: 552 and 516
-/// allocations for 419 rows and 24 (10 patterns each). When each row was a
-/// list of paths with a node list per path: 1 833 and 580.
+/// may be, per pattern, however many rows they hold: 422 and 402
+/// allocations for 419 rows and 24 (10 patterns each; 552 and 532 while
+/// each pattern's `display` was a `String` of its own). When each row was
+/// a list of paths with a node list per path: 1 833 and 580.
 const MISS_PER_PATTERN: usize = 8;
 
 /// How far apart evicting those two answers may be in blocks freed, per
-/// pattern: 131 and 131. When each row was a list of paths: 1 378 and 193.
+/// pattern: 133 and 133. When each row was a list of paths: 1 378 and 193.
 const EVICT_PER_PATTERN: usize = 4;
 
 /// What one miss of the loop below measured.
