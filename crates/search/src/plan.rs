@@ -124,9 +124,9 @@ pub struct QueryEstimate {
 /// Measure both cost drivers. Cost: one full walk over the candidate
 /// roots reading each keyword's group size per root — the same work
 /// `LINEARENUM` line 1 and Algorithm 4 line 4 do before any enumeration,
-/// memoized for them — plus the per-keyword global pattern lists. All quantities are global (merged over the
-/// index's root-range shards), so the decision is independent of the
-/// shard count.
+/// memoized for them — plus the per-keyword global pattern lists. All
+/// quantities are global (merged over the index's root-range shards), so
+/// the decision is independent of the shard count.
 pub fn estimate(ctx: &QueryContext<'_>) -> QueryEstimate {
     QueryEstimate {
         candidate_roots: ctx.candidate_roots().len(),
@@ -513,6 +513,34 @@ mod tests {
         assert!(checked > 2_000, "{checked} routes checked");
         assert!(stopped > 300, "{stopped} walks stopped");
         assert!(stopped_early > 150, "{stopped_early} walks stopped early");
+    }
+
+    /// A one-keyword query's `N` is its posting count, read without a
+    /// walk: `plan` seeks no cursor on any of them, while any walk over
+    /// the candidate roots seeks at least once per shard. Some of them
+    /// route to pruned `PATTERNENUM`, which reads no roots either.
+    #[test]
+    fn a_one_keyword_plan_walks_no_roots() {
+        use patternkb_datagen::queries::QueryGenerator;
+        use patternkb_datagen::wiki::{wiki, WikiConfig};
+        let e = crate::EngineBuilder::new()
+            .graph(wiki(&WikiConfig::tiny(3)))
+            .threads(1)
+            .shards(2)
+            .build()
+            .unwrap();
+        let mut generator = QueryGenerator::new(e.graph(), e.text(), 3, 5);
+        let (mut checked, mut pruned) = (0, 0);
+        for spec in generator.batch(40, 1) {
+            let q = Query::from_ids(spec.keywords);
+            let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
+            let algorithm = plan(&ctx, &PlannerConfig::default());
+            assert_eq!(ctx.hot_stats().intersect_seeks, 0, "{q:?}: {algorithm:?}");
+            checked += 1;
+            pruned += usize::from(matches!(algorithm, Algorithm::PatternEnumPruned));
+        }
+        assert_eq!(checked, 40);
+        assert!(pruned > 0, "none of {checked} routed to pruned PATTERNENUM");
     }
 
     #[test]
