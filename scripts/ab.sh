@@ -14,12 +14,15 @@
 # ops, and then the script exits 1. A metric whose change median beats
 # the parent's by more than the parent's inter-quartile range is marked
 # apart — the spread test of a claimed gain; the marker never changes the
-# exit status. Every invocation keeps its runs' metrics in a file of its
-# own, target/ab/runs-<workload>-<parent commit>-<traced|untraced>.txt
-# (with -2, -3, ... before .txt when an earlier invocation took the
-# name), and prints its path.
-# Nothing under benchmark/ is read except its printed `name value unit`
-# lines, and each side's benchmark/Cargo.lock is left as it was.
+# exit status. A run that exits non-zero, or whose last line is not the
+# benchmark's result object, is listed as a failed run after the table,
+# and then the script exits 1 too. Every invocation keeps its runs'
+# metrics in a file of its own,
+# target/ab/runs-<workload>-<parent commit>-<traced|untraced>.txt (with
+# -2, -3, ... before .txt when an earlier invocation took the name), and
+# prints its path.
+# Nothing under benchmark/ is read except what its binary prints and its
+# exit status, and each side's benchmark/Cargo.lock is left as it was.
 #
 # With a fifth argument `trace`, both sides run traced (`--trace 1`) and
 # the table lists BENCHMARK.json's `per_layer` rows instead, followed by
@@ -76,16 +79,24 @@ for side in "$parent" "$root"; do
 done
 
 # One run of <side>'s binary: its metric lines (and, traced, its layer
-# table's self times) as "<pair> <side> <name> <value>", and whether
-# every op succeeded.
+# table's self times) as "<pair> <side> <name> <value>", whether every op
+# succeeded, the run's exit status, and whether its last line is the
+# result object (1) or not (0).
 run() {
+    status=0
     "$2/benchmark/target/release/patternkb-benchmark" \
-        --workload "$workload" --seed "$seed" --seconds 12 --trace "$trace" |
-        awk -v pair="$1" -v side="$3" '
-            / ops [0-9]+ failed [0-9]+$/ { print pair, side, "failed_ops", $NF }
-            /^  [a-z_0-9.]+ +[-0-9.e+]+ +[^ ]+$/ { print pair, side, $1, $2 }
-            /^# +[a-z_0-9.]+ +[0-9.]+ ms +[0-9.]+ %/ { print pair, side, "self:" $2, $3 }
-        ' >>"$runs"
+        --workload "$workload" --seed "$seed" --seconds 12 --trace "$trace" \
+        >"$ab/run.out" || status=$?
+    awk -v pair="$1" -v side="$3" -v status="$status" '
+        / ops [0-9]+ failed [0-9]+$/ { print pair, side, "failed_ops", $NF }
+        /^  [a-z_0-9.]+ +[-0-9.e+]+ +[^ ]+$/ { print pair, side, $1, $2 }
+        /^# +[a-z_0-9.]+ +[0-9.]+ ms +[0-9.]+ %/ { print pair, side, "self:" $2, $3 }
+        { last = $0 }
+        END {
+            print pair, side, "exit_status", status
+            print pair, side, "result_line", last ~ /^[{]"correct":(true|false),.*[}]$/
+        }
+    ' "$ab/run.out" >>"$runs"
 }
 
 pair=1
@@ -176,10 +187,22 @@ awk -v workload="$workload" -v rev="$rev" -v seed="$seed" -v trace="$trace" '
             }
             printf "%-34s %12.4f %12.4f %10.4f %10.4f %6d %6d%s\n", name, p, c, piqr, quantile(b, nc, 0.75) - quantile(b, nc, 0.25), won, lost, flag
         }
-        if (flagged != "") {
-            printf "worse than the parent beyond the bound:%s\n", flagged
-            exit 1
+        if (flagged != "") printf "worse than the parent beyond the bound:%s\n", flagged
+        # A run that failed or printed no result object: its metrics are
+        # missing from, or not to be trusted in, the medians above.
+        for (i = 1; i <= pairs; i++) {
+            for (s = 1; s <= 2; s++) {
+                side = s == 1 ? "parent" : "change"
+                why = ""
+                if (val[i, side, "exit_status"] != 0) why = "exited " val[i, side, "exit_status"]
+                if (val[i, side, "result_line"] != 1) why = why (why == "" ? "" : ", ") "last line is not the result object"
+                if (why != "") {
+                    printf "failed run: pair %d %s: %s\n", i, side, why
+                    failed = 1
+                }
+            }
         }
+        if (flagged != "" || failed) exit 1
     }
 ' "$root/BENCHMARK.json" "$runs" || status=$?
 echo "raw runs: $runs"
