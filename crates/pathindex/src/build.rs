@@ -13,7 +13,9 @@
 //!   stored so table answers can show the value cell).
 //!
 //! The scoring terms `|T(w)|`, `PR(f(w))` and `sim(w, f(w))` are computed
-//! here and stored in the posting (paper §3, last paragraph).
+//! here and stored with the posting (paper §3, last paragraph): the
+//! length in the posting, the other two in its list's score table, each
+//! distinct pair once.
 //!
 //! Construction parallelizes over disjoint root ranges with scoped
 //! scoped threads; each worker interns patterns locally and the merge step
@@ -21,7 +23,7 @@
 //! compared to posting counts, so the remap is cheap).
 
 use crate::pattern::PatternSet;
-use crate::posting::Posting;
+use crate::posting::{Posting, ScoreTerms};
 use crate::word_index::{PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
 use patternkb_graph::{traversal, FxHashMap, KnowledgeGraph, NodeId, WordId};
@@ -90,8 +92,7 @@ pub(crate) struct RawEntry {
     pub(crate) nodes: [NodeId; MAX_D + 1],
     pub(crate) nodes_len: u8,
     pub(crate) edge_terminal: bool,
-    pub(crate) pagerank: f64,
-    pub(crate) sim: f64,
+    pub(crate) terms: ScoreTerms,
 }
 
 pub(crate) struct WorkerOut {
@@ -184,8 +185,10 @@ pub(crate) fn build_roots(
                         nodes: node_buf,
                         nodes_len: l as u8,
                         edge_terminal: false,
-                        pagerank: pr,
-                        sim: text.sim_node(w, t, t_type),
+                        terms: ScoreTerms {
+                            pagerank: pr,
+                            sim: text.sim_node(w, t, t_type),
+                        },
                     });
                 }
             }
@@ -223,8 +226,10 @@ pub(crate) fn build_roots(
                             nodes: node_buf,
                             nodes_len: (l + 1) as u8,
                             edge_terminal: true,
-                            pagerank: pr,
-                            sim: text.sim_attr(w, attr),
+                            terms: ScoreTerms {
+                                pagerank: pr,
+                                sim: text.sim_attr(w, attr),
+                            },
                         });
                     }
                 }
@@ -267,7 +272,10 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
         (bounds.partition_point(|&b| b <= root.0) - 1).min(num_shards - 1)
     };
     let mut global = PatternSet::new();
-    let mut per_shard: Vec<FxHashMap<WordId, (Vec<Posting>, Vec<NodeId>)>> =
+    // Per list: postings, arena, and one score pair per posting, which
+    // `WordPathIndex::new` deduplicates.
+    type List = (Vec<Posting>, Vec<NodeId>, Vec<ScoreTerms>);
+    let mut per_shard: Vec<FxHashMap<WordId, List>> =
         (0..num_shards).map(|_| FxHashMap::default()).collect();
 
     for out in outs {
@@ -280,18 +288,18 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
             })
             .collect();
         for e in out.entries {
-            let (postings, arena) = per_shard[shard_of(e.root)].entry(e.word).or_default();
+            let (postings, arena, scores) = per_shard[shard_of(e.root)].entry(e.word).or_default();
             let start = arena.len() as u32;
             arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
             postings.push(Posting {
                 pattern: crate::pattern::PatternId(remap[e.lpat as usize]),
                 root: e.root,
                 nodes_start: start,
+                score: scores.len() as u32,
                 nodes_len: e.nodes_len as u16,
                 edge_terminal: e.edge_terminal,
-                pagerank: e.pagerank,
-                sim: e.sim,
             });
+            scores.push(e.terms);
         }
     }
 
@@ -301,7 +309,9 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
             crate::word_index::IndexShard::new(crate::storage::WordStore::from_lists(
                 per_word
                     .into_iter()
-                    .map(|(w, (postings, arena))| (w, WordPathIndex::new(postings, arena)))
+                    .map(|(w, (postings, arena, scores))| {
+                        (w, WordPathIndex::new(postings, arena, scores))
+                    })
                     .collect(),
             ))
         })
@@ -424,10 +434,11 @@ mod tests {
         let widx = idx.word_in(0, db).unwrap();
         for pat in widx.patterns() {
             for p in widx.paths_of_pattern(pat) {
+                let terms = widx.score_terms(p);
                 // "Relational database" has 2 tokens → sim = 1/2.
-                assert!((p.sim - 0.5).abs() < 1e-12);
+                assert!((terms.sim - 0.5).abs() < 1e-12);
                 let terminal = *widx.nodes_of(p).last().unwrap();
-                assert!((p.pagerank - g.pagerank(terminal)).abs() < 1e-15);
+                assert!((terms.pagerank - g.pagerank(terminal)).abs() < 1e-15);
             }
         }
     }
@@ -504,8 +515,8 @@ mod tests {
                         (
                             idx.nodes_of(&p).to_vec(),
                             p.edge_terminal,
-                            p.pagerank.to_bits(),
-                            p.sim.to_bits(),
+                            idx.score_terms(&p).pagerank.to_bits(),
+                            idx.score_terms(&p).sim.to_bits(),
                         )
                     })
                     .collect();
@@ -581,8 +592,8 @@ mod tests {
                             idx.patterns().key(p.pattern).to_vec(),
                             widx.nodes_of(p).to_vec(),
                             p.edge_terminal,
-                            p.pagerank.to_bits(),
-                            p.sim.to_bits(),
+                            widx.score_terms(p).pagerank.to_bits(),
+                            widx.score_terms(p).sim.to_bits(),
                         ));
                     }
                 }

@@ -2,27 +2,30 @@
 //! one word's postings as a compact byte stream.
 //!
 //! The decoded [`WordPathIndex`] stores every posting as a fixed-width
-//! struct (fast, but 32 bytes per posting plus the root directory and the
-//! node arena). For large `d` the index grows steeply — the paper's
-//! Figure 6 reports 34 GB at `d = 4` — so the persisted image keeps each
-//! word's postings in this form and decodes on demand:
+//! struct (fast, but 20 bytes per posting plus the root directory, the
+//! node arena and the score table). For large `d` the index grows
+//! steeply — the paper's Figure 6 reports 34 GB at `d = 4` — so the
+//! persisted image keeps each word's postings in this form and decodes on
+//! demand:
 //!
+//! * the stream leads with the list's score table: each distinct
+//!   `(pagerank, sim)` pair once, as raw little-endian `f64`s, in order of
+//!   first use in pattern-first order, so an [`encode`] →
+//!   [`decode_stream`] round trip is **bit-exact** (asserted by tests);
 //! * postings are stored once, in pattern-first order, grouped by pattern;
 //! * each posting leads with its root as a varint gap from the previous
 //!   root in its group (the first posting's gap is from 0), so the roots
 //!   of a group are non-decreasing by construction;
 //! * pattern ids are delta-coded varints;
 //! * the leading path node is implicit (it equals the root);
-//! * the two cached scores stay as raw little-endian `f64`s, so an
-//!   [`encode`] → [`decode_stream`] round trip is **bit-exact** (asserted
-//!   by tests).
+//! * a posting's score terms are one varint index into the table.
 //!
 //! `docs/FORMATS.md` ("word stream") is the normative layout. Decoding
 //! validates the stream and reports [`CompressError`] on truncation or
 //! corruption instead of panicking.
 
 use crate::pattern::PatternId;
-use crate::posting::Posting;
+use crate::posting::{Posting, ScoreTable, ScoreTerms};
 use crate::varint;
 use crate::word_index::WordPathIndex;
 use patternkb_graph::NodeId;
@@ -33,23 +36,51 @@ pub(crate) enum CompressError {
     /// The stream ended before all declared postings were decoded.
     Truncated,
     /// A decoded value was out of range (a path length of zero or beyond
-    /// the supported maximum, a non-finite score, a count that does not
-    /// match, trailing bytes).
+    /// the supported maximum, a non-finite score, a score index out of
+    /// first-use order, a table entry no posting uses, a count that does
+    /// not match, trailing bytes).
     Corrupt,
 }
 
-/// Lower bound on one posting's bytes in a stream: a one-byte root gap
-/// and a one-byte header varint, plus the two raw `f64` scores. Every
-/// count read from a stream is checked against `remaining bytes /
-/// MIN_POSTING_BYTES` before anything is allocated for it.
-const MIN_POSTING_BYTES: usize = 1 + 1 + 8 + 8;
+/// Lower bound on one posting's bytes in a stream: a one-byte root gap,
+/// a one-byte header and a one-byte score index. Every posting count read
+/// from a stream is checked against `remaining bytes / MIN_POSTING_BYTES`
+/// before anything is allocated for it.
+const MIN_POSTING_BYTES: usize = 1 + 1 + 1;
+
+/// Bytes of one score-table entry: two raw `f64`s. The table's length is
+/// checked against `remaining bytes / TABLE_ENTRY_BYTES` the same way.
+const TABLE_ENTRY_BYTES: usize = 16;
 
 /// Encode all postings of `widx` (pattern-first order) as one word
 /// stream. Boxed, i.e. shrunk to fit: the image writer holds every
 /// word's stream at once, so the size guess's slack would add up.
+///
+/// The in-memory table's order is whatever built it, and a refresh may
+/// leave entries no posting uses or repeat a pair: the stream's table is
+/// re-derived in order of first use, merging entries by value (each used
+/// entry is hashed once, never a posting), so a stream depends only on
+/// its postings.
 pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
     let postings = widx.postings_pattern_first();
-    let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 24);
+    let table = widx.score_table();
+    let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 10);
+
+    // `remap[i]`: the stream index of in-memory entry `i`.
+    let mut remap = vec![u32::MAX; table.len()];
+    let mut stream_table = ScoreTable::default();
+    for p in postings {
+        let slot = &mut remap[p.score as usize];
+        if *slot == u32::MAX {
+            *slot = stream_table.intern(table[p.score as usize]);
+        }
+    }
+    let stream_table = stream_table.into_terms();
+    varint::put_u32(&mut bytes, stream_table.len() as u32);
+    for terms in &stream_table {
+        bytes.extend_from_slice(&terms.pagerank.to_le_bytes());
+        bytes.extend_from_slice(&terms.sim.to_le_bytes());
+    }
 
     // A group is a maximal run of one pattern. Postings are sorted by
     // (pattern, root), so the roots of a group never decrease and every
@@ -73,8 +104,7 @@ pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
             for &v in &nodes[1..] {
                 varint::put_u32(&mut bytes, v.0);
             }
-            bytes.extend_from_slice(&p.pagerank.to_le_bytes());
-            bytes.extend_from_slice(&p.sim.to_le_bytes());
+            varint::put_u32(&mut bytes, remap[p.score as usize]);
         }
     }
     bytes.into_boxed_slice()
@@ -97,6 +127,24 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
         Vec::with_capacity((num_postings as usize).min(buf.len() / MIN_POSTING_BYTES));
     let mut arena: Vec<NodeId> = Vec::new();
     let mut pos = 0usize;
+
+    let ntable = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)? as usize;
+    if ntable > (buf.len() - pos) / TABLE_ENTRY_BYTES {
+        return Err(CompressError::Truncated);
+    }
+    let mut scores = Vec::with_capacity(ntable);
+    for entry in buf[pos..pos + ntable * TABLE_ENTRY_BYTES].chunks_exact(TABLE_ENTRY_BYTES) {
+        let pagerank = f64::from_le_bytes(entry[..8].try_into().unwrap());
+        let sim = f64::from_le_bytes(entry[8..].try_into().unwrap());
+        if !pagerank.is_finite() || !sim.is_finite() {
+            return Err(CompressError::Corrupt);
+        }
+        scores.push(ScoreTerms { pagerank, sim });
+    }
+    pos += ntable * TABLE_ENTRY_BYTES;
+    // Entries are numbered in order of first use: a posting's index is one
+    // already used or the next unused one.
+    let mut used = 0u32;
 
     let num_groups = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
     let mut pat = 0u32;
@@ -123,30 +171,25 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
                 let v = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
                 arena.push(NodeId(v));
             }
-            if pos + 16 > buf.len() {
-                return Err(CompressError::Truncated);
-            }
-            let pagerank = f64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-            let sim = f64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
-            pos += 16;
-            if !pagerank.is_finite() || !sim.is_finite() {
+            let score = varint::get_u32(buf, &mut pos).ok_or(CompressError::Truncated)?;
+            if score > used || score as usize >= ntable {
                 return Err(CompressError::Corrupt);
             }
+            used += u32::from(score == used);
             postings.push(Posting {
                 pattern: PatternId(pat),
                 root: NodeId(root),
                 nodes_start: start,
+                score,
                 nodes_len: nodes_len as u16,
                 edge_terminal,
-                pagerank,
-                sim,
             });
         }
     }
-    if postings.len() != num_postings as usize || pos != buf.len() {
+    if postings.len() != num_postings as usize || pos != buf.len() || used as usize != ntable {
         return Err(CompressError::Corrupt);
     }
-    Ok(WordPathIndex::new(postings, arena))
+    Ok(WordPathIndex::assemble(None, postings, arena, scores))
 }
 
 #[cfg(test)]
@@ -194,8 +237,8 @@ mod tests {
                     idx_pats.key(p.pattern).to_vec(),
                     widx.nodes_of(p).to_vec(),
                     p.edge_terminal,
-                    p.pagerank.to_bits(),
-                    p.sim.to_bits(),
+                    widx.score_terms(p).pagerank.to_bits(),
+                    widx.score_terms(p).sim.to_bits(),
                 )
             })
             .collect();
@@ -224,9 +267,11 @@ mod tests {
             .map(|(_, widx)| encode(&widx).len())
             .sum();
         let ratio = stream_bytes as f64 / idx.heap_bytes() as f64;
+        // 0.105 measured; a stream carrying raw score terms per posting
+        // reads 0.29 here.
         assert!(
-            ratio < 0.6,
-            "expected ≥40% savings, got ratio {ratio:.3} ({stream_bytes} vs {} bytes)",
+            ratio < 0.15,
+            "expected ≥85% savings, got ratio {ratio:.3} ({stream_bytes} vs {} bytes)",
             idx.heap_bytes()
         );
     }
@@ -254,39 +299,117 @@ mod tests {
             decode_stream(&padded, n).err(),
             Some(CompressError::Corrupt)
         );
-        // A group count the remaining bytes could hold at 17 bytes per
-        // posting but not at the true minimum of 18 is refused before
-        // any posting is read.
+        // A group count the remaining bytes could hold at 2 bytes per
+        // posting but not at the true minimum of 3 is refused before any
+        // posting is read.
         let mut short = Vec::new();
+        varint::put_u32(&mut short, 0); // an empty table
         varint::put_u32(&mut short, 1); // one group
         varint::put_u32(&mut short, 0); // pattern 0
         varint::put_u32(&mut short, 17); // 17 postings
-        short.resize(short.len() + 17 * 17, 0);
+        short.resize(short.len() + 17 * 2, 0);
         assert_eq!(
             decode_stream(&short, 17).err(),
             Some(CompressError::Truncated)
         );
     }
 
+    /// A stream of one group under pattern 0 whose one-node postings
+    /// (root gap 0) carry the score indices `scores`, behind a table of
+    /// `table`.
+    fn stream_with(table: &[(f64, f64)], scores: &[u32]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        varint::put_u32(&mut stream, table.len() as u32);
+        for &(pagerank, sim) in table {
+            stream.extend_from_slice(&pagerank.to_le_bytes());
+            stream.extend_from_slice(&sim.to_le_bytes());
+        }
+        varint::put_u32(&mut stream, 1); // one group
+        varint::put_u32(&mut stream, 0); // pattern 0
+        varint::put_u32(&mut stream, scores.len() as u32);
+        for &score in scores {
+            varint::put_u32(&mut stream, 0); // root gap
+            varint::put_u32(&mut stream, 1 << 1); // a one-node path
+            varint::put_u32(&mut stream, score);
+        }
+        stream
+    }
+
+    #[test]
+    fn score_indices_follow_first_use() {
+        let table = [(0.5, 1.0), (0.25, 0.5), (0.125, 0.5)];
+        let widx = decode_stream(&stream_with(&table, &[0, 1, 0, 2, 1]), 5).expect("canonical");
+        let pagerank: Vec<f64> = widx
+            .postings_pattern_first()
+            .iter()
+            .map(|p| widx.score_terms(p).pagerank)
+            .collect();
+        assert_eq!(pagerank, [0.5, 0.25, 0.5, 0.125, 0.25]);
+        assert_eq!(
+            &encode(&widx)[..],
+            &stream_with(&table, &[0, 1, 0, 2, 1])[..]
+        );
+        for (scores, why) in [
+            (&[0, 1, 3][..], "an index past the table"),
+            (&[0, 2, 1], "an index skipping ahead of first use"),
+            (&[1, 0, 1, 2], "entry 1 used before entry 0"),
+            (&[0, 1, 1], "an entry no posting uses"),
+        ] {
+            assert_eq!(
+                decode_stream(&stream_with(&table, scores), scores.len() as u32).err(),
+                Some(CompressError::Corrupt),
+                "{why}"
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for entry in [(bad, 0.5), (0.5, bad)] {
+                assert_eq!(
+                    decode_stream(&stream_with(&[entry], &[0]), 1).err(),
+                    Some(CompressError::Corrupt),
+                    "a non-finite entry {entry:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_longer_than_the_stream_is_truncated() {
+        // Two entries' worth of bytes behind a count of 3, and behind a
+        // count no stream could hold: refused before anything is
+        // reserved for the table.
+        for ntable in [3, u32::MAX] {
+            let mut stream = Vec::new();
+            varint::put_u32(&mut stream, ntable);
+            stream.resize(stream.len() + 2 * TABLE_ENTRY_BYTES, 0);
+            assert_eq!(
+                decode_stream(&stream, 0).err(),
+                Some(CompressError::Truncated),
+                "ntable {ntable}"
+            );
+        }
+    }
+
     #[test]
     fn root_gaps_past_u32_max_are_corrupt() {
         // One group of two postings whose root gaps sum to 2^32.
         let mut stream = Vec::new();
+        varint::put_u32(&mut stream, 1); // one table entry
+        stream.extend_from_slice(&0.5f64.to_le_bytes());
+        stream.extend_from_slice(&0.5f64.to_le_bytes());
         varint::put_u32(&mut stream, 1); // one group
         varint::put_u32(&mut stream, 0); // pattern 0
         varint::put_u32(&mut stream, 2); // 2 postings
         for gap in [u32::MAX, 1] {
             varint::put_u32(&mut stream, gap);
             varint::put_u32(&mut stream, 1 << 1); // a one-node path
-            stream.extend_from_slice(&0.5f64.to_le_bytes());
-            stream.extend_from_slice(&0.5f64.to_le_bytes());
+            varint::put_u32(&mut stream, 0); // the table's entry
         }
         assert_eq!(
             decode_stream(&stream, 2).err(),
             Some(CompressError::Corrupt)
         );
         // The same stream with a gap of 0 decodes: both roots are u32::MAX.
-        let last_gap = stream.len() - (1 + 1 + 16);
+        let last_gap = stream.len() - (1 + 1 + 1);
         stream[last_gap] = 0;
         let widx = decode_stream(&stream, 2).expect("gaps sum to u32::MAX");
         assert!(widx
@@ -305,7 +428,7 @@ mod tests {
             bad[byte] ^= 0xa5;
             // Either an error, or a decode to *different* postings that
             // the checksum-free stream cannot distinguish (a flipped
-            // score byte is a valid-but-different float) — never a panic.
+            // table byte is a valid-but-different float) — never a panic.
             let _ = decode_stream(&bad, widx.len() as u32);
         }
     }
@@ -333,6 +456,7 @@ mod tests {
             ) {
                 let mut postings = Vec::new();
                 let mut arena = Vec::new();
+                let mut scores = Vec::new();
                 for (pat, nodes, edge_terminal, pr, sim) in &raw {
                     let start = arena.len() as u32;
                     arena.extend(nodes.iter().map(|&v| NodeId(v)));
@@ -340,13 +464,13 @@ mod tests {
                         pattern: PatternId(*pat),
                         root: NodeId(nodes[0]),
                         nodes_start: start,
+                        score: scores.len() as u32,
                         nodes_len: nodes.len() as u16,
                         edge_terminal: *edge_terminal,
-                        pagerank: *pr,
-                        sim: *sim,
                     });
+                    scores.push(ScoreTerms { pagerank: *pr, sim: *sim });
                 }
-                let widx = WordPathIndex::new(postings, arena);
+                let widx = WordPathIndex::new(postings, arena, scores);
                 let back = decode_stream(&encode(&widx), widx.len() as u32)
                     .expect("well-formed stream decodes");
                 prop_assert_eq!(back.len(), widx.len());
@@ -358,8 +482,8 @@ mod tests {
                             p.pattern.0,
                             w.nodes_of(p).to_vec(),
                             p.edge_terminal,
-                            p.pagerank.to_bits(),
-                            p.sim.to_bits(),
+                            w.score_terms(p).pagerank.to_bits(),
+                            w.score_terms(p).sim.to_bits(),
                         ))
                         .collect();
                     v.sort();

@@ -282,13 +282,16 @@ mod tests {
                 pattern: PatternId(0),
                 root: NodeId(r),
                 nodes_start: i as u32,
+                score: 0,
                 nodes_len: 1,
                 edge_terminal: false,
-                pagerank: 0.0,
-                sim: 0.0,
             })
             .collect();
-        WordPathIndex::new(postings, arena)
+        let scores = vec![crate::ScoreTerms {
+            pagerank: 0.0,
+            sim: 0.0,
+        }];
+        WordPathIndex::new(postings, arena, scores)
     }
 
     proptest! {

@@ -312,8 +312,8 @@ impl GroupedPostings {
         &self.postings
     }
 
-    /// The postings, for rewriting what is not a key (cached scores, arena
-    /// offsets).
+    /// The postings, for rewriting what is not a key (score indices,
+    /// arena offsets).
     pub(crate) fn postings_mut(&mut self) -> &mut [Posting] {
         &mut self.postings
     }
@@ -798,10 +798,9 @@ mod tests {
             pattern: PatternId(pattern),
             root: NodeId(root),
             nodes_start: 0,
+            score: 0,
             nodes_len: 1,
             edge_terminal: false,
-            pagerank: 0.0,
-            sim: 0.0,
         }
     }
 
@@ -952,10 +951,9 @@ mod proptests {
                 pattern: PatternId(p),
                 root: NodeId(r),
                 nodes_start: 0,
+                score: 0,
                 nodes_len: 1,
                 edge_terminal: false,
-                pagerank: 0.0,
-                sim: 0.0,
             }).collect();
             let g = super::tests::from_sorted(postings.clone());
             prop_assert!(g.validate());

@@ -54,13 +54,16 @@
 //!   that introduces vocabulary shifts every later id; the lists are then
 //!   re-keyed through the canonical forms (text is never removed, so the
 //!   mapping is total).
-//! * **PageRank recomputed.** The postings cache `PR(f(w))`. When the
+//! * **PageRank recomputed.** The lists cache `PR(f(w))`. When the
 //!   mutation was applied with
 //!   [`patternkb_graph::mutate::PagerankMode::Recompute`], every node's
 //!   score moved, so pass `refresh_pagerank = true` and every surviving
-//!   posting gets its cached score re-read from the new graph. Under
-//!   `Frozen` semantics pass `false` and the old cached scores remain
-//!   exact.
+//!   posting gets its cached score re-read from the new graph. A list's
+//!   score table holds each distinct pair once, and matched nodes that
+//!   shared a pair may no longer share it, so the re-read scores every
+//!   posting and rebuilds the table rather than rewriting its entries.
+//!   Under `Frozen` semantics pass `false` and the old cached scores
+//!   remain exact.
 //!
 //! The result is **semantically identical** to a full rebuild on the new
 //! graph: same per-word posting multisets, same patterns, same scores, and
@@ -72,7 +75,7 @@
 
 use crate::build;
 use crate::pattern::{PatternId, PatternSet};
-use crate::posting::Posting;
+use crate::posting::{Posting, ScoreTerms};
 use crate::storage::WordStore;
 use crate::word_index::{Base, IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
@@ -213,22 +216,24 @@ pub fn try_refresh_indexes(
         }
     };
     stats.postings_added = fresh.entries.len();
-    let mut fresh_lists: FxHashMap<(usize, WordId), (Vec<Posting>, Vec<NodeId>)> =
-        FxHashMap::default();
+    // Per list: postings, arena, and one score pair per posting, which
+    // the splice merges into the list's table.
+    type Fresh = (Vec<Posting>, Vec<NodeId>, Vec<ScoreTerms>);
+    let mut fresh_lists: FxHashMap<(usize, WordId), Fresh> = FxHashMap::default();
     for e in fresh.entries {
-        let (postings, arena) = fresh_lists
+        let (postings, arena, scores) = fresh_lists
             .entry((old.shard_of_root(e.root), e.word))
             .or_default();
         postings.push(Posting {
             pattern: pat_remap[e.lpat as usize],
             root: e.root,
             nodes_start: arena.len() as u32,
+            score: scores.len() as u32,
             nodes_len: e.nodes_len as u16,
             edge_terminal: e.edge_terminal,
-            pagerank: e.pagerank,
-            sim: e.sim,
         });
         arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
+        scores.push(e.terms);
     }
 
     // --- 3. The lists that differ, as new word ids per shard. ---
@@ -294,14 +299,14 @@ pub fn try_refresh_indexes(
                 }
                 None => None,
             };
-            let (postings, arena) = fresh_lists.remove(&(s, w)).unwrap_or_default();
+            let (postings, arena, scores) = fresh_lists.remove(&(s, w)).unwrap_or_default();
             let before = old_list.as_deref().map_or(0, WordPathIndex::len) + postings.len();
             let base = old_list.as_deref().map(|list| Base {
                 list,
                 affected: &affected,
                 reread_pagerank,
             });
-            let list = WordPathIndex::freeze(base, postings, arena);
+            let list = WordPathIndex::freeze(base, postings, arena, &scores);
             stats.postings_dropped += before - list.len();
             rebuilt.push((w, (!list.is_empty()).then_some(list)));
         }
@@ -359,8 +364,8 @@ mod tests {
                         idx.patterns().key(p.pattern).to_vec(),
                         widx.nodes_of(p).to_vec(),
                         p.edge_terminal,
-                        p.pagerank.to_bits(),
-                        p.sim.to_bits(),
+                        widx.score_terms(p).pagerank.to_bits(),
+                        widx.score_terms(p).sim.to_bits(),
                     )
                 }));
             }
@@ -540,6 +545,73 @@ mod tests {
             crate::storage::encode_v5(&incr),
             "refresh must produce an index whose persisted image is \
              byte-identical to a full rebuild's"
+        );
+    }
+
+    /// A score-table entry is shared by every posting whose matched node
+    /// has the same pair, and a recomputed PageRank can split it: here A
+    /// and B, two "alpha" nodes fed by two look-alike sources, share one
+    /// pair until a new node feeds B's source. Neither is an affected
+    /// root, so their postings are kept and re-read, and the refreshed
+    /// list must give each its own PageRank: equal to a full rebuild,
+    /// score bits included, and byte-identical once encoded.
+    #[test]
+    fn a_recomputed_pagerank_splits_a_shared_score_pair() {
+        let mut b = GraphBuilder::new();
+        let item = b.add_type("Item");
+        let link = b.add_attr("link");
+        let a = b.add_node(item, "alpha");
+        let bb = b.add_node(item, "alpha");
+        let y = b.add_node(item, "yankee");
+        let x = b.add_node(item, "xray");
+        b.add_edge(y, link, a);
+        b.add_edge(x, link, bb);
+        let g = b.build();
+        let cfg = BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 1,
+        };
+        let text = TextIndex::build(&g, SynonymTable::new());
+        let old = build_indexes(&g, &text, &cfg);
+        let alpha = text.lookup_word("alpha").unwrap();
+        // The score index of the posting of `root`'s trivial path.
+        let index_of = |list: &WordPathIndex, root: NodeId| {
+            let p = list
+                .postings_pattern_first()
+                .iter()
+                .find(|p| p.root == root && p.nodes_len == 1)
+                .expect("a trivial path");
+            (p.score, list.score_terms(p))
+        };
+        let before = old.word_in(0, alpha).unwrap();
+        assert_eq!(
+            index_of(&before, a).0,
+            index_of(&before, bb).0,
+            "one shared pair"
+        );
+
+        let mut d = GraphDelta::new(&g);
+        let c = d.add_node(item, "charlie").unwrap();
+        d.add_edge(c, link, x).unwrap();
+        let g2 = d.apply(&g, PagerankMode::Recompute).unwrap();
+        let text2 = TextIndex::build(&g2, SynonymTable::new());
+        let (incr, stats) = refresh_indexes(&old, &g, &g2, &text, &text2, &d.dirty_nodes(), true);
+        assert_eq!(stats.affected_roots, 2, "x and the new node");
+        let full = build_indexes(&g2, &text2, &cfg);
+        assert_eq!(canon(&full, &text2), canon(&incr, &text2));
+
+        let after = incr.word_in(0, alpha).unwrap();
+        let (ia, ta) = index_of(&after, a);
+        let (ib, tb) = index_of(&after, bb);
+        assert_ne!(ia, ib, "the pair is split");
+        assert_eq!(ta.pagerank, g2.pagerank(a));
+        assert_eq!(tb.pagerank, g2.pagerank(bb));
+        assert!(tb.pagerank > ta.pagerank);
+        let rebuilt = full.word_in(0, alpha).unwrap();
+        assert_eq!(
+            crate::compress::encode(&after),
+            crate::compress::encode(&rebuilt)
         );
     }
 

@@ -20,8 +20,9 @@
 //! pointers pointing to the beginning of a list of paths".
 //!
 //! Per the end of §3, the scoring terms `|T(w)|`, `PR(f(w))` and
-//! `sim(w, f(w))` are **precomputed into each posting**, so online scoring
-//! never touches the graph.
+//! `sim(w, f(w))` are **precomputed into the index**, so online scoring
+//! never touches the graph: the length in each posting, the other two in
+//! its list's score table, which holds each distinct pair once.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,7 @@ pub use cursor::{leapfrog, WalkEnd};
 pub use grouped::{RootCursor, RunCursor};
 pub use incremental::{refresh_indexes, try_refresh_indexes, ChangedWords, RefreshStats};
 pub use pattern::{PathPattern, PatternId, PatternSet};
-pub use posting::Posting;
+pub use posting::{Posting, ScoreTerms};
 pub use stats::IndexStats;
 pub use storage::StorageBackend;
 pub use word_index::{

@@ -7,8 +7,10 @@
 //! mapped tier maps the file, the heap tier reads it into memory:
 //!
 //! * **the container**: an offset-table layout whose sections are 8-byte
-//!   aligned and whose per-word payloads are word streams (each posting
-//!   leads with its root as a varint gap within its pattern group);
+//!   aligned and whose per-word payloads are word streams (a table of the
+//!   list's distinct score pairs, then postings that each lead with their
+//!   root as a varint gap within their pattern group and refer to their
+//!   score pair by index);
 //! * **[`Region`]**: where the container bytes live — a read-only file
 //!   mapping on Unix, or a window of a heap buffer (the heap tier, the
 //!   non-Unix fallback, tests, and a checkpoint's index blob inside the
@@ -47,7 +49,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Magic of the persisted index container.
 pub const MAGIC_V5: &[u8; 4] = b"PKB5";
-const VERSION_V5: u32 = 3;
+/// The one container version written and read: 4, where each word stream
+/// leads with its score table.
+const IMAGE_VERSION: u32 = 4;
 /// Fixed header: magic, version, d, nshards, file length, then the
 /// 4-entry section directory of `(offset, len)` u64 pairs.
 const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 8 + 4 * 16;
@@ -316,7 +320,7 @@ pub fn encode_v5(idx: &PathIndexes) -> Vec<u8> {
 
     let mut buf: Vec<u8> = Vec::with_capacity(file_len);
     buf.extend_from_slice(MAGIC_V5);
-    buf.extend_from_slice(&VERSION_V5.to_le_bytes());
+    buf.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
     buf.extend_from_slice(&(idx.d() as u32).to_le_bytes());
     buf.extend_from_slice(&(nshards as u32).to_le_bytes());
     buf.extend_from_slice(&(file_len as u64).to_le_bytes());
@@ -425,7 +429,7 @@ fn parse_v5(data: &[u8]) -> Result<ParsedV5, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = read_u32(data, 4)?;
-    if version != VERSION_V5 {
+    if version != IMAGE_VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
     let d = read_u32(data, 8)? as usize;
@@ -830,8 +834,8 @@ mod tests {
                     pats.key(p.pattern).to_vec(),
                     widx.nodes_of(p).to_vec(),
                     p.edge_terminal,
-                    p.pagerank.to_bits(),
-                    p.sim.to_bits(),
+                    widx.score_terms(p).pagerank.to_bits(),
+                    widx.score_terms(p).sim.to_bits(),
                 )
             })
             .collect();
@@ -1040,8 +1044,9 @@ mod tests {
         let mut image = encode_v5(&idx);
         // The streams section offset sits in directory entry 3.
         let str_off = u64::from_le_bytes(image[24 + 48..24 + 56].try_into().unwrap()) as usize;
-        // Damage the first stream's interior.
-        image[str_off + 2] ^= 0xff;
+        // Damage the first stream's table length (a flipped table byte
+        // would be a valid-but-different float).
+        image[str_off] ^= 0xff;
         let mapped = open_bytes(image).expect("framing is intact");
         let mut offsets = Vec::new();
         for w in mapped.word_ids() {

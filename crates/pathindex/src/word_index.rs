@@ -2,7 +2,7 @@
 
 use crate::grouped::{GroupedPostings, RootCursor, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
-use crate::posting::Posting;
+use crate::posting::{Posting, ScoreTable, ScoreTerms};
 use crate::storage::{Region, StorageBackend, WordStore};
 use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
 use std::sync::{Arc, OnceLock};
@@ -47,8 +47,9 @@ impl PatternPostingStats {
         self.max_sim = self.max_sim.max(other.max_sim);
     }
 
-    /// Scan one pattern's postings (sorted by root).
-    fn scan(paths: &[Posting]) -> Self {
+    /// Scan one pattern's postings (sorted by root), whose score terms
+    /// are in `scores`.
+    fn scan(paths: &[Posting], scores: &[ScoreTerms]) -> Self {
         let mut s = PatternPostingStats {
             num_paths: paths.len() as u32,
             max_per_root: 0,
@@ -65,10 +66,11 @@ impl PatternPostingStats {
             let len = post.score_len() as f64;
             s.min_len = s.min_len.min(len);
             s.max_len = s.max_len.max(len);
-            s.min_pr = s.min_pr.min(post.pagerank);
-            s.max_pr = s.max_pr.max(post.pagerank);
-            s.min_sim = s.min_sim.min(post.sim);
-            s.max_sim = s.max_sim.max(post.sim);
+            let terms = scores[post.score as usize];
+            s.min_pr = s.min_pr.min(terms.pagerank);
+            s.max_pr = s.max_pr.max(terms.pagerank);
+            s.min_sim = s.min_sim.min(terms.sim);
+            s.max_sim = s.max_sim.max(terms.sim);
             if post.root.0 == prev_root {
                 run += 1;
             } else {
@@ -261,11 +263,18 @@ pub fn merge_type_groups(
 }
 
 /// The postings of one word: stored once in pattern-first order, with a
-/// root-first directory over the same array and one node arena.
+/// root-first directory over the same array, one node arena and one
+/// score table.
 #[derive(Clone, Debug, Default)]
 pub struct WordPathIndex {
     /// Node sequences of all paths, referenced by `Posting::nodes_start`.
     arena: Vec<NodeId>,
+    /// Score terms of all paths, referenced by `Posting::score`. A list
+    /// holds far fewer distinct pairs than postings, since both terms
+    /// depend on the matched element alone. A built list holds each pair
+    /// once; a refresh may leave entries no posting uses, and a fresh
+    /// pair may repeat a kept one (the stream encoder merges them).
+    scores: Vec<ScoreTerms>,
     /// Pattern-first order: primary = pattern, secondary = root (Fig. 4(a)).
     pattern_first: GroupedPostings,
     /// Root-first order (Fig. 4(b)): the `(root, pattern)` run directory
@@ -297,28 +306,56 @@ pub(crate) struct Base<'a> {
     pub(crate) affected: &'a [u32],
     /// Re-read every posting's cached PageRank from this graph (a refresh
     /// of a recomputed PageRank). Fresh postings already carry the new
-    /// graph's scores, so re-reading them changes nothing.
+    /// graph's scores, so re-reading them changes nothing. A table entry
+    /// may be shared by matched nodes whose new PageRanks differ, so the
+    /// re-read scores every posting and rebuilds the table.
     pub(crate) reread_pagerank: Option<&'a KnowledgeGraph>,
 }
 
 impl WordPathIndex {
-    /// Assemble from unsorted postings plus their shared arena: the
-    /// base-less `Self::freeze`.
-    pub fn new(postings: Vec<Posting>, arena: Vec<NodeId>) -> Self {
-        Self::freeze(None, postings, arena)
+    /// Assemble from unsorted postings plus their shared arena and the
+    /// score terms they index (pairs with equal bits are stored once):
+    /// the base-less `Self::freeze`.
+    pub fn new(postings: Vec<Posting>, arena: Vec<NodeId>, scores: Vec<ScoreTerms>) -> Self {
+        Self::freeze(None, postings, arena, &scores)
     }
 
     /// The one freeze routine: `base`'s kept runs with `fresh` (unsorted,
-    /// node sequences in `fresh_arena`) merged in. Only the fresh postings
-    /// are sorted; the kept runs are copied in stretches, the root
-    /// directory is the base's with its affected roots' entries replaced,
-    /// and the per-pattern stats and the memoised type groups are carried
-    /// over where their input did not change. Without a base every
-    /// posting is fresh: one sort, one transposition, every stat scanned.
+    /// node sequences in `fresh_arena`, score terms in `fresh_scores`)
+    /// merged in. The table is the base's, then each distinct fresh pair:
+    /// kept postings keep their indices and only fresh ones are hashed.
+    /// Then [`Self::assemble`].
     pub(crate) fn freeze(
         base: Option<Base<'_>>,
         mut fresh: Vec<Posting>,
         fresh_arena: Vec<NodeId>,
+        fresh_scores: &[ScoreTerms],
+    ) -> Self {
+        let kept = base.map_or(&[][..], |b| &b.list.scores[..]);
+        let mut added = ScoreTable::default();
+        for p in &mut fresh {
+            p.score = kept.len() as u32 + added.intern(fresh_scores[p.score as usize]);
+        }
+        let added = added.into_terms();
+        let mut scores = Vec::with_capacity(kept.len() + added.len());
+        scores.extend_from_slice(kept);
+        scores.extend_from_slice(&added);
+        Self::assemble(base, fresh, fresh_arena, scores)
+    }
+
+    /// [`Self::freeze`] for fresh postings that already index `scores`,
+    /// the table of the result (a decoded stream's). Only the fresh
+    /// postings are sorted; the kept runs are copied in stretches, the
+    /// root directory is the base's with its affected roots' entries
+    /// replaced, and the per-pattern stats and the memoised type groups
+    /// are carried over where their input did not change. Without a base
+    /// every posting is fresh: one sort, one transposition, every stat
+    /// scanned.
+    pub(crate) fn assemble(
+        base: Option<Base<'_>>,
+        mut fresh: Vec<Posting>,
+        fresh_arena: Vec<NodeId>,
+        mut scores: Vec<ScoreTerms>,
     ) -> Self {
         let empty = WordPathIndex::default();
         let (list, affected) = base.map_or((&empty, &[][..]), |b| (b.list, b.affected));
@@ -340,20 +377,24 @@ impl WordPathIndex {
         }
         let reread = base.and_then(|b| b.reread_pagerank);
         if let Some(g) = reread {
+            let mut table = ScoreTable::default();
             for p in pattern_first.postings_mut() {
                 // Matched node: the terminal for node matches, the edge's
                 // source (second-to-last stored node — the leaf is
                 // appended) for edge matches.
                 let nodes = &arena[p.node_range()];
-                p.pagerank = g.pagerank(nodes[nodes.len() - 1 - usize::from(p.edge_terminal)]);
+                let pagerank = g.pagerank(nodes[nodes.len() - 1 - usize::from(p.edge_terminal)]);
+                let sim = scores[p.score as usize].sim;
+                p.score = table.intern(ScoreTerms { pagerank, sim });
             }
+            scores = table.into_terms();
         }
         let pattern_stats = unchanged
             .iter()
             .enumerate()
             .map(|(i, from)| match from {
                 Some(b) if reread.is_none() => list.pattern_stats[*b as usize],
-                _ => PatternPostingStats::scan(pattern_first.group_postings(i)),
+                _ => PatternPostingStats::scan(pattern_first.group_postings(i), &scores),
             })
             .collect();
         // The grouping is a function of the pattern keys alone.
@@ -365,6 +406,7 @@ impl WordPathIndex {
         }
         WordPathIndex {
             arena,
+            scores,
             pattern_first,
             root_first,
             pattern_stats,
@@ -377,6 +419,18 @@ impl WordPathIndex {
     #[inline]
     pub fn nodes_of(&self, p: &Posting) -> &[NodeId] {
         &self.arena[p.node_range()]
+    }
+
+    /// The precomputed score terms of a posting.
+    #[inline]
+    pub fn score_terms(&self, p: &Posting) -> ScoreTerms {
+        self.scores[p.score as usize]
+    }
+
+    /// The score table `Posting::score` indexes (used by the stream
+    /// codec).
+    pub(crate) fn score_table(&self) -> &[ScoreTerms] {
+        &self.scores
     }
 
     // --- Pattern-first access methods (Figure 4(a)) --------------------
@@ -535,14 +589,16 @@ impl WordPathIndex {
         self.pattern_first.is_empty()
     }
 
-    /// Approximate resident bytes: arena, postings, root directory, stats,
-    /// and the type groups once a pattern-first query has memoised them.
+    /// Approximate resident bytes: arena, score table, postings, root
+    /// directory, stats, and the type groups once a pattern-first query
+    /// has memoised them.
     pub fn heap_bytes(&self) -> usize {
         let type_groups = self
             .type_groups
             .get()
             .map_or(0, PatternTypeGroups::heap_bytes);
         self.arena.len() * 4
+            + self.scores.len() * std::mem::size_of::<ScoreTerms>()
             + self.pattern_first.heap_bytes()
             + self.root_first.heap_bytes()
             + self.pattern_stats.len() * std::mem::size_of::<PatternPostingStats>()
@@ -907,11 +963,18 @@ mod tests {
             pattern: PatternId(pattern),
             root: NodeId(root),
             nodes_start: start,
+            score: 0,
             nodes_len: len,
             edge_terminal: false,
+        }
+    }
+
+    /// The one-entry table every `posting` refers to.
+    fn unit_scores() -> Vec<ScoreTerms> {
+        vec![ScoreTerms {
             pagerank: 1.0,
             sim: 1.0,
-        }
+        }]
     }
 
     fn sample() -> WordPathIndex {
@@ -922,7 +985,7 @@ mod tests {
             posting(1, 2, 2, 1), // pattern 1, root 2
             posting(2, 3, 3, 2), // pattern 2, root 3
         ];
-        WordPathIndex::new(postings, arena)
+        WordPathIndex::new(postings, arena, unit_scores())
     }
 
     #[test]
@@ -1204,7 +1267,7 @@ mod tests {
                 let arena = vec![NodeId(0); postings.len()];
                 let mut sorted = postings.clone();
                 sorted.sort_unstable_by_key(|p| (p.root.0, p.pattern.0, p.nodes_start));
-                let idx = WordPathIndex::new(postings, arena);
+                let idx = WordPathIndex::new(postings, arena, unit_scores());
 
                 let mut roots: Vec<u32> = sorted.iter().map(|p| p.root.0).collect();
                 roots.dedup();
@@ -1276,41 +1339,45 @@ mod tests {
                 // A posting of `len` nodes from `root`; the matched node
                 // (the last, or the second-to-last of an edge match) is
                 // `root + len - 1` along the chain, wrapping.
-                let make = |&(p, r, len, x): &(u32, u32, u16, usize), arena: &mut Vec<NodeId>| {
+                let make = |&(p, r, len, x): &(u32, u32, u16, usize),
+                            arena: &mut Vec<NodeId>,
+                            scores: &mut Vec<ScoreTerms>| {
                     let start = arena.len() as u32;
                     arena.extend((0..u32::from(len)).map(|k| NodeId((r + k) % 12)));
                     let edge_terminal = x % 2 == 1 && len > 1;
                     let matched = arena[arena.len() - 1 - usize::from(edge_terminal)];
+                    scores.push(ScoreTerms {
+                        pagerank: if reread { g.pagerank(matched) } else { SCORES[x] },
+                        sim: SCORES[3 - x],
+                    });
                     Posting {
                         pattern: PatternId(p),
                         root: NodeId(r),
                         nodes_start: start,
+                        score: scores.len() as u32 - 1,
                         nodes_len: len,
                         edge_terminal,
-                        pagerank: if reread { g.pagerank(matched) } else { SCORES[x] },
-                        sim: SCORES[3 - x],
                     }
                 };
                 let bounds: Vec<u32> = (0..=shards as u32).map(|s| s * 12 / shards as u32).collect();
                 let (mut spliced, mut frozen) = (Vec::new(), Vec::new());
                 for s in 0..shards {
                     let range = bounds[s]..bounds[s + 1];
-                    let (mut postings, mut arena) = (Vec::new(), Vec::new());
+                    let (mut postings, mut arena, mut scores) = (Vec::new(), Vec::new(), Vec::new());
                     for raw in base_raw.iter().filter(|raw| range.contains(&raw.1)) {
-                        let mut p = make(raw, &mut arena);
+                        postings.push(make(raw, &mut arena, &mut scores));
                         // Stale scores, which a re-read must replace.
-                        p.pagerank = SCORES[raw.3];
-                        postings.push(p);
+                        scores.last_mut().unwrap().pagerank = SCORES[raw.3];
                     }
-                    let base = WordPathIndex::new(postings, arena);
+                    let base = WordPathIndex::new(postings, arena, scores);
                     if memo {
                         base.pattern_type_groups(&ps);
                     }
-                    let (mut fresh, mut fresh_arena) = (Vec::new(), Vec::new());
+                    let (mut fresh, mut fresh_arena, mut fresh_scores) = (Vec::new(), Vec::new(), Vec::new());
                     for raw in fresh_raw.iter().filter(|raw| {
                         range.contains(&raw.1) && affected.binary_search(&raw.1).is_ok()
                     }) {
-                        fresh.push(make(raw, &mut fresh_arena));
+                        fresh.push(make(raw, &mut fresh_arena, &mut fresh_scores));
                     }
                     let list = WordPathIndex::freeze(
                         Some(Base {
@@ -1320,13 +1387,17 @@ mod tests {
                         }),
                         fresh.clone(),
                         fresh_arena.clone(),
+                        &fresh_scores,
                     );
 
                     // The multiset: kept base postings (re-scored) + fresh.
                     let content = |list: &WordPathIndex, ps: &[Posting]| -> Vec<(u32, u32, Vec<NodeId>, bool, u64, u64)> {
                         let mut rows: Vec<_> = ps
                             .iter()
-                            .map(|p| (p.pattern.0, p.root.0, list.nodes_of(p).to_vec(), p.edge_terminal, p.pagerank.to_bits(), p.sim.to_bits()))
+                            .map(|p| {
+                                let terms = list.score_terms(p);
+                                (p.pattern.0, p.root.0, list.nodes_of(p).to_vec(), p.edge_terminal, terms.pagerank.to_bits(), terms.sim.to_bits())
+                            })
                             .collect();
                         rows.sort();
                         rows
@@ -1336,19 +1407,21 @@ mod tests {
                         if affected.binary_search(&p.root.0).is_err() {
                             let nodes = base.nodes_of(p);
                             let matched = nodes[nodes.len() - 1 - usize::from(p.edge_terminal)];
-                            let pagerank = if reread { g.pagerank(matched) } else { p.pagerank };
-                            want.push((p.pattern.0, p.root.0, nodes.to_vec(), p.edge_terminal, pagerank.to_bits(), p.sim.to_bits()));
+                            let terms = base.score_terms(p);
+                            let pagerank = if reread { g.pagerank(matched) } else { terms.pagerank };
+                            want.push((p.pattern.0, p.root.0, nodes.to_vec(), p.edge_terminal, pagerank.to_bits(), terms.sim.to_bits()));
                         }
                     }
-                    let fresh_list = WordPathIndex::new(fresh, fresh_arena);
+                    let fresh_list = WordPathIndex::new(fresh, fresh_arena, fresh_scores);
                     want.extend(content(&fresh_list, fresh_list.postings_pattern_first()));
                     want.sort();
                     prop_assert_eq!(content(&list, list.postings_pattern_first()), want);
 
-                    // Field for field, against `new` on those postings.
+                    // Field for field, against assembling those postings
+                    // over the same table.
                     let mut shuffled = list.postings_pattern_first().to_vec();
                     shuffled.reverse();
-                    let full = WordPathIndex::new(shuffled, list.arena.clone());
+                    let full = WordPathIndex::assemble(None, shuffled.clone(), list.arena.clone(), list.scores.clone());
                     prop_assert_eq!(&list.pattern_first, &full.pattern_first);
                     prop_assert_eq!(&list.root_first, &full.root_first);
                     let bits = |w: &WordPathIndex| -> Vec<[u64; 8]> {
@@ -1379,6 +1452,14 @@ mod tests {
                     if let Some(carried) = list.type_groups.get() {
                         prop_assert_eq!(carried, full.pattern_type_groups(&ps));
                     }
+                    // A stream depends only on the postings: `new` over
+                    // them, with one pair per posting, writes the same.
+                    let raw: Vec<ScoreTerms> = shuffled.iter().map(|p| list.score_terms(p)).collect();
+                    for (i, p) in shuffled.iter_mut().enumerate() {
+                        p.score = i as u32;
+                    }
+                    let rebuilt = WordPathIndex::new(shuffled, list.arena.clone(), raw);
+                    prop_assert_eq!(crate::compress::encode(&list), crate::compress::encode(&rebuilt));
                     spliced.push(list);
                     frozen.push(full);
                 }

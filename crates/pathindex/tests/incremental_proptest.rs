@@ -127,8 +127,8 @@ fn canon(
                     idx.patterns().key(p.pattern).to_vec(),
                     widx.nodes_of(p).to_vec(),
                     p.edge_terminal,
-                    p.pagerank.to_bits(),
-                    p.sim.to_bits(),
+                    widx.score_terms(p).pagerank.to_bits(),
+                    widx.score_terms(p).sim.to_bits(),
                 )
             }));
         }

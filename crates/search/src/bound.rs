@@ -361,7 +361,10 @@ mod tests {
             let paths = w.paths_of_pattern(p);
             assert_eq!(agg.num_paths as usize, paths.len());
             let min_len = paths.iter().map(|x| x.score_len()).min().unwrap() as f64;
-            let max_sim = paths.iter().map(|x| x.sim).fold(0.0f64, f64::max);
+            let max_sim = paths
+                .iter()
+                .map(|x| w.score_terms(x).sim)
+                .fold(0.0f64, f64::max);
             assert_eq!(agg.min_len, min_len);
             assert_eq!(agg.max_sim, max_sim);
             assert!(agg.max_per_root as usize <= paths.len());

@@ -839,7 +839,7 @@ impl<'a> SubtreeFold<'a> {
                     return ControlFlow::Continue(());
                 }
             }
-            sink(tuple, cfg.scoring.tree_score_of(tuple))
+            sink(tuple, cfg.scoring.tree_score_of(words, tuple))
         })
     }
 }
@@ -1064,6 +1064,7 @@ fn materialize_pattern_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patternkb_index::ScoreTerms;
 
     /// The path product visits every tuple once, in lexicographic order
     /// (the last keyword's posting moving fastest), over ragged lists and
@@ -1075,10 +1076,9 @@ mod tests {
             pattern: PatternId(pat),
             root: NodeId(0),
             nodes_start: 0,
+            score: 0,
             nodes_len: 1,
             edge_terminal: false,
-            pagerank: 1.0,
-            sim: 1.0,
         };
         let mut wide = vec![1usize; 17];
         (wide[0], wide[8], wide[16]) = (2, 3, 2);
@@ -1152,6 +1152,7 @@ mod tests {
     /// at its root, its length fixed by its pattern.
     fn word(postings: &[(u32, u32)]) -> WordPathIndex {
         let mut arena = Vec::new();
+        let mut scores = Vec::new();
         let postings = postings
             .iter()
             .map(|&(pattern, root)| {
@@ -1159,18 +1160,21 @@ mod tests {
                 let start = arena.len() as u32;
                 arena.push(NodeId(root));
                 arena.extend((1..u32::from(len)).map(|k| NodeId(1_000 + 10 * pattern + k)));
+                scores.push(ScoreTerms {
+                    pagerank: 0.5 + f64::from(root) / 64.0,
+                    sim: 1.0 / f64::from(len),
+                });
                 Posting {
                     pattern: PatternId(pattern),
                     root: NodeId(root),
                     nodes_start: start,
+                    score: scores.len() as u32 - 1,
                     nodes_len: len,
                     edge_terminal: false,
-                    pagerank: 0.5 + f64::from(root) / 64.0,
-                    sim: 1.0 / f64::from(len),
                 }
             })
             .collect();
-        WordPathIndex::new(postings, arena)
+        WordPathIndex::new(postings, arena, scores)
     }
 
     /// Everything a dictionary holds, scores as bits, in interning order.

@@ -14,9 +14,11 @@
 //!
 //! Every factor is a sum over per-keyword paths, so the per-path terms
 //! `(len, pagerank, sim)` precomputed in the path index are all a search
-//! algorithm ever reads.
+//! algorithm ever reads: the length from the posting, the other two from
+//! its list's score table.
 
-use patternkb_index::Posting;
+use patternkb_index::{Posting, WordPathIndex};
+use std::sync::Arc;
 
 /// How subtree scores aggregate into a pattern score (Eq. (2) and the
 /// surrounding discussion).
@@ -66,16 +68,18 @@ impl ScoringConfig {
         powz(len_sum, self.z1) * powz(pr_sum, self.z2) * powz(sim_sum, self.z3)
     }
 
-    /// Score a subtree given its chosen per-keyword postings.
+    /// Score a subtree given its chosen per-keyword postings, each from
+    /// the list of `words` at its position.
     #[inline]
-    pub fn tree_score_of(&self, postings: &[&Posting]) -> f64 {
+    pub fn tree_score_of(&self, words: &[Arc<WordPathIndex>], postings: &[&Posting]) -> f64 {
         let mut len = 0.0;
         let mut pr = 0.0;
         let mut sim = 0.0;
-        for p in postings {
+        for (p, w) in postings.iter().zip(words) {
+            let terms = w.score_terms(p);
             len += p.score_len() as f64;
-            pr += p.pagerank;
-            sim += p.sim;
+            pr += terms.pagerank;
+            sim += terms.sim;
         }
         self.tree_score(len, pr, sim)
     }

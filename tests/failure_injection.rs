@@ -285,22 +285,24 @@ fn index_image_bytes_are_pinned() {
     });
     assert_eq!(
         (image.len(), fnv1a),
-        (4280, 0x9a95_d814_8962_5441),
+        (3256, 0x60d3_e861_ee19_2366),
         "the PKB5 image of Figure 1 changed: bump the container version \
          and follow the checklist in docs/FORMATS.md"
     );
 }
 
 /// The images earlier container versions wrote for Figure 1, byte for
-/// byte: version 1 (word streams carried a per-pattern bound section) and
-/// version 2 (each group's roots were a codec-tagged block list). There is
-/// no fallback reader: both tiers must refuse them by version, not attempt
-/// their streams.
+/// byte: version 1 (word streams carried a per-pattern bound section),
+/// version 2 (each group's roots were a codec-tagged block list) and
+/// version 3 (each posting carried its two score terms as raw `f64`s).
+/// There is no fallback reader: both tiers must refuse them by version,
+/// not attempt their streams.
 #[test]
 fn v1_index_image_is_bad_version() {
-    let old: [(&[u8], u32); 2] = [
+    let old: [(&[u8], u32); 3] = [
         (include_bytes!("data/figure1_v1.pkb5"), 1),
         (include_bytes!("data/figure1_v2.pkb5"), 2),
+        (include_bytes!("data/figure1_v3.pkb5"), 3),
     ];
     for (image, version) in old {
         // Scrambling everything past the version word changes nothing:
