@@ -23,7 +23,7 @@
 //! compared to posting counts, so the remap is cheap).
 
 use crate::pattern::PatternSet;
-use crate::posting::{Posting, ScoreTerms};
+use crate::posting::{KeyedPosting, Posting, ScoreTerms};
 use crate::word_index::{PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
 use patternkb_graph::{traversal, FxHashMap, KnowledgeGraph, NodeId, WordId};
@@ -274,7 +274,7 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
     let mut global = PatternSet::new();
     // Per list: postings, arena, and one score pair per posting, which
     // `WordPathIndex::new` deduplicates.
-    type List = (Vec<Posting>, Vec<NodeId>, Vec<ScoreTerms>);
+    type List = (Vec<KeyedPosting>, Vec<NodeId>, Vec<ScoreTerms>);
     let mut per_shard: Vec<FxHashMap<WordId, List>> =
         (0..num_shards).map(|_| FxHashMap::default()).collect();
 
@@ -291,13 +291,15 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
             let (postings, arena, scores) = per_shard[shard_of(e.root)].entry(e.word).or_default();
             let start = arena.len() as u32;
             arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
-            postings.push(Posting {
+            postings.push(KeyedPosting {
                 pattern: crate::pattern::PatternId(remap[e.lpat as usize]),
                 root: e.root,
-                nodes_start: start,
-                score: scores.len() as u32,
-                nodes_len: e.nodes_len as u16,
-                edge_terminal: e.edge_terminal,
+                posting: Posting {
+                    nodes_start: start,
+                    score: scores.len() as u32,
+                    nodes_len: e.nodes_len as u16,
+                    edge_terminal: e.edge_terminal,
+                },
             });
             scores.push(e.terms);
         }
@@ -461,9 +463,10 @@ mod tests {
         // trivial one from itself (1 node). No other node reaches it... via
         // no edges pointing to SQL Server. So exactly 1 posting.
         assert_eq!(widx.len(), 1);
-        let p = &widx.paths_of_pattern(widx.patterns().next().unwrap())[0];
+        let pattern = widx.patterns().next().unwrap();
+        let p = &widx.paths_of_pattern(pattern)[0];
         assert_eq!(widx.nodes_of(p), &[NodeId(0)]);
-        assert_eq!(idx.patterns().root_type(p.pattern), g.node_type(NodeId(0)));
+        assert_eq!(idx.patterns().root_type(pattern), g.node_type(NodeId(0)));
     }
 
     #[test]
@@ -561,7 +564,7 @@ mod tests {
             for (s, shard) in idx.shards().iter().enumerate() {
                 let (lo, hi) = (idx.bounds()[s], idx.bounds()[s + 1]);
                 for (_, widx) in shard.iter_words() {
-                    for p in widx.postings_pattern_first() {
+                    for p in &widx.postings_pattern_first() {
                         assert!(p.root.0 >= lo && (hi == u32::MAX || p.root.0 < hi));
                         assert_eq!(idx.shard_of_root(p.root), s);
                     }
@@ -586,7 +589,7 @@ mod tests {
             let mut rows: Vec<(u32, Vec<u32>, Vec<NodeId>, bool, u64, u64)> = Vec::new();
             for shard in idx.shards() {
                 for (w, widx) in shard.iter_words() {
-                    for p in widx.postings_pattern_first() {
+                    for p in &widx.postings_pattern_first() {
                         rows.push((
                             w.0,
                             idx.patterns().key(p.pattern).to_vec(),

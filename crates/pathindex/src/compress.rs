@@ -2,11 +2,11 @@
 //! one word's postings as a compact byte stream.
 //!
 //! The decoded [`WordPathIndex`] stores every posting as a fixed-width
-//! struct (fast, but 20 bytes per posting plus the root directory, the
-//! node arena and the score table). For large `d` the index grows
-//! steeply — the paper's Figure 6 reports 34 GB at `d = 4` — so the
-//! persisted image keeps each word's postings in this form and decodes on
-//! demand:
+//! struct (fast, but 12 bytes per posting plus its key columns, the
+//! root-first permutation, the node arena and the score table). For large
+//! `d` the index grows steeply — the paper's Figure 6 reports 34 GB at
+//! `d = 4` — so the persisted image keeps each word's postings in this
+//! form and decodes on demand:
 //!
 //! * the stream leads with the list's score table: each distinct
 //!   `(pagerank, sim)` pair once, as raw little-endian `f64`s, in order of
@@ -25,7 +25,7 @@
 //! corruption instead of panicking.
 
 use crate::pattern::PatternId;
-use crate::posting::{Posting, ScoreTable, ScoreTerms};
+use crate::posting::{KeyedPosting, Posting, ScoreTable, ScoreTerms};
 use crate::varint;
 use crate::word_index::WordPathIndex;
 use patternkb_graph::NodeId;
@@ -62,7 +62,8 @@ const TABLE_ENTRY_BYTES: usize = 16;
 /// entry is hashed once, never a posting), so a stream depends only on
 /// its postings.
 pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
-    let postings = widx.postings_pattern_first();
+    let pf = widx.pattern_first();
+    let postings = pf.postings();
     let table = widx.score_table();
     let mut bytes: Vec<u8> = Vec::with_capacity(postings.len() * 10);
 
@@ -82,25 +83,24 @@ pub(crate) fn encode(widx: &WordPathIndex) -> Box<[u8]> {
         bytes.extend_from_slice(&terms.sim.to_le_bytes());
     }
 
-    // A group is a maximal run of one pattern. Postings are sorted by
+    // A group is the postings of one pattern. Postings are sorted by
     // (pattern, root), so the roots of a group never decrease and every
     // root gap is non-negative.
-    let same_pattern = |a: &Posting, b: &Posting| a.pattern == b.pattern;
-    varint::put_u32(&mut bytes, postings.chunk_by(same_pattern).count() as u32);
+    varint::put_u32(&mut bytes, pf.num_primary() as u32);
     let mut prev_pat = 0u32;
-    for group in postings.chunk_by(same_pattern) {
-        let pat = group[0].pattern.0;
+    for (i, &pat) in pf.primary_keys().iter().enumerate() {
         varint::put_u32(&mut bytes, pat - prev_pat);
         prev_pat = pat;
+        let group = pf.group_postings(i);
         varint::put_u32(&mut bytes, group.len() as u32);
         let mut prev_root = 0u32;
-        for p in group {
-            varint::put_u32(&mut bytes, p.root.0 - prev_root);
-            prev_root = p.root.0;
+        for (p, &root) in group.iter().zip(pf.group_roots(i)) {
+            varint::put_u32(&mut bytes, root - prev_root);
+            prev_root = root;
             let header = ((p.nodes_len as u32) << 1) | u32::from(p.edge_terminal);
             varint::put_u32(&mut bytes, header);
             let nodes = widx.nodes_of(p);
-            debug_assert_eq!(nodes[0], p.root, "paths start at their root");
+            debug_assert_eq!(nodes[0], NodeId(root), "paths start at their root");
             for &v in &nodes[1..] {
                 varint::put_u32(&mut bytes, v.0);
             }
@@ -123,7 +123,7 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
     // than the stream could hold, so a corrupt count cannot drive the
     // allocation. A valid stream always fits the cap, so its postings are
     // still reserved once, up front.
-    let mut postings: Vec<Posting> =
+    let mut postings: Vec<KeyedPosting> =
         Vec::with_capacity((num_postings as usize).min(buf.len() / MIN_POSTING_BYTES));
     let mut arena: Vec<NodeId> = Vec::new();
     let mut pos = 0usize;
@@ -176,13 +176,15 @@ pub(crate) fn decode_stream(buf: &[u8], num_postings: u32) -> Result<WordPathInd
                 return Err(CompressError::Corrupt);
             }
             used += u32::from(score == used);
-            postings.push(Posting {
+            postings.push(KeyedPosting {
                 pattern: PatternId(pat),
                 root: NodeId(root),
-                nodes_start: start,
-                score,
-                nodes_len: nodes_len as u16,
-                edge_terminal,
+                posting: Posting {
+                    nodes_start: start,
+                    score,
+                    nodes_len: nodes_len as u16,
+                    edge_terminal,
+                },
             });
         }
     }
@@ -266,12 +268,15 @@ mod tests {
             .iter_words()
             .map(|(_, widx)| encode(&widx).len())
             .sum();
-        let ratio = stream_bytes as f64 / idx.heap_bytes() as f64;
-        // 0.105 measured; a stream carrying raw score terms per posting
-        // reads 0.29 here.
+        // Per posting, so the bound does not move with the decoded layout:
+        // 6.03 measured against 39.5 decoded bytes per posting; a stream
+        // carrying raw score terms per posting reads 16.7 here. The bound
+        // is 0.15 of the 57.4 decoded bytes per posting the list held
+        // while it kept a key per posting and a run directory.
+        let per_posting = stream_bytes as f64 / idx.num_postings() as f64;
         assert!(
-            ratio < 0.15,
-            "expected ≥85% savings, got ratio {ratio:.3} ({stream_bytes} vs {} bytes)",
+            per_posting < 8.6,
+            "{per_posting:.2} stream bytes per posting ({stream_bytes} bytes, {} decoded)",
             idx.heap_bytes()
         );
     }
@@ -460,13 +465,15 @@ mod tests {
                 for (pat, nodes, edge_terminal, pr, sim) in &raw {
                     let start = arena.len() as u32;
                     arena.extend(nodes.iter().map(|&v| NodeId(v)));
-                    postings.push(Posting {
+                    postings.push(KeyedPosting {
                         pattern: PatternId(*pat),
                         root: NodeId(nodes[0]),
-                        nodes_start: start,
-                        score: scores.len() as u32,
-                        nodes_len: nodes.len() as u16,
-                        edge_terminal: *edge_terminal,
+                        posting: Posting {
+                            nodes_start: start,
+                            score: scores.len() as u32,
+                            nodes_len: nodes.len() as u16,
+                            edge_terminal: *edge_terminal,
+                        },
                     });
                     scores.push(ScoreTerms { pagerank: *pr, sim: *sim });
                 }

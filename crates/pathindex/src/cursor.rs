@@ -14,11 +14,13 @@
 //! information-theoretic lower bound for merging sorted sets.
 //!
 //! One cursor, [`KeyCursor`], steps over a sorted `&[u32]` key column,
-//! and one walk, [`leapfrog`], intersects any number of them. The index's
-//! cursors stand on a `KeyCursor` over their own key column and add what
-//! they read at the key they stand on: [`crate::grouped::RootCursor`] a
-//! word's root directory (`|Paths(w, r)|`, a root's runs),
-//! [`crate::grouped::RunCursor`] one pattern's `(root, paths)` runs. So
+//! and one walk, [`leapfrog`], intersects any number of them. A key may
+//! repeat: the cursor stands on the first of its copies and steps past
+//! all of them. The index's cursors stand on a `KeyCursor` over their own
+//! key column and add what they read at the key they stand on:
+//! [`crate::grouped::RootCursor`] a word's distinct roots (`|Paths(w,
+//! r)|`, a root's runs), [`crate::grouped::RunCursor`] one pattern's root
+//! column, one root per path, whose stretch of equal roots is a run. So
 //! the walk over the keywords' root directories (candidate roots, the
 //! planner's `N`, relaxation counts), the fused join of one pattern
 //! combination's runs, and [`intersect_sorted`] over plain slices are the
@@ -45,12 +47,23 @@ pub(crate) fn gallop_lower_bound(keys: &[u32], from: usize, target: u32) -> usiz
     lo + keys[lo..hi].partition_point(|&v| v < target)
 }
 
+/// The end of the stretch of keys equal to `keys[at]`: the first position
+/// after `at` holding a greater key, galloping forward from `at`.
+#[inline]
+pub(crate) fn gallop_past(keys: &[u32], at: usize) -> usize {
+    match keys[at].checked_add(1) {
+        Some(next) => gallop_lower_bound(keys, at + 1, next),
+        // Sorted: nothing after the largest key is greater.
+        None => keys.len(),
+    }
+}
+
 /// A forward cursor over a sorted key column, seeking by galloping from
 /// the current position.
 ///
 /// Contract: `seek` targets are non-decreasing across calls; `seek`
-/// positions the cursor **at** the returned key (peeking), while
-/// `advance` steps past it.
+/// positions the cursor **at** the returned key (peeking), on the first
+/// of its copies, while `advance` steps past every copy of it.
 #[derive(Clone, Debug)]
 pub struct KeyCursor<'a> {
     keys: &'a [u32],
@@ -72,11 +85,26 @@ impl<'a> KeyCursor<'a> {
         self.keys.get(self.pos).copied()
     }
 
-    /// Step past the current key, returning the next one.
+    /// Step past the current key and its copies, returning the next key.
     #[inline]
     pub fn advance(&mut self) -> Option<u32> {
-        self.pos += 1;
+        self.pos = if self.pos < self.keys.len() {
+            gallop_past(self.keys, self.pos)
+        } else {
+            self.pos + 1
+        };
         self.keys.get(self.pos).copied()
+    }
+
+    /// The positions holding the current key: from the current position
+    /// up to where [`Self::advance`] steps. Empty past the end.
+    #[inline]
+    pub(crate) fn run(&self) -> std::ops::Range<usize> {
+        if self.pos < self.keys.len() {
+            self.pos..gallop_past(self.keys, self.pos)
+        } else {
+            self.pos..self.pos
+        }
     }
 
     /// Keys not yet stepped past.
@@ -120,9 +148,9 @@ pub struct WalkEnd {
 /// on that key — so `f` reads what each cursor keeps at the key without a
 /// search of its own. The cursor with the fewest keys drives the rounds;
 /// each other one seeks to its candidate, and an overshoot sends the lead
-/// after it. A key repeated in every list is visited once per repeat in
-/// the lead. `f` may stop the walk by returning `ControlFlow::Break`; the
-/// cursors then stay on the key it stopped at.
+/// after it. A key is visited once, however often a list repeats it. `f`
+/// may stop the walk by returning `ControlFlow::Break`; the cursors then
+/// stay on the key it stopped at.
 pub fn leapfrog<'a, C: AsMut<KeyCursor<'a>>>(
     cursors: &mut [C],
     mut f: impl FnMut(u32, &[C]) -> ControlFlow<()>,
@@ -182,9 +210,7 @@ pub fn intersect_sorted(lists: &[&[u32]]) -> Vec<u32> {
     let mut out = Vec::new();
     let mut cursors: Vec<KeyCursor> = lists.iter().map(|l| KeyCursor::new(l)).collect();
     leapfrog(&mut cursors, |v, _| {
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
+        out.push(v);
         ControlFlow::Continue(())
     });
     out
@@ -224,7 +250,7 @@ pub fn intersect_naive(lists: &[&[u32]]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::pattern::PatternId;
-    use crate::posting::Posting;
+    use crate::posting::{KeyedPosting, Posting};
     use crate::WordPathIndex;
     use patternkb_graph::NodeId;
     use proptest::prelude::*;
@@ -240,10 +266,13 @@ mod tests {
         assert_eq!(c.position(), 3);
         assert_eq!(c.seek(999), Some(1000));
         assert_eq!(c.remaining(), 1);
+        // Both copies of 4 are one stretch, stepped past at once.
         c.jump(1);
-        assert_eq!(c.advance(), Some(4));
+        assert_eq!(c.run(), 1..3);
+        assert_eq!(c.advance(), Some(8));
         assert_eq!(c.seek(1001), None);
         assert_eq!(c.remaining(), 0);
+        assert!(c.run().is_empty());
     }
 
     #[test]
@@ -278,13 +307,15 @@ mod tests {
         let postings = roots
             .iter()
             .enumerate()
-            .map(|(i, &r)| Posting {
+            .map(|(i, &r)| KeyedPosting {
                 pattern: PatternId(0),
                 root: NodeId(r),
-                nodes_start: i as u32,
-                score: 0,
-                nodes_len: 1,
-                edge_terminal: false,
+                posting: Posting {
+                    nodes_start: i as u32,
+                    score: 0,
+                    nodes_len: 1,
+                    edge_terminal: false,
+                },
             })
             .collect();
         let scores = vec![crate::ScoreTerms {
@@ -338,7 +369,9 @@ mod tests {
             leapfrog(&mut cursors, |root, cursors| {
                 let held: Vec<usize> = cursors.iter().map(|c| c.postings().len()).collect();
                 assert_eq!(held, paths(root));
-                assert!(cursors.iter().all(|c| c.postings().iter().all(|p| p.root.0 == root)));
+                for (c, w) in cursors.iter().zip(&words) {
+                    assert!(c.postings().iter().all(|p| w.nodes_of(p)[0] == NodeId(root)));
+                }
                 runs.push(root);
                 ControlFlow::Continue(())
             });

@@ -1,78 +1,81 @@
-//! Two-level grouped posting storage, and the root directory over it.
+//! Columnar word lists: both orders of Figure 4 over one posting array.
 //!
 //! Every posting is stored once, in the pattern-first order of Figure
-//! 4(a): sorted by `(pattern, root)` — the primary and secondary key of
-//! [`GroupedPostings`] — with offset arrays for both levels, so a pattern-
-//! first access method of §3 is: binary-search the pattern, optionally
-//! binary-search the root inside its run range, return a slice.
+//! 4(a): sorted by `(pattern, root)`, with one offset per pattern and a
+//! root column parallel to the postings. A pattern's roots are its slice
+//! of that column, and a `(pattern, root)` run — `Paths(w, P, r)` — is a
+//! stretch of equal roots in it: a binary search finds one, and a
+//! [`RunCursor`] gallops past one. No run is stored.
 //!
-//! The root-first order of Figure 4(b) holds the same `(pattern, root)`
-//! runs under the transposed key, and a run's postings are in the same
-//! order either way — so `RootDirectory` transposes only the run
-//! *directory* (the paper's "pointers pointing to the beginning of a list
-//! of paths") and its access methods hand out slices of the one
-//! pattern-first array.
+//! The root-first order of Figure 4(b) is a permutation of the same
+//! array: the pattern-first positions sorted by `(root, pattern)`, one
+//! offset per distinct root, and beside each position the pattern of its
+//! posting. Within one root the positions ascend, so a run is again a
+//! stretch — of equal patterns — and its postings are contiguous in the
+//! array: the root-first access methods hand out slices of it.
 //!
-//! Both orders are made by one routine, `splice`: a base list's runs
-//! whose root is not *affected*, with *fresh* runs — every one rooted at
-//! an affected root — merged in. A run is therefore wholly kept or wholly
-//! fresh, so the kept ones are copied in stretches, the base directory's
-//! entries are shifted rather than re-transposed, and only the fresh runs
-//! are transposed. A full build is the splice into an empty base: every
-//! run fresh, every run transposed. Fresh runs arrive in `(pattern, root)`
-//! order, so a stable radix pass by root alone puts them in `(root,
-//! pattern)` order — linear in the runs, with no comparison sort.
+//! Both orders are made by one routine, `splice`: a base list's postings
+//! whose root is not *affected*, with *fresh* postings — every one rooted
+//! at an affected root — merged in. A root is therefore wholly kept or
+//! wholly fresh, so the kept postings are copied in stretches, the base
+//! permutation's entries are shifted rather than re-transposed, and only
+//! the fresh postings are transposed. A full build is the splice into an
+//! empty base: every posting fresh, every posting transposed. Fresh
+//! postings arrive in `(pattern, root)` order, so a stable radix pass by
+//! root alone puts them in `(root, pattern)` order — linear in the
+//! postings, with no comparison sort. Every column is allocated at its
+//! final length, so a list holds no slack.
 
-use crate::cursor::{gallop_lower_bound, KeyCursor};
-use crate::posting::Posting;
+use crate::cursor::{gallop_lower_bound, gallop_past, KeyCursor};
+use crate::posting::{KeyedPosting, Posting};
 
-/// Postings grouped by `(primary, secondary)` = `(pattern, root)` keys.
+/// Bytes a vector holds allocated: its capacity, not its length.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// The pattern-first order: postings sorted by `(pattern, root)`, one
+/// group per pattern, and the root of each posting in a parallel column.
 ///
 /// Invariants (checked in debug builds by [`GroupedPostings::validate`]):
-/// * `g1_keys` is strictly increasing;
-/// * within each level-1 group, its level-2 run keys are strictly
-///   increasing;
-/// * run offsets partition `postings` contiguously.
+/// * `keys` is strictly increasing and every group is non-empty;
+/// * within a group, the roots are non-decreasing;
+/// * the group offsets partition `postings` contiguously.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GroupedPostings {
-    /// All postings, sorted by `(primary, secondary)`.
+    /// All postings, sorted by `(pattern, root)`.
     postings: Vec<Posting>,
-    /// Distinct primary keys, ascending.
-    g1_keys: Vec<u32>,
-    /// For level-1 group `i`, its level-2 runs are
-    /// `g2_keys[g1_run_start[i] .. g1_run_start[i+1]]`. Length
-    /// `g1_keys.len() + 1`.
-    g1_run_start: Vec<u32>,
-    /// Secondary key of each run.
-    g2_keys: Vec<u32>,
-    /// Posting range of run `j` is `g2_post_start[j] .. g2_post_start[j+1]`.
-    /// Length `g2_keys.len() + 1`.
-    g2_post_start: Vec<u32>,
+    /// Root of each posting, parallel to `postings`.
+    roots: Vec<u32>,
+    /// Distinct patterns, ascending.
+    keys: Vec<u32>,
+    /// Pattern `i` owns postings `starts[i] .. starts[i + 1]`. Length
+    /// `keys.len() + 1`.
+    starts: Vec<u32>,
 }
 
 impl Default for GroupedPostings {
     fn default() -> Self {
         GroupedPostings {
             postings: Vec::new(),
-            g1_keys: Vec::new(),
-            g1_run_start: vec![0],
-            g2_keys: Vec::new(),
-            g2_post_start: vec![0],
+            roots: Vec::new(),
+            keys: Vec::new(),
+            starts: vec![0],
         }
     }
 }
 
-/// Splice a list's two orders: `base`'s runs whose root is not in
-/// `affected` (ascending), with the runs of `fresh` merged in. `fresh` is
-/// sorted by `(pattern, root)` and every one of its roots is affected, so
-/// each run of the result is either one of the base's, unchanged, or
-/// wholly fresh. Returns both orders and, per pattern of the result, the
-/// base group whose postings it holds unchanged (`None` where a run was
-/// dropped or added).
+/// Splice a list's two orders: `base`'s postings whose root is not in
+/// `affected` (ascending), with `fresh` merged in. `fresh` is sorted by
+/// `(pattern, root)` and every one of its roots is affected, so each
+/// root of the result holds either the base's postings, unchanged, or
+/// fresh ones only. Returns both orders and, per pattern of the result,
+/// the base group whose postings it holds unchanged (`None` where a
+/// posting was dropped or added).
 pub(crate) fn splice(
     base: (&GroupedPostings, &RootDirectory),
     affected: &[u32],
-    fresh: Vec<Posting>,
+    fresh: Vec<KeyedPosting>,
 ) -> (GroupedPostings, RootDirectory, Vec<Option<u32>>) {
     let (base_pf, base_dir) = base;
     debug_assert!(affected.windows(2).all(|w| w[0] < w[1]));
@@ -80,39 +83,36 @@ pub(crate) fn splice(
     // `(pattern, root)` keys in pattern-first order.
     let mut removed = Vec::new();
     let mut dropped = Vec::new();
+    let mut lost = 0;
     let mut from = 0;
     for &root in affected {
         from = gallop_lower_bound(&base_dir.roots, from, root);
         if base_dir.roots.get(from) == Some(&root) {
             removed.push(from);
-            dropped.extend(base_dir.patterns_of_at(from).iter().map(|&p| (p, root)));
+            let patterns = &base_dir.patterns[base_dir.entries(from)];
+            lost += patterns.len();
+            dropped.extend(patterns.chunk_by(|a, b| a == b).map(|run| (run[0], root)));
         }
     }
     dropped.sort_unstable();
-    let (pf, edits) = GroupedPostings::splice(base_pf, &dropped, fresh);
-    // Each fresh run, in `(pattern, root)` order; its pattern is the key
-    // of the group it landed in. Twice the room: the upper half is the
-    // transposition's scratch.
-    let mut fresh_runs =
-        Vec::with_capacity(2 * edits.fresh.iter().map(|runs| runs.len()).sum::<usize>());
-    for runs in edits.fresh {
-        let mut g = pf
-            .g1_run_start
-            .partition_point(|&s| s as usize <= runs.start)
-            - 1;
-        for j in runs {
-            while pf.g1_run_start[g + 1] as usize <= j {
+    let len = base_pf.len() - lost + fresh.len();
+    let (pf, edits) = GroupedPostings::splice(base_pf, &dropped, len, &fresh);
+    drop(fresh);
+    // Each fresh posting with its position, in `(pattern, root)` order;
+    // its pattern is the key of the group it landed in. Twice the room:
+    // the upper half is the transposition's scratch.
+    let added: usize = edits.fresh.iter().map(|at| at.len()).sum();
+    let mut entries = Vec::with_capacity(2 * added);
+    for at in edits.fresh {
+        let mut g = pf.starts.partition_point(|&s| s as usize <= at.start) - 1;
+        for j in at {
+            while pf.starts[g + 1] as usize <= j {
                 g += 1;
             }
-            let (start, end) = (pf.g2_post_start[j], pf.g2_post_start[j + 1]);
-            let span = RunSpan {
-                start,
-                len: end - start,
-            };
-            fresh_runs.push((pf.g2_keys[j], pf.g1_keys[g], span));
+            entries.push((pf.roots[j], pf.keys[g], j as u32));
         }
     }
-    let root_first = RootDirectory::splice(base_dir, &removed, fresh_runs, &edits.shifts);
+    let root_first = RootDirectory::splice(base_dir, &removed, entries, &edits.shifts);
     (pf, root_first, edits.unchanged)
 }
 
@@ -121,54 +121,47 @@ pub(crate) fn splice(
 struct Edits {
     /// Per pattern of the new list, the base group it copied whole.
     unchanged: Vec<Option<u32>>,
-    /// Positions of the fresh runs in the new list, ascending.
+    /// Positions of the fresh postings in the new list, ascending.
     fresh: Vec<std::ops::Range<usize>>,
-    /// `(base position, shift)`, ascending: a kept run that started at
-    /// base position `x` now starts at `x` plus (wrapping) the shift of
-    /// the last entry at or before `x`, or at `x` if there is none.
+    /// `(base position, shift)`, ascending: a kept posting at base
+    /// position `x` is now at `x` plus (wrapping) the shift of the last
+    /// entry at or before `x`, or at `x` if there is none.
     shifts: Vec<(u32, u32)>,
 }
 
 impl GroupedPostings {
     /// One linear pass over `base`'s groups: untouched groups are copied
     /// whole, touched ones in stretches between their edits — a dropped
-    /// run (`dropped`: its `(pattern, root)`, ascending) or an inserted
-    /// fresh run (`fresh`: sorted by `(pattern, root)`) — and the groups of
-    /// patterns only `fresh` has go in between them whole.
+    /// run (`dropped`: its `(pattern, root)`, ascending) or inserted fresh
+    /// postings (`fresh`: sorted by `(pattern, root)`) — and the groups of
+    /// patterns only `fresh` has go in between them whole. `len` is the
+    /// number of postings the result holds.
     fn splice(
         base: &GroupedPostings,
         dropped: &[(u32, u32)],
-        fresh: Vec<Posting>,
+        len: usize,
+        fresh: &[KeyedPosting],
     ) -> (Self, Edits) {
-        // With nothing to keep the new array is `fresh` itself.
-        let copy = !base.postings.is_empty();
-        let mut out = GroupedPostings::default();
-        if copy {
-            // Bounds: every fresh posting could open a run and a pattern.
-            let (patterns, runs) = (
-                base.g1_keys.len() + fresh.len(),
-                base.g2_keys.len() + fresh.len(),
-            );
-            out.postings
-                .reserve_exact(base.postings.len() + fresh.len());
-            out.g1_keys.reserve_exact(patterns);
-            out.g1_run_start.reserve_exact(patterns);
-            out.g2_keys.reserve_exact(runs);
-            out.g2_post_start.reserve_exact(runs);
-        }
+        // Every fresh pattern could be one the base lacks.
+        let fresh_patterns = fresh.chunk_by(|a, b| a.pattern == b.pattern).count();
+        let patterns = base.keys.len() + fresh_patterns;
+        let mut out = GroupedPostings {
+            postings: Vec::with_capacity(len),
+            roots: Vec::with_capacity(len),
+            keys: Vec::with_capacity(patterns),
+            starts: Vec::with_capacity(patterns + 1),
+        };
+        out.starts.push(0);
         let mut edits = Edits {
-            unchanged: Vec::with_capacity(base.g1_keys.len() + 1),
+            unchanged: Vec::with_capacity(patterns),
             fresh: Vec::new(),
             shifts: Vec::new(),
         };
         // Next fresh posting and dropped run.
         let (mut f, mut x) = (0, 0);
-        for (b, &key) in base.g1_keys.iter().enumerate() {
-            f += out.append_fresh(&fresh[f..], Some((key, 0)), copy, &mut edits);
-            let (lo, hi) = (
-                base.g1_run_start[b] as usize,
-                base.g1_run_start[b + 1] as usize,
-            );
+        for (b, &key) in base.keys.iter().enumerate() {
+            f += out.append_fresh(&fresh[f..], Some((key, 0)), &mut edits);
+            let (lo, hi) = (base.starts[b] as usize, base.starts[b + 1] as usize);
             // The group's next dropped and next fresh root.
             let drop_root = |x: usize| dropped.get(x).filter(|&&(p, _)| p == key).map(|&(_, r)| r);
             let fresh_root = |f: usize| {
@@ -179,9 +172,10 @@ impl GroupedPostings {
             };
             if drop_root(x).is_none() && fresh_root(f).is_none() {
                 out.open(key, Some(b as u32), &mut edits.unchanged);
-                out.copy_runs(base, key, lo..hi, &mut edits);
+                out.copy(base, key, lo..hi, &mut edits);
                 continue;
             }
+            let roots = &base.roots[..hi];
             let mut j = lo;
             loop {
                 let (dropping, adding) = (drop_root(x), fresh_root(f));
@@ -190,123 +184,101 @@ impl GroupedPostings {
                     (Some(r), None) | (None, Some(r)) => r,
                     (Some(r), Some(s)) => r.min(s),
                 };
-                let at = gallop_lower_bound(&base.g2_keys[..hi], j, root);
-                out.copy_runs(base, key, j..at, &mut edits);
+                let at = gallop_lower_bound(roots, j, root);
+                out.copy(base, key, j..at, &mut edits);
                 j = at;
                 if dropping == Some(root) {
-                    debug_assert_eq!(base.g2_keys.get(j), Some(&root));
-                    j += 1;
+                    debug_assert_eq!(roots.get(j), Some(&root));
+                    j = gallop_past(roots, j);
                     x += 1;
                 }
                 if adding == Some(root) {
-                    // Every fresh run before the next base run goes in at
-                    // once (with no base run left: the rest of the group).
-                    let below = match base.g2_keys[..hi].get(j) {
+                    // Every fresh posting before the next base root goes
+                    // in at once (with no base root left: the rest of
+                    // the group).
+                    let below = match roots.get(j) {
                         Some(&next) => Some((key, next)),
                         None => key.checked_add(1).map(|k| (k, 0)),
                     };
-                    f += out.append_fresh(&fresh[f..], below, copy, &mut edits);
+                    f += out.append_fresh(&fresh[f..], below, &mut edits);
                 }
             }
-            out.copy_runs(base, key, j..hi, &mut edits);
+            out.copy(base, key, j..hi, &mut edits);
         }
-        f += out.append_fresh(&fresh[f..], None, copy, &mut edits);
-        debug_assert_eq!(f, fresh.len(), "every fresh run went in");
+        f += out.append_fresh(&fresh[f..], None, &mut edits);
+        debug_assert_eq!(f, fresh.len(), "every fresh posting went in");
         debug_assert_eq!(x, dropped.len(), "every dropped run is a base run");
-        if !out.g1_keys.is_empty() {
-            out.g1_run_start.push(out.g2_keys.len() as u32);
+        debug_assert_eq!(out.postings.len(), len);
+        if !out.keys.is_empty() {
+            out.starts.push(out.postings.len() as u32);
         }
-        if !copy {
-            out.postings = fresh;
-        }
+        // A group the edits emptied leaves its bound's slot unused.
+        out.keys.shrink_to_fit();
+        out.starts.shrink_to_fit();
         debug_assert!(out.validate());
         (out, edits)
     }
 
-    /// Make `pattern` the group runs are appended to: unless it already
-    /// is, close the open group and open one, noting in `unchanged` the
-    /// base group it copies whole, if any.
+    /// Make `pattern` the group postings are appended to: unless it
+    /// already is, close the open group and open one, noting in
+    /// `unchanged` the base group it copies whole, if any.
     fn open(&mut self, pattern: u32, whole: Option<u32>, unchanged: &mut Vec<Option<u32>>) {
-        if self.g1_keys.last() == Some(&pattern) {
+        if self.keys.last() == Some(&pattern) {
             return;
         }
-        if !self.g1_keys.is_empty() {
-            self.g1_run_start.push(self.g2_keys.len() as u32);
+        if !self.keys.is_empty() {
+            self.starts.push(self.postings.len() as u32);
         }
-        self.g1_keys.push(pattern);
+        self.keys.push(pattern);
         unchanged.push(whole);
     }
 
-    /// Append the leading runs of `fresh` (sorted by `(pattern, root)`)
-    /// whose key is below `below`, if given, and their postings too if
-    /// `copy` (otherwise `fresh` already is the new array). Returns how
-    /// many postings they hold.
+    /// Append the leading postings of `fresh` (sorted by `(pattern,
+    /// root)`) whose key is below `below`, if given. Returns how many.
     fn append_fresh(
         &mut self,
-        fresh: &[Posting],
+        fresh: &[KeyedPosting],
         below: Option<(u32, u32)>,
-        copy: bool,
         edits: &mut Edits,
     ) -> usize {
-        let first = self.g2_keys.len();
-        let start = *self.g2_post_start.last().expect("starts with 0");
-        let mut taken = 0;
-        while let Some(p) = fresh.get(taken) {
-            let key = (p.pattern.0, p.root.0);
-            if below.is_some_and(|b| key >= b) {
-                break;
-            }
-            self.open(key.0, None, &mut edits.unchanged);
-            taken += 1;
-            while fresh
-                .get(taken)
-                .is_some_and(|p| (p.pattern.0, p.root.0) == key)
-            {
-                taken += 1;
-            }
-            self.g2_keys.push(key.1);
-            self.g2_post_start.push(start + taken as u32);
+        let taken = below.map_or(fresh.len(), |b| {
+            fresh.partition_point(|p| (p.pattern.0, p.root.0) < b)
+        });
+        if taken == 0 {
+            return 0;
         }
-        if self.g2_keys.len() > first {
-            edits.fresh.push(first..self.g2_keys.len());
+        let first = self.postings.len();
+        for p in &fresh[..taken] {
+            self.open(p.pattern.0, None, &mut edits.unchanged);
+            self.postings.push(p.posting);
+            self.roots.push(p.root.0);
         }
-        if copy {
-            self.postings.extend_from_slice(&fresh[..taken]);
-        }
+        edits.fresh.push(first..self.postings.len());
         taken
     }
 
-    /// Append `base`'s runs `runs` (of its group `pattern`), moved to where
-    /// the new array has got to, and note the shift if it changed.
-    fn copy_runs(
+    /// Append `base`'s postings `at` (of its group `pattern`), moved to
+    /// where the new array has got to, and note the shift if it changed.
+    fn copy(
         &mut self,
         base: &GroupedPostings,
         pattern: u32,
-        runs: std::ops::Range<usize>,
+        at: std::ops::Range<usize>,
         edits: &mut Edits,
     ) {
-        let (from, to) = (runs.start, runs.end);
-        if from == to {
+        if at.is_empty() {
             return;
         }
         self.open(pattern, None, &mut edits.unchanged);
-        let lo = base.g2_post_start[from];
-        let at = *self.g2_post_start.last().expect("starts with 0");
-        let shift = at.wrapping_sub(lo);
+        let shift = (self.postings.len() as u32).wrapping_sub(at.start as u32);
         if edits.shifts.last().map_or(0, |&(_, s)| s) != shift {
-            edits.shifts.push((lo, shift));
+            edits.shifts.push((at.start as u32, shift));
         }
-        self.g2_keys.extend_from_slice(&base.g2_keys[from..to]);
-        self.g2_post_start.extend(
-            base.g2_post_start[from + 1..=to]
-                .iter()
-                .map(|s| s.wrapping_add(shift)),
-        );
-        self.postings
-            .extend_from_slice(&base.postings[lo as usize..base.g2_post_start[to] as usize]);
+        self.postings.extend_from_slice(&base.postings[at.clone()]);
+        self.roots.extend_from_slice(&base.roots[at]);
     }
 
-    /// All postings in `(primary, secondary)` order.
+    /// All postings in `(pattern, root)` order.
     #[inline]
     pub fn postings(&self) -> &[Posting] {
         &self.postings
@@ -318,78 +290,60 @@ impl GroupedPostings {
         &mut self.postings
     }
 
-    /// Distinct primary keys, ascending.
+    /// Distinct patterns, ascending.
     #[inline]
     pub fn primary_keys(&self) -> &[u32] {
-        &self.g1_keys
+        &self.keys
     }
 
-    /// Index of a primary key, if present.
+    /// Index of a pattern, if present.
     #[inline]
     pub fn find_primary(&self, key: u32) -> Option<usize> {
-        self.g1_keys.binary_search(&key).ok()
+        self.keys.binary_search(&key).ok()
     }
 
-    /// Distinct secondary keys under the `i`-th primary group, ascending.
-    pub fn secondary_keys(&self, i: usize) -> &[u32] {
-        let lo = self.g1_run_start[i] as usize;
-        let hi = self.g1_run_start[i + 1] as usize;
-        &self.g2_keys[lo..hi]
+    /// The posting range of the `i`-th group.
+    #[inline]
+    fn group(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
     }
 
-    /// All postings under the `i`-th primary group.
+    /// The roots of the `i`-th group's postings, one per posting,
+    /// ascending.
+    pub fn group_roots(&self, i: usize) -> &[u32] {
+        &self.roots[self.group(i)]
+    }
+
+    /// All postings under the `i`-th group.
     pub fn group_postings(&self, i: usize) -> &[Posting] {
-        let run_lo = self.g1_run_start[i] as usize;
-        let run_hi = self.g1_run_start[i + 1] as usize;
-        let lo = self.g2_post_start[run_lo] as usize;
-        let hi = self.g2_post_start[run_hi] as usize;
-        &self.postings[lo..hi]
+        &self.postings[self.group(i)]
     }
 
-    /// Postings of the run with secondary key `sec` inside the `i`-th
-    /// primary group; empty if absent.
-    pub fn run_postings(&self, i: usize, sec: u32) -> &[Posting] {
-        let run_lo = self.g1_run_start[i] as usize;
-        let run_hi = self.g1_run_start[i + 1] as usize;
-        match self.g2_keys[run_lo..run_hi].binary_search(&sec) {
-            Ok(off) => {
-                let j = run_lo + off;
-                let lo = self.g2_post_start[j] as usize;
-                let hi = self.g2_post_start[j + 1] as usize;
-                &self.postings[lo..hi]
-            }
-            Err(_) => &[],
-        }
+    /// Postings of the run with root `root` inside the `i`-th group;
+    /// empty if absent.
+    pub fn run_postings(&self, i: usize, root: u32) -> &[Posting] {
+        let group = self.group(i);
+        let roots = &self.roots[group.clone()];
+        let lo = roots.partition_point(|&r| r < root);
+        let hi = lo + roots[lo..].partition_point(|&r| r == root);
+        &self.postings[group.start + lo..group.start + hi]
     }
 
-    /// Iterate `(secondary key, postings)` runs of the `i`-th primary group.
-    pub fn runs(&self, i: usize) -> impl Iterator<Item = (u32, &[Posting])> {
-        let run_lo = self.g1_run_start[i] as usize;
-        let run_hi = self.g1_run_start[i + 1] as usize;
-        (run_lo..run_hi).map(move |j| {
-            let lo = self.g2_post_start[j] as usize;
-            let hi = self.g2_post_start[j + 1] as usize;
-            (self.g2_keys[j], &self.postings[lo..hi])
-        })
-    }
-
-    /// A seekable cursor over the `i`-th primary group's runs — the
-    /// fused-join primitive: leapfrogging several groups' cursors by
-    /// secondary key intersects their key sets **and** lands directly on
-    /// each matching run's posting slice, with no per-match binary search.
+    /// A seekable cursor over the `i`-th group's `(root, postings)` runs
+    /// — the fused-join primitive: leapfrogging several groups' cursors
+    /// by root intersects their root sets **and** lands directly on each
+    /// matching run's posting slice, with no per-match binary search.
     pub fn run_cursor(&self, i: usize) -> RunCursor<'_> {
-        let run_lo = self.g1_run_start[i] as usize;
-        let run_hi = self.g1_run_start[i + 1] as usize;
+        let group = self.group(i);
         RunCursor {
-            starts: &self.g2_post_start[run_lo..=run_hi],
-            postings: &self.postings,
-            keys: KeyCursor::new(&self.g2_keys[run_lo..run_hi]),
+            postings: &self.postings[group.clone()],
+            roots: KeyCursor::new(&self.roots[group]),
         }
     }
 
-    /// Number of distinct primary keys.
+    /// Number of distinct patterns.
     pub fn num_primary(&self) -> usize {
-        self.g1_keys.len()
+        self.keys.len()
     }
 
     /// Total number of postings.
@@ -402,74 +356,56 @@ impl GroupedPostings {
         self.postings.is_empty()
     }
 
-    /// Approximate resident bytes.
+    /// Bytes allocated for the columns.
     pub fn heap_bytes(&self) -> usize {
-        self.postings.len() * std::mem::size_of::<Posting>()
-            + (self.g1_keys.len()
-                + self.g1_run_start.len()
-                + self.g2_keys.len()
-                + self.g2_post_start.len())
-                * 4
+        vec_bytes(&self.postings)
+            + vec_bytes(&self.roots)
+            + vec_bytes(&self.keys)
+            + vec_bytes(&self.starts)
     }
 
     /// Check the structural invariants (used in debug assertions/tests).
     pub fn validate(&self) -> bool {
-        if self.g1_run_start.len() != self.g1_keys.len() + 1 {
-            return false;
-        }
-        if self.g2_post_start.len() != self.g2_keys.len() + 1 {
-            return false;
-        }
-        if self.g1_keys.windows(2).any(|w| w[0] >= w[1]) {
-            return false;
-        }
-        for i in 0..self.g1_keys.len() {
-            let runs = self.secondary_keys(i);
-            if runs.windows(2).any(|w| w[0] >= w[1]) {
-                return false;
-            }
-        }
-        self.g2_post_start.last().copied().unwrap_or(0) as usize == self.postings.len()
+        self.starts.len() == self.keys.len() + 1
+            && self.roots.len() == self.postings.len()
+            && self.starts.first() == Some(&0)
+            && self.starts.last().copied() == Some(self.postings.len() as u32)
+            && self.starts.windows(2).all(|w| w[0] < w[1])
+            && self.keys.windows(2).all(|w| w[0] < w[1])
+            && (0..self.keys.len()).all(|i| self.group_roots(i).windows(2).all(|w| w[0] <= w[1]))
     }
 }
 
-/// Where one `(root, pattern)` run's postings sit in the pattern-first
-/// array. Offset and length live side by side: a root's runs are scattered
-/// over the array, so walking them reads one descriptor per run, not two
-/// columns.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct RunSpan {
-    start: u32,
-    len: u32,
-}
+/// A fresh posting on its way into the directory: `(root, pattern,
+/// pattern-first position)`.
+type FreshEntry = (u32, u32, u32);
 
-/// A fresh run on its way into the directory: `(root, pattern, span)`.
-type FreshRun = (u32, u32, RunSpan);
-
-/// Put `runs`, given in `(pattern, root)` order, in `(root, pattern)`
+/// Put `entries`, given in `(pattern, root)` order, in `(root, pattern)`
 /// order: a stable LSD radix sort by root with 8-bit digits. Stability
-/// keeps each root's runs in the pattern order they arrived in, so sorting
-/// by root alone is exact. The passes stop at the highest non-zero digit
-/// of the largest root, and a digit every run shares is skipped. The
-/// passes alternate between `runs` and as many slots appended to it — no
-/// allocation when the caller reserved twice its length — and the
-/// transposed runs are returned.
-fn transpose(runs: &mut Vec<FreshRun>) -> &[FreshRun] {
+/// keeps each root's entries in the pattern order they arrived in, so
+/// sorting by root alone is exact. The passes stop at the highest
+/// non-zero digit of the largest root, and a digit every entry shares is
+/// skipped. The passes alternate between `entries` and as many slots
+/// appended to it — no allocation when the caller reserved twice its
+/// length — and the transposed entries are returned.
+fn transpose(entries: &mut Vec<FreshEntry>) -> &[FreshEntry] {
     debug_assert!(
-        runs.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
-        "fresh runs arrive in strictly ascending (pattern, root) order"
+        entries
+            .windows(2)
+            .all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0)),
+        "fresh postings arrive in (pattern, root) order"
     );
-    let max = runs.iter().map(|&(root, ..)| root).max().unwrap_or(0);
+    let max = entries.iter().map(|&(root, ..)| root).max().unwrap_or(0);
     let digits = (32 - max.leading_zeros() as usize).div_ceil(8);
     let mut counts = [[0u32; 256]; 4];
-    for &(root, ..) in runs.iter() {
+    for &(root, ..) in entries.iter() {
         for (d, count) in counts[..digits].iter_mut().enumerate() {
             count[(root >> (8 * d)) as u8 as usize] += 1;
         }
     }
-    let n = runs.len();
-    runs.resize(2 * n, (0, 0, RunSpan { start: 0, len: 0 }));
-    let (mut from, mut to) = runs.split_at_mut(n);
+    let n = entries.len();
+    entries.resize(2 * n, (0, 0, 0));
+    let (mut from, mut to) = entries.split_at_mut(n);
     for (d, count) in counts[..digits].iter_mut().enumerate() {
         let shift = 8 * d;
         if count[(from[0].0 >> shift) as u8 as usize] as usize == n {
@@ -479,9 +415,9 @@ fn transpose(runs: &mut Vec<FreshRun>) -> &[FreshRun] {
         for c in count.iter_mut() {
             (*c, at) = (at, at + *c);
         }
-        for &run in from.iter() {
-            let slot = &mut count[(run.0 >> shift) as u8 as usize];
-            to[*slot as usize] = run;
+        for &entry in from.iter() {
+            let slot = &mut count[(entry.0 >> shift) as u8 as usize];
+            to[*slot as usize] = entry;
             *slot += 1;
         }
         std::mem::swap(&mut from, &mut to);
@@ -489,59 +425,57 @@ fn transpose(runs: &mut Vec<FreshRun>) -> &[FreshRun] {
     from
 }
 
-/// The root-first order of Figure 4(b) as a directory over a pattern-first
-/// [`GroupedPostings`]: the same runs keyed `(root, pattern)`, each
-/// pointing at its postings in that array. The accessors take the array
+/// The root-first order of Figure 4(b) as a permutation of a
+/// pattern-first [`GroupedPostings`]: its positions sorted by `(root,
+/// pattern)`, grouped by root. The accessors take the array
 /// (`GroupedPostings::postings` of the list the directory was built from)
 /// and return contiguous slices of it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct RootDirectory {
     /// Distinct roots, ascending.
     roots: Vec<u32>,
-    /// Root `i` owns runs `run_start[i] .. run_start[i + 1]`. Length
+    /// Root `i` owns entries `starts[i] .. starts[i + 1]` of `order` and
+    /// `patterns`: `|Paths(w, r)|` is their number. Length
     /// `roots.len() + 1`.
-    run_start: Vec<u32>,
-    /// Root `i` owns `paths_before[i + 1] - paths_before[i]` postings.
-    /// Length `roots.len() + 1`.
-    paths_before: Vec<u32>,
-    /// Pattern of each run, ascending within a root.
+    starts: Vec<u32>,
+    /// Pattern-first positions, sorted by `(root, pattern)`; ascending
+    /// within a root.
+    order: Vec<u32>,
+    /// The pattern of each entry of `order`.
     patterns: Vec<u32>,
-    /// Posting range of each run, parallel to `patterns`.
-    spans: Vec<RunSpan>,
 }
 
 impl RootDirectory {
     /// The directory of a spliced list: `base`'s entries with the roots at
-    /// positions `removed` (ascending) taken out, every kept run's span
-    /// moved by `shifts` (see [`Edits::shifts`]) and the `fresh_runs`
+    /// positions `removed` (ascending) taken out, every kept position
+    /// moved by `shifts` (see [`Edits::shifts`]) and the `fresh` entries
     /// (in `(pattern, root)` order) transposed in. Kept entries are copied
     /// in stretches between the edited roots — nothing of the base is
-    /// transposed or sorted; only the fresh runs are transposed, which for
-    /// a full build (an empty base) is every run.
+    /// transposed or sorted; only the fresh entries are, which for a full
+    /// build (an empty base) is every posting.
     fn splice(
         base: &RootDirectory,
         removed: &[usize],
-        mut fresh_runs: Vec<FreshRun>,
+        mut fresh: Vec<FreshEntry>,
         shifts: &[(u32, u32)],
     ) -> Self {
-        let fresh_runs = transpose(&mut fresh_runs);
-        // Bounds: every fresh run could be a root of its own.
-        let roots = base.roots.len() - removed.len() + fresh_runs.len();
-        let runs = base.patterns.len() + fresh_runs.len();
+        let fresh = transpose(&mut fresh);
+        let fresh_roots = fresh.chunk_by(|a, b| a.0 == b.0).count();
+        let lost: usize = removed.iter().map(|&i| base.entries(i).len()).sum();
+        let roots = base.roots.len() - removed.len() + fresh_roots;
+        let entries = base.order.len() - lost + fresh.len();
         let mut dir = RootDirectory {
             roots: Vec::with_capacity(roots),
-            run_start: Vec::with_capacity(roots + 1),
-            paths_before: Vec::with_capacity(roots + 1),
-            patterns: Vec::with_capacity(runs),
-            spans: Vec::with_capacity(runs),
+            starts: Vec::with_capacity(roots + 1),
+            order: Vec::with_capacity(entries),
+            patterns: Vec::with_capacity(entries),
         };
-        let mut paths = 0u32;
         // Next base root neither copied nor removed; next removed one and
-        // next fresh run.
+        // next fresh entry.
         let (mut next, mut r, mut f) = (0, 0, 0);
         loop {
             let removed_root = removed.get(r).map(|&i| base.roots[i]);
-            let fresh_root = fresh_runs.get(f).map(|&(root, _, _)| root);
+            let fresh_root = fresh.get(f).map(|&(root, ..)| root);
             let root = match (removed_root, fresh_root) {
                 (None, None) => break,
                 (Some(x), None) | (None, Some(x)) => x,
@@ -552,7 +486,7 @@ impl RootDirectory {
             } else {
                 next + base.roots[next..].partition_point(|&x| x < root)
             };
-            dir.copy_roots(base, next, upto, &mut paths, shifts);
+            dir.copy_roots(base, next..upto, shifts);
             next = upto;
             if removed_root == Some(root) {
                 next += 1;
@@ -565,62 +499,47 @@ impl RootDirectory {
             );
             if fresh_root == Some(root) {
                 dir.roots.push(root);
-                dir.run_start.push(dir.patterns.len() as u32);
-                dir.paths_before.push(paths);
-                while let Some(&(_, pattern, span)) = fresh_runs.get(f).filter(|run| run.0 == root)
-                {
+                dir.starts.push(dir.order.len() as u32);
+                while let Some(&(_, pattern, at)) = fresh.get(f).filter(|e| e.0 == root) {
+                    dir.order.push(at);
                     dir.patterns.push(pattern);
-                    dir.spans.push(span);
-                    paths += span.len;
                     f += 1;
                 }
             }
         }
-        dir.copy_roots(base, next, base.roots.len(), &mut paths, shifts);
-        dir.run_start.push(dir.patterns.len() as u32);
-        dir.paths_before.push(paths);
+        dir.copy_roots(base, next..base.roots.len(), shifts);
+        dir.starts.push(dir.order.len() as u32);
+        debug_assert_eq!((dir.roots.len(), dir.order.len()), (roots, entries));
         dir
     }
 
-    /// Append `base`'s roots `lo .. hi` with their runs, each run's span
-    /// moved by `shifts`.
+    /// Append `base`'s roots `at` with their entries, each position moved
+    /// by `shifts`.
     fn copy_roots(
         &mut self,
         base: &RootDirectory,
-        lo: usize,
-        hi: usize,
-        paths: &mut u32,
+        at: std::ops::Range<usize>,
         shifts: &[(u32, u32)],
     ) {
-        if lo == hi {
+        if at.is_empty() {
             return;
         }
-        let (runs_lo, runs_hi) = (base.run_start[lo] as usize, base.run_start[hi] as usize);
-        let run_shift = (self.patterns.len() as u32).wrapping_sub(runs_lo as u32);
-        let path_shift = paths.wrapping_sub(base.paths_before[lo]);
-        self.roots.extend_from_slice(&base.roots[lo..hi]);
-        self.run_start.extend(
-            base.run_start[lo..hi]
-                .iter()
-                .map(|s| s.wrapping_add(run_shift)),
-        );
-        self.paths_before.extend(
-            base.paths_before[lo..hi]
-                .iter()
-                .map(|p| p.wrapping_add(path_shift)),
-        );
+        let entries = base.starts[at.start] as usize..base.starts[at.end] as usize;
+        let shift = (self.order.len() as u32).wrapping_sub(entries.start as u32);
+        self.roots.extend_from_slice(&base.roots[at.clone()]);
+        self.starts
+            .extend(base.starts[at].iter().map(|s| s.wrapping_add(shift)));
         self.patterns
-            .extend_from_slice(&base.patterns[runs_lo..runs_hi]);
-        self.spans
-            .extend(base.spans[runs_lo..runs_hi].iter().map(|span| {
-                let at = shifts.partition_point(|&(from, _)| from <= span.start);
-                let shift = at.checked_sub(1).map_or(0, |i| shifts[i].1);
-                RunSpan {
-                    start: span.start.wrapping_add(shift),
-                    len: span.len,
-                }
+            .extend_from_slice(&base.patterns[entries.clone()]);
+        let order = &base.order[entries];
+        if shifts.is_empty() {
+            self.order.extend_from_slice(order);
+        } else {
+            self.order.extend(order.iter().map(|&x| {
+                let i = shifts.partition_point(|&(from, _)| from <= x);
+                x.wrapping_add(i.checked_sub(1).map_or(0, |i| shifts[i].1))
             }));
-        *paths += base.paths_before[hi] - base.paths_before[lo];
+        }
     }
 
     /// Distinct roots, ascending.
@@ -629,40 +548,29 @@ impl RootDirectory {
         &self.roots
     }
 
-    /// The run range of `root`; empty if absent.
-    #[inline]
-    fn runs_of(&self, root: u32) -> std::ops::Range<usize> {
-        match self.find(root) {
-            Some(i) => self.run_start[i] as usize..self.run_start[i + 1] as usize,
-            None => 0..0,
-        }
-    }
-
     /// Position of `root` in the directory, if present.
     #[inline]
     fn find(&self, root: u32) -> Option<usize> {
         self.roots.binary_search(&root).ok()
     }
 
+    /// The entries of the root at directory position `i`.
     #[inline]
-    fn slice<'a>(&self, postings: &'a [Posting], j: usize) -> &'a [Posting] {
-        let RunSpan { start, len } = self.spans[j];
-        &postings[start as usize..(start + len) as usize]
+    fn entries(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
     }
 
-    /// Patterns through which `root` is reached, ascending.
-    pub(crate) fn patterns_of(&self, root: u32) -> &[u32] {
-        &self.patterns[self.runs_of(root)]
-    }
-
-    /// Patterns of the root at directory position `i`, ascending.
-    fn patterns_of_at(&self, i: usize) -> &[u32] {
-        &self.patterns[self.run_start[i] as usize..self.run_start[i + 1] as usize]
+    /// Patterns through which `root` is reached, ascending, each once.
+    pub(crate) fn patterns_of(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
+        let entries = self.find(root).map_or(0..0, |i| self.entries(i));
+        self.patterns[entries]
+            .chunk_by(|a, b| a == b)
+            .map(|run| run[0])
     }
 
     /// The most postings any one root owns (0 for an empty directory).
     pub(crate) fn max_paths(&self) -> usize {
-        self.paths_before
+        self.starts
             .windows(2)
             .map(|w| (w[1] - w[0]) as usize)
             .max()
@@ -671,9 +579,7 @@ impl RootDirectory {
 
     /// Number of postings under `root`, without visiting its runs.
     pub(crate) fn num_paths_of(&self, root: u32) -> usize {
-        self.find(root).map_or(0, |i| {
-            (self.paths_before[i + 1] - self.paths_before[i]) as usize
-        })
+        self.find(root).map_or(0, |i| self.entries(i).len())
     }
 
     /// Postings of the `(root, pattern)` run; empty if absent.
@@ -683,11 +589,18 @@ impl RootDirectory {
         root: u32,
         pattern: u32,
     ) -> &'a [Posting] {
-        let runs = self.runs_of(root);
-        match self.patterns[runs.clone()].binary_search(&pattern) {
-            Ok(off) => self.slice(postings, runs.start + off),
-            Err(_) => &[],
+        let Some(i) = self.find(root) else {
+            return &[];
+        };
+        let entries = self.entries(i);
+        let patterns = &self.patterns[entries.clone()];
+        let lo = patterns.partition_point(|&p| p < pattern);
+        let len = patterns[lo..].partition_point(|&p| p == pattern);
+        if len == 0 {
+            return &[];
         }
+        let at = self.order[entries.start + lo] as usize;
+        &postings[at..at + len]
     }
 
     /// Iterate `(pattern, postings)` runs of `root`, ascending by pattern.
@@ -696,15 +609,53 @@ impl RootDirectory {
         postings: &'a [Posting],
         root: u32,
     ) -> impl Iterator<Item = (u32, &'a [Posting])> {
-        self.runs_of(root)
-            .map(move |j| (self.patterns[j], self.slice(postings, j)))
+        let entries = self.find(root).map_or(0..0, |i| self.entries(i));
+        Runs::new(self, postings, entries)
     }
 
-    /// Approximate resident bytes.
+    /// Bytes allocated for the columns.
     pub(crate) fn heap_bytes(&self) -> usize {
-        (self.roots.len() + self.run_start.len() + self.paths_before.len() + self.patterns.len())
-            * 4
-            + self.spans.len() * std::mem::size_of::<RunSpan>()
+        vec_bytes(&self.roots)
+            + vec_bytes(&self.starts)
+            + vec_bytes(&self.order)
+            + vec_bytes(&self.patterns)
+    }
+}
+
+/// The `(pattern, postings)` runs of one root's entries: each stretch of
+/// equal patterns, whose positions are consecutive in the pattern-first
+/// array.
+struct Runs<'a> {
+    patterns: &'a [u32],
+    order: &'a [u32],
+    postings: &'a [Posting],
+}
+
+impl<'a> Runs<'a> {
+    fn new(
+        dir: &'a RootDirectory,
+        postings: &'a [Posting],
+        entries: std::ops::Range<usize>,
+    ) -> Self {
+        Runs {
+            patterns: &dir.patterns[entries.clone()],
+            order: &dir.order[entries],
+            postings,
+        }
+    }
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = (u32, &'a [Posting]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let (&pattern, rest) = self.patterns.split_first()?;
+        let len = 1 + rest.iter().take_while(|&&p| p == pattern).count();
+        let at = self.order[0] as usize;
+        self.patterns = &self.patterns[len..];
+        self.order = &self.order[len..];
+        Some((pattern, &self.postings[at..at + len]))
     }
 }
 
@@ -716,7 +667,7 @@ impl RootDirectory {
 /// root that cursor stands on.
 pub struct RootCursor<'a> {
     dir: &'a RootDirectory,
-    /// The pattern-first array the directory's spans index into.
+    /// The pattern-first array the directory's positions index into.
     postings: &'a [Posting],
     roots: KeyCursor<'a>,
 }
@@ -739,16 +690,13 @@ impl<'a> RootCursor<'a> {
     /// `|Paths(w, r)|` of the current root.
     #[inline]
     pub fn num_paths(&self) -> usize {
-        let pos = self.position();
-        (self.dir.paths_before[pos + 1] - self.dir.paths_before[pos]) as usize
+        self.dir.entries(self.position()).len()
     }
 
     /// `(pattern, paths)` runs of the current root, ascending by pattern.
     #[inline]
     pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [Posting])> {
-        let (dir, postings, pos) = (self.dir, self.postings, self.position());
-        let runs = dir.run_start[pos] as usize..dir.run_start[pos + 1] as usize;
-        runs.map(move |j| (dir.patterns[j], dir.slice(postings, j)))
+        Runs::new(self.dir, self.postings, self.dir.entries(self.position()))
     }
 }
 
@@ -758,17 +706,15 @@ impl<'a> AsMut<KeyCursor<'a>> for RootCursor<'a> {
     }
 }
 
-/// Forward cursor over one primary group's `(secondary key, postings)`
-/// runs. It steps as its [`KeyCursor`] over the run keys, which stands
-/// **at** the run it found (peek semantics), so [`RunCursor::postings`]
-/// returns that run's slice in O(1).
+/// Forward cursor over one pattern's `(root, postings)` runs. It steps as
+/// its [`KeyCursor`] over the group's root column, which stands on the
+/// first posting of the run it found (peek semantics) and steps past the
+/// whole run, so [`RunCursor::postings`] returns that run's slice.
 pub struct RunCursor<'a> {
-    /// Posting-range starts; run `j` spans `starts[j] .. starts[j + 1]`.
-    starts: &'a [u32],
-    /// The whole posting array the starts index into.
+    /// The group's postings.
     postings: &'a [Posting],
-    /// Secondary keys of the group's runs, ascending.
-    keys: KeyCursor<'a>,
+    /// The group's root column, one root per posting, ascending.
+    roots: KeyCursor<'a>,
 }
 
 impl<'a> RunCursor<'a> {
@@ -776,14 +722,13 @@ impl<'a> RunCursor<'a> {
     /// `seek`/`advance`).
     #[inline]
     pub fn postings(&self) -> &'a [Posting] {
-        let pos = self.keys.position();
-        &self.postings[self.starts[pos] as usize..self.starts[pos + 1] as usize]
+        &self.postings[self.roots.run()]
     }
 }
 
 impl<'a> AsMut<KeyCursor<'a>> for RunCursor<'a> {
     fn as_mut(&mut self) -> &mut KeyCursor<'a> {
-        &mut self.keys
+        &mut self.roots
     }
 }
 
@@ -793,35 +738,41 @@ mod tests {
     use crate::pattern::PatternId;
     use patternkb_graph::NodeId;
 
-    fn posting(pattern: u32, root: u32) -> Posting {
-        Posting {
+    /// A one-node posting with the `(pattern, root)` key, told apart from
+    /// the others by `id` (its arena offset).
+    pub(super) fn keyed(pattern: u32, root: u32, id: u32) -> KeyedPosting {
+        KeyedPosting {
             pattern: PatternId(pattern),
             root: NodeId(root),
-            nodes_start: 0,
-            score: 0,
-            nodes_len: 1,
-            edge_terminal: false,
+            posting: Posting {
+                nodes_start: id,
+                score: 0,
+                nodes_len: 1,
+                edge_terminal: false,
+            },
         }
     }
 
-    fn sample() -> GroupedPostings {
-        // Sorted by (pattern, root).
-        let postings = vec![
-            posting(1, 5),
-            posting(1, 5),
-            posting(1, 9),
-            posting(3, 2),
-            posting(3, 5),
-            posting(3, 5),
-            posting(3, 5),
-        ];
-        from_sorted(postings)
+    /// Both orders of postings sorted by `(pattern, root)`: the splice
+    /// into an empty base.
+    pub(super) fn from_sorted(postings: Vec<KeyedPosting>) -> (GroupedPostings, RootDirectory) {
+        let (pf, dir, _) = splice(
+            (&GroupedPostings::default(), &RootDirectory::default()),
+            &[],
+            postings,
+        );
+        (pf, dir)
     }
 
-    /// A pattern-first array of postings sorted by `(pattern, root)`: the
-    /// splice into an empty base.
-    pub(super) fn from_sorted(postings: Vec<Posting>) -> GroupedPostings {
-        GroupedPostings::splice(&GroupedPostings::default(), &[], postings).0
+    fn sample() -> GroupedPostings {
+        // Sorted by (pattern, root); the id is the position.
+        let keys = [(1, 5), (1, 5), (1, 9), (3, 2), (3, 5), (3, 5), (3, 5)];
+        let postings = (0..).zip(keys).map(|(i, (p, r))| keyed(p, r, i)).collect();
+        from_sorted(postings).0
+    }
+
+    fn ids(postings: &[Posting]) -> Vec<u32> {
+        postings.iter().map(|p| p.nodes_start).collect()
     }
 
     #[test]
@@ -837,10 +788,10 @@ mod tests {
     fn group_access() {
         let g = sample();
         let i1 = g.find_primary(1).unwrap();
-        assert_eq!(g.secondary_keys(i1), &[5, 9]);
+        assert_eq!(g.group_roots(i1), &[5, 5, 9]);
         assert_eq!(g.group_postings(i1).len(), 3);
         let i3 = g.find_primary(3).unwrap();
-        assert_eq!(g.secondary_keys(i3), &[2, 5]);
+        assert_eq!(g.group_roots(i3), &[2, 5, 5, 5]);
         assert_eq!(g.group_postings(i3).len(), 4);
         assert_eq!(g.find_primary(2), None);
     }
@@ -849,25 +800,34 @@ mod tests {
     fn run_access() {
         let g = sample();
         let i3 = g.find_primary(3).unwrap();
-        assert_eq!(g.run_postings(i3, 5).len(), 3);
-        assert_eq!(g.run_postings(i3, 2).len(), 1);
+        assert_eq!(ids(g.run_postings(i3, 5)), [4, 5, 6]);
+        assert_eq!(ids(g.run_postings(i3, 2)), [3]);
         assert!(g.run_postings(i3, 7).is_empty());
+        assert!(g.run_postings(i3, 9).is_empty());
     }
 
     #[test]
     fn runs_iteration() {
         let g = sample();
         let i1 = g.find_primary(1).unwrap();
-        let runs: Vec<(u32, usize)> = g.runs(i1).map(|(k, ps)| (k, ps.len())).collect();
-        assert_eq!(runs, vec![(5, 2), (9, 1)]);
+        let mut c = g.run_cursor(i1);
+        let mut runs = Vec::new();
+        let mut root = c.as_mut().seek(0);
+        while let Some(r) = root {
+            runs.push((r, ids(c.postings())));
+            root = c.as_mut().advance();
+        }
+        assert_eq!(runs, vec![(5, vec![0, 1]), (9, vec![2])]);
     }
 
     #[test]
     fn empty() {
-        let g = from_sorted(vec![]);
+        let (g, dir) = from_sorted(vec![]);
         assert!(g.validate());
         assert!(g.is_empty());
         assert_eq!(g.find_primary(0), None);
+        assert_eq!(dir.max_paths(), 0);
+        assert_eq!(dir.runs(g.postings(), 0).count(), 0);
     }
 
     #[test]
@@ -875,31 +835,50 @@ mod tests {
         let g = sample();
         let i3 = g.find_primary(3).unwrap();
         let mut c = g.run_cursor(i3);
-        assert_eq!(c.as_mut().remaining(), 2);
+        assert_eq!(c.as_mut().remaining(), 4, "one root per posting");
         assert_eq!(c.as_mut().seek(0), Some(2));
-        assert_eq!(c.postings().len(), 1);
+        assert_eq!(ids(c.postings()), [3]);
         assert_eq!(c.as_mut().seek(3), Some(5));
-        assert_eq!(c.postings().len(), 3);
-        assert!(c.postings().iter().all(|p| p.root.0 == 5));
+        assert_eq!(ids(c.postings()), [4, 5, 6]);
         assert_eq!(c.as_mut().advance(), None);
         assert_eq!(c.as_mut().seek(9), None);
+        assert!(c.postings().is_empty());
+    }
+
+    #[test]
+    fn root_runs_are_stretches_of_the_permutation() {
+        let keys = [(1, 5), (1, 5), (1, 9), (3, 2), (3, 5), (3, 5), (3, 5)];
+        let postings = (0..).zip(keys).map(|(i, (p, r))| keyed(p, r, i)).collect();
+        let (g, dir) = from_sorted(postings);
+        assert_eq!(dir.roots(), &[2, 5, 9]);
+        assert_eq!(dir.order, [3, 0, 1, 4, 5, 6, 2]);
+        assert_eq!(dir.patterns, [3, 1, 1, 3, 3, 3, 1]);
+        let runs: Vec<(u32, Vec<u32>)> = dir
+            .runs(g.postings(), 5)
+            .map(|(p, ps)| (p, ids(ps)))
+            .collect();
+        assert_eq!(runs, vec![(1, vec![0, 1]), (3, vec![4, 5, 6])]);
+        assert_eq!(dir.patterns_of(5).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(ids(dir.run(g.postings(), 5, 3)), [4, 5, 6]);
+        assert!(dir.run(g.postings(), 5, 2).is_empty());
+        assert!(dir.run(g.postings(), 5, 4).is_empty());
+        assert_eq!((dir.num_paths_of(5), dir.max_paths()), (5, 5));
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{from_sorted, keyed};
     use super::*;
-    use crate::pattern::PatternId;
-    use patternkb_graph::NodeId;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         /// The radix transposition equals the comparison sort by `(root,
-        /// pattern)` on runs given in `(pattern, root)` order: up to 3 000
-        /// runs, with roots below 2^8, below 2^16, at or above 2^24, or
-        /// sharing — all of them, or all but a few — their low or their
-        /// high digit.
+        /// pattern)` on entries given in `(pattern, root)` order: up to
+        /// 3 000 entries, with roots below 2^8, below 2^16, at or above
+        /// 2^24, or sharing — all of them, or all but a few — their low or
+        /// their high digit.
         #[test]
         fn transposition_equals_the_comparison_sort(
             pairs in proptest::collection::vec((0u32..64, any::<u32>()), 0..3000),
@@ -909,10 +888,11 @@ mod proptests {
             spread in 0u32..3,
         ) {
             // `bound` varies the largest root's bit width, so the top
-            // digit is not always a full byte; `spread` / 16 of the runs
-            // keep their own shared digit, so it is nearly constant.
+            // digit is not always a full byte; `spread` / 16 of the
+            // entries keep their own shared digit, so it is nearly
+            // constant.
             let digit = digit as u32;
-            let mut runs: Vec<(u32, u32)> = pairs
+            let mut keys: Vec<(u32, u32)> = pairs
                 .into_iter()
                 .map(|(pattern, r)| {
                     let own = r % 16 < spread;
@@ -927,51 +907,183 @@ mod proptests {
                     (pattern, root)
                 })
                 .collect();
-            runs.sort_unstable();
-            runs.dedup();
-            let mut fresh: Vec<FreshRun> = runs
-                .iter()
-                .enumerate()
-                .map(|(i, &(pattern, root))| (root, pattern, RunSpan { start: i as u32, len: 1 }))
+            keys.sort_unstable();
+            let mut fresh: Vec<FreshEntry> = (0..)
+                .zip(&keys)
+                .map(|(i, &(pattern, root))| (root, pattern, i))
                 .collect();
             let mut expected = fresh.clone();
-            expected.sort_unstable_by_key(|&(root, pattern, _)| (root, pattern));
+            expected.sort_by_key(|&(root, pattern, _)| (root, pattern));
             prop_assert_eq!(transpose(&mut fresh), &expected[..]);
         }
     }
 
     proptest! {
-        /// from_sorted over any sorted input yields a structure whose
-        /// group/run slices reproduce exactly the original postings.
+        /// Both orders over any sorted input reproduce exactly the original
+        /// postings: the pattern-first groups' runs in order, and every
+        /// `(pattern, root)` run through either order.
         #[test]
         fn partition_is_lossless(pairs in proptest::collection::vec((0u32..8, 0u32..8), 0..40)) {
             let mut pairs = pairs;
             pairs.sort_unstable();
-            let postings: Vec<Posting> = pairs.iter().map(|&(p, r)| Posting {
-                pattern: PatternId(p),
-                root: NodeId(r),
-                nodes_start: 0,
-                score: 0,
-                nodes_len: 1,
-                edge_terminal: false,
-            }).collect();
-            let g = super::tests::from_sorted(postings.clone());
+            let postings: Vec<KeyedPosting> =
+                (0..).zip(&pairs).map(|(i, &(p, r))| keyed(p, r, i)).collect();
+            let (g, dir) = from_sorted(postings.clone());
             prop_assert!(g.validate());
-            // Reassemble from runs.
             let mut rebuilt = Vec::new();
             for i in 0..g.num_primary() {
-                for (_, ps) in g.runs(i) {
-                    rebuilt.extend_from_slice(ps);
+                let mut c = g.run_cursor(i);
+                let mut root = c.as_mut().seek(0);
+                while root.is_some() {
+                    rebuilt.extend_from_slice(c.postings());
+                    root = c.as_mut().advance();
                 }
             }
-            prop_assert_eq!(rebuilt, postings.clone());
-            // Every (pattern, root) pair can be found through run_postings.
+            let bare: Vec<Posting> = postings.iter().map(|p| p.posting).collect();
+            prop_assert_eq!(rebuilt, bare);
             for &(p, r) in &pairs {
+                let want: Vec<Posting> = postings
+                    .iter()
+                    .filter(|x| (x.pattern.0, x.root.0) == (p, r))
+                    .map(|x| x.posting)
+                    .collect();
                 let i = g.find_primary(p).unwrap();
-                let run = g.run_postings(i, r);
-                prop_assert!(run.iter().all(|x| x.pattern.0 == p && x.root.0 == r));
-                let expected = pairs.iter().filter(|&&(a, b)| a == p && b == r).count();
-                prop_assert_eq!(run.len(), expected);
+                prop_assert_eq!(g.run_postings(i, r), &want[..]);
+                prop_assert_eq!(dir.run(g.postings(), r, p), &want[..]);
+            }
+        }
+    }
+
+    /// Everything the two orders answer, against a naive filter of
+    /// `sorted` (keyed postings in `(pattern, root)` order): per pattern,
+    /// a run cursor driven by `seeks` (a target, or `None` to advance);
+    /// per root, a root cursor's runs and counts; and the permutation.
+    fn check_against_filter(
+        g: &GroupedPostings,
+        dir: &RootDirectory,
+        sorted: &[KeyedPosting],
+        seeks: &[Option<u32>],
+    ) {
+        let filter = |f: &dyn Fn(&KeyedPosting) -> bool| -> Vec<Posting> {
+            sorted.iter().filter(|x| f(x)).map(|x| x.posting).collect()
+        };
+        let mut patterns: Vec<u32> = sorted.iter().map(|p| p.pattern.0).collect();
+        patterns.dedup();
+        prop_assert_eq!(g.primary_keys(), &patterns[..]);
+        for (i, &p) in patterns.iter().enumerate() {
+            let mut roots: Vec<u32> = sorted
+                .iter()
+                .filter(|x| x.pattern.0 == p)
+                .map(|x| x.root.0)
+                .collect();
+            roots.dedup();
+            // The naive cursor: an index into the distinct roots.
+            let mut at = 0;
+            let mut c = g.run_cursor(i);
+            for &step in seeks {
+                let got = match step {
+                    Some(target) => {
+                        at += roots[at.min(roots.len())..].partition_point(|&r| r < target);
+                        c.as_mut().seek(target)
+                    }
+                    None => {
+                        at += 1;
+                        c.as_mut().advance()
+                    }
+                };
+                let want = roots.get(at).copied();
+                prop_assert_eq!(got, want);
+                let Some(r) = want else { break };
+                let run = filter(&|x| (x.pattern.0, x.root.0) == (p, r));
+                prop_assert_eq!(c.postings(), &run[..]);
+            }
+        }
+        let mut roots: Vec<u32> = sorted.iter().map(|p| p.root.0).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        prop_assert_eq!(dir.roots(), &roots[..]);
+        let mut c = RootCursor::new(dir, g.postings());
+        for &r in &roots {
+            prop_assert_eq!(c.as_mut().seek(r), Some(r));
+            prop_assert_eq!(c.num_paths(), filter(&|x| x.root.0 == r).len());
+            let want: Vec<(u32, Vec<Posting>)> = patterns
+                .iter()
+                .map(|&p| (p, filter(&|x| (x.pattern.0, x.root.0) == (p, r))))
+                .filter(|(_, run)| !run.is_empty())
+                .collect();
+            let got: Vec<(u32, Vec<Posting>)> = c.runs().map(|(p, ps)| (p, ps.to_vec())).collect();
+            prop_assert_eq!(got, want);
+        }
+        // The permutation is a bijection onto the pattern-first positions,
+        // and each entry's pattern and root are its posting's.
+        let mut order = dir.order.clone();
+        order.sort_unstable();
+        prop_assert!(order.iter().copied().eq(0..sorted.len() as u32));
+        for (i, &r) in dir.roots.iter().enumerate() {
+            for k in dir.entries(i) {
+                let at = dir.order[k] as usize;
+                prop_assert_eq!(
+                    (sorted[at].pattern.0, sorted[at].root.0),
+                    (dir.patterns[k], r)
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Random `(pattern, root)` multisets — small key ranges, so runs
+        /// of several postings are common — spliced with random affected
+        /// roots and fresh postings on them (some under patterns the base
+        /// lacks): both orders of the base and of the splice answer every
+        /// cursor step and run as a naive filter does, and the splice
+        /// equals the from-scratch build of the same postings.
+        #[test]
+        fn columns_answer_as_a_filter_and_splice_as_a_build(
+            base_raw in proptest::collection::vec((0u32..6, 0u32..10), 0..60),
+            fresh_raw in proptest::collection::vec((0u32..8, 0u32..10), 0..30),
+            affected_mask in 0u32..1 << 10,
+            steps in proptest::collection::vec(0u32..14, 0..12),
+        ) {
+            // A seek to a target in 0..=10, or (11..14) an advance.
+            let seeks: Vec<Option<u32>> = steps.iter().map(|&s| (s <= 10).then_some(s)).collect();
+            let affected: Vec<u32> = (0..10).filter(|r| affected_mask >> r & 1 == 1).collect();
+            let sort = |v: &mut Vec<KeyedPosting>| {
+                v.sort_by_key(|p| (p.pattern.0, p.root.0, p.posting.nodes_start));
+            };
+            let mut base: Vec<KeyedPosting> =
+                (0..).zip(&base_raw).map(|(i, &(p, r))| keyed(p, r, i)).collect();
+            sort(&mut base);
+            let (base_pf, base_dir) = from_sorted(base.clone());
+            check_against_filter(&base_pf, &base_dir, &base, &seeks);
+
+            let mut fresh: Vec<KeyedPosting> = (1_000..)
+                .zip(&fresh_raw)
+                .filter(|(_, (_, r))| affected.binary_search(r).is_ok())
+                .map(|(i, &(p, r))| keyed(p, r, i))
+                .collect();
+            sort(&mut fresh);
+            let (pf, dir, unchanged) = splice((&base_pf, &base_dir), &affected, fresh.clone());
+            let mut all: Vec<KeyedPosting> = base
+                .iter()
+                .filter(|p| affected.binary_search(&p.root.0).is_err())
+                .chain(&fresh)
+                .copied()
+                .collect();
+            sort(&mut all);
+            let (full_pf, full_dir) = from_sorted(all.clone());
+            prop_assert_eq!(&pf, &full_pf);
+            prop_assert_eq!(&dir, &full_dir);
+            check_against_filter(&pf, &dir, &all, &seeks);
+            // Exactly sized: the spliced columns hold what they report.
+            prop_assert_eq!(pf.heap_bytes(), full_pf.heap_bytes());
+            prop_assert_eq!(dir.heap_bytes(), full_dir.heap_bytes());
+            // A group marked unchanged holds its base group's postings.
+            for (i, from) in unchanged.iter().enumerate() {
+                if let Some(b) = *from {
+                    prop_assert_eq!(pf.group_postings(i), base_pf.group_postings(b as usize));
+                    prop_assert_eq!(pf.group_roots(i), base_pf.group_roots(b as usize));
+                }
             }
         }
     }

@@ -26,9 +26,9 @@
 //!   an affected root is re-enumerated whole, so every `(pattern, root)`
 //!   run of the new list is either wholly kept from the old list (its root
 //!   is not affected) or wholly fresh (it is). `WordPathIndex::freeze`
-//!   therefore sorts only the fresh postings, copies the kept runs in
-//!   stretches between the few edit points, shifts the old root
-//!   directory's entries instead of transposing it again, and carries the
+//!   therefore sorts only the fresh postings, copies the kept ones in
+//!   stretches between the few edit points, shifts the old root-first
+//!   permutation's entries instead of transposing it again, and carries the
 //!   per-pattern stats and the memoised type grouping where their input
 //!   did not change. The spliced list is recorded in the shard's patch
 //!   map; every other list, the storage base under them (heap or mapped
@@ -75,7 +75,7 @@
 
 use crate::build;
 use crate::pattern::{PatternId, PatternSet};
-use crate::posting::{Posting, ScoreTerms};
+use crate::posting::{KeyedPosting, Posting, ScoreTerms};
 use crate::storage::WordStore;
 use crate::word_index::{Base, IndexShard, PathIndexes, WordPathIndex};
 use patternkb_graph::ids::Id;
@@ -218,19 +218,21 @@ pub fn try_refresh_indexes(
     stats.postings_added = fresh.entries.len();
     // Per list: postings, arena, and one score pair per posting, which
     // the splice merges into the list's table.
-    type Fresh = (Vec<Posting>, Vec<NodeId>, Vec<ScoreTerms>);
+    type Fresh = (Vec<KeyedPosting>, Vec<NodeId>, Vec<ScoreTerms>);
     let mut fresh_lists: FxHashMap<(usize, WordId), Fresh> = FxHashMap::default();
     for e in fresh.entries {
         let (postings, arena, scores) = fresh_lists
             .entry((old.shard_of_root(e.root), e.word))
             .or_default();
-        postings.push(Posting {
+        postings.push(KeyedPosting {
             pattern: pat_remap[e.lpat as usize],
             root: e.root,
-            nodes_start: arena.len() as u32,
-            score: scores.len() as u32,
-            nodes_len: e.nodes_len as u16,
-            edge_terminal: e.edge_terminal,
+            posting: Posting {
+                nodes_start: arena.len() as u32,
+                score: scores.len() as u32,
+                nodes_len: e.nodes_len as u16,
+                edge_terminal: e.edge_terminal,
+            },
         });
         arena.extend_from_slice(&e.nodes[..e.nodes_len as usize]);
         scores.push(e.terms);
@@ -579,10 +581,10 @@ mod tests {
         let index_of = |list: &WordPathIndex, root: NodeId| {
             let p = list
                 .postings_pattern_first()
-                .iter()
+                .into_iter()
                 .find(|p| p.root == root && p.nodes_len == 1)
                 .expect("a trivial path");
-            (p.score, list.score_terms(p))
+            (p.score, list.score_terms(&p))
         };
         let before = old.word_in(0, alpha).unwrap();
         assert_eq!(

@@ -23,13 +23,10 @@ pub struct ScoreTerms {
 /// (`nodes_start .. nodes_start + nodes_len`); for edge-terminal paths the
 /// arena slice is `v1 … v_l, leaf` — the leaf is the matched edge's target
 /// and is included so table answers can show the value column (e.g. the
-/// "US$ 77 billion" cell of Figure 3).
+/// "US$ 77 billion" cell of Figure 3). The path's pattern and root are
+/// where the list keeps it, not fields of its own ([`KeyedPosting`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Posting {
-    /// Interned path pattern.
-    pub pattern: PatternId,
-    /// The path's starting node `r`.
-    pub root: NodeId,
     /// Start of the node sequence in the word arena.
     pub nodes_start: u32,
     /// Index of the path's [`ScoreTerms`] in the owning list's score
@@ -42,7 +39,7 @@ pub struct Posting {
     pub edge_terminal: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Posting>() == 20);
+const _: () = assert!(std::mem::size_of::<Posting>() == 12);
 
 impl Posting {
     /// The scoring length `|T(w)|` (number of nodes on the path, counting
@@ -57,6 +54,28 @@ impl Posting {
     pub fn node_range(&self) -> std::ops::Range<usize> {
         let s = self.nodes_start as usize;
         s..s + self.nodes_len as usize
+    }
+}
+
+/// A posting with its `(pattern, root)` key, as a build or a decode
+/// produces it. A frozen [`crate::WordPathIndex`] keeps the keys as
+/// columns beside its postings, never per posting. Dereferences to the
+/// posting.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct KeyedPosting {
+    /// Interned path pattern.
+    pub pattern: PatternId,
+    /// The path's starting node `r`.
+    pub root: NodeId,
+    /// The path.
+    pub posting: Posting,
+}
+
+impl std::ops::Deref for KeyedPosting {
+    type Target = Posting;
+
+    fn deref(&self) -> &Posting {
+        &self.posting
     }
 }
 
@@ -93,8 +112,6 @@ mod tests {
     #[test]
     fn ranges() {
         let p = Posting {
-            pattern: PatternId(0),
-            root: NodeId(3),
             nodes_start: 10,
             score: 0,
             nodes_len: 3,

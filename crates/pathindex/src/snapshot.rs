@@ -13,10 +13,9 @@
 //! [`crate::storage::encode_v5`] / [`crate::storage::save_v5`].
 //!
 //! The image stores the pattern interner and, per word, the postings in
-//! pattern-first order; the root-first directory over them is rebuilt on
-//! decode (a linear radix transposition of the run descriptors, far
-//! cheaper than the DFS enumeration, and derived data cannot
-//! desynchronize). The normative
+//! pattern-first order; the root-first permutation of them is rebuilt on
+//! decode (a linear radix transposition by root, far cheaper than the DFS
+//! enumeration, and derived data cannot desynchronize). The normative
 //! byte-level specification is `docs/FORMATS.md` at the repository root.
 //!
 //! Decode failures are the workspace-shared

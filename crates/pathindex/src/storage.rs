@@ -572,13 +572,13 @@ fn decode_entry(
         CompressError::Truncated => SnapshotError::Truncated { offset: at },
         CompressError::Corrupt => SnapshotError::BadReference { offset: at },
     })?;
-    for p in widx.postings_pattern_first() {
-        if p.pattern.0 >= npatterns
-            || p.root.0 < root_lo
-            || (root_hi != u32::MAX && p.root.0 >= root_hi)
-        {
-            return Err(SnapshotError::BadReference { offset: at });
-        }
+    // Patterns and roots ascend: the extremes bound them all.
+    let (roots, max_pattern) = (widx.roots(), widx.patterns().max());
+    if max_pattern.is_some_and(|p| p.0 >= npatterns)
+        || roots.first().is_some_and(|&r| r < root_lo)
+        || (root_hi != u32::MAX && roots.last().is_some_and(|&r| r >= root_hi))
+    {
+        return Err(SnapshotError::BadReference { offset: at });
     }
     Ok(widx)
 }
@@ -787,7 +787,7 @@ pub(crate) fn decode_v5(data: &[u8]) -> Result<PathIndexes, SnapshotError> {
 mod tests {
     use super::*;
     use crate::build::{build_indexes, BuildConfig};
-    use crate::posting::Posting;
+    use crate::posting::KeyedPosting;
     use patternkb_graph::{GraphBuilder, KnowledgeGraph, NodeId};
     use patternkb_text::{SynonymTable, TextIndex};
 
@@ -829,7 +829,7 @@ mod tests {
         let mut v: Vec<_> = widx
             .postings_pattern_first()
             .iter()
-            .map(|p: &Posting| {
+            .map(|p: &KeyedPosting| {
                 (
                     pats.key(p.pattern).to_vec(),
                     widx.nodes_of(p).to_vec(),

@@ -1,8 +1,8 @@
 //! The per-word path index and the top-level [`PathIndexes`] handle.
 
-use crate::grouped::{GroupedPostings, RootCursor, RootDirectory};
+use crate::grouped::{vec_bytes, GroupedPostings, RootCursor, RootDirectory};
 use crate::pattern::{PatternId, PatternSet};
-use crate::posting::{Posting, ScoreTable, ScoreTerms};
+use crate::posting::{KeyedPosting, Posting, ScoreTable, ScoreTerms};
 use crate::storage::{Region, StorageBackend, WordStore};
 use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId, WordId};
 use std::sync::{Arc, OnceLock};
@@ -18,10 +18,10 @@ pub struct PatternPostingStats {
     pub num_paths: u32,
     /// Largest number of paths under a single root.
     pub max_per_root: u32,
-    /// Minimum scoring length `|T(w)|`.
-    pub min_len: f64,
+    /// Minimum scoring length `|T(w)|` (a [`Posting::nodes_len`]).
+    pub min_len: u16,
     /// Maximum scoring length.
-    pub max_len: f64,
+    pub max_len: u16,
     /// Minimum cached PageRank.
     pub min_pr: f64,
     /// Maximum cached PageRank.
@@ -31,6 +31,8 @@ pub struct PatternPostingStats {
     /// Maximum cached similarity.
     pub max_sim: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<PatternPostingStats>() == 48);
 
 impl PatternPostingStats {
     /// Combine stats of the same pattern from two disjoint posting sets
@@ -47,14 +49,14 @@ impl PatternPostingStats {
         self.max_sim = self.max_sim.max(other.max_sim);
     }
 
-    /// Scan one pattern's postings (sorted by root), whose score terms
-    /// are in `scores`.
-    fn scan(paths: &[Posting], scores: &[ScoreTerms]) -> Self {
+    /// Scan one pattern's postings (sorted by root, their roots in
+    /// `roots`), whose score terms are in `scores`.
+    fn scan(paths: &[Posting], roots: &[u32], scores: &[ScoreTerms]) -> Self {
         let mut s = PatternPostingStats {
             num_paths: paths.len() as u32,
             max_per_root: 0,
-            min_len: f64::INFINITY,
-            max_len: 0.0,
+            min_len: u16::MAX,
+            max_len: 0,
             min_pr: f64::INFINITY,
             max_pr: 0.0,
             min_sim: f64::INFINITY,
@@ -62,19 +64,18 @@ impl PatternPostingStats {
         };
         let mut run = 0u32;
         let mut prev_root = u32::MAX;
-        for post in paths {
-            let len = post.score_len() as f64;
-            s.min_len = s.min_len.min(len);
-            s.max_len = s.max_len.max(len);
+        for (post, &root) in paths.iter().zip(roots) {
+            s.min_len = s.min_len.min(post.nodes_len);
+            s.max_len = s.max_len.max(post.nodes_len);
             let terms = scores[post.score as usize];
             s.min_pr = s.min_pr.min(terms.pagerank);
             s.max_pr = s.max_pr.max(terms.pagerank);
             s.min_sim = s.min_sim.min(terms.sim);
             s.max_sim = s.max_sim.max(terms.sim);
-            if post.root.0 == prev_root {
+            if root == prev_root {
                 run += 1;
             } else {
-                prev_root = post.root.0;
+                prev_root = root;
                 run = 1;
             }
             s.max_per_root = s.max_per_root.max(run);
@@ -155,8 +156,12 @@ impl PatternTypeGroups {
         (0..self.len()).map(|t| self.group(t))
     }
 
+    /// Bytes allocated for the columns.
     fn heap_bytes(&self) -> usize {
-        (self.root_types.len() + self.starts.len() + self.patterns.len() + self.prims.len()) * 4
+        vec_bytes(&self.root_types)
+            + vec_bytes(&self.starts)
+            + vec_bytes(&self.patterns)
+            + vec_bytes(&self.prims)
     }
 }
 
@@ -262,9 +267,9 @@ pub fn merge_type_groups(
     merged
 }
 
-/// The postings of one word: stored once in pattern-first order, with a
-/// root-first directory over the same array, one node arena and one
-/// score table.
+/// The postings of one word: stored once in pattern-first order with a
+/// root column, a root-first permutation of the same array, one node
+/// arena and one score table. No posting stores its pattern or root.
 #[derive(Clone, Debug, Default)]
 pub struct WordPathIndex {
     /// Node sequences of all paths, referenced by `Posting::nodes_start`.
@@ -277,8 +282,8 @@ pub struct WordPathIndex {
     scores: Vec<ScoreTerms>,
     /// Pattern-first order: primary = pattern, secondary = root (Fig. 4(a)).
     pattern_first: GroupedPostings,
-    /// Root-first order (Fig. 4(b)): the `(root, pattern)` run directory
-    /// into `pattern_first.postings()`.
+    /// Root-first order (Fig. 4(b)): the permutation of
+    /// `pattern_first.postings()` sorted by `(root, pattern)`.
     root_first: RootDirectory,
     /// Per-pattern stats, aligned with `pattern_first.primary_keys()`.
     pattern_stats: Vec<PatternPostingStats>,
@@ -295,14 +300,14 @@ pub struct WordPathIndex {
 }
 
 /// What [`WordPathIndex::freeze`] keeps of an earlier version of a list:
-/// every `(pattern, root)` run whose root is not affected. A refresh
-/// re-enumerates an affected root whole, so each of its runs is dropped
-/// or comes back wholly fresh, and every other run is kept as it is.
+/// every posting whose root is not affected. A refresh re-enumerates an
+/// affected root whole, so each of its postings is dropped or comes back
+/// fresh, and every other posting is kept as it is.
 #[derive(Clone, Copy)]
 pub(crate) struct Base<'a> {
     /// The list the new one replaces.
     pub(crate) list: &'a WordPathIndex,
-    /// Roots whose runs are dropped, ascending.
+    /// Roots whose postings are dropped, ascending.
     pub(crate) affected: &'a [u32],
     /// Re-read every posting's cached PageRank from this graph (a refresh
     /// of a recomputed PageRank). Fresh postings already carry the new
@@ -313,28 +318,29 @@ pub(crate) struct Base<'a> {
 }
 
 impl WordPathIndex {
-    /// Assemble from unsorted postings plus their shared arena and the
-    /// score terms they index (pairs with equal bits are stored once):
-    /// the base-less `Self::freeze`.
-    pub fn new(postings: Vec<Posting>, arena: Vec<NodeId>, scores: Vec<ScoreTerms>) -> Self {
+    /// Assemble from unsorted keyed postings plus their shared arena and
+    /// the score terms they index (pairs with equal bits are stored
+    /// once): the base-less `Self::freeze`.
+    pub fn new(postings: Vec<KeyedPosting>, arena: Vec<NodeId>, scores: Vec<ScoreTerms>) -> Self {
         Self::freeze(None, postings, arena, &scores)
     }
 
-    /// The one freeze routine: `base`'s kept runs with `fresh` (unsorted,
+    /// The one freeze routine: `base`'s kept postings with `fresh` (unsorted,
     /// node sequences in `fresh_arena`, score terms in `fresh_scores`)
     /// merged in. The table is the base's, then each distinct fresh pair:
     /// kept postings keep their indices and only fresh ones are hashed.
     /// Then [`Self::assemble`].
     pub(crate) fn freeze(
         base: Option<Base<'_>>,
-        mut fresh: Vec<Posting>,
+        mut fresh: Vec<KeyedPosting>,
         fresh_arena: Vec<NodeId>,
         fresh_scores: &[ScoreTerms],
     ) -> Self {
         let kept = base.map_or(&[][..], |b| &b.list.scores[..]);
         let mut added = ScoreTable::default();
         for p in &mut fresh {
-            p.score = kept.len() as u32 + added.intern(fresh_scores[p.score as usize]);
+            let score = &mut p.posting.score;
+            *score = kept.len() as u32 + added.intern(fresh_scores[*score as usize]);
         }
         let added = added.into_terms();
         let mut scores = Vec::with_capacity(kept.len() + added.len());
@@ -345,15 +351,16 @@ impl WordPathIndex {
 
     /// [`Self::freeze`] for fresh postings that already index `scores`,
     /// the table of the result (a decoded stream's). Only the fresh
-    /// postings are sorted; the kept runs are copied in stretches, the
-    /// root directory is the base's with its affected roots' entries
-    /// replaced, and the per-pattern stats and the memoised type groups
-    /// are carried over where their input did not change. Without a base
-    /// every posting is fresh: one sort, one transposition, every stat
-    /// scanned.
+    /// postings are sorted; the kept ones are copied in stretches, the
+    /// root-first permutation is the base's with its affected roots'
+    /// entries replaced, and the per-pattern stats and the memoised type
+    /// groups are carried over where their input did not change. Without
+    /// a base every posting is fresh: one sort, one transposition, every
+    /// stat scanned. The keys go into columns; every vector the list keeps
+    /// is sized to what it holds.
     pub(crate) fn assemble(
         base: Option<Base<'_>>,
-        mut fresh: Vec<Posting>,
+        mut fresh: Vec<KeyedPosting>,
         fresh_arena: Vec<NodeId>,
         mut scores: Vec<ScoreTerms>,
     ) -> Self {
@@ -363,7 +370,7 @@ impl WordPathIndex {
         if !list.arena.is_empty() {
             let offset = list.arena.len() as u32;
             for p in &mut fresh {
-                p.nodes_start += offset;
+                p.posting.nodes_start += offset;
             }
             arena = [&list.arena[..], &arena[..]].concat();
         }
@@ -375,6 +382,7 @@ impl WordPathIndex {
             // Dropped postings leave their nodes behind.
             arena = compact_arena(pattern_first.postings_mut(), &arena);
         }
+        arena.shrink_to_fit();
         let reread = base.and_then(|b| b.reread_pagerank);
         if let Some(g) = reread {
             let mut table = ScoreTable::default();
@@ -389,12 +397,17 @@ impl WordPathIndex {
             }
             scores = table.into_terms();
         }
+        scores.shrink_to_fit();
         let pattern_stats = unchanged
             .iter()
             .enumerate()
             .map(|(i, from)| match from {
                 Some(b) if reread.is_none() => list.pattern_stats[*b as usize],
-                _ => PatternPostingStats::scan(pattern_first.group_postings(i), &scores),
+                _ => PatternPostingStats::scan(
+                    pattern_first.group_postings(i),
+                    pattern_first.group_roots(i),
+                    &scores,
+                ),
             })
             .collect();
         // The grouping is a function of the pattern keys alone.
@@ -445,12 +458,13 @@ impl WordPathIndex {
     }
 
     /// `Roots(w, P)`: all roots reaching the word through pattern `p`,
-    /// ascending. Empty iterator if the pattern is absent.
-    pub fn roots_of_pattern(&self, p: PatternId) -> &[u32] {
-        match self.pattern_first.find_primary(p.0) {
-            Some(i) => self.pattern_first.secondary_keys(i),
+    /// ascending, each once. Empty iterator if the pattern is absent.
+    pub fn roots_of_pattern(&self, p: PatternId) -> impl Iterator<Item = u32> + '_ {
+        let roots = match self.pattern_first.find_primary(p.0) {
+            Some(i) => self.pattern_first.group_roots(i),
             None => &[],
-        }
+        };
+        roots.chunk_by(|a, b| a == b).map(|run| run[0])
     }
 
     /// `Paths(w, P, r)`: all paths with pattern `p` starting at `root`.
@@ -511,6 +525,11 @@ impl WordPathIndex {
                 groups.prims.extend(run.iter().map(|&(_, j)| j));
                 groups.starts.push(groups.patterns.len() as u32);
             }
+            // Held for the list's life: no growth slack.
+            groups.root_types.shrink_to_fit();
+            groups.starts.shrink_to_fit();
+            groups.patterns.shrink_to_fit();
+            groups.prims.shrink_to_fit();
             groups
         })
     }
@@ -529,8 +548,9 @@ impl WordPathIndex {
         self.root_first.roots()
     }
 
-    /// `Patterns(w, r)`: all patterns through which `root` reaches the word.
-    pub fn patterns_of_root(&self, root: NodeId) -> &[u32] {
+    /// `Patterns(w, r)`: all patterns through which `root` reaches the
+    /// word, ascending, each once.
+    pub fn patterns_of_root(&self, root: NodeId) -> impl Iterator<Item = u32> + '_ {
         self.root_first.patterns_of(root.0)
     }
 
@@ -569,9 +589,27 @@ impl WordPathIndex {
         RootCursor::new(&self.root_first, self.pattern_first.postings())
     }
 
-    /// All postings in pattern-first order (used by the snapshot codec).
-    pub fn postings_pattern_first(&self) -> &[Posting] {
-        self.pattern_first.postings()
+    /// Every posting with its `(pattern, root)` key, in pattern-first
+    /// order: a copy, since the list keeps the keys as columns (for tests
+    /// and tools; the stream codec reads the columns).
+    pub fn postings_pattern_first(&self) -> Vec<KeyedPosting> {
+        let pf = &self.pattern_first;
+        let mut out = Vec::with_capacity(pf.len());
+        for (i, &pattern) in pf.primary_keys().iter().enumerate() {
+            out.extend(pf.group_postings(i).iter().zip(pf.group_roots(i)).map(
+                |(&posting, &root)| KeyedPosting {
+                    pattern: PatternId(pattern),
+                    root: NodeId(root),
+                    posting,
+                },
+            ));
+        }
+        out
+    }
+
+    /// The pattern-first order the stream codec writes.
+    pub(crate) fn pattern_first(&self) -> &GroupedPostings {
+        &self.pattern_first
     }
 
     /// The shared node arena (used by the snapshot codec).
@@ -589,19 +627,19 @@ impl WordPathIndex {
         self.pattern_first.is_empty()
     }
 
-    /// Approximate resident bytes: arena, score table, postings, root
-    /// directory, stats, and the type groups once a pattern-first query
-    /// has memoised them.
+    /// Heap bytes the list holds allocated (capacities, not lengths):
+    /// arena, score table, both orders' columns, stats, and the type
+    /// groups once a pattern-first query has memoised them.
     pub fn heap_bytes(&self) -> usize {
         let type_groups = self
             .type_groups
             .get()
             .map_or(0, PatternTypeGroups::heap_bytes);
-        self.arena.len() * 4
-            + self.scores.len() * std::mem::size_of::<ScoreTerms>()
+        vec_bytes(&self.arena)
+            + vec_bytes(&self.scores)
             + self.pattern_first.heap_bytes()
             + self.root_first.heap_bytes()
-            + self.pattern_stats.len() * std::mem::size_of::<PatternPostingStats>()
+            + vec_bytes(&self.pattern_stats)
             + type_groups
     }
 }
@@ -958,14 +996,16 @@ impl std::fmt::Debug for PathIndexes {
 mod tests {
     use super::*;
 
-    fn posting(pattern: u32, root: u32, start: u32, len: u16) -> Posting {
-        Posting {
+    fn posting(pattern: u32, root: u32, start: u32, len: u16) -> KeyedPosting {
+        KeyedPosting {
             pattern: PatternId(pattern),
             root: NodeId(root),
-            nodes_start: start,
-            score: 0,
-            nodes_len: len,
-            edge_terminal: false,
+            posting: Posting {
+                nodes_start: start,
+                score: 0,
+                nodes_len: len,
+                edge_terminal: false,
+            },
         }
     }
 
@@ -993,8 +1033,11 @@ mod tests {
         let idx = sample();
         let pats: Vec<_> = idx.patterns().collect();
         assert_eq!(pats, vec![PatternId(1), PatternId(2)]);
-        assert_eq!(idx.roots_of_pattern(PatternId(2)), &[0, 3]);
-        assert_eq!(idx.roots_of_pattern(PatternId(9)), &[] as &[u32]);
+        assert_eq!(
+            idx.roots_of_pattern(PatternId(2)).collect::<Vec<_>>(),
+            [0, 3]
+        );
+        assert_eq!(idx.roots_of_pattern(PatternId(9)).count(), 0);
         let paths = idx.paths_of_pattern_root(PatternId(2), NodeId(3));
         assert_eq!(paths.len(), 1);
         assert_eq!(idx.nodes_of(&paths[0]), &[NodeId(3), NodeId(4)]);
@@ -1004,8 +1047,8 @@ mod tests {
     fn root_first_access() {
         let idx = sample();
         assert_eq!(idx.roots(), &[0, 2, 3]);
-        assert_eq!(idx.patterns_of_root(NodeId(0)), &[2]);
-        assert_eq!(idx.patterns_of_root(NodeId(7)), &[] as &[u32]);
+        assert_eq!(idx.patterns_of_root(NodeId(0)).collect::<Vec<_>>(), [2]);
+        assert_eq!(idx.patterns_of_root(NodeId(7)).count(), 0);
         assert_eq!(idx.num_paths_of_root(NodeId(2)), 1);
         assert_eq!(idx.num_paths_of_root(NodeId(9)), 0);
         let runs: Vec<_> = idx
@@ -1047,7 +1090,8 @@ mod tests {
             .iter()
             .flat_map(|&r| idx.root_runs(NodeId(r)).flat_map(|(_, ps)| ps.to_vec()))
             .collect();
-        let key = |p: &Posting| (p.pattern.0, p.root.0, p.nodes_start);
+        // Each posting's arena offset is its own.
+        let key = |p: &Posting| p.nodes_start;
         via_pattern.sort_unstable_by_key(key);
         via_root.sort_unstable_by_key(key);
         assert_eq!(via_pattern, via_root);
@@ -1062,8 +1106,8 @@ mod tests {
         let s = idx.pattern_stats()[prim];
         assert_eq!(s.num_paths, 2);
         assert_eq!(s.max_per_root, 1);
-        assert_eq!(s.min_len, 2.0);
-        assert_eq!(s.max_len, 2.0);
+        assert_eq!(s.min_len, 2);
+        assert_eq!(s.max_len, 2);
         assert_eq!(idx.pattern_at(prim), PatternId(2));
     }
 
@@ -1110,6 +1154,84 @@ mod tests {
         // Two single-pattern groups: 8 bytes per memoised pattern (its id
         // and its position), 4 per root type and 4 per range bound.
         assert_eq!(idx.heap_bytes(), cold + 2 * 8 + 2 * 4 + 3 * 4);
+    }
+
+    /// A list reports the heap bytes it holds allocated, growth slack
+    /// included, whether it was built, decoded or refreshed; memoising its
+    /// type groups adds what they hold.
+    #[test]
+    fn heap_bytes_are_the_bytes_a_list_holds() {
+        use crate::live_bytes::held_by;
+        use patternkb_datagen::wiki::{wiki, WikiConfig};
+        let g = wiki(&WikiConfig::tiny(3));
+        let text = patternkb_text::TextIndex::build(&g, patternkb_text::SynonymTable::new());
+        let cfg = crate::build::BuildConfig {
+            d: 3,
+            threads: 1,
+            shards: 1,
+        };
+        let idx = crate::build::build_indexes(&g, &text, &cfg);
+        let (_, list) = idx.shards()[0]
+            .iter_words()
+            .max_by_key(|(_, list)| list.len())
+            .unwrap();
+        assert!(list.len() > 100 && list.pattern_stats().len() > 1);
+
+        // Built from one score pair per posting, as a build hands them in.
+        let keyed = list.postings_pattern_first();
+        let scores: Vec<ScoreTerms> = keyed.iter().map(|p| list.score_terms(p)).collect();
+        let mut one_each = keyed.clone();
+        for (i, p) in one_each.iter_mut().enumerate() {
+            p.posting.score = i as u32;
+        }
+        let (built, held) =
+            held_by(|| WordPathIndex::new(one_each.clone(), list.arena.clone(), scores.clone()));
+        assert_eq!(built.heap_bytes(), held, "built");
+
+        let stream = crate::compress::encode(&built);
+        let (decoded, held) =
+            held_by(|| crate::compress::decode_stream(&stream, built.len() as u32).unwrap());
+        assert_eq!(decoded.heap_bytes(), held, "decoded");
+
+        // Every other root affected, and its postings fresh again.
+        let affected: Vec<u32> = decoded.roots().iter().step_by(2).copied().collect();
+        let (mut fresh, mut fresh_arena, mut fresh_scores) = (Vec::new(), Vec::new(), Vec::new());
+        for p in keyed
+            .iter()
+            .filter(|p| affected.binary_search(&p.root.0).is_ok())
+        {
+            let mut again = *p;
+            again.posting.nodes_start = fresh_arena.len() as u32;
+            again.posting.score = fresh_scores.len() as u32;
+            fresh_arena.extend_from_slice(list.nodes_of(p));
+            fresh_scores.push(list.score_terms(p));
+            fresh.push(again);
+        }
+        let base = Base {
+            list: &decoded,
+            affected: &affected,
+            reread_pagerank: None,
+        };
+        let (refreshed, held) = held_by(|| {
+            WordPathIndex::freeze(
+                Some(base),
+                fresh.clone(),
+                fresh_arena.clone(),
+                &fresh_scores,
+            )
+        });
+        assert_eq!(refreshed.len(), list.len());
+        assert_eq!(refreshed.heap_bytes(), held, "refreshed");
+
+        let before = refreshed.heap_bytes();
+        let (_, held) = held_by(|| {
+            refreshed.pattern_type_groups(idx.patterns());
+        });
+        assert_eq!(
+            refreshed.heap_bytes() - before,
+            held,
+            "memoised type groups"
+        );
     }
 
     /// A refresh shares every list it does not rebuild with the previous
@@ -1259,7 +1381,7 @@ mod tests {
                 (npat, nroot) in (1u32..6, 1u32..6),
                 raw in proptest::collection::vec((0u32..6, 0u32..6), 0..60),
             ) {
-                let postings: Vec<Posting> = raw
+                let postings: Vec<KeyedPosting> = raw
                     .iter()
                     .enumerate()
                     .map(|(i, &(p, r))| posting(p % npat, r % nroot, i as u32, 1))
@@ -1275,17 +1397,17 @@ mod tests {
                 // Present roots, plus one past the range (absent).
                 for r in 0..=nroot {
                     let root = NodeId(r);
-                    let of_root: Vec<Posting> =
+                    let of_root: Vec<KeyedPosting> =
                         sorted.iter().filter(|p| p.root.0 == r).copied().collect();
                     let mut pats: Vec<u32> = of_root.iter().map(|p| p.pattern.0).collect();
                     pats.dedup();
-                    prop_assert_eq!(idx.patterns_of_root(root), &pats[..]);
+                    prop_assert_eq!(idx.patterns_of_root(root).collect::<Vec<_>>(), pats.clone());
                     prop_assert_eq!(idx.num_paths_of_root(root), of_root.len());
                     let runs: Vec<(PatternId, Vec<Posting>)> = pats
                         .iter()
                         .map(|&p| {
-                            let run = of_root.iter().filter(|x| x.pattern.0 == p).copied();
-                            (PatternId(p), run.collect())
+                            let run = of_root.iter().filter(|x| x.pattern.0 == p);
+                            (PatternId(p), run.map(|x| x.posting).collect())
                         })
                         .collect();
                     let got: Vec<(PatternId, Vec<Posting>)> = idx
@@ -1295,7 +1417,7 @@ mod tests {
                     prop_assert_eq!(&got, &runs);
                     for p in 0..=npat {
                         let want: Vec<Posting> =
-                            of_root.iter().filter(|x| x.pattern.0 == p).copied().collect();
+                            of_root.iter().filter(|x| x.pattern.0 == p).map(|x| x.posting).collect();
                         prop_assert_eq!(idx.paths_of_root_pattern(root, PatternId(p)), &want[..]);
                     }
                 }
@@ -1350,13 +1472,15 @@ mod tests {
                         pagerank: if reread { g.pagerank(matched) } else { SCORES[x] },
                         sim: SCORES[3 - x],
                     });
-                    Posting {
+                    KeyedPosting {
                         pattern: PatternId(p),
                         root: NodeId(r),
-                        nodes_start: start,
-                        score: scores.len() as u32 - 1,
-                        nodes_len: len,
-                        edge_terminal,
+                        posting: Posting {
+                            nodes_start: start,
+                            score: scores.len() as u32 - 1,
+                            nodes_len: len,
+                            edge_terminal,
+                        },
                     }
                 };
                 let bounds: Vec<u32> = (0..=shards as u32).map(|s| s * 12 / shards as u32).collect();
@@ -1391,7 +1515,7 @@ mod tests {
                     );
 
                     // The multiset: kept base postings (re-scored) + fresh.
-                    let content = |list: &WordPathIndex, ps: &[Posting]| -> Vec<(u32, u32, Vec<NodeId>, bool, u64, u64)> {
+                    let content = |list: &WordPathIndex, ps: &[KeyedPosting]| -> Vec<(u32, u32, Vec<NodeId>, bool, u64, u64)> {
                         let mut rows: Vec<_> = ps
                             .iter()
                             .map(|p| {
@@ -1403,7 +1527,7 @@ mod tests {
                         rows
                     };
                     let mut want = content(&base, &[]);
-                    for p in base.postings_pattern_first() {
+                    for p in &base.postings_pattern_first() {
                         if affected.binary_search(&p.root.0).is_err() {
                             let nodes = base.nodes_of(p);
                             let matched = nodes[nodes.len() - 1 - usize::from(p.edge_terminal)];
@@ -1413,13 +1537,13 @@ mod tests {
                         }
                     }
                     let fresh_list = WordPathIndex::new(fresh, fresh_arena, fresh_scores);
-                    want.extend(content(&fresh_list, fresh_list.postings_pattern_first()));
+                    want.extend(content(&fresh_list, &fresh_list.postings_pattern_first()));
                     want.sort();
-                    prop_assert_eq!(content(&list, list.postings_pattern_first()), want);
+                    prop_assert_eq!(content(&list, &list.postings_pattern_first()), want);
 
                     // Field for field, against assembling those postings
                     // over the same table.
-                    let mut shuffled = list.postings_pattern_first().to_vec();
+                    let mut shuffled = list.postings_pattern_first();
                     shuffled.reverse();
                     let full = WordPathIndex::assemble(None, shuffled.clone(), list.arena.clone(), list.scores.clone());
                     prop_assert_eq!(&list.pattern_first, &full.pattern_first);
@@ -1429,7 +1553,7 @@ mod tests {
                             .iter()
                             .map(|s| [
                                 u64::from(s.num_paths), u64::from(s.max_per_root),
-                                s.min_len.to_bits(), s.max_len.to_bits(),
+                                u64::from(s.min_len), u64::from(s.max_len),
                                 s.min_pr.to_bits(), s.max_pr.to_bits(),
                                 s.min_sim.to_bits(), s.max_sim.to_bits(),
                             ])
@@ -1456,7 +1580,7 @@ mod tests {
                     // them, with one pair per posting, writes the same.
                     let raw: Vec<ScoreTerms> = shuffled.iter().map(|p| list.score_terms(p)).collect();
                     for (i, p) in shuffled.iter_mut().enumerate() {
-                        p.score = i as u32;
+                        p.posting.score = i as u32;
                     }
                     let rebuilt = WordPathIndex::new(shuffled, list.arena.clone(), raw);
                     prop_assert_eq!(crate::compress::encode(&list), crate::compress::encode(&rebuilt));

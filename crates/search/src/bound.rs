@@ -84,8 +84,8 @@ fn combination_bound(aggs: &[PatternAggregates], cfg: &SearchConfig) -> f64 {
     let (mut pr_min, mut pr_max) = (0.0f64, 0.0f64);
     let (mut sim_min, mut sim_max) = (0.0f64, 0.0f64);
     for a in aggs {
-        len_min += a.min_len;
-        len_max += a.max_len;
+        len_min += f64::from(a.min_len);
+        len_max += f64::from(a.max_len);
         pr_min += a.min_pr;
         pr_max += a.max_pr;
         sim_min += a.min_sim;
@@ -365,7 +365,7 @@ mod tests {
                 .iter()
                 .map(|x| w.score_terms(x).sim)
                 .fold(0.0f64, f64::max);
-            assert_eq!(agg.min_len, min_len);
+            assert_eq!(f64::from(agg.min_len), min_len);
             assert_eq!(agg.max_sim, max_sim);
             assert!(agg.max_per_root as usize <= paths.len());
         }

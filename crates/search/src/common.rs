@@ -1064,7 +1064,7 @@ fn materialize_pattern_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patternkb_index::ScoreTerms;
+    use patternkb_index::{KeyedPosting, ScoreTerms};
 
     /// The path product visits every tuple once, in lexicographic order
     /// (the last keyword's posting moving fastest), over ragged lists and
@@ -1072,10 +1072,9 @@ mod tests {
     /// stops at the tuple whose visit breaks.
     #[test]
     fn tuple_product_counts() {
-        let p = |pat: u32| Posting {
-            pattern: PatternId(pat),
-            root: NodeId(0),
-            nodes_start: 0,
+        // A posting told apart by its arena offset.
+        let p = |at: u32| Posting {
+            nodes_start: at,
             score: 0,
             nodes_len: 1,
             edge_terminal: false,
@@ -1098,7 +1097,7 @@ mod tests {
             let mut seen = Vec::new();
             let mut scratch = Vec::new();
             let n = for_each_path_tuple(&slices, &mut scratch, |t| {
-                seen.push(t.iter().map(|q| q.pattern.0).collect::<Vec<u32>>());
+                seen.push(t.iter().map(|q| q.nodes_start).collect::<Vec<u32>>());
                 ControlFlow::Continue(())
             });
             assert_eq!(n, expected.len());
@@ -1164,13 +1163,15 @@ mod tests {
                     pagerank: 0.5 + f64::from(root) / 64.0,
                     sim: 1.0 / f64::from(len),
                 });
-                Posting {
+                KeyedPosting {
                     pattern: PatternId(pattern),
                     root: NodeId(root),
-                    nodes_start: start,
-                    score: scores.len() as u32 - 1,
-                    nodes_len: len,
-                    edge_terminal: false,
+                    posting: Posting {
+                        nodes_start: start,
+                        score: scores.len() as u32 - 1,
+                        nodes_len: len,
+                        edge_terminal: false,
+                    },
                 }
             })
             .collect();

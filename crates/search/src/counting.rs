@@ -27,8 +27,12 @@ pub(crate) fn count_patterns_in(ctx: &QueryContext<'_>, mode: Fanout) -> u64 {
         let mut seen = KeyInterner::new(m);
         let mut key: Vec<u32> = vec![0; m];
         let mut combo = vec![0usize; m];
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); m];
         for &r in shard.candidate_roots() {
-            let runs: Vec<&[u32]> = shard.words.iter().map(|w| w.patterns_of_root(r)).collect();
+            for (patterns, w) in runs.iter_mut().zip(&shard.words) {
+                patterns.clear();
+                patterns.extend(w.patterns_of_root(r));
+            }
             debug_assert!(runs.iter().all(|r| !r.is_empty()));
             loop {
                 for i in 0..m {

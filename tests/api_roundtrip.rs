@@ -167,8 +167,12 @@ fn shared_respond_concurrency_smoke() {
                 }
             });
         }
-        // Writer: stream ingests.
+        // Writer: stream ingests, once a reader has been served — a
+        // writer scheduled first could otherwise finish before any read.
         scope.spawn(|| {
+            while served.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             for step in 0..INGESTS {
                 let snap = service.snapshot();
                 let g = snap.graph();
