@@ -324,6 +324,7 @@ fn merge(d: usize, bounds: Vec<u32>, outs: Vec<WorkerOut>) -> PathIndexes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::word_index::tests::{paths_of, runs_of};
     use patternkb_graph::GraphBuilder;
     use patternkb_text::SynonymTable;
 
@@ -388,9 +389,9 @@ mod tests {
         // Ending at the Revenue edge: from Microsoft (2 nodes incl leaf) and
         // from SQL Server via Developer (3 nodes incl leaf).
         assert_eq!(widx.len(), 2);
-        for p in widx.patterns().flat_map(|pat| widx.paths_of_pattern(pat)) {
+        for p in widx.patterns().flat_map(|pat| paths_of(&widx, pat)) {
             assert!(p.edge_terminal);
-            let nodes = widx.nodes_of(p);
+            let nodes = widx.nodes_of(&p);
             // Leaf stored: last node is the text node.
             assert!(g.is_text_node(*nodes.last().unwrap()));
         }
@@ -435,11 +436,11 @@ mod tests {
         let db = word(&t, "database");
         let widx = idx.word_in(0, db).unwrap();
         for pat in widx.patterns() {
-            for p in widx.paths_of_pattern(pat) {
-                let terms = widx.score_terms(p);
+            for p in paths_of(&widx, pat) {
+                let terms = widx.score_terms(&p);
                 // "Relational database" has 2 tokens → sim = 1/2.
                 assert!((terms.sim - 0.5).abs() < 1e-12);
-                let terminal = *widx.nodes_of(p).last().unwrap();
+                let terminal = *widx.nodes_of(&p).last().unwrap();
                 assert!((terms.pagerank - g.pagerank(terminal)).abs() < 1e-15);
             }
         }
@@ -464,7 +465,7 @@ mod tests {
         // no edges pointing to SQL Server. So exactly 1 posting.
         assert_eq!(widx.len(), 1);
         let pattern = widx.patterns().next().unwrap();
-        let p = &widx.paths_of_pattern(pattern)[0];
+        let p = &paths_of(&widx, pattern)[0];
         assert_eq!(widx.nodes_of(p), &[NodeId(0)]);
         assert_eq!(idx.patterns().root_type(pattern), g.node_type(NodeId(0)));
     }
@@ -513,7 +514,7 @@ mod tests {
                 let mut v: Vec<(Vec<NodeId>, bool, u64, u64)> = idx
                     .roots()
                     .iter()
-                    .flat_map(|&r| idx.root_runs(NodeId(r)).flat_map(|(_, ps)| ps.to_vec()))
+                    .flat_map(|&r| runs_of(idx, r).into_iter().flat_map(|(_, ps)| ps))
                     .map(|p| {
                         (
                             idx.nodes_of(&p).to_vec(),

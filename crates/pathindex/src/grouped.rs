@@ -319,16 +319,6 @@ impl GroupedPostings {
         &self.postings[self.group(i)]
     }
 
-    /// Postings of the run with root `root` inside the `i`-th group;
-    /// empty if absent.
-    pub fn run_postings(&self, i: usize, root: u32) -> &[Posting] {
-        let group = self.group(i);
-        let roots = &self.roots[group.clone()];
-        let lo = roots.partition_point(|&r| r < root);
-        let hi = lo + roots[lo..].partition_point(|&r| r == root);
-        &self.postings[group.start + lo..group.start + hi]
-    }
-
     /// A seekable cursor over the `i`-th group's `(root, postings)` runs
     /// — the fused-join primitive: leapfrogging several groups' cursors
     /// by root intersects their root sets **and** lands directly on each
@@ -548,24 +538,10 @@ impl RootDirectory {
         &self.roots
     }
 
-    /// Position of `root` in the directory, if present.
-    #[inline]
-    fn find(&self, root: u32) -> Option<usize> {
-        self.roots.binary_search(&root).ok()
-    }
-
     /// The entries of the root at directory position `i`.
     #[inline]
     fn entries(&self, i: usize) -> std::ops::Range<usize> {
         self.starts[i] as usize..self.starts[i + 1] as usize
-    }
-
-    /// Patterns through which `root` is reached, ascending, each once.
-    pub(crate) fn patterns_of(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
-        let entries = self.find(root).map_or(0..0, |i| self.entries(i));
-        self.patterns[entries]
-            .chunk_by(|a, b| a == b)
-            .map(|run| run[0])
     }
 
     /// The most postings any one root owns (0 for an empty directory).
@@ -575,42 +551,6 @@ impl RootDirectory {
             .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Number of postings under `root`, without visiting its runs.
-    pub(crate) fn num_paths_of(&self, root: u32) -> usize {
-        self.find(root).map_or(0, |i| self.entries(i).len())
-    }
-
-    /// Postings of the `(root, pattern)` run; empty if absent.
-    pub(crate) fn run<'a>(
-        &self,
-        postings: &'a [Posting],
-        root: u32,
-        pattern: u32,
-    ) -> &'a [Posting] {
-        let Some(i) = self.find(root) else {
-            return &[];
-        };
-        let entries = self.entries(i);
-        let patterns = &self.patterns[entries.clone()];
-        let lo = patterns.partition_point(|&p| p < pattern);
-        let len = patterns[lo..].partition_point(|&p| p == pattern);
-        if len == 0 {
-            return &[];
-        }
-        let at = self.order[entries.start + lo] as usize;
-        &postings[at..at + len]
-    }
-
-    /// Iterate `(pattern, postings)` runs of `root`, ascending by pattern.
-    pub(crate) fn runs<'a>(
-        &'a self,
-        postings: &'a [Posting],
-        root: u32,
-    ) -> impl Iterator<Item = (u32, &'a [Posting])> {
-        let entries = self.find(root).map_or(0..0, |i| self.entries(i));
-        Runs::new(self, postings, entries)
     }
 
     /// Bytes allocated for the columns.
@@ -797,16 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn run_access() {
-        let g = sample();
-        let i3 = g.find_primary(3).unwrap();
-        assert_eq!(ids(g.run_postings(i3, 5)), [4, 5, 6]);
-        assert_eq!(ids(g.run_postings(i3, 2)), [3]);
-        assert!(g.run_postings(i3, 7).is_empty());
-        assert!(g.run_postings(i3, 9).is_empty());
-    }
-
-    #[test]
     fn runs_iteration() {
         let g = sample();
         let i1 = g.find_primary(1).unwrap();
@@ -827,7 +757,7 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.find_primary(0), None);
         assert_eq!(dir.max_paths(), 0);
-        assert_eq!(dir.runs(g.postings(), 0).count(), 0);
+        assert_eq!(RootCursor::new(&dir, g.postings()).as_mut().seek(0), None);
     }
 
     #[test]
@@ -853,16 +783,11 @@ mod tests {
         assert_eq!(dir.roots(), &[2, 5, 9]);
         assert_eq!(dir.order, [3, 0, 1, 4, 5, 6, 2]);
         assert_eq!(dir.patterns, [3, 1, 1, 3, 3, 3, 1]);
-        let runs: Vec<(u32, Vec<u32>)> = dir
-            .runs(g.postings(), 5)
-            .map(|(p, ps)| (p, ids(ps)))
-            .collect();
+        let mut c = RootCursor::new(&dir, g.postings());
+        assert_eq!(c.as_mut().seek(5), Some(5));
+        let runs: Vec<(u32, Vec<u32>)> = c.runs().map(|(p, ps)| (p, ids(ps))).collect();
         assert_eq!(runs, vec![(1, vec![0, 1]), (3, vec![4, 5, 6])]);
-        assert_eq!(dir.patterns_of(5).collect::<Vec<_>>(), [1, 3]);
-        assert_eq!(ids(dir.run(g.postings(), 5, 3)), [4, 5, 6]);
-        assert!(dir.run(g.postings(), 5, 2).is_empty());
-        assert!(dir.run(g.postings(), 5, 4).is_empty());
-        assert_eq!((dir.num_paths_of(5), dir.max_paths()), (5, 5));
+        assert_eq!((c.num_paths(), dir.max_paths()), (5, 5));
     }
 }
 
@@ -921,7 +846,7 @@ mod proptests {
     proptest! {
         /// Both orders over any sorted input reproduce exactly the original
         /// postings: the pattern-first groups' runs in order, and every
-        /// `(pattern, root)` run through either order.
+        /// `(pattern, root)` run through either order's cursor.
         #[test]
         fn partition_is_lossless(pairs in proptest::collection::vec((0u32..8, 0u32..8), 0..40)) {
             let mut pairs = pairs;
@@ -947,9 +872,13 @@ mod proptests {
                     .filter(|x| (x.pattern.0, x.root.0) == (p, r))
                     .map(|x| x.posting)
                     .collect();
-                let i = g.find_primary(p).unwrap();
-                prop_assert_eq!(g.run_postings(i, r), &want[..]);
-                prop_assert_eq!(dir.run(g.postings(), r, p), &want[..]);
+                let mut c = g.run_cursor(g.find_primary(p).unwrap());
+                prop_assert_eq!(c.as_mut().seek(r), Some(r));
+                prop_assert_eq!(c.postings(), &want[..]);
+                let mut c = RootCursor::new(&dir, g.postings());
+                prop_assert_eq!(c.as_mut().seek(r), Some(r));
+                let run = c.runs().find(|&(q, _)| q == p).map(|(_, ps)| ps);
+                prop_assert_eq!(run, Some(&want[..]));
             }
         }
     }

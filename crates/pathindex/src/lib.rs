@@ -8,18 +8,20 @@
 //!
 //! * the **pattern-first** order (Figure 4(a)) — `(pattern, root)` — is the
 //!   order the postings are sorted and stored in, with one offset per
-//!   pattern and a root column beside them, serving `Patterns(w)`,
-//!   `Roots(w, P)`, `Paths(w, P, r)`;
+//!   pattern and a root column beside them, serving `Patterns(w)` and,
+//!   through one pattern's run cursor, `Roots(w, P)` and `Paths(w, P, r)`;
 //! * the **root-first** order (Figure 4(b)) — `(root, pattern)` — is a
 //!   permutation of that same array with one offset per root (a `(root,
 //!   pattern)` run holds exactly the postings of the `(pattern, root)`
-//!   run), serving `Roots(w)`, `Patterns(w, r)`, `Paths(w, r)`,
-//!   `Paths(w, r, P)`.
+//!   run), serving `Roots(w)` and, through a root cursor, `|Paths(w, r)|`
+//!   and a root's `(pattern, paths)` runs.
 //!
 //! Postings are contiguous and sorted, with offset arrays and key columns,
-//! so every access method is a binary search plus a slice — the in-memory
-//! analogue of the paper's "sort and store paths sequentially in memory …
-//! store pointers pointing to the beginning of a list of paths".
+//! so a cursor ([`cursor`]) gallops over a key column and hands out slices
+//! — the in-memory analogue of the paper's "sort and store paths
+//! sequentially in memory … store pointers pointing to the beginning of a
+//! list of paths". The root-first order is read only through cursors: its
+//! readers visit the candidate roots in ascending order.
 //!
 //! Per the end of §3, the scoring terms `|T(w)|`, `PR(f(w))` and
 //! `sim(w, f(w))` are **precomputed into the index**, so online scoring

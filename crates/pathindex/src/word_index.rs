@@ -457,32 +457,6 @@ impl WordPathIndex {
             .map(|&k| PatternId(k))
     }
 
-    /// `Roots(w, P)`: all roots reaching the word through pattern `p`,
-    /// ascending, each once. Empty iterator if the pattern is absent.
-    pub fn roots_of_pattern(&self, p: PatternId) -> impl Iterator<Item = u32> + '_ {
-        let roots = match self.pattern_first.find_primary(p.0) {
-            Some(i) => self.pattern_first.group_roots(i),
-            None => &[],
-        };
-        roots.chunk_by(|a, b| a == b).map(|run| run[0])
-    }
-
-    /// `Paths(w, P, r)`: all paths with pattern `p` starting at `root`.
-    pub fn paths_of_pattern_root(&self, p: PatternId, root: NodeId) -> &[Posting] {
-        match self.pattern_first.find_primary(p.0) {
-            Some(i) => self.pattern_first.run_postings(i, root.0),
-            None => &[],
-        }
-    }
-
-    /// All paths with pattern `p` (any root), in root order.
-    pub fn paths_of_pattern(&self, p: PatternId) -> &[Posting] {
-        match self.pattern_first.find_primary(p.0) {
-            Some(i) => self.pattern_first.group_postings(i),
-            None => &[],
-        }
-    }
-
     /// Position of `p` in the pattern-first index, resolvable once per
     /// (combination, keyword) and then reused for O(1) cursor creation.
     pub fn pattern_primary(&self, p: PatternId) -> Option<usize> {
@@ -548,12 +522,6 @@ impl WordPathIndex {
         self.root_first.roots()
     }
 
-    /// `Patterns(w, r)`: all patterns through which `root` reaches the
-    /// word, ascending, each once.
-    pub fn patterns_of_root(&self, root: NodeId) -> impl Iterator<Item = u32> + '_ {
-        self.root_first.patterns_of(root.0)
-    }
-
     /// `max_r |Paths(w, r)|`: the most postings any one root owns — the
     /// per-word factor of the planner's bound on the valid-subtree count.
     /// Memoized on first use.
@@ -561,26 +529,6 @@ impl WordPathIndex {
         *self
             .max_paths
             .get_or_init(|| self.root_first.max_paths() as u32) as usize
-    }
-
-    /// `|Paths(w, r)|` in O(log): used by Algorithm 4 line 4 to compute
-    /// `N_R` without enumerating subtrees.
-    pub fn num_paths_of_root(&self, root: NodeId) -> usize {
-        self.root_first.num_paths_of(root.0)
-    }
-
-    /// `Paths(w, r, P)`: all paths from `root` with pattern `p`.
-    pub fn paths_of_root_pattern(&self, root: NodeId, p: PatternId) -> &[Posting] {
-        self.root_first
-            .run(self.pattern_first.postings(), root.0, p.0)
-    }
-
-    /// Iterate `(pattern, paths)` runs of one root — `Paths(w, r)`, one
-    /// pattern at a time in pattern order.
-    pub fn root_runs(&self, root: NodeId) -> impl Iterator<Item = (PatternId, &[Posting])> {
-        self.root_first
-            .runs(self.pattern_first.postings(), root.0)
-            .map(|(k, ps)| (PatternId(k), ps))
     }
 
     /// A forward cursor over this word's roots — `|Paths(w, r)|` and
@@ -993,8 +941,34 @@ impl std::fmt::Debug for PathIndexes {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `Paths(w, P)` read through the pattern's run cursor: every run,
+    /// roots ascending. Empty for an absent pattern.
+    pub(crate) fn paths_of(idx: &WordPathIndex, p: PatternId) -> Vec<Posting> {
+        let mut out = Vec::new();
+        let Some(prim) = idx.pattern_primary(p) else {
+            return out;
+        };
+        let mut c = idx.pattern_run_cursor(prim);
+        let mut root = c.as_mut().seek(0);
+        while root.is_some() {
+            out.extend_from_slice(c.postings());
+            root = c.as_mut().advance();
+        }
+        out
+    }
+
+    /// The `(pattern, paths)` runs of `root` read through a root cursor,
+    /// ascending by pattern. Empty for an absent root.
+    pub(crate) fn runs_of(idx: &WordPathIndex, root: u32) -> Vec<(u32, Vec<Posting>)> {
+        let mut c = idx.root_cursor();
+        if c.as_mut().seek(root) != Some(root) {
+            return Vec::new();
+        }
+        c.runs().map(|(p, ps)| (p, ps.to_vec())).collect()
+    }
 
     fn posting(pattern: u32, root: u32, start: u32, len: u16) -> KeyedPosting {
         KeyedPosting {
@@ -1033,29 +1007,30 @@ mod tests {
         let idx = sample();
         let pats: Vec<_> = idx.patterns().collect();
         assert_eq!(pats, vec![PatternId(1), PatternId(2)]);
-        assert_eq!(
-            idx.roots_of_pattern(PatternId(2)).collect::<Vec<_>>(),
-            [0, 3]
-        );
-        assert_eq!(idx.roots_of_pattern(PatternId(9)).count(), 0);
-        let paths = idx.paths_of_pattern_root(PatternId(2), NodeId(3));
+        assert_eq!(idx.pattern_primary(PatternId(9)), None);
+        let mut c = idx.pattern_run_cursor(idx.pattern_primary(PatternId(2)).unwrap());
+        assert_eq!(c.as_mut().seek(0), Some(0));
+        assert_eq!(c.as_mut().advance(), Some(3));
+        let paths = c.postings();
         assert_eq!(paths.len(), 1);
         assert_eq!(idx.nodes_of(&paths[0]), &[NodeId(3), NodeId(4)]);
+        assert_eq!(c.as_mut().advance(), None);
     }
 
     #[test]
     fn root_first_access() {
         let idx = sample();
         assert_eq!(idx.roots(), &[0, 2, 3]);
-        assert_eq!(idx.patterns_of_root(NodeId(0)).collect::<Vec<_>>(), [2]);
-        assert_eq!(idx.patterns_of_root(NodeId(7)).count(), 0);
-        assert_eq!(idx.num_paths_of_root(NodeId(2)), 1);
-        assert_eq!(idx.num_paths_of_root(NodeId(9)), 0);
-        let runs: Vec<_> = idx
-            .root_runs(NodeId(0))
+        let runs: Vec<_> = runs_of(&idx, 0)
+            .into_iter()
             .map(|(p, ps)| (p, ps.len()))
             .collect();
-        assert_eq!(runs, vec![(PatternId(2), 1)]);
+        assert_eq!(runs, vec![(2, 1)]);
+        assert!(runs_of(&idx, 7).is_empty());
+        let mut c = idx.root_cursor();
+        assert_eq!(c.as_mut().seek(2), Some(2));
+        assert_eq!(c.num_paths(), 1);
+        assert_eq!(c.as_mut().seek(9), None);
     }
 
     #[test]
@@ -1081,14 +1056,11 @@ mod tests {
     fn both_orders_hold_same_postings() {
         let idx = sample();
         assert_eq!(idx.len(), 3);
-        let mut via_pattern: Vec<_> = idx
-            .patterns()
-            .flat_map(|p| idx.paths_of_pattern(p).to_vec())
-            .collect();
+        let mut via_pattern: Vec<_> = idx.patterns().flat_map(|p| paths_of(&idx, p)).collect();
         let mut via_root: Vec<_> = idx
             .roots()
             .iter()
-            .flat_map(|&r| idx.root_runs(NodeId(r)).flat_map(|(_, ps)| ps.to_vec()))
+            .flat_map(|&r| runs_of(&idx, r).into_iter().flat_map(|(_, ps)| ps))
             .collect();
         // Each posting's arena offset is its own.
         let key = |p: &Posting| p.nodes_start;
@@ -1371,9 +1343,10 @@ mod tests {
                 }
             }
 
-            /// The root-first accessors against the representation they
-            /// replaced: a second copy of the postings sorted by
-            /// `(root, pattern, nodes_start)`. Small key ranges force
+            /// The root-first order read through root cursors — one seeking
+            /// every root in turn, and a fresh one per root — against the
+            /// representation it replaced: a second copy of the postings
+            /// sorted by `(root, pattern, nodes_start)`. Small key ranges force
             /// duplicate `(pattern, root)` pairs; `npat = 1` and
             /// `nroot = 1` give the single-pattern and single-root lists.
             #[test]
@@ -1395,31 +1368,28 @@ mod tests {
                 roots.dedup();
                 prop_assert_eq!(idx.roots(), &roots[..]);
                 // Present roots, plus one past the range (absent).
+                let mut c = idx.root_cursor();
                 for r in 0..=nroot {
-                    let root = NodeId(r);
                     let of_root: Vec<KeyedPosting> =
                         sorted.iter().filter(|p| p.root.0 == r).copied().collect();
                     let mut pats: Vec<u32> = of_root.iter().map(|p| p.pattern.0).collect();
                     pats.dedup();
-                    prop_assert_eq!(idx.patterns_of_root(root).collect::<Vec<_>>(), pats.clone());
-                    prop_assert_eq!(idx.num_paths_of_root(root), of_root.len());
-                    let runs: Vec<(PatternId, Vec<Posting>)> = pats
+                    let runs: Vec<(u32, Vec<Posting>)> = pats
                         .iter()
                         .map(|&p| {
                             let run = of_root.iter().filter(|x| x.pattern.0 == p);
-                            (PatternId(p), run.map(|x| x.posting).collect())
+                            (p, run.map(|x| x.posting).collect())
                         })
                         .collect();
-                    let got: Vec<(PatternId, Vec<Posting>)> = idx
-                        .root_runs(root)
-                        .map(|(p, ps)| (p, ps.to_vec()))
-                        .collect();
-                    prop_assert_eq!(&got, &runs);
-                    for p in 0..=npat {
-                        let want: Vec<Posting> =
-                            of_root.iter().filter(|x| x.pattern.0 == p).map(|x| x.posting).collect();
-                        prop_assert_eq!(idx.paths_of_root_pattern(root, PatternId(p)), &want[..]);
+                    let present = c.as_mut().seek(r) == Some(r);
+                    prop_assert_eq!(present, !of_root.is_empty());
+                    if present {
+                        prop_assert_eq!(c.num_paths(), of_root.len());
+                        let got: Vec<(u32, Vec<Posting>)> =
+                            c.runs().map(|(p, ps)| (p, ps.to_vec())).collect();
+                        prop_assert_eq!(&got, &runs);
                     }
+                    prop_assert_eq!(runs_of(&idx, r), runs);
                 }
             }
         }

@@ -4,12 +4,12 @@
 //! postings produced by Algorithm 1 must equal an independent brute-force
 //! enumeration straight off the graph, and the two access orders (Figure
 //! 4(a) and 4(b)) must expose exactly the same postings through their
-//! access methods.
+//! cursors.
 
 use patternkb_datagen::wiki::{wiki, WikiConfig};
 use patternkb_graph::ids::Id;
-use patternkb_graph::{traversal, KnowledgeGraph, NodeId, WordId};
-use patternkb_index::{build_indexes, storage, BuildConfig, PathIndexes};
+use patternkb_graph::{traversal, KnowledgeGraph, WordId};
+use patternkb_index::{build_indexes, storage, BuildConfig, PathIndexes, PatternId};
 use patternkb_text::{SynonymTable, TextIndex};
 use std::collections::BTreeSet;
 
@@ -86,14 +86,17 @@ fn brute_force(g: &KnowledgeGraph, text: &TextIndex, d: usize) -> BTreeSet<Canon
     out
 }
 
-/// Extract the canonical posting set through the pattern-first order.
+/// Extract the canonical posting set through the pattern-first order:
+/// each pattern's run cursor stepped over its roots.
 fn via_pattern_first(idx: &PathIndexes) -> BTreeSet<Canon> {
     let mut out = BTreeSet::new();
     for (w, widx) in idx.shards().iter().flat_map(|s| s.iter_words()) {
         for pat in widx.patterns() {
             let key = idx.patterns().key(pat).to_vec();
-            for r in widx.roots_of_pattern(pat) {
-                for p in widx.paths_of_pattern_root(pat, NodeId(r)) {
+            let mut c = widx.pattern_run_cursor(widx.pattern_primary(pat).unwrap());
+            let mut root = c.as_mut().seek(0);
+            while let Some(r) = root {
+                for p in c.postings() {
                     out.insert((
                         w.as_u32(),
                         key.clone(),
@@ -102,19 +105,23 @@ fn via_pattern_first(idx: &PathIndexes) -> BTreeSet<Canon> {
                         p.edge_terminal,
                     ));
                 }
+                root = c.as_mut().advance();
             }
         }
     }
     out
 }
 
-/// Extract the canonical posting set through the root-first order.
+/// Extract the canonical posting set through the root-first order: a
+/// root cursor stepped over the word's roots, reading each one's runs.
 fn via_root_first(idx: &PathIndexes) -> BTreeSet<Canon> {
     let mut out = BTreeSet::new();
     for (w, widx) in idx.shards().iter().flat_map(|s| s.iter_words()) {
-        for &r in widx.roots() {
-            for (pat, paths) in widx.root_runs(NodeId(r)) {
-                let key = idx.patterns().key(pat).to_vec();
+        let mut c = widx.root_cursor();
+        let mut root = c.as_mut().seek(0);
+        while let Some(r) = root {
+            for (pat, paths) in c.runs() {
+                let key = idx.patterns().key(PatternId(pat)).to_vec();
                 for p in paths {
                     out.insert((
                         w.as_u32(),
@@ -125,6 +132,7 @@ fn via_root_first(idx: &PathIndexes) -> BTreeSet<Canon> {
                     ));
                 }
             }
+            root = c.as_mut().advance();
         }
     }
     out
@@ -199,14 +207,13 @@ fn num_paths_of_root_is_consistent() {
         },
     );
     for (_, widx) in idx.shards().iter().flat_map(|s| s.iter_words()) {
+        let keyed = widx.postings_pattern_first();
+        let mut c = widx.root_cursor();
         for &r in widx.roots() {
-            let counted = widx
-                .postings_pattern_first()
-                .iter()
-                .filter(|p| p.root.0 == r)
-                .count();
-            assert_eq!(widx.num_paths_of_root(NodeId(r)), counted);
-            let via_runs: usize = widx.root_runs(NodeId(r)).map(|(_, ps)| ps.len()).sum();
+            let counted = keyed.iter().filter(|p| p.root.0 == r).count();
+            assert_eq!(c.as_mut().seek(r), Some(r));
+            assert_eq!(c.num_paths(), counted);
+            let via_runs: usize = c.runs().map(|(_, ps)| ps.len()).sum();
             assert_eq!(via_runs, counted);
         }
     }

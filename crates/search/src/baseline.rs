@@ -341,6 +341,7 @@ mod tests {
     use super::*;
     use crate::common::QueryContext;
     use crate::linear_enum::linear_enum;
+    use crate::topk::SamplingConfig;
     use patternkb_datagen::figure1;
     use patternkb_index::{build_indexes, BuildConfig};
     use patternkb_text::SynonymTable;
@@ -373,7 +374,7 @@ mod tests {
             let cfg = SearchConfig::top(100);
             let bl = baseline(&g, &t, &q, &cfg, 3, &[0, u32::MAX]);
             let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-            let le = linear_enum(&ctx, &cfg);
+            let le = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
             assert_eq!(bl.patterns.len(), le.patterns.len(), "query {query}");
             for (a, b) in bl.patterns.iter().zip(&le.patterns) {
                 assert_eq!(a.key(), b.key(), "query {query}");

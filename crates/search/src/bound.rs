@@ -358,7 +358,12 @@ mod tests {
         for p in w.patterns() {
             let prim = w.pattern_primary(p).expect("pattern present");
             let agg: PatternAggregates = w.pattern_stats()[prim];
-            let paths = w.paths_of_pattern(p);
+            let keyed = w.postings_pattern_first();
+            let paths: Vec<_> = keyed
+                .iter()
+                .filter(|x| x.pattern == p)
+                .map(|x| x.posting)
+                .collect();
             assert_eq!(agg.num_paths as usize, paths.len());
             let min_len = paths.iter().map(|x| x.score_len()).min().unwrap() as f64;
             let max_sim = paths

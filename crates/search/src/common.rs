@@ -13,10 +13,12 @@
 //! * [`patternkb_index::leapfrog`] finds the shared roots: over the
 //!   keywords' root directories ([`RootWalk`], [`QueryContext::mask_roots`])
 //!   or over one pattern combination's runs (`PATTERNENUM`'s walk, and
-//!   `rank_winners`' re-join of the winners' rows);
+//!   `join_pattern`: `rank_winners`' re-join of the winners' rows and a
+//!   sampled type's exact re-score);
 //! * `odometer_step` walks every product: pattern combinations (of a
-//!   root type, or of one root in [`expand_root`]), path tuples, and the
-//!   keys [`crate::counting`] counts;
+//!   root type, or of one root in [`expand_root`], which `LINEARENUM`,
+//!   [`crate::counting`] and [`crate::individual`] all expand roots
+//!   with), and path tuples;
 //! * [`SubtreeFold`] folds one root: the path product, the
 //!   [`SearchConfig::strict_trees`] check, the Eq. (3) score, then the
 //!   caller's sink — a pattern's group, a row store that stops once full,
@@ -881,8 +883,8 @@ pub struct ExpandScratch<'a> {
     /// Per keyword: the current root's `(pattern, paths)` runs.
     runs: Vec<Vec<(u32, &'a [Posting])>>,
     key: Vec<u32>,
+    paths: Vec<&'a [Posting]>,
     combo: Vec<usize>,
-    fold: SubtreeFold<'a>,
 }
 
 impl<'a> ExpandScratch<'a> {
@@ -893,68 +895,72 @@ impl<'a> ExpandScratch<'a> {
             cursors: words.iter().map(|w| w.root_cursor()).collect(),
             runs: vec![Vec::new(); m],
             key: vec![0; m],
+            paths: vec![&[]; m],
             combo: vec![0; m],
-            fold: SubtreeFold::new(m),
         }
     }
 }
 
-/// The `EXPANDROOT(r, TreeDict)` subroutine of Algorithm 3: enumerate the
-/// pattern product `Patterns(w1, r) × … × Patterns(wm, r)` and, within each
-/// tree pattern, the path product, folding every valid subtree into `dict`.
-/// `words` are one shard's keyword indexes. `at` holds each keyword's
-/// directory position of `r`, as the shard's [`RootWalk`] recorded it: the
-/// cursors jump there, in any root order. Without it each cursor gallops
-/// forward to `r`, so the roots must then ascend across calls.
-///
-/// Returns the number of subtrees enumerated under this root.
+/// The `EXPANDROOT` step of Algorithm 3 at one candidate root `r`: the
+/// pattern product `Patterns(w1, r) × … × Patterns(wm, r)` (line 7), each
+/// combination handed to `visit` as its key (one pattern id per keyword)
+/// and its path runs (one per keyword), in odometer order — the last
+/// keyword's pattern moving fastest. `at` holds each keyword's directory
+/// position of `r`, as the shard's [`RootWalk`] recorded it: the cursors
+/// jump there, in any root order. The visitor folds the path product
+/// (line 9) as it needs to, or reads the key alone.
 pub fn expand_root<'a>(
-    words: &'a [Arc<WordPathIndex>],
-    cfg: &SearchConfig,
-    r: NodeId,
-    at: Option<&[u32]>,
-    dict: &mut TreeDict,
     scratch: &mut ExpandScratch<'a>,
-) -> usize {
-    let m = words.len();
+    at: &[u32],
+    mut visit: impl FnMut(&[u32], &[&'a [Posting]]),
+) {
     let ExpandScratch {
         cursors,
         runs,
         key,
+        paths,
         combo,
-        fold,
     } = scratch;
-    for (i, (cursor, runs)) in cursors.iter_mut().zip(runs.iter_mut()).enumerate() {
+    for ((cursor, runs), &at) in cursors.iter_mut().zip(runs.iter_mut()).zip(at) {
+        cursor.as_mut().jump(at as usize);
         runs.clear();
-        let roots = cursor.as_mut();
-        match at {
-            Some(at) => roots.jump(at[i] as usize),
-            None if roots.seek(r.0) != Some(r.0) => {
-                debug_assert!(false, "candidate roots reach every keyword");
-                return 0;
-            }
-            None => {}
-        }
         runs.extend(cursor.runs());
     }
-    let mut total = 0usize;
-    // Pattern product (line 7), and within each pattern the path product
-    // (line 9). Strict mode may reject every tuple of a pattern: its group
-    // then stays dead, and iteration and merging skip it.
     loop {
-        for i in 0..m {
-            key[i] = runs[i][combo[i]].0;
+        for (i, runs) in runs.iter().enumerate() {
+            (key[i], paths[i]) = runs[combo[i]];
         }
-        let group = dict.group_mut(key);
-        let paths = (0..m).map(|i| runs[i][combo[i]].1);
-        total += fold.fold(words, cfg, r, paths, |_, score| {
-            group.add(score);
-            ControlFlow::Continue(())
-        });
+        visit(key, paths);
         if odometer_step(combo, |i| runs[i].len()).is_none() {
-            return total;
+            return;
         }
     }
+}
+
+/// Join one tree pattern's runs over one shard: leapfrog the run cursors
+/// of `key` (one pattern id per keyword) and call `visit(root, cursors)`
+/// at every root where each keyword has its pattern, ascending, every
+/// cursor standing on that root's run. `cursors` is the caller's buffer.
+/// The walk's seeks count in the shard's `intersect_seeks`. The winners'
+/// row re-join and a sampled partition's exact re-score both run this.
+pub(crate) fn join_pattern<'s>(
+    shard: &'s ShardContext<'_>,
+    key: &[u32],
+    cursors: &mut Vec<RunCursor<'s>>,
+    mut visit: impl FnMut(NodeId, &[RunCursor<'s>]),
+) {
+    cursors.clear();
+    for (word, &p) in shard.words.iter().zip(key) {
+        match word.pattern_primary(PatternId(p)) {
+            Some(prim) => cursors.push(word.pattern_run_cursor(prim)),
+            None => return,
+        }
+    }
+    let end = patternkb_index::leapfrog(cursors, |r, cursors| {
+        visit(NodeId(r), cursors);
+        ControlFlow::Continue(())
+    });
+    shard.counters.add_seeks(end.seeks);
 }
 
 /// The one result tail of every index kernel. The kernels enumerate
@@ -1026,24 +1032,16 @@ fn materialize_pattern_rows(
     let m = ctx.m();
     let stride = p.pattern.iter().map(PathPattern::height).sum();
     let mut trees = Rows::with_capacity(p.num_trees.min(cfg.max_rows), stride);
-    let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(m);
+    let mut cursors = Vec::with_capacity(m);
     let mut fold = SubtreeFold::new(m);
-    'shards: for shard in &ctx.shards {
+    for shard in &ctx.shards {
         if trees.len() >= cfg.max_rows {
             break;
         }
-        cursors.clear();
-        for i in 0..m {
-            match shard.words[i].pattern_primary(PatternId(key[i])) {
-                Some(prim) => cursors.push(shard.words[i].pattern_run_cursor(prim)),
-                None => continue 'shards,
-            }
-        }
         // Once the store is full nothing more is scored; the walk itself
         // runs to the end of the shard.
-        let end = patternkb_index::leapfrog(&mut cursors, |r, cursors| {
+        join_pattern(shard, key, &mut cursors, |root, cursors| {
             if trees.len() < cfg.max_rows {
-                let root = NodeId(r);
                 let runs = cursors.iter().map(RunCursor::postings);
                 fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
                     push_row(&mut trees, &shard.words, root, tuple, score);
@@ -1054,9 +1052,7 @@ fn materialize_pattern_rows(
                     }
                 });
             }
-            ControlFlow::Continue(())
         });
-        shard.counters.add_seeks(end.seeks);
     }
     trees
 }
@@ -1178,20 +1174,19 @@ mod tests {
         WordPathIndex::new(postings, arena, scores)
     }
 
-    /// Everything a dictionary holds, scores as bits, in interning order.
-    fn dict_bits(dict: &TreeDict) -> Vec<(Vec<u32>, u64, u64)> {
-        dict.iter()
-            .map(|(_, key, group)| (key.to_vec(), group.acc.count, group.acc.sum().to_bits()))
-            .collect()
-    }
-
-    /// The walk over `words` against the slice primitives: its roots are
-    /// the intersection of `roots()`, its counts `num_paths_of_root`
-    /// products, its positions land on its roots, a stopped walk is the
-    /// full walk's prefix up to the first root where the running count
-    /// reaches the limit, and `expand_root` fills the same dictionary
-    /// whether it jumps to the positions or gallops to the roots.
-    fn check_walk(words: &[Arc<WordPathIndex>], limit: u64, strict_trees: bool) {
+    /// The walk over `words` against the posting lists themselves: its
+    /// roots are the intersection of `roots()`, its counts the products of
+    /// the words' postings at each root, its positions land on its roots,
+    /// a stopped walk is the full walk's prefix up to the first root where
+    /// the running count reaches the limit, and `expand_root` at each
+    /// root's positions — the roots taken in descending order, so every
+    /// jump goes back — visits each combination of the words' patterns
+    /// there once, in ascending key order, with each word's run of its
+    /// pattern at the root.
+    fn check_walk(words: &[Arc<WordPathIndex>], limit: u64) {
+        let keyed: Vec<Vec<KeyedPosting>> =
+            words.iter().map(|w| w.postings_pattern_first()).collect();
+        let at_root = |i: usize, r: NodeId| keyed[i].iter().filter(move |k| k.root == r);
         let (mut n, walk, end) = {
             let mut n = 0u64;
             let (walk, end) = RootWalk::run(words, &mut n, |_| false);
@@ -1207,8 +1202,9 @@ mod tests {
         let paths: Vec<u64> = roots
             .iter()
             .map(|&r| {
-                let of_words = words.iter().map(|w| w.num_paths_of_root(r) as u64);
-                of_words.product()
+                (0..words.len())
+                    .map(|i| at_root(i, r).count() as u64)
+                    .product()
             })
             .collect();
         assert_eq!(walk.subtrees(), paths.iter().sum::<u64>());
@@ -1234,23 +1230,33 @@ mod tests {
         assert_eq!(prefix.roots(), &roots[..seen]);
         assert_eq!(n, paths[..seen].iter().sum::<u64>());
 
-        let cfg = SearchConfig {
-            strict_trees,
-            ..SearchConfig::top(10)
-        };
-        let [jumped, galloped] = [true, false].map(|jump| {
-            let mut dict = TreeDict::new(words.len());
-            let mut scratch = ExpandScratch::new(words);
-            let mut total = 0;
-            for (r, at) in walk.iter() {
-                let at = jump.then_some(at);
-                total += expand_root(words, &cfg, r, at, &mut dict, &mut scratch);
+        let mut scratch = ExpandScratch::new(words);
+        let visits: Vec<(NodeId, &[u32])> = walk.iter().collect();
+        for &(r, at) in visits.iter().rev() {
+            let mut want: Vec<Vec<u32>> = vec![vec![]];
+            for i in 0..words.len() {
+                let mut patterns: Vec<u32> = at_root(i, r).map(|k| k.pattern.0).collect();
+                patterns.dedup();
+                want = want
+                    .into_iter()
+                    .flat_map(|prefix| {
+                        let patterns = patterns.clone();
+                        patterns
+                            .into_iter()
+                            .map(move |p| [&prefix[..], &[p]].concat())
+                    })
+                    .collect();
             }
-            (total, dict_bits(&dict))
-        });
-        assert_eq!(jumped, galloped);
-        if !strict_trees {
-            assert_eq!(jumped.0 as u64, walk.subtrees());
+            let mut seen = Vec::new();
+            expand_root(&mut scratch, at, |key, runs| {
+                for (i, (&p, &run)) in key.iter().zip(runs).enumerate() {
+                    let of_pattern = at_root(i, r).filter(|k| k.pattern.0 == p);
+                    let expected: Vec<Posting> = of_pattern.map(|k| k.posting).collect();
+                    assert_eq!(run, &expected[..], "keyword {i}, pattern {p}, root {r:?}");
+                }
+                seen.push(key.to_vec());
+            });
+            assert_eq!(seen, want, "root {r:?}");
         }
     }
 
@@ -1266,15 +1272,14 @@ mod tests {
                 1..4,
             ),
             limit in 0u64..200,
-            strict_trees in proptest::prelude::any::<bool>(),
         ) {
             let words: Vec<Arc<WordPathIndex>> =
                 lists.iter().map(|l| Arc::new(word(l))).collect();
-            check_walk(&words, limit, strict_trees);
-            check_walk(&words[..1], limit, strict_trees);
+            check_walk(&words, limit);
+            check_walk(&words[..1], limit);
             let lacking: Vec<Arc<WordPathIndex>> =
                 words.iter().cloned().chain([Arc::default()]).collect();
-            check_walk(&lacking, limit, strict_trees);
+            check_walk(&lacking, limit);
             let mut n = 0;
             proptest::prop_assert!(RootWalk::run(&lacking, &mut n, |_| false).0.roots().is_empty());
         }

@@ -8,7 +8,7 @@
 //! * bucket queries by answer counts for the §5 experiments (Figures 7–9
 //!   group queries by #patterns / #subtrees).
 
-use crate::common::{odometer_step, run_sharded, Fanout, QueryContext};
+use crate::common::{expand_root, run_sharded, ExpandScratch, Fanout, QueryContext};
 use crate::intern::KeyInterner;
 
 /// Exact number of d-height tree patterns for the query (distinct
@@ -25,24 +25,11 @@ pub(crate) fn count_patterns_in(ctx: &QueryContext<'_>, mode: Fanout) -> u64 {
     let m = ctx.m();
     let mut locals: Vec<KeyInterner> = run_sharded(mode, &ctx.shards, |shard| {
         let mut seen = KeyInterner::new(m);
-        let mut key: Vec<u32> = vec![0; m];
-        let mut combo = vec![0usize; m];
-        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for &r in shard.candidate_roots() {
-            for (patterns, w) in runs.iter_mut().zip(&shard.words) {
-                patterns.clear();
-                patterns.extend(w.patterns_of_root(r));
-            }
-            debug_assert!(runs.iter().all(|r| !r.is_empty()));
-            loop {
-                for i in 0..m {
-                    key[i] = runs[i][combo[i]];
-                }
-                seen.intern(&key);
-                if odometer_step(&mut combo, |i| runs[i].len()).is_none() {
-                    break;
-                }
-            }
+        let mut scratch = ExpandScratch::new(&shard.words);
+        for (_, at) in shard.walk().iter() {
+            expand_root(&mut scratch, at, |key, _| {
+                seen.intern(key);
+            });
         }
         seen
     });
@@ -76,6 +63,7 @@ pub fn count_subtrees(ctx: &QueryContext<'_>) -> u64 {
 mod tests {
     use super::*;
     use crate::linear_enum::linear_enum;
+    use crate::topk::SamplingConfig;
     use crate::{Query, SearchConfig};
     use patternkb_datagen::{figure1, theorem1};
     use patternkb_graph::traversal::count_simple_paths;
@@ -100,7 +88,7 @@ mod tests {
         assert_eq!(count_patterns(&ctx), 9);
         assert_eq!(count_subtrees(&ctx), 10);
         // Consistency with full enumeration.
-        let le = linear_enum(&ctx, &SearchConfig::top(1000));
+        let le = linear_enum(&ctx, &SearchConfig::top(1000), &SamplingConfig::exact());
         assert_eq!(le.patterns.len() as u64, count_patterns(&ctx));
         assert_eq!(le.stats.subtrees as u64, count_subtrees(&ctx));
     }

@@ -22,7 +22,7 @@ use crate::pattern_enum::pattern_enum;
 use crate::request::{AlgorithmChoice, CacheOutcome, QueryInput, SearchRequest, SearchResponse};
 use crate::result::{RankedPattern, SearchResult};
 use crate::table::TableAnswer;
-use crate::topk::{linear_enum_topk, SamplingConfig};
+use crate::topk::SamplingConfig;
 use crate::{ParseError, PlannerConfig, Query, SearchConfig};
 use patternkb_graph::KnowledgeGraph;
 use patternkb_index::PathIndexes;
@@ -484,8 +484,8 @@ impl SearchEngine {
             Some(ctx) => match algorithm {
                 Algorithm::PatternEnum => pattern_enum(ctx, cfg),
                 Algorithm::PatternEnumPruned => crate::bound::pattern_enum_pruned(ctx, cfg),
-                Algorithm::LinearEnum => linear_enum(ctx, cfg),
-                Algorithm::LinearEnumTopK(samp) => linear_enum_topk(ctx, cfg, &samp),
+                Algorithm::LinearEnum => linear_enum(ctx, cfg, &SamplingConfig::exact()),
+                Algorithm::LinearEnumTopK(samp) => linear_enum(ctx, cfg, &samp),
                 Algorithm::Baseline => unreachable!("handled above"),
             },
         };

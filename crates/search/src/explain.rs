@@ -134,6 +134,7 @@ mod tests {
     use super::*;
     use crate::common::QueryContext;
     use crate::linear_enum::linear_enum;
+    use crate::topk::SamplingConfig;
     use crate::{Query, SearchConfig};
     use patternkb_datagen::figure1;
     use patternkb_index::{build_indexes, BuildConfig};
@@ -153,7 +154,7 @@ mod tests {
         );
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        let r = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         (g, r.patterns[0].clone())
     }
 
@@ -206,7 +207,7 @@ mod tests {
         );
         let q = Query::parse(&t, "target").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        let r = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         for (attr, shown, hidden) in [(beta, "Beta", "Alpha"), (alpha, "Alpha", "Beta")] {
             let p = r
                 .patterns

@@ -23,7 +23,7 @@ use crate::pattern_enum::pattern_enum;
 use crate::request::{AlgorithmChoice, SearchRequest};
 use crate::result::QueryStats;
 use crate::subtree::{Row, ValidSubtree};
-use crate::topk::{linear_enum_topk_in, SamplingConfig};
+use crate::topk::SamplingConfig;
 use crate::{EngineBuilder, Query, SearchConfig, SearchEngine, SearchResult};
 use patternkb_datagen::queries::QueryGenerator;
 use patternkb_datagen::wiki::{wiki, WikiConfig};
@@ -163,7 +163,7 @@ fn kernels_answer_identically_inline_and_fanned_out() {
         assert_eq!(ctx.fanout(), Fanout::Inline, "far below the break-even");
 
         check_kernel("linear_enum", &ctx, &reference, |c, mode| {
-            linear_enum_in(c, &cfg, mode)
+            linear_enum_in(c, &cfg, &SamplingConfig::exact(), mode)
         });
         for (label, kernel) in PATTERN_KERNELS {
             let sharded = kernel(&ctx, &cfg);
@@ -175,7 +175,7 @@ fn kernels_answer_identically_inline_and_fanned_out() {
             ("topk[sampled]", sampled),
         ] {
             check_kernel(label, &ctx, &reference, |c, mode| {
-                linear_enum_topk_in(c, &cfg, &samp, mode)
+                linear_enum_in(c, &cfg, &samp, mode)
             });
         }
 
@@ -252,7 +252,8 @@ fn the_production_gate_fans_out_a_wide_query() {
     }
     // And the answer the threads gave is the inline one.
     let cfg = SearchConfig::top(5);
-    let [inline, threads] = MODES.map(|mode| linear_enum_in(&ctx, &cfg, mode));
+    let [inline, threads] =
+        MODES.map(|mode| linear_enum_in(&ctx, &cfg, &SamplingConfig::exact(), mode));
     assert_eq!(answer_bits(&inline), answer_bits(&threads));
     assert_eq!(inline.stats.per_shard, threads.stats.per_shard);
 }

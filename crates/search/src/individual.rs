@@ -8,7 +8,8 @@
 //! that comparison.
 
 use crate::common::{
-    materialize_tree, odometer_step, run_sharded, Fanout, QueryContext, ShardContext, SubtreeFold,
+    expand_root, materialize_tree, run_sharded, ExpandScratch, Fanout, QueryContext, ShardContext,
+    SubtreeFold,
 };
 use crate::result::RankedPattern;
 use crate::subtree::ValidSubtree;
@@ -53,39 +54,28 @@ pub(crate) fn top_individual_in(
     best
 }
 
-/// One shard's top-k individual subtrees.
+/// One shard's top-k individual subtrees: every candidate root expanded
+/// ([`expand_root`]), roots ascending, combinations in odometer order.
 fn top_individual_shard(ctx: &ShardContext<'_>, cfg: &SearchConfig, k: usize) -> Vec<ScoredTree> {
-    let m = ctx.m();
     let mut best: Vec<ScoredTree> = Vec::new();
-    let mut fold = SubtreeFold::new(m);
-    let mut key = vec![0u32; m];
-    let mut combo = vec![0usize; m];
-    for &r in ctx.candidate_roots() {
-        let runs: Vec<Vec<_>> = ctx.words.iter().map(|w| w.root_runs(r).collect()).collect();
-        if runs.iter().any(Vec::is_empty) {
-            continue;
-        }
-        loop {
-            for i in 0..m {
-                key[i] = runs[i][combo[i]].0 .0;
-            }
-            let paths = (0..m).map(|i| runs[i][combo[i]].1);
+    let mut scratch = ExpandScratch::new(&ctx.words);
+    let mut fold = SubtreeFold::new(ctx.m());
+    for (r, at) in ctx.walk().iter() {
+        expand_root(&mut scratch, at, |key, paths| {
+            let paths = paths.iter().copied();
             fold.fold(&ctx.words, cfg, r, paths, |tuple, score| {
                 // Cheap reject against the current kth best.
                 if best.len() < k || best.last().is_some_and(|worst| score > worst.tree.score) {
                     best.push(ScoredTree {
                         tree: materialize_tree(&ctx.words, r, tuple, score),
-                        pattern_key: key.clone(),
+                        pattern_key: key.to_vec(),
                     });
                     sort_trees(&mut best);
                     best.truncate(k);
                 }
                 ControlFlow::Continue(())
             });
-            if odometer_step(&mut combo, |i| runs[i].len()).is_none() {
-                break;
-            }
-        }
+        });
     }
     best
 }
@@ -152,6 +142,7 @@ mod tests {
     use super::*;
     use crate::linear_enum::linear_enum;
     use crate::subtree::node_slices_form_tree;
+    use crate::topk::SamplingConfig;
     use crate::Query;
     use patternkb_datagen::figure1;
     use patternkb_graph::NodeId;
@@ -214,7 +205,7 @@ mod tests {
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let cfg = SearchConfig::top(2);
-        let patterns = linear_enum(&ctx, &cfg);
+        let patterns = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
         let keys: Vec<Vec<u32>> = patterns
             .patterns
             .iter()

@@ -14,10 +14,12 @@
 //! * **`PATTERNENUM`** (Algorithm 2, [`pattern_enum`]) over the
 //!   pattern-first index;
 //! * **`LINEARENUM`** (Algorithm 3, [`linear_enum`]) over the root-first
-//!   index, with output-linear running time (Theorem 3);
-//! * **`LINEARENUM-TOPK`** (Algorithm 4, [`topk`]) adding type partitioning
-//!   (§4.2.1) and root sampling with Hoeffding-bounded error (§4.2.2,
-//!   Theorem 5);
+//!   index, with output-linear running time (Theorem 3) — one kernel that
+//!   is also **`LINEARENUM-TOPK`** (Algorithm 4): given a sampling rate
+//!   below 1 it samples roots per root type and keeps each type's k best
+//!   (§4.2.1), with Hoeffding-bounded error (§4.2.2, Theorem 5; the
+//!   sampling half is [`topk`]), and with `Λ = ∞` or `ρ = 1` it is
+//!   `LINEARENUM` (Theorem 4);
 //! * **`PATTERNENUM` with admissible upper-bound pruning** ([`bound`]) —
 //!   an extension beyond the paper that skips provably-unranked pattern
 //!   combinations before their set intersections;

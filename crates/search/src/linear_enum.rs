@@ -1,4 +1,6 @@
-//! `LINEARENUM` — Algorithm 3, shard-parallel.
+//! `LINEARENUM` — Algorithm 3, with Algorithm 4's root sampling as a
+//! per-type rate — shard-parallel. Both `LINEARENUM` and
+//! `LINEARENUM-TOPK` run this one kernel.
 //!
 //! Instead of enumerating tree patterns directly, find all candidate roots
 //! (`R = ∩ Roots(wᵢ)` from the root-first index), then `EXPANDROOT` each:
@@ -12,37 +14,65 @@
 //! and the dictionaries merge at the end — bit-identical to a sequential
 //! pass thanks to exact score accumulation. The dictionaries hold scores
 //! only; rows are re-joined for the k winners alone (`rank_winners`).
+//!
+//! With a sampling rate `ρ < 1` and a finite threshold `Λ`
+//! ([`SamplingConfig`]) the kernel is `LINEARENUM-TOPK` (Algorithm 4):
+//! each root type gets a rate, each shard expands only the roots its
+//! type's rate keeps, and after the merge each type keeps its k best
+//! patterns, a sampled type's re-scored exactly ([`crate::topk`]).
+//! Otherwise — every `LINEARENUM` request, and `LINEARENUM-TOPK` with
+//! `Λ = ∞` or `ρ = 1` — no root is skipped and no type is cut: the answer
+//! is the exact top-k (Theorem 4), the one `LINEARENUM` returns.
 
 use crate::common::{
     expand_root, merge_shard_dicts, rank_winners, run_sharded, ExpandScratch, Fanout, QueryContext,
-    TreeDict,
+    SubtreeFold, TreeDict,
 };
 use crate::result::{QueryStats, SearchResult, ShardStats};
+use crate::topk::{keep_type_winners, SamplingConfig, TypeRates};
 use crate::SearchConfig;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
-/// Run `LINEARENUM`, returning all tree patterns ranked and truncated to
-/// `cfg.k`. (The type-partitioned, sampled top-k variant is
-/// [`crate::topk::linear_enum_topk`].)
-pub fn linear_enum(ctx: &QueryContext<'_>, cfg: &SearchConfig) -> SearchResult {
-    linear_enum_in(ctx, cfg, ctx.fanout())
+/// Run `LINEARENUM` — `LINEARENUM-TOPK` where `samp` samples — returning
+/// the tree patterns ranked and truncated to `cfg.k`.
+pub fn linear_enum(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    samp: &SamplingConfig,
+) -> SearchResult {
+    linear_enum_in(ctx, cfg, samp, ctx.fanout())
 }
 
 /// [`linear_enum`] with the fan-out mode chosen by the caller.
 pub(crate) fn linear_enum_in(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
+    samp: &SamplingConfig,
     mode: Fanout,
 ) -> SearchResult {
     let t0 = Instant::now();
+    let rates = TypeRates::new(ctx, samp);
     let locals = run_sharded(mode, &ctx.shards, |shard| {
         let mut dict = TreeDict::new(shard.m());
         let mut scratch = ExpandScratch::new(&shard.words);
+        let mut fold = SubtreeFold::new(shard.m());
         let mut subtrees = 0usize;
         let walk = shard.walk();
         for (r, at) in walk.iter() {
-            let at = Some(at);
-            subtrees += expand_root(&shard.words, cfg, r, at, &mut dict, &mut scratch);
+            if rates.as_ref().is_some_and(|rates| !rates.keeps(shard.g, r)) {
+                continue;
+            }
+            // Strict mode may reject every tuple of a pattern: its group
+            // then stays dead, and iteration and merging skip it.
+            expand_root(&mut scratch, at, |key, paths| {
+                let group = dict.group_mut(key);
+                let paths = paths.iter().copied();
+                subtrees += fold.fold(&shard.words, cfg, r, paths, |_, score| {
+                    group.add(score);
+                    ControlFlow::Continue(())
+                });
+            });
         }
         (dict, subtrees, walk.roots().len(), shard.shard)
     });
@@ -62,9 +92,13 @@ pub(crate) fn linear_enum_in(
         candidate_roots += local_roots;
         dicts.push(dict);
     }
-    let dict = merge_shard_dicts(dicts, ctx.m());
+    let mut dict = merge_shard_dicts(dicts, ctx.m());
 
     let patterns_found = dict.len();
+    if let Some(rates) = &rates {
+        keep_type_winners(ctx, cfg, rates, &mut dict, &mut per_shard);
+        subtrees = per_shard.iter().map(|s| s.subtrees).sum();
+    }
     let patterns = rank_winners(ctx, cfg, std::slice::from_ref(&dict));
     let mut hot = ctx.hot_stats();
     hot.keys_interned = dict.keys_interned() as u64;
@@ -122,7 +156,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(100));
+        let r = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact());
         assert_eq!(r.stats.candidate_roots, 3); // v1, v7, v12
         assert_eq!(r.stats.subtrees, 10);
         assert_eq!(r.patterns.len(), 9);
@@ -137,7 +171,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(100));
+        let r = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact());
         let top = r.top().unwrap();
         assert_eq!(top.num_trees, 2, "P1 aggregates T1 and T2");
         let shown = top.display(&g);
@@ -156,7 +190,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(100));
+        let r = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact());
         // P2: single subtree rooted at the Book.
         let p2 = r
             .patterns
@@ -174,7 +208,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(100));
+        let r = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact());
         // Revenue edges exist under Microsoft, Oracle Corp, Springer; roots
         // reaching them within d=3: each company itself, plus SQL Server /
         // Oracle DB (via Developer), plus the Book (via Publisher).
@@ -201,7 +235,7 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(2));
+        let r = linear_enum(&ctx, &SearchConfig::top(2), &SamplingConfig::exact());
         assert_eq!(r.patterns.len(), 2);
         assert!(r.patterns[0].score >= r.patterns[1].score);
     }
@@ -212,13 +246,14 @@ mod tests {
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let lax = linear_enum(&ctx, &SearchConfig::top(100));
+        let lax = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact());
         let strict = linear_enum(
             &ctx,
             &SearchConfig {
                 strict_trees: true,
                 ..SearchConfig::top(100)
             },
+            &SamplingConfig::exact(),
         );
         assert_eq!(lax.patterns.len(), strict.patterns.len());
         for (a, b) in lax.patterns.iter().zip(&strict.patterns) {

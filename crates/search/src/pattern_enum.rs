@@ -272,6 +272,7 @@ pub(crate) fn walk_combinations(
 mod tests {
     use super::*;
     use crate::linear_enum::linear_enum;
+    use crate::topk::SamplingConfig;
     use crate::Query;
     use patternkb_datagen::{figure1, worstcase};
     use patternkb_index::{build_indexes, BuildConfig};
@@ -308,7 +309,7 @@ mod tests {
             let q = Query::parse(&t, query).unwrap();
             let ctx = QueryContext::new(&g, &idx, &q).unwrap();
             let cfg = SearchConfig::top(100);
-            let le = linear_enum(&ctx, &cfg);
+            let le = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
             let pe = pattern_enum(&ctx, &cfg);
             assert_eq!(le.patterns.len(), pe.patterns.len(), "query {query}");
             for (a, b) in le.patterns.iter().zip(&pe.patterns) {
@@ -345,7 +346,7 @@ mod tests {
             p * p
         );
         // LINEARENUM finds the empty answer without trying any combo.
-        let le = linear_enum(&ctx, &SearchConfig::top(10));
+        let le = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         assert_eq!(le.patterns.len(), 0);
         assert_eq!(le.stats.combos_tried, 0);
         assert_eq!(le.stats.candidate_roots, 0);
@@ -358,7 +359,7 @@ mod tests {
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let cfg = SearchConfig::top(100);
         let pe = pattern_enum(&ctx, &cfg);
-        let le = linear_enum(&ctx, &cfg);
+        let le = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
         assert_eq!(pe.stats.subtrees, le.stats.subtrees);
         assert_eq!(pe.stats.candidate_roots, le.stats.candidate_roots);
     }

@@ -91,15 +91,19 @@
 //! `N ≤ 64` costs 3 µs of median, `N ≤ 1 000` 10 µs, a factor of 10⁶
 //! 29 µs of mean.
 //!
-//! Exact `LINEARENUM-TOPK` is `LINEARENUM` plus a type partition and a
-//! second shard pass. The old rule sent it 691 of the 1 000 queries; it
-//! is the fastest fixed choice for 165 of them (median `N` = 3, median
-//! margin over `LINEARENUM` 2 µs), a median 3.2× slower than pruned
-//! `PATTERNENUM` on the 197 two-keyword ones, and those 691 average
-//! 1 148 µs under it against 290 µs under the rule above. It left
-//! `Auto`; it stays an explicit [`crate::AlgorithmChoice`], and `Auto`
-//! still uses it for the sampled tier. The decision is returned next to
-//! the result, so callers can log or override it.
+//! The `exact LINEARENUM-TOPK` rows above timed a second kernel, which
+//! added a type partition and a second shard pass to `LINEARENUM`. The
+//! old rule sent it 691 of the 1 000 queries; it was the fastest fixed
+//! choice for 165 of them (median `N` = 3, median margin over
+//! `LINEARENUM` 2 µs), a median 3.2× slower than pruned `PATTERNENUM` on
+//! the 197 two-keyword ones, and those 691 averaged 1 148 µs under it
+//! against 290 µs under the rule above. That kernel is gone: exact
+//! `LINEARENUM-TOPK` (`Λ = ∞` or `ρ = 1`) now runs `LINEARENUM` itself and
+//! returns its answer, and the sampled tier is the same kernel with a
+//! per-type sampling rate ([`crate::linear_enum`]). `Auto` routes to
+//! `LINEARENUM-TOPK` only for the sampled tier; exact `LINEARENUM-TOPK`
+//! stays an explicit [`crate::AlgorithmChoice`]. The decision is returned
+//! next to the result, so callers can log or override it.
 
 use crate::common::QueryContext;
 use crate::counting::count_subtrees;
@@ -404,7 +408,9 @@ mod tests {
             let lists: Vec<&[u32]> = shard.words.iter().map(|w| w.roots()).collect();
             for r in patternkb_index::cursor::intersect_sorted(&lists) {
                 let paths = shard.words.iter().fold(1u64, |product, w| {
-                    product.saturating_mul(w.num_paths_of_root(patternkb_graph::NodeId(r)) as u64)
+                    let mut c = w.root_cursor();
+                    assert_eq!(c.as_mut().seek(r), Some(r));
+                    product.saturating_mul(c.num_paths() as u64)
                 });
                 n = n.saturating_add(paths);
                 seen += 1;

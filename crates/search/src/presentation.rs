@@ -274,6 +274,7 @@ mod tests {
     use super::*;
     use crate::common::QueryContext;
     use crate::linear_enum::linear_enum;
+    use crate::topk::SamplingConfig;
     use crate::{Query, SearchConfig};
     use patternkb_datagen::figure1;
     use patternkb_index::{build_indexes, BuildConfig};
@@ -293,7 +294,7 @@ mod tests {
         );
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        let r = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         let top = r.top().unwrap().clone();
         (TableAnswer::from_pattern(&g, &top), top, g)
     }
@@ -389,7 +390,7 @@ mod tests {
         );
         let q = Query::parse(&t, "springer databases").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        let r = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         let top = r.top().unwrap();
         let table = TableAnswer::from_pattern(&g, top);
         let p = present(&g, &table, top, &PresentationConfig::default());

@@ -338,6 +338,7 @@ mod tests {
     use crate::common::QueryContext;
     use crate::linear_enum::linear_enum;
     use crate::subtree::Rows;
+    use crate::topk::SamplingConfig;
     use crate::{Query, SearchConfig};
     use patternkb_datagen::figure1;
     use patternkb_index::{build_indexes, BuildConfig};
@@ -357,7 +358,7 @@ mod tests {
         );
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let r = linear_enum(&ctx, &SearchConfig::top(10));
+        let r = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         let top = r.top().unwrap().clone();
         (TableAnswer::from_pattern(&g, &top), top, g)
     }
@@ -433,7 +434,7 @@ mod tests {
         );
         let q = Query::parse(&t, "left right").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
-        let res = linear_enum(&ctx, &SearchConfig::top(10));
+        let res = linear_enum(&ctx, &SearchConfig::top(10), &SamplingConfig::exact());
         let p = res
             .patterns
             .iter()

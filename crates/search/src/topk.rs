@@ -1,50 +1,36 @@
-//! `LINEARENUM-TOPK` — Algorithm 4: type partitioning (§4.2.1) plus
-//! root sampling (§4.2.2) — shard-parallel.
+//! The sampling half of `LINEARENUM-TOPK` — Algorithm 4's type
+//! partitioning (§4.2.1) and root sampling (§4.2.2) — as the one
+//! `LINEARENUM` kernel ([`crate::linear_enum`]) runs it when `ρ < 1`.
 //!
-//! Candidate roots are processed one root **type** at a time, bounding the
-//! `TreeDict` to a single partition. Per type `C`:
+//! 1. Per root type `C`, the number of valid subtrees rooted in the
+//!    partition is computed *without enumeration* as
+//!    `N_R = Σ_r Πᵢ |Paths(wᵢ, r)|` (line 4), summed over the shards'
+//!    walks: the sampling decision needs the **global** count per type.
+//! 2. If `N_R ≥ Λ`, each root of the type is expanded only with
+//!    probability `ρ` (lines 5–8), into the shard's one dictionary; the
+//!    type's pattern scores are estimated from the sample
+//!    (Horvitz–Thompson for `Sum`/`Count`).
+//! 3. After the shards' dictionaries merge, each type keeps its k best
+//!    patterns by estimate (lines 9–10), and only a sampled type's winners
+//!    get their exact scores, by re-joining each winner's runs on every
+//!    shard (line 11). The other patterns drop out before the final
+//!    ranking, whose k best get their rows re-joined (`rank_winners`).
 //!
-//! 1. the number of valid subtrees rooted in the partition is computed
-//!    *without enumeration* as `N_R = Σ_r Πᵢ |Paths(wᵢ, r)|` (line 4);
-//! 2. if `N_R ≥ Λ`, each root is expanded only with probability `ρ`
-//!    (lines 5–8) and pattern scores are estimated from the sample
-//!    (Horvitz–Thompson for `Sum`/`Count`);
-//! 3. only the partition's estimated top-k patterns get their exact scores
-//!    recomputed (line 11) before entering the global queue.
-//!
-//! Like every index kernel it records scores only: the queue's k best get
-//! their rows re-joined at the end (`rank_winners`), and no other
-//! pattern's rows are built.
-//!
-//! With `Λ = ∞` or `ρ = 1` the result is the exact top-k (Theorem 4); with
-//! sampling, the pairwise error probability decays as
-//! `exp(−2·((s1−s2)/(s1+s2))²·ρ²)` (Theorem 5).
-//!
-//! ## Sharded execution
-//!
-//! The pipeline splits into two shard-parallel phases with a barrier at
-//! the sampling decision (the `N_R ≥ Λ` test needs the **global** count
-//! per type, not a per-shard one): phase A computes each shard's per-type
-//! candidate roots and `N_R` contribution; phase B expands each shard's
-//! (sampled) roots into per-type dictionaries; the per-type merge, the
-//! estimated-top-k selection, and the exact re-scoring then run over the
-//! merged state exactly as a single-shard pass would. Root selection is
-//! **hash-based per root** (not a sequential RNG), so the sampled set is a
-//! pure function of `(seed, root)` — independent of iteration order and of
-//! the shard count, which keeps sampled runs bit-identical across shard
-//! layouts too.
+//! Root selection is **hash-based per root** (not a sequential RNG), so
+//! the sampled set is a pure function of `(seed, root)` — independent of
+//! iteration order and of the shard count, which keeps sampled runs
+//! bit-identical across shard layouts too. With sampling, the pairwise
+//! error probability decays as `exp(−2·((s1−s2)/(s1+s2))²·ρ²)`
+//! (Theorem 5).
 
-use crate::common::{
-    expand_root, merge_shard_dicts, rank_winners, run_sharded, ExpandScratch, Fanout, PatternGroup,
-    QueryContext, ShardContext, SubtreeFold, TreeDict,
-};
-use crate::result::{QueryStats, SearchResult, ShardStats};
+use crate::common::{join_pattern, PatternGroup, QueryContext, SubtreeFold, TreeDict};
+use crate::intern::PatternKeyId;
+use crate::result::ShardStats;
 use crate::SearchConfig;
-use patternkb_graph::{FxHashMap, NodeId, TypeId};
-use patternkb_index::PatternId;
+use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId};
+use patternkb_index::{PatternId, RunCursor};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 /// Sampling parameters (`Λ`, `ρ`) of Algorithm 4.
 #[derive(Clone, Copy, Debug)]
@@ -103,216 +89,124 @@ pub(crate) fn root_sampled(seed: u64, root: NodeId, rho: f64) -> bool {
     ((u >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rho
 }
 
-/// Phase-A output of one shard: per root type, the shard's candidate
-/// roots (ascending, as indices into its [`crate::common::RootWalk`]) and
-/// its `N_R` contribution. `partitions[i]` always describes
-/// `ctx.shards[i]` — [`run_sharded`] returns results in input order.
-struct ShardPartition {
-    by_type: FxHashMap<TypeId, (Vec<usize>, u64)>,
+/// The rate each root type's roots are expanded at (Algorithm 4 lines
+/// 4–5): `ρ` where the type's `N_R` over the candidate roots of every
+/// shard reaches `Λ`, 1 elsewhere.
+pub(crate) struct TypeRates {
+    /// `N_R` per root type, summed over the shards' walks (saturating).
+    n_r: FxHashMap<TypeId, u64>,
+    samp: SamplingConfig,
 }
 
-/// Run `LINEARENUM-TOPK`.
-pub fn linear_enum_topk(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    samp: &SamplingConfig,
-) -> SearchResult {
-    linear_enum_topk_in(ctx, cfg, samp, ctx.fanout())
-}
-
-/// [`linear_enum_topk`] with the fan-out mode chosen by the caller (both
-/// phases run in it).
-pub(crate) fn linear_enum_topk_in(
-    ctx: &QueryContext<'_>,
-    cfg: &SearchConfig,
-    samp: &SamplingConfig,
-    mode: Fanout,
-) -> SearchResult {
-    let t0 = Instant::now();
-
-    // --- Phase A (shard-parallel): partition candidate roots by type and
-    //     count N_R per (shard, type) without enumeration (line 4). ---
-    let partitions: Vec<ShardPartition> = run_sharded(mode, &ctx.shards, |shard| {
-        let mut by_type: FxHashMap<TypeId, (Vec<usize>, u64)> = FxHashMap::default();
-        let walk = shard.walk();
-        for (j, &r) in walk.roots().iter().enumerate() {
-            let entry = by_type.entry(shard.g.node_type(r)).or_default();
-            entry.0.push(j);
-            entry.1 = entry.1.saturating_add(walk.paths(j));
+impl TypeRates {
+    /// The rates of `ctx`'s candidate root types under `samp`; `None`
+    /// where `samp` samples nothing (`ρ = 1` or `Λ = ∞`).
+    pub(crate) fn new(ctx: &QueryContext<'_>, samp: &SamplingConfig) -> Option<Self> {
+        if samp.rho >= 1.0 || samp.lambda == u64::MAX {
+            return None;
         }
-        by_type
-    })
-    .into_iter()
-    .map(|by_type| ShardPartition { by_type })
-    .collect();
+        let mut n_r: FxHashMap<TypeId, u64> = FxHashMap::default();
+        for shard in &ctx.shards {
+            let walk = shard.walk();
+            for (j, &r) in walk.roots().iter().enumerate() {
+                let total = n_r.entry(ctx.g.node_type(r)).or_default();
+                *total = total.saturating_add(walk.paths(j));
+            }
+        }
+        Some(TypeRates { n_r, samp: *samp })
+    }
 
-    // Global sampling decision per type (line 5) — the barrier.
-    let mut n_r_global: BTreeMap<TypeId, u64> = BTreeMap::new();
-    for part in &partitions {
-        for (&c, &(_, n_r)) in &part.by_type {
-            let total = n_r_global.entry(c).or_default();
-            *total = total.saturating_add(n_r);
+    /// The rate of root type `c`.
+    fn of(&self, c: TypeId) -> f64 {
+        if self.n_r[&c] >= self.samp.lambda {
+            self.samp.rho
+        } else {
+            1.0
         }
     }
-    let rates: FxHashMap<TypeId, f64> = n_r_global
-        .iter()
-        .map(|(&c, &n_r)| (c, if n_r >= samp.lambda { samp.rho } else { 1.0 }))
-        .collect();
 
-    // --- Phase B (shard-parallel): expand each shard's (sampled) roots
-    //     into per-type dictionaries (lines 6–8). ---
-    let pairs: Vec<(&ShardContext<'_>, &ShardPartition)> =
-        ctx.shards.iter().zip(&partitions).collect();
-    let expansions: Vec<(FxHashMap<TypeId, TreeDict>, usize)> =
-        run_sharded(mode, &pairs, |&(shard, part)| {
-            let mut dicts: FxHashMap<TypeId, TreeDict> = FxHashMap::default();
-            let mut subtrees = 0usize;
-            let walk = shard.walk();
-            let mut scratch = ExpandScratch::new(&shard.words);
-            for (&c, (roots, _)) in &part.by_type {
-                let rate = rates[&c];
-                let dict = dicts.entry(c).or_insert_with(|| TreeDict::new(shard.m()));
-                for &j in roots {
-                    let r = walk.roots()[j];
-                    if rate >= 1.0 || root_sampled(samp.seed, r, rate) {
-                        let at = Some(walk.positions(j));
-                        subtrees += expand_root(&shard.words, cfg, r, at, dict, &mut scratch);
-                    }
-                }
-            }
-            (dicts, subtrees)
-        });
+    /// Whether candidate root `r` is expanded: always at rate 1, else by
+    /// its per-root draw.
+    pub(crate) fn keeps(&self, g: &KnowledgeGraph, r: NodeId) -> bool {
+        let rate = self.of(g.node_type(r));
+        rate >= 1.0 || root_sampled(self.samp.seed, r, rate)
+    }
+}
 
-    // --- Per-type merge + estimated selection + exact re-scoring, in
-    //     type-id order for determinism (lines 9–11). ---
-    let mut per_shard: Vec<ShardStats> = ctx
-        .shards
-        .iter()
-        .zip(&expansions)
-        .zip(&partitions)
-        .map(|((shard, (dicts, subtrees)), part)| ShardStats {
-            shard: shard.shard,
-            candidate_roots: part.by_type.values().map(|(roots, _)| roots.len()).sum(),
-            subtrees: *subtrees,
-            patterns: dicts.values().map(TreeDict::len).sum(),
-        })
-        .collect();
-
-    let candidate_roots: usize = per_shard.iter().map(|s| s.candidate_roots).sum();
-    let mut subtrees_expanded: usize = per_shard.iter().map(|s| s.subtrees).sum();
-    let mut patterns_seen = 0usize;
-    let mut keys_interned = 0u64;
-    let mut key_arena_bytes = 0u64;
-    // Every partition's winners with their exact scores: at most k per
-    // type, the queue the paper's line 11 feeds.
-    let mut winners = TreeDict::new(ctx.m());
-    let mut expansions = expansions;
-
-    let types: Vec<TypeId> = n_r_global.keys().copied().collect();
-    for &c in &types {
-        let rate = rates[&c];
-        // Merge the shards' per-type dictionaries in shard order.
-        let dicts: Vec<TreeDict> = expansions
-            .iter_mut()
-            .map(|(d, _)| d.remove(&c).unwrap_or_else(|| TreeDict::new(ctx.m())))
-            .collect();
-        let dict = merge_shard_dicts(dicts, ctx.m());
-        patterns_seen += dict.len();
-        keys_interned += dict.keys_interned() as u64;
-        key_arena_bytes += dict.arena_bytes() as u64;
-
-        // Lines 9–10: estimated scores; keep the partition's top-k.
-        let mut local: Vec<(f64, &[u32], &PatternGroup)> = dict
-            .iter()
-            .map(|(_, key, group)| {
-                let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
-                (est, key, group)
-            })
-            .collect();
+/// Lines 9–11 of Algorithm 4 over the merged dictionary of a sampled run:
+/// per root type, keep the k best patterns by estimated score (ties by
+/// raw key) and mark the rest dead (an empty group, which ranking skips);
+/// give each winner of a sampled type its exact score. The subtrees the
+/// re-scoring enumerates count in their shard's `per_shard` entry.
+pub(crate) fn keep_type_winners(
+    ctx: &QueryContext<'_>,
+    cfg: &SearchConfig,
+    rates: &TypeRates,
+    dict: &mut TreeDict,
+    per_shard: &mut [ShardStats],
+) {
+    let mut by_type: BTreeMap<TypeId, Vec<(f64, PatternKeyId)>> = BTreeMap::new();
+    for (id, key, group) in dict.iter() {
+        let c = ctx.idx.patterns().root_type(PatternId(key[0]));
+        let est = group
+            .acc
+            .finish_estimated(cfg.scoring.aggregation, rates.of(c));
+        by_type.entry(c).or_default().push((est, id));
+    }
+    for (c, mut local) in by_type {
         local.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(b.1))
+                .then_with(|| dict.key(a.1).cmp(dict.key(b.1)))
         });
-        local.truncate(cfg.k);
-
-        // Line 11: exact scores for the estimated winners — the sample's
-        // own where every root was expanded, re-scored otherwise.
-        for (_, key, group) in local {
-            let winner = winners.group_mut(key);
-            if rate >= 1.0 {
-                winner.merge(group);
-            } else {
-                subtrees_expanded +=
-                    exact_pattern_score(ctx, cfg, &partitions, c, key, &mut per_shard, winner);
+        let winners = local.len().min(cfg.k);
+        for &(_, id) in &local[winners..] {
+            *dict.group_by_id_mut(id) = PatternGroup::default();
+        }
+        if rates.of(c) < 1.0 {
+            for &(_, id) in &local[..winners] {
+                let exact = exact_score(ctx, cfg, dict.key(id), per_shard);
+                *dict.group_by_id_mut(id) = exact;
             }
         }
     }
-
-    // The winners' keys were counted in their partitions.
-    let patterns = rank_winners(ctx, cfg, std::slice::from_ref(&winners));
-    let mut hot = ctx.hot_stats();
-    hot.keys_interned = keys_interned;
-    hot.key_arena_bytes = key_arena_bytes;
-    SearchResult {
-        patterns,
-        stats: QueryStats {
-            candidate_roots,
-            subtrees: subtrees_expanded,
-            patterns: patterns_seen,
-            combos_tried: patterns_seen,
-            combos_pruned: 0,
-            per_shard,
-            fanout: mode,
-            hot,
-            elapsed: t0.elapsed(),
-        },
-    }
 }
 
-/// Exact score of one tree pattern (one pattern id per keyword) over a
-/// root partition (type `c`), via `Paths(wᵢ, r, Pᵢ)` lookups (root-first
-/// index), added into `group`. Returns the number of subtrees
-/// re-enumerated, which `per_shard` counts too.
-fn exact_pattern_score(
+/// The exact score of tree pattern `key` (one pattern id per keyword):
+/// its runs joined on every shard ([`join_pattern`]) and every subtree
+/// folded in. Adds the subtrees enumerated to their shard's `per_shard`
+/// entry.
+fn exact_score(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
-    partitions: &[ShardPartition],
-    c: TypeId,
-    pattern: &[u32],
+    key: &[u32],
     per_shard: &mut [ShardStats],
-    group: &mut PatternGroup,
-) -> usize {
-    let mut rescored = 0usize;
+) -> PatternGroup {
+    let mut group = PatternGroup::default();
+    let mut cursors = Vec::with_capacity(ctx.m());
     let mut fold = SubtreeFold::new(ctx.m());
-    for (shard_pos, part) in partitions.iter().enumerate() {
-        let shard = &ctx.shards[shard_pos];
-        let Some((roots, _)) = part.by_type.get(&c) else {
-            continue;
-        };
-        let rescored_before = rescored;
-        let walk = shard.walk();
-        for r in roots.iter().map(|&j| walk.roots()[j]) {
-            let runs = (shard.words.iter().zip(pattern))
-                .map(|(w, &p)| w.paths_of_root_pattern(r, PatternId(p)));
-            rescored += fold.fold(&shard.words, cfg, r, runs, |_, score| {
+    for (shard, stats) in ctx.shards.iter().zip(per_shard) {
+        join_pattern(shard, key, &mut cursors, |root, cursors| {
+            let runs = cursors.iter().map(RunCursor::postings);
+            stats.subtrees += fold.fold(&shard.words, cfg, root, runs, |_, score| {
                 group.add(score);
                 ControlFlow::Continue(())
             });
-        }
-        // Same unit as the headline `stats.subtrees` (tuples enumerated),
-        // so the per-shard split always sums to the total.
-        per_shard[shard_pos].subtrees += rescored - rescored_before;
+        });
     }
-    rescored
+    group
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linear_enum::linear_enum;
-    use crate::Query;
+    use crate::request::{AlgorithmChoice, SearchRequest};
+    use crate::{EngineBuilder, Query};
     use patternkb_datagen::figure1;
+    use patternkb_datagen::queries::QueryGenerator;
+    use patternkb_datagen::wiki::{wiki, WikiConfig};
+    use patternkb_graph::GraphBuilder;
     use patternkb_index::{build_indexes, BuildConfig};
     use patternkb_text::{SynonymTable, TextIndex};
 
@@ -335,8 +229,21 @@ mod tests {
         (g, t, idx)
     }
 
+    /// Every pattern of `a` and `b`, in order: key, score bits and trees.
+    fn same_answer(a: &crate::SearchResult, b: &crate::SearchResult, label: &str) {
+        let bits = |r: &crate::SearchResult| -> Vec<(Vec<u32>, u64, usize)> {
+            let rows = r.patterns.iter();
+            rows.map(|p| (p.key(), p.score.to_bits(), p.num_trees))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{label}");
+    }
+
     #[test]
     fn exact_mode_matches_linear_enum() {
+        // Λ = ∞ is exact whatever ρ is. A finite Λ no type reaches takes
+        // the partitioned path and samples nothing, and with k above
+        // every type's pattern count it cuts nothing either.
         let (g, t, idx) = setup();
         for query in [
             "database software company revenue",
@@ -346,52 +253,87 @@ mod tests {
             let q = Query::parse(&t, query).unwrap();
             let ctx = QueryContext::new(&g, &idx, &q).unwrap();
             let cfg = SearchConfig::top(100);
-            let le = linear_enum(&ctx, &cfg);
-            let tk = linear_enum_topk(&ctx, &cfg, &SamplingConfig::exact());
-            assert_eq!(le.patterns.len(), tk.patterns.len(), "query {query}");
-            for (a, b) in le.patterns.iter().zip(&tk.patterns) {
-                assert_eq!(a.key(), b.key());
-                assert!((a.score - b.score).abs() < 1e-9);
-                assert_eq!(a.num_trees, b.num_trees);
+            let le = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
+            for lambda in [u64::MAX, 1 << 40] {
+                let tk = linear_enum(&ctx, &cfg, &SamplingConfig::new(lambda, 0.5, 1));
+                same_answer(&le, &tk, &format!("{query}, Λ = {lambda}"));
+                assert_eq!(le.stats.subtrees, tk.stats.subtrees, "{query}");
             }
         }
     }
 
     #[test]
     fn always_sampling_rho_one_is_exact() {
-        // Λ = 0 forces the sampling code path; ρ = 1 keeps every root, and
-        // estimated == exact.
+        // ρ = 1 keeps every root whatever Λ is, and cuts no type.
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let cfg = SearchConfig::top(100);
-        let le = linear_enum(&ctx, &cfg);
-        let tk = linear_enum_topk(&ctx, &cfg, &SamplingConfig::new(0, 1.0, 1));
-        assert_eq!(le.patterns.len(), tk.patterns.len());
-        for (a, b) in le.patterns.iter().zip(&tk.patterns) {
-            assert_eq!(a.key(), b.key());
-            assert!((a.score - b.score).abs() < 1e-9);
-        }
+        let le = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
+        let tk = linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 1.0, 1));
+        same_answer(&le, &tk, "Λ = 0, ρ = 1");
     }
 
+    /// Whatever sampling does to the *selection*, reported scores are
+    /// recomputed exactly (line 11): on a small wiki engine at 1, 2 and 3
+    /// shards, every pattern a sampled run reports (Λ = 0: every type
+    /// sampled) carries the score bits and tree count `LINEARENUM` gives
+    /// the same key, and the per-shard subtree counts, re-scoring
+    /// included, sum to the total.
     #[test]
     fn sampled_scores_are_exact_for_reported_patterns() {
-        // Whatever sampling does to the *selection*, reported scores are
-        // recomputed exactly (line 11).
         let (g, t, idx) = setup();
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let cfg = SearchConfig::top(100);
-        let exact = linear_enum(&ctx, &cfg);
-        let sampled = linear_enum_topk(&ctx, &cfg, &SamplingConfig::new(0, 0.5, 7));
+        let exact = linear_enum(&ctx, &cfg, &SamplingConfig::exact());
+        let sampled = linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 0.5, 7));
         for p in &sampled.patterns {
             let reference = exact
                 .patterns
                 .iter()
                 .find(|e| e.key() == p.key())
                 .expect("sampled pattern exists exactly");
-            assert!((reference.score - p.score).abs() < 1e-9);
+            assert_eq!(reference.score.to_bits(), p.score.to_bits());
             assert_eq!(reference.num_trees, p.num_trees);
+        }
+
+        for shards in 1..=3 {
+            let mut checked = 0;
+            let e = EngineBuilder::new()
+                .graph(wiki(&WikiConfig::tiny(3)))
+                .height(3)
+                .threads(1)
+                .shards(shards)
+                .build()
+                .unwrap();
+            let mut generator = QueryGenerator::new(e.graph(), e.text(), 3, 5);
+            for spec in generator.batch(3, 4) {
+                let q = Query::from_ids(spec.keywords);
+                let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
+                let all = SearchConfig {
+                    max_rows: 0,
+                    ..SearchConfig::top(usize::MAX)
+                };
+                let exact = linear_enum(&ctx, &all, &SamplingConfig::exact());
+                let cfg = SearchConfig::top(5);
+                let sampled = linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 0.5, 7));
+                let stats = &sampled.stats;
+                let per_shard: usize = stats.per_shard.iter().map(|s| s.subtrees).sum();
+                assert_eq!(per_shard, stats.subtrees, "{shards} shards");
+                for p in &sampled.patterns {
+                    let reference = exact
+                        .patterns
+                        .iter()
+                        .find(|x| x.key() == p.key())
+                        .expect("sampled pattern exists exactly");
+                    let label = format!("{shards} shards, {}", p.display(e.graph()));
+                    assert_eq!(reference.score.to_bits(), p.score.to_bits(), "{label}");
+                    assert_eq!(reference.num_trees, p.num_trees, "{label}");
+                    checked += 1;
+                }
+            }
+            assert!(checked >= 40, "{shards} shards: {checked} patterns checked");
         }
     }
 
@@ -401,11 +343,80 @@ mod tests {
         let q = Query::parse(&t, "database software company revenue").unwrap();
         let ctx = QueryContext::new(&g, &idx, &q).unwrap();
         let cfg = SearchConfig::top(10);
-        let a = linear_enum_topk(&ctx, &cfg, &SamplingConfig::new(0, 0.4, 99));
-        let b = linear_enum_topk(&ctx, &cfg, &SamplingConfig::new(0, 0.4, 99));
+        let a = linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 0.4, 99));
+        let b = linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 0.4, 99));
         assert_eq!(a.patterns.len(), b.patterns.len());
         for (x, y) in a.patterns.iter().zip(&b.patterns) {
             assert_eq!(x.key(), y.key());
+        }
+    }
+
+    /// Ties at a type's cut: one root type whose patterns past the first
+    /// all score alike, more of them than k, interned in an order their
+    /// encoded keys do not follow. Exact `LINEARENUM-TOPK` — `ρ = 1`, or
+    /// `Λ = ∞` with any `ρ` — answers what `LINEARENUM` does to the bit,
+    /// so the k-th pattern is the tie with the least encoded key, not the
+    /// first one interned.
+    #[test]
+    fn exact_topk_breaks_ties_as_linear_enum_does() {
+        // `hub_i -link_i-> leaf_i`, every node a `Hub`, every leaf
+        // "gamma", the hubs created in reverse of their links' order.
+        let mut b = GraphBuilder::new();
+        let hub_type = b.add_type("Hub");
+        let links: Vec<_> = (0..5)
+            .map(|i| b.add_attr(&format!("link{}", 4 - i)))
+            .collect();
+        for &link in links.iter().rev() {
+            let hub = b.add_node(hub_type, "hub");
+            let leaf = b.add_node(hub_type, "gamma");
+            b.add_edge(hub, link, leaf);
+        }
+        let e = EngineBuilder::new()
+            .graph(b.build())
+            .height(3)
+            .threads(1)
+            .shards(1)
+            .build()
+            .unwrap();
+        let q = e.parse("gamma").unwrap();
+        let ctx = QueryContext::new(e.graph(), e.index(), &q).unwrap();
+        let all = linear_enum(&ctx, &SearchConfig::top(100), &SamplingConfig::exact()).patterns;
+        // The leaves' own pattern, then one tied pattern per link.
+        assert_eq!(all.len(), 6);
+        let root_type = |p: &crate::result::RankedPattern| p.pattern[0].root_type();
+        assert!(all.iter().all(|p| root_type(p) == hub_type));
+        let tied = &all[1..];
+        assert!(tied.iter().all(|p| p.score == tied[0].score));
+        assert!(all[0].score > tied[0].score);
+        // The precondition the test needs: intern order is not key order.
+        let ids: Vec<u32> = tied
+            .iter()
+            .map(|p| crate::individual::pattern_key_of(e.index().patterns(), p).unwrap()[0])
+            .collect();
+        assert!(
+            ids.windows(2).any(|w| w[0] > w[1]),
+            "intern order {ids:?} follows the encoded keys"
+        );
+        let bits = |r: &crate::request::SearchResponse| -> Vec<(Vec<u32>, u64, usize)> {
+            let rows = r.patterns.iter();
+            rows.map(|p| (p.key(), p.score.to_bits(), p.num_trees))
+                .collect()
+        };
+        for k in 1..=4 {
+            let respond = |algorithm, sampling| {
+                let request = SearchRequest::query(q.clone())
+                    .k(k)
+                    .algorithm(algorithm)
+                    .sampling(sampling);
+                e.respond(&request).unwrap()
+            };
+            let exact = SamplingConfig::exact();
+            let le = respond(AlgorithmChoice::LinearEnum, exact);
+            assert_eq!(le.patterns.len(), k, "k = {k}");
+            for sampling in [exact, SamplingConfig::new(u64::MAX, 0.5, 7)] {
+                let tk = respond(AlgorithmChoice::LinearEnumTopK, sampling);
+                assert_eq!(bits(&le), bits(&tk), "k = {k}, {sampling:?}");
+            }
         }
     }
 

@@ -21,7 +21,7 @@ use patternkb_search::common::QueryContext;
 use patternkb_search::individual::top_individual;
 use patternkb_search::linear_enum::linear_enum;
 use patternkb_search::pattern_enum::pattern_enum;
-use patternkb_search::topk::{linear_enum_topk, SamplingConfig};
+use patternkb_search::topk::SamplingConfig;
 use patternkb_search::{Query, SearchConfig, SearchResult};
 use patternkb_text::{SynonymTable, TextIndex};
 
@@ -86,11 +86,11 @@ fn check_all_algorithms(g: &KnowledgeGraph, t: &TextIndex, d: usize, q: &Query, 
         return;
     };
 
-    let ref_le = linear_enum(&ref_ctx, &cfg);
+    let ref_le = linear_enum(&ref_ctx, &cfg, &SamplingConfig::exact());
     let ref_pe = pattern_enum(&ref_ctx, &cfg);
     let ref_pruned = pattern_enum_pruned(&ref_ctx, &cfg);
-    let ref_topk = linear_enum_topk(&ref_ctx, &cfg, &SamplingConfig::exact());
-    let ref_sampled = linear_enum_topk(&ref_ctx, &cfg, &SamplingConfig::new(0, 0.5, 13));
+    let ref_topk = linear_enum(&ref_ctx, &cfg, &SamplingConfig::exact());
+    let ref_sampled = linear_enum(&ref_ctx, &cfg, &SamplingConfig::new(0, 0.5, 13));
     let ref_base = baseline(g, t, q, &cfg, d, reference.bounds());
     let ref_trees = top_individual(&ref_ctx, &cfg, k);
 
@@ -99,7 +99,11 @@ fn check_all_algorithms(g: &KnowledgeGraph, t: &TextIndex, d: usize, q: &Query, 
         let ctx = QueryContext::new(g, &idx, q).expect("answerable stays answerable");
         let label = |algo: &str| format!("{algo} shards={shards} k={k}");
 
-        assert_identical(&ref_le, &linear_enum(&ctx, &cfg), &label("linear_enum"));
+        assert_identical(
+            &ref_le,
+            &linear_enum(&ctx, &cfg, &SamplingConfig::exact()),
+            &label("linear_enum"),
+        );
         assert_identical(&ref_pe, &pattern_enum(&ctx, &cfg), &label("pattern_enum"));
         // Pruned: pruning nondeterminism may differ, the top-k must not.
         let pruned = pattern_enum_pruned(&ctx, &cfg);
@@ -111,12 +115,12 @@ fn check_all_algorithms(g: &KnowledgeGraph, t: &TextIndex, d: usize, q: &Query, 
         }
         assert_identical(
             &ref_topk,
-            &linear_enum_topk(&ctx, &cfg, &SamplingConfig::exact()),
+            &linear_enum(&ctx, &cfg, &SamplingConfig::exact()),
             &label("linear_enum_topk[exact]"),
         );
         assert_identical(
             &ref_sampled,
-            &linear_enum_topk(&ctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
+            &linear_enum(&ctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
             &label("linear_enum_topk[rho=0.5]"),
         );
         assert_identical(

@@ -25,7 +25,7 @@ use patternkb_search::common::QueryContext;
 use patternkb_search::individual::top_individual;
 use patternkb_search::linear_enum::linear_enum;
 use patternkb_search::pattern_enum::pattern_enum;
-use patternkb_search::topk::{linear_enum_topk, SamplingConfig};
+use patternkb_search::topk::SamplingConfig;
 use patternkb_search::{Query, SearchConfig, SearchResult};
 use patternkb_text::{SynonymTable, TextIndex};
 
@@ -102,8 +102,8 @@ fn check_backends(g: &KnowledgeGraph, t: &TextIndex, d: usize, shards: usize, q:
     let label = |algo: &str| format!("{algo} shards={shards} k={k}");
 
     assert_identical(
-        &linear_enum(&hctx, &cfg),
-        &linear_enum(&mctx, &cfg),
+        &linear_enum(&hctx, &cfg, &SamplingConfig::exact()),
+        &linear_enum(&mctx, &cfg, &SamplingConfig::exact()),
         &label("linear_enum"),
     );
     let h_pe = pattern_enum(&hctx, &cfg);
@@ -125,13 +125,13 @@ fn check_backends(g: &KnowledgeGraph, t: &TextIndex, d: usize, shards: usize, q:
         }
     }
     assert_identical(
-        &linear_enum_topk(&hctx, &cfg, &SamplingConfig::exact()),
-        &linear_enum_topk(&mctx, &cfg, &SamplingConfig::exact()),
+        &linear_enum(&hctx, &cfg, &SamplingConfig::exact()),
+        &linear_enum(&mctx, &cfg, &SamplingConfig::exact()),
         &label("linear_enum_topk[exact]"),
     );
     assert_identical(
-        &linear_enum_topk(&hctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
-        &linear_enum_topk(&mctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
+        &linear_enum(&hctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
+        &linear_enum(&mctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
         &label("linear_enum_topk[rho=0.5]"),
     );
     assert_identical(

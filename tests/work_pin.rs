@@ -42,10 +42,12 @@ const PINNED: [(&str, u64, u64); 7] = [
     ),
     ("LinearEnum", 3156926336427701589, 10245004788127383295),
     ("LinearEnumTopK", 3156926336427701589, 10245004788127383295),
+    // The sampled cost moved from 11412224329772072153 when the exact
+    // re-score became a join of each winner's runs, whose seeks count.
     (
         "LinearEnumTopK sampled",
         14049553832019083173,
-        11412224329772072153,
+        11053369115965507309,
     ),
 ];
 
