@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [--scale small|full] [--shards N]
 //!             [fig6 fig7 fig8 fig9 fig10 expk fig11 fig12 fig13 fig16
-//!              case worstcase ablation | all]
+//!              case worstcase ablation accumulate | all]
 //! ```
 //!
 //! Each experiment prints a paper-style table; `all` (or no pick) runs
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 static SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Every pick, in the order `all` runs them.
-const PICKS: [(&str, fn(&mut Report, Scale)); 13] = [
+const PICKS: [(&str, fn(&mut Report, Scale)); 14] = [
     ("fig6", fig6),
     ("fig7", fig7),
     ("fig8", fig8),
@@ -53,6 +53,7 @@ const PICKS: [(&str, fn(&mut Report, Scale)); 13] = [
     ("case", case_study),
     ("worstcase", worst_case),
     ("ablation", ablation),
+    ("accumulate", accumulate),
 ];
 
 fn usage_exit(problem: &str) -> ! {
@@ -907,4 +908,58 @@ fn ablation_stemmer(report: &mut Report, scale: Scale) {
     }
     report.table(&rows);
     report.line("(Porter reaches the most inflected variants; Lite trades some recall to keep entity nouns distinct; None requires exact surface forms)");
+}
+
+// ------------------------------------------------------------------
+// The pattern-score accumulator: `ExactSum`'s fixed-point window against
+// the `Partials` fallback it keeps for inputs outside the window.
+// ------------------------------------------------------------------
+fn accumulate(report: &mut Report, _scale: Scale) {
+    use patternkb_search::score::{ExactSum, Partials};
+    use std::hint::black_box;
+
+    /// Best of three passes over `scores` in sums of `group` pushes, each
+    /// read by `value`: ns per push, and every sum's bits.
+    fn time<A: Default>(
+        scores: &[f64],
+        group: usize,
+        push: impl Fn(&mut A, f64),
+        value: impl Fn(&A) -> f64,
+    ) -> (f64, Vec<u64>) {
+        let mut best = Duration::MAX;
+        let mut bits = Vec::new();
+        for _ in 0..3 {
+            bits.clear();
+            let t0 = Instant::now();
+            for chunk in scores.chunks(group) {
+                let mut acc = A::default();
+                for &x in chunk {
+                    push(&mut acc, black_box(x));
+                }
+                bits.push(black_box(value(&acc)).to_bits());
+            }
+            best = best.min(t0.elapsed());
+        }
+        (best.as_nanos() as f64 / scores.len() as f64, bits)
+    }
+
+    report.section("Pattern-score accumulation: ExactSum vs its Partials fallback (ns per push)");
+    // Subtree scores as default scoring makes them: exponents −22 … −7.
+    let mut rng = SmallRng::seed_from_u64(7);
+    let scores: Vec<f64> = (0..1usize << 20)
+        .map(|_| 2f64.powf(rng.gen_range(-22.0..-7.0)))
+        .collect();
+    let mut rows = vec![vec!["sums".into(), "Partials".into(), "ExactSum".into()]];
+    for (label, group) in [("groups of 17", 17), ("one of 2^20", scores.len())] {
+        let (partials, want) = time(&scores, group, Partials::push, Partials::value);
+        let (exact, got) = time(&scores, group, ExactSum::push, ExactSum::value);
+        assert_eq!(got, want, "{label}: ExactSum and Partials disagree");
+        rows.push(vec![
+            label.into(),
+            format!("{partials:.1}"),
+            format!("{exact:.1}"),
+        ]);
+    }
+    report.table(&rows);
+    report.line("(every sum compared bit for bit; a correctly rounded sum is unique)");
 }

@@ -64,6 +64,11 @@
 //!   [`PatternKeyId`] from a bump-arena [`KeyInterner`] instead of
 //!   hashing a freshly boxed `[u32]` per candidate; groups live in a flat
 //!   `Vec` and shard merge is an id remap + vector walk.
+//! * **Scores sum at a fixed cost.** A [`PatternGroup`] is its
+//!   [`ScoreAcc`], 48 bytes: the exact sum adds a subtree's score into a
+//!   fixed-point `i128`, and boxes Shewchuk's partials only for inputs
+//!   outside the window default scoring stays in
+//!   ([`crate::score::ExactSum`]).
 
 use crate::intern::{KeyInterner, PatternKeyId};
 use crate::result::RankedPattern;
@@ -593,15 +598,21 @@ where
         .collect()
 }
 
-/// A pattern's accumulated answer during enumeration: its score alone.
-/// No kernel builds rows while it enumerates; the winners' rows are
-/// re-joined once they are known (`rank_winners`).
+/// A pattern's accumulated answer during enumeration: its score alone,
+/// 48 bytes (a [`ScoreAcc`]: the exact sum's fixed-point integer and
+/// fallback pointer, the max and the count). No kernel builds rows while
+/// it enumerates; the winners' rows are re-joined once they are known
+/// (`rank_winners`).
 #[derive(Clone, Debug, Default)]
 pub struct PatternGroup {
     /// Streaming score aggregation over all subtrees (exact sum, so
     /// per-shard groups merge bit-identically).
     pub acc: ScoreAcc,
 }
+
+// A `TreeDict` holds one group per distinct pattern it meets, so the
+// group's size is pinned.
+const _: () = assert!(std::mem::size_of::<PatternGroup>() <= 48);
 
 impl PatternGroup {
     /// Fold another group of the same pattern in (a later shard's, or a
@@ -940,14 +951,16 @@ pub fn expand_root<'a>(
 /// Join one tree pattern's runs over one shard: leapfrog the run cursors
 /// of `key` (one pattern id per keyword) and call `visit(root, cursors)`
 /// at every root where each keyword has its pattern, ascending, every
-/// cursor standing on that root's run. `cursors` is the caller's buffer.
-/// The walk's seeks count in the shard's `intersect_seeks`. The winners'
-/// row re-join and a sampled partition's exact re-score both run this.
+/// cursor standing on that root's run, until `visit` breaks. `cursors` is
+/// the caller's buffer. The walk's seeks count in the shard's
+/// `intersect_seeks`. The winners' row re-join, which stops once its rows
+/// are full, and a sampled partition's exact re-score, which walks every
+/// root, both run this.
 pub(crate) fn join_pattern<'s>(
     shard: &'s ShardContext<'_>,
     key: &[u32],
     cursors: &mut Vec<RunCursor<'s>>,
-    mut visit: impl FnMut(NodeId, &[RunCursor<'s>]),
+    mut visit: impl FnMut(NodeId, &[RunCursor<'s>]) -> ControlFlow<()>,
 ) {
     cursors.clear();
     for (word, &p) in shard.words.iter().zip(key) {
@@ -956,10 +969,7 @@ pub(crate) fn join_pattern<'s>(
             None => return,
         }
     }
-    let end = patternkb_index::leapfrog(cursors, |r, cursors| {
-        visit(NodeId(r), cursors);
-        ControlFlow::Continue(())
-    });
+    let end = patternkb_index::leapfrog(cursors, |r, cursors| visit(NodeId(r), cursors));
     shard.counters.add_seeks(end.seeks);
 }
 
@@ -1021,8 +1031,9 @@ pub(crate) fn rank_winners(
 /// Re-join one winning pattern's rows: walk the shards in ascending
 /// root-range order, leapfrog its per-keyword posting runs, and
 /// materialize the first `cfg.max_rows` accepted subtrees — the pattern's
-/// first rows in root order. `p` is the decoded pattern with its
-/// `num_trees`, which size the store once.
+/// first rows in root order — stopping the walk at the last of them.
+/// `p` is the decoded pattern with its `num_trees`, which size the store
+/// once.
 fn materialize_pattern_rows(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
@@ -1034,24 +1045,24 @@ fn materialize_pattern_rows(
     let mut trees = Rows::with_capacity(p.num_trees.min(cfg.max_rows), stride);
     let mut cursors = Vec::with_capacity(m);
     let mut fold = SubtreeFold::new(m);
+    let full = |trees: &Rows| {
+        if trees.len() < cfg.max_rows {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    };
     for shard in &ctx.shards {
-        if trees.len() >= cfg.max_rows {
+        if full(&trees).is_break() {
             break;
         }
-        // Once the store is full nothing more is scored; the walk itself
-        // runs to the end of the shard.
         join_pattern(shard, key, &mut cursors, |root, cursors| {
-            if trees.len() < cfg.max_rows {
-                let runs = cursors.iter().map(RunCursor::postings);
-                fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
-                    push_row(&mut trees, &shard.words, root, tuple, score);
-                    if trees.len() < cfg.max_rows {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    }
-                });
-            }
+            let runs = cursors.iter().map(RunCursor::postings);
+            fold.fold(&shard.words, cfg, root, runs, |tuple, score| {
+                push_row(&mut trees, &shard.words, root, tuple, score);
+                full(&trees)
+            });
+            full(&trees)
         });
     }
     trees

@@ -155,6 +155,8 @@ fn kernels_answer_identically_inline_and_fanned_out() {
     assert_eq!(sharded.num_shards(), 3);
     let cfg = SearchConfig::top(10);
     let sampled = SamplingConfig::new(0, 0.5, 13);
+    // A finite Λ no type reaches: the partitioned path, unsampled.
+    let unsampled = SamplingConfig::new(1 << 40, 0.5, 13);
     let mut answered = 0;
     for q in queries(&sharded) {
         let ctx = QueryContext::new(sharded.graph(), sharded.index(), &q).unwrap();
@@ -170,14 +172,16 @@ fn kernels_answer_identically_inline_and_fanned_out() {
             assert_eq!(sharded.stats.fanout, Fanout::Inline, "{label}");
             check_one_shard(label, &ctx, &sharded, &kernel(&reference, &cfg));
         }
-        for (label, samp) in [
-            ("topk[exact]", SamplingConfig::exact()),
-            ("topk[sampled]", sampled),
-        ] {
+        for (label, samp) in [("topk[unsampled]", unsampled), ("topk[sampled]", sampled)] {
             check_kernel(label, &ctx, &reference, |c, mode| {
                 linear_enum_in(c, &cfg, &samp, mode)
             });
         }
+        let label = "topk[unsampled] vs linear_enum";
+        let [exact, partitioned] = [SamplingConfig::exact(), unsampled]
+            .map(|samp| linear_enum_in(&ctx, &cfg, &samp, Fanout::Inline));
+        assert_eq!(answer_bits(&exact), answer_bits(&partitioned), "{label}");
+        assert_same_work(label, &exact.stats, &partitioned.stats);
 
         let [inline, threads] = MODES.map(|mode| top_individual_in(&ctx, &cfg, 10, mode));
         let one = top_individual_in(&reference, &cfg, 10, Fanout::Inline);

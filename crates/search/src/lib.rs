@@ -55,7 +55,10 @@
 //! re-joins the rows of the k winners alone. Scores accumulate
 //! **exactly** ([`score::ExactSum`]), so sharded answers are bit-identical
 //! to `shards(1)` (proptest-enforced); [`QueryStats::per_shard`] reports
-//! how the work split.
+//! how the work split. The exact sum costs a fixed-point add per subtree
+//! and 48 bytes per pattern group: a 128-bit integer holds every score in
+//! the window default scoring produces, and Shewchuk's partials
+//! ([`score::Partials`]) are boxed only for inputs outside it.
 //!
 //! ## The request/response API
 //!

@@ -18,8 +18,8 @@
 //! With a sampling rate `ρ < 1` and a finite threshold `Λ`
 //! ([`SamplingConfig`]) the kernel is `LINEARENUM-TOPK` (Algorithm 4):
 //! each root type gets a rate, each shard expands only the roots its
-//! type's rate keeps, and after the merge each type keeps its k best
-//! patterns, a sampled type's re-scored exactly ([`crate::topk`]).
+//! type's rate keeps, and after the merge each sampled type keeps its k
+//! best patterns, re-scored exactly ([`crate::topk`]).
 //! Otherwise — every `LINEARENUM` request, and `LINEARENUM-TOPK` with
 //! `Λ = ∞` or `ρ = 1` — no root is skipped and no type is cut: the answer
 //! is the exact top-k (Theorem 4), the one `LINEARENUM` returns.

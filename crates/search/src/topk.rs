@@ -10,11 +10,12 @@
 //!    probability `ρ` (lines 5–8), into the shard's one dictionary; the
 //!    type's pattern scores are estimated from the sample
 //!    (Horvitz–Thompson for `Sum`/`Count`).
-//! 3. After the shards' dictionaries merge, each type keeps its k best
-//!    patterns by estimate (lines 9–10), and only a sampled type's winners
-//!    get their exact scores, by re-joining each winner's runs on every
-//!    shard (line 11). The other patterns drop out before the final
-//!    ranking, whose k best get their rows re-joined (`rank_winners`).
+//! 3. After the shards' dictionaries merge, each sampled type keeps its k
+//!    best patterns by estimate (lines 9–10), and those winners get their
+//!    exact scores, by re-joining each winner's runs on every shard (line
+//!    11); its other patterns drop out. A type at rate 1 has exact scores
+//!    already and is not cut. The final ranking's k best get their rows
+//!    re-joined (`rank_winners`).
 //!
 //! Root selection is **hash-based per root** (not a sequential RNG), so
 //! the sampled set is a pure function of `(seed, root)` — independent of
@@ -134,10 +135,13 @@ impl TypeRates {
 }
 
 /// Lines 9–11 of Algorithm 4 over the merged dictionary of a sampled run:
-/// per root type, keep the k best patterns by estimated score (ties by
-/// raw key) and mark the rest dead (an empty group, which ranking skips);
-/// give each winner of a sampled type its exact score. The subtrees the
-/// re-scoring enumerates count in their shard's `per_shard` entry.
+/// per sampled root type, keep the k best patterns by estimated score
+/// (ties by raw key), mark the rest dead (an empty group, which ranking
+/// skips) and give each winner its exact score. A type at rate 1 already
+/// has exact scores and is not cut: its patterns go to `rank_winners` as
+/// they are, which orders their ties by encoded key, as `LINEARENUM`
+/// does. The subtrees the re-scoring enumerates count in their shard's
+/// `per_shard` entry.
 pub(crate) fn keep_type_winners(
     ctx: &QueryContext<'_>,
     cfg: &SearchConfig,
@@ -145,15 +149,16 @@ pub(crate) fn keep_type_winners(
     dict: &mut TreeDict,
     per_shard: &mut [ShardStats],
 ) {
-    let mut by_type: BTreeMap<TypeId, Vec<(f64, PatternKeyId)>> = BTreeMap::new();
+    let mut sampled: BTreeMap<TypeId, Vec<(f64, PatternKeyId)>> = BTreeMap::new();
     for (id, key, group) in dict.iter() {
         let c = ctx.idx.patterns().root_type(PatternId(key[0]));
-        let est = group
-            .acc
-            .finish_estimated(cfg.scoring.aggregation, rates.of(c));
-        by_type.entry(c).or_default().push((est, id));
+        let rate = rates.of(c);
+        if rate < 1.0 {
+            let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
+            sampled.entry(c).or_default().push((est, id));
+        }
     }
-    for (c, mut local) in by_type {
+    for mut local in sampled.into_values() {
         local.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -163,11 +168,9 @@ pub(crate) fn keep_type_winners(
         for &(_, id) in &local[winners..] {
             *dict.group_by_id_mut(id) = PatternGroup::default();
         }
-        if rates.of(c) < 1.0 {
-            for &(_, id) in &local[..winners] {
-                let exact = exact_score(ctx, cfg, dict.key(id), per_shard);
-                *dict.group_by_id_mut(id) = exact;
-            }
+        for &(_, id) in &local[..winners] {
+            let exact = exact_score(ctx, cfg, dict.key(id), per_shard);
+            *dict.group_by_id_mut(id) = exact;
         }
     }
 }
@@ -192,6 +195,7 @@ fn exact_score(
                 group.add(score);
                 ControlFlow::Continue(())
             });
+            ControlFlow::Continue(())
         });
     }
     group
@@ -354,7 +358,8 @@ mod tests {
     /// Ties at a type's cut: one root type whose patterns past the first
     /// all score alike, more of them than k, interned in an order their
     /// encoded keys do not follow. Exact `LINEARENUM-TOPK` — `ρ = 1`, or
-    /// `Λ = ∞` with any `ρ` — answers what `LINEARENUM` does to the bit,
+    /// `Λ = ∞` with any `ρ`, or a finite `Λ` the type does not reach, so
+    /// it is kept at rate 1 — answers what `LINEARENUM` does to the bit,
     /// so the k-th pattern is the tie with the least encoded key, not the
     /// first one interned.
     #[test]
@@ -413,7 +418,11 @@ mod tests {
             let exact = SamplingConfig::exact();
             let le = respond(AlgorithmChoice::LinearEnum, exact);
             assert_eq!(le.patterns.len(), k, "k = {k}");
-            for sampling in [exact, SamplingConfig::new(u64::MAX, 0.5, 7)] {
+            for sampling in [
+                exact,
+                SamplingConfig::new(u64::MAX, 0.5, 7),
+                SamplingConfig::new(1 << 40, 0.5, 7),
+            ] {
                 let tk = respond(AlgorithmChoice::LinearEnumTopK, sampling);
                 assert_eq!(bits(&le), bits(&tk), "k = {k}, {sampling:?}");
             }

@@ -124,10 +124,11 @@ fn check_backends(g: &KnowledgeGraph, t: &TextIndex, d: usize, shards: usize, q:
             assert_eq!(x.num_trees, y.num_trees, "{what}");
         }
     }
+    // A finite Λ no type reaches: the partitioned path, unsampled.
     assert_identical(
         &linear_enum(&hctx, &cfg, &SamplingConfig::exact()),
-        &linear_enum(&mctx, &cfg, &SamplingConfig::exact()),
-        &label("linear_enum_topk[exact]"),
+        &linear_enum(&mctx, &cfg, &SamplingConfig::new(1 << 40, 0.5, 13)),
+        &label("linear_enum_topk[unsampled]"),
     );
     assert_identical(
         &linear_enum(&hctx, &cfg, &SamplingConfig::new(0, 0.5, 13)),
