@@ -168,8 +168,8 @@ pub fn baseline(
                 .iter()
                 .map(|&p| patset.decode(patternkb_index::PatternId(p)))
                 .collect::<Vec<PathPattern>>(),
-            score: group.acc.finish(cfg.scoring.aggregation),
-            num_trees: group.acc.count as usize,
+            score: group.finish(cfg.scoring.aggregation),
+            num_trees: group.count as usize,
             trees: std::mem::take(&mut rows[id.0 as usize]),
         })
         .collect();
@@ -299,7 +299,7 @@ fn baseline_range(
                 }
                 let score = cfg.scoring.tree_score(len, pr, sim);
                 let id = dict.intern(&tree_key);
-                dict.group_by_id_mut(id).add(score);
+                dict.group_by_id_mut(id).push(score);
                 let rows = rows_of(&mut rows, id);
                 if rows.len() < cfg.max_rows {
                     let paths = chosen.iter().map(|p| p.nodes.as_slice());

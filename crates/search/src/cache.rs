@@ -597,8 +597,8 @@ mod tests {
     fn stale_corpses_are_evicted_before_live_entries() {
         use patternkb_graph::mutate::{GraphDelta, PagerankMode};
         // Two coexisting states: e0 at version 0, e1 at version 1 — the
-        // respond_on micro-batching route really does insert at an old
-        // version while newer entries exist.
+        // respond_on route really does insert at an old version while
+        // newer entries exist.
         let e0 = engine();
         let g = e0.graph();
         let comp = g.type_by_text("Company").unwrap();
@@ -764,7 +764,7 @@ mod tests {
         let cfg = SearchConfig::top(10);
         let q = e0.parse("company").unwrap();
         let live = get_or_compute(&cache, &e1, &q, &cfg, PatternEnum);
-        // A micro-batch still on v0 interleaves with v1 readers.
+        // A reader still on a v0 snapshot interleaves with v1 readers.
         for _ in 0..2 {
             let old = get_or_compute(&cache, &e0, &q, &cfg, PatternEnum);
             assert!(!Arc::ptr_eq(&old, &live), "v0 computes its own answer");

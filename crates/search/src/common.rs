@@ -64,7 +64,7 @@
 //!   [`PatternKeyId`] from a bump-arena [`KeyInterner`] instead of
 //!   hashing a freshly boxed `[u32]` per candidate; groups live in a flat
 //!   `Vec` and shard merge is an id remap + vector walk.
-//! * **Scores sum at a fixed cost.** A [`PatternGroup`] is its
+//! * **Scores sum at a fixed cost.** A [`TreeDict`] group is a
 //!   [`ScoreAcc`], 48 bytes: the exact sum adds a subtree's score into a
 //!   fixed-point `i128`, and boxes Shewchuk's partials only for inputs
 //!   outside the window default scoring stays in
@@ -598,54 +598,17 @@ where
         .collect()
 }
 
-/// A pattern's accumulated answer during enumeration: its score alone,
-/// 48 bytes (a [`ScoreAcc`]: the exact sum's fixed-point integer and
-/// fallback pointer, the max and the count). No kernel builds rows while
-/// it enumerates; the winners' rows are re-joined once they are known
-/// (`rank_winners`).
-#[derive(Clone, Debug, Default)]
-pub struct PatternGroup {
-    /// Streaming score aggregation over all subtrees (exact sum, so
-    /// per-shard groups merge bit-identically).
-    pub acc: ScoreAcc,
-}
-
-// A `TreeDict` holds one group per distinct pattern it meets, so the
-// group's size is pinned.
-const _: () = assert!(std::mem::size_of::<PatternGroup>() <= 48);
-
-impl PatternGroup {
-    /// Fold another group of the same pattern in (a later shard's, or a
-    /// worker's).
-    pub fn merge(&mut self, other: &PatternGroup) {
-        self.acc.merge(&other.acc);
-    }
-
-    /// Count one accepted subtree into the score.
-    #[inline]
-    pub fn add(&mut self, score: f64) {
-        self.acc.push(score);
-    }
-
-    /// Whether the group holds no evidence (all candidate tuples rejected,
-    /// e.g. by strict-tree filtering). Dead groups are skipped by
-    /// [`TreeDict`] iteration and merging — the arena keeps their key, but
-    /// they never surface as answers.
-    #[inline]
-    pub fn is_dead(&self) -> bool {
-        self.acc.count == 0
-    }
-}
-
 /// The `TreeDict` of Algorithm 3: tree-pattern key (one pattern id per
-/// keyword, flattened) → group — keyed by interned [`PatternKeyId`]s, with
-/// groups in a flat vector. Replaces the former
-/// `FxHashMap<Box<[u32]>, PatternGroup>`: one arena copy per **distinct**
-/// pattern instead of one heap allocation per candidate access.
+/// keyword, flattened) → its score group, a [`ScoreAcc`] — keyed by
+/// interned [`PatternKeyId`]s, with groups in a flat vector. Replaces the
+/// former `FxHashMap<Box<[u32]>, _>`: one arena copy per **distinct**
+/// pattern instead of one heap allocation per candidate access. No kernel
+/// builds rows while it enumerates; the winners' rows are re-joined once
+/// they are known (`rank_winners`).
 #[derive(Clone, Debug)]
 pub struct TreeDict {
     interner: KeyInterner,
-    groups: Vec<PatternGroup>,
+    groups: Vec<ScoreAcc>,
 }
 
 impl TreeDict {
@@ -663,27 +626,27 @@ impl TreeDict {
     pub fn intern(&mut self, key: &[u32]) -> PatternKeyId {
         let (id, fresh) = self.interner.intern_full(key);
         if fresh {
-            self.groups.push(PatternGroup::default());
+            self.groups.push(ScoreAcc::default());
         }
         id
     }
 
     /// The group of `key`, interning it first.
     #[inline]
-    pub fn group_mut(&mut self, key: &[u32]) -> &mut PatternGroup {
+    pub fn group_mut(&mut self, key: &[u32]) -> &mut ScoreAcc {
         let id = self.intern(key);
         &mut self.groups[id.0 as usize]
     }
 
     /// The group of an interned id.
     #[inline]
-    pub fn group(&self, id: PatternKeyId) -> &PatternGroup {
+    pub fn group(&self, id: PatternKeyId) -> &ScoreAcc {
         &self.groups[id.0 as usize]
     }
 
     /// Mutable group of an interned id.
     #[inline]
-    pub fn group_by_id_mut(&mut self, id: PatternKeyId) -> &mut PatternGroup {
+    pub fn group_by_id_mut(&mut self, id: PatternKeyId) -> &mut ScoreAcc {
         &mut self.groups[id.0 as usize]
     }
 
@@ -693,9 +656,12 @@ impl TreeDict {
         self.interner.key(id)
     }
 
-    /// Number of **live** (non-dead) groups.
+    /// Number of **live** groups: those holding a subtree. A key whose
+    /// every candidate tuple was rejected (e.g. by strict-tree filtering)
+    /// keeps its arena slot but a dead, empty group, which iteration and
+    /// merging skip.
     pub fn len(&self) -> usize {
-        self.groups.iter().filter(|g| !g.is_dead()).count()
+        self.groups.iter().filter(|g| g.count > 0).count()
     }
 
     /// Whether no live group exists.
@@ -715,11 +681,11 @@ impl TreeDict {
     }
 
     /// Iterate `(id, key, group)` over live groups in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (PatternKeyId, &[u32], &PatternGroup)> {
+    pub fn iter(&self) -> impl Iterator<Item = (PatternKeyId, &[u32], &ScoreAcc)> {
         self.interner
             .iter()
             .zip(&self.groups)
-            .filter(|(_, g)| !g.is_dead())
+            .filter(|(_, g)| g.count > 0)
             .map(|((id, key), g)| (id, key, g))
     }
 }
@@ -991,7 +957,7 @@ pub(crate) fn rank_winners(
         .iter()
         .flat_map(|dict| {
             dict.iter()
-                .map(move |(id, _, group)| (group.acc.finish(cfg.scoring.aggregation), dict, id))
+                .map(move |(id, _, group)| (group.finish(cfg.scoring.aggregation), dict, id))
         })
         .collect();
     let by_score = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal);
@@ -1010,7 +976,7 @@ pub(crate) fn rank_winners(
             let p = RankedPattern {
                 pattern: ctx.decode_key(dict.key(id)),
                 score,
-                num_trees: dict.group(id).acc.count as usize,
+                num_trees: dict.group(id).count as usize,
                 trees: Rows::default(),
             };
             let sort_key = p.key();
@@ -1143,15 +1109,15 @@ mod tests {
     #[test]
     fn tree_dict_interns_and_iterates_live_only() {
         let mut d = TreeDict::new(2);
-        d.group_mut(&[1, 2]).acc.push(1.5);
+        d.group_mut(&[1, 2]).push(1.5);
         d.intern(&[3, 4]); // stays dead — never iterated
-        d.group_mut(&[1, 2]).acc.push(0.5);
+        d.group_mut(&[1, 2]).push(0.5);
         assert_eq!(d.keys_interned(), 2);
         assert_eq!(d.len(), 1);
         let live: Vec<Vec<u32>> = d.iter().map(|(_, k, _)| k.to_vec()).collect();
         assert_eq!(live, vec![vec![1, 2]]);
         let id = d.intern(&[1, 2]);
-        assert_eq!(d.group(id).acc.count, 2);
+        assert_eq!(d.group(id).count, 2);
     }
 
     /// A word index over `(pattern, root)` postings, each path starting
@@ -1322,19 +1288,19 @@ mod tests {
     fn merge_shard_dicts_combines_groups() {
         let key = [1u32, 2];
         let mut d1 = TreeDict::new(2);
-        d1.group_mut(&key).acc.push(1.5);
+        d1.group_mut(&key).push(1.5);
         let mut d2 = TreeDict::new(2);
-        d2.group_mut(&key).acc.push(2.5);
+        d2.group_mut(&key).push(2.5);
         let other = [9u32, 9];
-        d2.group_mut(&other).acc.push(0.5);
+        d2.group_mut(&other).push(0.5);
 
         let merged = merge_shard_dicts(vec![d1, d2], 2);
         assert_eq!(merged.len(), 2);
         let id = merged.interner.get(&key).expect("merged key");
-        assert_eq!(merged.group(id).acc.count, 2);
-        assert_eq!(merged.group(id).acc.sum(), 4.0);
+        assert_eq!(merged.group(id).count, 2);
+        assert_eq!(merged.group(id).sum(), 4.0);
         let oid = merged.interner.get(&other).expect("other key");
-        assert_eq!(merged.group(oid).acc.count, 1);
+        assert_eq!(merged.group(oid).count, 1);
         assert!(merge_shard_dicts(vec![], 2).is_empty());
     }
 }

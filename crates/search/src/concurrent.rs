@@ -231,14 +231,14 @@ impl SharedEngine {
         snapshot.respond_with_cache(request, Some(&self.cache))
     }
 
-    /// [`Self::respond`] against a snapshot the caller already holds —
-    /// the micro-batching route: a serving worker takes one
-    /// [`Self::snapshot`] per admitted batch and answers every request of
-    /// the batch through it (and through the shared cache), paying the
-    /// swap-pointer read once instead of per request.
+    /// [`Self::respond`] against a snapshot the caller already holds, so
+    /// the caller can render the response on the same state that answered
+    /// it: the HTTP server takes one [`Self::snapshot`] per search, answers
+    /// it through this (and through the shared cache), and renders the
+    /// body from that snapshot.
     ///
     /// The snapshot may be older than the current state (e.g. a
-    /// [`Self::replace`] or an ingest landed mid-batch); answers stay
+    /// [`Self::replace`] or an ingest landed since it was taken); answers stay
     /// internally consistent with that snapshot, cache entries are checked
     /// against its version so the two states never mix, and a miss on the
     /// older snapshot leaves the current state's entry in place.

@@ -133,7 +133,7 @@ pub use durability::{Durability, DurabilityMetrics, DurabilityOptions};
 pub use engine::{Algorithm, SearchEngine};
 pub use error::Error;
 pub use patternkb_index::{ChangedWords, RefreshStats, StorageBackend};
-pub use patternkb_wal::FSYNC_BOUNDS;
+pub use patternkb_wal::{FsyncStats, FSYNC_BOUNDS};
 pub use plan::{PlannerConfig, QueryEstimate};
 pub use query::{ParseError, Query};
 pub use request::{AlgorithmChoice, CacheOutcome, SearchRequest, SearchResponse};

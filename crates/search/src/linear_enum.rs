@@ -69,7 +69,7 @@ pub(crate) fn linear_enum_in(
                 let group = dict.group_mut(key);
                 let paths = paths.iter().copied();
                 subtrees += fold.fold(&shard.words, cfg, r, paths, |_, score| {
-                    group.add(score);
+                    group.push(score);
                     ControlFlow::Continue(())
                 });
             });

@@ -158,7 +158,7 @@ impl Walk<'_, '_> {
                 joined.push(r);
                 let runs = cursors.iter().map(RunCursor::postings);
                 subtrees[at] += fold.fold(&shard.words, cfg, NodeId(r), runs, |_, score| {
-                    group.add(score);
+                    group.push(score);
                     accepted = true;
                     ControlFlow::Continue(())
                 });
@@ -168,7 +168,7 @@ impl Walk<'_, '_> {
             patterns[at] += usize::from(accepted);
         }
         if let Some(gid) = group_id {
-            let acc = &dict.group(gid).acc;
+            let acc = dict.group(gid);
             // Strict mode may have rejected every tuple: then the pattern
             // does not exist and its roots were never candidates.
             if acc.count > 0 {

@@ -375,6 +375,10 @@ pub struct ScoreAcc {
     pub count: u64,
 }
 
+// A `TreeDict` holds one accumulator per distinct pattern it meets, so its
+// size is pinned.
+const _: () = assert!(std::mem::size_of::<ScoreAcc>() <= 48);
+
 impl ScoreAcc {
     /// Fresh accumulator.
     pub fn new() -> Self {

@@ -24,9 +24,10 @@
 //! error probability decays as `exp(−2·((s1−s2)/(s1+s2))²·ρ²)`
 //! (Theorem 5).
 
-use crate::common::{join_pattern, PatternGroup, QueryContext, SubtreeFold, TreeDict};
+use crate::common::{join_pattern, QueryContext, SubtreeFold, TreeDict};
 use crate::intern::PatternKeyId;
 use crate::result::ShardStats;
+use crate::score::ScoreAcc;
 use crate::SearchConfig;
 use patternkb_graph::{FxHashMap, KnowledgeGraph, NodeId, TypeId};
 use patternkb_index::{PatternId, RunCursor};
@@ -154,7 +155,7 @@ pub(crate) fn keep_type_winners(
         let c = ctx.idx.patterns().root_type(PatternId(key[0]));
         let rate = rates.of(c);
         if rate < 1.0 {
-            let est = group.acc.finish_estimated(cfg.scoring.aggregation, rate);
+            let est = group.finish_estimated(cfg.scoring.aggregation, rate);
             sampled.entry(c).or_default().push((est, id));
         }
     }
@@ -166,7 +167,7 @@ pub(crate) fn keep_type_winners(
         });
         let winners = local.len().min(cfg.k);
         for &(_, id) in &local[winners..] {
-            *dict.group_by_id_mut(id) = PatternGroup::default();
+            *dict.group_by_id_mut(id) = ScoreAcc::default();
         }
         for &(_, id) in &local[..winners] {
             let exact = exact_score(ctx, cfg, dict.key(id), per_shard);
@@ -184,15 +185,15 @@ fn exact_score(
     cfg: &SearchConfig,
     key: &[u32],
     per_shard: &mut [ShardStats],
-) -> PatternGroup {
-    let mut group = PatternGroup::default();
+) -> ScoreAcc {
+    let mut group = ScoreAcc::default();
     let mut cursors = Vec::with_capacity(ctx.m());
     let mut fold = SubtreeFold::new(ctx.m());
     for (shard, stats) in ctx.shards.iter().zip(per_shard) {
         join_pattern(shard, key, &mut cursors, |root, cursors| {
             let runs = cursors.iter().map(RunCursor::postings);
             stats.subtrees += fold.fold(&shard.words, cfg, root, runs, |_, score| {
-                group.add(score);
+                group.push(score);
                 ControlFlow::Continue(())
             });
             ControlFlow::Continue(())

@@ -6,7 +6,7 @@
 //! bodies) and turns everything else into typed errors the connection
 //! loop maps to 4xx responses. Every limit is enforced before buffering —
 //! an oversized or malformed request can never balloon memory or kill a
-//! worker thread.
+//! connection thread.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -186,13 +186,19 @@ impl<R: Read> HttpReader<R> {
         if headers.iter().any(|(k, _)| k == "transfer-encoding") {
             return Err(HttpError::LengthRequired);
         }
-        let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-            None => 0usize,
-            Some((_, v)) => v
-                .parse::<u64>()
-                .ok()
-                .and_then(|n| usize::try_from(n).ok())
+        // One `Content-Length`, of ASCII digits alone (`usize::from_str`
+        // also takes `+5`): a second, conflicting one is a
+        // request-smuggling shape behind a proxy (RFC 9112 §6.3).
+        let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+        let content_length = match (lengths.next(), lengths.next()) {
+            (None, _) => 0usize,
+            (Some((_, v)), None) => v
+                .bytes()
+                .all(|b| b.is_ascii_digit())
+                .then(|| v.parse().ok())
+                .flatten()
                 .ok_or(HttpError::BadRequest("malformed Content-Length"))?,
+            (Some(_), Some(_)) => return Err(HttpError::BadRequest("repeated Content-Length")),
         };
         if content_length > limits.max_body_bytes {
             return Err(HttpError::BodyTooLarge);
@@ -353,6 +359,8 @@ mod tests {
             &b"GET / HTTP/1.1\r\nbad name: x\r\n\r\n"[..],
             &b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"[..],
             &b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!"[..],
         ] {
             let err = read_one(raw).unwrap_err();
             assert!(err.status().is_some(), "{err:?} should map to a status");

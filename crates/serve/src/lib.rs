@@ -9,14 +9,13 @@
 //!
 //! ## What it provides
 //!
-//! * **A fixed worker pool + bounded admission queue** ([`server`]):
-//!   engine concurrency is bounded by `workers` regardless of open
-//!   connections; a full queue sheds instantly with `429 Retry-After`
-//!   and expired requests are dropped with `503` before any search work
-//!   (backpressure, not queue collapse).
-//! * **Micro-batching** ([`queue`]): workers pop request batches and
-//!   answer each batch on one engine snapshot — per-request overhead is
-//!   amortized and a batch always sees one consistent state.
+//! * **An admission gate** ([`server`]): each search runs on the
+//!   connection thread that read it, once it holds one of `workers`
+//!   turns, so engine concurrency is bounded regardless of open
+//!   connections; with `queue_capacity` searches already waiting a
+//!   newcomer sheds instantly with `429 Retry-After`, and a request whose
+//!   deadline passes before its turn leaves with `503` before any search
+//!   work (backpressure, not queue collapse).
 //! * **The JSON wire API** ([`api`], [`json`]): strict request parsing
 //!   (unknown/ill-typed fields are 400s naming the field) mapping 1:1
 //!   onto [`patternkb_search::SearchRequest`] /
@@ -78,7 +77,6 @@ pub mod api;
 pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 
 pub use json::Json;

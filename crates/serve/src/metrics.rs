@@ -9,7 +9,9 @@
 
 use crate::api::{algorithm_slot, ALGORITHM_NAMES};
 use patternkb_search::common::Fanout;
-use patternkb_search::{CacheOutcome, QueryStats, SearchResponse, SharedEngine};
+use patternkb_search::{
+    CacheOutcome, FsyncStats, QueryStats, SearchResponse, SharedEngine, FSYNC_BOUNDS,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,21 +51,53 @@ impl Histogram {
     }
 
     fn render(&self, name: &str, help: &str, out: &mut String) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-        for (i, bound) in LATENCY_BOUNDS.iter().enumerate() {
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{bound}\"}} {}\n",
-                self.buckets[i].load(Ordering::Relaxed)
-            ));
-        }
+        let cumulative = self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed));
+        let sum_micros = self.sum_micros.load(Ordering::Relaxed);
         let count = self.count.load(Ordering::Relaxed);
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {count}\n"));
-        out.push_str(&format!(
-            "{name}_sum {}\n",
-            self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        ));
-        out.push_str(&format!("{name}_count {count}\n"));
+        write_histogram(
+            out,
+            name,
+            help,
+            &LATENCY_BOUNDS,
+            &cumulative,
+            sum_micros,
+            count,
+        );
     }
+}
+
+/// Write one histogram family: `cumulative[i]` observations at or under
+/// `bounds[i]`, `count` in all (the `+Inf` bucket), summing to
+/// `sum_micros`.
+fn write_histogram(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    bounds: &[f64],
+    cumulative: &[u64],
+    sum_micros: u64,
+    count: u64,
+) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+    for (bound, n) in bounds.iter().zip(cumulative) {
+        out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {n}\n"));
+    }
+    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {count}\n"));
+    out.push_str(&format!("{name}_sum {}\n", sum_micros as f64 / 1e6));
+    out.push_str(&format!("{name}_count {count}\n"));
+}
+
+/// The write-ahead log's fsync timings as `patternkb_wal_fsync_seconds`.
+fn render_fsync(fsync: &FsyncStats, out: &mut String) {
+    write_histogram(
+        out,
+        "patternkb_wal_fsync_seconds",
+        "Write-ahead log fsync latency.",
+        &FSYNC_BOUNDS,
+        &fsync.buckets,
+        fsync.total_micros,
+        fsync.count,
+    );
 }
 
 /// Routes the request counter partitions on. Fixed set so the counter
@@ -129,18 +163,16 @@ pub struct ShardAgg {
 #[derive(Default)]
 pub struct ServerMetrics {
     requests: [[AtomicU64; CODES.len()]; ROUTES.len()],
-    /// Latency of answered searches (queueing + execution + rendering).
+    /// Latency of answered searches, from admission to answer (waiting
+    /// for a turn + execution).
     pub latency: Histogram,
-    /// Current admission-queue depth.
+    /// Searches currently waiting for a turn of the admission gate.
     pub queue_depth: AtomicU64,
-    /// Requests refused because the queue was full (429).
+    /// Requests refused because `queue_capacity` searches already waited
+    /// (429).
     pub shed_queue_full: AtomicU64,
-    /// Requests dropped because their deadline expired in the queue (503).
+    /// Requests dropped because their deadline passed before a turn (503).
     pub shed_deadline: AtomicU64,
-    /// Worker batch pops.
-    pub batches: AtomicU64,
-    /// Requests served through those batches.
-    pub batched_requests: AtomicU64,
     /// Successful hot snapshot swaps.
     pub reloads: AtomicU64,
     /// Failed reload attempts.
@@ -157,7 +189,7 @@ pub struct ServerMetrics {
     /// Duration of applied ingests: everything `SharedEngine::ingest_with`
     /// does, from delta compile to snapshot swap.
     pub ingest_refresh: Histogram,
-    /// Recently drained (worker-served) request counts, for the
+    /// Recently drained request counts (turns taken), for the
     /// [`Self::retry_after_secs`] estimate.
     drained: Mutex<VecDeque<(Instant, u64)>>,
     /// Connections accepted over the server's lifetime.
@@ -195,8 +227,8 @@ impl ServerMetrics {
     /// How far back the drain-rate window looks.
     const DRAIN_WINDOW: Duration = Duration::from_secs(5);
 
-    /// Note that a worker just drained `n` requests off the admission
-    /// queue (one call per batch pop).
+    /// Note that `n` waiting searches just took a turn of the admission
+    /// gate.
     pub fn note_drained(&self, n: u64) {
         self.note_drained_at(Instant::now(), n);
     }
@@ -213,13 +245,13 @@ impl ServerMetrics {
         }
     }
 
-    /// The `Retry-After` value (seconds) derived from the live queue:
-    /// current depth ÷ recent drain throughput, clamped to `[1, 30]`.
+    /// The `Retry-After` value (seconds) derived from the live gate:
+    /// searches waiting ÷ recent drain throughput, clamped to `[1, 30]`.
     /// Every shedding site emits this one estimate so they cannot drift.
     ///
-    /// An empty queue retries in 1 s (shed was a transient spike); a
-    /// backlog with *no* recent drainage is the pessimistic 30 s (workers
-    /// stalled or all capacity busy on long queries).
+    /// No waiter retries in 1 s (shed was a transient spike); a backlog
+    /// with *no* recent drainage is the pessimistic 30 s (every turn busy
+    /// on long queries).
     pub fn retry_after_secs(&self) -> u64 {
         self.retry_after_secs_at(Instant::now())
     }
@@ -316,23 +348,6 @@ impl ServerMetrics {
         out.push_str(&format!(
             "patternkb_shed_total{{reason=\"deadline\"}} {}\n",
             self.shed_deadline.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP patternkb_batches_total Worker micro-batch pops.\n\
-             # TYPE patternkb_batches_total counter\n",
-        );
-        out.push_str(&format!(
-            "patternkb_batches_total {}\n",
-            self.batches.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP patternkb_batched_requests_total Search requests served through batches.\n\
-             # TYPE patternkb_batched_requests_total counter\n",
-        );
-        out.push_str(&format!(
-            "patternkb_batched_requests_total {}\n",
-            self.batched_requests.load(Ordering::Relaxed)
         ));
 
         let cache = engine.cache_stats();
@@ -550,22 +565,7 @@ impl ServerMetrics {
             );
             out.push_str(&format!("patternkb_wal_records {}\n", d.log_records));
 
-            let name = "patternkb_wal_fsync_seconds";
-            out.push_str(&format!(
-                "# HELP {name} Write-ahead log fsync latency.\n# TYPE {name} histogram\n"
-            ));
-            for (i, bound) in patternkb_search::FSYNC_BOUNDS.iter().enumerate() {
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{bound}\"}} {}\n",
-                    d.fsync.buckets[i]
-                ));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", d.fsync.count));
-            out.push_str(&format!(
-                "{name}_sum {}\n",
-                d.fsync.total_micros as f64 / 1e6
-            ));
-            out.push_str(&format!("{name}_count {}\n", d.fsync.count));
+            render_fsync(&d.fsync, &mut out);
 
             out.push_str(
                 "# HELP patternkb_checkpoints_total Checkpoints completed since boot.\n\
@@ -653,6 +653,65 @@ mod tests {
         assert!(out.contains("t_bucket{le=\"0.05\"} 2\n"));
         assert!(out.contains("t_bucket{le=\"+Inf\"} 2\n"));
         assert!(out.contains("t_count 2\n"));
+    }
+
+    /// Both histogram families write through one function, to the text
+    /// the two hand-rolled writers wrote before.
+    #[test]
+    fn histograms_render_the_exposition_text() {
+        let h = Histogram::default();
+        h.observe(Duration::from_micros(100));
+        h.observe(Duration::from_millis(30));
+        h.observe(Duration::from_secs(2));
+        let mut out = String::new();
+        h.render("t", "test histogram", &mut out);
+        let expected = concat!(
+            "# HELP t test histogram\n",
+            "# TYPE t histogram\n",
+            "t_bucket{le=\"0.00025\"} 1\n",
+            "t_bucket{le=\"0.0005\"} 1\n",
+            "t_bucket{le=\"0.001\"} 1\n",
+            "t_bucket{le=\"0.0025\"} 1\n",
+            "t_bucket{le=\"0.005\"} 1\n",
+            "t_bucket{le=\"0.01\"} 1\n",
+            "t_bucket{le=\"0.025\"} 1\n",
+            "t_bucket{le=\"0.05\"} 2\n",
+            "t_bucket{le=\"0.1\"} 2\n",
+            "t_bucket{le=\"0.25\"} 2\n",
+            "t_bucket{le=\"0.5\"} 2\n",
+            "t_bucket{le=\"1\"} 2\n",
+            "t_bucket{le=\"10\"} 3\n",
+            "t_bucket{le=\"+Inf\"} 3\n",
+            "t_sum 2.0301\n",
+            "t_count 3\n",
+        );
+        assert_eq!(out, expected);
+
+        let fsync = FsyncStats {
+            count: 4,
+            total_micros: 12_345,
+            buckets: [0, 1, 1, 2, 2, 3, 3, 3, 4, 4],
+        };
+        let mut out = String::new();
+        render_fsync(&fsync, &mut out);
+        let expected = concat!(
+            "# HELP patternkb_wal_fsync_seconds Write-ahead log fsync latency.\n",
+            "# TYPE patternkb_wal_fsync_seconds histogram\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.0001\"} 0\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.00025\"} 1\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.0005\"} 1\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.001\"} 2\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.0025\"} 2\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.005\"} 3\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.01\"} 3\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.025\"} 3\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"0.1\"} 4\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"1\"} 4\n",
+            "patternkb_wal_fsync_seconds_bucket{le=\"+Inf\"} 4\n",
+            "patternkb_wal_fsync_seconds_sum 0.012345\n",
+            "patternkb_wal_fsync_seconds_count 4\n",
+        );
+        assert_eq!(out, expected);
     }
 
     #[test]

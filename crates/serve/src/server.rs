@@ -1,41 +1,45 @@
-//! The server proper: acceptor, connection threads, the fixed worker
-//! pool, and the serving lifecycle (reload, drain, shutdown).
+//! The server proper: acceptor, connection threads, the admission gate
+//! that bounds engine work, and the serving lifecycle (reload, drain,
+//! shutdown).
 //!
 //! ## Thread model
 //!
 //! ```text
 //! acceptor ──▶ connection threads (blocking IO, one per open conn)
-//!                   │  admission: BoundedQueue::try_push  ── full ──▶ 429
-//!                   ▼
-//!           bounded admission queue
-//!                   │  pop_batch (micro-batches)
-//!                   ▼
-//!          worker pool (fixed N) ──▶ SharedEngine::respond_on(snapshot, …)
+//!                   │  POST /search: Gate::enter ── closed ──▶ 503
+//!                   │                             ── full ────▶ 429
+//!                   │                             ── expired ─▶ 503
+//!                   ▼  holding one of `workers` turns, same thread
+//!          SharedEngine::respond_on(snapshot, …) ──▶ render ──▶ free the turn
 //! ```
 //!
-//! Connection threads do only IO and parsing; every search runs on the
-//! **fixed** worker pool, so at most `workers` searches are in flight no
-//! matter how many connections are open. A search is not always one
-//! thread: a worker running a root-first kernel (`LINEARENUM`,
-//! `LINEARENUM-TOPK`, the baseline) over at least
+//! Every search runs on the connection thread that read it, once it
+//! holds a turn of the admission gate: at most `workers` turns are held,
+//! so at most `workers` searches are in flight no matter how many
+//! connections are open, and at most `queue_capacity` more wait for a
+//! turn. A search is not always one thread: a root-first kernel
+//! (`LINEARENUM`, `LINEARENUM-TOPK`, the baseline) over at least
 //! [`FANOUT_MIN_ROOTS`](patternkb_search::common::FANOUT_MIN_ROOTS)
 //! candidate roots spawns up to `min(cores, shards) − 1` scoped threads
 //! while that search runs, so the engine runs on at most
 //! `workers × min(cores, shards)` threads. `PATTERNENUM` never spawns.
-//! Workers pop *batches*: one
-//! [`SharedEngine::snapshot`] per batch answers every request in it —
-//! the swap-pointer read, admission bookkeeping, and reload interleaving
-//! are paid per batch, not per request, and a batch is guaranteed one
-//! consistent engine state.
+//! A search takes one [`SharedEngine::snapshot`] and is answered and
+//! rendered on it, so its response sees one consistent engine state.
+//!
+//! A freed turn wakes every waiter, and they race for it: std's `Condvar`
+//! promises no wake-up order, so strict FIFO among waiters is not
+//! promised. Each waiter's deadline bounds its wait, and since all of them
+//! wake, one that gives up never swallows the wake-up another needed.
 //!
 //! ## Backpressure
 //!
-//! Admission is never blocking: a full queue sheds immediately with
-//! `429` + `Retry-After`, and every admitted request carries a deadline
-//! (`ServeConfig::deadline`, tightened per request via `timeout_ms`) —
-//! a worker popping an expired request sheds it with `503` without
-//! running the search. Under overload the queue length, not the latency
-//! tail, absorbs the excess.
+//! Admission is never blocking: with `queue_capacity` searches already
+//! waiting, a newcomer sheds immediately with `429` + `Retry-After`, and
+//! every admitted request carries a deadline (`ServeConfig::deadline`,
+//! tightened per request via `timeout_ms`) — a request whose deadline
+//! passes before it holds a turn leaves with `503` without running the
+//! search. Under overload the waiting count, not the latency tail,
+//! absorbs the excess.
 //!
 //! ## Writes
 //!
@@ -45,36 +49,32 @@
 //! against the snapshot pinned under the writer lock, refreshed
 //! incrementally (never a full rebuild), and swapped in while reads keep
 //! serving the old snapshot. Racing ingests serialize on the writer lock;
-//! racing reads never stall beyond the pointer swap. Runs on the
-//! connection thread (like reload), so the worker pool keeps answering
-//! queries throughout.
+//! racing reads never stall beyond the pointer swap. Ingests take no turn
+//! of the gate, so searches keep being answered throughout.
 //!
 //! ## Lifecycle
 //!
 //! `POST /admin/reload` rebuilds the engine through the caller-provided
 //! [`ReloadFn`] and hot-swaps it ([`SharedEngine::replace`]) — in-flight
 //! queries finish on the old epoch. Shutdown (`POST /admin/shutdown` or
-//! [`Server::trigger_shutdown`]) stops admission, drains the queue,
-//! joins the workers, then closes the engine ([`SharedEngine::close`]).
+//! [`Server::trigger_shutdown`]) closes the gate to newcomers, answers
+//! the searches already admitted, then closes the engine
+//! ([`SharedEngine::close`]).
 
 use crate::api;
 use crate::http::{write_response, HttpError, HttpLimits, HttpReader, Request};
 use crate::json::{count, Json};
 use crate::metrics::{Route, ServerMetrics};
-use crate::queue::BoundedQueue;
-use patternkb_search::{IngestError, SearchEngine, SearchRequest, SharedEngine};
+use patternkb_search::{IngestError, SearchEngine, SharedEngine};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads/pops wake to check the shutdown flag.
+/// How often blocked reads wake to check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(200);
-
-/// Max requests a worker takes per batch pop.
-const BATCH_MAX: usize = 16;
 
 /// Everything tunable about a server. `Default` is a sane laptop/CI
 /// profile; production deployments should size `workers`,
@@ -82,16 +82,18 @@ const BATCH_MAX: usize = 16;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 = ephemeral).
     pub addr: String,
-    /// Search worker threads; 0 = available parallelism. Each runs one
-    /// search at a time, and a root-first kernel's search over at least
+    /// Searches that run at once, each on its connection thread; 0 =
+    /// available parallelism. A root-first kernel's search over at least
     /// [`FANOUT_MIN_ROOTS`](patternkb_search::common::FANOUT_MIN_ROOTS)
     /// candidate roots adds up to `min(cores, shards) − 1` scoped threads
     /// while it runs.
     pub workers: usize,
-    /// Admission queue slots. 0 means *always shed* (drain/test mode).
+    /// Searches that may wait for one of the `workers` turns. 0 means
+    /// *always shed* (drain/test mode).
     pub queue_capacity: usize,
-    /// Per-request budget from admission to answer; expired requests are
-    /// shed with 503. Request `timeout_ms` can tighten but not extend it.
+    /// Per-request budget from admission to answer; requests still
+    /// waiting for a turn at it are shed with 503. Request `timeout_ms`
+    /// can tighten but not extend it.
     pub deadline: Duration,
     /// Request body cap (413 beyond it).
     pub max_body_bytes: usize,
@@ -124,28 +126,119 @@ impl Default for ServeConfig {
 /// with other reloads; queries keep flowing on the old state meanwhile.
 pub type ReloadFn = dyn Fn() -> Result<SearchEngine, String> + Send + Sync;
 
-/// One admitted search.
-struct Job {
-    request: SearchRequest,
-    admitted: Instant,
-    deadline: Instant,
-    reply: mpsc::SyncSender<JobReply>,
+/// The admission gate: at most `turns` searches hold a turn, at most
+/// `capacity` wait for one. See the module docs.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled whenever `running` or `waiting` drops.
+    freed: Condvar,
+    turns: usize,
+    capacity: usize,
 }
 
-enum JobReply {
-    /// 200 with the rendered body.
-    Ok(String),
-    /// Engine-level failure: status + rendered body.
-    Err(u16, String),
-    /// Deadline expired in the queue.
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+/// Why [`Gate::enter`] gave no turn.
+#[derive(Debug, PartialEq)]
+enum Refused {
+    /// The gate is closed: the server is draining.
+    Closed,
+    /// `capacity` searches already wait.
+    Full,
+    /// The deadline passed before a turn came.
     Deadline,
+}
+
+/// A held turn. Dropping it frees the turn, on unwinding too.
+struct Turn<'a>(&'a Gate);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.0.state().running -= 1;
+        self.0.freed.notify_all();
+    }
+}
+
+impl Gate {
+    fn new(turns: usize, capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            freed: Condvar::new(),
+            turns,
+            capacity,
+        }
+    }
+
+    /// The counts. Every update is one field's step, valid at every point,
+    /// so a guard poisoned by a panic elsewhere is still sound to use —
+    /// and [`Turn`]'s `Drop` must not panic.
+    fn state(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admit a search and wait for a turn until `deadline`. `depth`
+    /// mirrors the waiting count (the queue-depth gauge).
+    fn enter(&self, deadline: Instant, depth: &AtomicU64) -> Result<Turn<'_>, Refused> {
+        let mut st = self.state();
+        if st.closed {
+            return Err(Refused::Closed);
+        }
+        if st.waiting >= self.capacity {
+            return Err(Refused::Full);
+        }
+        st.waiting += 1;
+        depth.store(st.waiting as u64, Ordering::Relaxed);
+        let granted = loop {
+            let now = Instant::now();
+            if now >= deadline {
+                break false;
+            }
+            if st.running < self.turns {
+                break true;
+            }
+            st = self
+                .freed
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        st.waiting -= 1;
+        depth.store(st.waiting as u64, Ordering::Relaxed);
+        if !granted {
+            drop(st);
+            // A drain may be waiting for the count to reach zero.
+            self.freed.notify_all();
+            return Err(Refused::Deadline);
+        }
+        st.running += 1;
+        Ok(Turn(self))
+    }
+
+    /// Refuse newcomers from now on; searches already waiting keep their
+    /// place.
+    fn close(&self) {
+        self.state().closed = true;
+    }
+
+    /// Block until no search holds or waits for a turn.
+    fn drain(&self) {
+        let mut st = self.state();
+        while st.running + st.waiting > 0 {
+            st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 struct Shared {
     engine: Arc<SharedEngine>,
     cfg: ServeConfig,
     metrics: ServerMetrics,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     reload: Option<Box<ReloadFn>>,
     /// Serializes /admin/reload calls.
     reload_lock: Mutex<()>,
@@ -160,8 +253,7 @@ struct Shared {
 /// `POST /admin/shutdown` trigger it remotely and just `join`).
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
@@ -174,47 +266,31 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let worker_count = if cfg.workers == 0 {
+        let turns = if cfg.workers == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
         } else {
             cfg.workers
         };
-        let queue = BoundedQueue::new(cfg.queue_capacity);
         let shared = Arc::new(Shared {
             engine,
+            gate: Gate::new(turns, cfg.queue_capacity),
             cfg,
             metrics: ServerMetrics::default(),
-            queue,
             reload,
             reload_lock: Mutex::new(()),
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
             addr,
         });
-
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("patternkb-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("patternkb-acceptor".to_string())
                 .spawn(move || acceptor_loop(&shared, listener))?
         };
-
-        Ok(Server {
-            shared,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        Ok(Server { shared, acceptor })
     }
 
     /// The bound address (resolves port 0).
@@ -232,16 +308,18 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Begin graceful shutdown: stop admitting, let the queue drain.
-    /// Idempotent; returns immediately — pair with [`Server::join`].
+    /// Begin graceful shutdown: stop admitting, let the admitted searches
+    /// finish. Idempotent; returns immediately — pair with
+    /// [`Server::join`].
     pub fn trigger_shutdown(&self) {
         trigger_shutdown(&self.shared);
     }
 
-    /// Block until shutdown is triggered, then finish it: drain and join
-    /// the workers, join the acceptor, close the engine (draining any
-    /// direct responders), and give open connections a grace period.
-    pub fn join(mut self) {
+    /// Block until shutdown is triggered, then finish it: join the
+    /// acceptor, wait until no search runs or waits for a turn, close the
+    /// engine (draining any direct responders), and give open connections
+    /// a grace period.
+    pub fn join(self) {
         {
             let (lock, cv) = &self.shared.shutdown_signal;
             let mut triggered = lock.lock().unwrap();
@@ -249,13 +327,9 @@ impl Server {
                 triggered = cv.wait(triggered).unwrap();
             }
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().ok();
-        }
-        for w in self.workers.drain(..) {
-            w.join().ok();
-        }
-        // Workers are gone; now refuse/drain everything still holding the
+        self.acceptor.join().ok();
+        self.shared.gate.drain();
+        // No search is left; now refuse/drain everything still holding the
         // engine handle (idempotent if the embedder closed it already).
         self.shared.engine.close();
         // Connection threads notice the flag within one poll tick; give
@@ -275,8 +349,8 @@ impl Server {
 }
 
 /// The one `Retry-After` header every shedding site emits: derived from
-/// the live queue (depth ÷ recent drain rate, clamped to `[1, 30]`) so
-/// the three 429/503 paths cannot drift apart.
+/// the live gate (waiting searches ÷ recent drain rate, clamped to
+/// `[1, 30]`) so the three 429/503 paths cannot drift apart.
 fn retry_after(shared: &Shared) -> (&'static str, String) {
     ("retry-after", shared.metrics.retry_after_secs().to_string())
 }
@@ -285,7 +359,7 @@ fn trigger_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return; // already triggered
     }
-    shared.queue.close();
+    shared.gate.close();
     // Wake the acceptor out of its blocking accept.
     let _ = TcpStream::connect(shared.addr);
     let (lock, cv) = &shared.shutdown_signal;
@@ -312,6 +386,8 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
                 .metrics
                 .connections_refused
                 .fetch_add(1, Ordering::Relaxed);
+            // Refused before any request is read: nothing to count per
+            // route.
             let mut stream = stream;
             let body = api::error_json("overloaded", "connection limit reached", vec![]).render();
             let _ = write_response(
@@ -352,50 +428,6 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let batch = shared.queue.pop_batch(BATCH_MAX, POLL_TICK);
-        shared
-            .metrics
-            .queue_depth
-            .store(shared.queue.len() as u64, Ordering::Relaxed);
-        if batch.is_empty() {
-            if shared.queue.is_closed() {
-                break;
-            }
-            continue;
-        }
-        // One snapshot answers the whole batch: every request in it sees
-        // exactly one engine state, even across a concurrent reload.
-        let snapshot = shared.engine.snapshot();
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        shared.metrics.note_drained(batch.len() as u64);
-        for job in batch {
-            if Instant::now() >= job.deadline {
-                shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                job.reply.send(JobReply::Deadline).ok();
-                continue;
-            }
-            match shared.engine.respond_on(&snapshot, &job.request) {
-                Ok(resp) => {
-                    shared.metrics.latency.observe(job.admitted.elapsed());
-                    shared.metrics.record_search(&resp);
-                    let body = api::render_response(&snapshot, &resp).render();
-                    job.reply.send(JobReply::Ok(body)).ok();
-                }
-                Err(e) => {
-                    let (status, body) = api::engine_error(&e);
-                    job.reply.send(JobReply::Err(status, body.render())).ok();
-                }
-            }
-        }
-    }
-}
-
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -416,7 +448,15 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         match reader.read_request(&limits) {
             Ok(request) => {
                 last_activity = Instant::now();
-                if !dispatch(shared, &request, &mut write_half) {
+                let reply = dispatch(shared, &request);
+                let shutdown = reply.route == Route::AdminShutdown;
+                let keep = send(shared, &mut write_half, reply);
+                if shutdown {
+                    // Respond first, then trip the flag: the client sees
+                    // the ack.
+                    trigger_shutdown(shared);
+                }
+                if !keep {
                     break;
                 }
             }
@@ -430,13 +470,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 if reader.has_partial() {
                     // Mid-request stall: cut slow-loris senders loose.
                     if stalled > shared.cfg.idle_timeout {
-                        respond_error(
-                            shared,
-                            &mut write_half,
-                            Route::Other,
-                            408,
-                            "request timeout",
-                        );
+                        let reply = Reply::error(Route::Other, 408, "request timeout");
+                        send(shared, &mut write_half, reply);
                         break;
                     }
                 } else if stalled > shared.cfg.idle_timeout {
@@ -446,7 +481,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => break,
             Err(e) => {
                 if let Some((status, message)) = e.status() {
-                    respond_error(shared, &mut write_half, Route::Other, status, message);
+                    send(
+                        shared,
+                        &mut write_half,
+                        Reply::error(Route::Other, status, message),
+                    );
                 }
                 break; // framing is unreliable after an error: close
             }
@@ -454,11 +493,51 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Write an error response (connection closes after it).
-fn respond_error(shared: &Shared, w: &mut TcpStream, route: Route, status: u16, message: &str) {
-    shared.metrics.record(route, status);
-    let body = api::error_json(kind_of(status), message, vec![]).render();
-    let _ = write_response(w, status, "application/json", &[], body.as_bytes(), false);
+/// One answer to one request: what [`send`] counts and writes.
+struct Reply {
+    route: Route,
+    status: u16,
+    body: String,
+    content_type: &'static str,
+    headers: Vec<(&'static str, String)>,
+    keep_alive: bool,
+}
+
+impl Reply {
+    /// A JSON answer.
+    fn json(route: Route, status: u16, body: String, keep_alive: bool) -> Reply {
+        Reply {
+            route,
+            status,
+            body,
+            content_type: "application/json",
+            headers: Vec::new(),
+            keep_alive,
+        }
+    }
+
+    /// A JSON error whose kind follows from `status`; the connection
+    /// closes after it.
+    fn error(route: Route, status: u16, message: &str) -> Reply {
+        let body = api::error_json(kind_of(status), message, vec![]).render();
+        Reply::json(route, status, body, false)
+    }
+}
+
+/// Count the exchange and write the answer; returns whether the
+/// connection stays open.
+fn send(shared: &Shared, w: &mut TcpStream, reply: Reply) -> bool {
+    shared.metrics.record(reply.route, reply.status);
+    write_response(
+        w,
+        reply.status,
+        reply.content_type,
+        &reply.headers,
+        reply.body.as_bytes(),
+        reply.keep_alive,
+    )
+    .is_ok()
+        && reply.keep_alive
 }
 
 fn kind_of(status: u16) -> &'static str {
@@ -479,27 +558,14 @@ fn kind_of(status: u16) -> &'static str {
     }
 }
 
-/// Handle one request; returns whether to keep the connection open.
-fn dispatch(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool {
+/// Answer one request.
+fn dispatch(shared: &Shared, request: &Request) -> Reply {
     let path = request.target.split('?').next().unwrap_or("");
     let keep = request.keep_alive;
-    let send = |shared: &Shared,
-                w: &mut TcpStream,
-                route: Route,
-                status: u16,
-                extra: &[(&str, String)],
-                body: &str,
-                keep: bool|
-     -> bool {
-        shared.metrics.record(route, status);
-        write_response(w, status, "application/json", extra, body.as_bytes(), keep).is_ok() && keep
-    };
-
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => {
             if shared.shutdown.load(Ordering::SeqCst) {
-                let body = api::error_json("unavailable", "draining", vec![]).render();
-                send(shared, w, Route::Healthz, 503, &[], &body, false)
+                Reply::error(Route::Healthz, 503, "draining")
             } else {
                 let body = Json::Obj(vec![
                     ("ok".to_string(), Json::Bool(true)),
@@ -507,141 +573,96 @@ fn dispatch(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool {
                     ("version".to_string(), count(shared.engine.version())),
                 ])
                 .render();
-                send(shared, w, Route::Healthz, 200, &[], &body, keep)
+                Reply::json(Route::Healthz, 200, body, keep)
             }
         }
-        ("GET", "/metrics") => {
-            let text = shared.metrics.render(&shared.engine);
-            shared.metrics.record(Route::Metrics, 200);
-            write_response(
-                w,
-                200,
-                "text/plain; version=0.0.4",
-                &[],
-                text.as_bytes(),
-                keep,
-            )
-            .is_ok()
-                && keep
-        }
-        ("POST", "/search") => handle_search(shared, request, w),
-        ("POST", "/admin/ingest") => handle_ingest(shared, request, w),
-        ("POST", "/admin/reload") => handle_reload(shared, w, keep),
-        ("POST", "/admin/checkpoint") => handle_checkpoint(shared, w, keep),
+        ("GET", "/metrics") => Reply {
+            route: Route::Metrics,
+            status: 200,
+            body: shared.metrics.render(&shared.engine),
+            content_type: "text/plain; version=0.0.4",
+            headers: Vec::new(),
+            keep_alive: keep,
+        },
+        ("POST", "/search") => handle_search(shared, request),
+        ("POST", "/admin/ingest") => handle_ingest(shared, request),
+        ("POST", "/admin/reload") => handle_reload(shared, keep),
+        ("POST", "/admin/checkpoint") => handle_checkpoint(shared, keep),
         ("POST", "/admin/shutdown") => {
             let body = Json::Obj(vec![
                 ("ok".to_string(), Json::Bool(true)),
                 ("draining".to_string(), Json::Bool(true)),
             ])
             .render();
-            // Respond first, then trip the flag: the client sees the ack.
-            send(shared, w, Route::AdminShutdown, 200, &[], &body, false);
-            trigger_shutdown(shared);
-            false
+            Reply::json(Route::AdminShutdown, 200, body, false)
         }
         (
             _,
             "/healthz" | "/metrics" | "/search" | "/admin/ingest" | "/admin/reload"
             | "/admin/checkpoint" | "/admin/shutdown",
-        ) => {
-            respond_error(
-                shared,
-                w,
-                Route::Other,
-                405,
-                "method not allowed for this path",
-            );
-            false
-        }
-        _ => {
-            respond_error(shared, w, Route::Other, 404, "unknown path");
-            false
-        }
+        ) => Reply::error(Route::Other, 405, "method not allowed for this path"),
+        _ => Reply::error(Route::Other, 404, "unknown path"),
     }
 }
 
-fn handle_search(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool {
+/// `POST /search`: admit the request, wait for a turn until its deadline,
+/// then answer and render it on one snapshot while holding the turn.
+fn handle_search(shared: &Shared, request: &Request) -> Reply {
     let keep = request.keep_alive;
     let parsed = match api::parse_search(&request.body) {
         Ok(p) => p,
         Err(e) => {
-            shared.metrics.record(Route::Search, 400);
             let body = api::error_json(e.kind, &e.message, vec![]).render();
-            return write_response(w, 400, "application/json", &[], body.as_bytes(), keep).is_ok()
-                && keep;
+            return Reply::json(Route::Search, 400, body, keep);
         }
     };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        shared.metrics.record(Route::Search, 503);
-        let body = api::error_json("closed", "server is draining", vec![]).render();
-        let _ = write_response(w, 503, "application/json", &[], body.as_bytes(), false);
-        return false;
-    }
-
+    let admitted = Instant::now();
     let budget = parsed
         .timeout
-        .map(|t| t.min(shared.cfg.deadline))
-        .unwrap_or(shared.cfg.deadline);
-    let now = Instant::now();
-    let (tx, rx) = mpsc::sync_channel(1);
-    let job = Job {
-        request: parsed.request,
-        admitted: now,
-        deadline: now + budget,
-        reply: tx,
-    };
-    match shared.queue.try_push(job) {
-        Ok(depth) => {
-            shared
-                .metrics
-                .queue_depth
-                .store(depth as u64, Ordering::Relaxed);
+        .map_or(shared.cfg.deadline, |t| t.min(shared.cfg.deadline));
+    let _turn = match shared
+        .gate
+        .enter(admitted + budget, &shared.metrics.queue_depth)
+    {
+        Ok(turn) => turn,
+        Err(Refused::Closed) => {
+            let body = api::error_json("closed", "server is draining", vec![]).render();
+            return Reply::json(Route::Search, 503, body, false);
         }
-        Err(_refused) => {
+        Err(Refused::Full) => {
             shared
                 .metrics
                 .shed_queue_full
                 .fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record(Route::Search, 429);
-            let body = api::error_json(
-                "overloaded",
-                "admission queue is full; retry shortly",
-                vec![],
-            )
-            .render();
-            let ok = write_response(
-                w,
-                429,
-                "application/json",
-                &[retry_after(shared)],
-                body.as_bytes(),
-                keep,
-            )
-            .is_ok();
-            return ok && keep;
+            let message = "admission queue is full; retry shortly";
+            let body = api::error_json("overloaded", message, vec![]).render();
+            let mut reply = Reply::json(Route::Search, 429, body, keep);
+            reply.headers.push(retry_after(shared));
+            return reply;
+        }
+        Err(Refused::Deadline) => {
+            shared.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            let message = "request expired in the admission queue";
+            let body = api::error_json("deadline", message, vec![]).render();
+            let mut reply = Reply::json(Route::Search, 503, body, keep);
+            reply.headers.push(retry_after(shared));
+            return reply;
+        }
+    };
+    shared.metrics.note_drained(1);
+    let snapshot = shared.engine.snapshot();
+    match shared.engine.respond_on(&snapshot, &parsed.request) {
+        Ok(resp) => {
+            shared.metrics.latency.observe(admitted.elapsed());
+            shared.metrics.record_search(&resp);
+            let body = api::render_response(&snapshot, &resp).render();
+            Reply::json(Route::Search, 200, body, keep)
+        }
+        Err(e) => {
+            let (status, body) = api::engine_error(&e);
+            Reply::json(Route::Search, status, body.render(), keep)
         }
     }
-
-    // The worker always replies (answer, engine error, or deadline shed);
-    // the timeout is a belt-and-braces bound for a worker lost to a panic.
-    let (status, body, extra): (u16, String, Vec<(&str, String)>) = match rx
-        .recv_timeout(budget + Duration::from_secs(5))
-    {
-        Ok(JobReply::Ok(body)) => (200, body, vec![]),
-        Ok(JobReply::Err(status, body)) => (status, body, vec![]),
-        Ok(JobReply::Deadline) => (
-            503,
-            api::error_json("deadline", "request expired in the admission queue", vec![]).render(),
-            vec![retry_after(shared)],
-        ),
-        Err(_) => (
-            500,
-            api::error_json("internal", "worker did not answer", vec![]).render(),
-            vec![],
-        ),
-    };
-    shared.metrics.record(Route::Search, status);
-    write_response(w, status, "application/json", &extra, body.as_bytes(), keep).is_ok() && keep
 }
 
 /// `POST /admin/ingest`: compile the mutation batch into a delta against
@@ -649,17 +670,14 @@ fn handle_search(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
 /// apply it through the incremental refresh. Runs on the connection
 /// thread; racing ingests serialize on the writer lock, and reads keep
 /// serving the old snapshot until the pointer swap.
-fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool {
+fn handle_ingest(shared: &Shared, request: &Request) -> Reply {
     let keep = request.keep_alive;
     if !shared.cfg.enable_ingest {
-        respond_error(
-            shared,
-            w,
+        return Reply::error(
             Route::AdminIngest,
             501,
             "server booted without the ingest write path",
         );
-        return false;
     }
     let batch = match api::parse_ingest(&request.body) {
         Ok(batch) => batch,
@@ -668,10 +686,8 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
                 .metrics
                 .ingest_failures
                 .fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record(Route::AdminIngest, 400);
             let body = api::error_json(e.kind, &e.message, vec![]).render();
-            return write_response(w, 400, "application/json", &[], body.as_bytes(), keep).is_ok()
-                && keep;
+            return Reply::json(Route::AdminIngest, 400, body, keep);
         }
     };
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -679,10 +695,8 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
             .metrics
             .ingest_failures
             .fetch_add(1, Ordering::Relaxed);
-        shared.metrics.record(Route::AdminIngest, 503);
         let body = api::error_json("closed", "server is draining", vec![]).render();
-        let _ = write_response(w, 503, "application/json", &[], body.as_bytes(), false);
-        return false;
+        return Reply::json(Route::AdminIngest, 503, body, false);
     }
 
     let t0 = Instant::now();
@@ -702,9 +716,8 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
                 .ingest_graph_chunks_copied
                 .fetch_add(outcome.graph_chunks_copied as u64, Ordering::Relaxed);
             shared.metrics.ingest_refresh.observe(elapsed);
-            shared.metrics.record(Route::AdminIngest, 200);
             let body = api::render_ingest(&outcome, elapsed).render();
-            write_response(w, 200, "application/json", &[], body.as_bytes(), keep).is_ok() && keep
+            Reply::json(Route::AdminIngest, 200, body, keep)
         }
         Err(e) => {
             shared
@@ -737,11 +750,8 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
                     (500, api::error_json("snapshot", &e.to_string(), vec![]))
                 }
             };
-            shared.metrics.record(Route::AdminIngest, status);
-            let body = body.render();
             let keep = keep && status != 503;
-            write_response(w, status, "application/json", &[], body.as_bytes(), keep).is_ok()
-                && keep
+            Reply::json(Route::AdminIngest, status, body.render(), keep)
         }
     }
 }
@@ -750,44 +760,38 @@ fn handle_ingest(shared: &Shared, request: &Request, w: &mut TcpStream) -> bool 
 /// and truncate the write-ahead log behind it. Runs on the connection
 /// thread (like reload); racing ingests keep flowing — the checkpoint
 /// captures whichever published snapshot it pins.
-fn handle_checkpoint(shared: &Shared, w: &mut TcpStream, keep: bool) -> bool {
+fn handle_checkpoint(shared: &Shared, keep: bool) -> Reply {
     let Some(durability) = shared.engine.durability().cloned() else {
-        respond_error(
-            shared,
-            w,
+        return Reply::error(
             Route::AdminCheckpoint,
             501,
             "server booted without a data dir; nothing to checkpoint",
         );
-        return false;
     };
     let snapshot = shared.engine.snapshot();
     match durability.checkpoint_now(&snapshot) {
         Ok(path) => {
-            shared.metrics.record(Route::AdminCheckpoint, 200);
             let body = Json::Obj(vec![
                 ("ok".to_string(), Json::Bool(true)),
                 ("version".to_string(), count(snapshot.version())),
                 ("path".to_string(), Json::Str(path.display().to_string())),
             ])
             .render();
-            write_response(w, 200, "application/json", &[], body.as_bytes(), keep).is_ok() && keep
+            Reply::json(Route::AdminCheckpoint, 200, body, keep)
         }
         Err(e) => {
-            shared.metrics.record(Route::AdminCheckpoint, 500);
             let body = api::error_json(
                 "checkpoint_failed",
                 &format!("checkpoint failed: {e}"),
                 vec![],
             )
             .render();
-            let _ = write_response(w, 500, "application/json", &[], body.as_bytes(), false);
-            false
+            Reply::json(Route::AdminCheckpoint, 500, body, false)
         }
     }
 }
 
-fn handle_reload(shared: &Shared, w: &mut TcpStream, keep: bool) -> bool {
+fn handle_reload(shared: &Shared, keep: bool) -> Reply {
     // A durable server's history lives in the write-ahead log; swapping in
     // an engine built outside the log would fork that history (the next
     // appended version could collide with one already on disk under a
@@ -797,24 +801,18 @@ fn handle_reload(shared: &Shared, w: &mut TcpStream, keep: bool) -> bool {
             .metrics
             .reload_failures
             .fetch_add(1, Ordering::Relaxed);
-        respond_error(
-            shared,
-            w,
+        return Reply::error(
             Route::AdminReload,
             409,
             "reload would fork the write-ahead log; restart from the data dir instead",
         );
-        return false;
     }
     let Some(reload) = shared.reload.as_deref() else {
-        respond_error(
-            shared,
-            w,
+        return Reply::error(
             Route::AdminReload,
             501,
             "server booted without a reload source",
         );
-        return false;
     };
     // Serialize reloads; queries keep flowing on the current state.
     let _serialized = shared.reload_lock.lock().unwrap();
@@ -822,24 +820,141 @@ fn handle_reload(shared: &Shared, w: &mut TcpStream, keep: bool) -> bool {
         Ok(next) => {
             let epoch = shared.engine.replace(next);
             shared.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record(Route::AdminReload, 200);
             let body = Json::Obj(vec![
                 ("ok".to_string(), Json::Bool(true)),
                 ("epoch".to_string(), count(epoch)),
                 ("version".to_string(), count(shared.engine.version())),
             ])
             .render();
-            write_response(w, 200, "application/json", &[], body.as_bytes(), keep).is_ok() && keep
+            Reply::json(Route::AdminReload, 200, body, keep)
         }
         Err(message) => {
             shared
                 .metrics
                 .reload_failures
                 .fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record(Route::AdminReload, 500);
             let body = api::error_json("reload_failed", &message, vec![]).render();
-            let _ = write_response(w, 500, "application/json", &[], body.as_bytes(), false);
-            false
+            Reply::json(Route::AdminReload, 500, body, false)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// Spin until `depth` reads `n` (the gate stores it under its lock).
+    fn wait_depth(depth: &AtomicU64, n: u64) {
+        while depth.load(Ordering::Relaxed) != n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn at_most_turns_are_held_at_once() {
+        let gate = Gate::new(3, 64);
+        let depth = AtomicU64::new(0);
+        let (inside, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..12 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        let _turn = gate.enter(far(), &depth).unwrap();
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!((1..=3).contains(&most.load(Ordering::SeqCst)));
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
+        gate.drain(); // nothing runs or waits: returns at once
+    }
+
+    #[test]
+    fn capacity_waiters_are_admitted_and_the_next_is_refused() {
+        // Zero capacity refuses even with every turn free.
+        let zero = Gate::new(1, 0);
+        let depth = AtomicU64::new(0);
+        assert_eq!(zero.enter(far(), &depth).err(), Some(Refused::Full));
+
+        let gate = Gate::new(1, 2);
+        let held = gate.enter(far(), &depth).unwrap();
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| gate.enter(far(), &depth).map(drop)))
+                .collect();
+            wait_depth(&depth, 2);
+            assert_eq!(gate.enter(far(), &depth).err(), Some(Refused::Full));
+            drop(held);
+            for waiter in waiters {
+                assert_eq!(waiter.join().unwrap(), Ok(()));
+            }
+        });
+    }
+
+    #[test]
+    fn a_waiter_past_its_deadline_leaves_and_a_later_one_gets_the_turn() {
+        let gate = Gate::new(1, 4);
+        let depth = AtomicU64::new(0);
+        // A deadline already past is refused even with a turn free.
+        let past = Instant::now();
+        assert_eq!(gate.enter(past, &depth).err(), Some(Refused::Deadline));
+
+        let held = gate.enter(far(), &depth).unwrap();
+        std::thread::scope(|scope| {
+            let patient = scope.spawn(|| gate.enter(far(), &depth).map(drop));
+            wait_depth(&depth, 1);
+            let soon = Instant::now() + Duration::from_millis(30);
+            assert_eq!(gate.enter(soon, &depth).err(), Some(Refused::Deadline));
+            assert!(Instant::now() >= soon);
+            drop(held);
+            assert_eq!(patient.join().unwrap(), Ok(()));
+        });
+        assert_eq!(depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn close_refuses_newcomers_while_waiters_still_run() {
+        let gate = Gate::new(1, 4);
+        let depth = AtomicU64::new(0);
+        let held = gate.enter(far(), &depth).unwrap();
+        let ran = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let _turn = gate.enter(far(), &depth).unwrap();
+                ran.store(true, Ordering::SeqCst);
+            });
+            wait_depth(&depth, 1);
+            gate.close();
+            assert_eq!(gate.enter(far(), &depth).err(), Some(Refused::Closed));
+            let drain = scope.spawn(|| gate.drain());
+            drop(held);
+            waiter.join().unwrap();
+            drain.join().unwrap();
+        });
+        assert!(ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_turn_holder_that_panics_frees_its_turn() {
+        let gate = Gate::new(1, 1);
+        let depth = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _turn = gate.enter(far(), &depth).unwrap();
+                panic!("search panicked while holding its turn");
+            });
+            assert!(holder.join().is_err());
+        });
+        let soon = Instant::now() + Duration::from_secs(5);
+        assert!(gate.enter(soon, &depth).is_ok());
     }
 }

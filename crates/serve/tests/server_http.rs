@@ -127,7 +127,6 @@ fn search_healthz_metrics_happy_path() {
         "patternkb_cache_table_fills_total 1",
         "patternkb_cache_entries 1",
         "patternkb_engine_epoch 0",
-        "patternkb_batches_total",
         "patternkb_shard_subtrees_total",
         "patternkb_connections_active",
         "patternkb_storage_backend{backend=\"heap\"} 1",

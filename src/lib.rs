@@ -62,8 +62,8 @@
 //! ## Serving over HTTP
 //!
 //! The [`serve`] crate (`patternkb-serve`, std-only) wraps the shared
-//! handle in a production HTTP server — fixed worker pool, bounded
-//! admission queue with 429/503 load shedding, request micro-batching,
+//! handle in a production HTTP server — an admission gate bounding the
+//! searches that run and wait, with 429/503 load shedding,
 //! Prometheus `/metrics`, and `/admin/reload` hot snapshot swap. Boot it
 //! with `patternkb-cli serve <dataset>`; drive it with the `loadgen` bin
 //! from `patternkb-bench`. See the README's "Serving" section.
